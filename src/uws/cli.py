@@ -41,7 +41,7 @@ from .errors import (
     NumericalFailureError,
     RankDeficiencyError,
 )
-from .spectral import RankPolicy, operator_norm
+from .spectral import RankPolicy, operator_norm, orthonormality_defect
 
 TABLE_HEADER = "component_index,layer,sigma,ratio,cumulative"
 CONVERGE_HEADER = "T,trial,op_error,subspace_error,op_bound,subspace_bound"
@@ -231,8 +231,12 @@ def cmd_extract(args):
     print(f"subspace: {args.out}")
     print(f"models: {len(models)}")
     for name in u.included_layers:
-        spec = u.layer_models[name].variance_ledger[u.config.order]
-        print(f"  {name}: rank {spec.retained} of {spec.singular_values.size}")
+        model = u.layer_models[name]
+        spec = model.variance_ledger[u.config.order]
+        energy = float(np.sum(spec.ratios[: spec.retained]))
+        defect = orthonormality_defect(model.factors[-1])
+        print(f"  {name}: rank {spec.retained} of {spec.singular_values.size}, "
+              f"retained energy {energy:.6f}, orthonormality defect {defect:.1e}")
     print(f"report: {args.report}")
     return 0
 

@@ -496,6 +496,15 @@ def coefficient_parameter_count(basis_rank: int, layer_count: int) -> int:
 # ------------------------------------------------------------------ adaptation
 
 
+def _finite_number(value) -> bool:
+    """A finite int or float; bools are not numbers here."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and bool(np.isfinite(value))
+    )
+
+
 def _slab_mean(model: SubspaceModel):
     rows = model.slab_extent if model.slab_extent else model.shape[0]
     cols = model.shape[-1]
@@ -544,7 +553,7 @@ def adapt_coefficients(
         )
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidArgumentError("adaptation data must be finite")
-    if not isinstance(ridge, (int, float)) or ridge < 0 or not np.isfinite(ridge):
+    if not _finite_number(ridge) or ridge < 0:
         raise InvalidArgumentError(f"ridge must be a non-negative number, got {ridge!r}")
     basis = model.factors[1]
     d, k = basis.shape
@@ -589,7 +598,7 @@ def adapt_coefficients(
     else:
         if lr is None:
             lr = 0.5 / lmax if lmax > 0 else 1.0
-        if not isinstance(lr, (int, float)) or lr <= 0 or not np.isfinite(lr):
+        if not _finite_number(lr) or lr <= 0:
             raise InvalidArgumentError(f"lr must be a positive number, got {lr!r}")
         epochs = _count(epochs, "epochs", 1)
         ct = np.zeros((k, y.shape[1]))

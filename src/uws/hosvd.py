@@ -1,10 +1,30 @@
 """Truncated zero-centered higher-order SVD.
 
 Pipeline: subtract the mean (feature-wise along the stacking mode by
-default, or one global scalar), unfold the centered tensor along every
-mode, keep the leading left singular vectors of each unfolding per a rank
-policy, and contract the centered tensor with the factor transposes to get
-the core.  Reconstruction is ``mu + core x_1 U(1) ... x_N U(N)``.
+default, or one global scalar), find each mode's leading singular
+vectors, keep as many as that mode's rank policy asks for, and contract
+the centered tensor with the factor transposes to get the core.
+Reconstruction is ``mu + core x_1 U(1) ... x_N U(N)``.
+
+Order-2 stacks (rows = models' stacked rows, columns = features) are
+plain PCA of one matrix Xc, and their two mode unfoldings are Xc and its
+transpose, so one decomposition serves both modes:
+
+- Gram route: ``eigh`` of the d x d matrix Xc.T @ Xc gives the spectrum
+  and the feature factor V; the stacking factor is Xc V / s.  Squaring
+  the condition number leaves s_i an absolute error of about
+  eps * s_1**2 / s_i, so the stacking factor's orthonormality defect at
+  depth r is about eps * (s_1 / s_r)**2.
+- Exact route: one thin SVD of Xc.  A guard takes it whenever the Gram
+  route could lose accuracy that a result depends on: the stack is wider
+  than tall, a policy is ``cumulative_variance(tau=1)`` or
+  ``hard_threshold`` (both read the small end of the spectrum), or the
+  deepest component retained or read is below 1e-3 * s_1, where the
+  defect could exceed about 2e-10.
+
+Both routes orient every factor column so its largest-magnitude entry
+is nonnegative.  Higher-order stacks decompose every mode unfolding
+with its own thin SVD.
 
 A "slice" is one contributor's slab of the stacked tensor (its block of
 rows for order-2 stacking, or its matrix for stacking along a new mode).
@@ -24,10 +44,24 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .spectral import DEFAULT_POLICY, RankPolicy, explained_variance, select_rank, thin_svd
+from .spectral import (
+    DEFAULT_POLICY,
+    RankPolicy,
+    column_signs,
+    explained_variance,
+    gram_eigh,
+    select_rank,
+    thin_svd,
+)
 from .tensor import DenseTensor, mode_product, unfold
 
 CENTERINGS = ("feature", "global")
+
+#: The Gram route serves an order-2 stack only while every component it
+#: retains or reads has s_i >= GRAM_MIN_RATIO * s_1 (lambda_i >= 1e-6 *
+#: lambda_1); deeper, the stacking factor's orthonormality defect,
+#: about eps * (s_1 / s_i)**2, could exceed 2e-10.
+GRAM_MIN_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -118,6 +152,61 @@ def _policy_list(policies, order: int) -> list[RankPolicy]:
     return policies
 
 
+def _ratios(singular_values: np.ndarray, mode: int, centering: str) -> np.ndarray:
+    try:
+        return explained_variance(singular_values)
+    except DegenerateSpectrumError as exc:
+        raise DegenerateSpectrumError(
+            f"no variance left along mode {mode} after {centering} centering"
+        ) from exc
+
+
+def _order2_svd(xc: np.ndarray, exact: bool, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The single decomposition of a centered order-2 stack.
+
+    Returns ``(s, u, v)``: the min(rows, cols) singular values, the
+    stacking directions (at least the first ``depth(s)`` of them) and the
+    feature directions, each column oriented by :func:`column_signs`.
+    ``depth(s)`` is the deepest 1-based component the caller retains or
+    reads; the Gram route is used unless ``exact`` is set, the stack is
+    wide, or that component falls below ``GRAM_MIN_RATIO * s_1``.
+    """
+    rows, cols = xc.shape
+    if rows >= cols and not exact:
+        s, v = gram_eigh(xc)
+        n = depth(s)
+        if s[n - 1] >= GRAM_MIN_RATIO * s[0]:
+            u = (xc @ v[:, :n]) / s[:n]
+            return s, u * column_signs(u), v
+    f = thin_svd(xc)
+    return f.singular_values, f.u, f.v * column_signs(f.v)
+
+
+def _truncate_order2(xc: np.ndarray, policies: list[RankPolicy], centering: str):
+    rows, cols = xc.shape
+    shapes = ((rows, cols), (cols, rows))
+
+    def ranks(s):
+        ratios = _ratios(s, 1, centering)
+        return ratios, [
+            select_rank(ratios, p, singular_values=s, shape=shape)
+            for p, shape in zip(policies, shapes)
+        ]
+
+    exact = any(
+        p.kind == "hard_threshold" or (p.kind == "cumulative_variance" and p.tau >= 1.0)
+        for p in policies
+    )
+    s, u, v = _order2_svd(xc, exact, lambda s: max(ranks(s)[1]))
+    ratios, (r1, r2) = ranks(s)
+    factors = [np.ascontiguousarray(u[:, :r1]), np.ascontiguousarray(v[:, :r2])]
+    ledger = {
+        mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=r)
+        for mode, r in ((1, r1), (2, r2))
+    }
+    return factors, ledger, DenseTensor.from_array(factors[0].T @ (xc @ factors[1]))
+
+
 def hosvd_truncated(
     x: DenseTensor,
     policies=DEFAULT_POLICY,
@@ -127,6 +216,14 @@ def hosvd_truncated(
     slab_extent: int | None = None,
 ) -> SubspaceModel:
     """Zero-center ``x`` and truncate every mode of the centered tensor.
+
+    An order-2 stack is decomposed once, by the Gram route or, where the
+    guard in the module docstring calls for it, by one exact thin SVD;
+    both modes share that spectrum and the core is ``U1.T @ Xc @ U2``.
+    The Gram route matches the exact one to within the accuracy stated
+    there: retained factors agree to about eps * (s_1 / s_r)**2 and each
+    singular value s_i to about eps * s_1**2 / s_i.  Higher-order stacks
+    take one thin SVD per mode unfolding.
 
     Parameters
     ----------
@@ -152,27 +249,24 @@ def hosvd_truncated(
         raise DegenerateSpectrumError(
             f"no variance left after {centering} centering"
         )
-    factors: list[np.ndarray] = []
-    ledger: dict[int, ModeSpectrum] = {}
-    for mode in range(1, x.order + 1):
-        m = unfold(xc, mode)
-        f = thin_svd(m)
-        try:
-            ratios = explained_variance(f.singular_values)
-        except DegenerateSpectrumError as exc:
-            raise DegenerateSpectrumError(
-                f"no variance left along mode {mode} after {centering} centering"
-            ) from exc
-        r = select_rank(
-            ratios, per_mode[mode - 1], singular_values=f.singular_values, shape=m.shape
-        )
-        factors.append(np.ascontiguousarray(f.u[:, :r]))
-        ledger[mode] = ModeSpectrum(
-            singular_values=f.singular_values, ratios=ratios, retained=r
-        )
-    core = xc
-    for mode, u in enumerate(factors, start=1):
-        core = mode_product(core, u.T, mode)
+    if x.order == 2:
+        factors, ledger, core = _truncate_order2(xc.data.reshape(x.shape), per_mode, centering)
+    else:
+        factors, ledger = [], {}
+        for mode in range(1, x.order + 1):
+            m = unfold(xc, mode)
+            f = thin_svd(m)
+            ratios = _ratios(f.singular_values, mode, centering)
+            r = select_rank(
+                ratios, per_mode[mode - 1], singular_values=f.singular_values, shape=m.shape
+            )
+            factors.append(np.ascontiguousarray(f.u[:, :r]))
+            ledger[mode] = ModeSpectrum(
+                singular_values=f.singular_values, ratios=ratios, retained=r
+            )
+        core = xc
+        for mode, u in enumerate(factors, start=1):
+            core = mode_product(core, u.T, mode)
     return SubspaceModel(
         mu=mu,
         factors=factors,
@@ -282,7 +376,9 @@ def secondary_subspace(x: DenseTensor, model: SubspaceModel, k2: int) -> Subspac
 
     The returned model shares the primary mean, its factors are exactly
     orthogonal to the primary factors, and its variance ledger records
-    where in the full spectrum its window starts.
+    where in the full spectrum its window starts.  An order-2 stack takes
+    the single decomposition of :func:`hosvd_truncated`, with the guard
+    applied to the deepest component read.
     """
     if k2 < 1:
         raise InvalidArgumentError(f"k2 must be >= 1, got {k2}")
@@ -290,41 +386,53 @@ def secondary_subspace(x: DenseTensor, model: SubspaceModel, k2: int) -> Subspac
         raise InvalidArgumentError(
             f"tensor shape {x.shape} does not match the model's stack shape {model.shape}"
         )
-    arr = x.to_array()
-    xc = DenseTensor.from_array(arr - np.asarray(model.mu))
-    svds = []
-    for mode in range(1, x.order + 1):
-        f = thin_svd(unfold(xc, mode))
-        r1 = model.variance_ledger[mode].retained
-        avail = f.u.shape[1] - r1
+    firsts = [model.variance_ledger[mode].retained for mode in range(1, x.order + 1)]
+    for mode, (extent, r1) in enumerate(zip(x.shape, firsts), start=1):
+        avail = min(extent, x.data.size // extent) - r1
         if k2 > avail:
             raise InvalidArgumentError(
                 f"k2={k2} exceeds the {avail} directions remaining along mode {mode}"
             )
-        svds.append(f)
+    xc = x.to_array() - np.asarray(model.mu)
     # residual after removing the primary subspace along every mode
-    proj = xc
-    for mode, u in enumerate(model.factors, start=1):
-        proj = mode_product(proj, u @ u.T, mode)
-    resid_norm = np.linalg.norm(xc.data - proj.data)
-    if resid_norm <= 1e-12 * np.linalg.norm(xc.data):
+    if x.order == 2:
+        u1, v1 = model.factors
+        proj = u1 @ ((u1.T @ xc) @ v1) @ v1.T
+    else:
+        proj = DenseTensor.from_array(xc)
+        for mode, u in enumerate(model.factors, start=1):
+            proj = mode_product(proj, u @ u.T, mode)
+        proj = proj.to_array()
+    if np.linalg.norm(xc - proj) <= 1e-12 * np.linalg.norm(xc):
         raise DegenerateSpectrumError(
             "residual is numerically zero; the primary subspace already explains the stack"
         )
-    factors: list[np.ndarray] = []
-    ledger: dict[int, ModeSpectrum] = {}
-    for mode, f in enumerate(svds, start=1):
-        r1 = model.variance_ledger[mode].retained
-        factors.append(np.ascontiguousarray(f.u[:, r1 : r1 + k2]))
-        ledger[mode] = ModeSpectrum(
-            singular_values=f.singular_values,
-            ratios=explained_variance(f.singular_values),
+    if x.order == 2:
+        s, u, v = _order2_svd(xc, False, lambda s: max(firsts) + k2)
+        spectra = [s, s]
+        factors = [
+            np.ascontiguousarray(f[:, r1 : r1 + k2]) for f, r1 in zip((u, v), firsts)
+        ]
+        core = DenseTensor.from_array(factors[0].T @ (xc @ factors[1]))
+    else:
+        xt = DenseTensor.from_array(xc)
+        spectra, factors = [], []
+        for mode, r1 in enumerate(firsts, start=1):
+            f = thin_svd(unfold(xt, mode))
+            spectra.append(f.singular_values)
+            factors.append(np.ascontiguousarray(f.u[:, r1 : r1 + k2]))
+        core = xt
+        for mode, u in enumerate(factors, start=1):
+            core = mode_product(core, u.T, mode)
+    ledger = {
+        mode: ModeSpectrum(
+            singular_values=s,
+            ratios=explained_variance(s),
             retained=k2,
             first_component=r1,
         )
-    core = xc
-    for mode, u in enumerate(factors, start=1):
-        core = mode_product(core, u.T, mode)
+        for mode, (s, r1) in enumerate(zip(spectra, firsts), start=1)
+    }
     return SubspaceModel(
         mu=model.mu,
         factors=factors,

@@ -118,6 +118,31 @@ def test_extract_rerun_is_byte_identical(tmp_path, capsys):
     assert first.with_suffix(".csv").read_bytes() == second.with_suffix(".csv").read_bytes()
 
 
+def test_extract_prints_layer_health(tmp_path, capsys):
+    pattern, _ = write_fixture_models(tmp_path)
+    outputs = []
+    for name in ("a", "b"):
+        code, stdout, _ = run(
+            ["extract", "--models", pattern, "--out", str(tmp_path / f"{name}.uws"),
+             "--report", str(tmp_path / f"{name}.csv"), "--tau", "0.95"],
+            capsys,
+        )
+        assert code == 0
+        outputs.append([ln for ln in stdout.splitlines() if ": rank " in ln])
+    assert outputs[0] == outputs[1]
+    u = load_subspace(tmp_path / "a.uws")
+    assert len(outputs[0]) == len(u.included_layers) == 2
+    for line, name in zip(outputs[0], u.included_layers):
+        spec = u.layer_models[name].variance_ledger[2]
+        prefix = f"  {name}: rank {spec.retained} of {spec.singular_values.size}, "
+        assert line.startswith(prefix)
+        energy = float(line.split("retained energy ")[1].split(",")[0])
+        assert abs(energy - spec.ratios[: spec.retained].sum()) < 1e-6
+        assert 0.95 <= energy <= 1.0
+        defect = float(line.split("orthonormality defect ")[1])
+        assert 0.0 <= defect < 1e-10
+
+
 def test_extract_with_no_matching_models_is_a_data_error(tmp_path, capsys):
     code, _, err = run(
         ["extract", "--models", str(tmp_path / "none_*.uws"),

@@ -403,6 +403,14 @@ def test_adapt_rank_deficiency_and_ridge():
     assert np.all(np.isfinite(coeffs.coeffs))
 
 
+@pytest.mark.parametrize("kwargs", [{"ridge": True}, {"method": "gradient", "lr": True}])
+def test_adapt_rejects_bool_numbers(kwargs):
+    rng = np.random.default_rng(103)
+    u, layer, x, y, _ = adapt_fixture(rng)
+    with pytest.raises(InvalidArgumentError):
+        adapt_coefficients(u, layer, x, y, **kwargs)
+
+
 def test_adapt_reports_trainable_params():
     rng = np.random.default_rng(102)
     u, layer, x, y, _ = adapt_fixture(rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import uws.hosvd as hosvd_module
 from uws.errors import (
     DegenerateSpectrumError,
     InternalConsistencyError,
@@ -203,6 +204,149 @@ def test_determinism():
     for f1, f2 in zip(m1.factors, m2.factors):
         assert np.array_equal(f1, f2)
     assert np.array_equal(m1.core.data, m2.core.data)
+
+
+# ----------------------------------------- order-2 single decomposition
+
+
+def max_sine(a: np.ndarray, b: np.ndarray) -> float:
+    """Sine of the largest principal angle between two column spans."""
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    return float(np.linalg.norm(qb - qa @ (qa.T @ qb), 2))
+
+
+def exact_route(monkeypatch, fn, *args, **kwargs):
+    """Run ``fn`` with the Gram route's accuracy floor set so high that
+    every order-2 stack takes the exact thin-SVD route."""
+    with monkeypatch.context() as m:
+        m.setattr(hosvd_module, "GRAM_MIN_RATIO", np.inf)
+        return fn(*args, **kwargs)
+
+
+def count_decompositions(monkeypatch, fn, *args):
+    calls = {"svd": 0, "eigh": 0}
+    with monkeypatch.context() as m:
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*a, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+
+            m.setattr(np.linalg, name, counted)
+        out = fn(*args)
+    return out, calls
+
+
+def assert_routes_agree(got: SubspaceModel, want: SubspaceModel):
+    assert got.ranks == want.ranks
+    for f1, f2 in zip(got.factors, want.factors):
+        assert max_sine(f1, f2) <= 1e-10
+    for mode, spec in want.variance_ledger.items():
+        s = spec.singular_values
+        other = got.variance_ledger[mode]
+        assert other.retained == spec.retained
+        assert other.first_component == spec.first_component
+        assert np.max(np.abs(other.singular_values - s)) <= 1e-12 * s[0]
+    assert relerr(reconstruct(got).to_array(), reconstruct(want).to_array()) <= 1e-10
+
+
+TALL_PLANTED = [(400, 32, 5, 0.05), (900, 64, 8, 0.01), (120, 120, 3, 0.1)]
+
+
+@pytest.mark.parametrize("n,d,k,noise", TALL_PLANTED)
+@pytest.mark.parametrize(
+    "policies",
+    [
+        RankPolicy.fixed_k(4),
+        RankPolicy.cumulative_variance(0.9),
+        RankPolicy.eigen_floor(0.01),
+        [RankPolicy.cumulative_variance(0.95), RankPolicy.fixed_k(2)],
+    ],
+    ids=["fixed_k", "tau", "floor", "mixed"],
+)
+def test_gram_route_matches_exact_route(monkeypatch, n, d, k, noise, policies):
+    rng = np.random.default_rng(n + d)
+    x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
+    t = DenseTensor.from_array(x)
+    gram = hosvd_truncated(t, policies, slab_extent=4)
+    exact = exact_route(monkeypatch, hosvd_truncated, t, policies, slab_extent=4)
+    assert_routes_agree(gram, exact)
+
+
+@pytest.mark.parametrize("n,d,k,noise", TALL_PLANTED)
+def test_secondary_gram_route_matches_exact_route(monkeypatch, n, d, k, noise):
+    rng = np.random.default_rng(n * d)
+    x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
+    t = DenseTensor.from_array(x)
+    model = hosvd_truncated(t, [RankPolicy.fixed_k(k + 1), RankPolicy.fixed_k(k)])
+    gram = secondary_subspace(t, model, 3)
+    exact = exact_route(monkeypatch, secondary_subspace, t, model, 3)
+    assert_routes_agree(gram, exact)
+    assert [s.first_component for s in gram.variance_ledger.values()] == [k + 1, k]
+
+
+def test_tall_well_conditioned_stack_takes_one_eigh(monkeypatch):
+    rng = np.random.default_rng(63)
+    x, _ = planted_stack(rng, n=300, d=24, k=4, noise=0.05)
+    t = DenseTensor.from_array(x)
+    model, calls = count_decompositions(
+        monkeypatch, hosvd_truncated, t, RankPolicy.cumulative_variance(0.9)
+    )
+    assert calls == {"svd": 0, "eigh": 1}
+    assert model.ranks == (4, 4)
+    second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 5)
+    assert calls == {"svd": 0, "eigh": 1}
+    assert second.ranks == (5, 5)
+
+
+def ill_conditioned_stack(rng, n=200, d=12):
+    """Tall stack whose centered spectrum falls geometrically to 1e-6."""
+    a = haar_columns(n, d, rng)
+    a -= a.mean(axis=0)
+    return a @ np.diag(np.geomspace(1.0, 1e-6, d)) @ haar_columns(d, d, rng).T
+
+
+def test_guard_cases_take_exactly_one_svd(monkeypatch):
+    rng = np.random.default_rng(64)
+    tall = rng.standard_normal((60, 8))
+    noisy, _ = planted_stack(rng, n=80, d=16, k=3, noise=0.05)
+    cases = [
+        # (stack, policies, expected eigh calls, full rank)
+        (tall, RankPolicy.cumulative_variance(1.0), 0, True),
+        (noisy, RankPolicy.hard_threshold(), 0, False),
+        (rng.standard_normal((8, 30)), RankPolicy.fixed_k(3), 0, False),
+        (ill_conditioned_stack(rng), RankPolicy.fixed_k(10), 1, False),
+    ]
+    for x, policies, eighs, full in cases:
+        t = DenseTensor.from_array(x)
+        model, calls = count_decompositions(monkeypatch, hosvd_truncated, t, policies)
+        assert calls == {"svd": 1, "eigh": eighs}
+        for f in model.factors:
+            assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
+        rec = reconstruct(model).to_array()
+        if full:
+            assert relerr(rec, x) <= 1e-8
+        else:
+            xc = x - x.mean(axis=0)
+            k = model.ranks[0]
+            assert model.ranks == (k, k)
+            err = np.linalg.norm(rec - x)
+            assert abs(err - best_rank_k_error(xc, k)) <= 1e-8 * np.linalg.norm(xc)
+
+
+def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(65)
+    t = DenseTensor.from_array(ill_conditioned_stack(rng))
+    model = hosvd_truncated(t, RankPolicy.fixed_k(3))
+    # the window 3..5 stays above 1e-3 * s_1; 3..9 reaches below it
+    _, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 3)
+    assert calls == {"svd": 0, "eigh": 1}
+    second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 7)
+    assert calls == {"svd": 1, "eigh": 1}
+    for u1, u2 in zip(model.factors, second.factors):
+        assert np.max(np.abs(u2.T @ u2 - np.eye(7))) <= 1e-10
+        assert np.max(np.abs(u1.T @ u2)) < 1e-8
 
 
 # -------------------------------------------------- slice project/reconstruct

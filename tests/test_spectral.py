@@ -8,12 +8,16 @@ from uws.errors import (
 from uws.spectral import (
     RankPolicy,
     ThinSvd,
+    column_signs,
     explained_variance,
+    gram_eigh,
     operator_norm,
+    orthonormality_defect,
     select_rank,
     thin_svd,
 )
 
+from oracles import sign_canonical
 
 # ------------------------------------------------------------------ thin_svd
 
@@ -64,6 +68,30 @@ def test_thin_svd_sign_convention_is_deterministic():
         for j in range(f.u.shape[1]):
             col = f.u[:, j]
             assert col[np.argmax(np.abs(col))] >= 0
+
+
+def test_column_signs_orient_largest_entry():
+    a = np.array([[1.0, -3.0, 0.0, 2.0], [-2.0, 1.0, -0.5, -2.0]])
+    signs = column_signs(a)
+    assert np.array_equal(signs, [-1.0, -1.0, -1.0, 1.0])
+    rng = np.random.default_rng(19)
+    m = rng.standard_normal((9, 6))
+    assert np.array_equal(m * column_signs(m), sign_canonical(m))
+
+
+def test_gram_eigh_matches_thin_svd_on_tall_input():
+    rng = np.random.default_rng(20)
+    q = np.linalg.qr(rng.standard_normal((80, 6)))[0]
+    w = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    m = q @ np.diag([9.0, 5.0, 3.0, 1.0, 0.5, 0.1]) @ w.T
+    s, v = gram_eigh(m)
+    f = thin_svd(m)
+    assert np.max(np.abs(s - f.singular_values)) < 1e-12 * s[0]
+    assert np.all(np.diff(s) <= 0)
+    assert orthonormality_defect(v) < 1e-12
+    assert np.max(np.abs(v - f.v * column_signs(f.v))) < 1e-10
+    with pytest.raises(InvalidArgumentError):
+        gram_eigh(np.array([[1.0, np.nan]]))
 
 
 def test_thin_svd_rejects_non_finite():
