@@ -481,6 +481,7 @@ def cmd_theory_converge(args):
                 f"op_bound {row.op_bound!r} subspace_bound {_fmt(row.subspace_bound)}"
             )
     _write_text(args.out, "\n".join(lines) + "\n")
+    print(f"cells: {len(report.rows)}")
     print(f"slope: {_fmt(report.slope)}")
     print(f"within_task_floor: {_fmt(report.within_task_floor)}")
     for t in sorted(report.mean_op_error):

@@ -1,5 +1,6 @@
 """Thin SVD, Gram eigendecomposition, explained-variance accounting,
-rank-selection policies, and spectral norms of symmetric matrices."""
+rank-selection policies, and the exact operator norm of a symmetric
+matrix (one ``eigvalsh``)."""
 
 from __future__ import annotations
 
@@ -235,75 +236,30 @@ def select_rank(
     raise InvalidArgumentError(f"unknown policy kind {policy.kind!r}")
 
 
-def operator_norm(a: np.ndarray, *, rtol: float = 1e-10, seed: int = 0) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
+def operator_norm(a: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a finite symmetric matrix.
 
-    Power iteration on A @ A (so eigenvalues of mixed sign cannot make the
-    iterate oscillate), carried on an orthonormal pair of vectors and
-    restarted with fresh random draws if the pair falls into the null
-    space.  A single iterate cannot resolve two magnitudes that nearly
-    tie — its mixture freezes and the Rayleigh quotient stalls a hair
-    below the true norm — but the pair's span converges onto the top two
-    eigendirections, where the 2x2 Rayleigh-Ritz readout is exact.
-
-    The readout is accepted only when its own eigen-residual ||B y - t y||
-    certifies it to the requested tolerance, so a transient plateau can
-    never certify a wrong answer; if the certificate never fires (three or
-    more leading magnitudes tied to within the tolerance), the iteration
-    cap raises rather than returning a silently low value.
+    One ``np.linalg.eigvalsh`` gives the extreme eigenvalues w[0] and w[-1];
+    the result is max(-w[0], w[-1]), exact to backward-stable rounding at
+    every scale (the matrix is never squared, so nothing underflows or
+    overflows).  The input must be square, finite and symmetric within
+    1e-10 * max(1, max |a_ij|); eigvalsh reads its lower triangle.  The zero
+    matrix (and the empty one) has norm 0.0.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidArgumentError("matrix contains non-finite entries")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale == 0.0:
         return 0.0
     if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, scale):
         raise InvalidArgumentError("matrix is not symmetric within 1e-10")
-    n = a.shape[0]
-    if n == 1:
-        return abs(float(a[0, 0]))
-    a = (a + a.T) / 2.0
-    b = a @ a
-    rng = np.random.default_rng(seed)
-    tiny = (scale * scale) * 1e-290
-
-    def fresh_pair() -> np.ndarray:
-        pair = rng.standard_normal((n, 2))
-        q, _ = np.linalg.qr(pair)
-        return q
-
-    v = fresh_pair()
-    cap = max(5000, 300 * n)
-    restarts = 0
-    for _ in range(cap):
-        w = b @ v
-        m = v.T @ w
-        m = (m + m.T) / 2.0
-        vals, vecs = np.linalg.eigh(m)
-        theta = float(vals[-1])
-        c = vecs[:, -1]
-        rvec = w @ c - theta * (v @ c)
-        residual = float(np.linalg.norm(rvec))
-        if residual <= 2.0 * rtol * max(theta, 1e-300):
-            return float(np.sqrt(max(theta, 0.0)))
-        # advance the pair: orthonormalize the image, redrawing any
-        # direction the matrix has annihilated
-        n1 = float(np.linalg.norm(w[:, 0]))
-        if n1 <= tiny:
-            restarts += 1
-            if restarts > 5:
-                return 0.0
-            v = fresh_pair()
-            continue
-        q1 = w[:, 0] / n1
-        w2 = w[:, 1] - (q1 @ w[:, 1]) * q1
-        n2 = float(np.linalg.norm(w2))
-        if n2 <= tiny + 1e-14 * float(np.linalg.norm(w[:, 1])):
-            w2 = rng.standard_normal(n)
-            w2 -= (q1 @ w2) * q1
-            n2 = float(np.linalg.norm(w2))
-        v = np.column_stack((q1, w2 / n2))
-    raise NumericalFailureError(
-        f"power iteration did not converge within the cap of {cap} iterations"
-    )
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            "symmetric eigensolve did not converge (LAPACK)"
+        ) from exc
+    return float(max(-w[0], w[-1]))

@@ -326,23 +326,31 @@ class TheoremBounds:
 
 def theorem1_bounds(p: BoundParameters) -> TheoremBounds:
     """op_bound = c1 B^2 sqrt(log(c2/delta)/T) + (2 B eta_bar + eta2_bar);
-    subspace_bound = (2/gamma_k) op_bound when the eigengap is supplied."""
+    subspace_bound = (2/gamma_k) op_bound when the eigengap is supplied.
+
+    A bound that is not finite in double precision raises
+    InvalidArgumentError: it would certify nothing."""
     log_arg = p.c2 / p.delta
     if log_arg < 1.0:
         raise InvalidArgumentError(
             f"c2/delta = {log_arg!r} is below 1; the log term would be negative"
         )
-    sampling = p.c1 * p.b**2 * math.sqrt(math.log(log_arg) / p.n_tasks)
-    floor = 2.0 * p.b * p.eta_bar + p.eta2_bar
-    op_bound = sampling + floor
-    if p.gamma_k is None:
-        subspace = None
-    elif p.gamma_k <= 0.0:
+    if p.gamma_k is not None and p.gamma_k <= 0.0:
         raise InvalidArgumentError(
             f"subspace bound needs a positive eigengap, got gamma_k = {p.gamma_k!r}"
         )
-    else:
-        subspace = (2.0 / p.gamma_k) * op_bound
+    try:
+        sampling = p.c1 * p.b**2 * math.sqrt(math.log(log_arg) / p.n_tasks)
+        floor = 2.0 * p.b * p.eta_bar + p.eta2_bar
+        op_bound = sampling + floor
+        subspace = None if p.gamma_k is None else (2.0 / p.gamma_k) * op_bound
+    except OverflowError:
+        op_bound = subspace = math.inf
+    if not math.isfinite(op_bound) or not math.isfinite(subspace or 0.0):
+        raise InvalidArgumentError(
+            f"the bound is not finite in double precision (b = {p.b!r}, c1 = {p.c1!r}, "
+            f"gamma_k = {p.gamma_k!r})"
+        )
     return TheoremBounds(
         sampling_term=sampling,
         within_task_floor=floor,
@@ -526,12 +534,16 @@ def _haar_columns(rng, d: int, m: int) -> np.ndarray:
     return q * signs
 
 
-def _unit_vector(rng, d: int) -> np.ndarray:
-    while True:
-        g = rng.standard_normal(d)
-        n = np.linalg.norm(g)
-        if n > 1e-12:
-            return g / n
+def _unit_rows(rng, g: np.ndarray) -> np.ndarray:
+    """Rows of ``g`` scaled to unit length; a row too short to normalize
+    (norm <= 1e-12) is replaced by a fresh draw until it is not."""
+    norms = np.linalg.norm(g, axis=1)
+    short = norms <= 1e-12
+    while np.any(short):
+        g[short] = rng.standard_normal((int(short.sum()), g.shape[1]))
+        norms[short] = np.linalg.norm(g[short], axis=1)
+        short = norms <= 1e-12
+    return g / norms[:, None]
 
 
 def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsemble:
@@ -541,6 +553,15 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
     energies, rescaled onto the radius-b ball (gaussian mode) or placed
     exactly on the sphere (constant mode); f_hat displaces it by exactly
     eta_t in the configured direction.  Deterministic given the seed.
+
+    Draw order: the Haar basis first (one d x m block, m the spectrum
+    length), then every task in one ``standard_normal((n_tasks, w + d))``
+    block, w = k in constant mode and m otherwise.  Row t holds task t's
+    coefficients (its first w entries) and its perturbation direction
+    (the last d, drawn even when unused), the same values a per-task
+    loop drawing w then d normals would see.  A unit-vector row with
+    norm <= 1e-12 is redrawn after the whole batch, so only then does
+    the stream differ from that loop.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -566,29 +587,23 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
         k=k,
         degenerate_gap=gamma <= 1e-12 * max(1.0, float(spectrum[0])),
     )
-    scaled_basis = basis * np.sqrt(spectrum)
-    tasks = []
-    for t in range(config.n_tasks):
-        if config.norm_mode == "constant":
-            u = _unit_vector(rng, k)
-            f_star = b * (basis[:, :k] @ u)
-        else:
-            g = rng.standard_normal(spectrum.size)
-            f_star = scaled_basis @ g
-            norm = np.linalg.norm(f_star)
-            if norm > b:
-                f_star = f_star * (b / norm)
-        direction = _unit_vector(rng, d)
-        eta_t = float(etas[t])
-        if config.perturbation == "radial":
-            norm = np.linalg.norm(f_star)
-            if norm > 1e-300:
-                f_hat = f_star * (1.0 + eta_t / norm)
-            else:
-                f_hat = f_star + eta_t * direction
-        else:
-            f_hat = f_star + eta_t * direction
-        tasks.append(TaskVector(f_star=f_star, f_hat=f_hat))
+    width = k if config.norm_mode == "constant" else spectrum.size
+    draws = rng.standard_normal((config.n_tasks, width + d))
+    coeffs, directions = draws[:, :width], draws[:, width:]
+    if config.norm_mode == "constant":
+        f_star = b * (_unit_rows(rng, coeffs) @ planted.T)
+    else:
+        f_star = coeffs @ (basis * np.sqrt(spectrum)).T
+        norms = np.linalg.norm(f_star, axis=1)
+        over = norms > b
+        f_star[over] *= (b / norms[over])[:, None]
+    directions = _unit_rows(rng, directions)
+    f_hat = f_star + etas[:, None] * directions
+    if config.perturbation == "radial":
+        norms = np.linalg.norm(f_star, axis=1)
+        along = norms > 1e-300
+        f_hat[along] = f_star[along] * (1.0 + etas[along] / norms[along])[:, None]
+    tasks = [TaskVector(f_star=s, f_hat=h) for s, h in zip(f_star, f_hat)]
     return SyntheticEnsemble(
         config=config,
         tasks=tasks,

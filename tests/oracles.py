@@ -106,3 +106,51 @@ def planted_ensemble(
             layers[name] = signal + g
         models.append(layers)
     return models, bases, mean_rows
+
+
+def synthetic_tasks_by_loop(config, rng: np.random.Generator):
+    """Reference draw of a synthetic task ensemble, one task at a time.
+
+    The per-task loop the vectorized ``uws.theory.sample_ensemble`` must
+    reproduce: a QR-with-sign-fix Haar basis, then for each task its
+    coefficients (a unit k-vector in constant mode, ``len(spectrum)``
+    normals otherwise) and a unit perturbation direction in R^d, every
+    unit vector redrawn on the spot if its norm is <= 1e-12.  Returns
+    ``(basis, f_stars, f_hats)``; the last two are lists of 1-D arrays.
+    """
+
+    def unit_vector(n):
+        while True:
+            g = rng.standard_normal(n)
+            norm = np.linalg.norm(g)
+            if norm > 1e-12:
+                return g / norm
+
+    spectrum = config.resolved_spectrum()
+    b = config.resolved_b()
+    etas = config.resolved_etas()
+    d, k = config.d, config.k
+    q, r = np.linalg.qr(rng.standard_normal((d, spectrum.size)))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    basis = q * signs
+    scaled_basis = basis * np.sqrt(spectrum)
+    f_stars, f_hats = [], []
+    for t in range(config.n_tasks):
+        if config.norm_mode == "constant":
+            f_star = b * (basis[:, :k] @ unit_vector(k))
+        else:
+            f_star = scaled_basis @ rng.standard_normal(spectrum.size)
+            norm = np.linalg.norm(f_star)
+            if norm > b:
+                f_star = f_star * (b / norm)
+        direction = unit_vector(d)
+        eta_t = float(etas[t])
+        norm = np.linalg.norm(f_star)
+        if config.perturbation == "radial" and norm > 1e-300:
+            f_hat = f_star * (1.0 + eta_t / norm)
+        else:
+            f_hat = f_star + eta_t * direction
+        f_stars.append(f_star)
+        f_hats.append(f_hat)
+    return basis, f_stars, f_hats

@@ -574,6 +574,39 @@ def test_theory_dk_check_reports_zero_violations(capsys):
     assert "violations: 0" in out
 
 
+def test_theory_dk_check_survives_a_huge_perturbation(capsys):
+    code, out, _ = run(
+        ["theory", "dk-check", "--d", "4", "--k", "2", "--perturb", "1e300",
+         "--trials", "3"],
+        capsys,
+    )
+    assert code == 0
+    assert "violations: 0" in out.splitlines()
+
+
+def test_theory_converge_prints_its_cell_count(tmp_path, capsys):
+    argv = ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4,8,16",
+            "--trials", "2", "--seed", "5", "--out", str(tmp_path / "r.csv")]
+    code, first, _ = run(argv, capsys)
+    assert code == 0
+    assert "cells: 6" in first.splitlines()
+    assert run(argv, capsys)[1] == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "bounds", "--b", "1e200", "--delta", "0.5", "--t", "100",
+     "--eta-bar", "0.1", "--eta2-bar", "0.01"],
+    ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4,8",
+     "--trials", "1", "--b", "1e200", "--out", "{out}"],
+])
+def test_theory_bound_overflow_is_a_data_error(argv, tmp_path, capsys):
+    argv = [a.replace("{out}", str(tmp_path / "r.csv")) for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "not finite" in err
+
+
 def test_output_into_missing_directory_is_a_data_error(tmp_path, capsys):
     code, _, _ = run(
         ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4",

@@ -4,6 +4,7 @@ import pytest
 from uws.errors import (
     DegenerateSpectrumError,
     InvalidArgumentError,
+    NumericalFailureError,
 )
 from uws.spectral import (
     RankPolicy,
@@ -282,3 +283,30 @@ def test_operator_norm_rejects_asymmetric():
         operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InvalidArgumentError):
         operator_norm(np.zeros((2, 3)))
+
+
+def test_operator_norm_is_exact_at_extreme_scales():
+    # A @ A under- or overflows at these scales; the norm must not square A
+    rng = np.random.default_rng(31)
+    for scale in (1e-150, 1.0, 1e150, 1e160):
+        a = rng.standard_normal((6, 6))
+        a = (a + a.T) / 2 * scale
+        want = np.max(np.abs(np.linalg.eigvalsh(a)))
+        assert operator_norm(a) == pytest.approx(want, rel=1e-12)
+
+
+def test_operator_norm_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            operator_norm(a)
+
+
+def test_operator_norm_maps_lapack_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericalFailureError):
+        operator_norm(np.eye(3))

@@ -11,6 +11,7 @@ from uws.errors import (
 from uws.theory import (
     BoundParameters,
     SyntheticEnsembleConfig,
+    TaskVector,
     convergence_study,
     davis_kahan_check,
     eta_from_complexity,
@@ -26,7 +27,7 @@ from uws.theory import (
     within_task_term,
 )
 
-from oracles import haar_columns
+from oracles import haar_columns, synthetic_tasks_by_loop
 
 
 def opnorm_oracle(m):
@@ -95,6 +96,57 @@ def test_radial_perturbation_keeps_direction():
         assert nh == pytest.approx(ns + 0.3, abs=1e-10)
         cosine = float(t.f_star @ t.f_hat) / (ns * nh)
         assert cosine == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("norm_mode", ["gaussian", "constant"])
+@pytest.mark.parametrize("perturbation", ["isotropic", "radial"])
+@pytest.mark.parametrize("per_task_eta", [False, True])
+def test_batched_draw_matches_per_task_reference(norm_mode, perturbation, per_task_eta):
+    # spectra: default uniform, a length-k profile and a decaying length-d tail
+    spectra = [None] if norm_mode == "constant" else [None, [3.0, 2.0, 1.0], np.linspace(3.0, 0.1, 8)]
+    eta = list(np.linspace(0.0, 0.6, 20)) if per_task_eta else 0.25
+    for spectrum in spectra:
+        for seed in range(4):
+            config = cfg(eta=eta, spectrum=spectrum, seed=seed, norm_mode=norm_mode,
+                         perturbation=perturbation)
+            ens = sample_ensemble(config)
+            basis, stars, hats = synthetic_tasks_by_loop(config, np.random.default_rng(seed))
+            assert np.array_equal(ens.basis, basis)
+            assert all(isinstance(t, TaskVector) for t in ens.tasks)
+            for got, want in ((np.stack([t.f_star for t in ens.tasks]), np.stack(stars)),
+                              (np.stack([t.f_hat for t in ens.tasks]), np.stack(hats))):
+                # the GEMM sums in another order than the per-task GEMV:
+                # 4 ulp of each task vector's norm
+                ulp = np.spacing(np.linalg.norm(want, axis=1))[:, None]
+                assert np.all(np.abs(got - want) <= 4 * ulp)
+
+
+class _ZeroRow:
+    """Generator stand-in that zeroes row 1 of the task batch (the 2-D draw
+    after the basis), forcing the short-vector redraw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.batches = 0
+
+    def standard_normal(self, size):
+        g = self.rng.standard_normal(size)
+        if np.ndim(g) == 2 and g.shape[0] > 1 and self.batches == 1:
+            g[1] = 0.0
+        self.batches += np.ndim(g) == 2
+        return g
+
+
+@pytest.mark.parametrize("norm_mode", ["gaussian", "constant"])
+def test_zero_draw_is_redrawn_not_divided(norm_mode):
+    ens = sample_ensemble(cfg(eta=0.2, norm_mode=norm_mode), rng=_ZeroRow(3))
+    star, hat = ens.tasks[1].f_star, ens.tasks[1].f_hat
+    assert np.all(np.isfinite(star)) and np.all(np.isfinite(hat))
+    assert np.linalg.norm(hat - star) == pytest.approx(0.2, abs=1e-12)
+    if norm_mode == "constant":
+        assert np.linalg.norm(star) == pytest.approx(ens.b, rel=1e-12)
+    else:
+        assert np.array_equal(star, np.zeros(8))
 
 
 def test_config_validation():
@@ -307,6 +359,15 @@ def test_theorem_bounds_validation_and_monotonicity():
     assert op(n_tasks=1000) < op(n_tasks=100) < op(n_tasks=10)
     assert op(eta_bar=0.2) > op(eta_bar=0.1)
     assert op(b=2.0) > op(b=1.0)
+
+
+def test_theorem_bounds_reject_a_bound_that_is_not_finite():
+    base = dict(delta=0.5, n_tasks=100, eta_bar=0.1, eta2_bar=0.01)
+    for kw in (dict(b=1e200),  # b**2 overflows
+               dict(b=1e10, c1=1e300),  # the product overflows to inf
+               dict(b=1.0, gamma_k=1e-320)):  # 2/gamma_k overflows
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            theorem1_bounds(BoundParameters(**base, **kw))
 
 
 def test_eta_from_complexity_hand():
