@@ -502,7 +502,8 @@ def cmd_theory_dk(args):
         noise = rng.standard_normal((args.d, args.d))
         noise = (noise + noise.T) / 2.0
         scale = operator_norm(noise)
-        pert = base + args.perturb * noise / scale
+        # noise / scale has entries of magnitude <= 1, so this cannot overflow
+        pert = base + args.perturb * (noise / scale)
         check = theory.davis_kahan_check(base, pert, args.k)
         if not check.holds:
             violations += 1

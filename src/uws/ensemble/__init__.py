@@ -9,6 +9,7 @@ the reserved entry prefixes ``mu/``, ``U/``, ``core/``, ``ledger/``;
 coefficient files use ``coef/`` and ``raw/``.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from ..hosvd import (
     reconstruct_slice,
 )
 from ..spectral import DEFAULT_POLICY, RankPolicy
-from ..tensor import DenseTensor, fold, unfold
+from ..tensor import fold, unfold
 from .container import read_container, write_container
 
 __all__ = [
@@ -104,7 +105,7 @@ def save_weights(weights: ModelWeights, path) -> None:
 # -------------------------------------------------------------------- stacking
 
 
-def stack_layer(models, layer: str, order: int = 2) -> DenseTensor:
+def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
     """Stack one named layer across models.
 
     order 2 concatenates the slabs along their rows into a (T*r) x d
@@ -132,8 +133,8 @@ def stack_layer(models, layer: str, order: int = 2) -> DenseTensor:
         )
     slabs = [m.layers[layer] for m in models]
     if order == 2:
-        return DenseTensor.from_array(np.concatenate(slabs, axis=0))
-    return DenseTensor.from_array(np.stack(slabs, axis=0))
+        return np.concatenate(slabs, axis=0)
+    return np.stack(slabs, axis=0)
 
 
 # ------------------------------------------------------------------ extraction
@@ -300,8 +301,7 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
             raise InvalidArgumentError(
                 f"model {weights.model_id!r} is missing included layer {name!r}"
             )
-        slice_ = DenseTensor.from_array(weights.layers[name])
-        coefficients[name] = project_slice(u.layer_models[name], slice_, label=name)
+        coefficients[name] = project_slice(u.layer_models[name], weights.layers[name], label=name)
     passthrough = {
         name: weights.layers[name].copy()
         for name in u.excluded_layers
@@ -324,8 +324,7 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
     layers = {}
     for name in u.layer_order:
         if name in coeffs.coefficients:
-            rebuilt = reconstruct_slice(u.layer_models[name], coeffs.coefficients[name])
-            arr = rebuilt.to_array()
+            arr = reconstruct_slice(u.layer_models[name], coeffs.coefficients[name])
             if u.config.order == 3:
                 arr = arr[0]  # drop the singleton stacking axis
             layers[name] = arr
@@ -341,11 +340,12 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
 def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelWeights:
     """Average models inside the subspace.
 
-    Each model is projected, the per-layer coefficients are combined with
-    the given convex weights (uniform by default), and the combination is
-    reconstructed.  Because projection is affine, this equals projecting
-    the weighted mean of the raw models.  Excluded layers present in every
-    input are averaged elementwise with the same weights.
+    Every layer is averaged with the given convex weights (uniform by
+    default), and the mean model is projected and reconstructed once.
+    Because projection is affine, this equals combining the models'
+    coefficients with the same weights.  Excluded layers present in every
+    input are averaged elementwise and carried through.  Each averaged
+    layer must have one shape across the models.
     """
     if len(models) < 2:
         raise InvalidArgumentError(f"merging needs at least two models, got {len(models)}")
@@ -364,29 +364,19 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
             raise InvalidArgumentError(
                 f"merge weights must sum to 1, got {weights.sum()!r}"
             )
-    sets = [project_model(u, m) for m in models]
-    merged_coeffs = {}
-    for name in u.included_layers:
-        acc = np.zeros_like(sets[0].coefficients[name].coeffs)
-        for w, cs in zip(weights, sets):
-            acc = acc + w * cs.coefficients[name].coeffs
-        merged_coeffs[name] = SliceCoefficients(label=name, coeffs=acc)
-    merged_raw = {}
-    for name in u.excluded_layers:
-        if all(name in m.layers for m in models):
-            acc = np.zeros_like(models[0].layers[name])
-            for w, m in zip(weights, models):
-                acc = acc + w * m.layers[name]
-            merged_raw[name] = acc
+    names = list(u.included_layers) + [
+        name for name in u.excluded_layers if all(name in m.layers for m in models)
+    ]
     if model_id is None:
         model_id = "merged(" + ",".join(m.model_id for m in models) + ")"
-    combined = CoefficientSet(
+    mean = ModelWeights(
         model_id=model_id,
-        coefficients=merged_coeffs,
-        passthrough=merged_raw,
-        dtypes={},
+        layers={
+            name: np.tensordot(weights, stack_layer(models, name, order=3), axes=1)
+            for name in names
+        },
     )
-    return reconstruct_model(u, combined)
+    return reconstruct_model(u, project_model(u, mean))
 
 
 # -------------------------------------------------------------- memory savings
@@ -505,15 +495,6 @@ def _finite_number(value) -> bool:
     )
 
 
-def _slab_mean(model: SubspaceModel):
-    rows = model.slab_extent if model.slab_extent else model.shape[0]
-    cols = model.shape[-1]
-    mu = np.asarray(model.mu)
-    if mu.ndim == 0:
-        return np.full((rows, cols), float(mu))
-    return np.broadcast_to(mu.reshape(1, -1)[:, :cols] if mu.ndim == 1 else mu, (rows, cols))
-
-
 def adapt_coefficients(
     u: UniversalSubspace,
     layer: str,
@@ -562,7 +543,7 @@ def adapt_coefficients(
         raise InvalidArgumentError(f"inputs have width {x.shape[1]}, layer expects {d}")
     if y.shape[1] != rows:
         raise InvalidArgumentError(f"targets have width {y.shape[1]}, layer expects {rows}")
-    mu_slab = _slab_mean(model)
+    mu_slab = np.broadcast_to(model.mu, (rows, d))
     z = x @ basis
     resid_target = y - x @ mu_slab.T
     normal = z.T @ z
@@ -610,8 +591,7 @@ def adapt_coefficients(
         report["epochs"] = epochs
         report["loss_curve"] = losses
     coeffs = SliceCoefficients(label=layer, coeffs=ct.T.copy())
-    rebuilt = reconstruct_slice(model, coeffs).to_array()
-    report["reconstructed"] = rebuilt
+    report["reconstructed"] = reconstruct_slice(model, coeffs)
     report["residual_norm"] = float(np.linalg.norm(z @ ct - resid_target))
     return coeffs, report
 
@@ -651,7 +631,7 @@ def save_subspace(u: UniversalSubspace, path) -> None:
         for n, factor in enumerate(model.factors, start=1):
             triples.append((f"U/{name}/{n}", factor, "f64"))
         core = model.core
-        core_matrix = core.to_array() if core.order == 2 else unfold(core, 1)
+        core_matrix = core if core.ndim == 2 else unfold(core, 1)
         triples.append((f"core/{name}", core_matrix, "f64"))
         retained, first = [], []
         for n in range(1, model.order + 1):
@@ -685,12 +665,6 @@ def save_subspace(u: UniversalSubspace, path) -> None:
     write_container(path, u.architecture_id, triples, meta=meta)
 
 
-def _meta_entry(meta, key, kind):
-    if key not in meta:
-        raise ManifestError(f"{kind} container is missing meta field {key!r}", 12)
-    return meta[key]
-
-
 def _entry_map(doc):
     return {rec.name: np.asarray(rec.array, dtype=np.float64) for rec in doc.layers}
 
@@ -701,79 +675,91 @@ def _take(entries, name):
     return entries[name]
 
 
+@contextmanager
+def _decoding_meta(kind):
+    """A meta field that is missing, of the wrong type or of a bad value
+    raises ManifestError, not the KeyError, TypeError or ValueError that
+    decoding it runs into."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(
+            f"{kind} container meta is malformed ({type(exc).__name__}: {exc})", 12
+        ) from exc
+
+
 def load_subspace(path) -> UniversalSubspace:
-    """Read a subspace container written by :func:`save_subspace`."""
+    """Read a subspace container written by :func:`save_subspace`.
+
+    A meta field that is missing or malformed raises ManifestError.
+    """
     doc = read_container(path)
     meta = doc.meta or {}
     if meta.get("kind") != "subspace":
         raise ManifestError("not a subspace container (meta kind != 'subspace')", 12)
-    order = _meta_entry(meta, "order", "subspace")
-    centering = _meta_entry(meta, "centering", "subspace")
-    pol = _meta_entry(meta, "policy", "subspace")
-    policy = RankPolicy(
-        kind=pol["kind"],
-        tau=pol["tau"],
-        epsilon=pol["epsilon"],
-        k=pol["k"],
-        noise_sigma=pol["noise_sigma"],
-    )
-    included = list(_meta_entry(meta, "included_layers", "subspace"))
-    excluded = list(_meta_entry(meta, "excluded_layers", "subspace"))
-    entries = _entry_map(doc)
-    layer_models = {}
-    for name in included:
-        info = _meta_entry(meta, "layers", "subspace")[name]
-        stack_shape = tuple(info["stack_shape"])
-        slab_extent = info["slab_extent"]
-        mu_matrix = _take(entries, f"mu/{name}")
-        if info["mu_kind"] == "global":
-            mu = np.float64(mu_matrix[0, 0])
-        elif len(stack_shape) == 3:
-            mu = mu_matrix.reshape(1, *mu_matrix.shape)
-        else:
-            mu = mu_matrix
-        factors = [_take(entries, f"U/{name}/{n}") for n in range(1, order + 1)]
-        core_matrix = _take(entries, f"core/{name}")
-        core_shape = tuple(info["core_shape"])
-        if len(core_shape) == 2:
-            core = DenseTensor.from_array(core_matrix)
-        else:
-            core = fold(core_matrix, 1, core_shape)
-        ledger = {}
-        for n in range(1, order + 1):
-            ledger[n] = ModeSpectrum(
-                singular_values=_take(entries, f"ledger/{name}/sv/{n}").ravel(),
-                ratios=_take(entries, f"ledger/{name}/ratio/{n}").ravel(),
-                retained=info["retained"][n - 1],
-                first_component=info["first_component"][n - 1],
-            )
-        layer_models[name] = SubspaceModel(
-            mu=mu,
-            factors=factors,
-            core=core,
-            variance_ledger=ledger,
-            centering=centering,
-            stack_mode=1,
-            shape=stack_shape,
-            slab_extent=slab_extent,
+    with _decoding_meta("subspace"):
+        order = meta["order"]
+        centering = meta["centering"]
+        pol = meta["policy"]
+        policy = RankPolicy(
+            kind=pol["kind"],
+            tau=pol["tau"],
+            epsilon=pol["epsilon"],
+            k=pol["k"],
+            noise_sigma=pol["noise_sigma"],
         )
-    config = ExtractionConfig(
-        policy=policy,
-        order=order,
-        centering=centering,
-        exclude_layers=tuple(excluded),
-        architecture_id=_meta_entry(meta, "architecture_id", "subspace"),
-    )
-    return UniversalSubspace(
-        architecture_id=meta["architecture_id"],
-        layer_models=layer_models,
-        config=config,
-        provenance=list(_meta_entry(meta, "provenance", "subspace")),
-        included_layers=included,
-        excluded_layers=excluded,
-        layer_order=list(_meta_entry(meta, "layer_order", "subspace")),
-        layer_dtypes=dict(_meta_entry(meta, "layer_dtypes", "subspace")),
-    )
+        included = list(meta["included_layers"])
+        excluded = list(meta["excluded_layers"])
+        entries = _entry_map(doc)
+        layer_models = {}
+        for name in included:
+            info = meta["layers"][name]
+            stack_shape = tuple(info["stack_shape"])
+            slab_extent = info["slab_extent"]
+            mu_matrix = _take(entries, f"mu/{name}")
+            if info["mu_kind"] == "global":
+                mu = np.float64(mu_matrix[0, 0])
+            elif len(stack_shape) == 3:
+                mu = mu_matrix.reshape(1, *mu_matrix.shape)
+            else:
+                mu = mu_matrix
+            factors = [_take(entries, f"U/{name}/{n}") for n in range(1, order + 1)]
+            core = fold(_take(entries, f"core/{name}"), 1, info["core_shape"])
+            ledger = {}
+            for n in range(1, order + 1):
+                ledger[n] = ModeSpectrum(
+                    singular_values=_take(entries, f"ledger/{name}/sv/{n}").ravel(),
+                    ratios=_take(entries, f"ledger/{name}/ratio/{n}").ravel(),
+                    retained=info["retained"][n - 1],
+                    first_component=info["first_component"][n - 1],
+                )
+            layer_models[name] = SubspaceModel(
+                mu=mu,
+                factors=factors,
+                core=core,
+                variance_ledger=ledger,
+                centering=centering,
+                stack_mode=1,
+                shape=stack_shape,
+                slab_extent=slab_extent,
+            )
+        config = ExtractionConfig(
+            policy=policy,
+            order=order,
+            centering=centering,
+            exclude_layers=tuple(excluded),
+            architecture_id=meta["architecture_id"],
+        )
+        return UniversalSubspace(
+            architecture_id=meta["architecture_id"],
+            layer_models=layer_models,
+            config=config,
+            provenance=list(meta["provenance"]),
+            included_layers=included,
+            excluded_layers=excluded,
+            layer_order=list(meta["layer_order"]),
+            layer_dtypes=dict(meta["layer_dtypes"]),
+        )
 
 
 def save_coefficients(c: CoefficientSet, path) -> None:
@@ -800,24 +786,28 @@ def save_coefficients(c: CoefficientSet, path) -> None:
 
 
 def load_coefficients(path) -> CoefficientSet:
-    """Read a coefficient container written by :func:`save_coefficients`."""
+    """Read a coefficient container written by :func:`save_coefficients`.
+
+    A meta field that is missing or malformed raises ManifestError.
+    """
     doc = read_container(path)
     meta = doc.meta or {}
     if meta.get("kind") != "coefficients":
         raise ManifestError("not a coefficient container (meta kind != 'coefficients')", 12)
-    entries = _entry_map(doc)
-    shapes = _meta_entry(meta, "coef_shapes", "coefficient")
-    coefficients = {}
-    for name, shape in shapes.items():
-        arr = _take(entries, f"coef/{name}")
-        coefficients[name] = SliceCoefficients(label=name, coeffs=arr.reshape(shape))
-    passthrough = {
-        name: _take(entries, f"raw/{name}")
-        for name in _meta_entry(meta, "passthrough", "coefficient")
-    }
-    return CoefficientSet(
-        model_id=_meta_entry(meta, "model_id", "coefficient"),
-        coefficients=coefficients,
-        passthrough=passthrough,
-        dtypes=dict(meta.get("dtypes", {})),
-    )
+    with _decoding_meta("coefficient"):
+        entries = _entry_map(doc)
+        shapes = meta["coef_shapes"]
+        coefficients = {}
+        for name, shape in shapes.items():
+            arr = _take(entries, f"coef/{name}")
+            coefficients[name] = SliceCoefficients(label=name, coeffs=arr.reshape(shape))
+        passthrough = {
+            name: _take(entries, f"raw/{name}")
+            for name in meta["passthrough"]
+        }
+        return CoefficientSet(
+            model_id=meta["model_id"],
+            coefficients=coefficients,
+            passthrough=passthrough,
+            dtypes=dict(meta.get("dtypes", {})),
+        )

@@ -102,7 +102,7 @@ def build_container(model_id: str, layers, meta: dict | None = None) -> bytes:
         if name in seen:
             raise InvalidArgumentError(f"duplicate layer name {name!r}")
         seen.add(name)
-        if dtype not in _DTYPES:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise InvalidArgumentError(
                 f"layer {name!r}: dtype must be one of {sorted(_DTYPES)}, got {dtype!r}"
             )

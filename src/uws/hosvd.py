@@ -53,7 +53,7 @@ from .spectral import (
     select_rank,
     thin_svd,
 )
-from .tensor import DenseTensor, mode_product, unfold
+from .tensor import as_tensor, mode_product, unfold
 
 CENTERINGS = ("feature", "global")
 
@@ -86,7 +86,7 @@ class SubspaceModel:
 
     mu: np.ndarray
     factors: list[np.ndarray]
-    core: DenseTensor
+    core: np.ndarray
     variance_ledger: dict[int, ModeSpectrum]
     centering: str
     stack_mode: int = 1
@@ -115,8 +115,8 @@ class SliceCoefficients:
 
 
 def center(
-    x: DenseTensor, centering: str = "feature", stack_mode: int = 1
-) -> tuple[np.ndarray, DenseTensor]:
+    x, centering: str = "feature", stack_mode: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """Split ``x`` into a mean and a zero-centered remainder.
 
     ``global`` subtracts the scalar mean of all entries; ``feature``
@@ -125,18 +125,18 @@ def center(
     """
     if centering not in CENTERINGS:
         raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
-    arr = x.to_array()
+    arr = as_tensor(x)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("tensor contains non-finite entries")
     if centering == "global":
         mu = np.float64(arr.mean())
     else:
-        if not 1 <= stack_mode <= x.order:
+        if not 1 <= stack_mode <= arr.ndim:
             raise InvalidArgumentError(
-                f"stack_mode {stack_mode} out of range for order-{x.order} tensor"
+                f"stack_mode {stack_mode} out of range for order-{arr.ndim} tensor"
             )
         mu = arr.mean(axis=stack_mode - 1, keepdims=True)
-    return mu, DenseTensor.from_array(arr - mu)
+    return mu, arr - mu
 
 
 def _policy_list(policies, order: int) -> list[RankPolicy]:
@@ -204,11 +204,18 @@ def _truncate_order2(xc: np.ndarray, policies: list[RankPolicy], centering: str)
         mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=r)
         for mode, r in ((1, r1), (2, r2))
     }
-    return factors, ledger, DenseTensor.from_array(factors[0].T @ (xc @ factors[1]))
+    return factors, ledger
+
+
+def _core(xc: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """``xc x_1 U(1).T ... x_N U(N).T``; for order 2, ``U1.T @ Xc @ U2``."""
+    for mode, u in enumerate(factors, start=1):
+        xc = mode_product(xc, u.T, mode)
+    return xc
 
 
 def hosvd_truncated(
-    x: DenseTensor,
+    x,
     policies=DEFAULT_POLICY,
     *,
     centering: str = "feature",
@@ -227,8 +234,8 @@ def hosvd_truncated(
 
     Parameters
     ----------
-    x : DenseTensor
-        The stacked tensor.
+    x : array_like
+        The stacked tensor, order 1..8.
     policies : RankPolicy or sequence of RankPolicy
         Rank selection, shared or per mode.
     centering : {"feature", "global"}
@@ -238,22 +245,23 @@ def hosvd_truncated(
         Rows one slice occupies along the stacking mode; recorded so
         slice projection can validate its input.
     """
-    per_mode = _policy_list(policies, x.order)
-    if frobenius_zero(x):
+    x = as_tensor(x)
+    per_mode = _policy_list(policies, x.ndim)
+    if not np.any(x):
         raise DegenerateSpectrumError("tensor is identically zero")
     mu, xc = center(x, centering, stack_mode)
     # An ensemble whose members are (numerically) identical leaves nothing
     # behind once the mean is removed; rounding keeps the remainder from
     # being exactly zero, so compare against the input's own scale.
-    if np.linalg.norm(xc.data) <= 1e-13 * np.linalg.norm(x.data):
+    if np.linalg.norm(xc) <= 1e-13 * np.linalg.norm(x):
         raise DegenerateSpectrumError(
             f"no variance left after {centering} centering"
         )
-    if x.order == 2:
-        factors, ledger, core = _truncate_order2(xc.data.reshape(x.shape), per_mode, centering)
+    if x.ndim == 2:
+        factors, ledger = _truncate_order2(xc, per_mode, centering)
     else:
         factors, ledger = [], {}
-        for mode in range(1, x.order + 1):
+        for mode in range(1, x.ndim + 1):
             m = unfold(xc, mode)
             f = thin_svd(m)
             ratios = _ratios(f.singular_values, mode, centering)
@@ -264,13 +272,10 @@ def hosvd_truncated(
             ledger[mode] = ModeSpectrum(
                 singular_values=f.singular_values, ratios=ratios, retained=r
             )
-        core = xc
-        for mode, u in enumerate(factors, start=1):
-            core = mode_product(core, u.T, mode)
     return SubspaceModel(
         mu=mu,
         factors=factors,
-        core=core,
+        core=_core(xc, factors),
         variance_ledger=ledger,
         centering=centering,
         stack_mode=stack_mode,
@@ -279,31 +284,27 @@ def hosvd_truncated(
     )
 
 
-def frobenius_zero(x: DenseTensor) -> bool:
-    return not np.any(x.data)
-
-
-def reconstruct(model: SubspaceModel) -> DenseTensor:
+def reconstruct(model: SubspaceModel) -> np.ndarray:
     """``mu + core x_1 U(1) ... x_N U(N)``."""
     out = model.core
     try:
         for mode, u in enumerate(model.factors, start=1):
             out = mode_product(out, u, mode)
-        arr = out.to_array() + np.asarray(model.mu)
+        return out + np.asarray(model.mu)
     except (InvalidArgumentError, ValueError) as exc:
         raise InternalConsistencyError(
             f"stored factors/core/mu are mutually inconsistent: {exc}"
         ) from exc
-    return DenseTensor.from_array(arr)
 
 
-def _slice_array(model: SubspaceModel, slice_: DenseTensor) -> np.ndarray:
+def _slice_array(model: SubspaceModel, slice_) -> np.ndarray:
     """Validate a slice against the model and return it with the
     stacking-mode axis present (inserting a singleton when the slice is
     given one order lower, as with stacking along a dedicated mode)."""
+    slice_ = as_tensor(slice_)
     ax = model.stack_mode - 1
     others = [s for i, s in enumerate(model.shape) if i != ax]
-    if slice_.order == model.order:
+    if slice_.ndim == model.order:
         got = list(slice_.shape)
         slab = got.pop(ax)
         if got != others:
@@ -315,8 +316,8 @@ def _slice_array(model: SubspaceModel, slice_: DenseTensor) -> np.ndarray:
             raise InvalidArgumentError(
                 f"slice has {slab} rows along the stacking mode, expected {model.slab_extent}"
             )
-        return slice_.to_array()
-    if slice_.order == model.order - 1:
+        return slice_
+    if slice_.ndim == model.order - 1:
         if list(slice_.shape) != others:
             raise InvalidArgumentError(
                 f"slice shape {slice_.shape} does not match per-slab shape {tuple(others)}"
@@ -325,13 +326,13 @@ def _slice_array(model: SubspaceModel, slice_: DenseTensor) -> np.ndarray:
             raise InvalidArgumentError(
                 f"model expects slabs of {model.slab_extent} rows, got an order-reduced slice"
             )
-        return np.expand_dims(slice_.to_array(), axis=ax)
+        return np.expand_dims(slice_, axis=ax)
     raise InvalidArgumentError(
-        f"slice of order {slice_.order} does not fit an order-{model.order} stack"
+        f"slice of order {slice_.ndim} does not fit an order-{model.order} stack"
     )
 
 
-def project_slice(model: SubspaceModel, slice_: DenseTensor, label: str | None = None) -> SliceCoefficients:
+def project_slice(model: SubspaceModel, slice_, label: str | None = None) -> SliceCoefficients:
     """Express one slice in the factor basis.
 
     Subtracts the stored mean and contracts every non-stacking mode with
@@ -339,16 +340,14 @@ def project_slice(model: SubspaceModel, slice_: DenseTensor, label: str | None =
     subspace members the reconstruction from these coefficients is the
     Frobenius-closest one.
     """
-    arr = _slice_array(model, slice_) - np.asarray(model.mu)
-    t = DenseTensor.from_array(arr)
+    t = _slice_array(model, slice_) - np.asarray(model.mu)
     for mode, u in enumerate(model.factors, start=1):
-        if mode == model.stack_mode:
-            continue
-        t = mode_product(t, u.T, mode)
-    return SliceCoefficients(label=label, coeffs=t.to_array())
+        if mode != model.stack_mode:
+            t = mode_product(t, u.T, mode)
+    return SliceCoefficients(label=label, coeffs=t)
 
 
-def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> DenseTensor:
+def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.ndarray:
     """Mean plus the coefficients expanded through each factor."""
     arr = np.asarray(coeffs.coeffs, dtype=np.float64)
     if arr.ndim != model.order:
@@ -362,15 +361,13 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> DenseT
                 f"coefficient extent {arr.shape[i]} along mode {i + 1} "
                 f"does not match retained rank {u.shape[1]}"
             )
-    t = DenseTensor.from_array(arr)
     for mode, u in enumerate(model.factors, start=1):
-        if mode == model.stack_mode:
-            continue
-        t = mode_product(t, u, mode)
-    return DenseTensor.from_array(t.to_array() + np.asarray(model.mu))
+        if mode != model.stack_mode:
+            arr = mode_product(arr, u, mode)
+    return arr + np.asarray(model.mu)
 
 
-def secondary_subspace(x: DenseTensor, model: SubspaceModel, k2: int) -> SubspaceModel:
+def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
     """The residual subspace: per mode, the ``k2`` directions that follow
     the primary ones in that mode's singular spectrum.
 
@@ -382,48 +379,40 @@ def secondary_subspace(x: DenseTensor, model: SubspaceModel, k2: int) -> Subspac
     """
     if k2 < 1:
         raise InvalidArgumentError(f"k2 must be >= 1, got {k2}")
+    x = as_tensor(x)
     if x.shape != model.shape:
         raise InvalidArgumentError(
             f"tensor shape {x.shape} does not match the model's stack shape {model.shape}"
         )
-    firsts = [model.variance_ledger[mode].retained for mode in range(1, x.order + 1)]
+    firsts = [model.variance_ledger[mode].retained for mode in range(1, x.ndim + 1)]
     for mode, (extent, r1) in enumerate(zip(x.shape, firsts), start=1):
-        avail = min(extent, x.data.size // extent) - r1
+        avail = min(extent, x.size // extent) - r1
         if k2 > avail:
             raise InvalidArgumentError(
                 f"k2={k2} exceeds the {avail} directions remaining along mode {mode}"
             )
-    xc = x.to_array() - np.asarray(model.mu)
-    # residual after removing the primary subspace along every mode
-    if x.order == 2:
-        u1, v1 = model.factors
-        proj = u1 @ ((u1.T @ xc) @ v1) @ v1.T
-    else:
-        proj = DenseTensor.from_array(xc)
-        for mode, u in enumerate(model.factors, start=1):
-            proj = mode_product(proj, u @ u.T, mode)
-        proj = proj.to_array()
+    xc = x - np.asarray(model.mu)
+    # residual after removing the primary subspace along every mode, through
+    # the primary core rather than an extent x extent projector per mode
+    proj = _core(xc, model.factors)
+    for mode, u in enumerate(model.factors, start=1):
+        proj = mode_product(proj, u, mode)
     if np.linalg.norm(xc - proj) <= 1e-12 * np.linalg.norm(xc):
         raise DegenerateSpectrumError(
             "residual is numerically zero; the primary subspace already explains the stack"
         )
-    if x.order == 2:
+    if x.ndim == 2:
         s, u, v = _order2_svd(xc, False, lambda s: max(firsts) + k2)
         spectra = [s, s]
         factors = [
             np.ascontiguousarray(f[:, r1 : r1 + k2]) for f, r1 in zip((u, v), firsts)
         ]
-        core = DenseTensor.from_array(factors[0].T @ (xc @ factors[1]))
     else:
-        xt = DenseTensor.from_array(xc)
         spectra, factors = [], []
         for mode, r1 in enumerate(firsts, start=1):
-            f = thin_svd(unfold(xt, mode))
+            f = thin_svd(unfold(xc, mode))
             spectra.append(f.singular_values)
             factors.append(np.ascontiguousarray(f.u[:, r1 : r1 + k2]))
-        core = xt
-        for mode, u in enumerate(factors, start=1):
-            core = mode_product(core, u.T, mode)
     ledger = {
         mode: ModeSpectrum(
             singular_values=s,
@@ -436,7 +425,7 @@ def secondary_subspace(x: DenseTensor, model: SubspaceModel, k2: int) -> Subspac
     return SubspaceModel(
         mu=model.mu,
         factors=factors,
-        core=core,
+        core=_core(xc, factors),
         variance_ledger=ledger,
         centering=model.centering,
         stack_mode=model.stack_mode,

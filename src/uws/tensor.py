@@ -1,13 +1,13 @@
-"""Dense order-N tensors with mode-n unfolding, folding, and tensor-matrix
-products.
+"""Mode-n unfolding, folding, and tensor-matrix products on numpy arrays.
 
 Conventions
 -----------
-Modes are numbered 1..N.  The flat payload of a :class:`DenseTensor` stores
-entries lexicographically with the *last* index varying fastest (C order).
-``unfold(t, n)`` puts mode-n fibers into rows; its columns enumerate the
-remaining modes in their original order with the *first* remaining mode
-varying fastest.  ``fold`` is the exact inverse under the same convention.
+A tensor is a float64 ``ndarray`` of order 1..8 with every extent >= 1;
+:func:`as_tensor` checks and converts outside input.  Modes are numbered
+1..N.  ``unfold(t, n)`` puts mode-n fibers into rows; its columns
+enumerate the remaining modes in their original order with the *first*
+remaining mode varying fastest.  ``fold`` is the exact inverse under the
+same convention.
 """
 
 from __future__ import annotations
@@ -19,71 +19,37 @@ from .errors import InvalidArgumentError
 MAX_ORDER = 8
 
 
-class DenseTensor:
-    """Immutable dense real tensor.
-
-    Parameters
-    ----------
-    shape : tuple of int
-        Positive extents I_1..I_N, N <= 8.
-    data : ndarray
-        Flat float64 payload of length prod(shape), last index fastest.
-    """
-
-    __slots__ = ("shape", "data")
-
-    def __init__(self, shape, data):
-        shape = tuple(int(s) for s in shape)
-        if len(shape) < 1 or len(shape) > MAX_ORDER:
-            raise InvalidArgumentError(
-                f"tensor order must be between 1 and {MAX_ORDER}, got {len(shape)}"
-            )
-        if any(s < 1 for s in shape):
-            raise InvalidArgumentError(f"all extents must be >= 1, got {shape}")
-        data = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
-        expected = int(np.prod(shape, dtype=np.int64))
-        if data.size != expected:
-            raise InvalidArgumentError(
-                f"data length {data.size} does not match shape {shape} (expected {expected})"
-            )
-        data = data.copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseTensor is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.shape)
-
-    @classmethod
-    def from_array(cls, arr) -> "DenseTensor":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(arr.shape, arr.reshape(-1))
-
-    def to_array(self) -> np.ndarray:
-        return self.data.reshape(self.shape).copy()
-
-    def __repr__(self):
-        return f"DenseTensor(shape={self.shape})"
-
-
-def _check_mode(t: DenseTensor, mode: int) -> int:
-    if not 1 <= mode <= t.order:
+def as_tensor(x) -> np.ndarray:
+    """``x`` as a float64 array, checked to have order 1..8 and every
+    extent >= 1.  An input that already is such an array is returned as
+    is, not copied."""
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"input does not form a real tensor: {exc}") from exc
+    if not 1 <= arr.ndim <= MAX_ORDER:
         raise InvalidArgumentError(
-            f"mode {mode} out of range for order-{t.order} tensor"
+            f"tensor order must be between 1 and {MAX_ORDER}, got {arr.ndim}"
+        )
+    if 0 in arr.shape:
+        raise InvalidArgumentError(f"all extents must be >= 1, got {arr.shape}")
+    return arr
+
+
+def _check_mode(t: np.ndarray, mode: int) -> int:
+    if not 1 <= mode <= t.ndim:
+        raise InvalidArgumentError(
+            f"mode {mode} out of range for order-{t.ndim} tensor"
         )
     return mode - 1
 
 
-def unfold(t: DenseTensor, mode: int) -> np.ndarray:
+def unfold(t, mode: int) -> np.ndarray:
     """Mode-n matricization.
 
     Parameters
     ----------
-    t : DenseTensor
+    t : array_like
     mode : int
         Mode to put into rows, 1-based.
 
@@ -92,16 +58,17 @@ def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     ndarray
         Matrix of shape (I_mode, prod of the other extents).  Row i holds
         every entry whose mode index equals i; columns enumerate the
-        remaining modes with the first remaining mode fastest.
+        remaining modes with the first remaining mode fastest.  It is a
+        view of ``t`` wherever numpy can make one.
     """
+    t = as_tensor(t)
     ax = _check_mode(t, mode)
-    arr = t.data.reshape(t.shape)
-    return np.reshape(np.moveaxis(arr, ax, 0), (t.shape[ax], -1), order="F").copy()
+    return np.reshape(np.moveaxis(t, ax, 0), (t.shape[ax], -1), order="F")
 
 
-def fold(m: np.ndarray, mode: int, shape) -> DenseTensor:
+def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor of the given shape from
-    its mode-n matricization."""
+    its mode-n matricization (a view of ``m`` wherever numpy can make one)."""
     shape = tuple(int(s) for s in shape)
     m = np.asarray(m, dtype=np.float64)
     if not 1 <= mode <= len(shape):
@@ -114,15 +81,17 @@ def fold(m: np.ndarray, mode: int, shape) -> DenseTensor:
             f"matrix shape {m.shape} does not fold to {shape} along mode {mode}"
         )
     moved = np.reshape(m, (shape[ax], *rest), order="F")
-    return DenseTensor.from_array(np.moveaxis(moved, 0, ax))
+    return as_tensor(np.moveaxis(moved, 0, ax))
 
 
-def mode_product(t: DenseTensor, matrix: np.ndarray, mode: int) -> DenseTensor:
+def mode_product(t, matrix: np.ndarray, mode: int) -> np.ndarray:
     """Tensor-matrix product along one mode.
 
     Replaces extent I_mode by the row count of ``matrix``; equals
-    ``fold(matrix @ unfold(t, mode), mode, new_shape)``.
+    ``fold(matrix @ unfold(t, mode), mode, new_shape)``.  It is one
+    ``tensordot``, so an order-2 product is a single matrix product.
     """
+    t = as_tensor(t)
     ax = _check_mode(t, mode)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != t.shape[ax]:
@@ -130,11 +99,9 @@ def mode_product(t: DenseTensor, matrix: np.ndarray, mode: int) -> DenseTensor:
             f"matrix of shape {matrix.shape} cannot contract mode {mode} "
             f"of extent {t.shape[ax]}"
         )
-    new_shape = list(t.shape)
-    new_shape[ax] = matrix.shape[0]
-    return fold(matrix @ unfold(t, mode), mode, tuple(new_shape))
+    return np.moveaxis(np.tensordot(t, matrix, ([ax], [1])), -1, ax)
 
 
-def frobenius_norm(t: DenseTensor) -> float:
+def frobenius_norm(t) -> float:
     """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(t.data))
+    return float(np.linalg.norm(as_tensor(t)))

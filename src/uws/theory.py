@@ -173,7 +173,8 @@ class SecondMomentOperator:
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         if float(np.max(np.abs(m - m.T))) > 1e-10 * max(1.0, scale):
             raise InvalidArgumentError("operator matrix is not symmetric")
-        self.matrix = (m + m.T) / 2.0
+        # halving first keeps entries near the float64 limit from overflowing
+        self.matrix = m / 2.0 + m.T / 2.0
 
     @property
     def d(self) -> int:
@@ -437,7 +438,8 @@ def _as_operator(s) -> SecondMomentOperator:
 
 def davis_kahan_check(s_ref, s_pert, k: int, tol: float = 1e-10) -> DkReport:
     """Checks ||P_pert - P_ref|| <= (2/gamma_k) ||S_pert - S_ref|| with the
-    eigengap taken from the reference operator."""
+    eigengap taken from the reference operator; a right-hand side that is
+    not finite raises InvalidArgumentError, as it would certify nothing."""
     ref = _as_operator(s_ref)
     pert = _as_operator(s_pert)
     if ref.d != pert.d:
@@ -450,6 +452,10 @@ def davis_kahan_check(s_ref, s_pert, k: int, tol: float = 1e-10) -> DkReport:
     p_pert, _ = top_k_projector(pert, k)
     lhs = subspace_distance(p_pert, p_ref)
     rhs = (2.0 / gamma) * operator_norm(pert.matrix - ref.matrix)
+    if not math.isfinite(rhs):
+        raise InvalidArgumentError(
+            f"the perturbation bound is not finite in double precision (gamma_k = {gamma!r})"
+        )
     return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + tol)
 
 

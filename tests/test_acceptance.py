@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from uws.tensor import DenseTensor
 from uws.spectral import RankPolicy
 from uws.hosvd import (
     hosvd_truncated,
@@ -105,9 +104,9 @@ def test_01_full_rank_decomposition_reconstructs_exactly():
         shape = tuple(int(s) for s in rng.integers(2, 33, size=order))
         x = rng.standard_normal(shape)
         model = hosvd_truncated(
-            DenseTensor.from_array(x), RankPolicy.cumulative_variance(1.0)
+            x, RankPolicy.cumulative_variance(1.0)
         )
-        rec = reconstruct(model).to_array()
+        rec = reconstruct(model)
         worst_rel = max(worst_rel, _rel(rec, x))
         for u in model.factors:
             gram = u.T @ u
@@ -134,11 +133,11 @@ def test_02_truncation_matches_best_rank_k():
         scale = float(np.linalg.norm(xc))
         for k in range(1, min(r, c) + 1):
             model = hosvd_truncated(
-                DenseTensor.from_array(x),
+                x,
                 [RankPolicy.fixed_k(k), RankPolicy.fixed_k(k)],
                 centering="global",
             )
-            err = float(np.linalg.norm(reconstruct(model).to_array() - x))
+            err = float(np.linalg.norm(reconstruct(model) - x))
             best = float(np.sqrt(np.sum(sigma[k:] ** 2)))
             worst = max(worst, abs(err - best) / scale)
     ok = worst <= 1e-8
@@ -159,7 +158,7 @@ def test_03_vector_stacks_reduce_to_principal_components():
         k = int(rng.integers(2, min(d, 6)))
         x = rng.standard_normal((t, d))
         model = hosvd_truncated(
-            DenseTensor.from_array(x),
+            x,
             [RankPolicy.cumulative_variance(1.0), RankPolicy.fixed_k(k)],
             centering="feature",
             stack_mode=1,
@@ -221,13 +220,13 @@ def test_05_residual_directions_explain_an_order_of_magnitude_less():
         primary = u.layer_models[name]
         residual = secondary_subspace(stack, primary, k2=16)
         for w in train[:3]:
-            slab = DenseTensor.from_array(w.layers[name])
+            slab = w.layers[name]
             p_err = _rel(
-                reconstruct_slice(primary, project_slice(primary, slab)).to_array(),
+                reconstruct_slice(primary, project_slice(primary, slab)),
                 w.layers[name],
             )
             s_err = _rel(
-                reconstruct_slice(residual, project_slice(residual, slab)).to_array(),
+                reconstruct_slice(residual, project_slice(residual, slab)),
                 w.layers[name],
             )
             worst_gap = min(worst_gap, s_err / p_err)

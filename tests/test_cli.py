@@ -4,6 +4,8 @@ Everything goes through ``uws.cli.main(argv)`` in-process: exit codes,
 stdout/stderr routing, file outputs, and byte-identical rerun behavior.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from uws.ensemble import (
     load_weights,
     save_weights,
 )
+from uws.ensemble.container import build_container, read_container
 from uws.spectral import RankPolicy
 
 from oracles import planted_ensemble
@@ -311,6 +314,53 @@ def test_project_missing_layer_is_a_data_error(tmp_path, capsys):
     assert "block0" in err
 
 
+def _single_field_edits(meta, path=()):
+    """Every copy of ``meta`` with one key, at any depth, deleted or set
+    to "x", [1] or -1."""
+    node = meta
+    for k in path:
+        node = node[k]
+    for key, value in node.items():
+        for edit in ("delete", "x", [1], -1):
+            edited = copy.deepcopy(meta)
+            target = edited
+            for k in path:
+                target = target[k]
+            if edit == "delete":
+                del target[key]
+            else:
+                target[key] = edit
+            yield edited
+        if isinstance(value, dict):
+            yield from _single_field_edits(meta, path + (key,))
+
+
+@pytest.mark.parametrize("kind", ["subspace", "coefficients"])
+def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
+    pattern, paths = write_fixture_models(tmp_path)
+    space, coeffs = tmp_path / "s.uws", tmp_path / "c.uws"
+    run(["extract", "--models", pattern, "--out", str(space),
+         "--report", str(tmp_path / "r.csv")], capsys)
+    run(["project", "--subspace", str(space), "--model", str(paths[0]),
+         "--out", str(coeffs)], capsys)
+    source = space if kind == "subspace" else coeffs
+    doc = read_container(source)
+    records = [(rec.name, rec.array, rec.dtype) for rec in doc.layers]
+    edited = tmp_path / "edited.uws"
+    if kind == "subspace":
+        argv = ["project", "--subspace", str(edited), "--model", str(paths[0]),
+                "--out", str(tmp_path / "out.uws")]
+    else:
+        argv = ["reconstruct", "--subspace", str(space), "--coeffs", str(edited),
+                "--out", str(tmp_path / "out.uws")]
+    codes = []
+    for meta in _single_field_edits(doc.meta):
+        edited.write_bytes(build_container(doc.model_id, records, meta))
+        codes.append(run(argv, capsys)[0])
+    assert len(codes) == {"subspace": 144, "coefficients": 44}[kind]
+    assert set(codes) <= {0, 2, 3}
+
+
 # --------------------------------------------------------------------- merge
 
 
@@ -598,6 +648,8 @@ def test_theory_converge_prints_its_cell_count(tmp_path, capsys):
      "--eta-bar", "0.1", "--eta2-bar", "0.01"],
     ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4,8",
      "--trials", "1", "--b", "1e200", "--out", "{out}"],
+    ["theory", "dk-check", "--d", "4", "--k", "2", "--perturb", "1e308", "--trials", "3"],
+    ["theory", "dk-check", "--d", "4", "--k", "2", "--perturb", "1.7e308", "--trials", "3"],
 ])
 def test_theory_bound_overflow_is_a_data_error(argv, tmp_path, capsys):
     argv = [a.replace("{out}", str(tmp_path / "r.csv")) for a in argv]

@@ -86,7 +86,7 @@ def test_stack_single_model_is_identity():
     rng = np.random.default_rng(82)
     (m,) = as_models([{"a": rng.standard_normal((4, 6))}])
     t = stack_layer([m], "a", order=2)
-    assert np.array_equal(t.to_array(), m.layers["a"])
+    assert np.array_equal(t, m.layers["a"])
 
 
 def test_stack_shapes():
@@ -309,6 +309,44 @@ def test_merge_is_order_invariant_and_validates_weights():
         merge_models(u, models[:1])
 
 
+@pytest.mark.parametrize("layer", ["block0", "head"])  # included, excluded
+def test_merge_rejects_mismatched_layer_shapes(layer):
+    rng = np.random.default_rng(98)
+    models, _, _ = make_planted(rng, n_models=6, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    assert layer in (u.included_layers if layer == "block0" else u.excluded_layers)
+    odd = ModelWeights("odd", dict(models[1].layers), dict(models[1].dtypes))
+    odd.layers[layer] = odd.layers[layer][:1]
+    with pytest.raises(InvalidArgumentError, match=layer):
+        merge_models(u, [models[0], odd])
+
+
+def test_order2_paths_take_no_unfolding_and_merge_projects_once(monkeypatch):
+    import uws.ensemble
+    import uws.hosvd
+    import uws.tensor
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order-2 stack was unfolded")
+
+    monkeypatch.setattr(uws.hosvd, "unfold", refuse)
+    monkeypatch.setattr(uws.tensor, "unfold", refuse)
+    rng = np.random.default_rng(99)
+    models, _, _ = make_planted(rng, n_models=8, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3), order=2))
+    rebuilt = reconstruct_model(u, project_model(u, models[0]))
+    assert list(rebuilt.layers) == list(models[0].layers)
+    projections = []
+
+    def counting(*args, **kwargs):
+        projections.append(args)
+        return project_model(*args, **kwargs)
+
+    monkeypatch.setattr(uws.ensemble, "project_model", counting)
+    merge_models(u, models[:5])
+    assert len(projections) == 1
+
+
 # ------------------------------------------------------------- memory savings
 
 
@@ -448,7 +486,7 @@ def test_subspace_file_roundtrip(tmp_path):
         assert np.array_equal(np.asarray(a.mu), np.asarray(b.mu))
         for fa, fb in zip(a.factors, b.factors):
             assert np.array_equal(fa, fb)
-        assert np.array_equal(a.core.data, b.core.data)
+        assert np.array_equal(a.core, b.core)
         assert a.shape == b.shape and a.slab_extent == b.slab_extent
         for mode in a.variance_ledger:
             sa, sb = a.variance_ledger[mode], b.variance_ledger[mode]

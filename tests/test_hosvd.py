@@ -18,7 +18,7 @@ from uws.hosvd import (
     secondary_subspace,
 )
 from uws.spectral import RankPolicy
-from uws.tensor import DenseTensor, frobenius_norm
+from uws.tensor import frobenius_norm
 
 from oracles import (
     best_rank_k_error,
@@ -47,39 +47,39 @@ def planted_stack(rng, n=60, d=10, k=3, noise=0.0):
 
 
 def test_center_constant_tensor():
-    t = DenseTensor.from_array(np.full((3, 4), 7.0))
+    t = np.full((3, 4), 7.0)
     mu, xc = center(t, "global")
     assert float(mu) == 7.0
-    assert np.all(xc.to_array() == 0.0)
+    assert np.all(xc == 0.0)
     mu, xc = center(t, "feature")
     assert np.all(mu == 7.0)
-    assert np.all(xc.to_array() == 0.0)
+    assert np.all(xc == 0.0)
 
 
 def test_center_global_hand_example():
-    mu, xc = center(DenseTensor.from_array(np.array([1.0, 3.0])), "global")
+    mu, xc = center(np.array([1.0, 3.0]), "global")
     assert float(mu) == 2.0
-    assert np.array_equal(xc.to_array(), np.array([-1.0, 1.0]))
+    assert np.array_equal(xc, np.array([-1.0, 1.0]))
 
 
 def test_center_feature_hand_example():
-    t = DenseTensor.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    t = np.array([[1.0, 2.0], [3.0, 4.0]])
     mu, xc = center(t, "feature", stack_mode=1)
     assert np.array_equal(mu, np.array([[2.0, 3.0]]))
-    assert np.array_equal(xc.to_array(), np.array([[-1.0, -1.0], [1.0, 1.0]]))
+    assert np.array_equal(xc, np.array([[-1.0, -1.0], [1.0, 1.0]]))
 
 
 def test_center_roundtrip():
     rng = np.random.default_rng(41)
     a = rng.standard_normal((5, 6, 4))
     for mode in ("global", "feature"):
-        mu, xc = center(DenseTensor.from_array(a), mode)
-        assert np.allclose(xc.to_array() + mu, a, rtol=0, atol=1e-14)
+        mu, xc = center(a, mode)
+        assert np.allclose(xc + mu, a, rtol=0, atol=1e-14)
 
 
 def test_center_rejects_non_finite():
     with pytest.raises(InvalidArgumentError):
-        center(DenseTensor.from_array(np.array([1.0, np.nan])), "global")
+        center(np.array([1.0, np.nan]), "global")
 
 
 # ------------------------------------------------------------ hosvd_truncated
@@ -93,10 +93,10 @@ def test_exact_rank_one_recovery():
     b = rng.standard_normal(d)
     x = np.outer(np.ones(n), rng.standard_normal(d)) + np.outer(a, b)
     model = hosvd_truncated(
-        DenseTensor.from_array(x), RankPolicy.cumulative_variance(0.9)
+        x, RankPolicy.cumulative_variance(0.9)
     )
     assert [f.shape[1] for f in model.factors] == [1, 1]
-    assert relerr(reconstruct(model).to_array(), x) < 1e-8
+    assert relerr(reconstruct(model), x) < 1e-8
 
 
 @pytest.mark.parametrize("shape", [(6, 9), (5, 4, 7)])
@@ -104,8 +104,8 @@ def test_full_fixed_k_reconstructs_exactly(shape):
     rng = np.random.default_rng(43)
     x = rng.standard_normal(shape)
     policies = [RankPolicy.fixed_k(s) for s in shape]
-    model = hosvd_truncated(DenseTensor.from_array(x), policies)
-    assert relerr(reconstruct(model).to_array(), x) < 1e-8
+    model = hosvd_truncated(x, policies)
+    assert relerr(reconstruct(model), x) < 1e-8
 
 
 @pytest.mark.parametrize("shape", [(12, 7), (6, 5, 8)])
@@ -114,11 +114,11 @@ def test_tau_one_reconstructs_exactly(shape, centering):
     rng = np.random.default_rng(44)
     x = rng.standard_normal(shape)
     model = hosvd_truncated(
-        DenseTensor.from_array(x),
+        x,
         RankPolicy.cumulative_variance(1.0),
         centering=centering,
     )
-    assert relerr(reconstruct(model).to_array(), x) < 1e-8
+    assert relerr(reconstruct(model), x) < 1e-8
     for f in model.factors:
         assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-10
 
@@ -126,7 +126,7 @@ def test_tau_one_reconstructs_exactly(shape, centering):
 def test_factor_orthonormality_and_ledger():
     rng = np.random.default_rng(45)
     x = rng.standard_normal((10, 6, 4))
-    model = hosvd_truncated(DenseTensor.from_array(x), RankPolicy.cumulative_variance(0.8))
+    model = hosvd_truncated(x, RankPolicy.cumulative_variance(0.8))
     assert set(model.variance_ledger) == {1, 2, 3}
     for mode, spec in model.variance_ledger.items():
         f = model.factors[mode - 1]
@@ -140,13 +140,13 @@ def test_eckart_young_order2_all_k():
     rng = np.random.default_rng(46)
     for _ in range(5):
         x = rng.standard_normal((14, 9))
-        t = DenseTensor.from_array(x)
+        t = x
         mu, xc = center(t, "feature")
-        xc = xc.to_array()
+        xc = xc
         norm = np.linalg.norm(xc)
         for k in range(1, 10):
             model = hosvd_truncated(t, RankPolicy.fixed_k(k))
-            err = np.linalg.norm(reconstruct(model).to_array() - x)
+            err = np.linalg.norm(reconstruct(model) - x)
             want = best_rank_k_error(xc, k)
             assert abs(err - want) <= 1e-8 * norm
 
@@ -156,7 +156,7 @@ def test_pca_equivalence_on_stacks():
     for _ in range(5):
         x = rng.standard_normal((40, 7))
         model = hosvd_truncated(
-            DenseTensor.from_array(x), RankPolicy.cumulative_variance(1.0)
+            x, RankPolicy.cumulative_variance(1.0)
         )
         xc = x - x.mean(axis=0)
         pcs, _ = covariance_principal_directions(xc)
@@ -168,42 +168,42 @@ def test_pca_equivalence_on_stacks():
 def test_reconstruction_error_nonincreasing_in_rank():
     rng = np.random.default_rng(48)
     x = rng.standard_normal((8, 7, 6))
-    t = DenseTensor.from_array(x)
+    t = x
     for mode in range(3):
         errs = []
         for k in range(1, t.shape[mode] + 1):
             ks = [3, 3, 3]
             ks[mode] = k
             model = hosvd_truncated(t, [RankPolicy.fixed_k(v) for v in ks])
-            errs.append(np.linalg.norm(reconstruct(model).to_array() - x))
+            errs.append(np.linalg.norm(reconstruct(model) - x))
         assert all(a >= b - 1e-10 for a, b in zip(errs, errs[1:]))
 
 
 def test_degenerate_inputs():
     with pytest.raises(DegenerateSpectrumError):
-        hosvd_truncated(DenseTensor.from_array(np.zeros((4, 3))))
+        hosvd_truncated(np.zeros((4, 3)))
     # constant stack has no variance after feature centering
     with pytest.raises(DegenerateSpectrumError):
-        hosvd_truncated(DenseTensor.from_array(np.full((4, 3), 2.5)), centering="feature")
+        hosvd_truncated(np.full((4, 3), 2.5), centering="feature")
     with pytest.raises(InvalidArgumentError):
-        hosvd_truncated(DenseTensor.from_array(np.array([[1.0, np.inf]])))
+        hosvd_truncated(np.array([[1.0, np.inf]]))
 
 
 def test_single_slab_stack_is_permitted():
     rng = np.random.default_rng(49)
     x = rng.standard_normal((6, 9))  # one model's rows only
-    model = hosvd_truncated(DenseTensor.from_array(x), RankPolicy.cumulative_variance(1.0))
-    assert relerr(reconstruct(model).to_array(), x) < 1e-8
+    model = hosvd_truncated(x, RankPolicy.cumulative_variance(1.0))
+    assert relerr(reconstruct(model), x) < 1e-8
 
 
 def test_determinism():
     rng = np.random.default_rng(50)
     x = rng.standard_normal((9, 5, 4))
-    m1 = hosvd_truncated(DenseTensor.from_array(x), RankPolicy.cumulative_variance(0.9))
-    m2 = hosvd_truncated(DenseTensor.from_array(x), RankPolicy.cumulative_variance(0.9))
+    m1 = hosvd_truncated(x, RankPolicy.cumulative_variance(0.9))
+    m2 = hosvd_truncated(x, RankPolicy.cumulative_variance(0.9))
     for f1, f2 in zip(m1.factors, m2.factors):
         assert np.array_equal(f1, f2)
-    assert np.array_equal(m1.core.data, m2.core.data)
+    assert np.array_equal(m1.core, m2.core)
 
 
 # ----------------------------------------- order-2 single decomposition
@@ -248,7 +248,7 @@ def assert_routes_agree(got: SubspaceModel, want: SubspaceModel):
         assert other.retained == spec.retained
         assert other.first_component == spec.first_component
         assert np.max(np.abs(other.singular_values - s)) <= 1e-12 * s[0]
-    assert relerr(reconstruct(got).to_array(), reconstruct(want).to_array()) <= 1e-10
+    assert relerr(reconstruct(got), reconstruct(want)) <= 1e-10
 
 
 TALL_PLANTED = [(400, 32, 5, 0.05), (900, 64, 8, 0.01), (120, 120, 3, 0.1)]
@@ -268,7 +268,7 @@ TALL_PLANTED = [(400, 32, 5, 0.05), (900, 64, 8, 0.01), (120, 120, 3, 0.1)]
 def test_gram_route_matches_exact_route(monkeypatch, n, d, k, noise, policies):
     rng = np.random.default_rng(n + d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
-    t = DenseTensor.from_array(x)
+    t = x
     gram = hosvd_truncated(t, policies, slab_extent=4)
     exact = exact_route(monkeypatch, hosvd_truncated, t, policies, slab_extent=4)
     assert_routes_agree(gram, exact)
@@ -278,7 +278,7 @@ def test_gram_route_matches_exact_route(monkeypatch, n, d, k, noise, policies):
 def test_secondary_gram_route_matches_exact_route(monkeypatch, n, d, k, noise):
     rng = np.random.default_rng(n * d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
-    t = DenseTensor.from_array(x)
+    t = x
     model = hosvd_truncated(t, [RankPolicy.fixed_k(k + 1), RankPolicy.fixed_k(k)])
     gram = secondary_subspace(t, model, 3)
     exact = exact_route(monkeypatch, secondary_subspace, t, model, 3)
@@ -289,7 +289,7 @@ def test_secondary_gram_route_matches_exact_route(monkeypatch, n, d, k, noise):
 def test_tall_well_conditioned_stack_takes_one_eigh(monkeypatch):
     rng = np.random.default_rng(63)
     x, _ = planted_stack(rng, n=300, d=24, k=4, noise=0.05)
-    t = DenseTensor.from_array(x)
+    t = x
     model, calls = count_decompositions(
         monkeypatch, hosvd_truncated, t, RankPolicy.cumulative_variance(0.9)
     )
@@ -319,12 +319,12 @@ def test_guard_cases_take_exactly_one_svd(monkeypatch):
         (ill_conditioned_stack(rng), RankPolicy.fixed_k(10), 1, False),
     ]
     for x, policies, eighs, full in cases:
-        t = DenseTensor.from_array(x)
+        t = x
         model, calls = count_decompositions(monkeypatch, hosvd_truncated, t, policies)
         assert calls == {"svd": 1, "eigh": eighs}
         for f in model.factors:
             assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
-        rec = reconstruct(model).to_array()
+        rec = reconstruct(model)
         if full:
             assert relerr(rec, x) <= 1e-8
         else:
@@ -337,7 +337,7 @@ def test_guard_cases_take_exactly_one_svd(monkeypatch):
 
 def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
     rng = np.random.default_rng(65)
-    t = DenseTensor.from_array(ill_conditioned_stack(rng))
+    t = ill_conditioned_stack(rng)
     model = hosvd_truncated(t, RankPolicy.fixed_k(3))
     # the window 3..5 stays above 1e-3 * s_1; 3..9 reaches below it
     _, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 3)
@@ -354,7 +354,7 @@ def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
 
 def make_planted_model(rng, n=40, d=10, k=3):
     x, q = planted_stack(rng, n=n, d=d, k=k)
-    t = DenseTensor.from_array(x)
+    t = x
     model = hosvd_truncated(t, RankPolicy.cumulative_variance(0.999), slab_extent=4)
     return model, x, q
 
@@ -363,7 +363,7 @@ def test_project_slice_of_mu_is_zero():
     rng = np.random.default_rng(51)
     model, x, _ = make_planted_model(rng)
     mu_slab = np.broadcast_to(model.mu, (4, x.shape[1]))
-    coeffs = project_slice(model, DenseTensor.from_array(mu_slab))
+    coeffs = project_slice(model, mu_slab)
     assert np.max(np.abs(coeffs.coeffs)) < 1e-12
 
 
@@ -371,17 +371,17 @@ def test_in_subspace_round_trip():
     rng = np.random.default_rng(52)
     model, x, q = make_planted_model(rng)
     slab = x[:4]  # rows of the stack itself lie in the subspace
-    back = reconstruct_slice(model, project_slice(model, DenseTensor.from_array(slab)))
-    assert relerr(back.to_array(), slab) < 1e-8
+    back = reconstruct_slice(model, project_slice(model, slab))
+    assert relerr(back, slab) < 1e-8
 
 
 def test_projection_pythagoras_and_residual_orthogonality():
     rng = np.random.default_rng(53)
     model, x, _ = make_planted_model(rng)
     slab = rng.standard_normal((4, x.shape[1]))
-    t = DenseTensor.from_array(slab)
+    t = slab
     coeffs = project_slice(model, t)
-    back = reconstruct_slice(model, coeffs).to_array()
+    back = reconstruct_slice(model, coeffs)
     centered = slab - np.asarray(model.mu)
     resid = slab - back
     lhs = np.linalg.norm(centered) ** 2
@@ -396,12 +396,12 @@ def test_projection_is_linear_when_mu_vanishes():
     x = rng.standard_normal((30, 8))
     x -= x.mean()  # global mean ~ 0
     model = hosvd_truncated(
-        DenseTensor.from_array(x), RankPolicy.fixed_k(4), centering="global", slab_extent=3
+        x, RankPolicy.fixed_k(4), centering="global", slab_extent=3
     )
     a, b = 1.7, -0.6
     y1 = rng.standard_normal((3, 8))
     y2 = rng.standard_normal((3, 8))
-    p = lambda arr: project_slice(model, DenseTensor.from_array(arr)).coeffs
+    p = lambda arr: project_slice(model, arr).coeffs
     combo = p(a * y1 + b * y2)
     split = a * p(y1) + b * p(y2)
     assert np.max(np.abs(combo - split)) < 1e-10
@@ -411,7 +411,7 @@ def test_project_slice_shape_mismatch():
     rng = np.random.default_rng(55)
     model, x, _ = make_planted_model(rng)
     with pytest.raises(InvalidArgumentError):
-        project_slice(model, DenseTensor.from_array(rng.standard_normal((4, x.shape[1] + 1))))
+        project_slice(model, rng.standard_normal((4, x.shape[1] + 1)))
 
 
 def test_reconstruct_slice_zero_coeffs_gives_mu():
@@ -419,7 +419,7 @@ def test_reconstruct_slice_zero_coeffs_gives_mu():
     model, x, _ = make_planted_model(rng)
     k2 = model.factors[1].shape[1]
     out = reconstruct_slice(model, SliceCoefficients(label=None, coeffs=np.zeros((4, k2))))
-    assert np.allclose(out.to_array(), np.broadcast_to(model.mu, (4, x.shape[1])), atol=1e-14)
+    assert np.allclose(out, np.broadcast_to(model.mu, (4, x.shape[1])), atol=1e-14)
 
 
 def test_order3_slice_round_trip():
@@ -429,11 +429,11 @@ def test_order3_slice_round_trip():
     slabs = [rng.standard_normal((r, 3)) @ q.T for _ in range(T)]
     x = np.stack(slabs, axis=0)
     model = hosvd_truncated(
-        DenseTensor.from_array(x), RankPolicy.cumulative_variance(0.999), slab_extent=1
+        x, RankPolicy.cumulative_variance(0.999), slab_extent=1
     )
     slab = slabs[3]
-    coeffs = project_slice(model, DenseTensor.from_array(slab))
-    back = reconstruct_slice(model, coeffs).to_array()
+    coeffs = project_slice(model, slab)
+    back = reconstruct_slice(model, coeffs)
     assert back.shape == (1, r, d)
     assert relerr(back[0], slab) < 1e-8
 
@@ -444,7 +444,7 @@ def test_order3_slice_round_trip():
 def test_secondary_orthogonal_to_primary_and_variance_split():
     rng = np.random.default_rng(58)
     x, _ = planted_stack(rng, n=50, d=12, k=4, noise=0.05)
-    t = DenseTensor.from_array(x)
+    t = x
     model = hosvd_truncated(t, RankPolicy.fixed_k(4))
     # full remaining rank along the feature mode
     k2 = 12 - 4
@@ -459,7 +459,7 @@ def test_secondary_orthogonal_to_primary_and_variance_split():
 def test_secondary_on_exactly_low_rank_input_is_degenerate():
     rng = np.random.default_rng(59)
     x, _ = planted_stack(rng, n=50, d=12, k=4, noise=0.0)
-    t = DenseTensor.from_array(x)
+    t = x
     model = hosvd_truncated(t, RankPolicy.fixed_k(4))
     with pytest.raises(DegenerateSpectrumError):
         secondary_subspace(t, model, 2)
@@ -468,7 +468,7 @@ def test_secondary_on_exactly_low_rank_input_is_degenerate():
 def test_secondary_k2_exceeding_remaining_rank():
     rng = np.random.default_rng(60)
     x, _ = planted_stack(rng, n=50, d=8, k=3, noise=0.05)
-    t = DenseTensor.from_array(x)
+    t = x
     model = hosvd_truncated(t, RankPolicy.fixed_k(3))
     with pytest.raises(InvalidArgumentError):
         secondary_subspace(t, model, 6)
@@ -477,13 +477,13 @@ def test_secondary_k2_exceeding_remaining_rank():
 def test_secondary_reconstruction_is_worse_on_planted_signal():
     rng = np.random.default_rng(61)
     x, q = planted_stack(rng, n=60, d=16, k=4, noise=1e-3)
-    t = DenseTensor.from_array(x)
+    t = x
     model = hosvd_truncated(t, RankPolicy.fixed_k(4), slab_extent=6)
     second = secondary_subspace(t, model, 4)
     slab = x[:6]
-    st = DenseTensor.from_array(slab)
-    err1 = relerr(reconstruct_slice(model, project_slice(model, st)).to_array(), slab)
-    err2 = relerr(reconstruct_slice(second, project_slice(second, st)).to_array(), slab)
+    st = slab
+    err1 = relerr(reconstruct_slice(model, project_slice(model, st)), slab)
+    err2 = relerr(reconstruct_slice(second, project_slice(second, st)), slab)
     assert err2 > 10 * err1
 
 
@@ -493,7 +493,7 @@ def test_secondary_reconstruction_is_worse_on_planted_signal():
 def test_reconstruct_detects_tampered_factors():
     rng = np.random.default_rng(62)
     x = rng.standard_normal((8, 6))
-    model = hosvd_truncated(DenseTensor.from_array(x), RankPolicy.fixed_k(3))
+    model = hosvd_truncated(x, RankPolicy.fixed_k(3))
     bad = SubspaceModel(
         mu=model.mu,
         factors=[model.factors[0], model.factors[1][:4]],
@@ -509,7 +509,7 @@ def test_reconstruct_detects_tampered_factors():
 
 
 def test_reconstruct_zero_core_zero_mu():
-    core = DenseTensor.from_array(np.zeros((2, 2)))
+    core = np.zeros((2, 2))
     model = SubspaceModel(
         mu=np.zeros((1, 4)),
         factors=[np.eye(3)[:, :2], np.eye(4)[:, :2]],
@@ -520,4 +520,4 @@ def test_reconstruct_zero_core_zero_mu():
         shape=(3, 4),
         slab_extent=None,
     )
-    assert np.all(reconstruct(model).to_array() == 0.0)
+    assert np.all(reconstruct(model) == 0.0)

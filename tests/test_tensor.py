@@ -2,53 +2,25 @@ import numpy as np
 import pytest
 
 from uws.errors import InvalidArgumentError
-from uws.tensor import DenseTensor, fold, frobenius_norm, mode_product, unfold
+from uws.tensor import as_tensor, fold, frobenius_norm, mode_product, unfold
 
 from oracles import haar_orthogonal, unfold_by_enumeration
 
 
 def rand_tensor(rng, shape):
-    return DenseTensor.from_array(rng.standard_normal(shape))
+    return rng.standard_normal(shape)
 
 
-# ---------------------------------------------------------------- DenseTensor
-
-
-def test_from_array_roundtrip_and_order():
-    a = np.arange(24, dtype=float).reshape(2, 3, 4)
-    t = DenseTensor.from_array(a)
-    assert t.shape == (2, 3, 4)
-    assert t.order == 3
-    assert np.array_equal(t.to_array(), a)
-
-
-def test_linearization_is_last_index_fastest():
-    a = np.arange(8, dtype=float).reshape(2, 2, 2)
-    t = DenseTensor.from_array(a)
-    # flat data walks indices lexicographically, last index fastest
-    assert np.array_equal(t.data, np.arange(8, dtype=float))
-
-
-def test_from_array_copies_input():
-    a = np.ones((2, 2))
-    t = DenseTensor.from_array(a)
-    a[0, 0] = 99.0
-    assert t.to_array()[0, 0] == 1.0
-
-
-def test_tensor_data_is_readonly():
-    t = DenseTensor.from_array(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        t.data[0] = 5.0
+# ----------------------------------------------------------------- as_tensor
 
 
 def test_constructor_validates_shape_and_length():
     with pytest.raises(InvalidArgumentError):
-        DenseTensor((2, 0), np.zeros(0))
+        as_tensor(np.zeros((2, 0)))
     with pytest.raises(InvalidArgumentError):
-        DenseTensor((2, 3), np.zeros(5))
+        as_tensor([[0.0, 0.0, 0.0], [0.0, 0.0]])  # 5 values for a 2 x 3 tensor
     with pytest.raises(InvalidArgumentError):
-        DenseTensor.from_array(np.zeros((1,) * 9))  # order cap is 8
+        as_tensor(np.zeros((1,) * 9))  # order cap is 8
 
 
 # --------------------------------------------------------------- unfold/fold
@@ -56,13 +28,13 @@ def test_constructor_validates_shape_and_length():
 
 def test_unfold_vector_is_row():
     v = np.arange(5, dtype=float)
-    m = unfold(DenseTensor.from_array(v), 1)
+    m = unfold(v, 1)
     assert m.shape == (5, 1)
     assert np.array_equal(m[:, 0], v)
 
 
 def test_unfold_222_hand_layout():
-    t = DenseTensor.from_array(np.arange(1.0, 9.0).reshape(2, 2, 2))
+    t = np.arange(1.0, 9.0).reshape(2, 2, 2)
     assert np.array_equal(unfold(t, 1), np.array([[1, 3, 2, 4], [5, 7, 6, 8]], dtype=float))
     assert np.array_equal(unfold(t, 2), np.array([[1, 5, 2, 6], [3, 7, 4, 8]], dtype=float))
     assert np.array_equal(unfold(t, 3), np.array([[1, 5, 3, 7], [2, 6, 4, 8]], dtype=float))
@@ -74,7 +46,7 @@ def test_unfold_222_hand_layout():
 def test_unfold_matches_enumeration_oracle(shape):
     rng = np.random.default_rng(11)
     a = rng.standard_normal(shape)
-    t = DenseTensor.from_array(a)
+    t = a
     for mode in range(1, len(shape) + 1):
         assert np.array_equal(unfold(t, mode), unfold_by_enumeration(a, mode))
 
@@ -85,16 +57,16 @@ def test_fold_inverts_unfold_bit_identical(shape):
     t = rand_tensor(rng, shape)
     for mode in range(1, len(shape) + 1):
         back = fold(unfold(t, mode), mode, shape)
-        assert np.array_equal(back.to_array(), t.to_array())
+        assert np.array_equal(back, t)
 
 
 def test_fold_row_vector():
     t = fold(np.arange(4.0).reshape(4, 1), 1, (4,))
-    assert np.array_equal(t.to_array(), np.arange(4.0))
+    assert np.array_equal(t, np.arange(4.0))
 
 
 def test_unfold_mode_out_of_range():
-    t = DenseTensor.from_array(np.zeros((2, 2)))
+    t = np.zeros((2, 2))
     for mode in (0, 3, -1):
         with pytest.raises(InvalidArgumentError):
             unfold(t, mode)
@@ -115,17 +87,17 @@ def test_mode_product_identity_is_exact():
     t = rand_tensor(rng, (3, 4, 2))
     for mode in (1, 2, 3):
         p = mode_product(t, np.eye(t.shape[mode - 1]), mode)
-        assert np.array_equal(p.to_array(), t.to_array())
+        assert np.array_equal(p, t)
 
 
 def test_mode_product_order2_is_matrix_multiplication():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 5))
-    t = DenseTensor.from_array(x)
+    t = x
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((6, 5))
-    assert np.allclose(mode_product(t, a, 1).to_array(), a @ x, rtol=1e-13, atol=0)
-    assert np.allclose(mode_product(t, b, 2).to_array(), x @ b.T, rtol=1e-13, atol=0)
+    assert np.allclose(mode_product(t, a, 1), a @ x, rtol=1e-13, atol=0)
+    assert np.allclose(mode_product(t, b, 2), x @ b.T, rtol=1e-13, atol=0)
 
 
 def test_distinct_mode_products_commute():
@@ -133,8 +105,8 @@ def test_distinct_mode_products_commute():
     t = rand_tensor(rng, (3, 4, 5))
     a = rng.standard_normal((2, 3))
     b = rng.standard_normal((6, 4))
-    left = mode_product(mode_product(t, a, 1), b, 2).to_array()
-    right = mode_product(mode_product(t, b, 2), a, 1).to_array()
+    left = mode_product(mode_product(t, a, 1), b, 2)
+    right = mode_product(mode_product(t, b, 2), a, 1)
     assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(left)
 
 
@@ -151,8 +123,8 @@ def test_mode_product_shape_change_and_mismatch():
 
 
 def test_frobenius_examples():
-    assert frobenius_norm(DenseTensor.from_array(np.zeros((3, 2)))) == 0.0
-    assert frobenius_norm(DenseTensor.from_array(np.array([3.0, 4.0]))) == 5.0
+    assert frobenius_norm(np.zeros((3, 2))) == 0.0
+    assert frobenius_norm(np.array([3.0, 4.0])) == 5.0
 
 
 def test_frobenius_matches_summation_oracle():
@@ -161,7 +133,7 @@ def test_frobenius_matches_summation_oracle():
     total = 0.0
     for idx in np.ndindex(*a.shape):
         total += a[idx] ** 2
-    assert frobenius_norm(DenseTensor.from_array(a)) == pytest.approx(np.sqrt(total), rel=1e-14)
+    assert frobenius_norm(a) == pytest.approx(np.sqrt(total), rel=1e-14)
 
 
 def test_norm_preserved_by_orthogonal_mode_products():
