@@ -193,15 +193,15 @@ def _policy_from_args(args):
         raise _UsageError(str(exc))
 
 
-def _load_models(pattern):
+def _model_paths(pattern):
     paths = sorted(globlib.glob(pattern))
     if not paths:
         raise InvalidArgumentError(f"no model files match {pattern!r}")
-    return paths, [load_weights(p) for p in paths]
+    return paths
 
 
 def cmd_extract(args):
-    paths, models = _load_models(args.models)
+    paths = _model_paths(args.models)  # extraction reads each file once, in turn
     policy = _policy_from_args(args)
     exclude = tuple(args.exclude_layers) if args.exclude_layers is not None else None
     config = ExtractionConfig(
@@ -211,12 +211,12 @@ def cmd_extract(args):
         exclude_layers=exclude,
         architecture_id=args.arch_id,
     )
-    u = extract_universal(models, config)
+    u = extract_universal(paths, config)
     save_subspace(u, args.out)
     header = [
         ("subcommand", "extract"),
         ("models", ",".join(paths)),
-        ("n_models", len(models)),
+        ("n_models", len(paths)),
         ("policy", policy.describe()),
         ("order", args.order),
         ("centering", args.center),
@@ -229,7 +229,7 @@ def cmd_extract(args):
     ]
     _write_text(args.report, _render_report(header, _scree_rows(u), args.format))
     print(f"subspace: {args.out}")
-    print(f"models: {len(models)}")
+    print(f"models: {len(paths)}")
     for name in u.included_layers:
         model = u.layer_models[name]
         spec = model.variance_ledger[u.config.order]
@@ -284,7 +284,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_merge(args):
-    paths, models = _load_models(args.models)
+    models = [load_weights(p) for p in _model_paths(args.models)]
     weights = args.weights
     if weights is not None:
         if len(weights) != len(models):
@@ -345,6 +345,7 @@ def cmd_adapt(args):
         ("trainable_params", report["trainable_params"]),
         ("full_params", report["full_params"]),
         ("normal_matrix_lmax", _fmt(report["normal_matrix_lmax"])),
+        ("normal_matrix_cond", _fmt(report["normal_matrix_cond"])),
         ("stable_lr_bound", _fmt(report["stable_lr_bound"])),
         ("ridge", _fmt(report["ridge"])),
         ("initial_residual_norm", _fmt(report["initial_residual_norm"])),

@@ -5,8 +5,9 @@ coefficient-only adaptation).
 
 Weights, subspaces, and coefficient sets all live in the same binary
 container format (see :mod:`uws.ensemble.container`).  Subspace files use
-the reserved entry prefixes ``mu/``, ``U/``, ``core/``, ``ledger/``;
-coefficient files use ``coef/`` and ``raw/``.
+the reserved entry prefixes ``mu/``, ``U/`` and ``ledger/`` (files of
+format version 1 also carry ``core/``, which is read past); coefficient
+files use ``coef/`` and ``raw/``.
 """
 
 from contextlib import contextmanager
@@ -23,16 +24,22 @@ from ..errors import (
 )
 from ..hosvd import (
     CENTERINGS,
+    GramStream,
     ModeSpectrum,
     SliceCoefficients,
     SubspaceModel,
+    gram_eligible,
     hosvd_truncated,
     project_slice,
     reconstruct_slice,
 )
 from ..spectral import DEFAULT_POLICY, RankPolicy
-from ..tensor import fold, unfold
 from .container import read_container, write_container
+
+#: Version written into a subspace file's meta.  Version 1 (no
+#: ``format_version`` key) also stored the stacking-mode factor, its
+#: ledger and the core, which no reader needs.
+SUBSPACE_FORMAT_VERSION = 2
 
 __all__ = [
     "ModelWeights",
@@ -188,8 +195,8 @@ class UniversalSubspace:
     layer_dtypes: dict
 
 
-def _partition_layers(models, config):
-    candidates = list(models[0].layers)
+def _partition_layers(first, config):
+    candidates = list(first.layers)
     if config.exclude_layers is None:
         excluded = set(candidates[:1] + candidates[-1:]) if len(candidates) > 2 else set(candidates)
     else:
@@ -208,41 +215,112 @@ def _partition_layers(models, config):
     return candidates, included, [n for n in candidates if n in excluded]
 
 
+def _read(model) -> ModelWeights:
+    """A model given in memory, or read from its weights file."""
+    return model if isinstance(model, ModelWeights) else load_weights(model)
+
+
+@contextmanager
+def _naming_layer(name):
+    try:
+        yield
+    except DegenerateSpectrumError as exc:
+        raise DegenerateSpectrumError(f"layer {name!r}: {exc}") from exc
+
+
+def _read_pass(models, first, streams, keep):
+    """Read each model once: feed its layers named in ``streams`` to their
+    GramStream, and keep only its ``keep`` layers.  Returns the model ids
+    and the kept (pruned) models."""
+    provenance, kept = [], []
+    for i, item in enumerate(models):
+        model = first if i == 0 else _read(item)
+        provenance.append(model.model_id)
+        for name, stream in streams.items():
+            if name not in model.layers:
+                raise InvalidArgumentError(
+                    f"layer {name!r} is missing from models: {model.model_id}"
+                )
+            ref, got = first.layers[name].shape, model.layers[name].shape
+            if got != ref:
+                raise InvalidArgumentError(
+                    f"layer {name!r} has shape {ref} in {first.model_id} but differs "
+                    f"in: {model.model_id}{got}"
+                )
+            stream.add(model.layers[name])
+        if keep:
+            layers = {n: model.layers[n] for n in keep if n in model.layers}
+            kept.append(ModelWeights(model.model_id, layers))
+    return provenance, kept
+
+
 def extract_universal(models, config: ExtractionConfig | None = None) -> UniversalSubspace:
     """Decompose every included layer's cross-model stack.
 
-    Every included layer must be present in every model with an identical
-    shape.  Layer order, and the default exclusion rule, follow the first
-    model's layer list.
+    ``models`` is a sequence of :class:`ModelWeights` or of paths to
+    weights files.  Every included layer must be present in every model
+    with an identical shape.  Layer order, and the default exclusion
+    rule, follow the first model's layer list.
+
+    An order-2 stack that may take the Gram route is streamed: each model
+    is read once and dropped, and the layer keeps only a
+    :class:`~uws.hosvd.GramStream` (one block of rows plus d x d
+    matrices).  Order-3 stacks, and order-2 stacks that are wide or whose
+    policy reads the small end of the spectrum, are kept from the same
+    read, stacked and decomposed by :func:`~uws.hosvd.hosvd_truncated`;
+    so is a streamed layer that the Gram route's guard declines, after a
+    second read.  Either way a layer model keeps no stacking-mode factor
+    or core: it holds what a subspace file holds.
     """
     config = config if config is not None else ExtractionConfig()
+    models = list(models)
     if not models:
         raise InvalidArgumentError("cannot extract a subspace from zero models")
-    layer_order, included, excluded = _partition_layers(models, config)
-    layer_models = {}
-    for name in included:
-        stack = stack_layer(models, name, order=config.order)
-        slab = models[0].layers[name].shape[0] if config.order == 2 else 1
-        try:
-            layer_models[name] = hosvd_truncated(
-                stack,
+    first = _read(models[0])
+    layer_order, included, excluded = _partition_layers(first, config)
+    streams = {
+        name: GramStream(first.layers[name].shape[1])
+        for name in included
+        if config.order == 2
+        and gram_eligible(
+            (len(models) * first.layers[name].shape[0], first.layers[name].shape[1]),
+            [config.policy] * 2,
+        )
+    }
+    up_front = [name for name in included if name not in streams]
+    provenance, kept = _read_pass(models, first, streams, up_front)
+    layer_models, declined = {}, []
+    for name, stream in streams.items():
+        with _naming_layer(name):
+            layer_models[name] = stream.decompose(
+                config.policy,
+                centering=config.centering,
+                slab_extent=first.layers[name].shape[0],
+            )
+        if layer_models[name] is None:
+            declined.append(name)
+    if declined:
+        _, kept = _read_pass(models, first, {}, up_front + declined)
+    for name in up_front + declined:
+        with _naming_layer(name):
+            model = hosvd_truncated(
+                stack_layer(kept, name, order=config.order),
                 config.policy,
                 centering=config.centering,
                 stack_mode=1,
-                slab_extent=slab,
+                slab_extent=first.layers[name].shape[0] if config.order == 2 else 1,
             )
-        except DegenerateSpectrumError as exc:
-            raise DegenerateSpectrumError(f"layer {name!r}: {exc}") from exc
-    dtypes = {name: models[0].dtypes.get(name, "f64") for name in layer_order}
+        model.factors[0] = model.core = None
+        layer_models[name] = model
     return UniversalSubspace(
         architecture_id=config.architecture_id,
-        layer_models=layer_models,
+        layer_models={name: layer_models[name] for name in included},
         config=config,
-        provenance=[m.model_id for m in models],
+        provenance=provenance,
         included_layers=included,
         excluded_layers=excluded,
         layer_order=layer_order,
-        layer_dtypes=dtypes,
+        layer_dtypes={name: first.dtypes.get(name, "f64") for name in layer_order},
     )
 
 
@@ -281,7 +359,7 @@ def scree_report(u: UniversalSubspace) -> ScreeReport:
 @dataclass
 class CoefficientSet:
     """A model expressed as per-layer subspace coefficients, with excluded
-    layers carried through verbatim."""
+    layers carried through verbatim (by reference, not copied)."""
 
     model_id: str
     coefficients: dict
@@ -292,8 +370,8 @@ class CoefficientSet:
 def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet:
     """Express each included layer in its layer subspace.
 
-    Excluded layers that exist in the model ride along unchanged so the
-    model can be rebuilt in full.
+    Excluded layers that exist in the model ride along unchanged, as the
+    model's own arrays, so the model can be rebuilt in full.
     """
     coefficients = {}
     for name in u.included_layers:
@@ -303,9 +381,7 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
             )
         coefficients[name] = project_slice(u.layer_models[name], weights.layers[name], label=name)
     passthrough = {
-        name: weights.layers[name].copy()
-        for name in u.excluded_layers
-        if name in weights.layers
+        name: weights.layers[name] for name in u.excluded_layers if name in weights.layers
     }
     dtypes = {
         name: weights.dtypes.get(name, "f64")
@@ -320,7 +396,8 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
 
 
 def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeights:
-    """Rebuild full weight matrices from subspace coefficients."""
+    """Rebuild full weight matrices from subspace coefficients; passthrough
+    layers are the coefficient set's own arrays."""
     layers = {}
     for name in u.layer_order:
         if name in coeffs.coefficients:
@@ -329,7 +406,7 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
                 arr = arr[0]  # drop the singleton stacking axis
             layers[name] = arr
         elif name in coeffs.passthrough:
-            layers[name] = coeffs.passthrough[name].copy()
+            layers[name] = coeffs.passthrough[name]
     dtypes = {name: coeffs.dtypes.get(name, "f64") for name in layers}
     return ModelWeights(model_id=coeffs.model_id, layers=layers, dtypes=dtypes)
 
@@ -514,8 +591,9 @@ def adapt_coefficients(
     descent, which converges monotonically for lr below 1/lmax(Z.T Z).
 
     Returns ``(SliceCoefficients, report)`` where the report carries the
-    fitted layer matrix, residual norms, the normal-matrix spectrum bound,
-    and the trainable-parameter accounting.
+    fitted layer matrix, residual norms, the normal-matrix spectrum bound
+    and condition number (lmax / lmin of the same ``eigvalsh``, inf when
+    lmin is not positive), and the trainable-parameter accounting.
     """
     if layer not in u.included_layers:
         raise InvalidArgumentError(f"layer {layer!r} is not part of the subspace")
@@ -567,6 +645,7 @@ def adapt_coefficients(
         "trainable_params": k,
         "full_params": rows * d,
         "normal_matrix_lmax": lmax,
+        "normal_matrix_cond": float(lmax / spectrum[0]) if spectrum[0] > 0 else float("inf"),
         "stable_lr_bound": float(1.0 / lmax) if lmax > 0 else float("inf"),
         "ridge": float(ridge),
         "initial_residual_norm": float(np.linalg.norm(resid_target)),
@@ -610,13 +689,16 @@ def _policy_meta(policy: RankPolicy) -> dict:
 
 
 def save_subspace(u: UniversalSubspace, path) -> None:
-    """Write a subspace container.
+    """Write a subspace container (format version 2).
 
-    Entry layout, per included layer L with modes n = 1..order:
-    ``mu/L`` (mean, flattened to a matrix), ``U/L/n`` (factors),
-    ``core/L`` (core unfolded along mode 1), ``ledger/L/sv/n`` and
-    ``ledger/L/ratio/n`` (full spectra as single-row matrices).  Everything
-    else lives in the manifest's meta block.
+    Entry layout, per included layer L and each non-stacking mode
+    n = 2..order: ``mu/L`` (mean, flattened to a matrix), ``U/L/n``
+    (factors), ``ledger/L/sv/n`` and ``ledger/L/ratio/n`` (full spectra as
+    single-row matrices).  The stacking-mode factor, its ledger and the
+    core are not written: projecting, rebuilding, merging and adapting
+    read only the mean and the other factors.  Everything else lives in
+    the manifest's meta block; a layer's ``retained`` and
+    ``first_component`` lists cover modes 2..order.
     """
     triples = []
     layer_meta = {}
@@ -628,29 +710,24 @@ def save_subspace(u: UniversalSubspace, path) -> None:
         else:
             mu_matrix, mu_kind = mu.reshape(mu.shape[-2] if mu.ndim == 3 else 1, mu.shape[-1]), "feature"
         triples.append((f"mu/{name}", mu_matrix, "f64"))
-        for n, factor in enumerate(model.factors, start=1):
-            triples.append((f"U/{name}/{n}", factor, "f64"))
-        core = model.core
-        core_matrix = core if core.ndim == 2 else unfold(core, 1)
-        triples.append((f"core/{name}", core_matrix, "f64"))
-        retained, first = [], []
-        for n in range(1, model.order + 1):
+        modes = range(2, model.order + 1)
+        for n in modes:
+            triples.append((f"U/{name}/{n}", model.factors[n - 1], "f64"))
+        for n in modes:
             spec = model.variance_ledger[n]
             triples.append((f"ledger/{name}/sv/{n}", spec.singular_values.reshape(1, -1), "f64"))
             triples.append((f"ledger/{name}/ratio/{n}", spec.ratios.reshape(1, -1), "f64"))
-            retained.append(spec.retained)
-            first.append(spec.first_component)
         layer_meta[name] = {
             "stack_shape": list(model.shape),
             "slab_extent": model.slab_extent,
-            "core_shape": list(core.shape),
             "mu_kind": mu_kind,
-            "retained": retained,
-            "first_component": first,
+            "retained": [model.variance_ledger[n].retained for n in modes],
+            "first_component": [model.variance_ledger[n].first_component for n in modes],
             "dtype": u.layer_dtypes.get(name, "f64"),
         }
     meta = {
         "kind": "subspace",
+        "format_version": SUBSPACE_FORMAT_VERSION,
         "architecture_id": u.architecture_id,
         "provenance": list(u.provenance),
         "order": u.config.order,
@@ -689,7 +766,11 @@ def _decoding_meta(kind):
 
 
 def load_subspace(path) -> UniversalSubspace:
-    """Read a subspace container written by :func:`save_subspace`.
+    """Read a subspace container written by :func:`save_subspace`, of
+    format version 2 or 1; version 1's stacking-mode entries and cores
+    are read past.  The layer models have no stacking-mode factor or
+    core.  An order-2 stack's two modes share one spectrum and rank, so
+    its stacking-mode ledger is the feature mode's.
 
     A meta field that is missing or malformed raises ManifestError.
     """
@@ -697,6 +778,9 @@ def load_subspace(path) -> UniversalSubspace:
     meta = doc.meta or {}
     if meta.get("kind") != "subspace":
         raise ManifestError("not a subspace container (meta kind != 'subspace')", 12)
+    version = meta.get("format_version", 1)
+    if version not in (1, SUBSPACE_FORMAT_VERSION):
+        raise ManifestError(f"unsupported subspace format_version {version!r}", 12)
     with _decoding_meta("subspace"):
         order = meta["order"]
         centering = meta["centering"]
@@ -723,20 +807,25 @@ def load_subspace(path) -> UniversalSubspace:
                 mu = mu_matrix.reshape(1, *mu_matrix.shape)
             else:
                 mu = mu_matrix
-            factors = [_take(entries, f"U/{name}/{n}") for n in range(1, order + 1)]
-            core = fold(_take(entries, f"core/{name}"), 1, info["core_shape"])
-            ledger = {}
-            for n in range(1, order + 1):
-                ledger[n] = ModeSpectrum(
+            # version 1 lists start at the stacking mode
+            retained, firsts = info["retained"], info["first_component"]
+            if version == 1:
+                retained, firsts = retained[1:], firsts[1:]
+            ledger = {
+                n: ModeSpectrum(
                     singular_values=_take(entries, f"ledger/{name}/sv/{n}").ravel(),
                     ratios=_take(entries, f"ledger/{name}/ratio/{n}").ravel(),
-                    retained=info["retained"][n - 1],
-                    first_component=info["first_component"][n - 1],
+                    retained=retained[n - 2],
+                    first_component=firsts[n - 2],
                 )
+                for n in range(2, order + 1)
+            }
+            if order == 2:
+                ledger = {1: ledger[2], 2: ledger[2]}
             layer_models[name] = SubspaceModel(
                 mu=mu,
-                factors=factors,
-                core=core,
+                factors=[None] + [_take(entries, f"U/{name}/{n}") for n in range(2, order + 1)],
+                core=None,
                 variance_ledger=ledger,
                 centering=centering,
                 stack_mode=1,

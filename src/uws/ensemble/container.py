@@ -15,8 +15,11 @@ of the payload.  An optional ``"meta"`` object carries auxiliary data
 (subspace shapes, extraction settings) and survives round trips.
 
 Subspace and coefficient files reuse this container with reserved layer
-name prefixes: ``mu/``, ``U/``, ``core/``, ``ledger/``, ``coef/`` and
-``raw/``.
+name prefixes: ``mu/``, ``U/``, ``ledger/``, ``coef/`` and ``raw/``
+(subspace files of format version 1 also have ``core/``).
+
+A parsed document's matrices are read-only views into the bytes they
+were parsed from, so reading a file costs one copy of it.
 
 Every reader-side failure raises a :class:`~uws.errors.ContainerError`
 subclass naming the byte offset where the problem was detected; no input,
@@ -163,7 +166,9 @@ def _require_int(layer: dict, key: str, minimum: int) -> int:
 
 
 def parse_container(data: bytes) -> ContainerDocument:
-    """Parse container bytes; raises a classified error on any defect."""
+    """Parse container bytes; raises a classified error on any defect.
+
+    The matrices are read-only views into ``data``, not copies."""
     if len(data) < HEADER_LEN:
         raise TruncatedFileError(
             f"file ends after {len(data)} bytes; a {HEADER_LEN}-byte header is required",
@@ -195,7 +200,7 @@ def parse_container(data: bytes) -> ContainerDocument:
     if meta is not None and not isinstance(meta, dict):
         raise _manifest_error("meta must be an object when present")
 
-    payload = data[HEADER_LEN + manifest_len :]
+    payload = memoryview(data).toreadonly()[HEADER_LEN + manifest_len :]
     payload_base = HEADER_LEN + manifest_len
     layers: list[LayerRecord] = []
     seen: set[str] = set()
@@ -248,7 +253,7 @@ def parse_container(data: bytes) -> ContainerDocument:
                 f"layer {name!r} decodes to a non-finite value at element {bad}",
                 payload_base + offset + bad * itemsize,
             )
-        layers.append(LayerRecord(name, arr.reshape(rows, cols).copy(), dtype))
+        layers.append(LayerRecord(name, arr.reshape(rows, cols), dtype))
     if len(payload) != expected_offset:
         raise PayloadMismatchError(
             f"payload holds {len(payload)} bytes but the manifest declares {expected_offset}",

@@ -73,22 +73,24 @@ def thin_svd(m: np.ndarray) -> ThinSvd:
     return ThinSvd(u=u, singular_values=s, v=v)
 
 
-def gram_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors of ``m`` from one
-    symmetric eigendecomposition of its Gram matrix ``m.T @ m``.
+def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of any matrix whose
+    Gram matrix ``m.T @ m`` is ``gram``, from one ``eigh``.
 
     Returns ``(s, v)``: all ``cols`` singular values, nonincreasing, and
     the matching orthonormal columns of ``v``, each oriented so its
-    largest-magnitude entry is nonnegative.  For a tall ``m`` this is
+    largest-magnitude entry is nonnegative.  For a tall matrix this is
     several times cheaper than :func:`thin_svd`, but forming the Gram
     matrix squares the condition number: s_i carries an absolute error of
     about eps * s_1**2 / s_i, so only components well above
     sqrt(eps) * s_1 are accurate.  Eigenvalues that rounding pushes below
     zero are read as zero singular values.
     """
-    m = _checked_matrix(m)
+    gram = _checked_matrix(gram)
+    if gram.shape[0] != gram.shape[1]:
+        raise InvalidArgumentError(f"a Gram matrix is square, got shape {gram.shape}")
     try:
-        lam, v = np.linalg.eigh(m.T @ m)
+        lam, v = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             "Gram eigendecomposition did not converge (LAPACK)"
@@ -254,7 +256,8 @@ def operator_norm(a: np.ndarray) -> float:
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale == 0.0:
         return 0.0
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, scale):
+    # halving first keeps entries near the float64 limit from overflowing
+    if np.max(np.abs(a / 2.0 - a.T / 2.0)) > 0.5e-10 * max(1.0, scale):
         raise InvalidArgumentError("matrix is not symmetric within 1e-10")
     try:
         w = np.linalg.eigvalsh(a)

@@ -171,10 +171,11 @@ class SecondMomentOperator:
         if not np.all(np.isfinite(m)):
             raise InvalidArgumentError("operator matrix must be finite")
         scale = float(np.max(np.abs(m))) if m.size else 0.0
-        if float(np.max(np.abs(m - m.T))) > 1e-10 * max(1.0, scale):
-            raise InvalidArgumentError("operator matrix is not symmetric")
         # halving first keeps entries near the float64 limit from overflowing
-        self.matrix = m / 2.0 + m.T / 2.0
+        half, half_t = m / 2.0, m.T / 2.0
+        if float(np.max(np.abs(half - half_t))) > 0.5e-10 * max(1.0, scale):
+            raise InvalidArgumentError("operator matrix is not symmetric")
+        self.matrix = half + half_t
 
     @property
     def d(self) -> int:

@@ -357,7 +357,9 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
     for meta in _single_field_edits(doc.meta):
         edited.write_bytes(build_container(doc.model_id, records, meta))
         codes.append(run(argv, capsys)[0])
-    assert len(codes) == {"subspace": 144, "coefficients": 44}[kind]
+    # format version 2 meta: 35 keys (36 in version 1, which had a
+    # core_shape per layer and no format_version)
+    assert len(codes) == {"subspace": 140, "coefficients": 44}[kind]
     assert set(codes) <= {0, 2, 3}
 
 
@@ -451,6 +453,27 @@ def test_adapt_closed_form_recovers_in_span_target(tmp_path, capsys):
     c = load_coefficients(coeffs)
     assert "block0" in c.coefficients
     assert np.all(np.isfinite(c.coefficients["block0"].coeffs))
+
+
+def test_adapt_report_carries_the_condition_number(tmp_path, capsys):
+    space, xfile, yfile = make_adapt_problem(tmp_path, capsys)
+    reports = []
+    for name in ("a", "b"):
+        reports.append(tmp_path / f"{name}.csv")
+        code, _, _ = run(
+            ["adapt", "--subspace", str(space), "--layer", "block0",
+             "--x", str(xfile), "--y", str(yfile),
+             "--out", str(tmp_path / f"{name}.uws"), "--report", str(reports[-1])],
+            capsys,
+        )
+        assert code == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    keys = [ln[2:].split(": ")[0] for ln in reports[0].read_text().splitlines()
+            if ln.startswith("# ")]
+    assert keys[keys.index("normal_matrix_lmax") + 1] == "normal_matrix_cond"
+    header = dict(ln[2:].split(": ", 1) for ln in reports[0].read_text().splitlines()
+                  if ln.startswith("# "))
+    assert 1.0 <= float(header["normal_matrix_cond"]) < float("inf")
 
 
 def test_adapt_gd_agrees_with_closed_form(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,3 +308,22 @@ def test_random_byte_flips_never_crash(tmp_path):
         except ContainerError:
             outcomes["classified"] += 1
     assert sum(outcomes.values()) == 800
+
+
+def test_read_costs_one_copy_of_the_file(tmp_path):
+    rng = np.random.default_rng(79)
+    layers = [
+        (f"L{i}", rng.standard_normal((64, 512)), "f32" if i % 2 else "f64") for i in range(12)
+    ]
+    path = tmp_path / "big.uws"
+    write_container(path, "big", layers)
+    size = path.stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    doc = read_container(path)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.2 * size
+    for (name, arr, dtype), rec in zip(layers, doc.layers):
+        assert not rec.array.flags.writeable
+        assert np.array_equal(rec.array, arr.astype(np.float32) if dtype == "f32" else arr)

@@ -225,6 +225,19 @@ def test_contributor_roundtrip_and_passthrough():
         assert np.array_equal(back.layers[layer], w.layers[layer])
 
 
+def test_passthrough_layers_are_carried_by_reference():
+    rng = np.random.default_rng(105)
+    models, _, _ = make_planted(rng, n_models=6, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    w = models[1]
+    coeffs = project_model(u, w)
+    back = reconstruct_model(u, coeffs)
+    assert u.excluded_layers == ["embed", "head"]
+    for layer in u.excluded_layers:
+        assert np.shares_memory(w.layers[layer], coeffs.passthrough[layer])
+        assert np.shares_memory(coeffs.passthrough[layer], back.layers[layer])
+
+
 def test_projection_idempotence():
     rng = np.random.default_rng(92)
     models, _, _ = make_planted(rng, n_models=20, k=4, noise=1e-2)
@@ -458,6 +471,17 @@ def test_adapt_reports_trainable_params():
     assert report["full_params"] == 6 * 24
 
 
+def test_adapt_reports_normal_matrix_conditioning():
+    rng = np.random.default_rng(106)
+    u, layer, x, y, _ = adapt_fixture(rng)
+    z = x @ u.layer_models[layer].factors[1]
+    lam = np.linalg.eigvalsh(z.T @ z)
+    _, report = adapt_coefficients(u, layer, x, y)
+    assert report["normal_matrix_lmax"] == pytest.approx(lam[-1], rel=1e-12)
+    assert report["normal_matrix_cond"] == pytest.approx(lam[-1] / lam[0], rel=1e-9)
+    assert report["normal_matrix_cond"] >= 1.0
+
+
 def test_coefficient_parameter_count():
     assert coefficient_parameter_count(16, 600) == 9600
     k_basis, layers = 16, 600
@@ -481,13 +505,16 @@ def test_subspace_file_roundtrip(tmp_path):
     assert v.config.policy == u.config.policy
     assert v.config.order == u.config.order
     assert v.config.centering == u.config.centering
+    # the persisted fields round-trip: mean, feature factor, ledger, shapes;
+    # neither side keeps a stacking-mode factor or core
     for layer in u.included_layers:
         a, b = u.layer_models[layer], v.layer_models[layer]
         assert np.array_equal(np.asarray(a.mu), np.asarray(b.mu))
-        for fa, fb in zip(a.factors, b.factors):
-            assert np.array_equal(fa, fb)
-        assert np.array_equal(a.core, b.core)
+        assert a.factors[0] is None and b.factors[0] is None
+        assert a.core is None and b.core is None
+        assert np.array_equal(a.factors[1], b.factors[1])
         assert a.shape == b.shape and a.slab_extent == b.slab_extent
+        assert set(a.variance_ledger) == set(b.variance_ledger) == {1, 2}
         for mode in a.variance_ledger:
             sa, sb = a.variance_ledger[mode], b.variance_ledger[mode]
             assert np.array_equal(sa.singular_values, sb.singular_values)
@@ -498,6 +525,9 @@ def test_subspace_file_roundtrip(tmp_path):
     c2 = project_model(v, models[2])
     for layer in u.included_layers:
         assert np.array_equal(c1.coefficients[layer].coeffs, c2.coefficients[layer].coeffs)
+    r1, r2 = reconstruct_model(u, c1), reconstruct_model(v, c2)
+    for layer in r1.layers:
+        assert np.array_equal(r1.layers[layer], r2.layers[layer])
 
 
 def test_coefficient_file_roundtrip(tmp_path):

@@ -1,0 +1,394 @@
+"""Streamed one-pass extraction (``GramStream``) and the version-2
+subspace file that holds no stacking-mode factor or core."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import uws.ensemble as ensemble_module
+import uws.hosvd as hosvd_module
+from uws import cli
+from uws.ensemble import (
+    ExtractionConfig,
+    ModelWeights,
+    extract_universal,
+    load_subspace,
+    load_weights,
+    project_model,
+    reconstruct_model,
+    save_subspace,
+    save_weights,
+    stack_layer,
+)
+from uws.ensemble.container import read_container, write_container
+from uws.errors import DegenerateSpectrumError, InvalidArgumentError
+from uws.hosvd import (
+    GRAM_BLOCK_ROWS,
+    GramStream,
+    hosvd_truncated,
+    project_slice,
+    reconstruct,
+    reconstruct_slice,
+    secondary_subspace,
+)
+from uws.spectral import RankPolicy
+
+from oracles import planted_ensemble
+
+SHAPES = {"inlet": (8, 40), "block0": (8, 40), "block1": (6, 32), "outlet": (8, 40)}
+TAU = RankPolicy.cumulative_variance(0.99)
+
+
+def planted_models(seed, n_models, shapes=SHAPES, k=4, noise=1e-3, offset=0.0):
+    rng = np.random.default_rng(seed)
+    dicts, _, _ = planted_ensemble(rng, n_models, shapes, k, noise=noise)
+    return [
+        ModelWeights(f"m{i:04d}", {name: w + offset for name, w in layers.items()})
+        for i, layers in enumerate(dicts)
+    ]
+
+
+def write_models(directory, models):
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for m in models:
+        paths.append(directory / f"{m.model_id}.uws")
+        save_weights(m, paths[-1])
+    return paths
+
+
+def max_sine(a, b):
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return float(np.linalg.norm(b - a @ (a.T @ b), 2))
+
+
+def assert_matches_stacked(u, models):
+    for name in u.included_layers:
+        got = u.layer_models[name]
+        want = hosvd_truncated(
+            stack_layer(models, name),
+            u.config.policy,
+            centering=u.config.centering,
+            slab_extent=models[0].layers[name].shape[0],
+        )
+        assert got.factors[0] is None and got.core is None
+        assert got.shape == want.shape and got.slab_extent == want.slab_extent
+        assert got.ranks[1] == want.ranks[1]
+        assert max_sine(got.factors[1], want.factors[1]) <= 1e-10
+        for mode in (1, 2):
+            g, w = got.variance_ledger[mode], want.variance_ledger[mode]
+            assert g.retained == w.retained
+            s = w.singular_values
+            assert np.max(np.abs(g.singular_values - s)) <= 1e-12 * s[0]
+        mu_g, mu_w = np.asarray(got.mu), np.asarray(want.mu)
+        assert np.shape(mu_g) == np.shape(mu_w)
+        assert np.linalg.norm(mu_g - mu_w) <= 1e-12 * np.linalg.norm(mu_w)
+
+
+class Routes:
+    """Counts file reads, streamed decompositions and stacked ones."""
+
+    def __init__(self, monkeypatch):
+        self.reads = self.streamed = self.stacked = 0
+        real_load, real_hosvd = ensemble_module.load_weights, ensemble_module.hosvd_truncated
+        real_decompose = GramStream.decompose
+
+        def load(*a, **kw):
+            self.reads += 1
+            return real_load(*a, **kw)
+
+        def stacked(*a, **kw):
+            self.stacked += 1
+            return real_hosvd(*a, **kw)
+
+        def streamed(*a, **kw):
+            self.streamed += 1
+            return real_decompose(*a, **kw)
+
+        monkeypatch.setattr(ensemble_module, "load_weights", load)
+        monkeypatch.setattr(ensemble_module, "hosvd_truncated", stacked)
+        monkeypatch.setattr(GramStream, "decompose", streamed)
+
+    def counts(self):
+        return {"reads": self.reads, "streamed": self.streamed, "stacked": self.stacked}
+
+
+# ------------------------------------------------------------ agreement
+
+
+# 20 models stay inside one block; 128 fill block0's exactly; 300 split
+# block1's 6-row slabs across block boundaries
+@pytest.mark.parametrize("n_models", [20, 128, 300])
+@pytest.mark.parametrize("centering", ["feature", "global"])
+def test_streamed_extract_matches_the_stacked_decomposition(monkeypatch, n_models, centering):
+    models = planted_models(500 + n_models, n_models)
+    routes = Routes(monkeypatch)
+    u = extract_universal(models, ExtractionConfig(policy=TAU, centering=centering))
+    assert routes.counts() == {"reads": 0, "streamed": 2, "stacked": 0}
+    assert u.provenance == [m.model_id for m in models]
+    assert_matches_stacked(u, models)
+
+
+def test_large_common_offset_streams_without_loss(monkeypatch):
+    models = planted_models(77, 200, offset=1e4)
+    routes = Routes(monkeypatch)
+    u = extract_universal(models, ExtractionConfig(policy=TAU))
+    assert routes.counts()["stacked"] == 0
+    assert_matches_stacked(u, models)
+
+
+def test_gram_stream_blocks_do_not_change_the_result():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3 * GRAM_BLOCK_ROWS + 17, 12)) @ rng.standard_normal((12, 12)) + 5.0
+    by_rows, whole = GramStream(12), GramStream(12)
+    for start in range(0, x.shape[0], 7):
+        by_rows.add(x[start : start + 7])
+    whole.add(x)
+    a, b = by_rows.decompose(TAU), whole.decompose(TAU)
+    xc = x - x.mean(axis=0)
+    s = np.linalg.svd(xc, compute_uv=False)
+    for model in (a, b):
+        assert model.shape == x.shape
+        assert np.max(np.abs(model.variance_ledger[2].singular_values - s)) <= 1e-12 * s[0]
+        assert np.allclose(model.mu, x.mean(axis=0, keepdims=True), rtol=0, atol=1e-12)
+    assert max_sine(a.factors[1], b.factors[1]) <= 1e-12
+
+
+def test_gram_stream_rejects_bad_slabs():
+    stream = GramStream(4)
+    with pytest.raises(InvalidArgumentError):
+        stream.add(np.ones((3, 5)))
+    with pytest.raises(InvalidArgumentError):
+        stream.add(np.array([[1.0, np.nan, 0.0, 0.0]]))
+    with pytest.raises(InvalidArgumentError):
+        GramStream(4).decompose(TAU)
+
+
+# ------------------------------------------------------------ fallbacks
+
+
+@pytest.mark.parametrize(
+    "config,shapes",
+    [
+        (ExtractionConfig(policy=RankPolicy.cumulative_variance(1.0)), SHAPES),
+        (ExtractionConfig(policy=RankPolicy.hard_threshold()), SHAPES),
+        (ExtractionConfig(policy=TAU), {name: (2, 40) for name in SHAPES}),  # 24 x 40: wide
+        (ExtractionConfig(policy=TAU, order=3), SHAPES),
+    ],
+    ids=["tau1", "hard_threshold", "wide", "order3"],
+)
+def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, shapes):
+    models = planted_models(11, 12, shapes=shapes)
+    paths = write_models(tmp_path / "models", models)
+    routes = Routes(monkeypatch)
+    u = extract_universal(paths, config)
+    assert routes.counts() == {"reads": 12, "streamed": 0, "stacked": 2}
+    for name in u.included_layers:
+        model = u.layer_models[name]
+        assert model.factors[0] is None and model.core is None
+        want = hosvd_truncated(
+            stack_layer(models, name, order=config.order),
+            config.policy,
+            slab_extent=shapes[name][0] if config.order == 2 else 1,
+        )
+        assert np.array_equal(model.factors[1], want.factors[1])
+
+
+def test_mixed_shapes_stream_and_stack_from_one_read(monkeypatch, tmp_path):
+    shapes = dict(SHAPES, block1=(1, 32))  # block1 stacks to 12 x 32: wide
+    models = planted_models(24, 12, shapes=shapes)
+    paths = write_models(tmp_path / "models", models)
+    routes = Routes(monkeypatch)
+    u = extract_universal(paths, ExtractionConfig(policy=TAU))
+    assert routes.counts() == {"reads": 12, "streamed": 1, "stacked": 1}
+    assert_matches_stacked(u, models)
+
+
+def test_guard_declined_layer_is_read_again_and_stacked(monkeypatch, tmp_path):
+    models = planted_models(12, 30)
+    paths = write_models(tmp_path / "models", models)
+    routes = Routes(monkeypatch)
+    monkeypatch.setattr(hosvd_module, "GRAM_MIN_RATIO", np.inf)  # every Gram route declines
+    u = extract_universal(paths, ExtractionConfig(policy=TAU))
+    # the second pass reads every model but the first, which stayed in memory
+    assert routes.counts() == {"reads": 59, "streamed": 2, "stacked": 2}
+    assert_matches_stacked(u, models)
+
+
+def test_streamed_extract_memory_does_not_grow_with_the_ensemble(tmp_path):
+    shapes = {name: (16, 128) for name in ("inlet", "block0", "block1", "outlet")}
+    peaks = {}
+    for n_models in (40, 160):
+        models = planted_models(13, n_models, shapes=shapes)
+        paths = write_models(tmp_path / f"t{n_models}", models)
+        tracemalloc.start()
+        extract_universal(paths, ExtractionConfig(policy=TAU))
+        peaks[n_models] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[160] <= 1.2 * peaks[40]
+
+
+# ------------------------------------------------------------ errors
+
+
+def test_streamed_extract_errors_keep_their_class():
+    models = planted_models(14, 10)
+    config = ExtractionConfig(policy=TAU)
+    gap = ModelWeights("gap", {n: w for n, w in models[3].layers.items() if n != "block1"})
+    with pytest.raises(InvalidArgumentError, match="gap"):
+        extract_universal(models[:3] + [gap], config)
+    short = ModelWeights("short", dict(models[4].layers))
+    short.layers["block0"] = short.layers["block0"][:3]
+    with pytest.raises(InvalidArgumentError, match="short"):
+        extract_universal(models[:4] + [short], config)
+    nan = ModelWeights("nan", dict(models[5].layers))
+    nan.layers["block0"] = np.full(SHAPES["block0"], np.nan)
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        extract_universal(models[:4] + [nan], config)
+    row = np.random.default_rng(15).standard_normal(40)
+    same = [ModelWeights(f"s{i}", {n: np.tile(row, (8, 1)) for n in SHAPES}) for i in range(6)]
+    with pytest.raises(DegenerateSpectrumError, match="block0"):
+        extract_universal(same, config)
+    zero = [ModelWeights(f"z{i}", {n: np.zeros(s) for n, s in SHAPES.items()}) for i in range(6)]
+    with pytest.raises(DegenerateSpectrumError, match="zero"):
+        extract_universal(zero, config)
+
+
+def _extract_code(tmp_path, models, capsys):
+    write_models(tmp_path / "bad", models)
+    code = cli.main(["extract", "--models", str(tmp_path / "bad" / "*.uws"),
+                     "--out", str(tmp_path / "s.uws"), "--report", str(tmp_path / "r.csv")])
+    return code, capsys.readouterr().err
+
+
+def test_streamed_extract_exit_codes(tmp_path, capsys):
+    models = planted_models(16, 10)
+    gap = ModelWeights("m0009", {n: w for n, w in models[9].layers.items() if n != "block0"})
+    assert _extract_code(tmp_path / "a", models[:9] + [gap], capsys)[0] == 2
+    odd = ModelWeights("m0009", dict(models[9].layers))
+    odd.layers["block1"] = odd.layers["block1"][:2]
+    assert _extract_code(tmp_path / "b", models[:9] + [odd], capsys)[0] == 2
+    row = np.random.default_rng(17).standard_normal(40)
+    same = [ModelWeights(f"s{i}", {n: np.tile(row, (8, 1)) for n in SHAPES}) for i in range(6)]
+    code, err = _extract_code(tmp_path / "c", same, capsys)
+    assert code == 3 and "variance" in err
+    write_models(tmp_path / "d" / "bad", models)
+    victim = tmp_path / "d" / "bad" / "m0004.uws"
+    blob = bytearray(victim.read_bytes())
+    blob[-8:] = np.array([np.nan]).tobytes()
+    victim.write_bytes(bytes(blob))
+    code = cli.main(["extract", "--models", str(tmp_path / "d" / "bad" / "*.uws"),
+                     "--out", str(tmp_path / "s.uws"), "--report", str(tmp_path / "r.csv")])
+    assert code == 2 and "non-finite" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ models without U1
+
+
+def test_streamed_model_projects_but_does_not_rebuild_its_stack():
+    models = planted_models(18, 40)
+    u = extract_universal(models, ExtractionConfig(policy=TAU))
+    model = u.layer_models["block0"]
+    with pytest.raises(InvalidArgumentError, match="stacking-mode factor"):
+        reconstruct(model)
+    stack = stack_layer(models, "block0")
+    full = hosvd_truncated(stack, TAU, slab_extent=8)
+    a, b = secondary_subspace(stack, model, 3), secondary_subspace(stack, full, 3)
+    assert max_sine(a.factors[1], b.factors[1]) <= 1e-10
+    slab = models[0].layers["block0"]
+    assert np.allclose(
+        reconstruct_slice(model, project_slice(model, slab)),
+        reconstruct_slice(full, project_slice(full, slab)),
+        rtol=0, atol=1e-10,
+    )
+
+
+def test_order3_secondary_needs_the_stacking_factor():
+    models = planted_models(19, 12)
+    u = extract_universal(models, ExtractionConfig(policy=TAU, order=3))
+    with pytest.raises(InvalidArgumentError, match="stacking-mode factor"):
+        secondary_subspace(stack_layer(models, "block0", order=3), u.layer_models["block0"], 1)
+
+
+# ------------------------------------------------------------ file format
+
+
+def write_v1(path, v2_path, models):
+    """Rewrite a version-2 subspace file in the version-1 layout: every
+    mode's factor and ledger, the core, per-layer ``core_shape`` and no
+    ``format_version``."""
+    doc = read_container(v2_path)
+    entries = {rec.name: rec.array for rec in doc.layers}
+    meta = dict(doc.meta)
+    del meta["format_version"]
+    meta["layers"] = {}
+    triples = []
+    for name in meta["included_layers"]:
+        info = dict(doc.meta["layers"][name])
+        full = hosvd_truncated(stack_layer(models, name), TAU, slab_extent=info["slab_extent"])
+        spec = full.variance_ledger[1]
+        triples += [
+            (f"mu/{name}", entries[f"mu/{name}"], "f64"),
+            (f"U/{name}/1", full.factors[0], "f64"),
+            (f"U/{name}/2", entries[f"U/{name}/2"], "f64"),
+            (f"core/{name}", full.core, "f64"),
+            (f"ledger/{name}/sv/1", spec.singular_values.reshape(1, -1), "f64"),
+            (f"ledger/{name}/ratio/1", spec.ratios.reshape(1, -1), "f64"),
+            (f"ledger/{name}/sv/2", entries[f"ledger/{name}/sv/2"], "f64"),
+            (f"ledger/{name}/ratio/2", entries[f"ledger/{name}/ratio/2"], "f64"),
+        ]
+        info["core_shape"] = list(full.core.shape)
+        info["retained"] = [spec.retained] + info["retained"]
+        info["first_component"] = [0] + info["first_component"]
+        meta["layers"][name] = info
+    write_container(path, doc.model_id, triples, meta=meta)
+
+
+def test_version1_file_and_its_version2_rewrite_project_identically(tmp_path):
+    models = planted_models(20, 30)
+    u = extract_universal(models, ExtractionConfig(policy=TAU))
+    v2_path, v1_path, rewrite = tmp_path / "v2.uws", tmp_path / "v1.uws", tmp_path / "re.uws"
+    save_subspace(u, v2_path)
+    write_v1(v1_path, v2_path, models)
+    names = [rec.name for rec in read_container(v1_path).layers]
+    assert "U/block0/1" in names and "core/block0" in names
+    old = load_subspace(v1_path)
+    save_subspace(old, rewrite)
+    assert rewrite.read_bytes() == v2_path.read_bytes()
+    new = load_subspace(rewrite)
+    for name in u.included_layers:
+        assert old.layer_models[name].factors[0] is None and old.layer_models[name].core is None
+    w = planted_models(21, 1)[0]
+    a, b = project_model(old, w), project_model(new, w)
+    for name in u.included_layers:
+        assert np.array_equal(a.coefficients[name].coeffs, b.coefficients[name].coeffs)
+    ra, rb = reconstruct_model(old, a), reconstruct_model(new, b)
+    for name in ra.layers:
+        assert np.array_equal(ra.layers[name], rb.layers[name])
+
+
+def test_version2_file_holds_no_stacking_mode_entries(tmp_path):
+    models = planted_models(22, 30)
+    save_subspace(extract_universal(models, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
+    doc = read_container(tmp_path / "s.uws")
+    assert doc.meta["format_version"] == 2
+    assert sorted(rec.name for rec in doc.layers if "block0" in rec.name) == [
+        "U/block0/2", "ledger/block0/ratio/2", "ledger/block0/sv/2", "mu/block0",
+    ]
+    assert doc.meta["layers"]["block0"]["retained"] == [4]
+    assert "core_shape" not in doc.meta["layers"]["block0"]
+
+
+def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
+    models = planted_models(23, 30)
+    paths = write_models(tmp_path / "models", models)
+    save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
+    doc = read_container(tmp_path / "s.uws")
+    meta = dict(doc.meta, format_version=3)
+    write_container(tmp_path / "v3.uws", doc.model_id,
+                    [(r.name, r.array, r.dtype) for r in doc.layers], meta=meta)
+    code = cli.main(["project", "--subspace", str(tmp_path / "v3.uws"),
+                     "--model", str(paths[0]), "--out", str(tmp_path / "c.uws")])
+    assert code == 2 and "format_version" in capsys.readouterr().err
+    assert load_weights(paths[0]).model_id == "m0000"

@@ -11,7 +11,7 @@ from uws.spectral import (
     ThinSvd,
     column_signs,
     explained_variance,
-    gram_eigh,
+    gram_spectrum,
     operator_norm,
     orthonormality_defect,
     select_rank,
@@ -80,19 +80,21 @@ def test_column_signs_orient_largest_entry():
     assert np.array_equal(m * column_signs(m), sign_canonical(m))
 
 
-def test_gram_eigh_matches_thin_svd_on_tall_input():
+def test_gram_spectrum_matches_thin_svd_on_tall_input():
     rng = np.random.default_rng(20)
     q = np.linalg.qr(rng.standard_normal((80, 6)))[0]
     w = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     m = q @ np.diag([9.0, 5.0, 3.0, 1.0, 0.5, 0.1]) @ w.T
-    s, v = gram_eigh(m)
+    s, v = gram_spectrum(m.T @ m)
     f = thin_svd(m)
     assert np.max(np.abs(s - f.singular_values)) < 1e-12 * s[0]
     assert np.all(np.diff(s) <= 0)
     assert orthonormality_defect(v) < 1e-12
     assert np.max(np.abs(v - f.v * column_signs(f.v))) < 1e-10
     with pytest.raises(InvalidArgumentError):
-        gram_eigh(np.array([[1.0, np.nan]]))
+        gram_spectrum(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(InvalidArgumentError):
+        gram_spectrum(np.ones((2, 3)))
 
 
 def test_thin_svd_rejects_non_finite():
@@ -283,6 +285,12 @@ def test_operator_norm_rejects_asymmetric():
         operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InvalidArgumentError):
         operator_norm(np.zeros((2, 3)))
+
+
+def test_operator_norm_rejects_asymmetric_input_near_the_float_limit():
+    # a - a.T would overflow here; pytest turns that RuntimeWarning into an error
+    with pytest.raises(InvalidArgumentError, match="not symmetric"):
+        operator_norm(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
 
 
 def test_operator_norm_is_exact_at_extreme_scales():

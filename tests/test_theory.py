@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,13 @@ def test_davis_kahan_identity_and_degenerate():
     flat = population_second_moment(np.eye(2), np.array([1.0, 1.0]))
     with pytest.raises(InvalidArgumentError):
         davis_kahan_check(flat, flat, 1)
+
+
+def test_asymmetric_operator_near_the_float_limit_is_rejected_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="not symmetric"):
+            davis_kahan_check(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), np.eye(2), 1)
 
 
 def test_davis_kahan_monte_carlo():
