@@ -25,6 +25,7 @@ from .ensemble import (
     load_weights,
     memory_savings,
     merge_models,
+    merge_weights,
     project_model,
     reconstruct_model,
     save_coefficients,
@@ -284,26 +285,18 @@ def cmd_reconstruct(args):
 
 
 def cmd_merge(args):
-    models = [load_weights(p) for p in _model_paths(args.models)]
-    weights = args.weights
-    if weights is not None:
-        if len(weights) != len(models):
-            raise _UsageError(
-                f"--weights needs {len(models)} entries for {len(models)} models, "
-                f"got {len(weights)}"
-            )
-        if any(w < 0 or not np.isfinite(w) for w in weights):
-            raise _UsageError("--weights entries must be finite and nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-8:
-            raise _UsageError(f"--weights must sum to 1, got {sum(weights)!r}")
+    paths = _model_paths(args.models)
+    try:
+        weights = merge_weights(args.weights, len(paths))
+    except InvalidArgumentError as exc:
+        raise _UsageError(f"--weights: {exc}") from exc
     u = load_subspace(args.subspace)
-    merged = merge_models(u, models, weights=weights)
+    merged = merge_models(u, paths, weights=weights)  # reads one model at a time
     save_weights(merged, args.out)
-    shown = weights if weights is not None else [1.0 / len(models)] * len(models)
     print("rule: merging averages per-layer subspace coefficients "
           "(affine projection makes this the weighted mean model)")
-    print(f"models: {len(models)}")
-    print(f"weights: {','.join(repr(w) for w in shown)}")
+    print(f"models: {len(paths)}")
+    print(f"weights: {','.join(repr(float(w)) for w in weights)}")
     print(f"merged: {args.out}")
     return 0
 

@@ -12,6 +12,7 @@ files use ``coef/`` and ``raw/``.
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "project_model",
     "reconstruct_model",
     "merge_models",
+    "merge_weights",
     "memory_savings",
     "coefficient_parameter_count",
     "adapt_coefficients",
@@ -92,12 +94,28 @@ class ModelWeights:
         self.dtypes = {name: self.dtypes.get(name, "f64") for name in self.layers}
 
 
+class _Payloads(NamedTuple):
+    """A weights file as stored: its model id, and per layer a read-only
+    view of the payload at the stored precision, and that precision."""
+
+    model_id: str
+    layers: dict
+    dtypes: dict
+
+
+def _read_payloads(path) -> _Payloads:
+    """Read a weights container without converting any matrix."""
+    doc = read_container(path)
+    return _Payloads(
+        doc.model_id,
+        {rec.name: rec.array for rec in doc.layers},
+        {rec.name: rec.dtype for rec in doc.layers},
+    )
+
+
 def load_weights(path) -> ModelWeights:
     """Read a weights container, promoting every matrix to float64."""
-    doc = read_container(path)
-    layers = {rec.name: np.asarray(rec.array, dtype=np.float64) for rec in doc.layers}
-    dtypes = {rec.name: rec.dtype for rec in doc.layers}
-    return ModelWeights(model_id=doc.model_id, layers=layers, dtypes=dtypes)
+    return ModelWeights(*_read_payloads(path))
 
 
 def save_weights(weights: ModelWeights, path) -> None:
@@ -215,9 +233,11 @@ def _partition_layers(first, config):
     return candidates, included, [n for n in candidates if n in excluded]
 
 
-def _read(model) -> ModelWeights:
-    """A model given in memory, or read from its weights file."""
-    return model if isinstance(model, ModelWeights) else load_weights(model)
+def _read(model):
+    """A model given in memory, or its weights file's payloads: either
+    way an object with ``model_id``, ``layers`` and ``dtypes``, whose
+    float32 layers are converted only where they are used."""
+    return model if isinstance(model, ModelWeights) else _read_payloads(model)
 
 
 @contextmanager
@@ -230,8 +250,8 @@ def _naming_layer(name):
 
 def _read_pass(models, first, streams, keep):
     """Read each model once: feed its layers named in ``streams`` to their
-    GramStream, and keep only its ``keep`` layers.  Returns the model ids
-    and the kept (pruned) models."""
+    GramStream, and keep only its ``keep`` layers, as float64.  Returns
+    the model ids and the kept (pruned) models."""
     provenance, kept = [], []
     for i, item in enumerate(models):
         model = first if i == 0 else _read(item)
@@ -251,6 +271,7 @@ def _read_pass(models, first, streams, keep):
         if keep:
             layers = {n: model.layers[n] for n in keep if n in model.layers}
             kept.append(ModelWeights(model.model_id, layers))
+        del model  # free its payload before the next model is read
     return provenance, kept
 
 
@@ -265,9 +286,12 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     An order-2 stack that may take the Gram route is streamed: each model
     is read once and dropped, and the layer keeps only a
     :class:`~uws.hosvd.GramStream` (one block of rows plus d x d
-    matrices).  Order-3 stacks, and order-2 stacks that are wide or whose
-    policy reads the small end of the spectrum, are kept from the same
-    read, stacked and decomposed by :func:`~uws.hosvd.hosvd_truncated`;
+    matrices), which converts each float32 slab once, into its block; a
+    layer that no stack uses is never converted.  Every stream's block is
+    freed before the first eigensolve.  Order-3 stacks, and order-2
+    stacks that are wide or whose policy reads the small end of the
+    spectrum, are kept from the same read, as float64, stacked and
+    decomposed by :func:`~uws.hosvd.hosvd_truncated`;
     so is a streamed layer that the Gram route's guard declines, after a
     second read.  Either way a layer model keeps no stacking-mode factor
     or core: it holds what a subspace file holds.
@@ -289,6 +313,8 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     }
     up_front = [name for name in included if name not in streams]
     provenance, kept = _read_pass(models, first, streams, up_front)
+    for stream in streams.values():
+        stream.flush()
     layer_models, declined = {}, []
     for name, stream in streams.items():
         with _naming_layer(name):
@@ -414,45 +440,69 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
 # --------------------------------------------------------------------- merging
 
 
+def merge_weights(weights, t: int) -> np.ndarray:
+    """The convex weights of a merge of ``t`` models: uniform when
+    ``weights`` is None, else ``t`` finite, nonnegative values that sum to
+    1 (within 1e-8).  Raises InvalidArgumentError otherwise."""
+    if weights is None:
+        return np.full(t, 1.0 / t)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (t,):
+        raise InvalidArgumentError(f"got {weights.size} weights for {t} models")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise InvalidArgumentError("merge weights must be finite and non-negative")
+    if abs(weights.sum() - 1.0) > 1e-8:
+        raise InvalidArgumentError(f"merge weights must sum to 1, got {weights.sum()!r}")
+    return weights
+
+
 def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelWeights:
     """Average models inside the subspace.
 
-    Every layer is averaged with the given convex weights (uniform by
-    default), and the mean model is projected and reconstructed once.
-    Because projection is affine, this equals combining the models'
-    coefficients with the same weights.  Excluded layers present in every
-    input are averaged elementwise and carried through.  Each averaged
-    layer must have one shape across the models.
+    ``models`` is a sequence of :class:`ModelWeights` or of paths to
+    weights files; the weights are checked (:func:`merge_weights`) before
+    any is read.  Every layer is averaged with the given convex weights
+    (uniform by default) as a running weighted sum over the models, read
+    one at a time, and the mean model is projected and reconstructed
+    once.  Because projection is affine, this equals combining the
+    models' coefficients with the same weights.  Excluded layers present
+    in every input are averaged elementwise and carried through.  Each
+    averaged layer must have one shape across the models.
     """
+    models = list(models)
     if len(models) < 2:
         raise InvalidArgumentError(f"merging needs at least two models, got {len(models)}")
-    t = len(models)
-    if weights is None:
-        weights = np.full(t, 1.0 / t)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (t,):
+    weights = merge_weights(weights, len(models))
+    ids, sums = [], {}
+    for i, (w, item) in enumerate(zip(weights, models)):
+        model = _read(item)
+        ids.append(model.model_id)
+        if i == 0:
+            sums = {
+                name: np.zeros(model.layers[name].shape)
+                for name in list(u.included_layers) + list(u.excluded_layers)
+                if name in model.layers
+            }
+        missing = [name for name in u.included_layers if name not in model.layers]
+        if missing:
             raise InvalidArgumentError(
-                f"got {weights.size} weights for {t} models"
+                f"layer {missing[0]!r} is missing from models: {model.model_id}"
             )
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise InvalidArgumentError("merge weights must be finite and non-negative")
-        if abs(weights.sum() - 1.0) > 1e-8:
-            raise InvalidArgumentError(
-                f"merge weights must sum to 1, got {weights.sum()!r}"
-            )
-    names = list(u.included_layers) + [
-        name for name in u.excluded_layers if all(name in m.layers for m in models)
-    ]
+        for name in list(sums):
+            if name not in model.layers:  # an excluded layer this model lacks
+                del sums[name]
+                continue
+            got = model.layers[name].shape
+            if got != sums[name].shape:
+                raise InvalidArgumentError(
+                    f"layer {name!r} has shape {sums[name].shape} in {ids[0]} but differs "
+                    f"in: {model.model_id}{got}"
+                )
+            sums[name] += np.multiply(model.layers[name], w, dtype=np.float64)
+        del model  # free its payload before the next model is read
     if model_id is None:
-        model_id = "merged(" + ",".join(m.model_id for m in models) + ")"
-    mean = ModelWeights(
-        model_id=model_id,
-        layers={
-            name: np.tensordot(weights, stack_layer(models, name, order=3), axes=1)
-            for name in names
-        },
-    )
+        model_id = "merged(" + ",".join(ids) + ")"
+    mean = ModelWeights(model_id=model_id, layers=sums)
     return reconstruct_model(u, project_model(u, mean))
 
 

@@ -32,6 +32,7 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -66,18 +67,20 @@ class ContainerDocument(NamedTuple):
     meta: dict | None
 
 
-def _encode_array(arr: np.ndarray, dtype: str) -> bytes:
-    return np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes(order="C")
+def _encoded(arr: np.ndarray, dtype: str) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
 
 
-def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write via a sibling temp file and rename, so a crash or error can
-    never leave a partially written file at the destination."""
+@contextmanager
+def _atomic_file(path):
+    """A binary file that appears at ``path`` only once the ``with`` block
+    completes: it is written as a sibling temp file and renamed, so a
+    crash or error can never leave a partially written file there."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -87,12 +90,21 @@ def atomic_write_bytes(path, blob: bytes) -> None:
         raise
 
 
-def build_container(model_id: str, layers, meta: dict | None = None) -> bytes:
-    """Serialize to bytes; see :func:`write_container`."""
+def atomic_write_bytes(path, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` atomically (see :func:`_atomic_file`)."""
+    with _atomic_file(path) as fh:
+        fh.write(blob)
+
+
+def _layout(model_id: str, layers, meta: dict | None):
+    """Validate a container's contents without encoding them.
+
+    Returns the header (magic, manifest length and manifest) and the
+    ``(matrix, dtype)`` pairs whose encodings follow it, in order."""
     if not isinstance(model_id, str):
         raise InvalidArgumentError(f"model_id must be a string, got {type(model_id).__name__}")
     records = []
-    chunks = []
+    payload = []
     seen = set()
     offset = 0
     for entry in layers:
@@ -116,7 +128,7 @@ def build_container(model_id: str, layers, meta: dict | None = None) -> bytes:
             )
         if not np.all(np.isfinite(arr)):
             raise InvalidArgumentError(f"layer {name!r} contains non-finite values")
-        blob = _encode_array(arr, dtype)
+        nbytes = arr.size * _DTYPES[dtype].itemsize
         records.append(
             {
                 "name": name,
@@ -124,11 +136,11 @@ def build_container(model_id: str, layers, meta: dict | None = None) -> bytes:
                 "cols": int(arr.shape[1]),
                 "dtype": dtype,
                 "offset": offset,
-                "nbytes": len(blob),
+                "nbytes": nbytes,
             }
         )
-        chunks.append(blob)
-        offset += len(blob)
+        payload.append((arr, dtype))
+        offset += nbytes
     manifest: dict = {"model_id": model_id, "layers": records}
     if meta is not None:
         if not isinstance(meta, dict):
@@ -139,7 +151,13 @@ def build_container(model_id: str, layers, meta: dict | None = None) -> bytes:
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"meta is not JSON-serializable: {exc}") from exc
     manifest_bytes = text.encode("utf-8")
-    return MAGIC + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes + b"".join(chunks)
+    return MAGIC + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes, payload
+
+
+def build_container(model_id: str, layers, meta: dict | None = None) -> bytes:
+    """Serialize to bytes; see :func:`write_container`."""
+    header, payload = _layout(model_id, layers, meta)
+    return header + b"".join(_encoded(arr, dtype).tobytes() for arr, dtype in payload)
 
 
 def write_container(path, model_id: str, layers, meta: dict | None = None) -> None:
@@ -147,9 +165,15 @@ def write_container(path, model_id: str, layers, meta: dict | None = None) -> No
 
     ``layers`` is an iterable of ``(name, matrix, dtype)`` with dtype
     ``"f32"`` or ``"f64"``; matrices are cast to the declared precision.
-    The write is atomic and byte-deterministic for identical inputs.
+    The write is atomic and byte-deterministic for identical inputs, and
+    goes straight to the file: the header, then each matrix as it is
+    encoded, so no copy of the whole file is built in memory.
     """
-    atomic_write_bytes(path, build_container(model_id, layers, meta))
+    header, payload = _layout(model_id, layers, meta)
+    with _atomic_file(path) as fh:
+        fh.write(header)
+        for arr, dtype in payload:
+            fh.write(memoryview(_encoded(arr, dtype)).cast("B"))
 
 
 def _manifest_error(detail: str) -> ManifestError:

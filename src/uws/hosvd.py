@@ -20,19 +20,21 @@ transpose, so one decomposition serves both modes:
   than tall, a policy is ``cumulative_variance(tau=1)`` or
   ``hard_threshold`` (both read the small end of the spectrum), or the
   deepest component retained or read is below 1e-3 * s_1, where the
-  defect could exceed about 2e-10.
+  defect could exceed about 2e-10.  It also takes a stack whose Gram
+  matrix overflows (entries beyond about 1e150); the SVD and the
+  variance checks, which rescale before squaring, serve any finite stack.
 
 Both routes orient every factor column so its largest-magnitude entry
 is nonnegative.  Higher-order stacks decompose every mode unfolding
 with its own thin SVD.
 
 An order-2 stack too large to hold can be fed to :class:`GramStream`
-one slab at a time.  It keeps the column mean, the centred d x d Gram
-matrix and the row count, merging blocks of at least 1024 rows with the
-pairwise update of Chan, Golub and LeVeque (1979); every merged term is
-positive semidefinite, so no common offset costs accuracy.  Its result
-takes the same Gram route and guard, and carries no stacking-mode factor
-or core.
+one slab at a time, float32 or float64.  It keeps the column mean, the
+centred d x d Gram matrix and the row count, merging blocks of at least
+1024 rows with the pairwise update of Chan, Golub and LeVeque (1979);
+every merged term is positive semidefinite, so no common offset costs
+accuracy.  Its result takes the same Gram route and guard, and carries
+no stacking-mode factor or core.
 
 A "slice" is one contributor's slab of the stacked tensor (its block of
 rows for order-2 stacking, or its matrix for stacking along a new mode).
@@ -61,7 +63,7 @@ from .spectral import (
     select_rank,
     thin_svd,
 )
-from .tensor import as_tensor, mode_product, unfold
+from .tensor import as_tensor, frobenius_norm, mode_product, unfold
 
 CENTERINGS = ("feature", "global")
 
@@ -73,9 +75,10 @@ GRAM_MIN_RATIO = 1e-3
 
 #: :class:`GramStream` updates its Gram matrix one block of at least this
 #: many stacked rows (and at least as many as the stack has columns) at a
-#: time.  The Gram of a 12800 x 1024 stack took 1.23 s from 64-row slabs,
-#: 0.27 s from 1024-row blocks and 0.19 s as one product (2-vCPU VM,
-#: OpenBLAS).
+#: time.  The Gram of a 12800 x 1024 stack fed as 64-row float32 slabs
+#: took 1.29 s through 64-row blocks, 0.30 s through 1024-row blocks and
+#: 0.27 s through 4096-row ones; centring the float64 stack and forming
+#: it as one product took 0.24 s (2-vCPU VM, OpenBLAS).
 GRAM_BLOCK_ROWS = 1024
 
 
@@ -218,7 +221,9 @@ def _order2_svd(xc: np.ndarray, use_gram: bool, depth) -> tuple[np.ndarray, ...]
     unless :func:`_gram_factors` declines it.
     """
     if use_gram:
-        found = _gram_factors(xc.T @ xc, depth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = xc.T @ xc  # one that overflows is declined by the guard
+        found = _gram_factors(gram, depth)
         if found is not None:
             s, v, n = found
             u = (xc @ v[:, :n]) / s[:n]
@@ -311,7 +316,7 @@ def hosvd_truncated(
     if not np.any(x):
         raise DegenerateSpectrumError("tensor is identically zero")
     mu, xc = center(x, centering, stack_mode)
-    _require_variance(np.linalg.norm(xc), np.linalg.norm(x), centering)
+    _require_variance(frobenius_norm(xc), frobenius_norm(x), centering)
     if x.ndim == 2:
         factors, ledger = _truncate_order2(xc, per_mode, centering)
     else:
@@ -344,15 +349,24 @@ class GramStream:
     mean, centred Gram matrix and row count; the stack itself is never
     held.
 
-    :meth:`add` copies slabs into a block of ``max(GRAM_BLOCK_ROWS, cols)``
-    rows.  Each full block is centred on its own mean and merged into the
-    running totals (Chan, Golub and LeVeque, 1979)::
+    :meth:`add` copies float32 or float64 slabs into a float64 block of
+    ``max(GRAM_BLOCK_ROWS, cols)`` rows; that copy is the only conversion a
+    float32 slab gets.  Each full block B, of n_b rows and mean m_b, is
+    centred on its own mean and merged into the running totals, of n_a
+    rows and mean m_a, by the pairwise update of Chan, Golub and LeVeque
+    (1979)::
 
-        G = G_a + G_b + (n_a * n_b / n) * (m_b - m_a).T @ (m_b - m_a)
+        G = G_a + (B - m_b).T @ (B - m_b)
+                + (n_a * n_b / n) * (m_b - m_a).T @ (m_b - m_a)
 
-    Every term is positive semidefinite, so nothing cancels: the merged
-    Gram carries the rounding of ``Xc.T @ Xc`` whatever the ensemble's
-    common offset.  Memory is one block plus two d x d matrices.
+    The block has one spare row, which takes sqrt(n_a * n_b / n) *
+    (m_b - m_a), so a single product ``C.T @ C`` of the centred rows and
+    that row adds both terms to G.  Every term is positive semidefinite,
+    so nothing cancels: the merged Gram carries the rounding of ``Xc.T @
+    Xc`` whatever the ensemble's common offset.  A block whose squares
+    overflow leaves the totals non-finite, and :meth:`decompose` declines
+    them.  Memory is one block plus two d x d matrices, and the block is
+    freed by :meth:`flush`.
     """
 
     def __init__(self, cols: int):
@@ -361,40 +375,52 @@ class GramStream:
         self.mean = np.zeros(self.cols)
         self.gram = np.zeros((self.cols, self.cols))
         self.sumsq = 0.0  # ||X||_F**2, the scale the variance check compares with
-        self._block = np.empty((max(GRAM_BLOCK_ROWS, self.cols), self.cols))
+        self._capacity = max(GRAM_BLOCK_ROWS, self.cols)
+        self._block = None  # capacity rows plus the spare one, made by add
         self._fill = 0
 
     def add(self, slab) -> None:
-        """Append the rows of one slab to the stack."""
-        slab = np.asarray(slab, dtype=np.float64)
+        """Append the rows of one slab, float32 or float64, to the stack."""
+        slab = np.asarray(slab)
+        if slab.dtype != np.float32:
+            slab = np.asarray(slab, dtype=np.float64)
         if slab.ndim != 2 or slab.shape[1] != self.cols:
             raise InvalidArgumentError(
                 f"slab of shape {slab.shape} does not fit a stack of {self.cols} columns"
             )
         if not np.all(np.isfinite(slab)):
             raise InvalidArgumentError("tensor contains non-finite entries")
-        start, capacity = 0, self._block.shape[0]
+        if self._block is None:
+            self._block = np.empty((self._capacity + 1, self.cols))
+        start = 0
         while start < slab.shape[0]:
-            take = min(slab.shape[0] - start, capacity - self._fill)
+            take = min(slab.shape[0] - start, self._capacity - self._fill)
             self._block[self._fill : self._fill + take] = slab[start : start + take]
             self._fill += take
             start += take
-            if self._fill == capacity:
+            if self._fill == self._capacity:
                 self._merge_block()
 
     def _merge_block(self) -> None:
-        block = self._block[: self._fill]
-        n_b, self._fill = block.shape[0], 0
-        self.sumsq += float(np.vdot(block, block))
-        m_b = block.mean(axis=0)
-        block -= m_b
-        self.gram += block.T @ block
+        n_b, self._fill = self._fill, 0
+        block = self._block[:n_b]
         n = self.rows + n_b
-        step = m_b - self.mean
-        if self.rows:
-            self.gram += np.outer(step * (self.rows * n_b / n), step)
-        self.mean += step * (n_b / n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sumsq += float(np.vdot(block, block))
+            m_b = block.mean(axis=0)
+            block -= m_b
+            step = m_b - self.mean
+            self._block[n_b] = step * np.sqrt(self.rows * n_b / n)
+            merged = self._block[: n_b + 1]
+            self.gram += merged.T @ merged
+            self.mean += step * (n_b / n)
         self.rows = n
+
+    def flush(self) -> None:
+        """Merge the rows still in the block, and free the block."""
+        if self._fill:
+            self._merge_block()
+        self._block = None
 
     def decompose(
         self,
@@ -417,8 +443,7 @@ class GramStream:
         if centering not in CENTERINGS:
             raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
         per_mode = _policy_list(policies, 2)
-        if self._fill:
-            self._merge_block()
+        self.flush()
         shape = (self.rows, self.cols)
         if self.rows == 0:
             raise InvalidArgumentError("no rows to decompose")

@@ -13,6 +13,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
+from .tensor import peak_exponent
 
 #: Relative cutoff used to call a singular value numerically zero.
 NUMERICAL_RANK_RTOL = 1e-12
@@ -97,7 +98,7 @@ def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
     s = np.sqrt(np.maximum(lam[::-1], 0.0))
     v = v[:, ::-1]
-    v = v * column_signs(v)
+    v *= column_signs(v)  # in place: no second d x d array
     s.flags.writeable = False
     v.flags.writeable = False
     return s, v
@@ -107,7 +108,10 @@ def explained_variance(singular_values: np.ndarray) -> np.ndarray:
     """Ratios sigma_i^2 / sum_j sigma_j^2.
 
     Input must be nonincreasing and nonnegative with at least one nonzero
-    entry; the result is nonincreasing and sums to 1.
+    entry; the result is nonincreasing and sums to 1.  The values are
+    divided by a power of two just above the largest before they are
+    squared, so no scale overflows or underflows; where neither happens
+    unscaled, the ratios are the same bit for bit.
     """
     s = np.asarray(singular_values, dtype=np.float64).reshape(-1)
     if s.size == 0:
@@ -116,6 +120,7 @@ def explained_variance(singular_values: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError("singular values must be nonnegative")
     if np.any(np.diff(s) > 1e-12 * max(1.0, float(s[0]))):
         raise InvalidArgumentError("singular values must be nonincreasing")
+    s = np.ldexp(s, -peak_exponent(s))
     total = float(np.sum(s**2))
     if total == 0.0:
         raise DegenerateSpectrumError("all singular values are zero")

@@ -102,6 +102,18 @@ def mode_product(t, matrix: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(t, matrix, ([ax], [1])), -1, ax)
 
 
+def peak_exponent(a: np.ndarray) -> int:
+    """The least e with max |a| < 2**e (0 for an all-zero array).
+    Dividing by 2**e is exact for every entry that stays normal, and
+    leaves squares and their sums in range."""
+    return int(np.frexp(max(a.max(), -a.min()))[1])
+
+
 def frobenius_norm(t) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_tensor(t)))
+    """Square root of the sum of squared entries, at any scale: the
+    entries are divided by ``2**peak_exponent(t)`` before squaring and the
+    norm multiplied back, so the result equals ``np.linalg.norm(t)`` bit
+    for bit wherever that neither overflows nor underflows."""
+    t = as_tensor(t)
+    e = peak_exponent(t)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(t, -e)), e))

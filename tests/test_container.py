@@ -15,7 +15,7 @@ from uws.errors import (
     TruncatedFileError,
     UnknownDtypeError,
 )
-from uws.ensemble.container import read_container, write_container
+from uws.ensemble.container import build_container, read_container, write_container
 
 
 def hand_built_single_layer() -> tuple[bytes, np.ndarray]:
@@ -327,3 +327,17 @@ def test_read_costs_one_copy_of_the_file(tmp_path):
     for (name, arr, dtype), rec in zip(layers, doc.layers):
         assert not rec.array.flags.writeable
         assert np.array_equal(rec.array, arr.astype(np.float32) if dtype == "f32" else arr)
+
+
+def test_write_costs_one_copy_of_the_file(tmp_path):
+    rng = np.random.default_rng(80)
+    layers = [(f"L{i}", rng.standard_normal((64, 1024)), "f32") for i in range(8)]
+    path = tmp_path / "big.uws"
+    tracemalloc.start()
+    write_container(path, "big", layers, meta={"note": "written in place"})
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000
+    assert peak <= 1.1 * size
+    assert path.read_bytes() == build_container("big", layers, meta={"note": "written in place"})

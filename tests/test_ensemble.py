@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,87 @@ def test_merge_rejects_mismatched_layer_shapes(layer):
     odd.layers[layer] = odd.layers[layer][:1]
     with pytest.raises(InvalidArgumentError, match=layer):
         merge_models(u, [models[0], odd])
+
+
+def write_all(directory, models, dtype="f64"):
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for m in models:
+        paths.append(directory / f"{m.model_id}.uws")
+        save_weights(ModelWeights(m.model_id, m.layers, dict.fromkeys(m.layers, dtype)), paths[-1])
+    return paths
+
+
+def test_merge_from_paths_equals_the_stacked_mean(tmp_path):
+    rng = np.random.default_rng(100)
+    models, _, _ = make_planted(rng, n_models=12, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    group = models[:7]
+    weights = rng.dirichlet(np.ones(7))
+    got = merge_models(u, write_all(tmp_path / "f64", group), weights=weights)
+    mean = ModelWeights("oracle", {
+        name: np.tensordot(weights, stack_layer(group, name, order=3), axes=1)
+        for name in group[0].layers
+    })
+    want = reconstruct_model(u, project_model(u, mean))
+    assert list(got.layers) == list(want.layers) == list(group[0].layers)
+    for name, arr in want.layers.items():
+        assert np.linalg.norm(got.layers[name] - arr) <= 1e-12 * np.linalg.norm(arr)
+    assert got.model_id == "merged(" + ",".join(m.model_id for m in group) + ")"
+    held = merge_models(u, group, weights=weights)
+    for name, arr in held.layers.items():
+        assert np.array_equal(got.layers[name], arr)
+    paths = write_all(tmp_path / "f32", group, dtype="f32")
+    single = merge_models(u, paths, weights=weights)
+    promoted = merge_models(u, [load_weights(p) for p in paths], weights=weights)
+    for name, arr in promoted.layers.items():
+        assert np.array_equal(single.layers[name], arr)
+
+
+def test_merge_from_paths_drops_an_excluded_layer_one_model_lacks(tmp_path):
+    rng = np.random.default_rng(101)
+    models, _, _ = make_planted(rng, n_models=8, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    lacking = ModelWeights("lacking", {n: w for n, w in models[2].layers.items() if n != "head"})
+    merged = merge_models(u, write_all(tmp_path, [models[0], models[1], lacking, models[3]]))
+    assert list(merged.layers) == ["embed", "block0", "block1"]
+
+
+@pytest.mark.parametrize("layer", ["block0", "head"])  # included, excluded
+def test_merge_from_paths_names_a_mismatched_layer(tmp_path, layer):
+    rng = np.random.default_rng(102)
+    models, _, _ = make_planted(rng, n_models=6, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    odd = ModelWeights("odd", dict(models[1].layers))
+    odd.layers[layer] = odd.layers[layer][:1]
+    with pytest.raises(InvalidArgumentError, match=layer):
+        merge_models(u, write_all(tmp_path, [models[0], odd, models[2]]))
+
+
+def test_merge_checks_its_weights_before_reading_a_model(tmp_path):
+    rng = np.random.default_rng(103)
+    models, _, _ = make_planted(rng, n_models=6, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    absent = [tmp_path / "absent0.uws", tmp_path / "absent1.uws"]
+    with pytest.raises(InvalidArgumentError, match="sum to 1"):
+        merge_models(u, absent, weights=[0.5, 0.6])
+    with pytest.raises(InvalidArgumentError, match="3 weights for 2 models"):
+        merge_models(u, absent, weights=[0.2, 0.3, 0.5])
+
+
+def test_merge_from_paths_memory_does_not_grow_with_the_ensemble(tmp_path):
+    rng = np.random.default_rng(104)
+    shapes = {name: (32, 256) for name in ("embed", "block0", "block1", "head")}
+    models, _, _ = make_planted(rng, n_models=160, k=3, shapes=shapes)
+    u = extract_universal(models[:40], ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    paths = write_all(tmp_path, models, dtype="f32")
+    peaks = {}
+    for t in (40, 160):
+        tracemalloc.start()
+        merge_models(u, paths[:t])
+        peaks[t] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[160] <= 1.2 * peaks[40]
 
 
 def test_order2_paths_take_no_unfolding_and_merge_projects_once(monkeypatch):

@@ -87,11 +87,12 @@ def assert_matches_stacked(u, models):
 
 
 class Routes:
-    """Counts file reads, streamed decompositions and stacked ones."""
+    """Counts file reads (through the reader that ``load_weights`` and
+    extraction share), streamed decompositions and stacked ones."""
 
     def __init__(self, monkeypatch):
         self.reads = self.streamed = self.stacked = 0
-        real_load, real_hosvd = ensemble_module.load_weights, ensemble_module.hosvd_truncated
+        real_load, real_hosvd = ensemble_module._read_payloads, ensemble_module.hosvd_truncated
         real_decompose = GramStream.decompose
 
         def load(*a, **kw):
@@ -106,7 +107,7 @@ class Routes:
             self.streamed += 1
             return real_decompose(*a, **kw)
 
-        monkeypatch.setattr(ensemble_module, "load_weights", load)
+        monkeypatch.setattr(ensemble_module, "_read_payloads", load)
         monkeypatch.setattr(ensemble_module, "hosvd_truncated", stacked)
         monkeypatch.setattr(GramStream, "decompose", streamed)
 
@@ -153,6 +154,25 @@ def test_gram_stream_blocks_do_not_change_the_result():
         assert np.max(np.abs(model.variance_ledger[2].singular_values - s)) <= 1e-12 * s[0]
         assert np.allclose(model.mu, x.mean(axis=0, keepdims=True), rtol=0, atol=1e-12)
     assert max_sine(a.factors[1], b.factors[1]) <= 1e-12
+
+
+def test_gram_stream_takes_float32_slabs_bit_for_bit():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2 * GRAM_BLOCK_ROWS + 40, 16)) @ rng.standard_normal((16, 16)) + 3.0
+    x = x.astype(np.float32)
+    single, double = GramStream(16), GramStream(16)
+    for start in range(0, x.shape[0], 24):
+        single.add(x[start : start + 24])
+        double.add(x[start : start + 24].astype(np.float64))
+    a, b = single.decompose(TAU), double.decompose(TAU)
+    assert single.sumsq == double.sumsq
+    for got, want in [
+        (single.gram, double.gram),
+        (a.mu, b.mu),
+        (a.factors[1], b.factors[1]),
+        (a.variance_ledger[2].singular_values, b.variance_ledger[2].singular_values),
+    ]:
+        assert np.array_equal(got, want)
 
 
 def test_gram_stream_rejects_bad_slabs():
@@ -227,6 +247,49 @@ def test_streamed_extract_memory_does_not_grow_with_the_ensemble(tmp_path):
         peaks[n_models] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[160] <= 1.2 * peaks[40]
+
+
+def test_extraction_from_float32_files_converts_no_excluded_layer(tmp_path):
+    # the excluded layers are nearly all of each file; a float64 copy of
+    # either would add the file's size to the peak
+    shapes = {"inlet": (512, 512), "block0": (8, 16), "block1": (6, 16), "outlet": (512, 512)}
+    models = planted_models(25, 6, shapes=shapes)
+    for m in models:
+        m.dtypes = dict.fromkeys(m.layers, "f32")
+    paths = write_models(tmp_path / "models", models)
+    size = paths[0].stat().st_size
+    tracemalloc.start()
+    u = extract_universal(paths, ExtractionConfig(policy=TAU))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert u.excluded_layers == ["inlet", "outlet"]
+    assert u.layer_dtypes == dict.fromkeys(shapes, "f32")
+    # the first model's payload and the current one's
+    assert peak <= 2.5 * size
+    assert_matches_stacked(u, [load_weights(p) for p in paths])
+
+
+def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, capsys):
+    # the Gram of these stacks overflows: the guard sends them to the SVD
+    models = planted_models(26, 40)
+    big = [
+        ModelWeights(m.model_id, {n: w * 2.0**532 for n, w in m.layers.items()})
+        for m in models
+    ]
+    config = ExtractionConfig(policy=TAU)
+    want = extract_universal(models, config)
+    routes = Routes(monkeypatch)
+    got = extract_universal(big, config)
+    assert routes.counts() == {"reads": 0, "streamed": 2, "stacked": 2}
+    for name in want.included_layers:
+        g, w = got.layer_models[name], want.layer_models[name]
+        assert g.ranks == w.ranks
+        assert max_sine(g.factors[1], w.factors[1]) <= 1e-10
+    code, err = _extract_code(tmp_path, big, capsys)
+    assert code == 0, err
+    u = load_subspace(tmp_path / "s.uws")
+    for name in want.included_layers:
+        assert max_sine(u.layer_models[name].factors[1], want.layer_models[name].factors[1]) <= 1e-10
 
 
 # ------------------------------------------------------------ errors

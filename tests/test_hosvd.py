@@ -189,6 +189,23 @@ def test_degenerate_inputs():
         hosvd_truncated(np.array([[1.0, np.inf]]))
 
 
+def test_stacks_near_the_float_limit_keep_their_variance():
+    # norms and the Gram matrix of these stacks overflow if squared unscaled
+    rng = np.random.default_rng(51)
+    x = 1e160 + 1e155 * rng.standard_normal((6, 4))
+    model = hosvd_truncated(x, RankPolicy.cumulative_variance(1.0))
+    assert model.ranks == (4, 4)
+    x, q = planted_stack(rng, n=60, d=10, k=3, noise=1e-3)
+    for policy in (RankPolicy.cumulative_variance(0.99), RankPolicy.cumulative_variance(1.0)):
+        small = hosvd_truncated(x, policy)
+        big = hosvd_truncated(x * 2.0**532, policy)
+        assert big.ranks == small.ranks
+        u, v = big.factors[1], small.factors[1]
+        assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-10
+        assert np.allclose(big.variance_ledger[2].ratios, small.variance_ledger[2].ratios,
+                           rtol=1e-10, atol=1e-14)
+
+
 def test_single_slab_stack_is_permitted():
     rng = np.random.default_rng(49)
     x = rng.standard_normal((6, 9))  # one model's rows only

@@ -132,6 +132,15 @@ def test_explained_variance_rejects_bad_input():
         explained_variance(np.array([1.0, -0.5]))  # negative
 
 
+def test_explained_variance_holds_at_any_scale():
+    # squaring 1e156 overflows, and squaring 2**-600 underflows to zero
+    assert np.allclose(explained_variance(np.array([1e156, 1e155])), [100 / 101, 1 / 101],
+                       rtol=1e-15, atol=0)
+    s = np.sort(np.abs(np.random.default_rng(25).standard_normal(12)))[::-1]
+    for scale in (2.0**532, 2.0**-600):
+        assert np.array_equal(explained_variance(s * scale), explained_variance(s))
+
+
 # ---------------------------------------------------------------- select_rank
 
 
