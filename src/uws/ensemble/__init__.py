@@ -130,6 +130,27 @@ def save_weights(weights: ModelWeights, path) -> None:
 # -------------------------------------------------------------------- stacking
 
 
+def _check_layer(name, models, ref_id, ref_shape):
+    """Raise InvalidArgumentError unless every one of ``models`` has layer
+    ``name`` with shape ``ref_shape``, the shape it has in model
+    ``ref_id`` (None where that model lacks it)."""
+    missing = [m.model_id for m in models if name not in m.layers]
+    if missing:
+        raise InvalidArgumentError(
+            f"layer {name!r} is missing from models: {', '.join(missing)}"
+        )
+    offenders = [
+        f"{m.model_id}{m.layers[name].shape}"
+        for m in models
+        if m.layers[name].shape != ref_shape
+    ]
+    if offenders:
+        raise InvalidArgumentError(
+            f"layer {name!r} has shape {ref_shape} in {ref_id} but differs "
+            f"in: {', '.join(offenders)}"
+        )
+
+
 def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
     """Stack one named layer across models.
 
@@ -140,22 +161,8 @@ def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
         raise InvalidArgumentError(f"stacking order must be 2 or 3, got {order}")
     if not models:
         raise InvalidArgumentError("no models to stack")
-    missing = [m.model_id for m in models if layer not in m.layers]
-    if missing:
-        raise InvalidArgumentError(
-            f"layer {layer!r} is missing from models: {', '.join(missing)}"
-        )
-    ref = models[0].layers[layer].shape
-    offenders = [
-        f"{m.model_id}{m.layers[layer].shape}"
-        for m in models
-        if m.layers[layer].shape != ref
-    ]
-    if offenders:
-        raise InvalidArgumentError(
-            f"layer {layer!r} has shape {ref} in {models[0].model_id} but differs "
-            f"in: {', '.join(offenders)}"
-        )
+    ref = models[0].layers.get(layer)
+    _check_layer(layer, models, models[0].model_id, None if ref is None else ref.shape)
     slabs = [m.layers[layer] for m in models]
     if order == 2:
         return np.concatenate(slabs, axis=0)
@@ -234,10 +241,11 @@ def _partition_layers(first, config):
 
 
 def _read(model):
-    """A model given in memory, or its weights file's payloads: either
-    way an object with ``model_id``, ``layers`` and ``dtypes``, whose
-    float32 layers are converted only where they are used."""
-    return model if isinstance(model, ModelWeights) else _read_payloads(model)
+    """A model given in memory (or already read), or its weights file's
+    payloads: either way an object with ``model_id``, ``layers`` and
+    ``dtypes``, whose float32 layers are converted only where they are
+    used."""
+    return model if isinstance(model, (ModelWeights, _Payloads)) else _read_payloads(model)
 
 
 @contextmanager
@@ -248,28 +256,21 @@ def _naming_layer(name):
         raise DegenerateSpectrumError(f"layer {name!r}: {exc}") from exc
 
 
-def _read_pass(models, first, streams, keep):
+def _read_pass(models, ref_id, shapes, streams, keep):
     """Read each model once: feed its layers named in ``streams`` to their
-    GramStream, and keep only its ``keep`` layers, as float64.  Returns
+    GramStream, each checked against ``shapes``, the layer shapes of model
+    ``ref_id``, and keep only its ``keep`` layers, as float64.  Returns
     the model ids and the kept (pruned) models."""
     provenance, kept = [], []
-    for i, item in enumerate(models):
-        model = first if i == 0 else _read(item)
+    for item in models:
+        model = _read(item)
         provenance.append(model.model_id)
         for name, stream in streams.items():
-            if name not in model.layers:
-                raise InvalidArgumentError(
-                    f"layer {name!r} is missing from models: {model.model_id}"
-                )
-            ref, got = first.layers[name].shape, model.layers[name].shape
-            if got != ref:
-                raise InvalidArgumentError(
-                    f"layer {name!r} has shape {ref} in {first.model_id} but differs "
-                    f"in: {model.model_id}{got}"
-                )
+            _check_layer(name, [model], ref_id, shapes[name])
             stream.add(model.layers[name])
         if keep:
-            layers = {n: model.layers[n] for n in keep if n in model.layers}
+            own = np.array if isinstance(model, _Payloads) else np.asarray  # copy file views
+            layers = {n: own(model.layers[n], dtype=np.float64) for n in keep if n in model.layers}
             kept.append(ModelWeights(model.model_id, layers))
         del model  # free its payload before the next model is read
     return provenance, kept
@@ -290,11 +291,13 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     layer that no stack uses is never converted.  Every stream's block is
     freed before the first eigensolve.  Order-3 stacks, and order-2
     stacks that are wide or whose policy reads the small end of the
-    spectrum, are kept from the same read, as float64, stacked and
-    decomposed by :func:`~uws.hosvd.hosvd_truncated`;
-    so is a streamed layer that the Gram route's guard declines, after a
-    second read.  Either way a layer model keeps no stacking-mode factor
-    or core: it holds what a subspace file holds.
+    spectrum, are kept from the same read, as float64 (copied out of a
+    file, whose views would pin all of it), stacked and decomposed by
+    :func:`~uws.hosvd.hosvd_truncated`; so is a streamed layer that the
+    Gram route's guard declines, after a second read of every model.
+    Only the first model's id, layer names, shapes and dtypes outlive its
+    turn in the pass.  Either way a layer model keeps no stacking-mode
+    factor or core: it holds what a subspace file holds.
     """
     config = config if config is not None else ExtractionConfig()
     models = list(models)
@@ -302,17 +305,21 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
         raise InvalidArgumentError("cannot extract a subspace from zero models")
     first = _read(models[0])
     layer_order, included, excluded = _partition_layers(first, config)
+    first_id = first.model_id
+    shapes = {name: first.layers[name].shape for name in layer_order}
+    dtypes = {name: first.dtypes.get(name, "f64") for name in layer_order}
     streams = {
-        name: GramStream(first.layers[name].shape[1])
+        name: GramStream(shapes[name][1])
         for name in included
         if config.order == 2
-        and gram_eligible(
-            (len(models) * first.layers[name].shape[0], first.layers[name].shape[1]),
-            [config.policy] * 2,
-        )
+        and gram_eligible((len(models) * shapes[name][0], shapes[name][1]), [config.policy] * 2)
     }
     up_front = [name for name in included if name not in streams]
-    provenance, kept = _read_pass(models, first, streams, up_front)
+    provenance, kept = _read_pass([first], first_id, shapes, streams, up_front)
+    del first  # its read-only views pin its whole file, excluded layers included
+    more_ids, more_kept = _read_pass(models[1:], first_id, shapes, streams, up_front)
+    provenance += more_ids
+    kept += more_kept
     for stream in streams.values():
         stream.flush()
     layer_models, declined = {}, []
@@ -321,20 +328,19 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
             layer_models[name] = stream.decompose(
                 config.policy,
                 centering=config.centering,
-                slab_extent=first.layers[name].shape[0],
+                slab_extent=shapes[name][0],
             )
         if layer_models[name] is None:
             declined.append(name)
     if declined:
-        _, kept = _read_pass(models, first, {}, up_front + declined)
+        _, kept = _read_pass(models, first_id, shapes, {}, up_front + declined)
     for name in up_front + declined:
         with _naming_layer(name):
             model = hosvd_truncated(
                 stack_layer(kept, name, order=config.order),
                 config.policy,
                 centering=config.centering,
-                stack_mode=1,
-                slab_extent=first.layers[name].shape[0] if config.order == 2 else 1,
+                slab_extent=shapes[name][0] if config.order == 2 else 1,
             )
         model.factors[0] = model.core = None
         layer_models[name] = model
@@ -346,7 +352,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
         included_layers=included,
         excluded_layers=excluded,
         layer_order=layer_order,
-        layer_dtypes={name: first.dtypes.get(name, "f64") for name in layer_order},
+        layer_dtypes=dtypes,
     )
 
 
@@ -483,21 +489,13 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
                 for name in list(u.included_layers) + list(u.excluded_layers)
                 if name in model.layers
             }
-        missing = [name for name in u.included_layers if name not in model.layers]
-        if missing:
-            raise InvalidArgumentError(
-                f"layer {missing[0]!r} is missing from models: {model.model_id}"
-            )
+        for name in u.included_layers:
+            _check_layer(name, [model], ids[0], sums[name].shape if name in sums else None)
         for name in list(sums):
             if name not in model.layers:  # an excluded layer this model lacks
                 del sums[name]
                 continue
-            got = model.layers[name].shape
-            if got != sums[name].shape:
-                raise InvalidArgumentError(
-                    f"layer {name!r} has shape {sums[name].shape} in {ids[0]} but differs "
-                    f"in: {model.model_id}{got}"
-                )
+            _check_layer(name, [model], ids[0], sums[name].shape)
             sums[name] += np.multiply(model.layers[name], w, dtype=np.float64)
         del model  # free its payload before the next model is read
     if model_id is None:
@@ -878,7 +876,6 @@ def load_subspace(path) -> UniversalSubspace:
                 core=None,
                 variance_ledger=ledger,
                 centering=centering,
-                stack_mode=1,
                 shape=stack_shape,
                 slab_extent=slab_extent,
             )

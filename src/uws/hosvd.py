@@ -21,8 +21,11 @@ transpose, so one decomposition serves both modes:
   ``hard_threshold`` (both read the small end of the spectrum), or the
   deepest component retained or read is below 1e-3 * s_1, where the
   defect could exceed about 2e-10.  It also takes a stack whose Gram
-  matrix overflows (entries beyond about 1e150); the SVD and the
-  variance checks, which rescale before squaring, serve any finite stack.
+  matrix overflows (entries beyond about 1e150) or whose s_1**2 is below
+  ``GRAM_MIN_SQUARE`` (about 2**-950), where products underflowing in
+  the Gram could move the smallest eigenvalue it may use; the SVD and
+  the variance checks, which rescale before squaring, serve any finite
+  stack.
 
 Both routes orient every factor column so its largest-magnitude entry
 is nonnegative.  Higher-order stacks decompose every mode unfolding
@@ -45,7 +48,7 @@ stacking-mode factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +75,13 @@ CENTERINGS = ("feature", "global")
 #: lambda_1); deeper, the stacking factor's orthonormality defect,
 #: about eps * (s_1 / s_i)**2, could exceed 2e-10.
 GRAM_MIN_RATIO = 1e-3
+
+#: The Gram route also needs s_1**2 >= GRAM_MIN_SQUARE, so that the
+#: smallest eigenvalue it may use, GRAM_MIN_RATIO**2 * s_1**2, is a normal
+#: number whose rounding (eps times it) is normal too: below that,
+#: products that underflow in Xc.T @ Xc can move it by more than the
+#: route's own rounding.  About 2**-950.
+GRAM_MIN_SQUARE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps / GRAM_MIN_RATIO**2
 
 #: :class:`GramStream` updates its Gram matrix one block of at least this
 #: many stacked rows (and at least as many as the stack has columns) at a
@@ -113,7 +123,6 @@ class SubspaceModel:
     core: np.ndarray | None
     variance_ledger: dict[int, ModeSpectrum]
     centering: str
-    stack_mode: int = 1
     shape: tuple[int, ...] = ()
     slab_extent: int | None = None
 
@@ -138,14 +147,12 @@ class SliceCoefficients:
     coeffs: np.ndarray
 
 
-def center(
-    x, centering: str = "feature", stack_mode: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     """Split ``x`` into a mean and a zero-centered remainder.
 
     ``global`` subtracts the scalar mean of all entries; ``feature``
-    subtracts the mean over the stacking mode, one value per remaining
-    index position.  Either way ``centered + mu`` restores ``x``.
+    subtracts the mean over the stacking mode (mode 1), one value per
+    remaining index position.  Either way ``centered + mu`` restores ``x``.
     """
     if centering not in CENTERINGS:
         raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -155,11 +162,7 @@ def center(
     if centering == "global":
         mu = np.float64(arr.mean())
     else:
-        if not 1 <= stack_mode <= arr.ndim:
-            raise InvalidArgumentError(
-                f"stack_mode {stack_mode} out of range for order-{arr.ndim} tensor"
-            )
-        mu = arr.mean(axis=stack_mode - 1, keepdims=True)
+        mu = arr.mean(axis=0, keepdims=True)
     return mu, arr - mu
 
 
@@ -199,11 +202,14 @@ def gram_eligible(shape, policies) -> bool:
 def _gram_factors(gram: np.ndarray, depth):
     """``(s, v, n)`` from the centred Gram matrix of an order-2 stack, or
     None where the guard sends the stack to the exact route: the Gram is
-    not finite, or the deepest component retained or read, ``n =
-    depth(s)``, is below ``GRAM_MIN_RATIO * s_1``."""
+    not finite, s_1**2 is below ``GRAM_MIN_SQUARE``, or the deepest
+    component retained or read, ``n = depth(s)``, is below
+    ``GRAM_MIN_RATIO * s_1``."""
     if not np.all(np.isfinite(gram)):
         return None
     s, v = gram_spectrum(gram)
+    if s[0] ** 2 < GRAM_MIN_SQUARE:
+        return None
     n = depth(s)
     if s[n - 1] < GRAM_MIN_RATIO * s[0]:
         return None
@@ -222,7 +228,7 @@ def _order2_svd(xc: np.ndarray, use_gram: bool, depth) -> tuple[np.ndarray, ...]
     """
     if use_gram:
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = xc.T @ xc  # one that overflows is declined by the guard
+            gram = xc.T @ xc  # one that over- or underflows is declined by the guard
         found = _gram_factors(gram, depth)
         if found is not None:
             s, v, n = found
@@ -285,7 +291,6 @@ def hosvd_truncated(
     policies=DEFAULT_POLICY,
     *,
     centering: str = "feature",
-    stack_mode: int = 1,
     slab_extent: int | None = None,
 ) -> SubspaceModel:
     """Zero-center ``x`` and truncate every mode of the centered tensor.
@@ -301,12 +306,11 @@ def hosvd_truncated(
     Parameters
     ----------
     x : array_like
-        The stacked tensor, order 1..8.
+        The stacked tensor, order 1..8, whose mode 1 enumerates the
+        stacked slabs.
     policies : RankPolicy or sequence of RankPolicy
         Rank selection, shared or per mode.
     centering : {"feature", "global"}
-    stack_mode : int
-        Which mode enumerates stacked slabs (1-based).
     slab_extent : int, optional
         Rows one slice occupies along the stacking mode; recorded so
         slice projection can validate its input.
@@ -315,7 +319,7 @@ def hosvd_truncated(
     per_mode = _policy_list(policies, x.ndim)
     if not np.any(x):
         raise DegenerateSpectrumError("tensor is identically zero")
-    mu, xc = center(x, centering, stack_mode)
+    mu, xc = center(x, centering)
     _require_variance(frobenius_norm(xc), frobenius_norm(x), centering)
     if x.ndim == 2:
         factors, ledger = _truncate_order2(xc, per_mode, centering)
@@ -338,7 +342,6 @@ def hosvd_truncated(
         core=_core(xc, factors),
         variance_ledger=ledger,
         centering=centering,
-        stack_mode=stack_mode,
         shape=x.shape,
         slab_extent=slab_extent,
     )
@@ -365,7 +368,8 @@ class GramStream:
     so nothing cancels: the merged Gram carries the rounding of ``Xc.T @
     Xc`` whatever the ensemble's common offset.  A block whose squares
     overflow leaves the totals non-finite, and :meth:`decompose` declines
-    them.  Memory is one block plus two d x d matrices, and the block is
+    them, as it declines a stack whose squared norm is below
+    ``GRAM_MIN_SQUARE``.  Memory is one block plus two d x d matrices, and the block is
     freed by :meth:`flush`.
     """
 
@@ -375,6 +379,7 @@ class GramStream:
         self.mean = np.zeros(self.cols)
         self.gram = np.zeros((self.cols, self.cols))
         self.sumsq = 0.0  # ||X||_F**2, the scale the variance check compares with
+        self.nonzero = False  # whether any entry is, though every square may underflow
         self._capacity = max(GRAM_BLOCK_ROWS, self.cols)
         self._block = None  # capacity rows plus the spare one, made by add
         self._fill = 0
@@ -405,6 +410,7 @@ class GramStream:
         n_b, self._fill = self._fill, 0
         block = self._block[:n_b]
         n = self.rows + n_b
+        self.nonzero = self.nonzero or bool(np.any(block))
         with np.errstate(over="ignore", invalid="ignore"):
             self.sumsq += float(np.vdot(block, block))
             m_b = block.mean(axis=0)
@@ -435,7 +441,8 @@ class GramStream:
 
         Returns None where that route is not taken (see
         :func:`gram_eligible` and the guard in the module docstring) or
-        the stack's squared norm overflows; the caller then decomposes the
+        the stack's squared norm overflows or is below
+        ``GRAM_MIN_SQUARE``; the caller then decomposes the
         stacked matrix with :func:`hosvd_truncated`.  The error cases match it: a zero stack
         or one with no variance left after centering raises
         DegenerateSpectrumError.
@@ -447,9 +454,9 @@ class GramStream:
         shape = (self.rows, self.cols)
         if self.rows == 0:
             raise InvalidArgumentError("no rows to decompose")
-        if self.sumsq == 0.0:
+        if not self.nonzero:
             raise DegenerateSpectrumError("tensor is identically zero")
-        if not (gram_eligible(shape, per_mode) and np.isfinite(self.sumsq)):
+        if not (gram_eligible(shape, per_mode) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
             return None
         gram, mu = self.gram, self.mean.reshape(1, -1).copy()
         if centering == "global":
@@ -470,7 +477,6 @@ class GramStream:
             core=None,
             variance_ledger=ledger,
             centering=centering,
-            stack_mode=1,
             shape=shape,
             slab_extent=slab_extent,
         )
@@ -503,15 +509,13 @@ def _slice_array(model: SubspaceModel, slice_) -> np.ndarray:
     stacking-mode axis present (inserting a singleton when the slice is
     given one order lower, as with stacking along a dedicated mode)."""
     slice_ = as_tensor(slice_)
-    ax = model.stack_mode - 1
-    others = [s for i, s in enumerate(model.shape) if i != ax]
+    others = list(model.shape[1:])
     if slice_.ndim == model.order:
-        got = list(slice_.shape)
-        slab = got.pop(ax)
+        slab, *got = slice_.shape
         if got != others:
             raise InvalidArgumentError(
                 f"slice shape {slice_.shape} does not match stack shape {model.shape} "
-                f"outside the stacking mode {model.stack_mode}"
+                "outside the stacking mode 1"
             )
         if model.slab_extent is not None and slab != model.slab_extent:
             raise InvalidArgumentError(
@@ -527,7 +531,7 @@ def _slice_array(model: SubspaceModel, slice_) -> np.ndarray:
             raise InvalidArgumentError(
                 f"model expects slabs of {model.slab_extent} rows, got an order-reduced slice"
             )
-        return np.expand_dims(slice_, axis=ax)
+        return np.expand_dims(slice_, axis=0)
     raise InvalidArgumentError(
         f"slice of order {slice_.ndim} does not fit an order-{model.order} stack"
     )
@@ -542,9 +546,8 @@ def project_slice(model: SubspaceModel, slice_, label: str | None = None) -> Sli
     Frobenius-closest one.
     """
     t = _slice_array(model, slice_) - np.asarray(model.mu)
-    for mode, u in enumerate(model.factors, start=1):
-        if mode != model.stack_mode:
-            t = mode_product(t, u.T, mode)
+    for mode, u in enumerate(model.factors[1:], start=2):
+        t = mode_product(t, u.T, mode)
     return SliceCoefficients(label=label, coeffs=t)
 
 
@@ -555,16 +558,14 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
         raise InvalidArgumentError(
             f"coefficients of order {arr.ndim} do not fit an order-{model.order} stack"
         )
-    ax = model.stack_mode - 1
-    for i, u in enumerate(model.factors):
-        if i != ax and arr.shape[i] != u.shape[1]:
+    for i, u in enumerate(model.factors[1:], start=1):
+        if arr.shape[i] != u.shape[1]:
             raise InvalidArgumentError(
                 f"coefficient extent {arr.shape[i]} along mode {i + 1} "
                 f"does not match retained rank {u.shape[1]}"
             )
-    for mode, u in enumerate(model.factors, start=1):
-        if mode != model.stack_mode:
-            arr = mode_product(arr, u, mode)
+    for mode, u in enumerate(model.factors[1:], start=2):
+        arr = mode_product(arr, u, mode)
     return arr + np.asarray(model.mu)
 
 
@@ -639,7 +640,6 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
         core=_core(xc, factors),
         variance_ledger=ledger,
         centering=model.centering,
-        stack_mode=model.stack_mode,
         shape=model.shape,
         slab_extent=model.slab_extent,
     )

@@ -1,12 +1,14 @@
 """Synthetic task ensembles and the two-level convergence theory around
 them: second-moment operators, top-k projectors and eigengaps, the
 operator/subspace error bounds with their delta-splitting, within-task
-perturbation caps, Davis-Kahan style checks, projection risk, and seeded
-Monte-Carlo convergence studies.
+perturbation caps, Davis-Kahan style checks, and seeded Monte-Carlo
+convergence studies.
 
 Everything lives in R^d with the Euclidean inner product; task vectors
 are sampled from a planted low-dimensional subspace and observed through
-norm-bounded perturbations.
+norm-bounded perturbations.  A rank-k subspace is held as its d x k
+orthonormal basis, never as a d x d projector: the distance between two
+subspaces is computed from the bases alone.
 """
 
 import math
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateSpectrumError,
     InternalConsistencyError,
     InvalidArgumentError,
     NumericalFailureError,
@@ -192,21 +193,6 @@ class SecondMomentOperator:
             self._eigh = (w[order], v[:, order])
         return self._eigh
 
-    def eigenvalues(self) -> np.ndarray:
-        return self.eigen()[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-    def opnorm(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues())))
-
-    def effective_rank(self) -> float:
-        top = self.opnorm()
-        if top <= 0.0:
-            raise DegenerateSpectrumError("operator is zero; effective rank undefined")
-        return self.trace() / top
-
 
 def second_moment(vectors, kind) -> SecondMomentOperator:
     """(1/T) sum of v v^T over the given vectors."""
@@ -250,9 +236,20 @@ def population_second_moment(basis: np.ndarray, spectrum) -> SecondMomentOperato
 
 @dataclass
 class Projector:
-    matrix: np.ndarray
-    k: int
+    """The orthogonal projector onto the span of ``basis``, a d x k matrix
+    with orthonormal columns."""
+
+    basis: np.ndarray
     degenerate_gap: bool = False
+
+    @property
+    def k(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The d x d projector ``basis @ basis.T``, built on each read."""
+        return self.basis @ self.basis.T
 
 
 def top_k_projector(op: SecondMomentOperator, k: int):
@@ -262,24 +259,26 @@ def top_k_projector(op: SecondMomentOperator, k: int):
     if k > op.d:
         raise InvalidArgumentError(f"k = {k} exceeds operator dimension {op.d}")
     w, v = op.eigen()
-    top = v[:, :k]
-    p = top @ top.T
     lam_next = float(w[k]) if k < op.d else 0.0
     gamma = float(w[k - 1]) - lam_next
     degenerate = gamma <= 1e-12 * max(1.0, abs(float(w[0])))
-    return Projector(matrix=(p + p.T) / 2.0, k=k, degenerate_gap=degenerate), gamma
+    return Projector(basis=v[:, :k], degenerate_gap=degenerate), gamma
 
 
-def _projector_matrix(p) -> np.ndarray:
-    return p.matrix if isinstance(p, Projector) else np.asarray(p, dtype=np.float64)
+def subspace_distance(p: Projector, q: Projector) -> float:
+    """||P - Q||_op of two projectors, from their bases A and B alone.
 
-
-def subspace_distance(p, q) -> float:
-    """Operator norm of the difference of two projectors."""
-    a, b = _projector_matrix(p), _projector_matrix(q)
-    if a.shape != b.shape:
-        raise InvalidArgumentError(f"projector shapes differ: {a.shape} vs {b.shape}")
-    return operator_norm(a - b)
+    For equal ranks it is sigma_max((I - A A^T) B), the largest sine of
+    the principal angles (the sin theta form of Davis-Kahan; Yu, Wang and
+    Samworth, 2015), with an absolute error of O(eps)."""
+    a, b = p.basis, q.basis
+    if a.shape[0] != b.shape[0]:
+        raise InvalidArgumentError(
+            f"projector dimensions differ: {a.shape[0]} vs {b.shape[0]}"
+        )
+    if a.shape[1] != b.shape[1]:
+        return 1.0  # ||P - Q|| = 1 whenever the ranks differ
+    return float(np.linalg.norm(b - a @ (a.T @ b), 2))
 
 
 # ---------------------------------------------------------------------- bounds
@@ -359,17 +358,6 @@ def theorem1_bounds(p: BoundParameters) -> TheoremBounds:
         op_bound=op_bound,
         subspace_bound=subspace,
     )
-
-
-def eta_from_complexity(radius: float, n_samples: int, delta_t: float) -> float:
-    """Per-task accuracy from a complexity radius and a sample count:
-    radius + sqrt(ln(1/delta_t) / (2 n_samples))."""
-    if radius < 0 or not np.isfinite(radius):
-        raise InvalidArgumentError(f"radius must be >= 0, got {radius!r}")
-    n_samples = _int_at_least(n_samples, "n_samples", 1)
-    if not (0.0 < delta_t < 1.0):
-        raise InvalidArgumentError(f"delta_t must lie in (0, 1), got {delta_t!r}")
-    return radius + math.sqrt(math.log(1.0 / delta_t) / (2.0 * n_samples))
 
 
 # ----------------------------------------------------------------- within-task
@@ -460,63 +448,6 @@ def davis_kahan_check(s_ref, s_pert, k: int, tol: float = 1e-10) -> DkReport:
     return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + tol)
 
 
-# ------------------------------------------------------------- projection risk
-
-
-def optimal_projection_risk(spectrum, k: int) -> float:
-    """Tail sum of the spectrum past the first k components."""
-    spectrum = np.asarray(spectrum, dtype=np.float64)
-    if spectrum.ndim != 1 or spectrum.size == 0:
-        raise InvalidArgumentError("spectrum must be a nonempty 1-D array")
-    if not np.all(np.isfinite(spectrum)) or np.any(spectrum < 0):
-        raise InvalidArgumentError("spectrum must be finite and >= 0")
-    if np.any(np.diff(spectrum) > 0):
-        raise InvalidArgumentError("spectrum must be nonincreasing")
-    k = _int_at_least(k, "k", 1)
-    if k > spectrum.size:
-        raise InvalidArgumentError(f"k = {k} exceeds spectrum length {spectrum.size}")
-    if k == spectrum.size:
-        return 0.0
-    return float(spectrum[k:].sum())
-
-
-def projection_risk(op: SecondMomentOperator, projector) -> float:
-    """Expected squared residual of projecting onto P: trace((I - P) S)."""
-    p = _projector_matrix(projector)
-    if p.shape != op.matrix.shape:
-        raise InvalidArgumentError(
-            f"projector shape {p.shape} does not match operator {op.matrix.shape}"
-        )
-    return float(np.trace(op.matrix) - np.trace(p @ op.matrix))
-
-
-@dataclass(frozen=True)
-class ExcessRiskReport:
-    risk: float
-    optimal_risk: float
-    excess: float
-    bound: float
-    holds: bool
-
-
-def excess_risk_report(op: SecondMomentOperator, projector, k: int) -> ExcessRiskReport:
-    """Excess risk of an arbitrary rank-k projector over the optimal one,
-    against the trace(S) * ||P - P_k|| cap.  Violation raises."""
-    risk = projection_risk(op, projector)
-    optimal = float(op.eigenvalues()[k:].sum()) if k < op.d else 0.0
-    p_best, _ = top_k_projector(op, k)
-    bound = op.trace() * subspace_distance(projector, p_best)
-    excess = risk - optimal
-    holds = excess <= bound + 1e-8
-    if not holds:
-        raise InternalConsistencyError(
-            f"excess projection risk {excess} exceeds its cap {bound}"
-        )
-    return ExcessRiskReport(
-        risk=risk, optimal_risk=optimal, excess=excess, bound=bound, holds=holds
-    )
-
-
 # -------------------------------------------------------------------- sampling
 
 
@@ -588,10 +519,8 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
         lam_next = float(spectrum[k]) if spectrum.size > k else 0.0
     gamma = lam_k - lam_next
     planted = basis[:, :k]
-    p = planted @ planted.T
     projector = Projector(
-        matrix=(p + p.T) / 2.0,
-        k=k,
+        basis=planted,
         degenerate_gap=gamma <= 1e-12 * max(1.0, float(spectrum[0])),
     )
     width = k if config.norm_mode == "constant" else spectrum.size
@@ -635,7 +564,6 @@ class ConvergenceRow:
     subspace_error: float
     op_bound: float
     subspace_bound: float | None
-    true_op_error: float
 
 
 @dataclass
@@ -645,9 +573,7 @@ class ConvergenceReport:
     n_trials: int
     mean_op_error: dict
     mean_subspace_error: dict
-    mean_true_op_error: dict
     mean_op_bound: dict
-    mean_subspace_bound: dict
     slope: float | None
     slope_defined: bool
     within_task_floor: float
@@ -705,9 +631,7 @@ def convergence_study(
             ens = sample_ensemble(cfg, rng=rng)
             b_eff = ens.b
             learned = second_moment([tv.f_hat for tv in ens.tasks], "learned_empirical")
-            true_emp = second_moment([tv.f_star for tv in ens.tasks], "true_empirical")
             op_error = operator_norm(learned.matrix - ens.population.matrix)
-            true_op_error = operator_norm(true_emp.matrix - ens.population.matrix)
             p_hat, _ = top_k_projector(learned, k)
             subspace_error = subspace_distance(p_hat, ens.planted_projector)
             params = BoundParameters(
@@ -729,19 +653,15 @@ def convergence_study(
                     subspace_error=subspace_error,
                     op_bound=bounds.op_bound,
                     subspace_bound=bounds.subspace_bound,
-                    true_op_error=true_op_error,
                 )
             )
     distinct = sorted(set(t_grid))
-    mean_op, mean_sub, mean_true, mean_bound, mean_sub_bound = {}, {}, {}, {}, {}
+    mean_op, mean_sub, mean_bound = {}, {}, {}
     for t in distinct:
         cell = [r for r in rows if r.n_tasks == t]
         mean_op[t] = float(np.mean([r.op_error for r in cell]))
         mean_sub[t] = float(np.mean([r.subspace_error for r in cell]))
-        mean_true[t] = float(np.mean([r.true_op_error for r in cell]))
         mean_bound[t] = float(np.mean([r.op_bound for r in cell]))
-        sub_bounds = [r.subspace_bound for r in cell if r.subspace_bound is not None]
-        mean_sub_bound[t] = float(np.mean(sub_bounds)) if sub_bounds else None
     slope = None
     slope_defined = len(distinct) >= 2 and all(mean_op[t] > 0 for t in distinct)
     if slope_defined:
@@ -755,9 +675,7 @@ def convergence_study(
         n_trials=n_trials,
         mean_op_error=mean_op,
         mean_subspace_error=mean_sub,
-        mean_true_op_error=mean_true,
         mean_op_bound=mean_bound,
-        mean_subspace_bound=mean_sub_bound,
         slope=slope,
         slope_defined=slope_defined,
         within_task_floor=floor,

@@ -161,7 +161,6 @@ def test_03_vector_stacks_reduce_to_principal_components():
             x,
             [RankPolicy.cumulative_variance(1.0), RankPolicy.fixed_k(k)],
             centering="feature",
-            stack_mode=1,
             slab_extent=1,
         )
         got = model.factors[1]

@@ -231,8 +231,9 @@ def test_guard_declined_layer_is_read_again_and_stacked(monkeypatch, tmp_path):
     routes = Routes(monkeypatch)
     monkeypatch.setattr(hosvd_module, "GRAM_MIN_RATIO", np.inf)  # every Gram route declines
     u = extract_universal(paths, ExtractionConfig(policy=TAU))
-    # the second pass reads every model but the first, which stayed in memory
-    assert routes.counts() == {"reads": 59, "streamed": 2, "stacked": 2}
+    # the second pass reads every model again, the first included: it was
+    # dropped after its turn in the first pass
+    assert routes.counts() == {"reads": 60, "streamed": 2, "stacked": 2}
     assert_matches_stacked(u, models)
 
 
@@ -249,47 +250,86 @@ def test_streamed_extract_memory_does_not_grow_with_the_ensemble(tmp_path):
     assert peaks[160] <= 1.2 * peaks[40]
 
 
-def test_extraction_from_float32_files_converts_no_excluded_layer(tmp_path):
-    # the excluded layers are nearly all of each file; a float64 copy of
-    # either would add the file's size to the peak
-    shapes = {"inlet": (512, 512), "block0": (8, 16), "block1": (6, 16), "outlet": (512, 512)}
-    models = planted_models(25, 6, shapes=shapes)
+BIG_EXCLUDED = {"inlet": (512, 512), "block0": (8, 16), "block1": (6, 16), "outlet": (512, 512)}
+
+
+def float32_files(directory):
+    """Six f32 weights files whose excluded layers are nearly all of each
+    file; returns the paths and one file's size."""
+    models = planted_models(25, 6, shapes=BIG_EXCLUDED)
     for m in models:
         m.dtypes = dict.fromkeys(m.layers, "f32")
-    paths = write_models(tmp_path / "models", models)
-    size = paths[0].stat().st_size
+    paths = write_models(directory, models)
+    return paths, paths[0].stat().st_size
+
+
+def extraction_peak(paths, order=2):
     tracemalloc.start()
-    u = extract_universal(paths, ExtractionConfig(policy=TAU))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        u = extract_universal(paths, ExtractionConfig(policy=TAU, order=order))
+        return u, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extraction_from_float32_files_converts_no_excluded_layer(tmp_path):
+    # a float64 copy of either excluded layer would add the file's size
+    # to the peak
+    paths, size = float32_files(tmp_path / "models")
+    u, peak = extraction_peak(paths)
     assert u.excluded_layers == ["inlet", "outlet"]
-    assert u.layer_dtypes == dict.fromkeys(shapes, "f32")
-    # the first model's payload and the current one's
+    assert u.layer_dtypes == dict.fromkeys(BIG_EXCLUDED, "f32")
     assert peak <= 2.5 * size
     assert_matches_stacked(u, [load_weights(p) for p in paths])
 
 
+def test_extraction_holds_one_weights_file_at_a_time(tmp_path):
+    # the first model is dropped after its turn, like every other: the
+    # peak is one file (1.27x its size), not the first file and the
+    # current one (2.27x)
+    paths, size = float32_files(tmp_path / "models")
+    _, peak = extraction_peak(paths)
+    assert peak <= 1.6 * size
+
+
+def test_layers_kept_from_float64_files_do_not_pin_the_files(tmp_path):
+    # order-3 stacks keep their layers from the read; float64 views of
+    # those small layers would hold all six files (6.08x one file), and
+    # copies of them hold one at a time (1.08x)
+    paths = write_models(tmp_path / "models", planted_models(25, 6, shapes=BIG_EXCLUDED))
+    u, peak = extraction_peak(paths, order=3)
+    assert peak <= 2.0 * paths[0].stat().st_size
+    want = extract_universal([load_weights(p) for p in paths], u.config)
+    for name in u.included_layers:
+        for g, w in zip(u.layer_models[name].factors[1:], want.layer_models[name].factors[1:]):
+            assert np.array_equal(g, w)
+
+
 def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, capsys):
-    # the Gram of these stacks overflows: the guard sends them to the SVD
+    # the Gram of these stacks overflows (2**532) or underflows (2**-532,
+    # 2**-560): the guard sends them to the SVD
     models = planted_models(26, 40)
-    big = [
-        ModelWeights(m.model_id, {n: w * 2.0**532 for n, w in m.layers.items()})
-        for m in models
-    ]
     config = ExtractionConfig(policy=TAU)
     want = extract_universal(models, config)
     routes = Routes(monkeypatch)
-    got = extract_universal(big, config)
-    assert routes.counts() == {"reads": 0, "streamed": 2, "stacked": 2}
-    for name in want.included_layers:
-        g, w = got.layer_models[name], want.layer_models[name]
-        assert g.ranks == w.ranks
-        assert max_sine(g.factors[1], w.factors[1]) <= 1e-10
-    code, err = _extract_code(tmp_path, big, capsys)
-    assert code == 0, err
-    u = load_subspace(tmp_path / "s.uws")
-    for name in want.included_layers:
-        assert max_sine(u.layer_models[name].factors[1], want.layer_models[name].factors[1]) <= 1e-10
+    for exponent in (532, -532, -560):
+        scaled = [
+            ModelWeights(m.model_id, {n: np.ldexp(w, exponent) for n, w in m.layers.items()})
+            for m in models
+        ]
+        routes.reads = routes.streamed = routes.stacked = 0
+        got = extract_universal(scaled, config)
+        assert routes.counts() == {"reads": 0, "streamed": 2, "stacked": 2}
+        for name in want.included_layers:
+            g, w = got.layer_models[name], want.layer_models[name]
+            assert g.ranks == w.ranks
+            assert max_sine(g.factors[1], w.factors[1]) <= 1e-10
+        code, err = _extract_code(tmp_path / str(exponent), scaled, capsys)
+        assert code == 0, err
+        u = load_subspace(tmp_path / str(exponent) / "s.uws")
+        for name in want.included_layers:
+            assert max_sine(u.layer_models[name].factors[1],
+                            want.layer_models[name].factors[1]) <= 1e-10
 
 
 # ------------------------------------------------------------ errors

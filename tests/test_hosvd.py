@@ -64,7 +64,7 @@ def test_center_global_hand_example():
 
 def test_center_feature_hand_example():
     t = np.array([[1.0, 2.0], [3.0, 4.0]])
-    mu, xc = center(t, "feature", stack_mode=1)
+    mu, xc = center(t, "feature")
     assert np.array_equal(mu, np.array([[2.0, 3.0]]))
     assert np.array_equal(xc, np.array([[-1.0, -1.0], [1.0, 1.0]]))
 
@@ -190,7 +190,8 @@ def test_degenerate_inputs():
 
 
 def test_stacks_near_the_float_limit_keep_their_variance():
-    # norms and the Gram matrix of these stacks overflow if squared unscaled
+    # norms and the Gram matrix of these stacks overflow, or underflow, if
+    # squared unscaled
     rng = np.random.default_rng(51)
     x = 1e160 + 1e155 * rng.standard_normal((6, 4))
     model = hosvd_truncated(x, RankPolicy.cumulative_variance(1.0))
@@ -198,12 +199,13 @@ def test_stacks_near_the_float_limit_keep_their_variance():
     x, q = planted_stack(rng, n=60, d=10, k=3, noise=1e-3)
     for policy in (RankPolicy.cumulative_variance(0.99), RankPolicy.cumulative_variance(1.0)):
         small = hosvd_truncated(x, policy)
-        big = hosvd_truncated(x * 2.0**532, policy)
-        assert big.ranks == small.ranks
-        u, v = big.factors[1], small.factors[1]
-        assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-10
-        assert np.allclose(big.variance_ledger[2].ratios, small.variance_ledger[2].ratios,
-                           rtol=1e-10, atol=1e-14)
+        for exponent in (532, -532, -560):
+            big = hosvd_truncated(np.ldexp(x, exponent), policy)
+            assert big.ranks == small.ranks
+            u, v = big.factors[1], small.factors[1]
+            assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-10
+            assert np.allclose(big.variance_ledger[2].ratios, small.variance_ledger[2].ratios,
+                               rtol=1e-10, atol=1e-14)
 
 
 def test_single_slab_stack_is_permitted():
@@ -517,7 +519,6 @@ def test_reconstruct_detects_tampered_factors():
         core=model.core,
         variance_ledger=model.variance_ledger,
         centering=model.centering,
-        stack_mode=model.stack_mode,
         shape=model.shape,
         slab_extent=model.slab_extent,
     )
@@ -533,7 +534,6 @@ def test_reconstruct_zero_core_zero_mu():
         core=core,
         variance_ledger={},
         centering="feature",
-        stack_mode=1,
         shape=(3, 4),
         slab_extent=None,
     )

@@ -4,22 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from uws.errors import (
-    DegenerateSpectrumError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-)
+from uws.errors import InvalidArgumentError
 from uws.theory import (
     BoundParameters,
+    Projector,
     SyntheticEnsembleConfig,
     TaskVector,
     convergence_study,
     davis_kahan_check,
-    eta_from_complexity,
-    excess_risk_report,
-    optimal_projection_risk,
     population_second_moment,
-    projection_risk,
     sample_ensemble,
     second_moment,
     subspace_distance,
@@ -180,7 +173,8 @@ def test_full_dimensional_isotropic_effective_rank():
         SyntheticEnsembleConfig(d=6, k=6, n_tasks=10_000, seed=12)
     )
     learned = second_moment([t.f_hat for t in ens.tasks], "learned_empirical")
-    assert learned.effective_rank() == pytest.approx(6.0, rel=0.05)
+    effective_rank = np.trace(learned.matrix) / opnorm_oracle(learned.matrix)
+    assert effective_rank == pytest.approx(6.0, rel=0.05)
 
 
 # --------------------------------------------------------------- second moment
@@ -191,7 +185,7 @@ def test_second_moment_hand_cases():
     e2 = np.array([0.0, 1.0])
     single = second_moment([e1], "true_empirical")
     assert np.allclose(single.matrix, np.outer(e1, e1), atol=1e-15)
-    assert single.trace() == pytest.approx(1.0, abs=1e-15)
+    assert np.trace(single.matrix) == pytest.approx(1.0, abs=1e-15)
     pair = second_moment([e1, e2], "learned_empirical")
     assert np.allclose(pair.matrix, 0.5 * np.eye(2), atol=1e-15)
     assert opnorm_oracle(pair.matrix) == pytest.approx(0.5, abs=1e-12)
@@ -206,7 +200,7 @@ def test_trace_equals_mean_squared_norm():
     rng = np.random.default_rng(14)
     vecs = [rng.standard_normal(7) for _ in range(50)]
     op = second_moment(vecs, "true_empirical")
-    assert op.trace() == pytest.approx(
+    assert np.trace(op.matrix) == pytest.approx(
         float(np.mean([v @ v for v in vecs])), rel=1e-10
     )
 
@@ -310,6 +304,27 @@ def test_subspace_distance_hand_values_and_dual_route():
         assert got <= 1.0 + 1e-12  # equal-rank projector distance cap
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-3, math.pi / 4, math.pi / 2])
+def test_subspace_distance_closed_form_sine(theta):
+    d = 5
+    u = np.zeros((d, 1))
+    u[0, 0] = 1.0
+    v = np.zeros((d, 1))
+    v[0, 0], v[1, 0] = math.cos(theta), math.sin(theta)
+    got = subspace_distance(Projector(basis=u), Projector(basis=v))
+    assert abs(got - math.sin(theta)) <= 1e-15
+    assert abs(subspace_distance(Projector(basis=v), Projector(basis=u)) - math.sin(theta)) <= 1e-15
+
+
+def test_subspace_distance_of_unequal_ranks_is_exactly_one():
+    q = haar_columns(6, 2, np.random.default_rng(24))
+    one, two = Projector(basis=q[:, :1]), Projector(basis=q)
+    assert subspace_distance(one, two) == 1.0
+    assert subspace_distance(two, one) == 1.0
+    with pytest.raises(InvalidArgumentError, match="dimensions differ"):
+        subspace_distance(one, Projector(basis=np.eye(3)[:, :1]))
+
+
 # ---------------------------------------------------------------------- bounds
 
 
@@ -369,17 +384,6 @@ def test_theorem_bounds_reject_a_bound_that_is_not_finite():
                dict(b=1.0, gamma_k=1e-320)):  # 2/gamma_k overflows
         with pytest.raises(InvalidArgumentError, match="not finite"):
             theorem1_bounds(BoundParameters(**base, **kw))
-
-
-def test_eta_from_complexity_hand():
-    got = eta_from_complexity(0.1, 50, 0.01)
-    assert got == pytest.approx(0.1 + math.sqrt(math.log(100.0) / 100.0), rel=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        eta_from_complexity(-0.1, 50, 0.01)
-    with pytest.raises(InvalidArgumentError):
-        eta_from_complexity(0.1, 0, 0.01)
-    with pytest.raises(InvalidArgumentError):
-        eta_from_complexity(0.1, 50, 1.5)
 
 
 # ----------------------------------------------------------------- within-task
@@ -480,40 +484,6 @@ def test_davis_kahan_near_degenerate_still_holds():
     rep = davis_kahan_check(ref, pert, 1)
     assert rep.gamma == pytest.approx(1e-3, rel=1e-9)
     assert rep.holds
-
-
-# ------------------------------------------------------------- projection risk
-
-
-def test_projection_risk_hand_values():
-    assert optimal_projection_risk(np.array([1.0, 0.5, 0.25]), 2) == pytest.approx(0.25, rel=1e-12)
-    assert optimal_projection_risk(np.array([1.0, 0.5, 0.25]), 3) == 0.0
-    with pytest.raises(InvalidArgumentError):
-        optimal_projection_risk(np.array([0.5, 1.0]), 1)
-    s = population_second_moment(np.eye(3), np.array([3.0, 2.0, 1.0]))
-    p1, _ = top_k_projector(s, 1)
-    assert projection_risk(s, p1) == pytest.approx(3.0, rel=1e-10)
-    p_bad, _ = top_k_projector(population_second_moment(np.eye(3)[:, [2, 1, 0]], np.array([1.0, 0.0, 0.0])), 1)
-    rep = excess_risk_report(s, p_bad, 1)
-    assert rep.risk == pytest.approx(5.0, rel=1e-10)
-    assert rep.optimal_risk == pytest.approx(3.0, rel=1e-10)
-    assert rep.excess == pytest.approx(2.0, rel=1e-10)
-    assert rep.holds and rep.excess <= rep.bound + 1e-8
-
-
-def test_excess_risk_monte_carlo():
-    rng = np.random.default_rng(22)
-    for trial in range(60):
-        d = int(rng.integers(2, 9))
-        k = int(rng.integers(1, d))
-        q = haar_columns(d, d, rng)
-        lam = np.sort(rng.uniform(0.0, 2.0, d))[::-1]
-        s = population_second_moment(q, lam)
-        p_rand, _ = top_k_projector(
-            population_second_moment(haar_columns(d, d, rng), np.arange(d, 0, -1.0)), k
-        )
-        rep = excess_risk_report(s, p_rand, k)
-        assert rep.holds
 
 
 # ----------------------------------------------------------------- convergence
