@@ -4,10 +4,13 @@ models in and out of that subspace (projection, reconstruction, merging,
 coefficient-only adaptation).
 
 Weights, subspaces, and coefficient sets all live in the same binary
-container format (see :mod:`uws.ensemble.container`).  Subspace files use
-the reserved entry prefixes ``mu/``, ``U/`` and ``ledger/`` (files of
-format version 1 also carry ``core/``, which is read past); coefficient
-files use ``coef/`` and ``raw/``.
+container format (see :mod:`uws.ensemble.container`).  A subspace file
+holds per layer only what its readers read: the mean (``mu/``), the
+non-stacking factors (``U/``) and their spectra (``ledger/.../sv/``),
+from which the explained-variance ratios are derived on load; older
+versions' ``core/``, stacking-mode and ``ledger/.../ratio/`` entries are
+read past.  Coefficient files use ``coef/`` (per layer, r x k for
+order-2 stacking and k_2 x k_3 for order 3) and ``raw/``.
 """
 
 from contextlib import contextmanager
@@ -34,13 +37,14 @@ from ..hosvd import (
     project_slice,
     reconstruct_slice,
 )
-from ..spectral import DEFAULT_POLICY, RankPolicy
+from ..spectral import DEFAULT_POLICY, RankPolicy, explained_variance
 from .container import read_container, write_container
 
 #: Version written into a subspace file's meta.  Version 1 (no
 #: ``format_version`` key) also stored the stacking-mode factor, its
-#: ledger and the core, which no reader needs.
-SUBSPACE_FORMAT_VERSION = 2
+#: ledger and the core; versions 1 and 2 also stored the ratio rows and
+#: per-layer ``first_component`` and ``dtype`` meta, which no reader needs.
+SUBSPACE_FORMAT_VERSION = 3
 
 __all__ = [
     "ModelWeights",
@@ -340,7 +344,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
                 stack_layer(kept, name, order=config.order),
                 config.policy,
                 centering=config.centering,
-                slab_extent=shapes[name][0] if config.order == 2 else 1,
+                slab_extent=shapes[name][0],
             )
         model.factors[0] = model.core = None
         layer_models[name] = model
@@ -411,7 +415,7 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
             raise InvalidArgumentError(
                 f"model {weights.model_id!r} is missing included layer {name!r}"
             )
-        coefficients[name] = project_slice(u.layer_models[name], weights.layers[name], label=name)
+        coefficients[name] = project_slice(u.layer_models[name], weights.layers[name])
     passthrough = {
         name: weights.layers[name] for name in u.excluded_layers if name in weights.layers
     }
@@ -433,10 +437,7 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
     layers = {}
     for name in u.layer_order:
         if name in coeffs.coefficients:
-            arr = reconstruct_slice(u.layer_models[name], coeffs.coefficients[name])
-            if u.config.order == 3:
-                arr = arr[0]  # drop the singleton stacking axis
-            layers[name] = arr
+            layers[name] = reconstruct_slice(u.layer_models[name], coeffs.coefficients[name])
         elif name in coeffs.passthrough:
             layers[name] = coeffs.passthrough[name]
     dtypes = {name: coeffs.dtypes.get(name, "f64") for name in layers}
@@ -717,7 +718,7 @@ def adapt_coefficients(
         report["lr"] = float(lr)
         report["epochs"] = epochs
         report["loss_curve"] = losses
-    coeffs = SliceCoefficients(label=layer, coeffs=ct.T.copy())
+    coeffs = SliceCoefficients(coeffs=ct.T.copy())
     report["reconstructed"] = reconstruct_slice(model, coeffs)
     report["residual_norm"] = float(np.linalg.norm(z @ ct - resid_target))
     return coeffs, report
@@ -737,41 +738,33 @@ def _policy_meta(policy: RankPolicy) -> dict:
 
 
 def save_subspace(u: UniversalSubspace, path) -> None:
-    """Write a subspace container (format version 2).
+    """Write a subspace container (format version 3).
 
     Entry layout, per included layer L and each non-stacking mode
-    n = 2..order: ``mu/L`` (mean, flattened to a matrix), ``U/L/n``
-    (factors), ``ledger/L/sv/n`` and ``ledger/L/ratio/n`` (full spectra as
-    single-row matrices).  The stacking-mode factor, its ledger and the
-    core are not written: projecting, rebuilding, merging and adapting
-    read only the mean and the other factors.  Everything else lives in
-    the manifest's meta block; a layer's ``retained`` and
-    ``first_component`` lists cover modes 2..order.
+    n = 2..order: ``mu/L`` (the mean as a matrix: one row for order 2,
+    one member for order 3, 1 x 1 for global centring), ``U/L/n``
+    (factors) and ``ledger/L/sv/n`` (the full spectrum as a single-row
+    matrix).  Nothing else is written: projecting, rebuilding, merging
+    and adapting read only the mean and the factors, and the scree table
+    reads the spectrum.  Everything else lives in the manifest's meta
+    block; a layer's ``retained`` list covers modes 2..order.
     """
     triples = []
     layer_meta = {}
     for name in u.included_layers:
         model = u.layer_models[name]
-        mu = np.asarray(model.mu)
-        if mu.ndim == 0:
-            mu_matrix, mu_kind = np.array([[float(mu)]]), "global"
-        else:
-            mu_matrix, mu_kind = mu.reshape(mu.shape[-2] if mu.ndim == 3 else 1, mu.shape[-1]), "feature"
-        triples.append((f"mu/{name}", mu_matrix, "f64"))
+        triples.append((f"mu/{name}", np.atleast_2d(model.mu), "f64"))
         modes = range(2, model.order + 1)
         for n in modes:
             triples.append((f"U/{name}/{n}", model.factors[n - 1], "f64"))
         for n in modes:
-            spec = model.variance_ledger[n]
-            triples.append((f"ledger/{name}/sv/{n}", spec.singular_values.reshape(1, -1), "f64"))
-            triples.append((f"ledger/{name}/ratio/{n}", spec.ratios.reshape(1, -1), "f64"))
+            sv = model.variance_ledger[n].singular_values
+            triples.append((f"ledger/{name}/sv/{n}", sv.reshape(1, -1), "f64"))
         layer_meta[name] = {
             "stack_shape": list(model.shape),
             "slab_extent": model.slab_extent,
-            "mu_kind": mu_kind,
+            "mu_kind": "global" if np.ndim(model.mu) == 0 else "feature",
             "retained": [model.variance_ledger[n].retained for n in modes],
-            "first_component": [model.variance_ledger[n].first_component for n in modes],
-            "dtype": u.layer_dtypes.get(name, "f64"),
         }
     meta = {
         "kind": "subspace",
@@ -813,21 +806,44 @@ def _decoding_meta(kind):
         ) from exc
 
 
+def _spectrum(entries, name, n, retained, width) -> ModeSpectrum:
+    """Mode ``n``'s ledger from its stored singular values, which must
+    form a spectrum of at least ``retained`` and ``width`` (the factor's
+    column count) values; the ratios are derived as extraction derives
+    them."""
+    key = f"ledger/{name}/sv/{n}"
+    sv = _take(entries, key).ravel()
+    try:
+        ratios = explained_variance(sv)
+    except (InvalidArgumentError, DegenerateSpectrumError) as exc:
+        raise ManifestError(f"entry {key!r} is not a spectrum: {exc}", 12) from exc
+    need = max(retained, width)
+    if sv.size < need:
+        raise ManifestError(
+            f"entry {key!r} holds {sv.size} singular values, fewer than the {need} retained", 12
+        )
+    return ModeSpectrum(singular_values=sv, ratios=ratios, retained=retained)
+
+
 def load_subspace(path) -> UniversalSubspace:
     """Read a subspace container written by :func:`save_subspace`, of
-    format version 2 or 1; version 1's stacking-mode entries and cores
-    are read past.  The layer models have no stacking-mode factor or
-    core.  An order-2 stack's two modes share one spectrum and rank, so
-    its stacking-mode ledger is the feature mode's.
+    format version 3, 2 or 1; entries and meta keys of older versions
+    that no reader needs are read past.  The layer models have no
+    stacking-mode factor or core, and a feature mean has the shape of one
+    member row or member, ``stack_shape[1:]``.  An order-2 stack's two
+    modes share one spectrum and rank, so its stacking-mode ledger is the
+    feature mode's.
 
-    A meta field that is missing or malformed raises ManifestError.
+    A meta field that is missing or malformed, or a stored spectrum that
+    is not one (negative, increasing, all zero, or shorter than the
+    retained rank), raises ManifestError.
     """
     doc = read_container(path)
     meta = doc.meta or {}
     if meta.get("kind") != "subspace":
         raise ManifestError("not a subspace container (meta kind != 'subspace')", 12)
     version = meta.get("format_version", 1)
-    if version not in (1, SUBSPACE_FORMAT_VERSION):
+    if version not in (1, 2, SUBSPACE_FORMAT_VERSION):
         raise ManifestError(f"unsupported subspace format_version {version!r}", 12)
     with _decoding_meta("subspace"):
         order = meta["order"]
@@ -847,37 +863,25 @@ def load_subspace(path) -> UniversalSubspace:
         for name in included:
             info = meta["layers"][name]
             stack_shape = tuple(info["stack_shape"])
-            slab_extent = info["slab_extent"]
-            mu_matrix = _take(entries, f"mu/{name}")
-            if info["mu_kind"] == "global":
-                mu = np.float64(mu_matrix[0, 0])
-            elif len(stack_shape) == 3:
-                mu = mu_matrix.reshape(1, *mu_matrix.shape)
-            else:
-                mu = mu_matrix
+            mu = _take(entries, f"mu/{name}")
+            mu = np.float64(mu[0, 0]) if info["mu_kind"] == "global" else mu.reshape(stack_shape[1:])
             # version 1 lists start at the stacking mode
-            retained, firsts = info["retained"], info["first_component"]
-            if version == 1:
-                retained, firsts = retained[1:], firsts[1:]
+            retained = info["retained"][1:] if version == 1 else info["retained"]
+            factors = [None] + [_take(entries, f"U/{name}/{n}") for n in range(2, order + 1)]
             ledger = {
-                n: ModeSpectrum(
-                    singular_values=_take(entries, f"ledger/{name}/sv/{n}").ravel(),
-                    ratios=_take(entries, f"ledger/{name}/ratio/{n}").ravel(),
-                    retained=retained[n - 2],
-                    first_component=firsts[n - 2],
-                )
+                n: _spectrum(entries, name, n, retained[n - 2], factors[n - 1].shape[1])
                 for n in range(2, order + 1)
             }
             if order == 2:
                 ledger = {1: ledger[2], 2: ledger[2]}
             layer_models[name] = SubspaceModel(
                 mu=mu,
-                factors=[None] + [_take(entries, f"U/{name}/{n}") for n in range(2, order + 1)],
+                factors=factors,
                 core=None,
                 variance_ledger=ledger,
                 centering=centering,
                 shape=stack_shape,
-                slab_extent=slab_extent,
+                slab_extent=info["slab_extent"],
             )
         config = ExtractionConfig(
             policy=policy,
@@ -900,15 +904,14 @@ def load_subspace(path) -> UniversalSubspace:
 
 def save_coefficients(c: CoefficientSet, path) -> None:
     """Write a coefficient container: one ``coef/L`` entry per projected
-    layer (order-3 coefficients stored with the singleton stacking axis
-    dropped) and one ``raw/L`` entry per passthrough layer at its declared
-    precision."""
+    layer (r x k for order-2 stacking, k_2 x k_3 for order 3) and one
+    ``raw/L`` entry per passthrough layer at its declared precision."""
     triples = []
     shapes = {}
     for name, sc in c.coefficients.items():
         arr = np.asarray(sc.coeffs, dtype=np.float64)
         shapes[name] = list(arr.shape)
-        triples.append((f"coef/{name}", arr.reshape(arr.shape[-2], arr.shape[-1]) if arr.ndim == 3 else arr, "f64"))
+        triples.append((f"coef/{name}", arr, "f64"))
     for name, arr in c.passthrough.items():
         triples.append((f"raw/{name}", arr, c.dtypes.get(name, "f64")))
     meta = {
@@ -923,6 +926,9 @@ def save_coefficients(c: CoefficientSet, path) -> None:
 
 def load_coefficients(path) -> CoefficientSet:
     """Read a coefficient container written by :func:`save_coefficients`.
+    The layers are those named in ``coef_shapes``, and each entry is used
+    as stored, so files whose order-3 shapes list a leading 1 read the
+    same.
 
     A meta field that is missing or malformed raises ManifestError.
     """
@@ -932,11 +938,10 @@ def load_coefficients(path) -> CoefficientSet:
         raise ManifestError("not a coefficient container (meta kind != 'coefficients')", 12)
     with _decoding_meta("coefficient"):
         entries = _entry_map(doc)
-        shapes = meta["coef_shapes"]
-        coefficients = {}
-        for name, shape in shapes.items():
-            arr = _take(entries, f"coef/{name}")
-            coefficients[name] = SliceCoefficients(label=name, coeffs=arr.reshape(shape))
+        coefficients = {
+            name: SliceCoefficients(coeffs=_take(entries, f"coef/{name}"))
+            for name in meta["coef_shapes"]
+        }
         passthrough = {
             name: _take(entries, f"raw/{name}")
             for name in meta["passthrough"]

@@ -15,8 +15,8 @@ of the payload.  An optional ``"meta"`` object carries auxiliary data
 (subspace shapes, extraction settings) and survives round trips.
 
 Subspace and coefficient files reuse this container with reserved layer
-name prefixes: ``mu/``, ``U/``, ``ledger/``, ``coef/`` and ``raw/``
-(subspace files of format version 1 also have ``core/``).
+name prefixes: ``mu/``, ``U/``, ``ledger/``, ``coef/`` and ``raw/``.  A
+version-3 subspace file's ``ledger/`` holds only spectra (``sv/``).
 
 A parsed document's matrices are read-only views into the bytes they
 were parsed from, so reading a file costs one copy of it.
@@ -147,7 +147,7 @@ def _layout(model_id: str, layers, meta: dict | None):
             raise InvalidArgumentError("meta must be a dict")
         manifest["meta"] = meta
     try:
-        text = json.dumps(manifest, separators=(",", ":"), ensure_ascii=False)
+        text = json.dumps(manifest, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"meta is not JSON-serializable: {exc}") from exc
     manifest_bytes = text.encode("utf-8")

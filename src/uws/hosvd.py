@@ -39,10 +39,13 @@ every merged term is positive semidefinite, so no common offset costs
 accuracy.  Its result takes the same Gram route and guard, and carries
 no stacking-mode factor or core.
 
-A "slice" is one contributor's slab of the stacked tensor (its block of
-rows for order-2 stacking, or its matrix for stacking along a new mode).
-Slices project into the subspace through the non-stacking factors only,
-so new slices can be expressed in the shared basis without touching the
+A "member" is what one contributor adds to the stack, the unit that is
+projected and rebuilt: an r x d slab of rows for an order-2 stack, or
+one index of the stacking mode, of shape ``shape[1:]``, for a
+higher-order stack.  The mean, a row for order 2 and a member for
+higher orders, is subtracted from it as it is, and its own modes are
+contracted with the non-stacking factors, so order-3 coefficients are
+r_2 x r_3.  New members are expressed in the shared basis without the
 stacking-mode factor.
 """
 
@@ -114,7 +117,7 @@ class SubspaceModel:
 
     A model that was streamed (:class:`GramStream`) or read back from a
     subspace file has no stacking-mode factor (that entry of ``factors``
-    is None) and no core: it projects and rebuilds slices, but cannot
+    is None) and no core: it projects and rebuilds members, but cannot
     :func:`reconstruct` the stack it came from.
     """
 
@@ -137,13 +140,9 @@ class SubspaceModel:
 
 @dataclass
 class SliceCoefficients:
-    """One slice expressed in the factor basis.
+    """One member expressed in the factor basis: an order-2 slab keeps
+    its rows, and every mode contracted with a factor has extent r_n."""
 
-    The coefficient tensor keeps the stacking-mode axis (the slab rows)
-    and has extent r_n along every other mode.
-    """
-
-    label: str | None
     coeffs: np.ndarray
 
 
@@ -151,8 +150,9 @@ def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     """Split ``x`` into a mean and a zero-centered remainder.
 
     ``global`` subtracts the scalar mean of all entries; ``feature``
-    subtracts the mean over the stacking mode (mode 1), one value per
-    remaining index position.  Either way ``centered + mu`` restores ``x``.
+    subtracts the mean over the stacking mode (mode 1), of shape
+    ``x.shape[1:]``: one stacked row for order 2, one member for higher
+    orders.  Either way ``centered + mu`` restores ``x``.
     """
     if centering not in CENTERINGS:
         raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -162,7 +162,7 @@ def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     if centering == "global":
         mu = np.float64(arr.mean())
     else:
-        mu = arr.mean(axis=0, keepdims=True)
+        mu = arr.mean(axis=0)
     return mu, arr - mu
 
 
@@ -312,8 +312,8 @@ def hosvd_truncated(
         Rank selection, shared or per mode.
     centering : {"feature", "global"}
     slab_extent : int, optional
-        Rows one slice occupies along the stacking mode; recorded so
-        slice projection can validate its input.
+        Rows of one member's slab of an order-2 stack; recorded so
+        projection can validate its input.
     """
     x = as_tensor(x)
     per_mode = _policy_list(policies, x.ndim)
@@ -458,11 +458,11 @@ class GramStream:
             raise DegenerateSpectrumError("tensor is identically zero")
         if not (gram_eligible(shape, per_mode) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
             return None
-        gram, mu = self.gram, self.mean.reshape(1, -1).copy()
+        gram, mu = self.gram, self.mean.copy()
         if centering == "global":
             # about the grand mean: add the column means' spread around it
             spread = mu - mu.mean()
-            gram = gram + self.rows * (spread.T @ spread)
+            gram = gram + self.rows * np.outer(spread, spread)
             mu = np.float64(mu.mean())
         _require_variance(np.sqrt(np.trace(gram)), np.sqrt(self.sumsq), centering)
         found = _gram_factors(
@@ -482,17 +482,13 @@ class GramStream:
         )
 
 
-def _require_stacking_factor(model: SubspaceModel, what: str) -> None:
-    if model.core is None or any(f is None for f in model.factors):
-        raise InvalidArgumentError(
-            f"{what} needs the stacking-mode factor and core, which a streamed "
-            "or reloaded subspace does not keep"
-        )
-
-
 def reconstruct(model: SubspaceModel) -> np.ndarray:
     """``mu + core x_1 U(1) ... x_N U(N)``."""
-    _require_stacking_factor(model, "rebuilding the stack")
+    if model.core is None or any(f is None for f in model.factors):
+        raise InvalidArgumentError(
+            "rebuilding the stack needs the stacking-mode factor and core, which a "
+            "streamed or reloaded subspace does not keep"
+        )
     out = model.core
     try:
         for mode, u in enumerate(model.factors, start=1):
@@ -504,135 +500,98 @@ def reconstruct(model: SubspaceModel) -> np.ndarray:
         ) from exc
 
 
-def _slice_array(model: SubspaceModel, slice_) -> np.ndarray:
-    """Validate a slice against the model and return it with the
-    stacking-mode axis present (inserting a singleton when the slice is
-    given one order lower, as with stacking along a dedicated mode)."""
-    slice_ = as_tensor(slice_)
-    others = list(model.shape[1:])
-    if slice_.ndim == model.order:
-        slab, *got = slice_.shape
-        if got != others:
-            raise InvalidArgumentError(
-                f"slice shape {slice_.shape} does not match stack shape {model.shape} "
-                "outside the stacking mode 1"
-            )
-        if model.slab_extent is not None and slab != model.slab_extent:
-            raise InvalidArgumentError(
-                f"slice has {slab} rows along the stacking mode, expected {model.slab_extent}"
-            )
-        return slice_
-    if slice_.ndim == model.order - 1:
-        if list(slice_.shape) != others:
-            raise InvalidArgumentError(
-                f"slice shape {slice_.shape} does not match per-slab shape {tuple(others)}"
-            )
-        if model.slab_extent not in (None, 1):
-            raise InvalidArgumentError(
-                f"model expects slabs of {model.slab_extent} rows, got an order-reduced slice"
-            )
-        return np.expand_dims(slice_, axis=0)
-    raise InvalidArgumentError(
-        f"slice of order {slice_.ndim} does not fit an order-{model.order} stack"
-    )
+def _member(model: SubspaceModel, member) -> np.ndarray:
+    """Validate one member against the model: an r x d slab of an order-2
+    stack (r = ``slab_extent`` when set), or an array of shape
+    ``shape[1:]`` of a higher-order one."""
+    member = as_tensor(member)
+    if model.order > 2:
+        want = model.shape[1:]
+    else:
+        want = (model.slab_extent or member.shape[0], *model.shape[1:])
+    if member.shape != want:
+        raise InvalidArgumentError(
+            f"member of shape {member.shape} does not fit stack shape {model.shape}: "
+            f"expected {want}"
+        )
+    return member
 
 
-def project_slice(model: SubspaceModel, slice_, label: str | None = None) -> SliceCoefficients:
-    """Express one slice in the factor basis.
+def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
+    """Express one member in the factor basis.
 
-    Subtracts the stored mean and contracts every non-stacking mode with
-    its factor transpose; the projection is orthogonal, so among all
-    subspace members the reconstruction from these coefficients is the
-    Frobenius-closest one.
+    Subtracts the stored mean and contracts the member's trailing modes,
+    one per non-stacking factor, with the factor transposes; the
+    projection is orthogonal, so among all subspace members the
+    reconstruction from these coefficients is the Frobenius-closest one.
     """
-    t = _slice_array(model, slice_) - np.asarray(model.mu)
-    for mode, u in enumerate(model.factors[1:], start=2):
+    t = _member(model, member) - np.asarray(model.mu)
+    for mode, u in enumerate(model.factors[1:], start=t.ndim - model.order + 2):
         t = mode_product(t, u.T, mode)
-    return SliceCoefficients(label=label, coeffs=t)
+    return SliceCoefficients(coeffs=t)
 
 
 def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.ndarray:
     """Mean plus the coefficients expanded through each factor."""
     arr = np.asarray(coeffs.coeffs, dtype=np.float64)
-    if arr.ndim != model.order:
+    ranks = tuple(u.shape[1] for u in model.factors[1:])
+    ndim = model.order - (model.order > 2)  # an order-2 slab keeps its rows
+    if arr.ndim != ndim or arr.shape[ndim - len(ranks) :] != ranks:
         raise InvalidArgumentError(
-            f"coefficients of order {arr.ndim} do not fit an order-{model.order} stack"
+            f"coefficients of shape {arr.shape} do not fit retained ranks {ranks} "
+            f"of an order-{model.order} stack"
         )
-    for i, u in enumerate(model.factors[1:], start=1):
-        if arr.shape[i] != u.shape[1]:
-            raise InvalidArgumentError(
-                f"coefficient extent {arr.shape[i]} along mode {i + 1} "
-                f"does not match retained rank {u.shape[1]}"
-            )
-    for mode, u in enumerate(model.factors[1:], start=2):
+    for mode, u in enumerate(model.factors[1:], start=arr.ndim - model.order + 2):
         arr = mode_product(arr, u, mode)
     return arr + np.asarray(model.mu)
 
 
 def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
-    """The residual subspace: per mode, the ``k2`` directions that follow
-    the primary ones in that mode's singular spectrum.
+    """The residual subspace of an order-2 stack: per mode, the ``k2``
+    directions that follow the primary ones in the stack's spectrum.
 
     The returned model shares the primary mean, its factors are exactly
     orthogonal to the primary factors, and its variance ledger records
-    where in the full spectrum its window starts.  An order-2 stack takes
-    the single decomposition of :func:`hosvd_truncated`, with the guard
+    where in the full spectrum its window starts.  The stack takes the
+    single decomposition of :func:`hosvd_truncated`, with the guard
     applied to the deepest component read; it needs only the primary
-    feature factor, so a streamed or reloaded model serves.  A
-    higher-order stack needs the primary stacking-mode factor and core.
+    feature factor, so a streamed or reloaded model serves.
     """
     if k2 < 1:
         raise InvalidArgumentError(f"k2 must be >= 1, got {k2}")
     x = as_tensor(x)
+    if x.ndim != 2:
+        raise InvalidArgumentError(
+            f"a secondary subspace needs an order-2 stack, got order {x.ndim}: a "
+            "higher order would need the stacking-mode factor and core, which "
+            "extraction does not keep"
+        )
     if x.shape != model.shape:
         raise InvalidArgumentError(
             f"tensor shape {x.shape} does not match the model's stack shape {model.shape}"
         )
-    if x.ndim != 2:
-        _require_stacking_factor(model, "a secondary subspace of a higher-order stack")
-    firsts = [model.variance_ledger[mode].retained for mode in range(1, x.ndim + 1)]
-    for mode, (extent, r1) in enumerate(zip(x.shape, firsts), start=1):
-        avail = min(extent, x.size // extent) - r1
+    firsts = [model.variance_ledger[mode].retained for mode in (1, 2)]
+    for mode, r1 in enumerate(firsts, start=1):
+        avail = min(x.shape) - r1
         if k2 > avail:
             raise InvalidArgumentError(
                 f"k2={k2} exceeds the {avail} directions remaining along mode {mode}"
             )
     xc = x - np.asarray(model.mu)
-    # residual after removing the primary subspace along every mode
-    if x.ndim == 2:
-        # U1 = Xc V / s, so U1 U1.T Xc V2 V2.T is Xc Vm Vm.T with m = min(r1, r2):
-        # the feature factor alone gives the projection
-        v = model.factors[1][:, : min(firsts)]
-        proj = (xc @ v) @ v.T
-    else:
-        # through the primary core rather than an extent x extent projector per mode
-        proj = _core(xc, model.factors)
-        for mode, u in enumerate(model.factors, start=1):
-            proj = mode_product(proj, u, mode)
-    if np.linalg.norm(xc - proj) <= 1e-12 * np.linalg.norm(xc):
+    # U1 = Xc V / s, so the residual after removing the primary subspace
+    # along both modes is Xc - Xc Vm Vm.T with m = min(r1, r2): the
+    # feature factor alone gives the projection
+    v = model.factors[1][:, : min(firsts)]
+    if np.linalg.norm(xc - (xc @ v) @ v.T) <= 1e-12 * np.linalg.norm(xc):
         raise DegenerateSpectrumError(
             "residual is numerically zero; the primary subspace already explains the stack"
         )
-    if x.ndim == 2:
-        s, u, v = _order2_svd(xc, gram_eligible(xc.shape, ()), lambda s: max(firsts) + k2)
-        spectra = [s, s]
-        factors = [
-            np.ascontiguousarray(f[:, r1 : r1 + k2]) for f, r1 in zip((u, v), firsts)
-        ]
-    else:
-        spectra, factors = [], []
-        for mode, r1 in enumerate(firsts, start=1):
-            f = thin_svd(unfold(xc, mode))
-            spectra.append(f.singular_values)
-            factors.append(np.ascontiguousarray(f.u[:, r1 : r1 + k2]))
+    s, u, v = _order2_svd(xc, gram_eligible(xc.shape, ()), lambda s: max(firsts) + k2)
+    factors = [np.ascontiguousarray(f[:, r1 : r1 + k2]) for f, r1 in zip((u, v), firsts)]
+    ratios = explained_variance(s)
     ledger = {
-        mode: ModeSpectrum(
-            singular_values=s,
-            ratios=explained_variance(s),
-            retained=k2,
-            first_component=r1,
-        )
-        for mode, (s, r1) in enumerate(zip(spectra, firsts), start=1)
+        mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=k2, first_component=r1)
+        for mode, r1 in enumerate(firsts, start=1)
     }
     return SubspaceModel(
         mu=model.mu,

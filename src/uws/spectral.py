@@ -157,14 +157,14 @@ class RankPolicy:
 
     @classmethod
     def eigen_floor(cls, epsilon: float = 0.01) -> "RankPolicy":
-        if epsilon < 0:
-            raise InvalidArgumentError(f"epsilon must be >= 0, got {epsilon}")
+        if not 0 <= epsilon < np.inf:
+            raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
         return cls(kind="eigen_floor", epsilon=float(epsilon))
 
     @classmethod
     def hard_threshold(cls, noise_sigma: float | None = None) -> "RankPolicy":
-        if noise_sigma is not None and noise_sigma <= 0:
-            raise InvalidArgumentError(f"noise_sigma must be > 0, got {noise_sigma}")
+        if noise_sigma is not None and not 0 < noise_sigma < np.inf:
+            raise InvalidArgumentError(f"noise_sigma must be finite and > 0, got {noise_sigma}")
         return cls(kind="hard_threshold", noise_sigma=noise_sigma)
 
     @classmethod

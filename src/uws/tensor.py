@@ -1,4 +1,4 @@
-"""Mode-n unfolding, folding, and tensor-matrix products on numpy arrays.
+"""Mode-n unfolding and tensor-matrix products on numpy arrays.
 
 Conventions
 -----------
@@ -6,8 +6,7 @@ A tensor is a float64 ``ndarray`` of order 1..8 with every extent >= 1;
 :func:`as_tensor` checks and converts outside input.  Modes are numbered
 1..N.  ``unfold(t, n)`` puts mode-n fibers into rows; its columns
 enumerate the remaining modes in their original order with the *first*
-remaining mode varying fastest.  ``fold`` is the exact inverse under the
-same convention.
+remaining mode varying fastest.
 """
 
 from __future__ import annotations
@@ -66,29 +65,11 @@ def unfold(t, mode: int) -> np.ndarray:
     return np.reshape(np.moveaxis(t, ax, 0), (t.shape[ax], -1), order="F")
 
 
-def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of the given shape from
-    its mode-n matricization (a view of ``m`` wherever numpy can make one)."""
-    shape = tuple(int(s) for s in shape)
-    m = np.asarray(m, dtype=np.float64)
-    if not 1 <= mode <= len(shape):
-        raise InvalidArgumentError(f"mode {mode} out of range for shape {shape}")
-    ax = mode - 1
-    rest = [s for i, s in enumerate(shape) if i != ax]
-    ncols = int(np.prod(rest, dtype=np.int64)) if rest else 1
-    if m.ndim != 2 or m.shape[0] != shape[ax] or m.shape[1] != ncols:
-        raise InvalidArgumentError(
-            f"matrix shape {m.shape} does not fold to {shape} along mode {mode}"
-        )
-    moved = np.reshape(m, (shape[ax], *rest), order="F")
-    return as_tensor(np.moveaxis(moved, 0, ax))
-
-
 def mode_product(t, matrix: np.ndarray, mode: int) -> np.ndarray:
     """Tensor-matrix product along one mode.
 
-    Replaces extent I_mode by the row count of ``matrix``; equals
-    ``fold(matrix @ unfold(t, mode), mode, new_shape)``.  It is one
+    Replaces extent I_mode by the row count of ``matrix``, so that the
+    result's mode-n unfolding is ``matrix @ unfold(t, mode)``.  It is one
     ``tensordot``, so an order-2 product is a single matrix product.
     """
     t = as_tensor(t)

@@ -178,6 +178,19 @@ def test_extract_policy_flags_are_mutually_exclusive(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--eigen-floor", "--tau"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_extract_non_finite_policy_value_is_a_usage_error(tmp_path, capsys, flag, value):
+    pattern, _ = write_fixture_models(tmp_path)
+    code, _, err = run(
+        ["extract", "--models", pattern, "--out", str(tmp_path / "s.uws"),
+         "--report", str(tmp_path / "r.csv"), flag, value],
+        capsys,
+    )
+    assert code == 1 and "must" in err
+    assert not (tmp_path / "s.uws").exists()
+
+
 def test_extract_fixed_k_and_exclusions(tmp_path, capsys):
     pattern, _ = write_fixture_models(tmp_path)
     out = tmp_path / "s.uws"
@@ -295,6 +308,53 @@ def test_project_reconstruct_round_trip(tmp_path, capsys):
         np.testing.assert_array_equal(restored.layers[name], original.layers[name])
 
 
+def _order3_pipeline(tmp_path, pattern, first, center, capsys):
+    """extract --order 3, scree, project model ``first``, reconstruct and
+    merge into ``tmp_path``; returns every stdout and output file."""
+    space, coeffs = tmp_path / "s.uws", tmp_path / "c.uws"
+    steps = [
+        ["extract", "--models", pattern, "--out", str(space), "--report",
+         str(tmp_path / "r.csv"), "--order", "3", "--center", center, "--tau", "0.999"],
+        ["scree", "--subspace", str(space), "--out", str(tmp_path / "t.csv")],
+        ["project", "--subspace", str(space), "--model", first, "--out", str(coeffs)],
+        ["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
+         "--out", str(tmp_path / "rebuilt.uws")],
+        ["merge", "--subspace", str(space), "--models", pattern,
+         "--out", str(tmp_path / "merged.uws")],
+    ]
+    outputs = []
+    for argv in steps:
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        outputs.append(out)
+    names = ["s.uws", "r.csv", "t.csv", "c.uws", "rebuilt.uws", "merged.uws"]
+    return outputs + [(tmp_path / n).read_bytes() for n in names]
+
+
+@pytest.mark.parametrize("center", ["feature", "global"])
+def test_order3_pipeline_rebuilds_within_the_planted_bound(tmp_path, capsys, center):
+    pattern, paths = write_fixture_models(tmp_path, n_models=8, noise=1e-9)
+    first = _order3_pipeline(tmp_path, pattern, str(paths[0]), center, capsys)
+    assert _order3_pipeline(tmp_path, pattern, str(paths[0]), center, capsys) == first
+    u = load_subspace(tmp_path / "s.uws")
+    assert u.config.order == 3 and u.included_layers == ["block0", "block1"]
+    coeffs = load_coefficients(tmp_path / "c.uws")
+    for name in u.included_layers:  # k2 x k3, no stacking axis
+        assert coeffs.coefficients[name].coeffs.shape == u.layer_models[name].ranks[1:]
+    models = [load_weights(p) for p in paths]
+    mean = {n: sum(m.layers[n] for m in models) / len(models) for n in models[0].layers}
+    for out, want in (("rebuilt.uws", models[0].layers), ("merged.uws", mean)):
+        got = load_weights(tmp_path / out).layers
+        assert list(got) == list(want)
+        for name in u.included_layers:  # planted noise is 1e-9 of each layer
+            assert np.linalg.norm(got[name] - want[name]) <= 1e-8 * np.linalg.norm(want[name])
+        for name in u.excluded_layers:
+            if out == "rebuilt.uws":
+                assert np.array_equal(got[name], want[name])
+            else:
+                assert np.allclose(got[name], want[name], rtol=1e-14, atol=0)
+
+
 def test_project_missing_layer_is_a_data_error(tmp_path, capsys):
     pattern, paths = write_fixture_models(tmp_path)
     space = tmp_path / "s.uws"
@@ -357,9 +417,10 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
     for meta in _single_field_edits(doc.meta):
         edited.write_bytes(build_container(doc.model_id, records, meta))
         codes.append(run(argv, capsys)[0])
-    # format version 2 meta: 35 keys (36 in version 1, which had a
+    # format version 3 meta: 31 keys (35 in version 2, which also had a
+    # first_component and a dtype per layer; 36 in version 1, which had a
     # core_shape per layer and no format_version)
-    assert len(codes) == {"subspace": 140, "coefficients": 44}[kind]
+    assert len(codes) == {"subspace": 124, "coefficients": 44}[kind]
     assert set(codes) <= {0, 2, 3}
 
 

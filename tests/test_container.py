@@ -237,6 +237,10 @@ def test_writer_rejects_bad_inputs(tmp_path):
         write_container(
             p, "m", [("w", np.zeros((1, 1)), "f64"), ("w", np.ones((1, 1)), "f64")]
         )
+    for value in (float("nan"), float("inf")):  # not JSON: the manifest would not parse
+        with pytest.raises(InvalidArgumentError, match="JSON"):
+            write_container(p, "m", [("w", np.zeros((1, 1)), "f64")], meta={"epsilon": value})
+    assert not p.exists()
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path):

@@ -1,5 +1,5 @@
-"""Streamed one-pass extraction (``GramStream``) and the version-2
-subspace file that holds no stacking-mode factor or core."""
+"""Streamed one-pass extraction (``GramStream``) and the version-3
+subspace file, which holds only each layer's mean, bases and spectra."""
 
 import tracemalloc
 
@@ -22,7 +22,7 @@ from uws.ensemble import (
     stack_layer,
 )
 from uws.ensemble.container import read_container, write_container
-from uws.errors import DegenerateSpectrumError, InvalidArgumentError
+from uws.errors import DegenerateSpectrumError, InvalidArgumentError, ManifestError
 from uws.hosvd import (
     GRAM_BLOCK_ROWS,
     GramStream,
@@ -32,7 +32,7 @@ from uws.hosvd import (
     reconstruct_slice,
     secondary_subspace,
 )
-from uws.spectral import RankPolicy
+from uws.spectral import RankPolicy, explained_variance
 
 from oracles import planted_ensemble
 
@@ -417,6 +417,27 @@ def test_order3_secondary_needs_the_stacking_factor():
 # ------------------------------------------------------------ file format
 
 
+def write_v2(path, v3_path):
+    """Rewrite a version-3 subspace file in the version-2 layout: a ratio
+    row after every spectrum, and per-layer ``first_component`` and
+    ``dtype`` meta."""
+    doc = read_container(v3_path)
+    meta = dict(doc.meta, format_version=2, layers={})
+    triples = []
+    for rec in doc.layers:
+        triples.append((rec.name, rec.array, rec.dtype))
+        if "/sv/" in rec.name:
+            ratios = explained_variance(rec.array.ravel()).reshape(1, -1)
+            triples.append((rec.name.replace("/sv/", "/ratio/"), ratios, "f64"))
+    for name, info in doc.meta["layers"].items():
+        meta["layers"][name] = dict(
+            info,
+            first_component=[0] * len(info["retained"]),
+            dtype=doc.meta["layer_dtypes"][name],
+        )
+    write_container(path, doc.model_id, triples, meta=meta)
+
+
 def write_v1(path, v2_path, models):
     """Rewrite a version-2 subspace file in the version-1 layout: every
     mode's factor and ledger, the core, per-layer ``core_shape`` and no
@@ -448,39 +469,78 @@ def write_v1(path, v2_path, models):
     write_container(path, doc.model_id, triples, meta=meta)
 
 
-def test_version1_file_and_its_version2_rewrite_project_identically(tmp_path):
-    models = planted_models(20, 30)
-    u = extract_universal(models, ExtractionConfig(policy=TAU))
-    v2_path, v1_path, rewrite = tmp_path / "v2.uws", tmp_path / "v1.uws", tmp_path / "re.uws"
-    save_subspace(u, v2_path)
-    write_v1(v1_path, v2_path, models)
-    names = [rec.name for rec in read_container(v1_path).layers]
-    assert "U/block0/1" in names and "core/block0" in names
-    old = load_subspace(v1_path)
-    save_subspace(old, rewrite)
-    assert rewrite.read_bytes() == v2_path.read_bytes()
-    new = load_subspace(rewrite)
-    for name in u.included_layers:
-        assert old.layer_models[name].factors[0] is None and old.layer_models[name].core is None
-    w = planted_models(21, 1)[0]
-    a, b = project_model(old, w), project_model(new, w)
+def assert_same_projections(u, v, w):
+    """Subspaces ``u`` and ``v`` project model ``w`` and rebuild it to the
+    same bits."""
+    a, b = project_model(u, w), project_model(v, w)
     for name in u.included_layers:
         assert np.array_equal(a.coefficients[name].coeffs, b.coefficients[name].coeffs)
-    ra, rb = reconstruct_model(old, a), reconstruct_model(new, b)
+    ra, rb = reconstruct_model(u, a), reconstruct_model(v, b)
+    assert ra.layers.keys() == rb.layers.keys()
     for name in ra.layers:
         assert np.array_equal(ra.layers[name], rb.layers[name])
 
 
-def test_version2_file_holds_no_stacking_mode_entries(tmp_path):
+def test_version1_file_and_its_version2_rewrite_project_identically(tmp_path):
+    models = planted_models(20, 30)
+    u = extract_universal(models, ExtractionConfig(policy=TAU))
+    v3_path, v2_path = tmp_path / "v3.uws", tmp_path / "v2.uws"
+    v1_path, rewrite = tmp_path / "v1.uws", tmp_path / "re.uws"
+    save_subspace(u, v3_path)
+    write_v2(v2_path, v3_path)
+    write_v1(v1_path, v2_path, models)
+    names = [rec.name for rec in read_container(v1_path).layers]
+    assert "U/block0/1" in names and "core/block0" in names
+    old = load_subspace(v1_path)
+    save_subspace(old, rewrite)  # re-saved as version 3
+    assert rewrite.read_bytes() == v3_path.read_bytes()
+    new = load_subspace(rewrite)
+    for name in u.included_layers:
+        assert old.layer_models[name].factors[0] is None and old.layer_models[name].core is None
+    assert_same_projections(old, new, planted_models(21, 1)[0])
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_version2_file_loads_projects_and_resaves_as_version3(tmp_path, order):
+    models = planted_models(24, 30)
+    u = extract_universal(models, ExtractionConfig(policy=TAU, order=order))
+    v3_path, v2_path, rewrite = tmp_path / "v3.uws", tmp_path / "v2.uws", tmp_path / "re.uws"
+    save_subspace(u, v3_path)
+    write_v2(v2_path, v3_path)
+    names = {rec.name for rec in read_container(v2_path).layers}
+    assert "ledger/block0/ratio/2" in names
+    old = load_subspace(v2_path)
+    for name in u.included_layers:
+        for n, spec in old.layer_models[name].variance_ledger.items():
+            # ratios derived on load are extraction's, bit for bit
+            assert np.array_equal(spec.ratios, u.layer_models[name].variance_ledger[n].ratios)
+    save_subspace(old, rewrite)
+    assert rewrite.read_bytes() == v3_path.read_bytes()
+    assert_same_projections(u, old, planted_models(25, 1)[0])
+
+
+def test_version3_file_holds_mean_bases_and_spectra_only(tmp_path):
     models = planted_models(22, 30)
     save_subspace(extract_universal(models, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
-    assert doc.meta["format_version"] == 2
-    assert sorted(rec.name for rec in doc.layers if "block0" in rec.name) == [
-        "U/block0/2", "ledger/block0/ratio/2", "ledger/block0/sv/2", "mu/block0",
-    ]
-    assert doc.meta["layers"]["block0"]["retained"] == [4]
-    assert "core_shape" not in doc.meta["layers"]["block0"]
+    assert doc.meta["format_version"] == 3
+    entries = {rec.name: rec.array for rec in doc.layers if "block0" in rec.name}
+    assert sorted(entries) == ["U/block0/2", "ledger/block0/sv/2", "mu/block0"]
+    info = doc.meta["layers"]["block0"]
+    assert info["retained"] == [4]
+    assert not {"core_shape", "first_component", "dtype"} & set(info)
+
+
+def test_version3_file_is_near_its_mean_and_basis_bytes(tmp_path):
+    shapes = {name: (16, 256) for name in ("inlet", "block0", "block1", "outlet")}
+    models = planted_models(27, 20, shapes=shapes, k=16)
+    u = extract_universal(models, ExtractionConfig(policy=TAU))
+    assert [u.layer_models[n].ranks[1] for n in u.included_layers] == [16, 16]
+    save_subspace(u, tmp_path / "s.uws")
+    doc = read_container(tmp_path / "s.uws")
+    bases = sum(rec.array.nbytes for rec in doc.layers if rec.name.startswith(("mu/", "U/")))
+    # a spectrum row costs 1/k of a basis; the meta is the rest
+    assert (tmp_path / "s.uws").stat().st_size <= 1.1 * bases
 
 
 def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
@@ -488,10 +548,52 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
     paths = write_models(tmp_path / "models", models)
     save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
-    meta = dict(doc.meta, format_version=3)
-    write_container(tmp_path / "v3.uws", doc.model_id,
+    meta = dict(doc.meta, format_version=4)
+    write_container(tmp_path / "v4.uws", doc.model_id,
                     [(r.name, r.array, r.dtype) for r in doc.layers], meta=meta)
-    code = cli.main(["project", "--subspace", str(tmp_path / "v3.uws"),
+    code = cli.main(["project", "--subspace", str(tmp_path / "v4.uws"),
                      "--model", str(paths[0]), "--out", str(tmp_path / "c.uws")])
     assert code == 2 and "format_version" in capsys.readouterr().err
     assert load_weights(paths[0]).model_id == "m0000"
+
+
+def _with_spectrum(src, dst, edit):
+    """Copy subspace file ``src`` to ``dst`` with ``edit`` applied to the
+    stored singular values of layer block0."""
+    doc = read_container(src)
+    records = [
+        (r.name, edit(np.array(r.array)) if r.name == "ledger/block0/sv/2" else r.array, r.dtype)
+        for r in doc.layers
+    ]
+    write_container(dst, doc.model_id, records, meta=doc.meta)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda sv: np.zeros_like(sv),
+        lambda sv: -sv,
+        lambda sv: sv[:, ::-1],
+        lambda sv: sv[:, :2],
+    ],
+    ids=["zeroed", "negated", "reversed", "cut-to-2"],
+)
+@pytest.mark.parametrize("command", ["project", "scree"])
+def test_stored_spectra_are_checked_on_load(tmp_path, capsys, edit, command):
+    models = planted_models(26, 30)
+    paths = write_models(tmp_path / "models", models)
+    save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
+    edited = tmp_path / "edited.uws"
+    _with_spectrum(tmp_path / "s.uws", edited, edit)
+    argv = {
+        "project": ["project", "--subspace", str(edited), "--model", str(paths[0]),
+                    "--out", str(tmp_path / "c.uws")],
+        "scree": ["scree", "--subspace", str(edited), "--out", str(tmp_path / "t.csv")],
+    }[command]
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "'ledger/block0/sv/2'" in err
+    with pytest.raises(ManifestError, match="ledger/block0/sv/2"):
+        load_subspace(edited)

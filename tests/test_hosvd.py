@@ -65,7 +65,7 @@ def test_center_global_hand_example():
 def test_center_feature_hand_example():
     t = np.array([[1.0, 2.0], [3.0, 4.0]])
     mu, xc = center(t, "feature")
-    assert np.array_equal(mu, np.array([[2.0, 3.0]]))
+    assert np.array_equal(mu, np.array([2.0, 3.0]))  # one stacked row
     assert np.array_equal(xc, np.array([[-1.0, -1.0], [1.0, 1.0]]))
 
 
@@ -437,7 +437,7 @@ def test_reconstruct_slice_zero_coeffs_gives_mu():
     rng = np.random.default_rng(56)
     model, x, _ = make_planted_model(rng)
     k2 = model.factors[1].shape[1]
-    out = reconstruct_slice(model, SliceCoefficients(label=None, coeffs=np.zeros((4, k2))))
+    out = reconstruct_slice(model, SliceCoefficients(coeffs=np.zeros((4, k2))))
     assert np.allclose(out, np.broadcast_to(model.mu, (4, x.shape[1])), atol=1e-14)
 
 
@@ -447,14 +447,16 @@ def test_order3_slice_round_trip():
     q = haar_columns(d, 3, rng)
     slabs = [rng.standard_normal((r, 3)) @ q.T for _ in range(T)]
     x = np.stack(slabs, axis=0)
-    model = hosvd_truncated(
-        x, RankPolicy.cumulative_variance(0.999), slab_extent=1
-    )
+    model = hosvd_truncated(x, RankPolicy.cumulative_variance(0.999))
+    assert model.mu.shape == (r, d)  # the mean is one member
     slab = slabs[3]
     coeffs = project_slice(model, slab)
+    assert coeffs.coeffs.shape == model.ranks[1:]  # k2 x k3: no stacking axis
     back = reconstruct_slice(model, coeffs)
-    assert back.shape == (1, r, d)
-    assert relerr(back[0], slab) < 1e-8
+    assert back.shape == (r, d)
+    assert relerr(back, slab) < 1e-8
+    with pytest.raises(InvalidArgumentError):  # a member has no stacking axis
+        project_slice(model, slab[None])
 
 
 # --------------------------------------------------------- secondary subspace

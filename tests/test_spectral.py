@@ -249,6 +249,11 @@ def test_policy_parameter_validation():
         RankPolicy.eigen_floor(-1e-3)
     with pytest.raises(InvalidArgumentError):
         RankPolicy.fixed_k(0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            RankPolicy.eigen_floor(value)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            RankPolicy.hard_threshold(noise_sigma=value)
 
 
 # -------------------------------------------------------------- operator_norm

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uws.errors import InvalidArgumentError
-from uws.tensor import as_tensor, fold, frobenius_norm, mode_product, unfold
+from uws.tensor import as_tensor, frobenius_norm, mode_product, unfold
 
 from oracles import haar_orthogonal, unfold_by_enumeration
 
@@ -23,7 +23,7 @@ def test_constructor_validates_shape_and_length():
         as_tensor(np.zeros((1,) * 9))  # order cap is 8
 
 
-# --------------------------------------------------------------- unfold/fold
+# -------------------------------------------------------------------- unfold
 
 
 def test_unfold_vector_is_row():
@@ -51,32 +51,11 @@ def test_unfold_matches_enumeration_oracle(shape):
         assert np.array_equal(unfold(t, mode), unfold_by_enumeration(a, mode))
 
 
-@pytest.mark.parametrize("shape", [(6,), (4, 5), (3, 4, 2), (2, 3, 2, 4)])
-def test_fold_inverts_unfold_bit_identical(shape):
-    rng = np.random.default_rng(7)
-    t = rand_tensor(rng, shape)
-    for mode in range(1, len(shape) + 1):
-        back = fold(unfold(t, mode), mode, shape)
-        assert np.array_equal(back, t)
-
-
-def test_fold_row_vector():
-    t = fold(np.arange(4.0).reshape(4, 1), 1, (4,))
-    assert np.array_equal(t, np.arange(4.0))
-
-
 def test_unfold_mode_out_of_range():
     t = np.zeros((2, 2))
     for mode in (0, 3, -1):
         with pytest.raises(InvalidArgumentError):
             unfold(t, mode)
-
-
-def test_fold_dimension_mismatch():
-    with pytest.raises(InvalidArgumentError):
-        fold(np.zeros((3, 4)), 1, (2, 4))
-    with pytest.raises(InvalidArgumentError):
-        fold(np.zeros((2, 5)), 1, (2, 4))
 
 
 # -------------------------------------------------------------- mode_product
