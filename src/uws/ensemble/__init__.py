@@ -433,7 +433,13 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
 
 def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeights:
     """Rebuild full weight matrices from subspace coefficients; passthrough
-    layers are the coefficient set's own arrays."""
+    layers are the coefficient set's own arrays.  Every included layer
+    must have coefficients."""
+    for name in u.included_layers:
+        if name not in coeffs.coefficients:
+            raise InvalidArgumentError(
+                f"coefficients of model {coeffs.model_id!r} are missing included layer {name!r}"
+            )
     layers = {}
     for name in u.layer_order:
         if name in coeffs.coefficients:
@@ -926,11 +932,12 @@ def save_coefficients(c: CoefficientSet, path) -> None:
 
 def load_coefficients(path) -> CoefficientSet:
     """Read a coefficient container written by :func:`save_coefficients`.
-    The layers are those named in ``coef_shapes``, and each entry is used
-    as stored, so files whose order-3 shapes list a leading 1 read the
-    same.
 
-    A meta field that is missing or malformed raises ManifestError.
+    The layers named in ``coef_shapes`` must be exactly those with a
+    ``coef/L`` entry, and each entry must have its listed shape; order-3
+    files written before format version 3 list a leading 1 for their
+    k_2 x k_3 entries, and read the same.  Any other mismatch, and a meta
+    field that is missing or malformed, raises ManifestError.
     """
     doc = read_container(path)
     meta = doc.meta or {}
@@ -938,10 +945,23 @@ def load_coefficients(path) -> CoefficientSet:
         raise ManifestError("not a coefficient container (meta kind != 'coefficients')", 12)
     with _decoding_meta("coefficient"):
         entries = _entry_map(doc)
-        coefficients = {
-            name: SliceCoefficients(coeffs=_take(entries, f"coef/{name}"))
-            for name in meta["coef_shapes"]
-        }
+        shapes = meta["coef_shapes"]
+        stored = sorted(name[5:] for name in entries if name.startswith("coef/"))
+        if sorted(shapes) != stored:
+            raise ManifestError(
+                f"coef_shapes names layers {sorted(shapes)}, but the coefficient "
+                f"entries are {stored}", 12
+            )
+        coefficients = {}
+        for name, shape in shapes.items():
+            arr, listed = entries[f"coef/{name}"], tuple(shape)
+            legacy = len(listed) == 3 and listed == (1, *arr.shape)  # order 3 before v3
+            if listed != arr.shape and not legacy:
+                raise ManifestError(
+                    f"entry 'coef/{name}' has shape {arr.shape}, but coef_shapes "
+                    f"lists {shape!r}", 12
+                )
+            coefficients[name] = SliceCoefficients(coeffs=arr)
         passthrough = {
             name: _take(entries, f"raw/{name}")
             for name in meta["passthrough"]

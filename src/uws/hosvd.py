@@ -10,11 +10,15 @@ Order-2 stacks (rows = models' stacked rows, columns = features) are
 plain PCA of one matrix Xc, and their two mode unfoldings are Xc and its
 transpose, so one decomposition serves both modes:
 
-- Gram route: ``eigh`` of the d x d matrix Xc.T @ Xc gives the spectrum
-  and the feature factor V; the stacking factor is Xc V / s.  Squaring
-  the condition number leaves s_i an absolute error of about
-  eps * s_1**2 / s_i, so the stacking factor's orthonormality defect at
-  depth r is about eps * (s_1 / s_r)**2.
+- Gram route: ``eigvalsh`` of the d x d matrix Xc.T @ Xc gives the
+  spectrum, and the guard below reads it before any vector work; then
+  :func:`~uws.spectral.gram_vectors` finds only the leading feature
+  directions V that the policies retain or read (a block iteration where
+  the spectrum predicts it cheap, else one ``eigh``), and the stacking
+  factor is Xc V / s.  Eigenvalues below d * eps * lambda_1 are read as
+  exact zeros.  Squaring the condition number leaves s_i an absolute
+  error of about eps * s_1**2 / s_i, so the stacking factor's
+  orthonormality defect at depth r is about eps * (s_1 / s_r)**2.
 - Exact route: one thin SVD of Xc.  A guard takes it whenever the Gram
   route could lose accuracy that a result depends on: the stack is wider
   than tall, a policy is ``cumulative_variance(tau=1)`` or
@@ -66,6 +70,7 @@ from .spectral import (
     column_signs,
     explained_variance,
     gram_spectrum,
+    gram_vectors,
     select_rank,
     thin_svd,
 )
@@ -204,27 +209,28 @@ def _gram_factors(gram: np.ndarray, depth):
     None where the guard sends the stack to the exact route: the Gram is
     not finite, s_1**2 is below ``GRAM_MIN_SQUARE``, or the deepest
     component retained or read, ``n = depth(s)``, is below
-    ``GRAM_MIN_RATIO * s_1``."""
+    ``GRAM_MIN_RATIO * s_1``.  The guard reads the spectrum alone, so a
+    declined stack pays for no eigenvector; ``v`` holds the leading n."""
     if not np.all(np.isfinite(gram)):
         return None
-    s, v = gram_spectrum(gram)
+    s = gram_spectrum(gram)
     if s[0] ** 2 < GRAM_MIN_SQUARE:
         return None
     n = depth(s)
     if s[n - 1] < GRAM_MIN_RATIO * s[0]:
         return None
-    return s, v, n
+    return s, gram_vectors(gram, s, n), n
 
 
 def _order2_svd(xc: np.ndarray, use_gram: bool, depth) -> tuple[np.ndarray, ...]:
     """The single decomposition of a centered order-2 stack.
 
-    Returns ``(s, u, v)``: the min(rows, cols) singular values, the
-    stacking directions (at least the first ``depth(s)`` of them) and the
-    feature directions, each column oriented by :func:`column_signs`.
-    ``depth(s)`` is the deepest 1-based component the caller retains or
-    reads; the Gram route is tried when ``use_gram`` is set and taken
-    unless :func:`_gram_factors` declines it.
+    Returns ``(s, u, v)``: the min(rows, cols) singular values, and the
+    stacking and feature directions (at least the first ``depth(s)`` of
+    each), each column oriented by :func:`column_signs`.  ``depth(s)`` is
+    the deepest 1-based component the caller retains or reads; the Gram
+    route is tried when ``use_gram`` is set and taken unless
+    :func:`_gram_factors` declines it.
     """
     if use_gram:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -232,7 +238,7 @@ def _order2_svd(xc: np.ndarray, use_gram: bool, depth) -> tuple[np.ndarray, ...]
         found = _gram_factors(gram, depth)
         if found is not None:
             s, v, n = found
-            u = (xc @ v[:, :n]) / s[:n]
+            u = (xc @ v) / s[:n]
             return s, u * column_signs(u), v
     f = thin_svd(xc)
     return f.singular_values, f.u, f.v * column_signs(f.v)

@@ -154,3 +154,17 @@ def synthetic_tasks_by_loop(config, rng: np.random.Generator):
         f_stars.append(f_star)
         f_hats.append(f_hat)
     return basis, f_stars, f_hats
+
+
+def record_eigh_orders(monkeypatch) -> list:
+    """Make ``np.linalg.eigh`` append the order of every matrix it is
+    called on to the returned list (until ``monkeypatch`` is undone)."""
+    orders = []
+    real = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return orders

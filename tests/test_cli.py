@@ -376,7 +376,7 @@ def test_project_missing_layer_is_a_data_error(tmp_path, capsys):
 
 def _single_field_edits(meta, path=()):
     """Every copy of ``meta`` with one key, at any depth, deleted or set
-    to "x", [1] or -1."""
+    to "x", [1] or -1, with the key's path and the edit."""
     node = meta
     for k in path:
         node = node[k]
@@ -390,7 +390,7 @@ def _single_field_edits(meta, path=()):
                 del target[key]
             else:
                 target[key] = edit
-            yield edited
+            yield "/".join(path + (key,)), edit, edited
         if isinstance(value, dict):
             yield from _single_field_edits(meta, path + (key,))
 
@@ -413,15 +413,27 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
     else:
         argv = ["reconstruct", "--subspace", str(space), "--coeffs", str(edited),
                 "--out", str(tmp_path / "out.uws")]
-    codes = []
-    for meta in _single_field_edits(doc.meta):
+    codes, passed = [], []
+    for field, edit, meta in _single_field_edits(doc.meta):
         edited.write_bytes(build_container(doc.model_id, records, meta))
         codes.append(run(argv, capsys)[0])
+        if codes[-1] == 0:
+            passed.append((field, edit))
     # format version 3 meta: 31 keys (35 in version 2, which also had a
     # first_component and a dtype per layer; 36 in version 1, which had a
     # core_shape per layer and no format_version)
     assert len(codes) == {"subspace": 124, "coefficients": 44}[kind]
     assert set(codes) <= {0, 2, 3}
+    if kind == "coefficients":
+        # what still rebuilds the model: any string is a model id, and
+        # ``dtypes`` is optional, a layer it does not name being stored as
+        # f64 (the precision these fixture models were written at); every
+        # edit of ``coef_shapes`` or ``passthrough`` exits 2
+        assert passed == [("model_id", "x")] + [
+            (field, "delete")
+            for field in ("dtypes", "dtypes/block0", "dtypes/block1", "dtypes/embed",
+                          "dtypes/head")
+        ]
 
 
 # --------------------------------------------------------------------- merge

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -23,9 +24,11 @@ from uws.ensemble import (
     scree_report,
     stack_layer,
 )
+from uws.ensemble.container import build_container, read_container
 from uws.errors import (
     DegenerateSpectrumError,
     InvalidArgumentError,
+    ManifestError,
     RankDeficiencyError,
 )
 from uws.spectral import RankPolicy
@@ -258,6 +261,16 @@ def test_project_missing_layer_errors():
     w2 = ModelWeights("partial", {k: v for k, v in w.layers.items() if k != "block0"}, dict(w.dtypes))
     with pytest.raises(InvalidArgumentError):
         project_model(u, w2)
+
+
+def test_reconstruct_missing_layer_errors():
+    rng = np.random.default_rng(93)
+    models, _, _ = make_planted(rng, n_models=10)
+    u = extract_universal(models, ExtractionConfig())
+    c = project_model(u, models[0])
+    del c.coefficients["block0"]
+    with pytest.raises(InvalidArgumentError, match="block0"):
+        reconstruct_model(u, c)
 
 
 def test_order3_roundtrip():
@@ -631,3 +644,48 @@ def test_coefficient_file_roundtrip(tmp_path):
     back_loaded = reconstruct_model(u, d)
     for layer in back_direct.layers:
         assert np.array_equal(back_direct.layers[layer], back_loaded.layers[layer])
+
+
+def rewrite_meta(path, edit):
+    """Rewrite the container at ``path`` with ``edit`` applied to its meta."""
+    doc = read_container(path)
+    meta = copy.deepcopy(doc.meta)
+    edit(meta)
+    records = [(rec.name, rec.array, rec.dtype) for rec in doc.layers]
+    path.write_bytes(build_container(doc.model_id, records, meta))
+
+
+def test_coefficient_shapes_must_match_the_entries(tmp_path):
+    rng = np.random.default_rng(105)
+    models, _, _ = make_planted(rng, n_models=10, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    p = tmp_path / "coeffs.uws"
+    edits = [
+        lambda m: m["coef_shapes"].pop("block0"),  # a layer left out
+        lambda m: m["coef_shapes"].update(extra=[6, 3]),  # a layer added
+        lambda m: m["coef_shapes"].update(block0=[3, 6]),  # a wrong shape
+        lambda m: m["coef_shapes"].update(block0=[1, 1, 6, 3]),
+    ]
+    for edit in edits:
+        save_coefficients(project_model(u, models[1]), p)
+        rewrite_meta(p, edit)
+        with pytest.raises(ManifestError, match="coef"):
+            load_coefficients(p)
+
+
+def test_order3_coefficients_listing_a_leading_1_still_load(tmp_path):
+    rng = np.random.default_rng(106)
+    models, _, _ = make_planted(
+        rng, n_models=12, k=2, noise=1e-4, shapes={"a": (3, 8), "b": (3, 8)}
+    )
+    u = extract_universal(models, ExtractionConfig(order=3, exclude_layers=("a",)))
+    c = project_model(u, models[4])
+    p = tmp_path / "coeffs.uws"
+    save_coefficients(c, p)
+    # the layout written before format version 3 listed 1 x k_2 x k_3
+    rewrite_meta(p, lambda m: m.update(
+        coef_shapes={n: [1, *v] for n, v in m["coef_shapes"].items()}))
+    back = load_coefficients(p)
+    assert np.array_equal(back.coefficients["b"].coeffs, c.coefficients["b"].coeffs)
+    assert np.array_equal(reconstruct_model(u, back).layers["b"],
+                          reconstruct_model(u, c).layers["b"])

@@ -34,7 +34,7 @@ from uws.hosvd import (
 )
 from uws.spectral import RankPolicy, explained_variance
 
-from oracles import planted_ensemble
+from oracles import planted_ensemble, record_eigh_orders
 
 SHAPES = {"inlet": (8, 40), "block0": (8, 40), "block1": (6, 32), "outlet": (8, 40)}
 TAU = RankPolicy.cumulative_variance(0.99)
@@ -384,6 +384,26 @@ def test_streamed_extract_exit_codes(tmp_path, capsys):
     code = cli.main(["extract", "--models", str(tmp_path / "d" / "bad" / "*.uws"),
                      "--out", str(tmp_path / "s.uws"), "--report", str(tmp_path / "r.csv")])
     assert code == 2 and "non-finite" in capsys.readouterr().err
+
+
+def test_streamed_extract_on_the_leading_vector_route_reruns_byte_identically(
+    monkeypatch, tmp_path, capsys
+):
+    # 48 models of 32 x 512: 1536 stacked rows, more than one Gram block
+    shapes = {"inlet": (4, 512), "block0": (32, 512), "outlet": (4, 512)}
+    write_models(tmp_path / "m", planted_models(19, 48, shapes=shapes))
+    eighs = record_eigh_orders(monkeypatch)
+    routes = Routes(monkeypatch)
+    outputs = []
+    for name in ("a", "b"):
+        outputs.append(tmp_path / f"{name}.uws")
+        code = cli.main(["extract", "--models", str(tmp_path / "m" / "*.uws"),
+                         "--out", str(outputs[-1]), "--report", str(tmp_path / f"{name}.csv")])
+        assert code == 0
+    capsys.readouterr()
+    assert routes.counts() == {"reads": 96, "streamed": 2, "stacked": 0}
+    assert len(eighs) == 2 and max(eighs) < 512  # Rayleigh-Ritz solves only
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 # ------------------------------------------------------------ models without U1

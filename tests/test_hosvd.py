@@ -24,6 +24,7 @@ from oracles import (
     best_rank_k_error,
     covariance_principal_directions,
     haar_columns,
+    record_eigh_orders,
     sign_canonical,
 )
 
@@ -331,11 +332,12 @@ def test_guard_cases_take_exactly_one_svd(monkeypatch):
     tall = rng.standard_normal((60, 8))
     noisy, _ = planted_stack(rng, n=80, d=16, k=3, noise=0.05)
     cases = [
-        # (stack, policies, expected eigh calls, full rank)
+        # (stack, policies, expected eigh calls, full rank); the declined
+        # Gram route reads only its eigvalsh spectrum, so runs no eigh
         (tall, RankPolicy.cumulative_variance(1.0), 0, True),
         (noisy, RankPolicy.hard_threshold(), 0, False),
         (rng.standard_normal((8, 30)), RankPolicy.fixed_k(3), 0, False),
-        (ill_conditioned_stack(rng), RankPolicy.fixed_k(10), 1, False),
+        (ill_conditioned_stack(rng), RankPolicy.fixed_k(10), 0, False),
     ]
     for x, policies, eighs, full in cases:
         t = x
@@ -362,10 +364,54 @@ def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
     _, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 3)
     assert calls == {"svd": 0, "eigh": 1}
     second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 7)
-    assert calls == {"svd": 1, "eigh": 1}
+    assert calls == {"svd": 1, "eigh": 0}
     for u1, u2 in zip(model.factors, second.factors):
         assert np.max(np.abs(u2.T @ u2 - np.eye(7))) <= 1e-10
         assert np.max(np.abs(u1.T @ u2)) < 1e-8
+
+
+def test_declined_gram_route_solves_for_no_eigenvector(monkeypatch):
+    rng = np.random.default_rng(66)
+    x = ill_conditioned_stack(rng)
+    orders = record_eigh_orders(monkeypatch)
+    # the 10th component is below GRAM_MIN_RATIO * s_1: the spectrum alone
+    # sends the stack to the exact route
+    model = hosvd_truncated(x, RankPolicy.fixed_k(10))
+    stream = hosvd_module.GramStream(x.shape[1])
+    stream.add(x)
+    assert stream.decompose(RankPolicy.fixed_k(10)) is None
+    assert orders == []
+    assert model.ranks == (10, 10)
+
+
+def test_rank_deficient_square_stack_stores_exact_zero_tails():
+    rng = np.random.default_rng(67)
+    x, _ = planted_stack(rng, n=120, d=120, k=3, noise=0.1)  # centred rank 119
+    stream = hosvd_module.GramStream(x.shape[1])
+    stream.add(x)
+    exact = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    assert 0 < exact[-1] <= 1e-12 * exact[0]  # the exact SVD reads rounding there
+    policy = RankPolicy.cumulative_variance(0.9)
+    for model in (hosvd_truncated(x, policy), stream.decompose(policy)):
+        s = model.variance_ledger[2].singular_values
+        assert s[-1] == 0.0 and s[-2] > 0
+        assert np.max(np.abs(s - exact)) <= 1e-12 * s[0]
+
+
+def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypatch):
+    rng = np.random.default_rng(68)
+    x, _ = planted_stack(rng, n=800, d=384, k=4, noise=1e-3)
+    policy = RankPolicy.cumulative_variance(0.99)
+    orders = record_eigh_orders(monkeypatch)
+    small = hosvd_truncated(x, policy)
+    assert len(orders) == 1 and orders[0] < x.shape[1]  # block iteration, no d x d eigh
+    for exponent in (532, -532):
+        big = hosvd_truncated(np.ldexp(x, exponent), policy)
+        assert big.ranks == small.ranks == (4, 4)
+        assert max_sine(big.factors[1], small.factors[1]) <= 1e-10
+        stream = hosvd_module.GramStream(x.shape[1])
+        stream.add(np.ldexp(x, exponent))
+        assert stream.decompose(policy) is None  # squares out of range: stack it
 
 
 # -------------------------------------------------- slice project/reconstruct

@@ -12,13 +12,14 @@ from uws.spectral import (
     column_signs,
     explained_variance,
     gram_spectrum,
+    gram_vectors,
     operator_norm,
     orthonormality_defect,
     select_rank,
     thin_svd,
 )
 
-from oracles import sign_canonical
+from oracles import record_eigh_orders, sign_canonical
 
 # ------------------------------------------------------------------ thin_svd
 
@@ -85,7 +86,8 @@ def test_gram_spectrum_matches_thin_svd_on_tall_input():
     q = np.linalg.qr(rng.standard_normal((80, 6)))[0]
     w = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     m = q @ np.diag([9.0, 5.0, 3.0, 1.0, 0.5, 0.1]) @ w.T
-    s, v = gram_spectrum(m.T @ m)
+    s = gram_spectrum(m.T @ m)
+    v = gram_vectors(m.T @ m, s, 6)
     f = thin_svd(m)
     assert np.max(np.abs(s - f.singular_values)) < 1e-12 * s[0]
     assert np.all(np.diff(s) <= 0)
@@ -95,6 +97,72 @@ def test_gram_spectrum_matches_thin_svd_on_tall_input():
         gram_spectrum(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(InvalidArgumentError):
         gram_spectrum(np.ones((2, 3)))
+
+
+def planted_singular_stack(rng, rows, singular_values):
+    """rows x d matrix with exactly the given singular values (up to
+    rounding) and Haar-random singular vectors."""
+    d = len(singular_values)
+    u = np.linalg.qr(rng.standard_normal((rows, d)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return (u * np.asarray(singular_values)) @ v.T
+
+
+def max_sine(a, b):
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return float(np.linalg.norm(b - a @ (a.T @ b), 2))
+
+
+@pytest.mark.parametrize(
+    "top",
+    [[100.0, 80.0, 60.0, 50.0, 45.0, 40.0],
+     # near-repeated: the leading three differ by 1e-9 relative
+     [100.0, 100.0 * (1 - 1e-9), 100.0 * (1 - 2e-9), 50.0, 50.0 * (1 - 1e-9), 40.0]],
+    ids=["distinct", "near_repeated"],
+)
+@pytest.mark.parametrize("n", [3, 6])
+def test_gram_vectors_match_a_full_eigh_without_one(monkeypatch, top, n):
+    rng = np.random.default_rng(23)
+    d = 384
+    m = planted_singular_stack(rng, 900, np.r_[top, np.geomspace(1.0, 0.1, d - 6)])
+    gram = m.T @ m
+    s = gram_spectrum(gram)
+    assert np.max(np.abs(s - thin_svd(m).singular_values)) <= 1e-12 * s[0]
+    orders = record_eigh_orders(monkeypatch)
+    v = gram_vectors(gram, s, n)
+    assert len(orders) == 1 and orders[0] < d  # one Rayleigh-Ritz solve, no d x d one
+    monkeypatch.undo()
+    w, full = np.linalg.eigh(gram)
+    assert max_sine(full[:, ::-1][:, :n], v) <= 1e-10
+    assert np.max(np.abs(np.sqrt(w[::-1]) - s)) <= 1e-12 * s[0]
+    assert orthonormality_defect(v) <= 1e-12
+    assert np.array_equal(v, v * column_signs(v))
+
+
+def test_flat_spectrum_takes_one_full_eigh(monkeypatch):
+    rng = np.random.default_rng(24)
+    d = 384  # where a planted gap takes the block iteration (test above)
+    m = planted_singular_stack(rng, 900, 1.0 + 1e-3 * rng.random(d))
+    gram = m.T @ m
+    s = gram_spectrum(gram)
+    orders = record_eigh_orders(monkeypatch)
+    v = gram_vectors(gram, s, 4)
+    assert orders == [d]
+    monkeypatch.undo()
+    full = np.linalg.eigh(gram)[1][:, ::-1][:, :4]
+    assert np.array_equal(v, full * column_signs(full))
+
+
+def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
+    rng = np.random.default_rng(25)
+    m = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 40))  # rank 5
+    s = gram_spectrum(m.T @ m)
+    assert np.all(s[:5] > 0) and np.all(s[5:] == 0.0)
+    assert np.max(np.abs(s - thin_svd(m).singular_values)) <= 1e-12 * s[0]
+    with pytest.raises(InvalidArgumentError):
+        gram_vectors(m.T @ m, s, 41)
+    with pytest.raises(InvalidArgumentError):
+        gram_vectors(m.T @ m, s[:4], 2)
 
 
 def test_thin_svd_rejects_non_finite():
