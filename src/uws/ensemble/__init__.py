@@ -6,15 +6,16 @@ coefficient-only adaptation).
 Weights, subspaces, and coefficient sets all live in the same binary
 container format (see :mod:`uws.ensemble.container`).  A subspace file
 holds per layer only what its readers read: the mean (``mu/``), the
-non-stacking factors (``U/``) and their spectra (``ledger/.../sv/``),
-from which the explained-variance ratios are derived on load; older
-versions' ``core/``, stacking-mode and ``ledger/.../ratio/`` entries are
-read past.  Coefficient files use ``coef/`` (per layer, r x k for
-order-2 stacking and k_2 x k_3 for order 3) and ``raw/``.
+non-stacking factors (``U/``) and their spectra (``ledger/.../sv/``).
+Coefficient files use ``coef/`` (per layer, r x k for order-2 stacking
+and k_2 x k_3 for order 3) and ``raw/``.  Either file's meta keeps only
+what its entries cannot say; the loaders derive the rest (included
+layers, ranks, order, ratios, ids) and read older versions' extra
+entries and keys past.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +44,11 @@ from .container import read_container, write_container
 #: Version written into a subspace file's meta.  Version 1 (no
 #: ``format_version`` key) also stored the stacking-mode factor, its
 #: ledger and the core; versions 1 and 2 also stored the ratio rows and
-#: per-layer ``first_component`` and ``dtype`` meta, which no reader needs.
-SUBSPACE_FORMAT_VERSION = 3
+#: per-layer ``first_component`` and ``dtype`` meta; versions 1 to 3 also
+#: restated in their meta what the entries say (``order``, ``retained``,
+#: ``mu_kind``, the included and excluded layers, ``architecture_id``)
+#: and the unread ``layer_dtypes``.
+SUBSPACE_FORMAT_VERSION = 4
 
 __all__ = [
     "ModelWeights",
@@ -212,16 +216,26 @@ class ExtractionConfig:
 @dataclass
 class UniversalSubspace:
     """Per-layer subspace models plus the bookkeeping needed to project
-    arbitrary models of the same architecture."""
+    arbitrary models of the same architecture: the ids of the models it
+    was extracted from and the architecture's layer order, of which the
+    layers with a model are the included ones and the rest are excluded."""
 
-    architecture_id: str
     layer_models: dict
     config: ExtractionConfig
     provenance: list
-    included_layers: list
-    excluded_layers: list
     layer_order: list
-    layer_dtypes: dict
+
+    @property
+    def included_layers(self) -> list:
+        return [name for name in self.layer_order if name in self.layer_models]
+
+    @property
+    def excluded_layers(self) -> list:
+        return [name for name in self.layer_order if name not in self.layer_models]
+
+    @property
+    def architecture_id(self) -> str:
+        return self.config.architecture_id
 
 
 def _partition_layers(first, config):
@@ -241,7 +255,7 @@ def _partition_layers(first, config):
             "layer exclusion leaves nothing to extract from "
             f"(layers: {', '.join(candidates) or 'none'})"
         )
-    return candidates, included, [n for n in candidates if n in excluded]
+    return candidates, included
 
 
 def _read(model):
@@ -264,7 +278,7 @@ def _read_pass(models, ref_id, shapes, streams, keep):
     """Read each model once: feed its layers named in ``streams`` to their
     GramStream, each checked against ``shapes``, the layer shapes of model
     ``ref_id``, and keep only its ``keep`` layers, as float64.  Returns
-    the model ids and the kept (pruned) models."""
+    the model ids and the kept (pruned) models, one per model."""
     provenance, kept = [], []
     for item in models:
         model = _read(item)
@@ -272,10 +286,9 @@ def _read_pass(models, ref_id, shapes, streams, keep):
         for name, stream in streams.items():
             _check_layer(name, [model], ref_id, shapes[name])
             stream.add(model.layers[name])
-        if keep:
-            own = np.array if isinstance(model, _Payloads) else np.asarray  # copy file views
-            layers = {n: own(model.layers[n], dtype=np.float64) for n in keep if n in model.layers}
-            kept.append(ModelWeights(model.model_id, layers))
+        own = np.array if isinstance(model, _Payloads) else np.asarray  # copy file views
+        layers = {n: own(model.layers[n], dtype=np.float64) for n in keep if n in model.layers}
+        kept.append(ModelWeights(model.model_id, layers))
         del model  # free its payload before the next model is read
     return provenance, kept
 
@@ -298,20 +311,20 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     spectrum, are kept from the same read, as float64 (copied out of a
     file, whose views would pin all of it), stacked and decomposed by
     :func:`~uws.hosvd.hosvd_truncated`; so is a streamed layer that the
-    Gram route's guard declines, after a second read of every model.
-    Only the first model's id, layer names, shapes and dtypes outlive its
-    turn in the pass.  Either way a layer model keeps no stacking-mode
-    factor or core: it holds what a subspace file holds.
+    Gram route's guard declines, after a second read of every model that
+    keeps only the declined layers.  Only the first model's id, layer
+    names and shapes outlive its turn in the pass.  Either way a layer
+    model keeps no stacking-mode factor or core: it holds what a subspace
+    file holds.
     """
     config = config if config is not None else ExtractionConfig()
     models = list(models)
     if not models:
         raise InvalidArgumentError("cannot extract a subspace from zero models")
     first = _read(models[0])
-    layer_order, included, excluded = _partition_layers(first, config)
+    layer_order, included = _partition_layers(first, config)
     first_id = first.model_id
     shapes = {name: first.layers[name].shape for name in layer_order}
-    dtypes = {name: first.dtypes.get(name, "f64") for name in layer_order}
     streams = {
         name: GramStream(shapes[name][1])
         for name in included
@@ -337,7 +350,9 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
         if layer_models[name] is None:
             declined.append(name)
     if declined:
-        _, kept = _read_pass(models, first_id, shapes, {}, up_front + declined)
+        _, again = _read_pass(models, first_id, shapes, {}, declined)
+        for held, extra in zip(kept, again):
+            held.layers.update(extra.layers)
     for name in up_front + declined:
         with _naming_layer(name):
             model = hosvd_truncated(
@@ -349,14 +364,10 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
         model.factors[0] = model.core = None
         layer_models[name] = model
     return UniversalSubspace(
-        architecture_id=config.architecture_id,
         layer_models={name: layer_models[name] for name in included},
         config=config,
         provenance=provenance,
-        included_layers=included,
-        excluded_layers=excluded,
         layer_order=layer_order,
-        layer_dtypes=dtypes,
     )
 
 
@@ -423,12 +434,7 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
         name: weights.dtypes.get(name, "f64")
         for name in list(coefficients) + list(passthrough)
     }
-    return CoefficientSet(
-        model_id=weights.model_id,
-        coefficients=coefficients,
-        passthrough=passthrough,
-        dtypes=dtypes,
-    )
+    return CoefficientSet(weights.model_id, coefficients, passthrough, dtypes)
 
 
 def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeights:
@@ -493,7 +499,7 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
         if i == 0:
             sums = {
                 name: np.zeros(model.layers[name].shape)
-                for name in list(u.included_layers) + list(u.excluded_layers)
+                for name in u.layer_order
                 if name in model.layers
             }
         for name in u.included_layers:
@@ -733,30 +739,19 @@ def adapt_coefficients(
 # --------------------------------------------------------------- subspace files
 
 
-def _policy_meta(policy: RankPolicy) -> dict:
-    return {
-        "kind": policy.kind,
-        "tau": policy.tau,
-        "epsilon": policy.epsilon,
-        "k": policy.k,
-        "noise_sigma": policy.noise_sigma,
-    }
-
-
 def save_subspace(u: UniversalSubspace, path) -> None:
-    """Write a subspace container (format version 3).
+    """Write a subspace container (format version 4).
 
     Entry layout, per included layer L and each non-stacking mode
     n = 2..order: ``mu/L`` (the mean as a matrix: one row for order 2,
     one member for order 3, 1 x 1 for global centring), ``U/L/n``
     (factors) and ``ledger/L/sv/n`` (the full spectrum as a single-row
-    matrix).  Nothing else is written: projecting, rebuilding, merging
-    and adapting read only the mean and the factors, and the scree table
-    reads the spectrum.  Everything else lives in the manifest's meta
-    block; a layer's ``retained`` list covers modes 2..order.
+    matrix).  The meta holds only what the entries cannot say:
+    ``provenance`` (the source model ids), ``centering``, ``policy``,
+    ``layer_order`` and per layer ``stack_shape`` and ``slab_extent``.
+    The container's model id is the architecture id.
     """
     triples = []
-    layer_meta = {}
     for name in u.included_layers:
         model = u.layer_models[name]
         triples.append((f"mu/{name}", np.atleast_2d(model.mu), "f64"))
@@ -766,37 +761,36 @@ def save_subspace(u: UniversalSubspace, path) -> None:
         for n in modes:
             sv = model.variance_ledger[n].singular_values
             triples.append((f"ledger/{name}/sv/{n}", sv.reshape(1, -1), "f64"))
-        layer_meta[name] = {
-            "stack_shape": list(model.shape),
-            "slab_extent": model.slab_extent,
-            "mu_kind": "global" if np.ndim(model.mu) == 0 else "feature",
-            "retained": [model.variance_ledger[n].retained for n in modes],
-        }
     meta = {
         "kind": "subspace",
         "format_version": SUBSPACE_FORMAT_VERSION,
-        "architecture_id": u.architecture_id,
         "provenance": list(u.provenance),
-        "order": u.config.order,
         "centering": u.config.centering,
-        "policy": _policy_meta(u.config.policy),
-        "included_layers": list(u.included_layers),
-        "excluded_layers": list(u.excluded_layers),
+        "policy": asdict(u.config.policy),
         "layer_order": list(u.layer_order),
-        "layer_dtypes": dict(u.layer_dtypes),
-        "layers": layer_meta,
+        "layers": {
+            name: {"stack_shape": list(model.shape), "slab_extent": model.slab_extent}
+            for name, model in u.layer_models.items()
+        },
     }
     write_container(path, u.architecture_id, triples, meta=meta)
 
 
-def _entry_map(doc):
-    return {rec.name: np.asarray(rec.array, dtype=np.float64) for rec in doc.layers}
+def _require(condition, message):
+    if not condition:
+        raise ManifestError(message, 12)
 
 
 def _take(entries, name):
-    if name not in entries:
-        raise ManifestError(f"container is missing required entry {name!r}", 12)
+    _require(name in entries, f"container is missing required entry {name!r}")
     return entries[name]
+
+
+def _names(meta, key) -> list:
+    value = meta[key]
+    _require(isinstance(value, list) and all(isinstance(v, str) for v in value),
+             f"meta {key!r} must be a list of names, got {value!r}")
+    return value
 
 
 @contextmanager
@@ -812,163 +806,126 @@ def _decoding_meta(kind):
         ) from exc
 
 
-def _spectrum(entries, name, n, retained, width) -> ModeSpectrum:
+def _spectrum(entries, name, n, retained) -> ModeSpectrum:
     """Mode ``n``'s ledger from its stored singular values, which must
-    form a spectrum of at least ``retained`` and ``width`` (the factor's
-    column count) values; the ratios are derived as extraction derives
-    them."""
+    form a spectrum of at least ``retained`` values (the factor's width);
+    the ratios are derived as extraction derives them."""
     key = f"ledger/{name}/sv/{n}"
     sv = _take(entries, key).ravel()
     try:
         ratios = explained_variance(sv)
     except (InvalidArgumentError, DegenerateSpectrumError) as exc:
         raise ManifestError(f"entry {key!r} is not a spectrum: {exc}", 12) from exc
-    need = max(retained, width)
-    if sv.size < need:
-        raise ManifestError(
-            f"entry {key!r} holds {sv.size} singular values, fewer than the {need} retained", 12
-        )
+    _require(sv.size >= retained,
+             f"entry {key!r} holds {sv.size} singular values, fewer than the {retained} retained")
     return ModeSpectrum(singular_values=sv, ratios=ratios, retained=retained)
 
 
 def load_subspace(path) -> UniversalSubspace:
-    """Read a subspace container written by :func:`save_subspace`, of
-    format version 3, 2 or 1; entries and meta keys of older versions
-    that no reader needs are read past.  The layer models have no
-    stacking-mode factor or core, and a feature mean has the shape of one
-    member row or member, ``stack_shape[1:]``.  An order-2 stack's two
-    modes share one spectrum and rank, so its stacking-mode ledger is the
-    feature mode's.
+    """Read a subspace container of format version 1 to 4 through one
+    path; what older versions also stored (``core/``, stacking-mode and
+    ratio entries, and meta that restates the entries) is read past.
 
-    A meta field that is missing or malformed, or a stored spectrum that
-    is not one (negative, increasing, all zero, or shorter than the
-    retained rank), raises ManifestError.
+    The included layers are the ``layer_order`` names with a ``mu/L``
+    entry, and ``layers`` must describe exactly those; the rest are
+    excluded.  The order is ``len(stack_shape)``, each mode's retained
+    rank is its factor's width, the mean's kind is ``centering`` and the
+    architecture id is the container's model id.  ``provenance`` must
+    name the T models of every stack (``stack_shape[0] == T *
+    slab_extent`` for order 2, ``stack_shape[:2] == [T, slab_extent]``
+    for order 3), ``layer_order`` distinct layers, each factor must have
+    its mode's extent as rows, and each stored spectrum must be one
+    (nonnegative, nonincreasing, not all zero, at least as long as its
+    factor is wide); otherwise, and for a meta field that is missing or
+    malformed, ManifestError.  The layer models have no stacking-mode
+    factor or core; an order-2 stack's two modes share one spectrum and
+    rank, so its stacking-mode ledger is the feature mode's.
     """
     doc = read_container(path)
     meta = doc.meta or {}
     if meta.get("kind") != "subspace":
         raise ManifestError("not a subspace container (meta kind != 'subspace')", 12)
     version = meta.get("format_version", 1)
-    if version not in (1, 2, SUBSPACE_FORMAT_VERSION):
+    if type(version) is not int or not 1 <= version <= SUBSPACE_FORMAT_VERSION:
         raise ManifestError(f"unsupported subspace format_version {version!r}", 12)
     with _decoding_meta("subspace"):
-        order = meta["order"]
-        centering = meta["centering"]
-        pol = meta["policy"]
-        policy = RankPolicy(
-            kind=pol["kind"],
-            tau=pol["tau"],
-            epsilon=pol["epsilon"],
-            k=pol["k"],
-            noise_sigma=pol["noise_sigma"],
+        provenance, layer_order = _names(meta, "provenance"), _names(meta, "layer_order")
+        _require(len(set(layer_order)) == len(layer_order), "layer_order names a layer twice")
+        entries = {rec.name: np.asarray(rec.array, np.float64) for rec in doc.layers}
+        included = [name for name in layer_order if f"mu/{name}" in entries]
+        layers = meta["layers"]
+        _require(included and isinstance(layers, dict) and set(layers) == set(included),
+                 f"meta layers must describe exactly the layers with a mean entry, {included}")
+        config = ExtractionConfig(
+            policy=RankPolicy(**meta["policy"]),
+            order=len(layers[included[0]]["stack_shape"]),
+            centering=meta["centering"],
+            exclude_layers=tuple(name for name in layer_order if name not in included),
+            architecture_id=doc.model_id,
         )
-        included = list(meta["included_layers"])
-        excluded = list(meta["excluded_layers"])
-        entries = _entry_map(doc)
+        modes, t = range(2, config.order + 1), len(provenance)
         layer_models = {}
         for name in included:
-            info = meta["layers"][name]
-            stack_shape = tuple(info["stack_shape"])
+            shape, extent = tuple(layers[name]["stack_shape"]), layers[name]["slab_extent"]
+            members = (t * extent,) if config.order == 2 else (t, extent)
+            _require(
+                all(type(n) is int and n >= 1 for n in shape + (extent,))
+                and len(shape) == config.order
+                and shape[: len(members)] == members,
+                f"layer {name!r}: stack_shape {list(shape)} is not an order-{config.order} "
+                f"stack of the {t} models' {extent}-row slabs",
+            )
+            factors = [None] + [_take(entries, f"U/{name}/{n}") for n in modes]
+            _require(all(factors[n - 1].shape[0] == shape[n - 1] for n in modes),
+                     f"layer {name!r}: a factor's rows differ from its mode's extent {list(shape)}")
             mu = _take(entries, f"mu/{name}")
-            mu = np.float64(mu[0, 0]) if info["mu_kind"] == "global" else mu.reshape(stack_shape[1:])
-            # version 1 lists start at the stacking mode
-            retained = info["retained"][1:] if version == 1 else info["retained"]
-            factors = [None] + [_take(entries, f"U/{name}/{n}") for n in range(2, order + 1)]
-            ledger = {
-                n: _spectrum(entries, name, n, retained[n - 2], factors[n - 1].shape[1])
-                for n in range(2, order + 1)
-            }
-            if order == 2:
+            mu = (np.float64(mu.reshape(())) if config.centering == "global"
+                  else mu.reshape(shape[1:]))
+            ledger = {n: _spectrum(entries, name, n, factors[n - 1].shape[1]) for n in modes}
+            if config.order == 2:
                 ledger = {1: ledger[2], 2: ledger[2]}
             layer_models[name] = SubspaceModel(
-                mu=mu,
-                factors=factors,
-                core=None,
-                variance_ledger=ledger,
-                centering=centering,
-                shape=stack_shape,
-                slab_extent=info["slab_extent"],
-            )
-        config = ExtractionConfig(
-            policy=policy,
-            order=order,
-            centering=centering,
-            exclude_layers=tuple(excluded),
-            architecture_id=meta["architecture_id"],
-        )
-        return UniversalSubspace(
-            architecture_id=meta["architecture_id"],
-            layer_models=layer_models,
-            config=config,
-            provenance=list(meta["provenance"]),
-            included_layers=included,
-            excluded_layers=excluded,
-            layer_order=list(meta["layer_order"]),
-            layer_dtypes=dict(meta["layer_dtypes"]),
-        )
+                mu=mu, factors=factors, core=None, variance_ledger=ledger,
+                centering=config.centering, shape=shape, slab_extent=extent)
+        return UniversalSubspace(layer_models, config, provenance, layer_order)
 
 
 def save_coefficients(c: CoefficientSet, path) -> None:
     """Write a coefficient container: one ``coef/L`` entry per projected
     layer (r x k for order-2 stacking, k_2 x k_3 for order 3) and one
-    ``raw/L`` entry per passthrough layer at its declared precision."""
-    triples = []
-    shapes = {}
-    for name, sc in c.coefficients.items():
-        arr = np.asarray(sc.coeffs, dtype=np.float64)
-        shapes[name] = list(arr.shape)
-        triples.append((f"coef/{name}", arr, "f64"))
-    for name, arr in c.passthrough.items():
-        triples.append((f"raw/{name}", arr, c.dtypes.get(name, "f64")))
-    meta = {
-        "kind": "coefficients",
-        "model_id": c.model_id,
-        "coef_shapes": shapes,
-        "passthrough": list(c.passthrough),
-        "dtypes": dict(c.dtypes),
-    }
-    write_container(path, c.model_id, triples, meta=meta)
+    ``raw/L`` entry per passthrough layer at its declared precision.  The
+    meta holds only each projected layer's declared precision
+    (``dtypes``); the container's model id is the model's."""
+    triples = [(f"coef/{name}", sc.coeffs, "f64") for name, sc in c.coefficients.items()]
+    triples += [
+        (f"raw/{name}", arr, c.dtypes.get(name, "f64")) for name, arr in c.passthrough.items()
+    ]
+    dtypes = {name: c.dtypes.get(name, "f64") for name in c.coefficients}
+    write_container(path, c.model_id, triples, meta={"kind": "coefficients", "dtypes": dtypes})
 
 
 def load_coefficients(path) -> CoefficientSet:
-    """Read a coefficient container written by :func:`save_coefficients`.
-
-    The layers named in ``coef_shapes`` must be exactly those with a
-    ``coef/L`` entry, and each entry must have its listed shape; order-3
-    files written before format version 3 list a leading 1 for their
-    k_2 x k_3 entries, and read the same.  Any other mismatch, and a meta
-    field that is missing or malformed, raises ManifestError.
-    """
+    """Read a coefficient container built from its entries: ``coef/L``
+    holds layer L's coefficients, at the precision ``dtypes`` declares
+    (f64 where it declares none), and ``raw/L`` its passthrough matrix, at
+    the entry's; the model id is the container's.  Older files' meta that
+    restates the entries (``model_id``, ``coef_shapes``, ``passthrough``)
+    is read past.  A malformed meta field raises ManifestError."""
     doc = read_container(path)
     meta = doc.meta or {}
     if meta.get("kind") != "coefficients":
         raise ManifestError("not a coefficient container (meta kind != 'coefficients')", 12)
     with _decoding_meta("coefficient"):
-        entries = _entry_map(doc)
-        shapes = meta["coef_shapes"]
-        stored = sorted(name[5:] for name in entries if name.startswith("coef/"))
-        if sorted(shapes) != stored:
-            raise ManifestError(
-                f"coef_shapes names layers {sorted(shapes)}, but the coefficient "
-                f"entries are {stored}", 12
-            )
-        coefficients = {}
-        for name, shape in shapes.items():
-            arr, listed = entries[f"coef/{name}"], tuple(shape)
-            legacy = len(listed) == 3 and listed == (1, *arr.shape)  # order 3 before v3
-            if listed != arr.shape and not legacy:
-                raise ManifestError(
-                    f"entry 'coef/{name}' has shape {arr.shape}, but coef_shapes "
-                    f"lists {shape!r}", 12
-                )
-            coefficients[name] = SliceCoefficients(coeffs=arr)
-        passthrough = {
-            name: _take(entries, f"raw/{name}")
-            for name in meta["passthrough"]
-        }
-        return CoefficientSet(
-            model_id=meta["model_id"],
-            coefficients=coefficients,
-            passthrough=passthrough,
-            dtypes=dict(meta.get("dtypes", {})),
-        )
+        declared = meta.get("dtypes", {})
+        coefficients, passthrough, dtypes = {}, {}, {}
+        for rec in doc.layers:
+            prefix, _, name = rec.name.partition("/")
+            if prefix == "coef":
+                coefficients[name] = SliceCoefficients(coeffs=np.asarray(rec.array, np.float64))
+                dtypes[name] = declared.get(name, "f64")
+                _require(dtypes[name] in ("f32", "f64"),
+                         f"dtypes declares {dtypes[name]!r} for layer {name!r}, not f32 or f64")
+            elif prefix == "raw":
+                passthrough[name] = np.asarray(rec.array, np.float64)
+                dtypes[name] = rec.dtype
+        return CoefficientSet(doc.model_id, coefficients, passthrough, dtypes)

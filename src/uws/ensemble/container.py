@@ -15,8 +15,8 @@ of the payload.  An optional ``"meta"`` object carries auxiliary data
 (subspace shapes, extraction settings) and survives round trips.
 
 Subspace and coefficient files reuse this container with reserved layer
-name prefixes: ``mu/``, ``U/``, ``ledger/``, ``coef/`` and ``raw/``.  A
-version-3 subspace file's ``ledger/`` holds only spectra (``sv/``).
+name prefixes: ``mu/``, ``U/``, ``ledger/`` (spectra, ``sv/``), ``coef/``
+and ``raw/``; their meta keeps only what these entries cannot say.
 
 A parsed document's matrices are read-only views into the bytes they
 were parsed from, so reading a file costs one copy of it.

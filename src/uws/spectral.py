@@ -240,6 +240,12 @@ def explained_variance(singular_values: np.ndarray) -> np.ndarray:
     return s**2 / total
 
 
+#: Each policy kind's one parameter; a policy's other parameters are None.
+_PARAMETER = dict(
+    cumulative_variance="tau", eigen_floor="epsilon", hard_threshold="noise_sigma", fixed_k="k"
+)
+
+
 @dataclass(frozen=True)
 class RankPolicy:
     """How many spectral components to keep.
@@ -254,6 +260,9 @@ class RankPolicy:
       singular-value threshold for additive white noise; with unknown
       sigma the median-based variant is used.
     - ``fixed_k(k)``: k, clamped to the available rank.
+
+    However a policy is built, a kind other than these, a parameter out
+    of its range and a parameter of another kind raise InvalidArgumentError.
     """
 
     kind: str
@@ -262,28 +271,40 @@ class RankPolicy:
     k: int | None = None
     noise_sigma: float | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _PARAMETER:
+            raise InvalidArgumentError(f"unknown policy kind {self.kind!r}")
+        own = _PARAMETER[self.kind]
+        for name in _PARAMETER.values():
+            if name != own and getattr(self, name) is not None:
+                raise InvalidArgumentError(
+                    f"a {self.kind} policy takes no {name}, got {getattr(self, name)!r}"
+                )
+        v = getattr(self, own)
+        real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        if self.kind == "cumulative_variance" and not (real and 0.0 < v <= 1.0):
+            raise InvalidArgumentError(f"tau must lie in (0, 1], got {v}")
+        if self.kind == "eigen_floor" and not (real and 0 <= v < np.inf):
+            raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {v}")
+        if self.kind == "hard_threshold" and not (v is None or real and 0 < v < np.inf):
+            raise InvalidArgumentError(f"noise_sigma must be finite and > 0, got {v}")
+        if self.kind == "fixed_k" and not (real and isinstance(v, (int, np.integer)) and v >= 1):
+            raise InvalidArgumentError(f"k must be >= 1, got {v}")
+
     @classmethod
     def cumulative_variance(cls, tau: float = 0.95) -> "RankPolicy":
-        if not 0.0 < tau <= 1.0:
-            raise InvalidArgumentError(f"tau must lie in (0, 1], got {tau}")
         return cls(kind="cumulative_variance", tau=float(tau))
 
     @classmethod
     def eigen_floor(cls, epsilon: float = 0.01) -> "RankPolicy":
-        if not 0 <= epsilon < np.inf:
-            raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {epsilon}")
         return cls(kind="eigen_floor", epsilon=float(epsilon))
 
     @classmethod
     def hard_threshold(cls, noise_sigma: float | None = None) -> "RankPolicy":
-        if noise_sigma is not None and not 0 < noise_sigma < np.inf:
-            raise InvalidArgumentError(f"noise_sigma must be finite and > 0, got {noise_sigma}")
         return cls(kind="hard_threshold", noise_sigma=noise_sigma)
 
     @classmethod
     def fixed_k(cls, k: int) -> "RankPolicy":
-        if int(k) < 1:
-            raise InvalidArgumentError(f"k must be >= 1, got {k}")
         return cls(kind="fixed_k", k=int(k))
 
     def describe(self) -> str:
@@ -345,15 +366,13 @@ def select_rank(
         return max(1, int(np.sum(ratios > policy.epsilon)))
     if policy.kind == "fixed_k":
         return min(policy.k, ratios.size)
-    if policy.kind == "hard_threshold":
-        if singular_values is None or shape is None:
-            raise InvalidArgumentError(
-                "hard_threshold needs singular_values= and shape=(rows, cols)"
-            )
-        s = np.asarray(singular_values, dtype=np.float64).reshape(-1)
-        cut = _optimal_hard_threshold(s, shape, policy.noise_sigma)
-        return max(1, int(np.sum(s > cut)))
-    raise InvalidArgumentError(f"unknown policy kind {policy.kind!r}")
+    if singular_values is None or shape is None:  # hard_threshold
+        raise InvalidArgumentError(
+            "hard_threshold needs singular_values= and shape=(rows, cols)"
+        )
+    s = np.asarray(singular_values, dtype=np.float64).reshape(-1)
+    cut = _optimal_hard_threshold(s, shape, policy.noise_sigma)
+    return max(1, int(np.sum(s > cut)))
 
 
 def operator_norm(a: np.ndarray) -> float:

@@ -374,6 +374,23 @@ def test_project_missing_layer_is_a_data_error(tmp_path, capsys):
     assert "block0" in err
 
 
+def test_reconstruct_refuses_coefficients_without_an_included_layer(tmp_path, capsys):
+    pattern, paths = write_fixture_models(tmp_path)
+    space, coeffs = tmp_path / "s.uws", tmp_path / "c.uws"
+    run(["extract", "--models", pattern, "--out", str(space),
+         "--report", str(tmp_path / "r.csv")], capsys)
+    run(["project", "--subspace", str(space), "--model", str(paths[0]),
+         "--out", str(coeffs)], capsys)
+    doc = read_container(coeffs)
+    records = [(rec.name, rec.array, rec.dtype) for rec in doc.layers
+               if rec.name != "coef/block1"]
+    coeffs.write_bytes(build_container(doc.model_id, records, doc.meta))
+    code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
+                        "--out", str(tmp_path / "back.uws")], capsys)
+    assert code == 2 and "'block1'" in err
+    assert not (tmp_path / "back.uws").exists()
+
+
 def _single_field_edits(meta, path=()):
     """Every copy of ``meta`` with one key, at any depth, deleted or set
     to "x", [1] or -1, with the key's path and the edit."""
@@ -419,20 +436,23 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
         codes.append(run(argv, capsys)[0])
         if codes[-1] == 0:
             passed.append((field, edit))
-    # format version 3 meta: 31 keys (35 in version 2, which also had a
-    # first_component and a dtype per layer; 36 in version 1, which had a
-    # core_shape per layer and no format_version)
-    assert len(codes) == {"subspace": 124, "coefficients": 44}[kind]
+    # format version 4 meta: 18 keys (31 in version 3, which also restated
+    # the entries and had layer_dtypes); coefficient meta: 4 keys (11 before,
+    # with model_id, coef_shapes and passthrough)
+    assert len(codes) == {"subspace": 72, "coefficients": 16}[kind]
     assert set(codes) <= {0, 2, 3}
-    if kind == "coefficients":
-        # what still rebuilds the model: any string is a model id, and
-        # ``dtypes`` is optional, a layer it does not name being stored as
-        # f64 (the precision these fixture models were written at); every
-        # edit of ``coef_shapes`` or ``passthrough`` exits 2
-        assert passed == [("model_id", "x")] + [
-            (field, "delete")
-            for field in ("dtypes", "dtypes/block0", "dtypes/block1", "dtypes/embed",
-                          "dtypes/head")
+    if kind == "subspace":
+        # a file without format_version reads as version 1, through the
+        # same path; a policy field missing from the meta is None, which
+        # the fixture's cumulative_variance policy holds in those three
+        assert passed == [("format_version", "delete")] + [
+            (f"policy/{field}", "delete") for field in ("epsilon", "k", "noise_sigma")
+        ]
+    else:
+        # a projected layer that ``dtypes`` does not name is f64, the
+        # precision these fixture models were written at
+        assert passed == [
+            (field, "delete") for field in ("dtypes", "dtypes/block0", "dtypes/block1")
         ]
 
 

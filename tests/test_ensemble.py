@@ -1,4 +1,3 @@
-import copy
 import tracemalloc
 
 import numpy as np
@@ -646,31 +645,73 @@ def test_coefficient_file_roundtrip(tmp_path):
         assert np.array_equal(back_direct.layers[layer], back_loaded.layers[layer])
 
 
-def rewrite_meta(path, edit):
-    """Rewrite the container at ``path`` with ``edit`` applied to its meta."""
-    doc = read_container(path)
-    meta = copy.deepcopy(doc.meta)
-    edit(meta)
-    records = [(rec.name, rec.array, rec.dtype) for rec in doc.layers]
-    path.write_bytes(build_container(doc.model_id, records, meta))
+def write_parent_layout(path, c, order=2):
+    """Write coefficient set ``c`` as files were written before the meta
+    kept only ``dtypes``: it also restated ``model_id``, ``coef_shapes``
+    (an order-3 k_2 x k_3 block listed as 1 x k_2 x k_3) and the
+    ``passthrough`` names, and ``dtypes`` named every layer."""
+    triples = [(f"coef/{n}", sc.coeffs, "f64") for n, sc in c.coefficients.items()]
+    triples += [(f"raw/{n}", arr, c.dtypes[n]) for n, arr in c.passthrough.items()]
+    meta = {
+        "kind": "coefficients",
+        "model_id": c.model_id,
+        "coef_shapes": {
+            n: ([1] if order == 3 else []) + list(sc.coeffs.shape)
+            for n, sc in c.coefficients.items()
+        },
+        "passthrough": list(c.passthrough),
+        "dtypes": dict(c.dtypes),
+    }
+    path.write_bytes(build_container(c.model_id, triples, meta))
 
 
-def test_coefficient_shapes_must_match_the_entries(tmp_path):
+def assert_same_coefficients(u, got, want):
+    """Two coefficient sets hold the same bits and rebuild the same model."""
+    assert got.model_id == want.model_id and got.dtypes == want.dtypes
+    assert list(got.coefficients) == list(want.coefficients)
+    assert list(got.passthrough) == list(want.passthrough)
+    for name, sc in want.coefficients.items():
+        assert np.array_equal(got.coefficients[name].coeffs, sc.coeffs)
+    a, b = reconstruct_model(u, got), reconstruct_model(u, want)
+    assert a.layers.keys() == b.layers.keys() and a.dtypes == b.dtypes
+    for name in a.layers:
+        assert np.array_equal(a.layers[name], b.layers[name])
+
+
+def test_coefficient_meta_holds_only_the_projected_layers_dtypes(tmp_path):
     rng = np.random.default_rng(105)
     models, _, _ = make_planted(rng, n_models=10, k=3)
+    models[1].dtypes = {"embed": "f32", "block0": "f32", "head": "f64"}
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    c = project_model(u, models[1])
     p = tmp_path / "coeffs.uws"
-    edits = [
-        lambda m: m["coef_shapes"].pop("block0"),  # a layer left out
-        lambda m: m["coef_shapes"].update(extra=[6, 3]),  # a layer added
-        lambda m: m["coef_shapes"].update(block0=[3, 6]),  # a wrong shape
-        lambda m: m["coef_shapes"].update(block0=[1, 1, 6, 3]),
+    save_coefficients(c, p)
+    doc = read_container(p)
+    assert doc.model_id == c.model_id
+    assert doc.meta == {"kind": "coefficients", "dtypes": {"block0": "f32", "block1": "f64"}}
+    # a passthrough layer's precision is its entry's
+    assert [(rec.name, rec.dtype) for rec in doc.layers] == [
+        ("coef/block0", "f64"), ("coef/block1", "f64"), ("raw/embed", "f32"), ("raw/head", "f64"),
     ]
-    for edit in edits:
-        save_coefficients(project_model(u, models[1]), p)
-        rewrite_meta(p, edit)
-        with pytest.raises(ManifestError, match="coef"):
-            load_coefficients(p)
+    back = load_coefficients(p)
+    assert back.dtypes == c.dtypes
+    for name, sc in c.coefficients.items():
+        assert np.array_equal(back.coefficients[name].coeffs, sc.coeffs)
+    assert np.array_equal(back.passthrough["embed"], c.passthrough["embed"].astype(np.float32))
+    assert np.array_equal(back.passthrough["head"], c.passthrough["head"])
+
+
+def test_coefficient_file_in_the_parent_layout_loads_and_rebuilds_identically(tmp_path):
+    rng = np.random.default_rng(105)
+    models, _, _ = make_planted(rng, n_models=10, k=3)
+    models[1].dtypes = {"embed": "f32"}
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    c = project_model(u, models[1])
+    parent, fresh = tmp_path / "parent.uws", tmp_path / "fresh.uws"
+    write_parent_layout(parent, c)
+    save_coefficients(c, fresh)
+    assert load_coefficients(parent).dtypes == c.dtypes
+    assert_same_coefficients(u, load_coefficients(parent), load_coefficients(fresh))
 
 
 def test_order3_coefficients_listing_a_leading_1_still_load(tmp_path):
@@ -681,11 +722,6 @@ def test_order3_coefficients_listing_a_leading_1_still_load(tmp_path):
     u = extract_universal(models, ExtractionConfig(order=3, exclude_layers=("a",)))
     c = project_model(u, models[4])
     p = tmp_path / "coeffs.uws"
-    save_coefficients(c, p)
-    # the layout written before format version 3 listed 1 x k_2 x k_3
-    rewrite_meta(p, lambda m: m.update(
-        coef_shapes={n: [1, *v] for n, v in m["coef_shapes"].items()}))
-    back = load_coefficients(p)
-    assert np.array_equal(back.coefficients["b"].coeffs, c.coefficients["b"].coeffs)
-    assert np.array_equal(reconstruct_model(u, back).layers["b"],
-                          reconstruct_model(u, c).layers["b"])
+    write_parent_layout(p, c, order=3)
+    assert read_container(p).meta["coef_shapes"]["b"] == [1, *c.coefficients["b"].coeffs.shape]
+    assert_same_coefficients(u, load_coefficients(p), c)

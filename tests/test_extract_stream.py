@@ -1,7 +1,10 @@
-"""Streamed one-pass extraction (``GramStream``) and the version-3
-subspace file, which holds only each layer's mean, bases and spectra."""
+"""Streamed one-pass extraction (``GramStream``) and the version-4
+subspace file, which holds only each layer's mean, bases and spectra,
+and in its meta only what those entries cannot say."""
 
+import copy
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -278,7 +281,6 @@ def test_extraction_from_float32_files_converts_no_excluded_layer(tmp_path):
     paths, size = float32_files(tmp_path / "models")
     u, peak = extraction_peak(paths)
     assert u.excluded_layers == ["inlet", "outlet"]
-    assert u.layer_dtypes == dict.fromkeys(BIG_EXCLUDED, "f32")
     assert peak <= 2.5 * size
     assert_matches_stacked(u, [load_weights(p) for p in paths])
 
@@ -330,6 +332,37 @@ def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, caps
         for name in want.included_layers:
             assert max_sine(u.layer_models[name].factors[1],
                             want.layer_models[name].factors[1]) <= 1e-10
+
+
+def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch, tmp_path):
+    # "wide" (6 x 8 rows of 64) is stacked from the first read; "tall"
+    # (48 x 16) streams, and its 2**532 scale overflows the Gram, so the
+    # guard declines it and it is read again: the second read must copy
+    # only "tall", so that each slab is held once as float64
+    shapes = {"inlet": (4, 64), "wide": (8, 64), "tall": (8, 16), "outlet": (4, 64)}
+    models = planted_models(28, 6, shapes=shapes)
+    for m in models:
+        m.layers["tall"] = np.ldexp(m.layers["tall"], 532)
+    paths = write_models(tmp_path / "models", models)
+    copies = Counter()
+
+    class Counting(ModelWeights):
+        def __post_init__(self):
+            copies.update(list(self.layers))
+            super().__post_init__()
+
+    monkeypatch.setattr(ensemble_module, "ModelWeights", Counting)
+    routes = Routes(monkeypatch)
+    u = extract_universal(paths, ExtractionConfig(policy=TAU))
+    assert routes.counts() == {"reads": 12, "streamed": 1, "stacked": 2}
+    assert copies == {"wide": 6, "tall": 6}
+    for name in ("wide", "tall"):
+        got = u.layer_models[name]
+        want = hosvd_truncated(stack_layer(models, name), TAU, slab_extent=8)
+        assert np.array_equal(got.mu, want.mu)
+        assert np.array_equal(got.factors[1], want.factors[1])
+        assert np.array_equal(got.variance_ledger[2].singular_values,
+                              want.variance_ledger[2].singular_values)
 
 
 # ------------------------------------------------------------ errors
@@ -437,6 +470,39 @@ def test_order3_secondary_needs_the_stacking_factor():
 # ------------------------------------------------------------ file format
 
 
+def write_v3(path, v4_path, dtypes=None):
+    """Rewrite a version-4 subspace file in the version-3 layout, whose
+    meta also restates the entries: ``architecture_id``, ``order``, the
+    included and excluded layers, ``layer_dtypes`` (``dtypes``, f64 by
+    default) and per layer ``mu_kind`` and ``retained``."""
+    doc = read_container(v4_path)
+    meta, entries = doc.meta, {rec.name: rec.array for rec in doc.layers}
+    included = list(meta["layers"])
+    layers = {}
+    for name, info in meta["layers"].items():
+        order = len(info["stack_shape"])
+        layers[name] = dict(
+            info,
+            mu_kind=meta["centering"],
+            retained=[entries[f"U/{name}/{n}"].shape[1] for n in range(2, order + 1)],
+        )
+    v3 = {
+        "kind": "subspace",
+        "format_version": 3,
+        "architecture_id": doc.model_id,
+        "provenance": meta["provenance"],
+        "order": order,
+        "centering": meta["centering"],
+        "policy": meta["policy"],
+        "included_layers": included,
+        "excluded_layers": [n for n in meta["layer_order"] if n not in included],
+        "layer_order": meta["layer_order"],
+        "layer_dtypes": dtypes or dict.fromkeys(meta["layer_order"], "f64"),
+        "layers": layers,
+    }
+    write_container(path, doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers], meta=v3)
+
+
 def write_v2(path, v3_path):
     """Rewrite a version-3 subspace file in the version-2 layout: a ratio
     row after every spectrum, and per-layer ``first_component`` and
@@ -504,51 +570,80 @@ def assert_same_projections(u, v, w):
 def test_version1_file_and_its_version2_rewrite_project_identically(tmp_path):
     models = planted_models(20, 30)
     u = extract_universal(models, ExtractionConfig(policy=TAU))
-    v3_path, v2_path = tmp_path / "v3.uws", tmp_path / "v2.uws"
+    v4_path, v3_path, v2_path = tmp_path / "v4.uws", tmp_path / "v3.uws", tmp_path / "v2.uws"
     v1_path, rewrite = tmp_path / "v1.uws", tmp_path / "re.uws"
-    save_subspace(u, v3_path)
+    save_subspace(u, v4_path)
+    write_v3(v3_path, v4_path)
     write_v2(v2_path, v3_path)
     write_v1(v1_path, v2_path, models)
     names = [rec.name for rec in read_container(v1_path).layers]
     assert "U/block0/1" in names and "core/block0" in names
     old = load_subspace(v1_path)
-    save_subspace(old, rewrite)  # re-saved as version 3
-    assert rewrite.read_bytes() == v3_path.read_bytes()
+    save_subspace(old, rewrite)  # re-saved as version 4
+    assert rewrite.read_bytes() == v4_path.read_bytes()
     new = load_subspace(rewrite)
     for name in u.included_layers:
         assert old.layer_models[name].factors[0] is None and old.layer_models[name].core is None
     assert_same_projections(old, new, planted_models(21, 1)[0])
+    assert_same_projections(u, load_subspace(v2_path), planted_models(21, 1)[0])
 
 
 @pytest.mark.parametrize("order", [2, 3])
-def test_version2_file_loads_projects_and_resaves_as_version3(tmp_path, order):
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize("version", [2, 3])
+def test_older_file_loads_projects_and_resaves_as_version4(tmp_path, version, centering, order):
     models = planted_models(24, 30)
-    u = extract_universal(models, ExtractionConfig(policy=TAU, order=order))
-    v3_path, v2_path, rewrite = tmp_path / "v3.uws", tmp_path / "v2.uws", tmp_path / "re.uws"
-    save_subspace(u, v3_path)
+    config = ExtractionConfig(policy=TAU, order=order, centering=centering)
+    u = extract_universal(models, config)
+    v4_path, v3_path, v2_path = tmp_path / "v4.uws", tmp_path / "v3.uws", tmp_path / "v2.uws"
+    rewrite = tmp_path / "re.uws"
+    save_subspace(u, v4_path)
+    write_v3(v3_path, v4_path)
     write_v2(v2_path, v3_path)
-    names = {rec.name for rec in read_container(v2_path).layers}
-    assert "ledger/block0/ratio/2" in names
-    old = load_subspace(v2_path)
+    old_path = {2: v2_path, 3: v3_path}[version]
+    assert read_container(old_path).meta["format_version"] == version
+    names = {rec.name for rec in read_container(old_path).layers}
+    assert ("ledger/block0/ratio/2" in names) == (version == 2)
+    old = load_subspace(old_path)
+    assert (old.included_layers, old.excluded_layers) == (u.included_layers, u.excluded_layers)
+    assert (old.architecture_id, old.provenance, old.config.policy) == (
+        u.architecture_id, u.provenance, u.config.policy
+    )
+    assert (old.config.order, old.config.centering) == (order, centering)
     for name in u.included_layers:
         for n, spec in old.layer_models[name].variance_ledger.items():
             # ratios derived on load are extraction's, bit for bit
-            assert np.array_equal(spec.ratios, u.layer_models[name].variance_ledger[n].ratios)
+            want = u.layer_models[name].variance_ledger[n]
+            assert np.array_equal(spec.ratios, want.ratios)
+            assert spec.retained == want.retained
     save_subspace(old, rewrite)
-    assert rewrite.read_bytes() == v3_path.read_bytes()
+    assert rewrite.read_bytes() == v4_path.read_bytes()
     assert_same_projections(u, old, planted_models(25, 1)[0])
 
 
-def test_version3_file_holds_mean_bases_and_spectra_only(tmp_path):
+def test_version4_meta_holds_only_what_the_entries_cannot_say(tmp_path):
     models = planted_models(22, 30)
-    save_subspace(extract_universal(models, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
-    doc = read_container(tmp_path / "s.uws")
-    assert doc.meta["format_version"] == 3
-    entries = {rec.name: rec.array for rec in doc.layers if "block0" in rec.name}
-    assert sorted(entries) == ["U/block0/2", "ledger/block0/sv/2", "mu/block0"]
-    info = doc.meta["layers"]["block0"]
-    assert info["retained"] == [4]
-    assert not {"core_shape", "first_component", "dtype"} & set(info)
+    for order in (2, 3):
+        u = extract_universal(models, ExtractionConfig(policy=TAU, order=order))
+        save_subspace(u, tmp_path / "s.uws")
+        doc = read_container(tmp_path / "s.uws")
+        assert doc.model_id == u.architecture_id == "ensemble"
+        assert list(doc.meta) == ["kind", "format_version", "provenance", "centering",
+                                  "policy", "layer_order", "layers"]
+        assert doc.meta["format_version"] == 4
+        assert list(doc.meta["policy"]) == ["kind", "tau", "epsilon", "k", "noise_sigma"]
+        assert list(doc.meta["layers"]) == ["block0", "block1"]
+        assert doc.meta["layers"]["block0"] == {
+            "stack_shape": [240, 40] if order == 2 else [30, 8, 40],
+            "slab_extent": 8,
+        }
+        entries = sorted(rec.name for rec in doc.layers if "block0" in rec.name)
+        modes = [f"{n}" for n in range(2, order + 1)]
+        assert entries == (
+            [f"U/block0/{n}" for n in modes]
+            + [f"ledger/block0/sv/{n}" for n in modes]
+            + ["mu/block0"]
+        )
 
 
 def test_version3_file_is_near_its_mean_and_basis_bytes(tmp_path):
@@ -568,13 +663,55 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
     paths = write_models(tmp_path / "models", models)
     save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
-    meta = dict(doc.meta, format_version=4)
-    write_container(tmp_path / "v4.uws", doc.model_id,
+    meta = dict(doc.meta, format_version=5)
+    write_container(tmp_path / "v5.uws", doc.model_id,
                     [(r.name, r.array, r.dtype) for r in doc.layers], meta=meta)
-    code = cli.main(["project", "--subspace", str(tmp_path / "v4.uws"),
+    code = cli.main(["project", "--subspace", str(tmp_path / "v5.uws"),
                      "--model", str(paths[0]), "--out", str(tmp_path / "c.uws")])
     assert code == 2 and "format_version" in capsys.readouterr().err
     assert load_weights(paths[0]).model_id == "m0000"
+
+
+@pytest.mark.parametrize(
+    "order, edit, message",
+    [
+        # without the rule, a projected layer would silently pass through
+        (2, lambda m: m["layers"].pop("block1"), "exactly the layers"),
+        (2, lambda m: m["layers"].update(inlet=m["layers"]["block0"]), "exactly the layers"),
+        (2, lambda m: m["layer_order"].remove("block1"), "exactly the layers"),
+        (2, lambda m: m["layer_order"].append("block0"), "twice"),
+        (2, lambda m: m["provenance"].pop(), "29 models"),
+        (3, lambda m: m["provenance"].append("m9999"), "31 models"),
+        (3, lambda m: m["layers"]["block0"].update(slab_extent=4), "4-row slabs"),
+        (3, lambda m: m["layers"]["block1"].update(stack_shape=[30, 6]), "order-3"),
+        (2, lambda m: m["layers"]["block0"].update(stack_shape=[240, 41]), "rows"),
+        (3, lambda m: m["layers"]["block0"].update(stack_shape=[30, 8, 41]), "rows"),
+        (2, lambda m: m.update(centering="global"), "reshape"),
+        (2, lambda m: m.update(centering="none"), "centering"),
+        (2, lambda m: m["policy"].update(tau=1.5), "tau"),
+        (2, lambda m: m["policy"].update(kind="fixed_k"), "takes no tau"),
+    ],
+    ids=["layers-drop-one", "layers-add-one", "order-drops-one", "order-repeats-one",
+         "provenance-short", "provenance-long", "slab-extent", "stack-shape-2d",
+         "stack-shape-width", "stack-shape-width-3", "centering-flipped",
+         "centering-unknown", "tau-out-of-range", "kind-with-a-foreign-parameter"],
+)
+def test_meta_that_contradicts_the_entries_is_a_data_error(tmp_path, capsys, order, edit, message):
+    paths = write_models(tmp_path / "models", planted_models(29, 30))
+    u = extract_universal(paths, ExtractionConfig(policy=TAU, order=order))
+    save_subspace(u, tmp_path / "s.uws")
+    doc = read_container(tmp_path / "s.uws")
+    meta = copy.deepcopy(doc.meta)
+    edit(meta)
+    edited = tmp_path / "edited.uws"
+    write_container(edited, doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers],
+                    meta=meta)
+    with pytest.raises(ManifestError, match=message):
+        load_subspace(edited)
+    capsys.readouterr()
+    code = cli.main(["project", "--subspace", str(edited), "--model", str(paths[0]),
+                     "--out", str(tmp_path / "c.uws")])
+    assert code == 2 and capsys.readouterr().err.count("\n") == 1
 
 
 def _with_spectrum(src, dst, edit):

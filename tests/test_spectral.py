@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,39 @@ def test_policy_parameter_validation():
             RankPolicy.eigen_floor(value)
         with pytest.raises(InvalidArgumentError, match="finite"):
             RankPolicy.hard_threshold(noise_sigma=value)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(kind="bogus"), "unknown policy kind"),
+        (dict(kind=["fixed_k"], k=3), "unknown policy kind"),
+        (dict(kind="cumulative_variance"), "tau"),
+        (dict(kind="cumulative_variance", tau="0.9"), "tau"),
+        (dict(kind="cumulative_variance", tau=True), "tau"),
+        (dict(kind="cumulative_variance", tau=float("nan")), "tau"),
+        (dict(kind="cumulative_variance", tau=0.9, k=3), "takes no k"),
+        (dict(kind="eigen_floor", epsilon=float("inf")), "finite"),
+        (dict(kind="eigen_floor", epsilon=[0.1]), "finite"),
+        (dict(kind="hard_threshold", noise_sigma=-1.0), "finite"),
+        (dict(kind="hard_threshold", tau=0.5), "takes no tau"),
+        (dict(kind="fixed_k", k=2.5), "k must be"),
+        (dict(kind="fixed_k", k=0), "k must be"),
+        (dict(kind="fixed_k", k=3, epsilon=0.1), "takes no epsilon"),
+    ],
+)
+def test_policy_checks_itself_however_it_is_built(fields, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        RankPolicy(**fields)
+
+
+def test_policy_fields_round_trip_through_asdict():
+    for policy in (RankPolicy.cumulative_variance(0.9), RankPolicy.eigen_floor(0.0),
+                   RankPolicy.hard_threshold(), RankPolicy.hard_threshold(0.5),
+                   RankPolicy.fixed_k(np.int64(4))):
+        fields = dataclasses.asdict(policy)
+        assert list(fields) == ["kind", "tau", "epsilon", "k", "noise_sigma"]
+        assert RankPolicy(**fields) == policy
 
 
 # -------------------------------------------------------------- operator_norm
