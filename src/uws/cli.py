@@ -129,20 +129,25 @@ def _write_text(path, text):
 
 def _scree_rows(u):
     """Component table rows (index, layer, sigma, ratio, cumulative) for
-    every included layer, followed by aggregate rows with no sigma."""
+    every included layer's stored components, then aggregate rows with no
+    sigma; a layer, or the aggregate, whose stored components leave a
+    share of the energy ends with one row of index ``tail`` holding it."""
     report = scree_report(u)
     rows = []
+
+    def add(layer, sigmas, ratios, tail):
+        cum = 0.0
+        for j, ratio in enumerate(ratios):
+            cum += float(ratio)
+            sigma = None if sigmas is None else float(sigmas[j])
+            rows.append((j, layer, sigma, float(ratio), cum))
+        if tail > 0:
+            rows.append(("tail", layer, None, tail, cum + tail))
+
     for name in u.included_layers:
         spec = report.per_layer[name]
-        cum = 0.0
-        for j in range(spec.singular_values.size):
-            cum += float(spec.ratios[j])
-            rows.append((j, name, float(spec.singular_values[j]),
-                         float(spec.ratios[j]), cum))
-    cum = 0.0
-    for j in range(report.aggregate_ratios.size):
-        cum += float(report.aggregate_ratios[j])
-        rows.append((j, "aggregate", None, float(report.aggregate_ratios[j]), cum))
+        add(name, spec.singular_values, spec.ratios, spec.tail_ratio)
+    add("aggregate", None, report.aggregate_ratios, report.aggregate_tail)
     return rows
 
 
@@ -236,7 +241,9 @@ def cmd_extract(args):
         spec = model.variance_ledger[u.config.order]
         energy = float(np.sum(spec.ratios[: spec.retained]))
         defect = orthonormality_defect(model.factors[-1])
-        print(f"  {name}: rank {spec.retained} of {spec.singular_values.size}, "
+        # the feature-mode unfolding's full component count, stored or not
+        count = min(model.shape[-1], int(np.prod(model.shape[:-1])))
+        print(f"  {name}: rank {spec.retained} of {count}, "
               f"retained energy {energy:.6f}, orthonormality defect {defect:.1e}")
     print(f"report: {args.report}")
     return 0
@@ -254,7 +261,7 @@ def cmd_scree(args):
         ("format", args.format),
     ]
     _write_text(args.out, _render_report(header, rows, args.format))
-    shown = [row for row in rows if row[0] < args.top]
+    shown = [row for row in rows if row[0] == "tail" or row[0] < args.top]
     print(f"# showing up to {args.top} components per layer; full table: {args.out}")
     for line in _table_lines(shown, "csv"):
         print(line)

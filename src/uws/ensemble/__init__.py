@@ -6,7 +6,8 @@ coefficient-only adaptation).
 Weights, subspaces, and coefficient sets all live in the same binary
 container format (see :mod:`uws.ensemble.container`).  A subspace file
 holds per layer only what its readers read: the mean (``mu/``), the
-non-stacking factors (``U/``) and their spectra (``ledger/.../sv/``).
+non-stacking factors (``U/``), their leading spectra
+(``ledger/.../sv/``) and the energy of the rest (``ledger/.../tail/``).
 Coefficient files use ``coef/`` (per layer, r x k for order-2 stacking
 and k_2 x k_3 for order 3) and ``raw/``.  Either file's meta keeps only
 what its entries cannot say; the loaders derive the rest (included
@@ -47,8 +48,10 @@ from .container import read_container, write_container
 #: per-layer ``first_component`` and ``dtype`` meta; versions 1 to 3 also
 #: restated in their meta what the entries say (``order``, ``retained``,
 #: ``mu_kind``, the included and excluded layers, ``architecture_id``)
-#: and the unread ``layer_dtypes``.
-SUBSPACE_FORMAT_VERSION = 4
+#: and the unread ``layer_dtypes``; versions 1 to 4 stored every layer's
+#: whole spectrum and no ``ledger/.../tail/`` entry, and read with a tail
+#: of 0.
+SUBSPACE_FORMAT_VERSION = 5
 
 __all__ = [
     "ModelWeights",
@@ -376,26 +379,29 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
 
 @dataclass
 class ScreeReport:
-    """Feature-mode variance ratios per layer plus their per-component
-    mean/std across layers (shorter spectra padded with zeros)."""
+    """Feature-mode variance ratios per layer, their per-component
+    mean/std across layers over the components that every layer stores,
+    and ``aggregate_tail``, the mean share of everything past those (the
+    stored components beyond them and each layer's tail)."""
 
     per_layer: dict
     aggregate_ratios: np.ndarray
     aggregate_std: np.ndarray
+    aggregate_tail: float
     mode: int
 
 
 def scree_report(u: UniversalSubspace) -> ScreeReport:
     mode = u.config.order  # the feature mode is the last one
     per_layer = {name: model.variance_ledger[mode] for name, model in u.layer_models.items()}
-    width = max(len(spec.ratios) for spec in per_layer.values())
-    table = np.zeros((len(per_layer), width))
-    for i, spec in enumerate(per_layer.values()):
-        table[i, : len(spec.ratios)] = spec.ratios
+    width = min(len(spec.ratios) for spec in per_layer.values())
+    table = np.array([spec.ratios[:width] for spec in per_layer.values()])
+    rest = [float(np.sum(spec.ratios[width:])) + spec.tail_ratio for spec in per_layer.values()]
     return ScreeReport(
         per_layer=per_layer,
         aggregate_ratios=table.mean(axis=0),
         aggregate_std=table.std(axis=0),
+        aggregate_tail=float(np.mean(rest)),
         mode=mode,
     )
 
@@ -440,12 +446,23 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
 def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeights:
     """Rebuild full weight matrices from subspace coefficients; passthrough
     layers are the coefficient set's own arrays.  Every included layer
-    must have coefficients."""
+    must have coefficients, and only included layers may; a passthrough
+    layer must be one of the subspace's excluded layers."""
     for name in u.included_layers:
         if name not in coeffs.coefficients:
             raise InvalidArgumentError(
                 f"coefficients of model {coeffs.model_id!r} are missing included layer {name!r}"
             )
+    strays = [n for n in coeffs.coefficients if n not in u.layer_models] + [
+        n for n in coeffs.passthrough if n not in u.excluded_layers
+    ]
+    if strays:
+        raise InvalidArgumentError(
+            f"coefficients of model {coeffs.model_id!r} hold layers the subspace does not "
+            f"take there: {', '.join(repr(n) for n in strays)} (coefficients are for the "
+            f"included layers {u.included_layers}, passthrough for the excluded "
+            f"{u.excluded_layers})"
+        )
     layers = {}
     for name in u.layer_order:
         if name in coeffs.coefficients:
@@ -740,16 +757,19 @@ def adapt_coefficients(
 
 
 def save_subspace(u: UniversalSubspace, path) -> None:
-    """Write a subspace container (format version 4).
+    """Write a subspace container (format version 5).
 
     Entry layout, per included layer L and each non-stacking mode
     n = 2..order: ``mu/L`` (the mean as a matrix: one row for order 2,
     one member for order 3, 1 x 1 for global centring), ``U/L/n``
-    (factors) and ``ledger/L/sv/n`` (the full spectrum as a single-row
-    matrix).  The meta holds only what the entries cannot say:
-    ``provenance`` (the source model ids), ``centering``, ``policy``,
-    ``layer_order`` and per layer ``stack_shape`` and ``slab_extent``.
-    The container's model id is the architecture id.
+    (factors), ``ledger/L/sv/n`` (the stored spectrum as a single-row
+    matrix: all of it from the exact route, the components as deep as
+    the rank reads from the Gram route) and ``ledger/L/tail/n`` (1 x 1,
+    the energy of the components not stored; 0 from the exact route).
+    The meta holds only what the entries cannot say: ``provenance`` (the
+    source model ids), ``centering``, ``policy``, ``layer_order`` and per
+    layer ``stack_shape`` and ``slab_extent``.  The container's model id
+    is the architecture id.
     """
     triples = []
     for name in u.included_layers:
@@ -759,8 +779,9 @@ def save_subspace(u: UniversalSubspace, path) -> None:
         for n in modes:
             triples.append((f"U/{name}/{n}", model.factors[n - 1], "f64"))
         for n in modes:
-            sv = model.variance_ledger[n].singular_values
-            triples.append((f"ledger/{name}/sv/{n}", sv.reshape(1, -1), "f64"))
+            spec = model.variance_ledger[n]
+            triples.append((f"ledger/{name}/sv/{n}", spec.singular_values.reshape(1, -1), "f64"))
+            triples.append((f"ledger/{name}/tail/{n}", np.full((1, 1), spec.tail), "f64"))
     meta = {
         "kind": "subspace",
         "format_version": SUBSPACE_FORMAT_VERSION,
@@ -806,23 +827,34 @@ def _decoding_meta(kind):
         ) from exc
 
 
-def _spectrum(entries, name, n, retained) -> ModeSpectrum:
+def _spectrum(entries, name, n, retained, count) -> ModeSpectrum:
     """Mode ``n``'s ledger from its stored singular values, which must
-    form a spectrum of at least ``retained`` values (the factor's width);
-    the ratios are derived as extraction derives them."""
-    key = f"ledger/{name}/sv/{n}"
+    form a spectrum of at least ``retained`` values (the factor's width)
+    and at most ``count`` (the unfolding's), and its 1 x 1 tail energy,
+    which only a whole spectrum may go without (as versions 1 to 4 store
+    it) and is then 0; the ratios are derived as extraction derives them."""
+    key, tail_key = f"ledger/{name}/sv/{n}", f"ledger/{name}/tail/{n}"
     sv = _take(entries, key).ravel()
+    _require(sv.size <= count,
+             f"entry {key!r} holds {sv.size} singular values, more than its unfolding's {count}")
+    _require(tail_key in entries or sv.size == count,
+             f"entry {key!r} holds {sv.size} of the {count} singular values, and {tail_key!r} "
+             "is missing")
+    tail = entries.get(tail_key, np.zeros((1, 1)))
+    _require(tail.shape == (1, 1), f"entry {tail_key!r} must be 1 x 1, got {tail.shape}")
     try:
-        ratios = explained_variance(sv)
+        ratios = explained_variance(sv, float(tail[0, 0]))
     except (InvalidArgumentError, DegenerateSpectrumError) as exc:
-        raise ManifestError(f"entry {key!r} is not a spectrum: {exc}", 12) from exc
+        raise ManifestError(f"entries {key!r} and {tail_key!r} are not a spectrum: {exc}",
+                            12) from exc
     _require(sv.size >= retained,
              f"entry {key!r} holds {sv.size} singular values, fewer than the {retained} retained")
-    return ModeSpectrum(singular_values=sv, ratios=ratios, retained=retained)
+    return ModeSpectrum(singular_values=sv, ratios=ratios, retained=retained,
+                        tail=float(tail[0, 0]))
 
 
 def load_subspace(path) -> UniversalSubspace:
-    """Read a subspace container of format version 1 to 4 through one
+    """Read a subspace container of format version 1 to 5 through one
     path; what older versions also stored (``core/``, stacking-mode and
     ratio entries, and meta that restates the entries) is read past.
 
@@ -836,8 +868,10 @@ def load_subspace(path) -> UniversalSubspace:
     for order 3), ``layer_order`` distinct layers, each factor must have
     its mode's extent as rows, and each stored spectrum must be one
     (nonnegative, nonincreasing, not all zero, at least as long as its
-    factor is wide); otherwise, and for a meta field that is missing or
-    malformed, ManifestError.  The layer models have no stacking-mode
+    factor is wide and at most as long as its unfolding allows, with a
+    finite nonnegative 1 x 1 tail that is 0 past a zero value, and only
+    a whole spectrum may lack its tail entry); otherwise, and for a meta
+    field that is missing or malformed, ManifestError.  The layer models have no stacking-mode
     factor or core; an order-2 stack's two modes share one spectrum and
     rank, so its stacking-mode ledger is the feature mode's.
     """
@@ -881,7 +915,11 @@ def load_subspace(path) -> UniversalSubspace:
             mu = _take(entries, f"mu/{name}")
             mu = (np.float64(mu.reshape(())) if config.centering == "global"
                   else mu.reshape(shape[1:]))
-            ledger = {n: _spectrum(entries, name, n, factors[n - 1].shape[1]) for n in modes}
+            ledger = {
+                n: _spectrum(entries, name, n, factors[n - 1].shape[1],
+                             min(shape[n - 1], int(np.prod(shape)) // shape[n - 1]))
+                for n in modes
+            }
             if config.order == 2:
                 ledger = {1: ledger[2], 2: ledger[2]}
             layer_models[name] = SubspaceModel(

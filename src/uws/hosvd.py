@@ -10,15 +10,15 @@ Order-2 stacks (rows = models' stacked rows, columns = features) are
 plain PCA of one matrix Xc, and their two mode unfoldings are Xc and its
 transpose, so one decomposition serves both modes:
 
-- Gram route: ``eigvalsh`` of the d x d matrix Xc.T @ Xc gives the
-  spectrum, and the guard below reads it before any vector work; then
-  :func:`~uws.spectral.gram_vectors` finds only the leading feature
-  directions V that the policies retain or read (a block iteration where
-  the spectrum predicts it cheap, else one ``eigh``), and the stacking
-  factor is Xc V / s.  Eigenvalues below d * eps * lambda_1 are read as
-  exact zeros.  Squaring the condition number leaves s_i an absolute
-  error of about eps * s_1**2 / s_i, so the stacking factor's
-  orthonormality defect at depth r is about eps * (s_1 / s_r)**2.
+- Gram route: :func:`~uws.spectral.gram_leading` finds, of the d x d
+  matrix G = Xc.T @ Xc, only the leading eigenpairs that the policies
+  retain or read, and tr G less their sum as the energy of the rest (a
+  certified block iteration where that is cheap, else one ``eigh``); no
+  other spectrum is computed or kept.  The guard below reads those
+  values, and the stacking factor is Xc V / s.  Squaring the condition
+  number leaves s_i an absolute error of about eps * s_1**2 / s_i, so
+  the stacking factor's orthonormality defect at depth r is about
+  eps * (s_1 / s_r)**2.
 - Exact route: one thin SVD of Xc.  A guard takes it whenever the Gram
   route could lose accuracy that a result depends on: the stack is wider
   than tall, a policy is ``cumulative_variance(tau=1)`` or
@@ -69,8 +69,7 @@ from .spectral import (
     RankPolicy,
     column_signs,
     explained_variance,
-    gram_spectrum,
-    gram_vectors,
+    gram_leading,
     select_rank,
     thin_svd,
 )
@@ -102,17 +101,28 @@ GRAM_BLOCK_ROWS = 1024
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Full spectrum of one mode's unfolding plus what was retained.
+    """Leading spectrum of one mode's unfolding, the energy of the rest,
+    and what was retained.
 
-    ``first_component`` is 0 for a primary subspace; a secondary
-    (residual) subspace retains the window starting right after the
-    primary one.
+    The exact route keeps the whole spectrum and a ``tail`` of 0; the
+    Gram route keeps the components as deep as a rank reads and, in
+    ``tail``, the energy (sum of squares) of the others.  ``ratios`` are
+    ``explained_variance(singular_values, tail)``.  ``first_component``
+    is 0 for a primary subspace; a secondary (residual) subspace retains
+    the window starting right after the primary one.
     """
 
     singular_values: np.ndarray
     ratios: np.ndarray
     retained: int
     first_component: int = 0
+    tail: float = 0.0
+
+    @property
+    def tail_ratio(self) -> float:
+        """The share of the energy that ``tail`` holds: 0 when it is 0,
+        otherwise what the listed components leave of 1."""
+        return max(0.0, 1.0 - float(np.sum(self.ratios))) if self.tail else 0.0
 
 
 @dataclass
@@ -184,9 +194,9 @@ def _policy_list(policies, order: int) -> list[RankPolicy]:
     return policies
 
 
-def _ratios(singular_values: np.ndarray, mode: int, centering: str) -> np.ndarray:
+def _ratios(singular_values: np.ndarray, tail: float, mode: int, centering: str) -> np.ndarray:
     try:
-        return explained_variance(singular_values)
+        return explained_variance(singular_values, tail)
     except DegenerateSpectrumError as exc:
         raise DegenerateSpectrumError(
             f"no variance left along mode {mode} after {centering} centering"
@@ -198,83 +208,71 @@ def gram_eligible(shape, policies) -> bool:
     all: it is at least as tall as wide, and no policy reads the small
     end of the spectrum (``hard_threshold``, ``cumulative_variance`` with
     tau = 1)."""
-    return shape[0] >= shape[1] and not any(
-        p.kind == "hard_threshold" or (p.kind == "cumulative_variance" and p.tau >= 1.0)
-        for p in policies
-    )
+    return shape[0] >= shape[1] and not any(p.reads_small_end for p in policies)
 
 
-def _gram_factors(gram: np.ndarray, depth):
-    """``(s, v, n)`` from the centred Gram matrix of an order-2 stack, or
-    None where the guard sends the stack to the exact route: the Gram is
-    not finite, s_1**2 is below ``GRAM_MIN_SQUARE``, or the deepest
-    component retained or read, ``n = depth(s)``, is below
-    ``GRAM_MIN_RATIO * s_1``.  The guard reads the spectrum alone, so a
-    declined stack pays for no eigenvector; ``v`` holds the leading n."""
-    if not np.all(np.isfinite(gram)):
+def _gram_factors(gram: np.ndarray, policies):
+    """``(s, v, tail)`` from the centred Gram matrix of an order-2 stack
+    (:func:`~uws.spectral.gram_leading`: the leading singular values and
+    feature directions as deep as ``policies`` read, and the energy of
+    the rest), or None where the guard sends the stack to the exact
+    route: the Gram is not finite, s_1**2 is below ``GRAM_MIN_SQUARE``
+    (so is tr G >= s_1**2 of a stack declined before the solve), or the
+    deepest component read is below ``GRAM_MIN_RATIO * s_1``, which the
+    leading solve reports as soon as that is certain."""
+    if not np.all(np.isfinite(gram)) or np.trace(gram) < GRAM_MIN_SQUARE:
         return None
-    s = gram_spectrum(gram)
-    if s[0] ** 2 < GRAM_MIN_SQUARE:
+    found = gram_leading(gram, policies, GRAM_MIN_RATIO)
+    if found is None or found[0][0] ** 2 < GRAM_MIN_SQUARE:
         return None
-    n = depth(s)
-    if s[n - 1] < GRAM_MIN_RATIO * s[0]:
-        return None
-    return s, gram_vectors(gram, s, n), n
+    return found
 
 
-def _order2_svd(xc: np.ndarray, use_gram: bool, depth) -> tuple[np.ndarray, ...]:
+def _order2_svd(xc: np.ndarray, use_gram: bool, policies):
     """The single decomposition of a centered order-2 stack.
 
-    Returns ``(s, u, v)``: the min(rows, cols) singular values, and the
-    stacking and feature directions (at least the first ``depth(s)`` of
-    each), each column oriented by :func:`column_signs`.  ``depth(s)`` is
-    the deepest 1-based component the caller retains or reads; the Gram
-    route is tried when ``use_gram`` is set and taken unless
-    :func:`_gram_factors` declines it.
+    Returns ``(s, tail, u, v)``: singular values, the energy of those not
+    listed, and the stacking and feature directions, each column oriented
+    by :func:`column_signs`.  The Gram route, tried when ``use_gram`` is
+    set and taken unless :func:`_gram_factors` declines it, lists the
+    components as deep as ``policies`` read; the exact route lists all
+    min(rows, cols) with a tail of 0.
     """
     if use_gram:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = xc.T @ xc  # one that over- or underflows is declined by the guard
-        found = _gram_factors(gram, depth)
+        found = _gram_factors(gram, policies)
         if found is not None:
-            s, v, n = found
-            u = (xc @ v) / s[:n]
-            return s, u * column_signs(u), v
+            s, v, tail = found
+            u = (xc @ v) / s
+            return s, tail, u * column_signs(u), v
     f = thin_svd(xc)
-    return f.singular_values, f.u, f.v * column_signs(f.v)
+    return f.singular_values, 0.0, f.u, f.v * column_signs(f.v)
 
 
-def _order2_ranks(s, policies, centering, shape):
-    """Explained-variance ratios and the two modes' ranks of a spectrum
-    that both modes of an order-2 stack share."""
-    ratios = _ratios(s, 1, centering)
-    return ratios, [
+def _order2_truncation(s, tail, u, v, policies, centering, shape):
+    """Truncated factors (the stacking one None when ``u`` is) and the
+    ledger of an order-2 decomposition, whose two modes share one
+    spectrum."""
+    ratios = _ratios(s, tail, 1, centering)
+    r1, r2 = (
         select_rank(ratios, p, singular_values=s, shape=sh)
         for p, sh in zip(policies, (tuple(shape), tuple(shape)[::-1]))
-    ]
-
-
-def _order2_truncation(s, u, v, policies, centering, shape):
-    """Truncated factors (the stacking one None when ``u`` is) and the
-    ledger of an order-2 decomposition."""
-    ratios, (r1, r2) = _order2_ranks(s, policies, centering, shape)
+    )
     factors = [
         None if u is None else np.ascontiguousarray(u[:, :r1]),
         np.ascontiguousarray(v[:, :r2]),
     ]
     ledger = {
-        mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=r)
+        mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=r, tail=tail)
         for mode, r in ((1, r1), (2, r2))
     }
     return factors, ledger
 
 
 def _truncate_order2(xc: np.ndarray, policies: list[RankPolicy], centering: str):
-    def depth(s):
-        return max(_order2_ranks(s, policies, centering, xc.shape)[1])
-
-    s, u, v = _order2_svd(xc, gram_eligible(xc.shape, policies), depth)
-    return _order2_truncation(s, u, v, policies, centering, xc.shape)
+    s, tail, u, v = _order2_svd(xc, gram_eligible(xc.shape, policies), policies)
+    return _order2_truncation(s, tail, u, v, policies, centering, xc.shape)
 
 
 def _require_variance(centred_norm, norm, centering: str) -> None:
@@ -334,7 +332,7 @@ def hosvd_truncated(
         for mode in range(1, x.ndim + 1):
             m = unfold(xc, mode)
             f = thin_svd(m)
-            ratios = _ratios(f.singular_values, mode, centering)
+            ratios = _ratios(f.singular_values, 0.0, mode, centering)
             r = select_rank(
                 ratios, per_mode[mode - 1], singular_values=f.singular_values, shape=m.shape
             )
@@ -471,12 +469,11 @@ class GramStream:
             gram = gram + self.rows * np.outer(spread, spread)
             mu = np.float64(mu.mean())
         _require_variance(np.sqrt(np.trace(gram)), np.sqrt(self.sumsq), centering)
-        found = _gram_factors(
-            gram, lambda s: max(_order2_ranks(s, per_mode, centering, shape)[1])
-        )
+        found = _gram_factors(gram, per_mode)
         if found is None:
             return None
-        factors, ledger = _order2_truncation(found[0], None, found[1], per_mode, centering, shape)
+        s, v, tail = found
+        factors, ledger = _order2_truncation(s, tail, None, v, per_mode, centering, shape)
         return SubspaceModel(
             mu=mu,
             factors=factors,
@@ -538,14 +535,19 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
 
 
 def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.ndarray:
-    """Mean plus the coefficients expanded through each factor."""
+    """Mean plus the coefficients expanded through each factor.  Order-2
+    coefficients keep the member's rows, ``slab_extent`` of them when it
+    is set."""
     arr = np.asarray(coeffs.coeffs, dtype=np.float64)
     ranks = tuple(u.shape[1] for u in model.factors[1:])
-    ndim = model.order - (model.order > 2)  # an order-2 slab keeps its rows
-    if arr.ndim != ndim or arr.shape[ndim - len(ranks) :] != ranks:
+    if model.order > 2:
+        want = ranks
+    else:  # an order-2 slab keeps its rows
+        want = (model.slab_extent or (arr.shape[0] if arr.ndim == 2 else -1), *ranks)
+    if arr.shape != want:
         raise InvalidArgumentError(
             f"coefficients of shape {arr.shape} do not fit retained ranks {ranks} "
-            f"of an order-{model.order} stack"
+            f"of an order-{model.order} stack: expected {want}"
         )
     for mode, u in enumerate(model.factors[1:], start=arr.ndim - model.order + 2):
         arr = mode_product(arr, u, mode)
@@ -592,11 +594,14 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
         raise DegenerateSpectrumError(
             "residual is numerically zero; the primary subspace already explains the stack"
         )
-    s, u, v = _order2_svd(xc, gram_eligible(xc.shape, ()), lambda s: max(firsts) + k2)
+    depth = RankPolicy.fixed_k(max(firsts) + k2)
+    s, tail, u, v = _order2_svd(xc, gram_eligible(xc.shape, ()), [depth])
     factors = [np.ascontiguousarray(f[:, r1 : r1 + k2]) for f, r1 in zip((u, v), firsts)]
-    ratios = explained_variance(s)
+    ratios = explained_variance(s, tail)
     ledger = {
-        mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=k2, first_component=r1)
+        mode: ModeSpectrum(
+            singular_values=s, ratios=ratios, retained=k2, first_component=r1, tail=tail
+        )
         for mode, r1 in enumerate(firsts, start=1)
     }
     return SubspaceModel(

@@ -1,4 +1,4 @@
-"""Thin SVD, Gram spectra and leading Gram eigenvectors,
+"""Thin SVD, the certified leading eigenpairs of a Gram matrix,
 explained-variance accounting, rank-selection policies, and the exact
 operator norm of a symmetric matrix (one ``eigvalsh``)."""
 
@@ -20,19 +20,35 @@ NUMERICAL_RANK_RTOL = 1e-12
 
 _EPS = np.finfo(np.float64).eps
 
-#: :func:`gram_vectors` iterates on a block of at least n +
-#: LEADING_OVERSAMPLE columns for the leading n eigenvectors (the
-#: oversampling p of Halko, Martinsson and Tropp, 2011), so that its fixed
-#: random start is never close to missing a wanted direction.
+#: The leading solve iterates on a block of at least n + LEADING_OVERSAMPLE
+#: columns for the leading n eigenpairs (the oversampling p of Halko,
+#: Martinsson and Tropp, 2011), so that its fixed random start is never
+#: close to missing a wanted direction.
 LEADING_OVERSAMPLE = 8
 
-#: :func:`gram_vectors` runs the block iteration only while its predicted
-#: work, sweeps * (2 d**2 b + 4 d b**2) flops, stays below
-#: LEADING_MAX_WORK * d**3.  The d eigenvectors cost ``eigh`` about 2 d**3
-#: flops of matrix products on top of ``eigvalsh`` (0.11 s of 0.20 s at
-#: d = 1024, 2-vCPU VM, OpenBLAS), so the budget is a quarter of what the
-#: iteration replaces.
-LEADING_MAX_WORK = 0.5
+#: The leading solve's block iteration may spend LEADING_MAX_WORK * d**3
+#: flops, counting 2 d**2 b per product with the Gram matrix and 10 d b**2
+#: per orthonormalisation and Rayleigh-Ritz step, before it hands the layer
+#: to one full ``eigh``.  A full ``eigh`` takes as long as 5.5 to 17 d**3
+#: flops of the iteration's own block products (d = 2048 down to 384,
+#: 2-vCPU VM, OpenBLAS), so a layer the iteration cannot certify pays at
+#: most a fifth more than the ``eigh`` alone would.
+LEADING_MAX_WORK = 1.0
+
+#: The block iteration keeps a rank only where the certified gap after it
+#: is at least (its residual tolerance) / LEADING_MAX_SINE: then the
+#: backward error of any stable eigensolver, a full ``eigh`` included,
+#: moves the kept subspace by a sine of at most about LEADING_MAX_SINE
+#: (Davis and Kahan), so the routes agree to that.  A narrower gap, such as
+#: a cut inside a near-repeated cluster, is left to one ``eigh``.
+LEADING_MAX_SINE = 1e-10
+
+#: :func:`gram_leading` solves a Gram matrix whose largest entry lies
+#: within 2**±_PLAIN_EXPONENT as given: there its squares and sums of
+#: squares stay far from overflow and underflow, LAPACK's ``eigh`` does not
+#: rescale it (it does beyond about 2**±484), and every step gives results
+#: that scale exactly with the matrix, so no d x d scaled copy is needed.
+_PLAIN_EXPONENT = 256
 
 #: A block-iteration eigenvector is kept only if its Ritz residual
 #: ||G v - theta v|| is at most RITZ_RESIDUAL_MULTIPLE * sqrt(d) * eps *
@@ -103,128 +119,17 @@ def _checked_gram(gram) -> np.ndarray:
     return gram
 
 
-def gram_spectrum(gram: np.ndarray) -> np.ndarray:
-    """All ``cols`` singular values, nonincreasing, of any matrix whose
-    Gram matrix ``m.T @ m`` is ``gram``, from one ``eigvalsh``.
+def explained_variance(singular_values: np.ndarray, tail: float = 0.0) -> np.ndarray:
+    """Ratios sigma_i^2 / (sum_j sigma_j^2 + tail).
 
-    Forming the Gram matrix squares the condition number: s_i carries an
-    absolute error of about eps * s_1**2 / s_i, so only components well
-    above sqrt(eps) * s_1 are accurate.  An eigenvalue below d * eps *
-    lambda_1, the absolute error a backward-stable symmetric eigensolver
-    leaves, is rounding whose sign and size are luck, so it is read as an
-    exact zero singular value.
-    """
-    gram = _checked_gram(gram)
-    try:
-        lam = np.linalg.eigvalsh(gram)[::-1]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            "Gram eigenvalue solve did not converge (LAPACK)"
-        ) from exc
-    lam = np.where(lam < gram.shape[0] * _EPS * max(lam[0], 0.0), 0.0, lam)
-    s = np.sqrt(lam)
-    s.flags.writeable = False
-    return s
-
-
-def _block_plan(lam: np.ndarray, n: int):
-    """``(b, sweeps, shift)`` of the cheapest block iteration predicted to
-    resolve the leading ``n`` eigenvectors of a Gram matrix with the
-    nonincreasing eigenvalues ``lam``, or None where none is predicted to
-    cost less than ``LEADING_MAX_WORK * d**3`` flops.
-
-    Sweeping with G - shift * I, the shift midway between lambda_{b+1}
-    and lambda_d, shrinks the unwanted directions relative to the n-th by
-    ``ratio = (lambda_{b+1} - shift) / (lambda_n - shift)`` per sweep, so
-    about log(eps) / log(ratio) sweeps reach rounding level; one more is a
-    margin for the start.  No eigenvalue gap is taken as sharper than the
-    solver's error floor d * eps * lambda_1.
-    """
-    d = lam.size
-    b = np.arange(n + LEADING_OVERSAMPLE, d)
-    floor = d * _EPS * lam[0]
-    if b.size == 0 or not 0.0 < lam[0] < np.finfo(np.float64).max / d:
-        return None  # no block fits, or G @ q could overflow where eigh scales
-    top = np.maximum(lam[b], floor)  # lambda_{b+1} for each block size b
-    shift = (top + lam[-1]) / 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.maximum(top - shift, floor) / (lam[n - 1] - shift)
-        sweeps = np.where(
-            (ratio > 0) & (ratio < 1), np.ceil(np.log(_EPS) / np.log(ratio)) + 1, np.inf
-        )
-    work = sweeps * (2.0 * d * d * b + 4.0 * d * b * b)
-    i = int(np.argmin(work))
-    if not work[i] <= LEADING_MAX_WORK * float(d) ** 3:
-        return None
-    return int(b[i]), int(sweeps[i]), float(shift[i])
-
-
-def _block_iteration(gram, lam1, n, b, sweeps, shift):
-    """The leading ``n`` eigenvectors of ``gram`` from ``sweeps`` shifted
-    subspace-iteration sweeps on a ``b``-column block and one Rayleigh-Ritz
-    step, or None where a Ritz residual ||G v - theta v|| exceeds
-    ``RITZ_RESIDUAL_MULTIPLE * sqrt(d) * eps * lambda_1``."""
-    d = gram.shape[0]
-    try:
-        q = np.linalg.qr(np.random.default_rng(0).standard_normal((d, b)))[0]
-        for _ in range(sweeps):
-            q = np.linalg.qr(gram @ q - shift * q)[0]
-        z = gram @ q
-        h = q.T @ z
-        theta, w = np.linalg.eigh((h + h.T) / 2)
-    except np.linalg.LinAlgError:
-        return None
-    w, theta = w[:, : -n - 1 : -1], theta[: -n - 1 : -1]
-    v = q @ w
-    resid = np.linalg.norm(z @ w - v * theta, axis=0)
-    if not np.max(resid) <= RITZ_RESIDUAL_MULTIPLE * np.sqrt(d) * _EPS * lam1:
-        return None
-    return v
-
-
-def gram_vectors(gram: np.ndarray, singular_values: np.ndarray, n: int) -> np.ndarray:
-    """The leading ``n`` right singular vectors (d x n, orthonormal
-    columns) of any matrix whose Gram matrix is ``gram``, each oriented by
-    :func:`column_signs`; ``singular_values`` is :func:`gram_spectrum` of
-    the same ``gram``.
-
-    Block subspace iteration (Rutishauser 1970; Halko, Martinsson and
-    Tropp 2011) with a Rayleigh-Ritz step finds them from a fixed start
-    when the spectrum predicts that to be cheap (:func:`_block_plan`), and
-    its result is kept only if every Ritz residual is within the backward
-    error of a full ``eigh``.  Otherwise one full ``eigh`` of ``gram``
-    gives them.
-    """
-    gram = _checked_gram(gram)
-    d = gram.shape[0]
-    if not 1 <= n <= d or np.shape(singular_values) != (d,):
-        raise InvalidArgumentError(
-            f"need 1 <= n <= {d} and {d} singular values, got n={n} and "
-            f"{np.size(singular_values)}"
-        )
-    lam = np.square(singular_values)
-    plan = _block_plan(lam, n)
-    v = None if plan is None else _block_iteration(gram, lam[0], n, *plan)
-    if v is None:
-        try:
-            full = np.linalg.eigh(gram)[1]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(
-                "Gram eigendecomposition did not converge (LAPACK)"
-            ) from exc
-        v = np.ascontiguousarray(full[:, : -n - 1 : -1])
-    v *= column_signs(v)
-    return v
-
-
-def explained_variance(singular_values: np.ndarray) -> np.ndarray:
-    """Ratios sigma_i^2 / sum_j sigma_j^2.
-
-    Input must be nonincreasing and nonnegative with at least one nonzero
-    entry; the result is nonincreasing and sums to 1.  The values are
-    divided by a power of two just above the largest before they are
-    squared, so no scale overflows or underflows; where neither happens
-    unscaled, the ratios are the same bit for bit.
+    ``singular_values`` must be nonincreasing and nonnegative; ``tail``,
+    finite and nonnegative, is the energy (a sum of squares) of the
+    components not listed, each at most the last listed one, so it is 0
+    where that is 0, and the ratios sum to 1 when it is 0.  The sum must
+    not be 0.  The values are divided by a power of two just above
+    the largest before they are squared (the tail by its square), so no
+    scale overflows or underflows; where neither happens unscaled, the
+    ratios are the same bit for bit.
     """
     s = np.asarray(singular_values, dtype=np.float64).reshape(-1)
     if s.size == 0:
@@ -233,8 +138,13 @@ def explained_variance(singular_values: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError("singular values must be nonnegative")
     if np.any(np.diff(s) > 1e-12 * max(1.0, float(s[0]))):
         raise InvalidArgumentError("singular values must be nonincreasing")
-    s = np.ldexp(s, -peak_exponent(s))
-    total = float(np.sum(s**2))
+    if not 0.0 <= tail < np.inf:
+        raise InvalidArgumentError(f"the tail energy must be finite and >= 0, got {tail!r}")
+    if tail > 0 and s[-1] == 0:
+        raise InvalidArgumentError("a tail beyond a zero singular value must be 0")
+    e = peak_exponent(s)
+    s = np.ldexp(s, -e)
+    total = float(np.sum(s**2)) + float(np.ldexp(tail, -2 * e))
     if total == 0.0:
         raise DegenerateSpectrumError("all singular values are zero")
     return s**2 / total
@@ -317,6 +227,15 @@ class RankPolicy:
             return f"hard_threshold(noise_sigma={sigma})"
         return f"fixed_k(k={self.k})"
 
+    @property
+    def reads_small_end(self) -> bool:
+        """Whether the rank depends on the small end of the spectrum:
+        ``hard_threshold`` (through the median singular value) and
+        ``cumulative_variance`` with tau = 1 (the numerical rank)."""
+        return self.kind == "hard_threshold" or (
+            self.kind == "cumulative_variance" and self.tau >= 1.0
+        )
+
 
 DEFAULT_POLICY = RankPolicy.cumulative_variance(0.95)
 
@@ -373,6 +292,294 @@ def select_rank(
     s = np.asarray(singular_values, dtype=np.float64).reshape(-1)
     cut = _optimal_hard_threshold(s, shape, policy.noise_sigma)
     return max(1, int(np.sum(s > cut)))
+
+
+class _Declined(Exception):
+    """The deepest value the caller reads is below its floor."""
+
+
+def _leading_eigh(g, policies, min_ratio):
+    """The leading eigenpairs of ``g`` as deep as ``policies`` read, and
+    the sum of the other eigenvalues, from one full ``eigh``.  An
+    eigenvalue below d * eps * lambda_1, the absolute error a
+    backward-stable symmetric eigensolver leaves, is rounding whose sign
+    and size are luck, so it is read as an exact 0."""
+    try:
+        lam, vec = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError("Gram eigendecomposition did not converge (LAPACK)") from exc
+    lam, vec = lam[::-1], vec[:, ::-1]
+    lam = np.where(lam < g.shape[0] * _EPS * max(lam[0], 0.0), 0.0, lam)
+    ratios = explained_variance(np.sqrt(lam))
+    n = max(select_rank(ratios, p) for p in policies)
+    if np.sqrt(lam[n - 1]) < min_ratio * np.sqrt(lam[0]):
+        raise _Declined
+    return lam[:n], np.ascontiguousarray(vec[:, :n]), float(np.sum(lam[n:]))
+
+
+def _certified_depth(theta, converged, rho, ceiling, total, slack, tol, policies):
+    """``(n, least)`` from Ritz values ``theta`` whose residual norms
+    through depth m are ``rho[m - 1]`` (all within ``tol`` where
+    ``converged``), where ``ceiling[m - 1] + rho[m - 1]`` bounds every
+    eigenvalue outside the leading m Ritz directions: n is the depth the
+    policies select where no certified error can change it and each rank
+    selected is certified with a gap after it of at least ``tol /
+    LEADING_MAX_SINE``, else None; ``least`` is a depth they certainly
+    select at least."""
+    gap = theta - rho - ceiling - rho
+    certified = converged & (gap > 0)
+    if not certified.any():
+        return None, 1
+    m = int(np.flatnonzero(certified)[-1]) + 1
+    lo = np.append(np.maximum(theta[:m] - slack, 0.0), 0.0)
+    hi = theta[:m] + rho[m - 1] + slack
+    hi = np.append(hi, min(ceiling[m - 1] + rho[m - 1] + slack, hi[-1]))
+    pairs = [(select_rank(lo / total, p), select_rank(hi / total, p)) for p in policies]
+    least = max(min(pair) for pair in pairs)
+    if all(a == c <= m and certified[a - 1] and gap[a - 1] >= tol / LEADING_MAX_SINE
+           for a, c in pairs):
+        return max(a for a, _ in pairs), least
+    return None, least
+
+
+def _all_below(g, v, theta, mu, block=256) -> bool:
+    """Whether every eigenvalue of G - V diag(theta) V.T is below ``mu``:
+    then so is lambda_{n+1} of G, n the width of ``v`` (Weyl: a positive
+    semidefinite update of rank n moves no eigenvalue past the n-th one
+    above it).  A Cholesky factorisation of A = mu I - G + V diag(theta)
+    V.T succeeds only where A is positive definite, up to its backward
+    error of about d * eps * ||A||.  It runs in place, ``block`` columns at
+    a time, so that A is the only d x d array it adds."""
+    a = (v * theta) @ v.T
+    a -= g
+    a[np.diag_indices_from(a)] += mu
+    d = a.shape[0]
+    try:
+        for k in range(0, d, block):
+            e = min(k + block, d)
+            lower = np.linalg.cholesky(a[k:e, k:e])  # reads the lower triangle
+            if e == d:
+                return True
+            panel = np.linalg.solve(lower, a[e:, k:e].T).T  # A21 L11^-T
+            for i in range(e, d, block):  # the lower triangle of A22 - L21 L21^T
+                j = min(i + block, d)
+                a[i:j, e:j] -= panel[i - e : j - e] @ panel[: j - e].T
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _leading_block(g, total, policies, min_ratio):
+    """The leading eigenpairs of ``g`` (trace ``total``) as deep as
+    ``policies`` read, and ``total`` less their sum, from shifted block
+    subspace iteration with a Rayleigh-Ritz step after every sweep; or
+    None where the iteration is predicted to cost more than
+    ``LEADING_MAX_WORK * d**3`` flops or runs out of that budget.
+
+    After a sweep the block Q (d x b) gives Ritz pairs (theta_i, v_i)
+    with residuals r_i = ||G v_i - theta_i v_i||.  G is positive
+    semidefinite, so the compression C of G to the N = d - b directions
+    outside the block has largest eigenvalue at most its trace, tr G -
+    sum(theta), and at most the largest value N numbers with C's first
+    two moments can have (Samuelson's inequality: mean + sqrt(N - 1) *
+    standard deviation), where tr C**2 = ||G||_F**2 - 2 ||G Q||_F**2 +
+    ||Q.T G Q||_F**2.  The smaller, widened by its rounding, bounds every
+    eigenvalue the block missed.  The leading m Ritz pairs are certified
+    when every r_i (i <= m) is within ``RITZ_RESIDUAL_MULTIPLE * sqrt(d) *
+    eps * theta_1`` and, with rho the norm of those residuals, theta_m -
+    rho clears theta_{m+1} + bound + rho: then lambda_i lies in [theta_i,
+    theta_i + rho] for i <= m, and lambda_{m+1} is at most theta_{m+1} +
+    bound + rho.  A depth is accepted when each policy selects the same
+    rank from the lower and the upper ends of those intervals, so no
+    certified error can change it, and each of those ranks is itself
+    certified (:func:`_certified_depth`).  Where the leading pairs have
+    converged but the two moments bound a bulk of many small eigenvalues
+    far too loosely (it grows like sqrt(N) times their spread), one
+    Cholesky factorisation of the deflated Gram matrix
+    (:func:`_all_below`) can prove lambda_{n+1} below the middle of the
+    gap instead, when that costs less than growing the block.  Otherwise
+    the block grows, or sweeps again, while the budget lasts.
+    """
+    d = g.shape[0]
+    fro2 = float(np.vdot(g, g))
+    if not total > 0:
+        return None
+    # a tau policy needs n >= (tau tr G / ||G||_F)**2 (Cauchy-Schwarz)
+    known = max(
+        min(p.k, d) if p.kind == "fixed_k"
+        else int(np.ceil(p.tau**2 * total**2 / fro2 * (1 - 1e-12)))
+        if p.kind == "cumulative_variance" else 1
+        for p in policies
+    )
+
+    def cost(b):
+        return 2.0 * d * d * b + 10.0 * d * b * b
+
+    b = known + LEADING_OVERSAMPLE
+    budget, work = LEADING_MAX_WORK * float(d) ** 3, cost(b)
+    if b >= d or 3 * work > budget:
+        return None
+    rng = np.random.default_rng(0)
+    try:
+        q = np.linalg.qr(g @ rng.standard_normal((d, b)))[0]
+        while True:
+            work += cost(b)
+            z = g @ q
+            h = q.T @ z
+            theta, w = np.linalg.eigh((h + h.T) / 2)
+            theta, w = theta[::-1], w[:, ::-1]
+            if not theta[0] > 0:
+                return None
+            v, gv = q @ w, z @ w
+            resid = np.linalg.norm(gv - v * theta, axis=0)
+            # tr C and tr C**2 of the compression C to the d - b other directions
+            trace = total - theta.sum()
+            square = fro2 - 2 * np.vdot(z, z) + np.vdot(theta, theta)
+            outside = d - b
+            spread = max(square - trace**2 / outside, 0.0) * (outside - 1) / outside
+            bound = d * _EPS * total + min(
+                trace, trace / outside + np.sqrt(spread + d * _EPS * fro2)
+            )
+            tol = RITZ_RESIDUAL_MULTIPLE * np.sqrt(d) * _EPS * theta[0]
+            converged = np.logical_and.accumulate(resid <= tol)
+            rho = np.sqrt(np.cumsum(resid**2))
+            slack = 4 * d * _EPS * theta[0]
+            # ceiling[m - 1] bounds the largest eigenvalue of G compressed to
+            # the complement of the leading m Ritz directions, so that
+            # lambda_{m+1} <= ceiling[m - 1] + rho_m
+            ceiling = np.append(theta[1:], 0.0) + bound
+            n, least = _certified_depth(
+                theta, converged, rho, ceiling, total, slack, tol, policies)
+            known = max(known, least)
+            # the depth these Ritz values suggest; past the block, at least
+            # as many more directions as the missing energy needs at theta_b each
+            central = np.append(theta, 0.0) / total
+            want = known
+            for p in policies:
+                r = select_rank(central, p)
+                if p.kind == "cumulative_variance" and r > b:
+                    r = b + int(np.ceil((p.tau * total - theta.sum()) / max(theta[-1], tol)))
+                elif p.kind == "eigen_floor" and r == b:
+                    r = 2 * b
+                want = max(want, r)
+            doubling = 2 * cost(2 * b)
+            if (n is None and want < b and converged[want - 1]
+                    and (doubling >= d**3 / 3 or work + doubling > budget)
+                    and work + d**3 / 3 <= budget):
+                # converged, but the moments outside the block are too loose,
+                # and two sweeps of a doubled block would cost more than a
+                # Cholesky factorisation (d**3 / 3 flops), or more than the
+                # budget left: ask it whether everything past the leading
+                # want directions lies below the middle of the gap
+                work += d**3 / 3
+                # the middle of the gap, or below an eigen floor inside it
+                # so that the next value is certainly under the floor too
+                mid = min([(theta[want - 1] + theta[want]) / 2] + [
+                    p.epsilon * total - 3 * (rho[want - 1] + slack) for p in policies
+                    if p.kind == "eigen_floor"
+                    and p.epsilon * total - 3 * (rho[want - 1] + slack) > theta[want]
+                ])
+                if _all_below(g, v[:, :want], theta[:want], mid):
+                    fence = mid + slack + rho[want - 1]
+                    ceiling = np.minimum(ceiling, np.concatenate([
+                        np.maximum(theta[1:want], fence) + rho[want - 1], [fence],
+                        np.full(b - want, np.inf)]))
+                    n, least = _certified_depth(
+                        theta, converged, rho, ceiling, total, slack, tol, policies)
+                    known = max(known, least)
+            if n is not None:
+                if np.sqrt(theta[n - 1]) < min_ratio * np.sqrt(theta[0]):
+                    raise _Declined
+                return theta[:n], np.ascontiguousarray(v[:, :n]), total - theta[:n].sum()
+            # lambda_j <= tr G - (lambda_1 + ... + lambda_{j-1}) <= tr G - (theta_1 +
+            # ... + theta_{j-1}) for any Ritz values (Ky Fan): decline once the
+            # depth's value is certainly below the caller's floor
+            j = min(known, b + 1)
+            missed = total - theta[: j - 1].sum() + j * d * _EPS * theta[0]
+            if min_ratio > 0 and missed < min_ratio**2 * theta[0]:
+                raise _Declined
+            shift = max(theta[-1], 0.0) / 2
+            if want + LEADING_OVERSAMPLE > b or converged[want - 1]:
+                # too shallow for that depth, or converged there while the
+                # bound outside the block is too loose to certify it: grow
+                grown = want + LEADING_OVERSAMPLE if want + LEADING_OVERSAMPLE > b else 2 * b
+                if grown >= d or work + 2 * cost(grown) > budget:
+                    return None
+                y = np.c_[gv - shift * v, rng.standard_normal((d, grown - b))]
+                b = grown
+            else:
+                # each sweep shrinks the residual by about (theta_b - shift) /
+                # (theta_n - shift)
+                gap = theta[want - 1] - shift
+                ratio = max(theta[-1] - shift, 0.0) / gap if gap > 0 else np.inf
+                sweeps = (
+                    1.0 if ratio == 0.0
+                    else np.log(tol / np.max(resid[:want])) / np.log(ratio) if ratio < 1.0
+                    else np.inf
+                )
+                if work + max(sweeps, 1.0) * cost(b) > budget:
+                    return None
+                y = gv - shift * v
+            q = np.linalg.qr(y)[0]
+    except np.linalg.LinAlgError:
+        return None
+
+
+def gram_leading(gram: np.ndarray, policies, min_ratio: float = 0.0):
+    """The leading singular values and right singular vectors of any
+    matrix whose Gram matrix ``m.T @ m`` is ``gram``, as deep as the rank
+    ``policies`` read, and the energy of the rest.
+
+    Returns ``(s, v, tail)``: the n leading singular values, nonincreasing,
+    where n is the deepest rank a policy selects; their right singular
+    vectors (d x n, orthonormal columns, each oriented by
+    :func:`column_signs`); and ``tail``, the energy of the d - n
+    components not returned (tr G - sum(s**2) from the block iteration,
+    the sum of the rest from a full ``eigh``), so the ratios are
+    ``explained_variance(s, tail)``.  Returns None where s_n <
+    ``min_ratio * s_1``.  No policy may read the small end of the spectrum
+    (:attr:`RankPolicy.reads_small_end`).
+
+    tr G is exact, so each policy chooses its rank from the leading
+    eigenvalues and the energy left over.  Shifted block subspace
+    iteration with a Rayleigh-Ritz step (Rutishauser 1970; Halko,
+    Martinsson and Tropp 2011) finds those eigenpairs from a fixed start,
+    growing its block until the rank and every eigenpair it keeps are
+    certified, by the trace and Frobenius norm of what it has not
+    captured or by one Cholesky factorisation (:func:`_leading_block`).  Where that is predicted to cost
+    more than ``LEADING_MAX_WORK * d**3`` flops, as for a flat spectrum,
+    whose Cauchy-Schwarz depth bound (tau tr G / ||G||_F)**2 is already too
+    deep, one full ``eigh`` gives both.  A Gram matrix whose largest
+    entry lies beyond 2**±``_PLAIN_EXPONENT`` is first divided by an even
+    power of two just above it; so every scale gives the same ranks and
+    vectors, and values scaled back exactly.
+
+    Forming the Gram matrix squares the condition number: s_i carries an
+    absolute error of about eps * s_1**2 / s_i, so only components well
+    above sqrt(eps) * s_1 are accurate.
+    """
+    gram = _checked_gram(gram)
+    policies = list(policies)
+    if not policies or any(p.reads_small_end for p in policies):
+        raise InvalidArgumentError(
+            "the leading spectrum serves policies that read only its leading end"
+        )
+    e = 2 * ((peak_exponent(np.diagonal(gram)) + 1) // 2)
+    if abs(e) <= _PLAIN_EXPONENT:
+        e = 0  # every step is exact under power-of-two scaling: solve as given
+    g = np.ldexp(gram, -e) if e else gram
+    total = float(np.trace(g))
+    try:
+        lam, v, tail = _leading_block(g, total, policies, min_ratio) or _leading_eigh(
+            g, policies, min_ratio
+        )
+    except _Declined:
+        return None
+    v *= column_signs(v)
+    tail = float(np.ldexp(max(tail, 0.0), e))
+    s = np.ldexp(np.sqrt(lam), e // 2)
+    s.flags.writeable = False
+    return s, v, tail
 
 
 def operator_norm(a: np.ndarray) -> float:

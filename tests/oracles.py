@@ -156,15 +156,31 @@ def synthetic_tasks_by_loop(config, rng: np.random.Generator):
     return basis, f_stars, f_hats
 
 
-def record_eigh_orders(monkeypatch) -> list:
-    """Make ``np.linalg.eigh`` append the order of every matrix it is
-    called on to the returned list (until ``monkeypatch`` is undone)."""
-    orders = []
-    real = np.linalg.eigh
+def record_square_solves(monkeypatch) -> list:
+    """Make ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` append ``(name,
+    order)`` for every matrix they are called on to the returned list
+    (until ``monkeypatch`` is undone)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
 
-    def recorded(a, *args, **kwargs):
-        orders.append(np.shape(a)[0])
-        return real(a, *args, **kwargs)
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)[0]))
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
-    return orders
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def assert_spectra_agree(got, want):
+    """Two ledgers of one stack (``ModeSpectrum``) that may store
+    different depths agree: the same rank, the stored values they share
+    within 1e-12 * s_1, and the energy past those within 1e-12 of the
+    total."""
+    assert got.retained == want.retained
+    assert got.first_component == want.first_component
+    n = min(got.singular_values.size, want.singular_values.size)
+    a, b = got.singular_values, want.singular_values
+    assert np.max(np.abs(a[:n] - b[:n])) <= 1e-12 * b[0]
+    rest = [float(np.sum(s[n:] ** 2)) + spec.tail for s, spec in ((a, got), (b, want))]
+    assert abs(rest[0] - rest[1]) <= 1e-12 * (float(np.sum(b**2)) + want.tail)

@@ -137,7 +137,8 @@ def test_extract_prints_layer_health(tmp_path, capsys):
     assert len(outputs[0]) == len(u.included_layers) == 2
     for line, name in zip(outputs[0], u.included_layers):
         spec = u.layer_models[name].variance_ledger[2]
-        prefix = f"  {name}: rank {spec.retained} of {spec.singular_values.size}, "
+        # N counts every component of the stack, stored or not
+        prefix = f"  {name}: rank {spec.retained} of {min(u.layer_models[name].shape)}, "
         assert line.startswith(prefix)
         energy = float(line.split("retained energy ")[1].split(",")[0])
         assert abs(energy - spec.ratios[: spec.retained].sum()) < 1e-6
@@ -239,6 +240,38 @@ def test_scree_matches_extract_report(tmp_path, capsys):
     data_rows = [ln for ln in report.read_text().splitlines() if not ln.startswith("#")]
     scree_rows = [ln for ln in scree.read_text().splitlines() if not ln.startswith("#")]
     assert data_rows == scree_rows
+
+
+def test_scree_of_version5_and_version4_files_matches_their_reports(tmp_path, capsys):
+    pattern, _ = write_fixture_models(tmp_path, noise=1e-3)
+
+    def rows(path):
+        return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+    for tau in ("0.95", "1.0"):
+        out, report = tmp_path / f"s{tau}.uws", tmp_path / f"r{tau}.csv"
+        run(["extract", "--models", pattern, "--out", str(out),
+             "--report", str(report), "--tau", tau], capsys)
+        tails = [ln for ln in rows(report) if ln.startswith("tail,")]
+        if tau == "0.95":
+            # the Gram route stores each layer's leading components and a tail row
+            # holds the rest; ratios still sum to 1
+            assert [ln.split(",")[1] for ln in tails] == ["block0", "block1", "aggregate"]
+            assert all(abs(float(ln.split(",")[-1]) - 1.0) < 1e-12 for ln in tails)
+        else:
+            # the exact route stores the whole spectrum and no tail; block1
+            # has 20 components to block0's 24, so the aggregate's tail
+            # holds block0's last 4
+            assert [ln.split(",")[1] for ln in tails] == ["aggregate"]
+            doc = read_container(out)
+            old = tmp_path / "v4.uws"  # the same file as version 4 writes it
+            old.write_bytes(build_container(
+                doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers
+                               if "/tail/" not in r.name], dict(doc.meta, format_version=4)))
+            out = old
+        scree = tmp_path / f"scree{tau}.csv"
+        code, _, _ = run(["scree", "--subspace", str(out), "--out", str(scree)], capsys)
+        assert code == 0 and rows(scree) == rows(report)
 
 
 def test_scree_display_cap_limits_stdout_not_file(tmp_path, capsys):
@@ -388,6 +421,35 @@ def test_reconstruct_refuses_coefficients_without_an_included_layer(tmp_path, ca
     code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
                         "--out", str(tmp_path / "back.uws")], capsys)
     assert code == 2 and "'block1'" in err
+    assert not (tmp_path / "back.uws").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # block0 keeps 2 of its 6 rows: it would rebuild as a 2 x 24 layer
+        lambda entries: entries.update({"coef/block0": entries["coef/block0"][:2]}),
+        # a layer the subspace does not know, and raw weights for a projected one
+        lambda entries: entries.update({"coef/zzz": entries["coef/block0"]}),
+        lambda entries: entries.update({"raw/block0": np.zeros((6, 24))}),
+    ],
+    ids=["rows-cut", "coef-outside-layer-order", "raw-for-included-layer"],
+)
+def test_reconstruct_refuses_coefficient_entries_that_do_not_fit(tmp_path, capsys, edit):
+    pattern, paths = write_fixture_models(tmp_path)
+    space, coeffs = tmp_path / "s.uws", tmp_path / "c.uws"
+    run(["extract", "--models", pattern, "--out", str(space),
+         "--report", str(tmp_path / "r.csv"), "--fixed-k", "3"], capsys)
+    run(["project", "--subspace", str(space), "--model", str(paths[0]),
+         "--out", str(coeffs)], capsys)
+    doc = read_container(coeffs)
+    entries = {rec.name: rec.array for rec in doc.layers}
+    edit(entries)
+    coeffs.write_bytes(build_container(
+        doc.model_id, [(name, array, "f64") for name, array in entries.items()], doc.meta))
+    code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
+                        "--out", str(tmp_path / "back.uws")], capsys)
+    assert code == 2 and err.count("\n") == 1
     assert not (tmp_path / "back.uws").exists()
 
 

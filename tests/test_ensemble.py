@@ -199,6 +199,18 @@ def test_scree_hand_aggregate():
     assert np.allclose(rep.aggregate_std, [0.25, 0.25], atol=1e-12)
 
 
+def test_scree_aggregates_the_components_every_layer_stores():
+    rng = np.random.default_rng(91)
+    models, _, _ = make_planted(rng, n_models=40, k=4, noise=1e-2)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.cumulative_variance(0.99)))
+    rep = scree_report(u)
+    stored = [spec.ratios.size for spec in rep.per_layer.values()]
+    assert rep.aggregate_ratios.size == min(stored) < 20  # the Gram route stores a prefix
+    for spec in rep.per_layer.values():
+        assert spec.tail > 0 and abs(np.sum(spec.ratios) + spec.tail_ratio - 1.0) < 1e-12
+    assert abs(np.sum(rep.aggregate_ratios) + rep.aggregate_tail - 1.0) < 1e-12
+
+
 def test_scree_single_layer_equals_aggregate():
     rng = np.random.default_rng(90)
     models = as_models([{"only": rng.standard_normal((3, 7))} for _ in range(6)])
@@ -269,6 +281,34 @@ def test_reconstruct_missing_layer_errors():
     c = project_model(u, models[0])
     del c.coefficients["block0"]
     with pytest.raises(InvalidArgumentError, match="block0"):
+        reconstruct_model(u, c)
+
+
+@pytest.mark.parametrize(
+    "kind, layer",
+    [("coefficients", "zzz"), ("coefficients", "embed"), ("passthrough", "block0"),
+     ("passthrough", "zzz")],
+    ids=["coef-outside-layer-order", "coef-for-excluded", "raw-for-included", "raw-outside"],
+)
+def test_reconstruct_rejects_entries_the_subspace_does_not_take(kind, layer):
+    rng = np.random.default_rng(93)
+    models, _, _ = make_planted(rng, n_models=10)
+    u = extract_universal(models, ExtractionConfig())
+    assert "embed" in u.excluded_layers and "block0" in u.included_layers
+    c = project_model(u, models[0])
+    stray = c.coefficients["block0"] if kind == "coefficients" else models[0].layers["block0"]
+    getattr(c, kind)[layer] = stray
+    with pytest.raises(InvalidArgumentError, match=repr(layer)):
+        reconstruct_model(u, c)
+
+
+def test_reconstruct_rejects_a_coefficient_block_with_other_rows():
+    rng = np.random.default_rng(93)
+    models, _, _ = make_planted(rng, n_models=10)
+    u = extract_universal(models, ExtractionConfig())
+    c = project_model(u, models[0])
+    c.coefficients["block0"].coeffs = c.coefficients["block0"].coeffs[:2]
+    with pytest.raises(InvalidArgumentError, match="do not fit"):
         reconstruct_model(u, c)
 
 

@@ -29,6 +29,7 @@ from uws.errors import DegenerateSpectrumError, InvalidArgumentError, ManifestEr
 from uws.hosvd import (
     GRAM_BLOCK_ROWS,
     GramStream,
+    center,
     hosvd_truncated,
     project_slice,
     reconstruct,
@@ -37,7 +38,7 @@ from uws.hosvd import (
 )
 from uws.spectral import RankPolicy, explained_variance
 
-from oracles import planted_ensemble, record_eigh_orders
+from oracles import assert_spectra_agree, planted_ensemble, record_square_solves
 
 SHAPES = {"inlet": (8, 40), "block0": (8, 40), "block1": (6, 32), "outlet": (8, 40)}
 TAU = RankPolicy.cumulative_variance(0.99)
@@ -80,10 +81,7 @@ def assert_matches_stacked(u, models):
         assert got.ranks[1] == want.ranks[1]
         assert max_sine(got.factors[1], want.factors[1]) <= 1e-10
         for mode in (1, 2):
-            g, w = got.variance_ledger[mode], want.variance_ledger[mode]
-            assert g.retained == w.retained
-            s = w.singular_values
-            assert np.max(np.abs(g.singular_values - s)) <= 1e-12 * s[0]
+            assert_spectra_agree(got.variance_ledger[mode], want.variance_ledger[mode])
         mu_g, mu_w = np.asarray(got.mu), np.asarray(want.mu)
         assert np.shape(mu_g) == np.shape(mu_w)
         assert np.linalg.norm(mu_g - mu_w) <= 1e-12 * np.linalg.norm(mu_w)
@@ -154,7 +152,10 @@ def test_gram_stream_blocks_do_not_change_the_result():
     s = np.linalg.svd(xc, compute_uv=False)
     for model in (a, b):
         assert model.shape == x.shape
-        assert np.max(np.abs(model.variance_ledger[2].singular_values - s)) <= 1e-12 * s[0]
+        spec = model.variance_ledger[2]
+        n = spec.singular_values.size
+        assert np.max(np.abs(spec.singular_values - s[:n])) <= 1e-12 * s[0]
+        assert abs(spec.tail - np.sum(s[n:] ** 2)) <= 1e-12 * np.sum(s**2)
         assert np.allclose(model.mu, x.mean(axis=0, keepdims=True), rtol=0, atol=1e-12)
     assert max_sine(a.factors[1], b.factors[1]) <= 1e-12
 
@@ -425,7 +426,7 @@ def test_streamed_extract_on_the_leading_vector_route_reruns_byte_identically(
     # 48 models of 32 x 512: 1536 stacked rows, more than one Gram block
     shapes = {"inlet": (4, 512), "block0": (32, 512), "outlet": (4, 512)}
     write_models(tmp_path / "m", planted_models(19, 48, shapes=shapes))
-    eighs = record_eigh_orders(monkeypatch)
+    solves = record_square_solves(monkeypatch)
     routes = Routes(monkeypatch)
     outputs = []
     for name in ("a", "b"):
@@ -435,7 +436,8 @@ def test_streamed_extract_on_the_leading_vector_route_reruns_byte_identically(
         assert code == 0
     capsys.readouterr()
     assert routes.counts() == {"reads": 96, "streamed": 2, "stacked": 0}
-    assert len(eighs) == 2 and max(eighs) < 512  # Rayleigh-Ritz solves only
+    # Rayleigh-Ritz solves only: no 512 x 512 eigh, and no eigvalsh
+    assert solves and all(name == "eigh" and order < 512 for name, order in solves)
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
@@ -468,6 +470,25 @@ def test_order3_secondary_needs_the_stacking_factor():
 
 
 # ------------------------------------------------------------ file format
+
+
+def write_v4(path, v5_path, models):
+    """Rewrite a version-5 subspace file in the version-4 layout: no tail
+    entries, and every layer's whole spectrum, as versions 1 to 4 stored
+    it (the exact SVD of the centred stack where the file stores only the
+    leading part)."""
+    doc = read_container(v5_path)
+    entries = {rec.name: rec.array for rec in doc.layers}
+    triples = []
+    for rec in doc.layers:
+        if "/tail/" in rec.name:
+            continue
+        array = rec.array
+        if "/sv/" in rec.name and entries[rec.name.replace("/sv/", "/tail/")][0, 0] > 0:
+            _, xc = center(stack_layer(models, rec.name.split("/")[1]), doc.meta["centering"])
+            array = np.linalg.svd(xc, compute_uv=False).reshape(1, -1)
+        triples.append((rec.name, array, rec.dtype))
+    write_container(path, doc.model_id, triples, meta=dict(doc.meta, format_version=4))
 
 
 def write_v3(path, v4_path, dtypes=None):
@@ -570,17 +591,20 @@ def assert_same_projections(u, v, w):
 def test_version1_file_and_its_version2_rewrite_project_identically(tmp_path):
     models = planted_models(20, 30)
     u = extract_universal(models, ExtractionConfig(policy=TAU))
-    v4_path, v3_path, v2_path = tmp_path / "v4.uws", tmp_path / "v3.uws", tmp_path / "v2.uws"
-    v1_path, rewrite = tmp_path / "v1.uws", tmp_path / "re.uws"
-    save_subspace(u, v4_path)
+    v5_path, v4_path = tmp_path / "v5.uws", tmp_path / "v4.uws"
+    v3_path, v2_path = tmp_path / "v3.uws", tmp_path / "v2.uws"
+    v1_path, rewrite, rewrite4 = tmp_path / "v1.uws", tmp_path / "re.uws", tmp_path / "re4.uws"
+    save_subspace(u, v5_path)
+    write_v4(v4_path, v5_path, models)
     write_v3(v3_path, v4_path)
     write_v2(v2_path, v3_path)
     write_v1(v1_path, v2_path, models)
     names = [rec.name for rec in read_container(v1_path).layers]
     assert "U/block0/1" in names and "core/block0" in names
     old = load_subspace(v1_path)
-    save_subspace(old, rewrite)  # re-saved as version 4
-    assert rewrite.read_bytes() == v4_path.read_bytes()
+    save_subspace(old, rewrite)  # re-saved as version 5, as the version-4 file is
+    save_subspace(load_subspace(v4_path), rewrite4)
+    assert rewrite.read_bytes() == rewrite4.read_bytes()
     new = load_subspace(rewrite)
     for name in u.included_layers:
         assert old.layer_models[name].factors[0] is None and old.layer_models[name].core is None
@@ -590,17 +614,19 @@ def test_version1_file_and_its_version2_rewrite_project_identically(tmp_path):
 
 @pytest.mark.parametrize("order", [2, 3])
 @pytest.mark.parametrize("centering", ["feature", "global"])
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_older_file_loads_projects_and_resaves_as_version4(tmp_path, version, centering, order):
     models = planted_models(24, 30)
     config = ExtractionConfig(policy=TAU, order=order, centering=centering)
     u = extract_universal(models, config)
-    v4_path, v3_path, v2_path = tmp_path / "v4.uws", tmp_path / "v3.uws", tmp_path / "v2.uws"
-    rewrite = tmp_path / "re.uws"
-    save_subspace(u, v4_path)
+    v5_path, v4_path = tmp_path / "v5.uws", tmp_path / "v4.uws"
+    v3_path, v2_path = tmp_path / "v3.uws", tmp_path / "v2.uws"
+    rewrite, rewrite4 = tmp_path / "re.uws", tmp_path / "re4.uws"
+    save_subspace(u, v5_path)
+    write_v4(v4_path, v5_path, models)
     write_v3(v3_path, v4_path)
     write_v2(v2_path, v3_path)
-    old_path = {2: v2_path, 3: v3_path}[version]
+    old_path = {2: v2_path, 3: v3_path, 4: v4_path}[version]
     assert read_container(old_path).meta["format_version"] == version
     names = {rec.name for rec in read_container(old_path).layers}
     assert ("ledger/block0/ratio/2" in names) == (version == 2)
@@ -610,18 +636,24 @@ def test_older_file_loads_projects_and_resaves_as_version4(tmp_path, version, ce
         u.architecture_id, u.provenance, u.config.policy
     )
     assert (old.config.order, old.config.centering) == (order, centering)
+    v4 = load_subspace(v4_path)
     for name in u.included_layers:
         for n, spec in old.layer_models[name].variance_ledger.items():
-            # ratios derived on load are extraction's, bit for bit
+            # ratios derived on load are the whole spectrum's, bit for bit;
+            # where extraction stored it whole (order 3), they are its own
             want = u.layer_models[name].variance_ledger[n]
-            assert np.array_equal(spec.ratios, want.ratios)
-            assert spec.retained == want.retained
+            if want.tail == 0.0:
+                assert np.array_equal(spec.ratios, want.ratios)
+            assert np.array_equal(spec.ratios, v4.layer_models[name].variance_ledger[n].ratios)
+            assert spec.tail == 0.0 and spec.retained == want.retained
     save_subspace(old, rewrite)
-    assert rewrite.read_bytes() == v4_path.read_bytes()
+    save_subspace(v4, rewrite4)
+    assert rewrite.read_bytes() == rewrite4.read_bytes()
     assert_same_projections(u, old, planted_models(25, 1)[0])
 
 
 def test_version4_meta_holds_only_what_the_entries_cannot_say(tmp_path):
+    # version 5 keeps the version-4 meta; it adds one tail entry per spectrum
     models = planted_models(22, 30)
     for order in (2, 3):
         u = extract_universal(models, ExtractionConfig(policy=TAU, order=order))
@@ -630,7 +662,7 @@ def test_version4_meta_holds_only_what_the_entries_cannot_say(tmp_path):
         assert doc.model_id == u.architecture_id == "ensemble"
         assert list(doc.meta) == ["kind", "format_version", "provenance", "centering",
                                   "policy", "layer_order", "layers"]
-        assert doc.meta["format_version"] == 4
+        assert doc.meta["format_version"] == 5
         assert list(doc.meta["policy"]) == ["kind", "tau", "epsilon", "k", "noise_sigma"]
         assert list(doc.meta["layers"]) == ["block0", "block1"]
         assert doc.meta["layers"]["block0"] == {
@@ -642,6 +674,7 @@ def test_version4_meta_holds_only_what_the_entries_cannot_say(tmp_path):
         assert entries == (
             [f"U/block0/{n}" for n in modes]
             + [f"ledger/block0/sv/{n}" for n in modes]
+            + [f"ledger/block0/tail/{n}" for n in modes]
             + ["mu/block0"]
         )
 
@@ -663,10 +696,10 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
     paths = write_models(tmp_path / "models", models)
     save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
-    meta = dict(doc.meta, format_version=5)
-    write_container(tmp_path / "v5.uws", doc.model_id,
+    meta = dict(doc.meta, format_version=6)
+    write_container(tmp_path / "v6.uws", doc.model_id,
                     [(r.name, r.array, r.dtype) for r in doc.layers], meta=meta)
-    code = cli.main(["project", "--subspace", str(tmp_path / "v5.uws"),
+    code = cli.main(["project", "--subspace", str(tmp_path / "v6.uws"),
                      "--model", str(paths[0]), "--out", str(tmp_path / "c.uws")])
     assert code == 2 and "format_version" in capsys.readouterr().err
     assert load_weights(paths[0]).model_id == "m0000"
@@ -754,3 +787,27 @@ def test_stored_spectra_are_checked_on_load(tmp_path, capsys, edit, command):
     assert err.count("\n") == 1 and "'ledger/block0/sv/2'" in err
     with pytest.raises(ManifestError, match="ledger/block0/sv/2"):
         load_subspace(edited)
+
+
+@pytest.mark.parametrize("tau", [0.99, 1.0], ids=["gram-route", "exact-route"])
+def test_only_a_whole_spectrum_may_go_without_its_tail(tmp_path, capsys, tau):
+    models = planted_models(26, 30)
+    paths = write_models(tmp_path / "models", models)
+    u = extract_universal(paths, ExtractionConfig(policy=RankPolicy.cumulative_variance(tau)))
+    save_subspace(u, tmp_path / "s.uws")
+    doc = read_container(tmp_path / "s.uws")
+    edited = tmp_path / "edited.uws"
+    write_container(edited, doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers
+                                           if r.name != "ledger/block0/tail/2"], meta=doc.meta)
+    if tau == 1.0:  # the exact route stores every value and a tail of 0
+        spec = load_subspace(edited).layer_models["block0"].variance_ledger[2]
+        assert np.array_equal(spec.ratios, u.layer_models["block0"].variance_ledger[2].ratios)
+        return
+    # without its tail, a stored prefix would read as the whole spectrum
+    code = cli.main(["scree", "--subspace", str(edited), "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1 and "'ledger/block0/tail/2' is missing" in err
+    longer = tmp_path / "longer.uws"
+    _with_spectrum(tmp_path / "s.uws", longer, lambda sv: np.c_[sv, np.zeros((1, 40))])
+    with pytest.raises(ManifestError, match="more than its unfolding's 40"):
+        load_subspace(longer)

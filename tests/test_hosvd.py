@@ -17,14 +17,15 @@ from uws.hosvd import (
     reconstruct_slice,
     secondary_subspace,
 )
-from uws.spectral import RankPolicy
+from uws.spectral import RankPolicy, gram_leading
 from uws.tensor import frobenius_norm
 
 from oracles import (
+    assert_spectra_agree,
     best_rank_k_error,
     covariance_principal_directions,
     haar_columns,
-    record_eigh_orders,
+    record_square_solves,
     sign_canonical,
 )
 
@@ -205,7 +206,11 @@ def test_stacks_near_the_float_limit_keep_their_variance():
             assert big.ranks == small.ranks
             u, v = big.factors[1], small.factors[1]
             assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-10
-            assert np.allclose(big.variance_ledger[2].ratios, small.variance_ledger[2].ratios,
+            # the Gram route stores the leading ratios and the tail's share
+            a, b = big.variance_ledger[2], small.variance_ledger[2]
+            n = b.ratios.size
+            assert np.allclose(a.ratios[:n], b.ratios, rtol=1e-10, atol=1e-14)
+            assert np.allclose(np.sum(a.ratios[n:]) + a.tail_ratio, b.tail_ratio,
                                rtol=1e-10, atol=1e-14)
 
 
@@ -243,18 +248,21 @@ def exact_route(monkeypatch, fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def count_decompositions(monkeypatch, fn, *args):
-    calls = {"svd": 0, "eigh": 0}
+def count_decompositions(monkeypatch, fn, x, *args):
+    """``fn(x, *args)`` with its SVDs counted, and its ``eigh`` and
+    ``eigvalsh`` calls on matrices as wide as the stack ``x``."""
+    calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
     with monkeypatch.context() as m:
         for name in calls:
             real = getattr(np.linalg, name)
 
-            def counted(*a, _real=real, _name=name, **kw):
-                calls[_name] += 1
-                return _real(*a, **kw)
+            def counted(a, *rest, _real=real, _name=name, **kw):
+                if _name == "svd" or np.shape(a) == (x.shape[1], x.shape[1]):
+                    calls[_name] += 1
+                return _real(a, *rest, **kw)
 
             m.setattr(np.linalg, name, counted)
-        out = fn(*args)
+        out = fn(x, *args)
     return out, calls
 
 
@@ -263,11 +271,7 @@ def assert_routes_agree(got: SubspaceModel, want: SubspaceModel):
     for f1, f2 in zip(got.factors, want.factors):
         assert max_sine(f1, f2) <= 1e-10
     for mode, spec in want.variance_ledger.items():
-        s = spec.singular_values
-        other = got.variance_ledger[mode]
-        assert other.retained == spec.retained
-        assert other.first_component == spec.first_component
-        assert np.max(np.abs(other.singular_values - s)) <= 1e-12 * s[0]
+        assert_spectra_agree(got.variance_ledger[mode], spec)
     assert relerr(reconstruct(got), reconstruct(want)) <= 1e-10
 
 
@@ -313,10 +317,10 @@ def test_tall_well_conditioned_stack_takes_one_eigh(monkeypatch):
     model, calls = count_decompositions(
         monkeypatch, hosvd_truncated, t, RankPolicy.cumulative_variance(0.9)
     )
-    assert calls == {"svd": 0, "eigh": 1}
+    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
     assert model.ranks == (4, 4)
     second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 5)
-    assert calls == {"svd": 0, "eigh": 1}
+    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
     assert second.ranks == (5, 5)
 
 
@@ -332,17 +336,18 @@ def test_guard_cases_take_exactly_one_svd(monkeypatch):
     tall = rng.standard_normal((60, 8))
     noisy, _ = planted_stack(rng, n=80, d=16, k=3, noise=0.05)
     cases = [
-        # (stack, policies, expected eigh calls, full rank); the declined
-        # Gram route reads only its eigvalsh spectrum, so runs no eigh
+        # (stack, policies, expected d x d eigh calls, full rank); at 12
+        # columns the Gram route takes its spectrum from one eigh, cheaper
+        # there than a block iteration, and the guard then declines it
         (tall, RankPolicy.cumulative_variance(1.0), 0, True),
         (noisy, RankPolicy.hard_threshold(), 0, False),
         (rng.standard_normal((8, 30)), RankPolicy.fixed_k(3), 0, False),
-        (ill_conditioned_stack(rng), RankPolicy.fixed_k(10), 0, False),
+        (ill_conditioned_stack(rng), RankPolicy.fixed_k(10), 1, False),
     ]
     for x, policies, eighs, full in cases:
         t = x
         model, calls = count_decompositions(monkeypatch, hosvd_truncated, t, policies)
-        assert calls == {"svd": 1, "eigh": eighs}
+        assert calls == {"svd": 1, "eigh": eighs, "eigvalsh": 0}
         for f in model.factors:
             assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
         rec = reconstruct(model)
@@ -362,9 +367,10 @@ def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
     model = hosvd_truncated(t, RankPolicy.fixed_k(3))
     # the window 3..5 stays above 1e-3 * s_1; 3..9 reaches below it
     _, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 3)
-    assert calls == {"svd": 0, "eigh": 1}
+    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
+    # the declined window's spectrum comes from the same one eigh
     second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 7)
-    assert calls == {"svd": 1, "eigh": 0}
+    assert calls == {"svd": 1, "eigh": 1, "eigvalsh": 0}
     for u1, u2 in zip(model.factors, second.factors):
         assert np.max(np.abs(u2.T @ u2 - np.eye(7))) <= 1e-10
         assert np.max(np.abs(u1.T @ u2)) < 1e-8
@@ -372,16 +378,41 @@ def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
 
 def test_declined_gram_route_solves_for_no_eigenvector(monkeypatch):
     rng = np.random.default_rng(66)
-    x = ill_conditioned_stack(rng)
-    orders = record_eigh_orders(monkeypatch)
-    # the 10th component is below GRAM_MIN_RATIO * s_1: the spectrum alone
-    # sends the stack to the exact route
+    # the ill-conditioned stack, its 12 directions embedded in 256 columns:
+    # the block iteration's first sweep captures them all, and the energy
+    # left past the 9th, below GRAM_MIN_RATIO**2 * s_1**2, bounds the 10th
+    # component below the guard's floor before any d x d solve
+    x = ill_conditioned_stack(rng) @ haar_columns(256, 12, rng).T
+    solves = record_square_solves(monkeypatch)
     model = hosvd_truncated(x, RankPolicy.fixed_k(10))
     stream = hosvd_module.GramStream(x.shape[1])
     stream.add(x)
     assert stream.decompose(RankPolicy.fixed_k(10)) is None
-    assert orders == []
+    assert all(order < x.shape[1] for _, order in solves)
     assert model.ranks == (10, 10)
+
+
+def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(monkeypatch):
+    rng = np.random.default_rng(69)
+    x, _ = planted_stack(rng, n=2000, d=512, k=8, noise=0.01)
+    for policy in (RankPolicy.cumulative_variance(0.95), RankPolicy.fixed_k(8)):
+        solves = record_square_solves(monkeypatch)
+        model = hosvd_truncated(x, policy)
+        stream = hosvd_module.GramStream(x.shape[1])
+        stream.add(x)
+        streamed = stream.decompose(policy)
+        monkeypatch.undo()
+        assert model.ranks == (8, 8) and streamed.ranks == (None, 8)
+        assert solves and all(name == "eigh" and order < 512 for name, order in solves)
+    # an isotropic 12800 x 1024 stack keeps 95% of its variance only about
+    # 900 deep, which the Cauchy-Schwarz bound sees before any iteration
+    stream = hosvd_module.GramStream(1024)
+    for _ in range(200):
+        stream.add(rng.standard_normal((64, 1024)))
+    solves = record_square_solves(monkeypatch)
+    model = stream.decompose(RankPolicy.cumulative_variance(0.95))
+    assert solves == [("eigh", 1024)]
+    assert 800 < model.ranks[1] < 1000
 
 
 def test_rank_deficient_square_stack_stores_exact_zero_tails():
@@ -389,22 +420,30 @@ def test_rank_deficient_square_stack_stores_exact_zero_tails():
     x, _ = planted_stack(rng, n=120, d=120, k=3, noise=0.1)  # centred rank 119
     stream = hosvd_module.GramStream(x.shape[1])
     stream.add(x)
-    exact = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    xc = x - x.mean(axis=0)
+    exact = np.linalg.svd(xc, compute_uv=False)
     assert 0 < exact[-1] <= 1e-12 * exact[0]  # the exact SVD reads rounding there
     policy = RankPolicy.cumulative_variance(0.9)
     for model in (hosvd_truncated(x, policy), stream.decompose(policy)):
-        s = model.variance_ledger[2].singular_values
-        assert s[-1] == 0.0 and s[-2] > 0
-        assert np.max(np.abs(s - exact)) <= 1e-12 * s[0]
+        spec = model.variance_ledger[2]
+        s, n = spec.singular_values, spec.singular_values.size
+        assert n == spec.retained < 119
+        assert np.max(np.abs(s - exact[:n])) <= 1e-12 * s[0]
+        assert abs(spec.tail - np.sum(exact[n:] ** 2)) <= 1e-12 * np.sum(exact**2)
+    # read to the whole spectrum, the rounding-level component is an exact
+    # 0 and so is the energy past it
+    s, _, tail = gram_leading(xc.T @ xc, [RankPolicy.fixed_k(120)])
+    assert s[-1] == 0.0 and s[-2] > 0 and tail == 0.0
+    assert np.max(np.abs(s - exact)) <= 1e-12 * s[0]
 
 
 def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypatch):
     rng = np.random.default_rng(68)
     x, _ = planted_stack(rng, n=800, d=384, k=4, noise=1e-3)
     policy = RankPolicy.cumulative_variance(0.99)
-    orders = record_eigh_orders(monkeypatch)
+    solves = record_square_solves(monkeypatch)
     small = hosvd_truncated(x, policy)
-    assert len(orders) == 1 and orders[0] < x.shape[1]  # block iteration, no d x d eigh
+    assert solves and all(order < x.shape[1] for _, order in solves)  # no d x d solve
     for exponent in (532, -532):
         big = hosvd_truncated(np.ldexp(x, exponent), policy)
         assert big.ranks == small.ranks == (4, 4)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import uws.spectral as spectral_module
 from uws.errors import (
     DegenerateSpectrumError,
     InvalidArgumentError,
@@ -13,15 +14,14 @@ from uws.spectral import (
     ThinSvd,
     column_signs,
     explained_variance,
-    gram_spectrum,
-    gram_vectors,
+    gram_leading,
     operator_norm,
     orthonormality_defect,
     select_rank,
     thin_svd,
 )
 
-from oracles import record_eigh_orders, sign_canonical
+from oracles import record_square_solves, sign_canonical
 
 # ------------------------------------------------------------------ thin_svd
 
@@ -88,17 +88,19 @@ def test_gram_spectrum_matches_thin_svd_on_tall_input():
     q = np.linalg.qr(rng.standard_normal((80, 6)))[0]
     w = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     m = q @ np.diag([9.0, 5.0, 3.0, 1.0, 0.5, 0.1]) @ w.T
-    s = gram_spectrum(m.T @ m)
-    v = gram_vectors(m.T @ m, s, 6)
+    s, v, tail = gram_leading(m.T @ m, [RankPolicy.fixed_k(6)])
     f = thin_svd(m)
     assert np.max(np.abs(s - f.singular_values)) < 1e-12 * s[0]
-    assert np.all(np.diff(s) <= 0)
+    assert np.all(np.diff(s) <= 0) and tail == 0.0
     assert orthonormality_defect(v) < 1e-12
     assert np.max(np.abs(v - f.v * column_signs(f.v))) < 1e-10
     with pytest.raises(InvalidArgumentError):
-        gram_spectrum(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        gram_leading(np.array([[1.0, np.nan], [np.nan, 1.0]]), [RankPolicy.fixed_k(1)])
     with pytest.raises(InvalidArgumentError):
-        gram_spectrum(np.ones((2, 3)))
+        gram_leading(np.ones((2, 3)), [RankPolicy.fixed_k(1)])
+    for policy in (RankPolicy.cumulative_variance(1.0), RankPolicy.hard_threshold()):
+        with pytest.raises(InvalidArgumentError, match="leading end"):
+            gram_leading(m.T @ m, [policy])
 
 
 def planted_singular_stack(rng, rows, singular_values):
@@ -128,15 +130,17 @@ def test_gram_vectors_match_a_full_eigh_without_one(monkeypatch, top, n):
     d = 384
     m = planted_singular_stack(rng, 900, np.r_[top, np.geomspace(1.0, 0.1, d - 6)])
     gram = m.T @ m
-    s = gram_spectrum(gram)
-    assert np.max(np.abs(s - thin_svd(m).singular_values)) <= 1e-12 * s[0]
-    orders = record_eigh_orders(monkeypatch)
-    v = gram_vectors(gram, s, n)
-    assert len(orders) == 1 and orders[0] < d  # one Rayleigh-Ritz solve, no d x d one
+    solves = record_square_solves(monkeypatch)
+    s, v, tail = gram_leading(gram, [RankPolicy.fixed_k(n)])
+    # Rayleigh-Ritz solves only: no d x d solve
+    assert solves and all(name == "eigh" and order < d for name, order in solves)
     monkeypatch.undo()
     w, full = np.linalg.eigh(gram)
+    lam = w[::-1]
     assert max_sine(full[:, ::-1][:, :n], v) <= 1e-10
-    assert np.max(np.abs(np.sqrt(w[::-1]) - s)) <= 1e-12 * s[0]
+    assert np.max(np.abs(np.sqrt(lam[:n]) - s)) <= 1e-12 * s[0]
+    assert np.max(np.abs(s - thin_svd(m).singular_values[:n])) <= 1e-12 * s[0]
+    assert abs(tail - np.sum(lam[n:])) <= 1e-12 * np.trace(gram)
     assert orthonormality_defect(v) <= 1e-12
     assert np.array_equal(v, v * column_signs(v))
 
@@ -146,25 +150,113 @@ def test_flat_spectrum_takes_one_full_eigh(monkeypatch):
     d = 384  # where a planted gap takes the block iteration (test above)
     m = planted_singular_stack(rng, 900, 1.0 + 1e-3 * rng.random(d))
     gram = m.T @ m
-    s = gram_spectrum(gram)
-    orders = record_eigh_orders(monkeypatch)
-    v = gram_vectors(gram, s, 4)
-    assert orders == [d]
+    full = np.linalg.eigh(gram)[1][:, ::-1]
+    # the Cauchy-Schwarz depth bound sends a tau policy straight to eigh;
+    # a fixed rank gets there once the block iteration cannot certify it
+    for policy, n in ((RankPolicy.cumulative_variance(0.95), None), (RankPolicy.fixed_k(4), 4)):
+        solves = record_square_solves(monkeypatch)
+        s, v, _ = gram_leading(gram, [policy])
+        monkeypatch.undo()
+        assert [c for c in solves if c[1] == d] == [("eigh", d)]
+        if n is None:
+            assert solves == [("eigh", d)]
+        want = full[:, : s.size]
+        assert np.array_equal(v, want * column_signs(want))
+
+
+@pytest.mark.parametrize("policy", [RankPolicy.fixed_k(4), RankPolicy.eigen_floor(0.01)],
+                         ids=["fixed_k", "floor"])
+def test_a_heavy_bulk_is_certified_without_a_full_eigh(monkeypatch, policy):
+    # six spikes over 762 eigenvalues in [0.5, 2] that hold most of tr G:
+    # no bound from the trace and ||G||_F clears the gap after the cut, so
+    # one Cholesky factorisation of the deflated Gram matrix does (d = 768
+    # leaves room for it in the iteration's budget)
+    d = 768
+    lam = np.r_[[100.0, 80, 60, 50, 45, 40], np.linspace(2.0, 0.5, d - 6)]
+    vec = np.linalg.qr(np.random.default_rng(27).standard_normal((d, d)))[0]
+    gram = (vec * lam) @ vec.T
+    gram = (gram + gram.T) / 2
+    solves = record_square_solves(monkeypatch)
+    factorised = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorised.append(a.shape) or real(a))
+    s, v, tail = gram_leading(gram, [policy])
     monkeypatch.undo()
-    full = np.linalg.eigh(gram)[1][:, ::-1][:, :4]
-    assert np.array_equal(v, full * column_signs(full))
+    assert factorised and all(order < d for _, order in solves)
+    n = s.size
+    assert n == (4 if policy.kind == "fixed_k" else 6)
+    assert max_sine(vec[:, :n], v) <= 1e-10
+    assert np.max(np.abs(s - np.sqrt(lam[:n]))) <= 1e-12 * s[0]
+    assert abs(tail - np.sum(lam[n:])) <= 1e-12 * np.sum(lam)
+
+
+def test_the_cholesky_fence_is_sharp(monkeypatch):
+    # every eigenvalue of G past the leading n is below mu exactly when the
+    # blocked in-place Cholesky factorisation of mu I - G + V diag(theta) V.T
+    # succeeds
+    rng = np.random.default_rng(28)
+    for d in (5, 300, 700):
+        lam = np.sort(rng.random(d))[::-1] * 10
+        vec = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        gram = (vec * lam) @ vec.T
+        for mu, below in ((lam[3] * (1 + 1e-6), True), (lam[3] * (1 - 1e-6), False)):
+            assert spectral_module._all_below(gram, vec[:, :3], lam[:3], mu, block=64) == below
 
 
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     rng = np.random.default_rng(25)
     m = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 40))  # rank 5
-    s = gram_spectrum(m.T @ m)
-    assert np.all(s[:5] > 0) and np.all(s[5:] == 0.0)
+    s, _, tail = gram_leading(m.T @ m, [RankPolicy.fixed_k(40)])
+    assert np.all(s[:5] > 0) and np.all(s[5:] == 0.0) and tail == 0.0
     assert np.max(np.abs(s - thin_svd(m).singular_values)) <= 1e-12 * s[0]
-    with pytest.raises(InvalidArgumentError):
-        gram_vectors(m.T @ m, s, 41)
-    with pytest.raises(InvalidArgumentError):
-        gram_vectors(m.T @ m, s[:4], 2)
+    # read to its rank, the spectrum leaves an exact 0 past it
+    s, _, tail = gram_leading(m.T @ m, [RankPolicy.fixed_k(5)])
+    assert s.size == 5 and tail == 0.0
+
+
+def _leading_families(d):
+    """Eigenvalue profiles (nonincreasing, length d) the leading solve
+    must agree with a full ``eigh`` on."""
+    i = np.arange(1.0, d + 1)
+    c = 50.0
+    return {
+        "geometric": 0.8**i,
+        "power_law": i**-2.0,
+        "planted_gap": np.r_[[100.0, 80, 60, 50, 45, 40], np.geomspace(1.0, 0.1, d - 6)],
+        # cut inside a three-member cluster by fixed_k(4)
+        "cluster_at_cut": np.r_[[100.0, 90, 80], c, c * (1 - 1e-9), c * (1 - 2e-9),
+                                np.geomspace(1.0, 0.1, d - 6)],
+        "rank_deficient": np.r_[np.geomspace(1.0, 1e-2, 20), np.zeros(d - 20)],
+        "flat": 1.0 + 1e-3 * np.random.default_rng(3).random(d),
+    }
+
+
+@pytest.mark.parametrize("family", ["geometric", "power_law", "planted_gap", "cluster_at_cut",
+                                    "rank_deficient", "flat"])
+def test_leading_spectrum_matches_a_full_eigh(family):
+    d = 384
+    lam = np.sort(_leading_families(d)[family])[::-1]
+    vec = np.linalg.qr(np.random.default_rng(26).standard_normal((d, d)))[0]
+    gram = (vec * lam) @ vec.T
+    # largest entry in [1/4, 1): the solve's power-of-two scaling leaves it
+    # as it is, so where a cut splits a cluster, the eigh it falls back to
+    # is the reference's own
+    gram = np.ldexp((gram + gram.T) / 2, -2 * ((int(np.frexp(np.max(np.diag(gram)))[1]) + 1) // 2))
+    w, full = np.linalg.eigh(gram)
+    w, full = w[::-1], full[:, ::-1]
+    w = np.where(w < d * np.finfo(float).eps * w[0], 0.0, w)
+    total = np.trace(gram)
+    for policy in (RankPolicy.cumulative_variance(0.9), RankPolicy.cumulative_variance(0.99),
+                   RankPolicy.eigen_floor(0.01), RankPolicy.fixed_k(4)):
+        rank = select_rank(explained_variance(np.sqrt(w)), policy)
+        for exponent in (0, 532, -532):
+            s, v, tail = gram_leading(np.ldexp(gram, exponent), [policy])
+            s, tail = np.ldexp(s, -exponent // 2), np.ldexp(tail, -exponent)
+            n = s.size
+            assert select_rank(explained_variance(s, tail), policy) == rank == n
+            assert max_sine(full[:, :n], v) <= 1e-10
+            assert np.max(np.abs(s - np.sqrt(w[:n]))) <= 1e-12 * s[0]
+            assert abs(tail - np.sum(w[n:])) <= 1e-12 * total
 
 
 def test_thin_svd_rejects_non_finite():
