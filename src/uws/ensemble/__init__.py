@@ -842,11 +842,19 @@ def _spectrum(entries, name, n, retained, count) -> ModeSpectrum:
              "is missing")
     tail = entries.get(tail_key, np.zeros((1, 1)))
     _require(tail.shape == (1, 1), f"entry {tail_key!r} must be 1 x 1, got {tail.shape}")
+    _require(sv.size < count or tail[0, 0] == 0,
+             f"entry {tail_key!r} must be 0 after the whole spectrum in {key!r}")
     try:
         ratios = explained_variance(sv, float(tail[0, 0]))
     except (InvalidArgumentError, DegenerateSpectrumError) as exc:
         raise ManifestError(f"entries {key!r} and {tail_key!r} are not a spectrum: {exc}",
                             12) from exc
+    # the count - sv.size components not stored are each at most the last
+    # stored one, up to the rounding of the sums that gave the tail
+    _require(1.0 - float(np.sum(ratios)) <= (count - sv.size) * ratios[-1]
+             + 4 * count * np.finfo(np.float64).eps,
+             f"entry {tail_key!r} holds more energy than the {count - sv.size} components "
+             f"after {key!r} can")
     _require(sv.size >= retained,
              f"entry {key!r} holds {sv.size} singular values, fewer than the {retained} retained")
     return ModeSpectrum(singular_values=sv, ratios=ratios, retained=retained,

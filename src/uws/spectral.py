@@ -31,16 +31,19 @@ LEADING_OVERSAMPLE = 8
 #: per orthonormalisation and Rayleigh-Ritz step, before it hands the layer
 #: to one full ``eigh``.  A full ``eigh`` takes as long as 5.5 to 17 d**3
 #: flops of the iteration's own block products (d = 2048 down to 384,
-#: 2-vCPU VM, OpenBLAS), so a layer the iteration cannot certify pays at
-#: most a fifth more than the ``eigh`` alone would.
+#: 2-vCPU VM, OpenBLAS), so a layer the iteration cannot certify pays
+#: about a fifth more than the ``eigh`` alone would (1.2 s of iteration
+#: before a 7.7 s ``eigh`` at d = 4096).
 LEADING_MAX_WORK = 1.0
 
 #: The block iteration keeps a rank only where the certified gap after it
-#: is at least (its residual tolerance) / LEADING_MAX_SINE: then the
-#: backward error of any stable eigensolver, a full ``eigh`` included,
-#: moves the kept subspace by a sine of at most about LEADING_MAX_SINE
-#: (Davis and Kahan), so the routes agree to that.  A narrower gap, such as
-#: a cut inside a near-repeated cluster, is left to one ``eigh``.
+#: is at least (the kept pairs' residual norm + one vector's residual
+#: tolerance) / LEADING_MAX_SINE: the kept subspace then lies within a sine
+#: of residual norm / gap of the exact one, and that of any stable
+#: eigensolver, a full ``eigh`` included, within its backward error / gap
+#: (Davis and Kahan), so the routes agree to a sine of LEADING_MAX_SINE.
+#: A narrower gap, such as a cut inside a near-repeated cluster, is left
+#: to one ``eigh``.
 LEADING_MAX_SINE = 1e-10
 
 #: :func:`gram_leading` solves a Gram matrix whose largest entry lies
@@ -323,7 +326,7 @@ def _certified_depth(theta, converged, rho, ceiling, total, slack, tol, policies
     ``converged``), where ``ceiling[m - 1] + rho[m - 1]`` bounds every
     eigenvalue outside the leading m Ritz directions: n is the depth the
     policies select where no certified error can change it and each rank
-    selected is certified with a gap after it of at least ``tol /
+    selected is certified with a gap after it of at least ``(rho + tol) /
     LEADING_MAX_SINE``, else None; ``least`` is a depth they certainly
     select at least."""
     gap = theta - rho - ceiling - rho
@@ -336,37 +339,10 @@ def _certified_depth(theta, converged, rho, ceiling, total, slack, tol, policies
     hi = np.append(hi, min(ceiling[m - 1] + rho[m - 1] + slack, hi[-1]))
     pairs = [(select_rank(lo / total, p), select_rank(hi / total, p)) for p in policies]
     least = max(min(pair) for pair in pairs)
-    if all(a == c <= m and certified[a - 1] and gap[a - 1] >= tol / LEADING_MAX_SINE
-           for a, c in pairs):
+    if all(a == c <= m and certified[a - 1]
+           and gap[a - 1] >= (rho[a - 1] + tol) / LEADING_MAX_SINE for a, c in pairs):
         return max(a for a, _ in pairs), least
     return None, least
-
-
-def _all_below(g, v, theta, mu, block=256) -> bool:
-    """Whether every eigenvalue of G - V diag(theta) V.T is below ``mu``:
-    then so is lambda_{n+1} of G, n the width of ``v`` (Weyl: a positive
-    semidefinite update of rank n moves no eigenvalue past the n-th one
-    above it).  A Cholesky factorisation of A = mu I - G + V diag(theta)
-    V.T succeeds only where A is positive definite, up to its backward
-    error of about d * eps * ||A||.  It runs in place, ``block`` columns at
-    a time, so that A is the only d x d array it adds."""
-    a = (v * theta) @ v.T
-    a -= g
-    a[np.diag_indices_from(a)] += mu
-    d = a.shape[0]
-    try:
-        for k in range(0, d, block):
-            e = min(k + block, d)
-            lower = np.linalg.cholesky(a[k:e, k:e])  # reads the lower triangle
-            if e == d:
-                return True
-            panel = np.linalg.solve(lower, a[e:, k:e].T).T  # A21 L11^-T
-            for i in range(e, d, block):  # the lower triangle of A22 - L21 L21^T
-                j = min(i + block, d)
-                a[i:j, e:j] -= panel[i - e : j - e] @ panel[: j - e].T
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _leading_block(g, total, policies, min_ratio):
@@ -378,36 +354,26 @@ def _leading_block(g, total, policies, min_ratio):
 
     After a sweep the block Q (d x b) gives Ritz pairs (theta_i, v_i)
     with residuals r_i = ||G v_i - theta_i v_i||.  G is positive
-    semidefinite, so the compression C of G to the N = d - b directions
-    outside the block has largest eigenvalue at most its trace, tr G -
-    sum(theta), and at most the largest value N numbers with C's first
-    two moments can have (Samuelson's inequality: mean + sqrt(N - 1) *
-    standard deviation), where tr C**2 = ||G||_F**2 - 2 ||G Q||_F**2 +
-    ||Q.T G Q||_F**2.  The smaller, widened by its rounding, bounds every
-    eigenvalue the block missed.  The leading m Ritz pairs are certified
-    when every r_i (i <= m) is within ``RITZ_RESIDUAL_MULTIPLE * sqrt(d) *
-    eps * theta_1`` and, with rho the norm of those residuals, theta_m -
-    rho clears theta_{m+1} + bound + rho: then lambda_i lies in [theta_i,
-    theta_i + rho] for i <= m, and lambda_{m+1} is at most theta_{m+1} +
-    bound + rho.  A depth is accepted when each policy selects the same
-    rank from the lower and the upper ends of those intervals, so no
-    certified error can change it, and each of those ranks is itself
-    certified (:func:`_certified_depth`).  Where the leading pairs have
-    converged but the two moments bound a bulk of many small eigenvalues
-    far too loosely (it grows like sqrt(N) times their spread), one
-    Cholesky factorisation of the deflated Gram matrix
-    (:func:`_all_below`) can prove lambda_{n+1} below the middle of the
-    gap instead, when that costs less than growing the block.  Otherwise
-    the block grows, or sweeps again, while the budget lasts.
+    semidefinite, so the compression of G to the d - b directions outside
+    the block has largest eigenvalue at most its trace, tr G - sum(theta);
+    widened by its rounding, that bounds every eigenvalue the block
+    missed.  The leading m Ritz pairs are certified when every r_i (i <=
+    m) is within ``RITZ_RESIDUAL_MULTIPLE * sqrt(d) * eps * theta_1`` and,
+    with rho the norm of those residuals, theta_m - rho clears theta_{m+1}
+    + bound + rho: then lambda_i lies in [theta_i, theta_i + rho] for i <=
+    m, and lambda_{m+1} is at most theta_{m+1} + bound + rho.  A depth is
+    accepted when each policy selects the same rank from the lower and the
+    upper ends of those intervals, so no certified error can change it,
+    and each of those ranks is itself certified (:func:`_certified_depth`).
+    Otherwise the block grows, or sweeps again, while the budget lasts.
     """
     d = g.shape[0]
-    fro2 = float(np.vdot(g, g))
     if not total > 0:
         return None
     # a tau policy needs n >= (tau tr G / ||G||_F)**2 (Cauchy-Schwarz)
     known = max(
         min(p.k, d) if p.kind == "fixed_k"
-        else int(np.ceil(p.tau**2 * total**2 / fro2 * (1 - 1e-12)))
+        else int(np.ceil(p.tau**2 * total**2 / float(np.vdot(g, g)) * (1 - 1e-12)))
         if p.kind == "cumulative_variance" else 1
         for p in policies
     )
@@ -432,14 +398,8 @@ def _leading_block(g, total, policies, min_ratio):
                 return None
             v, gv = q @ w, z @ w
             resid = np.linalg.norm(gv - v * theta, axis=0)
-            # tr C and tr C**2 of the compression C to the d - b other directions
-            trace = total - theta.sum()
-            square = fro2 - 2 * np.vdot(z, z) + np.vdot(theta, theta)
-            outside = d - b
-            spread = max(square - trace**2 / outside, 0.0) * (outside - 1) / outside
-            bound = d * _EPS * total + min(
-                trace, trace / outside + np.sqrt(spread + d * _EPS * fro2)
-            )
+            # the trace of G compressed to the d - b directions outside the block
+            bound = d * _EPS * total + max(total - theta.sum(), 0.0)
             tol = RITZ_RESIDUAL_MULTIPLE * np.sqrt(d) * _EPS * theta[0]
             converged = np.logical_and.accumulate(resid <= tol)
             rho = np.sqrt(np.cumsum(resid**2))
@@ -451,6 +411,10 @@ def _leading_block(g, total, policies, min_ratio):
             n, least = _certified_depth(
                 theta, converged, rho, ceiling, total, slack, tol, policies)
             known = max(known, least)
+            if n is not None:
+                if np.sqrt(theta[n - 1]) < min_ratio * np.sqrt(theta[0]):
+                    raise _Declined
+                return theta[:n], np.ascontiguousarray(v[:, :n]), total - theta[:n].sum()
             # the depth these Ritz values suggest; past the block, at least
             # as many more directions as the missing energy needs at theta_b each
             central = np.append(theta, 0.0) / total
@@ -462,35 +426,6 @@ def _leading_block(g, total, policies, min_ratio):
                 elif p.kind == "eigen_floor" and r == b:
                     r = 2 * b
                 want = max(want, r)
-            doubling = 2 * cost(2 * b)
-            if (n is None and want < b and converged[want - 1]
-                    and (doubling >= d**3 / 3 or work + doubling > budget)
-                    and work + d**3 / 3 <= budget):
-                # converged, but the moments outside the block are too loose,
-                # and two sweeps of a doubled block would cost more than a
-                # Cholesky factorisation (d**3 / 3 flops), or more than the
-                # budget left: ask it whether everything past the leading
-                # want directions lies below the middle of the gap
-                work += d**3 / 3
-                # the middle of the gap, or below an eigen floor inside it
-                # so that the next value is certainly under the floor too
-                mid = min([(theta[want - 1] + theta[want]) / 2] + [
-                    p.epsilon * total - 3 * (rho[want - 1] + slack) for p in policies
-                    if p.kind == "eigen_floor"
-                    and p.epsilon * total - 3 * (rho[want - 1] + slack) > theta[want]
-                ])
-                if _all_below(g, v[:, :want], theta[:want], mid):
-                    fence = mid + slack + rho[want - 1]
-                    ceiling = np.minimum(ceiling, np.concatenate([
-                        np.maximum(theta[1:want], fence) + rho[want - 1], [fence],
-                        np.full(b - want, np.inf)]))
-                    n, least = _certified_depth(
-                        theta, converged, rho, ceiling, total, slack, tol, policies)
-                    known = max(known, least)
-            if n is not None:
-                if np.sqrt(theta[n - 1]) < min_ratio * np.sqrt(theta[0]):
-                    raise _Declined
-                return theta[:n], np.ascontiguousarray(v[:, :n]), total - theta[:n].sum()
             # lambda_j <= tr G - (lambda_1 + ... + lambda_{j-1}) <= tr G - (theta_1 +
             # ... + theta_{j-1}) for any Ritz values (Ky Fan): decline once the
             # depth's value is certainly below the caller's floor
@@ -545,11 +480,12 @@ def gram_leading(gram: np.ndarray, policies, min_ratio: float = 0.0):
     iteration with a Rayleigh-Ritz step (Rutishauser 1970; Halko,
     Martinsson and Tropp 2011) finds those eigenpairs from a fixed start,
     growing its block until the rank and every eigenpair it keeps are
-    certified, by the trace and Frobenius norm of what it has not
-    captured or by one Cholesky factorisation (:func:`_leading_block`).  Where that is predicted to cost
-    more than ``LEADING_MAX_WORK * d**3`` flops, as for a flat spectrum,
-    whose Cauchy-Schwarz depth bound (tau tr G / ||G||_F)**2 is already too
-    deep, one full ``eigh`` gives both.  A Gram matrix whose largest
+    certified by the trace of what it has not captured
+    (:func:`_leading_block`).  Where that is predicted to cost more than
+    ``LEADING_MAX_WORK * d**3`` flops, as for a flat spectrum, whose
+    Cauchy-Schwarz depth bound (tau tr G / ||G||_F)**2 is already too
+    deep, or the trace cannot certify the gap, one full ``eigh`` gives
+    both.  A Gram matrix whose largest
     entry lies beyond 2**±``_PLAIN_EXPONENT`` is first divided by an even
     power of two just above it; so every scale gives the same ranks and
     vectors, and values scaled back exactly.

@@ -797,17 +797,38 @@ def test_only_a_whole_spectrum_may_go_without_its_tail(tmp_path, capsys, tau):
     save_subspace(u, tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
     edited = tmp_path / "edited.uws"
-    write_container(edited, doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers
-                                           if r.name != "ledger/block0/tail/2"], meta=doc.meta)
+
+    def write_tail(tail):
+        records = [(r.name, r.array, r.dtype) for r in doc.layers
+                   if r.name != "ledger/block0/tail/2"]
+        if tail is not None:
+            records.append(("ledger/block0/tail/2", np.array([[tail]]), "f64"))
+        write_container(edited, doc.model_id, records, meta=doc.meta)
+
+    def scree_error():
+        code = cli.main(["scree", "--subspace", str(edited), "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        return err
+
+    write_tail(None)
     if tau == 1.0:  # the exact route stores every value and a tail of 0
         spec = load_subspace(edited).layer_models["block0"].variance_ledger[2]
         assert np.array_equal(spec.ratios, u.layer_models["block0"].variance_ledger[2].ratios)
+        # past the whole spectrum no energy is left
+        write_tail(1e-3)
+        assert "'ledger/block0/tail/2' must be 0 after the whole spectrum" in scree_error()
         return
     # without its tail, a stored prefix would read as the whole spectrum
-    code = cli.main(["scree", "--subspace", str(edited), "--out", str(tmp_path / "t.csv")])
-    err = capsys.readouterr().err
-    assert code == 2 and err.count("\n") == 1 and "'ledger/block0/tail/2' is missing" in err
+    assert "'ledger/block0/tail/2' is missing" in scree_error()
     longer = tmp_path / "longer.uws"
     _with_spectrum(tmp_path / "s.uws", longer, lambda sv: np.c_[sv, np.zeros((1, 40))])
     with pytest.raises(ManifestError, match="more than its unfolding's 40"):
         load_subspace(longer)
+    # the 40 - n components past the stored n are each at most s_n**2
+    sv = u.layer_models["block0"].variance_ledger[2].singular_values
+    most = (40 - sv.size) * sv[-1] ** 2
+    write_tail(most)
+    load_subspace(edited)
+    write_tail(most * 1.01)
+    assert "'ledger/block0/tail/2' holds more energy than the" in scree_error()

@@ -392,6 +392,22 @@ def test_declined_gram_route_solves_for_no_eigenvector(monkeypatch):
     assert model.ranks == (10, 10)
 
 
+def test_declined_narrow_gram_route_takes_one_full_eigh_and_no_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(66)
+    # the same ill-conditioned stack in its own 12 columns: a block of
+    # fixed_k(10) + LEADING_OVERSAMPLE columns is as wide as the Gram, so
+    # one full eigh (where a values-only eigvalsh once ran) finds the 10th
+    # component below the guard's floor
+    x = ill_conditioned_stack(rng)
+    solves = record_square_solves(monkeypatch)
+    model = hosvd_truncated(x, RankPolicy.fixed_k(10))
+    stream = hosvd_module.GramStream(x.shape[1])
+    stream.add(x)
+    assert stream.decompose(RankPolicy.fixed_k(10)) is None
+    assert solves == [("eigh", 12), ("eigh", 12)]
+    assert model.ranks == (10, 10)
+
+
 def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(monkeypatch):
     rng = np.random.default_rng(69)
     x, _ = planted_stack(rng, n=2000, d=512, k=8, noise=0.01)

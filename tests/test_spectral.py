@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import uws.spectral as spectral_module
 from uws.errors import (
     DegenerateSpectrumError,
     InvalidArgumentError,
@@ -162,45 +161,6 @@ def test_flat_spectrum_takes_one_full_eigh(monkeypatch):
             assert solves == [("eigh", d)]
         want = full[:, : s.size]
         assert np.array_equal(v, want * column_signs(want))
-
-
-@pytest.mark.parametrize("policy", [RankPolicy.fixed_k(4), RankPolicy.eigen_floor(0.01)],
-                         ids=["fixed_k", "floor"])
-def test_a_heavy_bulk_is_certified_without_a_full_eigh(monkeypatch, policy):
-    # six spikes over 762 eigenvalues in [0.5, 2] that hold most of tr G:
-    # no bound from the trace and ||G||_F clears the gap after the cut, so
-    # one Cholesky factorisation of the deflated Gram matrix does (d = 768
-    # leaves room for it in the iteration's budget)
-    d = 768
-    lam = np.r_[[100.0, 80, 60, 50, 45, 40], np.linspace(2.0, 0.5, d - 6)]
-    vec = np.linalg.qr(np.random.default_rng(27).standard_normal((d, d)))[0]
-    gram = (vec * lam) @ vec.T
-    gram = (gram + gram.T) / 2
-    solves = record_square_solves(monkeypatch)
-    factorised = []
-    real = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorised.append(a.shape) or real(a))
-    s, v, tail = gram_leading(gram, [policy])
-    monkeypatch.undo()
-    assert factorised and all(order < d for _, order in solves)
-    n = s.size
-    assert n == (4 if policy.kind == "fixed_k" else 6)
-    assert max_sine(vec[:, :n], v) <= 1e-10
-    assert np.max(np.abs(s - np.sqrt(lam[:n]))) <= 1e-12 * s[0]
-    assert abs(tail - np.sum(lam[n:])) <= 1e-12 * np.sum(lam)
-
-
-def test_the_cholesky_fence_is_sharp(monkeypatch):
-    # every eigenvalue of G past the leading n is below mu exactly when the
-    # blocked in-place Cholesky factorisation of mu I - G + V diag(theta) V.T
-    # succeeds
-    rng = np.random.default_rng(28)
-    for d in (5, 300, 700):
-        lam = np.sort(rng.random(d))[::-1] * 10
-        vec = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        gram = (vec * lam) @ vec.T
-        for mu, below in ((lam[3] * (1 + 1e-6), True), (lam[3] * (1 - 1e-6), False)):
-            assert spectral_module._all_below(gram, vec[:, :3], lam[:3], mu, block=64) == below
 
 
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
