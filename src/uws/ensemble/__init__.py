@@ -39,7 +39,7 @@ from ..hosvd import (
     project_slice,
     reconstruct_slice,
 )
-from ..spectral import DEFAULT_POLICY, RankPolicy, explained_variance
+from ..spectral import DEFAULT_POLICY, RankPolicy, explained_variance, orthonormality_defect
 from .container import read_container, write_container
 
 #: Version written into a subspace file's meta.  Version 1 (no
@@ -52,6 +52,11 @@ from .container import read_container, write_container
 #: whole spectrum and no ``ledger/.../tail/`` entry, and read with a tail
 #: of 0.
 SUBSPACE_FORMAT_VERSION = 5
+
+#: The largest ``max |V^T V - I|`` a loaded factor may have.  Extraction's
+#: own factors are orthonormal to about 1e-15 (``uws extract`` prints the
+#: defect); projection is an orthogonal projection only if V is.
+ORTHONORMALITY_TOLERANCE = 1e-10
 
 __all__ = [
     "ModelWeights",
@@ -420,12 +425,25 @@ class CoefficientSet:
     dtypes: dict = field(default_factory=dict)
 
 
+def _check_known_layers(u: UniversalSubspace, model) -> None:
+    """Raise InvalidArgumentError if ``model`` has a layer outside the
+    subspace's ``layer_order``: projection or merging would drop it."""
+    strays = [name for name in model.layers if name not in u.layer_order]
+    if strays:
+        raise InvalidArgumentError(
+            f"model {model.model_id!r} has layers the subspace does not name: "
+            f"{', '.join(repr(n) for n in strays)} (its layers are {u.layer_order})"
+        )
+
+
 def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet:
     """Express each included layer in its layer subspace.
 
     Excluded layers that exist in the model ride along unchanged, as the
-    model's own arrays, so the model can be rebuilt in full.
+    model's own arrays, so the model can be rebuilt in full.  A layer
+    outside the subspace's ``layer_order`` raises InvalidArgumentError.
     """
+    _check_known_layers(u, weights)
     coefficients = {}
     for name in u.included_layers:
         if name not in weights.layers:
@@ -503,7 +521,8 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
     once.  Because projection is affine, this equals combining the
     models' coefficients with the same weights.  Excluded layers present
     in every input are averaged elementwise and carried through.  Each
-    averaged layer must have one shape across the models.
+    averaged layer must have one shape across the models, and a layer
+    outside the subspace's ``layer_order`` raises InvalidArgumentError.
     """
     models = list(models)
     if len(models) < 2:
@@ -512,6 +531,7 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
     ids, sums = [], {}
     for i, (w, item) in enumerate(zip(weights, models)):
         model = _read(item)
+        _check_known_layers(u, model)
         ids.append(model.model_id)
         if i == 0:
             sums = {
@@ -650,6 +670,39 @@ def _finite_number(value) -> bool:
     )
 
 
+#: Below this share of ``||R||^2`` the coefficient-space loss identity
+#: loses more to cancellation than 1e-9 relative, so the loss is taken
+#: explicitly.
+EXPLICIT_LOSS_RATIO = 1e-6
+
+
+def _descend(z, resid_target, normal, rhs, lr, epochs):
+    """Gradient descent on ``||Z C - R||^2`` from C = 0, in coefficient
+    space: with N = Z^T Z, b = Z^T R and G = N C, the loss is
+    ``||R||^2 + <C, G - 2b>`` and the step is ``C - 2 lr (G - b)``, so an
+    epoch costs one k x k by k x r product, whatever the sample count.
+    An epoch whose identity value falls below ``EXPLICIT_LOSS_RATIO *
+    ||R||^2`` takes ``||Z C - R||^2`` instead.  Returns C, the loss of
+    every iterate (``epochs + 1`` values) and how many were explicit."""
+    r2 = float(np.vdot(resid_target, resid_target))
+    floor = EXPLICIT_LOSS_RATIO * r2
+    two_rhs, step = 2.0 * rhs, lr * 2.0
+    ct = np.zeros(rhs.shape)
+    losses, explicit = [], 0
+    for epoch in range(epochs + 1):
+        g = normal @ ct
+        loss = r2 + float(np.vdot(ct, g - two_rhs))
+        if loss < floor:
+            loss = float(np.linalg.norm(z @ ct - resid_target) ** 2)
+            explicit += 1
+        losses.append(loss)
+        if epoch < epochs:
+            g -= rhs
+            g *= step
+            ct -= g
+    return ct, losses, explicit
+
+
 def adapt_coefficients(
     u: UniversalSubspace,
     layer: str,
@@ -667,6 +720,10 @@ def adapt_coefficients(
     k-dimensional normal equations ``(Z.T Z) C.T = Z.T (y - x @ mu.T)``.
     ``closed_form`` solves them directly; ``gradient`` runs plain gradient
     descent, which converges monotonically for lr below 1/lmax(Z.T Z).
+    Its epochs work in coefficient space (:func:`_descend`): after one
+    pass over the data they never touch the samples again, except to
+    take a loss below ``EXPLICIT_LOSS_RATIO`` of the initial one
+    explicitly (counted in ``explicit_loss_epochs``).
 
     Returns ``(SliceCoefficients, report)`` where the report carries the
     fitted layer matrix, residual norms, the normal-matrix spectrum bound
@@ -699,9 +756,10 @@ def adapt_coefficients(
         raise InvalidArgumentError(f"inputs have width {x.shape[1]}, layer expects {d}")
     if y.shape[1] != rows:
         raise InvalidArgumentError(f"targets have width {y.shape[1]}, layer expects {rows}")
-    mu_slab = np.broadcast_to(model.mu, (rows, d))
     z = x @ basis
-    resid_target = y - x @ mu_slab.T
+    # every row of the mean slab is mu: x @ slab.T has x @ mu, one GEMV,
+    # in every column
+    resid_target = y - (x @ np.broadcast_to(model.mu, (d,)))[:, None]
     normal = z.T @ z
     if ridge:
         normal = normal + ridge * np.eye(k)
@@ -739,14 +797,11 @@ def adapt_coefficients(
         if not _finite_number(lr) or lr <= 0:
             raise InvalidArgumentError(f"lr must be a positive number, got {lr!r}")
         epochs = _count(epochs, "epochs", 1)
-        ct = np.zeros((k, y.shape[1]))
-        losses = [float(np.linalg.norm(z @ ct - resid_target) ** 2)]
-        for _ in range(epochs):
-            ct = ct - lr * 2.0 * (normal @ ct - rhs)
-            losses.append(float(np.linalg.norm(z @ ct - resid_target) ** 2))
+        ct, losses, explicit = _descend(z, resid_target, normal, rhs, lr, epochs)
         report["lr"] = float(lr)
         report["epochs"] = epochs
         report["loss_curve"] = losses
+        report["explicit_loss_epochs"] = explicit
     coeffs = SliceCoefficients(coeffs=ct.T.copy())
     report["reconstructed"] = reconstruct_slice(model, coeffs)
     report["residual_norm"] = float(np.linalg.norm(z @ ct - resid_target))
@@ -874,7 +929,8 @@ def load_subspace(path) -> UniversalSubspace:
     name the T models of every stack (``stack_shape[0] == T *
     slab_extent`` for order 2, ``stack_shape[:2] == [T, slab_extent]``
     for order 3), ``layer_order`` distinct layers, each factor must have
-    its mode's extent as rows, and each stored spectrum must be one
+    its mode's extent as rows and orthonormal columns (within
+    ``ORTHONORMALITY_TOLERANCE``), and each stored spectrum must be one
     (nonnegative, nonincreasing, not all zero, at least as long as its
     factor is wide and at most as long as its unfolding allows, with a
     finite nonnegative 1 x 1 tail that is 0 past a zero value, and only
@@ -920,6 +976,11 @@ def load_subspace(path) -> UniversalSubspace:
             factors = [None] + [_take(entries, f"U/{name}/{n}") for n in modes]
             _require(all(factors[n - 1].shape[0] == shape[n - 1] for n in modes),
                      f"layer {name!r}: a factor's rows differ from its mode's extent {list(shape)}")
+            for n in modes:
+                defect = orthonormality_defect(factors[n - 1])
+                _require(defect <= ORTHONORMALITY_TOLERANCE,
+                         f"entry 'U/{name}/{n}' is not orthonormal: max |V^T V - I| = "
+                         f"{defect:.1e} > {ORTHONORMALITY_TOLERANCE:.0e}")
             mu = _take(entries, f"mu/{name}")
             mu = (np.float64(mu.reshape(())) if config.centering == "global"
                   else mu.reshape(shape[1:]))

@@ -67,8 +67,17 @@ class ContainerDocument(NamedTuple):
     meta: dict | None
 
 
-def _encoded(arr: np.ndarray, dtype: str) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
+def _encoded(name: str, arr: np.ndarray, dtype: str) -> np.ndarray:
+    """``arr`` row-major at the declared precision (``arr`` itself where it
+    already is), checked finite as encoded: a non-finite input, or a
+    finite one that overflows the precision, raises InvalidArgumentError."""
+    with np.errstate(over="ignore"):
+        enc = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
+    if not np.isfinite(enc).all():
+        if np.isfinite(arr).all():
+            raise InvalidArgumentError(f"layer {name!r} has values outside the {dtype} range")
+        raise InvalidArgumentError(f"layer {name!r} contains non-finite values")
+    return enc
 
 
 @contextmanager
@@ -97,10 +106,11 @@ def atomic_write_bytes(path, blob: bytes) -> None:
 
 
 def _layout(model_id: str, layers, meta: dict | None):
-    """Validate a container's contents without encoding them.
+    """Validate a container's layout without encoding its matrices.
 
     Returns the header (magic, manifest length and manifest) and the
-    ``(matrix, dtype)`` pairs whose encodings follow it, in order."""
+    ``(name, matrix, dtype)`` triples whose encodings follow it, in order;
+    :func:`_encoded` checks each matrix's values as it encodes it."""
     if not isinstance(model_id, str):
         raise InvalidArgumentError(f"model_id must be a string, got {type(model_id).__name__}")
     records = []
@@ -126,8 +136,6 @@ def _layout(model_id: str, layers, meta: dict | None):
             raise InvalidArgumentError(
                 f"layer {name!r}: expected a nonempty 2-D matrix, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError(f"layer {name!r} contains non-finite values")
         nbytes = arr.size * _DTYPES[dtype].itemsize
         records.append(
             {
@@ -139,7 +147,7 @@ def _layout(model_id: str, layers, meta: dict | None):
                 "nbytes": nbytes,
             }
         )
-        payload.append((arr, dtype))
+        payload.append((name, arr, dtype))
         offset += nbytes
     manifest: dict = {"model_id": model_id, "layers": records}
     if meta is not None:
@@ -157,23 +165,26 @@ def _layout(model_id: str, layers, meta: dict | None):
 def build_container(model_id: str, layers, meta: dict | None = None) -> bytes:
     """Serialize to bytes; see :func:`write_container`."""
     header, payload = _layout(model_id, layers, meta)
-    return header + b"".join(_encoded(arr, dtype).tobytes() for arr, dtype in payload)
+    return header + b"".join(_encoded(*entry).tobytes() for entry in payload)
 
 
 def write_container(path, model_id: str, layers, meta: dict | None = None) -> None:
     """Write named matrices to ``path``.
 
     ``layers`` is an iterable of ``(name, matrix, dtype)`` with dtype
-    ``"f32"`` or ``"f64"``; matrices are cast to the declared precision.
-    The write is atomic and byte-deterministic for identical inputs, and
-    goes straight to the file: the header, then each matrix as it is
-    encoded, so no copy of the whole file is built in memory.
+    ``"f32"`` or ``"f64"``; matrices are cast to the declared precision,
+    and every value must be finite at it: a finite float64 value beyond
+    the float32 range is refused, not written as inf.  The write is
+    atomic (a refused matrix leaves no file) and byte-deterministic for
+    identical inputs, and goes straight to the file: the header, then
+    each matrix as it is encoded, so no copy of the whole file is built
+    in memory.
     """
     header, payload = _layout(model_id, layers, meta)
     with _atomic_file(path) as fh:
         fh.write(header)
-        for arr, dtype in payload:
-            fh.write(memoryview(_encoded(arr, dtype)).cast("B"))
+        for entry in payload:
+            fh.write(memoryview(_encoded(*entry)).cast("B"))
 
 
 def _manifest_error(detail: str) -> ManifestError:

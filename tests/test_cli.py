@@ -5,6 +5,7 @@ stdout/stderr routing, file outputs, and byte-identical rerun behavior.
 """
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,70 @@ def test_reconstruct_refuses_coefficient_entries_that_do_not_fit(tmp_path, capsy
                         "--out", str(tmp_path / "back.uws")], capsys)
     assert code == 2 and err.count("\n") == 1
     assert not (tmp_path / "back.uws").exists()
+
+
+def write_f32_serve_fixture(tmp_path, capsys):
+    """12 models of four 6 x 24 float32 layers, their --fixed-k 3 subspace
+    (embed and head excluded) and model 0's coefficient file."""
+    rng = np.random.default_rng(11)
+    shapes = dict.fromkeys(["embed", "block0", "block1", "head"], (6, 24))
+    layer_dicts, _, _ = planted_ensemble(rng, 12, shapes, 3, noise=1e-3)
+    for i, layers in enumerate(layer_dicts):
+        save_weights(ModelWeights(f"m{i}", dict(layers), dict.fromkeys(layers, "f32")),
+                     tmp_path / f"model_{i:02d}.uws")
+    space, coeffs = tmp_path / "s.uws", tmp_path / "c.uws"
+    assert run(["extract", "--models", str(tmp_path / "model_*.uws"), "--out", str(space),
+                "--report", str(tmp_path / "r.csv"), "--fixed-k", "3"], capsys)[0] == 0
+    assert run(["project", "--subspace", str(space), "--model",
+                str(tmp_path / "model_00.uws"), "--out", str(coeffs)], capsys)[0] == 0
+    return space, coeffs
+
+
+def rewrite_entry(path, name, edit):
+    """Rewrite one entry of a container file in place, as ``edit(array)``."""
+    doc = read_container(path)
+    records = [(rec.name, edit(rec.array) if rec.name == name else rec.array, rec.dtype)
+               for rec in doc.layers]
+    path.write_bytes(build_container(doc.model_id, records, doc.meta))
+
+
+def test_reconstruct_refuses_a_layer_beyond_the_float32_range(tmp_path, capsys):
+    space, coeffs = write_f32_serve_fixture(tmp_path, capsys)
+    rewrite_entry(coeffs, "coef/block0", lambda c: c * 1e40)
+    before = sorted(tmp_path.iterdir())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cast to f32 must not warn
+        code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
+                            "--out", str(tmp_path / "back.uws")], capsys)
+    assert code == 2 and err.count("\n") == 1
+    assert "'block0'" in err and "f32" in err
+    assert sorted(tmp_path.iterdir()) == before  # no output, no temp file
+
+
+def test_project_and_merge_refuse_a_layer_the_subspace_does_not_name(tmp_path, capsys):
+    space, _ = write_f32_serve_fixture(tmp_path, capsys)
+    mix = tmp_path / "mix"
+    mix.mkdir()
+    for i in (2, 3):
+        model = load_weights(tmp_path / f"model_{i:02d}.uws")
+        if i == 3:
+            model.layers["zzz"] = np.ones((2, 3))
+        save_weights(model, mix / f"model_{i:02d}.uws")
+    code, _, err = run(["project", "--subspace", str(space), "--model",
+                        str(mix / "model_03.uws"), "--out", str(tmp_path / "c2.uws")], capsys)
+    assert code == 2 and "'zzz'" in err
+    code, _, err = run(["merge", "--subspace", str(space), "--models", str(mix / "*.uws"),
+                        "--out", str(tmp_path / "m.uws")], capsys)
+    assert code == 2 and "'zzz'" in err
+    assert not (tmp_path / "c2.uws").exists() and not (tmp_path / "m.uws").exists()
+
+
+def test_project_refuses_a_subspace_whose_basis_is_not_orthonormal(tmp_path, capsys):
+    space, _ = write_f32_serve_fixture(tmp_path, capsys)
+    rewrite_entry(space, "U/block0/2", lambda u: u * 2)
+    code, _, err = run(["project", "--subspace", str(space), "--model",
+                        str(tmp_path / "model_01.uws"), "--out", str(tmp_path / "c2.uws")], capsys)
+    assert code == 2 and "'U/block0/2' is not orthonormal" in err
 
 
 def _single_field_edits(meta, path=()):

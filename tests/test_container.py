@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,23 @@ def test_writer_rejects_bad_inputs(tmp_path):
         with pytest.raises(InvalidArgumentError, match="JSON"):
             write_container(p, "m", [("w", np.zeros((1, 1)), "f64")], meta={"epsilon": value})
     assert not p.exists()
+
+
+def test_writer_refuses_finite_values_beyond_the_declared_precision(tmp_path):
+    p = tmp_path / "big.uws"
+    big = np.array([[1.0, -1e40]])  # finite in f64, -inf once cast to f32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cast must not warn
+        with pytest.raises(InvalidArgumentError, match="layer 'w' has values outside the f32"):
+            write_container(p, "m", [("ok", np.ones((1, 1)), "f32"), ("w", big, "f32")])
+        with pytest.raises(InvalidArgumentError, match="outside the f32"):
+            build_container("m", [("w", big, "f32")])
+    assert list(tmp_path.iterdir()) == []
+    write_container(p, "m", [("w", big, "f64")])  # f64 holds it
+    assert read_container(p).layers[0].array[0, 1] == -1e40
+    # an input that is already non-finite keeps its own message
+    with pytest.raises(InvalidArgumentError, match="layer 'w' contains non-finite values"):
+        write_container(p, "m", [("w", np.array([[np.nan]]), "f32")])
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path):

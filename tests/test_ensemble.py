@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import uws.ensemble as ensemble_module
 from uws.ensemble import (
     ExtractionConfig,
     MEMORY_PRESETS,
@@ -302,6 +303,22 @@ def test_reconstruct_rejects_entries_the_subspace_does_not_take(kind, layer):
         reconstruct_model(u, c)
 
 
+def test_project_and_merge_refuse_a_layer_the_subspace_does_not_name(tmp_path):
+    rng = np.random.default_rng(94)
+    models, _, _ = make_planted(rng, n_models=8, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    extra = ModelWeights("extra", {**models[1].layers, "zzz": np.ones((2, 3))})
+    with pytest.raises(InvalidArgumentError, match="'zzz'"):
+        project_model(u, extra)
+    for group in ([models[0], extra, models[2]], write_all(tmp_path, [models[0], extra])):
+        with pytest.raises(InvalidArgumentError, match="'zzz'"):
+            merge_models(u, group)
+    # a model may still lack an excluded layer
+    lacking = ModelWeights("lacking", {n: w for n, w in models[1].layers.items() if n != "head"})
+    assert "head" not in project_model(u, lacking).passthrough
+    assert "head" not in merge_models(u, [models[0], lacking]).layers
+
+
 def test_reconstruct_rejects_a_coefficient_block_with_other_rows():
     rng = np.random.default_rng(93)
     models, _, _ = make_planted(rng, n_models=10)
@@ -577,6 +594,54 @@ def test_adapt_gradient_stable_near_step_bound():
     assert all(a >= b - 1e-9 for a, b in zip(losses, losses[1:]))
 
 
+def serve_shaped_adapt_problem(rng, n=512, d=1024, k=16, r=64):
+    """A layer of 64 x 1024 slabs with a rank-16 basis over 0.05 noise,
+    and 512 samples of one member's response."""
+    models, _, _ = make_planted(rng, n_models=20, k=k, noise=0.05, shapes={"blk0": (r, d)})
+    config = ExtractionConfig(policy=RankPolicy.fixed_k(k), exclude_layers=())
+    u = extract_universal(models, config)
+    x = rng.standard_normal((n, d))
+    return u, "blk0", x, x @ models[3].layers["blk0"].T
+
+
+def gradient_loss_curves(monkeypatch, u, layer, x, y, epochs, ratio=np.inf):
+    """The gradient fit's report, and its loss curve when every loss below
+    ``ratio`` of the first is taken explicitly as ||Z C - R||^2 (the
+    iterates do not depend on how their loss is taken)."""
+    _, report = adapt_coefficients(u, layer, x, y, method="gradient", epochs=epochs)
+    with monkeypatch.context() as patch:
+        patch.setattr(ensemble_module, "EXPLICIT_LOSS_RATIO", ratio)
+        _, other = adapt_coefficients(u, layer, x, y, method="gradient", epochs=epochs)
+    return report, np.asarray(other["loss_curve"])
+
+
+@pytest.mark.parametrize("case", ["noisy-fixture", "serve-shaped"])
+def test_adapt_coefficient_space_loss_matches_the_explicit_loss(monkeypatch, case):
+    rng = np.random.default_rng(104)
+    if case == "noisy-fixture":
+        problem, epochs = adapt_fixture(rng, noise=0.1)[:4], 4000
+    else:
+        problem, epochs = serve_shaped_adapt_problem(rng), 500
+    report, explicit = gradient_loss_curves(monkeypatch, *problem, epochs)
+    losses = np.asarray(report["loss_curve"])
+    assert report["explicit_loss_epochs"] == 0  # every loss came from the identity
+    assert losses.size == epochs + 1
+    assert np.all(np.abs(losses - explicit) <= 1e-9 * explicit)
+    assert np.all(np.diff(losses) <= 1e-12 * losses[0])
+
+
+def test_adapt_noiseless_fit_takes_its_small_losses_explicitly(monkeypatch):
+    rng = np.random.default_rng(99)
+    problem = adapt_fixture(rng)[:4]
+    report, explicit = gradient_loss_curves(monkeypatch, *problem, 4000)
+    losses = np.asarray(report["loss_curve"])
+    assert report["explicit_loss_epochs"] > 0
+    assert np.all(np.abs(losses - explicit) <= 1e-9 * explicit)
+    # without the fallback, cancellation swamps the losses near the optimum
+    _, identity = gradient_loss_curves(monkeypatch, *problem, 4000, ratio=0.0)
+    assert np.max(np.abs(identity - explicit) / explicit) > 1e-9
+
+
 def test_adapt_rank_deficiency_and_ridge():
     rng = np.random.default_rng(101)
     u, layer, x, y, _ = adapt_fixture(rng)
@@ -663,6 +728,28 @@ def test_subspace_file_roundtrip(tmp_path):
     r1, r2 = reconstruct_model(u, c1), reconstruct_model(v, c2)
     for layer in r1.layers:
         assert np.array_equal(r1.layers[layer], r2.layers[layer])
+
+
+def rewrite_entry(path, name, edit):
+    """Rewrite one entry of a container file in place, as ``edit(array)``."""
+    doc = read_container(path)
+    records = [(rec.name, edit(rec.array) if rec.name == name else rec.array, rec.dtype)
+               for rec in doc.layers]
+    path.write_bytes(build_container(doc.model_id, records, doc.meta))
+
+
+def test_load_subspace_refuses_a_factor_that_is_not_orthonormal(tmp_path):
+    rng = np.random.default_rng(105)
+    models, _, _ = make_planted(rng, n_models=12, k=4)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(4)))
+    p = tmp_path / "space.uws"
+    save_subspace(u, p)
+    # rounding-level drift loads: the tolerance is 1e-10
+    rewrite_entry(p, "U/block0/2", lambda v: v * (1 + 1e-12))
+    load_subspace(p)
+    rewrite_entry(p, "U/block0/2", lambda v: v * 2)
+    with pytest.raises(ManifestError, match="'U/block0/2' is not orthonormal"):
+        load_subspace(p)
 
 
 def test_coefficient_file_roundtrip(tmp_path):
