@@ -40,6 +40,7 @@ from ..hosvd import (
     reconstruct_slice,
 )
 from ..spectral import DEFAULT_POLICY, RankPolicy, explained_variance, orthonormality_defect
+from ..tensor import as_real
 from .container import read_container, write_container
 
 #: Version written into a subspace file's meta.  Version 1 (no
@@ -104,9 +105,7 @@ class ModelWeights:
     def __post_init__(self):
         if not isinstance(self.model_id, str):
             raise InvalidArgumentError("model_id must be a string")
-        self.layers = {
-            name: np.asarray(arr, dtype=np.float64) for name, arr in self.layers.items()
-        }
+        self.layers = {name: as_real(arr) for name, arr in self.layers.items()}
         self.dtypes = {name: self.dtypes.get(name, "f64") for name in self.layers}
 
 
@@ -311,10 +310,10 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
 
     An order-2 stack that may take the Gram route is streamed: each model
     is read once and dropped, and the layer keeps only a
-    :class:`~uws.hosvd.GramStream` (one block of rows plus d x d
-    matrices), which converts each float32 slab once, into its block; a
-    layer that no stack uses is never converted.  Every stream's block is
-    freed before the first eigensolve.  Order-3 stacks, and order-2
+    :class:`~uws.hosvd.GramStream` (the d x d Gram, one 512-row block
+    and one 256 x d panel product), which converts each float32 slab
+    once, into its block; a layer that no stack uses is never converted.
+    Every stream's block is freed before the first eigensolve.  Order-3 stacks, and order-2
     stacks that are wide or whose policy reads the small end of the
     spectrum, are kept from the same read, as float64 (copied out of a
     file, whose views would pin all of it), stacked and decomposed by
@@ -739,8 +738,7 @@ def adapt_coefficients(
         )
     if method not in ("closed_form", "gradient"):
         raise InvalidArgumentError(f"unknown adaptation method {method!r}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = as_real(x), as_real(y)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise InvalidArgumentError(
             f"need paired 2-D data, got inputs {x.shape} and targets {y.shape}"

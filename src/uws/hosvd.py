@@ -37,11 +37,11 @@ with its own thin SVD.
 
 An order-2 stack too large to hold can be fed to :class:`GramStream`
 one slab at a time, float32 or float64.  It keeps the column mean, the
-centred d x d Gram matrix and the row count, merging blocks of at least
-1024 rows with the pairwise update of Chan, Golub and LeVeque (1979);
-every merged term is positive semidefinite, so no common offset costs
-accuracy.  Its result takes the same Gram route and guard, and carries
-no stacking-mode factor or core.
+centred d x d Gram matrix and the row count, merging blocks of
+``GRAM_BLOCK_ROWS`` rows with the pairwise update of Chan, Golub and
+LeVeque (1979); every merged term is positive semidefinite, so no common
+offset costs accuracy.  Its result takes the same Gram route and guard,
+and carries no stacking-mode factor or core.
 
 A "member" is what one contributor adds to the stack, the unit that is
 projected and rebuilt: an r x d slab of rows for an order-2 stack, or
@@ -73,7 +73,7 @@ from .spectral import (
     select_rank,
     thin_svd,
 )
-from .tensor import as_tensor, frobenius_norm, mode_product, unfold
+from .tensor import as_real, as_tensor, frobenius_norm, mode_product, unfold
 
 CENTERINGS = ("feature", "global")
 
@@ -90,13 +90,19 @@ GRAM_MIN_RATIO = 1e-3
 #: route's own rounding.  About 2**-950.
 GRAM_MIN_SQUARE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps / GRAM_MIN_RATIO**2
 
-#: :class:`GramStream` updates its Gram matrix one block of at least this
-#: many stacked rows (and at least as many as the stack has columns) at a
-#: time.  The Gram of a 12800 x 1024 stack fed as 64-row float32 slabs
-#: took 1.29 s through 64-row blocks, 0.30 s through 1024-row blocks and
-#: 0.27 s through 4096-row ones; centring the float64 stack and forming
-#: it as one product took 0.24 s (2-vCPU VM, OpenBLAS).
-GRAM_BLOCK_ROWS = 1024
+#: :class:`GramStream` merges its rows into the Gram matrix one block of
+#: this many at a time, at every width, so the block is a fixed
+#: 512 x d float64 array beside the d x d Gram.
+GRAM_BLOCK_ROWS = 512
+
+#: Each merge writes only the Gram's lower triangle (with its diagonal
+#: panels whole), one panel of this many rows at a time, so its largest
+#: temporary is one GRAM_PANEL_COLS x d product.  At d = 1024 the panel
+#: GEMMs do 5/8 of a full product's flops (a symmetric rank-k update does
+#: 1/2).  On 12800 x 1024 float32 rows fed in 64-row slabs, the Gram took
+#: 0.34-0.42 s this way and 0.36-0.42 s through 1024-row blocks and one
+#: d x d product (2-vCPU VM, OpenBLAS).
+GRAM_PANEL_COLS = 256
 
 
 @dataclass(frozen=True)
@@ -357,42 +363,45 @@ class GramStream:
     held.
 
     :meth:`add` copies float32 or float64 slabs into a float64 block of
-    ``max(GRAM_BLOCK_ROWS, cols)`` rows; that copy is the only conversion a
-    float32 slab gets.  Each full block B, of n_b rows and mean m_b, is
-    centred on its own mean and merged into the running totals, of n_a
-    rows and mean m_a, by the pairwise update of Chan, Golub and LeVeque
-    (1979)::
+    ``GRAM_BLOCK_ROWS`` rows; that copy is the only conversion a float32
+    slab gets.  Each full block B, of n_b rows and mean m_b, is centred on
+    its own mean and merged into the running totals, of n_a rows and mean
+    m_a, by the pairwise update of Chan, Golub and LeVeque (1979)::
 
         G = G_a + (B - m_b).T @ (B - m_b)
                 + (n_a * n_b / n) * (m_b - m_a).T @ (m_b - m_a)
 
     The block has one spare row, which takes sqrt(n_a * n_b / n) *
-    (m_b - m_a), so a single product ``C.T @ C`` of the centred rows and
-    that row adds both terms to G.  Every term is positive semidefinite,
-    so nothing cancels: the merged Gram carries the rounding of ``Xc.T @
-    Xc`` whatever the ensemble's common offset.  A block whose squares
-    overflow leaves the totals non-finite, and :meth:`decompose` declines
-    them, as it declines a stack whose squared norm is below
-    ``GRAM_MIN_SQUARE``.  Memory is one block plus two d x d matrices, and the block is
-    freed by :meth:`flush`.
+    (m_b - m_a), so the products ``C.T @ C`` of the centred rows and that
+    row add both terms to G.  A merge writes only G's lower triangle, one
+    panel of ``GRAM_PANEL_COLS`` rows at a time, and :meth:`decompose`
+    mirrors it onto the upper one, so ``gram`` is whole only after a
+    :meth:`decompose` that reaches the solve.  Every term is positive
+    semidefinite, so nothing cancels: the merged Gram carries the
+    rounding of ``Xc.T @ Xc`` whatever the ensemble's common offset.  A
+    block whose squares overflow leaves the totals non-finite, and
+    :meth:`decompose` declines them, as it declines a stack whose squared
+    norm is below ``GRAM_MIN_SQUARE``.  Memory is the d x d Gram plus one
+    block and one panel product, and the block is freed by :meth:`flush`.
     """
 
     def __init__(self, cols: int):
+        if isinstance(cols, bool) or not isinstance(cols, (int, np.integer)) or cols < 1:
+            raise InvalidArgumentError(f"a stream needs a positive int column count, got {cols!r}")
         self.cols = int(cols)
         self.rows = 0
         self.mean = np.zeros(self.cols)
         self.gram = np.zeros((self.cols, self.cols))
         self.sumsq = 0.0  # ||X||_F**2, the scale the variance check compares with
         self.nonzero = False  # whether any entry is, though every square may underflow
-        self._capacity = max(GRAM_BLOCK_ROWS, self.cols)
-        self._block = None  # capacity rows plus the spare one, made by add
+        self._block = None  # GRAM_BLOCK_ROWS rows plus the spare one, made by add
         self._fill = 0
 
     def add(self, slab) -> None:
         """Append the rows of one slab, float32 or float64, to the stack."""
         slab = np.asarray(slab)
         if slab.dtype != np.float32:
-            slab = np.asarray(slab, dtype=np.float64)
+            slab = as_real(slab)
         if slab.ndim != 2 or slab.shape[1] != self.cols:
             raise InvalidArgumentError(
                 f"slab of shape {slab.shape} does not fit a stack of {self.cols} columns"
@@ -400,14 +409,14 @@ class GramStream:
         if not np.all(np.isfinite(slab)):
             raise InvalidArgumentError("tensor contains non-finite entries")
         if self._block is None:
-            self._block = np.empty((self._capacity + 1, self.cols))
+            self._block = np.empty((GRAM_BLOCK_ROWS + 1, self.cols))
         start = 0
         while start < slab.shape[0]:
-            take = min(slab.shape[0] - start, self._capacity - self._fill)
+            take = min(slab.shape[0] - start, GRAM_BLOCK_ROWS - self._fill)
             self._block[self._fill : self._fill + take] = slab[start : start + take]
             self._fill += take
             start += take
-            if self._fill == self._capacity:
+            if self._fill == GRAM_BLOCK_ROWS:
                 self._merge_block()
 
     def _merge_block(self) -> None:
@@ -422,7 +431,8 @@ class GramStream:
             step = m_b - self.mean
             self._block[n_b] = step * np.sqrt(self.rows * n_b / n)
             merged = self._block[: n_b + 1]
-            self.gram += merged.T @ merged
+            for j0, j1 in _panels(self.cols):
+                self.gram[j0:j1, :j1] += merged[:, j0:j1].T @ merged[:, :j1]
             self.mean += step * (n_b / n)
         self.rows = n
 
@@ -462,11 +472,16 @@ class GramStream:
             raise DegenerateSpectrumError("tensor is identically zero")
         if not (gram_eligible(shape, per_mode) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
             return None
+        _mirror_lower(self.gram)
         gram, mu = self.gram, self.mean.copy()
         if centering == "global":
             # about the grand mean: add the column means' spread around it
             spread = mu - mu.mean()
-            gram = gram + self.rows * np.outer(spread, spread)
+            gram = gram.copy()
+            for j0, j1 in _panels(self.cols):
+                outer = np.multiply.outer(spread[j0:j1], spread)
+                outer *= self.rows
+                gram[j0:j1] += outer
             mu = np.float64(mu.mean())
         _require_variance(np.sqrt(np.trace(gram)), np.sqrt(self.sumsq), centering)
         found = _gram_factors(gram, per_mode)
@@ -483,6 +498,21 @@ class GramStream:
             shape=shape,
             slab_extent=slab_extent,
         )
+
+
+def _panels(cols: int):
+    """``(j0, j1)`` bounds of the ``GRAM_PANEL_COLS``-wide panels of ``cols``."""
+    return ((j0, min(j0 + GRAM_PANEL_COLS, cols)) for j0 in range(0, cols, GRAM_PANEL_COLS))
+
+
+def _mirror_lower(gram: np.ndarray) -> None:
+    """Copy the strict lower triangle of ``gram`` onto its upper one in
+    place, one panel at a time; the lower triangle is left as it is, so a
+    second call changes nothing."""
+    for j0, j1 in _panels(gram.shape[0]):
+        gram[:j0, j0:j1] = gram[j0:j1, :j0].T
+        diag = gram[j0:j1, j0:j1]
+        diag[...] = np.tril(diag) + np.tril(diag, -1).T
 
 
 def reconstruct(model: SubspaceModel) -> np.ndarray:

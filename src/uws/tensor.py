@@ -18,14 +18,23 @@ from .errors import InvalidArgumentError
 MAX_ORDER = 8
 
 
-def as_tensor(x) -> np.ndarray:
-    """``x`` as a float64 array, checked to have order 1..8 and every
-    extent >= 1.  An input that already is such an array is returned as
-    is, not copied."""
+def as_real(x) -> np.ndarray:
+    """``x`` as a float64 array of any shape, not copied if it already is
+    one.  Complex input is refused, not cut to its real part."""
     try:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = np.asarray(x)
+        if arr.dtype.kind != "c":
+            return arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"input does not form a real tensor: {exc}") from exc
+    raise InvalidArgumentError(f"input is complex ({arr.dtype}), not a real tensor")
+
+
+def as_tensor(x) -> np.ndarray:
+    """``x`` as a float64 array (:func:`as_real`), checked to have order
+    1..8 and every extent >= 1.  An input that already is such an array
+    is returned as is, not copied."""
+    arr = as_real(x)
     if not 1 <= arr.ndim <= MAX_ORDER:
         raise InvalidArgumentError(
             f"tensor order must be between 1 and {MAX_ORDER}, got {arr.ndim}"

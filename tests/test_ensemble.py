@@ -662,6 +662,16 @@ def test_adapt_rejects_bool_numbers(kwargs):
         adapt_coefficients(u, layer, x, y, **kwargs)
 
 
+def test_complex_weights_and_adapt_data_are_refused():
+    rng = np.random.default_rng(104)
+    u, layer, x, y, _ = adapt_fixture(rng)
+    with pytest.raises(InvalidArgumentError, match="complex"):
+        ModelWeights("m", {layer: np.ones((6, 24)) * 1j})
+    for data in ((x * 1j, y), (x, y + 0j)):
+        with pytest.raises(InvalidArgumentError, match="complex"):
+            adapt_coefficients(u, layer, *data)
+
+
 def test_adapt_reports_trainable_params():
     rng = np.random.default_rng(102)
     u, layer, x, y, _ = adapt_fixture(rng)

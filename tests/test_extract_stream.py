@@ -28,6 +28,7 @@ from uws.ensemble.container import read_container, write_container
 from uws.errors import DegenerateSpectrumError, InvalidArgumentError, ManifestError
 from uws.hosvd import (
     GRAM_BLOCK_ROWS,
+    GRAM_PANEL_COLS,
     GramStream,
     center,
     hosvd_truncated,
@@ -119,7 +120,7 @@ class Routes:
 # ------------------------------------------------------------ agreement
 
 
-# 20 models stay inside one block; 128 fill block0's exactly; 300 split
+# 20 models stay inside one block; 128 fill two of block0's exactly; 300 split
 # block1's 6-row slabs across block boundaries
 @pytest.mark.parametrize("n_models", [20, 128, 300])
 @pytest.mark.parametrize("centering", ["feature", "global"])
@@ -187,6 +188,100 @@ def test_gram_stream_rejects_bad_slabs():
         stream.add(np.array([[1.0, np.nan, 0.0, 0.0]]))
     with pytest.raises(InvalidArgumentError):
         GramStream(4).decompose(TAU)
+    with pytest.raises(InvalidArgumentError, match="complex"):
+        stream.add(np.ones((2, 4)) * 1j)
+    for cols in (-1, 0, 2.5, "3", True, None):
+        with pytest.raises(InvalidArgumentError, match="positive int"):
+            GramStream(cols)
+    assert GramStream(np.int64(3)).cols == 3
+
+
+def offset_stack(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, cols)) * rng.uniform(0.5, 2.0, cols) + 3.0
+
+
+def streamed(x, slab=13):
+    stream = GramStream(x.shape[1])
+    for start in range(0, x.shape[0], slab):
+        stream.add(x[start : start + slab])
+    return stream
+
+
+# widths around and off the panel; 2 blocks and 37 rows end mid-block
+@pytest.mark.parametrize("cols", [1, GRAM_PANEL_COLS - 1, GRAM_PANEL_COLS + 1, 600])
+@pytest.mark.parametrize("rows", [GRAM_BLOCK_ROWS - 5, 2 * GRAM_BLOCK_ROWS + 37])
+def test_streamed_gram_equals_the_stacked_product(cols, rows):
+    x = offset_stack(cols + rows, max(rows, cols), cols)
+    stream = streamed(x)
+    stream.decompose(RankPolicy.fixed_k(1))
+    xc = x - x.mean(axis=0)
+    want = xc.T @ xc
+    assert stream.rows == x.shape[0]
+    assert np.linalg.norm(stream.gram - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(stream.mean - x.mean(axis=0)) <= 1e-12 * np.linalg.norm(x.mean(axis=0))
+
+
+def test_gram_is_exactly_symmetric_after_every_decompose_and_add():
+    x = offset_stack(8, 2 * GRAM_BLOCK_ROWS + 300, 600)
+    head, rest = x[: GRAM_BLOCK_ROWS + 100], x[GRAM_BLOCK_ROWS + 100 :]
+    stream, twin = streamed(head), streamed(head)
+    stream.decompose(TAU)
+    once = stream.gram.copy()
+    assert np.array_equal(once, once.T)
+    stream.decompose(TAU, centering="global")  # works on a copy
+    assert np.array_equal(stream.gram, once)
+    # the upper triangle, diagonal panels included, is made from the lower
+    stream.gram += np.triu(np.ones_like(once), 1)
+    stream.decompose(TAU)
+    assert np.array_equal(stream.gram, once)
+    # the mirror leaves the lower triangle that later merges add to as it
+    # was: the same rows, flushed at the same point, give the same Gram
+    twin.flush()
+    for s in (stream, twin):
+        for start in range(0, rest.shape[0], 13):
+            s.add(rest[start : start + 13])
+        s.decompose(TAU)
+    assert np.array_equal(stream.gram, stream.gram.T)
+    assert np.array_equal(stream.gram, twin.gram)
+    stream.decompose(TAU)
+    assert np.array_equal(stream.gram, twin.gram)
+
+
+def test_global_centring_on_a_stream_matches_the_stacked_route():
+    rng = np.random.default_rng(9)
+    cols = 2 * GRAM_PANEL_COLS + 88
+    basis = np.linalg.qr(rng.standard_normal((cols, 6)))[0]
+    x = rng.standard_normal((2 * GRAM_BLOCK_ROWS + 37, 6)) @ basis.T * 10 + 3.0
+    x += 0.01 * rng.standard_normal(x.shape) + rng.standard_normal(cols)
+    got = streamed(x).decompose(TAU, centering="global")
+    want = hosvd_truncated(x, TAU, centering="global")
+    assert got.ranks[1] == want.ranks[1]
+    assert max_sine(got.factors[1], want.factors[1]) <= 1e-10
+    for mode in (1, 2):
+        assert_spectra_agree(got.variance_ledger[mode], want.variance_ledger[mode])
+    assert abs(got.mu - want.mu) <= 1e-12 * abs(want.mu)
+
+
+def test_gram_stream_holds_the_gram_one_block_and_one_panel_product():
+    cols = 1536
+    x = offset_stack(10, GRAM_BLOCK_ROWS + 188, cols)
+    slabs = [x[start : start + 64] for start in range(0, x.shape[0], 64)]
+    tracemalloc.start()
+    try:
+        stream = GramStream(cols)
+        for slab in slabs:
+            stream.add(slab)
+        stream.flush()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gram, row = cols * cols * 8, cols * 8
+    bound = gram + (GRAM_BLOCK_ROWS + 1) * row + GRAM_PANEL_COLS * row
+    # a block as tall as the stack is wide, and a d x d product beside it
+    full_product = gram + (cols + 1) * row + gram
+    assert peak <= 1.1 * bound
+    assert peak < full_product
 
 
 # ------------------------------------------------------------ fallbacks

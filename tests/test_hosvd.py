@@ -84,6 +84,12 @@ def test_center_rejects_non_finite():
         center(np.array([1.0, np.nan]), "global")
 
 
+def test_complex_stack_is_refused():
+    x = np.random.default_rng(5).standard_normal((20, 5)) * (1 + 1j)
+    with pytest.raises(InvalidArgumentError, match="complex"):
+        hosvd_truncated(x)
+
+
 # ------------------------------------------------------------ hosvd_truncated
 
 

@@ -23,6 +23,12 @@ def test_constructor_validates_shape_and_length():
         as_tensor(np.zeros((1,) * 9))  # order cap is 8
 
 
+def test_complex_input_is_refused_not_cut_to_its_real_part():
+    for x in (np.ones((3, 2)) + 1j, [[1.0, 2j]], np.zeros(4, dtype=np.complex64)):
+        with pytest.raises(InvalidArgumentError, match="complex"):
+            as_tensor(x)
+
+
 # -------------------------------------------------------------------- unfold
 
 
