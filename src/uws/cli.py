@@ -42,7 +42,7 @@ from .errors import (
     NumericalFailureError,
     RankDeficiencyError,
 )
-from .spectral import RankPolicy, operator_norm, orthonormality_defect
+from .spectral import RankPolicy, orthonormality_defect
 
 TABLE_HEADER = "component_index,layer,sigma,ratio,cumulative"
 CONVERGE_HEADER = "T,trial,op_error,subspace_error,op_bound,subspace_bound"
@@ -391,15 +391,8 @@ def cmd_theory_bounds(args):
     if not (0.0 < args.delta < 1.0):
         raise _UsageError(f"--delta must lie in (0, 1), got {args.delta!r}")
     params = theory.BoundParameters(
-        b=args.b,
-        delta=args.delta,
-        n_tasks=args.t,
-        eta_bar=args.eta_bar,
-        eta2_bar=args.eta2_bar,
-        gamma_k=args.gamma_k,
-        c1=args.c1,
-        c2=args.c2,
-    )
+        b=args.b, delta=args.delta, n_tasks=args.t, eta_bar=args.eta_bar,
+        eta2_bar=args.eta2_bar, gamma_k=args.gamma_k, c1=args.c1, c2=args.c2)
     bounds = theory.theorem1_bounds(params)
     print("# subcommand: theory bounds")
     print(f"# b: {args.b!r} delta: {args.delta!r} t: {args.t} "
@@ -424,63 +417,31 @@ def cmd_theory_converge(args):
     if not (0.0 < args.delta < 1.0):
         raise _UsageError(f"--delta must lie in (0, 1), got {args.delta!r}")
     report = theory.convergence_study(
-        d=args.d,
-        k=args.k,
-        t_grid=args.t_grid,
-        n_trials=args.trials,
-        eta=args.eta,
-        b=args.b,
-        spectrum=args.spectrum,
-        seed=args.seed,
-        norm_mode=args.norm_mode,
-        perturbation=args.perturbation,
-        delta=args.delta,
-        c1=args.c1,
-        c2=args.c2,
-    )
+        args.d, args.k, args.t_grid, args.trials, eta=args.eta, b=args.b, spectrum=args.spectrum,
+        seed=args.seed, norm_mode=args.norm_mode, perturbation=args.perturbation,
+        delta=args.delta, c1=args.c1, c2=args.c2)
+    spectrum = "uniform" if args.spectrum is None else ",".join(map(repr, args.spectrum))
     header = [
-        ("subcommand", "theory converge"),
-        ("d", args.d),
-        ("k", args.k),
-        ("t_grid", ",".join(str(t) for t in args.t_grid)),
-        ("trials", args.trials),
-        ("eta", _fmt(args.eta)),
-        ("b", _fmt(report.config["b"])),
-        ("spectrum",
-         "uniform" if args.spectrum is None
-         else ",".join(repr(v) for v in args.spectrum)),
-        ("seed", args.seed),
-        ("norm_mode", args.norm_mode),
-        ("perturbation", args.perturbation),
-        ("delta", _fmt(args.delta)),
-        ("c1", _fmt(args.c1)),
-        ("c2", _fmt(args.c2)),
-        ("within_task_floor", _fmt(report.within_task_floor)),
-        ("slope", _fmt(report.slope)),
+        ("subcommand", "theory converge"), ("d", args.d), ("k", args.k),
+        ("t_grid", ",".join(map(str, args.t_grid))), ("trials", args.trials),
+        ("eta", _fmt(args.eta)), ("b", _fmt(report.config["b"])), ("spectrum", spectrum),
+        ("seed", args.seed), ("norm_mode", args.norm_mode), ("perturbation", args.perturbation),
+        ("delta", _fmt(args.delta)), ("c1", _fmt(args.c1)), ("c2", _fmt(args.c2)),
+        ("within_task_floor", _fmt(report.within_task_floor)), ("slope", _fmt(report.slope)),
     ]
     for t in sorted(report.mean_op_error):
-        header.append((f"mean_op_error[{t}]", _fmt(report.mean_op_error[t])))
-        header.append((f"mean_subspace_error[{t}]", _fmt(report.mean_subspace_error[t])))
-        header.append((f"mean_op_bound[{t}]", _fmt(report.mean_op_bound[t])))
+        header += [(f"{name}[{t}]", _fmt(getattr(report, name)[t]))
+                   for name in ("mean_op_error", "mean_subspace_error", "mean_op_bound")]
     if args.format == "csv":
-        lines = [f"# {key}: {value}" for key, value in header]
-        lines.append(CONVERGE_HEADER)
-        for row in report.rows:
-            sub_bound = "" if row.subspace_bound is None else repr(row.subspace_bound)
-            lines.append(
-                f"{row.n_tasks},{row.trial},{row.op_error!r},"
-                f"{row.subspace_error!r},{row.op_bound!r},{sub_bound}"
-            )
+        lines = [f"# {key}: {value}" for key, value in header] + [CONVERGE_HEADER]
+        lines += [f"{r.n_tasks},{r.trial},{r.op_error!r},{r.subspace_error!r},{r.op_bound!r},"
+                  + ("" if r.subspace_bound is None else repr(r.subspace_bound))
+                  for r in report.rows]
     else:
-        lines = ["convergence report"]
-        lines.extend(f"{key}: {value}" for key, value in header)
-        lines.append("rows:")
-        for row in report.rows:
-            lines.append(
-                f"  T {row.n_tasks} trial {row.trial}: "
-                f"op_error {row.op_error!r} subspace_error {row.subspace_error!r} "
-                f"op_bound {row.op_bound!r} subspace_bound {_fmt(row.subspace_bound)}"
-            )
+        lines = ["convergence report", *(f"{key}: {value}" for key, value in header), "rows:"]
+        lines += [f"  T {r.n_tasks} trial {r.trial}: op_error {r.op_error!r} subspace_error "
+                  f"{r.subspace_error!r} op_bound {r.op_bound!r} "
+                  f"subspace_bound {_fmt(r.subspace_bound)}" for r in report.rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"cells: {len(report.rows)}")
     print(f"slope: {_fmt(report.slope)}")
@@ -493,29 +454,14 @@ def cmd_theory_converge(args):
 
 def cmd_theory_dk(args):
     _check_dims(args.d, args.k)
-    violations = 0
-    max_lhs = 0.0
-    min_slack = float("inf")
-    for trial in range(args.trials):
-        rng = np.random.default_rng([args.seed, trial])
-        g = rng.standard_normal((args.d, args.d))
-        base = g @ g.T / args.d
-        noise = rng.standard_normal((args.d, args.d))
-        noise = (noise + noise.T) / 2.0
-        scale = operator_norm(noise)
-        # noise / scale has entries of magnitude <= 1, so this cannot overflow
-        pert = base + args.perturb * (noise / scale)
-        check = theory.davis_kahan_check(base, pert, args.k)
-        if not check.holds:
-            violations += 1
-        max_lhs = max(max_lhs, check.lhs)
-        min_slack = min(min_slack, check.rhs - check.lhs)
+    report = theory.davis_kahan_study(args.d, args.k, args.perturb, args.trials, args.seed)
+    violations = int(np.count_nonzero(~report.holds))
     print("# subcommand: theory dk-check")
     print(f"# d: {args.d} k: {args.k} perturb: {args.perturb!r} seed: {args.seed}")
     print(f"trials: {args.trials}")
     print(f"violations: {violations}")
-    print(f"max_lhs: {max_lhs!r}")
-    print(f"min_slack: {min_slack!r}")
+    print(f"max_lhs: {max(0.0, float(np.max(report.lhs)))!r}")
+    print(f"min_slack: {float(np.min(report.rhs - report.lhs))!r}")
     return 0 if violations == 0 else 3
 
 
@@ -693,6 +639,9 @@ def main(argv=None) -> int:
         return 2
     except (InvalidArgumentError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"data error: not enough memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -499,7 +499,7 @@ def merge_weights(weights, t: int) -> np.ndarray:
     1 (within 1e-8).  Raises InvalidArgumentError otherwise."""
     if weights is None:
         return np.full(t, 1.0 / t)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = as_real(weights)
     if weights.shape != (t,):
         raise InvalidArgumentError(f"got {weights.size} weights for {t} models")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):

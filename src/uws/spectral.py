@@ -1,6 +1,6 @@
 """Thin SVD, the certified leading eigenpairs of a Gram matrix,
 explained-variance accounting, rank-selection policies, and the exact
-operator norm of a symmetric matrix (one ``eigvalsh``)."""
+operator norm of a symmetric matrix or a stack of them (one ``eigvalsh``)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .tensor import peak_exponent
+from .tensor import as_real, peak_exponent
 
 #: Relative cutoff used to call a singular value numerically zero.
 NUMERICAL_RANK_RTOL = 1e-12
@@ -76,7 +76,7 @@ class ThinSvd:
 
 
 def _checked_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
+    m = as_real(m)
     if m.ndim != 2 or min(m.shape) < 1:
         raise InvalidArgumentError(f"expected a nonempty matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -518,31 +518,35 @@ def gram_leading(gram: np.ndarray, policies, min_ratio: float = 0.0):
     return s, v, tail
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a finite symmetric matrix.
+def operator_norm(a):
+    """Largest absolute eigenvalue of a finite symmetric matrix, as a float,
+    or of each matrix in a (..., d, d) stack, as an array of shape
+    ``a.shape[:-2]``.
 
     One ``np.linalg.eigvalsh`` gives the extreme eigenvalues w[0] and w[-1];
     the result is max(-w[0], w[-1]), exact to backward-stable rounding at
     every scale (the matrix is never squared, so nothing underflows or
-    overflows).  The input must be square, finite and symmetric within
-    1e-10 * max(1, max |a_ij|); eigvalsh reads its lower triangle.  The zero
-    matrix (and the empty one) has norm 0.0.
+    overflows).  Each matrix must be real, finite and symmetric within
+    1e-10 * max(1, its max |a_ij|); eigvalsh reads its lower triangle.  A
+    zero matrix (and an empty one) has norm 0.0.  A stack is solved in one
+    call, and each of its norms equals the one its matrix gets alone.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = as_real(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidArgumentError("matrix contains non-finite entries")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    # halving first keeps entries near the float64 limit from overflowing
-    if np.max(np.abs(a / 2.0 - a.T / 2.0)) > 0.5e-10 * max(1.0, scale):
-        raise InvalidArgumentError("matrix is not symmetric within 1e-10")
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            "symmetric eigensolve did not converge (LAPACK)"
-        ) from exc
-    return float(max(-w[0], w[-1]))
+    norm = np.zeros(a.shape[:-2])
+    scale = np.maximum(np.max(a, axis=(-2, -1)), -np.min(a, axis=(-2, -1))) if a.size else norm
+    if np.any(scale > 0.0):
+        # halving first keeps entries near the float64 limit from overflowing;
+        # matrix by matrix, so a stack makes no stack-sized temporaries
+        skew = [np.max(np.abs(m / 2.0 - m.T / 2.0)) for m in a.reshape(-1, *a.shape[-2:])]
+        if np.any(np.reshape(skew, scale.shape) > 0.5e-10 * np.maximum(1.0, scale)):
+            raise InvalidArgumentError("matrix is not symmetric within 1e-10")
+        try:
+            w = np.linalg.eigvalsh(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError("symmetric eigensolve did not converge (LAPACK)") from exc
+        norm = np.where(scale > 0.0, np.maximum(-w[..., 0], w[..., -1]), 0.0)
+    return float(norm) if a.ndim == 2 else norm

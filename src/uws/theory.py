@@ -8,20 +8,29 @@ Everything lives in R^d with the Euclidean inner product; task vectors
 are sampled from a planted low-dimensional subspace and observed through
 norm-bounded perturbations.  A rank-k subspace is held as its d x k
 orthonormal basis, never as a d x d projector: the distance between two
-subspaces is computed from the bases alone.
+subspaces is computed from the bases alone.  The Monte-Carlo studies solve
+up to ``TRIAL_BATCH`` trials per stacked LAPACK call, with the figures, bit
+for bit, and the errors each trial gets alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    InvalidArgumentError,
-    NumericalFailureError,
-)
+from .errors import InternalConsistencyError, InvalidArgumentError, NumericalFailureError
 from .spectral import operator_norm
+from .tensor import as_real
+
+#: Trials per stacked solve in the Monte-Carlo studies, each holding two d x d
+#: matrices.  Batches of 4 to 50 ran theory-lab's d = 64 passes alike (about
+#: 1.03 s; 1.38 s one trial at a time; 2-vCPU VM).  Stacks stay within 1 MiB, so
+#: from d = 182 on, where LAPACK is the cost, trials run one at a time.
+TRIAL_BATCH = 8
+
+
+def _batch_size(d: int) -> int:
+    return max(1, min(TRIAL_BATCH, 2**20 // (16 * d * d)))
 
 NORM_MODES = ("gaussian", "constant")
 PERTURBATIONS = ("isotropic", "radial")
@@ -92,19 +101,18 @@ class SyntheticEnsembleConfig:
             raise InvalidArgumentError(
                 f"perturbation must be one of {PERTURBATIONS}, got {self.perturbation!r}"
             )
-        if np.ndim(self.eta) == 0:
-            if not np.isfinite(self.eta) or self.eta < 0:
+        etas = as_real(self.eta)
+        if etas.ndim == 0:
+            if not np.isfinite(etas) or etas < 0:
                 raise InvalidArgumentError(f"eta must be >= 0, got {self.eta!r}")
-        else:
-            etas = np.asarray(self.eta, dtype=np.float64)
-            if etas.shape != (self.n_tasks,):
-                raise InvalidArgumentError(
-                    f"eta list has length {etas.size}, expected n_tasks = {self.n_tasks}"
-                )
-            if not np.all(np.isfinite(etas)) or np.any(etas < 0):
-                raise InvalidArgumentError("every eta entry must be finite and >= 0")
+        elif etas.shape != (self.n_tasks,):
+            raise InvalidArgumentError(
+                f"eta list has length {etas.size}, expected n_tasks = {self.n_tasks}"
+            )
+        elif not np.all(np.isfinite(etas)) or np.any(etas < 0):
+            raise InvalidArgumentError("every eta entry must be finite and >= 0")
         if self.spectrum is not None:
-            spec = np.asarray(self.spectrum, dtype=np.float64)
+            spec = as_real(self.spectrum)
             if spec.ndim != 1 or spec.size not in (self.k, self.d):
                 raise InvalidArgumentError(
                     f"spectrum must have length k = {self.k} or d = {self.d}, "
@@ -121,14 +129,14 @@ class SyntheticEnsembleConfig:
         if self.norm_mode == "constant":
             spec = self.resolved_spectrum()
             if spec.size != self.k or (spec.max() - spec.min()) > 1e-12 * spec.max():
-                raise InvalidArgumentError(
-                    "constant norm mode needs a uniform length-k spectrum"
-                )
+                raise InvalidArgumentError("constant norm mode needs a uniform length-k spectrum")
+            if not math.isfinite(self.resolved_b() * self.resolved_b()):
+                raise InvalidArgumentError(f"b**2 overflows in constant mode (b = {self.b!r})")
 
     def resolved_spectrum(self) -> np.ndarray:
         if self.spectrum is None:
             return np.ones(self.k)
-        return np.asarray(self.spectrum, dtype=np.float64).copy()
+        return as_real(self.spectrum).copy()
 
     def resolved_b(self) -> float:
         if self.b is not None:
@@ -139,9 +147,18 @@ class SyntheticEnsembleConfig:
         return 3.0 * math.sqrt(total) if self.norm_mode == "gaussian" else math.sqrt(total)
 
     def resolved_etas(self) -> np.ndarray:
-        if np.ndim(self.eta) == 0:
-            return np.full(self.n_tasks, float(self.eta))
-        return np.asarray(self.eta, dtype=np.float64).copy()
+        etas = as_real(self.eta)
+        return np.full(self.n_tasks, float(etas)) if etas.ndim == 0 else etas.copy()
+
+    def population_spectrum(self):
+        """The population operator's eigenvalues along the leading columns
+        of the planted basis (b^2/k on each of the k planted directions in
+        constant mode, the spectrum otherwise), and its eigengap at k."""
+        if self.norm_mode == "constant":
+            w = np.full(self.k, self.resolved_b() ** 2 / self.k)
+        else:
+            w = self.resolved_spectrum()
+        return w, float(w[self.k - 1]) - (float(w[self.k]) if w.size > self.k else 0.0)
 
 
 @dataclass
@@ -159,39 +176,48 @@ class SecondMomentOperator:
 
     matrix: np.ndarray
     kind: str
-    _eigh: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
-            raise InvalidArgumentError(
-                f"kind must be one of {OPERATOR_KINDS}, got {self.kind!r}"
-            )
-        m = np.asarray(self.matrix, dtype=np.float64)
+            raise InvalidArgumentError(f"kind must be one of {OPERATOR_KINDS}, got {self.kind!r}")
+        m = as_real(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"operator matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidArgumentError("operator matrix must be finite")
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        # halving first keeps entries near the float64 limit from overflowing
-        half, half_t = m / 2.0, m.T / 2.0
-        if float(np.max(np.abs(half - half_t))) > 0.5e-10 * max(1.0, scale):
-            raise InvalidArgumentError("operator matrix is not symmetric")
-        self.matrix = half + half_t
+        self.matrix = _symmetrised(m)
 
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
 
     def eigen(self):
-        """Cached dense eigendecomposition, eigenvalues descending."""
-        if self._eigh is None:
-            try:
-                w, v = np.linalg.eigh(self.matrix)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-            order = np.argsort(w)[::-1]
-            self._eigh = (w[order], v[:, order])
-        return self._eigh
+        """Dense eigendecomposition, eigenvalues descending."""
+        return _descending_eigh(self.matrix)
+
+
+def _symmetrised(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 of a float64 square matrix, checked finite and symmetric
+    within 1e-10 * max(1, max |m_ij|); halving first keeps entries near the
+    float64 limit from overflowing."""
+    if not np.all(np.isfinite(m)):
+        raise InvalidArgumentError("operator matrix must be finite")
+    half, half_t = m / 2.0, m.T / 2.0
+    if m.size and np.max(np.abs(half - half_t)) > 0.5e-10 * max(1.0, np.max(np.abs(m))):
+        raise InvalidArgumentError("operator matrix is not symmetric")
+    return half + half_t
+
+
+def _descending_eigh(m: np.ndarray, k: int | None = None):
+    """Eigenvalues, descending, and the leading k (default all) eigenvectors
+    as columns, of a symmetric matrix or of each in a stack, from one
+    ``eigh``.  Each matrix of vectors is Fortran-ordered, as ``v[:, order]``
+    is: products with it round alike for a stack and for one matrix."""
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    rows = np.take_along_axis(np.swapaxes(v, -1, -2), order[..., :k, None], axis=-2)
+    return np.take_along_axis(w, order, axis=-1), np.swapaxes(rows, -1, -2)
 
 
 def second_moment(vectors, kind) -> SecondMomentOperator:
@@ -201,7 +227,7 @@ def second_moment(vectors, kind) -> SecondMomentOperator:
             f"empirical kind must be one of {EMPIRICAL_KINDS}, got {kind!r}; "
             "population operators come from population_second_moment"
         )
-    vs = [np.asarray(v, dtype=np.float64) for v in vectors]
+    vs = [as_real(v) for v in vectors]
     if not vs:
         raise InvalidArgumentError("need at least one vector")
     d = vs[0].shape
@@ -217,17 +243,14 @@ def second_moment(vectors, kind) -> SecondMomentOperator:
 def population_second_moment(basis: np.ndarray, spectrum) -> SecondMomentOperator:
     """Assemble the population operator from an orthonormal basis and its
     per-direction second moments."""
-    basis = np.asarray(basis, dtype=np.float64)
-    spectrum = np.asarray(spectrum, dtype=np.float64)
+    basis, spectrum = as_real(basis), as_real(spectrum)
     if basis.ndim != 2 or spectrum.ndim != 1 or basis.shape[1] != spectrum.size:
         raise InvalidArgumentError(
             f"basis {basis.shape} does not match spectrum of length {spectrum.size}"
         )
     gram_defect = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
     if gram_defect > 1e-8:
-        raise InvalidArgumentError(
-            f"basis columns are not orthonormal (defect {gram_defect:.2e})"
-        )
+        raise InvalidArgumentError(f"basis columns are not orthonormal (defect {gram_defect:.2e})")
     if not np.all(np.isfinite(spectrum)) or np.any(spectrum < 0):
         raise InvalidArgumentError("spectrum must be finite and >= 0")
     m = (basis * spectrum) @ basis.T
@@ -273,12 +296,17 @@ def subspace_distance(p: Projector, q: Projector) -> float:
     Samworth, 2015), with an absolute error of O(eps)."""
     a, b = p.basis, q.basis
     if a.shape[0] != b.shape[0]:
-        raise InvalidArgumentError(
-            f"projector dimensions differ: {a.shape[0]} vs {b.shape[0]}"
-        )
+        raise InvalidArgumentError(f"projector dimensions differ: {a.shape[0]} vs {b.shape[0]}")
     if a.shape[1] != b.shape[1]:
         return 1.0  # ||P - Q|| = 1 whenever the ranks differ
-    return float(np.linalg.norm(b - a @ (a.T @ b), 2))
+    return float(_sine(a, b))
+
+
+def _sine(a: np.ndarray, b: np.ndarray):
+    """sigma_max((I - A A^T) B) of two d x k bases, or of each pair in two
+    stacks of them (one stacked SVD)."""
+    x = b - a @ (np.swapaxes(a, -1, -2) @ b)
+    return np.max(np.linalg.svd(x, compute_uv=False), axis=-1)
 
 
 # ---------------------------------------------------------------------- bounds
@@ -352,12 +380,8 @@ def theorem1_bounds(p: BoundParameters) -> TheoremBounds:
             f"the bound is not finite in double precision (b = {p.b!r}, c1 = {p.c1!r}, "
             f"gamma_k = {p.gamma_k!r})"
         )
-    return TheoremBounds(
-        sampling_term=sampling,
-        within_task_floor=floor,
-        op_bound=op_bound,
-        subspace_bound=subspace,
-    )
+    return TheoremBounds(sampling_term=sampling, within_task_floor=floor, op_bound=op_bound,
+                         subspace_bound=subspace)
 
 
 # ----------------------------------------------------------------- within-task
@@ -378,12 +402,11 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
     The cap is a theorem, so a violation beyond 1e-8 raises rather than
     returning quietly.
     """
-    stars = [np.asarray(t.f_star, dtype=np.float64) for t in tasks]
-    hats = [np.asarray(t.f_hat, dtype=np.float64) for t in tasks]
-    if not stars:
+    tasks = list(tasks)
+    if not tasks:
         raise InvalidArgumentError("need at least one task")
-    star_stack = np.stack(stars, axis=0)
-    hat_stack = np.stack(hats, axis=0)
+    star_stack = np.stack([as_real(t.f_star) for t in tasks])
+    hat_stack = np.stack([as_real(t.f_hat) for t in tasks])
     if not (np.all(np.isfinite(star_stack)) and np.all(np.isfinite(hat_stack))):
         raise InvalidArgumentError("task vectors must be finite")
     norms = np.linalg.norm(star_stack, axis=1)
@@ -392,12 +415,10 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
     if not np.isfinite(b) or b < 0:
         raise InvalidArgumentError(f"b must be a finite nonnegative bound, got {b!r}")
     if norms.max() > b * (1.0 + 1e-12) + 1e-300:
-        raise InvalidArgumentError(
-            f"b = {b} does not bound the task norms (max {norms.max()})"
-        )
+        raise InvalidArgumentError(f"b = {b} does not bound the task norms (max {norms.max()})")
     errs = np.linalg.norm(hat_stack - star_stack, axis=1)
     cap = float(np.mean(2.0 * b * errs + errs**2))
-    t = len(stars)
+    t = len(tasks)
     diff = hat_stack.T @ hat_stack / t - star_stack.T @ star_stack / t
     measured = operator_norm(diff)
     holds = measured <= cap + 1e-8
@@ -413,38 +434,93 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
 
 @dataclass(frozen=True)
 class DkReport:
+    """One Davis-Kahan check; from :func:`davis_kahan_study`, each field is
+    an array with one entry per trial."""
+
     lhs: float
     rhs: float
     gamma: float
     holds: bool
 
 
-def _as_operator(s) -> SecondMomentOperator:
-    if isinstance(s, SecondMomentOperator):
-        return s
-    return SecondMomentOperator(matrix=np.asarray(s, dtype=np.float64), kind="population")
-
-
 def davis_kahan_check(s_ref, s_pert, k: int, tol: float = 1e-10) -> DkReport:
     """Checks ||P_pert - P_ref|| <= (2/gamma_k) ||S_pert - S_ref|| with the
-    eigengap taken from the reference operator; a right-hand side that is
-    not finite raises InvalidArgumentError, as it would certify nothing."""
-    ref = _as_operator(s_ref)
-    pert = _as_operator(s_pert)
+    eigengap taken from the reference operator; a vacuous bound (gamma_k <=
+    0) or a right-hand side that is not finite raises InvalidArgumentError,
+    as it would certify nothing."""
+    ref, pert = (s if isinstance(s, SecondMomentOperator)
+                 else SecondMomentOperator(matrix=s, kind="population") for s in (s_ref, s_pert))
     if ref.d != pert.d:
         raise InvalidArgumentError(f"operator dimensions differ: {ref.d} vs {pert.d}")
-    p_ref, gamma = top_k_projector(ref, k)
-    if gamma <= 0.0:
-        raise InvalidArgumentError(
-            f"reference eigengap at k = {k} is {gamma}; the bound is vacuous"
-        )
-    p_pert, _ = top_k_projector(pert, k)
-    lhs = subspace_distance(p_pert, p_ref)
-    rhs = (2.0 / gamma) * operator_norm(pert.matrix - ref.matrix)
-    if not math.isfinite(rhs):
-        raise InvalidArgumentError(
-            f"the perturbation bound is not finite in double precision (gamma_k = {gamma!r})"
-        )
+    k = _int_at_least(k, "k", 1)
+    if k > ref.d:
+        raise InvalidArgumentError(f"k = {k} exceeds operator dimension {ref.d}")
+    lhs, rhs, gamma = (float(x[0]) for x in _dk_pairs(ref.matrix[None], pert.matrix[None], k))
+    return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + tol)
+
+
+def _in_trial_order(solve, n: int):
+    """``solve(slice(0, n))``, the figures of n trials solved as one batch.
+    Where that raises InvalidArgumentError, the trials are solved one at a
+    time, so the error raised is the one the first failing trial raises."""
+    try:
+        return solve(slice(0, n))
+    except InvalidArgumentError:
+        for i in range(n):
+            solve(slice(i, i + 1))
+        raise
+
+
+def _dk_pairs(ref: np.ndarray, pert: np.ndarray, k: int):
+    """``(lhs, rhs, gamma)`` arrays over the pairs of two (n, d, d) stacks of
+    symmetric operators: the reference eigengap at k, the distance between
+    the top-k eigenspaces and (2/gamma) ||pert - ref||, with one ``eigh``
+    per stack.  A vacuous or non-finite bound raises InvalidArgumentError."""
+    w, v = _descending_eigh(ref, k)
+    gamma = w[:, k - 1] - (w[:, k] if k < ref.shape[-1] else 0.0)
+    if np.any(gamma <= 0.0):
+        raise InvalidArgumentError(f"reference eigengap at k = {k} is "
+                                   f"{float(gamma[gamma <= 0.0][0])}; the bound is vacuous")
+    lhs = _sine(_descending_eigh(pert, k)[1], v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound that overflows is refused below
+        rhs = (2.0 / gamma) * operator_norm(pert - ref)
+    if not np.all(np.isfinite(rhs)):
+        raise InvalidArgumentError("the perturbation bound is not finite in double precision "
+                                   f"(gamma_k = {float(gamma[~np.isfinite(rhs)][0])!r})")
+    return lhs, rhs, gamma
+
+
+def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0,
+                      tol: float = 1e-10) -> DkReport:
+    """:func:`davis_kahan_check` on ``trials`` random pairs, as a
+    :class:`DkReport` of per-trial arrays.  Trial i draws from
+    ``default_rng([seed, i])`` a d x d Gaussian G, then a d x d Gaussian N:
+    the reference is G G^T / d, and the perturbed operator adds ``perturb``
+    * S / ||S||, S = (N + N^T) / 2.  Pairs are solved in batches (see
+    ``TRIAL_BATCH``), and each gets the figures and errors it gets alone."""
+    d, k, trials = (_int_at_least(v, n, 1) for v, n in ((d, "d"), (k, "k"), (trials, "trials")))
+    if k > d:
+        raise InvalidArgumentError(f"k = {k} exceeds the ambient dimension {d}")
+    perturb = _positive_float(perturb, "perturb")
+    parts, batch = [], _batch_size(d)
+    for start in range(0, trials, batch):
+        n = min(batch, trials - start)
+        ref, pert = np.empty((2, n, d, d))
+        for i in range(n):
+            rng = np.random.default_rng([seed, start + i])
+            g = rng.standard_normal((d, d))
+            np.matmul(g, g.T, out=ref[i])
+            noise = rng.standard_normal((d, d))
+            np.add(noise, noise.T, out=pert[i])
+        ref /= d
+        pert /= 2.0
+        pert /= operator_norm(pert)[:, None, None]
+        pert *= perturb
+        pert += ref
+        for i in range(n):
+            ref[i], pert[i] = _symmetrised(ref[i]), _symmetrised(pert[i])
+        parts.append(_in_trial_order(lambda i: _dk_pairs(ref[i], pert[i], k), n))
+    lhs, rhs, gamma = (np.concatenate(p) for p in zip(*parts))
     return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + tol)
 
 
@@ -453,8 +529,11 @@ def davis_kahan_check(s_ref, s_pert, k: int, tol: float = 1e-10) -> DkReport:
 
 @dataclass
 class SyntheticEnsemble:
+    """A drawn ensemble: row t of ``f_star`` and ``f_hat`` is task t."""
+
     config: SyntheticEnsembleConfig
-    tasks: list
+    f_star: np.ndarray
+    f_hat: np.ndarray
     basis: np.ndarray
     spectrum: np.ndarray
     b: float
@@ -463,25 +542,58 @@ class SyntheticEnsemble:
     population: SecondMomentOperator
     gamma: float
 
+    @property
+    def tasks(self) -> list:
+        """One :class:`TaskVector` per row of ``f_star`` and ``f_hat`` (views
+        of them), built on each read."""
+        return [TaskVector(f_star=s, f_hat=h) for s, h in zip(self.f_star, self.f_hat)]
+
 
 def _haar_columns(rng, d: int, m: int) -> np.ndarray:
-    g = rng.standard_normal((d, m))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(rng.standard_normal((d, m)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
 
 
 def _unit_rows(rng, g: np.ndarray) -> np.ndarray:
-    """Rows of ``g`` scaled to unit length; a row too short to normalize
-    (norm <= 1e-12) is replaced by a fresh draw until it is not."""
+    """``g`` with its rows scaled to unit length in place; a row too short to
+    normalize (norm <= 1e-12) is replaced by a fresh draw until it is not."""
     norms = np.linalg.norm(g, axis=1)
     short = norms <= 1e-12
     while np.any(short):
         g[short] = rng.standard_normal((int(short.sum()), g.shape[1]))
         norms[short] = np.linalg.norm(g[short], axis=1)
         short = norms <= 1e-12
-    return g / norms[:, None]
+    g /= norms[:, None]
+    return g
+
+
+def _draw(config: SyntheticEnsembleConfig, rng):
+    """The planted basis (d x m, m the spectrum length) and the (n_tasks, d)
+    ``f_star`` and ``f_hat`` arrays, in the draw order of
+    :func:`sample_ensemble`."""
+    spectrum, b, etas = config.resolved_spectrum(), config.resolved_b(), config.resolved_etas()
+    d, k = config.d, config.k
+    basis = _haar_columns(rng, d, spectrum.size)
+    width = k if config.norm_mode == "constant" else spectrum.size
+    draws = rng.standard_normal((config.n_tasks, width + d))
+    coeffs, directions = draws[:, :width], draws[:, width:]
+    if config.norm_mode == "constant":
+        f_star = b * (_unit_rows(rng, coeffs) @ basis[:, :k].T)
+    else:
+        f_star = coeffs @ (basis * np.sqrt(spectrum)).T
+        norms = np.linalg.norm(f_star, axis=1)
+        over = norms > b
+        f_star[over] *= (b / norms[over])[:, None]
+    directions = _unit_rows(rng, directions)
+    directions *= etas[:, None]
+    f_hat = f_star + directions
+    if config.perturbation == "radial":
+        norms = np.linalg.norm(f_star, axis=1)
+        along = norms > 1e-300
+        f_hat[along] = f_star[along] * (1.0 + etas[along] / norms[along])[:, None]
+    return basis, f_star, f_hat
 
 
 def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsemble:
@@ -503,54 +615,15 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    basis, f_star, f_hat = _draw(config, rng)
     spectrum = config.resolved_spectrum()
-    b = config.resolved_b()
-    etas = config.resolved_etas()
-    d, k = config.d, config.k
-    basis = _haar_columns(rng, d, spectrum.size)
-    if config.norm_mode == "constant":
-        population = population_second_moment(
-            basis[:, :k], np.full(k, b**2 / k)
-        )
-        lam_k, lam_next = b**2 / k, 0.0
-    else:
-        population = population_second_moment(basis, spectrum)
-        lam_k = float(spectrum[k - 1])
-        lam_next = float(spectrum[k]) if spectrum.size > k else 0.0
-    gamma = lam_k - lam_next
-    planted = basis[:, :k]
-    projector = Projector(
-        basis=planted,
-        degenerate_gap=gamma <= 1e-12 * max(1.0, float(spectrum[0])),
-    )
-    width = k if config.norm_mode == "constant" else spectrum.size
-    draws = rng.standard_normal((config.n_tasks, width + d))
-    coeffs, directions = draws[:, :width], draws[:, width:]
-    if config.norm_mode == "constant":
-        f_star = b * (_unit_rows(rng, coeffs) @ planted.T)
-    else:
-        f_star = coeffs @ (basis * np.sqrt(spectrum)).T
-        norms = np.linalg.norm(f_star, axis=1)
-        over = norms > b
-        f_star[over] *= (b / norms[over])[:, None]
-    directions = _unit_rows(rng, directions)
-    f_hat = f_star + etas[:, None] * directions
-    if config.perturbation == "radial":
-        norms = np.linalg.norm(f_star, axis=1)
-        along = norms > 1e-300
-        f_hat[along] = f_star[along] * (1.0 + etas[along] / norms[along])[:, None]
-    tasks = [TaskVector(f_star=s, f_hat=h) for s, h in zip(f_star, f_hat)]
+    w, gamma = config.population_spectrum()
+    projector = Projector(basis=basis[:, :config.k],
+                          degenerate_gap=gamma <= 1e-12 * max(1.0, float(spectrum[0])))
     return SyntheticEnsemble(
-        config=config,
-        tasks=tasks,
-        basis=basis,
-        spectrum=spectrum,
-        b=b,
-        etas=etas,
-        planted_projector=projector,
-        population=population,
-        gamma=gamma,
-    )
+        config=config, f_star=f_star, f_hat=f_hat, basis=basis, spectrum=spectrum,
+        b=config.resolved_b(), etas=config.resolved_etas(), planted_projector=projector,
+        population=population_second_moment(basis[:, :w.size], w), gamma=gamma)
 
 
 # ----------------------------------------------------------------- convergence
@@ -580,118 +653,90 @@ class ConvergenceReport:
     config: dict
 
 
-def convergence_study(
-    d: int,
-    k: int,
-    t_grid,
-    n_trials: int,
-    *,
-    eta: float = 0.0,
-    b: float | None = None,
-    spectrum=None,
-    seed: int = 0,
-    norm_mode: str = "gaussian",
-    perturbation: str = "isotropic",
-    delta: float = 0.05,
-    c1: float = 1.0,
-    c2: float = 1.0,
-) -> ConvergenceReport:
+def _trial_errors(cfg: SyntheticEnsembleConfig, seed, trials: range):
+    """Per trial at ``cfg``: ||S_learned - S_population||_op and the
+    distance from the learned top-k eigenspace to the planted one, with
+    S_learned = f_hat^T f_hat / T.  The batch fills a stack of learned
+    operators and one of their differences from the population operators,
+    and solves them with one ``eigh`` and one ``eigvalsh``."""
+    t, d, k = cfg.n_tasks, cfg.d, cfg.k
+    w, _ = cfg.population_spectrum()
+    learned, diff = np.empty((2, len(trials), d, d))
+    planted = np.empty((len(trials), d, k))
+    for i, trial in enumerate(trials):
+        basis, _, f_hat = _draw(cfg, np.random.default_rng([seed, trial, t]))
+        cols = basis[:, :w.size]
+        population = _symmetrised((cols * w) @ cols.T)
+        if not np.all(np.isfinite(f_hat)):
+            raise InvalidArgumentError("vectors must be finite")
+        np.matmul(f_hat.T, f_hat, out=learned[i])
+        learned[i] = _symmetrised(learned[i] / t)
+        np.subtract(learned[i], population, out=diff[i])
+        planted[i] = basis[:, :k]
+    return operator_norm(diff), _sine(_descending_eigh(learned, k)[1], planted)
+
+
+def convergence_study(d: int, k: int, t_grid, n_trials: int, *, eta: float = 0.0,
+                      b: float | None = None, spectrum=None, seed: int = 0,
+                      norm_mode: str = "gaussian", perturbation: str = "isotropic",
+                      delta: float = 0.05, c1: float = 1.0, c2: float = 1.0) -> ConvergenceReport:
     """Monte-Carlo error curves over a grid of ensemble sizes.
 
     Each (T, trial) cell draws its RNG stream from (seed, trial, T), so
-    results are identical under any execution order.  The fitted slope is
-    the least-squares slope of log(mean operator error) against log(T);
-    it needs at least two distinct T values with positive mean errors,
-    otherwise the report carries an undefined-slope flag.
+    results are identical under any execution order.  The bounds are
+    computed once per T, and the trials in batches of up to ``TRIAL_BATCH``
+    (:func:`_trial_errors`); the first trial that fails raises the error
+    it raises alone.  The fitted slope is the least-squares slope of
+    log(mean operator error) against log(T); it needs at least two
+    distinct T values with positive mean errors, otherwise the report
+    carries an undefined-slope flag.
     """
     t_grid = list(t_grid)
     if not t_grid:
         raise InvalidArgumentError("t_grid must not be empty")
     t_grid = [_int_at_least(t, "t_grid entry", 1) for t in t_grid]
     n_trials = _int_at_least(n_trials, "n_trials", 1)
-    if np.ndim(eta) != 0:
+    eta = as_real(eta)
+    if eta.ndim != 0:
         raise InvalidArgumentError("convergence studies take a scalar eta")
     eta = float(eta)
     rows = []
-    b_eff = None
     for t in t_grid:
-        cfg = SyntheticEnsembleConfig(
-            d=d,
-            k=k,
-            n_tasks=t,
-            b=b,
-            eta=eta,
-            spectrum=spectrum,
-            seed=0,
-            norm_mode=norm_mode,
-            perturbation=perturbation,
-        )
-        for trial in range(n_trials):
-            rng = np.random.default_rng([seed, trial, t])
-            ens = sample_ensemble(cfg, rng=rng)
-            b_eff = ens.b
-            learned = second_moment([tv.f_hat for tv in ens.tasks], "learned_empirical")
-            op_error = operator_norm(learned.matrix - ens.population.matrix)
-            p_hat, _ = top_k_projector(learned, k)
-            subspace_error = subspace_distance(p_hat, ens.planted_projector)
-            params = BoundParameters(
-                b=ens.b,
-                delta=delta,
-                n_tasks=t,
-                eta_bar=float(ens.etas.mean()),
-                eta2_bar=float((ens.etas**2).mean()),
-                gamma_k=ens.gamma if ens.gamma > 0 else None,
-                c1=c1,
-                c2=c2,
-            )
-            bounds = theorem1_bounds(params)
-            rows.append(
-                ConvergenceRow(
-                    n_tasks=t,
-                    trial=trial,
-                    op_error=op_error,
-                    subspace_error=subspace_error,
-                    op_bound=bounds.op_bound,
-                    subspace_bound=bounds.subspace_bound,
-                )
-            )
+        cfg = SyntheticEnsembleConfig(d=d, k=k, n_tasks=t, b=b, eta=eta, spectrum=spectrum,
+                                      norm_mode=norm_mode, perturbation=perturbation)
+        b_eff, etas, gamma = cfg.resolved_b(), cfg.resolved_etas(), cfg.population_spectrum()[1]
+        try:
+            bounds = theorem1_bounds(BoundParameters(
+                b=b_eff, delta=delta, n_tasks=t, eta_bar=float(etas.mean()),
+                eta2_bar=float((etas**2).mean()), gamma_k=gamma if gamma > 0 else None,
+                c1=c1, c2=c2))
+        except InvalidArgumentError:
+            _trial_errors(cfg, seed, range(1))  # trial 0's own errors come first
+            raise
+        for start in range(0, n_trials, _batch_size(d)):
+            trials = range(start, min(start + _batch_size(d), n_trials))
+            errors = _in_trial_order(lambda i: _trial_errors(cfg, seed, trials[i]), len(trials))
+            rows.extend(ConvergenceRow(t, trial, float(op), float(sub), bounds.op_bound,
+                                       bounds.subspace_bound)
+                        for trial, op, sub in zip(trials, *errors))
     distinct = sorted(set(t_grid))
-    mean_op, mean_sub, mean_bound = {}, {}, {}
-    for t in distinct:
-        cell = [r for r in rows if r.n_tasks == t]
-        mean_op[t] = float(np.mean([r.op_error for r in cell]))
-        mean_sub[t] = float(np.mean([r.subspace_error for r in cell]))
-        mean_bound[t] = float(np.mean([r.op_bound for r in cell]))
+    mean_op, mean_sub, mean_bound = (
+        {t: float(np.mean([getattr(r, name) for r in rows if r.n_tasks == t])) for t in distinct}
+        for name in ("op_error", "subspace_error", "op_bound"))
     slope = None
     slope_defined = len(distinct) >= 2 and all(mean_op[t] > 0 for t in distinct)
     if slope_defined:
         logs_t = np.log([float(t) for t in distinct])
         logs_e = np.log([mean_op[t] for t in distinct])
         slope = float(np.polyfit(logs_t, logs_e, 1)[0])
-    floor = 2.0 * (b_eff or 0.0) * eta + eta**2
     return ConvergenceReport(
-        rows=rows,
-        t_grid=t_grid,
-        n_trials=n_trials,
-        mean_op_error=mean_op,
-        mean_subspace_error=mean_sub,
-        mean_op_bound=mean_bound,
-        slope=slope,
-        slope_defined=slope_defined,
-        within_task_floor=floor,
+        rows=rows, t_grid=t_grid, n_trials=n_trials, mean_op_error=mean_op,
+        mean_subspace_error=mean_sub, mean_op_bound=mean_bound, slope=slope,
+        slope_defined=slope_defined, within_task_floor=2.0 * b_eff * eta + eta**2,
         config={
-            "d": d,
-            "k": k,
-            "t_grid": t_grid,
-            "n_trials": n_trials,
-            "eta": eta,
-            "b": b_eff,
-            "spectrum": list(np.asarray(spectrum, dtype=np.float64)) if spectrum is not None else None,
-            "seed": seed,
-            "norm_mode": norm_mode,
-            "perturbation": perturbation,
-            "delta": delta,
-            "c1": c1,
-            "c2": c2,
+            "d": d, "k": k, "t_grid": t_grid, "n_trials": n_trials, "eta": eta, "b": b_eff,
+            "spectrum": list(as_real(spectrum)) if spectrum is not None else None,
+            "seed": seed, "norm_mode": norm_mode, "perturbation": perturbation,
+            "delta": delta, "c1": c1, "c2": c2,
         },
     )

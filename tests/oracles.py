@@ -2,7 +2,9 @@
 
 Everything in here is deliberately written the slow, obvious way (index
 enumeration, dense eigensolves, hand arithmetic) so it shares no code
-path with the library implementation it checks.
+path with the library implementation it checks.  The exception is the
+theory lab's per-trial loops, which are built from the library's
+single-trial calls to check its batched studies bit for bit.
 """
 
 from __future__ import annotations
@@ -184,3 +186,48 @@ def assert_spectra_agree(got, want):
     assert np.max(np.abs(a[:n] - b[:n])) <= 1e-12 * b[0]
     rest = [float(np.sum(s[n:] ** 2)) + spec.tail for s, spec in ((a, got), (b, want))]
     assert abs(rest[0] - rest[1]) <= 1e-12 * (float(np.sum(b**2)) + want.tail)
+
+
+def convergence_rows_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectrum=None, seed=0,
+                             norm_mode="gaussian", perturbation="isotropic", delta=0.05,
+                             c1=1.0, c2=1.0):
+    """Reference for ``uws.theory.convergence_study``'s rows, one trial at a
+    time through the single-trial public calls: per (T, trial) a tuple
+    (T, trial, op_error, subspace_error, op_bound, subspace_bound)."""
+    from uws.spectral import operator_norm
+    from uws.theory import (BoundParameters, SyntheticEnsembleConfig, sample_ensemble,
+                            second_moment, subspace_distance, theorem1_bounds, top_k_projector)
+
+    rows = []
+    for t in t_grid:
+        config = SyntheticEnsembleConfig(d=d, k=k, n_tasks=t, b=b, eta=eta, spectrum=spectrum,
+                                         norm_mode=norm_mode, perturbation=perturbation)
+        for trial in range(n_trials):
+            ens = sample_ensemble(config, rng=np.random.default_rng([seed, trial, t]))
+            learned = second_moment([task.f_hat for task in ens.tasks], "learned_empirical")
+            op_error = operator_norm(learned.matrix - ens.population.matrix)
+            p_hat, _ = top_k_projector(learned, k)
+            bounds = theorem1_bounds(BoundParameters(
+                b=ens.b, delta=delta, n_tasks=t, eta_bar=float(ens.etas.mean()),
+                eta2_bar=float((ens.etas**2).mean()),
+                gamma_k=ens.gamma if ens.gamma > 0 else None, c1=c1, c2=c2))
+            rows.append((t, trial, op_error, subspace_distance(p_hat, ens.planted_projector),
+                         bounds.op_bound, bounds.subspace_bound))
+    return rows
+
+
+def davis_kahan_reports_by_loop(d, k, perturb, trials, seed):
+    """Reference for ``uws.theory.davis_kahan_study``: one
+    ``davis_kahan_check`` per trial on the pair that trial draws."""
+    from uws.spectral import operator_norm
+    from uws.theory import davis_kahan_check
+
+    reports = []
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        g = rng.standard_normal((d, d))
+        base = g @ g.T / d
+        noise = rng.standard_normal((d, d))
+        noise = (noise + noise.T) / 2.0
+        reports.append(davis_kahan_check(base, base + perturb * (noise / operator_norm(noise)), k))
+    return reports

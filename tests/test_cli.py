@@ -877,6 +877,18 @@ def test_theory_dk_check_survives_a_huge_perturbation(capsys):
     assert "violations: 0" in out.splitlines()
 
 
+def test_out_of_memory_is_a_one_line_data_error(capsys):
+    # two 10**7 x 10**7 float64 stacks: refused at allocation, nothing touched
+    code, out, err = run(
+        ["theory", "dk-check", "--d", "10000000", "--k", "1", "--perturb", "0.1",
+         "--trials", "1"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("data error: not enough memory")
+
+
 def test_theory_converge_prints_its_cell_count(tmp_path, capsys):
     argv = ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4,8,16",
             "--trials", "2", "--seed", "5", "--out", str(tmp_path / "r.csv")]

@@ -13,3 +13,7 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from uws import *", namespace)
     assert set(uws.__all__) <= set(namespace)
+
+
+def test_the_batched_davis_kahan_study_is_exported():
+    assert "davis_kahan_study" in uws.__all__

@@ -480,6 +480,22 @@ def test_operator_norm_rejects_non_finite():
             operator_norm(a)
 
 
+def test_stacked_operator_norm_equals_the_per_matrix_call():
+    rng = np.random.default_rng(32)
+    a = rng.standard_normal((5, 6, 6))
+    scales = np.array([1.0, 1e-150, 0.0, 1e150, -3.0])[:, None, None]
+    stack = (a + np.swapaxes(a, 1, 2)) / 2 * scales  # the third is the zero matrix
+    got = operator_norm(stack)
+    assert got.shape == (5,) and got[2] == 0.0
+    assert repr([float(x) for x in got]) == repr([operator_norm(m) for m in stack])
+    assert isinstance(operator_norm(stack[0]), float)
+    assert operator_norm(stack[None]).shape == (1, 5)
+    stack[3, 0, 1] += 1e148  # one asymmetric matrix fails the whole stack, as it fails alone
+    for bad in (stack, stack[3]):
+        with pytest.raises(InvalidArgumentError, match="not symmetric"):
+            operator_norm(bad)
+
+
 def test_operator_norm_maps_lapack_failure(monkeypatch):
     def fail(_):
         raise np.linalg.LinAlgError("no convergence")

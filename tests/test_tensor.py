@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
+from uws import theory
+from uws.ensemble import merge_models
 from uws.errors import InvalidArgumentError
+from uws.spectral import RankPolicy, gram_leading, operator_norm, thin_svd
 from uws.tensor import as_tensor, frobenius_norm, mode_product, unfold
 
 from oracles import haar_orthogonal, unfold_by_enumeration
@@ -129,3 +134,32 @@ def test_norm_preserved_by_orthogonal_mode_products():
         q = haar_orthogonal(t.shape[mode - 1], rng)
         out = mode_product(out, q, mode)
     assert frobenius_norm(out) == pytest.approx(frobenius_norm(t), rel=1e-10)
+
+
+_CONFIG = dict(d=3, k=1, n_tasks=2)
+COMPLEX_ENTRY_POINTS = {
+    "thin_svd": lambda: thin_svd(np.ones((3, 2)) * (1 + 1j)),
+    "gram_leading": lambda: gram_leading(1j * np.eye(3), [RankPolicy.fixed_k(1)]),
+    "operator_norm": lambda: operator_norm(1j * np.eye(3)),
+    "operator_norm_stack": lambda: operator_norm(np.stack([np.eye(3), 1j * np.eye(3)])),
+    "config_eta": lambda: theory.SyntheticEnsembleConfig(**_CONFIG, eta=0.1j),
+    "config_eta_list": lambda: theory.SyntheticEnsembleConfig(**_CONFIG, eta=[0.1, 0.1j]),
+    "config_spectrum": lambda: theory.SyntheticEnsembleConfig(**_CONFIG, spectrum=[1j]),
+    "operator": lambda: theory.SecondMomentOperator(matrix=1j * np.eye(2), kind="population"),
+    "second_moment": lambda: theory.second_moment([1j * np.ones(2)], "true_empirical"),
+    "population_basis": lambda: theory.population_second_moment(1j * np.eye(2), [1.0, 1.0]),
+    "population_spectrum": lambda: theory.population_second_moment(np.eye(2), [1j, 1.0]),
+    "within_task": lambda: theory.within_task_term(
+        [SimpleNamespace(f_star=1j * np.ones(2), f_hat=np.ones(2))]),
+    "davis_kahan_check": lambda: theory.davis_kahan_check(1j * np.eye(2), np.eye(2), 1),
+    "convergence_eta": lambda: theory.convergence_study(3, 1, [2], 1, eta=0.1j),
+    "convergence_spectrum": lambda: theory.convergence_study(3, 1, [2], 1, spectrum=[1j]),
+    "merge_weights": lambda: merge_models(None, ["a.uws", "b.uws"], weights=[0.5j, 0.5]),
+}
+
+
+@pytest.mark.parametrize("call", list(COMPLEX_ENTRY_POINTS.values()),
+                         ids=list(COMPLEX_ENTRY_POINTS))
+def test_complex_input_is_refused_at_every_entry_point(call):
+    with pytest.raises(InvalidArgumentError, match="complex"):
+        call()

@@ -10,8 +10,12 @@ from uws.theory import (
     Projector,
     SyntheticEnsembleConfig,
     TaskVector,
+    _batch_size,
+    _dk_pairs,
+    _in_trial_order,
     convergence_study,
     davis_kahan_check,
+    davis_kahan_study,
     population_second_moment,
     sample_ensemble,
     second_moment,
@@ -21,7 +25,12 @@ from uws.theory import (
     within_task_term,
 )
 
-from oracles import haar_columns, synthetic_tasks_by_loop
+from oracles import (
+    convergence_rows_by_loop,
+    davis_kahan_reports_by_loop,
+    haar_columns,
+    synthetic_tasks_by_loop,
+)
 
 
 def opnorm_oracle(m):
@@ -42,6 +51,17 @@ def cfg(**kw):
 
 
 # -------------------------------------------------------------------- sampling
+
+
+def test_tasks_are_built_on_read_from_the_stored_arrays():
+    ens = sample_ensemble(cfg(eta=0.2))
+    tasks = ens.tasks
+    assert tasks is not ens.tasks and all(isinstance(t, TaskVector) for t in tasks)
+    assert np.array_equal(np.stack([t.f_star for t in tasks]), ens.f_star)
+    assert np.array_equal(np.stack([t.f_hat for t in tasks]), ens.f_hat)
+    assert ens.f_star.shape == ens.f_hat.shape == (20, 8)
+    with pytest.raises(AttributeError):
+        ens.tasks = []
 
 
 def test_zero_eta_hats_equal_stars_exactly():
@@ -166,6 +186,8 @@ def test_config_validation():
         cfg(perturbation="sideways")
     with pytest.raises(InvalidArgumentError):
         cfg(b=0.0)
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        cfg(norm_mode="constant", b=1e200)  # b**2 is not a float
 
 
 def test_full_dimensional_isotropic_effective_rank():
@@ -273,6 +295,20 @@ def test_projector_matches_dense_eigensolve():
         top = v[:, np.argsort(w)[::-1][:k]]
         assert np.allclose(p.matrix, top @ top.T, atol=1e-8)
         assert np.trace(p.matrix) == pytest.approx(k, abs=1e-6)
+
+
+def test_top_k_basis_is_the_reordered_eigh_columns_in_their_layout():
+    # the sine distance rounds differently for C- and Fortran-ordered bases,
+    # so the layout of v[:, order] is part of the result
+    ens = sample_ensemble(SyntheticEnsembleConfig(d=64, k=4, n_tasks=50, eta=0.2, seed=33))
+    learned = second_moment([t.f_hat for t in ens.tasks], "learned_empirical")
+    w, v = np.linalg.eigh(learned.matrix)
+    want = v[:, np.argsort(w)[::-1]][:, :4]
+    got = top_k_projector(learned, 4)[0].basis
+    assert np.array_equal(got, want) and got.strides == want.strides
+    planted = ens.planted_projector.basis
+    sine = float(np.linalg.norm(planted - want @ (want.T @ planted), 2))
+    assert repr(subspace_distance(Projector(basis=got), ens.planted_projector)) == repr(sine)
 
 
 def test_subspace_distance_hand_values_and_dual_route():
@@ -546,3 +582,61 @@ def test_convergence_grid_validation():
         convergence_study(d=6, k=2, t_grid=[10], n_trials=0)
     with pytest.raises(InvalidArgumentError):
         convergence_study(d=6, k=2, t_grid=[0], n_trials=3)
+
+
+# ------------------------------------------------------- batched trials
+
+
+STUDY_CASES = {
+    "gaussian-isotropic": dict(n_trials=13),
+    "gaussian-radial": dict(perturbation="radial", n_trials=8),
+    "constant-isotropic": dict(norm_mode="constant", n_trials=1),
+    "constant-radial": dict(norm_mode="constant", perturbation="radial", n_trials=13),
+    "length-d-spectrum": dict(spectrum=list(np.linspace(3.0, 0.1, 8)), n_trials=8),
+}
+
+
+@pytest.mark.parametrize("case", list(STUDY_CASES.values()), ids=list(STUDY_CASES))
+def test_convergence_rows_equal_the_per_trial_loop_bit_for_bit(case):
+    # T = 5 < d = 8 < T = 20; 13 trials fill one batch and part of another
+    kwargs = dict(d=8, k=3, t_grid=[5, 20], eta=0.2, seed=29, **case)
+    report = convergence_study(**kwargs)
+    got = [(r.n_tasks, r.trial, r.op_error, r.subspace_error, r.op_bound, r.subspace_bound)
+           for r in report.rows]
+    assert repr(got) == repr(convergence_rows_by_loop(**kwargs))
+
+
+@pytest.mark.parametrize("d, k, trials", [(6, 2, 1), (8, 3, 8), (10, 10, 13)])
+def test_davis_kahan_study_equals_the_per_trial_checks_bit_for_bit(d, k, trials):
+    study = davis_kahan_study(d, k, 0.05, trials, seed=31)
+    want = davis_kahan_reports_by_loop(d, k, 0.05, trials, 31)
+    assert repr([(float(a), float(b)) for a, b in zip(study.lhs, study.rhs)]) == repr(
+        [(w.lhs, w.rhs) for w in want])
+    assert [bool(h) for h in study.holds] == [w.holds for w in want]
+
+
+def test_a_batch_raises_the_error_its_first_failing_trial_raises_alone():
+    # pair 1's bound overflows (gamma_k = 2**-1028); pair 2's gap is 0, which
+    # a stage-by-stage batch would report first, as its check comes earlier
+    ref = np.stack([np.diag([2.0, 1.0]), np.diag([2.0**-1028, 0.0]), np.zeros((2, 2))])
+    pert = ref + np.stack([[[0.0, 0.1], [0.1, 0.0]], np.diag([0.0, 1.0]), 0.1 * np.eye(2)])
+    errors = []
+    for r, p in zip(ref, pert):
+        try:
+            davis_kahan_check(r, p, 1)
+        except InvalidArgumentError as exc:
+            errors.append(str(exc))
+    assert len(errors) == 2 and "not finite" in errors[0] and "vacuous" in errors[1]
+    with pytest.raises(InvalidArgumentError) as batch:
+        _in_trial_order(lambda i: _dk_pairs(ref[i], pert[i], 1), 3)
+    assert str(batch.value) == errors[0]
+
+
+def test_batches_hold_at_most_a_mebibyte_of_stacks():
+    assert [_batch_size(d) for d in (8, 64, 128, 181, 182, 10**7)] == [8, 8, 4, 2, 1, 1]
+
+
+def test_davis_kahan_study_validates_its_arguments():
+    for args in ((4, 5, 0.1, 3), (4, 2, 0.0, 3), (4, 2, 0.1, 0), (0, 1, 0.1, 3)):
+        with pytest.raises(InvalidArgumentError):
+            davis_kahan_study(*args)
