@@ -391,8 +391,15 @@ def cmd_theory_bounds(args):
     if not (0.0 < args.delta < 1.0):
         raise _UsageError(f"--delta must lie in (0, 1), got {args.delta!r}")
     params = theory.BoundParameters(
-        b=args.b, delta=args.delta, n_tasks=args.t, eta_bar=args.eta_bar,
-        eta2_bar=args.eta2_bar, gamma_k=args.gamma_k, c1=args.c1, c2=args.c2)
+        b=args.b,
+        delta=args.delta,
+        n_tasks=args.t,
+        eta_bar=args.eta_bar,
+        eta2_bar=args.eta2_bar,
+        gamma_k=args.gamma_k,
+        c1=args.c1,
+        c2=args.c2,
+    )
     bounds = theory.theorem1_bounds(params)
     print("# subcommand: theory bounds")
     print(f"# b: {args.b!r} delta: {args.delta!r} t: {args.t} "
@@ -417,31 +424,63 @@ def cmd_theory_converge(args):
     if not (0.0 < args.delta < 1.0):
         raise _UsageError(f"--delta must lie in (0, 1), got {args.delta!r}")
     report = theory.convergence_study(
-        args.d, args.k, args.t_grid, args.trials, eta=args.eta, b=args.b, spectrum=args.spectrum,
-        seed=args.seed, norm_mode=args.norm_mode, perturbation=args.perturbation,
-        delta=args.delta, c1=args.c1, c2=args.c2)
-    spectrum = "uniform" if args.spectrum is None else ",".join(map(repr, args.spectrum))
+        d=args.d,
+        k=args.k,
+        t_grid=args.t_grid,
+        n_trials=args.trials,
+        eta=args.eta,
+        b=args.b,
+        spectrum=args.spectrum,
+        seed=args.seed,
+        norm_mode=args.norm_mode,
+        perturbation=args.perturbation,
+        delta=args.delta,
+        c1=args.c1,
+        c2=args.c2,
+    )
     header = [
-        ("subcommand", "theory converge"), ("d", args.d), ("k", args.k),
-        ("t_grid", ",".join(map(str, args.t_grid))), ("trials", args.trials),
-        ("eta", _fmt(args.eta)), ("b", _fmt(report.config["b"])), ("spectrum", spectrum),
-        ("seed", args.seed), ("norm_mode", args.norm_mode), ("perturbation", args.perturbation),
-        ("delta", _fmt(args.delta)), ("c1", _fmt(args.c1)), ("c2", _fmt(args.c2)),
-        ("within_task_floor", _fmt(report.within_task_floor)), ("slope", _fmt(report.slope)),
+        ("subcommand", "theory converge"),
+        ("d", args.d),
+        ("k", args.k),
+        ("t_grid", ",".join(str(t) for t in args.t_grid)),
+        ("trials", args.trials),
+        ("eta", _fmt(args.eta)),
+        ("b", _fmt(report.config["b"])),
+        ("spectrum",
+         "uniform" if args.spectrum is None
+         else ",".join(repr(v) for v in args.spectrum)),
+        ("seed", args.seed),
+        ("norm_mode", args.norm_mode),
+        ("perturbation", args.perturbation),
+        ("delta", _fmt(args.delta)),
+        ("c1", _fmt(args.c1)),
+        ("c2", _fmt(args.c2)),
+        ("within_task_floor", _fmt(report.within_task_floor)),
+        ("slope", _fmt(report.slope)),
     ]
     for t in sorted(report.mean_op_error):
-        header += [(f"{name}[{t}]", _fmt(getattr(report, name)[t]))
-                   for name in ("mean_op_error", "mean_subspace_error", "mean_op_bound")]
+        header.append((f"mean_op_error[{t}]", _fmt(report.mean_op_error[t])))
+        header.append((f"mean_subspace_error[{t}]", _fmt(report.mean_subspace_error[t])))
+        header.append((f"mean_op_bound[{t}]", _fmt(report.mean_op_bound[t])))
     if args.format == "csv":
-        lines = [f"# {key}: {value}" for key, value in header] + [CONVERGE_HEADER]
-        lines += [f"{r.n_tasks},{r.trial},{r.op_error!r},{r.subspace_error!r},{r.op_bound!r},"
-                  + ("" if r.subspace_bound is None else repr(r.subspace_bound))
-                  for r in report.rows]
+        lines = [f"# {key}: {value}" for key, value in header]
+        lines.append(CONVERGE_HEADER)
+        for row in report.rows:
+            sub_bound = "" if row.subspace_bound is None else repr(row.subspace_bound)
+            lines.append(
+                f"{row.n_tasks},{row.trial},{row.op_error!r},"
+                f"{row.subspace_error!r},{row.op_bound!r},{sub_bound}"
+            )
     else:
-        lines = ["convergence report", *(f"{key}: {value}" for key, value in header), "rows:"]
-        lines += [f"  T {r.n_tasks} trial {r.trial}: op_error {r.op_error!r} subspace_error "
-                  f"{r.subspace_error!r} op_bound {r.op_bound!r} "
-                  f"subspace_bound {_fmt(r.subspace_bound)}" for r in report.rows]
+        lines = ["convergence report"]
+        lines.extend(f"{key}: {value}" for key, value in header)
+        lines.append("rows:")
+        for row in report.rows:
+            lines.append(
+                f"  T {row.n_tasks} trial {row.trial}: "
+                f"op_error {row.op_error!r} subspace_error {row.subspace_error!r} "
+                f"op_bound {row.op_bound!r} subspace_bound {_fmt(row.subspace_bound)}"
+            )
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"cells: {len(report.rows)}")
     print(f"slope: {_fmt(report.slope)}")

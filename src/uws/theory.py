@@ -18,14 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidArgumentError, NumericalFailureError
+from .errors import (
+    InternalConsistencyError,
+    InvalidArgumentError,
+    NumericalFailureError,
+)
 from .spectral import operator_norm
 from .tensor import as_real
 
 #: Trials per stacked solve in the Monte-Carlo studies, each holding two d x d
 #: matrices.  Batches of 4 to 50 ran theory-lab's d = 64 passes alike (about
 #: 1.03 s; 1.38 s one trial at a time; 2-vCPU VM).  Stacks stay within 1 MiB, so
-#: from d = 182 on, where LAPACK is the cost, trials run one at a time.
+#: from d = 182 on, where LAPACK is the cost, trials run one at a time.  At
+#: d = 128 and 181 the capped batches (4 and 2) ran as fast as batches of 8
+#: within noise, and held peak RSS within 1 MB of one trial at a time, where
+#: batches of 8 added 2 to 5.7 MB.
 TRIAL_BATCH = 8
 
 
@@ -129,7 +136,9 @@ class SyntheticEnsembleConfig:
         if self.norm_mode == "constant":
             spec = self.resolved_spectrum()
             if spec.size != self.k or (spec.max() - spec.min()) > 1e-12 * spec.max():
-                raise InvalidArgumentError("constant norm mode needs a uniform length-k spectrum")
+                raise InvalidArgumentError(
+                    "constant norm mode needs a uniform length-k spectrum"
+                )
             if not math.isfinite(self.resolved_b() * self.resolved_b()):
                 raise InvalidArgumentError(f"b**2 overflows in constant mode (b = {self.b!r})")
 
@@ -179,7 +188,9 @@ class SecondMomentOperator:
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
-            raise InvalidArgumentError(f"kind must be one of {OPERATOR_KINDS}, got {self.kind!r}")
+            raise InvalidArgumentError(
+                f"kind must be one of {OPERATOR_KINDS}, got {self.kind!r}"
+            )
         m = as_real(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"operator matrix must be square, got {m.shape}")
@@ -233,11 +244,15 @@ def second_moment(vectors, kind) -> SecondMomentOperator:
     d = vs[0].shape
     if any(v.ndim != 1 or v.shape != d for v in vs):
         raise InvalidArgumentError("all vectors must be 1-D with the same length")
-    stack = np.stack(vs, axis=0)
+    m = _moment_matrix(np.stack(vs, axis=0))
+    return SecondMomentOperator(matrix=m, kind=kind)
+
+
+def _moment_matrix(stack: np.ndarray) -> np.ndarray:
+    """(1/T) sum of v v^T over the rows v of a finite (T, d) stack."""
     if not np.all(np.isfinite(stack)):
         raise InvalidArgumentError("vectors must be finite")
-    m = stack.T @ stack / len(vs)
-    return SecondMomentOperator(matrix=m, kind=kind)
+    return stack.T @ stack / len(stack)
 
 
 def population_second_moment(basis: np.ndarray, spectrum) -> SecondMomentOperator:
@@ -250,7 +265,9 @@ def population_second_moment(basis: np.ndarray, spectrum) -> SecondMomentOperato
         )
     gram_defect = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
     if gram_defect > 1e-8:
-        raise InvalidArgumentError(f"basis columns are not orthonormal (defect {gram_defect:.2e})")
+        raise InvalidArgumentError(
+            f"basis columns are not orthonormal (defect {gram_defect:.2e})"
+        )
     if not np.all(np.isfinite(spectrum)) or np.any(spectrum < 0):
         raise InvalidArgumentError("spectrum must be finite and >= 0")
     m = (basis * spectrum) @ basis.T
@@ -296,7 +313,9 @@ def subspace_distance(p: Projector, q: Projector) -> float:
     Samworth, 2015), with an absolute error of O(eps)."""
     a, b = p.basis, q.basis
     if a.shape[0] != b.shape[0]:
-        raise InvalidArgumentError(f"projector dimensions differ: {a.shape[0]} vs {b.shape[0]}")
+        raise InvalidArgumentError(
+            f"projector dimensions differ: {a.shape[0]} vs {b.shape[0]}"
+        )
     if a.shape[1] != b.shape[1]:
         return 1.0  # ||P - Q|| = 1 whenever the ranks differ
     return float(_sine(a, b))
@@ -380,8 +399,12 @@ def theorem1_bounds(p: BoundParameters) -> TheoremBounds:
             f"the bound is not finite in double precision (b = {p.b!r}, c1 = {p.c1!r}, "
             f"gamma_k = {p.gamma_k!r})"
         )
-    return TheoremBounds(sampling_term=sampling, within_task_floor=floor, op_bound=op_bound,
-                         subspace_bound=subspace)
+    return TheoremBounds(
+        sampling_term=sampling,
+        within_task_floor=floor,
+        op_bound=op_bound,
+        subspace_bound=subspace,
+    )
 
 
 # ----------------------------------------------------------------- within-task
@@ -415,7 +438,9 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
     if not np.isfinite(b) or b < 0:
         raise InvalidArgumentError(f"b must be a finite nonnegative bound, got {b!r}")
     if norms.max() > b * (1.0 + 1e-12) + 1e-300:
-        raise InvalidArgumentError(f"b = {b} does not bound the task norms (max {norms.max()})")
+        raise InvalidArgumentError(
+            f"b = {b} does not bound the task norms (max {norms.max()})"
+        )
     errs = np.linalg.norm(hat_stack - star_stack, axis=1)
     cap = float(np.mean(2.0 * b * errs + errs**2))
     t = len(tasks)
@@ -432,24 +457,41 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
 # ----------------------------------------------------------------- Davis-Kahan
 
 
+#: Slack allowed on the Davis-Kahan inequality for rounding.
+DK_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class DkReport:
-    """One Davis-Kahan check; from :func:`davis_kahan_study`, each field is
-    an array with one entry per trial."""
-
     lhs: float
     rhs: float
     gamma: float
     holds: bool
 
 
-def davis_kahan_check(s_ref, s_pert, k: int, tol: float = 1e-10) -> DkReport:
+@dataclass(frozen=True)
+class DkStudy:
+    """The figures of :func:`davis_kahan_study`, one array entry per trial."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    gamma: np.ndarray
+    holds: np.ndarray
+
+
+def _as_operator(s) -> SecondMomentOperator:
+    if isinstance(s, SecondMomentOperator):
+        return s
+    return SecondMomentOperator(matrix=s, kind="population")
+
+
+def davis_kahan_check(s_ref, s_pert, k: int, tol: float = DK_TOL) -> DkReport:
     """Checks ||P_pert - P_ref|| <= (2/gamma_k) ||S_pert - S_ref|| with the
     eigengap taken from the reference operator; a vacuous bound (gamma_k <=
     0) or a right-hand side that is not finite raises InvalidArgumentError,
     as it would certify nothing."""
-    ref, pert = (s if isinstance(s, SecondMomentOperator)
-                 else SecondMomentOperator(matrix=s, kind="population") for s in (s_ref, s_pert))
+    ref = _as_operator(s_ref)
+    pert = _as_operator(s_pert)
     if ref.d != pert.d:
         raise InvalidArgumentError(f"operator dimensions differ: {ref.d} vs {pert.d}")
     k = _int_at_least(k, "k", 1)
@@ -490,15 +532,16 @@ def _dk_pairs(ref: np.ndarray, pert: np.ndarray, k: int):
     return lhs, rhs, gamma
 
 
-def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0,
-                      tol: float = 1e-10) -> DkReport:
+def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0) -> DkStudy:
     """:func:`davis_kahan_check` on ``trials`` random pairs, as a
-    :class:`DkReport` of per-trial arrays.  Trial i draws from
+    :class:`DkStudy` of per-trial arrays.  Trial i draws from
     ``default_rng([seed, i])`` a d x d Gaussian G, then a d x d Gaussian N:
     the reference is G G^T / d, and the perturbed operator adds ``perturb``
     * S / ||S||, S = (N + N^T) / 2.  Pairs are solved in batches (see
     ``TRIAL_BATCH``), and each gets the figures and errors it gets alone."""
-    d, k, trials = (_int_at_least(v, n, 1) for v, n in ((d, "d"), (k, "k"), (trials, "trials")))
+    d = _int_at_least(d, "d", 1)
+    k = _int_at_least(k, "k", 1)
+    trials = _int_at_least(trials, "trials", 1)
     if k > d:
         raise InvalidArgumentError(f"k = {k} exceeds the ambient dimension {d}")
     perturb = _positive_float(perturb, "perturb")
@@ -521,7 +564,7 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
             ref[i], pert[i] = _symmetrised(ref[i]), _symmetrised(pert[i])
         parts.append(_in_trial_order(lambda i: _dk_pairs(ref[i], pert[i], k), n))
     lhs, rhs, gamma = (np.concatenate(p) for p in zip(*parts))
-    return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + tol)
+    return DkStudy(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + DK_TOL)
 
 
 # -------------------------------------------------------------------- sampling
@@ -550,7 +593,8 @@ class SyntheticEnsemble:
 
 
 def _haar_columns(rng, d: int, m: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, m)))
+    g = rng.standard_normal((d, m))
+    q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
@@ -621,9 +665,17 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
     projector = Projector(basis=basis[:, :config.k],
                           degenerate_gap=gamma <= 1e-12 * max(1.0, float(spectrum[0])))
     return SyntheticEnsemble(
-        config=config, f_star=f_star, f_hat=f_hat, basis=basis, spectrum=spectrum,
-        b=config.resolved_b(), etas=config.resolved_etas(), planted_projector=projector,
-        population=population_second_moment(basis[:, :w.size], w), gamma=gamma)
+        config=config,
+        f_star=f_star,
+        f_hat=f_hat,
+        basis=basis,
+        spectrum=spectrum,
+        b=config.resolved_b(),
+        etas=config.resolved_etas(),
+        planted_projector=projector,
+        population=population_second_moment(basis[:, :w.size], w),
+        gamma=gamma,
+    )
 
 
 # ----------------------------------------------------------------- convergence
@@ -656,30 +708,39 @@ class ConvergenceReport:
 def _trial_errors(cfg: SyntheticEnsembleConfig, seed, trials: range):
     """Per trial at ``cfg``: ||S_learned - S_population||_op and the
     distance from the learned top-k eigenspace to the planted one, with
-    S_learned = f_hat^T f_hat / T.  The batch fills a stack of learned
-    operators and one of their differences from the population operators,
-    and solves them with one ``eigh`` and one ``eigvalsh``."""
+    S_learned = f_hat^T f_hat / T.  Each trial's operators are built as
+    :func:`sample_ensemble` and :func:`second_moment` build them; the batch
+    stacks the learned ones and their differences from the population, and
+    solves them with one ``eigh`` and one ``eigvalsh``."""
     t, d, k = cfg.n_tasks, cfg.d, cfg.k
     w, _ = cfg.population_spectrum()
     learned, diff = np.empty((2, len(trials), d, d))
     planted = np.empty((len(trials), d, k))
     for i, trial in enumerate(trials):
         basis, _, f_hat = _draw(cfg, np.random.default_rng([seed, trial, t]))
-        cols = basis[:, :w.size]
-        population = _symmetrised((cols * w) @ cols.T)
-        if not np.all(np.isfinite(f_hat)):
-            raise InvalidArgumentError("vectors must be finite")
-        np.matmul(f_hat.T, f_hat, out=learned[i])
-        learned[i] = _symmetrised(learned[i] / t)
+        population = population_second_moment(basis[:, :w.size], w).matrix
+        learned[i] = _symmetrised(_moment_matrix(f_hat))
         np.subtract(learned[i], population, out=diff[i])
         planted[i] = basis[:, :k]
     return operator_norm(diff), _sine(_descending_eigh(learned, k)[1], planted)
 
 
-def convergence_study(d: int, k: int, t_grid, n_trials: int, *, eta: float = 0.0,
-                      b: float | None = None, spectrum=None, seed: int = 0,
-                      norm_mode: str = "gaussian", perturbation: str = "isotropic",
-                      delta: float = 0.05, c1: float = 1.0, c2: float = 1.0) -> ConvergenceReport:
+def convergence_study(
+    d: int,
+    k: int,
+    t_grid,
+    n_trials: int,
+    *,
+    eta: float = 0.0,
+    b: float | None = None,
+    spectrum=None,
+    seed: int = 0,
+    norm_mode: str = "gaussian",
+    perturbation: str = "isotropic",
+    delta: float = 0.05,
+    c1: float = 1.0,
+    c2: float = 1.0,
+) -> ConvergenceReport:
     """Monte-Carlo error curves over a grid of ensemble sizes.
 
     Each (T, trial) cell draws its RNG stream from (seed, trial, T), so
@@ -702,41 +763,86 @@ def convergence_study(d: int, k: int, t_grid, n_trials: int, *, eta: float = 0.0
     eta = float(eta)
     rows = []
     for t in t_grid:
-        cfg = SyntheticEnsembleConfig(d=d, k=k, n_tasks=t, b=b, eta=eta, spectrum=spectrum,
-                                      norm_mode=norm_mode, perturbation=perturbation)
-        b_eff, etas, gamma = cfg.resolved_b(), cfg.resolved_etas(), cfg.population_spectrum()[1]
+        cfg = SyntheticEnsembleConfig(
+            d=d,
+            k=k,
+            n_tasks=t,
+            b=b,
+            eta=eta,
+            spectrum=spectrum,
+            norm_mode=norm_mode,
+            perturbation=perturbation,
+        )
+        b_eff = cfg.resolved_b()
+        etas = cfg.resolved_etas()
+        gamma = cfg.population_spectrum()[1]
         try:
-            bounds = theorem1_bounds(BoundParameters(
-                b=b_eff, delta=delta, n_tasks=t, eta_bar=float(etas.mean()),
-                eta2_bar=float((etas**2).mean()), gamma_k=gamma if gamma > 0 else None,
-                c1=c1, c2=c2))
+            params = BoundParameters(
+                b=b_eff,
+                delta=delta,
+                n_tasks=t,
+                eta_bar=float(etas.mean()),
+                eta2_bar=float((etas**2).mean()),
+                gamma_k=gamma if gamma > 0 else None,
+                c1=c1,
+                c2=c2,
+            )
+            bounds = theorem1_bounds(params)
         except InvalidArgumentError:
             _trial_errors(cfg, seed, range(1))  # trial 0's own errors come first
             raise
-        for start in range(0, n_trials, _batch_size(d)):
-            trials = range(start, min(start + _batch_size(d), n_trials))
+        batch = _batch_size(d)
+        for start in range(0, n_trials, batch):
+            trials = range(start, min(start + batch, n_trials))
             errors = _in_trial_order(lambda i: _trial_errors(cfg, seed, trials[i]), len(trials))
-            rows.extend(ConvergenceRow(t, trial, float(op), float(sub), bounds.op_bound,
-                                       bounds.subspace_bound)
-                        for trial, op, sub in zip(trials, *errors))
+            for trial, op_error, subspace_error in zip(trials, *errors):
+                rows.append(
+                    ConvergenceRow(
+                        n_tasks=t,
+                        trial=trial,
+                        op_error=float(op_error),
+                        subspace_error=float(subspace_error),
+                        op_bound=bounds.op_bound,
+                        subspace_bound=bounds.subspace_bound,
+                    )
+                )
     distinct = sorted(set(t_grid))
-    mean_op, mean_sub, mean_bound = (
-        {t: float(np.mean([getattr(r, name) for r in rows if r.n_tasks == t])) for t in distinct}
-        for name in ("op_error", "subspace_error", "op_bound"))
+    mean_op, mean_sub, mean_bound = {}, {}, {}
+    for t in distinct:
+        cell = [r for r in rows if r.n_tasks == t]
+        mean_op[t] = float(np.mean([r.op_error for r in cell]))
+        mean_sub[t] = float(np.mean([r.subspace_error for r in cell]))
+        mean_bound[t] = float(np.mean([r.op_bound for r in cell]))
     slope = None
     slope_defined = len(distinct) >= 2 and all(mean_op[t] > 0 for t in distinct)
     if slope_defined:
         logs_t = np.log([float(t) for t in distinct])
         logs_e = np.log([mean_op[t] for t in distinct])
         slope = float(np.polyfit(logs_t, logs_e, 1)[0])
+    floor = 2.0 * b_eff * eta + eta**2
     return ConvergenceReport(
-        rows=rows, t_grid=t_grid, n_trials=n_trials, mean_op_error=mean_op,
-        mean_subspace_error=mean_sub, mean_op_bound=mean_bound, slope=slope,
-        slope_defined=slope_defined, within_task_floor=2.0 * b_eff * eta + eta**2,
+        rows=rows,
+        t_grid=t_grid,
+        n_trials=n_trials,
+        mean_op_error=mean_op,
+        mean_subspace_error=mean_sub,
+        mean_op_bound=mean_bound,
+        slope=slope,
+        slope_defined=slope_defined,
+        within_task_floor=floor,
         config={
-            "d": d, "k": k, "t_grid": t_grid, "n_trials": n_trials, "eta": eta, "b": b_eff,
+            "d": d,
+            "k": k,
+            "t_grid": t_grid,
+            "n_trials": n_trials,
+            "eta": eta,
+            "b": b_eff,
             "spectrum": list(as_real(spectrum)) if spectrum is not None else None,
-            "seed": seed, "norm_mode": norm_mode, "perturbation": perturbation,
-            "delta": delta, "c1": c1, "c2": c2,
+            "seed": seed,
+            "norm_mode": norm_mode,
+            "perturbation": perturbation,
+            "delta": delta,
+            "c1": c1,
+            "c2": c2,
         },
     )

@@ -7,6 +7,7 @@ import pytest
 from uws.errors import InvalidArgumentError
 from uws.theory import (
     BoundParameters,
+    DkStudy,
     Projector,
     SyntheticEnsembleConfig,
     TaskVector,
@@ -609,6 +610,7 @@ def test_convergence_rows_equal_the_per_trial_loop_bit_for_bit(case):
 @pytest.mark.parametrize("d, k, trials", [(6, 2, 1), (8, 3, 8), (10, 10, 13)])
 def test_davis_kahan_study_equals_the_per_trial_checks_bit_for_bit(d, k, trials):
     study = davis_kahan_study(d, k, 0.05, trials, seed=31)
+    assert isinstance(study, DkStudy) and study.lhs.shape == (trials,)
     want = davis_kahan_reports_by_loop(d, k, 0.05, trials, 31)
     assert repr([(float(a), float(b)) for a, b in zip(study.lhs, study.rhs)]) == repr(
         [(w.lhs, w.rhs) for w in want])
@@ -630,6 +632,18 @@ def test_a_batch_raises_the_error_its_first_failing_trial_raises_alone():
     with pytest.raises(InvalidArgumentError) as batch:
         _in_trial_order(lambda i: _dk_pairs(ref[i], pert[i], 1), 3)
     assert str(batch.value) == errors[0]
+
+
+def test_a_failing_convergence_trial_raises_what_the_per_trial_loop_raises():
+    # radial eta / |f_star| overflows, so every f_hat is non-finite
+    kwargs = dict(d=6, k=1, t_grid=[4], n_trials=3, eta=1e307, b=1e-3, seed=3,
+                  norm_mode="constant", perturbation="radial")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidArgumentError) as want:
+            convergence_rows_by_loop(**kwargs)
+        with pytest.raises(InvalidArgumentError) as got:
+            convergence_study(**kwargs)
+    assert str(got.value) == str(want.value) == "vectors must be finite"
 
 
 def test_batches_hold_at_most_a_mebibyte_of_stacks():
