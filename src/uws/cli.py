@@ -207,7 +207,7 @@ def _model_paths(pattern):
 
 
 def cmd_extract(args):
-    paths = _model_paths(args.models)  # extraction reads each file once, in turn
+    paths = _model_paths(args.models)  # extraction reads every file once per layer pass
     policy = _policy_from_args(args)
     exclude = tuple(args.exclude_layers) if args.exclude_layers is not None else None
     config = ExtractionConfig(

@@ -108,29 +108,43 @@ class ModelWeights:
         self.layers = {name: as_real(arr) for name, arr in self.layers.items()}
         self.dtypes = {name: self.dtypes.get(name, "f64") for name in self.layers}
 
+    @property
+    def shapes(self) -> dict:
+        """Each layer's shape, as a weights file's manifest gives it."""
+        return {name: arr.shape for name, arr in self.layers.items()}
+
 
 class _Payloads(NamedTuple):
-    """A weights file as stored: its model id, and per layer a read-only
-    view of the payload at the stored precision, and that precision."""
+    """A weights file as stored: its model id, per read layer a read-only
+    view of the payload at the stored precision and that precision, and
+    every layer's shape, read or not."""
 
     model_id: str
     layers: dict
     dtypes: dict
+    shapes: dict
 
 
-def _read_payloads(path) -> _Payloads:
-    """Read a weights container without converting any matrix."""
-    doc = read_container(path)
+def _read_payloads(path, names=None) -> _Payloads:
+    """Read the ``names`` layers of a weights container (every one by
+    default; see :func:`~uws.ensemble.container.read_container`) without
+    converting any matrix.  A subspace or coefficient file, whose meta
+    has a ``kind``, raises ManifestError."""
+    doc = read_container(path, names)
+    if doc.meta is not None and "kind" in doc.meta:
+        raise ManifestError(f"{path} is a {doc.meta['kind']!r} container, not weights", 12)
     return _Payloads(
         doc.model_id,
         {rec.name: rec.array for rec in doc.layers},
         {rec.name: rec.dtype for rec in doc.layers},
+        doc.shapes,
     )
 
 
 def load_weights(path) -> ModelWeights:
     """Read a weights container, promoting every matrix to float64."""
-    return ModelWeights(*_read_payloads(path))
+    model = _read_payloads(path)
+    return ModelWeights(model.model_id, model.layers, model.dtypes)
 
 
 def save_weights(weights: ModelWeights, path) -> None:
@@ -149,16 +163,12 @@ def _check_layer(name, models, ref_id, ref_shape):
     """Raise InvalidArgumentError unless every one of ``models`` has layer
     ``name`` with shape ``ref_shape``, the shape it has in model
     ``ref_id`` (None where that model lacks it)."""
-    missing = [m.model_id for m in models if name not in m.layers]
+    missing = [m.model_id for m in models if name not in m.shapes]
     if missing:
         raise InvalidArgumentError(
             f"layer {name!r} is missing from models: {', '.join(missing)}"
         )
-    offenders = [
-        f"{m.model_id}{m.layers[name].shape}"
-        for m in models
-        if m.layers[name].shape != ref_shape
-    ]
+    offenders = [f"{m.model_id}{m.shapes[name]}" for m in models if m.shapes[name] != ref_shape]
     if offenders:
         raise InvalidArgumentError(
             f"layer {name!r} has shape {ref_shape} in {ref_id} but differs "
@@ -176,8 +186,7 @@ def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
         raise InvalidArgumentError(f"stacking order must be 2 or 3, got {order}")
     if not models:
         raise InvalidArgumentError("no models to stack")
-    ref = models[0].layers.get(layer)
-    _check_layer(layer, models, models[0].model_id, None if ref is None else ref.shape)
+    _check_layer(layer, models, models[0].model_id, models[0].shapes.get(layer))
     slabs = [m.layers[layer] for m in models]
     if order == 2:
         return np.concatenate(slabs, axis=0)
@@ -246,7 +255,7 @@ class UniversalSubspace:
 
 
 def _partition_layers(first, config):
-    candidates = list(first.layers)
+    candidates = list(first.shapes)
     if config.exclude_layers is None:
         excluded = set(candidates[:1] + candidates[-1:]) if len(candidates) > 2 else set(candidates)
     else:
@@ -265,12 +274,26 @@ def _partition_layers(first, config):
     return candidates, included
 
 
-def _read(model):
-    """A model given in memory (or already read), or its weights file's
-    payloads: either way an object with ``model_id``, ``layers`` and
-    ``dtypes``, whose float32 layers are converted only where they are
-    used."""
-    return model if isinstance(model, (ModelWeights, _Payloads)) else _read_payloads(model)
+def _read(model, names=None):
+    """A model given in memory, or the ``names`` layers (every one by
+    default) of its weights file's payloads: either way an object with
+    ``model_id``, ``layers``, ``dtypes`` and ``shapes``, whose float32
+    layers are converted only where they are used."""
+    return model if isinstance(model, ModelWeights) else _read_payloads(model, names)
+
+
+class _AllBut(frozenset):
+    """Every name but these, as the ``names`` of a read."""
+
+    def __contains__(self, name):
+        return not frozenset.__contains__(self, name)
+
+
+def _kept(model, name) -> ModelWeights:
+    """Layer ``name`` of ``model`` alone, as float64: a file's view is
+    copied, as it would pin the whole buffer it was read into."""
+    own = np.array if isinstance(model, _Payloads) else np.asarray
+    return ModelWeights(model.model_id, {name: own(model.layers[name], dtype=np.float64)})
 
 
 @contextmanager
@@ -281,101 +304,77 @@ def _naming_layer(name):
         raise DegenerateSpectrumError(f"layer {name!r}: {exc}") from exc
 
 
-def _read_pass(models, ref_id, shapes, streams, keep):
-    """Read each model once: feed its layers named in ``streams`` to their
-    GramStream, each checked against ``shapes``, the layer shapes of model
-    ``ref_id``, and keep only its ``keep`` layers, as float64.  Returns
-    the model ids and the kept (pruned) models, one per model."""
-    provenance, kept = [], []
-    for item in models:
-        model = _read(item)
-        provenance.append(model.model_id)
-        for name, stream in streams.items():
-            _check_layer(name, [model], ref_id, shapes[name])
-            stream.add(model.layers[name])
-        own = np.array if isinstance(model, _Payloads) else np.asarray  # copy file views
-        layers = {n: own(model.layers[n], dtype=np.float64) for n in keep if n in model.layers}
-        kept.append(ModelWeights(model.model_id, layers))
-        del model  # free its payload before the next model is read
-    return provenance, kept
-
-
 def extract_universal(models, config: ExtractionConfig | None = None) -> UniversalSubspace:
     """Decompose every included layer's cross-model stack.
 
     ``models`` is a sequence of :class:`ModelWeights` or of paths to
     weights files.  Every included layer must be present in every model
     with an identical shape.  Layer order, and the default exclusion
-    rule, follow the first model's layer list.
+    rule, follow the first model's layer list, read from its manifest.
 
-    An order-2 stack that may take the Gram route is streamed: each model
-    is read once and dropped, and the layer keeps only a
-    :class:`~uws.hosvd.GramStream` (the d x d Gram, one 512-row block
-    and one 256 x d panel product), which converts each float32 slab
-    once, into its block; a layer that no stack uses is never converted.
-    Every stream's block is freed before the first eigensolve.  Order-3 stacks, and order-2
-    stacks that are wide or whose policy reads the small end of the
-    spectrum, are kept from the same read, as float64 (copied out of a
-    file, whose views would pin all of it), stacked and decomposed by
-    :func:`~uws.hosvd.hosvd_truncated`; so is a streamed layer that the
-    Gram route's guard declines, after a second read of every model that
-    keeps only the declined layers.  Only the first model's id, layer
-    names and shapes outlive its turn in the pass.  Either way a layer
-    model keeps no stacking-mode factor or core: it holds what a subspace
-    file holds.
+    The layers are taken one at a time: a pass reads one layer's slab
+    from every model, in order, and the layer is decomposed before the
+    next pass, so one stream or stack is held at a time.  The first pass
+    also reads and checks every entry no other pass reads, and every
+    model's included layer shapes; a model whose id or layer shape
+    differs in a later pass raises ManifestError.  A stack that the Gram
+    route may take (:func:`~uws.hosvd.gram_eligible`) is streamed into a
+    :class:`~uws.hosvd.GramStream`.  Any other stack, and one the route's
+    guard declines, after a pass that reads its slabs again, is kept as
+    float64, stacked and decomposed by :func:`~uws.hosvd.hosvd_truncated`.
+    Either way a layer model keeps no stacking-mode factor or core: it
+    holds what a subspace file holds.
     """
     config = config if config is not None else ExtractionConfig()
     models = list(models)
     if not models:
         raise InvalidArgumentError("cannot extract a subspace from zero models")
-    first = _read(models[0])
-    layer_order, included = _partition_layers(first, config)
-    first_id = first.model_id
-    shapes = {name: first.layers[name].shape for name in layer_order}
-    streams = {
-        name: GramStream(shapes[name][1])
-        for name in included
-        if config.order == 2
-        and gram_eligible((len(models) * shapes[name][0], shapes[name][1]), [config.policy] * 2)
-    }
-    up_front = [name for name in included if name not in streams]
-    provenance, kept = _read_pass([first], first_id, shapes, streams, up_front)
-    del first  # its read-only views pin its whole file, excluded layers included
-    more_ids, more_kept = _read_pass(models[1:], first_id, shapes, streams, up_front)
-    provenance += more_ids
-    kept += more_kept
-    for stream in streams.values():
-        stream.flush()
-    layer_models, declined = {}, []
-    for name, stream in streams.items():
-        with _naming_layer(name):
-            layer_models[name] = stream.decompose(
-                config.policy,
-                centering=config.centering,
-                slab_extent=shapes[name][0],
-            )
-        if layer_models[name] is None:
-            declined.append(name)
-    if declined:
-        _, again = _read_pass(models, first_id, shapes, {}, declined)
-        for held, extra in zip(kept, again):
-            held.layers.update(extra.layers)
-    for name in up_front + declined:
+    head = _read(models[0], ())
+    layer_order, included = _partition_layers(head, config)
+    ids = []  # the models' ids, as the first layer pass read them
+
+    def layer_pass(name, names, take):
+        """``take`` of every model in turn, read through ``names`` and
+        checked to hold layer ``name``, as a list."""
+        out = []
+        for i, item in enumerate(models):
+            model = _read(item, names)
+            if i == len(ids):
+                for other in included:
+                    _check_layer(other, [model], head.model_id, head.shapes[other])
+                ids.append(model.model_id)
+            _require((model.model_id, model.shapes.get(name)) == (ids[i], head.shapes[name]),
+                     f"model {ids[i]!r} changed between layer passes: it reads as "
+                     f"{model.model_id!r}, with layer {name!r} of shape {model.shapes.get(name)}")
+            out.append(take(model))
+            del model  # free its payload before the next model is read
+        return out
+
+    layer_models = {}
+    for name in included:
+        rows, cols = head.shapes[name]
+        names = (name,) if ids else _AllBut(included[1:])
+        if config.order == 2 and gram_eligible((len(models) * rows, cols), [config.policy] * 2):
+            stream = GramStream(cols)
+            layer_pass(name, names, lambda model: stream.add(model.layers[name]))
+            with _naming_layer(name):
+                layer_models[name] = stream.decompose(
+                    config.policy, centering=config.centering, slab_extent=rows
+                )
+            del stream  # its Gram goes before a declined layer's stack is built
+            if layer_models[name] is not None:
+                continue
+            names = (name,)  # declined: its slabs are read again, alone
         with _naming_layer(name):
             model = hosvd_truncated(
-                stack_layer(kept, name, order=config.order),
+                stack_layer(layer_pass(name, names, lambda m: _kept(m, name)), name, config.order),
                 config.policy,
                 centering=config.centering,
-                slab_extent=shapes[name][0],
+                slab_extent=rows,
             )
         model.factors[0] = model.core = None
         layer_models[name] = model
-    return UniversalSubspace(
-        layer_models={name: layer_models[name] for name in included},
-        config=config,
-        provenance=provenance,
-        layer_order=layer_order,
-    )
+    return UniversalSubspace(layer_models, config, ids, layer_order)
 
 
 # ---------------------------------------------------------------- scree report
@@ -532,12 +531,8 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
         model = _read(item)
         _check_known_layers(u, model)
         ids.append(model.model_id)
-        if i == 0:
-            sums = {
-                name: np.zeros(model.layers[name].shape)
-                for name in u.layer_order
-                if name in model.layers
-            }
+        if i == 0:  # every layer of the model is in the subspace's layer order
+            sums = {name: np.zeros(shape) for name, shape in model.shapes.items()}
         for name in u.included_layers:
             _check_layer(name, [model], ids[0], sums[name].shape if name in sums else None)
         for name in list(sums):

@@ -18,8 +18,9 @@ Subspace and coefficient files reuse this container with reserved layer
 name prefixes: ``mu/``, ``U/``, ``ledger/`` (spectra, ``sv/``), ``coef/``
 and ``raw/``; their meta keeps only what these entries cannot say.
 
-A parsed document's matrices are read-only views into the bytes they
-were parsed from, so reading a file costs one copy of it.
+A reader checks a file's manifest whole but may read only some of its
+entries.  Those it reads go into one buffer, of which the document's
+matrices are read-only views, so reading costs one copy of them.
 
 Every reader-side failure raises a :class:`~uws.errors.ContainerError`
 subclass naming the byte offset where the problem was detected; no input,
@@ -28,6 +29,7 @@ however corrupt, may surface anything else.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
@@ -62,9 +64,13 @@ class LayerRecord(NamedTuple):
 
 
 class ContainerDocument(NamedTuple):
+    """A container's model id, its read entries in file order, its meta
+    and the shape of every entry, read or not."""
+
     model_id: str
     layers: list[LayerRecord]
     meta: dict | None
+    shapes: dict
 
 
 def _encoded(name: str, arr: np.ndarray, dtype: str) -> np.ndarray:
@@ -200,23 +206,37 @@ def _require_int(layer: dict, key: str, minimum: int) -> int:
     return val
 
 
-def parse_container(data: bytes) -> ContainerDocument:
-    """Parse container bytes; raises a classified error on any defect.
+def _fill(fh, buf, at: int) -> None:
+    """Fill ``buf`` from byte ``at`` of ``fh``; a file shorter than its
+    size said raises TruncatedFileError."""
+    fh.seek(at)
+    view, got = memoryview(buf), 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            raise TruncatedFileError(f"file ends at byte {at + got}, before its size", at + got)
+        got += n
 
-    The matrices are read-only views into ``data``, not copies."""
-    if len(data) < HEADER_LEN:
+
+def _read(fh, size: int, names) -> ContainerDocument:
+    """The container in ``fh``, of ``size`` bytes: its manifest, checked
+    whole against that size, and the entries that ``names`` holds (all
+    where it is None), read into one buffer and checked finite."""
+    if size < HEADER_LEN:
         raise TruncatedFileError(
-            f"file ends after {len(data)} bytes; a {HEADER_LEN}-byte header is required",
-            len(data),
+            f"file ends after {size} bytes; a {HEADER_LEN}-byte header is required", size
         )
-    if data[:4] != MAGIC:
-        raise BadMagicError(f"magic bytes {data[:4]!r} are not {MAGIC!r}", 0)
-    (manifest_len,) = struct.unpack("<Q", data[4:HEADER_LEN])
-    if HEADER_LEN + manifest_len > len(data):
+    head = bytearray(HEADER_LEN)
+    _fill(fh, head, 0)
+    if head[:4] != MAGIC:
+        raise BadMagicError(f"magic bytes {bytes(head[:4])!r} are not {MAGIC!r}", 0)
+    (manifest_len,) = struct.unpack("<Q", head[4:HEADER_LEN])
+    if HEADER_LEN + manifest_len > size:
         raise TruncatedFileError(
             f"manifest of {manifest_len} bytes extends past the end of the file", HEADER_LEN
         )
-    manifest_bytes = data[HEADER_LEN : HEADER_LEN + manifest_len]
+    manifest_bytes = bytearray(manifest_len)
+    _fill(fh, manifest_bytes, HEADER_LEN)
     try:
         manifest = json.loads(manifest_bytes.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -235,10 +255,9 @@ def parse_container(data: bytes) -> ContainerDocument:
     if meta is not None and not isinstance(meta, dict):
         raise _manifest_error("meta must be an object when present")
 
-    payload = memoryview(data).toreadonly()[HEADER_LEN + manifest_len :]
     payload_base = HEADER_LEN + manifest_len
-    layers: list[LayerRecord] = []
-    seen: set[str] = set()
+    payload_len = size - payload_base
+    shapes, wanted = {}, []
     expected_offset = 0
     for rec in raw_layers:
         if not isinstance(rec, dict):
@@ -246,9 +265,8 @@ def parse_container(data: bytes) -> ContainerDocument:
         name = rec.get("name")
         if not isinstance(name, str) or not name:
             raise _manifest_error(f"layer name must be a nonempty string, got {name!r}")
-        if name in seen:
+        if name in shapes:
             raise _manifest_error(f"duplicate layer name {name!r}")
-        seen.add(name)
         dtype = rec.get("dtype")
         if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise UnknownDtypeError(
@@ -274,33 +292,52 @@ def parse_container(data: bytes) -> ContainerDocument:
                 payload_base + offset,
             )
         expected_offset += nbytes
-        if offset + nbytes > len(payload):
+        if offset + nbytes > payload_len:
             raise TruncatedFileError(
                 f"layer {name!r} needs payload bytes [{offset}, {offset + nbytes}) "
-                f"but only {len(payload)} payload bytes are present",
-                len(data),
+                f"but only {payload_len} payload bytes are present",
+                size,
             )
-        arr = np.frombuffer(payload, dtype=_DTYPES[dtype], count=rows * cols, offset=offset)
+        shapes[name] = (rows, cols)
+        if names is None or name in names:
+            wanted.append((name, dtype, payload_base + offset, nbytes))
+    if payload_len != expected_offset:
+        raise PayloadMismatchError(
+            f"payload holds {payload_len} bytes but the manifest declares {expected_offset}",
+            payload_base,
+        )
+
+    buf = bytearray(sum(nbytes for *_, nbytes in wanted))
+    view = memoryview(buf).toreadonly()
+    layers, start = [], 0
+    for name, dtype, at, nbytes in wanted:
+        _fill(fh, memoryview(buf)[start : start + nbytes], at)
+        arr = np.frombuffer(view, dtype=_DTYPES[dtype], count=nbytes // _DTYPES[dtype].itemsize,
+                            offset=start)
         finite = np.isfinite(arr)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise CorruptPayloadError(
                 f"layer {name!r} decodes to a non-finite value at element {bad}",
-                payload_base + offset + bad * itemsize,
+                at + bad * arr.itemsize,
             )
-        layers.append(LayerRecord(name, arr.reshape(rows, cols), dtype))
-    if len(payload) != expected_offset:
-        raise PayloadMismatchError(
-            f"payload holds {len(payload)} bytes but the manifest declares {expected_offset}",
-            payload_base,
-        )
-    return ContainerDocument(model_id=model_id, layers=layers, meta=meta)
+        layers.append(LayerRecord(name, arr.reshape(shapes[name]), dtype))
+        start += nbytes
+    return ContainerDocument(model_id=model_id, layers=layers, meta=meta, shapes=shapes)
 
 
-def read_container(path) -> ContainerDocument:
-    """Read and parse a container file."""
+def parse_container(data: bytes) -> ContainerDocument:
+    """Parse container bytes as :func:`read_container` reads a file."""
+    return _read(io.BytesIO(data), len(data), None)
+
+
+def read_container(path, names=None) -> ContainerDocument:
+    """Read a container file: its manifest, checked whole against the size
+    ``os.fstat`` gives, and the entries named in ``names`` (anything that
+    answers ``name in names``; all by default), checked finite.  A name
+    the file lacks is no error; ``shapes`` lists every entry."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            return _read(fh, os.fstat(fh.fileno()).st_size, names)
     except OSError as exc:
         raise ContainerError(f"cannot read container file {path}: {exc}", 0) from exc
-    return parse_container(data)

@@ -19,7 +19,8 @@ from uws.ensemble import (
     load_weights,
     save_weights,
 )
-from uws.ensemble.container import build_container, read_container
+from uws.ensemble.container import build_container, read_container, write_container
+from uws.errors import ManifestError
 from uws.spectral import RankPolicy
 
 from oracles import planted_ensemble
@@ -508,6 +509,39 @@ def test_project_and_merge_refuse_a_layer_the_subspace_does_not_name(tmp_path, c
                         "--out", str(tmp_path / "m.uws")], capsys)
     assert code == 2 and "'zzz'" in err
     assert not (tmp_path / "c2.uws").exists() and not (tmp_path / "m.uws").exists()
+
+
+def test_subspace_and_coefficient_files_are_not_weights(tmp_path, capsys):
+    pattern, paths = write_fixture_models(tmp_path)
+    space = tmp_path / "s.uws"
+    run(["extract", "--models", pattern, "--out", str(space),
+         "--report", str(tmp_path / "r.csv"), "--fixed-k", "3"], capsys)
+    (tmp_path / "cc").mkdir()
+    (tmp_path / "ss").mkdir()
+    for i in (0, 1):
+        code, _, _ = run(["project", "--subspace", str(space), "--model", str(paths[i]),
+                          "--out", str(tmp_path / "cc" / f"c{i}.uws")], capsys)
+        assert code == 0
+        (tmp_path / "ss" / f"s{i}.uws").write_bytes(space.read_bytes())
+    for kind, folder in (("coefficients", "cc"), ("subspace", "ss")):
+        files = sorted((tmp_path / folder).iterdir())
+        with pytest.raises(ManifestError, match=f"'{kind}' container, not weights"):
+            load_weights(files[0])
+        for argv in (
+            ["extract", "--models", str(tmp_path / folder / "*.uws"), "--out",
+             str(tmp_path / "x.uws"), "--report", str(tmp_path / "x.csv")],
+            ["project", "--subspace", str(space), "--model", str(files[0]),
+             "--out", str(tmp_path / "x.uws")],
+            ["merge", "--subspace", str(space), "--models", str(tmp_path / folder / "*.uws"),
+             "--out", str(tmp_path / "x.uws")],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 2 and f"'{kind}' container, not weights" in err, (argv, err)
+            assert not (tmp_path / "x.uws").exists()
+    # a weights file may carry meta of its own, as long as it names no kind
+    write_container(tmp_path / "tagged.uws", "m0", [("w", np.ones((2, 3)), "f64")],
+                    meta={"tag": 7})
+    assert load_weights(tmp_path / "tagged.uws").layers["w"].shape == (2, 3)
 
 
 def test_project_refuses_a_subspace_whose_basis_is_not_orthonormal(tmp_path, capsys):

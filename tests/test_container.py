@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import tracemalloc
 import warnings
@@ -302,6 +303,36 @@ def fuzz_once(rng, base: bytes, tmp_path, i: int):
     return p
 
 
+RANGES = [(), ("layers/1/w",), ("layers/0/w", "layers/1/w")]
+
+
+def assert_ranged_reads_agree(path):
+    """A read of no entry, of one and of all either raises a classified
+    error, where the full read raises one too, or returns the full read's
+    arrays for the names asked; it may succeed where the full read fails
+    only on a non-finite value in an entry it skips."""
+    try:
+        full = read_container(path)
+    except ContainerError as exc:
+        full = exc
+    for names in RANGES:
+        try:
+            doc = read_container(path, names=names)
+        except ContainerError:
+            assert isinstance(full, ContainerError)
+            continue
+        if isinstance(full, ContainerError):
+            assert isinstance(full, CorruptPayloadError)
+            assert not any(f"layer {name!r} decodes" in str(full) for name in names)
+            continue
+        assert [rec.name for rec in doc.layers] == [n for n in full.shapes if n in names]
+        assert doc.shapes == full.shapes and doc.meta == full.meta
+        want = {rec.name: rec for rec in full.layers}
+        for rec in doc.layers:
+            assert rec.dtype == want[rec.name].dtype and not rec.array.flags.writeable
+            assert np.array_equal(rec.array, want[rec.name].array)
+
+
 def test_structural_fuzz_always_classified(tmp_path):
     path, _ = write_fixture(tmp_path)
     base = path.read_bytes()
@@ -310,6 +341,9 @@ def test_structural_fuzz_always_classified(tmp_path):
         p = fuzz_once(rng, base, tmp_path, i)
         with pytest.raises(ContainerError):
             read_container(p)
+        for names in RANGES:
+            with pytest.raises(ContainerError):
+                read_container(p, names=names)
 
 
 def test_random_byte_flips_never_crash(tmp_path):
@@ -329,7 +363,25 @@ def test_random_byte_flips_never_crash(tmp_path):
             outcomes["ok"] += 1
         except ContainerError:
             outcomes["classified"] += 1
+        assert_ranged_reads_agree(p)
     assert sum(outcomes.values()) == 800
+
+
+@pytest.mark.parametrize("cut", [5, 30, -40, -1], ids=["header", "manifest", "first", "last"])
+def test_file_cut_short_after_its_size_was_taken(monkeypatch, tmp_path, cut):
+    path, _ = write_fixture(tmp_path)
+    cut %= path.stat().st_size
+    real_fstat = os.fstat
+
+    def fstat_then_cut(fd):
+        size = real_fstat(fd)
+        os.truncate(path, cut)
+        return size
+
+    monkeypatch.setattr(os, "fstat", fstat_then_cut)
+    with pytest.raises(TruncatedFileError) as ei:
+        read_container(path)
+    assert ei.value.offset == cut
 
 
 def test_read_costs_one_copy_of_the_file(tmp_path):
@@ -349,6 +401,21 @@ def test_read_costs_one_copy_of_the_file(tmp_path):
     for (name, arr, dtype), rec in zip(layers, doc.layers):
         assert not rec.array.flags.writeable
         assert np.array_equal(rec.array, arr.astype(np.float32) if dtype == "f32" else arr)
+    with pytest.raises(ValueError):
+        doc.layers[0].array.flags.writeable = True
+    # a ranged read costs one copy of the entries it reads
+    names = ("L3", "L8")
+    tracemalloc.start()
+    doc = read_container(path, names=names)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert [rec.name for rec in doc.layers] == list(names)
+    assert peak <= 1.2 * sum(rec.array.nbytes for rec in doc.layers)
+    assert list(doc.shapes) == [name for name, _, _ in layers]
+    for rec in doc.layers:
+        assert not rec.array.flags.writeable
+        i = int(rec.name[1:])
+        assert np.array_equal(rec.array, layers[i][1].astype(rec.array.dtype))
 
 
 def test_write_costs_one_copy_of_the_file(tmp_path):

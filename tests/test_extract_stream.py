@@ -1,4 +1,4 @@
-"""Streamed one-pass extraction (``GramStream``) and the version-4
+"""Streamed, layer-major extraction (``GramStream``) and the version-4
 subspace file, which holds only each layer's mean, bases and spectra,
 and in its meta only what those entries cannot say."""
 
@@ -90,7 +90,11 @@ def assert_matches_stacked(u, models):
 
 class Routes:
     """Counts file reads (through the reader that ``load_weights`` and
-    extraction share), streamed decompositions and stacked ones."""
+    extraction share), streamed decompositions and stacked ones.
+
+    Extraction from files reads the first model's manifest once, then
+    each model once per layer pass: T * L + 1 reads for L included
+    layers, and T more for each layer the Gram route's guard declines."""
 
     def __init__(self, monkeypatch):
         self.reads = self.streamed = self.stacked = 0
@@ -302,7 +306,7 @@ def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, sh
     paths = write_models(tmp_path / "models", models)
     routes = Routes(monkeypatch)
     u = extract_universal(paths, config)
-    assert routes.counts() == {"reads": 12, "streamed": 0, "stacked": 2}
+    assert routes.counts() == {"reads": 25, "streamed": 0, "stacked": 2}
     for name in u.included_layers:
         model = u.layer_models[name]
         assert model.factors[0] is None and model.core is None
@@ -314,13 +318,13 @@ def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, sh
         assert np.array_equal(model.factors[1], want.factors[1])
 
 
-def test_mixed_shapes_stream_and_stack_from_one_read(monkeypatch, tmp_path):
+def test_mixed_shapes_stream_and_stack_in_their_own_layer_passes(monkeypatch, tmp_path):
     shapes = dict(SHAPES, block1=(1, 32))  # block1 stacks to 12 x 32: wide
     models = planted_models(24, 12, shapes=shapes)
     paths = write_models(tmp_path / "models", models)
     routes = Routes(monkeypatch)
     u = extract_universal(paths, ExtractionConfig(policy=TAU))
-    assert routes.counts() == {"reads": 12, "streamed": 1, "stacked": 1}
+    assert routes.counts() == {"reads": 25, "streamed": 1, "stacked": 1}
     assert_matches_stacked(u, models)
 
 
@@ -330,9 +334,9 @@ def test_guard_declined_layer_is_read_again_and_stacked(monkeypatch, tmp_path):
     routes = Routes(monkeypatch)
     monkeypatch.setattr(hosvd_module, "GRAM_MIN_RATIO", np.inf)  # every Gram route declines
     u = extract_universal(paths, ExtractionConfig(policy=TAU))
-    # the second pass reads every model again, the first included: it was
-    # dropped after its turn in the first pass
-    assert routes.counts() == {"reads": 60, "streamed": 2, "stacked": 2}
+    # each declined layer's pass is followed by one that reads every
+    # model's slab of it again
+    assert routes.counts() == {"reads": 121, "streamed": 2, "stacked": 2}
     assert_matches_stacked(u, models)
 
 
@@ -347,6 +351,53 @@ def test_streamed_extract_memory_does_not_grow_with_the_ensemble(tmp_path):
         peaks[n_models] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[160] <= 1.2 * peaks[40]
+
+
+# an order-3 peak is mostly the decomposition's own work arrays, about
+# seven stacks, so a second kept stack would add about 1/7 to it
+@pytest.mark.parametrize("order, layers, bound", [(2, 4, 1.2), (3, 2, 1.1)],
+                         ids=["streamed", "stacked"])
+def test_extract_memory_does_not_grow_with_the_included_layers(tmp_path, order, layers, bound):
+    # one layer's stream or stack is held at a time, whatever the layer count
+    peaks = {}
+    for count in (1, layers):
+        shapes = {f"L{i}": (16, 128) for i in range(count)}
+        paths = write_models(tmp_path / f"l{count}", planted_models(31, 40, shapes=shapes))
+        config = ExtractionConfig(policy=TAU, order=order, exclude_layers=())
+        tracemalloc.start()
+        try:
+            u = extract_universal(paths, config)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(u.included_layers) == count
+    assert peaks[layers] <= bound * peaks[1]
+
+
+@pytest.mark.parametrize("edit", ["model_id", "shape"])
+def test_a_model_that_changes_between_layer_passes_is_a_data_error(
+    monkeypatch, tmp_path, capsys, edit
+):
+    models = planted_models(32, 12)
+    victim = models[5]
+    changed = ModelWeights("other" if edit == "model_id" else victim.model_id,
+                           dict(victim.layers))
+    if edit == "shape":
+        changed.layers["block1"] = changed.layers["block1"][:4]
+    real_decompose = GramStream.decompose
+
+    def decompose_then_rewrite(*a, **kw):
+        # after the first layer's decomposition, before block1's pass
+        save_weights(changed, tmp_path / "bad" / f"{victim.model_id}.uws")
+        return real_decompose(*a, **kw)
+
+    monkeypatch.setattr(GramStream, "decompose", decompose_then_rewrite)
+    paths = write_models(tmp_path / "bad", models)
+    with pytest.raises(ManifestError, match="changed between layer passes"):
+        extract_universal(paths, ExtractionConfig(policy=TAU))
+    write_models(tmp_path / "bad", models)
+    code, err = _extract_code(tmp_path, [], capsys)
+    assert code == 2 and "changed between layer passes" in err
 
 
 BIG_EXCLUDED = {"inlet": (512, 512), "block0": (8, 16), "block1": (6, 16), "outlet": (512, 512)}
@@ -431,7 +482,7 @@ def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, caps
 
 
 def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch, tmp_path):
-    # "wide" (6 x 8 rows of 64) is stacked from the first read; "tall"
+    # "wide" (6 x 8 rows of 64) is stacked from its layer pass; "tall"
     # (48 x 16) streams, and its 2**532 scale overflows the Gram, so the
     # guard declines it and it is read again: the second read must copy
     # only "tall", so that each slab is held once as float64
@@ -450,7 +501,7 @@ def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch,
     monkeypatch.setattr(ensemble_module, "ModelWeights", Counting)
     routes = Routes(monkeypatch)
     u = extract_universal(paths, ExtractionConfig(policy=TAU))
-    assert routes.counts() == {"reads": 12, "streamed": 1, "stacked": 2}
+    assert routes.counts() == {"reads": 19, "streamed": 1, "stacked": 2}
     assert copies == {"wide": 6, "tall": 6}
     for name in ("wide", "tall"):
         got = u.layer_models[name]
@@ -530,7 +581,7 @@ def test_streamed_extract_on_the_leading_vector_route_reruns_byte_identically(
                          "--out", str(outputs[-1]), "--report", str(tmp_path / f"{name}.csv")])
         assert code == 0
     capsys.readouterr()
-    assert routes.counts() == {"reads": 96, "streamed": 2, "stacked": 0}
+    assert routes.counts() == {"reads": 98, "streamed": 2, "stacked": 0}
     # Rayleigh-Ritz solves only: no 512 x 512 eigh, and no eigvalsh
     assert solves and all(name == "eigh" and order < 512 for name, order in solves)
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
