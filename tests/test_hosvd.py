@@ -59,9 +59,9 @@ def test_center_constant_tensor():
 
 
 def test_center_global_hand_example():
-    mu, xc = center(np.array([1.0, 3.0]), "global")
+    mu, xc = center(np.array([[1.0, 3.0]]), "global")
     assert float(mu) == 2.0
-    assert np.array_equal(xc, np.array([-1.0, 1.0]))
+    assert np.array_equal(xc, np.array([[-1.0, 1.0]]))
 
 
 def test_center_feature_hand_example():
@@ -81,13 +81,28 @@ def test_center_roundtrip():
 
 def test_center_rejects_non_finite():
     with pytest.raises(InvalidArgumentError):
-        center(np.array([1.0, np.nan]), "global")
+        center(np.array([[1.0, np.nan]]), "global")
 
 
 def test_complex_stack_is_refused():
     x = np.random.default_rng(5).standard_normal((20, 5)) * (1 + 1j)
     with pytest.raises(InvalidArgumentError, match="complex"):
         hosvd_truncated(x)
+
+
+ORDER_REFUSAL_ENTRY_POINTS = {
+    "hosvd_truncated": hosvd_truncated,
+    "center": center,
+    "project_slice": lambda x: project_slice(
+        hosvd_truncated(np.random.default_rng(6).standard_normal((8, 4))), x),
+}
+
+
+@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("entry", list(ORDER_REFUSAL_ENTRY_POINTS))
+def test_only_orders_2_and_3_are_accepted(entry, order):
+    with pytest.raises(InvalidArgumentError, match="order must be 2 or 3"):
+        ORDER_REFUSAL_ENTRY_POINTS[entry](np.ones((2,) * order))
 
 
 # ------------------------------------------------------------ hosvd_truncated
@@ -564,6 +579,26 @@ def test_order3_slice_round_trip():
     assert relerr(back, slab) < 1e-8
     with pytest.raises(InvalidArgumentError):  # a member has no stacking axis
         project_slice(model, slab[None])
+
+
+def test_order3_contractions_match_einsum():
+    # not planted, and every extent and rank distinct, so a transposed
+    # factor or a reshape in the wrong order changes the result
+    rng = np.random.default_rng(63)
+    x = rng.standard_normal((7, 5, 9))
+    model = hosvd_truncated(x, [RankPolicy.fixed_k(k) for k in (3, 2, 4)])
+    assert model.ranks == (3, 2, 4)
+    u1, u2, u3 = model.factors
+    core = np.einsum("tjk,ta,jb,kc->abc", x - model.mu, u1, u2, u3)
+    assert relerr(model.core, core) <= 1e-13
+    stack = np.einsum("abc,ta,jb,kc->tjk", model.core, u1, u2, u3) + model.mu
+    assert relerr(reconstruct(model), stack) <= 1e-13
+    member = rng.standard_normal((5, 9))
+    coeffs = project_slice(model, member)
+    want = np.einsum("jk,jb,kc->bc", member - model.mu, u2, u3)
+    assert relerr(coeffs.coeffs, want) <= 1e-13
+    want = np.einsum("bc,jb,kc->jk", coeffs.coeffs, u2, u3) + model.mu
+    assert relerr(reconstruct_slice(model, coeffs), want) <= 1e-13
 
 
 # --------------------------------------------------------- secondary subspace

@@ -7,9 +7,9 @@ from uws import theory
 from uws.ensemble import merge_models
 from uws.errors import InvalidArgumentError
 from uws.spectral import RankPolicy, gram_leading, operator_norm, thin_svd
-from uws.tensor import as_tensor, frobenius_norm, mode_product, unfold
+from uws.tensor import as_tensor, frobenius_norm
 
-from oracles import haar_orthogonal, unfold_by_enumeration
+from oracles import haar_orthogonal
 
 
 def rand_tensor(rng, shape):
@@ -20,12 +20,17 @@ def rand_tensor(rng, shape):
 
 
 def test_constructor_validates_shape_and_length():
-    with pytest.raises(InvalidArgumentError):
-        as_tensor(np.zeros((2, 0)))
-    with pytest.raises(InvalidArgumentError):
-        as_tensor([[0.0, 0.0, 0.0], [0.0, 0.0]])  # 5 values for a 2 x 3 tensor
-    with pytest.raises(InvalidArgumentError):
-        as_tensor(np.zeros((1,) * 9))  # order cap is 8
+    refused = [
+        np.zeros((2, 0)),  # an empty extent
+        [[0.0, 0.0, 0.0], [0.0, 0.0]],  # 5 values for a 2 x 3 tensor
+        np.zeros(3),  # order 1: only orders 2 and 3 are stacks
+        np.zeros((2, 2, 2, 2)),  # order 4
+    ]
+    for x in refused:
+        with pytest.raises(InvalidArgumentError):
+            as_tensor(x)
+    for shape in ((1, 1), (2, 3, 4)):
+        assert as_tensor(np.zeros(shape)).shape == shape
 
 
 def test_complex_input_is_refused_not_cut_to_its_real_part():
@@ -34,87 +39,12 @@ def test_complex_input_is_refused_not_cut_to_its_real_part():
             as_tensor(x)
 
 
-# -------------------------------------------------------------------- unfold
-
-
-def test_unfold_vector_is_row():
-    v = np.arange(5, dtype=float)
-    m = unfold(v, 1)
-    assert m.shape == (5, 1)
-    assert np.array_equal(m[:, 0], v)
-
-
-def test_unfold_222_hand_layout():
-    t = np.arange(1.0, 9.0).reshape(2, 2, 2)
-    assert np.array_equal(unfold(t, 1), np.array([[1, 3, 2, 4], [5, 7, 6, 8]], dtype=float))
-    assert np.array_equal(unfold(t, 2), np.array([[1, 5, 2, 6], [3, 7, 4, 8]], dtype=float))
-    assert np.array_equal(unfold(t, 3), np.array([[1, 5, 3, 7], [2, 6, 4, 8]], dtype=float))
-
-
-@pytest.mark.parametrize(
-    "shape", [(4,), (3, 5), (2, 3, 4), (2, 1, 3, 2), (2, 2, 2, 2, 2)]
-)
-def test_unfold_matches_enumeration_oracle(shape):
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal(shape)
-    t = a
-    for mode in range(1, len(shape) + 1):
-        assert np.array_equal(unfold(t, mode), unfold_by_enumeration(a, mode))
-
-
-def test_unfold_mode_out_of_range():
-    t = np.zeros((2, 2))
-    for mode in (0, 3, -1):
-        with pytest.raises(InvalidArgumentError):
-            unfold(t, mode)
-
-
-# -------------------------------------------------------------- mode_product
-
-
-def test_mode_product_identity_is_exact():
-    rng = np.random.default_rng(3)
-    t = rand_tensor(rng, (3, 4, 2))
-    for mode in (1, 2, 3):
-        p = mode_product(t, np.eye(t.shape[mode - 1]), mode)
-        assert np.array_equal(p, t)
-
-
-def test_mode_product_order2_is_matrix_multiplication():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((4, 5))
-    t = x
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((6, 5))
-    assert np.allclose(mode_product(t, a, 1), a @ x, rtol=1e-13, atol=0)
-    assert np.allclose(mode_product(t, b, 2), x @ b.T, rtol=1e-13, atol=0)
-
-
-def test_distinct_mode_products_commute():
-    rng = np.random.default_rng(5)
-    t = rand_tensor(rng, (3, 4, 5))
-    a = rng.standard_normal((2, 3))
-    b = rng.standard_normal((6, 4))
-    left = mode_product(mode_product(t, a, 1), b, 2)
-    right = mode_product(mode_product(t, b, 2), a, 1)
-    assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(left)
-
-
-def test_mode_product_shape_change_and_mismatch():
-    rng = np.random.default_rng(6)
-    t = rand_tensor(rng, (3, 4))
-    out = mode_product(t, np.zeros((7, 4)), 2)
-    assert out.shape == (3, 7)
-    with pytest.raises(InvalidArgumentError):
-        mode_product(t, np.zeros((7, 5)), 2)
-
-
 # ------------------------------------------------------------ frobenius_norm
 
 
 def test_frobenius_examples():
     assert frobenius_norm(np.zeros((3, 2))) == 0.0
-    assert frobenius_norm(np.array([3.0, 4.0])) == 5.0
+    assert frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
 
 
 def test_frobenius_matches_summation_oracle():
@@ -128,11 +58,14 @@ def test_frobenius_matches_summation_oracle():
 
 def test_norm_preserved_by_orthogonal_mode_products():
     rng = np.random.default_rng(9)
+    x = rand_tensor(rng, (4, 5))
+    q1, q2 = haar_orthogonal(4, rng), haar_orthogonal(5, rng)
+    assert frobenius_norm(q1 @ x @ q2.T) == pytest.approx(frobenius_norm(x), rel=1e-10)
     t = rand_tensor(rng, (4, 5, 3))
-    out = t
-    for mode in (1, 2, 3):
-        q = haar_orthogonal(t.shape[mode - 1], rng)
-        out = mode_product(out, q, mode)
+    q1, q2, q3 = (haar_orthogonal(n, rng) for n in t.shape)
+    # mode 1 on the 4 x 15 reshape, then modes 2 and 3 on each 5 x 3 matrix
+    out = (q1 @ t.reshape(4, -1)).reshape(t.shape)
+    out = q2 @ out @ q3.T
     assert frobenius_norm(out) == pytest.approx(frobenius_norm(t), rel=1e-10)
 
 
