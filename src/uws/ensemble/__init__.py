@@ -321,7 +321,8 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     route may take (:func:`~uws.hosvd.gram_eligible`) is streamed into a
     :class:`~uws.hosvd.GramStream`.  Any other stack, and one the route's
     guard declines, after a pass that reads its slabs again, is kept as
-    float64, stacked and decomposed by :func:`~uws.hosvd.hosvd_truncated`.
+    float64, stacked and decomposed by :func:`~uws.hosvd.hosvd_truncated`
+    on its exact route, so a declined Gram route is not tried twice.
     Either way a layer model keeps no stacking-mode factor or core: it
     holds what a subspace file holds.
     """
@@ -371,6 +372,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
                 config.policy,
                 centering=config.centering,
                 slab_extent=rows,
+                _exact=True,
             )
         model.factors[0] = model.core = None
         layer_models[name] = model

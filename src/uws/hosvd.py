@@ -311,6 +311,7 @@ def hosvd_truncated(
     *,
     centering: str = "feature",
     slab_extent: int | None = None,
+    _exact: bool = False,  # for a stack whose streamed Gram was declined
 ) -> SubspaceModel:
     """Zero-center ``x`` and truncate every mode of the centered tensor.
 
@@ -341,7 +342,7 @@ def hosvd_truncated(
     mu, xc = center(x, centering)
     _require_variance(frobenius_norm(xc), frobenius_norm(x), centering)
     if x.ndim == 2:
-        s, tail, u, v = _order2_svd(xc, gram_eligible(xc.shape, per_mode), per_mode)
+        s, tail, u, v = _order2_svd(xc, not _exact and gram_eligible(xc.shape, per_mode), per_mode)
         factors, ledger = _order2_truncation(s, tail, u, v, per_mode, centering, xc.shape)
     else:
         factors, ledger = [], {}

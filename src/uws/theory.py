@@ -1,8 +1,7 @@
 """Synthetic task ensembles and the two-level convergence theory around
-them: second-moment operators, top-k projectors and eigengaps, the
-operator/subspace error bounds with their delta-splitting, within-task
-perturbation caps, Davis-Kahan style checks, and seeded Monte-Carlo
-convergence studies.
+them: the operator/subspace error bounds with their delta-splitting,
+within-task perturbation caps, Davis-Kahan style checks, and seeded
+Monte-Carlo convergence studies.
 
 Everything lives in R^d with the Euclidean inner product; task vectors
 are sampled from a planted low-dimensional subspace and observed through
@@ -41,8 +40,6 @@ def _batch_size(d: int) -> int:
 
 NORM_MODES = ("gaussian", "constant")
 PERTURBATIONS = ("isotropic", "radial")
-EMPIRICAL_KINDS = ("true_empirical", "learned_empirical")
-OPERATOR_KINDS = ("population",) + EMPIRICAL_KINDS
 
 
 def _positive_float(value, name):
@@ -176,39 +173,15 @@ class TaskVector:
     f_hat: np.ndarray
 
 
-# -------------------------------------------------------- operators/projectors
-
-
-@dataclass
-class SecondMomentOperator:
-    """A symmetric PSD d x d operator tagged with where it came from."""
-
-    matrix: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in OPERATOR_KINDS:
-            raise InvalidArgumentError(
-                f"kind must be one of {OPERATOR_KINDS}, got {self.kind!r}"
-            )
-        m = as_real(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidArgumentError(f"operator matrix must be square, got {m.shape}")
-        self.matrix = _symmetrised(m)
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigen(self):
-        """Dense eigendecomposition, eigenvalues descending."""
-        return _descending_eigh(self.matrix)
+# ------------------------------------------------------------------ operators
 
 
 def _symmetrised(m: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2 of a float64 square matrix, checked finite and symmetric
-    within 1e-10 * max(1, max |m_ij|); halving first keeps entries near the
-    float64 limit from overflowing."""
+    """(m + m^T) / 2 of a float64 square matrix, checked square, finite and
+    symmetric within 1e-10 * max(1, max |m_ij|); halving first keeps entries
+    near the float64 limit from overflowing."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidArgumentError(f"operator matrix must be square, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidArgumentError("operator matrix must be finite")
     half, half_t = m / 2.0, m.T / 2.0
@@ -231,32 +204,17 @@ def _descending_eigh(m: np.ndarray, k: int | None = None):
     return np.take_along_axis(w, order, axis=-1), np.swapaxes(rows, -1, -2)
 
 
-def second_moment(vectors, kind) -> SecondMomentOperator:
-    """(1/T) sum of v v^T over the given vectors."""
-    if kind not in EMPIRICAL_KINDS:
-        raise InvalidArgumentError(
-            f"empirical kind must be one of {EMPIRICAL_KINDS}, got {kind!r}; "
-            "population operators come from population_second_moment"
-        )
-    vs = [as_real(v) for v in vectors]
-    if not vs:
-        raise InvalidArgumentError("need at least one vector")
-    d = vs[0].shape
-    if any(v.ndim != 1 or v.shape != d for v in vs):
-        raise InvalidArgumentError("all vectors must be 1-D with the same length")
-    m = _moment_matrix(np.stack(vs, axis=0))
-    return SecondMomentOperator(matrix=m, kind=kind)
-
-
 def _moment_matrix(stack: np.ndarray) -> np.ndarray:
-    """(1/T) sum of v v^T over the rows v of a finite (T, d) stack."""
+    """(1/T) sum of v v^T over the rows v of a finite (T, d) stack; products
+    that overflow leave entries that :func:`_symmetrised` refuses."""
     if not np.all(np.isfinite(stack)):
         raise InvalidArgumentError("vectors must be finite")
-    return stack.T @ stack / len(stack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return stack.T @ stack / len(stack)
 
 
-def population_second_moment(basis: np.ndarray, spectrum) -> SecondMomentOperator:
-    """Assemble the population operator from an orthonormal basis and its
+def population_second_moment(basis: np.ndarray, spectrum) -> np.ndarray:
+    """The d x d population operator of an orthonormal basis and its
     per-direction second moments."""
     basis, spectrum = as_real(basis), as_real(spectrum)
     if basis.ndim != 2 or spectrum.ndim != 1 or basis.shape[1] != spectrum.size:
@@ -270,60 +228,14 @@ def population_second_moment(basis: np.ndarray, spectrum) -> SecondMomentOperato
         )
     if not np.all(np.isfinite(spectrum)) or np.any(spectrum < 0):
         raise InvalidArgumentError("spectrum must be finite and >= 0")
-    m = (basis * spectrum) @ basis.T
-    return SecondMomentOperator(matrix=m, kind="population")
-
-
-@dataclass
-class Projector:
-    """The orthogonal projector onto the span of ``basis``, a d x k matrix
-    with orthonormal columns."""
-
-    basis: np.ndarray
-    degenerate_gap: bool = False
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The d x d projector ``basis @ basis.T``, built on each read."""
-        return self.basis @ self.basis.T
-
-
-def top_k_projector(op: SecondMomentOperator, k: int):
-    """Projector onto the span of the top-k eigenvectors, plus the
-    eigengap lambda_k - lambda_{k+1} (zero counts past the dimension)."""
-    k = _int_at_least(k, "k", 1)
-    if k > op.d:
-        raise InvalidArgumentError(f"k = {k} exceeds operator dimension {op.d}")
-    w, v = op.eigen()
-    lam_next = float(w[k]) if k < op.d else 0.0
-    gamma = float(w[k - 1]) - lam_next
-    degenerate = gamma <= 1e-12 * max(1.0, abs(float(w[0])))
-    return Projector(basis=v[:, :k], degenerate_gap=degenerate), gamma
-
-
-def subspace_distance(p: Projector, q: Projector) -> float:
-    """||P - Q||_op of two projectors, from their bases A and B alone.
-
-    For equal ranks it is sigma_max((I - A A^T) B), the largest sine of
-    the principal angles (the sin theta form of Davis-Kahan; Yu, Wang and
-    Samworth, 2015), with an absolute error of O(eps)."""
-    a, b = p.basis, q.basis
-    if a.shape[0] != b.shape[0]:
-        raise InvalidArgumentError(
-            f"projector dimensions differ: {a.shape[0]} vs {b.shape[0]}"
-        )
-    if a.shape[1] != b.shape[1]:
-        return 1.0  # ||P - Q|| = 1 whenever the ranks differ
-    return float(_sine(a, b))
+    return _symmetrised((basis * spectrum) @ basis.T)
 
 
 def _sine(a: np.ndarray, b: np.ndarray):
-    """sigma_max((I - A A^T) B) of two d x k bases, or of each pair in two
-    stacks of them (one stacked SVD)."""
+    """sigma_max((I - A A^T) B) of two d x k orthonormal bases, or of each
+    pair in two stacks of them (one stacked SVD): the largest sine of the
+    principal angles, which is ||A A^T - B B^T||_op to O(eps) (the sin theta
+    form of Davis-Kahan; Yu, Wang and Samworth, 2015)."""
     x = b - a @ (np.swapaxes(a, -1, -2) @ b)
     return np.max(np.linalg.svd(x, compute_uv=False), axis=-1)
 
@@ -428,8 +340,10 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
     tasks = list(tasks)
     if not tasks:
         raise InvalidArgumentError("need at least one task")
-    star_stack = np.stack([as_real(t.f_star) for t in tasks])
-    hat_stack = np.stack([as_real(t.f_hat) for t in tasks])
+    stars, hats = [as_real(t.f_star) for t in tasks], [as_real(t.f_hat) for t in tasks]
+    if any(v.ndim != 1 or v.shape != stars[0].shape for v in stars + hats):
+        raise InvalidArgumentError("task vectors must be 1-D and all of one length")
+    star_stack, hat_stack = np.stack(stars), np.stack(hats)
     if not (np.all(np.isfinite(star_stack)) and np.all(np.isfinite(hat_stack))):
         raise InvalidArgumentError("task vectors must be finite")
     norms = np.linalg.norm(star_stack, axis=1)
@@ -479,25 +393,19 @@ class DkStudy:
     holds: np.ndarray
 
 
-def _as_operator(s) -> SecondMomentOperator:
-    if isinstance(s, SecondMomentOperator):
-        return s
-    return SecondMomentOperator(matrix=s, kind="population")
-
-
 def davis_kahan_check(s_ref, s_pert, k: int, tol: float = DK_TOL) -> DkReport:
-    """Checks ||P_pert - P_ref|| <= (2/gamma_k) ||S_pert - S_ref|| with the
-    eigengap taken from the reference operator; a vacuous bound (gamma_k <=
-    0) or a right-hand side that is not finite raises InvalidArgumentError,
-    as it would certify nothing."""
-    ref = _as_operator(s_ref)
-    pert = _as_operator(s_pert)
-    if ref.d != pert.d:
-        raise InvalidArgumentError(f"operator dimensions differ: {ref.d} vs {pert.d}")
+    """Checks ||P_pert - P_ref|| <= (2/gamma_k) ||S_pert - S_ref|| for two
+    symmetric d x d arrays, with the eigengap taken from the reference; a
+    vacuous bound (gamma_k <= 0) or a right-hand side that is not finite
+    raises InvalidArgumentError, as it would certify nothing."""
+    ref, pert = (_symmetrised(as_real(s)) for s in (s_ref, s_pert))
+    d = len(ref)
+    if len(pert) != d:
+        raise InvalidArgumentError(f"operator dimensions differ: {d} vs {len(pert)}")
     k = _int_at_least(k, "k", 1)
-    if k > ref.d:
-        raise InvalidArgumentError(f"k = {k} exceeds operator dimension {ref.d}")
-    lhs, rhs, gamma = (float(x[0]) for x in _dk_pairs(ref.matrix[None], pert.matrix[None], k))
+    if k > d:
+        raise InvalidArgumentError(f"k = {k} exceeds operator dimension {d}")
+    lhs, rhs, gamma = (float(x[0]) for x in _dk_pairs(ref[None], pert[None], k))
     return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + tol)
 
 
@@ -581,8 +489,7 @@ class SyntheticEnsemble:
     spectrum: np.ndarray
     b: float
     etas: np.ndarray
-    planted_projector: Projector
-    population: SecondMomentOperator
+    population: np.ndarray
     gamma: float
 
     @property
@@ -660,19 +567,15 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
     if rng is None:
         rng = np.random.default_rng(config.seed)
     basis, f_star, f_hat = _draw(config, rng)
-    spectrum = config.resolved_spectrum()
     w, gamma = config.population_spectrum()
-    projector = Projector(basis=basis[:, :config.k],
-                          degenerate_gap=gamma <= 1e-12 * max(1.0, float(spectrum[0])))
     return SyntheticEnsemble(
         config=config,
         f_star=f_star,
         f_hat=f_hat,
         basis=basis,
-        spectrum=spectrum,
+        spectrum=config.resolved_spectrum(),
         b=config.resolved_b(),
         etas=config.resolved_etas(),
-        planted_projector=projector,
         population=population_second_moment(basis[:, :w.size], w),
         gamma=gamma,
     )
@@ -708,17 +611,17 @@ class ConvergenceReport:
 def _trial_errors(cfg: SyntheticEnsembleConfig, seed, trials: range):
     """Per trial at ``cfg``: ||S_learned - S_population||_op and the
     distance from the learned top-k eigenspace to the planted one, with
-    S_learned = f_hat^T f_hat / T.  Each trial's operators are built as
-    :func:`sample_ensemble` and :func:`second_moment` build them; the batch
-    stacks the learned ones and their differences from the population, and
-    solves them with one ``eigh`` and one ``eigvalsh``."""
+    S_learned = f_hat^T f_hat / T.  Each trial draws its ensemble as
+    :func:`sample_ensemble` does; the batch stacks the learned operators and
+    their differences from the population, and solves them with one
+    ``eigh`` and one ``eigvalsh``."""
     t, d, k = cfg.n_tasks, cfg.d, cfg.k
     w, _ = cfg.population_spectrum()
     learned, diff = np.empty((2, len(trials), d, d))
     planted = np.empty((len(trials), d, k))
     for i, trial in enumerate(trials):
         basis, _, f_hat = _draw(cfg, np.random.default_rng([seed, trial, t]))
-        population = population_second_moment(basis[:, :w.size], w).matrix
+        population = population_second_moment(basis[:, :w.size], w)
         learned[i] = _symmetrised(_moment_matrix(f_hat))
         np.subtract(learned[i], population, out=diff[i])
         planted[i] = basis[:, :k]
@@ -776,13 +679,15 @@ def convergence_study(
         b_eff = cfg.resolved_b()
         etas = cfg.resolved_etas()
         gamma = cfg.population_spectrum()[1]
+        with np.errstate(over="ignore"):  # eta means that overflow: the bound refuses them
+            eta_bar, eta2_bar = float(etas.mean()), float((etas**2).mean())
         try:
             params = BoundParameters(
                 b=b_eff,
                 delta=delta,
                 n_tasks=t,
-                eta_bar=float(etas.mean()),
-                eta2_bar=float((etas**2).mean()),
+                eta_bar=eta_bar,
+                eta2_bar=eta2_bar,
                 gamma_k=gamma if gamma > 0 else None,
                 c1=c1,
                 c2=c2,

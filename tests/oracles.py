@@ -3,13 +3,15 @@
 Everything in here is deliberately written the slow, obvious way (index
 enumeration, dense eigensolves, hand arithmetic) so it shares no code
 path with the library implementation it checks.  The exception is the
-theory lab's per-trial loops, which are built from the library's
+theory lab's per-trial loops, which draw through the library's
 single-trial calls to check its batched studies bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from uws.errors import InvalidArgumentError
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,15 +168,36 @@ def assert_spectra_agree(got, want):
     assert abs(rest[0] - rest[1]) <= 1e-12 * (float(np.sum(b**2)) + want.tail)
 
 
+def second_moment(vectors) -> np.ndarray:
+    """(1/T) sum of v v^T over a list of 1-D vectors, symmetrised."""
+    stack = np.stack(vectors)
+    m = stack.T @ stack / len(stack)
+    return (m + m.T) / 2.0
+
+
+def top_k_basis(m: np.ndarray, k: int) -> np.ndarray:
+    """The eigenvectors of the k largest eigenvalues of a symmetric matrix,
+    as columns, in descending order."""
+    w, v = np.linalg.eigh(m)
+    return v[:, np.argsort(w)[::-1]][:, :k]
+
+
+def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||(I - A A^T) B||_2 of two d x k orthonormal bases: the largest
+    principal sine between their spans."""
+    return float(np.linalg.norm(b - a @ (a.T @ b), 2))
+
+
 def convergence_rows_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectrum=None, seed=0,
                              norm_mode="gaussian", perturbation="isotropic", delta=0.05,
                              c1=1.0, c2=1.0):
     """Reference for ``uws.theory.convergence_study``'s rows, one trial at a
-    time through the single-trial public calls: per (T, trial) a tuple
-    (T, trial, op_error, subspace_error, op_bound, subspace_bound)."""
+    time: per (T, trial) a tuple (T, trial, op_error, subspace_error,
+    op_bound, subspace_bound), each ensemble drawn by ``sample_ensemble``
+    and its operators built by the references above."""
     from uws.spectral import operator_norm
     from uws.theory import (BoundParameters, SyntheticEnsembleConfig, sample_ensemble,
-                            second_moment, subspace_distance, theorem1_bounds, top_k_projector)
+                            theorem1_bounds)
 
     rows = []
     for t in t_grid:
@@ -182,14 +205,15 @@ def convergence_rows_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectru
                                          norm_mode=norm_mode, perturbation=perturbation)
         for trial in range(n_trials):
             ens = sample_ensemble(config, rng=np.random.default_rng([seed, trial, t]))
-            learned = second_moment([task.f_hat for task in ens.tasks], "learned_empirical")
-            op_error = operator_norm(learned.matrix - ens.population.matrix)
-            p_hat, _ = top_k_projector(learned, k)
+            if not np.all(np.isfinite(ens.f_hat)):
+                raise InvalidArgumentError("vectors must be finite")
+            learned = second_moment(list(ens.f_hat))
             bounds = theorem1_bounds(BoundParameters(
                 b=ens.b, delta=delta, n_tasks=t, eta_bar=float(ens.etas.mean()),
                 eta2_bar=float((ens.etas**2).mean()),
                 gamma_k=ens.gamma if ens.gamma > 0 else None, c1=c1, c2=c2))
-            rows.append((t, trial, op_error, subspace_distance(p_hat, ens.planted_projector),
+            rows.append((t, trial, operator_norm(learned - ens.population),
+                         subspace_distance(top_k_basis(learned, k), ens.basis[:, :k]),
                          bounds.op_bound, bounds.subspace_bound))
     return rows
 

@@ -948,6 +948,17 @@ def test_theory_bound_overflow_is_a_data_error(argv, tmp_path, capsys):
     assert "not finite" in err
 
 
+def test_theory_converge_eta_overflow_is_a_one_line_data_error(tmp_path, capsys):
+    # eta**2 and the moment products overflow; RuntimeWarnings are errors here
+    code, out, err = run(
+        ["theory", "converge", "--d", "4", "--k", "2", "--t-grid", "3", "--trials", "1",
+         "--eta", "1e300", "--out", str(tmp_path / "o.csv")],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "data error: operator matrix must be finite\n"
+
+
 def test_output_into_missing_directory_is_a_data_error(tmp_path, capsys):
     code, _, _ = run(
         ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4",

@@ -17,3 +17,15 @@ def test_star_import_succeeds():
 
 def test_the_batched_davis_kahan_study_is_exported():
     assert "davis_kahan_study" in uws.__all__
+
+
+def test_the_theory_lab_exports_what_it_runs_and_nothing_retired():
+    lab = {"BoundParameters", "theorem1_bounds", "within_task_term", "davis_kahan_check",
+           "davis_kahan_study", "SyntheticEnsembleConfig", "sample_ensemble",
+           "convergence_study", "ConvergenceReport"}
+    assert lab <= set(uws.__all__)
+    assert all(hasattr(uws.theory, name) for name in ("DkStudy", "DkReport", "TaskVector"))
+    retired = {"top_k_projector", "subspace_distance", "second_moment", "Projector",
+               "SecondMomentOperator"}
+    assert not retired & set(uws.__all__)
+    assert not [name for name in retired if hasattr(uws, name) or hasattr(uws.theory, name)]

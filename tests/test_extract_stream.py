@@ -333,10 +333,18 @@ def test_guard_declined_layer_is_read_again_and_stacked(monkeypatch, tmp_path):
     paths = write_models(tmp_path / "models", models)
     routes = Routes(monkeypatch)
     monkeypatch.setattr(hosvd_module, "GRAM_MIN_RATIO", np.inf)  # every Gram route declines
+    solves = Counter()
+    for name in ("gram_leading", "thin_svd"):
+        def counted(*a, _real=getattr(hosvd_module, name), _name=name, **kw):
+            solves[_name] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(hosvd_module, name, counted)
     u = extract_universal(paths, ExtractionConfig(policy=TAU))
     # each declined layer's pass is followed by one that reads every
-    # model's slab of it again
+    # model's slab of it again, and its stack goes straight to one SVD
     assert routes.counts() == {"reads": 121, "streamed": 2, "stacked": 2}
+    assert solves == {"gram_leading": 2, "thin_svd": 2}
     assert_matches_stacked(u, models)
 
 

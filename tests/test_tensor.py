@@ -78,8 +78,6 @@ COMPLEX_ENTRY_POINTS = {
     "config_eta": lambda: theory.SyntheticEnsembleConfig(**_CONFIG, eta=0.1j),
     "config_eta_list": lambda: theory.SyntheticEnsembleConfig(**_CONFIG, eta=[0.1, 0.1j]),
     "config_spectrum": lambda: theory.SyntheticEnsembleConfig(**_CONFIG, spectrum=[1j]),
-    "operator": lambda: theory.SecondMomentOperator(matrix=1j * np.eye(2), kind="population"),
-    "second_moment": lambda: theory.second_moment([1j * np.ones(2)], "true_empirical"),
     "population_basis": lambda: theory.population_second_moment(1j * np.eye(2), [1.0, 1.0]),
     "population_spectrum": lambda: theory.population_second_moment(np.eye(2), [1j, 1.0]),
     "within_task": lambda: theory.within_task_term(

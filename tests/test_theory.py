@@ -8,21 +8,21 @@ from uws.errors import InvalidArgumentError
 from uws.theory import (
     BoundParameters,
     DkStudy,
-    Projector,
     SyntheticEnsembleConfig,
     TaskVector,
     _batch_size,
+    _descending_eigh,
     _dk_pairs,
     _in_trial_order,
+    _moment_matrix,
+    _sine,
+    _symmetrised,
     convergence_study,
     davis_kahan_check,
     davis_kahan_study,
     population_second_moment,
     sample_ensemble,
-    second_moment,
-    subspace_distance,
     theorem1_bounds,
-    top_k_projector,
     within_task_term,
 )
 
@@ -37,12 +37,6 @@ from oracles import (
 def opnorm_oracle(m):
     """Independent route: symmetric operator norm via a dense eigensolve."""
     return float(np.max(np.abs(np.linalg.eigvalsh((m + m.T) / 2.0))))
-
-
-def second_moment_from_matrix(m):
-    from uws.theory import SecondMomentOperator
-
-    return SecondMomentOperator(matrix=np.asarray(m, dtype=np.float64), kind="population")
 
 
 def cfg(**kw):
@@ -195,8 +189,8 @@ def test_full_dimensional_isotropic_effective_rank():
     ens = sample_ensemble(
         SyntheticEnsembleConfig(d=6, k=6, n_tasks=10_000, seed=12)
     )
-    learned = second_moment([t.f_hat for t in ens.tasks], "learned_empirical")
-    effective_rank = np.trace(learned.matrix) / opnorm_oracle(learned.matrix)
+    learned = _moment_matrix(ens.f_hat)
+    effective_rank = np.trace(learned) / opnorm_oracle(learned)
     assert effective_rank == pytest.approx(6.0, rel=0.05)
 
 
@@ -206,24 +200,21 @@ def test_full_dimensional_isotropic_effective_rank():
 def test_second_moment_hand_cases():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    single = second_moment([e1], "true_empirical")
-    assert np.allclose(single.matrix, np.outer(e1, e1), atol=1e-15)
-    assert np.trace(single.matrix) == pytest.approx(1.0, abs=1e-15)
-    pair = second_moment([e1, e2], "learned_empirical")
-    assert np.allclose(pair.matrix, 0.5 * np.eye(2), atol=1e-15)
-    assert opnorm_oracle(pair.matrix) == pytest.approx(0.5, abs=1e-12)
-    assert pair.kind == "learned_empirical"
-    with pytest.raises(InvalidArgumentError):
-        second_moment([], "true_empirical")
-    with pytest.raises(InvalidArgumentError):
-        second_moment([e1], "some_other_kind")
+    single = _moment_matrix(e1[None])
+    assert np.allclose(single, np.outer(e1, e1), atol=1e-15)
+    assert np.trace(single) == pytest.approx(1.0, abs=1e-15)
+    pair = _moment_matrix(np.stack([e1, e2]))
+    assert np.allclose(pair, 0.5 * np.eye(2), atol=1e-15)
+    assert opnorm_oracle(pair) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(InvalidArgumentError, match="vectors must be finite"):
+        _moment_matrix(np.array([[1.0, np.nan]]))
 
 
 def test_trace_equals_mean_squared_norm():
     rng = np.random.default_rng(14)
     vecs = [rng.standard_normal(7) for _ in range(50)]
-    op = second_moment(vecs, "true_empirical")
-    assert np.trace(op.matrix) == pytest.approx(
+    op = _moment_matrix(np.stack(vecs))
+    assert np.trace(op) == pytest.approx(
         float(np.mean([v @ v for v in vecs])), rel=1e-10
     )
 
@@ -232,12 +223,8 @@ def test_population_operator_is_exact_for_constant_mode():
     ens = sample_ensemble(cfg(norm_mode="constant", b=2.0, seed=21))
     phi = ens.basis[:, :3]
     expected = (4.0 / 3.0) * (phi @ phi.T)
-    assert np.allclose(ens.population.matrix, expected, atol=1e-12)
-    assert ens.population.kind == "population"
-    p = ens.planted_projector
-    assert np.allclose(p.matrix, p.matrix.T, atol=1e-12)
-    assert np.allclose(p.matrix @ p.matrix, p.matrix, atol=1e-10)
-    assert np.trace(p.matrix) == pytest.approx(3.0, abs=1e-8)
+    assert np.allclose(ens.population, expected, atol=1e-12)
+    assert np.array_equal(ens.population, ens.population.T)
 
 
 def test_sampled_operators_are_psd_with_bounded_deviation():
@@ -254,9 +241,9 @@ def test_sampled_operators_are_psd_with_bounded_deviation():
                 seed=[15, trial],
             )
         )
-        emp = second_moment([t.f_star for t in ens.tasks], "true_empirical")
-        assert np.min(np.linalg.eigvalsh(emp.matrix)) >= -1e-10
-        dev = opnorm_oracle(emp.matrix - ens.population.matrix)
+        emp = _moment_matrix(ens.f_star)
+        assert np.min(np.linalg.eigvalsh(emp)) >= -1e-10
+        dev = opnorm_oracle(emp - ens.population)
         assert dev <= 2.0 * ens.b**2 + 1e-8
 
 
@@ -265,21 +252,14 @@ def test_sampled_operators_are_psd_with_bounded_deviation():
 
 def test_top_k_projector_on_diagonal_operator():
     s = population_second_moment(np.eye(3), np.array([3.0, 2.0, 1.0]))
-    p2, gap2 = top_k_projector(s, 2)
-    assert np.allclose(p2.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    assert gap2 == pytest.approx(1.0, abs=1e-12)
-    assert not p2.degenerate_gap
-    p3, gap3 = top_k_projector(s, 3)
-    assert np.allclose(p3.matrix, np.eye(3), atol=1e-12)
-    assert gap3 == pytest.approx(1.0, abs=1e-12)  # lambda_d - 0
-    tied = population_second_moment(np.eye(3), np.array([2.0, 2.0, 1.0]))
-    p1, gap1 = top_k_projector(tied, 1)
-    assert p1.degenerate_gap
-    assert gap1 == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        top_k_projector(s, 4)
-    with pytest.raises(InvalidArgumentError):
-        top_k_projector(s, 0)
+    w, v2 = _descending_eigh(s, 2)
+    assert np.array_equal(w, [3.0, 2.0, 1.0])
+    assert np.allclose(v2 @ v2.T, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    v3 = _descending_eigh(s, 3)[1]
+    assert np.allclose(v3 @ v3.T, np.eye(3), atol=1e-12)
+    assert _descending_eigh(s)[1].shape == (3, 3)
+    # the eigengap at k = d is lambda_d - 0
+    assert [davis_kahan_check(s, s, k).gamma for k in (2, 3)] == [1.0, 1.0]
 
 
 def test_projector_matches_dense_eigensolve():
@@ -290,53 +270,39 @@ def test_projector_matches_dense_eigensolve():
         lam = np.sort(rng.uniform(0.1, 3.0, d))[::-1]
         s = population_second_moment(q, lam)
         k = int(rng.integers(1, d + 1))
-        p, _ = top_k_projector(s, k)
+        p = _descending_eigh(s, k)[1]
         # independent route: brute-force eigensolve, top-k columns
-        w, v = np.linalg.eigh(s.matrix)
+        w, v = np.linalg.eigh(s)
         top = v[:, np.argsort(w)[::-1][:k]]
-        assert np.allclose(p.matrix, top @ top.T, atol=1e-8)
-        assert np.trace(p.matrix) == pytest.approx(k, abs=1e-6)
+        assert np.allclose(p @ p.T, top @ top.T, atol=1e-8)
+        assert np.trace(p @ p.T) == pytest.approx(k, abs=1e-6)
 
 
 def test_top_k_basis_is_the_reordered_eigh_columns_in_their_layout():
     # the sine distance rounds differently for C- and Fortran-ordered bases,
     # so the layout of v[:, order] is part of the result
     ens = sample_ensemble(SyntheticEnsembleConfig(d=64, k=4, n_tasks=50, eta=0.2, seed=33))
-    learned = second_moment([t.f_hat for t in ens.tasks], "learned_empirical")
-    w, v = np.linalg.eigh(learned.matrix)
+    learned = _symmetrised(_moment_matrix(ens.f_hat))
+    w, v = np.linalg.eigh(learned)
     want = v[:, np.argsort(w)[::-1]][:, :4]
-    got = top_k_projector(learned, 4)[0].basis
+    got = _descending_eigh(learned, 4)[1]
     assert np.array_equal(got, want) and got.strides == want.strides
-    planted = ens.planted_projector.basis
+    planted = ens.basis[:, :4]
     sine = float(np.linalg.norm(planted - want @ (want.T @ planted), 2))
-    assert repr(subspace_distance(Projector(basis=got), ens.planted_projector)) == repr(sine)
+    assert repr(float(_sine(got, planted))) == repr(sine)
 
 
 def test_subspace_distance_hand_values_and_dual_route():
-    e1 = np.zeros((3, 3))
-    e1[0, 0] = 1.0
-    e2 = np.zeros((3, 3))
-    e2[1, 1] = 1.0
-    s = population_second_moment(np.eye(3), np.array([3.0, 2.0, 1.0]))
-    p, _ = top_k_projector(s, 1)
-    assert subspace_distance(p, p) == pytest.approx(0.0, abs=1e-12)
-    pa, _ = top_k_projector(population_second_moment(np.eye(3), np.array([3.0, 0.0, 0.0])), 1)
-    pb, _ = top_k_projector(
-        population_second_moment(np.eye(3)[:, [1, 0, 2]], np.array([3.0, 0.0, 0.0])), 1
-    )
-    assert np.allclose(pa.matrix, e1, atol=1e-12) and np.allclose(pb.matrix, e2, atol=1e-12)
-    assert subspace_distance(pa, pb) == pytest.approx(1.0, abs=1e-10)
+    e1, e2 = np.eye(3)[:, :1], np.eye(3)[:, 1:2]
+    assert _sine(e1, e1) == 0.0
+    assert _sine(e1, e2) == pytest.approx(1.0, abs=1e-15)
     rng = np.random.default_rng(17)
     for _ in range(20):
         d = int(rng.integers(2, 10))
         k = int(rng.integers(1, d))
         qa, qb = haar_columns(d, k, rng), haar_columns(d, k, rng)
-        sa = population_second_moment(qa, np.ones(k))
-        sb = population_second_moment(qb, np.ones(k))
-        p_a, _ = top_k_projector(sa, k)
-        p_b, _ = top_k_projector(sb, k)
-        got = subspace_distance(p_a, p_b)
-        want = opnorm_oracle(p_a.matrix - p_b.matrix)
+        got = float(_sine(qa, qb))
+        want = opnorm_oracle(qa @ qa.T - qb @ qb.T)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
         assert got <= 1.0 + 1e-12  # equal-rank projector distance cap
 
@@ -348,18 +314,8 @@ def test_subspace_distance_closed_form_sine(theta):
     u[0, 0] = 1.0
     v = np.zeros((d, 1))
     v[0, 0], v[1, 0] = math.cos(theta), math.sin(theta)
-    got = subspace_distance(Projector(basis=u), Projector(basis=v))
-    assert abs(got - math.sin(theta)) <= 1e-15
-    assert abs(subspace_distance(Projector(basis=v), Projector(basis=u)) - math.sin(theta)) <= 1e-15
-
-
-def test_subspace_distance_of_unequal_ranks_is_exactly_one():
-    q = haar_columns(6, 2, np.random.default_rng(24))
-    one, two = Projector(basis=q[:, :1]), Projector(basis=q)
-    assert subspace_distance(one, two) == 1.0
-    assert subspace_distance(two, one) == 1.0
-    with pytest.raises(InvalidArgumentError, match="dimensions differ"):
-        subspace_distance(one, Projector(basis=np.eye(3)[:, :1]))
+    assert abs(_sine(u, v) - math.sin(theta)) <= 1e-15
+    assert abs(_sine(v, u) - math.sin(theta)) <= 1e-15
 
 
 # ---------------------------------------------------------------------- bounds
@@ -456,6 +412,11 @@ def test_within_task_zero_perturbation_and_validation():
         within_task_term([FakeTask([2.0, 0.0], [2.0, 0.0])], b=1.0)
     with pytest.raises(InvalidArgumentError):
         within_task_term([], b=1.0)
+    for tasks in ([FakeTask([0.5, 0.5], [0.5, 0.5]), FakeTask([0.5], [0.5])],  # lengths differ
+                  [FakeTask([0.5, 0.5], [0.5, 0.5, 0.0])],  # f_hat longer than f_star
+                  [FakeTask([[0.5, 0.5], [0.0, 0.5]], [[0.5, 0.5], [0.0, 0.5]])]):  # 2-D
+        with pytest.raises(InvalidArgumentError, match="1-D and all of one length"):
+            within_task_term(tasks, b=1.0)
 
 
 def test_within_task_cap_on_sampled_ensembles_and_additivity():
@@ -508,16 +469,14 @@ def test_davis_kahan_monte_carlo():
         sym = (g + g.T) / 2.0
         sym /= opnorm_oracle(sym)
         pert = base + 0.1 * sym
-        rep = davis_kahan_check(
-            second_moment_from_matrix(base), second_moment_from_matrix(pert), 1
-        )
+        rep = davis_kahan_check(base, pert, 1)
         assert rep.holds
         assert rep.gamma == pytest.approx(1.0, abs=1e-12)
 
 
 def test_davis_kahan_near_degenerate_still_holds():
-    ref = second_moment_from_matrix(np.diag([1.0, 1.0 - 1e-3, 0.5]))
-    pert = second_moment_from_matrix(np.diag([1.0, 1.0 - 1e-3, 0.5]) + 1e-6 * np.eye(3))
+    ref = np.diag([1.0, 1.0 - 1e-3, 0.5])
+    pert = ref + 1e-6 * np.eye(3)
     rep = davis_kahan_check(ref, pert, 1)
     assert rep.gamma == pytest.approx(1e-3, rel=1e-9)
     assert rep.holds
