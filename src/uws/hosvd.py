@@ -38,7 +38,8 @@ three mode unfoldings.
 
 An order-2 stack too large to hold can be fed to :class:`GramStream`
 one slab at a time, float32 or float64.  It keeps the column mean, the
-centred d x d Gram matrix and the row count, merging blocks of
+lower row panels of the centred d x d Gram matrix
+(:class:`~uws.spectral.LowerGram`) and the row count, merging blocks of
 ``GRAM_BLOCK_ROWS`` rows with the pairwise update of Chan, Golub and
 LeVeque (1979); every merged term is positive semidefinite, so no common
 offset costs accuracy.  Its result takes the same Gram route and guard,
@@ -64,6 +65,7 @@ from .errors import (
 )
 from .spectral import (
     DEFAULT_POLICY,
+    LowerGram,
     RankPolicy,
     column_signs,
     explained_variance,
@@ -90,18 +92,8 @@ GRAM_MIN_SQUARE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps / GRAM_MI
 
 #: :class:`GramStream` merges its rows into the Gram matrix one block of
 #: this many at a time, at every width, so the block is a fixed
-#: 512 x d float64 array beside the d x d Gram.
+#: 512 x d float64 array beside the Gram's panels.
 GRAM_BLOCK_ROWS = 512
-
-#: Each merge writes only the Gram's lower triangle (with its diagonal
-#: panels whole), one panel of this many rows at a time, so its largest
-#: temporary is one GRAM_PANEL_COLS x d product.  At d = 1024 the panel
-#: GEMMs do 5/8 of a full product's flops (a symmetric rank-k update does
-#: 1/2).  On 12800 x 1024 float32 rows fed in 64-row slabs, the Gram took
-#: 0.34-0.42 s this way and 0.36-0.42 s through 1024-row blocks and one
-#: d x d product (2-vCPU VM, OpenBLAS).
-GRAM_PANEL_COLS = 256
-
 
 @dataclass(frozen=True)
 class ModeSpectrum:
@@ -215,7 +207,7 @@ def gram_eligible(shape, policies) -> bool:
     return shape[0] >= shape[1] and not any(p.reads_small_end for p in policies)
 
 
-def _gram_factors(gram: np.ndarray, policies):
+def _gram_factors(gram: LowerGram, policies):
     """``(s, v, tail)`` from the centred Gram matrix of an order-2 stack
     (:func:`~uws.spectral.gram_leading`: the leading singular values and
     feature directions as deep as ``policies`` read, and the energy of
@@ -224,7 +216,7 @@ def _gram_factors(gram: np.ndarray, policies):
     (so is tr G >= s_1**2 of a stack declined before the solve), or the
     deepest component read is below ``GRAM_MIN_RATIO * s_1``, which the
     leading solve reports as soon as that is certain."""
-    if not np.all(np.isfinite(gram)) or np.trace(gram) < GRAM_MIN_SQUARE:
+    if not gram.all_finite() or gram.trace() < GRAM_MIN_SQUARE:
         return None
     found = gram_leading(gram, policies, GRAM_MIN_RATIO)
     if found is None or found[0][0] ** 2 < GRAM_MIN_SQUARE:
@@ -245,7 +237,7 @@ def _order2_svd(xc: np.ndarray, use_gram: bool, policies):
     if use_gram:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = xc.T @ xc  # one that over- or underflows is declined by the guard
-        found = _gram_factors(gram, policies)
+        found = _gram_factors(LowerGram.of(gram), policies)
         if found is not None:
             s, v, tail = found
             u = (xc @ v) / s
@@ -370,8 +362,8 @@ def hosvd_truncated(
 
 class GramStream:
     """An order-2 stack fed one row slab at a time, reduced to its column
-    mean, centred Gram matrix and row count; the stack itself is never
-    held.
+    mean, the lower triangle of its centred Gram matrix and its row count;
+    the stack itself is never held.
 
     :meth:`add` copies float32 or float64 slabs into a float64 block of
     ``GRAM_BLOCK_ROWS`` rows; that copy is the only conversion a float32
@@ -384,16 +376,20 @@ class GramStream:
 
     The block has one spare row, which takes sqrt(n_a * n_b / n) *
     (m_b - m_a), so the products ``C.T @ C`` of the centred rows and that
-    row add both terms to G.  A merge writes only G's lower triangle, one
-    panel of ``GRAM_PANEL_COLS`` rows at a time, and :meth:`decompose`
-    mirrors it onto the upper one, so ``gram`` is whole only after a
-    :meth:`decompose` that reaches the solve.  Every term is positive
+    row add both terms to G.  G is a :class:`~uws.spectral.LowerGram`:
+    its lower row panels of w = ``uws.spectral.GRAM_PANEL_COLS`` rows, d
+    (d + w) / 2 doubles, which a merge adds to one product at a time and
+    the leading solve reads as they are.  No upper triangle is formed,
+    and :meth:`decompose` leaves the panels as they were, so later rows
+    add to the same sums; a full ``eigh`` moves them into one d x d
+    square, whose views they then are.  :attr:`gram` assembles the
+    symmetric matrix for inspection.  Every term is positive
     semidefinite, so nothing cancels: the merged Gram carries the
     rounding of ``Xc.T @ Xc`` whatever the ensemble's common offset.  A
     block whose squares overflow leaves the totals non-finite, and
     :meth:`decompose` declines them, as it declines a stack whose squared
-    norm is below ``GRAM_MIN_SQUARE``.  Memory is the d x d Gram plus one
-    block and one panel product, and the block is freed by :meth:`flush`.
+    norm is below ``GRAM_MIN_SQUARE``.  Memory is the panels plus one
+    block and one w x d product, and the block is freed by :meth:`flush`.
     """
 
     def __init__(self, cols: int):
@@ -402,11 +398,17 @@ class GramStream:
         self.cols = int(cols)
         self.rows = 0
         self.mean = np.zeros(self.cols)
-        self.gram = np.zeros((self.cols, self.cols))
+        self._gram = LowerGram.zeros(self.cols)
         self.sumsq = 0.0  # ||X||_F**2, the scale the variance check compares with
         self.nonzero = False  # whether any entry is, though every square may underflow
         self._block = None  # GRAM_BLOCK_ROWS rows plus the spare one, made by add
         self._fill = 0
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The centred Gram matrix of the rows merged so far, as a new
+        symmetric d x d array assembled from the stored lower triangle."""
+        return self._gram.symmetric()
 
     def add(self, slab) -> None:
         """Append the rows of one slab, float32 or float64, to the stack."""
@@ -441,9 +443,7 @@ class GramStream:
             block -= m_b
             step = m_b - self.mean
             self._block[n_b] = step * np.sqrt(self.rows * n_b / n)
-            merged = self._block[: n_b + 1]
-            for j0, j1 in _panels(self.cols):
-                self.gram[j0:j1, :j1] += merged[:, j0:j1].T @ merged[:, :j1]
+            self._gram.add_gram_of(self._block[: n_b + 1])
             self.mean += step * (n_b / n)
         self.rows = n
 
@@ -483,18 +483,13 @@ class GramStream:
             raise DegenerateSpectrumError("tensor is identically zero")
         if not (gram_eligible(shape, per_mode) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
             return None
-        _mirror_lower(self.gram)
-        gram, mu = self.gram, self.mean.copy()
+        gram, mu = self._gram, self.mean.copy()
         if centering == "global":
             # about the grand mean: add the column means' spread around it
             spread = mu - mu.mean()
-            gram = gram.copy()
-            for j0, j1 in _panels(self.cols):
-                outer = np.multiply.outer(spread[j0:j1], spread)
-                outer *= self.rows
-                gram[j0:j1] += outer
+            gram = gram.plus_outer(spread, self.rows)
             mu = np.float64(mu.mean())
-        _require_variance(np.sqrt(np.trace(gram)), np.sqrt(self.sumsq), centering)
+        _require_variance(np.sqrt(gram.trace()), np.sqrt(self.sumsq), centering)
         found = _gram_factors(gram, per_mode)
         if found is None:
             return None
@@ -509,21 +504,6 @@ class GramStream:
             shape=shape,
             slab_extent=slab_extent,
         )
-
-
-def _panels(cols: int):
-    """``(j0, j1)`` bounds of the ``GRAM_PANEL_COLS``-wide panels of ``cols``."""
-    return ((j0, min(j0 + GRAM_PANEL_COLS, cols)) for j0 in range(0, cols, GRAM_PANEL_COLS))
-
-
-def _mirror_lower(gram: np.ndarray) -> None:
-    """Copy the strict lower triangle of ``gram`` onto its upper one in
-    place, one panel at a time; the lower triangle is left as it is, so a
-    second call changes nothing."""
-    for j0, j1 in _panels(gram.shape[0]):
-        gram[:j0, j0:j1] = gram[j0:j1, :j0].T
-        diag = gram[j0:j1, j0:j1]
-        diag[...] = np.tril(diag) + np.tril(diag, -1).T
 
 
 def reconstruct(model: SubspaceModel) -> np.ndarray:

@@ -543,7 +543,8 @@ def _draw(config: SyntheticEnsembleConfig, rng):
     if config.perturbation == "radial":
         norms = np.linalg.norm(f_star, axis=1)
         along = norms > 1e-300
-        f_hat[along] = f_star[along] * (1.0 + etas[along] / norms[along])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+            f_hat[along] = f_star[along] * (1.0 + etas[along] / norms[along])[:, None]
     return basis, f_star, f_hat
 
 

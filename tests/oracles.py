@@ -154,6 +154,31 @@ def record_square_solves(monkeypatch) -> list:
     return calls
 
 
+def full_storage_gram(x: np.ndarray, block_rows: int, width: int):
+    """``(gram, mean)`` of the rows of ``x`` merged as a Gram stream merges
+    them, blocks of ``block_rows`` rows each centred on its own mean with
+    the pairwise update's spare row, but into a full d x d array whose
+    lower triangle gets one ``width``-row panel product at a time."""
+    cols = x.shape[1]
+    rows, mean, gram = 0, np.zeros(cols), np.zeros((cols, cols))
+    block = np.empty((block_rows + 1, cols))
+    for start in range(0, len(x), block_rows):
+        n_b = min(block_rows, len(x) - start)
+        block[:n_b] = x[start : start + n_b]
+        n = rows + n_b
+        m_b = block[:n_b].mean(axis=0)
+        block[:n_b] -= m_b
+        step = m_b - mean
+        block[n_b] = step * np.sqrt(rows * n_b / n)
+        merged = block[: n_b + 1]
+        for j0 in range(0, cols, width):
+            j1 = min(j0 + width, cols)
+            gram[j0:j1, :j1] += merged[:, j0:j1].T @ merged[:, :j1]
+        mean += step * (n_b / n)
+        rows = n
+    return gram, mean
+
+
 def assert_spectra_agree(got, want):
     """Two ledgers of one stack (``ModeSpectrum``) that may store
     different depths agree: the same rank, the stored values they share

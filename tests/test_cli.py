@@ -959,6 +959,18 @@ def test_theory_converge_eta_overflow_is_a_one_line_data_error(tmp_path, capsys)
     assert err == "data error: operator matrix must be finite\n"
 
 
+def test_theory_converge_radial_eta_overflow_is_a_one_line_data_error(tmp_path, capsys):
+    # eta / ||f_star|| = 1e310 overflows on the radial branch; RuntimeWarnings are errors here
+    code, out, err = run(
+        ["theory", "converge", "--d", "6", "--k", "1", "--t-grid", "4", "--trials", "3",
+         "--eta", "1e307", "--b", "1e-3", "--norm-mode", "constant",
+         "--perturbation", "radial", "--out", str(tmp_path / "o.csv")],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "data error: vectors must be finite\n"
+
+
 def test_output_into_missing_directory_is_a_data_error(tmp_path, capsys):
     code, _, _ = run(
         ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4",

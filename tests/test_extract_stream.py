@@ -28,7 +28,6 @@ from uws.ensemble.container import read_container, write_container
 from uws.errors import DegenerateSpectrumError, InvalidArgumentError, ManifestError
 from uws.hosvd import (
     GRAM_BLOCK_ROWS,
-    GRAM_PANEL_COLS,
     GramStream,
     center,
     hosvd_truncated,
@@ -37,9 +36,14 @@ from uws.hosvd import (
     reconstruct_slice,
     secondary_subspace,
 )
-from uws.spectral import RankPolicy, explained_variance
+from uws.spectral import GRAM_PANEL_COLS, RankPolicy, explained_variance
 
-from oracles import assert_spectra_agree, planted_ensemble, record_square_solves
+from oracles import (
+    assert_spectra_agree,
+    full_storage_gram,
+    planted_ensemble,
+    record_square_solves,
+)
 
 SHAPES = {"inlet": (8, 40), "block0": (8, 40), "block1": (6, 32), "outlet": (8, 40)}
 TAU = RankPolicy.cumulative_variance(0.99)
@@ -212,8 +216,13 @@ def streamed(x, slab=13):
     return stream
 
 
-# widths around and off the panel; 2 blocks and 37 rows end mid-block
-@pytest.mark.parametrize("cols", [1, GRAM_PANEL_COLS - 1, GRAM_PANEL_COLS + 1, 600])
+# widths around the first two panel ends and off them; 2 blocks and 37
+# rows end mid-block
+WIDTHS = [1, GRAM_PANEL_COLS - 1, GRAM_PANEL_COLS + 1, 2 * GRAM_PANEL_COLS - 1,
+          2 * GRAM_PANEL_COLS + 1, 600]
+
+
+@pytest.mark.parametrize("cols", WIDTHS)
 @pytest.mark.parametrize("rows", [GRAM_BLOCK_ROWS - 5, 2 * GRAM_BLOCK_ROWS + 37])
 def test_streamed_gram_equals_the_stacked_product(cols, rows):
     x = offset_stack(cols + rows, max(rows, cols), cols)
@@ -230,18 +239,17 @@ def test_gram_is_exactly_symmetric_after_every_decompose_and_add():
     x = offset_stack(8, 2 * GRAM_BLOCK_ROWS + 300, 600)
     head, rest = x[: GRAM_BLOCK_ROWS + 100], x[GRAM_BLOCK_ROWS + 100 :]
     stream, twin = streamed(head), streamed(head)
+    twin.flush()  # the rows a decompose flushes, merged at the same point
     stream.decompose(TAU)
-    once = stream.gram.copy()
+    once = stream.gram
     assert np.array_equal(once, once.T)
+    assert np.array_equal(once, twin.gram)  # a decompose leaves the panels as they were
     stream.decompose(TAU, centering="global")  # works on a copy
     assert np.array_equal(stream.gram, once)
-    # the upper triangle, diagonal panels included, is made from the lower
-    stream.gram += np.triu(np.ones_like(once), 1)
-    stream.decompose(TAU)
+    # the accessor assembles a new array: writing to it changes nothing
+    stream.gram[...] = 0.0
     assert np.array_equal(stream.gram, once)
-    # the mirror leaves the lower triangle that later merges add to as it
-    # was: the same rows, flushed at the same point, give the same Gram
-    twin.flush()
+    # later merges continue the twin's sums
     for s in (stream, twin):
         for start in range(0, rest.shape[0], 13):
             s.add(rest[start : start + 13])
@@ -250,6 +258,41 @@ def test_gram_is_exactly_symmetric_after_every_decompose_and_add():
     assert np.array_equal(stream.gram, twin.gram)
     stream.decompose(TAU)
     assert np.array_equal(stream.gram, twin.gram)
+
+
+@pytest.mark.parametrize("cols", WIDTHS)
+@pytest.mark.parametrize("rows", [GRAM_BLOCK_ROWS - 5, 2 * GRAM_BLOCK_ROWS + 37])
+def test_gram_panels_equal_a_full_storage_merge_bit_for_bit(cols, rows):
+    x = offset_stack(cols + rows + 1, max(rows, cols), cols)
+    stream = streamed(x)
+    stream.flush()
+    want, mean = full_storage_gram(x, GRAM_BLOCK_ROWS, GRAM_PANEL_COLS)
+    assert np.array_equal(np.tril(stream.gram), np.tril(want))
+    assert np.array_equal(stream.mean, mean)
+
+
+def test_stream_after_a_full_eigh_continues_its_twins_sums_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(14)
+    cols = 2 * GRAM_PANEL_COLS + 44
+    x = rng.standard_normal((3 * GRAM_BLOCK_ROWS + 77, cols))  # flat: one full eigh
+    head, rest = x[: GRAM_BLOCK_ROWS + 200], x[GRAM_BLOCK_ROWS + 200 :]
+    policy = RankPolicy.cumulative_variance(0.95)
+    stream, twin = streamed(head), streamed(head)
+    twin.flush()
+    solves = record_square_solves(monkeypatch)
+    stream.decompose(policy)
+    monkeypatch.undo()
+    assert solves == [("eigh", cols)]
+    assert np.array_equal(stream.gram, twin.gram)
+    for s in (stream, twin):
+        for start in range(0, rest.shape[0], 13):
+            s.add(rest[start : start + 13])
+    a, b = stream.decompose(policy), twin.decompose(policy)
+    assert np.array_equal(stream.gram, twin.gram)
+    assert np.array_equal(a.mu, b.mu)
+    assert np.array_equal(a.factors[1], b.factors[1])
+    assert np.array_equal(a.variance_ledger[2].singular_values, b.variance_ledger[2].singular_values)
+    assert a.variance_ledger[2].tail == b.variance_ledger[2].tail
 
 
 def test_global_centring_on_a_stream_matches_the_stacked_route():
@@ -280,10 +323,11 @@ def test_gram_stream_holds_the_gram_one_block_and_one_panel_product():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    gram, row = cols * cols * 8, cols * 8
-    bound = gram + (GRAM_BLOCK_ROWS + 1) * row + GRAM_PANEL_COLS * row
+    square, row = cols * cols * 8, cols * 8
+    panels = cols * (cols + GRAM_PANEL_COLS) // 2 * 8  # the Gram's lower row panels
+    bound = panels + (GRAM_BLOCK_ROWS + 1) * row + GRAM_PANEL_COLS * row
     # a block as tall as the stack is wide, and a d x d product beside it
-    full_product = gram + (cols + 1) * row + gram
+    full_product = square + (cols + 1) * row + square
     assert peak <= 1.1 * bound
     assert peak < full_product
 

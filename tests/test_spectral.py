@@ -9,6 +9,8 @@ from uws.errors import (
     NumericalFailureError,
 )
 from uws.spectral import (
+    GRAM_PANEL_COLS,
+    LowerGram,
     RankPolicy,
     ThinSvd,
     column_signs,
@@ -161,6 +163,55 @@ def test_flat_spectrum_takes_one_full_eigh(monkeypatch):
             assert solves == [("eigh", d)]
         want = full[:, : s.size]
         assert np.array_equal(v, want * column_signs(want))
+
+
+@pytest.mark.parametrize("spectrum", ["planted_gap", "flat"])  # block iteration, full eigh
+@pytest.mark.parametrize("exponent", [0, 532])
+def test_gram_leading_never_reads_the_strict_upper_triangle(spectrum, exponent):
+    rng = np.random.default_rng(27)
+    d = 384
+    values = (np.r_[[100.0, 80, 60, 50, 45, 40], np.geomspace(1.0, 0.1, d - 6)]
+              if spectrum == "planted_gap" else 1.0 + 1e-3 * rng.random(d))
+    m = planted_singular_stack(rng, 900, values)
+    gram = np.ldexp(m.T @ m, exponent)
+    other = gram + np.triu(np.ldexp(rng.standard_normal((d, d)), exponent), 1)
+    for policy in (RankPolicy.cumulative_variance(0.95), RankPolicy.fixed_k(4)):
+        want = gram_leading(gram, [policy])
+        got = gram_leading(other, [policy])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("d", [1, GRAM_PANEL_COLS - 1, GRAM_PANEL_COLS + 1, 300])
+def test_lower_gram_works_from_the_lower_triangle_alone(d):
+    rng = np.random.default_rng(28)
+    c = rng.standard_normal((d + 5, d))
+    g = c.T @ c
+    g = np.tril(g) + np.tril(g, -1).T  # exactly symmetric
+    upper = np.triu(rng.standard_normal((d, d)), 1)
+    lower = LowerGram.of(g + upper)
+    q = rng.standard_normal((d, 3))
+    assert np.max(np.abs(lower @ q - g @ q)) <= 1e-12 * np.max(np.abs(g @ q))
+    assert np.array_equal(lower.diagonal(), np.diagonal(g))
+    assert lower.trace() == float(np.sum(np.diagonal(g)))
+    assert abs(lower.frobenius_sq() - np.vdot(g, g)) <= 1e-12 * np.vdot(g, g)
+    assert np.array_equal(lower.symmetric(), g)
+    v = rng.standard_normal(d)
+    assert np.array_equal(np.tril(lower.plus_outer(v, 3.0).symmetric()),
+                          np.tril(g + 3.0 * np.multiply.outer(v, v)))
+    assert np.array_equal(lower.ldexp(-3).symmetric(), np.ldexp(g, -3))
+    assert lower.all_finite()
+    above, below = g + upper, g.copy()
+    above[0, d - 1] = np.inf if d > 1 else above[0, 0]
+    below[d - 1, 0] = np.nan
+    assert LowerGram.of(above).all_finite() and not LowerGram.of(below).all_finite()
+    # panels of their own, moved into a square, take later updates there
+    built = LowerGram.zeros(d)
+    built.add_gram_of(c)
+    assert np.max(np.abs(built.symmetric() - g)) <= 1e-12 * np.max(np.abs(g))
+    square = built.square()
+    assert built.square() is square
+    built.add_gram_of(c)
+    assert np.array_equal(np.tril(square), np.tril(built.symmetric()))
 
 
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
