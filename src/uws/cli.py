@@ -10,6 +10,7 @@ Diagnostics go to stderr; data goes to files or stdout.
 import argparse
 import glob as globlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -310,8 +311,13 @@ def cmd_merge(args):
 
 def cmd_adapt(args):
     u = load_subspace(args.subspace)
-    x = np.loadtxt(args.x, delimiter=",", ndmin=2)
-    y = np.loadtxt(args.y, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
+        x = np.loadtxt(args.x, delimiter=",", ndmin=2)
+        y = np.loadtxt(args.y, delimiter=",", ndmin=2)
+    for flag, path, data in (("--x", args.x, x), ("--y", args.y, y)):
+        if not data.size:
+            raise InvalidArgumentError(f"{flag} {path} holds no data")
     method = {"closed-form": "closed_form", "gd": "gradient"}[args.method]
     kwargs = dict(method=method, ridge=args.ridge)
     if method == "gradient":
@@ -620,7 +626,7 @@ def build_parser():
     converge.add_argument("--spectrum", type=_float_list, default=None,
                           help="planted eigenvalues, length k or d")
     converge.add_argument("--delta", type=float, default=0.05)
-    converge.add_argument("--seed", type=int, default=0)
+    converge.add_argument("--seed", type=_nonneg_int, default=0)
     converge.add_argument("--norm-mode", choices=["gaussian", "constant"],
                           default="gaussian")
     converge.add_argument("--perturbation", choices=["isotropic", "radial"],
@@ -649,7 +655,7 @@ def build_parser():
     dk.add_argument("--perturb", type=_positive_float, required=True,
                     help="operator-norm size of the perturbation")
     dk.add_argument("--trials", type=_positive_int, default=100)
-    dk.add_argument("--seed", type=int, default=0)
+    dk.add_argument("--seed", type=_nonneg_int, default=0)
     dk.set_defaults(func=cmd_theory_dk)
 
     return parser

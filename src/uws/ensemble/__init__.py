@@ -40,7 +40,7 @@ from ..hosvd import (
     reconstruct_slice,
 )
 from ..spectral import DEFAULT_POLICY, RankPolicy, explained_variance, orthonormality_defect
-from ..tensor import as_real
+from ..tensor import as_real, int_at_least
 from .container import read_container, write_container
 
 #: Version written into a subspace file's meta.  Version 1 (no
@@ -553,14 +553,6 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
 # -------------------------------------------------------------- memory savings
 
 
-def _count(value, name, minimum):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
 def memory_savings(
     t: int,
     per_model_params: int,
@@ -574,11 +566,11 @@ def memory_savings(
     (tiny ensembles); the ratio grows toward per-model params over
     per-model coefficients as T grows.
     """
-    t = _count(t, "t", 1)
-    per_model_params = _count(per_model_params, "per_model_params", 1)
-    basis_params = _count(basis_params, "basis_params", 0)
-    coeff_params_per_model = _count(coeff_params_per_model, "coeff_params_per_model", 0)
-    mean_params = _count(mean_params, "mean_params", 0)
+    t = int_at_least(t, "t", 1)
+    per_model_params = int_at_least(per_model_params, "per_model_params", 1)
+    basis_params = int_at_least(basis_params, "basis_params", 0)
+    coeff_params_per_model = int_at_least(coeff_params_per_model, "coeff_params_per_model", 0)
+    mean_params = int_at_least(mean_params, "mean_params", 0)
     denom = basis_params + mean_params + t * coeff_params_per_model
     if denom <= 0:
         raise InvalidArgumentError("compressed representation has zero size")
@@ -649,8 +641,8 @@ MEMORY_PRESETS = {
 def coefficient_parameter_count(basis_rank: int, layer_count: int) -> int:
     """Trainable parameters when only subspace coefficients are tuned:
     one coefficient per retained direction, per adapted layer."""
-    basis_rank = _count(basis_rank, "basis_rank", 1)
-    layer_count = _count(layer_count, "layer_count", 1)
+    basis_rank = int_at_least(basis_rank, "basis_rank", 1)
+    layer_count = int_at_least(layer_count, "layer_count", 1)
     return basis_rank * layer_count
 
 
@@ -791,7 +783,7 @@ def adapt_coefficients(
             lr = 0.5 / lmax if lmax > 0 else 1.0
         if not _finite_number(lr) or lr <= 0:
             raise InvalidArgumentError(f"lr must be a positive number, got {lr!r}")
-        epochs = _count(epochs, "epochs", 1)
+        epochs = int_at_least(epochs, "epochs", 1)
         ct, losses, explicit = _descend(z, resid_target, normal, rhs, lr, epochs)
         report["lr"] = float(lr)
         report["epochs"] = epochs

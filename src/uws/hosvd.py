@@ -190,15 +190,6 @@ def _policy_list(policies, order: int) -> list[RankPolicy]:
     return policies
 
 
-def _ratios(singular_values: np.ndarray, tail: float, mode: int, centering: str) -> np.ndarray:
-    try:
-        return explained_variance(singular_values, tail)
-    except DegenerateSpectrumError as exc:
-        raise DegenerateSpectrumError(
-            f"no variance left along mode {mode} after {centering} centering"
-        ) from exc
-
-
 def gram_eligible(shape, policies) -> bool:
     """Whether an order-2 stack of ``shape`` may take the Gram route at
     all: it is at least as tall as wide, and no policy reads the small
@@ -231,13 +222,15 @@ def _order2_svd(xc: np.ndarray, use_gram: bool, policies):
     listed, and the stacking and feature directions, each column oriented
     by :func:`column_signs`.  The Gram route, tried when ``use_gram`` is
     set and taken unless :func:`_gram_factors` declines it, lists the
-    components as deep as ``policies`` read; the exact route lists all
-    min(rows, cols) with a tail of 0.
+    components as deep as ``policies`` read, from Xc.T @ Xc built on
+    :class:`~uws.spectral.LowerGram` panels as a :class:`GramStream`
+    builds it; the exact route lists all min(rows, cols) with a tail of 0.
     """
     if use_gram:
+        gram = LowerGram.zeros(xc.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = xc.T @ xc  # one that over- or underflows is declined by the guard
-        found = _gram_factors(LowerGram.of(gram), policies)
+            gram.add_gram_of(xc)  # one that over- or underflows is declined by the guard
+        found = _gram_factors(gram, policies)
         if found is not None:
             s, v, tail = found
             u = (xc @ v) / s
@@ -250,7 +243,7 @@ def _order2_truncation(s, tail, u, v, policies, centering, shape):
     """Truncated factors (the stacking one None when ``u`` is) and the
     ledger of an order-2 decomposition, whose two modes share one
     spectrum."""
-    ratios = _ratios(s, tail, 1, centering)
+    ratios = explained_variance(s, tail)
     r1, r2 = (
         select_rank(ratios, p, singular_values=s, shape=sh)
         for p, sh in zip(policies, (tuple(shape), tuple(shape)[::-1]))
@@ -341,7 +334,7 @@ def hosvd_truncated(
         for mode, extent in enumerate(x.shape, start=1):
             m = np.reshape(np.moveaxis(xc, mode - 1, 0), (extent, -1), order="F")
             f = thin_svd(m)
-            ratios = _ratios(f.singular_values, 0.0, mode, centering)
+            ratios = explained_variance(f.singular_values)
             r = select_rank(
                 ratios, per_mode[mode - 1], singular_values=f.singular_values, shape=m.shape
             )

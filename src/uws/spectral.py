@@ -141,37 +141,25 @@ class LowerGram:
     """A symmetric d x d matrix G held as its lower row panels P =
     ``G[j0:j1, :j1]`` for j0 = 0, w, 2w, ..., w = ``GRAM_PANEL_COLS``.
 
-    Of each panel only the off-diagonal rectangle ``P[:, :j0]`` and the
-    lower triangle of the diagonal block ``P[:, j0:]`` are read, so G's
-    strict upper triangle is never read.  A Gram built up by
-    :meth:`add_gram_of` owns its panels; one made :meth:`of` a square
-    array is views of its lower panels, with nothing copied.  Only a full
-    ``eigh`` needs the square (:meth:`square`); moving the panels there
-    makes them views of it, so G is held either as its panels or as one
-    square, never both.
+    G starts as :meth:`zeros` and is built up by :meth:`add_gram_of`, the
+    one way every Gram matrix here is formed, streamed or in memory; it
+    owns its panels.  Of each panel only the off-diagonal rectangle
+    ``P[:, :j0]`` and the lower triangle of the diagonal block ``P[:,
+    j0:]`` are read, so G's strict upper triangle is never read.  Only a
+    full ``eigh`` needs the square (:meth:`square`); moving the panels
+    there makes them views of it, so G is held either as its panels or
+    as one square, never both.
     """
 
-    def __init__(self, dim: int, panels: list[np.ndarray], square: np.ndarray | None = None):
+    def __init__(self, dim: int, panels: list[np.ndarray]):
         self.dim = dim
         self._panels = panels
-        self._square = square
+        self._square = None
 
     @classmethod
     def zeros(cls, dim: int) -> "LowerGram":
         """A zero d x d Gram on panels of its own."""
         return cls(dim, [np.zeros((j1 - j0, j1)) for j0, j1 in _panel_bounds(dim)])
-
-    @classmethod
-    def of(cls, square) -> "LowerGram":
-        """The lower panels of a nonempty square real array, as views of
-        it where it is float64 (:func:`~uws.tensor.as_real`)."""
-        square = as_real(square)
-        if square.ndim != 2 or min(square.shape) < 1:
-            raise InvalidArgumentError(f"expected a nonempty matrix, got shape {square.shape}")
-        if square.shape[0] != square.shape[1]:
-            raise InvalidArgumentError(f"a Gram matrix is square, got shape {square.shape}")
-        dim = square.shape[0]
-        return cls(dim, [square[j0:j1, :j1] for j0, j1 in _panel_bounds(dim)], square)
 
     def _pairs(self):
         return zip(_panel_bounds(self.dim), self._panels)
@@ -234,9 +222,9 @@ class LowerGram:
 
     def square(self) -> np.ndarray:
         """A d x d array whose lower triangle is G's, for LAPACK's ``eigh``
-        with ``UPLO='L'``; its strict upper triangle is not G's.  Panels
-        of their own are moved into it one at a time and become views of
-        it, so later updates land in it."""
+        with ``UPLO='L'``; its strict upper triangle is not G's.  The
+        panels are moved into it one at a time and become views of it, so
+        later updates land in it."""
         if self._square is None:
             square = np.zeros((self.dim, self.dim))
             for i, (j0, j1) in enumerate(_panel_bounds(self.dim)):
@@ -598,8 +586,8 @@ def gram_leading(gram, policies, min_ratio: float = 0.0):
     matrix whose Gram matrix ``m.T @ m`` is ``gram``, as deep as the rank
     ``policies`` read, and the energy of the rest.
 
-    ``gram`` is a :class:`LowerGram` or a d x d array, which is read
-    through views of its lower panels: the strict upper triangle of G is
+    ``gram`` is a :class:`LowerGram` the caller has checked is finite,
+    read through its lower panels: the strict upper triangle of G is
     never read, and only the full ``eigh`` below needs G in a square.
 
     Returns ``(s, v, tail)``: the n leading singular values, nonincreasing,
@@ -631,10 +619,6 @@ def gram_leading(gram, policies, min_ratio: float = 0.0):
     absolute error of about eps * s_1**2 / s_i, so only components well
     above sqrt(eps) * s_1 are accurate.
     """
-    if not isinstance(gram, LowerGram):
-        gram = LowerGram.of(gram)
-    if not gram.all_finite():
-        raise InvalidArgumentError("matrix contains non-finite entries")
     policies = list(policies)
     if not policies or any(p.reads_small_end for p in policies):
         raise InvalidArgumentError(

@@ -24,6 +24,15 @@ def as_real(x) -> np.ndarray:
     raise InvalidArgumentError(f"input is complex ({arr.dtype}), not a real tensor")
 
 
+def int_at_least(value, name: str, minimum: int) -> int:
+    """``value`` as an int, refused unless it is an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def as_tensor(x) -> np.ndarray:
     """``x`` as a float64 array (:func:`as_real`), checked to have order 2
     or 3 and every extent >= 1.  An input that already is such an array

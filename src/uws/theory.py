@@ -23,7 +23,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .spectral import operator_norm
-from .tensor import as_real
+from .tensor import as_real, int_at_least
 
 #: Trials per stacked solve in the Monte-Carlo studies, each holding two d x d
 #: matrices.  Batches of 4 to 50 ran theory-lab's d = 64 passes alike (about
@@ -49,14 +49,6 @@ def _positive_float(value, name):
     if not np.isfinite(value) or value <= 0:
         raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
     return value
-
-
-def _int_at_least(value, name, minimum):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 # ------------------------------------------------------------- configuration
@@ -90,11 +82,11 @@ class SyntheticEnsembleConfig:
     perturbation: str = "isotropic"
 
     def __post_init__(self):
-        self.d = _int_at_least(self.d, "d", 1)
-        self.k = _int_at_least(self.k, "k", 1)
+        self.d = int_at_least(self.d, "d", 1)
+        self.k = int_at_least(self.k, "k", 1)
         if self.k > self.d:
             raise InvalidArgumentError(f"k = {self.k} exceeds the ambient dimension {self.d}")
-        self.n_tasks = _int_at_least(self.n_tasks, "n_tasks", 1)
+        self.n_tasks = int_at_least(self.n_tasks, "n_tasks", 1)
         if self.b is not None:
             self.b = _positive_float(self.b, "b")
         if self.norm_mode not in NORM_MODES:
@@ -261,7 +253,7 @@ class BoundParameters:
         _positive_float(self.b, "b")
         if not (0.0 < self.delta < 1.0):
             raise InvalidArgumentError(f"delta must lie in (0, 1), got {self.delta!r}")
-        _int_at_least(self.n_tasks, "n_tasks", 1)
+        int_at_least(self.n_tasks, "n_tasks", 1)
         if self.eta_bar < 0 or self.eta2_bar < 0:
             raise InvalidArgumentError("eta_bar and eta2_bar must be >= 0")
         _positive_float(self.c1, "c1")
@@ -402,7 +394,7 @@ def davis_kahan_check(s_ref, s_pert, k: int, tol: float = DK_TOL) -> DkReport:
     d = len(ref)
     if len(pert) != d:
         raise InvalidArgumentError(f"operator dimensions differ: {d} vs {len(pert)}")
-    k = _int_at_least(k, "k", 1)
+    k = int_at_least(k, "k", 1)
     if k > d:
         raise InvalidArgumentError(f"k = {k} exceeds operator dimension {d}")
     lhs, rhs, gamma = (float(x[0]) for x in _dk_pairs(ref[None], pert[None], k))
@@ -447,9 +439,10 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
     the reference is G G^T / d, and the perturbed operator adds ``perturb``
     * S / ||S||, S = (N + N^T) / 2.  Pairs are solved in batches (see
     ``TRIAL_BATCH``), and each gets the figures and errors it gets alone."""
-    d = _int_at_least(d, "d", 1)
-    k = _int_at_least(k, "k", 1)
-    trials = _int_at_least(trials, "trials", 1)
+    d = int_at_least(d, "d", 1)
+    k = int_at_least(k, "k", 1)
+    trials = int_at_least(trials, "trials", 1)
+    seed = int_at_least(seed, "seed", 0)
     if k > d:
         raise InvalidArgumentError(f"k = {k} exceeds the ambient dimension {d}")
     perturb = _positive_float(perturb, "perturb")
@@ -659,8 +652,9 @@ def convergence_study(
     t_grid = list(t_grid)
     if not t_grid:
         raise InvalidArgumentError("t_grid must not be empty")
-    t_grid = [_int_at_least(t, "t_grid entry", 1) for t in t_grid]
-    n_trials = _int_at_least(n_trials, "n_trials", 1)
+    t_grid = [int_at_least(t, "t_grid entry", 1) for t in t_grid]
+    n_trials = int_at_least(n_trials, "n_trials", 1)
+    seed = int_at_least(seed, "seed", 0)
     eta = as_real(eta)
     if eta.ndim != 0:
         raise InvalidArgumentError("convergence studies take a scalar eta")

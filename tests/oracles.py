@@ -2,9 +2,11 @@
 
 Everything in here is deliberately written the slow, obvious way (index
 enumeration, dense eigensolves, hand arithmetic) so it shares no code
-path with the library implementation it checks.  The exception is the
+path with the library implementation it checks.  The exceptions are the
 theory lab's per-trial loops, which draw through the library's
-single-trial calls to check its batched studies bit for bit.
+single-trial calls to check its batched studies bit for bit, and
+:func:`lower_gram`, which builds the one Gram form the leading solve
+takes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from uws.errors import InvalidArgumentError
+from uws.spectral import LowerGram
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,6 +155,15 @@ def record_square_solves(monkeypatch) -> list:
 
         monkeypatch.setattr(np.linalg, name, recorded)
     return calls
+
+
+def lower_gram(c: np.ndarray, exponent: int = 0) -> LowerGram:
+    """The :class:`~uws.spectral.LowerGram` of ``c.T @ c`` times
+    ``2**exponent``, built as every Gram in the library is: ``zeros``,
+    then ``add_gram_of``."""
+    gram = LowerGram.zeros(c.shape[1])
+    gram.add_gram_of(c)
+    return gram.ldexp(exponent) if exponent else gram
 
 
 def full_storage_gram(x: np.ndarray, block_rows: int, width: int):

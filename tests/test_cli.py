@@ -5,6 +5,8 @@ stdout/stderr routing, file outputs, and byte-identical rerun behavior.
 """
 
 import copy
+import json
+import struct
 import warnings
 
 import numpy as np
@@ -20,7 +22,7 @@ from uws.ensemble import (
     save_weights,
 )
 from uws.ensemble.container import build_container, read_container, write_container
-from uws.errors import ManifestError
+from uws.errors import ManifestError, PayloadMismatchError
 from uws.spectral import RankPolicy
 
 from oracles import planted_ensemble
@@ -493,6 +495,27 @@ def test_reconstruct_refuses_a_layer_beyond_the_float32_range(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before  # no output, no temp file
 
 
+def test_a_manifest_whose_offsets_leave_a_gap_is_a_data_error(tmp_path, capsys):
+    space, _ = write_f32_serve_fixture(tmp_path, capsys)
+    model = tmp_path / "model_00.uws"
+    blob = model.read_bytes()
+    (length,) = struct.unpack("<Q", blob[4:12])
+    manifest = json.loads(blob[12 : 12 + length])
+    first = manifest["layers"][0]["nbytes"]
+    for rec in manifest["layers"][1:]:
+        rec["offset"] += 8  # eight unclaimed bytes after the first entry
+    head = json.dumps(manifest).encode()
+    payload = blob[12 + length :]
+    model.write_bytes(b"UWS1" + struct.pack("<Q", len(head)) + head
+                      + payload[:first] + bytes(8) + payload[first:])
+    with pytest.raises(PayloadMismatchError, match="must be contiguous"):
+        read_container(model)
+    code, out, err = run(["project", "--subspace", str(space), "--model", str(model),
+                          "--out", str(tmp_path / "c.uws")], capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert "must be contiguous" in err
+
+
 def test_project_and_merge_refuse_a_layer_the_subspace_does_not_name(tmp_path, capsys):
     space, _ = write_f32_serve_fixture(tmp_path, capsys)
     mix = tmp_path / "mix"
@@ -762,6 +785,38 @@ def test_adapt_rank_deficient_design_is_a_numerical_failure(tmp_path, capsys):
     assert "ridge" in err.lower()
 
 
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_adapt_empty_csv_is_a_one_line_data_error(tmp_path, capsys, flag):
+    space, xfile, yfile = make_adapt_problem(tmp_path, capsys)
+    empty = {"--x": xfile, "--y": yfile}[flag]
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warning of a file with no data included
+        code, out, err = run(
+            ["adapt", "--subspace", str(space), "--layer", "block0",
+             "--x", str(xfile), "--y", str(yfile),
+             "--out", str(tmp_path / "c.uws"), "--report", str(tmp_path / "f.csv")],
+            capsys,
+        )
+    assert (code, out) == (2, "")
+    assert err == f"data error: {flag} {empty} holds no data\n"
+
+
+def test_adapt_non_finite_data_is_a_data_error(tmp_path, capsys):
+    space, xfile, yfile = make_adapt_problem(tmp_path, capsys)
+    x = np.loadtxt(xfile, delimiter=",")
+    x[3, 1] = np.nan
+    np.savetxt(xfile, x, delimiter=",")
+    code, _, err = run(
+        ["adapt", "--subspace", str(space), "--layer", "block0",
+         "--x", str(xfile), "--y", str(yfile),
+         "--out", str(tmp_path / "c.uws"), "--report", str(tmp_path / "f.csv")],
+        capsys,
+    )
+    assert code == 2
+    assert err == "data error: adaptation data must be finite\n"
+
+
 def test_adapt_unreadable_csv_is_a_data_error(tmp_path, capsys):
     space, xfile, yfile = make_adapt_problem(tmp_path, capsys)
     xfile.write_text("not,numbers\nat,all\n")
@@ -888,6 +943,19 @@ def test_theory_converge_rejects_bad_grid(tmp_path, capsys):
         capsys,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4", "--trials", "2",
+     "--out", "{out}"],
+    ["theory", "dk-check", "--d", "4", "--k", "2", "--perturb", "0.1", "--trials", "2"],
+])
+def test_theory_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
+    argv = [a.replace("{out}", str(tmp_path / "r.csv")) for a in argv]
+    code, out, err = run(argv + ["--seed", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert "--seed" in err and "nonnegative" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_theory_dk_check_reports_zero_violations(capsys):

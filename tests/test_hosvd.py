@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from uws.hosvd import (
     reconstruct_slice,
     secondary_subspace,
 )
-from uws.spectral import RankPolicy, gram_leading
+from uws.spectral import GRAM_PANEL_COLS, RankPolicy, gram_leading
 from uws.tensor import frobenius_norm
 
 from oracles import (
@@ -25,6 +27,7 @@ from oracles import (
     best_rank_k_error,
     covariance_principal_directions,
     haar_columns,
+    lower_gram,
     record_square_solves,
     sign_canonical,
 )
@@ -452,6 +455,22 @@ def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(mo
     assert 800 < model.ranks[1] < 1000
 
 
+def test_in_memory_gram_route_holds_the_panels_not_a_square():
+    rng = np.random.default_rng(69)
+    d = 1024
+    x, _ = planted_stack(rng, n=d + 76, d=d, k=4, noise=1e-3)
+    xc = x - x.mean(axis=0)
+    tracemalloc.start()
+    try:
+        _, tail, _, _ = hosvd_module._order2_svd(xc, True, [RankPolicy.fixed_k(4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tail > 0  # the Gram route, not the exact one
+    panels = d * (d + GRAM_PANEL_COLS) // 2 * 8  # and one panel product beside them
+    assert peak <= 1.1 * (panels + GRAM_PANEL_COLS * d * 8) < d * d * 8
+
+
 def test_rank_deficient_square_stack_stores_exact_zero_tails():
     rng = np.random.default_rng(67)
     x, _ = planted_stack(rng, n=120, d=120, k=3, noise=0.1)  # centred rank 119
@@ -469,7 +488,7 @@ def test_rank_deficient_square_stack_stores_exact_zero_tails():
         assert abs(spec.tail - np.sum(exact[n:] ** 2)) <= 1e-12 * np.sum(exact**2)
     # read to the whole spectrum, the rounding-level component is an exact
     # 0 and so is the energy past it
-    s, _, tail = gram_leading(xc.T @ xc, [RankPolicy.fixed_k(120)])
+    s, _, tail = gram_leading(lower_gram(xc), [RankPolicy.fixed_k(120)])
     assert s[-1] == 0.0 and s[-2] > 0 and tail == 0.0
     assert np.max(np.abs(s - exact)) <= 1e-12 * s[0]
 

@@ -10,7 +10,6 @@ from uws.errors import (
 )
 from uws.spectral import (
     GRAM_PANEL_COLS,
-    LowerGram,
     RankPolicy,
     ThinSvd,
     column_signs,
@@ -22,7 +21,7 @@ from uws.spectral import (
     thin_svd,
 )
 
-from oracles import record_square_solves, sign_canonical
+from oracles import lower_gram, record_square_solves, sign_canonical
 
 # ------------------------------------------------------------------ thin_svd
 
@@ -89,19 +88,15 @@ def test_gram_spectrum_matches_thin_svd_on_tall_input():
     q = np.linalg.qr(rng.standard_normal((80, 6)))[0]
     w = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     m = q @ np.diag([9.0, 5.0, 3.0, 1.0, 0.5, 0.1]) @ w.T
-    s, v, tail = gram_leading(m.T @ m, [RankPolicy.fixed_k(6)])
+    s, v, tail = gram_leading(lower_gram(m), [RankPolicy.fixed_k(6)])
     f = thin_svd(m)
     assert np.max(np.abs(s - f.singular_values)) < 1e-12 * s[0]
     assert np.all(np.diff(s) <= 0) and tail == 0.0
     assert orthonormality_defect(v) < 1e-12
     assert np.max(np.abs(v - f.v * column_signs(f.v))) < 1e-10
-    with pytest.raises(InvalidArgumentError):
-        gram_leading(np.array([[1.0, np.nan], [np.nan, 1.0]]), [RankPolicy.fixed_k(1)])
-    with pytest.raises(InvalidArgumentError):
-        gram_leading(np.ones((2, 3)), [RankPolicy.fixed_k(1)])
     for policy in (RankPolicy.cumulative_variance(1.0), RankPolicy.hard_threshold()):
         with pytest.raises(InvalidArgumentError, match="leading end"):
-            gram_leading(m.T @ m, [policy])
+            gram_leading(lower_gram(m), [policy])
 
 
 def planted_singular_stack(rng, rows, singular_values):
@@ -130,9 +125,10 @@ def test_gram_vectors_match_a_full_eigh_without_one(monkeypatch, top, n):
     rng = np.random.default_rng(23)
     d = 384
     m = planted_singular_stack(rng, 900, np.r_[top, np.geomspace(1.0, 0.1, d - 6)])
-    gram = m.T @ m
+    lower = lower_gram(m)
+    gram = lower.symmetric()
     solves = record_square_solves(monkeypatch)
-    s, v, tail = gram_leading(gram, [RankPolicy.fixed_k(n)])
+    s, v, tail = gram_leading(lower, [RankPolicy.fixed_k(n)])
     # Rayleigh-Ritz solves only: no d x d solve
     assert solves and all(name == "eigh" and order < d for name, order in solves)
     monkeypatch.undo()
@@ -150,8 +146,8 @@ def test_flat_spectrum_takes_one_full_eigh(monkeypatch):
     rng = np.random.default_rng(24)
     d = 384  # where a planted gap takes the block iteration (test above)
     m = planted_singular_stack(rng, 900, 1.0 + 1e-3 * rng.random(d))
-    gram = m.T @ m
-    full = np.linalg.eigh(gram)[1][:, ::-1]
+    gram = lower_gram(m)
+    full = np.linalg.eigh(gram.symmetric())[1][:, ::-1]
     # the Cauchy-Schwarz depth bound sends a tau policy straight to eigh;
     # a fixed rank gets there once the block iteration cannot certify it
     for policy, n in ((RankPolicy.cumulative_variance(0.95), None), (RankPolicy.fixed_k(4), 4)):
@@ -165,6 +161,20 @@ def test_flat_spectrum_takes_one_full_eigh(monkeypatch):
         assert np.array_equal(v, want * column_signs(want))
 
 
+def assert_upper_triangle_is_never_read(c, exponent, policies, rng):
+    """``gram_leading`` returns the same bits for the Gram of ``c`` times
+    ``2**exponent`` once the strict upper triangle of its square, and so
+    of each panel's diagonal block, holds noise."""
+    d = c.shape[1]
+    for policy in policies:
+        want = gram_leading(lower_gram(c, exponent), [policy])
+        other = lower_gram(c, exponent)
+        other.square()[np.triu_indices(d, 1)] = np.ldexp(
+            rng.standard_normal(d * (d - 1) // 2), exponent)  # the panels are views of it
+        got = gram_leading(other, [policy])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("spectrum", ["planted_gap", "flat"])  # block iteration, full eigh
 @pytest.mark.parametrize("exponent", [0, 532])
 def test_gram_leading_never_reads_the_strict_upper_triangle(spectrum, exponent):
@@ -173,55 +183,56 @@ def test_gram_leading_never_reads_the_strict_upper_triangle(spectrum, exponent):
     values = (np.r_[[100.0, 80, 60, 50, 45, 40], np.geomspace(1.0, 0.1, d - 6)]
               if spectrum == "planted_gap" else 1.0 + 1e-3 * rng.random(d))
     m = planted_singular_stack(rng, 900, values)
-    gram = np.ldexp(m.T @ m, exponent)
-    other = gram + np.triu(np.ldexp(rng.standard_normal((d, d)), exponent), 1)
-    for policy in (RankPolicy.cumulative_variance(0.95), RankPolicy.fixed_k(4)):
-        want = gram_leading(gram, [policy])
-        got = gram_leading(other, [policy])
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert_upper_triangle_is_never_read(
+        m, exponent, (RankPolicy.cumulative_variance(0.95), RankPolicy.fixed_k(4)), rng)
 
 
 @pytest.mark.parametrize("d", [1, GRAM_PANEL_COLS - 1, GRAM_PANEL_COLS + 1, 300])
 def test_lower_gram_works_from_the_lower_triangle_alone(d):
     rng = np.random.default_rng(28)
     c = rng.standard_normal((d + 5, d))
-    g = c.T @ c
-    g = np.tril(g) + np.tril(g, -1).T  # exactly symmetric
-    upper = np.triu(rng.standard_normal((d, d)), 1)
-    lower = LowerGram.of(g + upper)
+    lower = lower_gram(c)
+    g = lower.symmetric()
+    assert np.array_equal(g, g.T)
+    assert np.max(np.abs(g - c.T @ c)) <= 1e-12 * np.max(np.abs(g))
+    # noise in the square's strict upper triangle, and so in each panel's
+    # diagonal block, which is not G's, changes nothing read from it
+    square = lower.square()
+    square[np.triu_indices(d, 1)] = rng.standard_normal(d * (d - 1) // 2)
+    assert lower.square() is square
+    assert np.array_equal(lower.symmetric(), g)
     q = rng.standard_normal((d, 3))
     assert np.max(np.abs(lower @ q - g @ q)) <= 1e-12 * np.max(np.abs(g @ q))
     assert np.array_equal(lower.diagonal(), np.diagonal(g))
     assert lower.trace() == float(np.sum(np.diagonal(g)))
     assert abs(lower.frobenius_sq() - np.vdot(g, g)) <= 1e-12 * np.vdot(g, g)
-    assert np.array_equal(lower.symmetric(), g)
     v = rng.standard_normal(d)
     assert np.array_equal(np.tril(lower.plus_outer(v, 3.0).symmetric()),
                           np.tril(g + 3.0 * np.multiply.outer(v, v)))
     assert np.array_equal(lower.ldexp(-3).symmetric(), np.ldexp(g, -3))
+    square[0, d - 1] = np.inf if d > 1 else square[0, 0]
     assert lower.all_finite()
-    above, below = g + upper, g.copy()
-    above[0, d - 1] = np.inf if d > 1 else above[0, 0]
-    below[d - 1, 0] = np.nan
-    assert LowerGram.of(above).all_finite() and not LowerGram.of(below).all_finite()
-    # panels of their own, moved into a square, take later updates there
-    built = LowerGram.zeros(d)
-    built.add_gram_of(c)
-    assert np.max(np.abs(built.symmetric() - g)) <= 1e-12 * np.max(np.abs(g))
+    square[d - 1, 0] = np.nan
+    assert not lower.all_finite()
+    # panels moved into a square take later updates there
+    built = lower_gram(c)
     square = built.square()
-    assert built.square() is square
     built.add_gram_of(c)
     assert np.array_equal(np.tril(square), np.tril(built.symmetric()))
+    assert np.max(np.abs(built.symmetric() - 2 * g)) <= 1e-12 * np.max(np.abs(g))
+    assert_upper_triangle_is_never_read(c, 0, [RankPolicy.fixed_k(min(d, 4))], rng)
+    assert_upper_triangle_is_never_read(c, 532, [RankPolicy.cumulative_variance(0.95)], rng)
 
 
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     rng = np.random.default_rng(25)
     m = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 40))  # rank 5
-    s, _, tail = gram_leading(m.T @ m, [RankPolicy.fixed_k(40)])
+    gram = lower_gram(m)
+    s, _, tail = gram_leading(gram, [RankPolicy.fixed_k(40)])
     assert np.all(s[:5] > 0) and np.all(s[5:] == 0.0) and tail == 0.0
     assert np.max(np.abs(s - thin_svd(m).singular_values)) <= 1e-12 * s[0]
     # read to its rank, the spectrum leaves an exact 0 past it
-    s, _, tail = gram_leading(m.T @ m, [RankPolicy.fixed_k(5)])
+    s, _, tail = gram_leading(gram, [RankPolicy.fixed_k(5)])
     assert s.size == 5 and tail == 0.0
 
 
@@ -248,11 +259,12 @@ def test_leading_spectrum_matches_a_full_eigh(family):
     d = 384
     lam = np.sort(_leading_families(d)[family])[::-1]
     vec = np.linalg.qr(np.random.default_rng(26).standard_normal((d, d)))[0]
-    gram = (vec * lam) @ vec.T
+    c = (vec * np.sqrt(lam)).T  # c.T @ c = vec diag(lam) vec.T
     # largest entry in [1/4, 1): the solve's power-of-two scaling leaves it
     # as it is, so where a cut splits a cluster, the eigh it falls back to
     # is the reference's own
-    gram = np.ldexp((gram + gram.T) / 2, -2 * ((int(np.frexp(np.max(np.diag(gram)))[1]) + 1) // 2))
+    shift = -2 * ((int(np.frexp(np.max(lower_gram(c).diagonal()))[1]) + 1) // 2)
+    gram = lower_gram(c, shift).symmetric()
     w, full = np.linalg.eigh(gram)
     w, full = w[::-1], full[:, ::-1]
     w = np.where(w < d * np.finfo(float).eps * w[0], 0.0, w)
@@ -261,7 +273,7 @@ def test_leading_spectrum_matches_a_full_eigh(family):
                    RankPolicy.eigen_floor(0.01), RankPolicy.fixed_k(4)):
         rank = select_rank(explained_variance(np.sqrt(w)), policy)
         for exponent in (0, 532, -532):
-            s, v, tail = gram_leading(np.ldexp(gram, exponent), [policy])
+            s, v, tail = gram_leading(lower_gram(c, shift + exponent), [policy])
             s, tail = np.ldexp(s, -exponent // 2), np.ldexp(tail, -exponent)
             n = s.size
             assert select_rank(explained_variance(s, tail), policy) == rank == n

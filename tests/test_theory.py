@@ -542,6 +542,8 @@ def test_convergence_grid_validation():
         convergence_study(d=6, k=2, t_grid=[10], n_trials=0)
     with pytest.raises(InvalidArgumentError):
         convergence_study(d=6, k=2, t_grid=[0], n_trials=3)
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        convergence_study(d=6, k=2, t_grid=[10], n_trials=3, seed=-1)
 
 
 # ------------------------------------------------------- batched trials
@@ -610,6 +612,7 @@ def test_batches_hold_at_most_a_mebibyte_of_stacks():
 
 
 def test_davis_kahan_study_validates_its_arguments():
-    for args in ((4, 5, 0.1, 3), (4, 2, 0.0, 3), (4, 2, 0.1, 0), (0, 1, 0.1, 3)):
+    for args in ((4, 5, 0.1, 3), (4, 2, 0.0, 3), (4, 2, 0.1, 0), (0, 1, 0.1, 3),
+                 (4, 2, 0.1, 3, -1)):
         with pytest.raises(InvalidArgumentError):
             davis_kahan_study(*args)
