@@ -11,8 +11,8 @@ non-stacking factors (``U/``), their leading spectra
 Coefficient files use ``coef/`` (per layer, r x k for order-2 stacking
 and k_2 x k_3 for order 3) and ``raw/``.  Either file's meta keeps only
 what its entries cannot say; the loaders derive the rest (included
-layers, ranks, order, ratios, ids) and read older versions' extra
-entries and keys past.
+layers, ranks, order, ratios, ids) and refuse any entry or meta key that
+the writers do not write.
 """
 
 from contextlib import contextmanager
@@ -29,11 +29,11 @@ from ..errors import (
     RankDeficiencyError,
 )
 from ..hosvd import (
-    CENTERINGS,
     GramStream,
     ModeSpectrum,
     SliceCoefficients,
     SubspaceModel,
+    check_centering,
     gram_eligible,
     hosvd_truncated,
     project_slice,
@@ -43,15 +43,6 @@ from ..spectral import DEFAULT_POLICY, RankPolicy, explained_variance, orthonorm
 from ..tensor import as_real, int_at_least
 from .container import read_container, write_container
 
-#: Version written into a subspace file's meta.  Version 1 (no
-#: ``format_version`` key) also stored the stacking-mode factor, its
-#: ledger and the core; versions 1 and 2 also stored the ratio rows and
-#: per-layer ``first_component`` and ``dtype`` meta; versions 1 to 3 also
-#: restated in their meta what the entries say (``order``, ``retained``,
-#: ``mu_kind``, the included and excluded layers, ``architecture_id``)
-#: and the unread ``layer_dtypes``; versions 1 to 4 stored every layer's
-#: whole spectrum and no ``ledger/.../tail/`` entry, and read with a tail
-#: of 0.
 SUBSPACE_FORMAT_VERSION = 5
 
 #: The largest ``max |V^T V - I|`` a loaded factor may have.  Extraction's
@@ -216,10 +207,7 @@ class ExtractionConfig:
             raise InvalidArgumentError("policy must be a RankPolicy")
         if self.order not in (2, 3):
             raise InvalidArgumentError(f"order must be 2 or 3, got {self.order}")
-        if self.centering not in CENTERINGS:
-            raise InvalidArgumentError(
-                f"centering must be one of {CENTERINGS}, got {self.centering!r}"
-            )
+        check_centering(self.centering)
         if self.exclude_layers is not None:
             names = tuple(self.exclude_layers)
             if not all(isinstance(n, str) for n in names):
@@ -846,7 +834,13 @@ def _require(condition, message):
 
 def _take(entries, name):
     _require(name in entries, f"container is missing required entry {name!r}")
-    return entries[name]
+    return entries.pop(name)
+
+
+def _only(names, known, where):
+    """Raise ManifestError naming every one of ``names`` outside ``known``."""
+    extra = sorted(set(names) - set(known))
+    _require(not extra, f"{where} holds {', '.join(map(repr, extra))}, which uws does not write")
 
 
 def _names(meta, key) -> list:
@@ -872,17 +866,13 @@ def _decoding_meta(kind):
 def _spectrum(entries, name, n, retained, count) -> ModeSpectrum:
     """Mode ``n``'s ledger from its stored singular values, which must
     form a spectrum of at least ``retained`` values (the factor's width)
-    and at most ``count`` (the unfolding's), and its 1 x 1 tail energy,
-    which only a whole spectrum may go without (as versions 1 to 4 store
-    it) and is then 0; the ratios are derived as extraction derives them."""
+    and at most ``count`` (the unfolding's), and its 1 x 1 tail energy (0
+    after a whole spectrum); the ratios are derived as extraction does."""
     key, tail_key = f"ledger/{name}/sv/{n}", f"ledger/{name}/tail/{n}"
     sv = _take(entries, key).ravel()
     _require(sv.size <= count,
              f"entry {key!r} holds {sv.size} singular values, more than its unfolding's {count}")
-    _require(tail_key in entries or sv.size == count,
-             f"entry {key!r} holds {sv.size} of the {count} singular values, and {tail_key!r} "
-             "is missing")
-    tail = entries.get(tail_key, np.zeros((1, 1)))
+    tail = _take(entries, tail_key)
     _require(tail.shape == (1, 1), f"entry {tail_key!r} must be 1 x 1, got {tail.shape}")
     _require(sv.size < count or tail[0, 0] == 0,
              f"entry {tail_key!r} must be 0 after the whole spectrum in {key!r}")
@@ -904,9 +894,7 @@ def _spectrum(entries, name, n, retained, count) -> ModeSpectrum:
 
 
 def load_subspace(path) -> UniversalSubspace:
-    """Read a subspace container of format version 1 to 5 through one
-    path; what older versions also stored (``core/``, stacking-mode and
-    ratio entries, and meta that restates the entries) is read past.
+    """Read a subspace container of format version 5, the only one.
 
     The included layers are the ``layer_order`` names with a ``mu/L``
     entry, and ``layers`` must describe exactly those; the rest are
@@ -920,19 +908,21 @@ def load_subspace(path) -> UniversalSubspace:
     ``ORTHONORMALITY_TOLERANCE``), and each stored spectrum must be one
     (nonnegative, nonincreasing, not all zero, at least as long as its
     factor is wide and at most as long as its unfolding allows, with a
-    finite nonnegative 1 x 1 tail that is 0 past a zero value, and only
-    a whole spectrum may lack its tail entry); otherwise, and for a meta
-    field that is missing or malformed, ManifestError.  The layer models have no stacking-mode
+    finite nonnegative 1 x 1 tail that is 0 past a zero value and after
+    the whole spectrum); otherwise, and for a meta field that is missing
+    or malformed, or any entry or meta key that :func:`save_subspace`
+    does not write, ManifestError.  The layer models have no stacking-mode
     factor or core; an order-2 stack's two modes share one spectrum and
     rank, so its stacking-mode ledger is the feature mode's.
     """
     doc = read_container(path)
     meta = doc.meta or {}
-    if meta.get("kind") != "subspace":
-        raise ManifestError("not a subspace container (meta kind != 'subspace')", 12)
-    version = meta.get("format_version", 1)
-    if type(version) is not int or not 1 <= version <= SUBSPACE_FORMAT_VERSION:
-        raise ManifestError(f"unsupported subspace format_version {version!r}", 12)
+    _require(meta.get("kind") == "subspace", "not a subspace container (meta kind != 'subspace')")
+    version = meta.get("format_version")
+    _require(type(version) is int and version == SUBSPACE_FORMAT_VERSION,
+             f"subspace format_version {version!r} is not 5: extract the subspace again")
+    _only(meta, ("kind", "format_version", "provenance", "centering", "policy", "layer_order",
+                 "layers"), "subspace meta")
     with _decoding_meta("subspace"):
         provenance, layer_order = _names(meta, "provenance"), _names(meta, "layer_order")
         _require(len(set(layer_order)) == len(layer_order), "layer_order names a layer twice")
@@ -960,6 +950,7 @@ def load_subspace(path) -> UniversalSubspace:
                 f"layer {name!r}: stack_shape {list(shape)} is not an order-{config.order} "
                 f"stack of the {t} models' {extent}-row slabs",
             )
+            _only(layers[name], ("stack_shape", "slab_extent"), f"layer {name!r} meta")
             factors = [None] + [_take(entries, f"U/{name}/{n}") for n in modes]
             _require(all(factors[n - 1].shape[0] == shape[n - 1] for n in modes),
                      f"layer {name!r}: a factor's rows differ from its mode's extent {list(shape)}")
@@ -981,6 +972,7 @@ def load_subspace(path) -> UniversalSubspace:
             layer_models[name] = SubspaceModel(
                 mu=mu, factors=factors, core=None, variance_ledger=ledger,
                 centering=config.centering, shape=shape, slab_extent=extent)
+        _only(entries, (), "subspace container")  # _take removed every entry it read
         return UniversalSubspace(layer_models, config, provenance, layer_order)
 
 
@@ -1002,13 +994,16 @@ def load_coefficients(path) -> CoefficientSet:
     """Read a coefficient container built from its entries: ``coef/L``
     holds layer L's coefficients, at the precision ``dtypes`` declares
     (f64 where it declares none), and ``raw/L`` its passthrough matrix, at
-    the entry's; the model id is the container's.  Older files' meta that
-    restates the entries (``model_id``, ``coef_shapes``, ``passthrough``)
-    is read past.  A malformed meta field raises ManifestError."""
+    the entry's; the model id is the container's.  A malformed meta
+    field, and any entry or meta key that :func:`save_coefficients` does
+    not write, raises ManifestError."""
     doc = read_container(path)
     meta = doc.meta or {}
-    if meta.get("kind") != "coefficients":
-        raise ManifestError("not a coefficient container (meta kind != 'coefficients')", 12)
+    _require(meta.get("kind") == "coefficients",
+             "not a coefficient container (meta kind != 'coefficients')")
+    _only(meta, ("kind", "dtypes"), "coefficient meta")
+    _only([r.name for r in doc.layers if not r.name.startswith(("coef/", "raw/"))], (),
+          "coefficient container")
     with _decoding_meta("coefficient"):
         declared = meta.get("dtypes", {})
         coefficients, passthrough, dtypes = {}, {}, {}
@@ -1019,7 +1014,8 @@ def load_coefficients(path) -> CoefficientSet:
                 dtypes[name] = declared.get(name, "f64")
                 _require(dtypes[name] in ("f32", "f64"),
                          f"dtypes declares {dtypes[name]!r} for layer {name!r}, not f32 or f64")
-            elif prefix == "raw":
+            else:
                 passthrough[name] = np.asarray(rec.array, np.float64)
                 dtypes[name] = rec.dtype
+        _only(declared, coefficients, "coefficient meta dtypes")
         return CoefficientSet(doc.model_id, coefficients, passthrough, dtypes)

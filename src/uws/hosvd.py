@@ -157,6 +157,11 @@ class SliceCoefficients:
     coeffs: np.ndarray
 
 
+def check_centering(centering) -> None:
+    if centering not in CENTERINGS:
+        raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
+
+
 def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     """Split ``x`` into a mean and a zero-centered remainder.
 
@@ -165,8 +170,7 @@ def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     ``x.shape[1:]``: one stacked row for order 2, one member for order
     3.  Either way ``centered + mu`` restores ``x``.
     """
-    if centering not in CENTERINGS:
-        raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
+    check_centering(centering)
     arr = as_tensor(x)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("tensor contains non-finite entries")
@@ -465,8 +469,7 @@ class GramStream:
         or one with no variance left after centering raises
         DegenerateSpectrumError.
         """
-        if centering not in CENTERINGS:
-            raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
+        check_centering(centering)
         per_mode = _policy_list(policies, 2)
         self.flush()
         shape = (self.rows, self.cols)

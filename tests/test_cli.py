@@ -6,6 +6,7 @@ stdout/stderr routing, file outputs, and byte-identical rerun behavior.
 
 import copy
 import json
+import re
 import struct
 import warnings
 
@@ -246,7 +247,7 @@ def test_scree_matches_extract_report(tmp_path, capsys):
     assert data_rows == scree_rows
 
 
-def test_scree_of_version5_and_version4_files_matches_their_reports(tmp_path, capsys):
+def test_scree_of_version5_files_matches_their_reports(tmp_path, capsys):
     pattern, _ = write_fixture_models(tmp_path, noise=1e-3)
 
     def rows(path):
@@ -263,16 +264,10 @@ def test_scree_of_version5_and_version4_files_matches_their_reports(tmp_path, ca
             assert [ln.split(",")[1] for ln in tails] == ["block0", "block1", "aggregate"]
             assert all(abs(float(ln.split(",")[-1]) - 1.0) < 1e-12 for ln in tails)
         else:
-            # the exact route stores the whole spectrum and no tail; block1
-            # has 20 components to block0's 24, so the aggregate's tail
-            # holds block0's last 4
+            # the exact route stores the whole spectrum and a tail of 0;
+            # block1 has 20 components to block0's 24, so the aggregate's
+            # tail holds block0's last 4
             assert [ln.split(",")[1] for ln in tails] == ["aggregate"]
-            doc = read_container(out)
-            old = tmp_path / "v4.uws"  # the same file as version 4 writes it
-            old.write_bytes(build_container(
-                doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers
-                               if "/tail/" not in r.name], dict(doc.meta, format_version=4)))
-            out = old
         scree = tmp_path / f"scree{tau}.csv"
         code, _, _ = run(["scree", "--subspace", str(out), "--out", str(scree)], capsys)
         assert code == 0 and rows(scree) == rows(report)
@@ -577,23 +572,29 @@ def test_project_refuses_a_subspace_whose_basis_is_not_orthonormal(tmp_path, cap
 
 def _single_field_edits(meta, path=()):
     """Every copy of ``meta`` with one key, at any depth, deleted or set
-    to "x", [1] or -1, with the key's path and the edit."""
+    to "x", [1] or -1, or with a key "unknown" added to one of its
+    objects, with the key's path and the edit."""
+
+    def edited(key, edit):
+        out = copy.deepcopy(meta)
+        target = out
+        for k in path:
+            target = target[k]
+        if edit == "delete":
+            del target[key]
+        else:
+            target[key] = edit
+        return out
+
     node = meta
     for k in path:
         node = node[k]
     for key, value in node.items():
         for edit in ("delete", "x", [1], -1):
-            edited = copy.deepcopy(meta)
-            target = edited
-            for k in path:
-                target = target[k]
-            if edit == "delete":
-                del target[key]
-            else:
-                target[key] = edit
-            yield "/".join(path + (key,)), edit, edited
+            yield "/".join(path + (key,)), edit, edited(key, edit)
         if isinstance(value, dict):
             yield from _single_field_edits(meta, path + (key,))
+    yield "/".join(path + ("unknown",)), "add", edited("unknown", 1)
 
 
 @pytest.mark.parametrize("kind", ["subspace", "coefficients"])
@@ -620,16 +621,13 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
         codes.append(run(argv, capsys)[0])
         if codes[-1] == 0:
             passed.append((field, edit))
-    # format version 4 meta: 18 keys (31 in version 3, which also restated
-    # the entries and had layer_dtypes); coefficient meta: 4 keys (11 before,
-    # with model_id, coef_shapes and passthrough)
-    assert len(codes) == {"subspace": 72, "coefficients": 16}[kind]
+    # subspace meta: 18 keys in 5 objects; coefficient meta: 4 keys in 2
+    assert len(codes) == {"subspace": 77, "coefficients": 18}[kind]
     assert set(codes) <= {0, 2, 3}
     if kind == "subspace":
-        # a file without format_version reads as version 1, through the
-        # same path; a policy field missing from the meta is None, which
-        # the fixture's cumulative_variance policy holds in those three
-        assert passed == [("format_version", "delete")] + [
+        # a policy field missing from the meta is None, which the fixture's
+        # cumulative_variance policy holds in those three
+        assert passed == [
             (f"policy/{field}", "delete") for field in ("epsilon", "k", "noise_sigma")
         ]
     else:
@@ -638,6 +636,120 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
         assert passed == [
             (field, "delete") for field in ("dtypes", "dtypes/block0", "dtypes/block1")
         ]
+
+
+# ------------------------------------------------- what uws does not write
+
+
+def write_reader_fixture(tmp_path, capsys):
+    """Extract ``s.uws`` and project one model into ``c.uws``; return both
+    paths and, by subcommand, the argv of every reader of a subspace file,
+    reading it from ``edited.uws``."""
+    pattern, paths = write_fixture_models(tmp_path, noise=1e-3)
+    space, coeffs = tmp_path / "s.uws", tmp_path / "c.uws"
+    run(["extract", "--models", pattern, "--out", str(space),
+         "--report", str(tmp_path / "r.csv")], capsys)
+    run(["project", "--subspace", str(space), "--model", str(paths[0]),
+         "--out", str(coeffs)], capsys)
+    x = np.random.default_rng(3).normal(size=(30, 24))
+    np.savetxt(tmp_path / "x.csv", x, delimiter=",")
+    np.savetxt(tmp_path / "y.csv", x[:, :6], delimiter=",")
+    edited, out = str(tmp_path / "edited.uws"), str(tmp_path / "out.uws")
+    readers = {
+        "scree": ["scree", "--subspace", edited, "--out", str(tmp_path / "t.csv")],
+        "project": ["project", "--subspace", edited, "--model", str(paths[0]), "--out", out],
+        "reconstruct": ["reconstruct", "--subspace", edited, "--coeffs", str(coeffs),
+                        "--out", out],
+        "merge": ["merge", "--subspace", edited, "--models", pattern, "--out", out],
+        "adapt": ["adapt", "--subspace", edited, "--layer", "block0",
+                  "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out", out, "--report", str(tmp_path / "fit.csv")],
+    }
+    return space, coeffs, readers
+
+
+def write_edited(source, edited, edit):
+    """Copy container ``source`` to ``edited`` with ``edit(entries, meta)``
+    applied to its entries (name -> (array, dtype)) and its meta."""
+    doc = read_container(source)
+    entries = {rec.name: (rec.array, rec.dtype) for rec in doc.layers}
+    meta = copy.deepcopy(doc.meta)
+    edit(entries, meta)
+    write_container(edited, doc.model_id, [(n, a, d) for n, (a, d) in entries.items()], meta=meta)
+
+
+def _copy_entry(name, source):
+    return lambda entries, meta: entries.update({name: entries[source]})
+
+
+_OLD_VERSION = "format_version {!r} is not 5: extract the subspace again"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        *[(lambda e, m, v=v: m.update(format_version=v), _OLD_VERSION.format(v))
+          for v in (1, 2, 3, 4, "5", 5.0)],
+        (lambda e, m: m.pop("format_version"), _OLD_VERSION.format(None)),
+        (lambda e, m: e.pop("ledger/block0/tail/2"),
+         "missing required entry 'ledger/block0/tail/2'"),
+        (_copy_entry("core/block0", "mu/block0"), "'core/block0'"),
+        (_copy_entry("U/block0/1", "U/block0/2"), "'U/block0/1'"),
+        (_copy_entry("ledger/block0/ratio/2", "ledger/block0/sv/2"), "'ledger/block0/ratio/2'"),
+        (_copy_entry("x/block0", "mu/block0"), "'x/block0'"),
+        (lambda e, m: m.update(order=2), "subspace meta holds 'order'"),
+        (lambda e, m: m["layers"]["block0"].update(retained=[3]),
+         "layer 'block0' meta holds 'retained'"),
+    ],
+    ids=["version-1", "version-2", "version-3", "version-4", "version-str", "version-float",
+         "version-missing", "tail-missing", "core", "stacking-factor", "ratio-row",
+         "unknown-entry", "meta-key", "layer-meta-key"],
+)
+def test_a_subspace_file_outside_version_5_exits_2_from_every_reader(
+    tmp_path, capsys, edit, message
+):
+    space, _, readers = write_reader_fixture(tmp_path, capsys)
+    write_edited(space, tmp_path / "edited.uws", lambda entries, meta: None)
+    for name, argv in readers.items():
+        assert run(argv, capsys)[0] == 0, name  # the unedited file reads
+    write_edited(space, tmp_path / "edited.uws", edit)
+    for name, argv in readers.items():
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.count("\n") == 1 and message in err, (name, err)
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_subspace(tmp_path / "edited.uws")
+
+
+def _parent_layout(entries, meta):
+    """The meta coefficient files had before it kept only ``dtypes``."""
+    meta.update(model_id="m0", passthrough=["embed", "head"],
+                coef_shapes={n[5:]: list(a.shape) for n, (a, _) in entries.items()
+                             if n.startswith("coef/")})
+    meta["dtypes"].update(embed="f64", head="f64")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_copy_entry("x/block0", "coef/block0"), "coefficient container holds 'x/block0'"),
+        (_copy_entry("coef", "coef/block0"), "coefficient container holds 'coef'"),
+        (_parent_layout, "coefficient meta holds 'coef_shapes', 'model_id', 'passthrough'"),
+        (lambda e, m: m["dtypes"].update(head="f64"), "coefficient meta dtypes holds 'head'"),
+    ],
+    ids=["unknown-entry", "bare-prefix", "parent-layout", "dtypes-of-a-raw-layer"],
+)
+def test_a_coefficient_file_with_what_uws_does_not_write_exits_2(tmp_path, capsys, edit, message):
+    space, coeffs, _ = write_reader_fixture(tmp_path, capsys)
+    edited = tmp_path / "edited.uws"
+    argv = ["reconstruct", "--subspace", str(space), "--coeffs", str(edited),
+            "--out", str(tmp_path / "out.uws")]
+    write_edited(coeffs, edited, lambda entries, meta: None)
+    assert run(argv, capsys)[0] == 0
+    write_edited(coeffs, edited, edit)
+    code, _, err = run(argv, capsys)
+    assert code == 2 and err.count("\n") == 1 and message in err, err
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_coefficients(edited)
 
 
 # --------------------------------------------------------------------- merge

@@ -694,11 +694,17 @@ def test_coefficient_parameter_count():
 # -------------------------------------------------------------- subspace files
 
 
-def test_subspace_file_roundtrip(tmp_path):
+@pytest.mark.parametrize("tau", [0.99, 1.0], ids=["tau-0.99", "tau-1"])
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_subspace_file_roundtrip(tmp_path, order, centering, tau):
     rng = np.random.default_rng(103)
     models, _, _ = make_planted(rng, n_models=12, k=4, noise=1e-3)
-    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.cumulative_variance(0.99)))
-    p = tmp_path / "space.uws"
+    config = ExtractionConfig(
+        policy=RankPolicy.cumulative_variance(tau), order=order, centering=centering
+    )
+    u = extract_universal(models, config)
+    p, again = tmp_path / "space.uws", tmp_path / "again.uws"
     save_subspace(u, p)
     v = load_subspace(p)
     assert v.architecture_id == u.architecture_id
@@ -706,23 +712,28 @@ def test_subspace_file_roundtrip(tmp_path):
     assert v.excluded_layers == u.excluded_layers
     assert v.provenance == u.provenance
     assert v.config.policy == u.config.policy
-    assert v.config.order == u.config.order
-    assert v.config.centering == u.config.centering
-    # the persisted fields round-trip: mean, feature factor, ledger, shapes;
-    # neither side keeps a stacking-mode factor or core
+    assert v.config.order == u.config.order == order
+    assert v.config.centering == u.config.centering == centering
+    # the persisted fields round-trip: mean, feature factor(s), ledger,
+    # shapes; neither side keeps a stacking-mode factor or core
     for layer in u.included_layers:
         a, b = u.layer_models[layer], v.layer_models[layer]
         assert np.array_equal(np.asarray(a.mu), np.asarray(b.mu))
         assert a.factors[0] is None and b.factors[0] is None
         assert a.core is None and b.core is None
-        assert np.array_equal(a.factors[1], b.factors[1])
+        for mode in range(1, order):
+            assert np.array_equal(a.factors[mode], b.factors[mode])
         assert a.shape == b.shape and a.slab_extent == b.slab_extent
-        assert set(a.variance_ledger) == set(b.variance_ledger) == {1, 2}
-        for mode in a.variance_ledger:
+        assert set(b.variance_ledger) == ({1, 2} if order == 2 else {2, 3})
+        for mode in b.variance_ledger:
             sa, sb = a.variance_ledger[mode], b.variance_ledger[mode]
             assert np.array_equal(sa.singular_values, sb.singular_values)
             assert np.array_equal(sa.ratios, sb.ratios)
-            assert (sa.retained, sa.first_component) == (sb.retained, sb.first_component)
+            assert (sa.retained, sa.first_component, sa.tail) == (
+                sb.retained, sb.first_component, sb.tail
+            )
+            # only the Gram route stores a leading part and a tail
+            assert (sb.tail > 0) == (order == 2 and tau < 1)
     # identical projections through the reloaded subspace
     c1 = project_model(u, models[2])
     c2 = project_model(v, models[2])
@@ -731,6 +742,9 @@ def test_subspace_file_roundtrip(tmp_path):
     r1, r2 = reconstruct_model(u, c1), reconstruct_model(v, c2)
     for layer in r1.layers:
         assert np.array_equal(r1.layers[layer], r2.layers[layer])
+    # what was read is all that was written
+    save_subspace(v, again)
+    assert again.read_bytes() == p.read_bytes()
 
 
 def rewrite_entry(path, name, edit):
@@ -755,57 +769,27 @@ def test_load_subspace_refuses_a_factor_that_is_not_orthonormal(tmp_path):
         load_subspace(p)
 
 
-def test_coefficient_file_roundtrip(tmp_path):
+@pytest.mark.parametrize("order", [2, 3])
+def test_coefficient_file_roundtrip(tmp_path, order):
     rng = np.random.default_rng(104)
     models, _, _ = make_planted(rng, n_models=10, k=3)
-    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3), order=order))
     c = project_model(u, models[1])
     p = tmp_path / "coeffs.uws"
     save_coefficients(c, p)
     d = load_coefficients(p)
-    assert d.model_id == c.model_id
-    assert set(d.coefficients) == set(c.coefficients)
+    assert d.model_id == c.model_id and d.dtypes == c.dtypes
+    assert list(d.coefficients) == list(c.coefficients)
+    assert list(d.passthrough) == list(c.passthrough)
     for layer, sc in c.coefficients.items():
         assert np.array_equal(d.coefficients[layer].coeffs, sc.coeffs)
     for layer, arr in c.passthrough.items():
         assert np.array_equal(d.passthrough[layer], arr)
     back_direct = reconstruct_model(u, c)
     back_loaded = reconstruct_model(u, d)
+    assert back_direct.layers.keys() == back_loaded.layers.keys()
     for layer in back_direct.layers:
         assert np.array_equal(back_direct.layers[layer], back_loaded.layers[layer])
-
-
-def write_parent_layout(path, c, order=2):
-    """Write coefficient set ``c`` as files were written before the meta
-    kept only ``dtypes``: it also restated ``model_id``, ``coef_shapes``
-    (an order-3 k_2 x k_3 block listed as 1 x k_2 x k_3) and the
-    ``passthrough`` names, and ``dtypes`` named every layer."""
-    triples = [(f"coef/{n}", sc.coeffs, "f64") for n, sc in c.coefficients.items()]
-    triples += [(f"raw/{n}", arr, c.dtypes[n]) for n, arr in c.passthrough.items()]
-    meta = {
-        "kind": "coefficients",
-        "model_id": c.model_id,
-        "coef_shapes": {
-            n: ([1] if order == 3 else []) + list(sc.coeffs.shape)
-            for n, sc in c.coefficients.items()
-        },
-        "passthrough": list(c.passthrough),
-        "dtypes": dict(c.dtypes),
-    }
-    path.write_bytes(build_container(c.model_id, triples, meta))
-
-
-def assert_same_coefficients(u, got, want):
-    """Two coefficient sets hold the same bits and rebuild the same model."""
-    assert got.model_id == want.model_id and got.dtypes == want.dtypes
-    assert list(got.coefficients) == list(want.coefficients)
-    assert list(got.passthrough) == list(want.passthrough)
-    for name, sc in want.coefficients.items():
-        assert np.array_equal(got.coefficients[name].coeffs, sc.coeffs)
-    a, b = reconstruct_model(u, got), reconstruct_model(u, want)
-    assert a.layers.keys() == b.layers.keys() and a.dtypes == b.dtypes
-    for name in a.layers:
-        assert np.array_equal(a.layers[name], b.layers[name])
 
 
 def test_coefficient_meta_holds_only_the_projected_layers_dtypes(tmp_path):
@@ -829,29 +813,3 @@ def test_coefficient_meta_holds_only_the_projected_layers_dtypes(tmp_path):
         assert np.array_equal(back.coefficients[name].coeffs, sc.coeffs)
     assert np.array_equal(back.passthrough["embed"], c.passthrough["embed"].astype(np.float32))
     assert np.array_equal(back.passthrough["head"], c.passthrough["head"])
-
-
-def test_coefficient_file_in_the_parent_layout_loads_and_rebuilds_identically(tmp_path):
-    rng = np.random.default_rng(105)
-    models, _, _ = make_planted(rng, n_models=10, k=3)
-    models[1].dtypes = {"embed": "f32"}
-    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
-    c = project_model(u, models[1])
-    parent, fresh = tmp_path / "parent.uws", tmp_path / "fresh.uws"
-    write_parent_layout(parent, c)
-    save_coefficients(c, fresh)
-    assert load_coefficients(parent).dtypes == c.dtypes
-    assert_same_coefficients(u, load_coefficients(parent), load_coefficients(fresh))
-
-
-def test_order3_coefficients_listing_a_leading_1_still_load(tmp_path):
-    rng = np.random.default_rng(106)
-    models, _, _ = make_planted(
-        rng, n_models=12, k=2, noise=1e-4, shapes={"a": (3, 8), "b": (3, 8)}
-    )
-    u = extract_universal(models, ExtractionConfig(order=3, exclude_layers=("a",)))
-    c = project_model(u, models[4])
-    p = tmp_path / "coeffs.uws"
-    write_parent_layout(p, c, order=3)
-    assert read_container(p).meta["coef_shapes"]["b"] == [1, *c.coefficients["b"].coeffs.shape]
-    assert_same_coefficients(u, load_coefficients(p), c)

@@ -1,6 +1,6 @@
-"""Streamed, layer-major extraction (``GramStream``) and the version-4
-subspace file, which holds only each layer's mean, bases and spectra,
-and in its meta only what those entries cannot say."""
+"""Streamed, layer-major extraction (``GramStream``) and the version-5
+subspace file, which holds only each layer's mean, bases, spectra and
+tails, and in its meta only what those entries cannot say."""
 
 import copy
 import tracemalloc
@@ -18,8 +18,6 @@ from uws.ensemble import (
     extract_universal,
     load_subspace,
     load_weights,
-    project_model,
-    reconstruct_model,
     save_subspace,
     save_weights,
     stack_layer,
@@ -29,14 +27,13 @@ from uws.errors import DegenerateSpectrumError, InvalidArgumentError, ManifestEr
 from uws.hosvd import (
     GRAM_BLOCK_ROWS,
     GramStream,
-    center,
     hosvd_truncated,
     project_slice,
     reconstruct,
     reconstruct_slice,
     secondary_subspace,
 )
-from uws.spectral import GRAM_PANEL_COLS, RankPolicy, explained_variance
+from uws.spectral import GRAM_PANEL_COLS, RankPolicy
 
 from oracles import (
     assert_spectra_agree,
@@ -670,188 +667,7 @@ def test_order3_secondary_needs_the_stacking_factor():
 # ------------------------------------------------------------ file format
 
 
-def write_v4(path, v5_path, models):
-    """Rewrite a version-5 subspace file in the version-4 layout: no tail
-    entries, and every layer's whole spectrum, as versions 1 to 4 stored
-    it (the exact SVD of the centred stack where the file stores only the
-    leading part)."""
-    doc = read_container(v5_path)
-    entries = {rec.name: rec.array for rec in doc.layers}
-    triples = []
-    for rec in doc.layers:
-        if "/tail/" in rec.name:
-            continue
-        array = rec.array
-        if "/sv/" in rec.name and entries[rec.name.replace("/sv/", "/tail/")][0, 0] > 0:
-            _, xc = center(stack_layer(models, rec.name.split("/")[1]), doc.meta["centering"])
-            array = np.linalg.svd(xc, compute_uv=False).reshape(1, -1)
-        triples.append((rec.name, array, rec.dtype))
-    write_container(path, doc.model_id, triples, meta=dict(doc.meta, format_version=4))
-
-
-def write_v3(path, v4_path, dtypes=None):
-    """Rewrite a version-4 subspace file in the version-3 layout, whose
-    meta also restates the entries: ``architecture_id``, ``order``, the
-    included and excluded layers, ``layer_dtypes`` (``dtypes``, f64 by
-    default) and per layer ``mu_kind`` and ``retained``."""
-    doc = read_container(v4_path)
-    meta, entries = doc.meta, {rec.name: rec.array for rec in doc.layers}
-    included = list(meta["layers"])
-    layers = {}
-    for name, info in meta["layers"].items():
-        order = len(info["stack_shape"])
-        layers[name] = dict(
-            info,
-            mu_kind=meta["centering"],
-            retained=[entries[f"U/{name}/{n}"].shape[1] for n in range(2, order + 1)],
-        )
-    v3 = {
-        "kind": "subspace",
-        "format_version": 3,
-        "architecture_id": doc.model_id,
-        "provenance": meta["provenance"],
-        "order": order,
-        "centering": meta["centering"],
-        "policy": meta["policy"],
-        "included_layers": included,
-        "excluded_layers": [n for n in meta["layer_order"] if n not in included],
-        "layer_order": meta["layer_order"],
-        "layer_dtypes": dtypes or dict.fromkeys(meta["layer_order"], "f64"),
-        "layers": layers,
-    }
-    write_container(path, doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers], meta=v3)
-
-
-def write_v2(path, v3_path):
-    """Rewrite a version-3 subspace file in the version-2 layout: a ratio
-    row after every spectrum, and per-layer ``first_component`` and
-    ``dtype`` meta."""
-    doc = read_container(v3_path)
-    meta = dict(doc.meta, format_version=2, layers={})
-    triples = []
-    for rec in doc.layers:
-        triples.append((rec.name, rec.array, rec.dtype))
-        if "/sv/" in rec.name:
-            ratios = explained_variance(rec.array.ravel()).reshape(1, -1)
-            triples.append((rec.name.replace("/sv/", "/ratio/"), ratios, "f64"))
-    for name, info in doc.meta["layers"].items():
-        meta["layers"][name] = dict(
-            info,
-            first_component=[0] * len(info["retained"]),
-            dtype=doc.meta["layer_dtypes"][name],
-        )
-    write_container(path, doc.model_id, triples, meta=meta)
-
-
-def write_v1(path, v2_path, models):
-    """Rewrite a version-2 subspace file in the version-1 layout: every
-    mode's factor and ledger, the core, per-layer ``core_shape`` and no
-    ``format_version``."""
-    doc = read_container(v2_path)
-    entries = {rec.name: rec.array for rec in doc.layers}
-    meta = dict(doc.meta)
-    del meta["format_version"]
-    meta["layers"] = {}
-    triples = []
-    for name in meta["included_layers"]:
-        info = dict(doc.meta["layers"][name])
-        full = hosvd_truncated(stack_layer(models, name), TAU, slab_extent=info["slab_extent"])
-        spec = full.variance_ledger[1]
-        triples += [
-            (f"mu/{name}", entries[f"mu/{name}"], "f64"),
-            (f"U/{name}/1", full.factors[0], "f64"),
-            (f"U/{name}/2", entries[f"U/{name}/2"], "f64"),
-            (f"core/{name}", full.core, "f64"),
-            (f"ledger/{name}/sv/1", spec.singular_values.reshape(1, -1), "f64"),
-            (f"ledger/{name}/ratio/1", spec.ratios.reshape(1, -1), "f64"),
-            (f"ledger/{name}/sv/2", entries[f"ledger/{name}/sv/2"], "f64"),
-            (f"ledger/{name}/ratio/2", entries[f"ledger/{name}/ratio/2"], "f64"),
-        ]
-        info["core_shape"] = list(full.core.shape)
-        info["retained"] = [spec.retained] + info["retained"]
-        info["first_component"] = [0] + info["first_component"]
-        meta["layers"][name] = info
-    write_container(path, doc.model_id, triples, meta=meta)
-
-
-def assert_same_projections(u, v, w):
-    """Subspaces ``u`` and ``v`` project model ``w`` and rebuild it to the
-    same bits."""
-    a, b = project_model(u, w), project_model(v, w)
-    for name in u.included_layers:
-        assert np.array_equal(a.coefficients[name].coeffs, b.coefficients[name].coeffs)
-    ra, rb = reconstruct_model(u, a), reconstruct_model(v, b)
-    assert ra.layers.keys() == rb.layers.keys()
-    for name in ra.layers:
-        assert np.array_equal(ra.layers[name], rb.layers[name])
-
-
-def test_version1_file_and_its_version2_rewrite_project_identically(tmp_path):
-    models = planted_models(20, 30)
-    u = extract_universal(models, ExtractionConfig(policy=TAU))
-    v5_path, v4_path = tmp_path / "v5.uws", tmp_path / "v4.uws"
-    v3_path, v2_path = tmp_path / "v3.uws", tmp_path / "v2.uws"
-    v1_path, rewrite, rewrite4 = tmp_path / "v1.uws", tmp_path / "re.uws", tmp_path / "re4.uws"
-    save_subspace(u, v5_path)
-    write_v4(v4_path, v5_path, models)
-    write_v3(v3_path, v4_path)
-    write_v2(v2_path, v3_path)
-    write_v1(v1_path, v2_path, models)
-    names = [rec.name for rec in read_container(v1_path).layers]
-    assert "U/block0/1" in names and "core/block0" in names
-    old = load_subspace(v1_path)
-    save_subspace(old, rewrite)  # re-saved as version 5, as the version-4 file is
-    save_subspace(load_subspace(v4_path), rewrite4)
-    assert rewrite.read_bytes() == rewrite4.read_bytes()
-    new = load_subspace(rewrite)
-    for name in u.included_layers:
-        assert old.layer_models[name].factors[0] is None and old.layer_models[name].core is None
-    assert_same_projections(old, new, planted_models(21, 1)[0])
-    assert_same_projections(u, load_subspace(v2_path), planted_models(21, 1)[0])
-
-
-@pytest.mark.parametrize("order", [2, 3])
-@pytest.mark.parametrize("centering", ["feature", "global"])
-@pytest.mark.parametrize("version", [2, 3, 4])
-def test_older_file_loads_projects_and_resaves_as_version4(tmp_path, version, centering, order):
-    models = planted_models(24, 30)
-    config = ExtractionConfig(policy=TAU, order=order, centering=centering)
-    u = extract_universal(models, config)
-    v5_path, v4_path = tmp_path / "v5.uws", tmp_path / "v4.uws"
-    v3_path, v2_path = tmp_path / "v3.uws", tmp_path / "v2.uws"
-    rewrite, rewrite4 = tmp_path / "re.uws", tmp_path / "re4.uws"
-    save_subspace(u, v5_path)
-    write_v4(v4_path, v5_path, models)
-    write_v3(v3_path, v4_path)
-    write_v2(v2_path, v3_path)
-    old_path = {2: v2_path, 3: v3_path, 4: v4_path}[version]
-    assert read_container(old_path).meta["format_version"] == version
-    names = {rec.name for rec in read_container(old_path).layers}
-    assert ("ledger/block0/ratio/2" in names) == (version == 2)
-    old = load_subspace(old_path)
-    assert (old.included_layers, old.excluded_layers) == (u.included_layers, u.excluded_layers)
-    assert (old.architecture_id, old.provenance, old.config.policy) == (
-        u.architecture_id, u.provenance, u.config.policy
-    )
-    assert (old.config.order, old.config.centering) == (order, centering)
-    v4 = load_subspace(v4_path)
-    for name in u.included_layers:
-        for n, spec in old.layer_models[name].variance_ledger.items():
-            # ratios derived on load are the whole spectrum's, bit for bit;
-            # where extraction stored it whole (order 3), they are its own
-            want = u.layer_models[name].variance_ledger[n]
-            if want.tail == 0.0:
-                assert np.array_equal(spec.ratios, want.ratios)
-            assert np.array_equal(spec.ratios, v4.layer_models[name].variance_ledger[n].ratios)
-            assert spec.tail == 0.0 and spec.retained == want.retained
-    save_subspace(old, rewrite)
-    save_subspace(v4, rewrite4)
-    assert rewrite.read_bytes() == rewrite4.read_bytes()
-    assert_same_projections(u, old, planted_models(25, 1)[0])
-
-
-def test_version4_meta_holds_only_what_the_entries_cannot_say(tmp_path):
-    # version 5 keeps the version-4 meta; it adds one tail entry per spectrum
+def test_subspace_meta_holds_only_what_the_entries_cannot_say(tmp_path):
     models = planted_models(22, 30)
     for order in (2, 3):
         u = extract_universal(models, ExtractionConfig(policy=TAU, order=order))
@@ -877,7 +693,7 @@ def test_version4_meta_holds_only_what_the_entries_cannot_say(tmp_path):
         )
 
 
-def test_version3_file_is_near_its_mean_and_basis_bytes(tmp_path):
+def test_subspace_file_is_near_its_mean_and_basis_bytes(tmp_path):
     shapes = {name: (16, 256) for name in ("inlet", "block0", "block1", "outlet")}
     models = planted_models(27, 20, shapes=shapes, k=16)
     u = extract_universal(models, ExtractionConfig(policy=TAU))
@@ -894,12 +710,19 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
     paths = write_models(tmp_path / "models", models)
     save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
-    meta = dict(doc.meta, format_version=6)
-    write_container(tmp_path / "v6.uws", doc.model_id,
-                    [(r.name, r.array, r.dtype) for r in doc.layers], meta=meta)
-    code = cli.main(["project", "--subspace", str(tmp_path / "v6.uws"),
-                     "--model", str(paths[0]), "--out", str(tmp_path / "c.uws")])
-    assert code == 2 and "format_version" in capsys.readouterr().err
+    # only version 5 reads; a file without the key is no exception
+    for version in (6, 4, 1, 0, "5", 5.0, True, None):
+        meta = dict(doc.meta, format_version=version)
+        if version is None:
+            del meta["format_version"]
+        write_container(tmp_path / "v.uws", doc.model_id,
+                        [(r.name, r.array, r.dtype) for r in doc.layers], meta=meta)
+        with pytest.raises(ManifestError, match=f"format_version {version!r} is not 5"):
+            load_subspace(tmp_path / "v.uws")
+        code = cli.main(["project", "--subspace", str(tmp_path / "v.uws"),
+                         "--model", str(paths[0]), "--out", str(tmp_path / "c.uws")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "extract the subspace again" in err
     assert load_weights(paths[0]).model_id == "m0000"
 
 
@@ -988,7 +811,7 @@ def test_stored_spectra_are_checked_on_load(tmp_path, capsys, edit, command):
 
 
 @pytest.mark.parametrize("tau", [0.99, 1.0], ids=["gram-route", "exact-route"])
-def test_only_a_whole_spectrum_may_go_without_its_tail(tmp_path, capsys, tau):
+def test_every_stored_spectrum_needs_a_tail_that_fits_it(tmp_path, capsys, tau):
     models = planted_models(26, 30)
     paths = write_models(tmp_path / "models", models)
     u = extract_universal(paths, ExtractionConfig(policy=RankPolicy.cumulative_variance(tau)))
@@ -1009,16 +832,18 @@ def test_only_a_whole_spectrum_may_go_without_its_tail(tmp_path, capsys, tau):
         assert code == 2 and err.count("\n") == 1
         return err
 
+    # without its tail, a stored prefix would read as the whole spectrum;
+    # a whole one needs its tail of 0 as well
     write_tail(None)
+    assert "missing required entry 'ledger/block0/tail/2'" in scree_error()
     if tau == 1.0:  # the exact route stores every value and a tail of 0
+        write_tail(0.0)
         spec = load_subspace(edited).layer_models["block0"].variance_ledger[2]
         assert np.array_equal(spec.ratios, u.layer_models["block0"].variance_ledger[2].ratios)
         # past the whole spectrum no energy is left
         write_tail(1e-3)
         assert "'ledger/block0/tail/2' must be 0 after the whole spectrum" in scree_error()
         return
-    # without its tail, a stored prefix would read as the whole spectrum
-    assert "'ledger/block0/tail/2' is missing" in scree_error()
     longer = tmp_path / "longer.uws"
     _with_spectrum(tmp_path / "s.uws", longer, lambda sv: np.c_[sv, np.zeros((1, 40))])
     with pytest.raises(ManifestError, match="more than its unfolding's 40"):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,6 +86,44 @@ def test_center_roundtrip():
 def test_center_rejects_non_finite():
     with pytest.raises(InvalidArgumentError):
         center(np.array([[1.0, np.nan]]), "global")
+
+
+@pytest.mark.parametrize("centering", ["none", "Feature", None])
+def test_an_unknown_centering_is_refused_by_one_check(centering):
+    x, _ = planted_stack(np.random.default_rng(6), n=20, d=5, k=2, noise=0.1)
+    stream = hosvd_module.GramStream(5)
+    stream.add(x)
+    message = re.escape(f"centering must be one of ('feature', 'global'), got {centering!r}")
+    for call in (
+        lambda: center(x, centering),
+        lambda: hosvd_truncated(x, centering=centering),
+        lambda: stream.decompose(centering=centering),
+    ):
+        with pytest.raises(InvalidArgumentError, match=message):
+            call()
+
+
+@pytest.mark.parametrize(
+    "order, count, message",
+    [
+        (2, 1, "need one policy per mode (2), got 1"),
+        (2, 3, "need one policy per mode (2), got 3"),
+        (3, 2, "need one policy per mode (3), got 2"),
+        (2, None, "policies must be RankPolicy instances"),
+    ],
+)
+def test_a_policy_list_holds_one_rank_policy_per_mode(order, count, message):
+    x, _ = planted_stack(np.random.default_rng(7), n=24, d=5, k=2, noise=0.1)
+    x = x if order == 2 else x.reshape(4, 6, 5)
+    policies = [RankPolicy.fixed_k(2)] * count if count else [RankPolicy.fixed_k(2), "fixed_k"]
+    calls = [lambda: hosvd_truncated(x, policies)]
+    if order == 2:
+        stream = hosvd_module.GramStream(5)
+        stream.add(x)
+        calls.append(lambda: stream.decompose(policies))
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            call()
 
 
 def test_complex_stack_is_refused():
@@ -654,6 +693,25 @@ def test_secondary_k2_exceeding_remaining_rank():
     model = hosvd_truncated(t, RankPolicy.fixed_k(3))
     with pytest.raises(InvalidArgumentError):
         secondary_subspace(t, model, 6)
+
+
+@pytest.mark.parametrize(
+    "reshape, k2, message",
+    [
+        (lambda x: x, 0, "k2 must be >= 1, got 0"),
+        (lambda x: x, -2, "k2 must be >= 1, got -2"),
+        (lambda x: x.reshape(5, 10, 8), 1, "a secondary subspace needs an order-2 stack"),
+        (lambda x: x[:40], 1,
+         "tensor shape (40, 8) does not match the model's stack shape (50, 8)"),
+        (lambda x: x, 6, "k2=6 exceeds the 5 directions remaining along mode 1"),
+    ],
+    ids=["k2-zero", "k2-negative", "order-3", "shape-mismatch", "k2-too-deep"],
+)
+def test_secondary_refuses_what_it_cannot_take(reshape, k2, message):
+    x, _ = planted_stack(np.random.default_rng(62), n=50, d=8, k=3, noise=0.05)
+    model = hosvd_truncated(x, RankPolicy.fixed_k(3))
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        secondary_subspace(reshape(x), model, k2)
 
 
 def test_secondary_reconstruction_is_worse_on_planted_signal():

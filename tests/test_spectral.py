@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,13 @@ def test_thin_svd_rejects_non_finite():
         thin_svd(np.array([[np.inf, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (3, 0), (2, 2, 2)])
+def test_thin_svd_takes_only_a_nonempty_matrix(shape):
+    message = re.escape(f"expected a nonempty matrix, got shape {shape}")
+    with pytest.raises(InvalidArgumentError, match=message):
+        thin_svd(np.ones(shape))
+
+
 # --------------------------------------------------------- explained_variance
 
 
@@ -315,6 +323,12 @@ def test_explained_variance_rejects_bad_input():
         explained_variance(np.array([1.0, 2.0]))  # increasing
     with pytest.raises(InvalidArgumentError):
         explained_variance(np.array([1.0, -0.5]))  # negative
+    with pytest.raises(InvalidArgumentError, match="empty spectrum"):
+        explained_variance(np.array([]))
+    for tail in (np.inf, np.nan, -1.0):
+        message = re.escape(f"the tail energy must be finite and >= 0, got {tail!r}")
+        with pytest.raises(InvalidArgumentError, match=message):
+            explained_variance(np.array([1.0]), tail)
 
 
 def test_explained_variance_holds_at_any_scale():
