@@ -34,8 +34,8 @@ from ..hosvd import (
     SliceCoefficients,
     SubspaceModel,
     check_centering,
+    exact_subspace,
     gram_eligible,
-    hosvd_truncated,
     project_slice,
     reconstruct_slice,
 )
@@ -309,10 +309,10 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     route may take (:func:`~uws.hosvd.gram_eligible`) is streamed into a
     :class:`~uws.hosvd.GramStream`.  Any other stack, and one the route's
     guard declines, after a pass that reads its slabs again, is kept as
-    float64, stacked and decomposed by :func:`~uws.hosvd.hosvd_truncated`
-    on its exact route, so a declined Gram route is not tried twice.
-    Either way a layer model keeps no stacking-mode factor or core: it
-    holds what a subspace file holds.
+    float64, stacked and decomposed by :func:`~uws.hosvd.exact_subspace`,
+    so a declined Gram route is not tried twice.  Either way a layer
+    model holds what a subspace file holds: no stacking-mode factor or
+    core, and the ledger of the modes a file stores.
     """
     config = config if config is not None else ExtractionConfig()
     models = list(models)
@@ -355,15 +355,9 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
                 continue
             names = (name,)  # declined: its slabs are read again, alone
         with _naming_layer(name):
-            model = hosvd_truncated(
+            layer_models[name] = exact_subspace(
                 stack_layer(layer_pass(name, names, lambda m: _kept(m, name)), name, config.order),
-                config.policy,
-                centering=config.centering,
-                slab_extent=rows,
-                _exact=True,
-            )
-        model.factors[0] = model.core = None
-        layer_models[name] = model
+                config.policy, centering=config.centering, slab_extent=rows)
     return UniversalSubspace(layer_models, config, ids, layer_order)
 
 

@@ -34,7 +34,8 @@ transpose, so one decomposition serves both modes:
 
 Both routes orient every factor column so its largest-magnitude entry
 is nonnegative.  An order-3 stack takes one thin SVD of each of its
-three mode unfoldings.
+three mode unfoldings.  :func:`exact_subspace`, for extraction, takes
+the exact route for the non-stacking modes only, and forms no core.
 
 An order-2 stack too large to hold can be fed to :class:`GramStream`
 one slab at a time, float32 or float64.  It keeps the column mean, the
@@ -126,7 +127,7 @@ class SubspaceModel:
     """Mean, per-mode orthonormal factors, truncated core, and the
     explained-variance ledger of a decomposed stack.
 
-    A model that was streamed (:class:`GramStream`) or read back from a
+    A model from :class:`GramStream`, :func:`exact_subspace` or a
     subspace file has no stacking-mode factor (that entry of ``factors``
     is None) and no core: it projects and rebuilds members, but cannot
     :func:`reconstruct` the stack it came from.
@@ -219,18 +220,18 @@ def _gram_factors(gram: LowerGram, policies):
     return found
 
 
-def _order2_svd(xc: np.ndarray, use_gram: bool, policies):
+def _order2_svd(xc: np.ndarray, policies):
     """The single decomposition of a centered order-2 stack.
 
     Returns ``(s, tail, u, v)``: singular values, the energy of those not
     listed, and the stacking and feature directions, each column oriented
-    by :func:`column_signs`.  The Gram route, tried when ``use_gram`` is
-    set and taken unless :func:`_gram_factors` declines it, lists the
+    by :func:`column_signs`.  The Gram route, tried if :func:`gram_eligible`
+    and taken unless :func:`_gram_factors` declines it, lists the
     components as deep as ``policies`` read, from Xc.T @ Xc built on
     :class:`~uws.spectral.LowerGram` panels as a :class:`GramStream`
     builds it; the exact route lists all min(rows, cols) with a tail of 0.
     """
-    if use_gram:
+    if gram_eligible(xc.shape, policies):
         gram = LowerGram.zeros(xc.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
             gram.add_gram_of(xc)  # one that over- or underflows is declined by the guard
@@ -243,7 +244,7 @@ def _order2_svd(xc: np.ndarray, use_gram: bool, policies):
     return f.singular_values, 0.0, f.u, f.v * column_signs(f.v)
 
 
-def _order2_truncation(s, tail, u, v, policies, centering, shape):
+def _order2_truncation(s, tail, u, v, policies, shape):
     """Truncated factors (the stacking one None when ``u`` is) and the
     ledger of an order-2 decomposition, whose two modes share one
     spectrum."""
@@ -294,13 +295,39 @@ def _core(xc: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return _contract(factors[1:], g.reshape(-1, *xc.shape[1:]))
 
 
+def _centred(x, policies, centering: str):
+    """The stack as a tensor, one policy per mode, and its checked :func:`center` split."""
+    x = as_tensor(x)
+    per_mode = _policy_list(policies, x.ndim)
+    if not np.any(x):
+        raise DegenerateSpectrumError("tensor is identically zero")
+    mu, xc = center(x, centering)
+    _require_variance(frobenius_norm(xc), frobenius_norm(x), centering)
+    return x, per_mode, mu, xc
+
+
+def _mode_truncation(xc: np.ndarray, policies, modes):
+    """Truncated factors and ledger of the ``modes`` of a centered
+    order-3 stack, from one thin SVD of each mode's unfolding."""
+    factors, ledger = [], {}
+    for mode in modes:
+        m = np.reshape(np.moveaxis(xc, mode - 1, 0), (xc.shape[mode - 1], -1), order="F")
+        f = thin_svd(m)
+        ratios = explained_variance(f.singular_values)
+        r = select_rank(
+            ratios, policies[mode - 1], singular_values=f.singular_values, shape=m.shape
+        )
+        factors.append(np.ascontiguousarray(f.u[:, :r]))
+        ledger[mode] = ModeSpectrum(singular_values=f.singular_values, ratios=ratios, retained=r)
+    return factors, ledger
+
+
 def hosvd_truncated(
     x,
     policies=DEFAULT_POLICY,
     *,
     centering: str = "feature",
     slab_extent: int | None = None,
-    _exact: bool = False,  # for a stack whose streamed Gram was declined
 ) -> SubspaceModel:
     """Zero-center ``x`` and truncate every mode of the centered tensor.
 
@@ -324,28 +351,12 @@ def hosvd_truncated(
         Rows of one member's slab of an order-2 stack; recorded so
         projection can validate its input.
     """
-    x = as_tensor(x)
-    per_mode = _policy_list(policies, x.ndim)
-    if not np.any(x):
-        raise DegenerateSpectrumError("tensor is identically zero")
-    mu, xc = center(x, centering)
-    _require_variance(frobenius_norm(xc), frobenius_norm(x), centering)
+    x, per_mode, mu, xc = _centred(x, policies, centering)
     if x.ndim == 2:
-        s, tail, u, v = _order2_svd(xc, not _exact and gram_eligible(xc.shape, per_mode), per_mode)
-        factors, ledger = _order2_truncation(s, tail, u, v, per_mode, centering, xc.shape)
+        s, tail, u, v = _order2_svd(xc, per_mode)
+        factors, ledger = _order2_truncation(s, tail, u, v, per_mode, xc.shape)
     else:
-        factors, ledger = [], {}
-        for mode, extent in enumerate(x.shape, start=1):
-            m = np.reshape(np.moveaxis(xc, mode - 1, 0), (extent, -1), order="F")
-            f = thin_svd(m)
-            ratios = explained_variance(f.singular_values)
-            r = select_rank(
-                ratios, per_mode[mode - 1], singular_values=f.singular_values, shape=m.shape
-            )
-            factors.append(np.ascontiguousarray(f.u[:, :r]))
-            ledger[mode] = ModeSpectrum(
-                singular_values=f.singular_values, ratios=ratios, retained=r
-            )
+        factors, ledger = _mode_truncation(xc, per_mode, (1, 2, 3))
     return SubspaceModel(
         mu=mu,
         factors=factors,
@@ -355,6 +366,26 @@ def hosvd_truncated(
         shape=x.shape,
         slab_extent=slab_extent,
     )
+
+
+def exact_subspace(x, policies, *, centering: str, slab_extent: int) -> SubspaceModel:
+    """What a subspace file holds of the stack ``x``, by the exact route
+    alone: the mean, and each non-stacking mode's truncated factor and
+    ledger from one thin SVD of its unfolding (of the stack itself for
+    order 2, whose ledger lists both modes, as a loaded file's does).
+    No stacking-mode factor or core is formed.  The arguments, errors and
+    each result match :func:`hosvd_truncated`'s exact route bit for bit.
+    """
+    x, per_mode, mu, xc = _centred(x, policies, centering)
+    if x.ndim == 2:
+        f = thin_svd(xc)
+        v = f.v * column_signs(f.v)
+        factors, ledger = _order2_truncation(f.singular_values, 0.0, None, v, per_mode, xc.shape)
+    else:
+        factors, ledger = _mode_truncation(xc, per_mode, (2, 3))
+        factors.insert(0, None)
+    return SubspaceModel(mu=mu, factors=factors, core=None, variance_ledger=ledger,
+                         centering=centering, shape=x.shape, slab_extent=slab_extent)
 
 
 class GramStream:
@@ -464,8 +495,8 @@ class GramStream:
         Returns None where that route is not taken (see
         :func:`gram_eligible` and the guard in the module docstring) or
         the stack's squared norm overflows or is below
-        ``GRAM_MIN_SQUARE``; the caller then decomposes the
-        stacked matrix with :func:`hosvd_truncated`.  The error cases match it: a zero stack
+        ``GRAM_MIN_SQUARE``; the caller then decomposes the stacked matrix
+        with :func:`exact_subspace`.  The error cases match it: a zero stack
         or one with no variance left after centering raises
         DegenerateSpectrumError.
         """
@@ -490,7 +521,7 @@ class GramStream:
         if found is None:
             return None
         s, v, tail = found
-        factors, ledger = _order2_truncation(s, tail, None, v, per_mode, centering, shape)
+        factors, ledger = _order2_truncation(s, tail, None, v, per_mode, shape)
         return SubspaceModel(
             mu=mu,
             factors=factors,
@@ -601,7 +632,7 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
             "residual is numerically zero; the primary subspace already explains the stack"
         )
     depth = RankPolicy.fixed_k(max(firsts) + k2)
-    s, tail, u, v = _order2_svd(xc, gram_eligible(xc.shape, ()), [depth])
+    s, tail, u, v = _order2_svd(xc, [depth])
     factors = [np.ascontiguousarray(f[:, r1 : r1 + k2]) for f, r1 in zip((u, v), firsts)]
     ratios = explained_variance(s, tail)
     ledger = {

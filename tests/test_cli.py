@@ -111,19 +111,35 @@ def test_extract_writes_subspace_and_scree(tmp_path, capsys):
     assert "block0" in stdout and "block1" in stdout
 
 
-def test_extract_rerun_is_byte_identical(tmp_path, capsys):
+def assert_extract_reruns_byte_identically(tmp_path, capsys, flags):
     pattern, _ = write_fixture_models(tmp_path)
     first = tmp_path / "a.uws"
     second = tmp_path / "b.uws"
+    stdouts = []
     for out in (first, second):
-        code, _, _ = run(
+        code, stdout, _ = run(
             ["extract", "--models", pattern, "--out", str(out),
-             "--report", str(out.with_suffix(".csv")), "--tau", "0.95"],
+             "--report", str(out.with_suffix(".csv")), *flags],
             capsys,
         )
         assert code == 0
+        stdouts.append(stdout.replace(str(out.with_suffix("")), "OUT"))
     assert first.read_bytes() == second.read_bytes()
     assert first.with_suffix(".csv").read_bytes() == second.with_suffix(".csv").read_bytes()
+    assert stdouts[0] == stdouts[1]
+
+
+def test_extract_rerun_is_byte_identical(tmp_path, capsys):
+    assert_extract_reruns_byte_identically(tmp_path, capsys, ["--tau", "0.95"])
+
+
+@pytest.mark.parametrize(
+    "flags", [["--order", "3"], ["--tau", "1"], ["--hard-threshold"]],
+    ids=["order3", "tau1", "hard_threshold"],
+)
+def test_extract_rerun_is_byte_identical_on_the_exact_route(tmp_path, capsys, flags):
+    # each layer's stack is decomposed by exact_subspace, not streamed
+    assert_extract_reruns_byte_identically(tmp_path, capsys, flags)
 
 
 def test_extract_prints_layer_health(tmp_path, capsys):

@@ -725,6 +725,7 @@ def test_subspace_file_roundtrip(tmp_path, order, centering, tau):
             assert np.array_equal(a.factors[mode], b.factors[mode])
         assert a.shape == b.shape and a.slab_extent == b.slab_extent
         assert set(b.variance_ledger) == ({1, 2} if order == 2 else {2, 3})
+        assert set(a.variance_ledger) == set(b.variance_ledger)  # extracted equals loaded
         for mode in b.variance_ledger:
             sa, sb = a.variance_ledger[mode], b.variance_ledger[mode]
             assert np.array_equal(sa.singular_values, sb.singular_values)

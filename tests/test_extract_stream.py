@@ -91,7 +91,8 @@ def assert_matches_stacked(u, models):
 
 class Routes:
     """Counts file reads (through the reader that ``load_weights`` and
-    extraction share), streamed decompositions and stacked ones.
+    extraction share), streamed decompositions and stacked ones (each a
+    call of ``exact_subspace``).
 
     Extraction from files reads the first model's manifest once, then
     each model once per layer pass: T * L + 1 reads for L included
@@ -99,7 +100,7 @@ class Routes:
 
     def __init__(self, monkeypatch):
         self.reads = self.streamed = self.stacked = 0
-        real_load, real_hosvd = ensemble_module._read_payloads, ensemble_module.hosvd_truncated
+        real_load, real_exact = ensemble_module._read_payloads, ensemble_module.exact_subspace
         real_decompose = GramStream.decompose
 
         def load(*a, **kw):
@@ -108,14 +109,14 @@ class Routes:
 
         def stacked(*a, **kw):
             self.stacked += 1
-            return real_hosvd(*a, **kw)
+            return real_exact(*a, **kw)
 
         def streamed(*a, **kw):
             self.streamed += 1
             return real_decompose(*a, **kw)
 
         monkeypatch.setattr(ensemble_module, "_read_payloads", load)
-        monkeypatch.setattr(ensemble_module, "hosvd_truncated", stacked)
+        monkeypatch.setattr(ensemble_module, "exact_subspace", stacked)
         monkeypatch.setattr(GramStream, "decompose", streamed)
 
     def counts(self):
@@ -346,17 +347,33 @@ def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, sh
     models = planted_models(11, 12, shapes=shapes)
     paths = write_models(tmp_path / "models", models)
     routes = Routes(monkeypatch)
-    u = extract_universal(paths, config)
+    calls = Counter()
+    with monkeypatch.context() as m:
+        for module, name in ((np.linalg, "svd"), (hosvd_module, "_core")):
+            def counted(*a, _real=getattr(module, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+
+            m.setattr(module, name, counted)
+        u = extract_universal(paths, config)
     assert routes.counts() == {"reads": 25, "streamed": 0, "stacked": 2}
+    # one thin SVD per non-stacking mode: of the stack itself for order 2,
+    # of the mode-2 and mode-3 unfoldings for order 3; no U1 and no core
+    assert calls == {"svd": 2 * (config.order - 1)}
     for name in u.included_layers:
         model = u.layer_models[name]
         assert model.factors[0] is None and model.core is None
+        assert set(model.variance_ledger) == ({1, 2} if config.order == 2 else {2, 3})
         want = hosvd_truncated(
             stack_layer(models, name, order=config.order),
             config.policy,
             slab_extent=shapes[name][0] if config.order == 2 else 1,
         )
         assert np.array_equal(model.factors[1], want.factors[1])
+        for mode, spec in model.variance_ledger.items():
+            assert np.array_equal(spec.singular_values,
+                                  want.variance_ledger[mode].singular_values)
+            assert spec.retained == want.variance_ledger[mode].retained
 
 
 def test_mixed_shapes_stream_and_stack_in_their_own_layer_passes(monkeypatch, tmp_path):

@@ -501,7 +501,7 @@ def test_in_memory_gram_route_holds_the_panels_not_a_square():
     xc = x - x.mean(axis=0)
     tracemalloc.start()
     try:
-        _, tail, _, _ = hosvd_module._order2_svd(xc, True, [RankPolicy.fixed_k(4)])
+        _, tail, _, _ = hosvd_module._order2_svd(xc, [RankPolicy.fixed_k(4)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
