@@ -9,42 +9,39 @@ the mean.
 
 Order-2 stacks (rows = models' stacked rows, columns = features) are
 plain PCA of one matrix Xc, and their two mode unfoldings are Xc and its
-transpose, so one decomposition serves both modes:
+transpose, so one thin SVD of Xc serves both modes.  An order-3 stack
+takes one thin SVD of each of its three mode unfoldings.  Every factor
+column is oriented so its largest-magnitude entry is nonnegative.
+:func:`hosvd_truncated` is the in-memory reference; :func:`exact_subspace`,
+for extraction, keeps only the non-stacking modes and forms no core.
 
-- Gram route: :func:`~uws.spectral.gram_leading` finds, of the d x d
-  matrix G = Xc.T @ Xc, only the leading eigenpairs that the policies
-  retain or read, and tr G less their sum as the energy of the rest (a
-  certified block iteration where that is cheap, else one ``eigh``); no
-  other spectrum is computed or kept.  The guard below reads those
-  values, and the stacking factor is Xc V / s.  Squaring the condition
-  number leaves s_i an absolute error of about eps * s_1**2 / s_i, so
-  the stacking factor's orthonormality defect at depth r is about
-  eps * (s_1 / s_r)**2.
-- Exact route: one thin SVD of Xc.  A guard takes it whenever the Gram
-  route could lose accuracy that a result depends on: the stack is wider
-  than tall, a policy is ``cumulative_variance(tau=1)`` or
-  ``hard_threshold`` (both read the small end of the spectrum), or the
-  deepest component retained or read is below 1e-3 * s_1, where the
-  defect could exceed about 2e-10.  It also takes a stack whose Gram
+An order-2 stack too large to hold is fed to :class:`GramStream` one
+slab at a time, float32 or float64.  It keeps the column mean, the lower
+row panels of the centred d x d Gram matrix G = Xc.T @ Xc
+(:class:`~uws.spectral.LowerGram`) and the row count, merging blocks of
+``GRAM_BLOCK_ROWS`` rows with the pairwise update of Chan, Golub and
+LeVeque (1979); every merged term is positive semidefinite, so no common
+offset costs accuracy.  Its result carries no stacking-mode factor or
+core, and comes from the Gram route:
+
+- :func:`~uws.spectral.gram_leading` finds, of G, only the leading
+  eigenpairs that the policies retain or read, and tr G less their sum
+  as the energy of the rest (a certified block iteration where that is
+  cheap, else one ``eigh``); no other spectrum is computed or kept.
+  Squaring the condition number leaves s_i an absolute error of about
+  eps * s_1**2 / s_i, and the feature directions at depth r an error of
+  about eps * (s_1 / s_r)**2 against the exact SVD's.
+- A guard declines the route, and the caller stacks the rows for the
+  exact SVD, whenever it could lose accuracy that a result depends on:
+  the stack is wider than tall, a policy is ``cumulative_variance(tau=1)``
+  or ``hard_threshold`` (both read the small end of the spectrum), or
+  the deepest component retained or read is below 1e-3 * s_1, where that
+  error could exceed about 2e-10.  It also declines a stack whose Gram
   matrix overflows (entries beyond about 1e150) or whose s_1**2 is below
   ``GRAM_MIN_SQUARE`` (about 2**-950), where products underflowing in
   the Gram could move the smallest eigenvalue it may use; the SVD and
   the variance checks, which rescale before squaring, serve any finite
   stack.
-
-Both routes orient every factor column so its largest-magnitude entry
-is nonnegative.  An order-3 stack takes one thin SVD of each of its
-three mode unfoldings.  :func:`exact_subspace`, for extraction, takes
-the exact route for the non-stacking modes only, and forms no core.
-
-An order-2 stack too large to hold can be fed to :class:`GramStream`
-one slab at a time, float32 or float64.  It keeps the column mean, the
-lower row panels of the centred d x d Gram matrix
-(:class:`~uws.spectral.LowerGram`) and the row count, merging blocks of
-``GRAM_BLOCK_ROWS`` rows with the pairwise update of Chan, Golub and
-LeVeque (1979); every merged term is positive semidefinite, so no common
-offset costs accuracy.  Its result takes the same Gram route and guard,
-and carries no stacking-mode factor or core.
 
 A "member" is what one contributor adds to the stack, the unit that is
 projected and rebuilt (:func:`project_slice`, :func:`reconstruct_slice`):
@@ -74,14 +71,14 @@ from .spectral import (
     select_rank,
     thin_svd,
 )
-from .tensor import as_real, as_tensor, frobenius_norm
+from .tensor import as_real, as_tensor, frobenius_norm, int_at_least
 
 CENTERINGS = ("feature", "global")
 
 #: The Gram route serves an order-2 stack only while every component it
 #: retains or reads has s_i >= GRAM_MIN_RATIO * s_1 (lambda_i >= 1e-6 *
-#: lambda_1); deeper, the stacking factor's orthonormality defect,
-#: about eps * (s_1 / s_i)**2, could exceed 2e-10.
+#: lambda_1); deeper, the error of its directions, about
+#: eps * (s_1 / s_i)**2, could exceed 2e-10.
 GRAM_MIN_RATIO = 1e-3
 
 #: The Gram route also needs s_1**2 >= GRAM_MIN_SQUARE, so that the
@@ -203,51 +200,18 @@ def gram_eligible(shape, policies) -> bool:
     return shape[0] >= shape[1] and not any(p.reads_small_end for p in policies)
 
 
-def _gram_factors(gram: LowerGram, policies):
-    """``(s, v, tail)`` from the centred Gram matrix of an order-2 stack
-    (:func:`~uws.spectral.gram_leading`: the leading singular values and
-    feature directions as deep as ``policies`` read, and the energy of
-    the rest), or None where the guard sends the stack to the exact
-    route: the Gram is not finite, s_1**2 is below ``GRAM_MIN_SQUARE``
-    (so is tr G >= s_1**2 of a stack declined before the solve), or the
-    deepest component read is below ``GRAM_MIN_RATIO * s_1``, which the
-    leading solve reports as soon as that is certain."""
-    if not gram.all_finite() or gram.trace() < GRAM_MIN_SQUARE:
-        return None
-    found = gram_leading(gram, policies, GRAM_MIN_RATIO)
-    if found is None or found[0][0] ** 2 < GRAM_MIN_SQUARE:
-        return None
-    return found
-
-
-def _order2_svd(xc: np.ndarray, policies):
-    """The single decomposition of a centered order-2 stack.
-
-    Returns ``(s, tail, u, v)``: singular values, the energy of those not
-    listed, and the stacking and feature directions, each column oriented
-    by :func:`column_signs`.  The Gram route, tried if :func:`gram_eligible`
-    and taken unless :func:`_gram_factors` declines it, lists the
-    components as deep as ``policies`` read, from Xc.T @ Xc built on
-    :class:`~uws.spectral.LowerGram` panels as a :class:`GramStream`
-    builds it; the exact route lists all min(rows, cols) with a tail of 0.
-    """
-    if gram_eligible(xc.shape, policies):
-        gram = LowerGram.zeros(xc.shape[1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram.add_gram_of(xc)  # one that over- or underflows is declined by the guard
-        found = _gram_factors(gram, policies)
-        if found is not None:
-            s, v, tail = found
-            u = (xc @ v) / s
-            return s, tail, u * column_signs(u), v
+def _order2_svd(xc: np.ndarray):
+    """``(s, u, v)`` of one thin SVD of a centered order-2 stack: all
+    min(rows, cols) singular values and the stacking and feature
+    directions, each column oriented by :func:`column_signs`."""
     f = thin_svd(xc)
-    return f.singular_values, 0.0, f.u, f.v * column_signs(f.v)
+    return f.singular_values, f.u, f.v * column_signs(f.v)
 
 
 def _order2_truncation(s, tail, u, v, policies, shape):
     """Truncated factors (the stacking one None when ``u`` is) and the
     ledger of an order-2 decomposition, whose two modes share one
-    spectrum."""
+    spectrum; ``tail`` is the energy of the values ``s`` does not list."""
     ratios = explained_variance(s, tail)
     r1, r2 = (
         select_rank(ratios, p, singular_values=s, shape=sh)
@@ -331,13 +295,10 @@ def hosvd_truncated(
 ) -> SubspaceModel:
     """Zero-center ``x`` and truncate every mode of the centered tensor.
 
-    An order-2 stack is decomposed once, by the Gram route or, where the
-    guard in the module docstring calls for it, by one exact thin SVD;
-    both modes share that spectrum and the core is ``U1.T @ Xc @ U2``.
-    The Gram route matches the exact one to within the accuracy stated
-    there: retained factors agree to about eps * (s_1 / s_r)**2 and each
-    singular value s_i to about eps * s_1**2 / s_i.  An order-3 stack
-    takes one thin SVD per mode unfolding.
+    An order-2 stack takes one thin SVD, whose spectrum both modes
+    share, and the core is ``U1.T @ Xc @ U2``; an order-3 stack takes one
+    thin SVD per mode unfolding.  This is the exact reference that a
+    :class:`GramStream`'s result is checked against.
 
     Parameters
     ----------
@@ -353,8 +314,8 @@ def hosvd_truncated(
     """
     x, per_mode, mu, xc = _centred(x, policies, centering)
     if x.ndim == 2:
-        s, tail, u, v = _order2_svd(xc, per_mode)
-        factors, ledger = _order2_truncation(s, tail, u, v, per_mode, xc.shape)
+        s, u, v = _order2_svd(xc)
+        factors, ledger = _order2_truncation(s, 0.0, u, v, per_mode, xc.shape)
     else:
         factors, ledger = _mode_truncation(xc, per_mode, (1, 2, 3))
     return SubspaceModel(
@@ -374,13 +335,12 @@ def exact_subspace(x, policies, *, centering: str, slab_extent: int) -> Subspace
     ledger from one thin SVD of its unfolding (of the stack itself for
     order 2, whose ledger lists both modes, as a loaded file's does).
     No stacking-mode factor or core is formed.  The arguments, errors and
-    each result match :func:`hosvd_truncated`'s exact route bit for bit.
+    each result match :func:`hosvd_truncated`'s bit for bit.
     """
     x, per_mode, mu, xc = _centred(x, policies, centering)
     if x.ndim == 2:
-        f = thin_svd(xc)
-        v = f.v * column_signs(f.v)
-        factors, ledger = _order2_truncation(f.singular_values, 0.0, None, v, per_mode, xc.shape)
+        s, _, v = _order2_svd(xc)
+        factors, ledger = _order2_truncation(s, 0.0, None, v, per_mode, xc.shape)
     else:
         factors, ledger = _mode_truncation(xc, per_mode, (2, 3))
         factors.insert(0, None)
@@ -488,16 +448,21 @@ class GramStream:
         centering: str = "feature",
         slab_extent: int | None = None,
     ) -> SubspaceModel | None:
-        """The truncated subspace of the rows added so far, as
-        :func:`hosvd_truncated` would find it on the Gram route, but with
-        no stacking-mode factor or core.
+        """The truncated subspace of the rows added so far, found on the
+        Gram route (:func:`~uws.spectral.gram_leading`) with no
+        stacking-mode factor or core.  It matches :func:`exact_subspace` of
+        the stacked rows to within the accuracy stated in the module
+        docstring: retained factors agree to about eps * (s_1 / s_r)**2
+        and each singular value s_i to about eps * s_1**2 / s_i.
 
-        Returns None where that route is not taken (see
-        :func:`gram_eligible` and the guard in the module docstring) or
-        the stack's squared norm overflows or is below
-        ``GRAM_MIN_SQUARE``; the caller then decomposes the stacked matrix
-        with :func:`exact_subspace`.  The error cases match it: a zero stack
-        or one with no variance left after centering raises
+        Returns None where the guard declines the route: the stack is not
+        :func:`gram_eligible`, its squared norm overflows, s_1**2 (or tr G
+        >= s_1**2, before the solve) is below ``GRAM_MIN_SQUARE``, the Gram
+        is not finite, or the deepest component read is below
+        ``GRAM_MIN_RATIO * s_1``, which the leading solve reports as soon
+        as that is certain.  The caller then decomposes the stacked matrix
+        with :func:`exact_subspace`.  The error cases match it: a zero
+        stack or one with no variance left after centering raises
         DegenerateSpectrumError.
         """
         check_centering(centering)
@@ -517,8 +482,10 @@ class GramStream:
             gram = gram.plus_outer(spread, self.rows)
             mu = np.float64(mu.mean())
         _require_variance(np.sqrt(gram.trace()), np.sqrt(self.sumsq), centering)
-        found = _gram_factors(gram, per_mode)
-        if found is None:
+        if not gram.all_finite() or gram.trace() < GRAM_MIN_SQUARE:
+            return None
+        found = gram_leading(gram, per_mode, GRAM_MIN_RATIO)
+        if found is None or found[0][0] ** 2 < GRAM_MIN_SQUARE:
             return None
         s, v, tail = found
         factors, ledger = _order2_truncation(s, tail, None, v, per_mode, shape)
@@ -599,12 +566,10 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
     The returned model shares the primary mean, its factors are exactly
     orthogonal to the primary factors, and its variance ledger records
     where in the full spectrum its window starts.  The stack takes the
-    single decomposition of :func:`hosvd_truncated`, with the guard
-    applied to the deepest component read; it needs only the primary
+    single thin SVD of :func:`hosvd_truncated`; it needs only the primary
     feature factor, so a streamed or reloaded model serves.
     """
-    if k2 < 1:
-        raise InvalidArgumentError(f"k2 must be >= 1, got {k2}")
+    k2 = int_at_least(k2, "k2", 1)
     x = as_tensor(x)
     if x.ndim != 2:
         raise InvalidArgumentError(
@@ -631,14 +596,11 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
         raise DegenerateSpectrumError(
             "residual is numerically zero; the primary subspace already explains the stack"
         )
-    depth = RankPolicy.fixed_k(max(firsts) + k2)
-    s, tail, u, v = _order2_svd(xc, [depth])
+    s, u, v = _order2_svd(xc)
     factors = [np.ascontiguousarray(f[:, r1 : r1 + k2]) for f, r1 in zip((u, v), firsts)]
-    ratios = explained_variance(s, tail)
+    ratios = explained_variance(s)
     ledger = {
-        mode: ModeSpectrum(
-            singular_values=s, ratios=ratios, retained=k2, first_component=r1, tail=tail
-        )
+        mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=k2, first_component=r1)
         for mode, r1 in enumerate(firsts, start=1)
     }
     return SubspaceModel(

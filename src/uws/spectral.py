@@ -142,8 +142,8 @@ class LowerGram:
     ``G[j0:j1, :j1]`` for j0 = 0, w, 2w, ..., w = ``GRAM_PANEL_COLS``.
 
     G starts as :meth:`zeros` and is built up by :meth:`add_gram_of`, the
-    one way every Gram matrix here is formed, streamed or in memory; it
-    owns its panels.  Of each panel only the off-diagonal rectangle
+    one way every Gram matrix here is formed, by the merges of a
+    :class:`~uws.hosvd.GramStream`; it owns its panels.  Of each panel only the off-diagonal rectangle
     ``P[:, :j0]`` and the lower triangle of the diagonal block ``P[:,
     j0:]`` are read, so G's strict upper triangle is never read.  Only a
     full ``eigh`` needs the square (:meth:`square`); moving the panels
@@ -317,21 +317,27 @@ class RankPolicy:
         v = getattr(self, own)
         real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
         if self.kind == "cumulative_variance" and not (real and 0.0 < v <= 1.0):
-            raise InvalidArgumentError(f"tau must lie in (0, 1], got {v}")
+            raise InvalidArgumentError(f"tau must lie in (0, 1], got {v!r}")
         if self.kind == "eigen_floor" and not (real and 0 <= v < np.inf):
-            raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {v}")
+            raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {v!r}")
         if self.kind == "hard_threshold" and not (v is None or real and 0 < v < np.inf):
-            raise InvalidArgumentError(f"noise_sigma must be finite and > 0, got {v}")
-        if self.kind == "fixed_k" and not (real and isinstance(v, (int, np.integer)) and v >= 1):
-            raise InvalidArgumentError(f"k must be >= 1, got {v}")
+            raise InvalidArgumentError(f"noise_sigma must be finite and > 0, got {v!r}")
+        if self.kind == "fixed_k":
+            if not (real and isinstance(v, (int, np.integer))):
+                raise InvalidArgumentError(f"k must be an integer >= 1, got {v!r}")
+            if v < 1:
+                raise InvalidArgumentError(f"k must be >= 1, got {v}")
+        if v is not None:
+            # a plain int or float, so asdict(policy) serialises as JSON
+            object.__setattr__(self, own, int(v) if self.kind == "fixed_k" else float(v))
 
     @classmethod
     def cumulative_variance(cls, tau: float = 0.95) -> "RankPolicy":
-        return cls(kind="cumulative_variance", tau=float(tau))
+        return cls(kind="cumulative_variance", tau=tau)
 
     @classmethod
     def eigen_floor(cls, epsilon: float = 0.01) -> "RankPolicy":
-        return cls(kind="eigen_floor", epsilon=float(epsilon))
+        return cls(kind="eigen_floor", epsilon=epsilon)
 
     @classmethod
     def hard_threshold(cls, noise_sigma: float | None = None) -> "RankPolicy":
@@ -339,7 +345,7 @@ class RankPolicy:
 
     @classmethod
     def fixed_k(cls, k: int) -> "RankPolicy":
-        return cls(kind="fixed_k", k=int(k))
+        return cls(kind="fixed_k", k=k)
 
     def describe(self) -> str:
         if self.kind == "cumulative_variance":

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from uws.hosvd import (
     reconstruct_slice,
     secondary_subspace,
 )
-from uws.spectral import GRAM_PANEL_COLS, RankPolicy, gram_leading
+from uws.spectral import RankPolicy, gram_leading
 from uws.tensor import frobenius_norm
 
 from oracles import (
@@ -303,17 +302,17 @@ def max_sine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(qb - qa @ (qa.T @ qb), 2))
 
 
-def exact_route(monkeypatch, fn, *args, **kwargs):
-    """Run ``fn`` with the Gram route's accuracy floor set so high that
-    every order-2 stack takes the exact thin-SVD route."""
-    with monkeypatch.context() as m:
-        m.setattr(hosvd_module, "GRAM_MIN_RATIO", np.inf)
-        return fn(*args, **kwargs)
+def streamed(x, policies, **kwargs):
+    """The :class:`~uws.hosvd.GramStream` result for the rows of ``x``,
+    or None where its guard declines them."""
+    stream = hosvd_module.GramStream(x.shape[1])
+    stream.add(x)
+    return stream.decompose(policies, **kwargs)
 
 
 def count_decompositions(monkeypatch, fn, x, *args):
-    """``fn(x, *args)`` with its SVDs counted, and its ``eigh`` and
-    ``eigvalsh`` calls on matrices as wide as the stack ``x``."""
+    """``fn(x, *args)`` with its ``svd`` calls counted, and its ``eigh``
+    and ``eigvalsh`` calls on matrices as wide as the stack ``x``."""
     calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
     with monkeypatch.context() as m:
         for name in calls:
@@ -329,13 +328,16 @@ def count_decompositions(monkeypatch, fn, x, *args):
     return out, calls
 
 
-def assert_routes_agree(got: SubspaceModel, want: SubspaceModel):
-    assert got.ranks == want.ranks
-    for f1, f2 in zip(got.factors, want.factors):
-        assert max_sine(f1, f2) <= 1e-10
+def assert_stream_matches_exact(got: SubspaceModel, want: SubspaceModel):
+    """A streamed model ``got`` agrees with the exact reference ``want``
+    from :func:`hosvd_truncated` of the same stack: mean, ranks, feature
+    factor and ledgers."""
+    assert got.factors[0] is None and got.core is None
+    assert np.max(np.abs(got.mu - want.mu)) <= 1e-12 * np.max(np.abs(want.mu))
+    assert got.ranks[1:] == want.ranks[1:]
+    assert max_sine(got.factors[1], want.factors[1]) <= 1e-10
     for mode, spec in want.variance_ledger.items():
         assert_spectra_agree(got.variance_ledger[mode], spec)
-    assert relerr(reconstruct(got), reconstruct(want)) <= 1e-10
 
 
 TALL_PLANTED = [(400, 32, 5, 0.05), (900, 64, 8, 0.01), (120, 120, 3, 0.1)]
@@ -352,39 +354,48 @@ TALL_PLANTED = [(400, 32, 5, 0.05), (900, 64, 8, 0.01), (120, 120, 3, 0.1)]
     ],
     ids=["fixed_k", "tau", "floor", "mixed"],
 )
-def test_gram_route_matches_exact_route(monkeypatch, n, d, k, noise, policies):
+def test_gram_route_matches_exact_route(n, d, k, noise, policies):
     rng = np.random.default_rng(n + d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
-    t = x
-    gram = hosvd_truncated(t, policies, slab_extent=4)
-    exact = exact_route(monkeypatch, hosvd_truncated, t, policies, slab_extent=4)
-    assert_routes_agree(gram, exact)
+    got = streamed(x, policies, slab_extent=4)
+    assert_stream_matches_exact(got, hosvd_truncated(x, policies, slab_extent=4))
 
 
 @pytest.mark.parametrize("n,d,k,noise", TALL_PLANTED)
-def test_secondary_gram_route_matches_exact_route(monkeypatch, n, d, k, noise):
+def test_secondary_gram_route_matches_exact_route(n, d, k, noise):
     rng = np.random.default_rng(n * d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
-    t = x
-    model = hosvd_truncated(t, [RankPolicy.fixed_k(k + 1), RankPolicy.fixed_k(k)])
-    gram = secondary_subspace(t, model, 3)
-    exact = exact_route(monkeypatch, secondary_subspace, t, model, 3)
-    assert_routes_agree(gram, exact)
-    assert [s.first_component for s in gram.variance_ledger.values()] == [k + 1, k]
+    model = hosvd_truncated(x, [RankPolicy.fixed_k(k + 1), RankPolicy.fixed_k(k)])
+    second = secondary_subspace(x, model, 3)
+    assert [s.first_component for s in second.variance_ledger.values()] == [k + 1, k]
+    # the Gram route read as deep as the window ends finds the same window
+    deep = streamed(x, RankPolicy.fixed_k(k + 4))
+    assert max_sine(deep.factors[1][:, k : k + 3], second.factors[1]) <= 1e-10
+    s, exact = deep.variance_ledger[2].singular_values, second.variance_ledger[2].singular_values
+    assert np.max(np.abs(s - exact[: s.size])) <= 1e-12 * exact[0]
 
 
 def test_tall_well_conditioned_stack_takes_one_eigh(monkeypatch):
     rng = np.random.default_rng(63)
     x, _ = planted_stack(rng, n=300, d=24, k=4, noise=0.05)
-    t = x
-    model, calls = count_decompositions(
-        monkeypatch, hosvd_truncated, t, RankPolicy.cumulative_variance(0.9)
-    )
+    policy = RankPolicy.cumulative_variance(0.9)
+    model, calls = count_decompositions(monkeypatch, streamed, x, policy)
     assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
-    assert model.ranks == (4, 4)
-    second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 5)
-    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
-    assert second.ranks == (5, 5)
+    assert model.ranks == (None, 4)
+    assert_stream_matches_exact(model, hosvd_truncated(x, policy))
+
+
+def test_reference_takes_one_svd_and_no_eigh_per_tall_stack(monkeypatch):
+    rng = np.random.default_rng(70)
+    stacks = [planted_stack(rng, n=n, d=d, k=k, noise=noise)[0] for n, d, k, noise in TALL_PLANTED]
+    solves = record_square_solves(monkeypatch)  # eigh and eigvalsh of any order
+    for x in stacks:
+        for policy in (RankPolicy.cumulative_variance(0.9), RankPolicy.fixed_k(4)):
+            model, calls = count_decompositions(monkeypatch, hosvd_truncated, x, policy)
+            assert calls["svd"] == 1
+            _, calls = count_decompositions(monkeypatch, secondary_subspace, x, model, 3)
+            assert calls["svd"] == 1
+    assert solves == []
 
 
 def ill_conditioned_stack(rng, n=200, d=12):
@@ -399,18 +410,21 @@ def test_guard_cases_take_exactly_one_svd(monkeypatch):
     tall = rng.standard_normal((60, 8))
     noisy, _ = planted_stack(rng, n=80, d=16, k=3, noise=0.05)
     cases = [
-        # (stack, policies, expected d x d eigh calls, full rank); at 12
-        # columns the Gram route takes its spectrum from one eigh, cheaper
-        # there than a block iteration, and the guard then declines it
+        # (stack, policies, d x d eigh calls before the stream declines, full
+        # rank); at 12 columns the Gram route takes its spectrum from one
+        # eigh, cheaper there than a block iteration, and the guard then
+        # declines it
         (tall, RankPolicy.cumulative_variance(1.0), 0, True),
         (noisy, RankPolicy.hard_threshold(), 0, False),
         (rng.standard_normal((8, 30)), RankPolicy.fixed_k(3), 0, False),
         (ill_conditioned_stack(rng), RankPolicy.fixed_k(10), 1, False),
     ]
     for x, policies, eighs, full in cases:
-        t = x
-        model, calls = count_decompositions(monkeypatch, hosvd_truncated, t, policies)
-        assert calls == {"svd": 1, "eigh": eighs, "eigvalsh": 0}
+        declined, calls = count_decompositions(monkeypatch, streamed, x, policies)
+        assert declined is None
+        assert calls == {"svd": 0, "eigh": eighs, "eigvalsh": 0}
+        model, calls = count_decompositions(monkeypatch, hosvd_truncated, x, policies)
+        assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0}
         for f in model.factors:
             assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
         rec = reconstruct(model)
@@ -428,15 +442,20 @@ def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
     rng = np.random.default_rng(65)
     t = ill_conditioned_stack(rng)
     model = hosvd_truncated(t, RankPolicy.fixed_k(3))
-    # the window 3..5 stays above 1e-3 * s_1; 3..9 reaches below it
-    _, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 3)
-    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
-    # the declined window's spectrum comes from the same one eigh
-    second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, 7)
-    assert calls == {"svd": 1, "eigh": 1, "eigvalsh": 0}
-    for u1, u2 in zip(model.factors, second.factors):
-        assert np.max(np.abs(u2.T @ u2 - np.eye(7))) <= 1e-10
-        assert np.max(np.abs(u1.T @ u2)) < 1e-8
+    # read to the end of the window 3..5, the spectrum stays above
+    # 1e-3 * s_1 and the Gram route serves it; to the end of 3..9 it
+    # reaches below, and the same one eigh declines it
+    for depth, declined in ((6, False), (10, True)):
+        got, calls = count_decompositions(monkeypatch, streamed, t, RankPolicy.fixed_k(depth))
+        assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
+        assert (got is None) == declined
+    # the secondary subspace takes one thin SVD for either window
+    for k2 in (3, 7):
+        second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, k2)
+        assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0}
+        for u1, u2 in zip(model.factors, second.factors):
+            assert np.max(np.abs(u2.T @ u2 - np.eye(k2))) <= 1e-10
+            assert np.max(np.abs(u1.T @ u2)) < 1e-8
 
 
 def test_declined_gram_route_solves_for_no_eigenvector(monkeypatch):
@@ -447,12 +466,8 @@ def test_declined_gram_route_solves_for_no_eigenvector(monkeypatch):
     # component below the guard's floor before any d x d solve
     x = ill_conditioned_stack(rng) @ haar_columns(256, 12, rng).T
     solves = record_square_solves(monkeypatch)
-    model = hosvd_truncated(x, RankPolicy.fixed_k(10))
-    stream = hosvd_module.GramStream(x.shape[1])
-    stream.add(x)
-    assert stream.decompose(RankPolicy.fixed_k(10)) is None
+    assert streamed(x, RankPolicy.fixed_k(10)) is None
     assert all(order < x.shape[1] for _, order in solves)
-    assert model.ranks == (10, 10)
 
 
 def test_declined_narrow_gram_route_takes_one_full_eigh_and_no_eigvalsh(monkeypatch):
@@ -463,12 +478,8 @@ def test_declined_narrow_gram_route_takes_one_full_eigh_and_no_eigvalsh(monkeypa
     # component below the guard's floor
     x = ill_conditioned_stack(rng)
     solves = record_square_solves(monkeypatch)
-    model = hosvd_truncated(x, RankPolicy.fixed_k(10))
-    stream = hosvd_module.GramStream(x.shape[1])
-    stream.add(x)
-    assert stream.decompose(RankPolicy.fixed_k(10)) is None
-    assert solves == [("eigh", 12), ("eigh", 12)]
-    assert model.ranks == (10, 10)
+    assert streamed(x, RankPolicy.fixed_k(10)) is None
+    assert solves == [("eigh", 12)]
 
 
 def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(monkeypatch):
@@ -476,12 +487,9 @@ def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(mo
     x, _ = planted_stack(rng, n=2000, d=512, k=8, noise=0.01)
     for policy in (RankPolicy.cumulative_variance(0.95), RankPolicy.fixed_k(8)):
         solves = record_square_solves(monkeypatch)
-        model = hosvd_truncated(x, policy)
-        stream = hosvd_module.GramStream(x.shape[1])
-        stream.add(x)
-        streamed = stream.decompose(policy)
+        model = streamed(x, policy)
         monkeypatch.undo()
-        assert model.ranks == (8, 8) and streamed.ranks == (None, 8)
+        assert model.ranks == (None, 8)
         assert solves and all(name == "eigh" and order < 512 for name, order in solves)
     # an isotropic 12800 x 1024 stack keeps 95% of its variance only about
     # 900 deep, which the Cauchy-Schwarz bound sees before any iteration
@@ -494,37 +502,20 @@ def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(mo
     assert 800 < model.ranks[1] < 1000
 
 
-def test_in_memory_gram_route_holds_the_panels_not_a_square():
-    rng = np.random.default_rng(69)
-    d = 1024
-    x, _ = planted_stack(rng, n=d + 76, d=d, k=4, noise=1e-3)
-    xc = x - x.mean(axis=0)
-    tracemalloc.start()
-    try:
-        _, tail, _, _ = hosvd_module._order2_svd(xc, [RankPolicy.fixed_k(4)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert tail > 0  # the Gram route, not the exact one
-    panels = d * (d + GRAM_PANEL_COLS) // 2 * 8  # and one panel product beside them
-    assert peak <= 1.1 * (panels + GRAM_PANEL_COLS * d * 8) < d * d * 8
-
-
 def test_rank_deficient_square_stack_stores_exact_zero_tails():
     rng = np.random.default_rng(67)
     x, _ = planted_stack(rng, n=120, d=120, k=3, noise=0.1)  # centred rank 119
-    stream = hosvd_module.GramStream(x.shape[1])
-    stream.add(x)
     xc = x - x.mean(axis=0)
     exact = np.linalg.svd(xc, compute_uv=False)
     assert 0 < exact[-1] <= 1e-12 * exact[0]  # the exact SVD reads rounding there
     policy = RankPolicy.cumulative_variance(0.9)
-    for model in (hosvd_truncated(x, policy), stream.decompose(policy)):
-        spec = model.variance_ledger[2]
-        s, n = spec.singular_values, spec.singular_values.size
-        assert n == spec.retained < 119
-        assert np.max(np.abs(s - exact[:n])) <= 1e-12 * s[0]
-        assert abs(spec.tail - np.sum(exact[n:] ** 2)) <= 1e-12 * np.sum(exact**2)
+    model = streamed(x, policy)
+    assert_stream_matches_exact(model, hosvd_truncated(x, policy))
+    spec = model.variance_ledger[2]
+    s, n = spec.singular_values, spec.singular_values.size
+    assert n == spec.retained < 119
+    assert np.max(np.abs(s - exact[:n])) <= 1e-12 * s[0]
+    assert abs(spec.tail - np.sum(exact[n:] ** 2)) <= 1e-12 * np.sum(exact**2)
     # read to the whole spectrum, the rounding-level component is an exact
     # 0 and so is the energy past it
     s, _, tail = gram_leading(lower_gram(xc), [RankPolicy.fixed_k(120)])
@@ -537,15 +528,22 @@ def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypa
     x, _ = planted_stack(rng, n=800, d=384, k=4, noise=1e-3)
     policy = RankPolicy.cumulative_variance(0.99)
     solves = record_square_solves(monkeypatch)
-    small = hosvd_truncated(x, policy)
+    small = streamed(x, policy)
     assert solves and all(order < x.shape[1] for _, order in solves)  # no d x d solve
-    for exponent in (532, -532):
-        big = hosvd_truncated(np.ldexp(x, exponent), policy)
-        assert big.ranks == small.ranks == (4, 4)
+    monkeypatch.undo()
+    assert_stream_matches_exact(small, hosvd_truncated(x, policy))
+    # past 2**±256 the leading solve rescales the Gram matrix
+    for exponent in (300, -300):
+        big = streamed(np.ldexp(x, exponent), policy)
+        assert big.ranks == small.ranks == (None, 4)
         assert max_sine(big.factors[1], small.factors[1]) <= 1e-10
-        stream = hosvd_module.GramStream(x.shape[1])
-        stream.add(np.ldexp(x, exponent))
-        assert stream.decompose(policy) is None  # squares out of range: stack it
+    # at 2**±532 the squares leave the range the stream accepts, and the
+    # exact reference serves the stack
+    for exponent in (532, -532):
+        assert streamed(np.ldexp(x, exponent), policy) is None
+        exact = hosvd_truncated(np.ldexp(x, exponent), policy)
+        assert exact.ranks == (4, 4)
+        assert max_sine(exact.factors[1], small.factors[1]) <= 1e-10
 
 
 # -------------------------------------------------- slice project/reconstruct
@@ -704,8 +702,11 @@ def test_secondary_k2_exceeding_remaining_rank():
         (lambda x: x[:40], 1,
          "tensor shape (40, 8) does not match the model's stack shape (50, 8)"),
         (lambda x: x, 6, "k2=6 exceeds the 5 directions remaining along mode 1"),
+        (lambda x: x, 2.5, "k2 must be an integer, got 2.5"),
+        (lambda x: x, True, "k2 must be an integer, got True"),
     ],
-    ids=["k2-zero", "k2-negative", "order-3", "shape-mismatch", "k2-too-deep"],
+    ids=["k2-zero", "k2-negative", "order-3", "shape-mismatch", "k2-too-deep", "k2-fraction",
+         "k2-bool"],
 )
 def test_secondary_refuses_what_it_cannot_take(reshape, k2, message):
     x, _ = planted_stack(np.random.default_rng(62), n=50, d=8, k=3, noise=0.05)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from uws.errors import (
     NumericalFailureError,
 )
 from uws.spectral import (
+    _PARAMETER,
     GRAM_PANEL_COLS,
     RankPolicy,
     ThinSvd,
@@ -472,20 +474,32 @@ def test_policy_parameter_validation():
         (dict(kind="fixed_k", k=2.5), "k must be"),
         (dict(kind="fixed_k", k=0), "k must be"),
         (dict(kind="fixed_k", k=3, epsilon=0.1), "takes no epsilon"),
+        (dict(kind="fixed_k", k=2.5), "k must be an integer >= 1, got 2.5"),
+        (dict(kind="fixed_k", k=True), "k must be an integer >= 1, got True"),
+        (dict(kind="fixed_k", k="3"), "k must be an integer >= 1, got '3'"),
+        (dict(kind="eigen_floor", epsilon=False), "epsilon"),
+        (dict(kind="hard_threshold", noise_sigma="1"), "noise_sigma"),
     ],
 )
 def test_policy_checks_itself_however_it_is_built(fields, message):
-    with pytest.raises(InvalidArgumentError, match=message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
         RankPolicy(**fields)
+    # the kind's classmethod, given the same parameter, runs the same checks
+    kind = fields["kind"]
+    own = _PARAMETER.get(kind) if isinstance(kind, str) else None
+    if set(fields) == {"kind", own}:
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            getattr(RankPolicy, kind)(fields[own])
 
 
 def test_policy_fields_round_trip_through_asdict():
     for policy in (RankPolicy.cumulative_variance(0.9), RankPolicy.eigen_floor(0.0),
                    RankPolicy.hard_threshold(), RankPolicy.hard_threshold(0.5),
-                   RankPolicy.fixed_k(np.int64(4))):
+                   RankPolicy.fixed_k(np.int64(4)), RankPolicy.eigen_floor(np.float64(0.5))):
         fields = dataclasses.asdict(policy)
         assert list(fields) == ["kind", "tau", "epsilon", "k", "noise_sigma"]
         assert RankPolicy(**fields) == policy
+        assert json.loads(json.dumps(fields)) == fields  # numpy scalars stored as plain numbers
 
 
 # -------------------------------------------------------------- operator_norm
