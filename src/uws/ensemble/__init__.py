@@ -343,7 +343,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     for name in included:
         rows, cols = head.shapes[name]
         names = (name,) if ids else _AllBut(included[1:])
-        if config.order == 2 and gram_eligible((len(models) * rows, cols), [config.policy] * 2):
+        if config.order == 2 and gram_eligible((len(models) * rows, cols), config.policy):
             stream = GramStream(cols)
             layer_pass(name, names, lambda model: stream.add(model.layers[name]))
             with _naming_layer(name):

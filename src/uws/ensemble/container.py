@@ -33,7 +33,6 @@ import io
 import json
 import os
 import struct
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -90,9 +89,17 @@ def _encoded(name: str, arr: np.ndarray, dtype: str) -> np.ndarray:
 def _atomic_file(path):
     """A binary file that appears at ``path`` only once the ``with`` block
     completes: it is written as a sibling temp file and renamed, so a
-    crash or error can never leave a partially written file there."""
+    crash or error can never leave a partially written file there.  The
+    temp file is created with mode 0o666, which the umask trims, as
+    ``open()`` creates a file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -2,15 +2,15 @@
 
 Pipeline: subtract the mean (feature-wise along the stacking mode by
 default, or one global scalar), find each mode's leading singular
-vectors, keep as many as that mode's rank policy asks for, and contract
+vectors, keep as many as the rank policy asks for, and contract
 the centered stack with the factor transposes to get the core.
 Reconstruction multiplies the core back through every factor and adds
 the mean.
 
 Order-2 stacks (rows = models' stacked rows, columns = features) are
 plain PCA of one matrix Xc, and their two mode unfoldings are Xc and its
-transpose, so one thin SVD of Xc serves both modes.  An order-3 stack
-takes one thin SVD of each of its three mode unfoldings.  Every factor
+transpose, so one thin SVD of Xc and one rank serve both modes.  An
+order-3 stack takes one SVD and one rank per mode unfolding.  Every factor
 column is oriented so its largest-magnitude entry is nonnegative.
 :func:`hosvd_truncated` is the in-memory reference; :func:`exact_subspace`,
 for extraction, keeps only the non-stacking modes and forms no core.
@@ -25,7 +25,7 @@ offset costs accuracy.  Its result carries no stacking-mode factor or
 core, and comes from the Gram route:
 
 - :func:`~uws.spectral.gram_leading` finds, of G, only the leading
-  eigenpairs that the policies retain or read, and tr G less their sum
+  eigenpairs that the policy retains or reads, and tr G less their sum
   as the energy of the rest (a certified block iteration where that is
   cheap, else one ``eigh``); no other spectrum is computed or kept.
   Squaring the condition number leaves s_i an absolute error of about
@@ -33,7 +33,7 @@ core, and comes from the Gram route:
   about eps * (s_1 / s_r)**2 against the exact SVD's.
 - A guard declines the route, and the caller stacks the rows for the
   exact SVD, whenever it could lose accuracy that a result depends on:
-  the stack is wider than tall, a policy is ``cumulative_variance(tau=1)``
+  the stack is wider than tall, the policy is ``cumulative_variance(tau=1)``
   or ``hard_threshold`` (both read the small end of the spectrum), or
   the deepest component retained or read is below 1e-3 * s_1, where that
   error could exceed about 2e-10.  It also declines a stack whose Gram
@@ -65,6 +65,7 @@ from .spectral import (
     DEFAULT_POLICY,
     LowerGram,
     RankPolicy,
+    check_policy,
     column_signs,
     explained_variance,
     gram_leading,
@@ -179,25 +180,12 @@ def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     return mu, arr - mu
 
 
-def _policy_list(policies, order: int) -> list[RankPolicy]:
-    if isinstance(policies, RankPolicy):
-        return [policies] * order
-    policies = list(policies)
-    if len(policies) != order:
-        raise InvalidArgumentError(
-            f"need one policy per mode ({order}), got {len(policies)}"
-        )
-    if not all(isinstance(p, RankPolicy) for p in policies):
-        raise InvalidArgumentError("policies must be RankPolicy instances")
-    return policies
-
-
-def gram_eligible(shape, policies) -> bool:
+def gram_eligible(shape, policy: RankPolicy) -> bool:
     """Whether an order-2 stack of ``shape`` may take the Gram route at
-    all: it is at least as tall as wide, and no policy reads the small
-    end of the spectrum (``hard_threshold``, ``cumulative_variance`` with
-    tau = 1)."""
-    return shape[0] >= shape[1] and not any(p.reads_small_end for p in policies)
+    all: it is at least as tall as wide, and the policy does not read the
+    small end of the spectrum (``hard_threshold``, ``cumulative_variance``
+    with tau = 1)."""
+    return shape[0] >= shape[1] and not policy.reads_small_end
 
 
 def _order2_svd(xc: np.ndarray):
@@ -208,24 +196,16 @@ def _order2_svd(xc: np.ndarray):
     return f.singular_values, f.u, f.v * column_signs(f.v)
 
 
-def _order2_truncation(s, tail, u, v, policies, shape):
+def _order2_truncation(s, tail, u, v, policy, shape):
     """Truncated factors (the stacking one None when ``u`` is) and the
-    ledger of an order-2 decomposition, whose two modes share one
-    spectrum; ``tail`` is the energy of the values ``s`` does not list."""
+    ledger of an order-2 decomposition, whose two modes share one rank and
+    one :class:`ModeSpectrum`; ``tail`` is the energy of the values ``s`` does not list."""
     ratios = explained_variance(s, tail)
-    r1, r2 = (
-        select_rank(ratios, p, singular_values=s, shape=sh)
-        for p, sh in zip(policies, (tuple(shape), tuple(shape)[::-1]))
-    )
-    factors = [
-        None if u is None else np.ascontiguousarray(u[:, :r1]),
-        np.ascontiguousarray(v[:, :r2]),
-    ]
-    ledger = {
-        mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=r, tail=tail)
-        for mode, r in ((1, r1), (2, r2))
-    }
-    return factors, ledger
+    r = select_rank(ratios, policy, singular_values=s, shape=shape)
+    factors = [None if u is None else np.ascontiguousarray(u[:, :r]),
+               np.ascontiguousarray(v[:, :r])]
+    spectrum = ModeSpectrum(singular_values=s, ratios=ratios, retained=r, tail=tail)
+    return factors, {1: spectrum, 2: spectrum}
 
 
 def _require_variance(centred_norm, norm, centering: str) -> None:
@@ -259,18 +239,18 @@ def _core(xc: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return _contract(factors[1:], g.reshape(-1, *xc.shape[1:]))
 
 
-def _centred(x, policies, centering: str):
-    """The stack as a tensor, one policy per mode, and its checked :func:`center` split."""
+def _centred(x, policy, centering: str):
+    """The stack as a tensor and its checked :func:`center` split."""
     x = as_tensor(x)
-    per_mode = _policy_list(policies, x.ndim)
+    check_policy(policy)
     if not np.any(x):
         raise DegenerateSpectrumError("tensor is identically zero")
     mu, xc = center(x, centering)
     _require_variance(frobenius_norm(xc), frobenius_norm(x), centering)
-    return x, per_mode, mu, xc
+    return x, mu, xc
 
 
-def _mode_truncation(xc: np.ndarray, policies, modes):
+def _mode_truncation(xc: np.ndarray, policy, modes):
     """Truncated factors and ledger of the ``modes`` of a centered
     order-3 stack, from one thin SVD of each mode's unfolding."""
     factors, ledger = [], {}
@@ -278,9 +258,7 @@ def _mode_truncation(xc: np.ndarray, policies, modes):
         m = np.reshape(np.moveaxis(xc, mode - 1, 0), (xc.shape[mode - 1], -1), order="F")
         f = thin_svd(m)
         ratios = explained_variance(f.singular_values)
-        r = select_rank(
-            ratios, policies[mode - 1], singular_values=f.singular_values, shape=m.shape
-        )
+        r = select_rank(ratios, policy, singular_values=f.singular_values, shape=m.shape)
         factors.append(np.ascontiguousarray(f.u[:, :r]))
         ledger[mode] = ModeSpectrum(singular_values=f.singular_values, ratios=ratios, retained=r)
     return factors, ledger
@@ -288,16 +266,16 @@ def _mode_truncation(xc: np.ndarray, policies, modes):
 
 def hosvd_truncated(
     x,
-    policies=DEFAULT_POLICY,
+    policy: RankPolicy = DEFAULT_POLICY,
     *,
     centering: str = "feature",
     slab_extent: int | None = None,
 ) -> SubspaceModel:
     """Zero-center ``x`` and truncate every mode of the centered tensor.
 
-    An order-2 stack takes one thin SVD, whose spectrum both modes
-    share, and the core is ``U1.T @ Xc @ U2``; an order-3 stack takes one
-    thin SVD per mode unfolding.  This is the exact reference that a
+    An order-2 stack takes one thin SVD, whose spectrum and rank both
+    modes share, and the core is ``U1.T @ Xc @ U2``; an order-3 stack
+    takes one thin SVD per mode unfolding.  This is the exact reference that a
     :class:`GramStream`'s result is checked against.
 
     Parameters
@@ -305,19 +283,19 @@ def hosvd_truncated(
     x : array_like
         The stack, order 2 (stacked rows x features) or 3 (members x
         rows x features), whose mode 1 enumerates the stacked slabs.
-    policies : RankPolicy or sequence of RankPolicy
-        Rank selection, shared or per mode.
+    policy : RankPolicy
+        Rank selection, applied to each mode's spectrum.
     centering : {"feature", "global"}
     slab_extent : int, optional
         Rows of one member's slab of an order-2 stack; recorded so
         projection can validate its input.
     """
-    x, per_mode, mu, xc = _centred(x, policies, centering)
+    x, mu, xc = _centred(x, policy, centering)
     if x.ndim == 2:
         s, u, v = _order2_svd(xc)
-        factors, ledger = _order2_truncation(s, 0.0, u, v, per_mode, xc.shape)
+        factors, ledger = _order2_truncation(s, 0.0, u, v, policy, xc.shape)
     else:
-        factors, ledger = _mode_truncation(xc, per_mode, (1, 2, 3))
+        factors, ledger = _mode_truncation(xc, policy, (1, 2, 3))
     return SubspaceModel(
         mu=mu,
         factors=factors,
@@ -329,7 +307,7 @@ def hosvd_truncated(
     )
 
 
-def exact_subspace(x, policies, *, centering: str, slab_extent: int) -> SubspaceModel:
+def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -> SubspaceModel:
     """What a subspace file holds of the stack ``x``, by the exact route
     alone: the mean, and each non-stacking mode's truncated factor and
     ledger from one thin SVD of its unfolding (of the stack itself for
@@ -337,12 +315,12 @@ def exact_subspace(x, policies, *, centering: str, slab_extent: int) -> Subspace
     No stacking-mode factor or core is formed.  The arguments, errors and
     each result match :func:`hosvd_truncated`'s bit for bit.
     """
-    x, per_mode, mu, xc = _centred(x, policies, centering)
+    x, mu, xc = _centred(x, policy, centering)
     if x.ndim == 2:
         s, _, v = _order2_svd(xc)
-        factors, ledger = _order2_truncation(s, 0.0, None, v, per_mode, xc.shape)
+        factors, ledger = _order2_truncation(s, 0.0, None, v, policy, xc.shape)
     else:
-        factors, ledger = _mode_truncation(xc, per_mode, (2, 3))
+        factors, ledger = _mode_truncation(xc, policy, (2, 3))
         factors.insert(0, None)
     return SubspaceModel(mu=mu, factors=factors, core=None, variance_ledger=ledger,
                          centering=centering, shape=x.shape, slab_extent=slab_extent)
@@ -443,7 +421,7 @@ class GramStream:
 
     def decompose(
         self,
-        policies=DEFAULT_POLICY,
+        policy: RankPolicy = DEFAULT_POLICY,
         *,
         centering: str = "feature",
         slab_extent: int | None = None,
@@ -466,14 +444,14 @@ class GramStream:
         DegenerateSpectrumError.
         """
         check_centering(centering)
-        per_mode = _policy_list(policies, 2)
+        check_policy(policy)
         self.flush()
         shape = (self.rows, self.cols)
         if self.rows == 0:
             raise InvalidArgumentError("no rows to decompose")
         if not self.nonzero:
             raise DegenerateSpectrumError("tensor is identically zero")
-        if not (gram_eligible(shape, per_mode) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
+        if not (gram_eligible(shape, policy) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
             return None
         gram, mu = self._gram, self.mean.copy()
         if centering == "global":
@@ -484,11 +462,11 @@ class GramStream:
         _require_variance(np.sqrt(gram.trace()), np.sqrt(self.sumsq), centering)
         if not gram.all_finite() or gram.trace() < GRAM_MIN_SQUARE:
             return None
-        found = gram_leading(gram, per_mode, GRAM_MIN_RATIO)
+        found = gram_leading(gram, policy, GRAM_MIN_RATIO)
         if found is None or found[0][0] ** 2 < GRAM_MIN_SQUARE:
             return None
         s, v, tail = found
-        factors, ledger = _order2_truncation(s, tail, None, v, per_mode, shape)
+        factors, ledger = _order2_truncation(s, tail, None, v, policy, shape)
         return SubspaceModel(
             mu=mu,
             factors=factors,
@@ -560,8 +538,8 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
 
 
 def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
-    """The residual subspace of an order-2 stack: per mode, the ``k2``
-    directions that follow the primary ones in the stack's spectrum.
+    """The residual subspace of an order-2 stack: along both modes, the
+    ``k2`` directions that follow the primary r in the stack's spectrum.
 
     The returned model shares the primary mean, its factors are exactly
     orthogonal to the primary factors, and its variance ledger records
@@ -580,34 +558,28 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
         raise InvalidArgumentError(
             f"tensor shape {x.shape} does not match the model's stack shape {model.shape}"
         )
-    firsts = [model.variance_ledger[mode].retained for mode in (1, 2)]
-    for mode, r1 in enumerate(firsts, start=1):
-        avail = min(x.shape) - r1
-        if k2 > avail:
-            raise InvalidArgumentError(
-                f"k2={k2} exceeds the {avail} directions remaining along mode {mode}"
-            )
+    r = model.variance_ledger[2].retained
+    if k2 > min(x.shape) - r:
+        raise InvalidArgumentError(
+            f"k2={k2} exceeds the {min(x.shape) - r} directions that follow the primary {r}"
+        )
     xc = x - np.asarray(model.mu)
     # U1 = Xc V / s, so the residual after removing the primary subspace
-    # along both modes is Xc - Xc Vm Vm.T with m = min(r1, r2): the
-    # feature factor alone gives the projection
-    v = model.factors[1][:, : min(firsts)]
+    # along both modes is Xc - Xc V V.T: the feature factor alone gives it
+    v = model.factors[1]
     if np.linalg.norm(xc - (xc @ v) @ v.T) <= 1e-12 * np.linalg.norm(xc):
         raise DegenerateSpectrumError(
             "residual is numerically zero; the primary subspace already explains the stack"
         )
     s, u, v = _order2_svd(xc)
-    factors = [np.ascontiguousarray(f[:, r1 : r1 + k2]) for f, r1 in zip((u, v), firsts)]
+    factors = [np.ascontiguousarray(f[:, r : r + k2]) for f in (u, v)]
     ratios = explained_variance(s)
-    ledger = {
-        mode: ModeSpectrum(singular_values=s, ratios=ratios, retained=k2, first_component=r1)
-        for mode, r1 in enumerate(firsts, start=1)
-    }
+    spectrum = ModeSpectrum(singular_values=s, ratios=ratios, retained=k2, first_component=r)
     return SubspaceModel(
         mu=model.mu,
         factors=factors,
         core=_core(xc, factors),
-        variance_ledger=ledger,
+        variance_ledger={1: spectrum, 2: spectrum},
         centering=model.centering,
         shape=model.shape,
         slab_extent=model.slab_extent,

@@ -370,6 +370,12 @@ class RankPolicy:
 DEFAULT_POLICY = RankPolicy.cumulative_variance(0.95)
 
 
+def check_policy(policy) -> None:
+    """Refuse anything but one :class:`RankPolicy`, a list of them included."""
+    if not isinstance(policy, RankPolicy):
+        raise InvalidArgumentError(f"policy must be a RankPolicy, got {type(policy).__name__}")
+
+
 def _optimal_hard_threshold(singular_values: np.ndarray, shape, noise_sigma) -> float:
     """Closed-form optimal singular-value threshold for white noise.
 
@@ -428,8 +434,8 @@ class _Declined(Exception):
     """The deepest value the caller reads is below its floor."""
 
 
-def _leading_eigh(g, policies, min_ratio):
-    """The leading eigenpairs of ``g`` as deep as ``policies`` read, and
+def _leading_eigh(g, policy, min_ratio):
+    """The leading eigenpairs of ``g`` as deep as ``policy`` reads, and
     the sum of the other eigenvalues, from one full ``eigh``.  An
     eigenvalue below d * eps * lambda_1, the absolute error a
     backward-stable symmetric eigensolver leaves, is rounding whose sign
@@ -441,21 +447,21 @@ def _leading_eigh(g, policies, min_ratio):
     lam, vec = lam[::-1], vec[:, ::-1]
     lam = np.where(lam < g.dim * _EPS * max(lam[0], 0.0), 0.0, lam)
     ratios = explained_variance(np.sqrt(lam))
-    n = max(select_rank(ratios, p) for p in policies)
+    n = select_rank(ratios, policy)
     if np.sqrt(lam[n - 1]) < min_ratio * np.sqrt(lam[0]):
         raise _Declined
     return lam[:n], np.ascontiguousarray(vec[:, :n]), float(np.sum(lam[n:]))
 
 
-def _certified_depth(theta, converged, rho, ceiling, total, slack, tol, policies):
+def _certified_depth(theta, converged, rho, ceiling, total, slack, tol, policy):
     """``(n, least)`` from Ritz values ``theta`` whose residual norms
     through depth m are ``rho[m - 1]`` (all within ``tol`` where
     ``converged``), where ``ceiling[m - 1] + rho[m - 1]`` bounds every
-    eigenvalue outside the leading m Ritz directions: n is the depth the
-    policies select where no certified error can change it and each rank
-    selected is certified with a gap after it of at least ``(rho + tol) /
-    LEADING_MAX_SINE``, else None; ``least`` is a depth they certainly
-    select at least."""
+    eigenvalue outside the leading m Ritz directions: n is the rank the
+    policy selects where no certified error can change it and that rank
+    is certified with a gap after it of at least ``(rho + tol) /
+    LEADING_MAX_SINE``, else None; ``least`` is a depth it certainly
+    selects at least."""
     gap = theta - rho - ceiling - rho
     certified = converged & (gap > 0)
     if not certified.any():
@@ -464,17 +470,15 @@ def _certified_depth(theta, converged, rho, ceiling, total, slack, tol, policies
     lo = np.append(np.maximum(theta[:m] - slack, 0.0), 0.0)
     hi = theta[:m] + rho[m - 1] + slack
     hi = np.append(hi, min(ceiling[m - 1] + rho[m - 1] + slack, hi[-1]))
-    pairs = [(select_rank(lo / total, p), select_rank(hi / total, p)) for p in policies]
-    least = max(min(pair) for pair in pairs)
-    if all(a == c <= m and certified[a - 1]
-           and gap[a - 1] >= (rho[a - 1] + tol) / LEADING_MAX_SINE for a, c in pairs):
-        return max(a for a, _ in pairs), least
-    return None, least
+    a, c = select_rank(lo / total, policy), select_rank(hi / total, policy)
+    if a == c <= m and certified[a - 1] and gap[a - 1] >= (rho[a - 1] + tol) / LEADING_MAX_SINE:
+        return a, a
+    return None, min(a, c)
 
 
-def _leading_block(g, total, policies, min_ratio):
+def _leading_block(g, total, policy, min_ratio):
     """The leading eigenpairs of ``g`` (trace ``total``) as deep as
-    ``policies`` read, and ``total`` less their sum, from shifted block
+    ``policy`` reads, and ``total`` less their sum, from shifted block
     subspace iteration with a Rayleigh-Ritz step after every sweep; or
     None where the iteration is predicted to cost more than
     ``LEADING_MAX_WORK * d**3`` flops or runs out of that budget.
@@ -489,20 +493,19 @@ def _leading_block(g, total, policies, min_ratio):
     with rho the norm of those residuals, theta_m - rho clears theta_{m+1}
     + bound + rho: then lambda_i lies in [theta_i, theta_i + rho] for i <=
     m, and lambda_{m+1} is at most theta_{m+1} + bound + rho.  A depth is
-    accepted when each policy selects the same rank from the lower and the
+    accepted when the policy selects the same rank from the lower and the
     upper ends of those intervals, so no certified error can change it,
-    and each of those ranks is itself certified (:func:`_certified_depth`).
+    and that rank is itself certified (:func:`_certified_depth`).
     Otherwise the block grows, or sweeps again, while the budget lasts.
     """
     d = g.dim
     if not total > 0:
         return None
     # a tau policy needs n >= (tau tr G / ||G||_F)**2 (Cauchy-Schwarz)
-    known = max(
-        min(p.k, d) if p.kind == "fixed_k"
-        else int(np.ceil(p.tau**2 * total**2 / g.frobenius_sq() * (1 - 1e-12)))
-        if p.kind == "cumulative_variance" else 1
-        for p in policies
+    known = (
+        min(policy.k, d) if policy.kind == "fixed_k"
+        else int(np.ceil(policy.tau**2 * total**2 / g.frobenius_sq() * (1 - 1e-12)))
+        if policy.kind == "cumulative_variance" else 1
     )
 
     def cost(b):
@@ -536,7 +539,7 @@ def _leading_block(g, total, policies, min_ratio):
             # lambda_{m+1} <= ceiling[m - 1] + rho_m
             ceiling = np.append(theta[1:], 0.0) + bound
             n, least = _certified_depth(
-                theta, converged, rho, ceiling, total, slack, tol, policies)
+                theta, converged, rho, ceiling, total, slack, tol, policy)
             known = max(known, least)
             if n is not None:
                 if np.sqrt(theta[n - 1]) < min_ratio * np.sqrt(theta[0]):
@@ -544,15 +547,12 @@ def _leading_block(g, total, policies, min_ratio):
                 return theta[:n], np.ascontiguousarray(v[:, :n]), total - theta[:n].sum()
             # the depth these Ritz values suggest; past the block, at least
             # as many more directions as the missing energy needs at theta_b each
-            central = np.append(theta, 0.0) / total
-            want = known
-            for p in policies:
-                r = select_rank(central, p)
-                if p.kind == "cumulative_variance" and r > b:
-                    r = b + int(np.ceil((p.tau * total - theta.sum()) / max(theta[-1], tol)))
-                elif p.kind == "eigen_floor" and r == b:
-                    r = 2 * b
-                want = max(want, r)
+            want = select_rank(np.append(theta, 0.0) / total, policy)
+            if policy.kind == "cumulative_variance" and want > b:
+                want = b + int(np.ceil((policy.tau * total - theta.sum()) / max(theta[-1], tol)))
+            elif policy.kind == "eigen_floor" and want == b:
+                want = 2 * b
+            want = max(want, known)
             # lambda_j <= tr G - (lambda_1 + ... + lambda_{j-1}) <= tr G - (theta_1 +
             # ... + theta_{j-1}) for any Ritz values (Ky Fan): decline once the
             # depth's value is certainly below the caller's floor
@@ -587,26 +587,26 @@ def _leading_block(g, total, policies, min_ratio):
         return None
 
 
-def gram_leading(gram, policies, min_ratio: float = 0.0):
+def gram_leading(gram, policy, min_ratio: float = 0.0):
     """The leading singular values and right singular vectors of any
     matrix whose Gram matrix ``m.T @ m`` is ``gram``, as deep as the rank
-    ``policies`` read, and the energy of the rest.
+    ``policy`` reads, and the energy of the rest.
 
     ``gram`` is a :class:`LowerGram` the caller has checked is finite,
     read through its lower panels: the strict upper triangle of G is
     never read, and only the full ``eigh`` below needs G in a square.
 
     Returns ``(s, v, tail)``: the n leading singular values, nonincreasing,
-    where n is the deepest rank a policy selects; their right singular
+    where n is the rank the policy selects; their right singular
     vectors (d x n, orthonormal columns, each oriented by
     :func:`column_signs`); and ``tail``, the energy of the d - n
     components not returned (tr G - sum(s**2) from the block iteration,
     the sum of the rest from a full ``eigh``), so the ratios are
     ``explained_variance(s, tail)``.  Returns None where s_n <
-    ``min_ratio * s_1``.  No policy may read the small end of the spectrum
-    (:attr:`RankPolicy.reads_small_end`).
+    ``min_ratio * s_1``.  The policy may not read the small end of the
+    spectrum (:attr:`RankPolicy.reads_small_end`).
 
-    tr G is exact, so each policy chooses its rank from the leading
+    tr G is exact, so the policy chooses its rank from the leading
     eigenvalues and the energy left over.  Shifted block subspace
     iteration with a Rayleigh-Ritz step (Rutishauser 1970; Halko,
     Martinsson and Tropp 2011) finds those eigenpairs from a fixed start,
@@ -625,8 +625,8 @@ def gram_leading(gram, policies, min_ratio: float = 0.0):
     absolute error of about eps * s_1**2 / s_i, so only components well
     above sqrt(eps) * s_1 are accurate.
     """
-    policies = list(policies)
-    if not policies or any(p.reads_small_end for p in policies):
+    check_policy(policy)
+    if policy.reads_small_end:
         raise InvalidArgumentError(
             "the leading spectrum serves policies that read only its leading end"
         )
@@ -636,8 +636,8 @@ def gram_leading(gram, policies, min_ratio: float = 0.0):
     g = gram.ldexp(-e) if e else gram
     total = g.trace()
     try:
-        lam, v, tail = _leading_block(g, total, policies, min_ratio) or _leading_eigh(
-            g, policies, min_ratio
+        lam, v, tail = _leading_block(g, total, policy, min_ratio) or _leading_eigh(
+            g, policy, min_ratio
         )
     except _Declined:
         return None

@@ -132,11 +132,7 @@ def test_02_truncation_matches_best_rank_k():
         sigma = np.linalg.svd(xc, compute_uv=False)
         scale = float(np.linalg.norm(xc))
         for k in range(1, min(r, c) + 1):
-            model = hosvd_truncated(
-                x,
-                [RankPolicy.fixed_k(k), RankPolicy.fixed_k(k)],
-                centering="global",
-            )
+            model = hosvd_truncated(x, RankPolicy.fixed_k(k), centering="global")
             err = float(np.linalg.norm(reconstruct(model) - x))
             best = float(np.sqrt(np.sum(sigma[k:] ** 2)))
             worst = max(worst, abs(err - best) / scale)
@@ -157,12 +153,7 @@ def test_03_vector_stacks_reduce_to_principal_components():
         d = int(rng.integers(5, 17))
         k = int(rng.integers(2, min(d, 6)))
         x = rng.standard_normal((t, d))
-        model = hosvd_truncated(
-            x,
-            [RankPolicy.cumulative_variance(1.0), RankPolicy.fixed_k(k)],
-            centering="feature",
-            slab_extent=1,
-        )
+        model = hosvd_truncated(x, RankPolicy.fixed_k(k), centering="feature", slab_extent=1)
         got = model.factors[1]
         xc = x - x.mean(axis=0, keepdims=True)
         w, v = np.linalg.eigh(xc.T @ xc)

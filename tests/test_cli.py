@@ -6,7 +6,9 @@ stdout/stderr routing, file outputs, and byte-identical rerun behavior.
 
 import copy
 import json
+import os
 import re
+import stat
 import struct
 import warnings
 
@@ -22,7 +24,12 @@ from uws.ensemble import (
     load_weights,
     save_weights,
 )
-from uws.ensemble.container import build_container, read_container, write_container
+from uws.ensemble.container import (
+    atomic_write_bytes,
+    build_container,
+    read_container,
+    write_container,
+)
 from uws.errors import ManifestError, PayloadMismatchError
 from uws.spectral import RankPolicy
 
@@ -109,6 +116,21 @@ def test_extract_writes_subspace_and_scree(tmp_path, capsys):
     assert any("tau" in ln for ln in lines if ln.startswith("#"))
     assert "aggregate" in text
     assert "block0" in stdout and "block1" in stdout
+
+
+def test_written_files_take_their_mode_from_the_umask(tmp_path, capsys):
+    pattern, _ = write_fixture_models(tmp_path)
+    old = os.umask(0o027)
+    try:
+        write_container(tmp_path / "c.uws", "m", [("w", np.eye(2), "f64")])
+        atomic_write_bytes(tmp_path / "b.bin", b"uws")
+        code, _, err = run(["extract", "--models", pattern, "--out", str(tmp_path / "s.uws"),
+                            "--report", str(tmp_path / "r.csv")], capsys)
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    for name in ("c.uws", "b.bin", "s.uws", "r.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640, name
 
 
 def assert_extract_reruns_byte_identically(tmp_path, capsys, flags):

@@ -653,6 +653,29 @@ def test_streamed_extract_on_the_leading_vector_route_reruns_byte_identically(
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
+@pytest.mark.parametrize(
+    "tau, taken", [(0.95, {"streamed": 2, "stacked": 1}), (1.0, {"streamed": 0, "stacked": 2})]
+)
+def test_order2_layers_keep_one_spectrum_and_one_rank_for_both_modes(
+    monkeypatch, tmp_path, tau, taken
+):
+    # "tall" takes the Gram route at tau = 0.95 and the exact one at tau = 1;
+    # the 2**532 scale of "huge" overflows its Gram, so the guard declines it
+    shapes = {"inlet": (4, 32), "tall": (8, 16), "huge": (8, 16), "outlet": (4, 32)}
+    models = planted_models(30, 12, shapes=shapes)
+    for m in models:
+        m.layers["huge"] = np.ldexp(m.layers["huge"], 532)
+    routes = Routes(monkeypatch)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.cumulative_variance(tau)))
+    assert {k: routes.counts()[k] for k in taken} == taken
+    save_subspace(u, tmp_path / "s.uws")
+    for got in (u, load_subspace(tmp_path / "s.uws")):
+        for name in ("tall", "huge"):
+            model = got.layer_models[name]
+            assert model.variance_ledger[1] is model.variance_ledger[2]
+            assert model.factors[-1].shape[1] == model.variance_ledger[2].retained
+
+
 # ------------------------------------------------------------ models without U1
 
 

@@ -103,24 +103,20 @@ def test_an_unknown_centering_is_refused_by_one_check(centering):
 
 
 @pytest.mark.parametrize(
-    "order, count, message",
-    [
-        (2, 1, "need one policy per mode (2), got 1"),
-        (2, 3, "need one policy per mode (2), got 3"),
-        (3, 2, "need one policy per mode (3), got 2"),
-        (2, None, "policies must be RankPolicy instances"),
-    ],
+    "policy, kind",
+    [([RankPolicy.fixed_k(2)] * 2, "list"), ("fixed_k", "str"), (None, "NoneType")],
+    ids=["list", "str", "none"],
 )
-def test_a_policy_list_holds_one_rank_policy_per_mode(order, count, message):
+def test_anything_but_one_rank_policy_is_refused(policy, kind):
     x, _ = planted_stack(np.random.default_rng(7), n=24, d=5, k=2, noise=0.1)
-    x = x if order == 2 else x.reshape(4, 6, 5)
-    policies = [RankPolicy.fixed_k(2)] * count if count else [RankPolicy.fixed_k(2), "fixed_k"]
-    calls = [lambda: hosvd_truncated(x, policies)]
-    if order == 2:
-        stream = hosvd_module.GramStream(5)
-        stream.add(x)
-        calls.append(lambda: stream.decompose(policies))
-    for call in calls:
+    stream = hosvd_module.GramStream(5)
+    stream.add(x)
+    message = f"policy must be a RankPolicy, got {kind}"
+    for call in (
+        lambda: hosvd_truncated(x, policy),
+        lambda: hosvd_truncated(x.reshape(4, 6, 5), policy),
+        lambda: stream.decompose(policy),
+    ):
         with pytest.raises(InvalidArgumentError, match=re.escape(message)):
             call()
 
@@ -167,8 +163,7 @@ def test_exact_rank_one_recovery():
 def test_full_fixed_k_reconstructs_exactly(shape):
     rng = np.random.default_rng(43)
     x = rng.standard_normal(shape)
-    policies = [RankPolicy.fixed_k(s) for s in shape]
-    model = hosvd_truncated(x, policies)
+    model = hosvd_truncated(x, RankPolicy.fixed_k(max(shape)))
     assert relerr(reconstruct(model), x) < 1e-8
 
 
@@ -230,16 +225,14 @@ def test_pca_equivalence_on_stacks():
 
 
 def test_reconstruction_error_nonincreasing_in_rank():
+    # fixed_k(k) keeps each mode's leading min(k, available) directions, so
+    # each step widens every factor to a superset of the one before
     rng = np.random.default_rng(48)
-    x = rng.standard_normal((8, 7, 6))
-    t = x
-    for mode in range(3):
-        errs = []
-        for k in range(1, t.shape[mode] + 1):
-            ks = [3, 3, 3]
-            ks[mode] = k
-            model = hosvd_truncated(t, [RankPolicy.fixed_k(v) for v in ks])
-            errs.append(np.linalg.norm(reconstruct(model) - x))
+    for x in (rng.standard_normal((8, 7, 6)), rng.standard_normal((9, 7))):
+        errs = [
+            np.linalg.norm(reconstruct(hosvd_truncated(x, RankPolicy.fixed_k(k))) - x)
+            for k in range(1, max(x.shape) + 1)
+        ]
         assert all(a >= b - 1e-10 for a, b in zip(errs, errs[1:]))
 
 
@@ -345,31 +338,27 @@ TALL_PLANTED = [(400, 32, 5, 0.05), (900, 64, 8, 0.01), (120, 120, 3, 0.1)]
 
 @pytest.mark.parametrize("n,d,k,noise", TALL_PLANTED)
 @pytest.mark.parametrize(
-    "policies",
-    [
-        RankPolicy.fixed_k(4),
-        RankPolicy.cumulative_variance(0.9),
-        RankPolicy.eigen_floor(0.01),
-        [RankPolicy.cumulative_variance(0.95), RankPolicy.fixed_k(2)],
-    ],
-    ids=["fixed_k", "tau", "floor", "mixed"],
+    "policy",
+    [RankPolicy.fixed_k(4), RankPolicy.cumulative_variance(0.9), RankPolicy.eigen_floor(0.01)],
+    ids=["fixed_k", "tau", "floor"],
 )
-def test_gram_route_matches_exact_route(n, d, k, noise, policies):
+def test_gram_route_matches_exact_route(n, d, k, noise, policy):
     rng = np.random.default_rng(n + d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
-    got = streamed(x, policies, slab_extent=4)
-    assert_stream_matches_exact(got, hosvd_truncated(x, policies, slab_extent=4))
+    got = streamed(x, policy, slab_extent=4)
+    assert_stream_matches_exact(got, hosvd_truncated(x, policy, slab_extent=4))
 
 
 @pytest.mark.parametrize("n,d,k,noise", TALL_PLANTED)
 def test_secondary_gram_route_matches_exact_route(n, d, k, noise):
     rng = np.random.default_rng(n * d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
-    model = hosvd_truncated(x, [RankPolicy.fixed_k(k + 1), RankPolicy.fixed_k(k)])
+    model = hosvd_truncated(x, RankPolicy.fixed_k(k))
     second = secondary_subspace(x, model, 3)
-    assert [s.first_component for s in second.variance_ledger.values()] == [k + 1, k]
+    assert second.variance_ledger[1] is second.variance_ledger[2]
+    assert second.variance_ledger[2].first_component == k
     # the Gram route read as deep as the window ends finds the same window
-    deep = streamed(x, RankPolicy.fixed_k(k + 4))
+    deep = streamed(x, RankPolicy.fixed_k(k + 3))
     assert max_sine(deep.factors[1][:, k : k + 3], second.factors[1]) <= 1e-10
     s, exact = deep.variance_ledger[2].singular_values, second.variance_ledger[2].singular_values
     assert np.max(np.abs(s - exact[: s.size])) <= 1e-12 * exact[0]
@@ -518,7 +507,7 @@ def test_rank_deficient_square_stack_stores_exact_zero_tails():
     assert abs(spec.tail - np.sum(exact[n:] ** 2)) <= 1e-12 * np.sum(exact**2)
     # read to the whole spectrum, the rounding-level component is an exact
     # 0 and so is the energy past it
-    s, _, tail = gram_leading(lower_gram(xc), [RankPolicy.fixed_k(120)])
+    s, _, tail = gram_leading(lower_gram(xc), RankPolicy.fixed_k(120))
     assert s[-1] == 0.0 and s[-2] > 0 and tail == 0.0
     assert np.max(np.abs(s - exact)) <= 1e-12 * s[0]
 
@@ -641,15 +630,15 @@ def test_order3_contractions_match_einsum():
     # not planted, and every extent and rank distinct, so a transposed
     # factor or a reshape in the wrong order changes the result
     rng = np.random.default_rng(63)
-    x = rng.standard_normal((7, 5, 9))
-    model = hosvd_truncated(x, [RankPolicy.fixed_k(k) for k in (3, 2, 4)])
+    x = rng.standard_normal((3, 2, 4))
+    model = hosvd_truncated(x, RankPolicy.fixed_k(4))  # each mode keeps its whole rank
     assert model.ranks == (3, 2, 4)
     u1, u2, u3 = model.factors
     core = np.einsum("tjk,ta,jb,kc->abc", x - model.mu, u1, u2, u3)
     assert relerr(model.core, core) <= 1e-13
     stack = np.einsum("abc,ta,jb,kc->tjk", model.core, u1, u2, u3) + model.mu
     assert relerr(reconstruct(model), stack) <= 1e-13
-    member = rng.standard_normal((5, 9))
+    member = rng.standard_normal((2, 4))
     coeffs = project_slice(model, member)
     want = np.einsum("jk,jb,kc->bc", member - model.mu, u2, u3)
     assert relerr(coeffs.coeffs, want) <= 1e-13
@@ -701,7 +690,7 @@ def test_secondary_k2_exceeding_remaining_rank():
         (lambda x: x.reshape(5, 10, 8), 1, "a secondary subspace needs an order-2 stack"),
         (lambda x: x[:40], 1,
          "tensor shape (40, 8) does not match the model's stack shape (50, 8)"),
-        (lambda x: x, 6, "k2=6 exceeds the 5 directions remaining along mode 1"),
+        (lambda x: x, 6, "k2=6 exceeds the 5 directions that follow the primary 3"),
         (lambda x: x, 2.5, "k2 must be an integer, got 2.5"),
         (lambda x: x, True, "k2 must be an integer, got True"),
     ],

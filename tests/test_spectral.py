@@ -91,7 +91,7 @@ def test_gram_spectrum_matches_thin_svd_on_tall_input():
     q = np.linalg.qr(rng.standard_normal((80, 6)))[0]
     w = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     m = q @ np.diag([9.0, 5.0, 3.0, 1.0, 0.5, 0.1]) @ w.T
-    s, v, tail = gram_leading(lower_gram(m), [RankPolicy.fixed_k(6)])
+    s, v, tail = gram_leading(lower_gram(m), RankPolicy.fixed_k(6))
     f = thin_svd(m)
     assert np.max(np.abs(s - f.singular_values)) < 1e-12 * s[0]
     assert np.all(np.diff(s) <= 0) and tail == 0.0
@@ -99,7 +99,7 @@ def test_gram_spectrum_matches_thin_svd_on_tall_input():
     assert np.max(np.abs(v - f.v * column_signs(f.v))) < 1e-10
     for policy in (RankPolicy.cumulative_variance(1.0), RankPolicy.hard_threshold()):
         with pytest.raises(InvalidArgumentError, match="leading end"):
-            gram_leading(lower_gram(m), [policy])
+            gram_leading(lower_gram(m), policy)
 
 
 def planted_singular_stack(rng, rows, singular_values):
@@ -131,7 +131,7 @@ def test_gram_vectors_match_a_full_eigh_without_one(monkeypatch, top, n):
     lower = lower_gram(m)
     gram = lower.symmetric()
     solves = record_square_solves(monkeypatch)
-    s, v, tail = gram_leading(lower, [RankPolicy.fixed_k(n)])
+    s, v, tail = gram_leading(lower, RankPolicy.fixed_k(n))
     # Rayleigh-Ritz solves only: no d x d solve
     assert solves and all(name == "eigh" and order < d for name, order in solves)
     monkeypatch.undo()
@@ -155,7 +155,7 @@ def test_flat_spectrum_takes_one_full_eigh(monkeypatch):
     # a fixed rank gets there once the block iteration cannot certify it
     for policy, n in ((RankPolicy.cumulative_variance(0.95), None), (RankPolicy.fixed_k(4), 4)):
         solves = record_square_solves(monkeypatch)
-        s, v, _ = gram_leading(gram, [policy])
+        s, v, _ = gram_leading(gram, policy)
         monkeypatch.undo()
         assert [c for c in solves if c[1] == d] == [("eigh", d)]
         if n is None:
@@ -170,11 +170,11 @@ def assert_upper_triangle_is_never_read(c, exponent, policies, rng):
     of each panel's diagonal block, holds noise."""
     d = c.shape[1]
     for policy in policies:
-        want = gram_leading(lower_gram(c, exponent), [policy])
+        want = gram_leading(lower_gram(c, exponent), policy)
         other = lower_gram(c, exponent)
         other.square()[np.triu_indices(d, 1)] = np.ldexp(
             rng.standard_normal(d * (d - 1) // 2), exponent)  # the panels are views of it
-        got = gram_leading(other, [policy])
+        got = gram_leading(other, policy)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -231,11 +231,11 @@ def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     rng = np.random.default_rng(25)
     m = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 40))  # rank 5
     gram = lower_gram(m)
-    s, _, tail = gram_leading(gram, [RankPolicy.fixed_k(40)])
+    s, _, tail = gram_leading(gram, RankPolicy.fixed_k(40))
     assert np.all(s[:5] > 0) and np.all(s[5:] == 0.0) and tail == 0.0
     assert np.max(np.abs(s - thin_svd(m).singular_values)) <= 1e-12 * s[0]
     # read to its rank, the spectrum leaves an exact 0 past it
-    s, _, tail = gram_leading(gram, [RankPolicy.fixed_k(5)])
+    s, _, tail = gram_leading(gram, RankPolicy.fixed_k(5))
     assert s.size == 5 and tail == 0.0
 
 
@@ -276,7 +276,7 @@ def test_leading_spectrum_matches_a_full_eigh(family):
                    RankPolicy.eigen_floor(0.01), RankPolicy.fixed_k(4)):
         rank = select_rank(explained_variance(np.sqrt(w)), policy)
         for exponent in (0, 532, -532):
-            s, v, tail = gram_leading(lower_gram(c, shift + exponent), [policy])
+            s, v, tail = gram_leading(lower_gram(c, shift + exponent), policy)
             s, tail = np.ldexp(s, -exponent // 2), np.ldexp(tail, -exponent)
             n = s.size
             assert select_rank(explained_variance(s, tail), policy) == rank == n
