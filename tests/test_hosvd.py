@@ -104,8 +104,14 @@ def test_an_unknown_centering_is_refused_by_one_check(centering):
 
 @pytest.mark.parametrize(
     "policy, kind",
-    [([RankPolicy.fixed_k(2)] * 2, "list"), ("fixed_k", "str"), (None, "NoneType")],
-    ids=["list", "str", "none"],
+    [
+        ([RankPolicy.fixed_k(2)] * 1, "list"),
+        ([RankPolicy.fixed_k(2)] * 2, "list"),
+        ([RankPolicy.fixed_k(2)] * 3, "list"),
+        ("fixed_k", "str"),
+        (None, "NoneType"),
+    ],
+    ids=["list-of-1", "list-of-2", "list-of-3", "str", "none"],
 )
 def test_anything_but_one_rank_policy_is_refused(policy, kind):
     x, _ = planted_stack(np.random.default_rng(7), n=24, d=5, k=2, noise=0.1)
