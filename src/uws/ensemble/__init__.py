@@ -277,13 +277,6 @@ class _AllBut(frozenset):
         return not frozenset.__contains__(self, name)
 
 
-def _kept(model, name) -> ModelWeights:
-    """Layer ``name`` of ``model`` alone, as float64: a file's view is
-    copied, as it would pin the whole buffer it was read into."""
-    own = np.array if isinstance(model, _Payloads) else np.asarray
-    return ModelWeights(model.model_id, {name: own(model.layers[name], dtype=np.float64)})
-
-
 @contextmanager
 def _naming_layer(name):
     try:
@@ -308,9 +301,10 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     differs in a later pass raises ManifestError.  A stack that the Gram
     route may take (:func:`~uws.hosvd.gram_eligible`) is streamed into a
     :class:`~uws.hosvd.GramStream`.  Any other stack, and one the route's
-    guard declines, after a pass that reads its slabs again, is kept as
-    float64, stacked and decomposed by :func:`~uws.hosvd.exact_subspace`,
-    so a declined Gram route is not tried twice.  Either way a layer
+    guard declines, after a pass that reads its slabs again, is copied
+    slab by slab into one T x r x d float64 array, the route's own, that
+    :func:`~uws.hosvd.exact_subspace` centres in place and decomposes, so
+    a declined Gram route is not tried twice.  Either way a layer
     model holds what a subspace file holds: no stacking-mode factor or
     core, and the ledger of the modes a file stores.
     """
@@ -323,9 +317,8 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     ids = []  # the models' ids, as the first layer pass read them
 
     def layer_pass(name, names, take):
-        """``take`` of every model in turn, read through ``names`` and
-        checked to hold layer ``name``, as a list."""
-        out = []
+        """``take(i, slab)`` of every model's layer ``name`` in turn, each
+        model read through ``names`` and checked to hold that layer."""
         for i, item in enumerate(models):
             model = _read(item, names)
             if i == len(ids):
@@ -335,9 +328,8 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
             _require((model.model_id, model.shapes.get(name)) == (ids[i], head.shapes[name]),
                      f"model {ids[i]!r} changed between layer passes: it reads as "
                      f"{model.model_id!r}, with layer {name!r} of shape {model.shapes.get(name)}")
-            out.append(take(model))
+            take(i, model.layers[name])
             del model  # free its payload before the next model is read
-        return out
 
     layer_models = {}
     for name in included:
@@ -345,7 +337,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
         names = (name,) if ids else _AllBut(included[1:])
         if config.order == 2 and gram_eligible((len(models) * rows, cols), config.policy):
             stream = GramStream(cols)
-            layer_pass(name, names, lambda model: stream.add(model.layers[name]))
+            layer_pass(name, names, lambda i, slab: stream.add(slab))
             with _naming_layer(name):
                 layer_models[name] = stream.decompose(
                     config.policy, centering=config.centering, slab_extent=rows
@@ -354,10 +346,13 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
             if layer_models[name] is not None:
                 continue
             names = (name,)  # declined: its slabs are read again, alone
+        stack = np.empty((len(models), rows, cols))
+        layer_pass(name, names, stack.__setitem__)
         with _naming_layer(name):
             layer_models[name] = exact_subspace(
-                stack_layer(layer_pass(name, names, lambda m: _kept(m, name)), name, config.order),
+                stack.reshape(-1, cols) if config.order == 2 else stack,
                 config.policy, centering=config.centering, slab_extent=rows)
+        del stack  # freed before the next layer's stream or stack is made
     return UniversalSubspace(layer_models, config, ids, layer_order)
 
 

@@ -13,7 +13,7 @@ transpose, so one thin SVD of Xc and one rank serve both modes.  An
 order-3 stack takes one SVD and one rank per mode unfolding.  Every factor
 column is oriented so its largest-magnitude entry is nonnegative.
 :func:`hosvd_truncated` is the in-memory reference; :func:`exact_subspace`,
-for extraction, keeps only the non-stacking modes and forms no core.
+for extraction, centres the stack in place and forms no mode-1 factor or core.
 
 An order-2 stack too large to hold is fed to :class:`GramStream` one
 slab at a time, float32 or float64.  It keeps the column mean, the lower
@@ -162,22 +162,22 @@ def check_centering(centering) -> None:
 
 
 def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
-    """Split ``x`` into a mean and a zero-centered remainder.
+    """Split ``x`` into a mean and a zero-centered remainder, a new array:
+    ``global`` subtracts the scalar mean of all entries, ``feature`` the
+    mean over the stacking mode (mode 1), of shape ``x.shape[1:]``, one
+    stacked row or one member.  Either way ``centered + mu`` restores ``x``."""
+    xc = np.array(as_tensor(x))
+    return _center_in_place(xc, centering), xc
 
-    ``global`` subtracts the scalar mean of all entries; ``feature``
-    subtracts the mean over the stacking mode (mode 1), of shape
-    ``x.shape[1:]``: one stacked row for order 2, one member for order
-    3.  Either way ``centered + mu`` restores ``x``.
-    """
+
+def _center_in_place(arr: np.ndarray, centering: str):
+    """Subtract :func:`center`'s mean from the float64 ``arr``; return the mean."""
     check_centering(centering)
-    arr = as_tensor(x)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("tensor contains non-finite entries")
-    if centering == "global":
-        mu = np.float64(arr.mean())
-    else:
-        mu = arr.mean(axis=0)
-    return mu, arr - mu
+    mu = np.float64(arr.mean()) if centering == "global" else arr.mean(axis=0)
+    arr -= mu
+    return mu
 
 
 def gram_eligible(shape, policy: RankPolicy) -> bool:
@@ -240,14 +240,15 @@ def _core(xc: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
 
 
 def _centred(x, policy, centering: str):
-    """The stack as a tensor and its checked :func:`center` split."""
+    """The mean of the stack ``x`` and ``x`` as a tensor, centred in place."""
     x = as_tensor(x)
     check_policy(policy)
     if not np.any(x):
         raise DegenerateSpectrumError("tensor is identically zero")
-    mu, xc = center(x, centering)
-    _require_variance(frobenius_norm(xc), frobenius_norm(x), centering)
-    return x, mu, xc
+    norm = frobenius_norm(x)
+    mu = _center_in_place(x, centering)
+    _require_variance(frobenius_norm(x), norm, centering)
+    return mu, x
 
 
 def _mode_truncation(xc: np.ndarray, policy, modes):
@@ -271,7 +272,7 @@ def hosvd_truncated(
     centering: str = "feature",
     slab_extent: int | None = None,
 ) -> SubspaceModel:
-    """Zero-center ``x`` and truncate every mode of the centered tensor.
+    """Zero-center a copy of ``x`` and truncate every mode of the result.
 
     An order-2 stack takes one thin SVD, whose spectrum and rank both
     modes share, and the core is ``U1.T @ Xc @ U2``; an order-3 stack
@@ -290,8 +291,8 @@ def hosvd_truncated(
         Rows of one member's slab of an order-2 stack; recorded so
         projection can validate its input.
     """
-    x, mu, xc = _centred(x, policy, centering)
-    if x.ndim == 2:
+    mu, xc = _centred(np.array(as_tensor(x)), policy, centering)
+    if xc.ndim == 2:
         s, u, v = _order2_svd(xc)
         factors, ledger = _order2_truncation(s, 0.0, u, v, policy, xc.shape)
     else:
@@ -302,7 +303,7 @@ def hosvd_truncated(
         core=_core(xc, factors),
         variance_ledger=ledger,
         centering=centering,
-        shape=x.shape,
+        shape=xc.shape,
         slab_extent=slab_extent,
     )
 
@@ -312,18 +313,19 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
     alone: the mean, and each non-stacking mode's truncated factor and
     ledger from one thin SVD of its unfolding (of the stack itself for
     order 2, whose ledger lists both modes, as a loaded file's does).
-    No stacking-mode factor or core is formed.  The arguments, errors and
+    No stacking-mode factor or core is formed, and a float64 ``x`` is
+    centred in place (pass a copy to keep it).  The arguments, errors and
     each result match :func:`hosvd_truncated`'s bit for bit.
     """
-    x, mu, xc = _centred(x, policy, centering)
-    if x.ndim == 2:
+    mu, xc = _centred(x, policy, centering)
+    if xc.ndim == 2:
         s, _, v = _order2_svd(xc)
         factors, ledger = _order2_truncation(s, 0.0, None, v, policy, xc.shape)
     else:
         factors, ledger = _mode_truncation(xc, policy, (2, 3))
         factors.insert(0, None)
     return SubspaceModel(mu=mu, factors=factors, core=None, variance_ledger=ledger,
-                         centering=centering, shape=x.shape, slab_extent=slab_extent)
+                         centering=centering, shape=xc.shape, slab_extent=slab_extent)
 
 
 class GramStream:

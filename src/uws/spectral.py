@@ -293,7 +293,8 @@ class RankPolicy:
     - ``hard_threshold(noise_sigma=None)``: components above the optimal
       singular-value threshold for additive white noise; with unknown
       sigma the median-based variant is used.
-    - ``fixed_k(k)``: k, clamped to the available rank.
+    - ``fixed_k(k)``: k, clamped to the numerical rank (the count kept
+      by tau = 1).
 
     However a policy is built, a kind other than these, a parameter out
     of its range and a parameter of another kind raise InvalidArgumentError.
@@ -420,7 +421,7 @@ def select_rank(
     if policy.kind == "eigen_floor":
         return max(1, int(np.sum(ratios > policy.epsilon)))
     if policy.kind == "fixed_k":
-        return min(policy.k, ratios.size)
+        return min(policy.k, select_rank(ratios, RankPolicy.cumulative_variance(1.0)))
     if singular_values is None or shape is None:  # hard_threshold
         raise InvalidArgumentError(
             "hard_threshold needs singular_values= and shape=(rows, cols)"

@@ -252,6 +252,25 @@ def test_extract_fixed_k_and_exclusions(tmp_path, capsys):
                for spec in ledger.values())
 
 
+def test_extract_fixed_k_past_the_stack_keeps_its_numerical_rank(tmp_path, capsys):
+    # a wide 8 x 16 stack of four 2 x 16 slabs: feature centring leaves
+    # rank 7, and --fixed-k 8 keeps those 7, not the rounding-level 8th
+    rng = np.random.default_rng(8)
+    for i in range(4):
+        save_weights(ModelWeights(f"m{i}", {"w": rng.standard_normal((2, 16))}),
+                     tmp_path / f"model_{i}.uws")
+    out = tmp_path / "s.uws"
+    code, stdout, err = run(
+        ["extract", "--models", str(tmp_path / "model_*.uws"), "--out", str(out),
+         "--report", str(tmp_path / "r.csv"), "--fixed-k", "8", "--exclude-layers", ""],
+        capsys,
+    )
+    assert code == 0, err
+    assert "  w: rank 7 of 8, " in stdout
+    model = load_subspace(out).layer_models["w"]
+    assert model.ranks == (None, 7) and model.variance_ledger[2].retained == 7
+
+
 def test_extract_identical_models_is_a_numerical_failure(tmp_path, capsys):
     rng = np.random.default_rng(0)
     layers = {"a": rng.normal(size=(1, 6)), "b": rng.normal(size=(1, 6)),

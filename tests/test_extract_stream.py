@@ -27,6 +27,7 @@ from uws.errors import DegenerateSpectrumError, InvalidArgumentError, ManifestEr
 from uws.hosvd import (
     GRAM_BLOCK_ROWS,
     GramStream,
+    center,
     hosvd_truncated,
     project_slice,
     reconstruct,
@@ -479,10 +480,11 @@ def float32_files(directory):
     return paths, paths[0].stat().st_size
 
 
-def extraction_peak(paths, order=2):
+def extraction_peak(models, order=2, policy=TAU, exclude_layers=None):
     tracemalloc.start()
     try:
-        u = extract_universal(paths, ExtractionConfig(policy=TAU, order=order))
+        config = ExtractionConfig(policy=policy, order=order, exclude_layers=exclude_layers)
+        u = extract_universal(models, config)
         return u, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -520,6 +522,45 @@ def test_layers_kept_from_float64_files_do_not_pin_the_files(tmp_path):
             assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("order, bound", [(2, 4.5), (3, 5.5)])
+@pytest.mark.parametrize("policy", [RankPolicy.cumulative_variance(1.0),
+                                    RankPolicy.hard_threshold()], ids=["tau1", "hard_threshold"])
+def test_the_exact_route_holds_its_stack_once(order, bound, policy):
+    # the stack, the SVD's copy of it and its left vectors come to 4.27x the
+    # stack's bytes at order 2, 5.29x at order 3 (whose unfoldings are
+    # copies); a per-model copy, a concatenation or a centred copy beside
+    # the stack would each add 1x
+    models = planted_models(30, 60, shapes={"w": (16, 256)})
+    _, peak = extraction_peak(models, order, policy, exclude_layers=())
+    assert peak <= bound * 60 * 16 * 256 * 8
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("centering", ["feature", "global"])
+def test_no_decomposition_changes_its_callers_arrays(monkeypatch, order, centering):
+    # block1's 2**532 scale overflows the Gram: at order 2 the guard
+    # declines it and its stack takes the exact route, as order 3's do
+    models = planted_models(29, 12)
+    for m in models:
+        m.layers["block1"] = np.ldexp(m.layers["block1"], 532)
+    before = copy.deepcopy(models)
+    routes = Routes(monkeypatch)
+    extract_universal(models, ExtractionConfig(policy=TAU, order=order, centering=centering))
+    # block0 streams at order 2; there block1 alone is stacked, at order 3 both are
+    streamed, stacked = {2: (2, 1), 3: (0, 2)}[order]
+    assert routes.counts() == {"reads": 0, "streamed": streamed, "stacked": stacked}
+    for m, kept in zip(models, before):
+        assert m.layers.keys() == kept.layers.keys()
+        for name, w in m.layers.items():
+            assert w.tobytes() == kept.layers[name].tobytes()
+    for name in ("block0", "block1"):
+        stack = stack_layer(models, name, order)
+        kept = stack.copy()
+        hosvd_truncated(stack, TAU, centering=centering)
+        center(stack, centering)
+        assert stack.tobytes() == kept.tobytes()
+
+
 def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, capsys):
     # the Gram of these stacks overflows (2**532) or underflows (2**-532,
     # 2**-560): the guard sends them to the SVD
@@ -550,25 +591,43 @@ def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, caps
 def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch, tmp_path):
     # "wide" (6 x 8 rows of 64) is stacked from its layer pass; "tall"
     # (48 x 16) streams, and its 2**532 scale overflows the Gram, so the
-    # guard declines it and it is read again: the second read must copy
-    # only "tall", so that each slab is held once as float64
+    # guard declines it and it is read again: the second read must hold
+    # only "tall", and copy each of its slabs into the stack once
     shapes = {"inlet": (4, 64), "wide": (8, 64), "tall": (8, 16), "outlet": (4, 64)}
     models = planted_models(28, 6, shapes=shapes)
     for m in models:
         m.layers["tall"] = np.ldexp(m.layers["tall"], 532)
     paths = write_models(tmp_path / "models", models)
-    copies = Counter()
+    held, taken, passes = [], Counter(), []
+    real_read = ensemble_module._read_payloads
 
-    class Counting(ModelWeights):
-        def __post_init__(self):
-            copies.update(list(self.layers))
-            super().__post_init__()
+    class Taken(dict):
+        """A read's layers, counting the slabs a layer pass takes."""
 
-    monkeypatch.setattr(ensemble_module, "ModelWeights", Counting)
+        def __getitem__(self, name):
+            taken[name] += 1
+            return dict.__getitem__(self, name)
+
+    def read(*a, **kw):
+        payloads = real_read(*a, **kw)
+        held.append(sorted(payloads.layers))
+        return payloads._replace(layers=Taken(payloads.layers))
+
+    monkeypatch.setattr(ensemble_module, "_read_payloads", read)
     routes = Routes(monkeypatch)
+    for owner, attr, route in [(ensemble_module, "exact_subspace", "stacked"),
+                               (GramStream, "decompose", "streamed")]:
+        def decompose(*a, _real=getattr(owner, attr), _route=route, **kw):
+            passes.append((_route, dict(taken)))  # the slabs this pass took
+            taken.clear()
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(owner, attr, decompose)
     u = extract_universal(paths, ExtractionConfig(policy=TAU))
     assert routes.counts() == {"reads": 19, "streamed": 1, "stacked": 2}
-    assert copies == {"wide": 6, "tall": 6}
+    assert passes == [("stacked", {"wide": 6}), ("streamed", {"tall": 6}),
+                      ("stacked", {"tall": 6})]
+    assert held == [[]] + [["inlet", "outlet", "wide"]] * 6 + [["tall"]] * 12
     for name in ("wide", "tall"):
         got = u.layer_models[name]
         want = hosvd_truncated(stack_layer(models, name), TAU, slab_extent=8)

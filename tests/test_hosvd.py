@@ -87,6 +87,21 @@ def test_center_rejects_non_finite():
         center(np.array([[1.0, np.nan]]), "global")
 
 
+@pytest.mark.parametrize("shape", [(40, 6), (5, 8, 6)])
+@pytest.mark.parametrize("centering", ["feature", "global"])
+def test_exact_subspace_centres_the_stack_it_is_handed_in_place(shape, centering):
+    x = np.random.default_rng(42).standard_normal(shape)
+    policy = RankPolicy.fixed_k(3)
+    stack = x.copy()  # exact_subspace takes the stack as its own
+    got = hosvd_module.exact_subspace(stack, policy, centering=centering, slab_extent=8)
+    mu, xc = center(x, centering)
+    assert np.array_equal(stack, xc) and np.array_equal(got.mu, mu)
+    want = hosvd_truncated(x, policy, centering=centering)
+    assert got.factors[0] is None
+    for g, w in zip(got.factors[1:], want.factors[1:]):
+        assert np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("centering", ["none", "Feature", None])
 def test_an_unknown_centering_is_refused_by_one_check(centering):
     x, _ = planted_stack(np.random.default_rng(6), n=20, d=5, k=2, noise=0.1)
@@ -512,10 +527,10 @@ def test_rank_deficient_square_stack_stores_exact_zero_tails():
     assert np.max(np.abs(s - exact[:n])) <= 1e-12 * s[0]
     assert abs(spec.tail - np.sum(exact[n:] ** 2)) <= 1e-12 * np.sum(exact**2)
     # read to the whole spectrum, the rounding-level component is an exact
-    # 0 and so is the energy past it
+    # 0: fixed_k(120) stops at the numerical rank and no energy is past it
     s, _, tail = gram_leading(lower_gram(xc), RankPolicy.fixed_k(120))
-    assert s[-1] == 0.0 and s[-2] > 0 and tail == 0.0
-    assert np.max(np.abs(s - exact)) <= 1e-12 * s[0]
+    assert s.size == 119 and s[-1] > 0 and tail == 0.0
+    assert np.max(np.abs(s - exact[:119])) <= 1e-12 * s[0]
 
 
 def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypatch):
@@ -634,10 +649,11 @@ def test_order3_slice_round_trip():
 
 def test_order3_contractions_match_einsum():
     # not planted, and every extent and rank distinct, so a transposed
-    # factor or a reshape in the wrong order changes the result
+    # factor or a reshape in the wrong order changes the result; a global
+    # mean leaves the three members spanning three directions
     rng = np.random.default_rng(63)
     x = rng.standard_normal((3, 2, 4))
-    model = hosvd_truncated(x, RankPolicy.fixed_k(4))  # each mode keeps its whole rank
+    model = hosvd_truncated(x, RankPolicy.fixed_k(4), centering="global")  # whole ranks
     assert model.ranks == (3, 2, 4)
     u1, u2, u3 = model.factors
     core = np.einsum("tjk,ta,jb,kc->abc", x - model.mu, u1, u2, u3)

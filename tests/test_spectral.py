@@ -10,8 +10,10 @@ from uws.errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
+from uws.hosvd import hosvd_truncated
 from uws.spectral import (
     _PARAMETER,
+    NUMERICAL_RANK_RTOL,
     GRAM_PANEL_COLS,
     RankPolicy,
     ThinSvd,
@@ -231,9 +233,11 @@ def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     rng = np.random.default_rng(25)
     m = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 40))  # rank 5
     gram = lower_gram(m)
+    # past the rank the eigenvalues read as exact zeros, so fixed_k(40)
+    # keeps the 5 values of the numerical rank and leaves no tail
     s, _, tail = gram_leading(gram, RankPolicy.fixed_k(40))
-    assert np.all(s[:5] > 0) and np.all(s[5:] == 0.0) and tail == 0.0
-    assert np.max(np.abs(s - thin_svd(m).singular_values)) <= 1e-12 * s[0]
+    assert s.size == 5 and np.all(s > 0) and tail == 0.0
+    assert np.max(np.abs(s - thin_svd(m).singular_values[:5])) <= 1e-12 * s[0]
     # read to its rank, the spectrum leaves an exact 0 past it
     s, _, tail = gram_leading(gram, RankPolicy.fixed_k(5))
     assert s.size == 5 and tail == 0.0
@@ -371,6 +375,16 @@ def test_select_rank_fixed_k_clamps():
     ratios = np.array([0.7, 0.2, 0.1])
     assert select_rank(ratios, RankPolicy.fixed_k(2)) == 2
     assert select_rank(ratios, RankPolicy.fixed_k(9)) == 3
+    # to the numerical rank, the count tau = 1 keeps, not to the ratio count
+    assert select_rank(np.array([0.7, 0.3, 1e-32]), RankPolicy.fixed_k(3)) == 2
+    # three feature-centred members span two directions along the stacking
+    # mode; the third singular value is rounding
+    rng = np.random.default_rng(63)
+    for shape, ranks in [((3, 2, 4), (2, 2, 4)), ((3, 4), (2, 2))]:
+        model = hosvd_truncated(rng.standard_normal(shape), RankPolicy.fixed_k(4))
+        assert model.ranks == ranks
+        s = model.variance_ledger[1].singular_values
+        assert s.size == 3 and s[2] <= NUMERICAL_RANK_RTOL * s[0]
 
 
 def test_select_rank_monotone_in_tau_and_floor():
