@@ -239,9 +239,8 @@ def _core(xc: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return _contract(factors[1:], g.reshape(-1, *xc.shape[1:]))
 
 
-def _centred(x, policy, centering: str):
-    """The mean of the stack ``x`` and ``x`` as a tensor, centred in place."""
-    x = as_tensor(x)
+def _centred(x: np.ndarray, policy, centering: str):
+    """The mean of the tensor ``x`` and ``x`` itself, centred in place."""
     check_policy(policy)
     if not np.any(x):
         raise DegenerateSpectrumError("tensor is identically zero")
@@ -317,7 +316,7 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
     centred in place (pass a copy to keep it).  The arguments, errors and
     each result match :func:`hosvd_truncated`'s bit for bit.
     """
-    mu, xc = _centred(x, policy, centering)
+    mu, xc = _centred(as_tensor(x), policy, centering)
     if xc.ndim == 2:
         s, _, v = _order2_svd(xc)
         factors, ledger = _order2_truncation(s, 0.0, None, v, policy, xc.shape)

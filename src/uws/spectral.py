@@ -440,7 +440,8 @@ def _leading_eigh(g, policy, min_ratio):
     the sum of the other eigenvalues, from one full ``eigh``.  An
     eigenvalue below d * eps * lambda_1, the absolute error a
     backward-stable symmetric eigensolver leaves, is rounding whose sign
-    and size are luck, so it is read as an exact 0."""
+    and size are luck, so it is read as an exact 0.  ``min_ratio`` is
+    checked at depth min(k, d) for ``fixed_k(k)``, before its clamp."""
     try:
         lam, vec = np.linalg.eigh(g.square(), UPLO="L")
     except np.linalg.LinAlgError as exc:
@@ -449,7 +450,8 @@ def _leading_eigh(g, policy, min_ratio):
     lam = np.where(lam < g.dim * _EPS * max(lam[0], 0.0), 0.0, lam)
     ratios = explained_variance(np.sqrt(lam))
     n = select_rank(ratios, policy)
-    if np.sqrt(lam[n - 1]) < min_ratio * np.sqrt(lam[0]):
+    read = min(policy.k, g.dim) if policy.kind == "fixed_k" else n
+    if np.sqrt(lam[read - 1]) < min_ratio * np.sqrt(lam[0]):
         raise _Declined
     return lam[:n], np.ascontiguousarray(vec[:, :n]), float(np.sum(lam[n:]))
 
@@ -604,8 +606,9 @@ def gram_leading(gram, policy, min_ratio: float = 0.0):
     components not returned (tr G - sum(s**2) from the block iteration,
     the sum of the rest from a full ``eigh``), so the ratios are
     ``explained_variance(s, tail)``.  Returns None where s_n <
-    ``min_ratio * s_1``.  The policy may not read the small end of the
-    spectrum (:attr:`RankPolicy.reads_small_end`).
+    ``min_ratio * s_1``, n taken as min(k, d) for ``fixed_k(k)`` before
+    its clamp.  The policy may not read the small end of the spectrum
+    (:attr:`RankPolicy.reads_small_end`).
 
     tr G is exact, so the policy chooses its rank from the leading
     eigenvalues and the energy left over.  Shifted block subspace

@@ -533,6 +533,22 @@ def test_rank_deficient_square_stack_stores_exact_zero_tails():
     assert np.max(np.abs(s - exact[:119])) <= 1e-12 * s[0]
 
 
+def test_fixed_k_past_the_gram_floor_is_declined_not_clamped():
+    # rank 10 plus components near 1e-9 * s_1: the exact route counts them
+    # as rank, while the Gram solve reads them as 0 (below d * eps * lambda_1)
+    rng = np.random.default_rng(71)
+    x, _ = planted_stack(rng, n=400, d=64, k=10)
+    s1 = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)[0]
+    x += 1e-9 * s1 / 20 * rng.standard_normal(x.shape)
+    policy = RankPolicy.fixed_k(16)  # a block of 24 is over budget: one full eigh
+    want = hosvd_truncated(x, policy)
+    assert want.ranks[1:] == (16,)
+    assert streamed(x, policy) is None
+    # read no deeper than the rank, the route still serves it
+    assert_stream_matches_exact(streamed(x, RankPolicy.fixed_k(10)),
+                                hosvd_truncated(x, RankPolicy.fixed_k(10)))
+
+
 def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypatch):
     rng = np.random.default_rng(68)
     x, _ = planted_stack(rng, n=800, d=384, k=4, noise=1e-3)
