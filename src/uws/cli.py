@@ -392,8 +392,6 @@ def cmd_memcalc(args):
 
 
 def cmd_theory_bounds(args):
-    if args.gamma_k is not None and args.gamma_k <= 0:
-        raise _UsageError(f"--gamma-k must be positive, got {args.gamma_k!r}")
     if not (0.0 < args.delta < 1.0):
         raise _UsageError(f"--delta must lie in (0, 1), got {args.delta!r}")
     params = theory.BoundParameters(
@@ -643,7 +641,7 @@ def build_parser():
     bounds.add_argument("--t", type=_positive_int, required=True)
     bounds.add_argument("--eta-bar", type=_nonneg_float, required=True)
     bounds.add_argument("--eta2-bar", type=_nonneg_float, required=True)
-    bounds.add_argument("--gamma-k", type=float, default=None)
+    bounds.add_argument("--gamma-k", type=_positive_float, default=None)
     bounds.add_argument("--c1", type=_positive_float, default=1.0)
     bounds.add_argument("--c2", type=_positive_float, default=1.0)
     bounds.set_defaults(func=cmd_theory_bounds)

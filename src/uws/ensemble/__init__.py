@@ -39,7 +39,8 @@ from ..hosvd import (
     project_slice,
     reconstruct_slice,
 )
-from ..spectral import DEFAULT_POLICY, RankPolicy, explained_variance, orthonormality_defect
+from ..spectral import (DEFAULT_POLICY, RankPolicy, explained_variance, orthonormality_defect,
+                        select_rank)
 from ..tensor import as_real, int_at_least
 from .container import read_container, write_container
 
@@ -150,21 +151,18 @@ def save_weights(weights: ModelWeights, path) -> None:
 # -------------------------------------------------------------------- stacking
 
 
-def _check_layer(name, models, ref_id, ref_shape):
-    """Raise InvalidArgumentError unless every one of ``models`` has layer
-    ``name`` with shape ``ref_shape``, the shape it has in model
-    ``ref_id`` (None where that model lacks it)."""
-    missing = [m.model_id for m in models if name not in m.shapes]
-    if missing:
-        raise InvalidArgumentError(
-            f"layer {name!r} is missing from models: {', '.join(missing)}"
-        )
-    offenders = [f"{m.model_id}{m.shapes[name]}" for m in models if m.shapes[name] != ref_shape]
-    if offenders:
-        raise InvalidArgumentError(
-            f"layer {name!r} has shape {ref_shape} in {ref_id} but differs "
-            f"in: {', '.join(offenders)}"
-        )
+def _require_layers(owner: str, shapes: dict, expected: dict, reference: str) -> None:
+    """The one rule of which layers a model has: ``shapes`` (name to
+    shape) must name exactly the ``expected`` names, each of the shape
+    ``expected`` gives it where that is not None.  Otherwise one
+    InvalidArgumentError names ``owner`` and every missing, extra and
+    mismatched name."""
+    problems = [f"missing {name!r}" for name in expected if name not in shapes]
+    problems += [f"extra {name!r}" for name in shapes if name not in expected]
+    problems += [f"{name!r} of shape {shapes[name]}, not {want}" for name, want in expected.items()
+                 if name in shapes and want not in (None, shapes[name])]
+    if problems:
+        raise InvalidArgumentError(f"{owner} do not fit {reference}: {'; '.join(problems)}")
 
 
 def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
@@ -172,12 +170,17 @@ def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
 
     order 2 concatenates the slabs along their rows into a (T*r) x d
     matrix; order 3 stacks them along a new leading mode into T x r x d.
+    As in extraction, every model must have the first model's layers,
+    each of the same shape, and ``layer`` must be one of them.
     """
     if order not in (2, 3):
         raise InvalidArgumentError(f"stacking order must be 2 or 3, got {order}")
     if not models:
         raise InvalidArgumentError("no models to stack")
-    _check_layer(layer, models, models[0].model_id, models[0].shapes.get(layer))
+    expected = {layer: None, **models[0].shapes}  # a layer the first model lacks is missing
+    for m in models:
+        _require_layers(f"the layers of model {m.model_id!r}", m.shapes, expected,
+                        f"those of model {models[0].model_id!r}, the first, and {layer!r}")
     slabs = [m.layers[layer] for m in models]
     if order == 2:
         return np.concatenate(slabs, axis=0)
@@ -289,15 +292,16 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     """Decompose every included layer's cross-model stack.
 
     ``models`` is a sequence of :class:`ModelWeights` or of paths to
-    weights files.  Every included layer must be present in every model
-    with an identical shape.  Layer order, and the default exclusion
-    rule, follow the first model's layer list, read from its manifest.
+    weights files.  Every model must have exactly the first model's
+    layers, each of the same shape, excluded layers included.  Layer
+    order, and the default exclusion rule, follow the first model's
+    layer list, read from its manifest.
 
     The layers are taken one at a time: a pass reads one layer's slab
     from every model, in order, and the layer is decomposed before the
     next pass, so one stream or stack is held at a time.  The first pass
     also reads and checks every entry no other pass reads, and every
-    model's included layer shapes; a model whose id or layer shape
+    model's layer names and shapes; a model whose id or layer shape
     differs in a later pass raises ManifestError.  A stack that the Gram
     route may take (:func:`~uws.hosvd.gram_eligible`) is streamed into a
     :class:`~uws.hosvd.GramStream`.  Any other stack, and one the route's
@@ -322,8 +326,8 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
         for i, item in enumerate(models):
             model = _read(item, names)
             if i == len(ids):
-                for other in included:
-                    _check_layer(other, [model], head.model_id, head.shapes[other])
+                _require_layers(f"the layers of model {model.model_id!r}", model.shapes,
+                                head.shapes, f"those of model {head.model_id!r}, the first")
                 ids.append(model.model_id)
             _require((model.model_id, model.shapes.get(name)) == (ids[i], head.shapes[name]),
                      f"model {ids[i]!r} changed between layer passes: it reads as "
@@ -402,35 +406,27 @@ class CoefficientSet:
     dtypes: dict = field(default_factory=dict)
 
 
-def _check_known_layers(u: UniversalSubspace, model) -> None:
-    """Raise InvalidArgumentError if ``model`` has a layer outside the
-    subspace's ``layer_order``: projection or merging would drop it."""
-    strays = [name for name in model.layers if name not in u.layer_order]
-    if strays:
-        raise InvalidArgumentError(
-            f"model {model.model_id!r} has layers the subspace does not name: "
-            f"{', '.join(repr(n) for n in strays)} (its layers are {u.layer_order})"
-        )
+def _model_layers(u: UniversalSubspace):
+    """The layers of a model that fits ``u``, exactly its ``layer_order``,
+    each included layer of its stack's member shape (a subspace stores no
+    shape for an excluded layer: None), and how to name them."""
+    shapes = dict.fromkeys(u.layer_order)
+    shapes.update((name, (m.slab_extent, m.shape[-1])) for name, m in u.layer_models.items())
+    return shapes, f"the subspace's layer_order {u.layer_order}"
 
 
 def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet:
     """Express each included layer in its layer subspace.
 
-    Excluded layers that exist in the model ride along unchanged, as the
-    model's own arrays, so the model can be rebuilt in full.  A layer
-    outside the subspace's ``layer_order`` raises InvalidArgumentError.
+    The model must have exactly the subspace's ``layer_order`` layers,
+    each included one of its stack's member shape, or InvalidArgumentError
+    is raised.  The excluded layers ride along unchanged, as the model's
+    own arrays, so the model can be rebuilt in full.
     """
-    _check_known_layers(u, weights)
-    coefficients = {}
-    for name in u.included_layers:
-        if name not in weights.layers:
-            raise InvalidArgumentError(
-                f"model {weights.model_id!r} is missing included layer {name!r}"
-            )
-        coefficients[name] = project_slice(u.layer_models[name], weights.layers[name])
-    passthrough = {
-        name: weights.layers[name] for name in u.excluded_layers if name in weights.layers
-    }
+    _require_layers(f"the layers of model {weights.model_id!r}", weights.shapes, *_model_layers(u))
+    coefficients = {name: project_slice(u.layer_models[name], weights.layers[name])
+                    for name in u.included_layers}
+    passthrough = {name: weights.layers[name] for name in u.excluded_layers}
     dtypes = {
         name: weights.dtypes.get(name, "f64")
         for name in list(coefficients) + list(passthrough)
@@ -440,30 +436,24 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
 
 def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeights:
     """Rebuild full weight matrices from subspace coefficients; passthrough
-    layers are the coefficient set's own arrays.  Every included layer
-    must have coefficients, and only included layers may; a passthrough
-    layer must be one of the subspace's excluded layers."""
-    for name in u.included_layers:
-        if name not in coeffs.coefficients:
-            raise InvalidArgumentError(
-                f"coefficients of model {coeffs.model_id!r} are missing included layer {name!r}"
-            )
-    strays = [n for n in coeffs.coefficients if n not in u.layer_models] + [
-        n for n in coeffs.passthrough if n not in u.excluded_layers
-    ]
-    if strays:
-        raise InvalidArgumentError(
-            f"coefficients of model {coeffs.model_id!r} hold layers the subspace does not "
-            f"take there: {', '.join(repr(n) for n in strays)} (coefficients are for the "
-            f"included layers {u.included_layers}, passthrough for the excluded "
-            f"{u.excluded_layers})"
-        )
-    layers = {}
-    for name in u.layer_order:
-        if name in coeffs.coefficients:
-            layers[name] = reconstruct_slice(u.layer_models[name], coeffs.coefficients[name])
-        elif name in coeffs.passthrough:
-            layers[name] = coeffs.passthrough[name]
+    layers are the coefficient set's own arrays.  As its file's entries,
+    a coefficient set must hold a ``coef/L`` block of the layer's
+    coefficient shape for exactly the included layers and a ``raw/L``
+    matrix for exactly the excluded ones, or InvalidArgumentError is
+    raised."""
+    expected = {f"coef/{name}": (m.slab_extent, *m.ranks[1:]) if m.order == 2 else m.ranks[1:]
+                for name, m in u.layer_models.items()}
+    expected.update((f"raw/{name}", None) for name in u.excluded_layers)
+    shapes = {f"coef/{name}": np.shape(c.coeffs) for name, c in coeffs.coefficients.items()}
+    shapes.update((f"raw/{name}", np.shape(arr)) for name, arr in coeffs.passthrough.items())
+    _require_layers(f"the entries of coefficients {coeffs.model_id!r}", shapes, expected,
+                    f"the subspace's layer_order {u.layer_order} (coef/ for each included "
+                    "layer, raw/ for each excluded one)")
+    layers = {
+        name: reconstruct_slice(u.layer_models[name], coeffs.coefficients[name])
+        if name in u.layer_models else coeffs.passthrough[name]
+        for name in u.layer_order
+    }
     dtypes = {name: coeffs.dtypes.get(name, "f64") for name in layers}
     return ModelWeights(model_id=coeffs.model_id, layers=layers, dtypes=dtypes)
 
@@ -496,30 +486,27 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
     (uniform by default) as a running weighted sum over the models, read
     one at a time, and the mean model is projected and reconstructed
     once.  Because projection is affine, this equals combining the
-    models' coefficients with the same weights.  Excluded layers present
-    in every input are averaged elementwise and carried through.  Each
-    averaged layer must have one shape across the models, and a layer
-    outside the subspace's ``layer_order`` raises InvalidArgumentError.
+    models' coefficients with the same weights.  The first model must
+    have exactly the subspace's ``layer_order`` layers, as in
+    :func:`project_model`, and every later one exactly the first one's,
+    each of the same shape, so every excluded layer is averaged
+    elementwise and carried through; otherwise InvalidArgumentError.
     """
     models = list(models)
     if len(models) < 2:
         raise InvalidArgumentError(f"merging needs at least two models, got {len(models)}")
     weights = merge_weights(weights, len(models))
-    ids, sums = [], {}
-    for i, (w, item) in enumerate(zip(weights, models)):
+    ids, (expected, reference) = [], _model_layers(u)
+    for w, item in zip(weights, models):
         model = _read(item)
-        _check_known_layers(u, model)
+        _require_layers(f"the layers of model {model.model_id!r}", model.shapes, expected,
+                        reference)
+        if not ids:  # the first model fixes every later one's layer shapes
+            expected, reference = model.shapes, f"those of model {model.model_id!r}, the first"
+            sums = {name: np.zeros(shape) for name, shape in expected.items()}
         ids.append(model.model_id)
-        if i == 0:  # every layer of the model is in the subspace's layer order
-            sums = {name: np.zeros(shape) for name, shape in model.shapes.items()}
-        for name in u.included_layers:
-            _check_layer(name, [model], ids[0], sums[name].shape if name in sums else None)
-        for name in list(sums):
-            if name not in model.layers:  # an excluded layer this model lacks
-                del sums[name]
-                continue
-            _check_layer(name, [model], ids[0], sums[name].shape)
-            sums[name] += np.multiply(model.layers[name], w, dtype=np.float64)
+        for name, total in sums.items():
+            total += np.multiply(model.layers[name], w, dtype=np.float64)
         del model  # free its payload before the next model is read
     if model_id is None:
         model_id = "merged(" + ",".join(ids) + ")"
@@ -852,12 +839,15 @@ def _decoding_meta(kind):
         ) from exc
 
 
-def _spectrum(entries, name, n, retained, count) -> ModeSpectrum:
+def _spectrum(entries, name, n, retained, unfolding, policy) -> ModeSpectrum:
     """Mode ``n``'s ledger from its stored singular values, which must
-    form a spectrum of at least ``retained`` values (the factor's width)
-    and at most ``count`` (the unfolding's), and its 1 x 1 tail energy (0
-    after a whole spectrum); the ratios are derived as extraction does."""
+    form a spectrum of at most the ``unfolding``'s (rows, cols) count of
+    values, and its 1 x 1 tail energy (0 after a whole spectrum); the
+    ratios are derived as extraction does.  ``retained``, the factor's
+    width, must be the rank ``policy`` selects from them, as extraction
+    selected it."""
     key, tail_key = f"ledger/{name}/sv/{n}", f"ledger/{name}/tail/{n}"
+    count = min(unfolding)
     sv = _take(entries, key).ravel()
     _require(sv.size <= count,
              f"entry {key!r} holds {sv.size} singular values, more than its unfolding's {count}")
@@ -876,8 +866,10 @@ def _spectrum(entries, name, n, retained, count) -> ModeSpectrum:
              + 4 * count * np.finfo(np.float64).eps,
              f"entry {tail_key!r} holds more energy than the {count - sv.size} components "
              f"after {key!r} can")
-    _require(sv.size >= retained,
-             f"entry {key!r} holds {sv.size} singular values, fewer than the {retained} retained")
+    rank = select_rank(ratios, policy, singular_values=sv, shape=unfolding)
+    _require(retained == rank,
+             f"entry 'U/{name}/{n}' is {retained} wide, but {policy.describe()} keeps {rank} "
+             f"of the spectrum in {key!r}")
     return ModeSpectrum(singular_values=sv, ratios=ratios, retained=retained,
                         tail=float(tail[0, 0]))
 
@@ -894,11 +886,11 @@ def load_subspace(path) -> UniversalSubspace:
     slab_extent`` for order 2, ``stack_shape[:2] == [T, slab_extent]``
     for order 3), ``layer_order`` distinct layers, each factor must have
     its mode's extent as rows and orthonormal columns (within
-    ``ORTHONORMALITY_TOLERANCE``), and each stored spectrum must be one
-    (nonnegative, nonincreasing, not all zero, at least as long as its
-    factor is wide and at most as long as its unfolding allows, with a
-    finite nonnegative 1 x 1 tail that is 0 past a zero value and after
-    the whole spectrum); otherwise, and for a meta field that is missing
+    ``ORTHONORMALITY_TOLERANCE``) as wide as ``policy`` selects from its
+    stored spectrum, and each stored spectrum must be one (nonnegative,
+    nonincreasing, not all zero, at most as long as its unfolding allows,
+    with a finite nonnegative 1 x 1 tail that is 0 past a zero value and
+    after the whole spectrum); otherwise, and for a meta field that is missing
     or malformed, or any entry or meta key that :func:`save_subspace`
     does not write, ManifestError.  The layer models have no stacking-mode
     factor or core; an order-2 stack's two modes share one spectrum and
@@ -953,7 +945,7 @@ def load_subspace(path) -> UniversalSubspace:
                   else mu.reshape(shape[1:]))
             ledger = {
                 n: _spectrum(entries, name, n, factors[n - 1].shape[1],
-                             min(shape[n - 1], int(np.prod(shape)) // shape[n - 1]))
+                             (shape[n - 1], int(np.prod(shape)) // shape[n - 1]), config.policy)
                 for n in modes
             }
             if config.order == 2:

@@ -258,6 +258,8 @@ class BoundParameters:
             raise InvalidArgumentError("eta_bar and eta2_bar must be >= 0")
         _positive_float(self.c1, "c1")
         _positive_float(self.c2, "c2")
+        if self.gamma_k is not None:
+            _positive_float(self.gamma_k, "gamma_k")
 
     @property
     def delta_t(self) -> float:
@@ -286,10 +288,6 @@ def theorem1_bounds(p: BoundParameters) -> TheoremBounds:
     if log_arg < 1.0:
         raise InvalidArgumentError(
             f"c2/delta = {log_arg!r} is below 1; the log term would be negative"
-        )
-    if p.gamma_k is not None and p.gamma_k <= 0.0:
-        raise InvalidArgumentError(
-            f"subspace bound needs a positive eigengap, got gamma_k = {p.gamma_k!r}"
         )
     try:
         sampling = p.c1 * p.b**2 * math.sqrt(math.log(log_arg) / p.n_tasks)

@@ -586,6 +586,47 @@ def test_project_and_merge_refuse_a_layer_the_subspace_does_not_name(tmp_path, c
     assert not (tmp_path / "c2.uws").exists() and not (tmp_path / "m.uws").exists()
 
 
+def _with_layers(model, model_id, **changes):
+    """A copy of ``model`` named ``model_id``, each layer in ``changes``
+    replaced by its value, or dropped where that is None."""
+    layers = {**model.layers, **changes}
+    return ModelWeights(model_id, {n: w for n, w in layers.items() if w is not None})
+
+
+def test_every_reader_refuses_what_lacks_an_excluded_layer_naming_model_and_layer(
+    tmp_path, capsys
+):
+    pattern, paths = write_fixture_models(tmp_path)
+    space, coeffs, out = tmp_path / "s.uws", tmp_path / "c.uws", str(tmp_path / "out.uws")
+    assert run(["extract", "--models", pattern, "--out", str(space),
+                "--report", str(tmp_path / "r.csv")], capsys)[0] == 0
+    assert "head" in load_subspace(space).excluded_layers
+    assert run(["project", "--subspace", str(space), "--model", str(paths[0]),
+                "--out", str(coeffs)], capsys)[0] == 0
+    write_edited(coeffs, tmp_path / "c2.uws", lambda entries, meta: entries.pop("raw/head"))
+    code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs",
+                        str(tmp_path / "c2.uws"), "--out", out], capsys)
+    assert code == 2 and "coefficients 'm0'" in err and "missing 'raw/head'" in err, err
+    first = load_weights(paths[0])
+    for odd, problem in (
+        (_with_layers(first, "odd", head=None), "missing 'head'"),
+        (_with_layers(first, "odd", zzz=np.ones((2, 3))), "extra 'zzz'"),
+        (_with_layers(first, "odd", head=np.ones((2, 24))), "'head' of shape (2, 24)"),
+    ):
+        save_weights(odd, tmp_path / "model_02.uws")  # stands in for model m2
+        argvs = [
+            ["extract", "--models", pattern, "--out", out, "--report", str(tmp_path / "r2.csv")],
+            ["merge", "--subspace", str(space), "--models", pattern, "--out", out],
+        ]
+        if problem != "'head' of shape (2, 24)":  # no subspace knows an excluded shape
+            argvs.append(["project", "--subspace", str(space), "--model",
+                          str(tmp_path / "model_02.uws"), "--out", out])
+        for argv in argvs:
+            code, _, err = run(argv, capsys)
+            assert code == 2 and "model 'odd'" in err and problem in err, (argv[0], err)
+    assert not os.path.exists(out)
+
+
 def test_subspace_and_coefficient_files_are_not_weights(tmp_path, capsys):
     pattern, paths = write_fixture_models(tmp_path)
     space = tmp_path / "s.uws"
@@ -625,6 +666,26 @@ def test_project_refuses_a_subspace_whose_basis_is_not_orthonormal(tmp_path, cap
     code, _, err = run(["project", "--subspace", str(space), "--model",
                         str(tmp_path / "model_01.uws"), "--out", str(tmp_path / "c2.uws")], capsys)
     assert code == 2 and "'U/block0/2' is not orthonormal" in err
+
+
+@pytest.mark.parametrize("flags", [
+    (), ("--tau", "1"), ("--hard-threshold",), ("--fixed-k", "3"), ("--order", "3"),
+    ("--eigen-floor", "0.01"), ("--center", "global"),
+], ids=["default", "tau1", "hard-threshold", "fixed-k", "order3", "eigen-floor", "global"])
+def test_a_factor_narrower_than_its_policy_keeps_exits_2_from_every_reader(
+    tmp_path, capsys, flags
+):
+    space, _, readers = write_reader_fixture(tmp_path, capsys, flags)
+    write_edited(space, tmp_path / "edited.uws", lambda entries, meta: None)
+    assert run(readers["scree"], capsys)[0] == 0  # every file uws writes passes
+    width = load_subspace(space).layer_models["block0"].factors[1].shape[1]
+    assert width > 1
+    write_edited(space, tmp_path / "edited.uws", lambda entries, meta: entries.update(
+        {"U/block0/2": (entries["U/block0/2"][0][:, :-1], "f64")}))
+    message = f"entry 'U/block0/2' is {width - 1} wide, but "
+    for name, argv in readers.items():
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.count("\n") == 1 and message in err, (name, err)
 
 
 def _single_field_edits(meta, path=()):
@@ -698,14 +759,14 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
 # ------------------------------------------------- what uws does not write
 
 
-def write_reader_fixture(tmp_path, capsys):
-    """Extract ``s.uws`` and project one model into ``c.uws``; return both
-    paths and, by subcommand, the argv of every reader of a subspace file,
-    reading it from ``edited.uws``."""
+def write_reader_fixture(tmp_path, capsys, flags=()):
+    """Extract ``s.uws`` (with the extract ``flags``) and project one model
+    into ``c.uws``; return both paths and, by subcommand, the argv of every
+    reader of a subspace file, reading it from ``edited.uws``."""
     pattern, paths = write_fixture_models(tmp_path, noise=1e-3)
     space, coeffs = tmp_path / "s.uws", tmp_path / "c.uws"
     run(["extract", "--models", pattern, "--out", str(space),
-         "--report", str(tmp_path / "r.csv")], capsys)
+         "--report", str(tmp_path / "r.csv"), *flags], capsys)
     run(["project", "--subspace", str(space), "--model", str(paths[0]),
          "--out", str(coeffs)], capsys)
     x = np.random.default_rng(3).normal(size=(30, 24))
@@ -807,6 +868,85 @@ def test_a_coefficient_file_with_what_uws_does_not_write_exits_2(tmp_path, capsy
     assert code == 2 and err.count("\n") == 1 and message in err, err
     with pytest.raises(ManifestError, match=re.escape(message)):
         load_coefficients(edited)
+
+
+# ------------------------------------------------------- entry-level fuzz
+
+_OTHER_PREFIX = {"coef/": "raw/", "raw/": "coef/", "mu/": "U/", "U/": "mu/"}
+
+
+def _entry_edits(name, arr):
+    """Each one-entry edit of entry ``name``, holding ``arr``, as (edit,
+    function of the entries): delete it, copy it under the other prefix
+    (an entry of its kind is in ``_OTHER_PREFIX``), cut its last row or
+    column (a cut that would leave it empty is skipped: no container holds
+    an empty matrix) and scale it by 3."""
+    yield "delete", lambda e: e.pop(name)
+    prefix = next((p for p in _OTHER_PREFIX if name.startswith(p)), None)
+    if prefix is not None:
+        other = _OTHER_PREFIX[prefix] + name[len(prefix):]
+        yield "copy", lambda e: e.update({other: e[name]})
+    if arr.shape[0] > 1:
+        yield "row", lambda e: e.update({name: (e[name][0][:-1], e[name][1])})
+    if arr.shape[1] > 1:
+        yield "column", lambda e: e.update({name: (e[name][0][:, :-1], e[name][1])})
+    yield "scale", lambda e: e.update({name: (e[name][0] * 3, e[name][1])})
+
+
+def _may_pass(kind, name, edit, reader, excluded):
+    """The edits that may exit 0, each for its reason."""
+    if edit == "scale":
+        # every value stays finite and every shape fits: the file says
+        # something else, but nothing in it disagrees with itself
+        return True
+    # a subspace stores no shape for an excluded layer, so a cut one is
+    # still a layer to carry along
+    cut = edit in ("row", "column")
+    if kind == "coefficients":
+        return cut and name.startswith("raw/")
+    return kind == "weights" and cut and reader == "project" and name in excluded
+
+
+@pytest.mark.parametrize("kind", ["subspace", "coefficients", "weights"])
+def test_entry_edits_exit_0_only_where_pinned_and_never_end_in_a_traceback(
+    kind, tmp_path, capsys
+):
+    space, coeffs, readers = write_reader_fixture(tmp_path, capsys)
+    excluded = load_subspace(space).excluded_layers
+    edited, model = tmp_path / "edited.uws", tmp_path / "model_00.uws"
+    out = str(tmp_path / "out.uws")
+    if kind == "coefficients":
+        source = coeffs
+        readers = {"reconstruct": ["reconstruct", "--subspace", str(space), "--coeffs",
+                                   str(edited), "--out", out]}
+    elif kind == "weights":
+        # model 0 is edited in place: it is one of the models extract and
+        # merge read, and the one project reads
+        source, edited = tmp_path / "original.uws", model
+        source.write_bytes(model.read_bytes())
+        pattern = str(tmp_path / "model_*.uws")
+        readers = {
+            "extract": ["extract", "--models", pattern, "--out", out,
+                        "--report", str(tmp_path / "r2.csv")],
+            "project": ["project", "--subspace", str(space), "--model", str(model),
+                        "--out", out],
+            "merge": ["merge", "--subspace", str(space), "--models", pattern, "--out", out],
+        }
+    else:
+        source = space
+    runs = 0
+    for rec in read_container(source).layers:
+        for edit, change in _entry_edits(rec.name, rec.array):
+            write_edited(source, edited, lambda entries, meta: change(entries))
+            for reader, argv in readers.items():
+                code, _, err = run(argv, capsys)
+                case = (rec.name, edit, reader, err)
+                assert code in (0, 2) and err.count("\n") == code // 2, case
+                assert code == 2 or _may_pass(kind, rec.name, edit, reader, excluded), case
+                runs += 1
+    # subspace: 8 entries, 4 of them mu/ or U/; coefficients: 4 entries of
+    # 6 x 24 or 5 x 20; weights: the same 4 layers, read by 3 subcommands
+    assert runs == {"subspace": 140, "coefficients": 20, "weights": 48}[kind]
 
 
 # --------------------------------------------------------------------- merge
@@ -1063,13 +1203,17 @@ def test_theory_bounds_without_gamma_skips_subspace_level(capsys):
 
 
 def test_theory_bounds_rejects_nonpositive_gamma(capsys):
-    code, _, err = run(
-        ["theory", "bounds", "--b", "1.0", "--delta", "0.5", "--t", "10",
-         "--eta-bar", "0.0", "--eta2-bar", "0.0", "--gamma-k", "0.0"],
-        capsys,
-    )
-    assert code == 1
-    assert "gamma" in err.lower()
+    # an infinite gap would print a subspace bound of 0.0, claiming the two
+    # subspaces coincide; like every other non-finite numeric flag, it and
+    # nan are usage errors
+    for gamma in ("0.0", "-1", "nan", "inf"):
+        code, out, err = run(
+            ["theory", "bounds", "--b", "1.0", "--delta", "0.5", "--t", "10",
+             "--eta-bar", "0.0", "--eta2-bar", "0.0", "--gamma-k", gamma],
+            capsys,
+        )
+        assert (code, out) == (1, ""), gamma
+        assert "--gamma-k" in err and err.count("\n") == 1
 
 
 def test_theory_converge_writes_deterministic_report(tmp_path, capsys):

@@ -299,7 +299,8 @@ def test_reconstruct_rejects_entries_the_subspace_does_not_take(kind, layer):
     c = project_model(u, models[0])
     stray = c.coefficients["block0"] if kind == "coefficients" else models[0].layers["block0"]
     getattr(c, kind)[layer] = stray
-    with pytest.raises(InvalidArgumentError, match=repr(layer)):
+    entry = f"{'coef' if kind == 'coefficients' else 'raw'}/{layer}"
+    with pytest.raises(InvalidArgumentError, match=f"extra '{entry}'"):
         reconstruct_model(u, c)
 
 
@@ -313,10 +314,13 @@ def test_project_and_merge_refuse_a_layer_the_subspace_does_not_name(tmp_path):
     for group in ([models[0], extra, models[2]], write_all(tmp_path, [models[0], extra])):
         with pytest.raises(InvalidArgumentError, match="'zzz'"):
             merge_models(u, group)
-    # a model may still lack an excluded layer
+    # a model that lacks an excluded layer is refused too: the round trip would drop it
     lacking = ModelWeights("lacking", {n: w for n, w in models[1].layers.items() if n != "head"})
-    assert "head" not in project_model(u, lacking).passthrough
-    assert "head" not in merge_models(u, [models[0], lacking]).layers
+    with pytest.raises(InvalidArgumentError, match="model 'lacking'.*: missing 'head'"):
+        project_model(u, lacking)
+    for group in ([models[0], lacking], [lacking, models[0]]):
+        with pytest.raises(InvalidArgumentError, match="model 'lacking'.*: missing 'head'"):
+            merge_models(u, group)
 
 
 def test_reconstruct_rejects_a_coefficient_block_with_other_rows():
@@ -440,13 +444,13 @@ def test_merge_from_paths_equals_the_stacked_mean(tmp_path):
         assert np.array_equal(single.layers[name], arr)
 
 
-def test_merge_from_paths_drops_an_excluded_layer_one_model_lacks(tmp_path):
+def test_merge_from_paths_refuses_a_model_that_lacks_an_excluded_layer(tmp_path):
     rng = np.random.default_rng(101)
     models, _, _ = make_planted(rng, n_models=8, k=3)
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
     lacking = ModelWeights("lacking", {n: w for n, w in models[2].layers.items() if n != "head"})
-    merged = merge_models(u, write_all(tmp_path, [models[0], models[1], lacking, models[3]]))
-    assert list(merged.layers) == ["embed", "block0", "block1"]
+    with pytest.raises(InvalidArgumentError, match="model 'lacking'.*: missing 'head'"):
+        merge_models(u, write_all(tmp_path, [models[0], models[1], lacking, models[3]]))
 
 
 @pytest.mark.parametrize("layer", ["block0", "head"])  # included, excluded

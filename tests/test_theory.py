@@ -370,6 +370,13 @@ def test_theorem_bounds_validation_and_monotonicity():
     assert op(b=2.0) > op(b=1.0)
 
 
+@pytest.mark.parametrize("gamma_k", [math.inf, math.nan, 0.0, -1.0])
+def test_bound_parameters_refuse_a_gap_that_is_not_finite_and_positive(gamma_k):
+    with pytest.raises(InvalidArgumentError, match="gamma_k must be positive and finite"):
+        BoundParameters(b=1.0, delta=0.5, n_tasks=10, eta_bar=0.0, eta2_bar=0.0,
+                        gamma_k=gamma_k)
+
+
 def test_theorem_bounds_reject_a_bound_that_is_not_finite():
     base = dict(delta=0.5, n_tasks=100, eta_bar=0.1, eta2_bar=0.01)
     for kw in (dict(b=1e200),  # b**2 overflows
