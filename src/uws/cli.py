@@ -677,10 +677,7 @@ def main(argv=None) -> int:
             RankDeficiencyError, InternalConsistencyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ContainerError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidArgumentError, OSError, ValueError) as exc:
+    except (ContainerError, InvalidArgumentError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -11,8 +11,8 @@ non-stacking factors (``U/``), their leading spectra
 Coefficient files use ``coef/`` (per layer, r x k for order-2 stacking
 and k_2 x k_3 for order 3) and ``raw/``.  Either file's meta keeps only
 what its entries cannot say; the loaders derive the rest (included
-layers, ranks, order, ratios, ids) and refuse any entry or meta key that
-the writers do not write.
+layers, stack shapes, ranks, ratios, ids) and refuse any entry or meta
+key that the writers do not write.
 """
 
 from contextlib import contextmanager
@@ -44,7 +44,7 @@ from ..spectral import (DEFAULT_POLICY, RankPolicy, explained_variance, orthonor
 from ..tensor import as_real, int_at_least
 from .container import read_container, write_container
 
-SUBSPACE_FORMAT_VERSION = 5
+SUBSPACE_FORMAT_VERSION = 6
 
 #: The largest ``max |V^T V - I|`` a loaded factor may have.  Extraction's
 #: own factors are orthonormal to about 1e-15 (``uws extract`` prints the
@@ -224,21 +224,22 @@ class ExtractionConfig:
 class UniversalSubspace:
     """Per-layer subspace models plus the bookkeeping needed to project
     arbitrary models of the same architecture: the ids of the models it
-    was extracted from and the architecture's layer order, of which the
-    layers with a model are the included ones and the rest are excluded."""
+    was extracted from and the architecture's layers, in order, each
+    mapped to its (rows, cols) shape; the layers with a model are the
+    included ones and the rest are excluded."""
 
     layer_models: dict
     config: ExtractionConfig
     provenance: list
-    layer_order: list
+    layer_shapes: dict
 
     @property
     def included_layers(self) -> list:
-        return [name for name in self.layer_order if name in self.layer_models]
+        return [name for name in self.layer_shapes if name in self.layer_models]
 
     @property
     def excluded_layers(self) -> list:
-        return [name for name in self.layer_order if name not in self.layer_models]
+        return [name for name in self.layer_shapes if name not in self.layer_models]
 
     @property
     def architecture_id(self) -> str:
@@ -262,7 +263,7 @@ def _partition_layers(first, config):
             "layer exclusion leaves nothing to extract from "
             f"(layers: {', '.join(candidates) or 'none'})"
         )
-    return candidates, included
+    return included
 
 
 def _read(model, names=None):
@@ -293,9 +294,9 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
 
     ``models`` is a sequence of :class:`ModelWeights` or of paths to
     weights files.  Every model must have exactly the first model's
-    layers, each of the same shape, excluded layers included.  Layer
-    order, and the default exclusion rule, follow the first model's
-    layer list, read from its manifest.
+    layers, each of the same shape, excluded layers included.  The
+    subspace's ``layer_shapes`` and the default exclusion rule follow the
+    first model's layers and shapes, read from its manifest.
 
     The layers are taken one at a time: a pass reads one layer's slab
     from every model, in order, and the layer is decomposed before the
@@ -317,7 +318,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     if not models:
         raise InvalidArgumentError("cannot extract a subspace from zero models")
     head = _read(models[0], ())
-    layer_order, included = _partition_layers(head, config)
+    included = _partition_layers(head, config)
     ids = []  # the models' ids, as the first layer pass read them
 
     def layer_pass(name, names, take):
@@ -357,7 +358,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
                 stack.reshape(-1, cols) if config.order == 2 else stack,
                 config.policy, centering=config.centering, slab_extent=rows)
         del stack  # freed before the next layer's stream or stack is made
-    return UniversalSubspace(layer_models, config, ids, layer_order)
+    return UniversalSubspace(layer_models, config, ids, dict(head.shapes))
 
 
 # ---------------------------------------------------------------- scree report
@@ -407,21 +408,18 @@ class CoefficientSet:
 
 
 def _model_layers(u: UniversalSubspace):
-    """The layers of a model that fits ``u``, exactly its ``layer_order``,
-    each included layer of its stack's member shape (a subspace stores no
-    shape for an excluded layer: None), and how to name them."""
-    shapes = dict.fromkeys(u.layer_order)
-    shapes.update((name, (m.slab_extent, m.shape[-1])) for name, m in u.layer_models.items())
-    return shapes, f"the subspace's layer_order {u.layer_order}"
+    """The layers of a model that fits ``u``, exactly its
+    ``layer_shapes``, each of its shape there, and how to name them."""
+    return u.layer_shapes, f"the subspace's layers {list(u.layer_shapes)}"
 
 
 def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet:
     """Express each included layer in its layer subspace.
 
-    The model must have exactly the subspace's ``layer_order`` layers,
-    each included one of its stack's member shape, or InvalidArgumentError
-    is raised.  The excluded layers ride along unchanged, as the model's
-    own arrays, so the model can be rebuilt in full.
+    The model must have exactly the subspace's ``layer_shapes`` layers,
+    each of its shape there, or InvalidArgumentError is raised.  The
+    excluded layers ride along unchanged, as the model's own arrays, so
+    the model can be rebuilt in full.
     """
     _require_layers(f"the layers of model {weights.model_id!r}", weights.shapes, *_model_layers(u))
     coefficients = {name: project_slice(u.layer_models[name], weights.layers[name])
@@ -439,20 +437,20 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
     layers are the coefficient set's own arrays.  As its file's entries,
     a coefficient set must hold a ``coef/L`` block of the layer's
     coefficient shape for exactly the included layers and a ``raw/L``
-    matrix for exactly the excluded ones, or InvalidArgumentError is
-    raised."""
+    matrix of the layer's shape for exactly the excluded ones, or
+    InvalidArgumentError is raised."""
     expected = {f"coef/{name}": (m.slab_extent, *m.ranks[1:]) if m.order == 2 else m.ranks[1:]
                 for name, m in u.layer_models.items()}
-    expected.update((f"raw/{name}", None) for name in u.excluded_layers)
+    expected.update((f"raw/{name}", u.layer_shapes[name]) for name in u.excluded_layers)
     shapes = {f"coef/{name}": np.shape(c.coeffs) for name, c in coeffs.coefficients.items()}
     shapes.update((f"raw/{name}", np.shape(arr)) for name, arr in coeffs.passthrough.items())
     _require_layers(f"the entries of coefficients {coeffs.model_id!r}", shapes, expected,
-                    f"the subspace's layer_order {u.layer_order} (coef/ for each included "
+                    f"the subspace's layers {list(u.layer_shapes)} (coef/ for each included "
                     "layer, raw/ for each excluded one)")
     layers = {
         name: reconstruct_slice(u.layer_models[name], coeffs.coefficients[name])
         if name in u.layer_models else coeffs.passthrough[name]
-        for name in u.layer_order
+        for name in u.layer_shapes
     }
     dtypes = {name: coeffs.dtypes.get(name, "f64") for name in layers}
     return ModelWeights(model_id=coeffs.model_id, layers=layers, dtypes=dtypes)
@@ -477,7 +475,7 @@ def merge_weights(weights, t: int) -> np.ndarray:
     return weights
 
 
-def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelWeights:
+def merge_models(u, models, weights=None) -> ModelWeights:
     """Average models inside the subspace.
 
     ``models`` is a sequence of :class:`ModelWeights` or of paths to
@@ -486,31 +484,26 @@ def merge_models(u, models, weights=None, model_id: str | None = None) -> ModelW
     (uniform by default) as a running weighted sum over the models, read
     one at a time, and the mean model is projected and reconstructed
     once.  Because projection is affine, this equals combining the
-    models' coefficients with the same weights.  The first model must
-    have exactly the subspace's ``layer_order`` layers, as in
-    :func:`project_model`, and every later one exactly the first one's,
-    each of the same shape, so every excluded layer is averaged
-    elementwise and carried through; otherwise InvalidArgumentError.
+    models' coefficients with the same weights.  Every model must have
+    exactly the subspace's ``layer_shapes`` layers, each of its shape
+    there, as in :func:`project_model`, so every excluded layer is
+    averaged elementwise and carried through; otherwise
+    InvalidArgumentError.
     """
     models = list(models)
     if len(models) < 2:
         raise InvalidArgumentError(f"merging needs at least two models, got {len(models)}")
     weights = merge_weights(weights, len(models))
-    ids, (expected, reference) = [], _model_layers(u)
+    sums = {name: np.zeros(shape) for name, shape in u.layer_shapes.items()}
+    ids = []
     for w, item in zip(weights, models):
         model = _read(item)
-        _require_layers(f"the layers of model {model.model_id!r}", model.shapes, expected,
-                        reference)
-        if not ids:  # the first model fixes every later one's layer shapes
-            expected, reference = model.shapes, f"those of model {model.model_id!r}, the first"
-            sums = {name: np.zeros(shape) for name, shape in expected.items()}
+        _require_layers(f"the layers of model {model.model_id!r}", model.shapes, *_model_layers(u))
         ids.append(model.model_id)
         for name, total in sums.items():
             total += np.multiply(model.layers[name], w, dtype=np.float64)
         del model  # free its payload before the next model is read
-    if model_id is None:
-        model_id = "merged(" + ",".join(ids) + ")"
-    mean = ModelWeights(model_id=model_id, layers=sums)
+    mean = ModelWeights(model_id="merged(" + ",".join(ids) + ")", layers=sums)
     return reconstruct_model(u, project_model(u, mean))
 
 
@@ -763,7 +756,7 @@ def adapt_coefficients(
 
 
 def save_subspace(u: UniversalSubspace, path) -> None:
-    """Write a subspace container (format version 5).
+    """Write a subspace container (format version 6).
 
     Entry layout, per included layer L and each non-stacking mode
     n = 2..order: ``mu/L`` (the mean as a matrix: one row for order 2,
@@ -773,9 +766,9 @@ def save_subspace(u: UniversalSubspace, path) -> None:
     the rank reads from the Gram route) and ``ledger/L/tail/n`` (1 x 1,
     the energy of the components not stored; 0 from the exact route).
     The meta holds only what the entries cannot say: ``provenance`` (the
-    source model ids), ``centering``, ``policy``, ``layer_order`` and per
-    layer ``stack_shape`` and ``slab_extent``.  The container's model id
-    is the architecture id.
+    source model ids), ``centering``, ``policy``, ``order`` and ``layers``,
+    which maps every layer, excluded ones included, in order, to its
+    ``[rows, cols]``.  The container's model id is the architecture id.
     """
     triples = []
     for name in u.included_layers:
@@ -794,11 +787,8 @@ def save_subspace(u: UniversalSubspace, path) -> None:
         "provenance": list(u.provenance),
         "centering": u.config.centering,
         "policy": asdict(u.config.policy),
-        "layer_order": list(u.layer_order),
-        "layers": {
-            name: {"stack_shape": list(model.shape), "slab_extent": model.slab_extent}
-            for name, model in u.layer_models.items()
-        },
+        "order": u.config.order,
+        "layers": {name: list(shape) for name, shape in u.layer_shapes.items()},
     }
     write_container(path, u.architecture_id, triples, meta=meta)
 
@@ -875,63 +865,59 @@ def _spectrum(entries, name, n, retained, unfolding, policy) -> ModeSpectrum:
 
 
 def load_subspace(path) -> UniversalSubspace:
-    """Read a subspace container of format version 5, the only one.
+    """Read a subspace container of format version 6, the only one.
 
-    The included layers are the ``layer_order`` names with a ``mu/L``
-    entry, and ``layers`` must describe exactly those; the rest are
-    excluded.  The order is ``len(stack_shape)``, each mode's retained
+    ``layers`` maps the architecture's layers, in order, to their
+    ``[rows, cols]``; the included ones are those with a ``mu/L`` entry
+    and the rest are excluded.  Each stack shape is derived from its
+    layer's shape and the T models ``provenance`` names: (T·rows, cols)
+    for ``order`` 2, (T, rows, cols) for order 3.  Each mode's retained
     rank is its factor's width, the mean's kind is ``centering`` and the
     architecture id is the container's model id.  ``provenance`` must
-    name the T models of every stack (``stack_shape[0] == T *
-    slab_extent`` for order 2, ``stack_shape[:2] == [T, slab_extent]``
-    for order 3), ``layer_order`` distinct layers, each factor must have
-    its mode's extent as rows and orthonormal columns (within
-    ``ORTHONORMALITY_TOLERANCE``) as wide as ``policy`` selects from its
-    stored spectrum, and each stored spectrum must be one (nonnegative,
-    nonincreasing, not all zero, at most as long as its unfolding allows,
-    with a finite nonnegative 1 x 1 tail that is 0 past a zero value and
-    after the whole spectrum); otherwise, and for a meta field that is missing
-    or malformed, or any entry or meta key that :func:`save_subspace`
-    does not write, ManifestError.  The layer models have no stacking-mode
-    factor or core; an order-2 stack's two modes share one spectrum and
-    rank, so its stacking-mode ledger is the feature mode's.
+    name at least one model, ``layers`` at least one included layer, each
+    factor must have its mode's extent as rows and orthonormal columns
+    (within ``ORTHONORMALITY_TOLERANCE``) as wide as ``policy`` selects
+    from its stored spectrum, and each stored spectrum must be one
+    (nonnegative, nonincreasing, not all zero, at most as long as its
+    unfolding allows, with a finite nonnegative 1 x 1 tail that is 0 past
+    a zero value and after the whole spectrum); otherwise, and for a meta
+    field that is missing or malformed, or any entry or meta key that
+    :func:`save_subspace` does not write, ManifestError.  The layer models
+    have no stacking-mode factor or core; an order-2 stack's two modes
+    share one spectrum and rank, so its stacking-mode ledger is the
+    feature mode's.
     """
     doc = read_container(path)
     meta = doc.meta or {}
     _require(meta.get("kind") == "subspace", "not a subspace container (meta kind != 'subspace')")
     version = meta.get("format_version")
     _require(type(version) is int and version == SUBSPACE_FORMAT_VERSION,
-             f"subspace format_version {version!r} is not 5: extract the subspace again")
-    _only(meta, ("kind", "format_version", "provenance", "centering", "policy", "layer_order",
+             f"subspace format_version {version!r} is not {SUBSPACE_FORMAT_VERSION}: "
+             "extract the subspace again")
+    _only(meta, ("kind", "format_version", "provenance", "centering", "policy", "order",
                  "layers"), "subspace meta")
     with _decoding_meta("subspace"):
-        provenance, layer_order = _names(meta, "provenance"), _names(meta, "layer_order")
-        _require(len(set(layer_order)) == len(layer_order), "layer_order names a layer twice")
+        provenance = _names(meta, "provenance")
+        _require(provenance, "meta 'provenance' names no model")
+        layer_shapes = {name: tuple(shape) for name, shape in meta["layers"].items()}
+        _require(all(len(shape) == 2 and all(type(n) is int and n >= 1 for n in shape)
+                     for shape in layer_shapes.values()),
+                 f"meta 'layers' must map each layer to its [rows, cols], got {meta['layers']!r}")
         entries = {rec.name: np.asarray(rec.array, np.float64) for rec in doc.layers}
-        included = [name for name in layer_order if f"mu/{name}" in entries]
-        layers = meta["layers"]
-        _require(included and isinstance(layers, dict) and set(layers) == set(included),
-                 f"meta layers must describe exactly the layers with a mean entry, {included}")
+        included = [name for name in layer_shapes if f"mu/{name}" in entries]
+        _require(included, "meta 'layers' names no layer with a mean entry")
         config = ExtractionConfig(
             policy=RankPolicy(**meta["policy"]),
-            order=len(layers[included[0]]["stack_shape"]),
+            order=meta["order"],
             centering=meta["centering"],
-            exclude_layers=tuple(name for name in layer_order if name not in included),
+            exclude_layers=tuple(name for name in layer_shapes if name not in included),
             architecture_id=doc.model_id,
         )
         modes, t = range(2, config.order + 1), len(provenance)
         layer_models = {}
         for name in included:
-            shape, extent = tuple(layers[name]["stack_shape"]), layers[name]["slab_extent"]
-            members = (t * extent,) if config.order == 2 else (t, extent)
-            _require(
-                all(type(n) is int and n >= 1 for n in shape + (extent,))
-                and len(shape) == config.order
-                and shape[: len(members)] == members,
-                f"layer {name!r}: stack_shape {list(shape)} is not an order-{config.order} "
-                f"stack of the {t} models' {extent}-row slabs",
-            )
-            _only(layers[name], ("stack_shape", "slab_extent"), f"layer {name!r} meta")
+            rows, cols = layer_shapes[name]
+            shape = (t * rows, cols) if config.order == 2 else (t, rows, cols)
             factors = [None] + [_take(entries, f"U/{name}/{n}") for n in modes]
             _require(all(factors[n - 1].shape[0] == shape[n - 1] for n in modes),
                      f"layer {name!r}: a factor's rows differ from its mode's extent {list(shape)}")
@@ -952,9 +938,9 @@ def load_subspace(path) -> UniversalSubspace:
                 ledger = {1: ledger[2], 2: ledger[2]}
             layer_models[name] = SubspaceModel(
                 mu=mu, factors=factors, core=None, variance_ledger=ledger,
-                centering=config.centering, shape=shape, slab_extent=extent)
+                centering=config.centering, shape=shape, slab_extent=rows)
         _only(entries, (), "subspace container")  # _take removed every entry it read
-        return UniversalSubspace(layer_models, config, provenance, layer_order)
+        return UniversalSubspace(layer_models, config, provenance, layer_shapes)
 
 
 def save_coefficients(c: CoefficientSet, path) -> None:

@@ -23,7 +23,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .spectral import operator_norm
-from .tensor import as_real, int_at_least
+from .tensor import as_real, frobenius_norm, int_at_least
 
 #: Trials per stacked solve in the Monte-Carlo studies, each holding two d x d
 #: matrices.  Batches of 4 to 50 ran theory-lab's d = 64 passes alike (about
@@ -118,6 +118,10 @@ class SyntheticEnsembleConfig:
                 raise InvalidArgumentError("spectrum entries must be finite and >= 0")
             if np.any(np.diff(spec) > 0):
                 raise InvalidArgumentError("spectrum must be nonincreasing")
+            with np.errstate(over="ignore"):  # an overflowed sum is refused here
+                total = spec.sum()
+            if not np.isfinite(total):
+                raise InvalidArgumentError("spectrum must have a finite sum")
             if spec[self.k - 1] <= 0:
                 raise InvalidArgumentError(
                     f"the k-th planted eigenvalue must be positive, got {spec[self.k - 1]}"
@@ -498,6 +502,16 @@ def _haar_columns(rng, d: int, m: int) -> np.ndarray:
     return q * signs
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, at any scale: a row whose norm overflows
+    is measured again with power-of-two scaling (:func:`~uws.tensor.frobenius_norm`)."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    big = np.isinf(norms)
+    norms[big] = [frobenius_norm(row[None, :]) for row in x[big]]
+    return norms
+
+
 def _unit_rows(rng, g: np.ndarray) -> np.ndarray:
     """``g`` with its rows scaled to unit length in place; a row too short to
     normalize (norm <= 1e-12) is replaced by a fresh draw until it is not."""
@@ -525,14 +539,14 @@ def _draw(config: SyntheticEnsembleConfig, rng):
         f_star = b * (_unit_rows(rng, coeffs) @ basis[:, :k].T)
     else:
         f_star = coeffs @ (basis * np.sqrt(spectrum)).T
-        norms = np.linalg.norm(f_star, axis=1)
+        norms = _row_norms(f_star)
         over = norms > b
         f_star[over] *= (b / norms[over])[:, None]
     directions = _unit_rows(rng, directions)
     directions *= etas[:, None]
     f_hat = f_star + directions
     if config.perturbation == "radial":
-        norms = np.linalg.norm(f_star, axis=1)
+        norms = _row_norms(f_star)
         along = norms > 1e-300
         with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
             f_hat[along] = f_star[along] * (1.0 + etas[along] / norms[along])[:, None]

@@ -304,7 +304,7 @@ def test_scree_matches_extract_report(tmp_path, capsys):
     assert data_rows == scree_rows
 
 
-def test_scree_of_version5_files_matches_their_reports(tmp_path, capsys):
+def test_scree_of_a_subspace_file_matches_its_report(tmp_path, capsys):
     pattern, _ = write_fixture_models(tmp_path, noise=1e-3)
 
     def rows(path):
@@ -603,25 +603,29 @@ def test_every_reader_refuses_what_lacks_an_excluded_layer_naming_model_and_laye
     assert "head" in load_subspace(space).excluded_layers
     assert run(["project", "--subspace", str(space), "--model", str(paths[0]),
                 "--out", str(coeffs)], capsys)[0] == 0
-    write_edited(coeffs, tmp_path / "c2.uws", lambda entries, meta: entries.pop("raw/head"))
-    code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs",
-                        str(tmp_path / "c2.uws"), "--out", out], capsys)
-    assert code == 2 and "coefficients 'm0'" in err and "missing 'raw/head'" in err, err
+    for edit, problem in (
+        (lambda entries: entries.pop("raw/head"), "missing 'raw/head'"),
+        (lambda entries: entries.update({"raw/head": (entries["raw/head"][0][:-1], "f64")}),
+         "'raw/head' of shape (5, 24), not (6, 24)"),
+    ):
+        write_edited(coeffs, tmp_path / "c2.uws", lambda entries, meta: edit(entries))
+        code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs",
+                            str(tmp_path / "c2.uws"), "--out", out], capsys)
+        assert code == 2 and "coefficients 'm0'" in err and problem in err, err
     first = load_weights(paths[0])
     for odd, problem in (
         (_with_layers(first, "odd", head=None), "missing 'head'"),
         (_with_layers(first, "odd", zzz=np.ones((2, 3))), "extra 'zzz'"),
-        (_with_layers(first, "odd", head=np.ones((2, 24))), "'head' of shape (2, 24)"),
+        (_with_layers(first, "odd", head=np.ones((2, 24))),
+         "'head' of shape (2, 24), not (6, 24)"),
     ):
         save_weights(odd, tmp_path / "model_02.uws")  # stands in for model m2
-        argvs = [
+        for argv in (
             ["extract", "--models", pattern, "--out", out, "--report", str(tmp_path / "r2.csv")],
             ["merge", "--subspace", str(space), "--models", pattern, "--out", out],
-        ]
-        if problem != "'head' of shape (2, 24)":  # no subspace knows an excluded shape
-            argvs.append(["project", "--subspace", str(space), "--model",
-                          str(tmp_path / "model_02.uws"), "--out", out])
-        for argv in argvs:
+            ["project", "--subspace", str(space), "--model", str(tmp_path / "model_02.uws"),
+             "--out", out],
+        ):
             code, _, err = run(argv, capsys)
             assert code == 2 and "model 'odd'" in err and problem in err, (argv[0], err)
     assert not os.path.exists(out)
@@ -739,8 +743,8 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
         codes.append(run(argv, capsys)[0])
         if codes[-1] == 0:
             passed.append((field, edit))
-    # subspace meta: 18 keys in 5 objects; coefficient meta: 4 keys in 2
-    assert len(codes) == {"subspace": 77, "coefficients": 18}[kind]
+    # subspace meta: 16 keys in 3 objects; coefficient meta: 4 keys in 2
+    assert len(codes) == {"subspace": 67, "coefficients": 18}[kind]
     assert set(codes) <= {0, 2, 3}
     if kind == "subspace":
         # a policy field missing from the meta is None, which the fixture's
@@ -800,14 +804,14 @@ def _copy_entry(name, source):
     return lambda entries, meta: entries.update({name: entries[source]})
 
 
-_OLD_VERSION = "format_version {!r} is not 5: extract the subspace again"
+_OLD_VERSION = "format_version {!r} is not 6: extract the subspace again"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
         *[(lambda e, m, v=v: m.update(format_version=v), _OLD_VERSION.format(v))
-          for v in (1, 2, 3, 4, "5", 5.0)],
+          for v in (1, 2, 3, 4, 5, "6", 6.0)],
         (lambda e, m: m.pop("format_version"), _OLD_VERSION.format(None)),
         (lambda e, m: e.pop("ledger/block0/tail/2"),
          "missing required entry 'ledger/block0/tail/2'"),
@@ -815,11 +819,14 @@ _OLD_VERSION = "format_version {!r} is not 5: extract the subspace again"
         (_copy_entry("U/block0/1", "U/block0/2"), "'U/block0/1'"),
         (_copy_entry("ledger/block0/ratio/2", "ledger/block0/sv/2"), "'ledger/block0/ratio/2'"),
         (_copy_entry("x/block0", "mu/block0"), "'x/block0'"),
-        (lambda e, m: m.update(order=2), "subspace meta holds 'order'"),
-        (lambda e, m: m["layers"]["block0"].update(retained=[3]),
-         "layer 'block0' meta holds 'retained'"),
+        # the layout of version 5: the layer order, and per layer a dict
+        (lambda e, m: m.update(layer_order=list(m["layers"])),
+         "subspace meta holds 'layer_order'"),
+        (lambda e, m: m["layers"].update(block0={"stack_shape": [24, 24], "slab_extent": 6}),
+         "meta 'layers' must map each layer to its [rows, cols]"),
     ],
-    ids=["version-1", "version-2", "version-3", "version-4", "version-str", "version-float",
+    ids=["version-1", "version-2", "version-3", "version-4", "version-5", "version-str",
+         "version-float",
          "version-missing", "tail-missing", "core", "stacking-factor", "ratio-row",
          "unknown-entry", "meta-key", "layer-meta-key"],
 )
@@ -893,26 +900,11 @@ def _entry_edits(name, arr):
     yield "scale", lambda e: e.update({name: (e[name][0] * 3, e[name][1])})
 
 
-def _may_pass(kind, name, edit, reader, excluded):
-    """The edits that may exit 0, each for its reason."""
-    if edit == "scale":
-        # every value stays finite and every shape fits: the file says
-        # something else, but nothing in it disagrees with itself
-        return True
-    # a subspace stores no shape for an excluded layer, so a cut one is
-    # still a layer to carry along
-    cut = edit in ("row", "column")
-    if kind == "coefficients":
-        return cut and name.startswith("raw/")
-    return kind == "weights" and cut and reader == "project" and name in excluded
-
-
 @pytest.mark.parametrize("kind", ["subspace", "coefficients", "weights"])
 def test_entry_edits_exit_0_only_where_pinned_and_never_end_in_a_traceback(
     kind, tmp_path, capsys
 ):
     space, coeffs, readers = write_reader_fixture(tmp_path, capsys)
-    excluded = load_subspace(space).excluded_layers
     edited, model = tmp_path / "edited.uws", tmp_path / "model_00.uws"
     out = str(tmp_path / "out.uws")
     if kind == "coefficients":
@@ -942,7 +934,10 @@ def test_entry_edits_exit_0_only_where_pinned_and_never_end_in_a_traceback(
                 code, _, err = run(argv, capsys)
                 case = (rec.name, edit, reader, err)
                 assert code in (0, 2) and err.count("\n") == code // 2, case
-                assert code == 2 or _may_pass(kind, rec.name, edit, reader, excluded), case
+                # only a scaled entry may exit 0: every value stays finite and
+                # every shape fits, so the file says something else, but
+                # nothing in it disagrees with itself
+                assert code == 2 or edit == "scale", case
                 runs += 1
     # subspace: 8 entries, 4 of them mu/ or U/; coefficients: 4 entries of
     # 6 x 24 or 5 x 20; weights: the same 4 layers, read by 3 subcommands
@@ -1350,6 +1345,32 @@ def test_theory_converge_radial_eta_overflow_is_a_one_line_data_error(tmp_path, 
     )
     assert (code, out) == (2, "")
     assert err == "data error: vectors must be finite\n"
+
+
+@pytest.mark.parametrize("perturbation", ["isotropic", "radial"])
+def test_theory_converge_rescales_a_task_vector_whose_norm_overflows(
+    perturbation, tmp_path, capsys
+):
+    # every f_star's norm overflows before it is rescaled onto the radius-b
+    # ball; RuntimeWarnings are errors here
+    report = tmp_path / "o.csv"
+    code, _, err = run(["theory", "converge", "--d", "4", "--k", "2", "--t-grid", "2",
+                        "--trials", "1", "--spectrum", "8e307,8e307", "--b", "1",
+                        "--perturbation", perturbation, "--out", str(report)], capsys)
+    assert (code, err) == (0, "")
+    # rescaled, not zeroed, the task vectors span the planted subspace
+    row = next(ln for ln in report.read_text().splitlines() if ln.startswith("2,0,"))
+    assert float(row.split(",")[3]) < 1e-12
+
+
+def test_theory_converge_refuses_a_spectrum_whose_sum_overflows(tmp_path, capsys):
+    code, out, err = run(
+        ["theory", "converge", "--d", "4", "--k", "2", "--t-grid", "2", "--trials", "1",
+         "--spectrum", "1e308,1e308", "--b", "1", "--out", str(tmp_path / "o.csv")],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "data error: spectrum must have a finite sum\n"
 
 
 def test_output_into_missing_directory_is_a_data_error(tmp_path, capsys):

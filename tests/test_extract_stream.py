@@ -1,4 +1,4 @@
-"""Streamed, layer-major extraction (``GramStream``) and the version-5
+"""Streamed, layer-major extraction (``GramStream``) and the version-6
 subspace file, which holds only each layer's mean, bases, spectra and
 tails, and in its meta only what those entries cannot say."""
 
@@ -774,14 +774,12 @@ def test_subspace_meta_holds_only_what_the_entries_cannot_say(tmp_path):
         doc = read_container(tmp_path / "s.uws")
         assert doc.model_id == u.architecture_id == "ensemble"
         assert list(doc.meta) == ["kind", "format_version", "provenance", "centering",
-                                  "policy", "layer_order", "layers"]
-        assert doc.meta["format_version"] == 5
+                                  "policy", "order", "layers"]
+        assert (doc.meta["format_version"], doc.meta["order"]) == (6, order)
         assert list(doc.meta["policy"]) == ["kind", "tau", "epsilon", "k", "noise_sigma"]
-        assert list(doc.meta["layers"]) == ["block0", "block1"]
-        assert doc.meta["layers"]["block0"] == {
-            "stack_shape": [240, 40] if order == 2 else [30, 8, 40],
-            "slab_extent": 8,
-        }
+        # every layer, excluded ones included, in order, with its shape
+        assert list(doc.meta["layers"].items()) == [(n, list(s)) for n, s in SHAPES.items()]
+        assert u.layer_shapes == load_subspace(tmp_path / "s.uws").layer_shapes == SHAPES
         entries = sorted(rec.name for rec in doc.layers if "block0" in rec.name)
         modes = [f"{n}" for n in range(2, order + 1)]
         assert entries == (
@@ -809,14 +807,14 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
     paths = write_models(tmp_path / "models", models)
     save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
-    # only version 5 reads; a file without the key is no exception
-    for version in (6, 4, 1, 0, "5", 5.0, True, None):
+    # only version 6 reads; a file without the key is no exception
+    for version in (5, 7, 4, 1, 0, "6", 6.0, True, None):
         meta = dict(doc.meta, format_version=version)
         if version is None:
             del meta["format_version"]
         write_container(tmp_path / "v.uws", doc.model_id,
                         [(r.name, r.array, r.dtype) for r in doc.layers], meta=meta)
-        with pytest.raises(ManifestError, match=f"format_version {version!r} is not 5"):
+        with pytest.raises(ManifestError, match=f"format_version {version!r} is not 6"):
             load_subspace(tmp_path / "v.uws")
         code = cli.main(["project", "--subspace", str(tmp_path / "v.uws"),
                          "--model", str(paths[0]), "--out", str(tmp_path / "c.uws")])
@@ -829,25 +827,23 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
     "order, edit, message",
     [
         # without the rule, a projected layer would silently pass through
-        (2, lambda m: m["layers"].pop("block1"), "exactly the layers"),
-        (2, lambda m: m["layers"].update(inlet=m["layers"]["block0"]), "exactly the layers"),
-        (2, lambda m: m["layer_order"].remove("block1"), "exactly the layers"),
-        (2, lambda m: m["layer_order"].append("block0"), "twice"),
-        (2, lambda m: m["provenance"].pop(), "29 models"),
-        (3, lambda m: m["provenance"].append("m9999"), "31 models"),
-        (3, lambda m: m["layers"]["block0"].update(slab_extent=4), "4-row slabs"),
-        (3, lambda m: m["layers"]["block1"].update(stack_shape=[30, 6]), "order-3"),
-        (2, lambda m: m["layers"]["block0"].update(stack_shape=[240, 41]), "rows"),
-        (3, lambda m: m["layers"]["block0"].update(stack_shape=[30, 8, 41]), "rows"),
+        (2, lambda m: m["layers"].pop("block1"), "subspace container holds 'U/block1/2'"),
+        (2, lambda m: m.update(layers={"zzz": [8, 40]}), "names no layer with a mean entry"),
+        (2, lambda m: m.update(provenance=[]), "names no model"),
+        (3, lambda m: m["layers"]["block0"].__setitem__(0, 4), "rows differ"),
+        (3, lambda m: m.update(order=2), "rows differ"),
+        (2, lambda m: m.update(order=3), "missing required entry 'U/block0/3'"),
+        (2, lambda m: m["layers"]["block0"].__setitem__(1, 41), "rows differ"),
+        (3, lambda m: m["layers"]["block0"].__setitem__(1, 41), "rows differ"),
         (2, lambda m: m.update(centering="global"), "reshape"),
         (2, lambda m: m.update(centering="none"), "centering"),
         (2, lambda m: m["policy"].update(tau=1.5), "tau"),
         (2, lambda m: m["policy"].update(kind="fixed_k"), "takes no tau"),
     ],
-    ids=["layers-drop-one", "layers-add-one", "order-drops-one", "order-repeats-one",
-         "provenance-short", "provenance-long", "slab-extent", "stack-shape-2d",
-         "stack-shape-width", "stack-shape-width-3", "centering-flipped",
-         "centering-unknown", "tau-out-of-range", "kind-with-a-foreign-parameter"],
+    ids=["layers-drop-one", "layers-none-included", "provenance-empty", "slab-extent",
+         "stack-shape-2d", "order-raised", "stack-shape-width", "stack-shape-width-3",
+         "centering-flipped", "centering-unknown", "tau-out-of-range",
+         "kind-with-a-foreign-parameter"],
 )
 def test_meta_that_contradicts_the_entries_is_a_data_error(tmp_path, capsys, order, edit, message):
     paths = write_models(tmp_path / "models", planted_models(29, 30))
@@ -865,6 +861,35 @@ def test_meta_that_contradicts_the_entries_is_a_data_error(tmp_path, capsys, ord
     code = cli.main(["project", "--subspace", str(edited), "--model", str(paths[0]),
                      "--out", str(tmp_path / "c.uws")])
     assert code == 2 and capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        # a layer added to ``layers`` is one more excluded layer
+        (lambda m: m["layers"].update(zzz=[2, 3]), "missing 'zzz'"),
+        # T is stated once, so a shorter provenance contradicts nothing
+        (lambda m: m["provenance"].pop(), None),
+    ],
+    ids=["layer-added", "provenance-short"],
+)
+def test_meta_layers_are_what_every_model_must_have(tmp_path, capsys, edit, problem):
+    paths = write_models(tmp_path / "models", planted_models(29, 30))
+    save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
+    doc = read_container(tmp_path / "s.uws")
+    meta = copy.deepcopy(doc.meta)
+    edit(meta)
+    edited = tmp_path / "edited.uws"
+    write_container(edited, doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers],
+                    meta=meta)
+    assert load_subspace(edited).layer_shapes == {n: tuple(s) for n, s in meta["layers"].items()}
+    code = cli.main(["project", "--subspace", str(edited), "--model", str(paths[0]),
+                     "--out", str(tmp_path / "c.uws")])
+    err = capsys.readouterr().err
+    if problem is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and err.count("\n") == 1 and "model 'm0000'" in err and problem in err
 
 
 def _with_spectrum(src, dst, edit):

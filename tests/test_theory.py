@@ -173,6 +173,8 @@ def test_config_validation():
         cfg(spectrum=[1.0, 2.0, 3.0])  # increasing
     with pytest.raises(InvalidArgumentError):
         cfg(spectrum=[1.0, 0.5])  # wrong length
+    with pytest.raises(InvalidArgumentError, match="finite sum"):
+        cfg(spectrum=[1e308, 1e308, 1e308])  # each entry finite, the trace not
     with pytest.raises(InvalidArgumentError):
         cfg(norm_mode="constant", spectrum=[2.0, 1.0, 0.5])
     with pytest.raises(InvalidArgumentError):
