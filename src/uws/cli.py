@@ -239,7 +239,7 @@ def cmd_extract(args):
     print(f"models: {len(paths)}")
     for name in u.included_layers:
         model = u.layer_models[name]
-        spec = model.variance_ledger[u.config.order]
+        spec = model.spectra[-1]
         energy = float(np.sum(spec.ratios[: spec.retained]))
         defect = orthonormality_defect(model.factors[-1])
         # the feature-mode unfolding's full component count, stored or not

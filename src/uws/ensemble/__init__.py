@@ -310,8 +310,8 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     slab by slab into one T x r x d float64 array, the route's own, that
     :func:`~uws.hosvd.exact_subspace` centres in place and decomposes, so
     a declined Gram route is not tried twice.  Either way a layer
-    model holds what a subspace file holds: no stacking-mode factor or
-    core, and the ledger of the modes a file stores.
+    model holds what a subspace file holds: the mean, and the factor and
+    spectrum of each non-stacking mode.
     """
     config = config if config is not None else ExtractionConfig()
     models = list(models)
@@ -375,12 +375,10 @@ class ScreeReport:
     aggregate_ratios: np.ndarray
     aggregate_std: np.ndarray
     aggregate_tail: float
-    mode: int
 
 
 def scree_report(u: UniversalSubspace) -> ScreeReport:
-    mode = u.config.order  # the feature mode is the last one
-    per_layer = {name: model.variance_ledger[mode] for name, model in u.layer_models.items()}
+    per_layer = {name: model.spectra[-1] for name, model in u.layer_models.items()}
     width = min(len(spec.ratios) for spec in per_layer.values())
     table = np.array([spec.ratios[:width] for spec in per_layer.values()])
     rest = [float(np.sum(spec.ratios[width:])) + spec.tail_ratio for spec in per_layer.values()]
@@ -389,7 +387,6 @@ def scree_report(u: UniversalSubspace) -> ScreeReport:
         aggregate_ratios=table.mean(axis=0),
         aggregate_std=table.std(axis=0),
         aggregate_tail=float(np.mean(rest)),
-        mode=mode,
     )
 
 
@@ -439,7 +436,7 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
     coefficient shape for exactly the included layers and a ``raw/L``
     matrix of the layer's shape for exactly the excluded ones, or
     InvalidArgumentError is raised."""
-    expected = {f"coef/{name}": (m.slab_extent, *m.ranks[1:]) if m.order == 2 else m.ranks[1:]
+    expected = {f"coef/{name}": (m.slab_extent, *m.ranks) if m.order == 2 else m.ranks
                 for name, m in u.layer_models.items()}
     expected.update((f"raw/{name}", u.layer_shapes[name]) for name in u.excluded_layers)
     shapes = {f"coef/{name}": np.shape(c.coeffs) for name, c in coeffs.coefficients.items()}
@@ -693,7 +690,7 @@ def adapt_coefficients(
         raise InvalidArgumentError("adaptation data must be finite")
     if not _finite_number(ridge) or ridge < 0:
         raise InvalidArgumentError(f"ridge must be a non-negative number, got {ridge!r}")
-    basis = model.factors[1]
+    basis = model.factors[-1]
     d, k = basis.shape
     rows = model.slab_extent
     if x.shape[1] != d:
@@ -774,11 +771,9 @@ def save_subspace(u: UniversalSubspace, path) -> None:
     for name in u.included_layers:
         model = u.layer_models[name]
         triples.append((f"mu/{name}", np.atleast_2d(model.mu), "f64"))
-        modes = range(2, model.order + 1)
-        for n in modes:
-            triples.append((f"U/{name}/{n}", model.factors[n - 1], "f64"))
-        for n in modes:
-            spec = model.variance_ledger[n]
+        for n, factor in enumerate(model.factors, 2):
+            triples.append((f"U/{name}/{n}", factor, "f64"))
+        for n, spec in enumerate(model.spectra, 2):
             triples.append((f"ledger/{name}/sv/{n}", spec.singular_values.reshape(1, -1), "f64"))
             triples.append((f"ledger/{name}/tail/{n}", np.full((1, 1), spec.tail), "f64"))
     meta = {
@@ -830,7 +825,7 @@ def _decoding_meta(kind):
 
 
 def _spectrum(entries, name, n, retained, unfolding, policy) -> ModeSpectrum:
-    """Mode ``n``'s ledger from its stored singular values, which must
+    """Mode ``n``'s spectrum from its stored singular values, which must
     form a spectrum of at most the ``unfolding``'s (rows, cols) count of
     values, and its 1 x 1 tail energy (0 after a whole spectrum); the
     ratios are derived as extraction does.  ``retained``, the factor's
@@ -882,10 +877,8 @@ def load_subspace(path) -> UniversalSubspace:
     unfolding allows, with a finite nonnegative 1 x 1 tail that is 0 past
     a zero value and after the whole spectrum); otherwise, and for a meta
     field that is missing or malformed, or any entry or meta key that
-    :func:`save_subspace` does not write, ManifestError.  The layer models
-    have no stacking-mode factor or core; an order-2 stack's two modes
-    share one spectrum and rank, so its stacking-mode ledger is the
-    feature mode's.
+    :func:`save_subspace` does not write, ManifestError.  Each layer model
+    holds the factor and spectrum of every mode n = 2..order, in order.
     """
     doc = read_container(path)
     meta = doc.meta or {}
@@ -918,26 +911,25 @@ def load_subspace(path) -> UniversalSubspace:
         for name in included:
             rows, cols = layer_shapes[name]
             shape = (t * rows, cols) if config.order == 2 else (t, rows, cols)
-            factors = [None] + [_take(entries, f"U/{name}/{n}") for n in modes]
-            _require(all(factors[n - 1].shape[0] == shape[n - 1] for n in modes),
+            size = int(np.prod(shape))
+            factors = tuple(_take(entries, f"U/{name}/{n}") for n in modes)
+            # modes 2..order, in order, have the extents after the stacking one
+            _require(all(f.shape[0] == extent for f, extent in zip(factors, shape[1:])),
                      f"layer {name!r}: a factor's rows differ from its mode's extent {list(shape)}")
-            for n in modes:
-                defect = orthonormality_defect(factors[n - 1])
+            for n, f in zip(modes, factors):
+                defect = orthonormality_defect(f)
                 _require(defect <= ORTHONORMALITY_TOLERANCE,
                          f"entry 'U/{name}/{n}' is not orthonormal: max |V^T V - I| = "
                          f"{defect:.1e} > {ORTHONORMALITY_TOLERANCE:.0e}")
             mu = _take(entries, f"mu/{name}")
             mu = (np.float64(mu.reshape(())) if config.centering == "global"
                   else mu.reshape(shape[1:]))
-            ledger = {
-                n: _spectrum(entries, name, n, factors[n - 1].shape[1],
-                             (shape[n - 1], int(np.prod(shape)) // shape[n - 1]), config.policy)
-                for n in modes
-            }
-            if config.order == 2:
-                ledger = {1: ledger[2], 2: ledger[2]}
+            spectra = tuple(
+                _spectrum(entries, name, n, f.shape[1], (extent, size // extent), config.policy)
+                for n, f, extent in zip(modes, factors, shape[1:])
+            )
             layer_models[name] = SubspaceModel(
-                mu=mu, factors=factors, core=None, variance_ledger=ledger,
+                mu=mu, factors=factors, spectra=spectra,
                 centering=config.centering, shape=shape, slab_extent=rows)
         _only(entries, (), "subspace container")  # _take removed every entry it read
         return UniversalSubspace(layer_models, config, provenance, layer_shapes)

@@ -91,7 +91,7 @@ def _atomic_file(path):
     completes: it is written as a sibling temp file and renamed, so a
     crash or error can never leave a partially written file there.  The
     temp file is created with mode 0o666, which the umask trims, as
-    ``open()`` creates a file."""
+    ``open()`` creates a file.  An error creating it names ``path``."""
     path = Path(path)
     while True:
         tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -100,6 +100,8 @@ def _atomic_file(path):
             break
         except FileExistsError:
             continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -120,32 +120,45 @@ class ModeSpectrum:
         return max(0.0, 1.0 - float(np.sum(self.ratios))) if self.tail else 0.0
 
 
+@dataclass(frozen=True)
+class Stacking:
+    """The stacking mode of a stack that :func:`hosvd_truncated` or
+    :func:`secondary_subspace` decomposed: its factor U1, that factor's
+    spectrum (for order 2 the feature mode's own) and the core."""
+
+    factor: np.ndarray
+    spectrum: ModeSpectrum
+    core: np.ndarray
+
+
 @dataclass
 class SubspaceModel:
-    """Mean, per-mode orthonormal factors, truncated core, and the
-    explained-variance ledger of a decomposed stack.
+    """What a subspace file holds of a decomposed stack: the mean, the
+    orthonormal factors of the non-stacking modes in mode order (``(V,)``
+    for order 2, ``(U2, U3)`` for order 3, so ``factors[-1]`` is the
+    feature basis) and one :class:`ModeSpectrum` per factor.
 
-    A model from :class:`GramStream`, :func:`exact_subspace` or a
-    subspace file has no stacking-mode factor (that entry of ``factors``
-    is None) and no core: it projects and rebuilds members, but cannot
-    :func:`reconstruct` the stack it came from.
+    Only :func:`hosvd_truncated` and :func:`secondary_subspace` also keep
+    the ``stacking`` mode, which :func:`reconstruct` needs to rebuild the
+    stack; a model from :class:`GramStream`, :func:`exact_subspace` or a
+    subspace file projects and rebuilds members only.
     """
 
     mu: np.ndarray
-    factors: list[np.ndarray | None]
-    core: np.ndarray | None
-    variance_ledger: dict[int, ModeSpectrum]
+    factors: tuple[np.ndarray, ...]
+    spectra: tuple[ModeSpectrum, ...]
     centering: str
     shape: tuple[int, ...] = ()
     slab_extent: int | None = None
+    stacking: Stacking | None = None
 
     @property
     def order(self) -> int:
         return len(self.shape)
 
     @property
-    def ranks(self) -> tuple[int | None, ...]:
-        return tuple(None if f is None else f.shape[1] for f in self.factors)
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(f.shape[1] for f in self.factors)
 
 
 @dataclass
@@ -196,16 +209,15 @@ def _order2_svd(xc: np.ndarray):
     return f.singular_values, f.u, f.v * column_signs(f.v)
 
 
-def _order2_truncation(s, tail, u, v, policy, shape):
-    """Truncated factors (the stacking one None when ``u`` is) and the
-    ledger of an order-2 decomposition, whose two modes share one rank and
-    one :class:`ModeSpectrum`; ``tail`` is the energy of the values ``s`` does not list."""
+def _order2_truncation(s, tail, v, policy, shape):
+    """The factors and spectra of an order-2 decomposition: its truncated
+    feature factor and one :class:`ModeSpectrum`, which both modes share
+    with their one rank; ``tail`` is the energy of the values ``s`` does
+    not list."""
     ratios = explained_variance(s, tail)
     r = select_rank(ratios, policy, singular_values=s, shape=shape)
-    factors = [None if u is None else np.ascontiguousarray(u[:, :r]),
-               np.ascontiguousarray(v[:, :r])]
-    spectrum = ModeSpectrum(singular_values=s, ratios=ratios, retained=r, tail=tail)
-    return factors, {1: spectrum, 2: spectrum}
+    return ((np.ascontiguousarray(v[:, :r]),),
+            (ModeSpectrum(singular_values=s, ratios=ratios, retained=r, tail=tail),))
 
 
 def _require_variance(centred_norm, norm, centering: str) -> None:
@@ -216,7 +228,7 @@ def _require_variance(centred_norm, norm, centering: str) -> None:
         raise DegenerateSpectrumError(f"no variance left after {centering} centering")
 
 
-def _contract(factors: list[np.ndarray], m: np.ndarray) -> np.ndarray:
+def _contract(factors, m: np.ndarray) -> np.ndarray:
     """``M @ V`` or ``U2.T @ M @ U3`` for each member M in ``m``."""
     if len(factors) == 1:
         return m @ factors[0]
@@ -224,7 +236,7 @@ def _contract(factors: list[np.ndarray], m: np.ndarray) -> np.ndarray:
     return u2.T @ m @ u3
 
 
-def _expand(factors: list[np.ndarray], c: np.ndarray) -> np.ndarray:
+def _expand(factors, c: np.ndarray) -> np.ndarray:
     """``C @ V.T`` or ``U2 @ C @ U3.T`` for each coefficient block C in ``c``."""
     if len(factors) == 1:
         return c @ factors[0].T
@@ -232,11 +244,12 @@ def _expand(factors: list[np.ndarray], c: np.ndarray) -> np.ndarray:
     return u2 @ c @ u3.T
 
 
-def _core(xc: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """``U1.T`` times Xc as a T x (r*d) matrix, then each of the k1
-    members this gives contracted: ``U1.T @ Xc @ U2`` for order 2."""
-    g = factors[0].T @ xc.reshape(len(xc), -1)
-    return _contract(factors[1:], g.reshape(-1, *xc.shape[1:]))
+def _stacking(xc: np.ndarray, u1: np.ndarray, spectrum, factors) -> Stacking:
+    """The stacking mode of the centred ``xc``: ``u1``, its ``spectrum``
+    and the core, ``U1.T`` times Xc as a T x (r*d) matrix with each of
+    the k1 members this gives contracted (``U1.T @ Xc @ V`` for order 2)."""
+    g = u1.T @ xc.reshape(len(xc), -1)
+    return Stacking(u1, spectrum, _contract(factors, g.reshape(-1, *xc.shape[1:])))
 
 
 def _centred(x: np.ndarray, policy, centering: str):
@@ -251,17 +264,17 @@ def _centred(x: np.ndarray, policy, centering: str):
 
 
 def _mode_truncation(xc: np.ndarray, policy, modes):
-    """Truncated factors and ledger of the ``modes`` of a centered
+    """The truncated factors and spectra of the ``modes`` of a centered
     order-3 stack, from one thin SVD of each mode's unfolding."""
-    factors, ledger = [], {}
+    factors, spectra = [], []
     for mode in modes:
         m = np.reshape(np.moveaxis(xc, mode - 1, 0), (xc.shape[mode - 1], -1), order="F")
         f = thin_svd(m)
         ratios = explained_variance(f.singular_values)
         r = select_rank(ratios, policy, singular_values=f.singular_values, shape=m.shape)
         factors.append(np.ascontiguousarray(f.u[:, :r]))
-        ledger[mode] = ModeSpectrum(singular_values=f.singular_values, ratios=ratios, retained=r)
-    return factors, ledger
+        spectra.append(ModeSpectrum(singular_values=f.singular_values, ratios=ratios, retained=r))
+    return tuple(factors), tuple(spectra)
 
 
 def hosvd_truncated(
@@ -271,10 +284,11 @@ def hosvd_truncated(
     centering: str = "feature",
     slab_extent: int | None = None,
 ) -> SubspaceModel:
-    """Zero-center a copy of ``x`` and truncate every mode of the result.
+    """Zero-center a copy of ``x`` and truncate every mode of the result,
+    the stacking mode's factor, spectrum and the core in ``stacking``.
 
     An order-2 stack takes one thin SVD, whose spectrum and rank both
-    modes share, and the core is ``U1.T @ Xc @ U2``; an order-3 stack
+    modes share, and the core is ``U1.T @ Xc @ V``; an order-3 stack
     takes one thin SVD per mode unfolding.  This is the exact reference that a
     :class:`GramStream`'s result is checked against.
 
@@ -293,38 +307,32 @@ def hosvd_truncated(
     mu, xc = _centred(np.array(as_tensor(x)), policy, centering)
     if xc.ndim == 2:
         s, u, v = _order2_svd(xc)
-        factors, ledger = _order2_truncation(s, 0.0, u, v, policy, xc.shape)
+        factors, spectra = _order2_truncation(s, 0.0, v, policy, xc.shape)
+        u1, spectrum = np.ascontiguousarray(u[:, : spectra[0].retained]), spectra[0]
     else:
-        factors, ledger = _mode_truncation(xc, policy, (1, 2, 3))
-    return SubspaceModel(
-        mu=mu,
-        factors=factors,
-        core=_core(xc, factors),
-        variance_ledger=ledger,
-        centering=centering,
-        shape=xc.shape,
-        slab_extent=slab_extent,
-    )
+        every, spectra = _mode_truncation(xc, policy, (1, 2, 3))
+        u1, factors, spectrum, spectra = every[0], every[1:], spectra[0], spectra[1:]
+    return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
+                         shape=xc.shape, slab_extent=slab_extent,
+                         stacking=_stacking(xc, u1, spectrum, factors))
 
 
 def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -> SubspaceModel:
     """What a subspace file holds of the stack ``x``, by the exact route
     alone: the mean, and each non-stacking mode's truncated factor and
-    ledger from one thin SVD of its unfolding (of the stack itself for
-    order 2, whose ledger lists both modes, as a loaded file's does).
-    No stacking-mode factor or core is formed, and a float64 ``x`` is
-    centred in place (pass a copy to keep it).  The arguments, errors and
-    each result match :func:`hosvd_truncated`'s bit for bit.
+    spectrum from one thin SVD of its unfolding (of the stack itself for
+    order 2).  No stacking-mode factor or core is formed, and a float64
+    ``x`` is centred in place (pass a copy to keep it).  The arguments,
+    errors and each result match :func:`hosvd_truncated`'s bit for bit.
     """
     mu, xc = _centred(as_tensor(x), policy, centering)
     if xc.ndim == 2:
         s, _, v = _order2_svd(xc)
-        factors, ledger = _order2_truncation(s, 0.0, None, v, policy, xc.shape)
+        factors, spectra = _order2_truncation(s, 0.0, v, policy, xc.shape)
     else:
-        factors, ledger = _mode_truncation(xc, policy, (2, 3))
-        factors.insert(0, None)
-    return SubspaceModel(mu=mu, factors=factors, core=None, variance_ledger=ledger,
-                         centering=centering, shape=xc.shape, slab_extent=slab_extent)
+        factors, spectra = _mode_truncation(xc, policy, (2, 3))
+    return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
+                         shape=xc.shape, slab_extent=slab_extent)
 
 
 class GramStream:
@@ -467,30 +475,23 @@ class GramStream:
         if found is None or found[0][0] ** 2 < GRAM_MIN_SQUARE:
             return None
         s, v, tail = found
-        factors, ledger = _order2_truncation(s, tail, None, v, policy, shape)
-        return SubspaceModel(
-            mu=mu,
-            factors=factors,
-            core=None,
-            variance_ledger=ledger,
-            centering=centering,
-            shape=shape,
-            slab_extent=slab_extent,
-        )
+        factors, spectra = _order2_truncation(s, tail, v, policy, shape)
+        return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
+                             shape=shape, slab_extent=slab_extent)
 
 
 def reconstruct(model: SubspaceModel) -> np.ndarray:
     """``mu`` plus ``U1`` times the core as a k1 x (k2*k3) matrix, each of
-    the T members this gives expanded: ``U1 @ core @ U2.T + mu`` for order 2."""
-    if model.core is None or any(f is None for f in model.factors):
+    the T members this gives expanded: ``U1 @ core @ V.T + mu`` for order 2."""
+    if model.stacking is None:
         raise InvalidArgumentError(
             "rebuilding the stack needs the stacking-mode factor and core, which a "
             "streamed or reloaded subspace does not keep"
         )
     try:
-        core = model.core
-        g = (model.factors[0] @ core.reshape(len(core), -1)).reshape(-1, *core.shape[1:])
-        return _expand(model.factors[1:], g) + np.asarray(model.mu)
+        u1, core = model.stacking.factor, model.stacking.core
+        g = (u1 @ core.reshape(len(core), -1)).reshape(-1, *core.shape[1:])
+        return _expand(model.factors, g) + np.asarray(model.mu)
     except ValueError as exc:
         raise InternalConsistencyError(
             f"stored factors/core/mu are mutually inconsistent: {exc}"
@@ -517,7 +518,7 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
             f"expected {want}"
         )
     t = member - np.asarray(model.mu)
-    return SliceCoefficients(coeffs=_contract(model.factors[1:], t))
+    return SliceCoefficients(coeffs=_contract(model.factors, t))
 
 
 def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.ndarray:
@@ -525,7 +526,7 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
     Order-2 coefficients keep the member's rows, ``slab_extent`` of them
     when it is set."""
     arr = np.asarray(coeffs.coeffs, dtype=np.float64)
-    ranks = tuple(u.shape[1] for u in model.factors[1:])
+    ranks = model.ranks
     if model.order == 3:
         want = ranks
     else:  # an order-2 slab keeps its rows
@@ -535,7 +536,7 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
             f"coefficients of shape {arr.shape} do not fit retained ranks {ranks} "
             f"of an order-{model.order} stack: expected {want}"
         )
-    return _expand(model.factors[1:], arr) + np.asarray(model.mu)
+    return _expand(model.factors, arr) + np.asarray(model.mu)
 
 
 def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
@@ -543,8 +544,8 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
     ``k2`` directions that follow the primary r in the stack's spectrum.
 
     The returned model shares the primary mean, its factors are exactly
-    orthogonal to the primary factors, and its variance ledger records
-    where in the full spectrum its window starts.  The stack takes the
+    orthogonal to the primary factors, and its spectrum records where in
+    the full spectrum its window starts.  The stack takes the
     single thin SVD of :func:`hosvd_truncated`; it needs only the primary
     feature factor, so a streamed or reloaded model serves.
     """
@@ -559,7 +560,7 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
         raise InvalidArgumentError(
             f"tensor shape {x.shape} does not match the model's stack shape {model.shape}"
         )
-    r = model.variance_ledger[2].retained
+    r = model.spectra[-1].retained
     if k2 > min(x.shape) - r:
         raise InvalidArgumentError(
             f"k2={k2} exceeds the {min(x.shape) - r} directions that follow the primary {r}"
@@ -567,21 +568,16 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
     xc = x - np.asarray(model.mu)
     # U1 = Xc V / s, so the residual after removing the primary subspace
     # along both modes is Xc - Xc V V.T: the feature factor alone gives it
-    v = model.factors[1]
+    v = model.factors[-1]
     if np.linalg.norm(xc - (xc @ v) @ v.T) <= 1e-12 * np.linalg.norm(xc):
         raise DegenerateSpectrumError(
             "residual is numerically zero; the primary subspace already explains the stack"
         )
     s, u, v = _order2_svd(xc)
-    factors = [np.ascontiguousarray(f[:, r : r + k2]) for f in (u, v)]
+    u1, v = (np.ascontiguousarray(f[:, r : r + k2]) for f in (u, v))
     ratios = explained_variance(s)
     spectrum = ModeSpectrum(singular_values=s, ratios=ratios, retained=k2, first_component=r)
-    return SubspaceModel(
-        mu=model.mu,
-        factors=factors,
-        core=_core(xc, factors),
-        variance_ledger={1: spectrum, 2: spectrum},
-        centering=model.centering,
-        shape=model.shape,
-        slab_extent=model.slab_extent,
-    )
+    return SubspaceModel(mu=model.mu, factors=(v,), spectra=(spectrum,),
+                         centering=model.centering, shape=model.shape,
+                         slab_extent=model.slab_extent,
+                         stacking=_stacking(xc, u1, spectrum, (v,)))

@@ -154,7 +154,7 @@ def test_03_vector_stacks_reduce_to_principal_components():
         k = int(rng.integers(2, min(d, 6)))
         x = rng.standard_normal((t, d))
         model = hosvd_truncated(x, RankPolicy.fixed_k(k), centering="feature", slab_extent=1)
-        got = model.factors[1]
+        got = model.factors[-1]
         xc = x - x.mean(axis=0, keepdims=True)
         w, v = np.linalg.eigh(xc.T @ xc)
         v = v[:, np.argsort(w)[::-1]][:, :k]
@@ -179,7 +179,7 @@ def test_04_planted_basis_recovered_and_held_out_models_rebuild():
         train, ExtractionConfig(policy=RankPolicy.cumulative_variance(0.99))
     )
     _planted_cache["subspace"] = u
-    ranks = {name: u.layer_models[name].variance_ledger[2].retained
+    ranks = {name: u.layer_models[name].spectra[-1].retained
              for name in u.included_layers}
     worst = 0.0
     for w in held:
@@ -436,7 +436,7 @@ def test_12_coefficient_fits_agree_and_recover_planted_targets():
     u = _planted_subspace()
     layer = "block0"
     model = u.layer_models[layer]
-    basis = model.factors[1]
+    basis = model.factors[-1]
     rows, d, k = model.slab_extent, basis.shape[0], basis.shape[1]
     rng = np.random.default_rng(1201)
     mu_slab = np.broadcast_to(np.asarray(model.mu).reshape(1, -1), (rows, d))

@@ -179,7 +179,7 @@ def test_extract_prints_layer_health(tmp_path, capsys):
     u = load_subspace(tmp_path / "a.uws")
     assert len(outputs[0]) == len(u.included_layers) == 2
     for line, name in zip(outputs[0], u.included_layers):
-        spec = u.layer_models[name].variance_ledger[2]
+        spec = u.layer_models[name].spectra[-1]
         # N counts every component of the stack, stored or not
         prefix = f"  {name}: rank {spec.retained} of {min(u.layer_models[name].shape)}, "
         assert line.startswith(prefix)
@@ -210,6 +210,18 @@ def test_extract_on_bad_magic_names_offset_zero(tmp_path, capsys):
     )
     assert code == 2
     assert "offset 0" in err
+
+
+def test_extract_into_a_missing_directory_names_the_destination(tmp_path, capsys):
+    pattern, _ = write_fixture_models(tmp_path)
+    out = tmp_path / "missing" / "s.uws"
+    code, stdout, err = run(
+        ["extract", "--models", pattern, "--out", str(out), "--report", str(tmp_path / "r.csv")],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_extract_policy_flags_are_mutually_exclusive(tmp_path, capsys):
@@ -247,9 +259,8 @@ def test_extract_fixed_k_and_exclusions(tmp_path, capsys):
     assert code == 0
     u = load_subspace(out)
     assert u.included_layers == ["block0"]
-    ledger = u.layer_models["block0"].variance_ledger
-    assert all(spec.retained == min(3, spec.singular_values.size)
-               for spec in ledger.values())
+    spectra = u.layer_models["block0"].spectra
+    assert all(spec.retained == min(3, spec.singular_values.size) for spec in spectra)
 
 
 def test_extract_fixed_k_past_the_stack_keeps_its_numerical_rank(tmp_path, capsys):
@@ -268,7 +279,7 @@ def test_extract_fixed_k_past_the_stack_keeps_its_numerical_rank(tmp_path, capsy
     assert code == 0, err
     assert "  w: rank 7 of 8, " in stdout
     model = load_subspace(out).layer_models["w"]
-    assert model.ranks == (None, 7) and model.variance_ledger[2].retained == 7
+    assert model.ranks == (7,) and model.spectra[-1].retained == 7
 
 
 def test_extract_identical_models_is_a_numerical_failure(tmp_path, capsys):
@@ -429,7 +440,7 @@ def test_order3_pipeline_rebuilds_within_the_planted_bound(tmp_path, capsys, cen
     assert u.config.order == 3 and u.included_layers == ["block0", "block1"]
     coeffs = load_coefficients(tmp_path / "c.uws")
     for name in u.included_layers:  # k2 x k3, no stacking axis
-        assert coeffs.coefficients[name].coeffs.shape == u.layer_models[name].ranks[1:]
+        assert coeffs.coefficients[name].coeffs.shape == u.layer_models[name].ranks
     models = [load_weights(p) for p in paths]
     mean = {n: sum(m.layers[n] for m in models) / len(models) for n in models[0].layers}
     for out, want in (("rebuilt.uws", models[0].layers), ("merged.uws", mean)):
@@ -682,7 +693,7 @@ def test_a_factor_narrower_than_its_policy_keeps_exits_2_from_every_reader(
     space, _, readers = write_reader_fixture(tmp_path, capsys, flags)
     write_edited(space, tmp_path / "edited.uws", lambda entries, meta: None)
     assert run(readers["scree"], capsys)[0] == 0  # every file uws writes passes
-    width = load_subspace(space).layer_models["block0"].factors[1].shape[1]
+    width = load_subspace(space).layer_models["block0"].factors[0].shape[1]  # U/block0/2
     assert width > 1
     write_edited(space, tmp_path / "edited.uws", lambda entries, meta: entries.update(
         {"U/block0/2": (entries["U/block0/2"][0][:, :-1], "f64")}))
@@ -1263,6 +1274,23 @@ def test_theory_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--seed", "-1"], capsys)
     assert (code, out) == (1, "")
     assert "--seed" in err and "nonnegative" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["theory", "bounds", "--b", "1.0", "--delta", "1", "--t", "10",
+      "--eta-bar", "0.0", "--eta2-bar", "0.0"], "--delta"),
+    (["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4", "--trials", "2",
+      "--delta", "0", "--out", "{out}"], "--delta"),
+    (["theory", "converge", "--d", "6", "--k", "7", "--t-grid", "4", "--trials", "2",
+      "--out", "{out}"], "--k"),
+    (["theory", "dk-check", "--d", "4", "--k", "5", "--perturb", "0.1", "--trials", "2"], "--k"),
+], ids=["bounds-delta-1", "converge-delta-0", "converge-k-past-d", "dk-check-k-past-d"])
+def test_theory_flags_out_of_range_are_usage_errors(argv, flag, tmp_path, capsys):
+    argv = [a.replace("{out}", str(tmp_path / "r.csv")) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
 
 

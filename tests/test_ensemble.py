@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_identical_copies_concentrate_on_one_direction():
     assert u.included_layers == ["L1", "L2"]
     assert u.excluded_layers == ["L0", "L3"]
     for layer in u.included_layers:
-        assert u.layer_models[layer].variance_ledger[2].ratios[0] == pytest.approx(1.0, abs=1e-12)
+        assert u.layer_models[layer].spectra[-1].ratios[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identical_copies_with_feature_centering_are_degenerate():
@@ -160,8 +161,8 @@ def test_planted_rank_is_recovered():
     )
     for layer in u.included_layers:
         model = u.layer_models[layer]
-        assert model.variance_ledger[2].retained == 4
-        assert model.variance_ledger[1].retained == 4
+        assert model.spectra[-1].retained == 4
+        assert len(model.spectra) == 1  # the stacking mode shares the feature mode's
 
 
 def test_missing_layer_in_one_model():
@@ -659,6 +660,34 @@ def test_adapt_rejects_bool_numbers(kwargs):
         adapt_coefficients(u, layer, x, y, **kwargs)
 
 
+def _order3_subspace(u, layer, x, y):
+    models, _, _ = make_planted(np.random.default_rng(105), n_models=6)
+    return extract_universal(models, ExtractionConfig(order=3)), layer, x, y
+
+
+@pytest.mark.parametrize(
+    "edit, kwargs, message",
+    [
+        (lambda u, layer, x, y: (u, "head", x, y), {}, "layer 'head' is not part of the subspace"),
+        (_order3_subspace, {}, "needs a matrix-stacked (order-2) subspace"),
+        (lambda u, layer, x, y: (u, layer, x, y), {"method": "newton"},
+         "unknown adaptation method 'newton'"),
+        (lambda u, layer, x, y: (u, layer, x[0], y), {}, "need paired 2-D data"),
+        (lambda u, layer, x, y: (u, layer, x[:-1], y), {}, "need paired 2-D data"),
+        (lambda u, layer, x, y: (u, layer, x[:, :-1], y), {},
+         "inputs have width 23, layer expects 24"),
+        (lambda u, layer, x, y: (u, layer, x, y[:, :-1]), {},
+         "targets have width 5, layer expects 6"),
+    ],
+    ids=["excluded-layer", "order-3", "unknown-method", "1-d-inputs", "unpaired-rows",
+         "input-width", "target-width"],
+)
+def test_adapt_refuses_what_it_cannot_fit(edit, kwargs, message):
+    u, layer, x, y, _ = adapt_fixture(np.random.default_rng(105))
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        adapt_coefficients(*edit(u, layer, x, y), **kwargs)
+
+
 def test_complex_weights_and_adapt_data_are_refused():
     rng = np.random.default_rng(104)
     u, layer, x, y, _ = adapt_fixture(rng)
@@ -681,7 +710,7 @@ def test_adapt_reports_trainable_params():
 def test_adapt_reports_normal_matrix_conditioning():
     rng = np.random.default_rng(106)
     u, layer, x, y, _ = adapt_fixture(rng)
-    z = x @ u.layer_models[layer].factors[1]
+    z = x @ u.layer_models[layer].factors[-1]
     lam = np.linalg.eigvalsh(z.T @ z)
     _, report = adapt_coefficients(u, layer, x, y)
     assert report["normal_matrix_lmax"] == pytest.approx(lam[-1], rel=1e-12)
@@ -718,20 +747,19 @@ def test_subspace_file_roundtrip(tmp_path, order, centering, tau):
     assert v.config.policy == u.config.policy
     assert v.config.order == u.config.order == order
     assert v.config.centering == u.config.centering == centering
-    # the persisted fields round-trip: mean, feature factor(s), ledger,
+    # the persisted fields round-trip: mean, feature factor(s), spectra,
     # shapes; neither side keeps a stacking-mode factor or core
     for layer in u.included_layers:
         a, b = u.layer_models[layer], v.layer_models[layer]
         assert np.array_equal(np.asarray(a.mu), np.asarray(b.mu))
-        assert a.factors[0] is None and b.factors[0] is None
-        assert a.core is None and b.core is None
-        for mode in range(1, order):
-            assert np.array_equal(a.factors[mode], b.factors[mode])
+        assert a.stacking is None and b.stacking is None
+        assert len(a.factors) == len(b.factors) == order - 1
+        for fa, fb in zip(a.factors, b.factors):
+            assert np.array_equal(fa, fb)
         assert a.shape == b.shape and a.slab_extent == b.slab_extent
-        assert set(b.variance_ledger) == ({1, 2} if order == 2 else {2, 3})
-        assert set(a.variance_ledger) == set(b.variance_ledger)  # extracted equals loaded
-        for mode in b.variance_ledger:
-            sa, sb = a.variance_ledger[mode], b.variance_ledger[mode]
+        assert len(b.spectra) == order - 1
+        assert len(a.spectra) == len(b.spectra)  # extracted equals loaded
+        for sa, sb in zip(a.spectra, b.spectra):
             assert np.array_equal(sa.singular_values, sb.singular_values)
             assert np.array_equal(sa.ratios, sb.ratios)
             assert (sa.retained, sa.first_component, sa.tail) == (

@@ -11,10 +11,12 @@ import pytest
 
 import uws.ensemble as ensemble_module
 import uws.hosvd as hosvd_module
+import uws.spectral as spectral_module
 from uws import cli
 from uws.ensemble import (
     ExtractionConfig,
     ModelWeights,
+    UniversalSubspace,
     extract_universal,
     load_subspace,
     load_weights,
@@ -26,8 +28,10 @@ from uws.ensemble.container import read_container, write_container
 from uws.errors import DegenerateSpectrumError, InvalidArgumentError, ManifestError
 from uws.hosvd import (
     GRAM_BLOCK_ROWS,
+    GRAM_MIN_SQUARE,
     GramStream,
     center,
+    exact_subspace,
     hosvd_truncated,
     project_slice,
     reconstruct,
@@ -39,6 +43,7 @@ from uws.spectral import GRAM_PANEL_COLS, RankPolicy
 from oracles import (
     assert_spectra_agree,
     full_storage_gram,
+    haar_columns,
     planted_ensemble,
     record_square_solves,
 )
@@ -79,12 +84,12 @@ def assert_matches_stacked(u, models):
             centering=u.config.centering,
             slab_extent=models[0].layers[name].shape[0],
         )
-        assert got.factors[0] is None and got.core is None
+        assert got.stacking is None
         assert got.shape == want.shape and got.slab_extent == want.slab_extent
-        assert got.ranks[1] == want.ranks[1]
-        assert max_sine(got.factors[1], want.factors[1]) <= 1e-10
-        for mode in (1, 2):
-            assert_spectra_agree(got.variance_ledger[mode], want.variance_ledger[mode])
+        assert got.ranks == want.ranks
+        assert max_sine(got.factors[-1], want.factors[-1]) <= 1e-10
+        for g, w in zip(got.spectra, want.spectra, strict=True):
+            assert_spectra_agree(g, w)
         mu_g, mu_w = np.asarray(got.mu), np.asarray(want.mu)
         assert np.shape(mu_g) == np.shape(mu_w)
         assert np.linalg.norm(mu_g - mu_w) <= 1e-12 * np.linalg.norm(mu_w)
@@ -160,12 +165,12 @@ def test_gram_stream_blocks_do_not_change_the_result():
     s = np.linalg.svd(xc, compute_uv=False)
     for model in (a, b):
         assert model.shape == x.shape
-        spec = model.variance_ledger[2]
+        spec = model.spectra[-1]
         n = spec.singular_values.size
         assert np.max(np.abs(spec.singular_values - s[:n])) <= 1e-12 * s[0]
         assert abs(spec.tail - np.sum(s[n:] ** 2)) <= 1e-12 * np.sum(s**2)
         assert np.allclose(model.mu, x.mean(axis=0, keepdims=True), rtol=0, atol=1e-12)
-    assert max_sine(a.factors[1], b.factors[1]) <= 1e-12
+    assert max_sine(a.factors[-1], b.factors[-1]) <= 1e-12
 
 
 def test_gram_stream_takes_float32_slabs_bit_for_bit():
@@ -181,8 +186,8 @@ def test_gram_stream_takes_float32_slabs_bit_for_bit():
     for got, want in [
         (single.gram, double.gram),
         (a.mu, b.mu),
-        (a.factors[1], b.factors[1]),
-        (a.variance_ledger[2].singular_values, b.variance_ledger[2].singular_values),
+        (a.factors[-1], b.factors[-1]),
+        (a.spectra[-1].singular_values, b.spectra[-1].singular_values),
     ]:
         assert np.array_equal(got, want)
 
@@ -289,9 +294,9 @@ def test_stream_after_a_full_eigh_continues_its_twins_sums_bit_for_bit(monkeypat
     a, b = stream.decompose(policy), twin.decompose(policy)
     assert np.array_equal(stream.gram, twin.gram)
     assert np.array_equal(a.mu, b.mu)
-    assert np.array_equal(a.factors[1], b.factors[1])
-    assert np.array_equal(a.variance_ledger[2].singular_values, b.variance_ledger[2].singular_values)
-    assert a.variance_ledger[2].tail == b.variance_ledger[2].tail
+    assert np.array_equal(a.factors[-1], b.factors[-1])
+    assert np.array_equal(a.spectra[-1].singular_values, b.spectra[-1].singular_values)
+    assert a.spectra[-1].tail == b.spectra[-1].tail
 
 
 def test_global_centring_on_a_stream_matches_the_stacked_route():
@@ -302,10 +307,10 @@ def test_global_centring_on_a_stream_matches_the_stacked_route():
     x += 0.01 * rng.standard_normal(x.shape) + rng.standard_normal(cols)
     got = streamed(x).decompose(TAU, centering="global")
     want = hosvd_truncated(x, TAU, centering="global")
-    assert got.ranks[1] == want.ranks[1]
-    assert max_sine(got.factors[1], want.factors[1]) <= 1e-10
-    for mode in (1, 2):
-        assert_spectra_agree(got.variance_ledger[mode], want.variance_ledger[mode])
+    assert got.ranks == want.ranks
+    assert max_sine(got.factors[-1], want.factors[-1]) <= 1e-10
+    for g, w in zip(got.spectra, want.spectra, strict=True):
+        assert_spectra_agree(g, w)
     assert abs(got.mu - want.mu) <= 1e-12 * abs(want.mu)
 
 
@@ -350,7 +355,7 @@ def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, sh
     routes = Routes(monkeypatch)
     calls = Counter()
     with monkeypatch.context() as m:
-        for module, name in ((np.linalg, "svd"), (hosvd_module, "_core")):
+        for module, name in ((np.linalg, "svd"), (hosvd_module, "_stacking")):
             def counted(*a, _real=getattr(module, name), _name=name, **kw):
                 calls[_name] += 1
                 return _real(*a, **kw)
@@ -363,18 +368,18 @@ def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, sh
     assert calls == {"svd": 2 * (config.order - 1)}
     for name in u.included_layers:
         model = u.layer_models[name]
-        assert model.factors[0] is None and model.core is None
-        assert set(model.variance_ledger) == ({1, 2} if config.order == 2 else {2, 3})
+        assert model.stacking is None
+        assert len(model.spectra) == config.order - 1
         want = hosvd_truncated(
             stack_layer(models, name, order=config.order),
             config.policy,
             slab_extent=shapes[name][0] if config.order == 2 else 1,
         )
-        assert np.array_equal(model.factors[1], want.factors[1])
-        for mode, spec in model.variance_ledger.items():
-            assert np.array_equal(spec.singular_values,
-                                  want.variance_ledger[mode].singular_values)
-            assert spec.retained == want.variance_ledger[mode].retained
+        for g, w in zip(model.factors, want.factors, strict=True):
+            assert np.array_equal(g, w)
+        for spec, w in zip(model.spectra, want.spectra, strict=True):
+            assert np.array_equal(spec.singular_values, w.singular_values)
+            assert spec.retained == w.retained
 
 
 def test_mixed_shapes_stream_and_stack_in_their_own_layer_passes(monkeypatch, tmp_path):
@@ -405,6 +410,81 @@ def test_guard_declined_layer_is_read_again_and_stacked(monkeypatch, tmp_path):
     assert routes.counts() == {"reads": 121, "streamed": 2, "stacked": 2}
     assert solves == {"gram_leading": 2, "thin_svd": 2}
     assert_matches_stacked(u, models)
+
+
+def _overflowing_gram():
+    # 512 rows of a, then 4 of -128 a: the column mean is 0 and ||X||**2
+    # rounds to the largest double, but the merge of the 4 rows, their
+    # spread times sqrt(512 * 4 / 516), rounds past it in the Gram
+    x = np.zeros((516, 2))
+    x[:512, 0] = 5.2170853813394446e151
+    x[512:, 0] = -128 * x[0, 0]
+    return x
+
+
+def _flat_tiny_stack():
+    # entries near 2**-470 that spread by 1e-6 of themselves: ||X||**2
+    # clears GRAM_MIN_SQUARE, the centred Gram's trace does not
+    rng = np.random.default_rng(1)
+    spread = 1e-6 * rng.standard_normal((96, 40)) * np.geomspace(1.0, 0.01, 40)
+    return np.ldexp(1.0 + spread, -470)
+
+
+def _ky_fan_bounded():
+    # 12 directions in 256 columns, their spectrum falling to 1e-6 of the
+    # first: the energy the block leaves past the 9th bounds the 10th
+    # below GRAM_MIN_RATIO * s_1 before any rank is certified
+    rng = np.random.default_rng(66)
+    a = haar_columns(300, 12, rng)
+    a -= a.mean(axis=0)
+    return a @ np.diag(np.geomspace(1.0, 1e-6, 12)) @ haar_columns(256, 12, rng).T
+
+
+@pytest.mark.parametrize(
+    "make, rows, policy, declines",
+    [
+        (_overflowing_gram, 43, TAU, ["non-finite Gram"]),
+        (_flat_tiny_stack, 8, TAU, ["trace below GRAM_MIN_SQUARE"]),
+        (_ky_fan_bounded, 12, RankPolicy.fixed_k(10), ["solve", "block bound"]),
+    ],
+    ids=["non-finite-gram", "trace-below-floor", "ky-fan-bound"],
+)
+def test_each_decline_falls_back_to_the_exact_route_byte_identically(
+    monkeypatch, tmp_path, make, rows, policy, declines
+):
+    x = make()
+    models = [ModelWeights(f"m{i:03d}", {"w": x[i : i + rows]}) for i in range(0, len(x), rows)]
+    seen = []
+    real_decompose, real_block = GramStream.decompose, spectral_module._leading_block
+
+    def decompose(stream, *a, **kw):
+        stream.flush()
+        assert np.isfinite(stream.sumsq) and stream.sumsq >= GRAM_MIN_SQUARE
+        seen.append("non-finite Gram" if not stream._gram.all_finite()
+                    else "trace below GRAM_MIN_SQUARE"
+                    if stream._gram.trace() < GRAM_MIN_SQUARE else "solve")
+        return real_decompose(stream, *a, **kw)
+
+    def block(*a, **kw):
+        try:
+            return real_block(*a, **kw)
+        except spectral_module._Declined:
+            seen.append("block bound")
+            raise
+
+    monkeypatch.setattr(GramStream, "decompose", decompose)
+    monkeypatch.setattr(spectral_module, "_leading_block", block)
+    routes = Routes(monkeypatch)
+    config = ExtractionConfig(policy=policy, exclude_layers=())
+    u = extract_universal(models, config)
+    assert seen == declines
+    assert routes.counts() == {"reads": 0, "streamed": 1, "stacked": 1}
+    exact = exact_subspace(x.copy(), policy, centering="feature", slab_extent=rows)
+    assert u.layer_models["w"].ranks == exact.ranks
+    want = UniversalSubspace({"w": exact}, config, u.provenance, u.layer_shapes)
+    save_subspace(u, tmp_path / "got.uws")
+    save_subspace(want, tmp_path / "want.uws")
+    assert (tmp_path / "got.uws").read_bytes() == (tmp_path / "want.uws").read_bytes()
 
 
 def test_streamed_extract_memory_does_not_grow_with_the_ensemble(tmp_path):
@@ -518,7 +598,7 @@ def test_layers_kept_from_float64_files_do_not_pin_the_files(tmp_path):
     assert peak <= 2.0 * paths[0].stat().st_size
     want = extract_universal([load_weights(p) for p in paths], u.config)
     for name in u.included_layers:
-        for g, w in zip(u.layer_models[name].factors[1:], want.layer_models[name].factors[1:]):
+        for g, w in zip(u.layer_models[name].factors, want.layer_models[name].factors):
             assert np.array_equal(g, w)
 
 
@@ -579,13 +659,13 @@ def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, caps
         for name in want.included_layers:
             g, w = got.layer_models[name], want.layer_models[name]
             assert g.ranks == w.ranks
-            assert max_sine(g.factors[1], w.factors[1]) <= 1e-10
+            assert max_sine(g.factors[-1], w.factors[-1]) <= 1e-10
         code, err = _extract_code(tmp_path / str(exponent), scaled, capsys)
         assert code == 0, err
         u = load_subspace(tmp_path / str(exponent) / "s.uws")
         for name in want.included_layers:
-            assert max_sine(u.layer_models[name].factors[1],
-                            want.layer_models[name].factors[1]) <= 1e-10
+            assert max_sine(u.layer_models[name].factors[-1],
+                            want.layer_models[name].factors[-1]) <= 1e-10
 
 
 def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch, tmp_path):
@@ -632,9 +712,9 @@ def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch,
         got = u.layer_models[name]
         want = hosvd_truncated(stack_layer(models, name), TAU, slab_extent=8)
         assert np.array_equal(got.mu, want.mu)
-        assert np.array_equal(got.factors[1], want.factors[1])
-        assert np.array_equal(got.variance_ledger[2].singular_values,
-                              want.variance_ledger[2].singular_values)
+        assert np.array_equal(got.factors[-1], want.factors[-1])
+        assert np.array_equal(got.spectra[-1].singular_values,
+                              want.spectra[-1].singular_values)
 
 
 # ------------------------------------------------------------ errors
@@ -731,8 +811,8 @@ def test_order2_layers_keep_one_spectrum_and_one_rank_for_both_modes(
     for got in (u, load_subspace(tmp_path / "s.uws")):
         for name in ("tall", "huge"):
             model = got.layer_models[name]
-            assert model.variance_ledger[1] is model.variance_ledger[2]
-            assert model.factors[-1].shape[1] == model.variance_ledger[2].retained
+            assert len(model.spectra) == 1
+            assert model.factors[-1].shape[1] == model.spectra[-1].retained
 
 
 # ------------------------------------------------------------ models without U1
@@ -747,7 +827,7 @@ def test_streamed_model_projects_but_does_not_rebuild_its_stack():
     stack = stack_layer(models, "block0")
     full = hosvd_truncated(stack, TAU, slab_extent=8)
     a, b = secondary_subspace(stack, model, 3), secondary_subspace(stack, full, 3)
-    assert max_sine(a.factors[1], b.factors[1]) <= 1e-10
+    assert max_sine(a.factors[-1], b.factors[-1]) <= 1e-10
     slab = models[0].layers["block0"]
     assert np.allclose(
         reconstruct_slice(model, project_slice(model, slab)),
@@ -794,7 +874,7 @@ def test_subspace_file_is_near_its_mean_and_basis_bytes(tmp_path):
     shapes = {name: (16, 256) for name in ("inlet", "block0", "block1", "outlet")}
     models = planted_models(27, 20, shapes=shapes, k=16)
     u = extract_universal(models, ExtractionConfig(policy=TAU))
-    assert [u.layer_models[n].ranks[1] for n in u.included_layers] == [16, 16]
+    assert [u.layer_models[n].ranks[-1] for n in u.included_layers] == [16, 16]
     save_subspace(u, tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
     bases = sum(rec.array.nbytes for rec in doc.layers if rec.name.startswith(("mu/", "U/")))
@@ -962,8 +1042,8 @@ def test_every_stored_spectrum_needs_a_tail_that_fits_it(tmp_path, capsys, tau):
     assert "missing required entry 'ledger/block0/tail/2'" in scree_error()
     if tau == 1.0:  # the exact route stores every value and a tail of 0
         write_tail(0.0)
-        spec = load_subspace(edited).layer_models["block0"].variance_ledger[2]
-        assert np.array_equal(spec.ratios, u.layer_models["block0"].variance_ledger[2].ratios)
+        spec = load_subspace(edited).layer_models["block0"].spectra[-1]
+        assert np.array_equal(spec.ratios, u.layer_models["block0"].spectra[-1].ratios)
         # past the whole spectrum no energy is left
         write_tail(1e-3)
         assert "'ledger/block0/tail/2' must be 0 after the whole spectrum" in scree_error()
@@ -973,7 +1053,7 @@ def test_every_stored_spectrum_needs_a_tail_that_fits_it(tmp_path, capsys, tau):
     with pytest.raises(ManifestError, match="more than its unfolding's 40"):
         load_subspace(longer)
     # the 40 - n components past the stored n are each at most s_n**2
-    sv = u.layer_models["block0"].variance_ledger[2].singular_values
+    sv = u.layer_models["block0"].spectra[-1].singular_values
     most = (40 - sv.size) * sv[-1] ** 2
     write_tail(most)
     load_subspace(edited)

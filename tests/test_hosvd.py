@@ -11,6 +11,7 @@ from uws.errors import (
 )
 from uws.hosvd import (
     SliceCoefficients,
+    Stacking,
     SubspaceModel,
     center,
     hosvd_truncated,
@@ -35,6 +36,15 @@ from oracles import (
 
 def relerr(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def all_factors(model: SubspaceModel) -> tuple:
+    """Every mode's factor of a model that keeps its stacking mode, U1 first."""
+    return (model.stacking.factor, *model.factors)
+
+
+def all_ranks(model: SubspaceModel) -> tuple:
+    return tuple(f.shape[1] for f in all_factors(model))
 
 
 def planted_stack(rng, n=60, d=10, k=3, noise=0.0):
@@ -97,8 +107,8 @@ def test_exact_subspace_centres_the_stack_it_is_handed_in_place(shape, centering
     mu, xc = center(x, centering)
     assert np.array_equal(stack, xc) and np.array_equal(got.mu, mu)
     want = hosvd_truncated(x, policy, centering=centering)
-    assert got.factors[0] is None
-    for g, w in zip(got.factors[1:], want.factors[1:]):
+    assert got.stacking is None
+    for g, w in zip(got.factors, want.factors):
         assert np.array_equal(g, w)
 
 
@@ -176,7 +186,7 @@ def test_exact_rank_one_recovery():
     model = hosvd_truncated(
         x, RankPolicy.cumulative_variance(0.9)
     )
-    assert [f.shape[1] for f in model.factors] == [1, 1]
+    assert [f.shape[1] for f in all_factors(model)] == [1, 1]
     assert relerr(reconstruct(model), x) < 1e-8
 
 
@@ -199,7 +209,7 @@ def test_tau_one_reconstructs_exactly(shape, centering):
         centering=centering,
     )
     assert relerr(reconstruct(model), x) < 1e-8
-    for f in model.factors:
+    for f in all_factors(model):
         assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-10
 
 
@@ -207,13 +217,12 @@ def test_factor_orthonormality_and_ledger():
     rng = np.random.default_rng(45)
     x = rng.standard_normal((10, 6, 4))
     model = hosvd_truncated(x, RankPolicy.cumulative_variance(0.8))
-    assert set(model.variance_ledger) == {1, 2, 3}
-    for mode, spec in model.variance_ledger.items():
-        f = model.factors[mode - 1]
+    assert len(model.spectra) == 2
+    for f, spec in zip(all_factors(model), (model.stacking.spectrum, *model.spectra)):
         assert f.shape[1] == spec.retained
         assert abs(spec.ratios.sum() - 1.0) < 1e-12
         assert np.all(np.diff(spec.ratios) <= 1e-15)
-    assert model.core.shape == tuple(f.shape[1] for f in model.factors)
+    assert model.stacking.core.shape == all_ranks(model)
 
 
 def test_eckart_young_order2_all_k():
@@ -240,7 +249,7 @@ def test_pca_equivalence_on_stacks():
         )
         xc = x - x.mean(axis=0)
         pcs, _ = covariance_principal_directions(xc)
-        got = sign_canonical(model.factors[1])
+        got = sign_canonical(model.factors[-1])
         want = sign_canonical(pcs[:, : got.shape[1]])
         assert np.max(np.abs(got - want)) < 1e-8
 
@@ -273,17 +282,17 @@ def test_stacks_near_the_float_limit_keep_their_variance():
     rng = np.random.default_rng(51)
     x = 1e160 + 1e155 * rng.standard_normal((6, 4))
     model = hosvd_truncated(x, RankPolicy.cumulative_variance(1.0))
-    assert model.ranks == (4, 4)
+    assert all_ranks(model) == (4, 4)
     x, q = planted_stack(rng, n=60, d=10, k=3, noise=1e-3)
     for policy in (RankPolicy.cumulative_variance(0.99), RankPolicy.cumulative_variance(1.0)):
         small = hosvd_truncated(x, policy)
         for exponent in (532, -532, -560):
             big = hosvd_truncated(np.ldexp(x, exponent), policy)
-            assert big.ranks == small.ranks
-            u, v = big.factors[1], small.factors[1]
+            assert all_ranks(big) == all_ranks(small)
+            u, v = big.factors[-1], small.factors[-1]
             assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-10
             # the Gram route stores the leading ratios and the tail's share
-            a, b = big.variance_ledger[2], small.variance_ledger[2]
+            a, b = big.spectra[-1], small.spectra[-1]
             n = b.ratios.size
             assert np.allclose(a.ratios[:n], b.ratios, rtol=1e-10, atol=1e-14)
             assert np.allclose(np.sum(a.ratios[n:]) + a.tail_ratio, b.tail_ratio,
@@ -302,9 +311,9 @@ def test_determinism():
     x = rng.standard_normal((9, 5, 4))
     m1 = hosvd_truncated(x, RankPolicy.cumulative_variance(0.9))
     m2 = hosvd_truncated(x, RankPolicy.cumulative_variance(0.9))
-    for f1, f2 in zip(m1.factors, m2.factors):
+    for f1, f2 in zip(all_factors(m1), all_factors(m2)):
         assert np.array_equal(f1, f2)
-    assert np.array_equal(m1.core, m2.core)
+    assert np.array_equal(m1.stacking.core, m2.stacking.core)
 
 
 # ----------------------------------------- order-2 single decomposition
@@ -345,13 +354,13 @@ def count_decompositions(monkeypatch, fn, x, *args):
 def assert_stream_matches_exact(got: SubspaceModel, want: SubspaceModel):
     """A streamed model ``got`` agrees with the exact reference ``want``
     from :func:`hosvd_truncated` of the same stack: mean, ranks, feature
-    factor and ledgers."""
-    assert got.factors[0] is None and got.core is None
+    factor and spectra."""
+    assert got.stacking is None
     assert np.max(np.abs(got.mu - want.mu)) <= 1e-12 * np.max(np.abs(want.mu))
-    assert got.ranks[1:] == want.ranks[1:]
-    assert max_sine(got.factors[1], want.factors[1]) <= 1e-10
-    for mode, spec in want.variance_ledger.items():
-        assert_spectra_agree(got.variance_ledger[mode], spec)
+    assert got.ranks == want.ranks
+    assert max_sine(got.factors[-1], want.factors[-1]) <= 1e-10
+    for g, w in zip(got.spectra, want.spectra, strict=True):
+        assert_spectra_agree(g, w)
 
 
 TALL_PLANTED = [(400, 32, 5, 0.05), (900, 64, 8, 0.01), (120, 120, 3, 0.1)]
@@ -376,12 +385,12 @@ def test_secondary_gram_route_matches_exact_route(n, d, k, noise):
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
     model = hosvd_truncated(x, RankPolicy.fixed_k(k))
     second = secondary_subspace(x, model, 3)
-    assert second.variance_ledger[1] is second.variance_ledger[2]
-    assert second.variance_ledger[2].first_component == k
+    assert len(second.spectra) == 1 and second.stacking.spectrum is second.spectra[0]
+    assert second.spectra[-1].first_component == k
     # the Gram route read as deep as the window ends finds the same window
     deep = streamed(x, RankPolicy.fixed_k(k + 3))
-    assert max_sine(deep.factors[1][:, k : k + 3], second.factors[1]) <= 1e-10
-    s, exact = deep.variance_ledger[2].singular_values, second.variance_ledger[2].singular_values
+    assert max_sine(deep.factors[-1][:, k : k + 3], second.factors[-1]) <= 1e-10
+    s, exact = deep.spectra[-1].singular_values, second.spectra[-1].singular_values
     assert np.max(np.abs(s - exact[: s.size])) <= 1e-12 * exact[0]
 
 
@@ -391,7 +400,7 @@ def test_tall_well_conditioned_stack_takes_one_eigh(monkeypatch):
     policy = RankPolicy.cumulative_variance(0.9)
     model, calls = count_decompositions(monkeypatch, streamed, x, policy)
     assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
-    assert model.ranks == (None, 4)
+    assert model.ranks == (4,)
     assert_stream_matches_exact(model, hosvd_truncated(x, policy))
 
 
@@ -435,15 +444,15 @@ def test_guard_cases_take_exactly_one_svd(monkeypatch):
         assert calls == {"svd": 0, "eigh": eighs, "eigvalsh": 0}
         model, calls = count_decompositions(monkeypatch, hosvd_truncated, x, policies)
         assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0}
-        for f in model.factors:
+        for f in all_factors(model):
             assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
         rec = reconstruct(model)
         if full:
             assert relerr(rec, x) <= 1e-8
         else:
             xc = x - x.mean(axis=0)
-            k = model.ranks[0]
-            assert model.ranks == (k, k)
+            k = all_ranks(model)[0]
+            assert all_ranks(model) == (k, k)
             err = np.linalg.norm(rec - x)
             assert abs(err - best_rank_k_error(xc, k)) <= 1e-8 * np.linalg.norm(xc)
 
@@ -463,18 +472,20 @@ def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
     for k2 in (3, 7):
         second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, k2)
         assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0}
-        for u1, u2 in zip(model.factors, second.factors):
+        for u1, u2 in zip(all_factors(model), all_factors(second)):
             assert np.max(np.abs(u2.T @ u2 - np.eye(k2))) <= 1e-10
             assert np.max(np.abs(u1.T @ u2)) < 1e-8
 
 
 def test_declined_gram_route_solves_for_no_eigenvector(monkeypatch):
     rng = np.random.default_rng(66)
-    # the ill-conditioned stack, its 12 directions embedded in 256 columns:
-    # the block iteration's first sweep captures them all, and the energy
-    # left past the 9th, below GRAM_MIN_RATIO**2 * s_1**2, bounds the 10th
-    # component below the guard's floor before any d x d solve
-    x = ill_conditioned_stack(rng) @ haar_columns(256, 12, rng).T
+    # the ill-conditioned stack, 300 rows tall, its 12 directions embedded
+    # in 256 columns: the block iteration's first sweep captures them all,
+    # and the energy left past the 9th, below GRAM_MIN_RATIO**2 * s_1**2,
+    # bounds the 10th component below the guard's floor before any d x d
+    # solve
+    x = ill_conditioned_stack(rng, n=300) @ haar_columns(256, 12, rng).T
+    assert hosvd_module.gram_eligible(x.shape, RankPolicy.fixed_k(10))
     solves = record_square_solves(monkeypatch)
     assert streamed(x, RankPolicy.fixed_k(10)) is None
     assert all(order < x.shape[1] for _, order in solves)
@@ -499,7 +510,7 @@ def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(mo
         solves = record_square_solves(monkeypatch)
         model = streamed(x, policy)
         monkeypatch.undo()
-        assert model.ranks == (None, 8)
+        assert model.ranks == (8,)
         assert solves and all(name == "eigh" and order < 512 for name, order in solves)
     # an isotropic 12800 x 1024 stack keeps 95% of its variance only about
     # 900 deep, which the Cauchy-Schwarz bound sees before any iteration
@@ -509,7 +520,7 @@ def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(mo
     solves = record_square_solves(monkeypatch)
     model = stream.decompose(RankPolicy.cumulative_variance(0.95))
     assert solves == [("eigh", 1024)]
-    assert 800 < model.ranks[1] < 1000
+    assert 800 < model.ranks[-1] < 1000
 
 
 def test_rank_deficient_square_stack_stores_exact_zero_tails():
@@ -521,7 +532,7 @@ def test_rank_deficient_square_stack_stores_exact_zero_tails():
     policy = RankPolicy.cumulative_variance(0.9)
     model = streamed(x, policy)
     assert_stream_matches_exact(model, hosvd_truncated(x, policy))
-    spec = model.variance_ledger[2]
+    spec = model.spectra[-1]
     s, n = spec.singular_values, spec.singular_values.size
     assert n == spec.retained < 119
     assert np.max(np.abs(s - exact[:n])) <= 1e-12 * s[0]
@@ -542,7 +553,7 @@ def test_fixed_k_past_the_gram_floor_is_declined_not_clamped():
     x += 1e-9 * s1 / 20 * rng.standard_normal(x.shape)
     policy = RankPolicy.fixed_k(16)  # a block of 24 is over budget: one full eigh
     want = hosvd_truncated(x, policy)
-    assert want.ranks[1:] == (16,)
+    assert want.ranks == (16,)
     assert streamed(x, policy) is None
     # read no deeper than the rank, the route still serves it
     assert_stream_matches_exact(streamed(x, RankPolicy.fixed_k(10)),
@@ -561,15 +572,15 @@ def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypa
     # past 2**±256 the leading solve rescales the Gram matrix
     for exponent in (300, -300):
         big = streamed(np.ldexp(x, exponent), policy)
-        assert big.ranks == small.ranks == (None, 4)
-        assert max_sine(big.factors[1], small.factors[1]) <= 1e-10
+        assert big.ranks == small.ranks == (4,)
+        assert max_sine(big.factors[-1], small.factors[-1]) <= 1e-10
     # at 2**±532 the squares leave the range the stream accepts, and the
     # exact reference serves the stack
     for exponent in (532, -532):
         assert streamed(np.ldexp(x, exponent), policy) is None
         exact = hosvd_truncated(np.ldexp(x, exponent), policy)
-        assert exact.ranks == (4, 4)
-        assert max_sine(exact.factors[1], small.factors[1]) <= 1e-10
+        assert all_ranks(exact) == (4, 4)
+        assert max_sine(exact.factors[-1], small.factors[-1]) <= 1e-10
 
 
 # -------------------------------------------------- slice project/reconstruct
@@ -611,7 +622,7 @@ def test_projection_pythagoras_and_residual_orthogonality():
     rhs = np.linalg.norm(coeffs.coeffs) ** 2 + np.linalg.norm(resid) ** 2
     assert abs(lhs - rhs) <= 1e-8 * lhs
     # residual carries no component along any retained feature direction
-    assert np.max(np.abs(resid @ model.factors[1])) < 1e-8
+    assert np.max(np.abs(resid @ model.factors[-1])) < 1e-8
 
 
 def test_projection_is_linear_when_mu_vanishes():
@@ -640,7 +651,7 @@ def test_project_slice_shape_mismatch():
 def test_reconstruct_slice_zero_coeffs_gives_mu():
     rng = np.random.default_rng(56)
     model, x, _ = make_planted_model(rng)
-    k2 = model.factors[1].shape[1]
+    k2 = model.factors[-1].shape[1]
     out = reconstruct_slice(model, SliceCoefficients(coeffs=np.zeros((4, k2))))
     assert np.allclose(out, np.broadcast_to(model.mu, (4, x.shape[1])), atol=1e-14)
 
@@ -655,7 +666,7 @@ def test_order3_slice_round_trip():
     assert model.mu.shape == (r, d)  # the mean is one member
     slab = slabs[3]
     coeffs = project_slice(model, slab)
-    assert coeffs.coeffs.shape == model.ranks[1:]  # k2 x k3: no stacking axis
+    assert coeffs.coeffs.shape == model.ranks  # k2 x k3: no stacking axis
     back = reconstruct_slice(model, coeffs)
     assert back.shape == (r, d)
     assert relerr(back, slab) < 1e-8
@@ -670,11 +681,11 @@ def test_order3_contractions_match_einsum():
     rng = np.random.default_rng(63)
     x = rng.standard_normal((3, 2, 4))
     model = hosvd_truncated(x, RankPolicy.fixed_k(4), centering="global")  # whole ranks
-    assert model.ranks == (3, 2, 4)
-    u1, u2, u3 = model.factors
+    assert all_ranks(model) == (3, 2, 4)
+    u1, u2, u3 = all_factors(model)
     core = np.einsum("tjk,ta,jb,kc->abc", x - model.mu, u1, u2, u3)
-    assert relerr(model.core, core) <= 1e-13
-    stack = np.einsum("abc,ta,jb,kc->tjk", model.core, u1, u2, u3) + model.mu
+    assert relerr(model.stacking.core, core) <= 1e-13
+    stack = np.einsum("abc,ta,jb,kc->tjk", model.stacking.core, u1, u2, u3) + model.mu
     assert relerr(reconstruct(model), stack) <= 1e-13
     member = rng.standard_normal((2, 4))
     coeffs = project_slice(model, member)
@@ -695,10 +706,10 @@ def test_secondary_orthogonal_to_primary_and_variance_split():
     # full remaining rank along the feature mode
     k2 = 12 - 4
     second = secondary_subspace(t, model, k2)
-    for u1, u2 in zip(model.factors, second.factors):
+    for u1, u2 in zip(all_factors(model), all_factors(second)):
         assert np.max(np.abs(u1.T @ u2)) < 1e-8
-    primary_kept = model.variance_ledger[2].ratios[:4].sum()
-    secondary_kept = second.variance_ledger[2].ratios[4 : 4 + k2].sum()
+    primary_kept = model.spectra[-1].ratios[:4].sum()
+    secondary_kept = second.spectra[-1].ratios[4 : 4 + k2].sum()
     assert abs(primary_kept + secondary_kept - 1.0) < 1e-8
 
 
@@ -764,12 +775,12 @@ def test_reconstruct_detects_tampered_factors():
     model = hosvd_truncated(x, RankPolicy.fixed_k(3))
     bad = SubspaceModel(
         mu=model.mu,
-        factors=[model.factors[0], model.factors[1][:4]],
-        core=model.core,
-        variance_ledger=model.variance_ledger,
+        factors=(model.factors[0][:4],),
+        spectra=model.spectra,
         centering=model.centering,
         shape=model.shape,
         slab_extent=model.slab_extent,
+        stacking=model.stacking,
     )
     with pytest.raises(InternalConsistencyError):
         reconstruct(bad)
@@ -779,11 +790,11 @@ def test_reconstruct_zero_core_zero_mu():
     core = np.zeros((2, 2))
     model = SubspaceModel(
         mu=np.zeros((1, 4)),
-        factors=[np.eye(3)[:, :2], np.eye(4)[:, :2]],
-        core=core,
-        variance_ledger={},
+        factors=(np.eye(4)[:, :2],),
+        spectra=(),
         centering="feature",
         shape=(3, 4),
         slab_extent=None,
+        stacking=Stacking(factor=np.eye(3)[:, :2], spectrum=None, core=core),
     )
     assert np.all(reconstruct(model) == 0.0)

@@ -243,6 +243,20 @@ def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     assert s.size == 5 and tail == 0.0
 
 
+def test_a_certified_rank_below_min_ratio_is_declined(monkeypatch):
+    # rank 3 in 256 columns: the first sweep of the block iteration spans
+    # it and certifies rank 3, whose s_3 = 0.1 * s_1 is below a min_ratio of
+    # 0.5; a certified depth's value is at least about 4.4e-6 * s_1**2, so
+    # the guard's own 1e-3 never declines there
+    m = planted_singular_stack(np.random.default_rng(26), 400, [1.0, 0.5, 0.1] + [0.0] * 253)
+    gram = lower_gram(m)
+    solves = record_square_solves(monkeypatch)
+    assert gram_leading(gram, RankPolicy.fixed_k(3), 0.5) is None
+    s, _, tail = gram_leading(gram, RankPolicy.fixed_k(3), 0.05)
+    assert np.max(np.abs(s - [1.0, 0.5, 0.1])) <= 1e-12 and tail <= 1e-24
+    assert solves and all(order < 256 for _, order in solves)
+
+
 def _leading_families(d):
     """Eigenvalue profiles (nonincreasing, length d) the leading solve
     must agree with a full ``eigh`` on."""
@@ -382,8 +396,8 @@ def test_select_rank_fixed_k_clamps():
     rng = np.random.default_rng(63)
     for shape, ranks in [((3, 2, 4), (2, 2, 4)), ((3, 4), (2, 2))]:
         model = hosvd_truncated(rng.standard_normal(shape), RankPolicy.fixed_k(4))
-        assert model.ranks == ranks
-        s = model.variance_ledger[1].singular_values
+        assert (model.stacking.factor.shape[1], *model.ranks) == ranks
+        s = model.stacking.spectrum.singular_values
         assert s.size == 3 and s[2] <= NUMERICAL_RANK_RTOL * s[0]
 
 

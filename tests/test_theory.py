@@ -404,6 +404,13 @@ def test_within_task_radial_single_task_attains_cap():
     assert rep.holds
 
 
+def test_within_task_default_b_is_the_largest_task_norm():
+    tasks = [FakeTask([0.6, 0.0], [0.6, 0.1]), FakeTask([0.0, 0.8], [0.1, 0.8])]
+    rep = within_task_term(tasks)
+    assert rep.b == 0.8
+    assert rep == within_task_term(tasks, b=0.8)
+
+
 def test_within_task_orthogonal_single_task_closed_form():
     eta = 0.3
     rep = within_task_term([FakeTask([1.0, 0.0], [1.0, eta])], b=1.0)
