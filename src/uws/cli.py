@@ -8,7 +8,9 @@ Diagnostics go to stderr; data goes to files or stdout.
 """
 
 import argparse
+import errno
 import glob as globlib
+import os
 import sys
 import warnings
 
@@ -125,6 +127,14 @@ def _write_text(path, text):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _check_destinations(*paths):
+    """Refuse, before any work, an output whose directory is missing, with
+    the error that writing it would give."""
+    for path in paths:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 # ------------------------------------------------------------- report tables
 
 
@@ -175,13 +185,9 @@ def _table_lines(rows, fmt):
 
 
 def _render_report(header_pairs, rows, fmt):
-    if fmt == "csv":
-        lines = [f"# {key}: {value}" for key, value in header_pairs]
-        lines.extend(_table_lines(rows, "csv"))
-    else:
-        lines = [f"{key}: {value}" for key, value in header_pairs]
-        lines.extend(_table_lines(rows, "text"))
-    return "\n".join(lines) + "\n"
+    prefix = "# " if fmt == "csv" else ""
+    lines = [f"{prefix}{key}: {value}" for key, value in header_pairs]
+    return "\n".join(lines + _table_lines(rows, fmt)) + "\n"
 
 
 # ------------------------------------------------------------------ commands
@@ -218,6 +224,7 @@ def cmd_extract(args):
         exclude_layers=exclude,
         architecture_id=args.arch_id,
     )
+    _check_destinations(args.out, args.report)
     u = extract_universal(paths, config)
     save_subspace(u, args.out)
     header = [
@@ -427,6 +434,7 @@ def cmd_theory_converge(args):
     _check_dims(args.d, args.k)
     if not (0.0 < args.delta < 1.0):
         raise _UsageError(f"--delta must lie in (0, 1), got {args.delta!r}")
+    _check_destinations(args.out)
     report = theory.convergence_study(
         d=args.d,
         k=args.k,

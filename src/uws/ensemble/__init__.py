@@ -305,9 +305,9 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     model's layer names and shapes; a model whose id or layer shape
     differs in a later pass raises ManifestError.  A stack that the Gram
     route may take (:func:`~uws.hosvd.gram_eligible`) is streamed into a
-    :class:`~uws.hosvd.GramStream`.  Any other stack, and one the route's
-    guard declines, after a pass that reads its slabs again, is copied
-    slab by slab into one T x r x d float64 array, the route's own, that
+    :class:`~uws.hosvd.GramStream`.  Any other stack, and one the route
+    declines, after a pass that reads its slabs again, is copied
+    slab by slab into one T x r x d float64 array, the exact route's own, that
     :func:`~uws.hosvd.exact_subspace` centres in place and decomposes, so
     a declined Gram route is not tried twice.  Either way a layer
     model holds what a subspace file holds: the mean, and the factor and

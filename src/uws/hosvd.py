@@ -20,9 +20,8 @@ slab at a time, float32 or float64.  It keeps the column mean, the lower
 row panels of the centred d x d Gram matrix G = Xc.T @ Xc
 (:class:`~uws.spectral.LowerGram`) and the row count, merging blocks of
 ``GRAM_BLOCK_ROWS`` rows with the pairwise update of Chan, Golub and
-LeVeque (1979); every merged term is positive semidefinite, so no common
-offset costs accuracy.  Its result carries no stacking-mode factor or
-core, and comes from the Gram route:
+LeVeque (1979).  Its result carries no stacking-mode factor or core, and
+comes from the Gram route:
 
 - :func:`~uws.spectral.gram_leading` finds, of G, only the leading
   eigenpairs that the policy retains or reads, and tr G less their sum
@@ -31,17 +30,11 @@ core, and comes from the Gram route:
   Squaring the condition number leaves s_i an absolute error of about
   eps * s_1**2 / s_i, and the feature directions at depth r an error of
   about eps * (s_1 / s_r)**2 against the exact SVD's.
-- A guard declines the route, and the caller stacks the rows for the
-  exact SVD, whenever it could lose accuracy that a result depends on:
-  the stack is wider than tall, the policy is ``cumulative_variance(tau=1)``
-  or ``hard_threshold`` (both read the small end of the spectrum), or
-  the deepest component retained or read is below 1e-3 * s_1, where that
-  error could exceed about 2e-10.  It also declines a stack whose Gram
-  matrix overflows (entries beyond about 1e150) or whose s_1**2 is below
-  ``GRAM_MIN_SQUARE`` (about 2**-950), where products underflowing in
-  the Gram could move the smallest eigenvalue it may use; the SVD and
-  the variance checks, which rescale before squaring, serve any finite
-  stack.
+- Where that could lose accuracy a result depends on, the route is
+  declined and the caller stacks the rows for the exact SVD, which
+  serves any finite stack.  :func:`gram_eligible`,
+  :meth:`GramStream.decompose` and :func:`~uws.spectral.gram_leading`
+  each state the declines they decide.
 
 A "member" is what one contributor adds to the stack, the unit that is
 projected and rebuilt (:func:`project_slice`, :func:`reconstruct_slice`):
@@ -63,6 +56,7 @@ from .errors import (
 )
 from .spectral import (
     DEFAULT_POLICY,
+    GRAM_MIN_SQUARE,
     LowerGram,
     RankPolicy,
     check_policy,
@@ -75,19 +69,6 @@ from .spectral import (
 from .tensor import as_real, as_tensor, frobenius_norm, int_at_least
 
 CENTERINGS = ("feature", "global")
-
-#: The Gram route serves an order-2 stack only while every component it
-#: retains or reads has s_i >= GRAM_MIN_RATIO * s_1 (lambda_i >= 1e-6 *
-#: lambda_1); deeper, the error of its directions, about
-#: eps * (s_1 / s_i)**2, could exceed 2e-10.
-GRAM_MIN_RATIO = 1e-3
-
-#: The Gram route also needs s_1**2 >= GRAM_MIN_SQUARE, so that the
-#: smallest eigenvalue it may use, GRAM_MIN_RATIO**2 * s_1**2, is a normal
-#: number whose rounding (eps times it) is normal too: below that,
-#: products that underflow in Xc.T @ Xc can move it by more than the
-#: route's own rounding.  About 2**-950.
-GRAM_MIN_SQUARE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps / GRAM_MIN_RATIO**2
 
 #: :class:`GramStream` merges its rows into the Gram matrix one block of
 #: this many at a time, at every width, so the block is a fixed
@@ -209,7 +190,7 @@ def _order2_svd(xc: np.ndarray):
     return f.singular_values, f.u, f.v * column_signs(f.v)
 
 
-def _order2_truncation(s, tail, v, policy, shape):
+def _order2_truncation(s, v, tail, policy, shape):
     """The factors and spectra of an order-2 decomposition: its truncated
     feature factor and one :class:`ModeSpectrum`, which both modes share
     with their one rank; ``tail`` is the energy of the values ``s`` does
@@ -307,7 +288,7 @@ def hosvd_truncated(
     mu, xc = _centred(np.array(as_tensor(x)), policy, centering)
     if xc.ndim == 2:
         s, u, v = _order2_svd(xc)
-        factors, spectra = _order2_truncation(s, 0.0, v, policy, xc.shape)
+        factors, spectra = _order2_truncation(s, v, 0.0, policy, xc.shape)
         u1, spectrum = np.ascontiguousarray(u[:, : spectra[0].retained]), spectra[0]
     else:
         every, spectra = _mode_truncation(xc, policy, (1, 2, 3))
@@ -328,7 +309,7 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
     mu, xc = _centred(as_tensor(x), policy, centering)
     if xc.ndim == 2:
         s, _, v = _order2_svd(xc)
-        factors, spectra = _order2_truncation(s, 0.0, v, policy, xc.shape)
+        factors, spectra = _order2_truncation(s, v, 0.0, policy, xc.shape)
     else:
         factors, spectra = _mode_truncation(xc, policy, (2, 3))
     return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
@@ -359,12 +340,13 @@ class GramStream:
     add to the same sums; a full ``eigh`` moves them into one d x d
     square, whose views they then are.  :attr:`gram` assembles the
     symmetric matrix for inspection.  Every term is positive
-    semidefinite, so nothing cancels: the merged Gram carries the
-    rounding of ``Xc.T @ Xc`` whatever the ensemble's common offset.  A
-    block whose squares overflow leaves the totals non-finite, and
-    :meth:`decompose` declines them, as it declines a stack whose squared
-    norm is below ``GRAM_MIN_SQUARE``.  Memory is the panels plus one
-    block and one w x d product, and the block is freed by :meth:`flush`.
+    semidefinite, so nothing cancels, but each block mean m_b is rounded
+    to about eps times the ensemble's common offset, and the spare row
+    carries that rounding into G at first order: an offset of 1e6 on a
+    stack of unit spread leaves G off by about 2e-11 * lambda_1.  A
+    block whose squares overflow leaves the totals non-finite, which the
+    solve declines.  Memory is the panels plus one block and one w x d
+    product, and the block is freed by :meth:`flush`.
     """
 
     def __init__(self, cols: int):
@@ -442,15 +424,12 @@ class GramStream:
         docstring: retained factors agree to about eps * (s_1 / s_r)**2
         and each singular value s_i to about eps * s_1**2 / s_i.
 
-        Returns None where the guard declines the route: the stack is not
-        :func:`gram_eligible`, its squared norm overflows, s_1**2 (or tr G
-        >= s_1**2, before the solve) is below ``GRAM_MIN_SQUARE``, the Gram
-        is not finite, or the deepest component read is below
-        ``GRAM_MIN_RATIO * s_1``, which the leading solve reports as soon
-        as that is certain.  The caller then decomposes the stacked matrix
-        with :func:`exact_subspace`.  The error cases match it: a zero
-        stack or one with no variance left after centering raises
-        DegenerateSpectrumError.
+        Returns None where the stack is not :func:`gram_eligible`, where
+        ||X||**2 overflows or is below ``GRAM_MIN_SQUARE``, and where
+        :func:`~uws.spectral.gram_leading` declines; the caller then
+        decomposes the stacked matrix with :func:`exact_subspace`, whose
+        error cases these match: a zero stack or one with no variance
+        left after centering raises DegenerateSpectrumError.
         """
         check_centering(centering)
         check_policy(policy)
@@ -469,13 +448,10 @@ class GramStream:
             gram = gram.plus_outer(spread, self.rows)
             mu = np.float64(mu.mean())
         _require_variance(np.sqrt(gram.trace()), np.sqrt(self.sumsq), centering)
-        if not gram.all_finite() or gram.trace() < GRAM_MIN_SQUARE:
+        found = gram_leading(gram, policy)
+        if found is None:
             return None
-        found = gram_leading(gram, policy, GRAM_MIN_RATIO)
-        if found is None or found[0][0] ** 2 < GRAM_MIN_SQUARE:
-            return None
-        s, v, tail = found
-        factors, spectra = _order2_truncation(s, tail, v, policy, shape)
+        factors, spectra = _order2_truncation(*found, policy, shape)
         return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
                              shape=shape, slab_extent=slab_extent)
 

@@ -1,7 +1,7 @@
 """Thin SVD, a Gram matrix held as its lower row panels and its certified
-leading eigenpairs, explained-variance accounting, rank-selection
-policies, and the exact operator norm of a symmetric matrix or a stack
-of them (one ``eigvalsh``)."""
+leading eigenpairs above the Gram route's accuracy floor,
+explained-variance accounting, rank-selection policies, and the exact
+operator norm of a symmetric matrix or a stack of them (one ``eigvalsh``)."""
 
 from __future__ import annotations
 
@@ -53,6 +53,19 @@ LEADING_MAX_SINE = 1e-10
 #: rescale it (it does beyond about 2**±484), and every step gives results
 #: that scale exactly with the matrix, so no d x d scaled copy is needed.
 _PLAIN_EXPONENT = 256
+
+#: The Gram route serves a stack only while every component it retains
+#: or reads has s_i >= GRAM_MIN_RATIO * s_1 (lambda_i >= 1e-6 *
+#: lambda_1); deeper, the error of its directions, about
+#: eps * (s_1 / s_i)**2, could exceed 2e-10.
+GRAM_MIN_RATIO = 1e-3
+
+#: The Gram route also needs s_1**2 >= GRAM_MIN_SQUARE, so that the
+#: smallest eigenvalue it may use, GRAM_MIN_RATIO**2 * s_1**2, is a normal
+#: number whose rounding (eps times it) is normal too: below that,
+#: products that underflow in Xc.T @ Xc can move it by more than the
+#: route's own rounding.  About 2**-950.
+GRAM_MIN_SQUARE = np.finfo(np.float64).tiny / _EPS / GRAM_MIN_RATIO**2
 
 #: A block-iteration eigenvector is kept only if its Ritz residual
 #: ||G v - theta v|| is at most RITZ_RESIDUAL_MULTIPLE * sqrt(d) * eps *
@@ -246,21 +259,21 @@ class LowerGram:
 def explained_variance(singular_values: np.ndarray, tail: float = 0.0) -> np.ndarray:
     """Ratios sigma_i^2 / (sum_j sigma_j^2 + tail).
 
-    ``singular_values`` must be nonincreasing and nonnegative; ``tail``,
-    finite and nonnegative, is the energy (a sum of squares) of the
-    components not listed, each at most the last listed one, so it is 0
-    where that is 0, and the ratios sum to 1 when it is 0.  The sum must
-    not be 0.  The values are divided by a power of two just above
-    the largest before they are squared (the tail by its square), so no
-    scale overflows or underflows; where neither happens unscaled, the
-    ratios are the same bit for bit.
+    ``singular_values`` must be nonnegative and nonincreasing to within
+    1e-12 of the largest; ``tail``, finite and nonnegative, is the energy
+    (a sum of squares) of the components not listed, each at most the
+    last listed one, so it is 0 where that is 0, and the ratios sum to 1
+    when it is 0.  The sum must not be 0.  The values are divided by a
+    power of two just above the largest before they are squared (the
+    tail by its square), so no scale overflows or underflows; where
+    neither happens unscaled, the ratios are the same bit for bit.
     """
     s = np.asarray(singular_values, dtype=np.float64).reshape(-1)
     if s.size == 0:
         raise InvalidArgumentError("empty spectrum")
     if np.any(s < 0):
         raise InvalidArgumentError("singular values must be nonnegative")
-    if np.any(np.diff(s) > 1e-12 * max(1.0, float(s[0]))):
+    if np.any(np.diff(s) > 1e-12 * float(np.max(s))):
         raise InvalidArgumentError("singular values must be nonincreasing")
     if not 0.0 <= tail < np.inf:
         raise InvalidArgumentError(f"the tail energy must be finite and >= 0, got {tail!r}")
@@ -432,15 +445,15 @@ def select_rank(
 
 
 class _Declined(Exception):
-    """The deepest value the caller reads is below its floor."""
+    """The deepest value the policy reads is below ``GRAM_MIN_RATIO * s_1``."""
 
 
-def _leading_eigh(g, policy, min_ratio):
+def _leading_eigh(g, policy):
     """The leading eigenpairs of ``g`` as deep as ``policy`` reads, and
     the sum of the other eigenvalues, from one full ``eigh``.  An
     eigenvalue below d * eps * lambda_1, the absolute error a
     backward-stable symmetric eigensolver leaves, is rounding whose sign
-    and size are luck, so it is read as an exact 0.  ``min_ratio`` is
+    and size are luck, so it is read as an exact 0.  The floor is
     checked at depth min(k, d) for ``fixed_k(k)``, before its clamp."""
     try:
         lam, vec = np.linalg.eigh(g.square(), UPLO="L")
@@ -451,7 +464,7 @@ def _leading_eigh(g, policy, min_ratio):
     ratios = explained_variance(np.sqrt(lam))
     n = select_rank(ratios, policy)
     read = min(policy.k, g.dim) if policy.kind == "fixed_k" else n
-    if np.sqrt(lam[read - 1]) < min_ratio * np.sqrt(lam[0]):
+    if np.sqrt(lam[read - 1]) < GRAM_MIN_RATIO * np.sqrt(lam[0]):
         raise _Declined
     return lam[:n], np.ascontiguousarray(vec[:, :n]), float(np.sum(lam[n:]))
 
@@ -479,12 +492,14 @@ def _certified_depth(theta, converged, rho, ceiling, total, slack, tol, policy):
     return None, min(a, c)
 
 
-def _leading_block(g, total, policy, min_ratio):
+def _leading_block(g, total, policy):
     """The leading eigenpairs of ``g`` (trace ``total``) as deep as
     ``policy`` reads, and ``total`` less their sum, from shifted block
     subspace iteration with a Rayleigh-Ritz step after every sweep; or
     None where the iteration is predicted to cost more than
-    ``LEADING_MAX_WORK * d**3`` flops or runs out of that budget.
+    ``LEADING_MAX_WORK * d**3`` flops or runs out of that budget.  It
+    raises :class:`_Declined` once the Ky Fan bound puts the value at
+    that depth below the floor.
 
     After a sweep the block Q (d x b) gives Ritz pairs (theta_i, v_i)
     with residuals r_i = ||G v_i - theta_i v_i||.  G is positive
@@ -502,8 +517,6 @@ def _leading_block(g, total, policy, min_ratio):
     Otherwise the block grows, or sweeps again, while the budget lasts.
     """
     d = g.dim
-    if not total > 0:
-        return None
     # a tau policy needs n >= (tau tr G / ||G||_F)**2 (Cauchy-Schwarz)
     known = (
         min(policy.k, d) if policy.kind == "fixed_k"
@@ -544,9 +557,7 @@ def _leading_block(g, total, policy, min_ratio):
             n, least = _certified_depth(
                 theta, converged, rho, ceiling, total, slack, tol, policy)
             known = max(known, least)
-            if n is not None:
-                if np.sqrt(theta[n - 1]) < min_ratio * np.sqrt(theta[0]):
-                    raise _Declined
+            if n is not None:  # theta_n >= tol / LEADING_MAX_SINE: above the floor
                 return theta[:n], np.ascontiguousarray(v[:, :n]), total - theta[:n].sum()
             # the depth these Ritz values suggest; past the block, at least
             # as many more directions as the missing energy needs at theta_b each
@@ -558,10 +569,10 @@ def _leading_block(g, total, policy, min_ratio):
             want = max(want, known)
             # lambda_j <= tr G - (lambda_1 + ... + lambda_{j-1}) <= tr G - (theta_1 +
             # ... + theta_{j-1}) for any Ritz values (Ky Fan): decline once the
-            # depth's value is certainly below the caller's floor
+            # depth's value is certainly below the floor
             j = min(known, b + 1)
             missed = total - theta[: j - 1].sum() + j * d * _EPS * theta[0]
-            if min_ratio > 0 and missed < min_ratio**2 * theta[0]:
+            if missed < GRAM_MIN_RATIO**2 * theta[0]:
                 raise _Declined
             shift = max(theta[-1], 0.0) / 2
             if want + LEADING_OVERSAMPLE > b or converged[want - 1]:
@@ -590,14 +601,16 @@ def _leading_block(g, total, policy, min_ratio):
         return None
 
 
-def gram_leading(gram, policy, min_ratio: float = 0.0):
+def gram_leading(gram, policy):
     """The leading singular values and right singular vectors of any
     matrix whose Gram matrix ``m.T @ m`` is ``gram``, as deep as the rank
-    ``policy`` reads, and the energy of the rest.
+    ``policy`` reads, and the energy of the rest; or None where the Gram
+    route cannot serve them accurately.
 
-    ``gram`` is a :class:`LowerGram` the caller has checked is finite,
-    read through its lower panels: the strict upper triangle of G is
-    never read, and only the full ``eigh`` below needs G in a square.
+    ``gram`` is a :class:`LowerGram`, read through its lower panels: the
+    strict upper triangle of G is never read, and only the full ``eigh``
+    below needs G in a square.  The policy may not read the small end of
+    the spectrum (:attr:`RankPolicy.reads_small_end`).
 
     Returns ``(s, v, tail)``: the n leading singular values, nonincreasing,
     where n is the rank the policy selects; their right singular
@@ -605,10 +618,14 @@ def gram_leading(gram, policy, min_ratio: float = 0.0):
     :func:`column_signs`); and ``tail``, the energy of the d - n
     components not returned (tr G - sum(s**2) from the block iteration,
     the sum of the rest from a full ``eigh``), so the ratios are
-    ``explained_variance(s, tail)``.  Returns None where s_n <
-    ``min_ratio * s_1``, n taken as min(k, d) for ``fixed_k(k)`` before
-    its clamp.  The policy may not read the small end of the spectrum
-    (:attr:`RankPolicy.reads_small_end`).
+    ``explained_variance(s, tail)``.
+
+    Forming the Gram matrix squares the condition number: s_i carries an
+    absolute error of about eps * s_1**2 / s_i.  So it returns None where
+    G is not finite, where tr G or s_1**2 is below ``GRAM_MIN_SQUARE``,
+    and where s_n < ``GRAM_MIN_RATIO * s_1`` at the deepest value read, n
+    = min(k, d) for ``fixed_k(k)``, before its clamp: the block iteration
+    sees that by the Ky Fan bound, before any d x d solve, where it can.
 
     tr G is exact, so the policy chooses its rank from the leading
     eigenvalues and the energy left over.  Shifted block subspace
@@ -620,34 +637,32 @@ def gram_leading(gram, policy, min_ratio: float = 0.0):
     ``LEADING_MAX_WORK * d**3`` flops, as for a flat spectrum, whose
     Cauchy-Schwarz depth bound (tau tr G / ||G||_F)**2 is already too
     deep, or the trace cannot certify the gap, one full ``eigh`` gives
-    both.  A Gram matrix whose largest
-    entry lies beyond 2**±``_PLAIN_EXPONENT`` is first divided by an even
-    power of two just above it; so every scale gives the same ranks and
-    vectors, and values scaled back exactly.
-
-    Forming the Gram matrix squares the condition number: s_i carries an
-    absolute error of about eps * s_1**2 / s_i, so only components well
-    above sqrt(eps) * s_1 are accurate.
+    both.  A Gram matrix whose largest entry lies beyond
+    2**±``_PLAIN_EXPONENT`` is first divided by an even power of two just
+    above it; so every scale gives the same ranks and vectors, and values
+    scaled back exactly.
     """
     check_policy(policy)
     if policy.reads_small_end:
         raise InvalidArgumentError(
             "the leading spectrum serves policies that read only its leading end"
         )
+    if not gram.all_finite() or gram.trace() < GRAM_MIN_SQUARE:
+        return None
     e = 2 * ((peak_exponent(gram.diagonal()) + 1) // 2)
     if abs(e) <= _PLAIN_EXPONENT:
         e = 0  # every step is exact under power-of-two scaling: solve as given
     g = gram.ldexp(-e) if e else gram
     total = g.trace()
     try:
-        lam, v, tail = _leading_block(g, total, policy, min_ratio) or _leading_eigh(
-            g, policy, min_ratio
-        )
+        lam, v, tail = _leading_block(g, total, policy) or _leading_eigh(g, policy)
     except _Declined:
+        return None
+    s = np.ldexp(np.sqrt(lam), e // 2)
+    if s[0] ** 2 < GRAM_MIN_SQUARE:
         return None
     v *= column_signs(v)
     tail = float(np.ldexp(max(tail, 0.0), e))
-    s = np.ldexp(np.sqrt(lam), e // 2)
     s.flags.writeable = False
     return s, v, tail
 

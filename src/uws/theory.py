@@ -387,11 +387,11 @@ class DkStudy:
     holds: np.ndarray
 
 
-def davis_kahan_check(s_ref, s_pert, k: int, tol: float = DK_TOL) -> DkReport:
-    """Checks ||P_pert - P_ref|| <= (2/gamma_k) ||S_pert - S_ref|| for two
-    symmetric d x d arrays, with the eigengap taken from the reference; a
-    vacuous bound (gamma_k <= 0) or a right-hand side that is not finite
-    raises InvalidArgumentError, as it would certify nothing."""
+def davis_kahan_check(s_ref, s_pert, k: int) -> DkReport:
+    """Checks ||P_pert - P_ref|| <= (2/gamma_k) ||S_pert - S_ref|| + DK_TOL
+    for two symmetric d x d arrays, with the eigengap taken from the
+    reference; a vacuous bound (gamma_k <= 0) or a right-hand side that
+    is not finite raises InvalidArgumentError, as it would certify nothing."""
     ref, pert = (_symmetrised(as_real(s)) for s in (s_ref, s_pert))
     d = len(ref)
     if len(pert) != d:
@@ -400,7 +400,7 @@ def davis_kahan_check(s_ref, s_pert, k: int, tol: float = DK_TOL) -> DkReport:
     if k > d:
         raise InvalidArgumentError(f"k = {k} exceeds operator dimension {d}")
     lhs, rhs, gamma = (float(x[0]) for x in _dk_pairs(ref[None], pert[None], k))
-    return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + tol)
+    return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + DK_TOL)
 
 
 def _in_trial_order(solve, n: int):

@@ -166,6 +166,23 @@ def lower_gram(c: np.ndarray, exponent: int = 0) -> LowerGram:
     return gram.ldexp(exponent) if exponent else gram
 
 
+def spectrum_families(d: int) -> dict:
+    """Eigenvalue profiles (length d) of the Gram matrices the leading
+    solve and the Gram route must agree with the exact routes on."""
+    i = np.arange(1.0, d + 1)
+    c = 50.0
+    return {
+        "geometric": 0.8**i,
+        "power_law": i**-2.0,
+        "planted_gap": np.r_[[100.0, 80, 60, 50, 45, 40], np.geomspace(1.0, 0.1, d - 6)],
+        # cut inside a three-member cluster by fixed_k(4)
+        "cluster_at_cut": np.r_[[100.0, 90, 80], c, c * (1 - 1e-9), c * (1 - 2e-9),
+                                np.geomspace(1.0, 0.1, d - 6)],
+        "rank_deficient": np.r_[np.geomspace(1.0, 1e-2, 20), np.zeros(d - 20)],
+        "flat": 1.0 + 1e-3 * np.random.default_rng(3).random(d),
+    }
+
+
 def full_storage_gram(x: np.ndarray, block_rows: int, width: int):
     """``(gram, mean)`` of the rows of ``x`` merged as a Gram stream merges
     them, blocks of ``block_rows`` rows each centred on its own mean with

@@ -292,7 +292,7 @@ def test_08_projector_perturbation_inequality_never_violated():
         noise = (noise + noise.T) / 2.0
         noise /= np.max(np.abs(np.linalg.eigvalsh(noise)))
         strength = 10.0 ** (-(i % 7) / 2.0)
-        rep = davis_kahan_check(base, base + strength * noise, k, tol=1e-10)
+        rep = davis_kahan_check(base, base + strength * noise, k)
         if not rep.holds:
             violations += 1
         worst_slack = min(worst_slack, rep.rhs - rep.lhs)

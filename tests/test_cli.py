@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uws import cli
+from uws import cli, theory
 from uws.ensemble import (
     ExtractionConfig,
     ModelWeights,
@@ -222,6 +222,41 @@ def test_extract_into_a_missing_directory_names_the_destination(tmp_path, capsys
     assert (code, stdout) == (2, "")
     assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
     assert not (tmp_path / "missing").exists()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command computed before checking its outputs")
+
+
+@pytest.mark.parametrize("missing", ["out", "report"])
+def test_extract_checks_its_output_directories_before_it_reads_a_model(
+    tmp_path, capsys, monkeypatch, missing
+):
+    pattern, _ = write_fixture_models(tmp_path)
+    monkeypatch.setattr(cli, "extract_universal", _must_not_run)
+    paths = {"out": tmp_path / "s.uws", "report": tmp_path / "r.csv"}
+    paths[missing] = tmp_path / "missing" / paths[missing].name
+    code, stdout, err = run(
+        ["extract", "--models", pattern, "--out", str(paths["out"]),
+         "--report", str(paths["report"])],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"data error: [Errno 2] No such file or directory: {str(paths[missing])!r}\n"
+
+
+def test_theory_converge_checks_its_output_directory_before_it_samples(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(theory, "convergence_study", _must_not_run)
+    out = tmp_path / "missing" / "r.csv"
+    code, stdout, err = run(
+        ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4", "--trials", "1",
+         "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 def test_extract_policy_flags_are_mutually_exclusive(tmp_path, capsys):
@@ -854,6 +889,21 @@ def test_a_subspace_file_outside_version_5_exits_2_from_every_reader(
         assert code == 2 and err.count("\n") == 1 and message in err, (name, err)
     with pytest.raises(ManifestError, match=re.escape(message)):
         load_subspace(tmp_path / "edited.uws")
+
+
+def test_a_tiny_increasing_spectrum_exits_2_from_scree(tmp_path, capsys):
+    space, _, readers = write_reader_fixture(tmp_path, capsys)
+
+    def reverse_and_shrink(entries, meta):
+        # the spectrum scaled by 1e-220 (its tail energy by 1e-440) and reversed
+        sv, dtype = entries["ledger/block0/sv/2"]
+        entries["ledger/block0/sv/2"] = (np.flip(sv) * 1e-220, dtype)
+        tail, dtype = entries["ledger/block0/tail/2"]
+        entries["ledger/block0/tail/2"] = (tail * 1e-220 * 1e-220, dtype)
+
+    write_edited(space, tmp_path / "edited.uws", reverse_and_shrink)
+    code, _, err = run(readers["scree"], capsys)
+    assert code == 2 and err.count("\n") == 1 and "must be nonincreasing" in err, err
 
 
 def _parent_layout(entries, meta):

@@ -396,14 +396,17 @@ def test_guard_declined_layer_is_read_again_and_stacked(monkeypatch, tmp_path):
     models = planted_models(12, 30)
     paths = write_models(tmp_path / "models", models)
     routes = Routes(monkeypatch)
-    monkeypatch.setattr(hosvd_module, "GRAM_MIN_RATIO", np.inf)  # every Gram route declines
     solves = Counter()
-    for name in ("gram_leading", "thin_svd"):
-        def counted(*a, _real=getattr(hosvd_module, name), _name=name, **kw):
-            solves[_name] += 1
-            return _real(*a, **kw)
 
-        monkeypatch.setattr(hosvd_module, name, counted)
+    def declined(*a, **kw):  # every Gram route declines
+        solves["gram_leading"] += 1
+
+    def svd(*a, _real=hosvd_module.thin_svd, **kw):
+        solves["thin_svd"] += 1
+        return _real(*a, **kw)
+
+    monkeypatch.setattr(hosvd_module, "gram_leading", declined)
+    monkeypatch.setattr(hosvd_module, "thin_svd", svd)
     u = extract_universal(paths, ExtractionConfig(policy=TAU))
     # each declined layer's pass is followed by one that reads every
     # model's slab of it again, and its stack goes straight to one SVD

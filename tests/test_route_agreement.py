@@ -1,0 +1,137 @@
+"""Route agreement: a stack the Gram route may serve is either declined or
+decomposed as the exact route decomposes it.
+
+Each stack is streamed through :meth:`~uws.hosvd.GramStream.decompose`
+and decomposed by :func:`~uws.hosvd.exact_subspace`, under both centrings
+and every rank policy the Gram route takes.  Under any of these policies
+the exact route keeps the leading columns and values of one thin SVD, so
+one decomposition at tau = 1 (the numerical rank) gives each policy's
+exact model, its rank chosen by the same ``select_rank``.  A cell is one stack,
+centring and policy.  The Gram route may decline a cell only where the
+deepest value the policy reads is below twice its accuracy floor
+(``GRAM_MIN_RATIO * s_1``); a cell it serves must match the exact route:
+
+- the same rank;
+- a retained-subspace sine of at most 1e-10, plus 4 eps s_1**2 / gap
+  where the gap s_r**2 - s_{r+1}**2 at the cut is so narrow that two
+  backward-stable routes may differ by more (Davis and Kahan);
+- each singular value s_i within 16 eps s_1**2 / s_i, the error that
+  forming the Gram matrix leaves;
+- ``tail`` plus the sum of s_i**2 equal to ||Xc||**2 to 1e-12 relative,
+  as the exact spectrum's sum of squares is.
+"""
+
+import numpy as np
+import pytest
+
+from uws.hosvd import GramStream, exact_subspace
+from uws.spectral import GRAM_MIN_RATIO, RankPolicy, select_rank
+
+from oracles import spectrum_families
+
+ROWS, COLS, SLAB = 600, 160, 40  # 600 rows: the stream merges two blocks
+EPS = np.finfo(np.float64).eps
+
+
+def _singular_values():
+    """Each stack's planted singular values, nonincreasing, one per column."""
+    stacks = {name: np.sqrt(np.sort(lam)[::-1]) for name, lam in spectrum_families(COLS).items()}
+    # rank 10, then components at 1e-9 * s_1 that only the exact route resolves
+    stacks["rank10_tiny"] = np.r_[np.geomspace(1.0, 0.1, 10), 1e-9 * np.geomspace(1, 0.5, COLS - 10)]
+    for factor in (0.5, 1.0, 2.0):  # a planted 7th value at factor x the floor
+        stacks[f"floor_{factor}x"] = np.r_[
+            1.0, 0.7, 0.5, 0.3, 0.2, 0.1, factor * GRAM_MIN_RATIO, np.zeros(COLS - 7)]
+    stacks["offset_1e6"] = stacks["planted_gap"]
+    return stacks
+
+
+SINGULAR_VALUES = _singular_values()
+
+# The stream centres each block on its own rounded mean and merges the
+# step between block means into G through one spare row, so the means'
+# rounding, eps * 1e6, reaches G at first order: the streamed G is off by
+# about 2e-11 * lambda_1, and under global centring the exact route's
+# rounded scalar mean is too.
+_OFFSET_DEFECT = pytest.mark.xfail(
+    strict=True, reason="a common offset costs the Gram route accuracy at first order")
+
+
+def planted_stack(index: int, name: str) -> np.ndarray:
+    """A ROWS x COLS stack whose feature-centred singular values are the
+    planted ones, with a random mean row (so the centrings differ) and,
+    for ``offset_1e6``, 1e6 added to every entry."""
+    rng = np.random.default_rng([29, index])
+    g = rng.standard_normal((ROWS, COLS))
+    u = np.linalg.qr(g - g.mean(axis=0))[0]  # orthogonal to the ones vector
+    v = np.linalg.qr(rng.standard_normal((COLS, COLS)))[0]
+    x = (u * SINGULAR_VALUES[name]) @ v.T + 1e-3 * rng.standard_normal(COLS)
+    return x + 1e6 if name == "offset_1e6" else x
+
+
+def policies(s: np.ndarray, rank: int) -> list:
+    """Every policy kind the Gram route takes, at the depths that probe it:
+    tau 0.5, 0.95, 0.999; fixed_k at 1, rank - 1, rank, rank + 1 and the
+    first depth below the floor; eigen_floor at 1e-2 and 1e-4."""
+    past = int(np.sum(s >= GRAM_MIN_RATIO * s[0])) + 1
+    ks = sorted({1, max(rank - 1, 1), rank, rank + 1, past})
+    return ([RankPolicy.cumulative_variance(tau) for tau in (0.5, 0.95, 0.999)]
+            + [RankPolicy.fixed_k(k) for k in ks]
+            + [RankPolicy.eigen_floor(epsilon) for epsilon in (1e-2, 1e-4)])
+
+
+def max_sine(a: np.ndarray, b: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return float(np.linalg.norm(b - a @ (a.T @ b), 2))
+
+
+def cell_faults(got, deepest, policy, energy: float) -> list:
+    """Why the streamed model ``got`` (None where declined) does not
+    match the exact route's model under ``policy``, the leading columns
+    of ``deepest``; empty if it does."""
+    spectrum = deepest.spectra[0]
+    s, r = spectrum.singular_values, select_rank(spectrum.ratios, policy)
+    read = min(policy.k, s.size) if policy.kind == "fixed_k" else r
+    if got is None:
+        if s[read - 1] >= 2 * GRAM_MIN_RATIO * s[0]:
+            return [f"declined, though s_{read} = {s[read - 1] / s[0]:.2e} s_1"]
+        return []
+    if got.ranks != (r,):
+        return [f"rank {got.ranks[0]}, the exact route keeps {r}"]
+    faults = []
+    gap = s[r - 1] ** 2 - (s[r] ** 2 if r < s.size else 0.0)
+    sine = max_sine(deepest.factors[0][:, :r], got.factors[0])
+    if not sine <= 1e-10 + 4 * EPS * s[0] ** 2 / gap:
+        faults.append(f"sine {sine:.1e} (gap {gap / s[0] ** 2:.1e} s_1**2)")
+    spec = got.spectra[0]
+    n = spec.singular_values.size
+    error = np.abs(spec.singular_values - s[:n]) * s[:n] / (EPS * s[0] ** 2)
+    if not np.max(error) <= 16:
+        faults.append(f"s_i off by {np.max(error):.1f} eps s_1**2 / s_i")
+    for route, total in (("stream", spec.tail + np.sum(spec.singular_values**2)),
+                         ("exact", np.sum(s**2))):
+        if not abs(total - energy) <= 1e-12 * energy:
+            faults.append(f"{route} energy off by {abs(total - energy) / energy:.1e}")
+    return faults
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(name, marks=_OFFSET_DEFECT) if name == "offset_1e6" else name
+     for name in SINGULAR_VALUES],
+)
+def test_the_gram_route_declines_or_matches_the_exact_route(name, centering):
+    x = planted_stack(list(SINGULAR_VALUES).index(name), name)
+    stream = GramStream(COLS)
+    for start in range(0, ROWS, SLAB):
+        stream.add(x[start : start + SLAB])
+    xc = x - (x.mean(axis=0) if centering == "feature" else x.mean())
+    energy = float(np.vdot(xc, xc))
+    deepest = exact_subspace(x.copy(), RankPolicy.cumulative_variance(1.0),
+                             centering=centering, slab_extent=SLAB)
+    faults = []
+    for policy in policies(deepest.spectra[0].singular_values, deepest.ranks[0]):
+        got = stream.decompose(policy, centering=centering, slab_extent=SLAB)
+        faults += [f"{policy.describe()}: {fault}"
+                   for fault in cell_faults(got, deepest, policy, energy)]
+    assert not faults, "\n".join(faults)

@@ -26,7 +26,7 @@ from uws.spectral import (
     thin_svd,
 )
 
-from oracles import lower_gram, record_square_solves, sign_canonical
+from oracles import lower_gram, record_square_solves, sign_canonical, spectrum_families
 
 # ------------------------------------------------------------------ thin_svd
 
@@ -232,53 +232,34 @@ def test_lower_gram_works_from_the_lower_triangle_alone(d):
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     rng = np.random.default_rng(25)
     m = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 40))  # rank 5
-    gram = lower_gram(m)
-    # past the rank the eigenvalues read as exact zeros, so fixed_k(40)
-    # keeps the 5 values of the numerical rank and leaves no tail
-    s, _, tail = gram_leading(gram, RankPolicy.fixed_k(40))
+    # read to its rank, the spectrum leaves an exact 0 past it
+    s, _, tail = gram_leading(lower_gram(m), RankPolicy.fixed_k(5))
     assert s.size == 5 and np.all(s > 0) and tail == 0.0
     assert np.max(np.abs(s - thin_svd(m).singular_values[:5])) <= 1e-12 * s[0]
-    # read to its rank, the spectrum leaves an exact 0 past it
-    s, _, tail = gram_leading(gram, RankPolicy.fixed_k(5))
-    assert s.size == 5 and tail == 0.0
 
 
-def test_a_certified_rank_below_min_ratio_is_declined(monkeypatch):
+def test_a_certified_rank_is_served_and_a_depth_below_the_floor_declined(monkeypatch):
     # rank 3 in 256 columns: the first sweep of the block iteration spans
-    # it and certifies rank 3, whose s_3 = 0.1 * s_1 is below a min_ratio of
-    # 0.5; a certified depth's value is at least about 4.4e-6 * s_1**2, so
-    # the guard's own 1e-3 never declines there
-    m = planted_singular_stack(np.random.default_rng(26), 400, [1.0, 0.5, 0.1] + [0.0] * 253)
-    gram = lower_gram(m)
+    # it and certifies rank 3, whose s_3 = 0.1 * s_1 is above the floor;
+    # a certified depth's value is at least about 4.4e-6 * s_1**2, so the
+    # floor never declines one
+    rng = np.random.default_rng(26)
+    gram = lower_gram(planted_singular_stack(rng, 400, [1.0, 0.5, 0.1] + [0.0] * 253))
     solves = record_square_solves(monkeypatch)
-    assert gram_leading(gram, RankPolicy.fixed_k(3), 0.5) is None
-    s, _, tail = gram_leading(gram, RankPolicy.fixed_k(3), 0.05)
+    s, _, tail = gram_leading(gram, RankPolicy.fixed_k(3))
     assert np.max(np.abs(s - [1.0, 0.5, 0.1])) <= 1e-12 and tail <= 1e-24
+    # with s_3 = 1e-4 * s_1 the energy past the 2nd bounds the 3rd below
+    # the floor (Ky Fan) before any rank is certified or any d x d solve
+    gram = lower_gram(planted_singular_stack(rng, 400, [1.0, 0.5, 1e-4] + [0.0] * 253))
+    assert gram_leading(gram, RankPolicy.fixed_k(3)) is None
     assert solves and all(order < 256 for _, order in solves)
-
-
-def _leading_families(d):
-    """Eigenvalue profiles (nonincreasing, length d) the leading solve
-    must agree with a full ``eigh`` on."""
-    i = np.arange(1.0, d + 1)
-    c = 50.0
-    return {
-        "geometric": 0.8**i,
-        "power_law": i**-2.0,
-        "planted_gap": np.r_[[100.0, 80, 60, 50, 45, 40], np.geomspace(1.0, 0.1, d - 6)],
-        # cut inside a three-member cluster by fixed_k(4)
-        "cluster_at_cut": np.r_[[100.0, 90, 80], c, c * (1 - 1e-9), c * (1 - 2e-9),
-                                np.geomspace(1.0, 0.1, d - 6)],
-        "rank_deficient": np.r_[np.geomspace(1.0, 1e-2, 20), np.zeros(d - 20)],
-        "flat": 1.0 + 1e-3 * np.random.default_rng(3).random(d),
-    }
 
 
 @pytest.mark.parametrize("family", ["geometric", "power_law", "planted_gap", "cluster_at_cut",
                                     "rank_deficient", "flat"])
 def test_leading_spectrum_matches_a_full_eigh(family):
     d = 384
-    lam = np.sort(_leading_families(d)[family])[::-1]
+    lam = np.sort(spectrum_families(d)[family])[::-1]
     vec = np.linalg.qr(np.random.default_rng(26).standard_normal((d, d)))[0]
     c = (vec * np.sqrt(lam)).T  # c.T @ c = vec diag(lam) vec.T
     # largest entry in [1/4, 1): the solve's power-of-two scaling leaves it
@@ -349,6 +330,14 @@ def test_explained_variance_rejects_bad_input():
         message = re.escape(f"the tail energy must be finite and >= 0, got {tail!r}")
         with pytest.raises(InvalidArgumentError, match=message):
             explained_variance(np.array([1.0]), tail)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_explained_variance_refuses_an_increasing_spectrum_at_any_scale(scale):
+    with pytest.raises(InvalidArgumentError, match="nonincreasing"):
+        explained_variance(np.array([1.0, 5.0, 9.0]) * scale)
+    # a step up within 1e-12 of the largest value is rounding
+    assert np.allclose(explained_variance(np.array([1.0, 1.0 + 1e-13]) * scale), 0.5)
 
 
 def test_explained_variance_holds_at_any_scale():
