@@ -17,7 +17,6 @@ key that the writers do not write.
 
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +82,8 @@ __all__ = [
 
 @dataclass
 class ModelWeights:
-    """One model's named weight matrices.
+    """One model's weight matrices in a dict by name, each nonempty, 2-D
+    and real; a layer that is not raises InvalidArgumentError naming it.
 
     Matrices are held as float64 in memory regardless of the precision
     they are stored at on disk; ``dtypes`` remembers the declared on-disk
@@ -97,7 +97,13 @@ class ModelWeights:
     def __post_init__(self):
         if not isinstance(self.model_id, str):
             raise InvalidArgumentError("model_id must be a string")
-        self.layers = {name: as_real(arr) for name, arr in self.layers.items()}
+        if not isinstance(self.layers, dict) or not all(isinstance(n, str) for n in self.layers):
+            raise InvalidArgumentError("layers must be a dict of matrices by name")
+        self.layers = {name: as_real(arr, f"layer {name!r}") for name, arr in self.layers.items()}
+        for name, arr in self.layers.items():
+            if arr.ndim != 2 or arr.size == 0:
+                raise InvalidArgumentError(
+                    f"layer {name!r}: expected a nonempty 2-D matrix, got shape {arr.shape}")
         self.dtypes = {name: self.dtypes.get(name, "f64") for name in self.layers}
 
     @property
@@ -106,37 +112,10 @@ class ModelWeights:
         return {name: arr.shape for name, arr in self.layers.items()}
 
 
-class _Payloads(NamedTuple):
-    """A weights file as stored: its model id, per read layer a read-only
-    view of the payload at the stored precision and that precision, and
-    every layer's shape, read or not."""
-
-    model_id: str
-    layers: dict
-    dtypes: dict
-    shapes: dict
-
-
-def _read_payloads(path, names=None) -> _Payloads:
-    """Read the ``names`` layers of a weights container (every one by
-    default; see :func:`~uws.ensemble.container.read_container`) without
-    converting any matrix.  A subspace or coefficient file, whose meta
-    has a ``kind``, raises ManifestError."""
-    doc = read_container(path, names)
-    if doc.meta is not None and "kind" in doc.meta:
-        raise ManifestError(f"{path} is a {doc.meta['kind']!r} container, not weights", 12)
-    return _Payloads(
-        doc.model_id,
-        {rec.name: rec.array for rec in doc.layers},
-        {rec.name: rec.dtype for rec in doc.layers},
-        doc.shapes,
-    )
-
-
 def load_weights(path) -> ModelWeights:
     """Read a weights container, promoting every matrix to float64."""
-    model = _read_payloads(path)
-    return ModelWeights(model.model_id, model.layers, model.dtypes)
+    doc = _read(path)
+    return ModelWeights(doc.model_id, doc.layers, doc.dtypes)
 
 
 def save_weights(weights: ModelWeights, path) -> None:
@@ -195,8 +174,8 @@ class ExtractionConfig:
     """How to build a subspace from an ensemble.
 
     ``exclude_layers=None`` applies the default rule (drop the first and
-    last layer of the shared layer list); pass an explicit tuple — possibly
-    empty — to override it.
+    last layer of the shared layer list); pass a tuple or list of names —
+    possibly empty — to override it.
     """
 
     policy: RankPolicy = DEFAULT_POLICY
@@ -212,10 +191,11 @@ class ExtractionConfig:
             raise InvalidArgumentError(f"order must be 2 or 3, got {self.order}")
         check_centering(self.centering)
         if self.exclude_layers is not None:
-            names = tuple(self.exclude_layers)
-            if not all(isinstance(n, str) for n in names):
-                raise InvalidArgumentError("exclude_layers must be layer names")
-            self.exclude_layers = names
+            names = self.exclude_layers
+            if not isinstance(names, (tuple, list)) or not all(isinstance(n, str) for n in names):
+                raise InvalidArgumentError(
+                    f"exclude_layers must be a tuple of layer names, got {names!r}")
+            self.exclude_layers = tuple(names)
         if not isinstance(self.architecture_id, str) or not self.architecture_id:
             raise InvalidArgumentError("architecture_id must be a non-empty string")
 
@@ -267,18 +247,17 @@ def _partition_layers(first, config):
 
 
 def _read(model, names=None):
-    """A model given in memory, or the ``names`` layers (every one by
-    default) of its weights file's payloads: either way an object with
-    ``model_id``, ``layers``, ``dtypes`` and ``shapes``, whose float32
-    layers are converted only where they are used."""
-    return model if isinstance(model, ModelWeights) else _read_payloads(model, names)
-
-
-class _AllBut(frozenset):
-    """Every name but these, as the ``names`` of a read."""
-
-    def __contains__(self, name):
-        return not frozenset.__contains__(self, name)
+    """A model given in memory, as it is, or the container document of its
+    weights file with the ``names`` layers read (all by default): either
+    way ``model_id``, ``layers``, ``dtypes`` and ``shapes``, with float32
+    layers converted only where used.  A file whose meta has a ``kind``
+    (a subspace or coefficient file) raises ManifestError."""
+    if isinstance(model, ModelWeights):
+        return model
+    doc = read_container(model, names)
+    if doc.meta is not None and "kind" in doc.meta:
+        raise ManifestError(f"{model} is a {doc.meta['kind']!r} container, not weights", 12)
+    return doc
 
 
 @contextmanager
@@ -339,7 +318,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     layer_models = {}
     for name in included:
         rows, cols = head.shapes[name]
-        names = (name,) if ids else _AllBut(included[1:])
+        names = (name,) if ids else set(head.shapes) - set(included[1:])
         if config.order == 2 and gram_eligible((len(models) * rows, cols), config.policy):
             stream = GramStream(cols)
             layer_pass(name, names, lambda i, slab: stream.add(slab))
@@ -896,7 +875,7 @@ def load_subspace(path) -> UniversalSubspace:
         _require(all(len(shape) == 2 and all(type(n) is int and n >= 1 for n in shape)
                      for shape in layer_shapes.values()),
                  f"meta 'layers' must map each layer to its [rows, cols], got {meta['layers']!r}")
-        entries = {rec.name: np.asarray(rec.array, np.float64) for rec in doc.layers}
+        entries = {name: np.asarray(arr, np.float64) for name, arr in doc.layers.items()}
         included = [name for name in layer_shapes if f"mu/{name}" in entries]
         _require(included, "meta 'layers' names no layer with a mean entry")
         config = ExtractionConfig(
@@ -961,20 +940,20 @@ def load_coefficients(path) -> CoefficientSet:
     _require(meta.get("kind") == "coefficients",
              "not a coefficient container (meta kind != 'coefficients')")
     _only(meta, ("kind", "dtypes"), "coefficient meta")
-    _only([r.name for r in doc.layers if not r.name.startswith(("coef/", "raw/"))], (),
+    _only([n for n in doc.layers if not n.startswith(("coef/", "raw/"))], (),
           "coefficient container")
     with _decoding_meta("coefficient"):
         declared = meta.get("dtypes", {})
         coefficients, passthrough, dtypes = {}, {}, {}
-        for rec in doc.layers:
-            prefix, _, name = rec.name.partition("/")
+        for entry, arr in doc.layers.items():
+            prefix, _, name = entry.partition("/")
             if prefix == "coef":
-                coefficients[name] = SliceCoefficients(coeffs=np.asarray(rec.array, np.float64))
+                coefficients[name] = SliceCoefficients(coeffs=np.asarray(arr, np.float64))
                 dtypes[name] = declared.get(name, "f64")
                 _require(dtypes[name] in ("f32", "f64"),
                          f"dtypes declares {dtypes[name]!r} for layer {name!r}, not f32 or f64")
             else:
-                passthrough[name] = np.asarray(rec.array, np.float64)
-                dtypes[name] = rec.dtype
+                passthrough[name] = np.asarray(arr, np.float64)
+                dtypes[name] = doc.dtypes[entry]
         _only(declared, coefficients, "coefficient meta dtypes")
         return CoefficientSet(doc.model_id, coefficients, passthrough, dtypes)

@@ -19,8 +19,10 @@ name prefixes: ``mu/``, ``U/``, ``ledger/`` (spectra, ``sv/``), ``coef/``
 and ``raw/``; their meta keeps only what these entries cannot say.
 
 A reader checks a file's manifest whole but may read only some of its
-entries.  Those it reads go into one buffer, of which the document's
-matrices are read-only views, so reading costs one copy of them.
+entries.  Its one record, the document, maps each entry read, by name in
+file order, to its matrix and precision.  The entries read go into one
+buffer, of which those matrices are read-only views, so reading costs
+one copy of them.
 
 Every reader-side failure raises a :class:`~uws.errors.ContainerError`
 subclass naming the byte offset where the problem was detected; no input,
@@ -56,18 +58,14 @@ HEADER_LEN = 12
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 
-class LayerRecord(NamedTuple):
-    name: str
-    array: np.ndarray
-    dtype: str
-
-
 class ContainerDocument(NamedTuple):
-    """A container's model id, its read entries in file order, its meta
-    and the shape of every entry, read or not."""
+    """A container's model id, each entry read mapped by name, in file
+    order, to its read-only matrix (``layers``) and stored precision
+    (``dtypes``), its meta and the shape of every entry, read or not."""
 
     model_id: str
-    layers: list[LayerRecord]
+    layers: dict
+    dtypes: dict
     meta: dict | None
     shapes: dict
 
@@ -318,7 +316,7 @@ def _read(fh, size: int, names) -> ContainerDocument:
 
     buf = bytearray(sum(nbytes for *_, nbytes in wanted))
     view = memoryview(buf).toreadonly()
-    layers, start = [], 0
+    layers, dtypes, start = {}, {}, 0
     for name, dtype, at, nbytes in wanted:
         _fill(fh, memoryview(buf)[start : start + nbytes], at)
         arr = np.frombuffer(view, dtype=_DTYPES[dtype], count=nbytes // _DTYPES[dtype].itemsize,
@@ -330,9 +328,9 @@ def _read(fh, size: int, names) -> ContainerDocument:
                 f"layer {name!r} decodes to a non-finite value at element {bad}",
                 at + bad * arr.itemsize,
             )
-        layers.append(LayerRecord(name, arr.reshape(shapes[name]), dtype))
+        layers[name], dtypes[name] = arr.reshape(shapes[name]), dtype
         start += nbytes
-    return ContainerDocument(model_id=model_id, layers=layers, meta=meta, shapes=shapes)
+    return ContainerDocument(model_id, layers, dtypes, meta, shapes)
 
 
 def parse_container(data: bytes) -> ContainerDocument:

@@ -164,11 +164,15 @@ def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     return _center_in_place(xc, centering), xc
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("tensor contains non-finite entries")
+
+
 def _center_in_place(arr: np.ndarray, centering: str):
     """Subtract :func:`center`'s mean from the float64 ``arr``; return the mean."""
     check_centering(centering)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("tensor contains non-finite entries")
+    _require_finite(arr)
     mu = np.float64(arr.mean()) if centering == "global" else arr.mean(axis=0)
     arr -= mu
     return mu
@@ -376,8 +380,7 @@ class GramStream:
             raise InvalidArgumentError(
                 f"slab of shape {slab.shape} does not fit a stack of {self.cols} columns"
             )
-        if not np.all(np.isfinite(slab)):
-            raise InvalidArgumentError("tensor contains non-finite entries")
+        _require_finite(slab)
         if self._block is None:
             self._block = np.empty((GRAM_BLOCK_ROWS + 1, self.cols))
         start = 0
@@ -482,6 +485,7 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
     ``(M - mu) @ V`` for order 2, ``U2.T @ (M - mu) @ U3`` for order 3;
     the projection is orthogonal, so among all subspace members the
     reconstruction from these coefficients is the Frobenius-closest one.
+    A member of another shape or not finite raises InvalidArgumentError.
     """
     member = as_tensor(member)
     if model.order == 3:
@@ -493,6 +497,7 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
             f"member of shape {member.shape} does not fit stack shape {model.shape}: "
             f"expected {want}"
         )
+    _require_finite(member)
     t = member - np.asarray(model.mu)
     return SliceCoefficients(coeffs=_contract(model.factors, t))
 
@@ -500,7 +505,7 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
 def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.ndarray:
     """``C @ V.T + mu`` for order 2, ``U2 @ C @ U3.T + mu`` for order 3.
     Order-2 coefficients keep the member's rows, ``slab_extent`` of them
-    when it is set."""
+    when it is set; others, or ones not finite, raise InvalidArgumentError."""
     arr = np.asarray(coeffs.coeffs, dtype=np.float64)
     ranks = model.ranks
     if model.order == 3:
@@ -512,6 +517,7 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
             f"coefficients of shape {arr.shape} do not fit retained ranks {ranks} "
             f"of an order-{model.order} stack: expected {want}"
         )
+    _require_finite(arr)
     return _expand(model.factors, arr) + np.asarray(model.mu)
 
 

@@ -362,14 +362,10 @@ class RankPolicy:
         return cls(kind="fixed_k", k=k)
 
     def describe(self) -> str:
-        if self.kind == "cumulative_variance":
-            return f"cumulative_variance(tau={self.tau})"
-        if self.kind == "eigen_floor":
-            return f"eigen_floor(epsilon={self.epsilon})"
-        if self.kind == "hard_threshold":
-            sigma = "estimated" if self.noise_sigma is None else repr(self.noise_sigma)
-            return f"hard_threshold(noise_sigma={sigma})"
-        return f"fixed_k(k={self.k})"
+        """``kind(parameter=value)``, a sigma not given read as ``estimated``."""
+        own = _PARAMETER[self.kind]
+        value = getattr(self, own)
+        return f"{self.kind}({own}={'estimated' if value is None else value})"
 
     @property
     def reads_small_end(self) -> bool:

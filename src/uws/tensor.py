@@ -12,16 +12,17 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 
-def as_real(x) -> np.ndarray:
+def as_real(x, what: str = "input") -> np.ndarray:
     """``x`` as a float64 array of any shape, not copied if it already is
-    one.  Complex input is refused, not cut to its real part."""
+    one.  Complex input is refused, not cut to its real part; the refusal
+    names ``x`` as ``what``."""
     try:
         arr = np.asarray(x)
         if arr.dtype.kind != "c":
             return arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"input does not form a real tensor: {exc}") from exc
-    raise InvalidArgumentError(f"input is complex ({arr.dtype}), not a real tensor")
+        raise InvalidArgumentError(f"{what} does not form a real tensor: {exc}") from exc
+    raise InvalidArgumentError(f"{what} is complex ({arr.dtype}), not a real tensor")
 
 
 def int_at_least(value, name: str, minimum: int) -> int:

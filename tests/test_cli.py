@@ -517,8 +517,8 @@ def test_reconstruct_refuses_coefficients_without_an_included_layer(tmp_path, ca
     run(["project", "--subspace", str(space), "--model", str(paths[0]),
          "--out", str(coeffs)], capsys)
     doc = read_container(coeffs)
-    records = [(rec.name, rec.array, rec.dtype) for rec in doc.layers
-               if rec.name != "coef/block1"]
+    records = [(name, arr, doc.dtypes[name]) for name, arr in doc.layers.items()
+               if name != "coef/block1"]
     coeffs.write_bytes(build_container(doc.model_id, records, doc.meta))
     code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
                         "--out", str(tmp_path / "back.uws")], capsys)
@@ -545,7 +545,7 @@ def test_reconstruct_refuses_coefficient_entries_that_do_not_fit(tmp_path, capsy
     run(["project", "--subspace", str(space), "--model", str(paths[0]),
          "--out", str(coeffs)], capsys)
     doc = read_container(coeffs)
-    entries = {rec.name: rec.array for rec in doc.layers}
+    entries = dict(doc.layers)
     edit(entries)
     coeffs.write_bytes(build_container(
         doc.model_id, [(name, array, "f64") for name, array in entries.items()], doc.meta))
@@ -575,8 +575,8 @@ def write_f32_serve_fixture(tmp_path, capsys):
 def rewrite_entry(path, name, edit):
     """Rewrite one entry of a container file in place, as ``edit(array)``."""
     doc = read_container(path)
-    records = [(rec.name, edit(rec.array) if rec.name == name else rec.array, rec.dtype)
-               for rec in doc.layers]
+    records = [(n, edit(arr) if n == name else arr, doc.dtypes[n])
+               for n, arr in doc.layers.items()]
     path.write_bytes(build_container(doc.model_id, records, doc.meta))
 
 
@@ -775,7 +775,7 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
          "--out", str(coeffs)], capsys)
     source = space if kind == "subspace" else coeffs
     doc = read_container(source)
-    records = [(rec.name, rec.array, rec.dtype) for rec in doc.layers]
+    records = [(name, arr, doc.dtypes[name]) for name, arr in doc.layers.items()]
     edited = tmp_path / "edited.uws"
     if kind == "subspace":
         argv = ["project", "--subspace", str(edited), "--model", str(paths[0]),
@@ -840,7 +840,7 @@ def write_edited(source, edited, edit):
     """Copy container ``source`` to ``edited`` with ``edit(entries, meta)``
     applied to its entries (name -> (array, dtype)) and its meta."""
     doc = read_container(source)
-    entries = {rec.name: (rec.array, rec.dtype) for rec in doc.layers}
+    entries = {name: (arr, doc.dtypes[name]) for name, arr in doc.layers.items()}
     meta = copy.deepcopy(doc.meta)
     edit(entries, meta)
     write_container(edited, doc.model_id, [(n, a, d) for n, (a, d) in entries.items()], meta=meta)
@@ -988,12 +988,12 @@ def test_entry_edits_exit_0_only_where_pinned_and_never_end_in_a_traceback(
     else:
         source = space
     runs = 0
-    for rec in read_container(source).layers:
-        for edit, change in _entry_edits(rec.name, rec.array):
+    for name, arr in read_container(source).layers.items():
+        for edit, change in _entry_edits(name, arr):
             write_edited(source, edited, lambda entries, meta: change(entries))
             for reader, argv in readers.items():
                 code, _, err = run(argv, capsys)
-                case = (rec.name, edit, reader, err)
+                case = (name, edit, reader, err)
                 assert code in (0, 2) and err.count("\n") == code // 2, case
                 # only a scaled entry may exit 0: every value stays finite and
                 # every shape fits, so the file says something else, but

@@ -51,10 +51,8 @@ def test_hand_built_layout_parses(tmp_path):
     p.write_bytes(blob)
     doc = read_container(p)
     assert doc.model_id == "m"
-    assert len(doc.layers) == 1
-    name, arr, dtype = doc.layers[0]
-    assert (name, dtype) == ("w", "f64")
-    assert np.array_equal(arr, mat)
+    assert list(doc.layers) == ["w"] and doc.dtypes == {"w": "f64"}
+    assert np.array_equal(doc.layers["w"], mat)
     assert doc.meta is None
 
 
@@ -82,13 +80,34 @@ def test_roundtrip_is_bit_identical(tmp_path):
         doc = read_container(p)
         assert doc.model_id == f"model-{i}"
         assert doc.meta == {"idx": i}
-        for (name, arr, dtype), (n2, a2, d2) in zip(layers, doc.layers):
-            assert (name, dtype) == (n2, d2)
-            assert np.array_equal(arr, a2)
-            assert a2.dtype == (np.float32 if dtype == "f32" else np.float64)
+        assert list(doc.layers) == [name for name, _, _ in layers]
+        for name, arr, dtype in layers:
+            assert doc.dtypes[name] == dtype
+            assert np.array_equal(arr, doc.layers[name])
+            assert doc.layers[name].dtype == (np.float32 if dtype == "f32" else np.float64)
         p2 = tmp_path / f"m{i}b.uws"
-        write_container(p2, doc.model_id, doc.layers, meta=doc.meta)
+        triples = [(name, arr, doc.dtypes[name]) for name, arr in doc.layers.items()]
+        write_container(p2, doc.model_id, triples, meta=doc.meta)
         assert p2.read_bytes() == raw
+
+
+def test_a_read_is_one_document_of_entries_by_name(tmp_path):
+    layers = [("c", np.ones((1, 3)), "f32"), ("a", np.eye(2), "f64"),
+              ("b", np.arange(6.0).reshape(3, 2), "f32")]
+    path = tmp_path / "doc.uws"
+    write_container(path, "m", layers, meta={"note": 1})
+    raw = path.read_bytes()
+    doc = read_container(path, names={"b", "c"})
+    # the entries asked for, in file order, not the order of the names
+    assert list(doc.layers) == list(doc.dtypes) == ["c", "b"]
+    assert doc.dtypes == {"c": "f32", "b": "f32"}
+    assert doc.shapes == {"c": (1, 3), "a": (2, 2), "b": (3, 2)}
+    doc = read_container(path)
+    assert list(doc.layers) == ["c", "a", "b"] and doc.dtypes["a"] == "f64"
+    again = tmp_path / "again.uws"
+    write_container(again, doc.model_id,
+                    [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()], meta=doc.meta)
+    assert again.read_bytes() == raw
 
 
 def test_write_is_deterministic(tmp_path):
@@ -256,7 +275,7 @@ def test_writer_refuses_finite_values_beyond_the_declared_precision(tmp_path):
             build_container("m", [("w", big, "f32")])
     assert list(tmp_path.iterdir()) == []
     write_container(p, "m", [("w", big, "f64")])  # f64 holds it
-    assert read_container(p).layers[0].array[0, 1] == -1e40
+    assert read_container(p).layers["w"][0, 1] == -1e40
     # an input that is already non-finite keeps its own message
     with pytest.raises(InvalidArgumentError, match="layer 'w' contains non-finite values"):
         write_container(p, "m", [("w", np.array([[np.nan]]), "f32")])
@@ -325,12 +344,11 @@ def assert_ranged_reads_agree(path):
             assert isinstance(full, CorruptPayloadError)
             assert not any(f"layer {name!r} decodes" in str(full) for name in names)
             continue
-        assert [rec.name for rec in doc.layers] == [n for n in full.shapes if n in names]
+        assert list(doc.layers) == list(doc.dtypes) == [n for n in full.shapes if n in names]
         assert doc.shapes == full.shapes and doc.meta == full.meta
-        want = {rec.name: rec for rec in full.layers}
-        for rec in doc.layers:
-            assert rec.dtype == want[rec.name].dtype and not rec.array.flags.writeable
-            assert np.array_equal(rec.array, want[rec.name].array)
+        for name, arr in doc.layers.items():
+            assert doc.dtypes[name] == full.dtypes[name] and not arr.flags.writeable
+            assert np.array_equal(arr, full.layers[name])
 
 
 def test_structural_fuzz_always_classified(tmp_path):
@@ -398,24 +416,23 @@ def test_read_costs_one_copy_of_the_file(tmp_path):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 1.2 * size
-    for (name, arr, dtype), rec in zip(layers, doc.layers):
-        assert not rec.array.flags.writeable
-        assert np.array_equal(rec.array, arr.astype(np.float32) if dtype == "f32" else arr)
+    for name, arr, dtype in layers:
+        assert not doc.layers[name].flags.writeable
+        assert np.array_equal(doc.layers[name], arr.astype(np.float32) if dtype == "f32" else arr)
     with pytest.raises(ValueError):
-        doc.layers[0].array.flags.writeable = True
+        doc.layers["L0"].flags.writeable = True
     # a ranged read costs one copy of the entries it reads
     names = ("L3", "L8")
     tracemalloc.start()
     doc = read_container(path, names=names)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert [rec.name for rec in doc.layers] == list(names)
-    assert peak <= 1.2 * sum(rec.array.nbytes for rec in doc.layers)
+    assert list(doc.layers) == list(names)
+    assert peak <= 1.2 * sum(arr.nbytes for arr in doc.layers.values())
     assert list(doc.shapes) == [name for name, _, _ in layers]
-    for rec in doc.layers:
-        assert not rec.array.flags.writeable
-        i = int(rec.name[1:])
-        assert np.array_equal(rec.array, layers[i][1].astype(rec.array.dtype))
+    for name, arr in doc.layers.items():
+        assert not arr.flags.writeable
+        assert np.array_equal(arr, layers[int(name[1:])][1].astype(arr.dtype))
 
 
 def test_write_costs_one_copy_of_the_file(tmp_path):

@@ -85,6 +85,25 @@ def test_weights_roundtrip_promotes_and_restores(tmp_path):
     assert (tmp_path / "w2.uws").read_bytes() == p.read_bytes()
 
 
+
+@pytest.mark.parametrize("layers", [[("a", np.eye(2))], {1: np.eye(2)}], ids=["list", "int-name"])
+def test_model_weights_refuse_layers_that_are_not_named_matrices(layers):
+    with pytest.raises(InvalidArgumentError, match="layers must be a dict of matrices by name"):
+        ModelWeights("m", layers)
+
+
+@pytest.mark.parametrize(
+    "arr, message",
+    [(np.ones(3), "matrix, got shape (3,)"), (np.ones((2, 2, 2)), "matrix, got shape (2, 2, 2)"),
+     (np.ones((0, 3)), "matrix, got shape (0, 3)"), ("text", "does not form a real tensor"),
+     (np.eye(2) * 1j, "is complex")],
+    ids=["1-D", "3-D", "empty", "text", "complex"],
+)
+def test_model_weights_refuse_a_layer_that_is_not_a_nonempty_real_matrix(arr, message):
+    with pytest.raises(InvalidArgumentError, match="layer 'b'.*" + re.escape(message)):
+        ModelWeights("m", {"a": np.eye(2), "b": arr})
+
+
 # ----------------------------------------------------------------- stack_layer
 
 
@@ -151,6 +170,14 @@ def test_default_exclusion_rule_and_overrides():
     two = as_models([{"a": np.eye(3), "b": np.eye(3)}] * 3)
     with pytest.raises(InvalidArgumentError):
         extract_universal(two, ExtractionConfig())  # default rule empties the set
+
+
+@pytest.mark.parametrize("value", ["head", 5, {"head"}, ("head", 5)])
+def test_excluded_layers_are_a_sequence_of_names(value):
+    # a string would be split into one-character names, a set has no order
+    message = f"exclude_layers must be a tuple of layer names, got {value!r}"
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        ExtractionConfig(exclude_layers=value)
 
 
 def test_planted_rank_is_recovered():
@@ -264,6 +291,22 @@ def test_projection_idempotence():
     again = project_model(u, reconstruct_model(u, c1))
     for layer in u.included_layers:
         assert np.max(np.abs(again.coefficients[layer].coeffs - c1.coefficients[layer].coeffs)) < 1e-10
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_projection_merging_and_rebuilding_refuse_non_finite_input(value):
+    rng = np.random.default_rng(106)
+    models, _, _ = make_planted(rng, n_models=6, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    bad = ModelWeights("bad", dict(models[1].layers, block0=np.full((6, 24), value)))
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        project_model(u, bad)
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        merge_models(u, [models[0], bad])
+    c = project_model(u, models[1])
+    c.coefficients["block1"].coeffs[0, 0] = value
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        reconstruct_model(u, c)
 
 
 def test_project_missing_layer_errors():
@@ -783,8 +826,8 @@ def test_subspace_file_roundtrip(tmp_path, order, centering, tau):
 def rewrite_entry(path, name, edit):
     """Rewrite one entry of a container file in place, as ``edit(array)``."""
     doc = read_container(path)
-    records = [(rec.name, edit(rec.array) if rec.name == name else rec.array, rec.dtype)
-               for rec in doc.layers]
+    records = [(n, edit(arr) if n == name else arr, doc.dtypes[n])
+               for n, arr in doc.layers.items()]
     path.write_bytes(build_container(doc.model_id, records, doc.meta))
 
 
@@ -837,7 +880,7 @@ def test_coefficient_meta_holds_only_the_projected_layers_dtypes(tmp_path):
     assert doc.model_id == c.model_id
     assert doc.meta == {"kind": "coefficients", "dtypes": {"block0": "f32", "block1": "f64"}}
     # a passthrough layer's precision is its entry's
-    assert [(rec.name, rec.dtype) for rec in doc.layers] == [
+    assert list(doc.dtypes.items()) == [
         ("coef/block0", "f64"), ("coef/block1", "f64"), ("raw/embed", "f32"), ("raw/head", "f64"),
     ]
     back = load_coefficients(p)

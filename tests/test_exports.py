@@ -1,6 +1,7 @@
 """The package's export list: every name it promises must resolve."""
 
 import uws
+import uws.ensemble.container as container
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +30,11 @@ def test_the_theory_lab_exports_what_it_runs_and_nothing_retired():
                "SecondMomentOperator"}
     assert not retired & set(uws.__all__)
     assert not [name for name in retired if hasattr(uws, name) or hasattr(uws.theory, name)]
+
+
+def test_a_container_read_has_one_record_and_nothing_retired():
+    assert container.ContainerDocument._fields == ("model_id", "layers", "dtypes", "meta",
+                                                   "shapes")
+    retired = {"LayerRecord", "_Payloads", "_read_payloads", "_AllBut"}
+    assert not [name for name in retired
+                if hasattr(uws.ensemble, name) or hasattr(container, name)]

@@ -106,7 +106,7 @@ class Routes:
 
     def __init__(self, monkeypatch):
         self.reads = self.streamed = self.stacked = 0
-        real_load, real_exact = ensemble_module._read_payloads, ensemble_module.exact_subspace
+        real_load, real_exact = ensemble_module.read_container, ensemble_module.exact_subspace
         real_decompose = GramStream.decompose
 
         def load(*a, **kw):
@@ -121,7 +121,7 @@ class Routes:
             self.streamed += 1
             return real_decompose(*a, **kw)
 
-        monkeypatch.setattr(ensemble_module, "_read_payloads", load)
+        monkeypatch.setattr(ensemble_module, "read_container", load)
         monkeypatch.setattr(ensemble_module, "exact_subspace", stacked)
         monkeypatch.setattr(GramStream, "decompose", streamed)
 
@@ -682,7 +682,7 @@ def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch,
         m.layers["tall"] = np.ldexp(m.layers["tall"], 532)
     paths = write_models(tmp_path / "models", models)
     held, taken, passes = [], Counter(), []
-    real_read = ensemble_module._read_payloads
+    real_read = ensemble_module.read_container
 
     class Taken(dict):
         """A read's layers, counting the slabs a layer pass takes."""
@@ -692,11 +692,11 @@ def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch,
             return dict.__getitem__(self, name)
 
     def read(*a, **kw):
-        payloads = real_read(*a, **kw)
-        held.append(sorted(payloads.layers))
-        return payloads._replace(layers=Taken(payloads.layers))
+        doc = real_read(*a, **kw)
+        held.append(sorted(doc.layers))
+        return doc._replace(layers=Taken(doc.layers))
 
-    monkeypatch.setattr(ensemble_module, "_read_payloads", read)
+    monkeypatch.setattr(ensemble_module, "read_container", read)
     routes = Routes(monkeypatch)
     for owner, attr, route in [(ensemble_module, "exact_subspace", "stacked"),
                                (GramStream, "decompose", "streamed")]:
@@ -863,7 +863,7 @@ def test_subspace_meta_holds_only_what_the_entries_cannot_say(tmp_path):
         # every layer, excluded ones included, in order, with its shape
         assert list(doc.meta["layers"].items()) == [(n, list(s)) for n, s in SHAPES.items()]
         assert u.layer_shapes == load_subspace(tmp_path / "s.uws").layer_shapes == SHAPES
-        entries = sorted(rec.name for rec in doc.layers if "block0" in rec.name)
+        entries = sorted(name for name in doc.layers if "block0" in name)
         modes = [f"{n}" for n in range(2, order + 1)]
         assert entries == (
             [f"U/block0/{n}" for n in modes]
@@ -880,7 +880,7 @@ def test_subspace_file_is_near_its_mean_and_basis_bytes(tmp_path):
     assert [u.layer_models[n].ranks[-1] for n in u.included_layers] == [16, 16]
     save_subspace(u, tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
-    bases = sum(rec.array.nbytes for rec in doc.layers if rec.name.startswith(("mu/", "U/")))
+    bases = sum(arr.nbytes for name, arr in doc.layers.items() if name.startswith(("mu/", "U/")))
     # a spectrum row costs 1/k of a basis; the meta is the rest
     assert (tmp_path / "s.uws").stat().st_size <= 1.1 * bases
 
@@ -896,7 +896,7 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
         if version is None:
             del meta["format_version"]
         write_container(tmp_path / "v.uws", doc.model_id,
-                        [(r.name, r.array, r.dtype) for r in doc.layers], meta=meta)
+                        [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()], meta=meta)
         with pytest.raises(ManifestError, match=f"format_version {version!r} is not 6"):
             load_subspace(tmp_path / "v.uws")
         code = cli.main(["project", "--subspace", str(tmp_path / "v.uws"),
@@ -936,7 +936,7 @@ def test_meta_that_contradicts_the_entries_is_a_data_error(tmp_path, capsys, ord
     meta = copy.deepcopy(doc.meta)
     edit(meta)
     edited = tmp_path / "edited.uws"
-    write_container(edited, doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers],
+    write_container(edited, doc.model_id, [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()],
                     meta=meta)
     with pytest.raises(ManifestError, match=message):
         load_subspace(edited)
@@ -963,7 +963,7 @@ def test_meta_layers_are_what_every_model_must_have(tmp_path, capsys, edit, prob
     meta = copy.deepcopy(doc.meta)
     edit(meta)
     edited = tmp_path / "edited.uws"
-    write_container(edited, doc.model_id, [(r.name, r.array, r.dtype) for r in doc.layers],
+    write_container(edited, doc.model_id, [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()],
                     meta=meta)
     assert load_subspace(edited).layer_shapes == {n: tuple(s) for n, s in meta["layers"].items()}
     code = cli.main(["project", "--subspace", str(edited), "--model", str(paths[0]),
@@ -980,8 +980,8 @@ def _with_spectrum(src, dst, edit):
     stored singular values of layer block0."""
     doc = read_container(src)
     records = [
-        (r.name, edit(np.array(r.array)) if r.name == "ledger/block0/sv/2" else r.array, r.dtype)
-        for r in doc.layers
+        (n, edit(np.array(a)) if n == "ledger/block0/sv/2" else a, doc.dtypes[n])
+        for n, a in doc.layers.items()
     ]
     write_container(dst, doc.model_id, records, meta=doc.meta)
 
@@ -1027,8 +1027,8 @@ def test_every_stored_spectrum_needs_a_tail_that_fits_it(tmp_path, capsys, tau):
     edited = tmp_path / "edited.uws"
 
     def write_tail(tail):
-        records = [(r.name, r.array, r.dtype) for r in doc.layers
-                   if r.name != "ledger/block0/tail/2"]
+        records = [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()
+                   if n != "ledger/block0/tail/2"]
         if tail is not None:
             records.append(("ledger/block0/tail/2", np.array([[tail]]), "f64"))
         write_container(edited, doc.model_id, records, meta=doc.meta)

@@ -519,6 +519,18 @@ def test_policy_fields_round_trip_through_asdict():
         assert json.loads(json.dumps(fields)) == fields  # numpy scalars stored as plain numbers
 
 
+
+def test_a_policy_describes_itself_by_its_kind_and_one_parameter():
+    policies = (RankPolicy.cumulative_variance(0.9), RankPolicy.cumulative_variance(1),
+                RankPolicy.eigen_floor(np.float64(0.001)), RankPolicy.hard_threshold(),
+                RankPolicy.hard_threshold(0.5), RankPolicy.fixed_k(np.int64(16)))
+    assert [p.describe() for p in policies] == [
+        "cumulative_variance(tau=0.9)", "cumulative_variance(tau=1.0)",
+        "eigen_floor(epsilon=0.001)", "hard_threshold(noise_sigma=estimated)",
+        "hard_threshold(noise_sigma=0.5)", "fixed_k(k=16)",
+    ]
+
+
 # -------------------------------------------------------------- operator_norm
 
 
