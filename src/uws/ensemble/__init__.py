@@ -16,7 +16,7 @@ key that the writers do not write.
 """
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -87,7 +87,9 @@ class ModelWeights:
 
     Matrices are held as float64 in memory regardless of the precision
     they are stored at on disk; ``dtypes`` remembers the declared on-disk
-    precision per layer ("f32" or "f64", default "f64").
+    precision per layer ("f32" or "f64", default "f64"); anything but a
+    dict of those by name raises InvalidArgumentError, and a name that is
+    not a layer is dropped.
     """
 
     model_id: str
@@ -104,6 +106,12 @@ class ModelWeights:
             if arr.ndim != 2 or arr.size == 0:
                 raise InvalidArgumentError(
                     f"layer {name!r}: expected a nonempty 2-D matrix, got shape {arr.shape}")
+        if not isinstance(self.dtypes, dict):
+            raise InvalidArgumentError(
+                f"dtypes must be a dict of precisions by layer name, got {type(self.dtypes).__name__}")
+        for name, dtype in self.dtypes.items():
+            if not isinstance(dtype, str) or dtype not in ("f32", "f64"):
+                raise InvalidArgumentError(f"layer {name!r}: dtype must be f32 or f64, got {dtype!r}")
         self.dtypes = {name: self.dtypes.get(name, "f64") for name in self.layers}
 
     @property
@@ -175,7 +183,8 @@ class ExtractionConfig:
 
     ``exclude_layers=None`` applies the default rule (drop the first and
     last layer of the shared layer list); pass a tuple or list of names —
-    possibly empty — to override it.
+    possibly empty — to override it.  An extracted subspace's config
+    holds the resolved names, in layer order, as its saved file does.
     """
 
     policy: RankPolicy = DEFAULT_POLICY
@@ -298,6 +307,8 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
         raise InvalidArgumentError("cannot extract a subspace from zero models")
     head = _read(models[0], ())
     included = _partition_layers(head, config)
+    # the resolved exclusion, in layer order, as the saved file states it
+    config = replace(config, exclude_layers=tuple(n for n in head.shapes if n not in included))
     ids = []  # the models' ids, as the first layer pass read them
 
     def layer_pass(name, names, take):
@@ -393,11 +404,15 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
     """Express each included layer in its layer subspace.
 
     The model must have exactly the subspace's ``layer_shapes`` layers,
-    each of its shape there, or InvalidArgumentError is raised.  The
-    excluded layers ride along unchanged, as the model's own arrays, so
-    the model can be rebuilt in full.
+    each of its shape there, and finite, or InvalidArgumentError is
+    raised.  The excluded layers ride along unchanged, as the model's own
+    arrays, so the model can be rebuilt in full.
     """
     _require_layers(f"the layers of model {weights.model_id!r}", weights.shapes, *_model_layers(u))
+    for name in u.excluded_layers:
+        if not np.isfinite(weights.layers[name]).all():
+            raise InvalidArgumentError(
+                f"layer {name!r} of model {weights.model_id!r} contains non-finite values")
     coefficients = {name: project_slice(u.layer_models[name], weights.layers[name])
                     for name in u.included_layers}
     passthrough = {name: weights.layers[name] for name in u.excluded_layers}
@@ -446,8 +461,10 @@ def merge_weights(weights, t: int) -> np.ndarray:
         raise InvalidArgumentError(f"got {weights.size} weights for {t} models")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
         raise InvalidArgumentError("merge weights must be finite and non-negative")
-    if abs(weights.sum() - 1.0) > 1e-8:
-        raise InvalidArgumentError(f"merge weights must sum to 1, got {weights.sum()!r}")
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    if abs(total - 1.0) > 1e-8:
+        raise InvalidArgumentError(f"merge weights must sum to 1, got {total!r}")
     return weights
 
 
@@ -463,8 +480,8 @@ def merge_models(u, models, weights=None) -> ModelWeights:
     models' coefficients with the same weights.  Every model must have
     exactly the subspace's ``layer_shapes`` layers, each of its shape
     there, as in :func:`project_model`, so every excluded layer is
-    averaged elementwise and carried through; otherwise
-    InvalidArgumentError.
+    averaged elementwise and carried through; otherwise, or where a
+    layer of the mean is not finite, InvalidArgumentError.
     """
     models = list(models)
     if len(models) < 2:

@@ -86,10 +86,12 @@ def _encoded(name: str, arr: np.ndarray, dtype: str) -> np.ndarray:
 @contextmanager
 def _atomic_file(path):
     """A binary file that appears at ``path`` only once the ``with`` block
-    completes: it is written as a sibling temp file and renamed, so a
-    crash or error can never leave a partially written file there.  The
-    temp file is created with mode 0o666, which the umask trims, as
-    ``open()`` creates a file.  An error creating it names ``path``."""
+    completes: it is written as a sibling temp file and renamed, so an
+    error or a crash of the process never leaves a partially written file
+    there.  Nothing is fsynced, so no promise is made across a power loss
+    or an operating-system crash.  The temp file is created with mode
+    0o666, which the umask trims, as ``open()`` creates a file.  An error
+    creating it names ``path``."""
     path = Path(path)
     while True:
         tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")

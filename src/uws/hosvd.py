@@ -7,11 +7,14 @@ the centered stack with the factor transposes to get the core.
 Reconstruction multiplies the core back through every factor and adds
 the mean.
 
-Order-2 stacks (rows = models' stacked rows, columns = features) are
-plain PCA of one matrix Xc, and their two mode unfoldings are Xc and its
-transpose, so one thin SVD of Xc and one rank serve both modes.  An
-order-3 stack takes one SVD and one rank per mode unfolding.  Every factor
-column is oriented so its largest-magnitude entry is nonnegative.
+A mode's fibres, laid out as the rows of one matrix in any order, have
+that mode's factor as their right singular vectors (De Lathauwer, De Moor
+and Vandewalle, 2000): the feature mode's are the stacked rows, (T*r) x d,
+and mode 2 of order 3 takes each member's columns, (T*d) x r.  One kernel
+takes one thin SVD of that matrix and truncates its right factor by the
+policy.  An order-2 stack is plain PCA of one matrix Xc, whose stacking
+mode's factor is the left factor of that same SVD, with the same rank.
+Each factor column's largest-magnitude entry is made nonnegative.
 :func:`hosvd_truncated` is the in-memory reference; :func:`exact_subspace`,
 for extraction, centres the stack in place and forms no mode-1 factor or core.
 
@@ -186,23 +189,14 @@ def gram_eligible(shape, policy: RankPolicy) -> bool:
     return shape[0] >= shape[1] and not policy.reads_small_end
 
 
-def _order2_svd(xc: np.ndarray):
-    """``(s, u, v)`` of one thin SVD of a centered order-2 stack: all
-    min(rows, cols) singular values and the stacking and feature
-    directions, each column oriented by :func:`column_signs`."""
-    f = thin_svd(xc)
-    return f.singular_values, f.u, f.v * column_signs(f.v)
-
-
-def _order2_truncation(s, v, tail, policy, shape):
-    """The factors and spectra of an order-2 decomposition: its truncated
-    feature factor and one :class:`ModeSpectrum`, which both modes share
-    with their one rank; ``tail`` is the energy of the values ``s`` does
-    not list."""
+def _truncation(s, v, tail, policy, shape):
+    """A mode's factor, the columns of its right singular vectors ``v`` that
+    the policy keeps of the values ``s`` of a ``shape`` matrix, and its
+    :class:`ModeSpectrum`; ``tail`` is the energy of the values not listed."""
     ratios = explained_variance(s, tail)
     r = select_rank(ratios, policy, singular_values=s, shape=shape)
-    return ((np.ascontiguousarray(v[:, :r]),),
-            (ModeSpectrum(singular_values=s, ratios=ratios, retained=r, tail=tail),))
+    return (np.ascontiguousarray(v[:, :r]),
+            ModeSpectrum(singular_values=s, ratios=ratios, retained=r, tail=tail))
 
 
 def _require_variance(centred_norm, norm, centering: str) -> None:
@@ -248,18 +242,22 @@ def _centred(x: np.ndarray, policy, centering: str):
     return mu, x
 
 
-def _mode_truncation(xc: np.ndarray, policy, modes):
-    """The truncated factors and spectra of the ``modes`` of a centered
-    order-3 stack, from one thin SVD of each mode's unfolding."""
-    factors, spectra = [], []
-    for mode in modes:
-        m = np.reshape(np.moveaxis(xc, mode - 1, 0), (xc.shape[mode - 1], -1), order="F")
-        f = thin_svd(m)
-        ratios = explained_variance(f.singular_values)
-        r = select_rank(ratios, policy, singular_values=f.singular_values, shape=m.shape)
-        factors.append(np.ascontiguousarray(f.u[:, :r]))
-        spectra.append(ModeSpectrum(singular_values=f.singular_values, ratios=ratios, retained=r))
-    return tuple(factors), tuple(spectra)
+def _fibres(xc: np.ndarray, mode: int) -> np.ndarray:
+    """The mode-``mode`` fibres of the centred stack ``xc`` as the rows of
+    one matrix, whose right singular vectors are that mode's factor."""
+    if mode == 1:  # the members' transpose, (r*d) x T, a view
+        return xc.reshape(len(xc), -1).T
+    if mode == xc.ndim:  # the stacked rows, (T*r) x d, a view
+        return xc.reshape(-1, xc.shape[-1])
+    return xc.transpose(0, 2, 1).reshape(-1, xc.shape[1])  # each member's columns, one copy
+
+
+def _mode_factor(xc: np.ndarray, mode: int, policy):
+    """The truncated factor and spectrum of one mode of the centred
+    ``xc``, from one thin SVD of its :func:`_fibres`, and that SVD."""
+    rows = _fibres(xc, mode)
+    f = thin_svd(rows)
+    return (*_truncation(f.singular_values, f.v * column_signs(f.v), 0.0, policy, rows.shape), f)
 
 
 def hosvd_truncated(
@@ -272,9 +270,11 @@ def hosvd_truncated(
     """Zero-center a copy of ``x`` and truncate every mode of the result,
     the stacking mode's factor, spectrum and the core in ``stacking``.
 
-    An order-2 stack takes one thin SVD, whose spectrum and rank both
-    modes share, and the core is ``U1.T @ Xc @ V``; an order-3 stack
-    takes one thin SVD per mode unfolding.  This is the exact reference that a
+    Each non-stacking mode is :func:`exact_subspace`'s.  An order-2
+    stack's U1 is the left factor of the feature mode's SVD, so it takes
+    one thin SVD, whose spectrum and rank both modes share, and the core
+    is ``U1.T @ Xc @ V``; an order-3 stack's U1 comes from one more SVD,
+    of the members' transpose.  This is the exact reference that a
     :class:`GramStream`'s result is checked against.
 
     Parameters
@@ -290,13 +290,13 @@ def hosvd_truncated(
         projection can validate its input.
     """
     mu, xc = _centred(np.array(as_tensor(x)), policy, centering)
-    if xc.ndim == 2:
-        s, u, v = _order2_svd(xc)
-        factors, spectra = _order2_truncation(s, v, 0.0, policy, xc.shape)
-        u1, spectrum = np.ascontiguousarray(u[:, : spectra[0].retained]), spectra[0]
-    else:
-        every, spectra = _mode_truncation(xc, policy, (1, 2, 3))
-        u1, factors, spectrum, spectra = every[0], every[1:], spectra[0], spectra[1:]
+    if xc.ndim == 2:  # U1 is the left factor of the feature mode's SVD
+        factor, spectrum, f = _mode_factor(xc, 2, policy)
+        factors, spectra = (factor,), (spectrum,)
+        u1 = np.ascontiguousarray(f.u[:, : spectrum.retained])
+    else:  # no mode's singular vectors are held through the next mode's SVD
+        factors, spectra = zip(*(_mode_factor(xc, m, policy)[:2] for m in (2, 3)))
+        u1, spectrum, _ = _mode_factor(xc, 1, policy)
     return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
                          shape=xc.shape, slab_extent=slab_extent,
                          stacking=_stacking(xc, u1, spectrum, factors))
@@ -305,17 +305,15 @@ def hosvd_truncated(
 def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -> SubspaceModel:
     """What a subspace file holds of the stack ``x``, by the exact route
     alone: the mean, and each non-stacking mode's truncated factor and
-    spectrum from one thin SVD of its unfolding (of the stack itself for
-    order 2).  No stacking-mode factor or core is formed, and a float64
+    spectrum from one thin SVD of its fibres laid out as rows (the
+    stacked rows for the feature mode, each member's columns for mode 2
+    of order 3).  No stacking-mode factor or core is formed, and a float64
     ``x`` is centred in place (pass a copy to keep it).  The arguments,
     errors and each result match :func:`hosvd_truncated`'s bit for bit.
     """
     mu, xc = _centred(as_tensor(x), policy, centering)
-    if xc.ndim == 2:
-        s, _, v = _order2_svd(xc)
-        factors, spectra = _order2_truncation(s, v, 0.0, policy, xc.shape)
-    else:
-        factors, spectra = _mode_truncation(xc, policy, (2, 3))
+    # each mode's singular vectors are dropped before the next mode's SVD
+    factors, spectra = zip(*(_mode_factor(xc, m, policy)[:2] for m in range(2, xc.ndim + 1)))
     return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
                          shape=xc.shape, slab_extent=slab_extent)
 
@@ -454,8 +452,8 @@ class GramStream:
         found = gram_leading(gram, policy)
         if found is None:
             return None
-        factors, spectra = _order2_truncation(*found, policy, shape)
-        return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
+        factor, spectrum = _truncation(*found, policy, shape)
+        return SubspaceModel(mu=mu, factors=(factor,), spectra=(spectrum,), centering=centering,
                              shape=shape, slab_extent=slab_extent)
 
 
@@ -555,10 +553,10 @@ def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
         raise DegenerateSpectrumError(
             "residual is numerically zero; the primary subspace already explains the stack"
         )
-    s, u, v = _order2_svd(xc)
-    u1, v = (np.ascontiguousarray(f[:, r : r + k2]) for f in (u, v))
-    ratios = explained_variance(s)
-    spectrum = ModeSpectrum(singular_values=s, ratios=ratios, retained=k2, first_component=r)
+    f = thin_svd(xc)
+    u1, v = (np.ascontiguousarray(a[:, r : r + k2]) for a in (f.u, f.v * column_signs(f.v)))
+    s = f.singular_values
+    spectrum = ModeSpectrum(s, explained_variance(s), retained=k2, first_component=r)
     return SubspaceModel(mu=model.mu, factors=(v,), spectra=(spectrum,),
                          centering=model.centering, shape=model.shape,
                          slab_extent=model.slab_extent,

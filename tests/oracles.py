@@ -48,6 +48,16 @@ def covariance_principal_directions(x_centered: np.ndarray) -> tuple[np.ndarray,
     return v[:, order], w[order]
 
 
+def unfolding_svd(x: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values and left singular vectors of the textbook
+    mode-``mode`` unfolding of ``x`` (De Lathauwer, De Moor and
+    Vandewalle, 2000): the mode's index runs down the rows, the others
+    along the columns, the earliest fastest."""
+    m = np.reshape(np.moveaxis(x, mode - 1, 0), (x.shape[mode - 1], -1), order="F")
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return s, u
+
+
 def best_rank_k_error(m_centered: np.ndarray, k: int) -> float:
     """Frobenius error of the best rank-k approximation (tail of the
     singular spectrum), from a direct dense SVD."""

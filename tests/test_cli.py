@@ -224,6 +224,22 @@ def test_extract_into_a_missing_directory_names_the_destination(tmp_path, capsys
     assert not (tmp_path / "missing").exists()
 
 
+def test_project_into_a_missing_directory_names_the_destination(tmp_path, capsys):
+    pattern, paths = write_fixture_models(tmp_path)
+    space = tmp_path / "s.uws"
+    run(["extract", "--models", pattern, "--out", str(space),
+         "--report", str(tmp_path / "r.csv")], capsys)
+    out = tmp_path / "missing" / "c.uws"
+    code, stdout, err = run(
+        ["project", "--subspace", str(space), "--model", str(paths[0]), "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"data error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not (tmp_path / "missing").exists()
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the command computed before checking its outputs")
 
@@ -1053,6 +1069,22 @@ def test_merge_weights_must_be_convex(tmp_path, capsys):
         capsys,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("weights, total", [("1e308,1e308,1,1", "inf"),
+                                            ("0.5,0.5,0.5,0.5", "2.0")])
+def test_merge_weight_sum_refusal_is_one_plain_line(tmp_path, capsys, weights, total):
+    pattern, _ = write_fixture_models(tmp_path)
+    space = tmp_path / "s.uws"
+    run(["extract", "--models", pattern, "--out", str(space),
+         "--report", str(tmp_path / "r.csv")], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # a warning would print to stderr
+        code, out, err = run(["merge", "--subspace", str(space), "--models", pattern,
+                              "--weights", weights, "--out", str(tmp_path / "m.uws")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: --weights: merge weights must sum to 1, got {total}\n"
+    assert not (tmp_path / "m.uws").exists()
 
 
 # --------------------------------------------------------------------- adapt

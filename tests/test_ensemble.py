@@ -104,6 +104,18 @@ def test_model_weights_refuse_a_layer_that_is_not_a_nonempty_real_matrix(arr, me
         ModelWeights("m", {"a": np.eye(2), "b": arr})
 
 
+@pytest.mark.parametrize(
+    "dtypes, message",
+    [(["f32"], "dtypes must be a dict of precisions by layer name, got list"),
+     ({"a": "f16"}, "layer 'a': dtype must be f32 or f64, got 'f16'"),
+     ({"a": "f64", "b": np.float32}, "layer 'b': dtype must be f32 or f64, got <class")],
+    ids=["list", "f16", "numpy-type"],
+)
+def test_model_weights_refuse_dtypes_that_are_not_f32_or_f64_by_layer(dtypes, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        ModelWeights("m", {"a": np.eye(2), "b": np.eye(2)}, dtypes)
+
+
 # ----------------------------------------------------------------- stack_layer
 
 
@@ -170,6 +182,16 @@ def test_default_exclusion_rule_and_overrides():
     two = as_models([{"a": np.eye(3), "b": np.eye(3)}] * 3)
     with pytest.raises(InvalidArgumentError):
         extract_universal(two, ExtractionConfig())  # default rule empties the set
+
+
+@pytest.mark.parametrize("exclude", [None, (), ("head", "embed")], ids=["default", "none", "named"])
+def test_an_extracted_subspace_and_its_file_hold_one_config(tmp_path, exclude):
+    rng = np.random.default_rng(107)
+    models, _, _ = make_planted(rng, n_models=8)
+    u = extract_universal(models, ExtractionConfig(exclude_layers=exclude))
+    save_subspace(u, tmp_path / "s.uws")
+    assert u.config == load_subspace(tmp_path / "s.uws").config
+    assert u.config.exclude_layers == tuple(u.excluded_layers)
 
 
 @pytest.mark.parametrize("value", ["head", 5, {"head"}, ("head", 5)])
@@ -307,6 +329,24 @@ def test_projection_merging_and_rebuilding_refuse_non_finite_input(value):
     c.coefficients["block1"].coeffs[0, 0] = value
     with pytest.raises(InvalidArgumentError, match="non-finite"):
         reconstruct_model(u, c)
+
+
+def test_projection_refuses_a_non_finite_excluded_layer():
+    rng = np.random.default_rng(108)
+    models, _, _ = make_planted(rng, n_models=6, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    bad = ModelWeights("bad", dict(models[1].layers, embed=np.full((6, 24), np.nan)))
+    with pytest.raises(InvalidArgumentError, match="layer 'embed' of model 'bad' contains non-finite"):
+        project_model(u, bad)
+
+
+def test_merging_refuses_a_non_finite_excluded_layer():
+    rng = np.random.default_rng(109)
+    models, _, _ = make_planted(rng, n_models=6, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    bad = ModelWeights("bad", dict(models[1].layers, head=np.full((6, 24), np.nan)))
+    with pytest.raises(InvalidArgumentError, match="layer 'head' .* contains non-finite"):
+        merge_models(u, [models[0], bad])
 
 
 def test_project_missing_layer_errors():

@@ -363,8 +363,9 @@ def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, sh
             m.setattr(module, name, counted)
         u = extract_universal(paths, config)
     assert routes.counts() == {"reads": 25, "streamed": 0, "stacked": 2}
-    # one thin SVD per non-stacking mode: of the stack itself for order 2,
-    # of the mode-2 and mode-3 unfoldings for order 3; no U1 and no core
+    # one thin SVD per non-stacking mode, of its fibres laid out as rows:
+    # the stacked rows, and for order 3 also each member's columns; no U1
+    # and no core
     assert calls == {"svd": 2 * (config.order - 1)}
     for name in u.included_layers:
         model = u.layer_models[name]
@@ -610,9 +611,9 @@ def test_layers_kept_from_float64_files_do_not_pin_the_files(tmp_path):
                                     RankPolicy.hard_threshold()], ids=["tau1", "hard_threshold"])
 def test_the_exact_route_holds_its_stack_once(order, bound, policy):
     # the stack, the SVD's copy of it and its left vectors come to 4.27x the
-    # stack's bytes at order 2, 5.29x at order 3 (whose unfoldings are
-    # copies); a per-model copy, a concatenation or a centred copy beside
-    # the stack would each add 1x
+    # stack's bytes at order 2, 5.02x at order 3 (whose mode-2 fibres, each
+    # member's columns, are one copy); a per-model copy, a concatenation or
+    # a centred copy beside the stack would each add 1x
     models = planted_models(30, 60, shapes={"w": (16, 256)})
     _, peak = extraction_peak(models, order, policy, exclude_layers=())
     assert peak <= bound * 60 * 16 * 256 * 8

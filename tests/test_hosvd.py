@@ -14,6 +14,7 @@ from uws.hosvd import (
     Stacking,
     SubspaceModel,
     center,
+    exact_subspace,
     hosvd_truncated,
     project_slice,
     reconstruct,
@@ -30,6 +31,8 @@ from oracles import (
     haar_columns,
     record_square_solves,
     sign_canonical,
+    subspace_distance,
+    unfolding_svd,
 )
 
 
@@ -686,6 +689,49 @@ def test_order3_contractions_match_einsum():
     assert relerr(coeffs.coeffs, want) <= 1e-13
     want = np.einsum("bc,jb,kc->jk", coeffs.coeffs, u2, u3) + model.mu
     assert relerr(reconstruct_slice(model, coeffs), want) <= 1e-13
+
+
+def planted_order3(rng, t=14, r=6, d=11, weights=(10.0, 3.0, 1.0, 0.5), noise=1e-4):
+    """A T x r x d stack: an offset of 5 plus sum_i w_i a_i o b_i o c_i with
+    orthonormal a_i (orthogonal to the ones vector, so either centering
+    leaves them), b_i and c_i, plus noise.  Every mode's spectrum is the
+    weights, a gap of 2x or more at each cut, then the noise."""
+    ones = np.ones((t, 1))
+    a = np.linalg.qr(np.hstack([ones, rng.standard_normal((t, len(weights)))]))[0][:, 1:]
+    b, c = haar_columns(r, len(weights), rng), haar_columns(d, len(weights), rng)
+    x = np.einsum("i,ti,ji,ki->tjk", np.asarray(weights), a, b, c)
+    return 5.0 + x + noise * rng.standard_normal((t, r, d))
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize("policy, rank", [(RankPolicy.cumulative_variance(0.95), 2),
+                                          (RankPolicy.fixed_k(3), 3)], ids=["tau", "fixed_k"])
+def test_order3_factors_are_the_leading_left_singular_vectors_of_the_unfoldings(
+    centering, policy, rank
+):
+    x = planted_order3(np.random.default_rng(64))
+    xc = x - (x.mean() if centering == "global" else x.mean(axis=0))
+    reference = hosvd_truncated(x, policy, centering=centering)
+    extracted = exact_subspace(x.copy(), policy, centering=centering, slab_extent=1)
+    modes = [(1, reference.stacking.factor, reference.stacking.spectrum)]
+    modes += [(n, f, spec) for n, f, spec in zip((2, 3), reference.factors, reference.spectra)]
+    modes += [(n, f, spec) for n, f, spec in zip((2, 3), extracted.factors, extracted.spectra)]
+    for mode, factor, spectrum in modes:
+        s, u = unfolding_svd(xc, mode)
+        assert factor.shape == (x.shape[mode - 1], rank) and spectrum.retained == rank
+        assert subspace_distance(u[:, :rank], factor) <= 1e-10
+        assert np.max(np.abs(spectrum.singular_values - s)) <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_reconstruct_slice_refuses_coefficients_of_another_shape(order):
+    x = planted_order3(np.random.default_rng(65))  # 14 x 6 x 11
+    model = hosvd_truncated(x.reshape(-1, 11) if order == 2 else x, RankPolicy.fixed_k(3),
+                            slab_extent=6)
+    want = (6, 3) if order == 2 else (3, 3)
+    for shape in [(want[0], 4), (want[0] + 1, 3), (3,)]:
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"expected {want}")):
+            reconstruct_slice(model, SliceCoefficients(coeffs=np.zeros(shape)))
 
 
 # --------------------------------------------------------- secondary subspace
