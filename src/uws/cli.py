@@ -57,9 +57,13 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exceptions instead of
-    exiting the process, so main() can map them to exit code 1."""
+    exiting the process, so main() can map them to exit code 1, and says
+    how to pass a flag a value that argparse reads as a flag (``-1,1``)."""
 
     def error(self, message):
+        flag = message.partition(":")[0].rpartition("/")[2].removeprefix("argument ")
+        if message.endswith("expected one argument") and flag.startswith("--"):
+            message += f" (pass a value that starts with '-' as {flag}=VALUE)"
         raise _UsageError(f"{self.prog}: {message}")
 
 

@@ -40,7 +40,7 @@ from ..hosvd import (
 )
 from ..spectral import (DEFAULT_POLICY, RankPolicy, explained_variance, orthonormality_defect,
                         select_rank)
-from ..tensor import as_real, int_at_least
+from ..tensor import NONNEGATIVE, POSITIVE, as_real, int_at_least, real_in
 from .container import read_container, write_container
 
 SUBSPACE_FORMAT_VERSION = 6
@@ -197,7 +197,8 @@ class ExtractionConfig:
         if not isinstance(self.policy, RankPolicy):
             raise InvalidArgumentError("policy must be a RankPolicy")
         if self.order not in (2, 3):
-            raise InvalidArgumentError(f"order must be 2 or 3, got {self.order}")
+            raise InvalidArgumentError(f"order must be 2 or 3, got {self.order!r}")
+        self.order = int_at_least(self.order, "order", 2)
         check_centering(self.centering)
         if self.exclude_layers is not None:
             names = self.exclude_layers
@@ -456,7 +457,7 @@ def merge_weights(weights, t: int) -> np.ndarray:
     1 (within 1e-8).  Raises InvalidArgumentError otherwise."""
     if weights is None:
         return np.full(t, 1.0 / t)
-    weights = as_real(weights)
+    weights = as_real(weights, "weights")
     if weights.shape != (t,):
         raise InvalidArgumentError(f"got {weights.size} weights for {t} models")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
@@ -493,8 +494,9 @@ def merge_models(u, models, weights=None) -> ModelWeights:
         model = _read(item)
         _require_layers(f"the layers of model {model.model_id!r}", model.shapes, *_model_layers(u))
         ids.append(model.model_id)
-        for name, total in sums.items():
-            total += np.multiply(model.layers[name], w, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused below
+            for name, total in sums.items():
+                total += np.multiply(model.layers[name], w, dtype=np.float64)
         del model  # free its payload before the next model is read
     mean = ModelWeights(model_id="merged(" + ",".join(ids) + ")", layers=sums)
     return reconstruct_model(u, project_model(u, mean))
@@ -599,15 +601,6 @@ def coefficient_parameter_count(basis_rank: int, layer_count: int) -> int:
 # ------------------------------------------------------------------ adaptation
 
 
-def _finite_number(value) -> bool:
-    """A finite int or float; bools are not numbers here."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and bool(np.isfinite(value))
-    )
-
-
 #: Below this share of ``||R||^2`` the coefficient-space loss identity
 #: loses more to cancellation than 1e-9 relative, so the loss is taken
 #: explicitly.
@@ -677,15 +670,14 @@ def adapt_coefficients(
         )
     if method not in ("closed_form", "gradient"):
         raise InvalidArgumentError(f"unknown adaptation method {method!r}")
-    x, y = as_real(x), as_real(y)
+    x, y = as_real(x, "x"), as_real(y, "y")
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise InvalidArgumentError(
             f"need paired 2-D data, got inputs {x.shape} and targets {y.shape}"
         )
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidArgumentError("adaptation data must be finite")
-    if not _finite_number(ridge) or ridge < 0:
-        raise InvalidArgumentError(f"ridge must be a non-negative number, got {ridge!r}")
+    ridge = real_in(ridge, "ridge", *NONNEGATIVE)
     basis = model.factors[-1]
     d, k = basis.shape
     rows = model.slab_extent
@@ -720,7 +712,7 @@ def adapt_coefficients(
         "normal_matrix_lmax": lmax,
         "normal_matrix_cond": float(lmax / spectrum[0]) if spectrum[0] > 0 else float("inf"),
         "stable_lr_bound": float(1.0 / lmax) if lmax > 0 else float("inf"),
-        "ridge": float(ridge),
+        "ridge": ridge,
         "initial_residual_norm": float(np.linalg.norm(resid_target)),
     }
     if method == "closed_form":
@@ -731,14 +723,10 @@ def adapt_coefficients(
     else:
         if lr is None:
             lr = 0.5 / lmax if lmax > 0 else 1.0
-        if not _finite_number(lr) or lr <= 0:
-            raise InvalidArgumentError(f"lr must be a positive number, got {lr!r}")
+        lr = real_in(lr, "lr", *POSITIVE)
         epochs = int_at_least(epochs, "epochs", 1)
         ct, losses, explicit = _descend(z, resid_target, normal, rhs, lr, epochs)
-        report["lr"] = float(lr)
-        report["epochs"] = epochs
-        report["loss_curve"] = losses
-        report["explicit_loss_epochs"] = explicit
+        report.update(lr=lr, epochs=epochs, loss_curve=losses, explicit_loss_epochs=explicit)
     coeffs = SliceCoefficients(coeffs=ct.T.copy())
     report["reconstructed"] = reconstruct_slice(model, coeffs)
     report["residual_norm"] = float(np.linalg.norm(z @ ct - resid_target))

@@ -352,9 +352,7 @@ class GramStream:
     """
 
     def __init__(self, cols: int):
-        if isinstance(cols, bool) or not isinstance(cols, (int, np.integer)) or cols < 1:
-            raise InvalidArgumentError(f"a stream needs a positive int column count, got {cols!r}")
-        self.cols = int(cols)
+        self.cols = int_at_least(cols, "cols", 1)
         self.rows = 0
         self.mean = np.zeros(self.cols)
         self._gram = LowerGram.zeros(self.cols)
@@ -504,7 +502,7 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
     """``C @ V.T + mu`` for order 2, ``U2 @ C @ U3.T + mu`` for order 3.
     Order-2 coefficients keep the member's rows, ``slab_extent`` of them
     when it is set; others, or ones not finite, raise InvalidArgumentError."""
-    arr = np.asarray(coeffs.coeffs, dtype=np.float64)
+    arr = as_real(coeffs.coeffs, "coefficients")
     ranks = model.ranks
     if model.order == 3:
         want = ranks

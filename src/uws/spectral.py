@@ -14,7 +14,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .tensor import as_real, peak_exponent
+from .tensor import NONNEGATIVE, POSITIVE, as_real, int_at_least, peak_exponent, real_in
 
 #: Relative cutoff used to call a singular value numerically zero.
 NUMERICAL_RANK_RTOL = 1e-12
@@ -268,15 +268,14 @@ def explained_variance(singular_values: np.ndarray, tail: float = 0.0) -> np.nda
     tail by its square), so no scale overflows or underflows; where
     neither happens unscaled, the ratios are the same bit for bit.
     """
-    s = np.asarray(singular_values, dtype=np.float64).reshape(-1)
+    s = as_real(singular_values, "singular_values").reshape(-1)
     if s.size == 0:
         raise InvalidArgumentError("empty spectrum")
     if np.any(s < 0):
         raise InvalidArgumentError("singular values must be nonnegative")
     if np.any(np.diff(s) > 1e-12 * float(np.max(s))):
         raise InvalidArgumentError("singular values must be nonincreasing")
-    if not 0.0 <= tail < np.inf:
-        raise InvalidArgumentError(f"the tail energy must be finite and >= 0, got {tail!r}")
+    tail = real_in(tail, "the tail energy", *NONNEGATIVE)
     if tail > 0 and s[-1] == 0:
         raise InvalidArgumentError("a tail beyond a zero singular value must be 0")
     e = peak_exponent(s)
@@ -291,6 +290,10 @@ def explained_variance(singular_values: np.ndarray, tail: float = 0.0) -> np.nda
 _PARAMETER = dict(
     cumulative_variance="tau", eigen_floor="epsilon", hard_threshold="noise_sigma", fixed_k="k"
 )
+
+#: The range of each real kind's parameter (see :func:`~uws.tensor.real_in`).
+_RANGE = dict(cumulative_variance=(lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+              eigen_floor=NONNEGATIVE, hard_threshold=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -325,25 +328,15 @@ class RankPolicy:
         own = _PARAMETER[self.kind]
         for name in _PARAMETER.values():
             if name != own and getattr(self, name) is not None:
-                raise InvalidArgumentError(
-                    f"a {self.kind} policy takes no {name}, got {getattr(self, name)!r}"
-                )
+                raise InvalidArgumentError(f"a {self.kind} policy takes no {name}, "
+                                           f"got {getattr(self, name)!r}")
         v = getattr(self, own)
-        real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-        if self.kind == "cumulative_variance" and not (real and 0.0 < v <= 1.0):
-            raise InvalidArgumentError(f"tau must lie in (0, 1], got {v!r}")
-        if self.kind == "eigen_floor" and not (real and 0 <= v < np.inf):
-            raise InvalidArgumentError(f"epsilon must be finite and >= 0, got {v!r}")
-        if self.kind == "hard_threshold" and not (v is None or real and 0 < v < np.inf):
-            raise InvalidArgumentError(f"noise_sigma must be finite and > 0, got {v!r}")
         if self.kind == "fixed_k":
-            if not (real and isinstance(v, (int, np.integer))):
-                raise InvalidArgumentError(f"k must be an integer >= 1, got {v!r}")
-            if v < 1:
-                raise InvalidArgumentError(f"k must be >= 1, got {v}")
-        if v is not None:
-            # a plain int or float, so asdict(policy) serialises as JSON
-            object.__setattr__(self, own, int(v) if self.kind == "fixed_k" else float(v))
+            v = int_at_least(v, "k", 1)
+        elif v is not None or self.kind != "hard_threshold":
+            v = real_in(v, own, *_RANGE[self.kind])
+        # a plain int or float, so asdict(policy) serialises as JSON
+        object.__setattr__(self, own, v)
 
     @classmethod
     def cumulative_variance(cls, tau: float = 0.95) -> "RankPolicy":
@@ -417,7 +410,7 @@ def select_rank(
     ``singular_values`` and ``shape`` (rows, cols of the decomposed
     matrix) are required only by the hard-threshold policy.
     """
-    ratios = np.asarray(ratios, dtype=np.float64).reshape(-1)
+    ratios = as_real(ratios, "ratios").reshape(-1)
     if ratios.size == 0:
         raise InvalidArgumentError("empty ratio vector")
     if policy.kind == "cumulative_variance":
@@ -435,7 +428,7 @@ def select_rank(
         raise InvalidArgumentError(
             "hard_threshold needs singular_values= and shape=(rows, cols)"
         )
-    s = np.asarray(singular_values, dtype=np.float64).reshape(-1)
+    s = as_real(singular_values, "singular_values").reshape(-1)
     cut = _optimal_hard_threshold(s, shape, policy.noise_sigma)
     return max(1, int(np.sum(s > cut)))
 

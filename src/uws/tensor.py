@@ -1,5 +1,9 @@
 """Input checks and scale-safe norms for the library's stacks.
 
+What a numeric argument may be is decided here: a number is an int or a
+float, numpy's included (:func:`real_in`, :func:`int_at_least`, and
+:func:`as_real` for an array's dtype); nothing else is parsed as one.
+
 A tensor is a float64 ``ndarray`` of order 2 (a row stack, or one
 member's matrix) or order 3 (a T x r x d stack) with every extent >= 1;
 :func:`as_tensor` checks and converts outside input.
@@ -7,30 +11,55 @@ member's matrix) or order 3 (a T x r x d stack) with every extent >= 1;
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 
+#: Ranges for :func:`real_in`: a test of the float and the words its refusal states.
+POSITIVE = (lambda v: v > 0, "be positive and finite")
+NONNEGATIVE = (lambda v: v >= 0, "be finite and >= 0")
+
+
 def as_real(x, what: str = "input") -> np.ndarray:
     """``x`` as a float64 array of any shape, not copied if it already is
-    one.  Complex input is refused, not cut to its real part; the refusal
-    names ``x`` as ``what``."""
+    one.  Only int and float dtypes are taken: a complex, bool, string or
+    object array is refused, not cut or parsed, naming ``x`` as ``what``."""
     try:
         arr = np.asarray(x)
-        if arr.dtype.kind != "c":
-            return arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"{what} does not form a real tensor: {exc}") from exc
-    raise InvalidArgumentError(f"{what} is complex ({arr.dtype}), not a real tensor")
+    if arr.dtype.kind == "c":
+        raise InvalidArgumentError(f"{what} is complex ({arr.dtype}), not a real tensor")
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{what} does not form a real tensor: its dtype is {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
+def real_in(value, name: str, accept, requirement: str) -> float:
+    """``value`` as a plain float, refused with InvalidArgumentError naming
+    ``name`` unless it is an int or float (numpy's, not a bool), finite as
+    a float64, for which ``accept`` holds; ``requirement`` words that range."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(float(value)) and accept(float(value)):
+                return float(value)
+    raise InvalidArgumentError(f"{name} must {requirement}, got {value!r}")
 
 
 def int_at_least(value, name: str, minimum: int) -> int:
-    """``value`` as an int, refused unless it is an integer >= ``minimum``."""
+    """``value`` as a plain int, refused with InvalidArgumentError naming
+    ``name`` unless it is an int (numpy's, not a bool) from ``minimum`` to
+    2**63 - 1, the largest that numpy's sizes, indices and seeds hold."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if value < minimum:
         raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
+    if value > 2**63 - 1:
+        raise InvalidArgumentError(f"{name} must be < 2**63, got {value}")
     return int(value)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .spectral import operator_norm
-from .tensor import as_real, frobenius_norm, int_at_least
+from .tensor import NONNEGATIVE, POSITIVE, as_real, frobenius_norm, int_at_least, real_in
 
 #: Trials per stacked solve in the Monte-Carlo studies, each holding two d x d
 #: matrices.  Batches of 4 to 50 ran theory-lab's d = 64 passes alike (about
@@ -40,15 +40,6 @@ def _batch_size(d: int) -> int:
 
 NORM_MODES = ("gaussian", "constant")
 PERTURBATIONS = ("isotropic", "radial")
-
-
-def _positive_float(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
-        raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value) or value <= 0:
-        raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
-    return value
 
 
 # ------------------------------------------------------------- configuration
@@ -88,7 +79,7 @@ class SyntheticEnsembleConfig:
             raise InvalidArgumentError(f"k = {self.k} exceeds the ambient dimension {self.d}")
         self.n_tasks = int_at_least(self.n_tasks, "n_tasks", 1)
         if self.b is not None:
-            self.b = _positive_float(self.b, "b")
+            self.b = real_in(self.b, "b", *POSITIVE)
         if self.norm_mode not in NORM_MODES:
             raise InvalidArgumentError(
                 f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}"
@@ -97,10 +88,9 @@ class SyntheticEnsembleConfig:
             raise InvalidArgumentError(
                 f"perturbation must be one of {PERTURBATIONS}, got {self.perturbation!r}"
             )
-        etas = as_real(self.eta)
+        etas = as_real(self.eta, "eta")
         if etas.ndim == 0:
-            if not np.isfinite(etas) or etas < 0:
-                raise InvalidArgumentError(f"eta must be >= 0, got {self.eta!r}")
+            self.eta = real_in(float(etas), "eta", *NONNEGATIVE)
         elif etas.shape != (self.n_tasks,):
             raise InvalidArgumentError(
                 f"eta list has length {etas.size}, expected n_tasks = {self.n_tasks}"
@@ -108,7 +98,7 @@ class SyntheticEnsembleConfig:
         elif not np.all(np.isfinite(etas)) or np.any(etas < 0):
             raise InvalidArgumentError("every eta entry must be finite and >= 0")
         if self.spectrum is not None:
-            spec = as_real(self.spectrum)
+            spec = as_real(self.spectrum, "spectrum")
             if spec.ndim != 1 or spec.size not in (self.k, self.d):
                 raise InvalidArgumentError(
                     f"spectrum must have length k = {self.k} or d = {self.d}, "
@@ -242,7 +232,9 @@ def _sine(a: np.ndarray, b: np.ndarray):
 @dataclass(frozen=True)
 class BoundParameters:
     """Inputs to the two-level bound, with the prescribed delta split
-    (delta_t = delta/(2T) per task, delta_big_t = delta/2 across tasks)."""
+    (delta_t = delta/(2T) per task, delta_big_t = delta/2 across tasks).
+    Each is kept as the plain float (n_tasks: int) its check returns:
+    b, c1, c2 and gamma_k (or None) > 0, delta in (0, 1), the etas >= 0."""
 
     b: float
     delta: float
@@ -254,16 +246,14 @@ class BoundParameters:
     c2: float = 1.0
 
     def __post_init__(self):
-        _positive_float(self.b, "b")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidArgumentError(f"delta must lie in (0, 1), got {self.delta!r}")
-        int_at_least(self.n_tasks, "n_tasks", 1)
-        if self.eta_bar < 0 or self.eta2_bar < 0:
-            raise InvalidArgumentError("eta_bar and eta2_bar must be >= 0")
-        _positive_float(self.c1, "c1")
-        _positive_float(self.c2, "c2")
-        if self.gamma_k is not None:
-            _positive_float(self.gamma_k, "gamma_k")
+        ranges = dict(b=POSITIVE, delta=(lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+                      eta_bar=NONNEGATIVE, eta2_bar=NONNEGATIVE, gamma_k=POSITIVE, c1=POSITIVE,
+                      c2=POSITIVE)
+        for name, (accept, requirement) in ranges.items():
+            value = getattr(self, name)
+            if value is not None or name != "gamma_k":
+                object.__setattr__(self, name, real_in(value, name, accept, requirement))
+        object.__setattr__(self, "n_tasks", int_at_least(self.n_tasks, "n_tasks", 1))
 
     @property
     def delta_t(self) -> float:
@@ -341,10 +331,7 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
     if not (np.all(np.isfinite(star_stack)) and np.all(np.isfinite(hat_stack))):
         raise InvalidArgumentError("task vectors must be finite")
     norms = np.linalg.norm(star_stack, axis=1)
-    if b is None:
-        b = float(norms.max())
-    if not np.isfinite(b) or b < 0:
-        raise InvalidArgumentError(f"b must be a finite nonnegative bound, got {b!r}")
+    b = real_in(float(norms.max()) if b is None else b, "b", *NONNEGATIVE)
     if norms.max() > b * (1.0 + 1e-12) + 1e-300:
         raise InvalidArgumentError(
             f"b = {b} does not bound the task norms (max {norms.max()})"
@@ -359,7 +346,7 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
         raise InternalConsistencyError(
             f"within-task cap violated: measured {measured} > cap {cap}"
         )
-    return WithinTaskReport(measured=measured, cap=cap, b=float(b), holds=holds)
+    return WithinTaskReport(measured=measured, cap=cap, b=b, holds=holds)
 
 
 # ----------------------------------------------------------------- Davis-Kahan
@@ -447,7 +434,7 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
     seed = int_at_least(seed, "seed", 0)
     if k > d:
         raise InvalidArgumentError(f"k = {k} exceeds the ambient dimension {d}")
-    perturb = _positive_float(perturb, "perturb")
+    perturb = real_in(perturb, "perturb", *POSITIVE)
     parts, batch = [], _batch_size(d)
     for start in range(0, trials, batch):
         n = min(batch, trials - start)
@@ -667,10 +654,10 @@ def convergence_study(
     t_grid = [int_at_least(t, "t_grid entry", 1) for t in t_grid]
     n_trials = int_at_least(n_trials, "n_trials", 1)
     seed = int_at_least(seed, "seed", 0)
-    eta = as_real(eta)
+    eta = as_real(eta, "eta")
     if eta.ndim != 0:
         raise InvalidArgumentError("convergence studies take a scalar eta")
-    eta = float(eta)
+    eta = float(eta)  # checked with the rest of the configuration
     rows = []
     for t in t_grid:
         cfg = SyntheticEnsembleConfig(
@@ -743,18 +730,18 @@ def convergence_study(
         slope_defined=slope_defined,
         within_task_floor=floor,
         config={
-            "d": d,
-            "k": k,
+            "d": cfg.d,
+            "k": cfg.k,
             "t_grid": t_grid,
             "n_trials": n_trials,
             "eta": eta,
             "b": b_eff,
-            "spectrum": list(as_real(spectrum)) if spectrum is not None else None,
+            "spectrum": None if spectrum is None else cfg.resolved_spectrum().tolist(),
             "seed": seed,
             "norm_mode": norm_mode,
             "perturbation": perturbation,
-            "delta": delta,
-            "c1": c1,
-            "c2": c2,
+            "delta": params.delta,
+            "c1": params.c1,
+            "c2": params.c2,
         },
     )

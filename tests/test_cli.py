@@ -164,6 +164,15 @@ def test_extract_rerun_is_byte_identical_on_the_exact_route(tmp_path, capsys, fl
     assert_extract_reruns_byte_identically(tmp_path, capsys, flags)
 
 
+def test_extract_refuses_an_excluded_layer_the_models_lack(tmp_path, capsys):
+    pattern, _ = write_fixture_models(tmp_path)
+    code, out, err = run(["extract", "--models", pattern, "--out", str(tmp_path / "s.uws"),
+                          "--report", str(tmp_path / "r.csv"), "--exclude-layers", "nope"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "data error: excluded layers not present in the ensemble: nope\n"
+    assert not (tmp_path / "s.uws").exists()
+
+
 def test_extract_prints_layer_health(tmp_path, capsys):
     pattern, _ = write_fixture_models(tmp_path)
     outputs = []
@@ -1087,6 +1096,14 @@ def test_merge_weight_sum_refusal_is_one_plain_line(tmp_path, capsys, weights, t
     assert not (tmp_path / "m.uws").exists()
 
 
+def test_a_dash_weight_list_given_with_equals_reaches_the_weights_check(tmp_path, capsys):
+    pattern, _ = write_fixture_models(tmp_path)
+    code, out, err = run(["merge", "--subspace", str(tmp_path / "s.uws"), "--models", pattern,
+                          "--weights=-1,1,1,1", "--out", str(tmp_path / "m.uws")], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --weights: merge weights must be finite and non-negative\n"
+
+
 # --------------------------------------------------------------------- adapt
 
 
@@ -1374,6 +1391,35 @@ def test_theory_flags_out_of_range_are_usage_errors(argv, flag, tmp_path, capsys
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
+
+
+_CONVERGE = ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4", "--trials", "2"]
+
+
+@pytest.mark.parametrize("flag, value, words", [
+    ("--eta", "-1", "argument --eta: must be >= 0, got '-1'"),
+    ("--t-grid", "1,a", "argument --t-grid: expected comma-separated integers, got '1,a'"),
+], ids=["eta", "t-grid"])
+def test_theory_converge_refuses_a_bad_eta_or_grid_in_one_line(flag, value, words, tmp_path,
+                                                               capsys):
+    code, out, err = run(_CONVERGE + [flag, value, "--out", str(tmp_path / "r.csv")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: uws theory converge: {words}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["merge", "--subspace", "s.uws", "--models", "m*.uws", "--weights", "-1,1,1,1",
+      "--out", "{out}"], "--weights"),
+    (_CONVERGE + ["--eta", "-1e-3", "--out", "{out}"], "--eta"),
+], ids=["merge-weights", "converge-eta"])
+def test_a_flag_value_that_starts_with_a_dash_is_told_how_to_pass(argv, flag, tmp_path, capsys):
+    # argparse reads -1,1,1,1 and -1e-3 as flags, not as negative numbers
+    argv = [a.replace("{out}", str(tmp_path / "out")) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and f"argument {flag}: expected one argument" in err
+    assert f"as {flag}=VALUE" in err
 
 
 def test_theory_dk_check_reports_zero_violations(capsys):

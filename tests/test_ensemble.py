@@ -349,6 +349,22 @@ def test_merging_refuses_a_non_finite_excluded_layer():
         merge_models(u, [models[0], bad])
 
 
+@pytest.mark.parametrize("layer, message", [
+    ("head", r"layer 'head' of model 'merged\(x,y\)' contains non-finite values"),
+    ("block0", "non-finite"),
+], ids=["excluded", "included"])
+def test_merging_opposite_infinities_is_refused_without_a_warning(layer, message):
+    # +inf in one model and -inf in the other sum to nan: refused, and no
+    # RuntimeWarning comes first (tier-1 turns one into an error)
+    rng = np.random.default_rng(110)
+    models, _, _ = make_planted(rng, n_models=6, k=3)
+    u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
+    x, y = (ModelWeights(name, dict(m.layers, **{layer: np.full((6, 24), value)}))
+            for name, m, value in (("x", models[0], np.inf), ("y", models[1], -np.inf)))
+    with pytest.raises(InvalidArgumentError, match=message):
+        merge_models(u, [x, y])
+
+
 def test_project_missing_layer_errors():
     rng = np.random.default_rng(93)
     models, _, _ = make_planted(rng, n_models=10)

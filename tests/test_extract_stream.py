@@ -203,7 +203,7 @@ def test_gram_stream_rejects_bad_slabs():
     with pytest.raises(InvalidArgumentError, match="complex"):
         stream.add(np.ones((2, 4)) * 1j)
     for cols in (-1, 0, 2.5, "3", True, None):
-        with pytest.raises(InvalidArgumentError, match="positive int"):
+        with pytest.raises(InvalidArgumentError, match="^cols must be "):
             GramStream(cols)
     assert GramStream(np.int64(3)).cols == 3
 
@@ -444,14 +444,22 @@ def _ky_fan_bounded():
     return a @ np.diag(np.geomspace(1.0, 1e-6, 12)) @ haar_columns(256, 12, rng).T
 
 
+def _small_leading_value():
+    # a 600 x 160 Gaussian stack scaled so that tr G is 3 * GRAM_MIN_SQUARE:
+    # its spectrum is flat enough that s_1**2 is below the floor
+    x = np.random.default_rng(5).standard_normal((600, 160))
+    return x * np.sqrt(3 * GRAM_MIN_SQUARE / np.sum((x - x.mean(axis=0)) ** 2))
+
+
 @pytest.mark.parametrize(
     "make, rows, policy, declines",
     [
         (_overflowing_gram, 43, TAU, ["non-finite Gram"]),
         (_flat_tiny_stack, 8, TAU, ["trace below GRAM_MIN_SQUARE"]),
         (_ky_fan_bounded, 12, RankPolicy.fixed_k(10), ["solve", "block bound"]),
+        (_small_leading_value, 40, TAU, ["s_1**2 below GRAM_MIN_SQUARE"]),
     ],
-    ids=["non-finite-gram", "trace-below-floor", "ky-fan-bound"],
+    ids=["non-finite-gram", "trace-below-floor", "ky-fan-bound", "leading-value-below-floor"],
 )
 def test_each_decline_falls_back_to_the_exact_route_byte_identically(
     monkeypatch, tmp_path, make, rows, policy, declines
@@ -466,7 +474,9 @@ def test_each_decline_falls_back_to_the_exact_route_byte_identically(
         assert np.isfinite(stream.sumsq) and stream.sumsq >= GRAM_MIN_SQUARE
         seen.append("non-finite Gram" if not stream._gram.all_finite()
                     else "trace below GRAM_MIN_SQUARE"
-                    if stream._gram.trace() < GRAM_MIN_SQUARE else "solve")
+                    if stream._gram.trace() < GRAM_MIN_SQUARE
+                    else "s_1**2 below GRAM_MIN_SQUARE"
+                    if np.linalg.eigvalsh(stream.gram)[-1] < GRAM_MIN_SQUARE else "solve")
         return real_decompose(stream, *a, **kw)
 
     def block(*a, **kw):

@@ -779,8 +779,8 @@ def test_secondary_k2_exceeding_remaining_rank():
         (lambda x: x[:40], 1,
          "tensor shape (40, 8) does not match the model's stack shape (50, 8)"),
         (lambda x: x, 6, "k2=6 exceeds the 5 directions that follow the primary 3"),
-        (lambda x: x, 2.5, "k2 must be an integer, got 2.5"),
-        (lambda x: x, True, "k2 must be an integer, got True"),
+        (lambda x: x, 2.5, "k2 must be an integer >= 1, got 2.5"),
+        (lambda x: x, True, "k2 must be an integer >= 1, got True"),
     ],
     ids=["k2-zero", "k2-negative", "order-3", "shape-mismatch", "k2-too-deep", "k2-fraction",
          "k2-bool"],
