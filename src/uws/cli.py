@@ -46,6 +46,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .spectral import RankPolicy, orthonormality_defect
+from .tensor import NONNEGATIVE, OPEN_UNIT, POSITIVE, finite_entries, int_at_least, real_in
 
 TABLE_HEADER = "component_index,layer,sigma,ratio,cumulative"
 CONVERGE_HEADER = "T,trial,op_error,subspace_error,op_bound,subspace_bound"
@@ -70,49 +71,37 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------ argument types
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return value
-
-
-def _positive_float(text):
-    value = float(text)
-    if not np.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return value
-
-
-def _nonneg_float(text):
-    value = float(text)
-    if not np.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def _grid(text):
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"grid entries must be positive integers, got {text!r}")
+def _list_of(parse, what):
+    """An argparse type: comma-separated values, each read by ``parse``."""
+    def values(text):
+        try:
+            return [parse(part) for part in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
     return values
 
 
-def _float_list(text):
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_ints, _floats = _list_of(int, "integers"), _list_of(float, "numbers")
+
+
+def _counts(values, flag):
+    return [int_at_least(v, flag, 1) for v in values]
+
+
+def _add(parser, flag, parse, rule, *bounds, **kwargs):
+    """Add ``flag``, whose text is read by ``parse`` (a text it cannot read
+    is argparse's usage error) and whose value must pass the rule of
+    :mod:`uws.tensor` that the library applies, ``rule(value, flag,
+    *bounds)``: a value it refuses is a usage error naming the flag,
+    raised while the command line is parsed, before any file is touched."""
+    def value(text):
+        parsed = parse(text)
+        try:
+            return rule(parsed, flag, *bounds)
+        except InvalidArgumentError as exc:
+            raise _UsageError(str(exc)) from None
+    value.__name__ = parse.__name__  # argparse's "invalid int value" names it
+    parser.add_argument(flag, type=value, **kwargs)
 
 
 def _name_list(text):
@@ -197,15 +186,20 @@ def _render_report(header_pairs, rows, fmt):
 # ------------------------------------------------------------------ commands
 
 
-def _policy_from_args(args):
+def _config_from_args(args):
+    """The ExtractionConfig the flags ask for; one they make invalid is a usage error."""
     try:
         if args.eigen_floor is not None:
-            return RankPolicy.eigen_floor(args.eigen_floor)
-        if args.fixed_k is not None:
-            return RankPolicy.fixed_k(args.fixed_k)
-        if args.hard_threshold:
-            return RankPolicy.hard_threshold()
-        return RankPolicy.cumulative_variance(args.tau if args.tau is not None else 0.95)
+            policy = RankPolicy.eigen_floor(args.eigen_floor)
+        elif args.fixed_k is not None:
+            policy = RankPolicy.fixed_k(args.fixed_k)
+        elif args.hard_threshold:
+            policy = RankPolicy.hard_threshold()
+        else:
+            policy = RankPolicy.cumulative_variance(0.95 if args.tau is None else args.tau)
+        return ExtractionConfig(policy=policy, order=args.order,
+                                centering=args.center, exclude_layers=args.exclude_layers,
+                                architecture_id=args.arch_id)
     except InvalidArgumentError as exc:
         raise _UsageError(str(exc))
 
@@ -218,16 +212,8 @@ def _model_paths(pattern):
 
 
 def cmd_extract(args):
+    config = _config_from_args(args)
     paths = _model_paths(args.models)  # extraction reads every file once per layer pass
-    policy = _policy_from_args(args)
-    exclude = tuple(args.exclude_layers) if args.exclude_layers is not None else None
-    config = ExtractionConfig(
-        policy=policy,
-        order=args.order,
-        centering=args.center,
-        exclude_layers=exclude,
-        architecture_id=args.arch_id,
-    )
     _check_destinations(args.out, args.report)
     u = extract_universal(paths, config)
     save_subspace(u, args.out)
@@ -235,11 +221,12 @@ def cmd_extract(args):
         ("subcommand", "extract"),
         ("models", ",".join(paths)),
         ("n_models", len(paths)),
-        ("policy", policy.describe()),
+        ("policy", config.policy.describe()),
         ("order", args.order),
         ("centering", args.center),
         ("exclude_layers",
-         "default(first,last)" if exclude is None else (",".join(exclude) or "(none)")),
+         "default(first,last)" if config.exclude_layers is None
+         else (",".join(config.exclude_layers) or "(none)")),
         ("architecture_id", args.arch_id),
         ("included_layers", ",".join(u.included_layers)),
         ("excluded_layers", ",".join(u.excluded_layers) or "(none)"),
@@ -403,8 +390,6 @@ def cmd_memcalc(args):
 
 
 def cmd_theory_bounds(args):
-    if not (0.0 < args.delta < 1.0):
-        raise _UsageError(f"--delta must lie in (0, 1), got {args.delta!r}")
     params = theory.BoundParameters(
         b=args.b,
         delta=args.delta,
@@ -436,8 +421,6 @@ def _check_dims(d, k):
 
 def cmd_theory_converge(args):
     _check_dims(args.d, args.k)
-    if not (0.0 < args.delta < 1.0):
-        raise _UsageError(f"--delta must lie in (0, 1), got {args.delta!r}")
     _check_destinations(args.out)
     report = theory.convergence_study(
         d=args.d,
@@ -546,8 +529,8 @@ def build_parser():
                         help="cumulative explained-variance target (default 0.95)")
     policy.add_argument("--eigen-floor", type=float, default=None,
                         help="relative eigenvalue floor")
-    policy.add_argument("--fixed-k", type=_positive_int, default=None,
-                        help="retain exactly K components per mode")
+    _add(policy, "--fixed-k", int, int_at_least, 1, default=None,
+         help="retain exactly K components per mode")
     policy.add_argument("--hard-threshold", action="store_true",
                         help="optimal singular-value hard threshold")
     extract.add_argument("--order", type=int, choices=[2, 3], default=2,
@@ -565,8 +548,8 @@ def build_parser():
     scree = sub.add_parser("scree", help="re-emit the variance table of a subspace")
     scree.add_argument("--subspace", required=True)
     scree.add_argument("--out", required=True, help="full table output file")
-    scree.add_argument("--top", type=_positive_int, default=100,
-                       help="display cap per layer on stdout (file gets everything)")
+    _add(scree, "--top", int, int_at_least, 1, default=100,
+         help="display cap per layer on stdout (file gets everything)")
     _add_format(scree)
     scree.set_defaults(func=cmd_scree)
 
@@ -585,7 +568,7 @@ def build_parser():
     merge = sub.add_parser("merge", help="average models inside the subspace")
     merge.add_argument("--subspace", required=True)
     merge.add_argument("--models", required=True)
-    merge.add_argument("--weights", type=_float_list, default=None,
+    merge.add_argument("--weights", type=_floats, default=None,
                        help="convex combination weights (default uniform)")
     merge.add_argument("--out", required=True)
     merge.set_defaults(func=cmd_merge)
@@ -596,27 +579,25 @@ def build_parser():
     adapt.add_argument("--x", required=True, help="design matrix CSV (n x d_in)")
     adapt.add_argument("--y", required=True, help="target matrix CSV (n x d_out)")
     adapt.add_argument("--method", choices=["closed-form", "gd"], default="closed-form")
-    adapt.add_argument("--lr", type=_positive_float, default=None,
-                       help="gd step size (default: half the stability bound)")
-    adapt.add_argument("--epochs", type=_positive_int, default=1000)
-    adapt.add_argument("--ridge", type=_nonneg_float, default=0.0,
-                       help="ridge term added to the normal matrix")
+    _add(adapt, "--lr", float, real_in, *POSITIVE, default=None,
+         help="gd step size (default: half the stability bound)")
+    _add(adapt, "--epochs", int, int_at_least, 1, default=1000)
+    _add(adapt, "--ridge", float, real_in, *NONNEGATIVE, default=0.0,
+         help="ridge term added to the normal matrix")
     adapt.add_argument("--out", required=True, help="fitted coefficient container")
     adapt.add_argument("--report", required=True, help="fit report file")
     _add_format(adapt)
     adapt.set_defaults(func=cmd_adapt)
 
     memcalc = sub.add_parser("memcalc", help="storage ratio of an ensemble vs a subspace")
-    memcalc.add_argument("--t", type=_positive_int, required=True,
-                         help="number of models")
-    memcalc.add_argument("--per-model", type=_positive_int, required=True,
-                         help="parameters per full model")
-    memcalc.add_argument("--basis", type=_nonneg_int, required=True,
-                         help="parameters in the shared basis")
-    memcalc.add_argument("--coeffs", type=_nonneg_int, required=True,
-                         help="coefficient parameters per model")
-    memcalc.add_argument("--mean", type=_nonneg_int, default=0,
-                         help="parameters in the stored means")
+    _add(memcalc, "--t", int, int_at_least, 1, required=True, help="number of models")
+    _add(memcalc, "--per-model", int, int_at_least, 1, required=True,
+         help="parameters per full model")
+    _add(memcalc, "--basis", int, int_at_least, 0, required=True,
+         help="parameters in the shared basis")
+    _add(memcalc, "--coeffs", int, int_at_least, 0, required=True,
+         help="coefficient parameters per model")
+    _add(memcalc, "--mean", int, int_at_least, 0, default=0, help="parameters in the stored means")
     memcalc.set_defaults(func=cmd_memcalc)
 
     theory_parser = sub.add_parser("theory", help="synthetic convergence experiments")
@@ -625,47 +606,47 @@ def build_parser():
 
     converge = theory_sub.add_parser("converge",
                                      help="Monte-Carlo error curves over ensemble sizes")
-    converge.add_argument("--d", type=_positive_int, required=True)
-    converge.add_argument("--k", type=_positive_int, required=True)
-    converge.add_argument("--t-grid", type=_grid, required=True,
-                          help="comma-separated ensemble sizes")
-    converge.add_argument("--trials", type=_positive_int, required=True)
-    converge.add_argument("--eta", type=_nonneg_float, default=0.0)
-    converge.add_argument("--b", type=_positive_float, default=None,
-                          help="norm bound (default derived from the spectrum)")
-    converge.add_argument("--spectrum", type=_float_list, default=None,
-                          help="planted eigenvalues, length k or d")
-    converge.add_argument("--delta", type=float, default=0.05)
-    converge.add_argument("--seed", type=_nonneg_int, default=0)
+    _add(converge, "--d", int, int_at_least, 1, required=True)
+    _add(converge, "--k", int, int_at_least, 1, required=True)
+    _add(converge, "--t-grid", _ints, _counts, required=True,
+         help="comma-separated ensemble sizes")
+    _add(converge, "--trials", int, int_at_least, 1, required=True)
+    _add(converge, "--eta", float, real_in, *NONNEGATIVE, default=0.0)
+    _add(converge, "--b", float, real_in, *POSITIVE, default=None,
+         help="norm bound (default derived from the spectrum)")
+    _add(converge, "--spectrum", _floats, finite_entries, *NONNEGATIVE, default=None,
+         help="planted eigenvalues, length k or d")
+    _add(converge, "--delta", float, real_in, *OPEN_UNIT, default=0.05)
+    _add(converge, "--seed", int, int_at_least, 0, default=0)
     converge.add_argument("--norm-mode", choices=["gaussian", "constant"],
                           default="gaussian")
     converge.add_argument("--perturbation", choices=["isotropic", "radial"],
                           default="isotropic")
-    converge.add_argument("--c1", type=_positive_float, default=1.0)
-    converge.add_argument("--c2", type=_positive_float, default=1.0)
+    _add(converge, "--c1", float, real_in, *POSITIVE, default=1.0)
+    _add(converge, "--c2", float, real_in, *POSITIVE, default=1.0)
     converge.add_argument("--out", required=True, help="report file")
     _add_format(converge)
     converge.set_defaults(func=cmd_theory_converge)
 
     bounds = theory_sub.add_parser("bounds", help="evaluate the two-level bound")
-    bounds.add_argument("--b", type=_positive_float, required=True)
-    bounds.add_argument("--delta", type=float, required=True)
-    bounds.add_argument("--t", type=_positive_int, required=True)
-    bounds.add_argument("--eta-bar", type=_nonneg_float, required=True)
-    bounds.add_argument("--eta2-bar", type=_nonneg_float, required=True)
-    bounds.add_argument("--gamma-k", type=_positive_float, default=None)
-    bounds.add_argument("--c1", type=_positive_float, default=1.0)
-    bounds.add_argument("--c2", type=_positive_float, default=1.0)
+    _add(bounds, "--b", float, real_in, *POSITIVE, required=True)
+    _add(bounds, "--delta", float, real_in, *OPEN_UNIT, required=True)
+    _add(bounds, "--t", int, int_at_least, 1, required=True)
+    _add(bounds, "--eta-bar", float, real_in, *NONNEGATIVE, required=True)
+    _add(bounds, "--eta2-bar", float, real_in, *NONNEGATIVE, required=True)
+    _add(bounds, "--gamma-k", float, real_in, *POSITIVE, default=None)
+    _add(bounds, "--c1", float, real_in, *POSITIVE, default=1.0)
+    _add(bounds, "--c2", float, real_in, *POSITIVE, default=1.0)
     bounds.set_defaults(func=cmd_theory_bounds)
 
     dk = theory_sub.add_parser("dk-check",
                                help="random projector-perturbation inequality check")
-    dk.add_argument("--d", type=_positive_int, required=True)
-    dk.add_argument("--k", type=_positive_int, required=True)
-    dk.add_argument("--perturb", type=_positive_float, required=True,
-                    help="operator-norm size of the perturbation")
-    dk.add_argument("--trials", type=_positive_int, default=100)
-    dk.add_argument("--seed", type=_nonneg_int, default=0)
+    _add(dk, "--d", int, int_at_least, 1, required=True)
+    _add(dk, "--k", int, int_at_least, 1, required=True)
+    _add(dk, "--perturb", float, real_in, *POSITIVE, required=True,
+         help="operator-norm size of the perturbation")
+    _add(dk, "--trials", int, int_at_least, 1, default=100)
+    _add(dk, "--seed", int, int_at_least, 0, default=0)
     dk.set_defaults(func=cmd_theory_dk)
 
     return parser

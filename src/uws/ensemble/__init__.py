@@ -38,9 +38,9 @@ from ..hosvd import (
     project_slice,
     reconstruct_slice,
 )
-from ..spectral import (DEFAULT_POLICY, RankPolicy, explained_variance, orthonormality_defect,
-                        select_rank)
-from ..tensor import NONNEGATIVE, POSITIVE, as_real, int_at_least, real_in
+from ..spectral import (DEFAULT_POLICY, RankPolicy, check_policy, explained_variance,
+                        orthonormality_defect, select_rank)
+from ..tensor import NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least, real_in
 from .container import read_container, write_container
 
 SUBSPACE_FORMAT_VERSION = 6
@@ -160,8 +160,7 @@ def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
     As in extraction, every model must have the first model's layers,
     each of the same shape, and ``layer`` must be one of them.
     """
-    if order not in (2, 3):
-        raise InvalidArgumentError(f"stacking order must be 2 or 3, got {order}")
+    order = ExtractionConfig(order=order).order  # the one rule for a stacking order
     if not models:
         raise InvalidArgumentError("no models to stack")
     expected = {layer: None, **models[0].shapes}  # a layer the first model lacks is missing
@@ -194,8 +193,7 @@ class ExtractionConfig:
     architecture_id: str = "ensemble"
 
     def __post_init__(self):
-        if not isinstance(self.policy, RankPolicy):
-            raise InvalidArgumentError("policy must be a RankPolicy")
+        check_policy(self.policy)
         if self.order not in (2, 3):
             raise InvalidArgumentError(f"order must be 2 or 3, got {self.order!r}")
         self.order = int_at_least(self.order, "order", 2)
@@ -411,9 +409,7 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
     """
     _require_layers(f"the layers of model {weights.model_id!r}", weights.shapes, *_model_layers(u))
     for name in u.excluded_layers:
-        if not np.isfinite(weights.layers[name]).all():
-            raise InvalidArgumentError(
-                f"layer {name!r} of model {weights.model_id!r} contains non-finite values")
+        finite_entries(weights.layers[name], f"layer {name!r} of model {weights.model_id!r}")
     coefficients = {name: project_slice(u.layer_models[name], weights.layers[name])
                     for name in u.included_layers}
     passthrough = {name: weights.layers[name] for name in u.excluded_layers}
@@ -460,8 +456,7 @@ def merge_weights(weights, t: int) -> np.ndarray:
     weights = as_real(weights, "weights")
     if weights.shape != (t,):
         raise InvalidArgumentError(f"got {weights.size} weights for {t} models")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise InvalidArgumentError("merge weights must be finite and non-negative")
+    finite_entries(weights, "weights", *NONNEGATIVE)
     with np.errstate(over="ignore"):
         total = float(weights.sum())
     if abs(total - 1.0) > 1e-8:
@@ -675,8 +670,8 @@ def adapt_coefficients(
         raise InvalidArgumentError(
             f"need paired 2-D data, got inputs {x.shape} and targets {y.shape}"
         )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidArgumentError("adaptation data must be finite")
+    finite_entries(x, "x")
+    finite_entries(y, "y")
     ridge = real_in(ridge, "ridge", *NONNEGATIVE)
     basis = model.factors[-1]
     d, k = basis.shape
@@ -725,7 +720,11 @@ def adapt_coefficients(
             lr = 0.5 / lmax if lmax > 0 else 1.0
         lr = real_in(lr, "lr", *POSITIVE)
         epochs = int_at_least(epochs, "epochs", 1)
-        ct, losses, explicit = _descend(z, resid_target, normal, rhs, lr, epochs)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverged descent is refused below
+            ct, losses, explicit = _descend(z, resid_target, normal, rhs, lr, epochs)
+        if not np.isfinite(losses[-1]):
+            raise NumericalFailureError(f"gradient descent diverged at lr = {lr!r} "
+                                        f"(stable below {report['stable_lr_bound']!r})")
         report.update(lr=lr, epochs=epochs, loss_curve=losses, explicit_loss_epochs=explicit)
     coeffs = SliceCoefficients(coeffs=ct.T.copy())
     report["reconstructed"] = reconstruct_slice(model, coeffs)

@@ -69,7 +69,7 @@ from .spectral import (
     select_rank,
     thin_svd,
 )
-from .tensor import as_real, as_tensor, frobenius_norm, int_at_least
+from .tensor import as_real, as_tensor, finite_entries, frobenius_norm, int_at_least
 
 CENTERINGS = ("feature", "global")
 
@@ -167,15 +167,10 @@ def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     return _center_in_place(xc, centering), xc
 
 
-def _require_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("tensor contains non-finite entries")
-
-
 def _center_in_place(arr: np.ndarray, centering: str):
     """Subtract :func:`center`'s mean from the float64 ``arr``; return the mean."""
     check_centering(centering)
-    _require_finite(arr)
+    finite_entries(arr, "tensor")
     mu = np.float64(arr.mean()) if centering == "global" else arr.mean(axis=0)
     arr -= mu
     return mu
@@ -229,6 +224,11 @@ def _stacking(xc: np.ndarray, u1: np.ndarray, spectrum, factors) -> Stacking:
     the k1 members this gives contracted (``U1.T @ Xc @ V`` for order 2)."""
     g = u1.T @ xc.reshape(len(xc), -1)
     return Stacking(u1, spectrum, _contract(factors, g.reshape(-1, *xc.shape[1:])))
+
+
+def _slab_extent(slab_extent) -> int | None:
+    """A stack's ``slab_extent``, None (not set) or an int >= 1."""
+    return None if slab_extent is None else int_at_least(slab_extent, "slab_extent", 1)
 
 
 def _centred(x: np.ndarray, policy, centering: str):
@@ -286,9 +286,10 @@ def hosvd_truncated(
         Rank selection, applied to each mode's spectrum.
     centering : {"feature", "global"}
     slab_extent : int, optional
-        Rows of one member's slab of an order-2 stack; recorded so
-        projection can validate its input.
+        Rows of one member's slab of an order-2 stack, an int >= 1;
+        recorded so projection can validate its input.
     """
+    slab_extent = _slab_extent(slab_extent)
     mu, xc = _centred(np.array(as_tensor(x)), policy, centering)
     if xc.ndim == 2:  # U1 is the left factor of the feature mode's SVD
         factor, spectrum, f = _mode_factor(xc, 2, policy)
@@ -311,6 +312,7 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
     ``x`` is centred in place (pass a copy to keep it).  The arguments,
     errors and each result match :func:`hosvd_truncated`'s bit for bit.
     """
+    slab_extent = _slab_extent(slab_extent)
     mu, xc = _centred(as_tensor(x), policy, centering)
     # each mode's singular vectors are dropped before the next mode's SVD
     factors, spectra = zip(*(_mode_factor(xc, m, policy)[:2] for m in range(2, xc.ndim + 1)))
@@ -371,12 +373,12 @@ class GramStream:
         """Append the rows of one slab, float32 or float64, to the stack."""
         slab = np.asarray(slab)
         if slab.dtype != np.float32:
-            slab = as_real(slab)
+            slab = as_real(slab, "slab")
         if slab.ndim != 2 or slab.shape[1] != self.cols:
             raise InvalidArgumentError(
                 f"slab of shape {slab.shape} does not fit a stack of {self.cols} columns"
             )
-        _require_finite(slab)
+        finite_entries(slab, "slab")
         if self._block is None:
             self._block = np.empty((GRAM_BLOCK_ROWS + 1, self.cols))
         start = 0
@@ -432,6 +434,7 @@ class GramStream:
         """
         check_centering(centering)
         check_policy(policy)
+        slab_extent = _slab_extent(slab_extent)
         self.flush()
         shape = (self.rows, self.cols)
         if self.rows == 0:
@@ -483,7 +486,7 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
     reconstruction from these coefficients is the Frobenius-closest one.
     A member of another shape or not finite raises InvalidArgumentError.
     """
-    member = as_tensor(member)
+    member = as_tensor(member, "member")
     if model.order == 3:
         want = model.shape[1:]
     else:
@@ -493,7 +496,7 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
             f"member of shape {member.shape} does not fit stack shape {model.shape}: "
             f"expected {want}"
         )
-    _require_finite(member)
+    finite_entries(member, "member")
     t = member - np.asarray(model.mu)
     return SliceCoefficients(coeffs=_contract(model.factors, t))
 
@@ -513,7 +516,7 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
             f"coefficients of shape {arr.shape} do not fit retained ranks {ranks} "
             f"of an order-{model.order} stack: expected {want}"
         )
-    _require_finite(arr)
+    finite_entries(arr, "coefficients")
     return _expand(model.factors, arr) + np.asarray(model.mu)
 
 

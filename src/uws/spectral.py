@@ -14,7 +14,8 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .tensor import NONNEGATIVE, POSITIVE, as_real, int_at_least, peak_exponent, real_in
+from .tensor import (NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least,
+                     peak_exponent, real_in)
 
 #: Relative cutoff used to call a singular value numerically zero.
 NUMERICAL_RANK_RTOL = 1e-12
@@ -90,12 +91,10 @@ class ThinSvd:
 
 
 def _checked_matrix(m) -> np.ndarray:
-    m = as_real(m)
+    m = as_real(m, "matrix")
     if m.ndim != 2 or min(m.shape) < 1:
         raise InvalidArgumentError(f"expected a nonempty matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidArgumentError("matrix contains non-finite entries")
-    return m
+    return finite_entries(m, "matrix")
 
 
 def column_signs(a: np.ndarray) -> np.ndarray:
@@ -259,9 +258,9 @@ class LowerGram:
 def explained_variance(singular_values: np.ndarray, tail: float = 0.0) -> np.ndarray:
     """Ratios sigma_i^2 / (sum_j sigma_j^2 + tail).
 
-    ``singular_values`` must be nonnegative and nonincreasing to within
-    1e-12 of the largest; ``tail``, finite and nonnegative, is the energy
-    (a sum of squares) of the components not listed, each at most the
+    ``singular_values`` must be finite, nonnegative and nonincreasing to
+    within 1e-12 of the largest; ``tail``, finite and nonnegative, is the
+    energy (a sum of squares) of the components not listed, each at most the
     last listed one, so it is 0 where that is 0, and the ratios sum to 1
     when it is 0.  The sum must not be 0.  The values are divided by a
     power of two just above the largest before they are squared (the
@@ -271,8 +270,7 @@ def explained_variance(singular_values: np.ndarray, tail: float = 0.0) -> np.nda
     s = as_real(singular_values, "singular_values").reshape(-1)
     if s.size == 0:
         raise InvalidArgumentError("empty spectrum")
-    if np.any(s < 0):
-        raise InvalidArgumentError("singular values must be nonnegative")
+    finite_entries(s, "singular_values", *NONNEGATIVE)
     if np.any(np.diff(s) > 1e-12 * float(np.max(s))):
         raise InvalidArgumentError("singular values must be nonincreasing")
     tail = real_in(tail, "the tail energy", *NONNEGATIVE)
@@ -405,7 +403,8 @@ def select_rank(
     singular_values: np.ndarray | None = None,
     shape: tuple[int, int] | None = None,
 ) -> int:
-    """Number of components to retain under the given policy.
+    """Number of components to retain under the given policy, of
+    ``ratios`` that are each finite.
 
     ``singular_values`` and ``shape`` (rows, cols of the decomposed
     matrix) are required only by the hard-threshold policy.
@@ -413,6 +412,7 @@ def select_rank(
     ratios = as_real(ratios, "ratios").reshape(-1)
     if ratios.size == 0:
         raise InvalidArgumentError("empty ratio vector")
+    finite_entries(ratios, "ratios")
     if policy.kind == "cumulative_variance":
         if policy.tau >= 1.0:
             # tau = 1 keeps exactly the numerically nonzero spectrum
@@ -669,11 +669,10 @@ def operator_norm(a):
     zero matrix (and an empty one) has norm 0.0.  A stack is solved in one
     call, and each of its norms equals the one its matrix gets alone.
     """
-    a = as_real(a)
+    a = as_real(a, "matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidArgumentError("matrix contains non-finite entries")
+    finite_entries(a, "matrix")
     norm = np.zeros(a.shape[:-2])
     scale = np.maximum(np.max(a, axis=(-2, -1)), -np.min(a, axis=(-2, -1))) if a.size else norm
     if np.any(scale > 0.0):

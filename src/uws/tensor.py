@@ -2,7 +2,10 @@
 
 What a numeric argument may be is decided here: a number is an int or a
 float, numpy's included (:func:`real_in`, :func:`int_at_least`, and
-:func:`as_real` for an array's dtype); nothing else is parsed as one.
+:func:`as_real` for an array's dtype); nothing else is parsed as one.  An
+array argument's entries must each be finite, and where the argument has
+a range, in it (:func:`finite_entries`).  The command line's flags ask the
+same functions, so a value is refused alike as a flag and as an argument.
 
 A tensor is a float64 ``ndarray`` of order 2 (a row stack, or one
 member's matrix) or order 3 (a T x r x d stack) with every extent >= 1;
@@ -19,9 +22,11 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 
-#: Ranges for :func:`real_in`: a test of the float and the words its refusal states.
+#: Ranges for :func:`real_in` and :func:`finite_entries`: a test of a float,
+#: or of each entry of an array, and the words its refusal states.
 POSITIVE = (lambda v: v > 0, "be positive and finite")
 NONNEGATIVE = (lambda v: v >= 0, "be finite and >= 0")
+OPEN_UNIT = (lambda v: (v > 0) & (v < 1), "lie in (0, 1)")
 
 
 def as_real(x, what: str = "input") -> np.ndarray:
@@ -50,6 +55,23 @@ def real_in(value, name: str, accept, requirement: str) -> float:
     raise InvalidArgumentError(f"{name} must {requirement}, got {value!r}")
 
 
+def finite_entries(arr, name: str, accept=None, requirement: str = "be finite"):
+    """``arr``, a real array (float32 included) or a list of numbers, as it
+    is, not converted or copied; refused with InvalidArgumentError naming
+    ``name`` and the first refused entry unless each entry is finite and,
+    where ``accept`` is given, in its range (``requirement`` words it, as
+    for :func:`real_in`).  ``arr`` is read once, and once more by ``accept``."""
+    ok = np.isfinite(arr)
+    if accept is not None:
+        ok &= accept(np.asarray(arr))
+    if not ok.all():
+        at = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+        value = float(np.asarray(arr)[at])
+        where = "" if not at else f" at index {at[0] if len(at) == 1 else at}"
+        raise InvalidArgumentError(f"{name} must {requirement}, got {value!r}{where}")
+    return arr
+
+
 def int_at_least(value, name: str, minimum: int) -> int:
     """``value`` as a plain int, refused with InvalidArgumentError naming
     ``name`` unless it is an int (numpy's, not a bool) from ``minimum`` to
@@ -63,11 +85,11 @@ def int_at_least(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def as_tensor(x) -> np.ndarray:
-    """``x`` as a float64 array (:func:`as_real`), checked to have order 2
-    or 3 and every extent >= 1.  An input that already is such an array
-    is returned as is, not copied."""
-    arr = as_real(x)
+def as_tensor(x, what: str = "input") -> np.ndarray:
+    """``x`` as a float64 array (:func:`as_real`, naming it ``what``),
+    checked to have order 2 or 3 and every extent >= 1.  An input that
+    already is such an array is returned as is, not copied."""
+    arr = as_real(x, what)
     if arr.ndim not in (2, 3):
         raise InvalidArgumentError(f"tensor order must be 2 or 3, got {arr.ndim}")
     if 0 in arr.shape:

@@ -22,8 +22,9 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .spectral import operator_norm
-from .tensor import NONNEGATIVE, POSITIVE, as_real, frobenius_norm, int_at_least, real_in
+from .spectral import operator_norm, orthonormality_defect
+from .tensor import (NONNEGATIVE, OPEN_UNIT, POSITIVE, as_real, finite_entries, frobenius_norm,
+                     int_at_least, real_in)
 
 #: Trials per stacked solve in the Monte-Carlo studies, each holding two d x d
 #: matrices.  Batches of 4 to 50 ran theory-lab's d = 64 passes alike (about
@@ -88,15 +89,13 @@ class SyntheticEnsembleConfig:
             raise InvalidArgumentError(
                 f"perturbation must be one of {PERTURBATIONS}, got {self.perturbation!r}"
             )
-        etas = as_real(self.eta, "eta")
+        etas = finite_entries(as_real(self.eta, "eta"), "eta", *NONNEGATIVE)
         if etas.ndim == 0:
-            self.eta = real_in(float(etas), "eta", *NONNEGATIVE)
+            self.eta = float(etas)
         elif etas.shape != (self.n_tasks,):
             raise InvalidArgumentError(
                 f"eta list has length {etas.size}, expected n_tasks = {self.n_tasks}"
             )
-        elif not np.all(np.isfinite(etas)) or np.any(etas < 0):
-            raise InvalidArgumentError("every eta entry must be finite and >= 0")
         if self.spectrum is not None:
             spec = as_real(self.spectrum, "spectrum")
             if spec.ndim != 1 or spec.size not in (self.k, self.d):
@@ -104,8 +103,7 @@ class SyntheticEnsembleConfig:
                     f"spectrum must have length k = {self.k} or d = {self.d}, "
                     f"got shape {spec.shape}"
                 )
-            if not np.all(np.isfinite(spec)) or np.any(spec < 0):
-                raise InvalidArgumentError("spectrum entries must be finite and >= 0")
+            finite_entries(spec, "spectrum", *NONNEGATIVE)
             if np.any(np.diff(spec) > 0):
                 raise InvalidArgumentError("spectrum must be nonincreasing")
             with np.errstate(over="ignore"):  # an overflowed sum is refused here
@@ -162,17 +160,16 @@ class TaskVector:
 # ------------------------------------------------------------------ operators
 
 
-def _symmetrised(m: np.ndarray) -> np.ndarray:
+def _symmetrised(m: np.ndarray, name: str = "operator matrix") -> np.ndarray:
     """(m + m^T) / 2 of a float64 square matrix, checked square, finite and
-    symmetric within 1e-10 * max(1, max |m_ij|); halving first keeps entries
-    near the float64 limit from overflowing."""
+    symmetric within 1e-10 * max(1, max |m_ij|), naming it ``name``; halving
+    first keeps entries near the float64 limit from overflowing."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError(f"operator matrix must be square, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidArgumentError("operator matrix must be finite")
+        raise InvalidArgumentError(f"{name} must be square, got {m.shape}")
+    finite_entries(m, name)
     half, half_t = m / 2.0, m.T / 2.0
     if m.size and np.max(np.abs(half - half_t)) > 0.5e-10 * max(1.0, np.max(np.abs(m))):
-        raise InvalidArgumentError("operator matrix is not symmetric")
+        raise InvalidArgumentError(f"{name} is not symmetric")
     return half + half_t
 
 
@@ -193,8 +190,7 @@ def _descending_eigh(m: np.ndarray, k: int | None = None):
 def _moment_matrix(stack: np.ndarray) -> np.ndarray:
     """(1/T) sum of v v^T over the rows v of a finite (T, d) stack; products
     that overflow leave entries that :func:`_symmetrised` refuses."""
-    if not np.all(np.isfinite(stack)):
-        raise InvalidArgumentError("vectors must be finite")
+    finite_entries(stack, "vectors")
     with np.errstate(over="ignore", invalid="ignore"):
         return stack.T @ stack / len(stack)
 
@@ -202,18 +198,15 @@ def _moment_matrix(stack: np.ndarray) -> np.ndarray:
 def population_second_moment(basis: np.ndarray, spectrum) -> np.ndarray:
     """The d x d population operator of an orthonormal basis and its
     per-direction second moments."""
-    basis, spectrum = as_real(basis), as_real(spectrum)
+    basis, spectrum = as_real(basis, "basis"), as_real(spectrum, "spectrum")
     if basis.ndim != 2 or spectrum.ndim != 1 or basis.shape[1] != spectrum.size:
         raise InvalidArgumentError(
             f"basis {basis.shape} does not match spectrum of length {spectrum.size}"
         )
-    gram_defect = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
-    if gram_defect > 1e-8:
-        raise InvalidArgumentError(
-            f"basis columns are not orthonormal (defect {gram_defect:.2e})"
-        )
-    if not np.all(np.isfinite(spectrum)) or np.any(spectrum < 0):
-        raise InvalidArgumentError("spectrum must be finite and >= 0")
+    defect = orthonormality_defect(basis)
+    if defect > 1e-8:
+        raise InvalidArgumentError(f"basis columns are not orthonormal (defect {defect:.2e})")
+    finite_entries(spectrum, "spectrum", *NONNEGATIVE)
     return _symmetrised((basis * spectrum) @ basis.T)
 
 
@@ -246,9 +239,8 @@ class BoundParameters:
     c2: float = 1.0
 
     def __post_init__(self):
-        ranges = dict(b=POSITIVE, delta=(lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-                      eta_bar=NONNEGATIVE, eta2_bar=NONNEGATIVE, gamma_k=POSITIVE, c1=POSITIVE,
-                      c2=POSITIVE)
+        ranges = dict(b=POSITIVE, delta=OPEN_UNIT, eta_bar=NONNEGATIVE, eta2_bar=NONNEGATIVE,
+                      gamma_k=POSITIVE, c1=POSITIVE, c2=POSITIVE)
         for name, (accept, requirement) in ranges.items():
             value = getattr(self, name)
             if value is not None or name != "gamma_k":
@@ -324,12 +316,12 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
     tasks = list(tasks)
     if not tasks:
         raise InvalidArgumentError("need at least one task")
-    stars, hats = [as_real(t.f_star) for t in tasks], [as_real(t.f_hat) for t in tasks]
+    stars = [as_real(t.f_star, "f_star") for t in tasks]
+    hats = [as_real(t.f_hat, "f_hat") for t in tasks]
     if any(v.ndim != 1 or v.shape != stars[0].shape for v in stars + hats):
         raise InvalidArgumentError("task vectors must be 1-D and all of one length")
-    star_stack, hat_stack = np.stack(stars), np.stack(hats)
-    if not (np.all(np.isfinite(star_stack)) and np.all(np.isfinite(hat_stack))):
-        raise InvalidArgumentError("task vectors must be finite")
+    star_stack = finite_entries(np.stack(stars), "f_star")
+    hat_stack = finite_entries(np.stack(hats), "f_hat")
     norms = np.linalg.norm(star_stack, axis=1)
     b = real_in(float(norms.max()) if b is None else b, "b", *NONNEGATIVE)
     if norms.max() > b * (1.0 + 1e-12) + 1e-300:
@@ -379,7 +371,8 @@ def davis_kahan_check(s_ref, s_pert, k: int) -> DkReport:
     for two symmetric d x d arrays, with the eigengap taken from the
     reference; a vacuous bound (gamma_k <= 0) or a right-hand side that
     is not finite raises InvalidArgumentError, as it would certify nothing."""
-    ref, pert = (_symmetrised(as_real(s)) for s in (s_ref, s_pert))
+    ref, pert = (_symmetrised(as_real(s, name), name)
+                 for s, name in ((s_ref, "s_ref"), (s_pert, "s_pert")))
     d = len(ref)
     if len(pert) != d:
         raise InvalidArgumentError(f"operator dimensions differ: {d} vs {len(pert)}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from uws.errors import InvalidArgumentError
 from uws.spectral import LowerGram
 
 
@@ -260,6 +259,7 @@ def convergence_rows_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectru
     op_bound, subspace_bound), each ensemble drawn by ``sample_ensemble``
     and its operators built by the references above."""
     from uws.spectral import operator_norm
+    from uws.tensor import finite_entries
     from uws.theory import (BoundParameters, SyntheticEnsembleConfig, sample_ensemble,
                             theorem1_bounds)
 
@@ -269,8 +269,7 @@ def convergence_rows_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectru
                                          norm_mode=norm_mode, perturbation=perturbation)
         for trial in range(n_trials):
             ens = sample_ensemble(config, rng=np.random.default_rng([seed, trial, t]))
-            if not np.all(np.isfinite(ens.f_hat)):
-                raise InvalidArgumentError("vectors must be finite")
+            finite_entries(ens.f_hat, "vectors")
             learned = second_moment(list(ens.f_hat))
             bounds = theorem1_bounds(BoundParameters(
                 b=ens.b, delta=delta, n_tasks=t, eta_bar=float(ens.etas.mean()),

@@ -307,6 +307,18 @@ def test_extract_non_finite_policy_value_is_a_usage_error(tmp_path, capsys, flag
     assert not (tmp_path / "s.uws").exists()
 
 
+@pytest.mark.parametrize("flags, words", [
+    (["--tau", "2"], "tau must lie in (0, 1], got 2.0"),
+    (["--arch-id", ""], "architecture_id must be a non-empty string"),
+], ids=["tau", "arch-id"])
+def test_extract_checks_its_flags_before_it_looks_for_models(tmp_path, capsys, flags, words):
+    # a usage error is found from the command line alone, even where no model matches
+    code, out, err = run(["extract", "--models", str(tmp_path / "nomatch*"),
+                          "--out", str(tmp_path / "s.uws"), "--report", str(tmp_path / "r.csv"),
+                          *flags], capsys)
+    assert (code, out, err) == (1, "", f"error: {words}\n")
+
+
 def test_extract_fixed_k_and_exclusions(tmp_path, capsys):
     pattern, _ = write_fixture_models(tmp_path)
     out = tmp_path / "s.uws"
@@ -1101,7 +1113,7 @@ def test_a_dash_weight_list_given_with_equals_reaches_the_weights_check(tmp_path
     code, out, err = run(["merge", "--subspace", str(tmp_path / "s.uws"), "--models", pattern,
                           "--weights=-1,1,1,1", "--out", str(tmp_path / "m.uws")], capsys)
     assert (code, out) == (1, "")
-    assert err == "error: --weights: merge weights must be finite and non-negative\n"
+    assert err == "error: --weights: weights must be finite and >= 0, got -1.0 at index 0\n"
 
 
 # --------------------------------------------------------------------- adapt
@@ -1183,6 +1195,21 @@ def test_adapt_gd_agrees_with_closed_form(tmp_path, capsys):
     np.testing.assert_allclose(got["gd"], got["cf"], rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("lr", ["1e308", "1e3"])
+def test_adapt_gd_that_diverges_is_a_one_line_numerical_failure(tmp_path, capsys, lr):
+    # 1e308 overflows the first step; 1e3, far past the stable bound, grows to
+    # inf within the epochs.  RuntimeWarnings are errors here.
+    space, xfile, yfile = make_adapt_problem(tmp_path, capsys)
+    code, out, err = run(["adapt", "--subspace", str(space), "--layer", "block0",
+                          "--x", str(xfile), "--y", str(yfile), "--method", "gd", "--lr", lr,
+                          "--out", str(tmp_path / "c.uws"), "--report", str(tmp_path / "f.csv")],
+                         capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"numerical failure: gradient descent diverged at lr = {float(lr)!r} "
+                          "(stable below ") and err.count("\n") == 1
+    assert not (tmp_path / "c.uws").exists()
+
+
 def test_adapt_rank_deficient_design_is_a_numerical_failure(tmp_path, capsys):
     space, xfile, yfile = make_adapt_problem(tmp_path, capsys)
     x = np.loadtxt(xfile, delimiter=",")
@@ -1228,7 +1255,7 @@ def test_adapt_non_finite_data_is_a_data_error(tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert err == "data error: adaptation data must be finite\n"
+    assert err == "data error: x must be finite, got nan at index (3, 1)\n"
 
 
 def test_adapt_unreadable_csv_is_a_data_error(tmp_path, capsys):
@@ -1372,7 +1399,7 @@ def test_theory_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
     argv = [a.replace("{out}", str(tmp_path / "r.csv")) for a in argv]
     code, out, err = run(argv + ["--seed", "-1"], capsys)
     assert (code, out) == (1, "")
-    assert "--seed" in err and "nonnegative" in err
+    assert err == "error: --seed must be >= 0, got -1\n"
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -1397,14 +1424,15 @@ _CONVERGE = ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4", "--t
 
 
 @pytest.mark.parametrize("flag, value, words", [
-    ("--eta", "-1", "argument --eta: must be >= 0, got '-1'"),
-    ("--t-grid", "1,a", "argument --t-grid: expected comma-separated integers, got '1,a'"),
+    ("--eta", "-1", "--eta must be finite and >= 0, got -1.0"),
+    ("--t-grid", "1,a",
+     "uws theory converge: argument --t-grid: expected comma-separated integers, got '1,a'"),
 ], ids=["eta", "t-grid"])
 def test_theory_converge_refuses_a_bad_eta_or_grid_in_one_line(flag, value, words, tmp_path,
                                                                capsys):
     code, out, err = run(_CONVERGE + [flag, value, "--out", str(tmp_path / "r.csv")], capsys)
     assert (code, out) == (1, "")
-    assert err == f"error: uws theory converge: {words}\n"
+    assert err == f"error: {words}\n"
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -1488,7 +1516,7 @@ def test_theory_converge_eta_overflow_is_a_one_line_data_error(tmp_path, capsys)
         capsys,
     )
     assert (code, out) == (2, "")
-    assert err == "data error: operator matrix must be finite\n"
+    assert err == "data error: operator matrix must be finite, got inf at index (0, 0)\n"
 
 
 def test_theory_converge_radial_eta_overflow_is_a_one_line_data_error(tmp_path, capsys):
@@ -1500,7 +1528,7 @@ def test_theory_converge_radial_eta_overflow_is_a_one_line_data_error(tmp_path, 
         capsys,
     )
     assert (code, out) == (2, "")
-    assert err == "data error: vectors must be finite\n"
+    assert err == "data error: vectors must be finite, got inf at index (0, 0)\n"
 
 
 @pytest.mark.parametrize("perturbation", ["isotropic", "radial"])

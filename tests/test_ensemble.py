@@ -321,13 +321,13 @@ def test_projection_merging_and_rebuilding_refuse_non_finite_input(value):
     models, _, _ = make_planted(rng, n_models=6, k=3)
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
     bad = ModelWeights("bad", dict(models[1].layers, block0=np.full((6, 24), value)))
-    with pytest.raises(InvalidArgumentError, match="non-finite"):
+    with pytest.raises(InvalidArgumentError, match="member must be finite"):
         project_model(u, bad)
-    with pytest.raises(InvalidArgumentError, match="non-finite"):
+    with pytest.raises(InvalidArgumentError, match="member must be finite"):
         merge_models(u, [models[0], bad])
     c = project_model(u, models[1])
     c.coefficients["block1"].coeffs[0, 0] = value
-    with pytest.raises(InvalidArgumentError, match="non-finite"):
+    with pytest.raises(InvalidArgumentError, match="coefficients must be finite"):
         reconstruct_model(u, c)
 
 
@@ -336,7 +336,7 @@ def test_projection_refuses_a_non_finite_excluded_layer():
     models, _, _ = make_planted(rng, n_models=6, k=3)
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
     bad = ModelWeights("bad", dict(models[1].layers, embed=np.full((6, 24), np.nan)))
-    with pytest.raises(InvalidArgumentError, match="layer 'embed' of model 'bad' contains non-finite"):
+    with pytest.raises(InvalidArgumentError, match="layer 'embed' of model 'bad' must be finite"):
         project_model(u, bad)
 
 
@@ -345,13 +345,13 @@ def test_merging_refuses_a_non_finite_excluded_layer():
     models, _, _ = make_planted(rng, n_models=6, k=3)
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
     bad = ModelWeights("bad", dict(models[1].layers, head=np.full((6, 24), np.nan)))
-    with pytest.raises(InvalidArgumentError, match="layer 'head' .* contains non-finite"):
+    with pytest.raises(InvalidArgumentError, match="layer 'head' .* must be finite"):
         merge_models(u, [models[0], bad])
 
 
 @pytest.mark.parametrize("layer, message", [
-    ("head", r"layer 'head' of model 'merged\(x,y\)' contains non-finite values"),
-    ("block0", "non-finite"),
+    ("head", r"layer 'head' of model 'merged\(x,y\)' must be finite, got nan"),
+    ("block0", "member must be finite, got nan"),
 ], ids=["excluded", "included"])
 def test_merging_opposite_infinities_is_refused_without_a_warning(layer, message):
     # +inf in one model and -inf in the other sum to nan: refused, and no

@@ -746,7 +746,7 @@ def test_streamed_extract_errors_keep_their_class():
         extract_universal(models[:4] + [short], config)
     nan = ModelWeights("nan", dict(models[5].layers))
     nan.layers["block0"] = np.full(SHAPES["block0"], np.nan)
-    with pytest.raises(InvalidArgumentError, match="non-finite"):
+    with pytest.raises(InvalidArgumentError, match="slab must be finite"):
         extract_universal(models[:4] + [nan], config)
     row = np.random.default_rng(15).standard_normal(40)
     same = [ModelWeights(f"s{i}", {n: np.tile(row, (8, 1)) for n in SHAPES}) for i in range(6)]

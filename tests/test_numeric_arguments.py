@@ -4,6 +4,8 @@ A number is an int or a float, numpy's included; a bool, a string, any
 other object, a value that is not finite or lies out of range, and None
 where None means nothing, are refused with InvalidArgumentError naming
 the argument.  An accepted numpy scalar is kept as a plain float or int.
+An array argument is refused, naming it, for a dtype that is not an int
+or float one and for an entry that is not finite.
 """
 
 import math
@@ -19,22 +21,26 @@ from uws.ensemble import (
     extract_universal,
     memory_savings,
     merge_weights,
+    project_model,
+    stack_layer,
 )
 from uws.errors import InvalidArgumentError
-from uws.hosvd import (GramStream, SliceCoefficients, hosvd_truncated, reconstruct_slice,
-                       secondary_subspace)
-from uws.spectral import RankPolicy, explained_variance, select_rank
+from uws.hosvd import (GramStream, SliceCoefficients, exact_subspace, hosvd_truncated,
+                       project_slice, reconstruct_slice, secondary_subspace)
+from uws.spectral import (RankPolicy, explained_variance, operator_norm, select_rank,
+                          thin_svd)
 
 
 def _adapt_problem():
     rng = np.random.default_rng(3)
-    models = [ModelWeights(f"m{i}", {"w": rng.standard_normal((6, 8))}) for i in range(5)]
+    models = [ModelWeights(f"m{i}", {"w": rng.standard_normal((6, 8)),
+                                     "e": rng.standard_normal((1, 2))}) for i in range(5)]
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(2),
-                                                   exclude_layers=()))
-    return u, rng.standard_normal((20, 8)), rng.standard_normal((20, 6))
+                                                   exclude_layers=("e",)))
+    return models, u, rng.standard_normal((20, 8)), rng.standard_normal((20, 6))
 
 
-U, X, Y = _adapt_problem()
+MODELS, U, X, Y = _adapt_problem()
 STACK = np.random.default_rng(4).standard_normal((12, 6))
 TASKS = [theory.TaskVector(f_star=np.array([1.0, 0.0]), f_hat=np.array([1.0, 0.5]))]
 CONFIG = dict(d=4, k=2, n_tasks=3)
@@ -72,6 +78,20 @@ def _adapt(name, method):
             lambda r: r[1][name])
 
 
+def _streamed(slab_extent):
+    stream = GramStream(STACK.shape[1])
+    stream.add(STACK)
+    return stream.decompose(RankPolicy.fixed_k(2), slab_extent=slab_extent)
+
+
+_EXTENT = {
+    "hosvd_truncated": lambda v: hosvd_truncated(STACK, slab_extent=v),
+    "exact_subspace": lambda v: exact_subspace(STACK.copy(), RankPolicy.fixed_k(2),
+                                               centering="feature", slab_extent=v),
+    "GramStream.decompose": _streamed,
+}
+
+
 # (argument, the call and what keeps it, a valid value, whether None means something)
 CASES = {
     "RankPolicy.tau": ("tau", (RankPolicy.cumulative_variance, lambda p: p.tau), 0.5, False),
@@ -100,6 +120,9 @@ CASES = {
     "GramStream.cols": ("cols", (GramStream, lambda s: s.cols), 4, False),
     "ExtractionConfig.order": ("order", (lambda v: ExtractionConfig(order=v),
                                          lambda c: c.order), 3, False),
+    "stack_layer.order": ("order", (lambda v: stack_layer(MODELS, "w", v), None), 3, False),
+    **{f"{n}.slab_extent": ("slab_extent", (call, lambda m: m.slab_extent), 3, True)
+       for n, call in _EXTENT.items()},
 }
 
 REFUSED = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
@@ -136,7 +159,9 @@ def test_bounds_of_numpy_scalars_are_plain_floats_equal_to_those_of_python_numbe
 
 
 ARRAYS = {"bool": np.array([True, False]), "str": np.array(["0.5", "0.5"]),
-          "object": np.array([0.5, None], dtype=object)}
+          "object": np.array([0.5, None], dtype=object),
+          "nan": np.array([np.nan, 0.5]), "inf": np.array([np.inf, 0.5])}
+NOT_FINITE = ("nan", "inf")
 ARRAY_ARGUMENTS = {
     "ModelWeights layer": ("layer 'w'", lambda a: ModelWeights("m", {"w": a.reshape(1, -1)})),
     "merge_weights": ("weights", lambda a: merge_weights(a, 2)),
@@ -148,14 +173,29 @@ ARRAY_ARGUMENTS = {
     "explained_variance": ("singular_values", explained_variance),
     "select_rank": ("ratios", select_rank),
     "reconstruct_slice": ("coefficients", lambda a: reconstruct_slice(
-        U.layer_models["w"], SliceCoefficients(a.reshape(1, -1)))),
+        U.layer_models["w"], SliceCoefficients(np.resize(a, (6, 2))))),
+    "operator_norm": ("matrix", lambda a: operator_norm(np.diag(a))),
+    "thin_svd": ("matrix", lambda a: thin_svd(a.reshape(1, -1))),
+    "population_second_moment": ("spectrum", lambda a: theory.population_second_moment(
+        np.eye(2), a)),
+    "within_task_term": ("f_star", lambda a: theory.within_task_term(
+        [theory.TaskVector(f_star=a, f_hat=np.zeros(2))])),
+    "davis_kahan_check": ("s_ref", lambda a: theory.davis_kahan_check(np.diag(a), np.eye(2), 1)),
+    "project_slice": ("member", lambda a: project_slice(U.layer_models["w"], np.resize(a, (6, 8)))),
+    "project_model excluded layer": ("layer 'e'", lambda a: project_model(
+        U, ModelWeights("m", {"w": X[:6], "e": a.reshape(1, -1)}))),
 }
 
 
-@pytest.mark.parametrize("dtype", list(ARRAYS))
-@pytest.mark.parametrize("argument", list(ARRAY_ARGUMENTS))
+# a weights layer is checked finite where it is read or projected, not when it is built
+@pytest.mark.parametrize("argument, dtype", [
+    pytest.param(argument, dtype, id=f"{argument}-{dtype}")
+    for argument in ARRAY_ARGUMENTS for dtype in ARRAYS
+    if not (dtype in NOT_FINITE and argument == "ModelWeights layer")
+])
 def test_an_array_argument_refuses_entries_that_are_not_numbers(argument, dtype):
     what, call = ARRAY_ARGUMENTS[argument]
-    with pytest.raises(InvalidArgumentError,
-                       match=f"^{what} does not form a real tensor: its dtype is"):
+    words = "does not form a real tensor: its dtype is" if dtype not in NOT_FINITE else (
+        f".*must be finite.*, got {dtype} at index")
+    with pytest.raises(InvalidArgumentError, match=f"^{what} {words}"):
         call(ARRAYS[dtype])

@@ -620,7 +620,7 @@ def test_a_failing_convergence_trial_raises_what_the_per_trial_loop_raises():
             convergence_rows_by_loop(**kwargs)
         with pytest.raises(InvalidArgumentError) as got:
             convergence_study(**kwargs)
-    assert str(got.value) == str(want.value) == "vectors must be finite"
+    assert str(got.value) == str(want.value) == "vectors must be finite, got -inf at index (0, 0)"
 
 
 def test_batches_hold_at_most_a_mebibyte_of_stacks():
