@@ -9,6 +9,7 @@ Diagnostics go to stderr; data goes to files or stdout.
 
 import argparse
 import errno
+import functools
 import glob as globlib
 import os
 import sys
@@ -17,35 +18,16 @@ import warnings
 import numpy as np
 
 from . import theory
-from .ensemble import (
-    CoefficientSet,
-    ExtractionConfig,
-    MEMORY_PRESETS,
-    adapt_coefficients,
-    extract_universal,
-    load_coefficients,
-    load_subspace,
-    load_weights,
-    memory_savings,
-    merge_models,
-    merge_weights,
-    project_model,
-    reconstruct_model,
-    save_coefficients,
-    save_subspace,
-    save_weights,
-    scree_report,
-)
+from .ensemble import (MEMORY_PRESETS, ORDERS, CoefficientSet, ExtractionConfig,
+                       adapt_coefficients, extract_universal, load_coefficients, load_subspace,
+                       load_weights, memory_savings, merge_models, merge_weights, nonempty_label,
+                       project_model, reconstruct_model, save_coefficients, save_subspace,
+                       save_weights, scree_report)
 from .ensemble.container import atomic_write_bytes
-from .errors import (
-    ContainerError,
-    DegenerateSpectrumError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-    NumericalFailureError,
-    RankDeficiencyError,
-)
-from .spectral import RankPolicy, orthonormality_defect
+from .errors import (ContainerError, DegenerateSpectrumError, InternalConsistencyError,
+                     InvalidArgumentError, NumericalFailureError, RankDeficiencyError)
+from .hosvd import CENTERINGS
+from .spectral import RANGE, RankPolicy, orthonormality_defect
 from .tensor import NONNEGATIVE, OPEN_UNIT, POSITIVE, finite_entries, int_at_least, real_in
 
 TABLE_HEADER = "component_index,layer,sigma,ratio,cumulative"
@@ -187,21 +169,17 @@ def _render_report(header_pairs, rows, fmt):
 
 
 def _config_from_args(args):
-    """The ExtractionConfig the flags ask for; one they make invalid is a usage error."""
-    try:
-        if args.eigen_floor is not None:
-            policy = RankPolicy.eigen_floor(args.eigen_floor)
-        elif args.fixed_k is not None:
-            policy = RankPolicy.fixed_k(args.fixed_k)
-        elif args.hard_threshold:
-            policy = RankPolicy.hard_threshold()
-        else:
-            policy = RankPolicy.cumulative_variance(0.95 if args.tau is None else args.tau)
-        return ExtractionConfig(policy=policy, order=args.order,
-                                centering=args.center, exclude_layers=args.exclude_layers,
-                                architecture_id=args.arch_id)
-    except InvalidArgumentError as exc:
-        raise _UsageError(str(exc))
+    """The ExtractionConfig the flags ask for, whose values the parser has checked."""
+    if args.eigen_floor is not None:
+        policy = RankPolicy.eigen_floor(args.eigen_floor)
+    elif args.fixed_k is not None:
+        policy = RankPolicy.fixed_k(args.fixed_k)
+    elif args.hard_threshold:
+        policy = RankPolicy.hard_threshold()
+    else:
+        policy = RankPolicy.cumulative_variance(0.95 if args.tau is None else args.tau)
+    return ExtractionConfig(policy=policy, order=args.order, centering=args.center,
+                            exclude_layers=args.exclude_layers, architecture_id=args.arch_id)
 
 
 def _model_paths(pattern):
@@ -511,7 +489,9 @@ def _add_format(parser):
                         help="report format: comma-separated or structured text")
 
 
+@functools.cache
 def build_parser():
+    """The command line's parser, built once per process and shared by every parse."""
     parser = _Parser(
         prog="uws",
         description="Extract, inspect, and reuse shared low-rank subspaces "
@@ -525,23 +505,23 @@ def build_parser():
     extract.add_argument("--out", required=True, help="output subspace file")
     extract.add_argument("--report", required=True, help="scree report file")
     policy = extract.add_mutually_exclusive_group()
-    policy.add_argument("--tau", type=float, default=None,
-                        help="cumulative explained-variance target (default 0.95)")
-    policy.add_argument("--eigen-floor", type=float, default=None,
-                        help="relative eigenvalue floor")
+    _add(policy, "--tau", float, real_in, *RANGE["cumulative_variance"], default=None,
+         help="cumulative explained-variance target (default 0.95)")
+    _add(policy, "--eigen-floor", float, real_in, *RANGE["eigen_floor"], default=None,
+         help="relative eigenvalue floor")
     _add(policy, "--fixed-k", int, int_at_least, 1, default=None,
          help="retain exactly K components per mode")
     policy.add_argument("--hard-threshold", action="store_true",
                         help="optimal singular-value hard threshold")
-    extract.add_argument("--order", type=int, choices=[2, 3], default=2,
+    extract.add_argument("--order", type=int, choices=ORDERS, default=2,
                          help="stack models by row concatenation (2) or a new axis (3)")
     extract.add_argument("--exclude-layers", type=_name_list, default=None,
                          help="comma-separated layers to leave out "
                               "(default: first and last; pass '' for none)")
-    extract.add_argument("--center", choices=["feature", "global"], default="feature",
+    extract.add_argument("--center", choices=CENTERINGS, default="feature",
                          help="mean removal: per feature column or one scalar")
-    extract.add_argument("--arch-id", default="ensemble",
-                         help="architecture label stored in the subspace file")
+    _add(extract, "--arch-id", str, nonempty_label, default="ensemble",
+         help="architecture label stored in the subspace file")
     _add_format(extract)
     extract.set_defaults(func=cmd_extract)
 
@@ -618,10 +598,8 @@ def build_parser():
          help="planted eigenvalues, length k or d")
     _add(converge, "--delta", float, real_in, *OPEN_UNIT, default=0.05)
     _add(converge, "--seed", int, int_at_least, 0, default=0)
-    converge.add_argument("--norm-mode", choices=["gaussian", "constant"],
-                          default="gaussian")
-    converge.add_argument("--perturbation", choices=["isotropic", "radial"],
-                          default="isotropic")
+    converge.add_argument("--norm-mode", choices=theory.NORM_MODES, default="gaussian")
+    converge.add_argument("--perturbation", choices=theory.PERTURBATIONS, default="isotropic")
     _add(converge, "--c1", float, real_in, *POSITIVE, default=1.0)
     _add(converge, "--c2", float, real_in, *POSITIVE, default=1.0)
     converge.add_argument("--out", required=True, help="report file")

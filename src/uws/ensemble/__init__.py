@@ -28,11 +28,11 @@ from ..errors import (
     RankDeficiencyError,
 )
 from ..hosvd import (
+    CENTERINGS,
     GramStream,
     ModeSpectrum,
     SliceCoefficients,
     SubspaceModel,
-    check_centering,
     exact_subspace,
     gram_eligible,
     project_slice,
@@ -40,7 +40,8 @@ from ..hosvd import (
 )
 from ..spectral import (DEFAULT_POLICY, RankPolicy, check_policy, explained_variance,
                         orthonormality_defect, select_rank)
-from ..tensor import NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least, real_in
+from ..tensor import (NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least, one_of,
+                      real_in)
 from .container import read_container, write_container
 
 SUBSPACE_FORMAT_VERSION = 6
@@ -176,6 +177,17 @@ def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
 # ------------------------------------------------------------------ extraction
 
 
+#: The stacking orders extraction takes: rows concatenated (2) or a new mode (3).
+ORDERS = (2, 3)
+
+
+def nonempty_label(value, name: str) -> str:
+    """``value`` if it is a non-empty string (an architecture label); refused naming ``name``."""
+    if not isinstance(value, str) or not value:
+        raise InvalidArgumentError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
 @dataclass
 class ExtractionConfig:
     """How to build a subspace from an ensemble.
@@ -194,18 +206,15 @@ class ExtractionConfig:
 
     def __post_init__(self):
         check_policy(self.policy)
-        if self.order not in (2, 3):
-            raise InvalidArgumentError(f"order must be 2 or 3, got {self.order!r}")
-        self.order = int_at_least(self.order, "order", 2)
-        check_centering(self.centering)
+        self.order = int_at_least(one_of(self.order, "order", ORDERS), "order", 2)
+        one_of(self.centering, "centering", CENTERINGS)
         if self.exclude_layers is not None:
             names = self.exclude_layers
             if not isinstance(names, (tuple, list)) or not all(isinstance(n, str) for n in names):
                 raise InvalidArgumentError(
                     f"exclude_layers must be a tuple of layer names, got {names!r}")
             self.exclude_layers = tuple(names)
-        if not isinstance(self.architecture_id, str) or not self.architecture_id:
-            raise InvalidArgumentError("architecture_id must be a non-empty string")
+        nonempty_label(self.architecture_id, "architecture_id")
 
 
 @dataclass
@@ -663,8 +672,7 @@ def adapt_coefficients(
         raise InvalidArgumentError(
             "coefficient adaptation needs a matrix-stacked (order-2) subspace"
         )
-    if method not in ("closed_form", "gradient"):
-        raise InvalidArgumentError(f"unknown adaptation method {method!r}")
+    one_of(method, "method", ("closed_form", "gradient"))
     x, y = as_real(x, "x"), as_real(y, "y")
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise InvalidArgumentError(

@@ -69,7 +69,7 @@ from .spectral import (
     select_rank,
     thin_svd,
 )
-from .tensor import as_real, as_tensor, finite_entries, frobenius_norm, int_at_least
+from .tensor import as_real, as_tensor, finite_entries, frobenius_norm, int_at_least, one_of
 
 CENTERINGS = ("feature", "global")
 
@@ -153,11 +153,6 @@ class SliceCoefficients:
     coeffs: np.ndarray
 
 
-def check_centering(centering) -> None:
-    if centering not in CENTERINGS:
-        raise InvalidArgumentError(f"centering must be one of {CENTERINGS}, got {centering!r}")
-
-
 def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
     """Split ``x`` into a mean and a zero-centered remainder, a new array:
     ``global`` subtracts the scalar mean of all entries, ``feature`` the
@@ -169,7 +164,7 @@ def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
 
 def _center_in_place(arr: np.ndarray, centering: str):
     """Subtract :func:`center`'s mean from the float64 ``arr``; return the mean."""
-    check_centering(centering)
+    one_of(centering, "centering", CENTERINGS)
     finite_entries(arr, "tensor")
     mu = np.float64(arr.mean()) if centering == "global" else arr.mean(axis=0)
     arr -= mu
@@ -432,7 +427,7 @@ class GramStream:
         error cases these match: a zero stack or one with no variance
         left after centering raises DegenerateSpectrumError.
         """
-        check_centering(centering)
+        one_of(centering, "centering", CENTERINGS)
         check_policy(policy)
         slab_extent = _slab_extent(slab_extent)
         self.flush()

@@ -15,7 +15,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .tensor import (NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least,
-                     peak_exponent, real_in)
+                     peak_exponent, real_in, symmetric_operator)
 
 #: Relative cutoff used to call a singular value numerically zero.
 NUMERICAL_RANK_RTOL = 1e-12
@@ -289,9 +289,10 @@ _PARAMETER = dict(
     cumulative_variance="tau", eigen_floor="epsilon", hard_threshold="noise_sigma", fixed_k="k"
 )
 
-#: The range of each real kind's parameter (see :func:`~uws.tensor.real_in`).
-_RANGE = dict(cumulative_variance=(lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-              eigen_floor=NONNEGATIVE, hard_threshold=POSITIVE)
+#: The range of each real kind's parameter (see :func:`~uws.tensor.real_in`),
+#: which ``uws extract``'s ``--tau`` and ``--eigen-floor`` take too.
+RANGE = dict(cumulative_variance=(lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+             eigen_floor=NONNEGATIVE, hard_threshold=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ class RankPolicy:
         if self.kind == "fixed_k":
             v = int_at_least(v, "k", 1)
         elif v is not None or self.kind != "hard_threshold":
-            v = real_in(v, own, *_RANGE[self.kind])
+            v = real_in(v, own, *RANGE[self.kind])
         # a plain int or float, so asdict(policy) serialises as JSON
         object.__setattr__(self, own, v)
 
@@ -664,23 +665,15 @@ def operator_norm(a):
     One ``np.linalg.eigvalsh`` gives the extreme eigenvalues w[0] and w[-1];
     the result is max(-w[0], w[-1]), exact to backward-stable rounding at
     every scale (the matrix is never squared, so nothing underflows or
-    overflows).  Each matrix must be real, finite and symmetric within
-    1e-10 * max(1, its max |a_ij|); eigvalsh reads its lower triangle.  A
-    zero matrix (and an empty one) has norm 0.0.  A stack is solved in one
-    call, and each of its norms equals the one its matrix gets alone.
+    overflows).  Each matrix must pass :func:`~uws.tensor.symmetric_operator`;
+    eigvalsh reads its lower triangle.  A zero matrix (and an empty one) has
+    norm 0.0.  A stack is solved in one call, and each of its norms equals
+    the one its matrix gets alone.
     """
-    a = as_real(a, "matrix")
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
-    finite_entries(a, "matrix")
+    a = symmetric_operator(a, "matrix")
     norm = np.zeros(a.shape[:-2])
     scale = np.maximum(np.max(a, axis=(-2, -1)), -np.min(a, axis=(-2, -1))) if a.size else norm
     if np.any(scale > 0.0):
-        # halving first keeps entries near the float64 limit from overflowing;
-        # matrix by matrix, so a stack makes no stack-sized temporaries
-        skew = [np.max(np.abs(m / 2.0 - m.T / 2.0)) for m in a.reshape(-1, *a.shape[-2:])]
-        if np.any(np.reshape(skew, scale.shape) > 0.5e-10 * np.maximum(1.0, scale)):
-            raise InvalidArgumentError("matrix is not symmetric within 1e-10")
         try:
             w = np.linalg.eigvalsh(a)
         except np.linalg.LinAlgError as exc:

@@ -4,8 +4,10 @@ What a numeric argument may be is decided here: a number is an int or a
 float, numpy's included (:func:`real_in`, :func:`int_at_least`, and
 :func:`as_real` for an array's dtype); nothing else is parsed as one.  An
 array argument's entries must each be finite, and where the argument has
-a range, in it (:func:`finite_entries`).  The command line's flags ask the
-same functions, so a value is refused alike as a flag and as an argument.
+a range, in it (:func:`finite_entries`); a choice must be one of its set
+(:func:`one_of`), and a symmetric operator is decided by
+:func:`symmetric_operator`.  The command line's flags ask the same
+functions, so a value is refused alike as a flag and as an argument.
 
 A tensor is a float64 ``ndarray`` of order 2 (a row stack, or one
 member's matrix) or order 3 (a T x r x d stack) with every extent >= 1;
@@ -83,6 +85,30 @@ def int_at_least(value, name: str, minimum: int) -> int:
     if value > 2**63 - 1:
         raise InvalidArgumentError(f"{name} must be < 2**63, got {value}")
     return int(value)
+
+
+def one_of(value, name: str, choices: tuple):
+    """``value`` if it is one of ``choices``, else refused naming ``name``."""
+    if value not in choices:
+        raise InvalidArgumentError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
+def symmetric_operator(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as :func:`as_real` gives it, refused naming ``name`` (and a stack's
+    matrix by index) unless it is a square matrix, or a stack of them, each
+    finite and symmetric within 1e-10 * max(1, its max |a_ij|): checked one
+    matrix at a time, halved first so that no entry overflows."""
+    a = as_real(a, name)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidArgumentError(f"{name} must be square, got shape {a.shape}")
+    for at in np.ndindex(a.shape[:-2]):
+        m, label = a[at], f"{name}{list(at)}" if at else name
+        finite_entries(m, label)
+        half = m / 2.0
+        if m.size and np.max(np.abs(half - half.T)) > 0.5e-10 * max(1.0, m.max(), -m.min()):
+            raise InvalidArgumentError(f"{label} is not symmetric within 1e-10")
+    return a
 
 
 def as_tensor(x, what: str = "input") -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .spectral import operator_norm, orthonormality_defect
 from .tensor import (NONNEGATIVE, OPEN_UNIT, POSITIVE, as_real, finite_entries, frobenius_norm,
-                     int_at_least, real_in)
+                     int_at_least, one_of, real_in, symmetric_operator)
 
 #: Trials per stacked solve in the Monte-Carlo studies, each holding two d x d
 #: matrices.  Batches of 4 to 50 ran theory-lab's d = 64 passes alike (about
@@ -81,14 +81,8 @@ class SyntheticEnsembleConfig:
         self.n_tasks = int_at_least(self.n_tasks, "n_tasks", 1)
         if self.b is not None:
             self.b = real_in(self.b, "b", *POSITIVE)
-        if self.norm_mode not in NORM_MODES:
-            raise InvalidArgumentError(
-                f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}"
-            )
-        if self.perturbation not in PERTURBATIONS:
-            raise InvalidArgumentError(
-                f"perturbation must be one of {PERTURBATIONS}, got {self.perturbation!r}"
-            )
+        one_of(self.norm_mode, "norm_mode", NORM_MODES)
+        one_of(self.perturbation, "perturbation", PERTURBATIONS)
         etas = finite_entries(as_real(self.eta, "eta"), "eta", *NONNEGATIVE)
         if etas.ndim == 0:
             self.eta = float(etas)
@@ -160,17 +154,11 @@ class TaskVector:
 # ------------------------------------------------------------------ operators
 
 
-def _symmetrised(m: np.ndarray, name: str = "operator matrix") -> np.ndarray:
-    """(m + m^T) / 2 of a float64 square matrix, checked square, finite and
-    symmetric within 1e-10 * max(1, max |m_ij|), naming it ``name``; halving
-    first keeps entries near the float64 limit from overflowing."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError(f"{name} must be square, got {m.shape}")
-    finite_entries(m, name)
-    half, half_t = m / 2.0, m.T / 2.0
-    if m.size and np.max(np.abs(half - half_t)) > 0.5e-10 * max(1.0, np.max(np.abs(m))):
-        raise InvalidArgumentError(f"{name} is not symmetric")
-    return half + half_t
+def _symmetrised(m, name: str = "operator matrix") -> np.ndarray:
+    """(m + m^T) / 2 of each matrix that :func:`~uws.tensor.symmetric_operator`
+    takes, naming ``m`` as ``name``; halved first, so that no entry overflows."""
+    half = symmetric_operator(m, name) / 2.0
+    return half + np.swapaxes(half, -1, -2)
 
 
 def _descending_eigh(m: np.ndarray, k: int | None = None):
@@ -371,11 +359,11 @@ def davis_kahan_check(s_ref, s_pert, k: int) -> DkReport:
     for two symmetric d x d arrays, with the eigengap taken from the
     reference; a vacuous bound (gamma_k <= 0) or a right-hand side that
     is not finite raises InvalidArgumentError, as it would certify nothing."""
-    ref, pert = (_symmetrised(as_real(s, name), name)
-                 for s, name in ((s_ref, "s_ref"), (s_pert, "s_pert")))
+    ref, pert = (_symmetrised(s, name) for s, name in ((s_ref, "s_ref"), (s_pert, "s_pert")))
+    if ref.ndim != 2 or pert.shape != ref.shape:
+        raise InvalidArgumentError(f"s_ref and s_pert must be d x d operators of one d, "
+                                   f"got shapes {ref.shape} and {pert.shape}")
     d = len(ref)
-    if len(pert) != d:
-        raise InvalidArgumentError(f"operator dimensions differ: {d} vs {len(pert)}")
     k = int_at_least(k, "k", 1)
     if k > d:
         raise InvalidArgumentError(f"k = {k} exceeds operator dimension {d}")
@@ -420,7 +408,9 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
     ``default_rng([seed, i])`` a d x d Gaussian G, then a d x d Gaussian N:
     the reference is G G^T / d, and the perturbed operator adds ``perturb``
     * S / ||S||, S = (N + N^T) / 2.  Pairs are solved in batches (see
-    ``TRIAL_BATCH``), and each gets the figures and errors it gets alone."""
+    ``TRIAL_BATCH``), each batch's operators checked by one
+    :func:`~uws.tensor.symmetric_operator` call, and each pair gets the
+    figures and errors it gets alone."""
     d = int_at_least(d, "d", 1)
     k = int_at_least(k, "k", 1)
     trials = int_at_least(trials, "trials", 1)
@@ -431,7 +421,8 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
     parts, batch = [], _batch_size(d)
     for start in range(0, trials, batch):
         n = min(batch, trials - start)
-        ref, pert = np.empty((2, n, d, d))
+        ops = np.empty((2, n, d, d))  # ops[0, i] is trial i's reference, ops[1, i] its perturbed
+        ref, pert = ops
         for i in range(n):
             rng = np.random.default_rng([seed, start + i])
             g = rng.standard_normal((d, d))
@@ -443,9 +434,8 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
         pert /= operator_norm(pert)[:, None, None]
         pert *= perturb
         pert += ref
-        for i in range(n):
-            ref[i], pert[i] = _symmetrised(ref[i]), _symmetrised(pert[i])
-        parts.append(_in_trial_order(lambda i: _dk_pairs(ref[i], pert[i], k), n))
+        parts.append(_in_trial_order(
+            lambda i: _dk_pairs(*symmetric_operator(ops[:, i], "operators"), k), n))
     lhs, rhs, gamma = (np.concatenate(p) for p in zip(*parts))
     return DkStudy(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + DK_TOL)
 
@@ -651,7 +641,7 @@ def convergence_study(
     if eta.ndim != 0:
         raise InvalidArgumentError("convergence studies take a scalar eta")
     eta = float(eta)  # checked with the rest of the configuration
-    rows = []
+    rows, mean_bound = [], {}
     for t in t_grid:
         cfg = SyntheticEnsembleConfig(
             d=d,
@@ -680,6 +670,7 @@ def convergence_study(
                 c2=c2,
             )
             bounds = theorem1_bounds(params)
+            mean_bound[t] = bounds.op_bound  # every trial's op_bound at this T
         except InvalidArgumentError:
             _trial_errors(cfg, seed, range(1))  # trial 0's own errors come first
             raise
@@ -699,12 +690,11 @@ def convergence_study(
                     )
                 )
     distinct = sorted(set(t_grid))
-    mean_op, mean_sub, mean_bound = {}, {}, {}
+    mean_op, mean_sub = {}, {}
     for t in distinct:
         cell = [r for r in rows if r.n_tasks == t]
         mean_op[t] = float(np.mean([r.op_error for r in cell]))
         mean_sub[t] = float(np.mean([r.subspace_error for r in cell]))
-        mean_bound[t] = float(np.mean([r.op_bound for r in cell]))
     slope = None
     slope_defined = len(distinct) >= 2 and all(mean_op[t] > 0 for t in distinct)
     if slope_defined:

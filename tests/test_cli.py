@@ -308,9 +308,10 @@ def test_extract_non_finite_policy_value_is_a_usage_error(tmp_path, capsys, flag
 
 
 @pytest.mark.parametrize("flags, words", [
-    (["--tau", "2"], "tau must lie in (0, 1], got 2.0"),
-    (["--arch-id", ""], "architecture_id must be a non-empty string"),
-], ids=["tau", "arch-id"])
+    (["--tau", "2"], "--tau must lie in (0, 1], got 2.0"),
+    (["--eigen-floor=-1"], "--eigen-floor must be finite and >= 0, got -1.0"),
+    (["--arch-id", ""], "--arch-id must be a non-empty string, got ''"),
+], ids=["tau", "eigen-floor", "arch-id"])
 def test_extract_checks_its_flags_before_it_looks_for_models(tmp_path, capsys, flags, words):
     # a usage error is found from the command line alone, even where no model matches
     code, out, err = run(["extract", "--models", str(tmp_path / "nomatch*"),

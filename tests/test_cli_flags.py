@@ -3,10 +3,11 @@
 
 The other flags sit at a small valid fixture.  Each run exits 0, 1, 2 or
 3; stderr holds no traceback, no warning and no numpy scalar repr; a
-refusal is one line; and the run exits 1, a usage error that writes no
-file, exactly where the flag's own rule refuses the value.  Size and
-count flags meet only values that their rule refuses, or small lists, so
-no run allocates or loops at scale.
+refusal is one line; the run exits 1, a usage error that writes no file,
+exactly where the flag's own rule refuses the value; and that refusal
+names the flag as it was typed.  Size and count flags meet only values
+that their rule refuses, or small lists, so no run allocates or loops at
+scale.
 """
 
 import math
@@ -124,11 +125,12 @@ def _value_flags(parser, prefix=""):
             yield prefix, action.option_strings[0]
 
 
-PARSER = cli.build_parser()
-
-
 def test_the_table_names_every_flag_that_takes_a_value():
-    assert sorted(_value_flags(PARSER)) == sorted(RULES)
+    assert sorted(_value_flags(cli.build_parser())) == sorted(RULES)
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +174,6 @@ def _fixture_argv(command, f):
 @pytest.mark.parametrize("command, flag", list(RULES), ids=[c + f for c, f in RULES])
 def test_every_value_of_a_flag_exits_with_its_documented_code(command, flag, fixture_files,
                                                               tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)  # one parser serves every run
     for i, value in enumerate(VALUES + (LISTS if flag in LIST_FLAGS else [])):
         (tmp_path / str(i)).mkdir()
         monkeypatch.chdir(tmp_path / str(i))  # outputs named by the value land here
@@ -184,4 +185,5 @@ def test_every_value_of_a_flag_exits_with_its_documented_code(command, flag, fix
         assert not any(word in err for word in ("Traceback", "Warning", "np.float64(")), value
         assert err.count("\n") == (code != 0) and err.endswith("\n" if code else ""), (value, err)
         assert (code == 1) == RULES[command, flag](value), (value, err)
+        assert code != 1 or flag in err, (value, err)  # a refusal names the flag as typed
         assert code != 1 or not any((tmp_path / str(i)).iterdir()), value  # wrote nothing

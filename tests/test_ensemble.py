@@ -770,7 +770,7 @@ def _order3_subspace(u, layer, x, y):
         (lambda u, layer, x, y: (u, "head", x, y), {}, "layer 'head' is not part of the subspace"),
         (_order3_subspace, {}, "needs a matrix-stacked (order-2) subspace"),
         (lambda u, layer, x, y: (u, layer, x, y), {"method": "newton"},
-         "unknown adaptation method 'newton'"),
+         "method must be one of ('closed_form', 'gradient'), got 'newton'"),
         (lambda u, layer, x, y: (u, layer, x[0], y), {}, "need paired 2-D data"),
         (lambda u, layer, x, y: (u, layer, x[:-1], y), {}, "need paired 2-D data"),
         (lambda u, layer, x, y: (u, layer, x[:, :-1], y), {},

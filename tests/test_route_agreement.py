@@ -19,13 +19,23 @@ deepest value the policy reads is below twice its accuracy floor
   forming the Gram matrix leaves;
 - ``tail`` plus the sum of s_i**2 equal to ||Xc||**2 to 1e-12 relative,
   as the exact spectrum's sum of squares is.
+
+Two metamorphic rows hold each route to itself at the default policy:
+
+- permuting the models (the 40-row slabs) keeps its rank, with a sine of
+  at most 1e-12 plus the same 4 eps s_1**2 / gap;
+- scaling the stack by 2**40 (feature centring) or 2**-40 (global) keeps
+  its factors (the exact route's at tau = 1) bit for bit and scales its
+  singular values exactly.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from uws.hosvd import GramStream, exact_subspace
-from uws.spectral import GRAM_MIN_RATIO, RankPolicy, select_rank
+from uws.spectral import DEFAULT_POLICY, GRAM_MIN_RATIO, RankPolicy, select_rank
 
 from oracles import spectrum_families
 
@@ -56,16 +66,38 @@ _OFFSET_DEFECT = pytest.mark.xfail(
     strict=True, reason="a common offset costs the Gram route accuracy at first order")
 
 
-def planted_stack(index: int, name: str) -> np.ndarray:
+@functools.cache
+def planted_stack(name: str) -> np.ndarray:
     """A ROWS x COLS stack whose feature-centred singular values are the
     planted ones, with a random mean row (so the centrings differ) and,
-    for ``offset_1e6``, 1e6 added to every entry."""
-    rng = np.random.default_rng([29, index])
+    for ``offset_1e6``, 1e6 added to every entry.  Shared: not to be written."""
+    rng = np.random.default_rng([29, list(SINGULAR_VALUES).index(name)])
     g = rng.standard_normal((ROWS, COLS))
     u = np.linalg.qr(g - g.mean(axis=0))[0]  # orthogonal to the ones vector
     v = np.linalg.qr(rng.standard_normal((COLS, COLS)))[0]
     x = (u * SINGULAR_VALUES[name]) @ v.T + 1e-3 * rng.standard_normal(COLS)
     return x + 1e6 if name == "offset_1e6" else x
+
+
+def streamed(x: np.ndarray) -> GramStream:
+    """A Gram stream that has taken the rows of ``x`` one slab at a time."""
+    stream = GramStream(COLS)
+    for start in range(0, ROWS, SLAB):
+        stream.add(x[start : start + SLAB])
+    return stream
+
+
+def deepest_model(x: np.ndarray, centering: str):
+    """The exact route's model of ``x`` at tau = 1 (``x`` is left as it is)."""
+    return exact_subspace(x.copy(), RankPolicy.cumulative_variance(1.0),
+                          centering=centering, slab_extent=SLAB)
+
+
+@functools.cache
+def original_routes(name: str, centering: str):
+    """The planted stack's exact model at tau = 1 and its Gram stream, shared by the tests."""
+    x = planted_stack(name)
+    return deepest_model(x, centering), streamed(x)
 
 
 def policies(s: np.ndarray, rank: int) -> list:
@@ -121,17 +153,78 @@ def cell_faults(got, deepest, policy, energy: float) -> list:
      for name in SINGULAR_VALUES],
 )
 def test_the_gram_route_declines_or_matches_the_exact_route(name, centering):
-    x = planted_stack(list(SINGULAR_VALUES).index(name), name)
-    stream = GramStream(COLS)
-    for start in range(0, ROWS, SLAB):
-        stream.add(x[start : start + SLAB])
+    x = planted_stack(name)
     xc = x - (x.mean(axis=0) if centering == "feature" else x.mean())
     energy = float(np.vdot(xc, xc))
-    deepest = exact_subspace(x.copy(), RankPolicy.cumulative_variance(1.0),
-                             centering=centering, slab_extent=SLAB)
+    deepest, stream = original_routes(name, centering)
     faults = []
     for policy in policies(deepest.spectra[0].singular_values, deepest.ranks[0]):
         got = stream.decompose(policy, centering=centering, slab_extent=SLAB)
         faults += [f"{policy.describe()}: {fault}"
                    for fault in cell_faults(got, deepest, policy, energy)]
     assert not faults, "\n".join(faults)
+
+
+def default_models(deepest, stream, centering: str) -> dict:
+    """Each route's factor and singular values at the default policy: the
+    exact route's from its deepest model, the Gram route's as decomposed
+    (None where it declines)."""
+    spectrum = deepest.spectra[0]
+    r = select_rank(spectrum.ratios, DEFAULT_POLICY)
+    got = stream.decompose(DEFAULT_POLICY, centering=centering, slab_extent=SLAB)
+    return {"exact": (deepest.factors[0][:, :r], spectrum.singular_values[:r]),
+            "stream": None if got is None else (got.factors[0], got.spectra[0].singular_values)}
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(name, marks=_OFFSET_DEFECT) if name == "offset_1e6" else name
+     for name in SINGULAR_VALUES],
+)
+def test_permuting_the_models_keeps_each_routes_rank_and_subspace(name, centering):
+    x = planted_stack(name)
+    order = np.random.default_rng([29, list(SINGULAR_VALUES).index(name), 1]).permutation(
+        ROWS // SLAB)
+    moved = x.reshape(-1, SLAB, COLS)[order].reshape(ROWS, COLS)
+    deepest, stream = original_routes(name, centering)
+    s = deepest.spectra[0].singular_values
+    before = default_models(deepest, stream, centering)
+    after = default_models(deepest_model(moved, centering), streamed(moved), centering)
+    faults = []
+    for route, a in before.items():
+        b = after[route]
+        if a is None or b is None:
+            if a is not b:
+                faults.append(f"{route}: declined in one order only")
+            continue
+        r = a[1].size
+        if b[1].size != r:
+            faults.append(f"{route}: rank {r} became {b[1].size}")
+            continue
+        gap = s[r - 1] ** 2 - (s[r] ** 2 if r < s.size else 0.0)
+        sine = max_sine(a[0], b[0])
+        if not sine <= 1e-12 + 4 * EPS * s[0] ** 2 / gap:
+            faults.append(f"{route}: sine {sine:.1e} (gap {gap / s[0] ** 2:.1e} s_1**2)")
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("centering, exponent", [("feature", 40), ("global", -40)])
+@pytest.mark.parametrize("name", list(SINGULAR_VALUES))
+def test_scaling_by_a_power_of_two_keeps_each_routes_factors_bit_for_bit(
+        name, centering, exponent):
+    x = planted_stack(name)
+    deepest, stream = original_routes(name, centering)
+    scaled = deepest_model(np.ldexp(x, exponent), centering)
+    assert np.array_equal(scaled.factors[0], deepest.factors[0])
+    assert np.array_equal(scaled.spectra[0].singular_values,
+                          np.ldexp(deepest.spectra[0].singular_values, exponent))
+    got = streamed(np.ldexp(x, exponent)).decompose(DEFAULT_POLICY, centering=centering,
+                                                     slab_extent=SLAB)
+    want = stream.decompose(DEFAULT_POLICY, centering=centering, slab_extent=SLAB)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got.factors[0], want.factors[0])
+        assert np.array_equal(got.spectra[0].singular_values,
+                              np.ldexp(want.spectra[0].singular_values, exponent))
+        assert got.spectra[0].tail == np.ldexp(want.spectra[0].tail, 2 * exponent)

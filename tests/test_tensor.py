@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from types import SimpleNamespace
 
-from uws import theory
+from uws import spectral, theory
 from uws.ensemble import merge_models
 from uws.errors import InvalidArgumentError
 from uws.spectral import operator_norm, thin_svd
-from uws.tensor import as_tensor, frobenius_norm
+from uws.tensor import as_tensor, frobenius_norm, symmetric_operator
 
 from oracles import haar_orthogonal
 
@@ -93,3 +95,52 @@ COMPLEX_ENTRY_POINTS = {
 def test_complex_input_is_refused_at_every_entry_point(call):
     with pytest.raises(InvalidArgumentError, match="complex"):
         call()
+
+
+# -------------------------------------------------------- symmetric_operator
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.zeros((2, 3)), "ops must be square, got shape (2, 3)"),
+    (np.zeros(3), "ops must be square, got shape (3,)"),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), "ops must be finite, got inf at index (0, 1)"),
+    (np.array([[1.0, 2e-10], [0.0, 1.0]]), "ops is not symmetric within 1e-10"),
+    (np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), "ops is not symmetric within 1e-10"),
+    (np.stack([np.eye(2), [[1.0, 0.0], [np.nan, 1.0]]]),
+     "ops[1] must be finite, got nan at index (1, 0)"),
+    (np.stack([[np.eye(2)] * 2, [np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]]),
+     "ops[1, 1] is not symmetric"),
+])
+def test_one_rule_refuses_what_is_not_a_symmetric_operator(a, message):
+    with pytest.raises(InvalidArgumentError, match="^" + re.escape(message)):
+        symmetric_operator(a, "ops")
+
+
+def test_a_symmetric_operator_is_returned_as_given_within_its_tolerance():
+    for scale in (1.0, 1e-300, 1e300):
+        a = np.array([[1.0, 1.0], [1.0 + 0.9e-10, 1.0]]) * scale  # relative to max(1, max |a_ij|)
+        assert symmetric_operator(a) is a
+    stack = np.zeros((3, 0, 0))
+    assert symmetric_operator(stack) is stack
+    assert symmetric_operator([[1, 2], [2, 1]]).dtype == np.float64
+
+
+def test_every_caller_asks_the_one_rule_and_the_study_asks_once_per_batch(monkeypatch):
+    calls = []
+
+    def counted(a, name="matrix"):
+        calls.append((a.shape, name))
+        return symmetric_operator(a, name)
+
+    for module in (spectral, theory):
+        monkeypatch.setattr(module, "symmetric_operator", counted)
+    for call in (lambda: spectral.operator_norm(np.eye(3)),
+                 lambda: theory._symmetrised(np.eye(3)),
+                 lambda: theory.davis_kahan_check(np.diag([2.0, 1.0]), np.eye(2), 1)):
+        calls.clear()
+        call()
+        assert calls
+    calls.clear()
+    theory.davis_kahan_study(6, 2, 0.05, 20, seed=1)  # batches of 8, 8 and 4
+    assert [c for c in calls if c[1] == "operators"] == [
+        ((2, 8, 6, 6), "operators"), ((2, 8, 6, 6), "operators"), ((2, 4, 6, 6), "operators")]

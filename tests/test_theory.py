@@ -517,6 +517,13 @@ def test_convergence_study_shrinks_with_more_tasks():
         assert row.subspace_error <= 2.0 + 1e-12
 
 
+def test_each_convergence_bound_is_stated_as_every_row_states_it():
+    # the mean of twelve copies of each bound rounds away from it
+    report = convergence_study(d=64, k=4, t_grid=[25, 200], n_trials=12, eta=0.2, seed=41)
+    for t in (25, 200):
+        assert {r.op_bound for r in report.rows if r.n_tasks == t} == {report.mean_op_bound[t]}
+
+
 def test_convergence_study_degenerate_grid():
     report = convergence_study(d=6, k=2, t_grid=[1], n_trials=3, eta=0.0, seed=1)
     assert not report.slope_defined
