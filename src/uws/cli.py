@@ -31,7 +31,7 @@ from .spectral import RANGE, RankPolicy, orthonormality_defect
 from .tensor import NONNEGATIVE, OPEN_UNIT, POSITIVE, finite_entries, int_at_least, real_in
 
 TABLE_HEADER = "component_index,layer,sigma,ratio,cumulative"
-CONVERGE_HEADER = "T,trial,op_error,subspace_error,op_bound,subspace_bound"
+CONVERGE_HEADER = "T,trial,op_error,subspace_error"
 
 
 class _UsageError(Exception):
@@ -64,10 +64,6 @@ def _list_of(parse, what):
 
 
 _ints, _floats = _list_of(int, "integers"), _list_of(float, "numbers")
-
-
-def _counts(values, flag):
-    return [int_at_least(v, flag, 1) for v in values]
 
 
 def _add(parser, flag, parse, rule, *bounds, **kwargs):
@@ -392,13 +388,16 @@ def cmd_theory_bounds(args):
     return 0
 
 
-def _check_dims(d, k):
-    if k > d:
-        raise _UsageError(f"--k must not exceed --d, got k={k} d={d}")
+def _check_rank(args):
+    """Refuse --k past --d by the library's rule, as a usage error naming both."""
+    try:
+        theory.rank_within(args.k, args.d, ("--k", "--d"))
+    except InvalidArgumentError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_theory_converge(args):
-    _check_dims(args.d, args.k)
+    _check_rank(args)
     _check_destinations(args.out)
     report = theory.convergence_study(
         d=args.d,
@@ -438,28 +437,22 @@ def cmd_theory_converge(args):
     for t in sorted(report.mean_op_error):
         header.append((f"mean_op_error[{t}]", _fmt(report.mean_op_error[t])))
         header.append((f"mean_subspace_error[{t}]", _fmt(report.mean_subspace_error[t])))
-        header.append((f"mean_op_bound[{t}]", _fmt(report.mean_op_bound[t])))
+        header.append((f"mean_op_bound[{t}]", _fmt(report.bounds[t].op_bound)))
+        header.append((f"subspace_bound[{t}]", _fmt(report.bounds[t].subspace_bound)))
+    cells = list(zip(report.n_tasks.tolist(), report.trial.tolist(),
+                     report.op_error.tolist(), report.subspace_error.tolist()))
     if args.format == "csv":
         lines = [f"# {key}: {value}" for key, value in header]
         lines.append(CONVERGE_HEADER)
-        for row in report.rows:
-            sub_bound = "" if row.subspace_bound is None else repr(row.subspace_bound)
-            lines.append(
-                f"{row.n_tasks},{row.trial},{row.op_error!r},"
-                f"{row.subspace_error!r},{row.op_bound!r},{sub_bound}"
-            )
+        lines.extend(f"{t},{trial},{op!r},{sub!r}" for t, trial, op, sub in cells)
     else:
         lines = ["convergence report"]
         lines.extend(f"{key}: {value}" for key, value in header)
         lines.append("rows:")
-        for row in report.rows:
-            lines.append(
-                f"  T {row.n_tasks} trial {row.trial}: "
-                f"op_error {row.op_error!r} subspace_error {row.subspace_error!r} "
-                f"op_bound {row.op_bound!r} subspace_bound {_fmt(row.subspace_bound)}"
-            )
+        lines.extend(f"  T {t} trial {trial}: op_error {op!r} subspace_error {sub!r}"
+                     for t, trial, op, sub in cells)
     _write_text(args.out, "\n".join(lines) + "\n")
-    print(f"cells: {len(report.rows)}")
+    print(f"cells: {len(cells)}")
     print(f"slope: {_fmt(report.slope)}")
     print(f"within_task_floor: {_fmt(report.within_task_floor)}")
     for t in sorted(report.mean_op_error):
@@ -469,7 +462,7 @@ def cmd_theory_converge(args):
 
 
 def cmd_theory_dk(args):
-    _check_dims(args.d, args.k)
+    _check_rank(args)
     report = theory.davis_kahan_study(args.d, args.k, args.perturb, args.trials, args.seed)
     violations = int(np.count_nonzero(~report.holds))
     print("# subcommand: theory dk-check")
@@ -588,8 +581,8 @@ def build_parser():
                                      help="Monte-Carlo error curves over ensemble sizes")
     _add(converge, "--d", int, int_at_least, 1, required=True)
     _add(converge, "--k", int, int_at_least, 1, required=True)
-    _add(converge, "--t-grid", _ints, _counts, required=True,
-         help="comma-separated ensemble sizes")
+    _add(converge, "--t-grid", _ints, theory.task_counts, required=True,
+         help="comma-separated distinct ensemble sizes")
     _add(converge, "--trials", int, int_at_least, 1, required=True)
     _add(converge, "--eta", float, real_in, *NONNEGATIVE, default=0.0)
     _add(converge, "--b", float, real_in, *POSITIVE, default=None,

@@ -10,6 +10,18 @@ orthonormal basis, never as a d x d projector: the distance between two
 subspaces is computed from the bases alone.  The Monte-Carlo studies solve
 up to ``TRIAL_BATCH`` trials per stacked LAPACK call, with the figures, bit
 for bit, and the errors each trial gets alone.
+
+The lab's results are plain arrays, each fact stated once.  A drawn
+ensemble holds its tasks as two (n_tasks, d) arrays, ``f_star`` and
+``f_hat``, which ``within_task_term(f_star, f_hat, b=None)`` takes as they
+are.  A convergence study returns its cells as four arrays in cell order
+(``n_tasks``, ``trial``, ``op_error``, ``subspace_error``) and ``bounds``,
+one :class:`TheoremBounds` per T.  So ``uws theory converge`` writes each
+T's bounds once, in its header (``mean_op_bound[T]``, ``subspace_bound[T]``),
+and one row ``T,trial,op_error,subspace_error`` per cell.
+``mean_op_bound[T]`` is the bound at T, not a mean; it keeps its name
+because readers of the report, perfbench's theory-lab check among them,
+key on it.
 """
 
 import math
@@ -41,6 +53,29 @@ def _batch_size(d: int) -> int:
 
 NORM_MODES = ("gaussian", "constant")
 PERTURBATIONS = ("isotropic", "radial")
+
+
+def rank_within(k, d: int, names=("k", "d")) -> int:
+    """``k`` as a plain int, refused with InvalidArgumentError unless it is
+    an int from 1 to ``d``: the rank of a subspace of R^d.  ``names`` word
+    k and d in the refusal (the command line passes its flags)."""
+    k = int_at_least(k, names[0], 1)
+    if k > d:
+        raise InvalidArgumentError(f"{names[0]} must not exceed {names[1]} = {d}, got {k}")
+    return k
+
+
+def task_counts(t_grid, name: str = "t_grid") -> list:
+    """``t_grid`` as a nonempty list of distinct ints >= 1, refused with
+    InvalidArgumentError naming it as ``name``: a T that repeats would
+    repeat its cells."""
+    t_grid = [int_at_least(t, name, 1) for t in t_grid]
+    if not t_grid:
+        raise InvalidArgumentError(f"{name} must not be empty")
+    if len(set(t_grid)) < len(t_grid):
+        repeated = next(t for i, t in enumerate(t_grid) if t in t_grid[:i])
+        raise InvalidArgumentError(f"{name} must not repeat a T, got {repeated} more than once")
+    return t_grid
 
 
 # ------------------------------------------------------------- configuration
@@ -75,9 +110,7 @@ class SyntheticEnsembleConfig:
 
     def __post_init__(self):
         self.d = int_at_least(self.d, "d", 1)
-        self.k = int_at_least(self.k, "k", 1)
-        if self.k > self.d:
-            raise InvalidArgumentError(f"k = {self.k} exceeds the ambient dimension {self.d}")
+        self.k = rank_within(self.k, self.d)
         self.n_tasks = int_at_least(self.n_tasks, "n_tasks", 1)
         if self.b is not None:
             self.b = real_in(self.b, "b", *POSITIVE)
@@ -143,12 +176,6 @@ class SyntheticEnsembleConfig:
         else:
             w = self.resolved_spectrum()
         return w, float(w[self.k - 1]) - (float(w[self.k]) if w.size > self.k else 0.0)
-
-
-@dataclass
-class TaskVector:
-    f_star: np.ndarray
-    f_hat: np.ndarray
 
 
 # ------------------------------------------------------------------ operators
@@ -294,22 +321,24 @@ class WithinTaskReport:
     holds: bool
 
 
-def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
+def within_task_term(f_star, f_hat, b: float | None = None) -> WithinTaskReport:
     """Measured ||S_learned - S_true||_op against the per-task analytic cap
-    (1/T) sum (2 B eta_t + eta_t^2), using the realized perturbation norms.
+    (1/T) sum (2 B eta_t + eta_t^2), using the realized perturbation norms,
+    for two (n_tasks, d) arrays whose row t is task t (as a
+    :class:`SyntheticEnsemble` holds them).  ``b`` defaults to the largest
+    ``f_star`` row norm.
 
     The cap is a theorem, so a violation beyond 1e-8 raises rather than
     returning quietly.
     """
-    tasks = list(tasks)
-    if not tasks:
+    star_stack, hat_stack = as_real(f_star, "f_star"), as_real(f_hat, "f_hat")
+    if star_stack.ndim != 2 or hat_stack.shape != star_stack.shape:
+        raise InvalidArgumentError("f_star and f_hat must be (n_tasks, d) arrays of one shape, "
+                                   f"got shapes {star_stack.shape} and {hat_stack.shape}")
+    if not len(star_stack):
         raise InvalidArgumentError("need at least one task")
-    stars = [as_real(t.f_star, "f_star") for t in tasks]
-    hats = [as_real(t.f_hat, "f_hat") for t in tasks]
-    if any(v.ndim != 1 or v.shape != stars[0].shape for v in stars + hats):
-        raise InvalidArgumentError("task vectors must be 1-D and all of one length")
-    star_stack = finite_entries(np.stack(stars), "f_star")
-    hat_stack = finite_entries(np.stack(hats), "f_hat")
+    finite_entries(star_stack, "f_star")
+    finite_entries(hat_stack, "f_hat")
     norms = np.linalg.norm(star_stack, axis=1)
     b = real_in(float(norms.max()) if b is None else b, "b", *NONNEGATIVE)
     if norms.max() > b * (1.0 + 1e-12) + 1e-300:
@@ -318,7 +347,7 @@ def within_task_term(tasks, b: float | None = None) -> WithinTaskReport:
         )
     errs = np.linalg.norm(hat_stack - star_stack, axis=1)
     cap = float(np.mean(2.0 * b * errs + errs**2))
-    t = len(tasks)
+    t = len(star_stack)
     diff = hat_stack.T @ hat_stack / t - star_stack.T @ star_stack / t
     measured = operator_norm(diff)
     holds = measured <= cap + 1e-8
@@ -363,10 +392,7 @@ def davis_kahan_check(s_ref, s_pert, k: int) -> DkReport:
     if ref.ndim != 2 or pert.shape != ref.shape:
         raise InvalidArgumentError(f"s_ref and s_pert must be d x d operators of one d, "
                                    f"got shapes {ref.shape} and {pert.shape}")
-    d = len(ref)
-    k = int_at_least(k, "k", 1)
-    if k > d:
-        raise InvalidArgumentError(f"k = {k} exceeds operator dimension {d}")
+    k = rank_within(k, len(ref))
     lhs, rhs, gamma = (float(x[0]) for x in _dk_pairs(ref[None], pert[None], k))
     return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + DK_TOL)
 
@@ -412,11 +438,9 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
     :func:`~uws.tensor.symmetric_operator` call, and each pair gets the
     figures and errors it gets alone."""
     d = int_at_least(d, "d", 1)
-    k = int_at_least(k, "k", 1)
+    k = rank_within(k, d)
     trials = int_at_least(trials, "trials", 1)
     seed = int_at_least(seed, "seed", 0)
-    if k > d:
-        raise InvalidArgumentError(f"k = {k} exceeds the ambient dimension {d}")
     perturb = real_in(perturb, "perturb", *POSITIVE)
     parts, batch = [], _batch_size(d)
     for start in range(0, trials, batch):
@@ -456,12 +480,6 @@ class SyntheticEnsemble:
     etas: np.ndarray
     population: np.ndarray
     gamma: float
-
-    @property
-    def tasks(self) -> list:
-        """One :class:`TaskVector` per row of ``f_star`` and ``f_hat`` (views
-        of them), built on each read."""
-        return [TaskVector(f_star=s, f_hat=h) for s, h in zip(self.f_star, self.f_hat)]
 
 
 def _haar_columns(rng, d: int, m: int) -> np.ndarray:
@@ -560,26 +578,22 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
 # ----------------------------------------------------------------- convergence
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n_tasks: int
-    trial: int
-    op_error: float
-    subspace_error: float
-    op_bound: float
-    subspace_bound: float | None
-
-
 @dataclass
 class ConvergenceReport:
-    rows: list
-    t_grid: list
-    n_trials: int
+    """The figures of :func:`convergence_study`.  Cell i is trial
+    ``trial[i]`` at T = ``n_tasks[i]``, its errors ``op_error[i]`` and
+    ``subspace_error[i]``, the cells in t_grid order and each T's trials in
+    order.  ``bounds[T]`` is :func:`theorem1_bounds` at T, which every cell
+    at T shares; the means and the slope are taken over the cells."""
+
+    n_tasks: np.ndarray
+    trial: np.ndarray
+    op_error: np.ndarray
+    subspace_error: np.ndarray
+    bounds: dict
     mean_op_error: dict
     mean_subspace_error: dict
-    mean_op_bound: dict
     slope: float | None
-    slope_defined: bool
     within_task_floor: float
     config: dict
 
@@ -622,26 +636,23 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Monte-Carlo error curves over a grid of ensemble sizes.
 
-    Each (T, trial) cell draws its RNG stream from (seed, trial, T), so
-    results are identical under any execution order.  The bounds are
-    computed once per T, and the trials in batches of up to ``TRIAL_BATCH``
+    ``t_grid`` holds distinct T values (:func:`task_counts`).  Each
+    (T, trial) cell draws its RNG stream from (seed, trial, T), so results
+    are identical under any execution order.  The bounds are computed once
+    per T, and the trials in batches of up to ``TRIAL_BATCH``
     (:func:`_trial_errors`); the first trial that fails raises the error
     it raises alone.  The fitted slope is the least-squares slope of
-    log(mean operator error) against log(T); it needs at least two
-    distinct T values with positive mean errors, otherwise the report
-    carries an undefined-slope flag.
+    log(mean operator error) against log(T); it needs at least two T
+    values with positive mean errors, otherwise it is None.
     """
-    t_grid = list(t_grid)
-    if not t_grid:
-        raise InvalidArgumentError("t_grid must not be empty")
-    t_grid = [int_at_least(t, "t_grid entry", 1) for t in t_grid]
+    t_grid = task_counts(t_grid)
     n_trials = int_at_least(n_trials, "n_trials", 1)
     seed = int_at_least(seed, "seed", 0)
     eta = as_real(eta, "eta")
     if eta.ndim != 0:
         raise InvalidArgumentError("convergence studies take a scalar eta")
     eta = float(eta)  # checked with the rest of the configuration
-    rows, mean_bound = [], {}
+    errors, bounds = [], {}
     for t in t_grid:
         cfg = SyntheticEnsembleConfig(
             d=d,
@@ -669,48 +680,35 @@ def convergence_study(
                 c1=c1,
                 c2=c2,
             )
-            bounds = theorem1_bounds(params)
-            mean_bound[t] = bounds.op_bound  # every trial's op_bound at this T
+            bounds[t] = theorem1_bounds(params)
         except InvalidArgumentError:
             _trial_errors(cfg, seed, range(1))  # trial 0's own errors come first
             raise
         batch = _batch_size(d)
         for start in range(0, n_trials, batch):
             trials = range(start, min(start + batch, n_trials))
-            errors = _in_trial_order(lambda i: _trial_errors(cfg, seed, trials[i]), len(trials))
-            for trial, op_error, subspace_error in zip(trials, *errors):
-                rows.append(
-                    ConvergenceRow(
-                        n_tasks=t,
-                        trial=trial,
-                        op_error=float(op_error),
-                        subspace_error=float(subspace_error),
-                        op_bound=bounds.op_bound,
-                        subspace_bound=bounds.subspace_bound,
-                    )
-                )
-    distinct = sorted(set(t_grid))
-    mean_op, mean_sub = {}, {}
-    for t in distinct:
-        cell = [r for r in rows if r.n_tasks == t]
-        mean_op[t] = float(np.mean([r.op_error for r in cell]))
-        mean_sub[t] = float(np.mean([r.subspace_error for r in cell]))
+            errors.append(
+                _in_trial_order(lambda i: _trial_errors(cfg, seed, trials[i]), len(trials)))
+    op_error, subspace_error = (np.concatenate(e) for e in zip(*errors))
+    cells = {t: slice(i * n_trials, (i + 1) * n_trials) for i, t in enumerate(t_grid)}
+    ordered = sorted(t_grid)
+    mean_op = {t: float(op_error[cells[t]].mean()) for t in ordered}
+    mean_sub = {t: float(subspace_error[cells[t]].mean()) for t in ordered}
     slope = None
-    slope_defined = len(distinct) >= 2 and all(mean_op[t] > 0 for t in distinct)
-    if slope_defined:
-        logs_t = np.log([float(t) for t in distinct])
-        logs_e = np.log([mean_op[t] for t in distinct])
+    if len(ordered) >= 2 and all(mean_op[t] > 0 for t in ordered):
+        logs_t = np.log([float(t) for t in ordered])
+        logs_e = np.log([mean_op[t] for t in ordered])
         slope = float(np.polyfit(logs_t, logs_e, 1)[0])
     floor = 2.0 * b_eff * eta + eta**2
     return ConvergenceReport(
-        rows=rows,
-        t_grid=t_grid,
-        n_trials=n_trials,
+        n_tasks=np.repeat(t_grid, n_trials),
+        trial=np.tile(np.arange(n_trials), len(t_grid)),
+        op_error=op_error,
+        subspace_error=subspace_error,
+        bounds=bounds,
         mean_op_error=mean_op,
         mean_subspace_error=mean_sub,
-        mean_op_bound=mean_bound,
         slope=slope,
-        slope_defined=slope_defined,
         within_task_floor=floor,
         config={
             "d": cfg.d,

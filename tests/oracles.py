@@ -251,19 +251,19 @@ def subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(b - a @ (a.T @ b), 2))
 
 
-def convergence_rows_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectrum=None, seed=0,
-                             norm_mode="gaussian", perturbation="isotropic", delta=0.05,
-                             c1=1.0, c2=1.0):
-    """Reference for ``uws.theory.convergence_study``'s rows, one trial at a
-    time: per (T, trial) a tuple (T, trial, op_error, subspace_error,
-    op_bound, subspace_bound), each ensemble drawn by ``sample_ensemble``
-    and its operators built by the references above."""
+def convergence_cells_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectrum=None,
+                              seed=0, norm_mode="gaussian", perturbation="isotropic",
+                              delta=0.05, c1=1.0, c2=1.0):
+    """Reference for ``uws.theory.convergence_study``'s cells, one trial at
+    a time: the lists (T, trial, op_error, subspace_error) over the (T, trial)
+    cells, each ensemble drawn by ``sample_ensemble`` and its operators built
+    by the references above, and the dict of each T's ``theorem1_bounds``."""
     from uws.spectral import operator_norm
     from uws.tensor import finite_entries
     from uws.theory import (BoundParameters, SyntheticEnsembleConfig, sample_ensemble,
                             theorem1_bounds)
 
-    rows = []
+    cells, bounds = [], {}
     for t in t_grid:
         config = SyntheticEnsembleConfig(d=d, k=k, n_tasks=t, b=b, eta=eta, spectrum=spectrum,
                                          norm_mode=norm_mode, perturbation=perturbation)
@@ -271,14 +271,13 @@ def convergence_rows_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectru
             ens = sample_ensemble(config, rng=np.random.default_rng([seed, trial, t]))
             finite_entries(ens.f_hat, "vectors")
             learned = second_moment(list(ens.f_hat))
-            bounds = theorem1_bounds(BoundParameters(
+            bounds[t] = theorem1_bounds(BoundParameters(
                 b=ens.b, delta=delta, n_tasks=t, eta_bar=float(ens.etas.mean()),
                 eta2_bar=float((ens.etas**2).mean()),
                 gamma_k=ens.gamma if ens.gamma > 0 else None, c1=c1, c2=c2))
-            rows.append((t, trial, operator_norm(learned - ens.population),
-                         subspace_distance(top_k_basis(learned, k), ens.basis[:, :k]),
-                         bounds.op_bound, bounds.subspace_bound))
-    return rows
+            cells.append((t, trial, operator_norm(learned - ens.population),
+                          subspace_distance(top_k_basis(learned, k), ens.basis[:, :k])))
+    return [list(column) for column in zip(*cells)] + [bounds]
 
 
 def davis_kahan_reports_by_loop(d, k, perturb, trials, seed):

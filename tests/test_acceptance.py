@@ -262,7 +262,7 @@ def test_07_error_decays_at_root_t_then_floors_under_noise():
         norm_mode="constant", perturbation="radial", seed=77,
     )
     elapsed = time.monotonic() - t0
-    slope_ok = clean.slope_defined and -0.65 <= clean.slope <= -0.35
+    slope_ok = clean.slope is not None and -0.65 <= clean.slope <= -0.35
     cap_ok = noisy.mean_op_error[400] <= 2.0 * noisy.within_task_floor
     level = floored.mean_op_error[400]
     flat_ok = abs(level - floored.mean_op_error[200]) <= 0.25 * floored.mean_op_error[200]
@@ -324,7 +324,7 @@ def test_09_moment_gap_stays_under_the_noise_budget():
         )
         ens = sample_ensemble(cfg)
         try:
-            rep = within_task_term(ens.tasks, b=ens.b)
+            rep = within_task_term(ens.f_star, ens.f_hat, b=ens.b)
         except Exception:
             violations += 1
             continue

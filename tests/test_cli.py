@@ -1363,10 +1363,33 @@ def test_theory_converge_writes_deterministic_report(tmp_path, capsys):
     lines = first.read_text().splitlines()
     assert lines[0].startswith("#")
     header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header == "T,trial,op_error,subspace_error,op_bound,subspace_bound"
+    assert header == "T,trial,op_error,subspace_error"
     data = [ln for ln in lines if not ln.startswith("#") and ln != header]
     assert len(data) == 4  # two grid points x two trials
     assert any("slope" in ln for ln in lines if ln.startswith("#"))
+
+
+def test_the_converge_header_holds_what_the_benchmark_reads(tmp_path, capsys):
+    # the header read as perfbench's theory-lab check reads it: "# key: value" lines
+    t_grid = (4, 8, 16)
+    out = tmp_path / "converge.csv"
+    code, _, _ = run(["theory", "converge", "--d", "8", "--k", "2", "--t-grid",
+                      ",".join(map(str, t_grid)), "--trials", "3", "--eta", "0.2",
+                      "--seed", "41", "--out", str(out)], capsys)
+    assert code == 0
+    header = {}
+    for line in out.read_text().splitlines():
+        if line.startswith("# ") and ": " in line:
+            key, value = line[2:].split(": ", 1)
+            header[key] = value
+    float(header["slope"])
+    for t in t_grid:
+        float(header[f"mean_op_error[{t}]"])
+        bounds = theory.theorem1_bounds(theory.BoundParameters(
+            b=float(header["b"]), delta=0.05, n_tasks=t, eta_bar=float(np.full(t, 0.2).mean()),
+            eta2_bar=float((np.full(t, 0.2) ** 2).mean()), gamma_k=1.0))
+        assert float(header[f"mean_op_bound[{t}]"]) == bounds.op_bound
+        assert float(header[f"subspace_bound[{t}]"]) == bounds.subspace_bound
 
 
 def test_theory_converge_text_format(tmp_path, capsys):
@@ -1410,8 +1433,9 @@ def test_theory_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
     (["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4", "--trials", "2",
       "--delta", "0", "--out", "{out}"], "--delta"),
     (["theory", "converge", "--d", "6", "--k", "7", "--t-grid", "4", "--trials", "2",
-      "--out", "{out}"], "--k"),
-    (["theory", "dk-check", "--d", "4", "--k", "5", "--perturb", "0.1", "--trials", "2"], "--k"),
+      "--out", "{out}"], "--k must not exceed --d ="),
+    (["theory", "dk-check", "--d", "4", "--k", "5", "--perturb", "0.1", "--trials", "2"],
+     "--k must not exceed --d ="),
 ], ids=["bounds-delta-1", "converge-delta-0", "converge-k-past-d", "dk-check-k-past-d"])
 def test_theory_flags_out_of_range_are_usage_errors(argv, flag, tmp_path, capsys):
     argv = [a.replace("{out}", str(tmp_path / "r.csv")) for a in argv]
@@ -1428,7 +1452,8 @@ _CONVERGE = ["theory", "converge", "--d", "6", "--k", "2", "--t-grid", "4", "--t
     ("--eta", "-1", "--eta must be finite and >= 0, got -1.0"),
     ("--t-grid", "1,a",
      "uws theory converge: argument --t-grid: expected comma-separated integers, got '1,a'"),
-], ids=["eta", "t-grid"])
+    ("--t-grid", "4,8,16,8", "--t-grid must not repeat a T, got 8 more than once"),
+], ids=["eta", "t-grid", "t-grid-repeat"])
 def test_theory_converge_refuses_a_bad_eta_or_grid_in_one_line(flag, value, words, tmp_path,
                                                                capsys):
     code, out, err = run(_CONVERGE + [flag, value, "--out", str(tmp_path / "r.csv")], capsys)

@@ -20,7 +20,7 @@ from uws.ensemble import ModelWeights, save_weights
 
 VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e308", str(10**30), str(2**64), "", "x"]
 #: Further values for a flag that takes a comma-separated list.
-LISTS = ["1,2", "1,nan", "1,", "0.25,0.25,0.5"]
+LISTS = ["1,2", "1,nan", "1,", "0.25,0.25,0.5", "2,2"]
 LIST_FLAGS = {"--t-grid", "--spectrum", "--weights", "--exclude-layers"}
 
 
@@ -61,6 +61,11 @@ def _each(refused):
     return lambda text: any(refused(part) for part in text.split(","))
 
 
+def _grid(text):
+    """theory.task_counts' rule: counts, none of them repeated."""
+    return _each(COUNT)(text) or len({int(t) for t in text.split(",")}) < text.count(",") + 1
+
+
 def _weights(text):
     """merge_weights' rule for the fixture's three models."""
     try:
@@ -94,7 +99,7 @@ RULES = {
     **{("memcalc", f): COUNT for f in ("--t", "--per-model")},
     **{("memcalc", f): INDEX for f in ("--basis", "--coeffs", "--mean")},
     **{("theory converge", f): COUNT for f in ("--d", "--k", "--trials")},
-    ("theory converge", "--t-grid"): _each(COUNT),
+    ("theory converge", "--t-grid"): _grid,
     **{("theory converge", f): POSITIVE for f in ("--b", "--c1", "--c2")},
     ("theory converge", "--eta"): NONNEGATIVE,
     ("theory converge", "--spectrum"): _each(NONNEGATIVE),

@@ -25,11 +25,14 @@ def test_the_theory_lab_exports_what_it_runs_and_nothing_retired():
            "davis_kahan_study", "SyntheticEnsembleConfig", "sample_ensemble",
            "convergence_study", "ConvergenceReport"}
     assert lab <= set(uws.__all__)
-    assert all(hasattr(uws.theory, name) for name in ("DkStudy", "DkReport", "TaskVector"))
+    assert all(hasattr(uws.theory, name) for name in ("DkStudy", "DkReport", "TheoremBounds"))
     retired = {"top_k_projector", "subspace_distance", "second_moment", "Projector",
-               "SecondMomentOperator"}
+               "SecondMomentOperator", "TaskVector", "ConvergenceRow"}
     assert not retired & set(uws.__all__)
     assert not [name for name in retired if hasattr(uws, name) or hasattr(uws.theory, name)]
+    assert not hasattr(uws.theory.SyntheticEnsemble, "tasks")
+    fields = uws.theory.ConvergenceReport.__dataclass_fields__
+    assert not {"rows", "mean_op_bound", "slope_defined", "t_grid", "n_trials"} & set(fields)
 
 
 def test_a_container_read_has_one_record_and_nothing_retired():

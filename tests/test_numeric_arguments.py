@@ -42,7 +42,7 @@ def _adapt_problem():
 
 MODELS, U, X, Y = _adapt_problem()
 STACK = np.random.default_rng(4).standard_normal((12, 6))
-TASKS = [theory.TaskVector(f_star=np.array([1.0, 0.0]), f_hat=np.array([1.0, 0.5]))]
+TASKS = np.array([[1.0, 0.0]]), np.array([[1.0, 0.5]])  # f_star, f_hat
 CONFIG = dict(d=4, k=2, n_tasks=3)
 BOUND = dict(b=1.0, delta=0.5, n_tasks=10, eta_bar=0.25, eta2_bar=0.0625, gamma_k=0.5,
              c1=1.0, c2=1.0)
@@ -104,7 +104,7 @@ CASES = {
     **{f"BoundParameters.{n}": (n, _bound(n), v, n == "gamma_k")
        for n, v in (("b", 2.0), ("delta", 0.25), ("n_tasks", 7), ("eta_bar", 0.5),
                     ("eta2_bar", 0.125), ("gamma_k", 0.75), ("c1", 2.0), ("c2", 4.0))},
-    "within_task_term.b": ("b", (lambda v: theory.within_task_term(TASKS, b=v),
+    "within_task_term.b": ("b", (lambda v: theory.within_task_term(*TASKS, b=v),
                                  lambda r: r.b), 2.0, True),
     **{f"davis_kahan_study.{n}": (n, _dk(n), v, False)
        for n, v in (("d", 5), ("k", 1), ("perturb", 0.25), ("trials", 2), ("seed", 3))},
@@ -178,8 +178,7 @@ ARRAY_ARGUMENTS = {
     "thin_svd": ("matrix", lambda a: thin_svd(a.reshape(1, -1))),
     "population_second_moment": ("spectrum", lambda a: theory.population_second_moment(
         np.eye(2), a)),
-    "within_task_term": ("f_star", lambda a: theory.within_task_term(
-        [theory.TaskVector(f_star=a, f_hat=np.zeros(2))])),
+    "within_task_term": ("f_star", lambda a: theory.within_task_term(a[None], np.zeros((1, 2)))),
     "davis_kahan_check": ("s_ref", lambda a: theory.davis_kahan_check(np.diag(a), np.eye(2), 1)),
     "project_slice": ("member", lambda a: project_slice(U.layer_models["w"], np.resize(a, (6, 8)))),
     "project_model excluded layer": ("layer 'e'", lambda a: project_model(

@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-from types import SimpleNamespace
 
 from uws import spectral, theory
 from uws.ensemble import merge_models
@@ -81,8 +80,7 @@ COMPLEX_ENTRY_POINTS = {
     "config_spectrum": lambda: theory.SyntheticEnsembleConfig(**_CONFIG, spectrum=[1j]),
     "population_basis": lambda: theory.population_second_moment(1j * np.eye(2), [1.0, 1.0]),
     "population_spectrum": lambda: theory.population_second_moment(np.eye(2), [1j, 1.0]),
-    "within_task": lambda: theory.within_task_term(
-        [SimpleNamespace(f_star=1j * np.ones(2), f_hat=np.ones(2))]),
+    "within_task": lambda: theory.within_task_term(1j * np.ones((1, 2)), np.ones((1, 2))),
     "davis_kahan_check": lambda: theory.davis_kahan_check(1j * np.eye(2), np.eye(2), 1),
     "convergence_eta": lambda: theory.convergence_study(3, 1, [2], 1, eta=0.1j),
     "convergence_spectrum": lambda: theory.convergence_study(3, 1, [2], 1, spectrum=[1j]),

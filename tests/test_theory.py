@@ -9,7 +9,6 @@ from uws.theory import (
     BoundParameters,
     DkStudy,
     SyntheticEnsembleConfig,
-    TaskVector,
     _batch_size,
     _descending_eigh,
     _dk_pairs,
@@ -21,13 +20,15 @@ from uws.theory import (
     davis_kahan_check,
     davis_kahan_study,
     population_second_moment,
+    rank_within,
     sample_ensemble,
     theorem1_bounds,
     within_task_term,
 )
+from uws import cli
 
 from oracles import (
-    convergence_rows_by_loop,
+    convergence_cells_by_loop,
     davis_kahan_reports_by_loop,
     haar_columns,
     synthetic_tasks_by_loop,
@@ -48,62 +49,52 @@ def cfg(**kw):
 # -------------------------------------------------------------------- sampling
 
 
-def test_tasks_are_built_on_read_from_the_stored_arrays():
+def test_an_ensemble_holds_its_tasks_as_two_arrays_and_nothing_else():
     ens = sample_ensemble(cfg(eta=0.2))
-    tasks = ens.tasks
-    assert tasks is not ens.tasks and all(isinstance(t, TaskVector) for t in tasks)
-    assert np.array_equal(np.stack([t.f_star for t in tasks]), ens.f_star)
-    assert np.array_equal(np.stack([t.f_hat for t in tasks]), ens.f_hat)
     assert ens.f_star.shape == ens.f_hat.shape == (20, 8)
-    with pytest.raises(AttributeError):
-        ens.tasks = []
+    assert not hasattr(ens, "tasks")
 
 
 def test_zero_eta_hats_equal_stars_exactly():
     ens = sample_ensemble(cfg(eta=0.0))
-    assert len(ens.tasks) == 20
-    for t in ens.tasks:
-        assert np.array_equal(t.f_hat, t.f_star)
+    assert len(ens.f_hat) == 20
+    assert np.array_equal(ens.f_hat, ens.f_star)
 
 
 def test_sampling_is_deterministic():
     a = sample_ensemble(cfg(eta=0.1, seed=5))
     b = sample_ensemble(cfg(eta=0.1, seed=5))
     c = sample_ensemble(cfg(eta=0.1, seed=6))
-    for x, y in zip(a.tasks, b.tasks):
-        assert np.array_equal(x.f_star, y.f_star)
-        assert np.array_equal(x.f_hat, y.f_hat)
-    assert any(
-        not np.array_equal(x.f_star, y.f_star) for x, y in zip(a.tasks, c.tasks)
-    )
+    assert np.array_equal(a.f_star, b.f_star)
+    assert np.array_equal(a.f_hat, b.f_hat)
+    assert not np.array_equal(a.f_star, c.f_star)
 
 
 def test_norm_bound_holds_for_every_sample():
     ens = sample_ensemble(cfg(n_tasks=300, b=1.5, seed=3))
-    for t in ens.tasks:
-        assert np.linalg.norm(t.f_star) <= 1.5 + 1e-12
+    assert np.all(np.linalg.norm(ens.f_star, axis=1) <= 1.5 + 1e-12)
 
 
 def test_constant_norm_mode_pins_the_norm():
     ens = sample_ensemble(cfg(norm_mode="constant", b=2.0, n_tasks=50))
-    for t in ens.tasks:
-        assert np.linalg.norm(t.f_star) == pytest.approx(2.0, rel=1e-12)
+    for star in ens.f_star:
+        assert np.linalg.norm(star) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_perturbation_magnitudes_match_eta():
     etas = [0.0, 0.05, 0.2, 0.0, 0.5] * 4
     ens = sample_ensemble(cfg(eta=etas, seed=9))
-    for t, e in zip(ens.tasks, etas):
-        assert np.linalg.norm(t.f_hat - t.f_star) == pytest.approx(e, abs=1e-12)
+    for star, hat, e in zip(ens.f_star, ens.f_hat, etas):
+        assert np.linalg.norm(hat - star) == pytest.approx(e, abs=1e-12)
     assert np.allclose(ens.etas, etas)
 
 
 def test_radial_perturbation_keeps_direction():
     ens = sample_ensemble(cfg(eta=0.3, perturbation="radial", seed=4))
-    for t in ens.tasks:
-        ns, nh = np.linalg.norm(t.f_star), np.linalg.norm(t.f_hat)
+    for star, hat in zip(ens.f_star, ens.f_hat):
+        ns, nh = np.linalg.norm(star), np.linalg.norm(hat)
         assert nh == pytest.approx(ns + 0.3, abs=1e-10)
-        cosine = float(t.f_star @ t.f_hat) / (ns * nh)
+        cosine = float(star @ hat) / (ns * nh)
         assert cosine == pytest.approx(1.0, abs=1e-12)
 
 
@@ -121,9 +112,7 @@ def test_batched_draw_matches_per_task_reference(norm_mode, perturbation, per_ta
             ens = sample_ensemble(config)
             basis, stars, hats = synthetic_tasks_by_loop(config, np.random.default_rng(seed))
             assert np.array_equal(ens.basis, basis)
-            assert all(isinstance(t, TaskVector) for t in ens.tasks)
-            for got, want in ((np.stack([t.f_star for t in ens.tasks]), np.stack(stars)),
-                              (np.stack([t.f_hat for t in ens.tasks]), np.stack(hats))):
+            for got, want in ((ens.f_star, np.stack(stars)), (ens.f_hat, np.stack(hats))):
                 # the GEMM sums in another order than the per-task GEMV:
                 # 4 ulp of each task vector's norm
                 ulp = np.spacing(np.linalg.norm(want, axis=1))[:, None]
@@ -149,7 +138,7 @@ class _ZeroRow:
 @pytest.mark.parametrize("norm_mode", ["gaussian", "constant"])
 def test_zero_draw_is_redrawn_not_divided(norm_mode):
     ens = sample_ensemble(cfg(eta=0.2, norm_mode=norm_mode), rng=_ZeroRow(3))
-    star, hat = ens.tasks[1].f_star, ens.tasks[1].f_hat
+    star, hat = ens.f_star[1], ens.f_hat[1]
     assert np.all(np.isfinite(star)) and np.all(np.isfinite(hat))
     assert np.linalg.norm(hat - star) == pytest.approx(0.2, abs=1e-12)
     if norm_mode == "constant":
@@ -391,29 +380,23 @@ def test_theorem_bounds_reject_a_bound_that_is_not_finite():
 # ----------------------------------------------------------------- within-task
 
 
-class FakeTask:
-    def __init__(self, f_star, f_hat):
-        self.f_star = np.asarray(f_star, dtype=np.float64)
-        self.f_hat = np.asarray(f_hat, dtype=np.float64)
-
-
 def test_within_task_radial_single_task_attains_cap():
-    rep = within_task_term([FakeTask([1.0, 0.0], [1.3, 0.0])], b=1.0)
+    rep = within_task_term([[1.0, 0.0]], [[1.3, 0.0]], b=1.0)
     assert rep.measured == pytest.approx(0.69, abs=1e-10)
     assert rep.cap == pytest.approx(0.69, rel=1e-12)
     assert rep.holds
 
 
 def test_within_task_default_b_is_the_largest_task_norm():
-    tasks = [FakeTask([0.6, 0.0], [0.6, 0.1]), FakeTask([0.0, 0.8], [0.1, 0.8])]
-    rep = within_task_term(tasks)
+    stars, hats = np.array([[0.6, 0.0], [0.0, 0.8]]), np.array([[0.6, 0.1], [0.1, 0.8]])
+    rep = within_task_term(stars, hats)
     assert rep.b == 0.8
-    assert rep == within_task_term(tasks, b=0.8)
+    assert rep == within_task_term(stars, hats, b=0.8)
 
 
 def test_within_task_orthogonal_single_task_closed_form():
     eta = 0.3
-    rep = within_task_term([FakeTask([1.0, 0.0], [1.0, eta])], b=1.0)
+    rep = within_task_term([[1.0, 0.0]], [[1.0, eta]], b=1.0)
     # difference matrix [[0, eta], [eta, eta^2]]: largest eigenvalue by hand
     hand = (eta**2 + math.sqrt(eta**4 + 4 * eta**2)) / 2.0
     assert rep.measured == pytest.approx(hand, abs=1e-10)
@@ -422,17 +405,18 @@ def test_within_task_orthogonal_single_task_closed_form():
 
 
 def test_within_task_zero_perturbation_and_validation():
-    rep = within_task_term([FakeTask([0.5, 0.5], [0.5, 0.5])], b=1.0)
+    rep = within_task_term([[0.5, 0.5]], [[0.5, 0.5]], b=1.0)
     assert rep.measured == 0.0 and rep.cap == 0.0 and rep.holds
-    with pytest.raises(InvalidArgumentError):
-        within_task_term([FakeTask([2.0, 0.0], [2.0, 0.0])], b=1.0)
-    with pytest.raises(InvalidArgumentError):
-        within_task_term([], b=1.0)
-    for tasks in ([FakeTask([0.5, 0.5], [0.5, 0.5]), FakeTask([0.5], [0.5])],  # lengths differ
-                  [FakeTask([0.5, 0.5], [0.5, 0.5, 0.0])],  # f_hat longer than f_star
-                  [FakeTask([[0.5, 0.5], [0.0, 0.5]], [[0.5, 0.5], [0.0, 0.5]])]):  # 2-D
-        with pytest.raises(InvalidArgumentError, match="1-D and all of one length"):
-            within_task_term(tasks, b=1.0)
+    with pytest.raises(InvalidArgumentError, match="does not bound"):
+        within_task_term([[2.0, 0.0]], [[2.0, 0.0]], b=1.0)
+    with pytest.raises(InvalidArgumentError, match="at least one task"):
+        within_task_term(np.zeros((0, 2)), np.zeros((0, 2)), b=1.0)
+    for stars, hats in (([[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]),  # task counts differ
+                        ([[0.5, 0.5]], [[0.5, 0.5, 0.0]]),  # f_hat longer than f_star
+                        ([0.5, 0.5], [0.5, 0.5]),  # one task as a vector
+                        ([[[0.5]]], [[[0.5]]])):  # 3-D
+        with pytest.raises(InvalidArgumentError, match=r"\(n_tasks, d\) arrays of one shape"):
+            within_task_term(stars, hats, b=1.0)
 
 
 def test_within_task_cap_on_sampled_ensembles_and_additivity():
@@ -447,13 +431,12 @@ def test_within_task_cap_on_sampled_ensembles_and_additivity():
                 seed=[18, trial],
             )
         )
-        rep = within_task_term(ens.tasks, b=ens.b)
+        rep = within_task_term(ens.f_star, ens.f_hat, b=ens.b)
         assert rep.holds
     ens = sample_ensemble(cfg(eta=0.2, n_tasks=12, seed=19))
-    first, second = ens.tasks[:5], ens.tasks[5:]
-    whole = within_task_term(ens.tasks, b=ens.b)
-    a = within_task_term(first, b=ens.b)
-    bb = within_task_term(second, b=ens.b)
+    whole = within_task_term(ens.f_star, ens.f_hat, b=ens.b)
+    a = within_task_term(ens.f_star[:5], ens.f_hat[:5], b=ens.b)
+    bb = within_task_term(ens.f_star[5:], ens.f_hat[5:], b=ens.b)
     assert 12 * whole.cap == pytest.approx(5 * a.cap + 7 * bb.cap, rel=1e-12)
 
 
@@ -505,39 +488,56 @@ def test_convergence_study_shrinks_with_more_tasks():
     report = convergence_study(
         d=16, k=2, t_grid=[20, 40, 80, 160], n_trials=12, eta=0.0, seed=23
     )
-    assert len(report.rows) == 4 * 12
-    assert report.slope_defined
+    assert report.op_error.shape == report.subspace_error.shape == (4 * 12,)
+    assert report.slope is not None
     assert -0.8 <= report.slope <= -0.2
     means = [report.mean_op_error[t] for t in (20, 40, 80, 160)]
     assert means[0] > means[-1]
-    bounds = [report.mean_op_bound[t] for t in (20, 40, 80, 160)]
+    bounds = [report.bounds[t].op_bound for t in (20, 40, 80, 160)]
     assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
-    for row in report.rows:
-        assert row.op_error >= 0.0
-        assert row.subspace_error <= 2.0 + 1e-12
+    assert np.all(report.op_error >= 0.0)
+    assert np.all(report.subspace_error <= 2.0 + 1e-12)
 
 
-def test_each_convergence_bound_is_stated_as_every_row_states_it():
-    # the mean of twelve copies of each bound rounds away from it
+def test_convergence_cells_are_four_arrays_in_cell_order():
+    report = convergence_study(d=8, k=2, t_grid=[20, 10], n_trials=3, eta=0.1, seed=7)
+    assert report.n_tasks.tolist() == [20, 20, 20, 10, 10, 10]
+    assert report.trial.tolist() == [0, 1, 2, 0, 1, 2]
+    assert report.op_error.dtype == report.subspace_error.dtype == np.float64
+    assert list(report.bounds) == [20, 10]
+    assert report.mean_op_error[10] == float(np.mean(report.op_error[3:]))
+
+
+def test_each_convergence_bound_is_theorem1_at_its_t_and_the_csv_states_it_once(tmp_path):
     report = convergence_study(d=64, k=4, t_grid=[25, 200], n_trials=12, eta=0.2, seed=41)
+    config = report.config
     for t in (25, 200):
-        assert {r.op_bound for r in report.rows if r.n_tasks == t} == {report.mean_op_bound[t]}
+        assert report.bounds[t] == theorem1_bounds(BoundParameters(
+            b=config["b"], delta=config["delta"], n_tasks=t, eta_bar=float(np.full(t, 0.2).mean()),
+            eta2_bar=float((np.full(t, 0.2)**2).mean()), gamma_k=1.0))
+    out = tmp_path / "r.csv"
+    assert cli.main(["theory", "converge", "--d", "64", "--k", "4", "--t-grid", "25,200",
+                     "--trials", "12", "--eta", "0.2", "--seed", "41", "--out", str(out)]) == 0
+    text = out.read_text()
+    for t in (25, 200):
+        for key, value in ((f"mean_op_bound[{t}]", report.bounds[t].op_bound),
+                           (f"subspace_bound[{t}]", report.bounds[t].subspace_bound)):
+            assert text.count(repr(value)) == 1
+            assert f"# {key}: {value!r}\n" in text
 
 
 def test_convergence_study_degenerate_grid():
     report = convergence_study(d=6, k=2, t_grid=[1], n_trials=3, eta=0.0, seed=1)
-    assert not report.slope_defined
     assert report.slope is None
-    assert len(report.rows) == 3
+    assert report.op_error.shape == (3,)
 
 
 def test_convergence_study_is_deterministic():
     a = convergence_study(d=8, k=2, t_grid=[10, 20], n_trials=4, eta=0.1, seed=7)
     b = convergence_study(d=8, k=2, t_grid=[10, 20], n_trials=4, eta=0.1, seed=7)
-    for ra, rb in zip(a.rows, b.rows):
-        assert (ra.n_tasks, ra.trial) == (rb.n_tasks, rb.trial)
-        assert ra.op_error == rb.op_error
-        assert ra.subspace_error == rb.subspace_error
+    for name in ("n_tasks", "trial", "op_error", "subspace_error"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.bounds == b.bounds
 
 
 def test_convergence_plateau_exact_in_radial_constant_mode():
@@ -567,6 +567,23 @@ def test_convergence_grid_validation():
         convergence_study(d=6, k=2, t_grid=[0], n_trials=3)
     with pytest.raises(InvalidArgumentError, match="seed"):
         convergence_study(d=6, k=2, t_grid=[10], n_trials=3, seed=-1)
+    with pytest.raises(InvalidArgumentError,
+                       match="^t_grid must not repeat a T, got 8 more than once$"):
+        convergence_study(d=6, k=2, t_grid=[4, 8, 16, 8], n_trials=3)
+
+
+def test_one_rule_says_k_may_not_exceed_d():
+    words = "k must not exceed d = 4, got 5"
+    for call in (lambda: SyntheticEnsembleConfig(d=4, k=5, n_tasks=3),
+                 lambda: davis_kahan_study(4, 5, 0.1, 1),
+                 lambda: davis_kahan_check(np.eye(4), np.eye(4), 5),
+                 lambda: convergence_study(d=4, k=5, t_grid=[3], n_trials=1),
+                 lambda: rank_within(5, 4)):
+        with pytest.raises(InvalidArgumentError, match=f"^{words}$"):
+            call()
+    assert rank_within(np.int64(4), 4) == 4
+    with pytest.raises(InvalidArgumentError, match="^--k must not exceed --d = 2, got 3$"):
+        rank_within(3, 2, ("--k", "--d"))
 
 
 # ------------------------------------------------------- batched trials
@@ -586,9 +603,11 @@ def test_convergence_rows_equal_the_per_trial_loop_bit_for_bit(case):
     # T = 5 < d = 8 < T = 20; 13 trials fill one batch and part of another
     kwargs = dict(d=8, k=3, t_grid=[5, 20], eta=0.2, seed=29, **case)
     report = convergence_study(**kwargs)
-    got = [(r.n_tasks, r.trial, r.op_error, r.subspace_error, r.op_bound, r.subspace_bound)
-           for r in report.rows]
-    assert repr(got) == repr(convergence_rows_by_loop(**kwargs))
+    got = [getattr(report, name).tolist()
+           for name in ("n_tasks", "trial", "op_error", "subspace_error")]
+    n_tasks, trial, op_error, subspace_error, bounds = convergence_cells_by_loop(**kwargs)
+    assert repr(got) == repr([n_tasks, trial, op_error, subspace_error])
+    assert repr(report.bounds) == repr(bounds)
 
 
 @pytest.mark.parametrize("d, k, trials", [(6, 2, 1), (8, 3, 8), (10, 10, 13)])
@@ -624,7 +643,7 @@ def test_a_failing_convergence_trial_raises_what_the_per_trial_loop_raises():
                   norm_mode="constant", perturbation="radial")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidArgumentError) as want:
-            convergence_rows_by_loop(**kwargs)
+            convergence_cells_by_loop(**kwargs)
         with pytest.raises(InvalidArgumentError) as got:
             convergence_study(**kwargs)
     assert str(got.value) == str(want.value) == "vectors must be finite, got -inf at index (0, 0)"
