@@ -1,30 +1,27 @@
 """Truncated zero-centered higher-order SVD of order-2 and order-3 stacks.
 
 Pipeline: subtract the mean (feature-wise along the stacking mode by
-default, or one global scalar), find each mode's leading singular
-vectors, keep as many as the rank policy asks for, and contract
-the centered stack with the factor transposes to get the core.
-Reconstruction multiplies the core back through every factor and adds
-the mean.
+default, or one global scalar), find each non-stacking mode's leading
+singular vectors and keep as many as the rank policy asks for.  No
+route forms the stacking mode's factor or the core: a member is
+projected onto the kept factors, and rebuilt by multiplying its
+coefficients back through them and adding the mean.
 
 A mode's fibres, laid out as the rows of one matrix in any order, have
 that mode's factor as their right singular vectors (De Lathauwer, De Moor
 and Vandewalle, 2000): the feature mode's are the stacked rows, (T*r) x d,
 and mode 2 of order 3 takes each member's columns, (T*d) x r.  One kernel
 takes one thin SVD of that matrix and truncates its right factor by the
-policy.  An order-2 stack is plain PCA of one matrix Xc, whose stacking
-mode's factor is the left factor of that same SVD, with the same rank.
-Each factor column's largest-magnitude entry is made nonnegative.
-:func:`hosvd_truncated` is the in-memory reference; :func:`exact_subspace`,
-for extraction, centres the stack in place and forms no mode-1 factor or core.
+policy, so an order-2 stack is plain PCA of one matrix Xc.  Each factor
+column's largest-magnitude entry is made nonnegative.  :func:`exact_subspace`
+centres the stack in place and decomposes it this way.
 
 An order-2 stack too large to hold is fed to :class:`GramStream` one
 slab at a time, float32 or float64.  It keeps the column mean, the lower
 row panels of the centred d x d Gram matrix G = Xc.T @ Xc
 (:class:`~uws.spectral.LowerGram`) and the row count, merging blocks of
 ``GRAM_BLOCK_ROWS`` rows with the pairwise update of Chan, Golub and
-LeVeque (1979).  Its result carries no stacking-mode factor or core, and
-comes from the Gram route:
+LeVeque (1979).  Its result comes from the Gram route:
 
 - :func:`~uws.spectral.gram_leading` finds, of G, only the leading
   eigenpairs that the policy retains or reads, and tr G less their sum
@@ -43,7 +40,7 @@ A "member" is what one contributor adds to the stack, the unit that is
 projected and rebuilt (:func:`project_slice`, :func:`reconstruct_slice`):
 an r x d matrix, a slab of rows of an order-2 stack or one index of the
 stacking mode of an order-3 one.  New members are expressed in the
-shared basis without the stacking-mode factor.
+shared basis.
 """
 
 from __future__ import annotations
@@ -52,11 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-)
+from .errors import DegenerateSpectrumError, InvalidArgumentError
 from .spectral import (
     DEFAULT_POLICY,
     GRAM_MIN_SQUARE,
@@ -86,15 +79,13 @@ class ModeSpectrum:
     The exact route keeps the whole spectrum and a ``tail`` of 0; the
     Gram route keeps the components as deep as a rank reads and, in
     ``tail``, the energy (sum of squares) of the others.  ``ratios`` are
-    ``explained_variance(singular_values, tail)``.  ``first_component``
-    is 0 for a primary subspace; a secondary (residual) subspace retains
-    the window starting right after the primary one.
+    ``explained_variance(singular_values, tail)``, and ``retained``
+    leading components make the factor.
     """
 
     singular_values: np.ndarray
     ratios: np.ndarray
     retained: int
-    first_component: int = 0
     tail: float = 0.0
 
     @property
@@ -104,37 +95,22 @@ class ModeSpectrum:
         return max(0.0, 1.0 - float(np.sum(self.ratios))) if self.tail else 0.0
 
 
-@dataclass(frozen=True)
-class Stacking:
-    """The stacking mode of a stack that :func:`hosvd_truncated` or
-    :func:`secondary_subspace` decomposed: its factor U1, that factor's
-    spectrum (for order 2 the feature mode's own) and the core."""
-
-    factor: np.ndarray
-    spectrum: ModeSpectrum
-    core: np.ndarray
-
-
 @dataclass
 class SubspaceModel:
-    """What a subspace file holds of a decomposed stack: the mean, the
-    orthonormal factors of the non-stacking modes in mode order (``(V,)``
-    for order 2, ``(U2, U3)`` for order 3, so ``factors[-1]`` is the
-    feature basis) and one :class:`ModeSpectrum` per factor.
-
-    Only :func:`hosvd_truncated` and :func:`secondary_subspace` also keep
-    the ``stacking`` mode, which :func:`reconstruct` needs to rebuild the
-    stack; a model from :class:`GramStream`, :func:`exact_subspace` or a
-    subspace file projects and rebuilds members only.
+    """What a subspace file holds of a decomposed stack of ``shape``: the
+    mean, the orthonormal factors of the non-stacking modes in mode order
+    (``(V,)`` for order 2, ``(U2, U3)`` for order 3, so ``factors[-1]`` is
+    the feature basis), one :class:`ModeSpectrum` per factor and the rows
+    of one member's slab.  :class:`GramStream`, :func:`exact_subspace` and
+    a subspace file all give one; it projects and rebuilds members.
     """
 
     mu: np.ndarray
     factors: tuple[np.ndarray, ...]
     spectra: tuple[ModeSpectrum, ...]
     centering: str
-    shape: tuple[int, ...] = ()
-    slab_extent: int | None = None
-    stacking: Stacking | None = None
+    shape: tuple[int, ...]
+    slab_extent: int | None
 
     @property
     def order(self) -> int:
@@ -151,24 +127,6 @@ class SliceCoefficients:
     slab, which keeps its rows, and k2 x k3 for order 3."""
 
     coeffs: np.ndarray
-
-
-def center(x, centering: str = "feature") -> tuple[np.ndarray, np.ndarray]:
-    """Split ``x`` into a mean and a zero-centered remainder, a new array:
-    ``global`` subtracts the scalar mean of all entries, ``feature`` the
-    mean over the stacking mode (mode 1), of shape ``x.shape[1:]``, one
-    stacked row or one member.  Either way ``centered + mu`` restores ``x``."""
-    xc = np.array(as_tensor(x))
-    return _center_in_place(xc, centering), xc
-
-
-def _center_in_place(arr: np.ndarray, centering: str):
-    """Subtract :func:`center`'s mean from the float64 ``arr``; return the mean."""
-    one_of(centering, "centering", CENTERINGS)
-    finite_entries(arr, "tensor")
-    mu = np.float64(arr.mean()) if centering == "global" else arr.mean(axis=0)
-    arr -= mu
-    return mu
 
 
 def gram_eligible(shape, policy: RankPolicy) -> bool:
@@ -213,26 +171,23 @@ def _expand(factors, c: np.ndarray) -> np.ndarray:
     return u2 @ c @ u3.T
 
 
-def _stacking(xc: np.ndarray, u1: np.ndarray, spectrum, factors) -> Stacking:
-    """The stacking mode of the centred ``xc``: ``u1``, its ``spectrum``
-    and the core, ``U1.T`` times Xc as a T x (r*d) matrix with each of
-    the k1 members this gives contracted (``U1.T @ Xc @ V`` for order 2)."""
-    g = u1.T @ xc.reshape(len(xc), -1)
-    return Stacking(u1, spectrum, _contract(factors, g.reshape(-1, *xc.shape[1:])))
-
-
 def _slab_extent(slab_extent) -> int | None:
     """A stack's ``slab_extent``, None (not set) or an int >= 1."""
     return None if slab_extent is None else int_at_least(slab_extent, "slab_extent", 1)
 
 
 def _centred(x: np.ndarray, policy, centering: str):
-    """The mean of the tensor ``x`` and ``x`` itself, centred in place."""
+    """The mean of the float64 tensor ``x`` and ``x`` itself, centred in
+    place: ``global`` subtracts the scalar mean of all entries, ``feature``
+    the mean over the stacking mode (mode 1), one stacked row or one member."""
     check_policy(policy)
     if not np.any(x):
         raise DegenerateSpectrumError("tensor is identically zero")
     norm = frobenius_norm(x)
-    mu = _center_in_place(x, centering)
+    one_of(centering, "centering", CENTERINGS)
+    finite_entries(x, "tensor")
+    mu = np.float64(x.mean()) if centering == "global" else x.mean(axis=0)
+    x -= mu
     _require_variance(frobenius_norm(x), norm, centering)
     return mu, x
 
@@ -240,8 +195,6 @@ def _centred(x: np.ndarray, policy, centering: str):
 def _fibres(xc: np.ndarray, mode: int) -> np.ndarray:
     """The mode-``mode`` fibres of the centred stack ``xc`` as the rows of
     one matrix, whose right singular vectors are that mode's factor."""
-    if mode == 1:  # the members' transpose, (r*d) x T, a view
-        return xc.reshape(len(xc), -1).T
     if mode == xc.ndim:  # the stacked rows, (T*r) x d, a view
         return xc.reshape(-1, xc.shape[-1])
     return xc.transpose(0, 2, 1).reshape(-1, xc.shape[1])  # each member's columns, one copy
@@ -249,53 +202,10 @@ def _fibres(xc: np.ndarray, mode: int) -> np.ndarray:
 
 def _mode_factor(xc: np.ndarray, mode: int, policy):
     """The truncated factor and spectrum of one mode of the centred
-    ``xc``, from one thin SVD of its :func:`_fibres`, and that SVD."""
+    ``xc``, from one thin SVD of its :func:`_fibres`."""
     rows = _fibres(xc, mode)
     f = thin_svd(rows)
-    return (*_truncation(f.singular_values, f.v * column_signs(f.v), 0.0, policy, rows.shape), f)
-
-
-def hosvd_truncated(
-    x,
-    policy: RankPolicy = DEFAULT_POLICY,
-    *,
-    centering: str = "feature",
-    slab_extent: int | None = None,
-) -> SubspaceModel:
-    """Zero-center a copy of ``x`` and truncate every mode of the result,
-    the stacking mode's factor, spectrum and the core in ``stacking``.
-
-    Each non-stacking mode is :func:`exact_subspace`'s.  An order-2
-    stack's U1 is the left factor of the feature mode's SVD, so it takes
-    one thin SVD, whose spectrum and rank both modes share, and the core
-    is ``U1.T @ Xc @ V``; an order-3 stack's U1 comes from one more SVD,
-    of the members' transpose.  This is the exact reference that a
-    :class:`GramStream`'s result is checked against.
-
-    Parameters
-    ----------
-    x : array_like
-        The stack, order 2 (stacked rows x features) or 3 (members x
-        rows x features), whose mode 1 enumerates the stacked slabs.
-    policy : RankPolicy
-        Rank selection, applied to each mode's spectrum.
-    centering : {"feature", "global"}
-    slab_extent : int, optional
-        Rows of one member's slab of an order-2 stack, an int >= 1;
-        recorded so projection can validate its input.
-    """
-    slab_extent = _slab_extent(slab_extent)
-    mu, xc = _centred(np.array(as_tensor(x)), policy, centering)
-    if xc.ndim == 2:  # U1 is the left factor of the feature mode's SVD
-        factor, spectrum, f = _mode_factor(xc, 2, policy)
-        factors, spectra = (factor,), (spectrum,)
-        u1 = np.ascontiguousarray(f.u[:, : spectrum.retained])
-    else:  # no mode's singular vectors are held through the next mode's SVD
-        factors, spectra = zip(*(_mode_factor(xc, m, policy)[:2] for m in (2, 3)))
-        u1, spectrum, _ = _mode_factor(xc, 1, policy)
-    return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
-                         shape=xc.shape, slab_extent=slab_extent,
-                         stacking=_stacking(xc, u1, spectrum, factors))
+    return _truncation(f.singular_values, f.v * column_signs(f.v), 0.0, policy, rows.shape)
 
 
 def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -> SubspaceModel:
@@ -303,14 +213,13 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
     alone: the mean, and each non-stacking mode's truncated factor and
     spectrum from one thin SVD of its fibres laid out as rows (the
     stacked rows for the feature mode, each member's columns for mode 2
-    of order 3).  No stacking-mode factor or core is formed, and a float64
-    ``x`` is centred in place (pass a copy to keep it).  The arguments,
-    errors and each result match :func:`hosvd_truncated`'s bit for bit.
+    of order 3).  A float64 ``x`` is centred in place (pass a copy to
+    keep it).
     """
     slab_extent = _slab_extent(slab_extent)
     mu, xc = _centred(as_tensor(x), policy, centering)
     # each mode's singular vectors are dropped before the next mode's SVD
-    factors, spectra = zip(*(_mode_factor(xc, m, policy)[:2] for m in range(2, xc.ndim + 1)))
+    factors, spectra = zip(*(_mode_factor(xc, m, policy) for m in range(2, xc.ndim + 1)))
     return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
                          shape=xc.shape, slab_extent=slab_extent)
 
@@ -414,8 +323,7 @@ class GramStream:
         slab_extent: int | None = None,
     ) -> SubspaceModel | None:
         """The truncated subspace of the rows added so far, found on the
-        Gram route (:func:`~uws.spectral.gram_leading`) with no
-        stacking-mode factor or core.  It matches :func:`exact_subspace` of
+        Gram route (:func:`~uws.spectral.gram_leading`).  It matches :func:`exact_subspace` of
         the stacked rows to within the accuracy stated in the module
         docstring: retained factors agree to about eps * (s_1 / s_r)**2
         and each singular value s_i to about eps * s_1**2 / s_i.
@@ -451,24 +359,6 @@ class GramStream:
         factor, spectrum = _truncation(*found, policy, shape)
         return SubspaceModel(mu=mu, factors=(factor,), spectra=(spectrum,), centering=centering,
                              shape=shape, slab_extent=slab_extent)
-
-
-def reconstruct(model: SubspaceModel) -> np.ndarray:
-    """``mu`` plus ``U1`` times the core as a k1 x (k2*k3) matrix, each of
-    the T members this gives expanded: ``U1 @ core @ V.T + mu`` for order 2."""
-    if model.stacking is None:
-        raise InvalidArgumentError(
-            "rebuilding the stack needs the stacking-mode factor and core, which a "
-            "streamed or reloaded subspace does not keep"
-        )
-    try:
-        u1, core = model.stacking.factor, model.stacking.core
-        g = (u1 @ core.reshape(len(core), -1)).reshape(-1, *core.shape[1:])
-        return _expand(model.factors, g) + np.asarray(model.mu)
-    except ValueError as exc:
-        raise InternalConsistencyError(
-            f"stored factors/core/mu are mutually inconsistent: {exc}"
-        ) from exc
 
 
 def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
@@ -513,47 +403,3 @@ def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.nda
         )
     finite_entries(arr, "coefficients")
     return _expand(model.factors, arr) + np.asarray(model.mu)
-
-
-def secondary_subspace(x, model: SubspaceModel, k2: int) -> SubspaceModel:
-    """The residual subspace of an order-2 stack: along both modes, the
-    ``k2`` directions that follow the primary r in the stack's spectrum.
-
-    The returned model shares the primary mean, its factors are exactly
-    orthogonal to the primary factors, and its spectrum records where in
-    the full spectrum its window starts.  The stack takes the
-    single thin SVD of :func:`hosvd_truncated`; it needs only the primary
-    feature factor, so a streamed or reloaded model serves.
-    """
-    k2 = int_at_least(k2, "k2", 1)
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise InvalidArgumentError(
-            "a secondary subspace needs an order-2 stack: an order-3 one would need the "
-            "stacking-mode factor and core, which extraction does not keep"
-        )
-    if x.shape != model.shape:
-        raise InvalidArgumentError(
-            f"tensor shape {x.shape} does not match the model's stack shape {model.shape}"
-        )
-    r = model.spectra[-1].retained
-    if k2 > min(x.shape) - r:
-        raise InvalidArgumentError(
-            f"k2={k2} exceeds the {min(x.shape) - r} directions that follow the primary {r}"
-        )
-    xc = x - np.asarray(model.mu)
-    # U1 = Xc V / s, so the residual after removing the primary subspace
-    # along both modes is Xc - Xc V V.T: the feature factor alone gives it
-    v = model.factors[-1]
-    if np.linalg.norm(xc - (xc @ v) @ v.T) <= 1e-12 * np.linalg.norm(xc):
-        raise DegenerateSpectrumError(
-            "residual is numerically zero; the primary subspace already explains the stack"
-        )
-    f = thin_svd(xc)
-    u1, v = (np.ascontiguousarray(a[:, r : r + k2]) for a in (f.u, f.v * column_signs(f.v)))
-    s = f.singular_values
-    spectrum = ModeSpectrum(s, explained_variance(s), retained=k2, first_component=r)
-    return SubspaceModel(mu=model.mu, factors=(v,), spectra=(spectrum,),
-                         centering=model.centering, shape=model.shape,
-                         slab_extent=model.slab_extent,
-                         stacking=_stacking(xc, u1, spectrum, (v,)))

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from uws.spectral import RankPolicy
-from uws.hosvd import (
-    hosvd_truncated,
-    project_slice,
-    reconstruct,
-    reconstruct_slice,
-    secondary_subspace,
-)
+from uws.hosvd import exact_subspace, project_slice, reconstruct_slice
 from uws.ensemble import (
     ExtractionConfig,
     MEMORY_PRESETS,
@@ -47,7 +41,7 @@ from uws.theory import (
     within_task_term,
 )
 
-from oracles import planted_ensemble
+from oracles import best_rank_k_error, next_directions, planted_ensemble
 
 
 def _report(num: int, ok: bool, label: str, detail: str = "") -> None:
@@ -103,11 +97,12 @@ def test_01_full_rank_decomposition_reconstructs_exactly():
         order = 2 + (i % 2)
         shape = tuple(int(s) for s in rng.integers(2, 33, size=order))
         x = rng.standard_normal(shape)
-        model = hosvd_truncated(
-            x, RankPolicy.cumulative_variance(1.0)
-        )
-        rec = reconstruct(model)
-        worst_rel = max(worst_rel, _rel(rec, x))
+        model = exact_subspace(x.copy(), RankPolicy.cumulative_variance(1.0),
+                               centering="feature", slab_extent=1)
+        # every member, one stacked row of order 2 or one matrix of order 3
+        members = x if order == 3 else x[:, None]
+        rec = np.stack([reconstruct_slice(model, project_slice(model, m)) for m in members])
+        worst_rel = max(worst_rel, _rel(rec.reshape(shape), x))
         for u in model.factors:
             gram = u.T @ u
             worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(u.shape[1])))))
@@ -129,13 +124,14 @@ def test_02_truncation_matches_best_rank_k():
         c = int(rng.integers(3, 25))
         x = rng.standard_normal((r, c))
         xc = x - x.mean()
-        sigma = np.linalg.svd(xc, compute_uv=False)
         scale = float(np.linalg.norm(xc))
         for k in range(1, min(r, c) + 1):
-            model = hosvd_truncated(x, RankPolicy.fixed_k(k), centering="global")
-            err = float(np.linalg.norm(reconstruct(model) - x))
-            best = float(np.sqrt(np.sum(sigma[k:] ** 2)))
-            worst = max(worst, abs(err - best) / scale)
+            # the whole matrix is one member, rebuilt through the rank-k basis
+            model = exact_subspace(x.copy(), RankPolicy.fixed_k(k), centering="global",
+                                   slab_extent=r)
+            rec = reconstruct_slice(model, project_slice(model, x))
+            err = float(np.linalg.norm(rec - x))
+            worst = max(worst, abs(err - best_rank_k_error(xc, k)) / scale)
     ok = worst <= 1e-8
     _report(
         2,
@@ -153,7 +149,8 @@ def test_03_vector_stacks_reduce_to_principal_components():
         d = int(rng.integers(5, 17))
         k = int(rng.integers(2, min(d, 6)))
         x = rng.standard_normal((t, d))
-        model = hosvd_truncated(x, RankPolicy.fixed_k(k), centering="feature", slab_extent=1)
+        model = exact_subspace(x.copy(), RankPolicy.fixed_k(k), centering="feature",
+                               slab_extent=1)
         got = model.factors[-1]
         xc = x - x.mean(axis=0, keepdims=True)
         w, v = np.linalg.eigh(xc.T @ xc)
@@ -208,17 +205,15 @@ def test_05_residual_directions_explain_an_order_of_magnitude_less():
     for name in u.included_layers:
         stack = stack_layer(train, name)
         primary = u.layer_models[name]
-        residual = secondary_subspace(stack, primary, k2=16)
+        # the 16 directions that follow the primary rank, by a dense SVD
+        window = next_directions(stack - primary.mu, primary.ranks[-1], 16)
         for w in train[:3]:
             slab = w.layers[name]
             p_err = _rel(
                 reconstruct_slice(primary, project_slice(primary, slab)),
                 w.layers[name],
             )
-            s_err = _rel(
-                reconstruct_slice(residual, project_slice(residual, slab)),
-                w.layers[name],
-            )
+            s_err = _rel(primary.mu + (slab - primary.mu) @ window @ window.T, w.layers[name])
             worst_gap = min(worst_gap, s_err / p_err)
     ok = worst_gap >= 10.0
     _report(

@@ -847,11 +847,10 @@ def test_subspace_file_roundtrip(tmp_path, order, centering, tau):
     assert v.config.order == u.config.order == order
     assert v.config.centering == u.config.centering == centering
     # the persisted fields round-trip: mean, feature factor(s), spectra,
-    # shapes; neither side keeps a stacking-mode factor or core
+    # shapes
     for layer in u.included_layers:
         a, b = u.layer_models[layer], v.layer_models[layer]
         assert np.array_equal(np.asarray(a.mu), np.asarray(b.mu))
-        assert a.stacking is None and b.stacking is None
         assert len(a.factors) == len(b.factors) == order - 1
         for fa, fb in zip(a.factors, b.factors):
             assert np.array_equal(fa, fb)
@@ -861,9 +860,7 @@ def test_subspace_file_roundtrip(tmp_path, order, centering, tau):
         for sa, sb in zip(a.spectra, b.spectra):
             assert np.array_equal(sa.singular_values, sb.singular_values)
             assert np.array_equal(sa.ratios, sb.ratios)
-            assert (sa.retained, sa.first_component, sa.tail) == (
-                sb.retained, sb.first_component, sb.tail
-            )
+            assert (sa.retained, sa.tail) == (sb.retained, sb.tail)
             # only the Gram route stores a leading part and a tail
             assert (sb.tail > 0) == (order == 2 and tau < 1)
     # identical projections through the reloaded subspace

@@ -41,3 +41,13 @@ def test_a_container_read_has_one_record_and_nothing_retired():
     retired = {"LayerRecord", "_Payloads", "_read_payloads", "_AllBut"}
     assert not [name for name in retired
                 if hasattr(uws.ensemble, name) or hasattr(container, name)]
+
+
+def test_the_decompositions_are_what_the_pipeline_runs_and_nothing_retired():
+    import uws.hosvd as hosvd
+
+    retired = {"hosvd_truncated", "reconstruct", "secondary_subspace", "center", "Stacking"}
+    assert not retired & set(uws.__all__)
+    assert not [name for name in retired if hasattr(uws, name) or hasattr(hosvd, name)]
+    assert "stacking" not in hosvd.SubspaceModel.__dataclass_fields__
+    assert "first_component" not in hosvd.ModeSpectrum.__dataclass_fields__

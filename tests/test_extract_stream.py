@@ -30,13 +30,9 @@ from uws.hosvd import (
     GRAM_BLOCK_ROWS,
     GRAM_MIN_SQUARE,
     GramStream,
-    center,
     exact_subspace,
-    hosvd_truncated,
     project_slice,
-    reconstruct,
     reconstruct_slice,
-    secondary_subspace,
 )
 from uws.spectral import GRAM_PANEL_COLS, RankPolicy
 
@@ -78,13 +74,12 @@ def max_sine(a, b):
 def assert_matches_stacked(u, models):
     for name in u.included_layers:
         got = u.layer_models[name]
-        want = hosvd_truncated(
+        want = exact_subspace(
             stack_layer(models, name),
             u.config.policy,
             centering=u.config.centering,
             slab_extent=models[0].layers[name].shape[0],
         )
-        assert got.stacking is None
         assert got.shape == want.shape and got.slab_extent == want.slab_extent
         assert got.ranks == want.ranks
         assert max_sine(got.factors[-1], want.factors[-1]) <= 1e-10
@@ -306,7 +301,7 @@ def test_global_centring_on_a_stream_matches_the_stacked_route():
     x = rng.standard_normal((2 * GRAM_BLOCK_ROWS + 37, 6)) @ basis.T * 10 + 3.0
     x += 0.01 * rng.standard_normal(x.shape) + rng.standard_normal(cols)
     got = streamed(x).decompose(TAU, centering="global")
-    want = hosvd_truncated(x, TAU, centering="global")
+    want = exact_subspace(x.copy(), TAU, centering="global", slab_extent=1)
     assert got.ranks == want.ranks
     assert max_sine(got.factors[-1], want.factors[-1]) <= 1e-10
     for g, w in zip(got.spectra, want.spectra, strict=True):
@@ -355,26 +350,24 @@ def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, sh
     routes = Routes(monkeypatch)
     calls = Counter()
     with monkeypatch.context() as m:
-        for module, name in ((np.linalg, "svd"), (hosvd_module, "_stacking")):
-            def counted(*a, _real=getattr(module, name), _name=name, **kw):
-                calls[_name] += 1
-                return _real(*a, **kw)
+        def counted(*a, _real=np.linalg.svd, **kw):
+            calls["svd"] += 1
+            return _real(*a, **kw)
 
-            m.setattr(module, name, counted)
+        m.setattr(np.linalg, "svd", counted)
         u = extract_universal(paths, config)
     assert routes.counts() == {"reads": 25, "streamed": 0, "stacked": 2}
     # one thin SVD per non-stacking mode, of its fibres laid out as rows:
-    # the stacked rows, and for order 3 also each member's columns; no U1
-    # and no core
+    # the stacked rows, and for order 3 also each member's columns
     assert calls == {"svd": 2 * (config.order - 1)}
     for name in u.included_layers:
         model = u.layer_models[name]
-        assert model.stacking is None
         assert len(model.spectra) == config.order - 1
-        want = hosvd_truncated(
+        want = exact_subspace(
             stack_layer(models, name, order=config.order),
             config.policy,
-            slab_extent=shapes[name][0] if config.order == 2 else 1,
+            centering="feature",
+            slab_extent=shapes[name][0],
         )
         for g, w in zip(model.factors, want.factors, strict=True):
             assert np.array_equal(g, w)
@@ -647,12 +640,6 @@ def test_no_decomposition_changes_its_callers_arrays(monkeypatch, order, centeri
         assert m.layers.keys() == kept.layers.keys()
         for name, w in m.layers.items():
             assert w.tobytes() == kept.layers[name].tobytes()
-    for name in ("block0", "block1"):
-        stack = stack_layer(models, name, order)
-        kept = stack.copy()
-        hosvd_truncated(stack, TAU, centering=centering)
-        center(stack, centering)
-        assert stack.tobytes() == kept.tobytes()
 
 
 def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, capsys):
@@ -724,7 +711,8 @@ def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch,
     assert held == [[]] + [["inlet", "outlet", "wide"]] * 6 + [["tall"]] * 12
     for name in ("wide", "tall"):
         got = u.layer_models[name]
-        want = hosvd_truncated(stack_layer(models, name), TAU, slab_extent=8)
+        want = exact_subspace(stack_layer(models, name), TAU, centering="feature",
+                              slab_extent=8)
         assert np.array_equal(got.mu, want.mu)
         assert np.array_equal(got.factors[-1], want.factors[-1])
         assert np.array_equal(got.spectra[-1].singular_values,
@@ -829,32 +817,20 @@ def test_order2_layers_keep_one_spectrum_and_one_rank_for_both_modes(
             assert model.factors[-1].shape[1] == model.spectra[-1].retained
 
 
-# ------------------------------------------------------------ models without U1
+# ------------------------------------------------------------ streamed models
 
 
-def test_streamed_model_projects_but_does_not_rebuild_its_stack():
+def test_streamed_model_projects_as_the_exact_model():
     models = planted_models(18, 40)
     u = extract_universal(models, ExtractionConfig(policy=TAU))
     model = u.layer_models["block0"]
-    with pytest.raises(InvalidArgumentError, match="stacking-mode factor"):
-        reconstruct(model)
-    stack = stack_layer(models, "block0")
-    full = hosvd_truncated(stack, TAU, slab_extent=8)
-    a, b = secondary_subspace(stack, model, 3), secondary_subspace(stack, full, 3)
-    assert max_sine(a.factors[-1], b.factors[-1]) <= 1e-10
+    full = exact_subspace(stack_layer(models, "block0"), TAU, centering="feature", slab_extent=8)
     slab = models[0].layers["block0"]
     assert np.allclose(
         reconstruct_slice(model, project_slice(model, slab)),
         reconstruct_slice(full, project_slice(full, slab)),
         rtol=0, atol=1e-10,
     )
-
-
-def test_order3_secondary_needs_the_stacking_factor():
-    models = planted_models(19, 12)
-    u = extract_universal(models, ExtractionConfig(policy=TAU, order=3))
-    with pytest.raises(InvalidArgumentError, match="stacking-mode factor"):
-        secondary_subspace(stack_layer(models, "block0", order=3), u.layer_models["block0"], 1)
 
 
 # ------------------------------------------------------------ file format

@@ -4,31 +4,22 @@ import numpy as np
 import pytest
 
 import uws.hosvd as hosvd_module
-from uws.errors import (
-    DegenerateSpectrumError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-)
+from uws.errors import DegenerateSpectrumError, InvalidArgumentError
 from uws.hosvd import (
     SliceCoefficients,
-    Stacking,
     SubspaceModel,
-    center,
     exact_subspace,
-    hosvd_truncated,
     project_slice,
-    reconstruct,
     reconstruct_slice,
-    secondary_subspace,
 )
 from uws.spectral import RankPolicy
-from uws.tensor import frobenius_norm
 
 from oracles import (
     assert_spectra_agree,
     best_rank_k_error,
     covariance_principal_directions,
     haar_columns,
+    next_directions,
     record_square_solves,
     sign_canonical,
     subspace_distance,
@@ -40,13 +31,17 @@ def relerr(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def all_factors(model: SubspaceModel) -> tuple:
-    """Every mode's factor of a model that keeps its stacking mode, U1 first."""
-    return (model.stacking.factor, *model.factors)
+def exact(x, policy=RankPolicy.cumulative_variance(1.0), *, centering="feature", slab_extent=1):
+    """:func:`exact_subspace` of a copy of ``x``, which it would centre in place."""
+    return exact_subspace(np.array(x, dtype=float), policy, centering=centering,
+                          slab_extent=slab_extent)
 
 
-def all_ranks(model: SubspaceModel) -> tuple:
-    return tuple(f.shape[1] for f in all_factors(model))
+def rebuild(model: SubspaceModel, x: np.ndarray) -> np.ndarray:
+    """Every member of the stack ``x`` projected and rebuilt through ``model``."""
+    members = x if model.order == 3 else x.reshape(-1, model.slab_extent, x.shape[-1])
+    back = [reconstruct_slice(model, project_slice(model, m)) for m in members]
+    return np.stack(back).reshape(x.shape)
 
 
 def planted_stack(rng, n=60, d=10, k=3, noise=0.0):
@@ -60,43 +55,18 @@ def planted_stack(rng, n=60, d=10, k=3, noise=0.0):
     return x, q
 
 
-# --------------------------------------------------------------------- center
+# ------------------------------------------------------------------ centring
 
 
-def test_center_constant_tensor():
-    t = np.full((3, 4), 7.0)
-    mu, xc = center(t, "global")
-    assert float(mu) == 7.0
-    assert np.all(xc == 0.0)
-    mu, xc = center(t, "feature")
-    assert np.all(mu == 7.0)
-    assert np.all(xc == 0.0)
-
-
-def test_center_global_hand_example():
-    mu, xc = center(np.array([[1.0, 3.0]]), "global")
-    assert float(mu) == 2.0
-    assert np.array_equal(xc, np.array([[-1.0, 1.0]]))
-
-
-def test_center_feature_hand_example():
-    t = np.array([[1.0, 2.0], [3.0, 4.0]])
-    mu, xc = center(t, "feature")
-    assert np.array_equal(mu, np.array([2.0, 3.0]))  # one stacked row
-    assert np.array_equal(xc, np.array([[-1.0, -1.0], [1.0, 1.0]]))
-
-
-def test_center_roundtrip():
-    rng = np.random.default_rng(41)
-    a = rng.standard_normal((5, 6, 4))
-    for mode in ("global", "feature"):
-        mu, xc = center(a, mode)
-        assert np.allclose(xc + mu, a, rtol=0, atol=1e-14)
-
-
-def test_center_rejects_non_finite():
-    with pytest.raises(InvalidArgumentError):
-        center(np.array([[1.0, np.nan]]), "global")
+@pytest.mark.parametrize("centering, x, mu, xc", [
+    ("global", [[1.0, 3.0]], 2.0, [[-1.0, 1.0]]),
+    ("feature", [[1.0, 2.0], [3.0, 4.0]], [2.0, 3.0], [[-1.0, -1.0], [1.0, 1.0]]),
+], ids=["global", "feature"])
+def test_exact_subspace_centring_hand_examples(centering, x, mu, xc):
+    stack = np.array(x)
+    model = exact_subspace(stack, RankPolicy.fixed_k(1), centering=centering, slab_extent=1)
+    assert np.array_equal(model.mu, mu)  # feature: one stacked row
+    assert np.array_equal(stack, xc)
 
 
 @pytest.mark.parametrize("shape", [(40, 6), (5, 8, 6)])
@@ -105,13 +75,10 @@ def test_exact_subspace_centres_the_stack_it_is_handed_in_place(shape, centering
     x = np.random.default_rng(42).standard_normal(shape)
     policy = RankPolicy.fixed_k(3)
     stack = x.copy()  # exact_subspace takes the stack as its own
-    got = hosvd_module.exact_subspace(stack, policy, centering=centering, slab_extent=8)
-    mu, xc = center(x, centering)
-    assert np.array_equal(stack, xc) and np.array_equal(got.mu, mu)
-    want = hosvd_truncated(x, policy, centering=centering)
-    assert got.stacking is None
-    for g, w in zip(got.factors, want.factors):
-        assert np.array_equal(g, w)
+    got = exact_subspace(stack, policy, centering=centering, slab_extent=8)
+    mu = x.mean() if centering == "global" else x.mean(axis=0)
+    assert np.array_equal(stack, x - mu) and np.array_equal(got.mu, mu)
+    assert np.allclose(stack + got.mu, x, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("centering", ["none", "Feature", None])
@@ -121,8 +88,7 @@ def test_an_unknown_centering_is_refused_by_one_check(centering):
     stream.add(x)
     message = re.escape(f"centering must be one of ('feature', 'global'), got {centering!r}")
     for call in (
-        lambda: center(x, centering),
-        lambda: hosvd_truncated(x, centering=centering),
+        lambda: exact(x, centering=centering),
         lambda: stream.decompose(centering=centering),
     ):
         with pytest.raises(InvalidArgumentError, match=message):
@@ -146,8 +112,8 @@ def test_anything_but_one_rank_policy_is_refused(policy, kind):
     stream.add(x)
     message = f"policy must be a RankPolicy, got {kind}"
     for call in (
-        lambda: hosvd_truncated(x, policy),
-        lambda: hosvd_truncated(x.reshape(4, 6, 5), policy),
+        lambda: exact(x, policy),
+        lambda: exact(x.reshape(4, 6, 5), policy),
         lambda: stream.decompose(policy),
     ):
         with pytest.raises(InvalidArgumentError, match=re.escape(message)):
@@ -157,14 +123,13 @@ def test_anything_but_one_rank_policy_is_refused(policy, kind):
 def test_complex_stack_is_refused():
     x = np.random.default_rng(5).standard_normal((20, 5)) * (1 + 1j)
     with pytest.raises(InvalidArgumentError, match="complex"):
-        hosvd_truncated(x)
+        exact_subspace(x, RankPolicy.fixed_k(2), centering="feature", slab_extent=1)
 
 
 ORDER_REFUSAL_ENTRY_POINTS = {
-    "hosvd_truncated": hosvd_truncated,
-    "center": center,
+    "exact_subspace": exact,
     "project_slice": lambda x: project_slice(
-        hosvd_truncated(np.random.default_rng(6).standard_normal((8, 4))), x),
+        exact(np.random.default_rng(6).standard_normal((8, 4))), x),
 }
 
 
@@ -175,7 +140,7 @@ def test_only_orders_2_and_3_are_accepted(entry, order):
         ORDER_REFUSAL_ENTRY_POINTS[entry](np.ones((2,) * order))
 
 
-# ------------------------------------------------------------ hosvd_truncated
+# ------------------------------------------------------------- exact_subspace
 
 
 def test_exact_rank_one_recovery():
@@ -185,19 +150,17 @@ def test_exact_rank_one_recovery():
     a -= a.mean()
     b = rng.standard_normal(d)
     x = np.outer(np.ones(n), rng.standard_normal(d)) + np.outer(a, b)
-    model = hosvd_truncated(
-        x, RankPolicy.cumulative_variance(0.9)
-    )
-    assert [f.shape[1] for f in all_factors(model)] == [1, 1]
-    assert relerr(reconstruct(model), x) < 1e-8
+    model = exact(x, RankPolicy.cumulative_variance(0.9))
+    assert model.ranks == (1,)
+    assert relerr(rebuild(model, x), x) < 1e-8
 
 
 @pytest.mark.parametrize("shape", [(6, 9), (5, 4, 7)])
 def test_full_fixed_k_reconstructs_exactly(shape):
     rng = np.random.default_rng(43)
     x = rng.standard_normal(shape)
-    model = hosvd_truncated(x, RankPolicy.fixed_k(max(shape)))
-    assert relerr(reconstruct(model), x) < 1e-8
+    model = exact(x, RankPolicy.fixed_k(max(shape)))
+    assert relerr(rebuild(model, x), x) < 1e-8
 
 
 @pytest.mark.parametrize("shape", [(12, 7), (6, 5, 8)])
@@ -205,39 +168,32 @@ def test_full_fixed_k_reconstructs_exactly(shape):
 def test_tau_one_reconstructs_exactly(shape, centering):
     rng = np.random.default_rng(44)
     x = rng.standard_normal(shape)
-    model = hosvd_truncated(
-        x,
-        RankPolicy.cumulative_variance(1.0),
-        centering=centering,
-    )
-    assert relerr(reconstruct(model), x) < 1e-8
-    for f in all_factors(model):
+    model = exact(x, centering=centering)
+    assert relerr(rebuild(model, x), x) < 1e-8
+    for f in model.factors:
         assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-10
 
 
 def test_factor_orthonormality_and_ledger():
     rng = np.random.default_rng(45)
     x = rng.standard_normal((10, 6, 4))
-    model = hosvd_truncated(x, RankPolicy.cumulative_variance(0.8))
+    model = exact(x, RankPolicy.cumulative_variance(0.8))
     assert len(model.spectra) == 2
-    for f, spec in zip(all_factors(model), (model.stacking.spectrum, *model.spectra)):
+    for f, spec in zip(model.factors, model.spectra, strict=True):
         assert f.shape[1] == spec.retained
         assert abs(spec.ratios.sum() - 1.0) < 1e-12
         assert np.all(np.diff(spec.ratios) <= 1e-15)
-    assert model.stacking.core.shape == all_ranks(model)
 
 
 def test_eckart_young_order2_all_k():
     rng = np.random.default_rng(46)
     for _ in range(5):
         x = rng.standard_normal((14, 9))
-        t = x
-        mu, xc = center(t, "feature")
-        xc = xc
+        xc = x - x.mean(axis=0)
         norm = np.linalg.norm(xc)
         for k in range(1, 10):
-            model = hosvd_truncated(t, RankPolicy.fixed_k(k))
-            err = np.linalg.norm(reconstruct(model) - x)
+            model = exact(x, RankPolicy.fixed_k(k))
+            err = np.linalg.norm(rebuild(model, x) - x)
             want = best_rank_k_error(xc, k)
             assert abs(err - want) <= 1e-8 * norm
 
@@ -246,9 +202,7 @@ def test_pca_equivalence_on_stacks():
     rng = np.random.default_rng(47)
     for _ in range(5):
         x = rng.standard_normal((40, 7))
-        model = hosvd_truncated(
-            x, RankPolicy.cumulative_variance(1.0)
-        )
+        model = exact(x)
         xc = x - x.mean(axis=0)
         pcs, _ = covariance_principal_directions(xc)
         got = sign_canonical(model.factors[-1])
@@ -262,7 +216,7 @@ def test_reconstruction_error_nonincreasing_in_rank():
     rng = np.random.default_rng(48)
     for x in (rng.standard_normal((8, 7, 6)), rng.standard_normal((9, 7))):
         errs = [
-            np.linalg.norm(reconstruct(hosvd_truncated(x, RankPolicy.fixed_k(k))) - x)
+            np.linalg.norm(rebuild(exact(x, RankPolicy.fixed_k(k)), x) - x)
             for k in range(1, max(x.shape) + 1)
         ]
         assert all(a >= b - 1e-10 for a, b in zip(errs, errs[1:]))
@@ -270,12 +224,14 @@ def test_reconstruction_error_nonincreasing_in_rank():
 
 def test_degenerate_inputs():
     with pytest.raises(DegenerateSpectrumError):
-        hosvd_truncated(np.zeros((4, 3)))
-    # constant stack has no variance after feature centering
-    with pytest.raises(DegenerateSpectrumError):
-        hosvd_truncated(np.full((4, 3), 2.5), centering="feature")
-    with pytest.raises(InvalidArgumentError):
-        hosvd_truncated(np.array([[1.0, np.inf]]))
+        exact(np.zeros((4, 3)))
+    # a constant stack has no variance after either centering
+    for centering in ("feature", "global"):
+        with pytest.raises(DegenerateSpectrumError):
+            exact(np.full((4, 3), 2.5), centering=centering)
+    for value in (np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            exact(np.array([[1.0, value]]))
 
 
 def test_stacks_near_the_float_limit_keep_their_variance():
@@ -283,14 +239,14 @@ def test_stacks_near_the_float_limit_keep_their_variance():
     # squared unscaled
     rng = np.random.default_rng(51)
     x = 1e160 + 1e155 * rng.standard_normal((6, 4))
-    model = hosvd_truncated(x, RankPolicy.cumulative_variance(1.0))
-    assert all_ranks(model) == (4, 4)
+    model = exact(x)
+    assert model.ranks == (4,)
     x, q = planted_stack(rng, n=60, d=10, k=3, noise=1e-3)
     for policy in (RankPolicy.cumulative_variance(0.99), RankPolicy.cumulative_variance(1.0)):
-        small = hosvd_truncated(x, policy)
+        small = exact(x, policy)
         for exponent in (532, -532, -560):
-            big = hosvd_truncated(np.ldexp(x, exponent), policy)
-            assert all_ranks(big) == all_ranks(small)
+            big = exact(np.ldexp(x, exponent), policy)
+            assert big.ranks == small.ranks
             u, v = big.factors[-1], small.factors[-1]
             assert np.linalg.norm(u - v @ (v.T @ u), 2) <= 1e-10
             # the Gram route stores the leading ratios and the tail's share
@@ -304,18 +260,19 @@ def test_stacks_near_the_float_limit_keep_their_variance():
 def test_single_slab_stack_is_permitted():
     rng = np.random.default_rng(49)
     x = rng.standard_normal((6, 9))  # one model's rows only
-    model = hosvd_truncated(x, RankPolicy.cumulative_variance(1.0))
-    assert relerr(reconstruct(model), x) < 1e-8
+    model = exact(x)
+    assert relerr(rebuild(model, x), x) < 1e-8
 
 
 def test_determinism():
     rng = np.random.default_rng(50)
     x = rng.standard_normal((9, 5, 4))
-    m1 = hosvd_truncated(x, RankPolicy.cumulative_variance(0.9))
-    m2 = hosvd_truncated(x, RankPolicy.cumulative_variance(0.9))
-    for f1, f2 in zip(all_factors(m1), all_factors(m2)):
+    m1 = exact(x, RankPolicy.cumulative_variance(0.9))
+    m2 = exact(x, RankPolicy.cumulative_variance(0.9))
+    for f1, f2 in zip(m1.factors, m2.factors, strict=True):
         assert np.array_equal(f1, f2)
-    assert np.array_equal(m1.stacking.core, m2.stacking.core)
+    for s1, s2 in zip(m1.spectra, m2.spectra, strict=True):
+        assert np.array_equal(s1.singular_values, s2.singular_values)
 
 
 # ----------------------------------------- order-2 single decomposition
@@ -354,10 +311,9 @@ def count_decompositions(monkeypatch, fn, x, *args):
 
 
 def assert_stream_matches_exact(got: SubspaceModel, want: SubspaceModel):
-    """A streamed model ``got`` agrees with the exact reference ``want``
-    from :func:`hosvd_truncated` of the same stack: mean, ranks, feature
-    factor and spectra."""
-    assert got.stacking is None
+    """A streamed model ``got`` agrees with ``want``, from
+    :func:`exact_subspace` of the same stack: mean, ranks, feature factor
+    and spectra."""
     assert np.max(np.abs(got.mu - want.mu)) <= 1e-12 * np.max(np.abs(want.mu))
     assert got.ranks == want.ranks
     assert max_sine(got.factors[-1], want.factors[-1]) <= 1e-10
@@ -378,22 +334,20 @@ def test_gram_route_matches_exact_route(n, d, k, noise, policy):
     rng = np.random.default_rng(n + d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
     got = streamed(x, policy, slab_extent=4)
-    assert_stream_matches_exact(got, hosvd_truncated(x, policy, slab_extent=4))
+    assert_stream_matches_exact(got, exact(x, policy, slab_extent=4))
 
 
 @pytest.mark.parametrize("n,d,k,noise", TALL_PLANTED)
-def test_secondary_gram_route_matches_exact_route(n, d, k, noise):
+def test_gram_route_read_past_the_rank_finds_the_next_directions(n, d, k, noise):
     rng = np.random.default_rng(n * d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
-    model = hosvd_truncated(x, RankPolicy.fixed_k(k))
-    second = secondary_subspace(x, model, 3)
-    assert len(second.spectra) == 1 and second.stacking.spectrum is second.spectra[0]
-    assert second.spectra[-1].first_component == k
-    # the Gram route read as deep as the window ends finds the same window
+    xc = x - x.mean(axis=0)
+    # the Gram route read as deep as the window ends finds the window that
+    # follows the planted k
     deep = streamed(x, RankPolicy.fixed_k(k + 3))
-    assert max_sine(deep.factors[-1][:, k : k + 3], second.factors[-1]) <= 1e-10
-    s, exact = deep.spectra[-1].singular_values, second.spectra[-1].singular_values
-    assert np.max(np.abs(s - exact[: s.size])) <= 1e-12 * exact[0]
+    assert max_sine(deep.factors[-1][:, k : k + 3], next_directions(xc, k, 3)) <= 1e-10
+    s, want = deep.spectra[-1].singular_values, np.linalg.svd(xc, compute_uv=False)
+    assert np.max(np.abs(s - want[: s.size])) <= 1e-12 * want[0]
 
 
 def test_tall_well_conditioned_stack_takes_one_eigh(monkeypatch):
@@ -403,19 +357,18 @@ def test_tall_well_conditioned_stack_takes_one_eigh(monkeypatch):
     model, calls = count_decompositions(monkeypatch, streamed, x, policy)
     assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
     assert model.ranks == (4,)
-    assert_stream_matches_exact(model, hosvd_truncated(x, policy))
+    assert_stream_matches_exact(model, exact(x, policy))
 
 
-def test_reference_takes_one_svd_and_no_eigh_per_tall_stack(monkeypatch):
+def test_exact_route_takes_one_svd_per_order_2_stack_two_per_order_3_and_no_eigh(monkeypatch):
     rng = np.random.default_rng(70)
     stacks = [planted_stack(rng, n=n, d=d, k=k, noise=noise)[0] for n, d, k, noise in TALL_PLANTED]
     solves = record_square_solves(monkeypatch)  # eigh and eigvalsh of any order
     for x in stacks:
         for policy in (RankPolicy.cumulative_variance(0.9), RankPolicy.fixed_k(4)):
-            model, calls = count_decompositions(monkeypatch, hosvd_truncated, x, policy)
-            assert calls["svd"] == 1
-            _, calls = count_decompositions(monkeypatch, secondary_subspace, x, model, 3)
-            assert calls["svd"] == 1
+            for stack in (x, x.reshape(-1, 4, x.shape[1])):  # members of 4 rows
+                _, calls = count_decompositions(monkeypatch, exact, stack, policy)
+                assert calls["svd"] == stack.ndim - 1
     assert solves == []
 
 
@@ -444,25 +397,23 @@ def test_guard_cases_take_exactly_one_svd(monkeypatch):
         declined, calls = count_decompositions(monkeypatch, streamed, x, policies)
         assert declined is None
         assert calls == {"svd": 0, "eigh": eighs, "eigvalsh": 0}
-        model, calls = count_decompositions(monkeypatch, hosvd_truncated, x, policies)
+        model, calls = count_decompositions(monkeypatch, exact, x, policies)
         assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0}
-        for f in all_factors(model):
-            assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
-        rec = reconstruct(model)
+        f = model.factors[-1]
+        assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
+        rec = rebuild(model, x)
         if full:
             assert relerr(rec, x) <= 1e-8
         else:
             xc = x - x.mean(axis=0)
-            k = all_ranks(model)[0]
-            assert all_ranks(model) == (k, k)
+            (k,) = model.ranks
             err = np.linalg.norm(rec - x)
             assert abs(err - best_rank_k_error(xc, k)) <= 1e-8 * np.linalg.norm(xc)
 
 
-def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
+def test_guard_on_a_deep_window_takes_one_eigh(monkeypatch):
     rng = np.random.default_rng(65)
     t = ill_conditioned_stack(rng)
-    model = hosvd_truncated(t, RankPolicy.fixed_k(3))
     # read to the end of the window 3..5, the spectrum stays above
     # 1e-3 * s_1 and the Gram route serves it; to the end of 3..9 it
     # reaches below, and the same one eigh declines it
@@ -470,13 +421,6 @@ def test_secondary_guard_on_deep_window_takes_one_svd(monkeypatch):
         got, calls = count_decompositions(monkeypatch, streamed, t, RankPolicy.fixed_k(depth))
         assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
         assert (got is None) == declined
-    # the secondary subspace takes one thin SVD for either window
-    for k2 in (3, 7):
-        second, calls = count_decompositions(monkeypatch, secondary_subspace, t, model, k2)
-        assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0}
-        for u1, u2 in zip(all_factors(model), all_factors(second)):
-            assert np.max(np.abs(u2.T @ u2 - np.eye(k2))) <= 1e-10
-            assert np.max(np.abs(u1.T @ u2)) < 1e-8
 
 
 def test_declined_gram_route_solves_for_no_eigenvector(monkeypatch):
@@ -528,16 +472,16 @@ def test_gram_route_runs_no_eigvalsh_and_a_full_eigh_only_for_a_flat_spectrum(mo
 def test_rank_deficient_square_stack_streams_the_exact_tail():
     rng = np.random.default_rng(67)
     x, _ = planted_stack(rng, n=120, d=120, k=3, noise=0.1)  # centred rank 119
-    exact = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
-    assert 0 < exact[-1] <= 1e-12 * exact[0]  # the exact SVD reads rounding there
+    svals = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    assert 0 < svals[-1] <= 1e-12 * svals[0]  # the exact SVD reads rounding there
     policy = RankPolicy.cumulative_variance(0.9)
     model = streamed(x, policy)
-    assert_stream_matches_exact(model, hosvd_truncated(x, policy))
+    assert_stream_matches_exact(model, exact(x, policy))
     spec = model.spectra[-1]
     s, n = spec.singular_values, spec.singular_values.size
     assert n == spec.retained < 119
-    assert np.max(np.abs(s - exact[:n])) <= 1e-12 * s[0]
-    assert abs(spec.tail - np.sum(exact[n:] ** 2)) <= 1e-12 * np.sum(exact**2)
+    assert np.max(np.abs(s - svals[:n])) <= 1e-12 * s[0]
+    assert abs(spec.tail - np.sum(svals[n:] ** 2)) <= 1e-12 * np.sum(svals**2)
 
 
 def test_fixed_k_past_the_gram_floor_is_declined_not_clamped():
@@ -548,12 +492,12 @@ def test_fixed_k_past_the_gram_floor_is_declined_not_clamped():
     s1 = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)[0]
     x += 1e-9 * s1 / 20 * rng.standard_normal(x.shape)
     policy = RankPolicy.fixed_k(16)  # a block of 24 is over budget: one full eigh
-    want = hosvd_truncated(x, policy)
+    want = exact(x, policy)
     assert want.ranks == (16,)
     assert streamed(x, policy) is None
     # read no deeper than the rank, the route still serves it
     assert_stream_matches_exact(streamed(x, RankPolicy.fixed_k(10)),
-                                hosvd_truncated(x, RankPolicy.fixed_k(10)))
+                                exact(x, RankPolicy.fixed_k(10)))
 
 
 def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypatch):
@@ -564,19 +508,19 @@ def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypa
     small = streamed(x, policy)
     assert solves and all(order < x.shape[1] for _, order in solves)  # no d x d solve
     monkeypatch.undo()
-    assert_stream_matches_exact(small, hosvd_truncated(x, policy))
+    assert_stream_matches_exact(small, exact(x, policy))
     # past 2**±256 the leading solve rescales the Gram matrix
     for exponent in (300, -300):
         big = streamed(np.ldexp(x, exponent), policy)
         assert big.ranks == small.ranks == (4,)
         assert max_sine(big.factors[-1], small.factors[-1]) <= 1e-10
     # at 2**±532 the squares leave the range the stream accepts, and the
-    # exact reference serves the stack
+    # exact route serves the stack
     for exponent in (532, -532):
         assert streamed(np.ldexp(x, exponent), policy) is None
-        exact = hosvd_truncated(np.ldexp(x, exponent), policy)
-        assert all_ranks(exact) == (4, 4)
-        assert max_sine(exact.factors[-1], small.factors[-1]) <= 1e-10
+        model = exact(np.ldexp(x, exponent), policy)
+        assert model.ranks == (4,)
+        assert max_sine(model.factors[-1], small.factors[-1]) <= 1e-10
 
 
 # -------------------------------------------------- slice project/reconstruct
@@ -584,8 +528,7 @@ def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypa
 
 def make_planted_model(rng, n=40, d=10, k=3):
     x, q = planted_stack(rng, n=n, d=d, k=k)
-    t = x
-    model = hosvd_truncated(t, RankPolicy.cumulative_variance(0.999), slab_extent=4)
+    model = exact(x, RankPolicy.cumulative_variance(0.999), slab_extent=4)
     return model, x, q
 
 
@@ -625,9 +568,7 @@ def test_projection_is_linear_when_mu_vanishes():
     rng = np.random.default_rng(54)
     x = rng.standard_normal((30, 8))
     x -= x.mean()  # global mean ~ 0
-    model = hosvd_truncated(
-        x, RankPolicy.fixed_k(4), centering="global", slab_extent=3
-    )
+    model = exact(x, RankPolicy.fixed_k(4), centering="global", slab_extent=3)
     a, b = 1.7, -0.6
     y1 = rng.standard_normal((3, 8))
     y2 = rng.standard_normal((3, 8))
@@ -658,7 +599,7 @@ def test_order3_slice_round_trip():
     q = haar_columns(d, 3, rng)
     slabs = [rng.standard_normal((r, 3)) @ q.T for _ in range(T)]
     x = np.stack(slabs, axis=0)
-    model = hosvd_truncated(x, RankPolicy.cumulative_variance(0.999))
+    model = exact(x, RankPolicy.cumulative_variance(0.999), slab_extent=r)
     assert model.mu.shape == (r, d)  # the mean is one member
     slab = slabs[3]
     coeffs = project_slice(model, slab)
@@ -676,13 +617,9 @@ def test_order3_contractions_match_einsum():
     # mean leaves the three members spanning three directions
     rng = np.random.default_rng(63)
     x = rng.standard_normal((3, 2, 4))
-    model = hosvd_truncated(x, RankPolicy.fixed_k(4), centering="global")  # whole ranks
-    assert all_ranks(model) == (3, 2, 4)
-    u1, u2, u3 = all_factors(model)
-    core = np.einsum("tjk,ta,jb,kc->abc", x - model.mu, u1, u2, u3)
-    assert relerr(model.stacking.core, core) <= 1e-13
-    stack = np.einsum("abc,ta,jb,kc->tjk", model.stacking.core, u1, u2, u3) + model.mu
-    assert relerr(reconstruct(model), stack) <= 1e-13
+    model = exact(x, RankPolicy.fixed_k(4), centering="global", slab_extent=2)  # whole ranks
+    assert model.ranks == (2, 4)
+    u2, u3 = model.factors
     member = rng.standard_normal((2, 4))
     coeffs = project_slice(model, member)
     want = np.einsum("jk,jb,kc->bc", member - model.mu, u2, u3)
@@ -711,12 +648,8 @@ def test_order3_factors_are_the_leading_left_singular_vectors_of_the_unfoldings(
 ):
     x = planted_order3(np.random.default_rng(64))
     xc = x - (x.mean() if centering == "global" else x.mean(axis=0))
-    reference = hosvd_truncated(x, policy, centering=centering)
-    extracted = exact_subspace(x.copy(), policy, centering=centering, slab_extent=1)
-    modes = [(1, reference.stacking.factor, reference.stacking.spectrum)]
-    modes += [(n, f, spec) for n, f, spec in zip((2, 3), reference.factors, reference.spectra)]
-    modes += [(n, f, spec) for n, f, spec in zip((2, 3), extracted.factors, extracted.spectra)]
-    for mode, factor, spectrum in modes:
+    extracted = exact(x, policy, centering=centering)
+    for mode, factor, spectrum in zip((2, 3), extracted.factors, extracted.spectra, strict=True):
         s, u = unfolding_svd(xc, mode)
         assert factor.shape == (x.shape[mode - 1], rank) and spectrum.retained == rank
         assert subspace_distance(u[:, :rank], factor) <= 1e-10
@@ -726,114 +659,8 @@ def test_order3_factors_are_the_leading_left_singular_vectors_of_the_unfoldings(
 @pytest.mark.parametrize("order", [2, 3])
 def test_reconstruct_slice_refuses_coefficients_of_another_shape(order):
     x = planted_order3(np.random.default_rng(65))  # 14 x 6 x 11
-    model = hosvd_truncated(x.reshape(-1, 11) if order == 2 else x, RankPolicy.fixed_k(3),
-                            slab_extent=6)
+    model = exact(x.reshape(-1, 11) if order == 2 else x, RankPolicy.fixed_k(3), slab_extent=6)
     want = (6, 3) if order == 2 else (3, 3)
     for shape in [(want[0], 4), (want[0] + 1, 3), (3,)]:
         with pytest.raises(InvalidArgumentError, match=re.escape(f"expected {want}")):
             reconstruct_slice(model, SliceCoefficients(coeffs=np.zeros(shape)))
-
-
-# --------------------------------------------------------- secondary subspace
-
-
-def test_secondary_orthogonal_to_primary_and_variance_split():
-    rng = np.random.default_rng(58)
-    x, _ = planted_stack(rng, n=50, d=12, k=4, noise=0.05)
-    t = x
-    model = hosvd_truncated(t, RankPolicy.fixed_k(4))
-    # full remaining rank along the feature mode
-    k2 = 12 - 4
-    second = secondary_subspace(t, model, k2)
-    for u1, u2 in zip(all_factors(model), all_factors(second)):
-        assert np.max(np.abs(u1.T @ u2)) < 1e-8
-    primary_kept = model.spectra[-1].ratios[:4].sum()
-    secondary_kept = second.spectra[-1].ratios[4 : 4 + k2].sum()
-    assert abs(primary_kept + secondary_kept - 1.0) < 1e-8
-
-
-def test_secondary_on_exactly_low_rank_input_is_degenerate():
-    rng = np.random.default_rng(59)
-    x, _ = planted_stack(rng, n=50, d=12, k=4, noise=0.0)
-    t = x
-    model = hosvd_truncated(t, RankPolicy.fixed_k(4))
-    with pytest.raises(DegenerateSpectrumError):
-        secondary_subspace(t, model, 2)
-
-
-def test_secondary_k2_exceeding_remaining_rank():
-    rng = np.random.default_rng(60)
-    x, _ = planted_stack(rng, n=50, d=8, k=3, noise=0.05)
-    t = x
-    model = hosvd_truncated(t, RankPolicy.fixed_k(3))
-    with pytest.raises(InvalidArgumentError):
-        secondary_subspace(t, model, 6)
-
-
-@pytest.mark.parametrize(
-    "reshape, k2, message",
-    [
-        (lambda x: x, 0, "k2 must be >= 1, got 0"),
-        (lambda x: x, -2, "k2 must be >= 1, got -2"),
-        (lambda x: x.reshape(5, 10, 8), 1, "a secondary subspace needs an order-2 stack"),
-        (lambda x: x[:40], 1,
-         "tensor shape (40, 8) does not match the model's stack shape (50, 8)"),
-        (lambda x: x, 6, "k2=6 exceeds the 5 directions that follow the primary 3"),
-        (lambda x: x, 2.5, "k2 must be an integer >= 1, got 2.5"),
-        (lambda x: x, True, "k2 must be an integer >= 1, got True"),
-    ],
-    ids=["k2-zero", "k2-negative", "order-3", "shape-mismatch", "k2-too-deep", "k2-fraction",
-         "k2-bool"],
-)
-def test_secondary_refuses_what_it_cannot_take(reshape, k2, message):
-    x, _ = planted_stack(np.random.default_rng(62), n=50, d=8, k=3, noise=0.05)
-    model = hosvd_truncated(x, RankPolicy.fixed_k(3))
-    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
-        secondary_subspace(reshape(x), model, k2)
-
-
-def test_secondary_reconstruction_is_worse_on_planted_signal():
-    rng = np.random.default_rng(61)
-    x, q = planted_stack(rng, n=60, d=16, k=4, noise=1e-3)
-    t = x
-    model = hosvd_truncated(t, RankPolicy.fixed_k(4), slab_extent=6)
-    second = secondary_subspace(t, model, 4)
-    slab = x[:6]
-    st = slab
-    err1 = relerr(reconstruct_slice(model, project_slice(model, st)), slab)
-    err2 = relerr(reconstruct_slice(second, project_slice(second, st)), slab)
-    assert err2 > 10 * err1
-
-
-# ---------------------------------------------------------------- reconstruct
-
-
-def test_reconstruct_detects_tampered_factors():
-    rng = np.random.default_rng(62)
-    x = rng.standard_normal((8, 6))
-    model = hosvd_truncated(x, RankPolicy.fixed_k(3))
-    bad = SubspaceModel(
-        mu=model.mu,
-        factors=(model.factors[0][:4],),
-        spectra=model.spectra,
-        centering=model.centering,
-        shape=model.shape,
-        slab_extent=model.slab_extent,
-        stacking=model.stacking,
-    )
-    with pytest.raises(InternalConsistencyError):
-        reconstruct(bad)
-
-
-def test_reconstruct_zero_core_zero_mu():
-    core = np.zeros((2, 2))
-    model = SubspaceModel(
-        mu=np.zeros((1, 4)),
-        factors=(np.eye(4)[:, :2],),
-        spectra=(),
-        centering="feature",
-        shape=(3, 4),
-        slab_extent=None,
-        stacking=Stacking(factor=np.eye(3)[:, :2], spectrum=None, core=core),
-    )
-    assert np.all(reconstruct(model) == 0.0)

@@ -25,8 +25,8 @@ from uws.ensemble import (
     stack_layer,
 )
 from uws.errors import InvalidArgumentError
-from uws.hosvd import (GramStream, SliceCoefficients, exact_subspace, hosvd_truncated,
-                       project_slice, reconstruct_slice, secondary_subspace)
+from uws.hosvd import (GramStream, SliceCoefficients, exact_subspace, project_slice,
+                       reconstruct_slice)
 from uws.spectral import (RankPolicy, explained_variance, operator_norm, select_rank,
                           thin_svd)
 
@@ -85,7 +85,6 @@ def _streamed(slab_extent):
 
 
 _EXTENT = {
-    "hosvd_truncated": lambda v: hosvd_truncated(STACK, slab_extent=v),
     "exact_subspace": lambda v: exact_subspace(STACK.copy(), RankPolicy.fixed_k(2),
                                                centering="feature", slab_extent=v),
     "GramStream.decompose": _streamed,
@@ -115,8 +114,6 @@ CASES = {
     "adapt_coefficients.lr": ("lr", _adapt("lr", "gradient"), 2.0**-10, True),
     "adapt_coefficients.epochs": ("epochs", _adapt("epochs", "gradient"), 3, False),
     **{f"memory_savings.{n}": (n, _counts(n), v, False) for n, v in COUNTS.items()},
-    "secondary_subspace.k2": ("k2", (lambda v: secondary_subspace(
-        STACK, hosvd_truncated(STACK, RankPolicy.fixed_k(2)), v), None), 2, False),
     "GramStream.cols": ("cols", (GramStream, lambda s: s.cols), 4, False),
     "ExtractionConfig.order": ("order", (lambda v: ExtractionConfig(order=v),
                                          lambda c: c.order), 3, False),

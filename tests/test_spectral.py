@@ -10,7 +10,7 @@ from uws.errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from uws.hosvd import hosvd_truncated
+from uws.hosvd import exact_subspace
 from uws.spectral import (
     _PARAMETER,
     NUMERICAL_RANK_RTOL,
@@ -380,14 +380,16 @@ def test_select_rank_fixed_k_clamps():
     assert select_rank(ratios, RankPolicy.fixed_k(9)) == 3
     # to the numerical rank, the count tau = 1 keeps, not to the ratio count
     assert select_rank(np.array([0.7, 0.3, 1e-32]), RankPolicy.fixed_k(3)) == 2
-    # three feature-centred members span two directions along the stacking
-    # mode; the third singular value is rounding
+    # fixed_k(4) keeps what each mode has: an order-3 stack's 2 rows and 4
+    # columns, and the two directions three feature-centred rows span, whose
+    # third singular value is rounding
     rng = np.random.default_rng(63)
-    for shape, ranks in [((3, 2, 4), (2, 2, 4)), ((3, 4), (2, 2))]:
-        model = hosvd_truncated(rng.standard_normal(shape), RankPolicy.fixed_k(4))
-        assert (model.stacking.factor.shape[1], *model.ranks) == ranks
-        s = model.stacking.spectrum.singular_values
-        assert s.size == 3 and s[2] <= NUMERICAL_RANK_RTOL * s[0]
+    for shape, ranks in [((3, 2, 4), (2, 4)), ((3, 4), (2,))]:
+        model = exact_subspace(rng.standard_normal(shape), RankPolicy.fixed_k(4),
+                               centering="feature", slab_extent=1)
+        assert model.ranks == ranks
+    s = model.spectra[-1].singular_values
+    assert s.size == 3 and s[2] <= NUMERICAL_RANK_RTOL * s[0]
 
 
 def test_select_rank_monotone_in_tau_and_floor():
