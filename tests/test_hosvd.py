@@ -234,6 +234,15 @@ def test_degenerate_inputs():
             exact(np.array([[1.0, value]]))
 
 
+@pytest.mark.parametrize("centering", ["feature", "global"])
+def test_a_constant_stack_has_no_variance_on_either_route(centering):
+    x = np.full((40, 3), 2.5)  # tall enough for the Gram route to take it
+    message = f"no variance left after {centering} centering"
+    for route in (exact, streamed):
+        with pytest.raises(DegenerateSpectrumError, match=message):
+            route(x, RankPolicy.cumulative_variance(0.9), centering=centering, slab_extent=4)
+
+
 def test_stacks_near_the_float_limit_keep_their_variance():
     # norms and the Gram matrix of these stacks overflow, or underflow, if
     # squared unscaled

@@ -18,6 +18,7 @@ from uws.ensemble import (
     ExtractionConfig,
     ModelWeights,
     adapt_coefficients,
+    coefficient_parameter_count,
     extract_universal,
     memory_savings,
     merge_weights,
@@ -48,8 +49,10 @@ BOUND = dict(b=1.0, delta=0.5, n_tasks=10, eta_bar=0.25, eta2_bar=0.0625, gamma_
              c1=1.0, c2=1.0)
 STUDY = dict(d=3, k=1, t_grid=[2], n_trials=1)
 DK = dict(d=4, k=2, perturb=0.5, trials=1, seed=0)
+OPERATORS = np.diag([3.0, 2.0, 1.0]), np.diag([3.0, 2.0, 1.1])  # s_ref, s_pert
 COUNTS = dict(t=10, per_model_params=100, basis_params=50, coeff_params_per_model=5,
               mean_params=0)
+PARAMETER_COUNT = dict(basis_rank=3, layer_count=2)
 
 
 def _config(name):
@@ -71,6 +74,10 @@ def _dk(name):
 
 def _counts(name):
     return lambda v: memory_savings(**{**COUNTS, name: v}), None
+
+
+def _parameter_count(name):
+    return lambda v: coefficient_parameter_count(**{**PARAMETER_COUNT, name: v}), None
 
 
 def _adapt(name, method):
@@ -107,13 +114,17 @@ CASES = {
                                  lambda r: r.b), 2.0, True),
     **{f"davis_kahan_study.{n}": (n, _dk(n), v, False)
        for n, v in (("d", 5), ("k", 1), ("perturb", 0.25), ("trials", 2), ("seed", 3))},
+    "davis_kahan_check.k": ("k", (lambda v: theory.davis_kahan_check(*OPERATORS, v), None),
+                            1, False),
     **{f"convergence_study.{n}": (n, _study(n), v, n == "b")
-       for n, v in (("eta", 0.5), ("b", 4.0), ("delta", 0.25), ("c1", 2.0), ("c2", 2.0),
-                    ("n_trials", 2), ("seed", 3))},
+       for n, v in (("d", 3), ("k", 1), ("eta", 0.5), ("b", 4.0), ("delta", 0.25),
+                    ("c1", 2.0), ("c2", 2.0), ("n_trials", 2), ("seed", 3))},
     "adapt_coefficients.ridge": ("ridge", _adapt("ridge", "closed_form"), 0.5, False),
     "adapt_coefficients.lr": ("lr", _adapt("lr", "gradient"), 2.0**-10, True),
     "adapt_coefficients.epochs": ("epochs", _adapt("epochs", "gradient"), 3, False),
     **{f"memory_savings.{n}": (n, _counts(n), v, False) for n, v in COUNTS.items()},
+    **{f"coefficient_parameter_count.{n}": (n, _parameter_count(n), v, False)
+       for n, v in PARAMETER_COUNT.items()},
     "GramStream.cols": ("cols", (GramStream, lambda s: s.cols), 4, False),
     "ExtractionConfig.order": ("order", (lambda v: ExtractionConfig(order=v),
                                          lambda c: c.order), 3, False),
