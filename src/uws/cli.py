@@ -223,6 +223,7 @@ def cmd_extract(args):
 
 
 def cmd_scree(args):
+    _check_destinations(args.out)
     u = load_subspace(args.subspace)
     rows = _scree_rows(u)
     header = [
@@ -242,6 +243,7 @@ def cmd_scree(args):
 
 
 def cmd_project(args):
+    _check_destinations(args.out)
     u = load_subspace(args.subspace)
     model = load_weights(args.model)
     coeffs = project_model(u, model)
@@ -254,6 +256,7 @@ def cmd_project(args):
 
 
 def cmd_reconstruct(args):
+    _check_destinations(args.out)
     u = load_subspace(args.subspace)
     coeffs = load_coefficients(args.coeffs)
     model = reconstruct_model(u, coeffs)
@@ -270,6 +273,7 @@ def cmd_merge(args):
         weights = merge_weights(args.weights, len(paths))
     except InvalidArgumentError as exc:
         raise _UsageError(f"--weights: {exc}") from exc
+    _check_destinations(args.out)
     u = load_subspace(args.subspace)
     merged = merge_models(u, paths, weights=weights)  # reads one model at a time
     save_weights(merged, args.out)
@@ -282,6 +286,7 @@ def cmd_merge(args):
 
 
 def cmd_adapt(args):
+    _check_destinations(args.out, args.report)
     u = load_subspace(args.subspace)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below

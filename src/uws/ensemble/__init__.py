@@ -457,9 +457,11 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
 
 
 def merge_weights(weights, t: int) -> np.ndarray:
-    """The convex weights of a merge of ``t`` models: uniform when
-    ``weights`` is None, else ``t`` finite, nonnegative values that sum to
-    1 (within 1e-8).  Raises InvalidArgumentError otherwise."""
+    """The convex weights of a merge of ``t`` models, an int >= 1:
+    uniform when ``weights`` is None, else ``t`` finite, nonnegative
+    values that sum to 1 (within 1e-8).  Raises InvalidArgumentError
+    otherwise."""
+    t = int_at_least(t, "t", 1)
     if weights is None:
         return np.full(t, 1.0 / t)
     weights = as_real(weights, "weights")

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InvalidArgumentError
+from .errors import DegenerateSpectrumError, InvalidArgumentError, NumericalFailureError
 from .spectral import (
     DEFAULT_POLICY,
     GRAM_MIN_SQUARE,
@@ -60,7 +60,6 @@ from .spectral import (
     explained_variance,
     gram_leading,
     select_rank,
-    thin_svd,
 )
 from .tensor import as_real, as_tensor, finite_entries, frobenius_norm, int_at_least, one_of
 
@@ -185,7 +184,7 @@ def _centred(x: np.ndarray, policy, centering: str):
         raise DegenerateSpectrumError("tensor is identically zero")
     norm = frobenius_norm(x)
     one_of(centering, "centering", CENTERINGS)
-    finite_entries(x, "tensor")
+    finite_entries(x, "x")
     mu = np.float64(x.mean()) if centering == "global" else x.mean(axis=0)
     x -= mu
     _require_variance(frobenius_norm(x), norm, centering)
@@ -202,10 +201,17 @@ def _fibres(xc: np.ndarray, mode: int) -> np.ndarray:
 
 def _mode_factor(xc: np.ndarray, mode: int, policy):
     """The truncated factor and spectrum of one mode of the centred
-    ``xc``, from one thin SVD of its :func:`_fibres`."""
+    ``xc``, from one thin SVD of its :func:`_fibres`: the right singular
+    vectors, each oriented by :func:`~uws.spectral.column_signs`.  The
+    rows hold the entries of a stack :func:`_centred` has checked, so
+    they are checked no more."""
     rows = _fibres(xc, mode)
-    f = thin_svd(rows)
-    return _truncation(f.singular_values, f.v * column_signs(f.v), 0.0, policy, rows.shape)
+    try:
+        _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError("thin SVD did not converge (LAPACK)") from exc
+    s.flags.writeable = False
+    return _truncation(s, vt.T * column_signs(vt.T), 0.0, policy, rows.shape)
 
 
 def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -> SubspaceModel:
@@ -217,7 +223,7 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
     keep it).
     """
     slab_extent = _slab_extent(slab_extent)
-    mu, xc = _centred(as_tensor(x), policy, centering)
+    mu, xc = _centred(as_tensor(x, "x"), policy, centering)
     # each mode's singular vectors are dropped before the next mode's SVD
     factors, spectra = zip(*(_mode_factor(xc, m, policy) for m in range(2, xc.ndim + 1)))
     return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,

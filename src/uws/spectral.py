@@ -1,7 +1,8 @@
-"""Thin SVD, a Gram matrix held as its lower row panels and its certified
-leading eigenpairs above the Gram route's accuracy floor,
-explained-variance accounting, rank-selection policies, and the exact
-operator norm of a symmetric matrix or a stack of them (one ``eigvalsh``)."""
+"""A Gram matrix held as its lower row panels and its certified leading
+eigenpairs above the Gram route's accuracy floor, explained-variance
+accounting, rank-selection policies, the orientation of singular vectors
+(:func:`column_signs`), and the exact operator norm of a symmetric matrix
+or a stack of them (one ``eigvalsh``)."""
 
 from __future__ import annotations
 
@@ -75,28 +76,6 @@ GRAM_MIN_SQUARE = np.finfo(np.float64).tiny / _EPS / GRAM_MIN_RATIO**2
 RITZ_RESIDUAL_MULTIPLE = 2.0
 
 
-@dataclass(frozen=True)
-class ThinSvd:
-    """Thin singular value decomposition M = u @ diag(s) @ v.T.
-
-    ``u`` and ``v`` have orthonormal columns; ``singular_values`` is
-    nonincreasing and nonnegative.  Each left singular vector is oriented
-    so its largest-magnitude entry is nonnegative, which makes the
-    factorization deterministic.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def _checked_matrix(m) -> np.ndarray:
-    m = as_real(m, "matrix")
-    if m.ndim != 2 or min(m.shape) < 1:
-        raise InvalidArgumentError(f"expected a nonempty matrix, got shape {m.shape}")
-    return finite_entries(m, "matrix")
-
-
 def column_signs(a: np.ndarray) -> np.ndarray:
     """One sign (+1.0 or -1.0) per column of ``a``: scaling each column by
     its sign makes its largest-magnitude entry (the first, on ties)
@@ -108,24 +87,6 @@ def column_signs(a: np.ndarray) -> np.ndarray:
 def orthonormality_defect(q: np.ndarray) -> float:
     """``max |q.T @ q - I|``: 0 for exactly orthonormal columns."""
     return float(np.max(np.abs(q.T @ q - np.eye(q.shape[1]))))
-
-
-def thin_svd(m: np.ndarray) -> ThinSvd:
-    """Thin SVD keeping min(rows, cols) triplets."""
-    m = _checked_matrix(m)
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("thin SVD did not converge (LAPACK)") from exc
-    # deterministic orientation: largest-|entry| of each left vector >= 0
-    signs = column_signs(u)
-    u *= signs
-    vt *= signs[:, None]
-    u.flags.writeable = False
-    s.flags.writeable = False
-    v = np.ascontiguousarray(vt.T)
-    v.flags.writeable = False
-    return ThinSvd(u=u, singular_values=s, v=v)
 
 
 #: A :class:`LowerGram` holds a d x d Gram matrix as its lower row panels,
@@ -273,7 +234,7 @@ def explained_variance(singular_values: np.ndarray, tail: float = 0.0) -> np.nda
     finite_entries(s, "singular_values", *NONNEGATIVE)
     if np.any(np.diff(s) > 1e-12 * float(np.max(s))):
         raise InvalidArgumentError("singular values must be nonincreasing")
-    tail = real_in(tail, "the tail energy", *NONNEGATIVE)
+    tail = real_in(tail, "tail", *NONNEGATIVE)
     if tail > 0 and s[-1] == 0:
         raise InvalidArgumentError("a tail beyond a zero singular value must be 0")
     e = peak_exponent(s)

@@ -90,6 +90,7 @@ class SyntheticEnsembleConfig:
     k planted directions.  ``b`` is the norm bound; when omitted it is
     derived from the spectrum so that rescaling stays rare.  ``eta`` is a
     scalar applied to every task or a per-task list of length n_tasks.
+    ``seed``, an int >= 0, seeds :func:`sample_ensemble`'s generator.
 
     ``norm_mode="constant"`` places every task exactly on the radius-b
     sphere inside the planted subspace (requires a uniform spectrum), so
@@ -104,7 +105,7 @@ class SyntheticEnsembleConfig:
     b: float | None = None
     eta: object = 0.0
     spectrum: object = None
-    seed: object = 0
+    seed: int = 0
     norm_mode: str = "gaussian"
     perturbation: str = "isotropic"
 
@@ -112,6 +113,7 @@ class SyntheticEnsembleConfig:
         self.d = int_at_least(self.d, "d", 1)
         self.k = rank_within(self.k, self.d)
         self.n_tasks = int_at_least(self.n_tasks, "n_tasks", 1)
+        self.seed = int_at_least(self.seed, "seed", 0)
         if self.b is not None:
             self.b = real_in(self.b, "b", *POSITIVE)
         one_of(self.norm_mode, "norm_mode", NORM_MODES)

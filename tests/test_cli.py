@@ -270,6 +270,30 @@ def test_extract_checks_its_output_directories_before_it_reads_a_model(
     assert err == f"data error: [Errno 2] No such file or directory: {str(paths[missing])!r}\n"
 
 
+@pytest.mark.parametrize("command, missing", [
+    ("scree", "--out"), ("project", "--out"), ("reconstruct", "--out"), ("merge", "--out"),
+    ("adapt", "--out"), ("adapt", "--report"),
+])
+def test_a_command_checks_its_output_directories_before_it_reads_a_file(
+    tmp_path, capsys, command, missing
+):
+    bad = tmp_path / "bad.uws"  # every input is corrupt: reading any would be reported
+    bad.write_bytes(b"not a container")
+    inputs = {"scree": ["--subspace", bad], "project": ["--subspace", bad, "--model", bad],
+              "reconstruct": ["--subspace", bad, "--coeffs", bad],
+              "merge": ["--subspace", bad, "--models", tmp_path / "*.uws"],
+              "adapt": ["--subspace", bad, "--layer", "w", "--x", bad, "--y", bad]}[command]
+    outputs = {"--out": tmp_path / "o.uws"}
+    if command == "adapt":
+        outputs["--report"] = tmp_path / "r.csv"
+    outputs[missing] = tmp_path / "missing" / "o.uws"
+    argv = [command, *inputs, *(x for flag, path in outputs.items() for x in (flag, path))]
+    code, stdout, err = run([str(x) for x in argv], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"data error: [Errno 2] No such file or directory: {str(outputs[missing])!r}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_theory_converge_checks_its_output_directory_before_it_samples(
     tmp_path, capsys, monkeypatch
 ):
@@ -353,6 +377,25 @@ def test_extract_fixed_k_past_the_stack_keeps_its_numerical_rank(tmp_path, capsy
     assert "  w: rank 7 of 8, " in stdout
     model = load_subspace(out).layer_models["w"]
     assert model.ranks == (7,) and model.spectra[-1].retained == 7
+
+
+def test_extract_maps_a_lapack_failure_of_the_exact_route_to_exit_3(tmp_path, capsys,
+                                                                     monkeypatch):
+    pattern, _ = write_fixture_models(tmp_path)
+
+    def fail(*a, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    out = tmp_path / "s.uws"
+    code, stdout, err = run(  # tau = 1 reads the small end: the exact route
+        ["extract", "--models", pattern, "--out", str(out), "--report", str(tmp_path / "r.csv"),
+         "--tau", "1"],
+        capsys,
+    )
+    assert (code, stdout) == (3, "")
+    assert err == "numerical failure: thin SVD did not converge (LAPACK)\n"
+    assert not out.exists()
 
 
 def test_extract_identical_models_is_a_numerical_failure(tmp_path, capsys):

@@ -51,3 +51,13 @@ def test_the_decompositions_are_what_the_pipeline_runs_and_nothing_retired():
     assert not [name for name in retired if hasattr(uws, name) or hasattr(hosvd, name)]
     assert "stacking" not in hosvd.SubspaceModel.__dataclass_fields__
     assert "first_component" not in hosvd.ModeSpectrum.__dataclass_fields__
+
+
+def test_the_exact_route_takes_its_own_svd_and_the_wrapper_is_retired():
+    import uws.hosvd as hosvd
+    import uws.spectral as spectral
+
+    retired = {"thin_svd", "ThinSvd", "_checked_matrix"}
+    assert not retired & set(uws.__all__)
+    assert not [name for name in retired
+                if any(hasattr(m, name) for m in (uws, spectral, hosvd))]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import uws.hosvd as hosvd_module
-from uws.errors import DegenerateSpectrumError, InvalidArgumentError
+from uws.errors import DegenerateSpectrumError, InvalidArgumentError, NumericalFailureError
 from uws.hosvd import (
     SliceCoefficients,
     SubspaceModel,
@@ -232,6 +232,59 @@ def test_degenerate_inputs():
     for value in (np.inf, np.nan):
         with pytest.raises(InvalidArgumentError):
             exact(np.array([[1.0, value]]))
+
+
+@pytest.mark.parametrize("shape, words", [
+    ((0, 3), "all extents must be >= 1, got (0, 3)"),
+    ((3, 0), "all extents must be >= 1, got (3, 0)"),
+    ((2, 0, 3), "all extents must be >= 1, got (2, 0, 3)"),
+])
+def test_exact_subspace_takes_only_a_nonempty_stack(shape, words):
+    with pytest.raises(InvalidArgumentError, match=re.escape(words)):
+        exact(np.ones(shape))
+
+
+def test_exact_subspace_maps_a_lapack_failure(monkeypatch):
+    def fail(*a, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    for x in (np.arange(12.0).reshape(4, 3) ** 2, np.arange(24.0).reshape(2, 3, 4) ** 2):
+        with pytest.raises(NumericalFailureError, match=re.escape(
+                "thin SVD did not converge (LAPACK)")):
+            exact(x)
+
+
+def test_exact_spectrum_and_factor_hand_example():
+    # the centred rows have X.T @ X = diag(18, 8): values sqrt(18), sqrt(8)
+    # and the identity as the factor, each column's largest entry positive
+    x = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
+    model = exact(x, RankPolicy.fixed_k(2))
+    assert np.allclose(model.spectra[0].singular_values, np.sqrt([18.0, 8.0]), atol=1e-12)
+    assert np.array_equal(model.factors[0], np.eye(2))
+    assert not model.spectra[0].singular_values.flags.writeable
+
+
+def test_exact_spectrum_and_factor_on_many_random_shapes():
+    # each mode lists min(rows, cols) values of its fibres, those of the
+    # textbook unfolding, nonincreasing and nonnegative; its factor is
+    # orthonormal and each column's largest-magnitude entry nonnegative
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        shape = tuple(int(n) for n in rng.integers(1, 13, size=int(rng.integers(2, 4))))
+        x = rng.standard_normal((int(rng.integers(2, 13)), *shape[1:]))
+        model = exact(x, RankPolicy.fixed_k(max(x.shape)))
+        xc = x - x.mean(axis=0)
+        for mode, factor, spec in zip(range(2, x.ndim + 1), model.factors, model.spectra,
+                                      strict=True):
+            s = spec.singular_values
+            want, _ = unfolding_svd(xc, mode)
+            assert s.size == want.size == min(x.shape[mode - 1], x.size // x.shape[mode - 1])
+            assert np.max(np.abs(s - want)) <= 1e-12 * s[0]
+            assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+            assert factor.shape == (x.shape[mode - 1], spec.retained)
+            assert np.max(np.abs(factor.T @ factor - np.eye(spec.retained))) < 1e-10
+            assert np.array_equal(factor, sign_canonical(factor))
 
 
 @pytest.mark.parametrize("centering", ["feature", "global"])

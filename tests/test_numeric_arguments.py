@@ -5,14 +5,18 @@ other object, a value that is not finite or lies out of range, and None
 where None means nothing, are refused with InvalidArgumentError naming
 the argument.  An accepted numpy scalar is kept as a plain float or int.
 An array argument is refused, naming it, for a dtype that is not an int
-or float one and for an entry that is not finite.
+or float one and for an entry that is not finite.  Every int or float
+parameter of the package's exported callables has a row in ``CASES`` or
+a stated reason in ``NOT_ARGUMENTS`` to have none.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import uws
 from uws import theory
 from uws.ensemble import (
     ExtractionConfig,
@@ -28,8 +32,7 @@ from uws.ensemble import (
 from uws.errors import InvalidArgumentError
 from uws.hosvd import (GramStream, SliceCoefficients, exact_subspace, project_slice,
                        reconstruct_slice)
-from uws.spectral import (RankPolicy, explained_variance, operator_norm, select_rank,
-                          thin_svd)
+from uws.spectral import RankPolicy, explained_variance, operator_norm, select_rank
 
 
 def _adapt_problem():
@@ -106,7 +109,8 @@ CASES = {
                                                lambda p: p.noise_sigma), 0.5, True),
     "RankPolicy.k": ("k", (RankPolicy.fixed_k, lambda p: p.k), 3, False),
     **{f"SyntheticEnsembleConfig.{n}": (n, _config(n), v, n == "b")
-       for n, v in (("d", 4), ("k", 2), ("n_tasks", 3), ("b", 2.0), ("eta", 0.5))},
+       for n, v in (("d", 4), ("k", 2), ("n_tasks", 3), ("b", 2.0), ("eta", 0.5),
+                    ("seed", 3))},
     **{f"BoundParameters.{n}": (n, _bound(n), v, n == "gamma_k")
        for n, v in (("b", 2.0), ("delta", 0.25), ("n_tasks", 7), ("eta_bar", 0.5),
                     ("eta2_bar", 0.125), ("gamma_k", 0.75), ("c1", 2.0), ("c2", 4.0))},
@@ -129,9 +133,49 @@ CASES = {
     "ExtractionConfig.order": ("order", (lambda v: ExtractionConfig(order=v),
                                          lambda c: c.order), 3, False),
     "stack_layer.order": ("order", (lambda v: stack_layer(MODELS, "w", v), None), 3, False),
+    "merge_weights.t": ("t", (lambda v: merge_weights(None, v), None), 3, False),
+    "explained_variance.tail": ("tail", (lambda v: explained_variance(np.array([1.0]), v),
+                                         None), 0.5, False),
     **{f"{n}.slab_extent": ("slab_extent", (call, lambda m: m.slab_extent), 3, True)
        for n, call in _EXTENT.items()},
 }
+
+#: Scalar parameters of the package's callables that take no CASES row,
+#: each with the reason.
+NOT_ARGUMENTS = {
+    "ScreeReport.aggregate_tail": "a result record that scree_report fills",
+    "ConvergenceReport.slope": "a result record that convergence_study fills",
+    "ConvergenceReport.within_task_floor": "a result record that convergence_study fills",
+    "SubspaceModel.slab_extent": "a record whose constructors, exact_subspace, "
+                                 "GramStream.decompose and load_subspace, check it",
+}
+_NUMBER_ANNOTATIONS = {"int", "float", "int | None", "float | None"}
+
+
+def _scalar_parameters():
+    """``callable.parameter`` for each parameter of a callable in
+    ``uws.__all__`` annotated as an int or a float (or either or None), or
+    whose default is a number that is not a bool."""
+    found = set()
+    for name in uws.__all__:
+        obj = getattr(uws, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        for p in inspect.signature(obj).parameters.values():
+            ann = p.annotation
+            ann = ann if isinstance(ann, str) else getattr(ann, "__name__", str(ann))
+            number = isinstance(p.default, (int, float)) and not isinstance(p.default, bool)
+            if ann in _NUMBER_ANNOTATIONS or number:
+                found.add(f"{name}.{p.name}")
+    return found
+
+
+def test_every_public_scalar_argument_has_a_row_or_a_reason():
+    found = _scalar_parameters()
+    assert sorted(found - CASES.keys() - NOT_ARGUMENTS.keys()) == []
+    assert sorted(NOT_ARGUMENTS.keys() - found) == []
+    assert all(isinstance(why, str) and why for why in NOT_ARGUMENTS.values())
+
 
 REFUSED = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
            "True": True, "'0.5'": "0.5", "object": object(), "None": None}
@@ -183,7 +227,8 @@ ARRAY_ARGUMENTS = {
     "reconstruct_slice": ("coefficients", lambda a: reconstruct_slice(
         U.layer_models["w"], SliceCoefficients(np.resize(a, (6, 2))))),
     "operator_norm": ("matrix", lambda a: operator_norm(np.diag(a))),
-    "thin_svd": ("matrix", lambda a: thin_svd(a.reshape(1, -1))),
+    "exact_subspace": ("x", lambda a: exact_subspace(np.resize(a, (2, 2)), RankPolicy.fixed_k(1),
+                                                     centering="feature", slab_extent=1)),
     "population_second_moment": ("spectrum", lambda a: theory.population_second_moment(
         np.eye(2), a)),
     "within_task_term": ("f_star", lambda a: theory.within_task_term(a[None], np.zeros((1, 2)))),

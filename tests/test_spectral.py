@@ -16,67 +16,17 @@ from uws.spectral import (
     NUMERICAL_RANK_RTOL,
     GRAM_PANEL_COLS,
     RankPolicy,
-    ThinSvd,
     column_signs,
     explained_variance,
     gram_leading,
     operator_norm,
     orthonormality_defect,
     select_rank,
-    thin_svd,
 )
 
 from oracles import lower_gram, record_square_solves, sign_canonical, spectrum_families
 
-# ------------------------------------------------------------------ thin_svd
-
-
-def test_thin_svd_identity():
-    f = thin_svd(np.eye(3))
-    assert np.allclose(f.singular_values, [1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_thin_svd_diagonal_case():
-    f = thin_svd(np.diag([3.0, 2.0]))
-    assert np.allclose(f.singular_values, [3.0, 2.0], atol=1e-12)
-    assert np.allclose(f.u, np.eye(2), atol=1e-12)
-    assert np.allclose(f.v, np.eye(2), atol=1e-12)
-
-
-def test_thin_svd_matches_gram_eigensolve_oracle():
-    rng = np.random.default_rng(21)
-    m = rng.standard_normal((5, 3))
-    f = thin_svd(m)
-    # independent route: eigenvalues of M^T M
-    gram_eigs = np.sort(np.linalg.eigvalsh(m.T @ m))[::-1]
-    assert np.allclose(f.singular_values**2, gram_eigs, rtol=1e-10, atol=1e-10)
-
-
-def test_thin_svd_invariants_on_many_random_shapes():
-    rng = np.random.default_rng(22)
-    for _ in range(1000):
-        rows = int(rng.integers(1, 65))
-        cols = int(rng.integers(1, 65))
-        m = rng.standard_normal((rows, cols))
-        f = thin_svd(m)
-        k = min(rows, cols)
-        assert len(f.singular_values) == k
-        assert np.all(np.diff(f.singular_values) <= 1e-12)
-        assert np.all(f.singular_values >= 0)
-        assert np.max(np.abs(f.u.T @ f.u - np.eye(k))) < 1e-10
-        assert np.max(np.abs(f.v.T @ f.v - np.eye(k))) < 1e-10
-        rec = f.u @ np.diag(f.singular_values) @ f.v.T
-        assert np.linalg.norm(rec - m) <= 1e-8 * max(np.linalg.norm(m), 1e-30)
-
-
-def test_thin_svd_sign_convention_is_deterministic():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        m = rng.standard_normal((8, 6))
-        f = thin_svd(m)
-        for j in range(f.u.shape[1]):
-            col = f.u[:, j]
-            assert col[np.argmax(np.abs(col))] >= 0
+# ------------------------------------------------------------ column_signs
 
 
 def test_column_signs_orient_largest_entry():
@@ -88,17 +38,17 @@ def test_column_signs_orient_largest_entry():
     assert np.array_equal(m * column_signs(m), sign_canonical(m))
 
 
-def test_gram_spectrum_matches_thin_svd_on_tall_input():
+def test_gram_spectrum_matches_a_dense_svd_on_tall_input():
     rng = np.random.default_rng(20)
     q = np.linalg.qr(rng.standard_normal((80, 6)))[0]
     w = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     m = q @ np.diag([9.0, 5.0, 3.0, 1.0, 0.5, 0.1]) @ w.T
     s, v, tail = gram_leading(lower_gram(m), RankPolicy.fixed_k(6))
-    f = thin_svd(m)
-    assert np.max(np.abs(s - f.singular_values)) < 1e-12 * s[0]
+    _, want, vt = np.linalg.svd(m, full_matrices=False)
+    assert np.max(np.abs(s - want)) < 1e-12 * s[0]
     assert np.all(np.diff(s) <= 0) and tail == 0.0
     assert orthonormality_defect(v) < 1e-12
-    assert np.max(np.abs(v - f.v * column_signs(f.v))) < 1e-10
+    assert np.max(np.abs(v - sign_canonical(vt.T))) < 1e-10
     for policy in (RankPolicy.cumulative_variance(1.0), RankPolicy.hard_threshold()):
         with pytest.raises(InvalidArgumentError, match="leading end"):
             gram_leading(lower_gram(m), policy)
@@ -141,7 +91,7 @@ def test_gram_vectors_match_a_full_eigh_without_one(monkeypatch, top, n):
     lam = w[::-1]
     assert max_sine(full[:, ::-1][:, :n], v) <= 1e-10
     assert np.max(np.abs(np.sqrt(lam[:n]) - s)) <= 1e-12 * s[0]
-    assert np.max(np.abs(s - thin_svd(m).singular_values[:n])) <= 1e-12 * s[0]
+    assert np.max(np.abs(s - np.linalg.svd(m, compute_uv=False)[:n])) <= 1e-12 * s[0]
     assert abs(tail - np.sum(lam[n:])) <= 1e-12 * np.trace(gram)
     assert orthonormality_defect(v) <= 1e-12
     assert np.array_equal(v, v * column_signs(v))
@@ -235,7 +185,7 @@ def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     # read to its rank, the spectrum leaves an exact 0 past it
     s, _, tail = gram_leading(lower_gram(m), RankPolicy.fixed_k(5))
     assert s.size == 5 and np.all(s > 0) and tail == 0.0
-    assert np.max(np.abs(s - thin_svd(m).singular_values[:5])) <= 1e-12 * s[0]
+    assert np.max(np.abs(s - np.linalg.svd(m, compute_uv=False)[:5])) <= 1e-12 * s[0]
 
 
 def test_a_certified_rank_is_served_and_a_depth_below_the_floor_declined(monkeypatch):
@@ -284,20 +234,6 @@ def test_leading_spectrum_matches_a_full_eigh(family):
             assert abs(tail - np.sum(w[n:])) <= 1e-12 * total
 
 
-def test_thin_svd_rejects_non_finite():
-    with pytest.raises(InvalidArgumentError):
-        thin_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-    with pytest.raises(InvalidArgumentError):
-        thin_svd(np.array([[np.inf, 0.0]]))
-
-
-@pytest.mark.parametrize("shape", [(3,), (0, 3), (3, 0), (2, 2, 2)])
-def test_thin_svd_takes_only_a_nonempty_matrix(shape):
-    message = re.escape(f"expected a nonempty matrix, got shape {shape}")
-    with pytest.raises(InvalidArgumentError, match=message):
-        thin_svd(np.ones(shape))
-
-
 # --------------------------------------------------------- explained_variance
 
 
@@ -327,7 +263,7 @@ def test_explained_variance_rejects_bad_input():
     with pytest.raises(InvalidArgumentError, match="empty spectrum"):
         explained_variance(np.array([]))
     for tail in (np.inf, np.nan, -1.0):
-        message = re.escape(f"the tail energy must be finite and >= 0, got {tail!r}")
+        message = re.escape(f"tail must be finite and >= 0, got {tail!r}")
         with pytest.raises(InvalidArgumentError, match=message):
             explained_variance(np.array([1.0]), tail)
 

@@ -7,7 +7,7 @@ import pytest
 from uws import spectral, theory
 from uws.ensemble import merge_models
 from uws.errors import InvalidArgumentError
-from uws.spectral import operator_norm, thin_svd
+from uws.spectral import operator_norm
 from uws.tensor import as_tensor, frobenius_norm, symmetric_operator
 
 from oracles import haar_orthogonal
@@ -72,7 +72,6 @@ def test_norm_preserved_by_orthogonal_mode_products():
 
 _CONFIG = dict(d=3, k=1, n_tasks=2)
 COMPLEX_ENTRY_POINTS = {
-    "thin_svd": lambda: thin_svd(np.ones((3, 2)) * (1 + 1j)),
     "operator_norm": lambda: operator_norm(1j * np.eye(3)),
     "operator_norm_stack": lambda: operator_norm(np.stack([np.eye(3), 1j * np.eye(3)])),
     "config_eta": lambda: theory.SyntheticEnsembleConfig(**_CONFIG, eta=0.1j),

@@ -229,8 +229,8 @@ def test_sampled_operators_are_psd_with_bounded_deviation():
                 k=k,
                 n_tasks=int(rng.integers(1, 30)),
                 eta=float(rng.uniform(0.0, 0.4)),
-                seed=[15, trial],
-            )
+            ),
+            rng=np.random.default_rng([15, trial]),
         )
         emp = _moment_matrix(ens.f_star)
         assert np.min(np.linalg.eigvalsh(emp)) >= -1e-10
@@ -428,8 +428,8 @@ def test_within_task_cap_on_sampled_ensembles_and_additivity():
                 k=2,
                 n_tasks=int(rng.integers(2, 25)),
                 eta=float(rng.uniform(0.0, 0.5)),
-                seed=[18, trial],
-            )
+            ),
+            rng=np.random.default_rng([18, trial]),
         )
         rep = within_task_term(ens.f_star, ens.f_hat, b=ens.b)
         assert rep.holds
