@@ -2,7 +2,9 @@
 
 One process per invocation; every run prints its effective configuration
 into the output report header so reruns are auditable, and all file
-outputs are written atomically (temp file + rename).  Exit codes: 0
+outputs are written atomically (temp file + rename).  An output that names
+the same file as another output or an input, is a directory or lies in a
+missing one is refused before any file is touched.  Exit codes: 0
 success, 1 usage error, 2 data/parse error, 3 numerical failure.
 Diagnostics go to stderr; data goes to files or stdout.
 """
@@ -98,12 +100,41 @@ def _write_text(path, text):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _check_destinations(*paths):
-    """Refuse, before any work, an output whose directory is missing, with
-    the error that writing it would give."""
-    for path in paths:
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+def _path_flag(parser, flag, role, help=None):
+    """Add the required path flag ``flag`` to a subcommand, listed in its
+    ``role`` default: ``reads``, ``globs`` (a glob of files read) or
+    ``writes``, whose paths main() checks before it runs (:func:`_check_paths`)."""
+    parser.add_argument(flag, required=True, help=help)
+    parser.set_defaults(**{role: (*(parser.get_default(role) or ()), flag)})
+
+
+def _check_paths(args):
+    """Refuse, before the subcommand touches any file, an output that names
+    the same file as another output or an input (a usage error naming both
+    flags), then an output that is a directory or lies in a missing one."""
+    def path(flag):
+        return getattr(args, flag[2:].replace("-", "_"))
+
+    writes = getattr(args, "writes", ())
+    named = [(flag, path(flag)) for flag in (*writes, *getattr(args, "reads", ()))]
+    named += [(flag, match) for flag in getattr(args, "globs", ())
+              for match in globlib.glob(path(flag))]
+    outputs = {}
+    for i, (flag, name) in enumerate(named):  # the outputs come first
+        try:
+            key = os.stat(name)[1:3]  # inode and device
+        except OSError:  # nothing there yet: the same file only by name
+            key = os.path.realpath(name)
+        if key in outputs:
+            out_flag, out = outputs[key]
+            raise _UsageError(f"{out_flag} and {flag} name the same file {out!r}")
+        if i < len(writes):
+            outputs[key] = flag, name
+    for out in map(path, writes):
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
 
 # ------------------------------------------------------------- report tables
@@ -188,7 +219,6 @@ def _model_paths(pattern):
 def cmd_extract(args):
     config = _config_from_args(args)
     paths = _model_paths(args.models)  # extraction reads every file once per layer pass
-    _check_destinations(args.out, args.report)
     u = extract_universal(paths, config)
     save_subspace(u, args.out)
     header = [
@@ -223,7 +253,6 @@ def cmd_extract(args):
 
 
 def cmd_scree(args):
-    _check_destinations(args.out)
     u = load_subspace(args.subspace)
     rows = _scree_rows(u)
     header = [
@@ -243,7 +272,6 @@ def cmd_scree(args):
 
 
 def cmd_project(args):
-    _check_destinations(args.out)
     u = load_subspace(args.subspace)
     model = load_weights(args.model)
     coeffs = project_model(u, model)
@@ -256,7 +284,6 @@ def cmd_project(args):
 
 
 def cmd_reconstruct(args):
-    _check_destinations(args.out)
     u = load_subspace(args.subspace)
     coeffs = load_coefficients(args.coeffs)
     model = reconstruct_model(u, coeffs)
@@ -273,7 +300,6 @@ def cmd_merge(args):
         weights = merge_weights(args.weights, len(paths))
     except InvalidArgumentError as exc:
         raise _UsageError(f"--weights: {exc}") from exc
-    _check_destinations(args.out)
     u = load_subspace(args.subspace)
     merged = merge_models(u, paths, weights=weights)  # reads one model at a time
     save_weights(merged, args.out)
@@ -286,7 +312,6 @@ def cmd_merge(args):
 
 
 def cmd_adapt(args):
-    _check_destinations(args.out, args.report)
     u = load_subspace(args.subspace)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
@@ -403,7 +428,6 @@ def _check_rank(args):
 
 def cmd_theory_converge(args):
     _check_rank(args)
-    _check_destinations(args.out)
     report = theory.convergence_study(
         d=args.d,
         k=args.k,
@@ -498,10 +522,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     extract = sub.add_parser("extract", help="build a subspace from a model ensemble")
-    extract.add_argument("--models", required=True,
-                         help="glob matching the input weight containers")
-    extract.add_argument("--out", required=True, help="output subspace file")
-    extract.add_argument("--report", required=True, help="scree report file")
+    _path_flag(extract, "--models", "globs", help="glob matching the input weight containers")
+    _path_flag(extract, "--out", "writes", help="output subspace file")
+    _path_flag(extract, "--report", "writes", help="scree report file")
     policy = extract.add_mutually_exclusive_group()
     _add(policy, "--tau", float, real_in, *RANGE["cumulative_variance"], default=None,
          help="cumulative explained-variance target (default 0.95)")
@@ -524,46 +547,46 @@ def build_parser():
     extract.set_defaults(func=cmd_extract)
 
     scree = sub.add_parser("scree", help="re-emit the variance table of a subspace")
-    scree.add_argument("--subspace", required=True)
-    scree.add_argument("--out", required=True, help="full table output file")
+    _path_flag(scree, "--subspace", "reads")
+    _path_flag(scree, "--out", "writes", help="full table output file")
     _add(scree, "--top", int, int_at_least, 1, default=100,
          help="display cap per layer on stdout (file gets everything)")
     _add_format(scree)
     scree.set_defaults(func=cmd_scree)
 
     project = sub.add_parser("project", help="express a model as subspace coefficients")
-    project.add_argument("--subspace", required=True)
-    project.add_argument("--model", required=True)
-    project.add_argument("--out", required=True)
+    _path_flag(project, "--subspace", "reads")
+    _path_flag(project, "--model", "reads")
+    _path_flag(project, "--out", "writes")
     project.set_defaults(func=cmd_project)
 
     reconstruct = sub.add_parser("reconstruct", help="rebuild a model from coefficients")
-    reconstruct.add_argument("--subspace", required=True)
-    reconstruct.add_argument("--coeffs", required=True)
-    reconstruct.add_argument("--out", required=True)
+    _path_flag(reconstruct, "--subspace", "reads")
+    _path_flag(reconstruct, "--coeffs", "reads")
+    _path_flag(reconstruct, "--out", "writes")
     reconstruct.set_defaults(func=cmd_reconstruct)
 
     merge = sub.add_parser("merge", help="average models inside the subspace")
-    merge.add_argument("--subspace", required=True)
-    merge.add_argument("--models", required=True)
+    _path_flag(merge, "--subspace", "reads")
+    _path_flag(merge, "--models", "globs")
     merge.add_argument("--weights", type=_floats, default=None,
                        help="convex combination weights (default uniform)")
-    merge.add_argument("--out", required=True)
+    _path_flag(merge, "--out", "writes")
     merge.set_defaults(func=cmd_merge)
 
     adapt = sub.add_parser("adapt", help="fit one layer's coefficients to data")
-    adapt.add_argument("--subspace", required=True)
+    _path_flag(adapt, "--subspace", "reads")
     adapt.add_argument("--layer", required=True)
-    adapt.add_argument("--x", required=True, help="design matrix CSV (n x d_in)")
-    adapt.add_argument("--y", required=True, help="target matrix CSV (n x d_out)")
+    _path_flag(adapt, "--x", "reads", help="design matrix CSV (n x d_in)")
+    _path_flag(adapt, "--y", "reads", help="target matrix CSV (n x d_out)")
     adapt.add_argument("--method", choices=["closed-form", "gd"], default="closed-form")
     _add(adapt, "--lr", float, real_in, *POSITIVE, default=None,
          help="gd step size (default: half the stability bound)")
     _add(adapt, "--epochs", int, int_at_least, 1, default=1000)
     _add(adapt, "--ridge", float, real_in, *NONNEGATIVE, default=0.0,
          help="ridge term added to the normal matrix")
-    adapt.add_argument("--out", required=True, help="fitted coefficient container")
-    adapt.add_argument("--report", required=True, help="fit report file")
+    _path_flag(adapt, "--out", "writes", help="fitted coefficient container")
+    _path_flag(adapt, "--report", "writes", help="fit report file")
     _add_format(adapt)
     adapt.set_defaults(func=cmd_adapt)
 
@@ -600,7 +623,7 @@ def build_parser():
     converge.add_argument("--perturbation", choices=theory.PERTURBATIONS, default="isotropic")
     _add(converge, "--c1", float, real_in, *POSITIVE, default=1.0)
     _add(converge, "--c2", float, real_in, *POSITIVE, default=1.0)
-    converge.add_argument("--out", required=True, help="report file")
+    _path_flag(converge, "--out", "writes", help="report file")
     _add_format(converge)
     converge.set_defaults(func=cmd_theory_converge)
 
@@ -638,6 +661,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (None, 0) else 1
     try:
+        _check_paths(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

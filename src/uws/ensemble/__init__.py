@@ -922,8 +922,7 @@ def load_subspace(path) -> UniversalSubspace:
                 for n, f, extent in zip(modes, factors, shape[1:])
             )
             layer_models[name] = SubspaceModel(
-                mu=mu, factors=factors, spectra=spectra,
-                centering=config.centering, shape=shape, slab_extent=rows)
+                mu=mu, factors=factors, spectra=spectra, shape=shape, slab_extent=rows)
         _only(entries, (), "subspace container")  # _take removed every entry it read
         return UniversalSubspace(layer_models, config, provenance, layer_shapes)
 

@@ -91,7 +91,7 @@ def _atomic_file(path):
     there.  Nothing is fsynced, so no promise is made across a power loss
     or an operating-system crash.  The temp file is created with mode
     0o666, which the umask trims, as ``open()`` creates a file.  An error
-    creating it names ``path``."""
+    creating it or renaming it to ``path`` names ``path``, not the temp file."""
     path = Path(path)
     while True:
         tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -105,7 +105,10 @@ def _atomic_file(path):
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         try:
             os.unlink(tmp)
@@ -175,12 +178,6 @@ def _layout(model_id: str, layers, meta: dict | None):
         raise InvalidArgumentError(f"meta is not JSON-serializable: {exc}") from exc
     manifest_bytes = text.encode("utf-8")
     return MAGIC + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes, payload
-
-
-def build_container(model_id: str, layers, meta: dict | None = None) -> bytes:
-    """Serialize to bytes; see :func:`write_container`."""
-    header, payload = _layout(model_id, layers, meta)
-    return header + b"".join(_encoded(*entry).tobytes() for entry in payload)
 
 
 def write_container(path, model_id: str, layers, meta: dict | None = None) -> None:

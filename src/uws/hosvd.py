@@ -97,17 +97,17 @@ class ModeSpectrum:
 @dataclass
 class SubspaceModel:
     """What a subspace file holds of a decomposed stack of ``shape``: the
-    mean, the orthonormal factors of the non-stacking modes in mode order
-    (``(V,)`` for order 2, ``(U2, U3)`` for order 3, so ``factors[-1]`` is
-    the feature basis), one :class:`ModeSpectrum` per factor and the rows
-    of one member's slab.  :class:`GramStream`, :func:`exact_subspace` and
+    mean (a scalar under global centering, whose kind its shape says), the
+    orthonormal factors of the non-stacking modes in mode order (``(V,)``
+    for order 2, ``(U2, U3)`` for order 3, so ``factors[-1]`` is the
+    feature basis), one :class:`ModeSpectrum` per factor and the rows of
+    one member's slab.  :class:`GramStream`, :func:`exact_subspace` and
     a subspace file all give one; it projects and rebuilds members.
     """
 
     mu: np.ndarray
     factors: tuple[np.ndarray, ...]
     spectra: tuple[ModeSpectrum, ...]
-    centering: str
     shape: tuple[int, ...]
     slab_extent: int | None
 
@@ -226,8 +226,8 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
     mu, xc = _centred(as_tensor(x, "x"), policy, centering)
     # each mode's singular vectors are dropped before the next mode's SVD
     factors, spectra = zip(*(_mode_factor(xc, m, policy) for m in range(2, xc.ndim + 1)))
-    return SubspaceModel(mu=mu, factors=factors, spectra=spectra, centering=centering,
-                         shape=xc.shape, slab_extent=slab_extent)
+    return SubspaceModel(mu=mu, factors=factors, spectra=spectra, shape=xc.shape,
+                         slab_extent=slab_extent)
 
 
 class GramStream:
@@ -363,8 +363,8 @@ class GramStream:
         if found is None:
             return None
         factor, spectrum = _truncation(*found, policy, shape)
-        return SubspaceModel(mu=mu, factors=(factor,), spectra=(spectrum,), centering=centering,
-                             shape=shape, slab_extent=slab_extent)
+        return SubspaceModel(mu=mu, factors=(factor,), spectra=(spectrum,), shape=shape,
+                             slab_extent=slab_extent)
 
 
 def project_slice(model: SubspaceModel, member) -> SliceCoefficients:

@@ -25,7 +25,7 @@ key on it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,20 +83,25 @@ def task_counts(t_grid, name: str = "t_grid") -> list:
 
 @dataclass
 class SyntheticEnsembleConfig:
-    """Recipe for a synthetic ensemble of task vectors.
+    """Recipe for a synthetic ensemble of task vectors, each fact resolved
+    once, at construction.
 
     ``spectrum`` gives the planted per-direction second moments: length k
-    (zero tail) or length d (decaying tail); default is uniform over the
-    k planted directions.  ``b`` is the norm bound; when omitted it is
-    derived from the spectrum so that rescaling stays rare.  ``eta`` is a
-    scalar applied to every task or a per-task list of length n_tasks.
-    ``seed``, an int >= 0, seeds :func:`sample_ensemble`'s generator.
+    (zero tail) or length d (decaying tail); it is kept as an array, uniform
+    over the k planted directions by default.  ``b``, the norm bound, is
+    kept as a float, derived from the spectrum when omitted so that
+    rescaling stays rare.  ``eta`` is a scalar applied to every task or a
+    per-task list of length n_tasks, kept per task in ``etas``.  ``seed``,
+    an int >= 0, seeds :func:`sample_ensemble`'s generator.
 
     ``norm_mode="constant"`` places every task exactly on the radius-b
     sphere inside the planted subspace (requires a uniform spectrum), so
     the population operator is exactly (b^2/k) times the subspace
     projector.  ``perturbation`` picks the direction of ``f_hat - f_star``:
     an isotropic random unit vector, or radial (along ``f_star`` itself).
+    ``population_eigenvalues`` lie along the leading columns of the planted
+    basis (b^2/k on each planted direction in constant mode, the spectrum
+    otherwise); ``gamma`` is their eigengap at k.
     """
 
     d: int
@@ -108,6 +113,9 @@ class SyntheticEnsembleConfig:
     seed: int = 0
     norm_mode: str = "gaussian"
     perturbation: str = "isotropic"
+    etas: np.ndarray = field(init=False, repr=False)
+    population_eigenvalues: np.ndarray = field(init=False, repr=False)
+    gamma: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.d = int_at_least(self.d, "d", 1)
@@ -125,8 +133,10 @@ class SyntheticEnsembleConfig:
             raise InvalidArgumentError(
                 f"eta list has length {etas.size}, expected n_tasks = {self.n_tasks}"
             )
-        if self.spectrum is not None:
-            spec = as_real(self.spectrum, "spectrum")
+        self.etas = np.full(self.n_tasks, self.eta) if etas.ndim == 0 else etas.copy()
+        given = self.spectrum is not None
+        spec = as_real(self.spectrum, "spectrum").copy() if given else np.ones(self.k)
+        if given:
             if spec.ndim != 1 or spec.size not in (self.k, self.d):
                 raise InvalidArgumentError(
                     f"spectrum must have length k = {self.k} or d = {self.d}, "
@@ -143,41 +153,20 @@ class SyntheticEnsembleConfig:
                 raise InvalidArgumentError(
                     f"the k-th planted eigenvalue must be positive, got {spec[self.k - 1]}"
                 )
+        self.spectrum = w = spec
+        if self.b is None:  # gaussian draws get headroom so rescaling stays rare
+            root = math.sqrt(float(spec.sum()))  # constant norms match the planted trace
+            self.b = 3.0 * root if self.norm_mode == "gaussian" else root
         if self.norm_mode == "constant":
-            spec = self.resolved_spectrum()
             if spec.size != self.k or (spec.max() - spec.min()) > 1e-12 * spec.max():
                 raise InvalidArgumentError(
                     "constant norm mode needs a uniform length-k spectrum"
                 )
-            if not math.isfinite(self.resolved_b() * self.resolved_b()):
+            if not math.isfinite(self.b * self.b):
                 raise InvalidArgumentError(f"b**2 overflows in constant mode (b = {self.b!r})")
-
-    def resolved_spectrum(self) -> np.ndarray:
-        if self.spectrum is None:
-            return np.ones(self.k)
-        return as_real(self.spectrum).copy()
-
-    def resolved_b(self) -> float:
-        if self.b is not None:
-            return float(self.b)
-        total = float(self.resolved_spectrum().sum())
-        # gaussian draws get headroom so rescaling stays rare; constant
-        # norms match the planted trace exactly
-        return 3.0 * math.sqrt(total) if self.norm_mode == "gaussian" else math.sqrt(total)
-
-    def resolved_etas(self) -> np.ndarray:
-        etas = as_real(self.eta)
-        return np.full(self.n_tasks, float(etas)) if etas.ndim == 0 else etas.copy()
-
-    def population_spectrum(self):
-        """The population operator's eigenvalues along the leading columns
-        of the planted basis (b^2/k on each of the k planted directions in
-        constant mode, the spectrum otherwise), and its eigengap at k."""
-        if self.norm_mode == "constant":
-            w = np.full(self.k, self.resolved_b() ** 2 / self.k)
-        else:
-            w = self.resolved_spectrum()
-        return w, float(w[self.k - 1]) - (float(w[self.k]) if w.size > self.k else 0.0)
+            w = np.full(self.k, self.b**2 / self.k)
+        self.population_eigenvalues = w
+        self.gamma = float(w[self.k - 1]) - (float(w[self.k]) if w.size > self.k else 0.0)
 
 
 # ------------------------------------------------------------------ operators
@@ -320,7 +309,6 @@ class WithinTaskReport:
     measured: float
     cap: float
     b: float
-    holds: bool
 
 
 def within_task_term(f_star, f_hat, b: float | None = None) -> WithinTaskReport:
@@ -331,7 +319,7 @@ def within_task_term(f_star, f_hat, b: float | None = None) -> WithinTaskReport:
     ``f_star`` row norm.
 
     The cap is a theorem, so a violation beyond 1e-8 raises rather than
-    returning quietly.
+    returning quietly: a returned report always holds.
     """
     star_stack, hat_stack = as_real(f_star, "f_star"), as_real(f_hat, "f_hat")
     if star_stack.ndim != 2 or hat_stack.shape != star_stack.shape:
@@ -352,12 +340,11 @@ def within_task_term(f_star, f_hat, b: float | None = None) -> WithinTaskReport:
     t = len(star_stack)
     diff = hat_stack.T @ hat_stack / t - star_stack.T @ star_stack / t
     measured = operator_norm(diff)
-    holds = measured <= cap + 1e-8
-    if not holds:
+    if not measured <= cap + 1e-8:
         raise InternalConsistencyError(
             f"within-task cap violated: measured {measured} > cap {cap}"
         )
-    return WithinTaskReport(measured=measured, cap=cap, b=b, holds=holds)
+    return WithinTaskReport(measured=measured, cap=cap, b=b)
 
 
 # ----------------------------------------------------------------- Davis-Kahan
@@ -471,17 +458,14 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
 
 @dataclass
 class SyntheticEnsemble:
-    """A drawn ensemble: row t of ``f_star`` and ``f_hat`` is task t."""
+    """A drawn ensemble: row t of ``f_star`` and ``f_hat`` is task t.  Its
+    spectrum, norm bound, etas and eigengap are its ``config``'s."""
 
     config: SyntheticEnsembleConfig
     f_star: np.ndarray
     f_hat: np.ndarray
     basis: np.ndarray
-    spectrum: np.ndarray
-    b: float
-    etas: np.ndarray
     population: np.ndarray
-    gamma: float
 
 
 def _haar_columns(rng, d: int, m: int) -> np.ndarray:
@@ -519,7 +503,7 @@ def _draw(config: SyntheticEnsembleConfig, rng):
     """The planted basis (d x m, m the spectrum length) and the (n_tasks, d)
     ``f_star`` and ``f_hat`` arrays, in the draw order of
     :func:`sample_ensemble`."""
-    spectrum, b, etas = config.resolved_spectrum(), config.resolved_b(), config.resolved_etas()
+    spectrum, b, etas = config.spectrum, config.b, config.etas
     d, k = config.d, config.k
     basis = _haar_columns(rng, d, spectrum.size)
     width = k if config.norm_mode == "constant" else spectrum.size
@@ -563,17 +547,13 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
     if rng is None:
         rng = np.random.default_rng(config.seed)
     basis, f_star, f_hat = _draw(config, rng)
-    w, gamma = config.population_spectrum()
+    w = config.population_eigenvalues
     return SyntheticEnsemble(
         config=config,
         f_star=f_star,
         f_hat=f_hat,
         basis=basis,
-        spectrum=config.resolved_spectrum(),
-        b=config.resolved_b(),
-        etas=config.resolved_etas(),
         population=population_second_moment(basis[:, :w.size], w),
-        gamma=gamma,
     )
 
 
@@ -607,8 +587,7 @@ def _trial_errors(cfg: SyntheticEnsembleConfig, seed, trials: range):
     :func:`sample_ensemble` does; the batch stacks the learned operators and
     their differences from the population, and solves them with one
     ``eigh`` and one ``eigvalsh``."""
-    t, d, k = cfg.n_tasks, cfg.d, cfg.k
-    w, _ = cfg.population_spectrum()
+    t, d, k, w = cfg.n_tasks, cfg.d, cfg.k, cfg.population_eigenvalues
     learned, diff = np.empty((2, len(trials), d, d))
     planted = np.empty((len(trials), d, k))
     for i, trial in enumerate(trials):
@@ -666,19 +645,16 @@ def convergence_study(
             norm_mode=norm_mode,
             perturbation=perturbation,
         )
-        b_eff = cfg.resolved_b()
-        etas = cfg.resolved_etas()
-        gamma = cfg.population_spectrum()[1]
         with np.errstate(over="ignore"):  # eta means that overflow: the bound refuses them
-            eta_bar, eta2_bar = float(etas.mean()), float((etas**2).mean())
+            eta_bar, eta2_bar = float(cfg.etas.mean()), float((cfg.etas**2).mean())
         try:
             params = BoundParameters(
-                b=b_eff,
+                b=cfg.b,
                 delta=delta,
                 n_tasks=t,
                 eta_bar=eta_bar,
                 eta2_bar=eta2_bar,
-                gamma_k=gamma if gamma > 0 else None,
+                gamma_k=cfg.gamma if cfg.gamma > 0 else None,
                 c1=c1,
                 c2=c2,
             )
@@ -701,7 +677,7 @@ def convergence_study(
         logs_t = np.log([float(t) for t in ordered])
         logs_e = np.log([mean_op[t] for t in ordered])
         slope = float(np.polyfit(logs_t, logs_e, 1)[0])
-    floor = 2.0 * b_eff * eta + eta**2
+    floor = 2.0 * cfg.b * eta + eta**2
     return ConvergenceReport(
         n_tasks=np.repeat(t_grid, n_trials),
         trial=np.tile(np.arange(n_trials), len(t_grid)),
@@ -718,8 +694,8 @@ def convergence_study(
             "t_grid": t_grid,
             "n_trials": n_trials,
             "eta": eta,
-            "b": b_eff,
-            "spectrum": None if spectrum is None else cfg.resolved_spectrum().tolist(),
+            "b": cfg.b,
+            "spectrum": None if spectrum is None else cfg.spectrum.tolist(),
             "seed": seed,
             "norm_mode": norm_mode,
             "perturbation": perturbation,

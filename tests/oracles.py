@@ -128,9 +128,7 @@ def synthetic_tasks_by_loop(config, rng: np.random.Generator):
             if norm > 1e-12:
                 return g / norm
 
-    spectrum = config.resolved_spectrum()
-    b = config.resolved_b()
-    etas = config.resolved_etas()
+    spectrum, b, etas = config.spectrum, config.b, config.etas
     d, k = config.d, config.k
     q, r = np.linalg.qr(rng.standard_normal((d, spectrum.size)))
     signs = np.sign(np.diag(r))
@@ -279,9 +277,9 @@ def convergence_cells_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectr
             finite_entries(ens.f_hat, "vectors")
             learned = second_moment(list(ens.f_hat))
             bounds[t] = theorem1_bounds(BoundParameters(
-                b=ens.b, delta=delta, n_tasks=t, eta_bar=float(ens.etas.mean()),
-                eta2_bar=float((ens.etas**2).mean()),
-                gamma_k=ens.gamma if ens.gamma > 0 else None, c1=c1, c2=c2))
+                b=config.b, delta=delta, n_tasks=t, eta_bar=float(config.etas.mean()),
+                eta2_bar=float((config.etas**2).mean()),
+                gamma_k=config.gamma if config.gamma > 0 else None, c1=c1, c2=c2))
             cells.append((t, trial, operator_norm(learned - ens.population),
                           subspace_distance(top_k_basis(learned, k), ens.basis[:, :k])))
     return [list(column) for column in zip(*cells)] + [bounds]

@@ -26,7 +26,6 @@ from uws.ensemble import (
 )
 from uws.ensemble.container import (
     atomic_write_bytes,
-    build_container,
     read_container,
     write_container,
 )
@@ -600,7 +599,7 @@ def test_reconstruct_refuses_coefficients_without_an_included_layer(tmp_path, ca
     doc = read_container(coeffs)
     records = [(name, arr, doc.dtypes[name]) for name, arr in doc.layers.items()
                if name != "coef/block1"]
-    coeffs.write_bytes(build_container(doc.model_id, records, doc.meta))
+    write_container(coeffs, doc.model_id, records, doc.meta)
     code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
                         "--out", str(tmp_path / "back.uws")], capsys)
     assert code == 2 and "'block1'" in err
@@ -628,8 +627,8 @@ def test_reconstruct_refuses_coefficient_entries_that_do_not_fit(tmp_path, capsy
     doc = read_container(coeffs)
     entries = dict(doc.layers)
     edit(entries)
-    coeffs.write_bytes(build_container(
-        doc.model_id, [(name, array, "f64") for name, array in entries.items()], doc.meta))
+    write_container(
+        coeffs, doc.model_id, [(name, array, "f64") for name, array in entries.items()], doc.meta)
     code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
                         "--out", str(tmp_path / "back.uws")], capsys)
     assert code == 2 and err.count("\n") == 1
@@ -658,7 +657,7 @@ def rewrite_entry(path, name, edit):
     doc = read_container(path)
     records = [(n, edit(arr) if n == name else arr, doc.dtypes[n])
                for n, arr in doc.layers.items()]
-    path.write_bytes(build_container(doc.model_id, records, doc.meta))
+    write_container(path, doc.model_id, records, doc.meta)
 
 
 def test_reconstruct_refuses_a_layer_beyond_the_float32_range(tmp_path, capsys):
@@ -866,7 +865,7 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
                 "--out", str(tmp_path / "out.uws")]
     codes, passed = [], []
     for field, edit, meta in _single_field_edits(doc.meta):
-        edited.write_bytes(build_container(doc.model_id, records, meta))
+        write_container(edited, doc.model_id, records, meta)
         codes.append(run(argv, capsys)[0])
         if codes[-1] == 0:
             passed.append((field, edit))

@@ -192,3 +192,110 @@ def test_every_value_of_a_flag_exits_with_its_documented_code(command, flag, fix
         assert (code == 1) == RULES[command, flag](value), (value, err)
         assert code != 1 or flag in err, (value, err)  # a refusal names the flag as typed
         assert code != 1 or not any((tmp_path / str(i)).iterdir()), value  # wrote nothing
+
+
+# ------------------------------------------------------------ output paths
+
+ROLES = ("writes", "reads", "globs")
+#: A value for each required flag that is not a path.
+NAMED = {"--layer": "w", "--d": "4", "--k": "2", "--t-grid": "2", "--trials": "1"}
+
+
+def _subcommands(parser, words=()):
+    """(argv words, parser) of every subcommand that runs, from the parser itself."""
+    groups = [action for action in parser._actions if isinstance(action.choices, dict)]
+    if not groups:
+        yield words, parser
+    for action in groups:
+        for name, sub in action.choices.items():
+            yield from _subcommands(sub, (*words, name))
+
+
+def _roles(sub):
+    return {role: sub.get_default(role) or () for role in ROLES}
+
+
+SUBCOMMANDS = {" ".join(words): sub for words, sub in _subcommands(cli.build_parser())}
+# (subcommand, output flag, the flag whose file it names too)
+COLLISIONS = [(name, out, other) for name, sub in SUBCOMMANDS.items()
+              for writes in [_roles(sub)["writes"]]
+              for i, out in enumerate(writes)
+              for other in (*writes[i + 1:], *_roles(sub)["reads"], *_roles(sub)["globs"])]
+OUTPUTS = [(name, out) for name, sub in SUBCOMMANDS.items() for out in _roles(sub)["writes"]]
+
+
+def test_every_path_flag_has_a_role():
+    """A flag that takes plain text is a path the subcommand reads or writes,
+    or --layer; every --out and --report is an output."""
+    for name, sub in SUBCOMMANDS.items():
+        roles = _roles(sub)
+        text = {a.option_strings[0] for a in sub._actions if a.option_strings
+                and a.type is None and a.choices is None and a.nargs is None}
+        assert text - {"--layer"} == {f for flags in roles.values() for f in flags}, name
+        assert {"--out", "--report"} & text <= set(roles["writes"]), name
+    assert len(OUTPUTS) == 9 and len(COLLISIONS) == 17
+
+
+def _files(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def _run(name, tmp_path, capsys, **paths):
+    """Run subcommand ``name`` with each path flag at a file of tmp_path, as
+    ``paths`` (flag name without dashes, "_" for "-") overrides it: an input
+    holds bytes that no reader accepts, a glob matches one such file, and an
+    output does not exist.  Returns the exit code, stdout and stderr, with
+    the files under tmp_path unchanged by the run."""
+    argv = name.split()
+    for action in SUBCOMMANDS[name]._actions:
+        if not action.required:
+            continue
+        flag = action.option_strings[0]
+        role = next((r for r, flags in _roles(SUBCOMMANDS[name]).items() if flag in flags), None)
+        value = NAMED.get(flag)
+        if role == "reads":
+            value = tmp_path / f"in{flag[1:]}"
+            value.write_bytes(b"not a container")
+        elif role == "globs":
+            (tmp_path / f"in{flag[1:]}_0.uws").write_bytes(b"not a container")
+            value = tmp_path / f"in{flag[1:]}_*.uws"
+        elif role == "writes":
+            value = tmp_path / f"out{flag[1:]}"
+        argv += [flag, str(paths.get(flag[2:].replace("-", "_"), value))]
+    before = _files(tmp_path)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert _files(tmp_path) == before, argv  # nothing written, moved or left behind
+    return code, out, err
+
+
+@pytest.mark.parametrize("name, out, other", COLLISIONS,
+                         ids=[f"{n}{o}={x}" for n, o, x in COLLISIONS])
+def test_an_output_that_names_another_path_of_the_command_is_refused_first(
+    name, out, other, tmp_path, capsys
+):
+    role = next(r for r, flags in _roles(SUBCOMMANDS[name]).items() if other in flags)
+    # the other flag's file, spelled another way
+    shared = f"{tmp_path}/./" + {"reads": f"in{other[1:]}", "globs": f"in{other[1:]}_0.uws",
+                                 "writes": f"out{other[1:]}"}[role]
+    code, stdout, err = _run(name, tmp_path, capsys, **{out[2:]: shared})
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {out} and {other} name the same file {shared!r}\n"
+
+
+@pytest.mark.parametrize("name, out", OUTPUTS, ids=[n + o for n, o in OUTPUTS])
+def test_an_output_that_is_a_directory_is_refused_before_any_file_is_touched(
+    name, out, tmp_path, capsys
+):
+    target = tmp_path / "outdir"
+    target.mkdir()
+    code, stdout, err = _run(name, tmp_path, capsys, **{out[2:]: target})
+    assert (code, stdout) == (2, "")
+    assert err == f"data error: [Errno 21] Is a directory: {str(target)!r}\n"
+
+
+def test_an_output_linked_to_an_input_is_the_same_file(tmp_path, capsys):
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "in-subspace")
+    code, _, err = _run("project", tmp_path, capsys, out=link)
+    assert code == 1 and err == f"error: --out and --subspace name the same file {str(link)!r}\n"

@@ -17,7 +17,7 @@ from uws.errors import (
     TruncatedFileError,
     UnknownDtypeError,
 )
-from uws.ensemble.container import build_container, read_container, write_container
+from uws.ensemble.container import read_container, write_container
 
 
 def hand_built_single_layer() -> tuple[bytes, np.ndarray]:
@@ -272,7 +272,7 @@ def test_writer_refuses_finite_values_beyond_the_declared_precision(tmp_path):
         with pytest.raises(InvalidArgumentError, match="layer 'w' has values outside the f32"):
             write_container(p, "m", [("ok", np.ones((1, 1)), "f32"), ("w", big, "f32")])
         with pytest.raises(InvalidArgumentError, match="outside the f32"):
-            build_container("m", [("w", big, "f32")])
+            write_container(p, "m", [("w", big, "f32")])
     assert list(tmp_path.iterdir()) == []
     write_container(p, "m", [("w", big, "f64")])  # f64 holds it
     assert read_container(p).layers["w"][0, 1] == -1e40
@@ -287,6 +287,17 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
         write_container(p, "m", [("w", np.array([[np.inf]]), "f64")])
     assert not p.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_into_an_existing_directory_names_it_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "outdir"
+    target.mkdir()
+    with pytest.raises(OSError) as caught:
+        write_container(target, "m", [("w", np.ones((1, 1)), "f64")])
+    exc = caught.value
+    assert exc.filename == str(target) and exc.filename2 is None
+    assert str(exc) == f"[Errno {exc.errno}] {exc.strerror}: {str(target)!r}"
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
 # ---------------------------------------------------------------------- fuzz
@@ -446,4 +457,7 @@ def test_write_costs_one_copy_of_the_file(tmp_path):
     size = path.stat().st_size
     assert size > 2_000_000
     assert peak <= 1.1 * size
-    assert path.read_bytes() == build_container("big", layers, meta={"note": "written in place"})
+    # the header, then the matrices encoded in order
+    blob = path.read_bytes()
+    payload = b"".join(arr.astype("<f4").tobytes() for _, arr, _ in layers)
+    assert blob.endswith(payload) and size == 12 + struct.unpack("<Q", blob[4:12])[0] + len(payload)

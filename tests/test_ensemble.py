@@ -25,7 +25,7 @@ from uws.ensemble import (
     scree_report,
     stack_layer,
 )
-from uws.ensemble.container import build_container, read_container
+from uws.ensemble.container import read_container, write_container
 from uws.errors import (
     DegenerateSpectrumError,
     InvalidArgumentError,
@@ -881,7 +881,7 @@ def rewrite_entry(path, name, edit):
     doc = read_container(path)
     records = [(n, edit(arr) if n == name else arr, doc.dtypes[n])
                for n, arr in doc.layers.items()]
-    path.write_bytes(build_container(doc.model_id, records, doc.meta))
+    write_container(path, doc.model_id, records, doc.meta)
 
 
 def test_load_subspace_refuses_a_factor_that_is_not_orthonormal(tmp_path):

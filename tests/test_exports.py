@@ -33,12 +33,19 @@ def test_the_theory_lab_exports_what_it_runs_and_nothing_retired():
     assert not hasattr(uws.theory.SyntheticEnsemble, "tasks")
     fields = uws.theory.ConvergenceReport.__dataclass_fields__
     assert not {"rows", "mean_op_bound", "slope_defined", "t_grid", "n_trials"} & set(fields)
+    # each fact of a drawn ensemble is its config's, resolved once
+    drawn = uws.theory.SyntheticEnsemble.__dataclass_fields__
+    assert not {"spectrum", "b", "etas", "gamma"} & set(drawn)
+    assert not [name for name in ("resolved_spectrum", "resolved_b", "resolved_etas",
+                                  "population_spectrum")
+                if hasattr(uws.theory.SyntheticEnsembleConfig, name)]
+    assert "holds" not in uws.theory.WithinTaskReport.__dataclass_fields__
 
 
 def test_a_container_read_has_one_record_and_nothing_retired():
     assert container.ContainerDocument._fields == ("model_id", "layers", "dtypes", "meta",
                                                    "shapes")
-    retired = {"LayerRecord", "_Payloads", "_read_payloads", "_AllBut"}
+    retired = {"LayerRecord", "_Payloads", "_read_payloads", "_AllBut", "build_container"}
     assert not [name for name in retired
                 if hasattr(uws.ensemble, name) or hasattr(container, name)]
 
@@ -49,7 +56,7 @@ def test_the_decompositions_are_what_the_pipeline_runs_and_nothing_retired():
     retired = {"hosvd_truncated", "reconstruct", "secondary_subspace", "center", "Stacking"}
     assert not retired & set(uws.__all__)
     assert not [name for name in retired if hasattr(uws, name) or hasattr(hosvd, name)]
-    assert "stacking" not in hosvd.SubspaceModel.__dataclass_fields__
+    assert not {"stacking", "centering"} & set(hosvd.SubspaceModel.__dataclass_fields__)
     assert "first_component" not in hosvd.ModeSpectrum.__dataclass_fields__
 
 

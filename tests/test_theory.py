@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from uws.errors import InvalidArgumentError
+from uws import theory
+from uws.errors import InternalConsistencyError, InvalidArgumentError
 from uws.theory import (
     BoundParameters,
     DkStudy,
@@ -86,7 +87,7 @@ def test_perturbation_magnitudes_match_eta():
     ens = sample_ensemble(cfg(eta=etas, seed=9))
     for star, hat, e in zip(ens.f_star, ens.f_hat, etas):
         assert np.linalg.norm(hat - star) == pytest.approx(e, abs=1e-12)
-    assert np.allclose(ens.etas, etas)
+    assert np.allclose(ens.config.etas, etas)
 
 
 def test_radial_perturbation_keeps_direction():
@@ -142,7 +143,7 @@ def test_zero_draw_is_redrawn_not_divided(norm_mode):
     assert np.all(np.isfinite(star)) and np.all(np.isfinite(hat))
     assert np.linalg.norm(hat - star) == pytest.approx(0.2, abs=1e-12)
     if norm_mode == "constant":
-        assert np.linalg.norm(star) == pytest.approx(ens.b, rel=1e-12)
+        assert np.linalg.norm(star) == pytest.approx(ens.config.b, rel=1e-12)
     else:
         assert np.array_equal(star, np.zeros(8))
 
@@ -174,6 +175,35 @@ def test_config_validation():
         cfg(b=0.0)
     with pytest.raises(InvalidArgumentError, match="overflows"):
         cfg(norm_mode="constant", b=1e200)  # b**2 is not a float
+
+
+def test_a_config_resolves_its_facts_once():
+    uniform = cfg(eta=0.2)
+    assert np.array_equal(uniform.spectrum, np.ones(3))
+    assert uniform.b == 3.0 * math.sqrt(3.0)
+    assert uniform.eta == 0.2 and np.array_equal(uniform.etas, np.full(20, 0.2))
+    assert np.array_equal(uniform.population_eigenvalues, np.ones(3)) and uniform.gamma == 1.0
+    given = np.array([4.0, 2.0, 1.0] + [0.5] * 5)
+    tail = cfg(spectrum=given, eta=[0.1] * 20, b=5.0)
+    assert tail.spectrum is not given  # the config keeps its own copy
+    assert np.array_equal(tail.spectrum, given) and tail.b == 5.0
+    assert np.array_equal(tail.etas, np.full(20, 0.1))
+    assert tail.population_eigenvalues is tail.spectrum and tail.gamma == 0.5
+    constant = cfg(norm_mode="constant", b=3.0)
+    assert np.array_equal(constant.population_eigenvalues, np.full(3, 3.0))
+    assert constant.gamma == 3.0
+    assert cfg(norm_mode="constant").b == math.sqrt(3.0)
+    ens = sample_ensemble(constant)
+    assert ens.config is constant
+    assert not any(hasattr(ens, name) for name in ("spectrum", "b", "etas", "gamma"))
+
+
+def test_a_within_task_report_is_returned_only_when_the_cap_holds(monkeypatch):
+    rep = within_task_term([[1.0, 0.0]], [[1.3, 0.0]], b=1.0)
+    assert not hasattr(rep, "holds")
+    monkeypatch.setattr(theory, "operator_norm", lambda m: 1.0)
+    with pytest.raises(InternalConsistencyError, match="within-task cap violated"):
+        within_task_term([[1.0, 0.0]], [[1.3, 0.0]], b=1.0)
 
 
 def test_full_dimensional_isotropic_effective_rank():
@@ -235,7 +265,7 @@ def test_sampled_operators_are_psd_with_bounded_deviation():
         emp = _moment_matrix(ens.f_star)
         assert np.min(np.linalg.eigvalsh(emp)) >= -1e-10
         dev = opnorm_oracle(emp - ens.population)
-        assert dev <= 2.0 * ens.b**2 + 1e-8
+        assert dev <= 2.0 * ens.config.b**2 + 1e-8
 
 
 # ------------------------------------------------------------------ projectors
@@ -384,7 +414,6 @@ def test_within_task_radial_single_task_attains_cap():
     rep = within_task_term([[1.0, 0.0]], [[1.3, 0.0]], b=1.0)
     assert rep.measured == pytest.approx(0.69, abs=1e-10)
     assert rep.cap == pytest.approx(0.69, rel=1e-12)
-    assert rep.holds
 
 
 def test_within_task_default_b_is_the_largest_task_norm():
@@ -406,7 +435,7 @@ def test_within_task_orthogonal_single_task_closed_form():
 
 def test_within_task_zero_perturbation_and_validation():
     rep = within_task_term([[0.5, 0.5]], [[0.5, 0.5]], b=1.0)
-    assert rep.measured == 0.0 and rep.cap == 0.0 and rep.holds
+    assert rep.measured == 0.0 and rep.cap == 0.0
     with pytest.raises(InvalidArgumentError, match="does not bound"):
         within_task_term([[2.0, 0.0]], [[2.0, 0.0]], b=1.0)
     with pytest.raises(InvalidArgumentError, match="at least one task"):
@@ -431,12 +460,13 @@ def test_within_task_cap_on_sampled_ensembles_and_additivity():
             ),
             rng=np.random.default_rng([18, trial]),
         )
-        rep = within_task_term(ens.f_star, ens.f_hat, b=ens.b)
-        assert rep.holds
+        rep = within_task_term(ens.f_star, ens.f_hat, b=ens.config.b)  # raises past the cap
+        assert rep.measured <= rep.cap + 1e-8
     ens = sample_ensemble(cfg(eta=0.2, n_tasks=12, seed=19))
-    whole = within_task_term(ens.f_star, ens.f_hat, b=ens.b)
-    a = within_task_term(ens.f_star[:5], ens.f_hat[:5], b=ens.b)
-    bb = within_task_term(ens.f_star[5:], ens.f_hat[5:], b=ens.b)
+    b = ens.config.b
+    whole = within_task_term(ens.f_star, ens.f_hat, b=b)
+    a = within_task_term(ens.f_star[:5], ens.f_hat[:5], b=b)
+    bb = within_task_term(ens.f_star[5:], ens.f_hat[5:], b=b)
     assert 12 * whole.cap == pytest.approx(5 * a.cap + 7 * bb.cap, rel=1e-12)
 
 
