@@ -15,6 +15,7 @@ layers, stack shapes, ranks, ratios, ids) and refuse any entry or meta
 key that the writers do not write.
 """
 
+from collections.abc import MutableMapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
@@ -42,7 +43,7 @@ from ..spectral import (DEFAULT_POLICY, RankPolicy, check_policy, explained_vari
                         orthonormality_defect, select_rank)
 from ..tensor import (NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least, one_of,
                       real_in)
-from .container import read_container, write_container
+from .container import ContainerDocument, read_container, write_container
 
 SUBSPACE_FORMAT_VERSION = 6
 
@@ -81,16 +82,73 @@ __all__ = [
 # --------------------------------------------------------------------- weights
 
 
-@dataclass
-class ModelWeights:
-    """One model's weight matrices in a dict by name, each nonempty, 2-D
-    and real; a layer that is not raises InvalidArgumentError naming it.
+def _held(name, arr) -> np.ndarray:
+    """Layer ``name`` as a :class:`ModelWeights` holds it: a float32
+    array as it is, anything else as float64 (:func:`~uws.tensor.as_real`,
+    not copied if it already is), refused with InvalidArgumentError
+    naming it unless it is a nonempty 2-D real matrix."""
+    if not isinstance(name, str):
+        raise InvalidArgumentError("layers must be a dict of matrices by name")
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float32):
+        arr = as_real(arr, f"layer {name!r}")
+    if arr.ndim != 2 or arr.size == 0:
+        raise InvalidArgumentError(
+            f"layer {name!r}: expected a nonempty 2-D matrix, got shape {arr.shape}")
+    return arr
 
-    Matrices are held as float64 in memory regardless of the precision
-    they are stored at on disk; ``dtypes`` remembers the declared on-disk
-    precision per layer ("f32" or "f64", default "f64"); anything but a
-    dict of those by name raises InvalidArgumentError, and a name that is
-    not a layer is dropped.
+
+class _Layers(MutableMapping):
+    """The layers of a :class:`ModelWeights` by name, in order.  ``held``
+    is the dict of the arrays as held, each float32 or float64; reading a
+    layer gives float64, the held array itself where it is float64 and a
+    new read-only float64 copy of a float32 one, so a write into that
+    copy raises ValueError rather than being lost.  Setting a layer holds
+    it by the constructor's rule and ``del`` removes it."""
+
+    __slots__ = ("held",)
+
+    def __init__(self, held: dict):
+        self.held = held
+
+    def __getitem__(self, name) -> np.ndarray:
+        arr = self.held[name]
+        if arr.dtype == np.float64:
+            return arr
+        arr = arr.astype(np.float64)
+        arr.flags.writeable = False
+        return arr
+
+    def __setitem__(self, name, arr) -> None:
+        self.held[name] = _held(name, arr)
+
+    def __delitem__(self, name) -> None:
+        del self.held[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self.held
+
+    def __iter__(self):
+        return iter(self.held)
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.held!r})"
+
+
+@dataclass(eq=False)
+class ModelWeights:
+    """One model's weight matrices by name, each nonempty, 2-D and real;
+    a layer that is not raises InvalidArgumentError naming it.
+
+    ``layers`` is given as a dict (or as another model's ``layers``) and
+    kept as a :class:`_Layers`: each float32 matrix is held as it is, not
+    copied, and every other one as float64, so a model costs the bytes
+    of its matrices at the precision they were given.  Every layer reads
+    as float64.  ``dtypes`` holds the on-disk precision per layer ("f32"
+    or "f64", default "f64"); anything but a dict of those by name raises
+    InvalidArgumentError, and a name that is not a layer is dropped.
     """
 
     model_id: str
@@ -100,13 +158,10 @@ class ModelWeights:
     def __post_init__(self):
         if not isinstance(self.model_id, str):
             raise InvalidArgumentError("model_id must be a string")
-        if not isinstance(self.layers, dict) or not all(isinstance(n, str) for n in self.layers):
+        layers = self.layers.held if isinstance(self.layers, _Layers) else self.layers
+        if not isinstance(layers, dict):
             raise InvalidArgumentError("layers must be a dict of matrices by name")
-        self.layers = {name: as_real(arr, f"layer {name!r}") for name, arr in self.layers.items()}
-        for name, arr in self.layers.items():
-            if arr.ndim != 2 or arr.size == 0:
-                raise InvalidArgumentError(
-                    f"layer {name!r}: expected a nonempty 2-D matrix, got shape {arr.shape}")
+        self.layers = _Layers({name: _held(name, arr) for name, arr in layers.items()})
         if not isinstance(self.dtypes, dict):
             raise InvalidArgumentError(
                 f"dtypes must be a dict of precisions by layer name, got {type(self.dtypes).__name__}")
@@ -118,11 +173,13 @@ class ModelWeights:
     @property
     def shapes(self) -> dict:
         """Each layer's shape, as a weights file's manifest gives it."""
-        return {name: arr.shape for name, arr in self.layers.items()}
+        return {name: arr.shape for name, arr in self.layers.held.items()}
 
 
 def load_weights(path) -> ModelWeights:
-    """Read a weights container, promoting every matrix to float64."""
+    """Read a weights container.  Its float32 matrices are held as the
+    document's read-only views of the one buffer they were read into, so
+    nothing is copied; float64 ones likewise."""
     doc = _read(path)
     return ModelWeights(doc.model_id, doc.layers, doc.dtypes)
 
@@ -131,7 +188,7 @@ def save_weights(weights: ModelWeights, path) -> None:
     """Write a weights container at each layer's declared precision."""
     triples = [
         (name, arr, weights.dtypes.get(name, "f64"))
-        for name, arr in weights.layers.items()
+        for name, arr in weights.layers.held.items()
     ]
     write_container(path, weights.model_id, triples)
 
@@ -168,10 +225,10 @@ def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
     for m in models:
         _require_layers(f"the layers of model {m.model_id!r}", m.shapes, expected,
                         f"those of model {models[0].model_id!r}, the first, and {layer!r}")
-    slabs = [m.layers[layer] for m in models]
+    slabs = [m.layers.held[layer] for m in models]
     if order == 2:
-        return np.concatenate(slabs, axis=0)
-    return np.stack(slabs, axis=0)
+        return np.concatenate(slabs, axis=0, dtype=np.float64)
+    return np.stack(slabs, axis=0, dtype=np.float64)
 
 
 # ------------------------------------------------------------------ extraction
@@ -264,13 +321,15 @@ def _partition_layers(first, config):
 
 
 def _read(model, names=None):
-    """A model given in memory, as it is, or the container document of its
-    weights file with the ``names`` layers read (all by default): either
-    way ``model_id``, ``layers``, ``dtypes`` and ``shapes``, with float32
-    layers converted only where used.  A file whose meta has a ``kind``
-    (a subspace or coefficient file) raises ManifestError."""
+    """The container document of a model: of its held arrays for a model
+    given in memory, of its weights file with the ``names`` layers read
+    (all by default) otherwise.  Either way its ``layers`` are float32 or
+    float64 as held or stored, converted only where used.  A file whose
+    meta has a ``kind`` (a subspace or coefficient file) raises
+    ManifestError."""
     if isinstance(model, ModelWeights):
-        return model
+        return ContainerDocument(model.model_id, model.layers.held, model.dtypes, None,
+                                 model.shapes)
     doc = read_container(model, names)
     if doc.meta is not None and "kind" in doc.meta:
         raise ManifestError(f"{model} is a {doc.meta['kind']!r} container, not weights", 12)
@@ -362,7 +421,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
 # ---------------------------------------------------------------- scree report
 
 
-@dataclass
+@dataclass(eq=False)
 class ScreeReport:
     """Feature-mode variance ratios per layer, their per-component
     mean/std across layers over the components that every layer stores,
@@ -391,10 +450,12 @@ def scree_report(u: UniversalSubspace) -> ScreeReport:
 # ------------------------------------------------------- project / reconstruct
 
 
-@dataclass
+@dataclass(eq=False)
 class CoefficientSet:
     """A model expressed as per-layer subspace coefficients, with excluded
-    layers carried through verbatim (by reference, not copied)."""
+    layers carried through verbatim (by reference, not copied): each
+    ``passthrough`` array is the model's as held, float32 or float64, or
+    a loaded ``raw/`` entry at its stored precision."""
 
     model_id: str
     coefficients: dict
@@ -417,11 +478,12 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
     arrays, so the model can be rebuilt in full.
     """
     _require_layers(f"the layers of model {weights.model_id!r}", weights.shapes, *_model_layers(u))
+    held = weights.layers.held
     for name in u.excluded_layers:
-        finite_entries(weights.layers[name], f"layer {name!r} of model {weights.model_id!r}")
-    coefficients = {name: project_slice(u.layer_models[name], weights.layers[name])
+        finite_entries(held[name], f"layer {name!r} of model {weights.model_id!r}")
+    coefficients = {name: project_slice(u.layer_models[name], held[name])
                     for name in u.included_layers}
-    passthrough = {name: weights.layers[name] for name in u.excluded_layers}
+    passthrough = {name: held[name] for name in u.excluded_layers}
     dtypes = {
         name: weights.dtypes.get(name, "f64")
         for name in list(coefficients) + list(passthrough)
@@ -502,7 +564,11 @@ def merge_models(u, models, weights=None) -> ModelWeights:
         ids.append(model.model_id)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused below
             for name, total in sums.items():
-                total += np.multiply(model.layers[name], w, dtype=np.float64)
+                # a plain cast, then in-place float64 arithmetic: a multiply that
+                # casts a float32 operand itself goes through buffers and is slower
+                term = model.layers[name].astype(np.float64)
+                term *= w
+                total += term
         del model  # free its payload before the next model is read
     mean = ModelWeights(model_id="merged(" + ",".join(ids) + ")", layers=sums)
     return reconstruct_model(u, project_model(u, mean))
@@ -945,7 +1011,8 @@ def load_coefficients(path) -> CoefficientSet:
     """Read a coefficient container built from its entries: ``coef/L``
     holds layer L's coefficients, at the precision ``dtypes`` declares
     (f64 where it declares none), and ``raw/L`` its passthrough matrix, at
-    the entry's; the model id is the container's.  A malformed meta
+    the entry's, held at its stored precision as the document's read-only
+    view; the model id is the container's.  A malformed meta
     field, and any entry or meta key that :func:`save_coefficients` does
     not write, raises ManifestError."""
     doc = read_container(path)
@@ -966,7 +1033,7 @@ def load_coefficients(path) -> CoefficientSet:
                 _require(dtypes[name] in ("f32", "f64"),
                          f"dtypes declares {dtypes[name]!r} for layer {name!r}, not f32 or f64")
             else:
-                passthrough[name] = np.asarray(arr, np.float64)
+                passthrough[name] = arr
                 dtypes[name] = doc.dtypes[entry]
         _only(declared, coefficients, "coefficient meta dtypes")
         return CoefficientSet(doc.model_id, coefficients, passthrough, dtypes)

@@ -70,7 +70,7 @@ CENTERINGS = ("feature", "global")
 #: 512 x d float64 array beside the Gram's panels.
 GRAM_BLOCK_ROWS = 512
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSpectrum:
     """Leading spectrum of one mode's unfolding, the energy of the rest,
     and what was retained.
@@ -94,7 +94,7 @@ class ModeSpectrum:
         return max(0.0, 1.0 - float(np.sum(self.ratios))) if self.tail else 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class SubspaceModel:
     """What a subspace file holds of a decomposed stack of ``shape``: the
     mean (a scalar under global centering, whose kind its shape says), the
@@ -120,7 +120,7 @@ class SubspaceModel:
         return tuple(f.shape[1] for f in self.factors)
 
 
-@dataclass
+@dataclass(eq=False)
 class SliceCoefficients:
     """One member expressed in the factor basis: r x k2 for an order-2
     slab, which keeps its rows, and k2 x k3 for order 3."""

@@ -81,7 +81,7 @@ def task_counts(t_grid, name: str = "t_grid") -> list:
 # ------------------------------------------------------------- configuration
 
 
-@dataclass
+@dataclass(eq=False)
 class SyntheticEnsembleConfig:
     """Recipe for a synthetic ensemble of task vectors, each fact resolved
     once, at construction.
@@ -362,7 +362,7 @@ class DkReport:
     holds: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DkStudy:
     """The figures of :func:`davis_kahan_study`, one array entry per trial."""
 
@@ -456,7 +456,7 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
 # -------------------------------------------------------------------- sampling
 
 
-@dataclass
+@dataclass(eq=False)
 class SyntheticEnsemble:
     """A drawn ensemble: row t of ``f_star`` and ``f_hat`` is task t.  Its
     spectrum, norm bound, etas and eigengap are its ``config``'s."""
@@ -560,7 +560,7 @@ def sample_ensemble(config: SyntheticEnsembleConfig, rng=None) -> SyntheticEnsem
 # ----------------------------------------------------------------- convergence
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvergenceReport:
     """The figures of :func:`convergence_study`.  Cell i is trial
     ``trial[i]`` at T = ``n_tasks[i]``, its errors ``op_error[i]`` and

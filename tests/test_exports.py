@@ -68,3 +68,29 @@ def test_the_exact_route_takes_its_own_svd_and_the_wrapper_is_retired():
     assert not retired & set(uws.__all__)
     assert not [name for name in retired
                 if any(hasattr(m, name) for m in (uws, spectral, hosvd))]
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    import copy
+
+    import numpy as np
+
+    import uws.ensemble as ensemble
+    import uws.theory as theory
+    from uws.spectral import RankPolicy
+
+    rng = np.random.default_rng(5)
+    models = [ensemble.ModelWeights(f"m{i}", {n: rng.standard_normal((3, 8)) for n in "abcd"})
+              for i in range(4)]
+    u = ensemble.extract_universal(models, ensemble.ExtractionConfig(policy=RankPolicy.fixed_k(2)))
+    model = u.layer_models["b"]
+    config = theory.SyntheticEnsembleConfig(d=4, k=2, n_tasks=3)
+    records = [
+        models[0], ensemble.project_model(u, models[0]), ensemble.scree_report(u), u,
+        model, model.spectra[0], ensemble.project_model(u, models[0]).coefficients["b"],
+        config, theory.sample_ensemble(config), theory.davis_kahan_study(4, 2, 0.1, 2),
+        theory.convergence_study(4, 2, [2, 4], 2),
+    ]
+    for record in records:  # a field-wise == of arrays would raise on the copy
+        assert (record == record) is True
+        assert (record == copy.deepcopy(record)) is False
