@@ -89,11 +89,7 @@ def _name_list(text):
 
 
 def _fmt(value):
-    if value is None:
-        return "undefined"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "undefined" if value is None else repr(value)
 
 
 def _write_text(path, text):
@@ -140,28 +136,30 @@ def _check_paths(args):
 # ------------------------------------------------------------- report tables
 
 
+def _component_rows(layer, sigmas, ratios, tail=0.0):
+    """Component table rows (index, layer, sigma, ratio, cumulative) of
+    one layer, with no sigma where ``sigmas`` is None; a share ``tail``
+    of the energy left after them adds one row of index ``tail``."""
+    rows, cum = [], 0.0
+    for j, ratio in enumerate(ratios):
+        cum += float(ratio)
+        sigma = None if sigmas is None else float(sigmas[j])
+        rows.append((j, layer, sigma, float(ratio), cum))
+    if tail > 0:
+        rows.append(("tail", layer, None, tail, cum + tail))
+    return rows
+
+
 def _scree_rows(u):
-    """Component table rows (index, layer, sigma, ratio, cumulative) for
-    every included layer's stored components, then aggregate rows with no
-    sigma; a layer, or the aggregate, whose stored components leave a
-    share of the energy ends with one row of index ``tail`` holding it."""
+    """The component table rows of every included layer's stored
+    components, then aggregate rows with no sigma (:func:`_component_rows`)."""
     report = scree_report(u)
     rows = []
-
-    def add(layer, sigmas, ratios, tail):
-        cum = 0.0
-        for j, ratio in enumerate(ratios):
-            cum += float(ratio)
-            sigma = None if sigmas is None else float(sigmas[j])
-            rows.append((j, layer, sigma, float(ratio), cum))
-        if tail > 0:
-            rows.append(("tail", layer, None, tail, cum + tail))
-
     for name in u.included_layers:
         spec = report.per_layer[name]
-        add(name, spec.singular_values, spec.ratios, spec.tail_ratio)
-    add("aggregate", None, report.aggregate_ratios, report.aggregate_tail)
-    return rows
+        rows += _component_rows(name, spec.singular_values, spec.ratios, spec.tail_ratio)
+    return rows + _component_rows("aggregate", None, report.aggregate_ratios,
+                                  report.aggregate_tail)
 
 
 def _table_lines(rows, fmt):
@@ -333,15 +331,11 @@ def cmd_adapt(args):
         ),
         args.out,
     )
-    c = np.asarray(coeffs.coeffs, dtype=np.float64)
-    energies = np.linalg.norm(c, axis=0)
+    energies = np.linalg.norm(coeffs.coeffs, axis=0)
     total = float((energies**2).sum())
-    rows = []
-    cum = 0.0
-    for j in range(energies.size):
-        ratio = float(energies[j] ** 2 / total) if total > 0 else 0.0
-        cum += ratio
-        rows.append((j, args.layer, float(energies[j]), ratio, cum))
+    # squared one at a time: the vector square rounds a few values differently
+    ratios = [e**2 / total if total > 0 else 0.0 for e in energies]
+    rows = _component_rows(args.layer, energies, ratios)
     header = [
         ("subcommand", "adapt"),
         ("subspace", args.subspace),

@@ -15,9 +15,10 @@ layers, stack shapes, ranks, ratios, ids) and refuse any entry or meta
 key that the writers do not write.
 """
 
-from collections.abc import MutableMapping
+from collections.abc import Mapping, MutableMapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,15 +83,35 @@ __all__ = [
 # --------------------------------------------------------------------- weights
 
 
-def _held(name, arr) -> np.ndarray:
-    """Layer ``name`` as a :class:`ModelWeights` holds it: a float32
-    array as it is, anything else as float64 (:func:`~uws.tensor.as_real`,
-    not copied if it already is), refused with InvalidArgumentError
-    naming it unless it is a nonempty 2-D real matrix."""
+def _precisions(dtypes) -> dict:
+    """``dtypes``, refused with InvalidArgumentError unless it is a
+    mapping (a model's ``dtypes`` included) of "f32" or "f64" by layer name."""
+    if not isinstance(dtypes, Mapping):
+        raise InvalidArgumentError(
+            f"dtypes must be a dict of precisions by layer name, got {type(dtypes).__name__}")
+    for name, dtype in dtypes.items():
+        if not isinstance(dtype, str) or dtype not in ("f32", "f64"):
+            raise InvalidArgumentError(f"layer {name!r}: dtype must be f32 or f64, got {dtype!r}")
+    return dtypes
+
+
+def _held(name, arr, dtype=None) -> np.ndarray:
+    """Layer ``name`` as a :class:`ModelWeights` holds it: a float32 array
+    as it is unless ``dtype`` is "f64", anything else as float64
+    (:func:`~uws.tensor.as_real`, not copied if it already is) and then
+    cast to float32 if ``dtype`` is "f32".  Refused with
+    InvalidArgumentError naming it unless it is a nonempty 2-D real
+    matrix, or where the cast takes a finite value beyond the f32 range."""
     if not isinstance(name, str):
         raise InvalidArgumentError("layers must be a dict of matrices by name")
-    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float32):
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float32 and dtype != "f64"):
         arr = as_real(arr, f"layer {name!r}")
+        if dtype == "f32":
+            with np.errstate(over="ignore"):
+                cast = arr.astype(np.float32)
+            if not np.isfinite(cast).all() and np.isfinite(arr[~np.isfinite(cast)]).any():
+                raise InvalidArgumentError(f"layer {name!r} has values outside the f32 range")
+            arr = cast
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidArgumentError(
             f"layer {name!r}: expected a nonempty 2-D matrix, got shape {arr.shape}")
@@ -137,38 +158,37 @@ class _Layers(MutableMapping):
         return f"{type(self).__name__}({self.held!r})"
 
 
-@dataclass(eq=False)
 class ModelWeights:
     """One model's weight matrices by name, each nonempty, 2-D and real;
     a layer that is not raises InvalidArgumentError naming it.
 
     ``layers`` is given as a dict (or as another model's ``layers``) and
-    kept as a :class:`_Layers`: each float32 matrix is held as it is, not
-    copied, and every other one as float64, so a model costs the bytes
-    of its matrices at the precision they were given.  Every layer reads
-    as float64.  ``dtypes`` holds the on-disk precision per layer ("f32"
-    or "f64", default "f64"); anything but a dict of those by name raises
-    InvalidArgumentError, and a name that is not a layer is dropped.
+    kept as a :class:`_Layers`.  Each layer is held at the precision it
+    is saved at, a float32 matrix as it is, not copied, and every other
+    one as float64, unless ``dtypes``, a dict of "f32" or "f64" by layer
+    name, casts it once, here (a name that is not a layer is ignored).
+    Every layer reads as float64.
     """
 
-    model_id: str
-    layers: dict
-    dtypes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not isinstance(self.model_id, str):
+    def __init__(self, model_id: str, layers: dict, dtypes: dict | None = None):
+        if not isinstance(model_id, str):
             raise InvalidArgumentError("model_id must be a string")
-        layers = self.layers.held if isinstance(self.layers, _Layers) else self.layers
+        layers = layers.held if isinstance(layers, _Layers) else layers
         if not isinstance(layers, dict):
             raise InvalidArgumentError("layers must be a dict of matrices by name")
-        self.layers = _Layers({name: _held(name, arr) for name, arr in layers.items()})
-        if not isinstance(self.dtypes, dict):
-            raise InvalidArgumentError(
-                f"dtypes must be a dict of precisions by layer name, got {type(self.dtypes).__name__}")
-        for name, dtype in self.dtypes.items():
-            if not isinstance(dtype, str) or dtype not in ("f32", "f64"):
-                raise InvalidArgumentError(f"layer {name!r}: dtype must be f32 or f64, got {dtype!r}")
-        self.dtypes = {name: self.dtypes.get(name, "f64") for name in self.layers}
+        dtypes = _precisions({} if dtypes is None else dtypes)
+        self.model_id = model_id
+        self.layers = _Layers({name: _held(name, arr, dtypes.get(name))
+                               for name, arr in layers.items()})
+
+    def __repr__(self) -> str:
+        return f"ModelWeights(model_id={self.model_id!r}, layers={self.layers!r})"
+
+    @property
+    def dtypes(self) -> MappingProxyType:
+        """Each layer's precision, "f32" or "f64", as its held array has it."""
+        return MappingProxyType({name: "f32" if arr.dtype == np.float32 else "f64"
+                                 for name, arr in self.layers.held.items()})
 
     @property
     def shapes(self) -> dict:
@@ -181,16 +201,12 @@ def load_weights(path) -> ModelWeights:
     document's read-only views of the one buffer they were read into, so
     nothing is copied; float64 ones likewise."""
     doc = _read(path)
-    return ModelWeights(doc.model_id, doc.layers, doc.dtypes)
+    return ModelWeights(doc.model_id, doc.layers)
 
 
 def save_weights(weights: ModelWeights, path) -> None:
-    """Write a weights container at each layer's declared precision."""
-    triples = [
-        (name, arr, weights.dtypes.get(name, "f64"))
-        for name, arr in weights.layers.held.items()
-    ]
-    write_container(path, weights.model_id, triples)
+    """Write a weights container, each layer at its held precision."""
+    write_container(path, weights.model_id, weights.layers.held.items())
 
 
 # -------------------------------------------------------------------- stacking
@@ -328,8 +344,7 @@ def _read(model, names=None):
     meta has a ``kind`` (a subspace or coefficient file) raises
     ManifestError."""
     if isinstance(model, ModelWeights):
-        return ContainerDocument(model.model_id, model.layers.held, model.dtypes, None,
-                                 model.shapes)
+        return ContainerDocument(model.model_id, model.layers.held, None, model.shapes)
     doc = read_container(model, names)
     if doc.meta is not None and "kind" in doc.meta:
         raise ManifestError(f"{model} is a {doc.meta['kind']!r} container, not weights", 12)
@@ -454,13 +469,21 @@ def scree_report(u: UniversalSubspace) -> ScreeReport:
 class CoefficientSet:
     """A model expressed as per-layer subspace coefficients, with excluded
     layers carried through verbatim (by reference, not copied): each
-    ``passthrough`` array is the model's as held, float32 or float64, or
-    a loaded ``raw/`` entry at its stored precision."""
+    ``passthrough`` array keeps its precision, the model's as held or a
+    loaded ``raw/`` entry's as stored.  ``dtypes`` maps each projected
+    layer, and only those, to the precision it is rebuilt at, "f32" or
+    "f64" ("f64" where it is not given)."""
 
     model_id: str
     coefficients: dict
     passthrough: dict
     dtypes: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        extra = [name for name in _precisions(self.dtypes) if name not in self.coefficients]
+        if extra:
+            raise InvalidArgumentError(f"dtypes names {extra}, which are not projected layers")
+        self.dtypes = {name: self.dtypes.get(name, "f64") for name in self.coefficients}
 
 
 def _model_layers(u: UniversalSubspace):
@@ -484,11 +507,9 @@ def project_model(u: UniversalSubspace, weights: ModelWeights) -> CoefficientSet
     coefficients = {name: project_slice(u.layer_models[name], held[name])
                     for name in u.included_layers}
     passthrough = {name: held[name] for name in u.excluded_layers}
-    dtypes = {
-        name: weights.dtypes.get(name, "f64")
-        for name in list(coefficients) + list(passthrough)
-    }
-    return CoefficientSet(weights.model_id, coefficients, passthrough, dtypes)
+    precisions = weights.dtypes
+    return CoefficientSet(weights.model_id, coefficients, passthrough,
+                          {name: precisions[name] for name in coefficients})
 
 
 def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeights:
@@ -511,8 +532,7 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
         if name in u.layer_models else coeffs.passthrough[name]
         for name in u.layer_shapes
     }
-    dtypes = {name: coeffs.dtypes.get(name, "f64") for name in layers}
-    return ModelWeights(model_id=coeffs.model_id, layers=layers, dtypes=dtypes)
+    return ModelWeights(model_id=coeffs.model_id, layers=layers, dtypes=coeffs.dtypes)
 
 
 # --------------------------------------------------------------------- merging
@@ -826,15 +846,15 @@ def save_subspace(u: UniversalSubspace, path) -> None:
     which maps every layer, excluded ones included, in order, to its
     ``[rows, cols]``.  The container's model id is the architecture id.
     """
-    triples = []
+    entries = []
     for name in u.included_layers:
         model = u.layer_models[name]
-        triples.append((f"mu/{name}", np.atleast_2d(model.mu), "f64"))
+        entries.append((f"mu/{name}", np.atleast_2d(model.mu)))
         for n, factor in enumerate(model.factors, 2):
-            triples.append((f"U/{name}/{n}", factor, "f64"))
+            entries.append((f"U/{name}/{n}", factor))
         for n, spec in enumerate(model.spectra, 2):
-            triples.append((f"ledger/{name}/sv/{n}", spec.singular_values.reshape(1, -1), "f64"))
-            triples.append((f"ledger/{name}/tail/{n}", np.full((1, 1), spec.tail), "f64"))
+            entries.append((f"ledger/{name}/sv/{n}", spec.singular_values.reshape(1, -1)))
+            entries.append((f"ledger/{name}/tail/{n}", np.full((1, 1), spec.tail)))
     meta = {
         "kind": "subspace",
         "format_version": SUBSPACE_FORMAT_VERSION,
@@ -844,7 +864,7 @@ def save_subspace(u: UniversalSubspace, path) -> None:
         "order": u.config.order,
         "layers": {name: list(shape) for name, shape in u.layer_shapes.items()},
     }
-    write_container(path, u.architecture_id, triples, meta=meta)
+    write_container(path, u.architecture_id, entries, meta=meta)
 
 
 def _require(condition, message):
@@ -995,23 +1015,21 @@ def load_subspace(path) -> UniversalSubspace:
 
 def save_coefficients(c: CoefficientSet, path) -> None:
     """Write a coefficient container: one ``coef/L`` entry per projected
-    layer (r x k for order-2 stacking, k_2 x k_3 for order 3) and one
-    ``raw/L`` entry per passthrough layer at its declared precision.  The
-    meta holds only each projected layer's declared precision
+    layer (r x k for order-2 stacking, k_2 x k_3 for order 3), at f64,
+    and one ``raw/L`` entry per passthrough layer at its array's
+    precision.  The meta holds only each projected layer's precision
     (``dtypes``); the container's model id is the model's."""
-    triples = [(f"coef/{name}", sc.coeffs, "f64") for name, sc in c.coefficients.items()]
-    triples += [
-        (f"raw/{name}", arr, c.dtypes.get(name, "f64")) for name, arr in c.passthrough.items()
-    ]
-    dtypes = {name: c.dtypes.get(name, "f64") for name in c.coefficients}
-    write_container(path, c.model_id, triples, meta={"kind": "coefficients", "dtypes": dtypes})
+    entries = [(f"coef/{name}", as_real(sc.coeffs, f"layer {f'coef/{name}'!r}"))
+               for name, sc in c.coefficients.items()]
+    entries += [(f"raw/{name}", arr) for name, arr in c.passthrough.items()]
+    write_container(path, c.model_id, entries, meta={"kind": "coefficients", "dtypes": c.dtypes})
 
 
 def load_coefficients(path) -> CoefficientSet:
     """Read a coefficient container built from its entries: ``coef/L``
-    holds layer L's coefficients, at the precision ``dtypes`` declares
-    (f64 where it declares none), and ``raw/L`` its passthrough matrix, at
-    the entry's, held at its stored precision as the document's read-only
+    holds layer L's coefficients, rebuilt at the precision ``dtypes``
+    declares (f64 where it declares none), and ``raw/L`` its passthrough
+    matrix, held at its stored precision as the document's read-only
     view; the model id is the container's.  A malformed meta
     field, and any entry or meta key that :func:`save_coefficients` does
     not write, raises ManifestError."""
@@ -1034,6 +1052,5 @@ def load_coefficients(path) -> CoefficientSet:
                          f"dtypes declares {dtypes[name]!r} for layer {name!r}, not f32 or f64")
             else:
                 passthrough[name] = arr
-                dtypes[name] = doc.dtypes[entry]
         _only(declared, coefficients, "coefficient meta dtypes")
         return CoefficientSet(doc.model_id, coefficients, passthrough, dtypes)

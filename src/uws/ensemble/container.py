@@ -18,11 +18,13 @@ Subspace and coefficient files reuse this container with reserved layer
 name prefixes: ``mu/``, ``U/``, ``ledger/`` (spectra, ``sv/``), ``coef/``
 and ``raw/``; their meta keeps only what these entries cannot say.
 
-A reader checks a file's manifest whole but may read only some of its
-entries.  Its one record, the document, maps each entry read, by name in
-file order, to its matrix and precision.  The entries read go into one
-buffer, of which those matrices are read-only views, so reading costs
-one copy of them.
+A matrix's precision is its dtype: the writer stores a float32 matrix as
+``f32`` and any other real one as ``f64``, and the reader gives each
+entry as a ``<f4`` or ``<f8`` array.  A reader checks a file's manifest
+whole but may read only some of its entries.  Its one record, the
+document, maps each entry read, by name in file order, to its matrix.
+The entries read go into one buffer, of which those matrices are
+read-only views, so reading costs one copy of them.
 
 Every reader-side failure raises a :class:`~uws.errors.ContainerError`
 subclass naming the byte offset where the problem was detected; no input,
@@ -51,6 +53,7 @@ from ..errors import (
     TruncatedFileError,
     UnknownDtypeError,
 )
+from ..tensor import as_real, finite_entries
 
 MAGIC = b"UWS1"
 HEADER_LEN = 12
@@ -60,27 +63,13 @@ _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 class ContainerDocument(NamedTuple):
     """A container's model id, each entry read mapped by name, in file
-    order, to its read-only matrix (``layers``) and stored precision
-    (``dtypes``), its meta and the shape of every entry, read or not."""
+    order, to its read-only ``<f4`` or ``<f8`` matrix (``layers``), its
+    meta and the shape of every entry, read or not."""
 
     model_id: str
     layers: dict
-    dtypes: dict
     meta: dict | None
     shapes: dict
-
-
-def _encoded(name: str, arr: np.ndarray, dtype: str) -> np.ndarray:
-    """``arr`` row-major at the declared precision (``arr`` itself where it
-    already is), checked finite as encoded: a non-finite input, or a
-    finite one that overflows the precision, raises InvalidArgumentError."""
-    with np.errstate(over="ignore"):
-        enc = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
-    if not np.isfinite(enc).all():
-        if np.isfinite(arr).all():
-            raise InvalidArgumentError(f"layer {name!r} has values outside the {dtype} range")
-        raise InvalidArgumentError(f"layer {name!r} contains non-finite values")
-    return enc
 
 
 @contextmanager
@@ -123,38 +112,37 @@ def atomic_write_bytes(path, blob: bytes) -> None:
         fh.write(blob)
 
 
-def _layout(model_id: str, layers, meta: dict | None):
-    """Validate a container's layout without encoding its matrices.
+def _layout(model_id: str, entries, meta: dict | None):
+    """Validate a container's layout and values without encoding them.
 
     Returns the header (magic, manifest length and manifest) and the
-    ``(name, matrix, dtype)`` triples whose encodings follow it, in order;
-    :func:`_encoded` checks each matrix's values as it encodes it."""
+    ``(matrix, dtype)`` pairs whose encodings follow it, in order: a
+    float32 matrix is stored as ``f32`` and any other as ``f64``
+    (:func:`~uws.tensor.as_real`), and each must be finite."""
     if not isinstance(model_id, str):
         raise InvalidArgumentError(f"model_id must be a string, got {type(model_id).__name__}")
     records = []
     payload = []
     seen = set()
     offset = 0
-    for entry in layers:
+    for entry in entries:
         try:
-            name, arr, dtype = entry
+            name, arr = entry
         except (TypeError, ValueError):
-            raise InvalidArgumentError("each layer must be a (name, matrix, dtype) triple")
+            raise InvalidArgumentError("each entry must be a (name, matrix) pair")
         if not isinstance(name, str) or not name:
             raise InvalidArgumentError(f"layer name must be a nonempty string, got {name!r}")
         if name in seen:
             raise InvalidArgumentError(f"duplicate layer name {name!r}")
         seen.add(name)
-        if not isinstance(dtype, str) or dtype not in _DTYPES:
-            raise InvalidArgumentError(
-                f"layer {name!r}: dtype must be one of {sorted(_DTYPES)}, got {dtype!r}"
-            )
-        arr = np.asarray(arr)
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float32):
+            arr = as_real(arr, f"layer {name!r}")
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidArgumentError(
                 f"layer {name!r}: expected a nonempty 2-D matrix, got shape {arr.shape}"
             )
-        nbytes = arr.size * _DTYPES[dtype].itemsize
+        finite_entries(arr, f"layer {name!r}")
+        dtype = "f32" if arr.dtype == np.float32 else "f64"
         records.append(
             {
                 "name": name,
@@ -162,11 +150,11 @@ def _layout(model_id: str, layers, meta: dict | None):
                 "cols": int(arr.shape[1]),
                 "dtype": dtype,
                 "offset": offset,
-                "nbytes": nbytes,
+                "nbytes": arr.nbytes,
             }
         )
-        payload.append((name, arr, dtype))
-        offset += nbytes
+        payload.append((arr, dtype))
+        offset += arr.nbytes
     manifest: dict = {"model_id": model_id, "layers": records}
     if meta is not None:
         if not isinstance(meta, dict):
@@ -180,23 +168,24 @@ def _layout(model_id: str, layers, meta: dict | None):
     return MAGIC + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes, payload
 
 
-def write_container(path, model_id: str, layers, meta: dict | None = None) -> None:
+def write_container(path, model_id: str, entries, meta: dict | None = None) -> None:
     """Write named matrices to ``path``.
 
-    ``layers`` is an iterable of ``(name, matrix, dtype)`` with dtype
-    ``"f32"`` or ``"f64"``; matrices are cast to the declared precision,
-    and every value must be finite at it: a finite float64 value beyond
-    the float32 range is refused, not written as inf.  The write is
-    atomic (a refused matrix leaves no file) and byte-deterministic for
+    ``entries`` is an iterable of ``(name, matrix)`` pairs, each matrix a
+    nonempty, 2-D, finite real one; a float32 matrix is stored as ``f32``
+    and any other as ``f64``, so ``write_container(path, doc.model_id,
+    doc.layers.items(), doc.meta)`` writes a document back bit for bit.
+    Every matrix is checked before the file is opened, so a refused one
+    leaves no file.  The write is atomic and byte-deterministic for
     identical inputs, and goes straight to the file: the header, then
-    each matrix as it is encoded, so no copy of the whole file is built
-    in memory.
+    each matrix row-major little-endian, so no copy of the whole file is
+    built in memory.
     """
-    header, payload = _layout(model_id, layers, meta)
+    header, payload = _layout(model_id, entries, meta)
     with _atomic_file(path) as fh:
         fh.write(header)
-        for entry in payload:
-            fh.write(memoryview(_encoded(*entry)).cast("B"))
+        for arr, dtype in payload:
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype=_DTYPES[dtype])).cast("B"))
 
 
 def _manifest_error(detail: str) -> ManifestError:
@@ -315,7 +304,7 @@ def _read(fh, size: int, names) -> ContainerDocument:
 
     buf = bytearray(sum(nbytes for *_, nbytes in wanted))
     view = memoryview(buf).toreadonly()
-    layers, dtypes, start = {}, {}, 0
+    layers, start = {}, 0
     for name, dtype, at, nbytes in wanted:
         _fill(fh, memoryview(buf)[start : start + nbytes], at)
         arr = np.frombuffer(view, dtype=_DTYPES[dtype], count=nbytes // _DTYPES[dtype].itemsize,
@@ -327,9 +316,9 @@ def _read(fh, size: int, names) -> ContainerDocument:
                 f"layer {name!r} decodes to a non-finite value at element {bad}",
                 at + bad * arr.itemsize,
             )
-        layers[name], dtypes[name] = arr.reshape(shapes[name]), dtype
+        layers[name] = arr.reshape(shapes[name])
         start += nbytes
-    return ContainerDocument(model_id, layers, dtypes, meta, shapes)
+    return ContainerDocument(model_id, layers, meta, shapes)
 
 
 def parse_container(data: bytes) -> ContainerDocument:

@@ -361,8 +361,9 @@ def test_11_container_survives_fuzzing_and_round_trips(tmp_path):
         layers = []
         for j in range(int(rng.integers(1, 5))):
             r, c = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            dt = "f32" if rng.integers(2) else "f64"
-            layers.append((f"layer{j}", rng.standard_normal((r, c)), dt))
+            f32 = rng.integers(2)
+            arr = rng.standard_normal((r, c))
+            layers.append((f"layer{j}", arr.astype(np.float32) if f32 else arr))
         path = tmp_path / f"valid_{i}.uws"
         write_container(path, f"model{i}", layers, meta={"tag": i} if i % 2 else None)
         valid.append(path.read_bytes())

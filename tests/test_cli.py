@@ -121,7 +121,7 @@ def test_written_files_take_their_mode_from_the_umask(tmp_path, capsys):
     pattern, _ = write_fixture_models(tmp_path)
     old = os.umask(0o027)
     try:
-        write_container(tmp_path / "c.uws", "m", [("w", np.eye(2), "f64")])
+        write_container(tmp_path / "c.uws", "m", [("w", np.eye(2))])
         atomic_write_bytes(tmp_path / "b.bin", b"uws")
         code, _, err = run(["extract", "--models", pattern, "--out", str(tmp_path / "s.uws"),
                             "--report", str(tmp_path / "r.csv")], capsys)
@@ -577,7 +577,6 @@ def test_project_missing_layer_is_a_data_error(tmp_path, capsys):
          "--report", str(tmp_path / "r.csv")], capsys)
     partial = load_weights(paths[0])
     del partial.layers["block0"]
-    del partial.dtypes["block0"]
     crippled = tmp_path / "crippled.uws"
     save_weights(partial, crippled)
     code, _, err = run(
@@ -597,9 +596,8 @@ def test_reconstruct_refuses_coefficients_without_an_included_layer(tmp_path, ca
     run(["project", "--subspace", str(space), "--model", str(paths[0]),
          "--out", str(coeffs)], capsys)
     doc = read_container(coeffs)
-    records = [(name, arr, doc.dtypes[name]) for name, arr in doc.layers.items()
-               if name != "coef/block1"]
-    write_container(coeffs, doc.model_id, records, doc.meta)
+    entries = [(name, arr) for name, arr in doc.layers.items() if name != "coef/block1"]
+    write_container(coeffs, doc.model_id, entries, doc.meta)
     code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
                         "--out", str(tmp_path / "back.uws")], capsys)
     assert code == 2 and "'block1'" in err
@@ -627,8 +625,7 @@ def test_reconstruct_refuses_coefficient_entries_that_do_not_fit(tmp_path, capsy
     doc = read_container(coeffs)
     entries = dict(doc.layers)
     edit(entries)
-    write_container(
-        coeffs, doc.model_id, [(name, array, "f64") for name, array in entries.items()], doc.meta)
+    write_container(coeffs, doc.model_id, entries.items(), doc.meta)
     code, _, err = run(["reconstruct", "--subspace", str(space), "--coeffs", str(coeffs),
                         "--out", str(tmp_path / "back.uws")], capsys)
     assert code == 2 and err.count("\n") == 1
@@ -655,9 +652,8 @@ def write_f32_serve_fixture(tmp_path, capsys):
 def rewrite_entry(path, name, edit):
     """Rewrite one entry of a container file in place, as ``edit(array)``."""
     doc = read_container(path)
-    records = [(n, edit(arr) if n == name else arr, doc.dtypes[n])
-               for n, arr in doc.layers.items()]
-    write_container(path, doc.model_id, records, doc.meta)
+    entries = [(n, edit(arr) if n == name else arr) for n, arr in doc.layers.items()]
+    write_container(path, doc.model_id, entries, doc.meta)
 
 
 def test_reconstruct_refuses_a_layer_beyond_the_float32_range(tmp_path, capsys):
@@ -731,7 +727,7 @@ def test_every_reader_refuses_what_lacks_an_excluded_layer_naming_model_and_laye
                 "--out", str(coeffs)], capsys)[0] == 0
     for edit, problem in (
         (lambda entries: entries.pop("raw/head"), "missing 'raw/head'"),
-        (lambda entries: entries.update({"raw/head": (entries["raw/head"][0][:-1], "f64")}),
+        (lambda entries: entries.update({"raw/head": entries["raw/head"][:-1]}),
          "'raw/head' of shape (5, 24), not (6, 24)"),
     ):
         write_edited(coeffs, tmp_path / "c2.uws", lambda entries, meta: edit(entries))
@@ -785,8 +781,7 @@ def test_subspace_and_coefficient_files_are_not_weights(tmp_path, capsys):
             assert code == 2 and f"'{kind}' container, not weights" in err, (argv, err)
             assert not (tmp_path / "x.uws").exists()
     # a weights file may carry meta of its own, as long as it names no kind
-    write_container(tmp_path / "tagged.uws", "m0", [("w", np.ones((2, 3)), "f64")],
-                    meta={"tag": 7})
+    write_container(tmp_path / "tagged.uws", "m0", [("w", np.ones((2, 3)))], meta={"tag": 7})
     assert load_weights(tmp_path / "tagged.uws").layers["w"].shape == (2, 3)
 
 
@@ -811,7 +806,7 @@ def test_a_factor_narrower_than_its_policy_keeps_exits_2_from_every_reader(
     width = load_subspace(space).layer_models["block0"].factors[0].shape[1]  # U/block0/2
     assert width > 1
     write_edited(space, tmp_path / "edited.uws", lambda entries, meta: entries.update(
-        {"U/block0/2": (entries["U/block0/2"][0][:, :-1], "f64")}))
+        {"U/block0/2": entries["U/block0/2"][:, :-1]}))
     message = f"entry 'U/block0/2' is {width - 1} wide, but "
     for name, argv in readers.items():
         code, _, err = run(argv, capsys)
@@ -855,7 +850,6 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
          "--out", str(coeffs)], capsys)
     source = space if kind == "subspace" else coeffs
     doc = read_container(source)
-    records = [(name, arr, doc.dtypes[name]) for name, arr in doc.layers.items()]
     edited = tmp_path / "edited.uws"
     if kind == "subspace":
         argv = ["project", "--subspace", str(edited), "--model", str(paths[0]),
@@ -865,7 +859,7 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
                 "--out", str(tmp_path / "out.uws")]
     codes, passed = [], []
     for field, edit, meta in _single_field_edits(doc.meta):
-        write_container(edited, doc.model_id, records, meta)
+        write_container(edited, doc.model_id, doc.layers.items(), meta)
         codes.append(run(argv, capsys)[0])
         if codes[-1] == 0:
             passed.append((field, edit))
@@ -918,12 +912,12 @@ def write_reader_fixture(tmp_path, capsys, flags=()):
 
 def write_edited(source, edited, edit):
     """Copy container ``source`` to ``edited`` with ``edit(entries, meta)``
-    applied to its entries (name -> (array, dtype)) and its meta."""
+    applied to its entries (name -> array) and its meta."""
     doc = read_container(source)
-    entries = {name: (arr, doc.dtypes[name]) for name, arr in doc.layers.items()}
+    entries = dict(doc.layers)
     meta = copy.deepcopy(doc.meta)
     edit(entries, meta)
-    write_container(edited, doc.model_id, [(n, a, d) for n, (a, d) in entries.items()], meta=meta)
+    write_container(edited, doc.model_id, entries.items(), meta=meta)
 
 
 def _copy_entry(name, source):
@@ -976,10 +970,8 @@ def test_a_tiny_increasing_spectrum_exits_2_from_scree(tmp_path, capsys):
 
     def reverse_and_shrink(entries, meta):
         # the spectrum scaled by 1e-220 (its tail energy by 1e-440) and reversed
-        sv, dtype = entries["ledger/block0/sv/2"]
-        entries["ledger/block0/sv/2"] = (np.flip(sv) * 1e-220, dtype)
-        tail, dtype = entries["ledger/block0/tail/2"]
-        entries["ledger/block0/tail/2"] = (tail * 1e-220 * 1e-220, dtype)
+        entries["ledger/block0/sv/2"] = np.flip(entries["ledger/block0/sv/2"]) * 1e-220
+        entries["ledger/block0/tail/2"] = entries["ledger/block0/tail/2"] * 1e-220 * 1e-220
 
     write_edited(space, tmp_path / "edited.uws", reverse_and_shrink)
     code, _, err = run(readers["scree"], capsys)
@@ -989,7 +981,7 @@ def test_a_tiny_increasing_spectrum_exits_2_from_scree(tmp_path, capsys):
 def _parent_layout(entries, meta):
     """The meta coefficient files had before it kept only ``dtypes``."""
     meta.update(model_id="m0", passthrough=["embed", "head"],
-                coef_shapes={n[5:]: list(a.shape) for n, (a, _) in entries.items()
+                coef_shapes={n[5:]: list(a.shape) for n, a in entries.items()
                              if n.startswith("coef/")})
     meta["dtypes"].update(embed="f64", head="f64")
 
@@ -1035,10 +1027,10 @@ def _entry_edits(name, arr):
         other = _OTHER_PREFIX[prefix] + name[len(prefix):]
         yield "copy", lambda e: e.update({other: e[name]})
     if arr.shape[0] > 1:
-        yield "row", lambda e: e.update({name: (e[name][0][:-1], e[name][1])})
+        yield "row", lambda e: e.update({name: e[name][:-1]})
     if arr.shape[1] > 1:
-        yield "column", lambda e: e.update({name: (e[name][0][:, :-1], e[name][1])})
-    yield "scale", lambda e: e.update({name: (e[name][0] * 3, e[name][1])})
+        yield "column", lambda e: e.update({name: e[name][:, :-1]})
+    yield "scale", lambda e: e.update({name: e[name] * 3})
 
 
 @pytest.mark.parametrize("kind", ["subspace", "coefficients", "weights"])

@@ -1,8 +1,8 @@
 import json
 import os
+import re
 import struct
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -34,8 +34,8 @@ def hand_built_single_layer() -> tuple[bytes, np.ndarray]:
 def write_fixture(tmp_path, name="m.uws", meta=None):
     rng = np.random.default_rng(71)
     layers = [
-        ("layers/0/w", rng.standard_normal((3, 4)), "f64"),
-        ("layers/1/w", rng.standard_normal((2, 2)).astype(np.float32), "f32"),
+        ("layers/0/w", rng.standard_normal((3, 4))),
+        ("layers/1/w", rng.standard_normal((2, 2)).astype(np.float32)),
     ]
     path = tmp_path / name
     write_container(path, "fixture", layers, meta=meta)
@@ -51,7 +51,7 @@ def test_hand_built_layout_parses(tmp_path):
     p.write_bytes(blob)
     doc = read_container(p)
     assert doc.model_id == "m"
-    assert list(doc.layers) == ["w"] and doc.dtypes == {"w": "f64"}
+    assert list(doc.layers) == ["w"] and doc.layers["w"].dtype == "<f8"
     assert np.array_equal(doc.layers["w"], mat)
     assert doc.meta is None
 
@@ -59,7 +59,7 @@ def test_hand_built_layout_parses(tmp_path):
 def test_writer_reproduces_hand_layout(tmp_path):
     blob, mat = hand_built_single_layer()
     p = tmp_path / "writer.uws"
-    write_container(p, "m", [("w", mat, "f64")])
+    write_container(p, "m", [("w", mat)])
     assert p.read_bytes() == blob
 
 
@@ -69,44 +69,40 @@ def test_roundtrip_is_bit_identical(tmp_path):
         layers = []
         for j in range(int(rng.integers(1, 5))):
             r, c = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            dtype = "f32" if rng.integers(2) else "f64"
             arr = rng.standard_normal((r, c))
-            if dtype == "f32":
+            if rng.integers(2):
                 arr = arr.astype(np.float32)
-            layers.append((f"L{j}", arr, dtype))
+            layers.append((f"L{j}", arr))
         p = tmp_path / f"m{i}.uws"
         write_container(p, f"model-{i}", layers, meta={"idx": i})
         raw = p.read_bytes()
         doc = read_container(p)
         assert doc.model_id == f"model-{i}"
         assert doc.meta == {"idx": i}
-        assert list(doc.layers) == [name for name, _, _ in layers]
-        for name, arr, dtype in layers:
-            assert doc.dtypes[name] == dtype
+        assert list(doc.layers) == [name for name, _ in layers]
+        for name, arr in layers:
             assert np.array_equal(arr, doc.layers[name])
-            assert doc.layers[name].dtype == (np.float32 if dtype == "f32" else np.float64)
+            assert doc.layers[name].dtype == arr.dtype
         p2 = tmp_path / f"m{i}b.uws"
-        triples = [(name, arr, doc.dtypes[name]) for name, arr in doc.layers.items()]
-        write_container(p2, doc.model_id, triples, meta=doc.meta)
+        write_container(p2, doc.model_id, doc.layers.items(), meta=doc.meta)
         assert p2.read_bytes() == raw
 
 
 def test_a_read_is_one_document_of_entries_by_name(tmp_path):
-    layers = [("c", np.ones((1, 3)), "f32"), ("a", np.eye(2), "f64"),
-              ("b", np.arange(6.0).reshape(3, 2), "f32")]
+    layers = [("c", np.ones((1, 3), np.float32)), ("a", np.eye(2)),
+              ("b", np.arange(6.0, dtype=np.float32).reshape(3, 2))]
     path = tmp_path / "doc.uws"
     write_container(path, "m", layers, meta={"note": 1})
     raw = path.read_bytes()
     doc = read_container(path, names={"b", "c"})
     # the entries asked for, in file order, not the order of the names
-    assert list(doc.layers) == list(doc.dtypes) == ["c", "b"]
-    assert doc.dtypes == {"c": "f32", "b": "f32"}
+    assert list(doc.layers) == ["c", "b"]
+    assert [arr.dtype for arr in doc.layers.values()] == ["<f4", "<f4"]
     assert doc.shapes == {"c": (1, 3), "a": (2, 2), "b": (3, 2)}
     doc = read_container(path)
-    assert list(doc.layers) == ["c", "a", "b"] and doc.dtypes["a"] == "f64"
+    assert list(doc.layers) == ["c", "a", "b"] and doc.layers["a"].dtype == "<f8"
     again = tmp_path / "again.uws"
-    write_container(again, doc.model_id,
-                    [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()], meta=doc.meta)
+    write_container(again, doc.model_id, doc.layers.items(), meta=doc.meta)
     assert again.read_bytes() == raw
 
 
@@ -244,47 +240,44 @@ def test_missing_file_is_classified(tmp_path):
 # ------------------------------------------------------------ writer guards
 
 
-def test_writer_rejects_bad_inputs(tmp_path):
+@pytest.mark.parametrize("args, message", [
+    (("m", [("w", np.array([[1 + 1j]]))]), "layer 'w' is complex"),
+    (("m", [("w", [[True]])]), "layer 'w' does not form a real tensor: its dtype is bool"),
+    (("m", [("w", np.array([1.0, 2.0]))]), "layer 'w': expected a nonempty 2-D matrix"),
+    (("m", [("w", np.array([[np.nan]]))]), "layer 'w' must be finite, got nan at index (0, 0)"),
+    (("m", [("", np.zeros((1, 1)))]), "layer name must be a nonempty string"),
+    (("m", [("w", np.zeros((1, 1))), ("w", np.ones((1, 1)))]), "duplicate layer name 'w'"),
+    (("m", [("w", np.zeros((1, 1)), "f64")]), "each entry must be a (name, matrix) pair"),
+    (("m", [np.zeros((1, 1))]), "each entry must be a (name, matrix) pair"),
+    ((1, [("w", np.zeros((1, 1)))]), "model_id must be a string, got int"),
+    (("m", [("w", np.zeros((1, 1)))], ["note"]), "meta must be a dict"),
+    # not JSON: the manifest would not parse
+    (("m", [("w", np.zeros((1, 1)))], {"epsilon": float("nan")}), "meta is not JSON"),
+    (("m", [("w", np.zeros((1, 1)))], {"epsilon": float("inf")}), "meta is not JSON"),
+])
+def test_writer_rejects_bad_inputs(tmp_path, args, message):
     p = tmp_path / "x.uws"
-    with pytest.raises(InvalidArgumentError):
-        write_container(p, "m", [("w", np.zeros((2, 2)), "f16")])
-    with pytest.raises(InvalidArgumentError):
-        write_container(p, "m", [("w", np.array([1.0, 2.0]), "f64")])
-    with pytest.raises(InvalidArgumentError):
-        write_container(p, "m", [("w", np.array([[np.nan]]), "f64")])
-    with pytest.raises(InvalidArgumentError):
-        write_container(p, "m", [("", np.zeros((1, 1)), "f64")])
-    with pytest.raises(InvalidArgumentError):
-        write_container(
-            p, "m", [("w", np.zeros((1, 1)), "f64"), ("w", np.ones((1, 1)), "f64")]
-        )
-    for value in (float("nan"), float("inf")):  # not JSON: the manifest would not parse
-        with pytest.raises(InvalidArgumentError, match="JSON"):
-            write_container(p, "m", [("w", np.zeros((1, 1)), "f64")], meta={"epsilon": value})
+    with pytest.raises(InvalidArgumentError, match="^" + re.escape(message)):
+        write_container(p, *args)
     assert not p.exists()
 
 
-def test_writer_refuses_finite_values_beyond_the_declared_precision(tmp_path):
+def test_a_matrix_is_stored_at_its_own_precision(tmp_path):
+    """float32 as f32 and any other real matrix as f64, so a value beyond
+    the float32 range is stored as it is, not refused or cut."""
     p = tmp_path / "big.uws"
-    big = np.array([[1.0, -1e40]])  # finite in f64, -inf once cast to f32
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the cast must not warn
-        with pytest.raises(InvalidArgumentError, match="layer 'w' has values outside the f32"):
-            write_container(p, "m", [("ok", np.ones((1, 1)), "f32"), ("w", big, "f32")])
-        with pytest.raises(InvalidArgumentError, match="outside the f32"):
-            write_container(p, "m", [("w", big, "f32")])
-    assert list(tmp_path.iterdir()) == []
-    write_container(p, "m", [("w", big, "f64")])  # f64 holds it
-    assert read_container(p).layers["w"][0, 1] == -1e40
-    # an input that is already non-finite keeps its own message
-    with pytest.raises(InvalidArgumentError, match="layer 'w' contains non-finite values"):
-        write_container(p, "m", [("w", np.array([[np.nan]]), "f32")])
+    big = np.array([[1.0, -1e40]])
+    write_container(p, "m", [("a", np.ones((1, 1), np.float32)), ("w", big),
+                             ("i", np.array([[2**40, -3]]))])
+    doc = read_container(p)
+    assert [arr.dtype for arr in doc.layers.values()] == ["<f4", "<f8", "<f8"]
+    assert doc.layers["w"][0, 1] == -1e40 and doc.layers["i"].tolist() == [[2.0**40, -3.0]]
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path):
     p = tmp_path / "y.uws"
     with pytest.raises(InvalidArgumentError):
-        write_container(p, "m", [("w", np.array([[np.inf]]), "f64")])
+        write_container(p, "m", [("w", np.array([[np.inf]]))])
     assert not p.exists()
     assert list(tmp_path.iterdir()) == []
 
@@ -293,7 +286,7 @@ def test_write_into_an_existing_directory_names_it_and_leaves_no_temp_file(tmp_p
     target = tmp_path / "outdir"
     target.mkdir()
     with pytest.raises(OSError) as caught:
-        write_container(target, "m", [("w", np.ones((1, 1)), "f64")])
+        write_container(target, "m", [("w", np.ones((1, 1)))])
     exc = caught.value
     assert exc.filename == str(target) and exc.filename2 is None
     assert str(exc) == f"[Errno {exc.errno}] {exc.strerror}: {str(target)!r}"
@@ -355,10 +348,10 @@ def assert_ranged_reads_agree(path):
             assert isinstance(full, CorruptPayloadError)
             assert not any(f"layer {name!r} decodes" in str(full) for name in names)
             continue
-        assert list(doc.layers) == list(doc.dtypes) == [n for n in full.shapes if n in names]
+        assert list(doc.layers) == [n for n in full.shapes if n in names]
         assert doc.shapes == full.shapes and doc.meta == full.meta
         for name, arr in doc.layers.items():
-            assert doc.dtypes[name] == full.dtypes[name] and not arr.flags.writeable
+            assert arr.dtype == full.layers[name].dtype and not arr.flags.writeable
             assert np.array_equal(arr, full.layers[name])
 
 
@@ -415,9 +408,8 @@ def test_file_cut_short_after_its_size_was_taken(monkeypatch, tmp_path, cut):
 
 def test_read_costs_one_copy_of_the_file(tmp_path):
     rng = np.random.default_rng(79)
-    layers = [
-        (f"L{i}", rng.standard_normal((64, 512)), "f32" if i % 2 else "f64") for i in range(12)
-    ]
+    layers = [(f"L{i}", rng.standard_normal((64, 512))) for i in range(12)]
+    layers = [(name, arr.astype(np.float32) if i % 2 else arr) for i, (name, arr) in enumerate(layers)]
     path = tmp_path / "big.uws"
     write_container(path, "big", layers)
     size = path.stat().st_size
@@ -427,9 +419,9 @@ def test_read_costs_one_copy_of_the_file(tmp_path):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 1.2 * size
-    for name, arr, dtype in layers:
+    for name, arr in layers:
         assert not doc.layers[name].flags.writeable
-        assert np.array_equal(doc.layers[name], arr.astype(np.float32) if dtype == "f32" else arr)
+        assert np.array_equal(doc.layers[name], arr) and doc.layers[name].dtype == arr.dtype
     with pytest.raises(ValueError):
         doc.layers["L0"].flags.writeable = True
     # a ranged read costs one copy of the entries it reads
@@ -440,7 +432,7 @@ def test_read_costs_one_copy_of_the_file(tmp_path):
     tracemalloc.stop()
     assert list(doc.layers) == list(names)
     assert peak <= 1.2 * sum(arr.nbytes for arr in doc.layers.values())
-    assert list(doc.shapes) == [name for name, _, _ in layers]
+    assert list(doc.shapes) == [name for name, _ in layers]
     for name, arr in doc.layers.items():
         assert not arr.flags.writeable
         assert np.array_equal(arr, layers[int(name[1:])][1].astype(arr.dtype))
@@ -448,7 +440,7 @@ def test_read_costs_one_copy_of_the_file(tmp_path):
 
 def test_write_costs_one_copy_of_the_file(tmp_path):
     rng = np.random.default_rng(80)
-    layers = [(f"L{i}", rng.standard_normal((64, 1024)), "f32") for i in range(8)]
+    layers = [(f"L{i}", rng.standard_normal((64, 1024))) for i in range(4)]
     path = tmp_path / "big.uws"
     tracemalloc.start()
     write_container(path, "big", layers, meta={"note": "written in place"})
@@ -459,5 +451,5 @@ def test_write_costs_one_copy_of_the_file(tmp_path):
     assert peak <= 1.1 * size
     # the header, then the matrices encoded in order
     blob = path.read_bytes()
-    payload = b"".join(arr.astype("<f4").tobytes() for _, arr, _ in layers)
+    payload = b"".join(arr.astype("<f8").tobytes() for _, arr in layers)
     assert blob.endswith(payload) and size == 12 + struct.unpack("<Q", blob[4:12])[0] + len(payload)

@@ -6,6 +6,7 @@ import pytest
 
 import uws.ensemble as ensemble_module
 from uws.ensemble import (
+    CoefficientSet,
     ExtractionConfig,
     MEMORY_PRESETS,
     ModelWeights,
@@ -32,6 +33,7 @@ from uws.errors import (
     ManifestError,
     RankDeficiencyError,
 )
+from uws.hosvd import SliceCoefficients
 from uws.spectral import RankPolicy
 
 from oracles import planted_ensemble
@@ -86,10 +88,14 @@ def test_weights_roundtrip_promotes_and_restores(tmp_path):
 
 
 
-@pytest.mark.parametrize("layers", [[("a", np.eye(2))], {1: np.eye(2)}], ids=["list", "int-name"])
-def test_model_weights_refuse_layers_that_are_not_named_matrices(layers):
-    with pytest.raises(InvalidArgumentError, match="layers must be a dict of matrices by name"):
-        ModelWeights("m", layers)
+@pytest.mark.parametrize("model_id, layers, message", [
+    ("m", [("a", np.eye(2))], "layers must be a dict of matrices by name"),
+    ("m", {1: np.eye(2)}, "layers must be a dict of matrices by name"),
+    (1, {}, "model_id must be a string"),
+], ids=["list", "int-name", "int-model-id"])
+def test_model_weights_refuse_layers_that_are_not_named_matrices(model_id, layers, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        ModelWeights(model_id, layers)
 
 
 @pytest.mark.parametrize(
@@ -142,6 +148,8 @@ def test_stack_mismatch_names_offenders():
     assert "m1" in str(ei.value)
     with pytest.raises(InvalidArgumentError):
         stack_layer(models, "missing", order=2)
+    with pytest.raises(InvalidArgumentError, match="^no models to stack$"):
+        stack_layer([], "a")
 
 
 # ------------------------------------------------------------ extract_universal
@@ -879,9 +887,8 @@ def test_subspace_file_roundtrip(tmp_path, order, centering, tau):
 def rewrite_entry(path, name, edit):
     """Rewrite one entry of a container file in place, as ``edit(array)``."""
     doc = read_container(path)
-    records = [(n, edit(arr) if n == name else arr, doc.dtypes[n])
-               for n, arr in doc.layers.items()]
-    write_container(path, doc.model_id, records, doc.meta)
+    entries = [(n, edit(arr) if n == name else arr) for n, arr in doc.layers.items()]
+    write_container(path, doc.model_id, entries, doc.meta)
 
 
 def test_load_subspace_refuses_a_factor_that_is_not_orthonormal(tmp_path):
@@ -924,21 +931,34 @@ def test_coefficient_file_roundtrip(tmp_path, order):
 def test_coefficient_meta_holds_only_the_projected_layers_dtypes(tmp_path):
     rng = np.random.default_rng(105)
     models, _, _ = make_planted(rng, n_models=10, k=3)
-    models[1].dtypes = {"embed": "f32", "block0": "f32", "head": "f64"}
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(3)))
-    c = project_model(u, models[1])
+    c = project_model(u, ModelWeights(models[1].model_id, models[1].layers,
+                                      {"embed": "f32", "block0": "f32", "head": "f64"}))
+    assert c.dtypes == {"block0": "f32", "block1": "f64"}
     p = tmp_path / "coeffs.uws"
     save_coefficients(c, p)
     doc = read_container(p)
     assert doc.model_id == c.model_id
     assert doc.meta == {"kind": "coefficients", "dtypes": {"block0": "f32", "block1": "f64"}}
-    # a passthrough layer's precision is its entry's
-    assert list(doc.dtypes.items()) == [
-        ("coef/block0", "f64"), ("coef/block1", "f64"), ("raw/embed", "f32"), ("raw/head", "f64"),
+    # a passthrough layer's precision is its array's
+    assert [(n, a.dtype) for n, a in doc.layers.items()] == [
+        ("coef/block0", "<f8"), ("coef/block1", "<f8"), ("raw/embed", "<f4"), ("raw/head", "<f8"),
     ]
     back = load_coefficients(p)
     assert back.dtypes == c.dtypes
     for name, sc in c.coefficients.items():
         assert np.array_equal(back.coefficients[name].coeffs, sc.coeffs)
-    assert np.array_equal(back.passthrough["embed"], c.passthrough["embed"].astype(np.float32))
+    assert np.array_equal(back.passthrough["embed"], c.passthrough["embed"])
     assert np.array_equal(back.passthrough["head"], c.passthrough["head"])
+
+
+def test_a_coefficient_sets_dtypes_name_exactly_its_projected_layers():
+    coefficients = {"a": SliceCoefficients(np.ones((2, 1))), "b": SliceCoefficients(np.ones((2, 1)))}
+    raw = {"e": np.ones((1, 2), np.float32)}
+    assert CoefficientSet("m", coefficients, raw).dtypes == {"a": "f64", "b": "f64"}
+    assert CoefficientSet("m", coefficients, raw, {"b": "f32"}).dtypes == {"a": "f64", "b": "f32"}
+    for dtypes, message in (({"e": "f32"}, "dtypes names ['e'], which are not projected layers"),
+                            ({"a": "f16"}, "layer 'a': dtype must be f32 or f64, got 'f16'"),
+                            (["a"], "dtypes must be a dict of precisions by layer name")):
+        with pytest.raises(InvalidArgumentError, match="^" + re.escape(message)):
+            CoefficientSet("m", coefficients, raw, dtypes)

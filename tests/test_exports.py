@@ -43,8 +43,7 @@ def test_the_theory_lab_exports_what_it_runs_and_nothing_retired():
 
 
 def test_a_container_read_has_one_record_and_nothing_retired():
-    assert container.ContainerDocument._fields == ("model_id", "layers", "dtypes", "meta",
-                                                   "shapes")
+    assert container.ContainerDocument._fields == ("model_id", "layers", "meta", "shapes")
     retired = {"LayerRecord", "_Payloads", "_read_payloads", "_AllBut", "build_container"}
     assert not [name for name in retired
                 if hasattr(uws.ensemble, name) or hasattr(container, name)]

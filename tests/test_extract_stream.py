@@ -561,9 +561,8 @@ BIG_EXCLUDED = {"inlet": (512, 512), "block0": (8, 16), "block1": (6, 16), "outl
 def float32_files(directory):
     """Six f32 weights files whose excluded layers are nearly all of each
     file; returns the paths and one file's size."""
-    models = planted_models(25, 6, shapes=BIG_EXCLUDED)
-    for m in models:
-        m.dtypes = dict.fromkeys(m.layers, "f32")
+    models = [ModelWeights(m.model_id, m.layers, dict.fromkeys(m.layers, "f32"))
+              for m in planted_models(25, 6, shapes=BIG_EXCLUDED)]
     paths = write_models(directory, models)
     return paths, paths[0].stat().st_size
 
@@ -883,8 +882,7 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
         meta = dict(doc.meta, format_version=version)
         if version is None:
             del meta["format_version"]
-        write_container(tmp_path / "v.uws", doc.model_id,
-                        [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()], meta=meta)
+        write_container(tmp_path / "v.uws", doc.model_id, doc.layers.items(), meta=meta)
         with pytest.raises(ManifestError, match=f"format_version {version!r} is not 6"):
             load_subspace(tmp_path / "v.uws")
         code = cli.main(["project", "--subspace", str(tmp_path / "v.uws"),
@@ -924,8 +922,7 @@ def test_meta_that_contradicts_the_entries_is_a_data_error(tmp_path, capsys, ord
     meta = copy.deepcopy(doc.meta)
     edit(meta)
     edited = tmp_path / "edited.uws"
-    write_container(edited, doc.model_id, [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()],
-                    meta=meta)
+    write_container(edited, doc.model_id, doc.layers.items(), meta=meta)
     with pytest.raises(ManifestError, match=message):
         load_subspace(edited)
     capsys.readouterr()
@@ -951,8 +948,7 @@ def test_meta_layers_are_what_every_model_must_have(tmp_path, capsys, edit, prob
     meta = copy.deepcopy(doc.meta)
     edit(meta)
     edited = tmp_path / "edited.uws"
-    write_container(edited, doc.model_id, [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()],
-                    meta=meta)
+    write_container(edited, doc.model_id, doc.layers.items(), meta=meta)
     assert load_subspace(edited).layer_shapes == {n: tuple(s) for n, s in meta["layers"].items()}
     code = cli.main(["project", "--subspace", str(edited), "--model", str(paths[0]),
                      "--out", str(tmp_path / "c.uws")])
@@ -967,11 +963,9 @@ def _with_spectrum(src, dst, edit):
     """Copy subspace file ``src`` to ``dst`` with ``edit`` applied to the
     stored singular values of layer block0."""
     doc = read_container(src)
-    records = [
-        (n, edit(np.array(a)) if n == "ledger/block0/sv/2" else a, doc.dtypes[n])
-        for n, a in doc.layers.items()
-    ]
-    write_container(dst, doc.model_id, records, meta=doc.meta)
+    entries = [(n, edit(np.array(a)) if n == "ledger/block0/sv/2" else a)
+               for n, a in doc.layers.items()]
+    write_container(dst, doc.model_id, entries, meta=doc.meta)
 
 
 @pytest.mark.parametrize(
@@ -1015,11 +1009,10 @@ def test_every_stored_spectrum_needs_a_tail_that_fits_it(tmp_path, capsys, tau):
     edited = tmp_path / "edited.uws"
 
     def write_tail(tail):
-        records = [(n, a, doc.dtypes[n]) for n, a in doc.layers.items()
-                   if n != "ledger/block0/tail/2"]
+        entries = [(n, a) for n, a in doc.layers.items() if n != "ledger/block0/tail/2"]
         if tail is not None:
-            records.append(("ledger/block0/tail/2", np.array([[tail]]), "f64"))
-        write_container(edited, doc.model_id, records, meta=doc.meta)
+            entries.append(("ledger/block0/tail/2", np.array([[tail]])))
+        write_container(edited, doc.model_id, entries, meta=doc.meta)
 
     def scree_error():
         code = cli.main(["scree", "--subspace", str(edited), "--out", str(tmp_path / "t.csv")])

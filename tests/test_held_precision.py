@@ -4,6 +4,7 @@ bytes, and every route gives the bits it gives the same values in float64."""
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ SHAPES = {"embed": (6, 24), "block0": (6, 24), "block1": (5, 20), "head": (6, 24
 
 def planted_f32(tmp_path, n_models=10, seed=301):
     """``n_models`` planted models written at f32 (``head`` at f64), each
-    loaded back and given again as float64 copies of the same values."""
+    loaded back and given again as float64 copies of the same values,
+    which are held at float64."""
     rng = np.random.default_rng(seed)
     dicts, _, _ = planted_ensemble(rng, n_models, SHAPES, k=3)
     dtypes = {name: "f64" if name == "head" else "f32" for name in SHAPES}
@@ -42,7 +44,7 @@ def planted_f32(tmp_path, n_models=10, seed=301):
         paths.append(tmp_path / f"m{i}.uws")
         save_weights(ModelWeights(f"m{i}", layers, dtypes), paths[-1])
     loaded = [load_weights(p) for p in paths]
-    as_f64 = [ModelWeights(m.model_id, {n: np.array(a) for n, a in m.layers.items()}, m.dtypes)
+    as_f64 = [ModelWeights(m.model_id, {n: np.array(a) for n, a in m.layers.items()})
               for m in loaded]
     return paths, loaded, as_f64
 
@@ -85,7 +87,8 @@ def test_a_loaded_f32_model_holds_the_readers_views_and_reads_float64(tmp_path, 
             assert read is arr
         else:
             assert not read.flags.writeable and not np.shares_memory(read, arr)
-    assert w.shapes == doc.shapes and w.dtypes == doc.dtypes
+    assert w.shapes == doc.shapes
+    assert w.dtypes == {name: "f64" if name == "head" else "f32" for name in SHAPES}
 
 
 def test_a_write_into_a_layer_is_never_lost():
@@ -128,7 +131,12 @@ def test_every_route_gives_f32_held_models_the_bits_of_their_float64_values(tmp_
     for name, sc in c32.coefficients.items():
         assert np.array_equal(sc.coeffs, c64.coefficients[name].coeffs)
     assert c32.passthrough["embed"] is loaded[1].layers.held["embed"]
-    assert_same_weights(reconstruct_model(u, c32), reconstruct_model(u, c64))
+    # rebuilt at the precision each projected layer was held at, and
+    # otherwise the bits of the float64 copies' rebuild
+    rebuilt = reconstruct_model(u, c32)
+    assert rebuilt.dtypes == loaded[1].dtypes
+    assert_same_weights(rebuilt, ModelWeights("m1", reconstruct_model(u, c64).layers,
+                                              dict(rebuilt.dtypes)))
     assert stack_layer(loaded, "block0", config.order).dtype == np.float64
     assert np.array_equal(stack_layer(loaded, "block0", config.order),
                           stack_layer(as_f64, "block0", config.order))
@@ -166,3 +174,43 @@ def test_loaded_f32_models_cost_their_payload_bytes(tmp_path):
         tracemalloc.stop()
     assert len(held) == 25
     assert current <= 1.1 * payload
+
+
+def test_a_model_built_from_float32_arrays_is_saved_at_f32(tmp_path):
+    path = tmp_path / "m.uws"
+    save_weights(ModelWeights("m", {"a": np.ones((64, 1024), np.float32)}), path)
+    assert path.stat().st_size == 262_259  # 64 x 1024 x 4 payload bytes and a header
+    assert load_weights(path).dtypes == {"a": "f32"}
+
+
+def test_dtypes_casts_once_at_construction_and_is_read_from_the_held_arrays(tmp_path):
+    big = np.array([[1.0, -1e40]])  # finite in f64, -inf once cast to f32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cast must not warn
+        with pytest.raises(InvalidArgumentError,
+                           match="^layer 'w' has values outside the f32 range$"):
+            ModelWeights("m", {"ok": np.ones((1, 1)), "w": big}, {"ok": "f32", "w": "f32"})
+    f32 = np.ones((2, 2), np.float32)
+    w = ModelWeights("m", {"a": np.ones((2, 2)), "b": f32, "c": [[1, 2]], "d": f32, "w": big},
+                     {"a": "f32", "b": "f64", "zzz": "f32"})  # a name that is no layer is ignored
+    assert w.dtypes == {"a": "f32", "b": "f64", "c": "f64", "d": "f32", "w": "f64"}
+    assert [arr.dtype for arr in w.layers.held.values()] == [np.float32, np.float64,
+                                                             np.float64, np.float32, np.float64]
+    assert w.layers.held["d"] is f32
+    with pytest.raises(TypeError):
+        w.dtypes["a"] = "f64"
+    with pytest.raises(AttributeError):
+        w.dtypes = {"a": "f64"}
+    w.layers["a"] = np.zeros((1, 1))
+    assert w.dtypes["a"] == "f64"
+    assert ModelWeights("n", w.layers, w.dtypes).dtypes == w.dtypes
+    save_weights(w, tmp_path / "w.uws")
+    doc = read_container(tmp_path / "w.uws")
+    assert {name: arr.dtype.str for name, arr in doc.layers.items()} == {
+        "a": "<f8", "b": "<f8", "c": "<f8", "d": "<f4", "w": "<f8"}
+    # a value that is not finite stays so under the cast, and is refused where written
+    nan = ModelWeights("m", {"w": np.array([[np.nan]])}, {"w": "f32"})
+    assert nan.dtypes == {"w": "f32"}
+    with pytest.raises(InvalidArgumentError, match=r"^layer 'w' must be finite, got nan"):
+        save_weights(nan, tmp_path / "nan.uws")
+    assert not (tmp_path / "nan.uws").exists()

@@ -29,6 +29,7 @@ from uws.ensemble import (
     project_model,
     stack_layer,
 )
+from uws.ensemble.container import write_container
 from uws.errors import InvalidArgumentError
 from uws.hosvd import (GramStream, SliceCoefficients, exact_subspace, project_slice,
                        reconstruct_slice)
@@ -236,6 +237,9 @@ ARRAY_ARGUMENTS = {
     "project_slice": ("member", lambda a: project_slice(U.layer_models["w"], np.resize(a, (6, 8)))),
     "project_model excluded layer": ("layer 'e'", lambda a: project_model(
         U, ModelWeights("m", {"w": X[:6], "e": a.reshape(1, -1)}))),
+    # every refusal comes before the file is opened, so no directory is needed
+    "write_container": ("layer 'w'", lambda a: write_container(
+        "no-such-directory/w.uws", "m", [("w", a.reshape(1, -1))])),
 }
 
 

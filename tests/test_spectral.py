@@ -5,6 +5,9 @@ import re
 import numpy as np
 import pytest
 
+import uws.spectral as spectral_module
+from uws import theory
+from uws.ensemble import ExtractionConfig, ModelWeights, adapt_coefficients, extract_universal
 from uws.errors import (
     DegenerateSpectrumError,
     InvalidArgumentError,
@@ -394,6 +397,8 @@ def test_hard_threshold_unknown_sigma_on_noise():
 def test_hard_threshold_requires_spectrum_and_shape():
     with pytest.raises(InvalidArgumentError):
         select_rank(np.array([1.0]), RankPolicy.hard_threshold())
+    with pytest.raises(InvalidArgumentError, match="^empty ratio vector$"):
+        select_rank([])
 
 
 def test_policy_parameter_validation():
@@ -554,10 +559,58 @@ def test_stacked_operator_norm_equals_the_per_matrix_call():
             operator_norm(bad)
 
 
-def test_operator_norm_maps_lapack_failure(monkeypatch):
-    def fail(_):
+def _adapt_subspace():
+    rng = np.random.default_rng(31)
+    models = [ModelWeights(f"m{i}", {"w": rng.standard_normal((6, 8))}) for i in range(5)]
+    return extract_universal(models, ExtractionConfig(policy=RankPolicy.fixed_k(2),
+                                                      exclude_layers=()))
+
+
+LAPACK_CALLS = {
+    "operator_norm": ("eigvalsh", lambda: operator_norm(np.eye(3)),
+                      "symmetric eigensolve did not converge (LAPACK)"),
+    "leading_eigh": ("eigh", lambda: spectral_module._leading_eigh(
+        lower_gram(np.eye(4)), RankPolicy.fixed_k(1)),
+        "Gram eigendecomposition did not converge (LAPACK)"),
+    "descending_eigh": ("eigh", lambda: theory._descending_eigh(np.eye(3), 1),
+                        "eigendecomposition failed: no convergence"),
+    "adapt_closed_form": ("solve", lambda: adapt_coefficients(
+        _adapt_subspace(), "w", np.eye(8), np.ones((8, 6))),
+        "normal equations failed to solve: no convergence"),
+}
+
+
+@pytest.mark.parametrize("call", list(LAPACK_CALLS), ids=list(LAPACK_CALLS))
+def test_a_lapack_failure_is_a_numerical_failure(monkeypatch, call):
+    name, run, message = LAPACK_CALLS[call]
+
+    def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    with pytest.raises(NumericalFailureError):
-        operator_norm(np.eye(3))
+    monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(NumericalFailureError, match="^" + re.escape(message)):
+        run()
+
+
+def test_a_lapack_failure_in_the_block_iteration_falls_back_to_one_eigh(monkeypatch):
+    rng = np.random.default_rng(32)
+    d = 384
+    lower = lower_gram(planted_singular_stack(
+        rng, 900, np.r_[[100.0, 80.0, 60.0], np.geomspace(1.0, 0.1, d - 3)]))
+    policy = RankPolicy.fixed_k(3)
+    block = gram_leading(lower, policy)
+    monkeypatch.setattr(spectral_module, "_leading_block", lambda *args: None)
+    one_eigh = gram_leading(lower, policy)
+    monkeypatch.undo()
+    failed = []
+
+    def fail(*args, **kwargs):
+        failed.append(args[0].shape)
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    got = gram_leading(lower, policy)
+    assert failed == [(d, 3 + spectral_module.LEADING_OVERSAMPLE)]  # the block's first QR
+    assert np.array_equal(got[0], one_eigh[0]) and np.array_equal(got[1], one_eigh[1])
+    assert got[2] == one_eigh[2]
+    assert np.max(np.abs(got[0] - block[0])) <= 1e-12 * block[0][0]

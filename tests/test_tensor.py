@@ -6,6 +6,7 @@ import pytest
 
 from uws import spectral, theory
 from uws.ensemble import merge_models
+from uws.ensemble.container import write_container
 from uws.errors import InvalidArgumentError
 from uws.spectral import operator_norm
 from uws.tensor import as_tensor, frobenius_norm, symmetric_operator
@@ -84,6 +85,8 @@ COMPLEX_ENTRY_POINTS = {
     "convergence_eta": lambda: theory.convergence_study(3, 1, [2], 1, eta=0.1j),
     "convergence_spectrum": lambda: theory.convergence_study(3, 1, [2], 1, spectrum=[1j]),
     "merge_weights": lambda: merge_models(None, ["a.uws", "b.uws"], weights=[0.5j, 0.5]),
+    "write_container": lambda: write_container("no-such-directory/c.uws", "m",
+                                               [("w", np.eye(2) + 1j * np.eye(2))]),
 }
 
 

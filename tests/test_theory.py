@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -483,6 +484,19 @@ def test_davis_kahan_identity_and_degenerate():
         davis_kahan_check(flat, flat, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: population_second_moment(np.eye(3), [1.0, 1.0]),
+     "basis (3, 3) does not match spectrum of length 2"),
+    (lambda: population_second_moment(np.ones((2, 2)), [1.0, 1.0]),
+     "basis columns are not orthonormal (defect 2.00e+00)"),
+    (lambda: davis_kahan_check(np.eye(3), np.eye(2), 1),
+     "s_ref and s_pert must be d x d operators of one d, got shapes (3, 3) and (2, 2)"),
+], ids=["population-mismatch", "population-not-orthonormal", "dk-two-d"])
+def test_operators_that_do_not_fit_are_refused(call, message):
+    with pytest.raises(InvalidArgumentError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 def test_asymmetric_operator_near_the_float_limit_is_rejected_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -600,6 +614,8 @@ def test_convergence_grid_validation():
     with pytest.raises(InvalidArgumentError,
                        match="^t_grid must not repeat a T, got 8 more than once$"):
         convergence_study(d=6, k=2, t_grid=[4, 8, 16, 8], n_trials=3)
+    with pytest.raises(InvalidArgumentError, match="^convergence studies take a scalar eta$"):
+        convergence_study(d=6, k=2, t_grid=[10], n_trials=3, eta=[0.1, 0.2])
 
 
 def test_one_rule_says_k_may_not_exceed_d():
