@@ -18,6 +18,7 @@ key that the writers do not write.
 from collections.abc import Mapping, MutableMapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -226,14 +227,28 @@ def _require_layers(owner: str, shapes: dict, expected: dict, reference: str) ->
         raise InvalidArgumentError(f"{owner} do not fit {reference}: {'; '.join(problems)}")
 
 
-def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
-    """Stack one named layer across models.
+class _Stack:
+    """The exact route's stream: one float64 T x r x d array that :meth:`add`
+    fills a slab at a time and :meth:`decompose` centres in place through
+    :func:`~uws.hosvd.exact_subspace`, as ``x``: its (T*r) x d rows at order 2."""
 
-    order 2 concatenates the slabs along their rows into a (T*r) x d
-    matrix; order 3 stacks them along a new leading mode into T x r x d.
+    def __init__(self, n_models: int, shape: tuple, order: int):
+        slabs = np.empty((n_models, *shape))
+        self.x = slabs.reshape(-1, shape[1]) if order == 2 else slabs
+        self._slots = iter(slabs)  # each model's r x d view into the stack, in turn
+
+    def add(self, slab) -> None:
+        next(self._slots)[...] = slab
+
+    def decompose(self, policy, *, centering, slab_extent) -> SubspaceModel:
+        return exact_subspace(self.x, policy, centering=centering, slab_extent=slab_extent)
+
+
+def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
+    """Stack one named layer across models as extraction's exact route
+    does (:class:`_Stack`): (T*r) x d at order 2, T x r x d at order 3.
     As in extraction, every model must have the first model's layers,
-    each of the same shape, and ``layer`` must be one of them.
-    """
+    each of the same shape, and ``layer`` must be one of them."""
     order = ExtractionConfig(order=order).order  # the one rule for a stacking order
     if not models:
         raise InvalidArgumentError("no models to stack")
@@ -241,10 +256,10 @@ def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
     for m in models:
         _require_layers(f"the layers of model {m.model_id!r}", m.shapes, expected,
                         f"those of model {models[0].model_id!r}, the first, and {layer!r}")
-    slabs = [m.layers.held[layer] for m in models]
-    if order == 2:
-        return np.concatenate(slabs, axis=0, dtype=np.float64)
-    return np.stack(slabs, axis=0, dtype=np.float64)
+    stack = _Stack(len(models), models[0].shapes[layer], order)
+    for m in models:
+        stack.add(m.layers.held[layer])
+    return stack.x
 
 
 # ------------------------------------------------------------------ extraction
@@ -351,12 +366,14 @@ def _read(model, names=None):
     return doc
 
 
-@contextmanager
-def _naming_layer(name):
-    try:
-        yield
-    except DegenerateSpectrumError as exc:
-        raise DegenerateSpectrumError(f"layer {name!r}: {exc}") from exc
+def _routes(shape, n_models: int, config: ExtractionConfig) -> list:
+    """Makers of the streams a layer of ``shape`` tries, in order: a
+    :class:`~uws.hosvd.GramStream` where the order-2 stack of ``n_models``
+    slabs is :func:`~uws.hosvd.gram_eligible`, then a :class:`_Stack`."""
+    stack = partial(_Stack, n_models, shape, config.order)
+    if config.order == 2 and gram_eligible((n_models * shape[0], shape[1]), config.policy):
+        return [partial(GramStream, shape[1]), stack]
+    return [stack]
 
 
 def extract_universal(models, config: ExtractionConfig | None = None) -> UniversalSubspace:
@@ -368,20 +385,11 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     subspace's ``layer_shapes`` and the default exclusion rule follow the
     first model's layers and shapes, read from its manifest.
 
-    The layers are taken one at a time: a pass reads one layer's slab
-    from every model, in order, and the layer is decomposed before the
-    next pass, so one stream or stack is held at a time.  The first pass
-    also reads and checks every entry no other pass reads, and every
-    model's layer names and shapes; a model whose id or layer shape
-    differs in a later pass raises ManifestError.  A stack that the Gram
-    route may take (:func:`~uws.hosvd.gram_eligible`) is streamed into a
-    :class:`~uws.hosvd.GramStream`.  Any other stack, and one the route
-    declines, after a pass that reads its slabs again, is copied
-    slab by slab into one T x r x d float64 array, the exact route's own, that
-    :func:`~uws.hosvd.exact_subspace` centres in place and decomposes, so
-    a declined Gram route is not tried twice.  Either way a layer
-    model holds what a subspace file holds: the mean, and the factor and
-    spectrum of each non-stacking mode.
+    Each layer tries the streams :func:`_routes` lists until one returns a
+    model, not None, in one pass each, which holds only its stream and one
+    model.  The first pass also reads and checks every entry no other pass
+    reads, and every model's layer names and shapes; a model whose id or
+    layer shape differs in a later pass raises ManifestError.
     """
     config = config if config is not None else ExtractionConfig()
     models = list(models)
@@ -391,45 +399,31 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     included = _partition_layers(head, config)
     # the resolved exclusion, in layer order, as the saved file states it
     config = replace(config, exclude_layers=tuple(n for n in head.shapes if n not in included))
-    ids = []  # the models' ids, as the first layer pass read them
-
-    def layer_pass(name, names, take):
-        """``take(i, slab)`` of every model's layer ``name`` in turn, each
-        model read through ``names`` and checked to hold that layer."""
-        for i, item in enumerate(models):
-            model = _read(item, names)
-            if i == len(ids):
-                _require_layers(f"the layers of model {model.model_id!r}", model.shapes,
-                                head.shapes, f"those of model {head.model_id!r}, the first")
-                ids.append(model.model_id)
-            _require((model.model_id, model.shapes.get(name)) == (ids[i], head.shapes[name]),
-                     f"model {ids[i]!r} changed between layer passes: it reads as "
-                     f"{model.model_id!r}, with layer {name!r} of shape {model.shapes.get(name)}")
-            take(i, model.layers[name])
-            del model  # free its payload before the next model is read
-
-    layer_models = {}
+    layer_models, ids = {}, []  # ids: the models' ids, as the first pass read them
     for name in included:
-        rows, cols = head.shapes[name]
-        names = (name,) if ids else set(head.shapes) - set(included[1:])
-        if config.order == 2 and gram_eligible((len(models) * rows, cols), config.policy):
-            stream = GramStream(cols)
-            layer_pass(name, names, lambda i, slab: stream.add(slab))
-            with _naming_layer(name):
+        for make in _routes(head.shapes[name], len(models), config):
+            names = (name,) if ids else set(head.shapes) - set(included[1:])
+            stream = make()
+            for i, item in enumerate(models):
+                model = _read(item, names)
+                if i == len(ids):
+                    _require_layers(f"the layers of model {model.model_id!r}", model.shapes,
+                                    head.shapes, f"those of model {head.model_id!r}, the first")
+                    ids.append(model.model_id)
+                _require((model.model_id, model.shapes.get(name)) == (ids[i], head.shapes[name]),
+                         f"model {ids[i]!r} changed between layer passes: it reads as "
+                         f"{model.model_id!r}, with layer {name!r} of shape "
+                         f"{model.shapes.get(name)}")
+                stream.add(model.layers[name])
+                del model  # free its payload before the next model is read
+            try:
                 layer_models[name] = stream.decompose(
-                    config.policy, centering=config.centering, slab_extent=rows
-                )
-            del stream  # its Gram goes before a declined layer's stack is built
+                    config.policy, centering=config.centering, slab_extent=head.shapes[name][0])
+            except DegenerateSpectrumError as exc:
+                raise DegenerateSpectrumError(f"layer {name!r}: {exc}") from exc
+            del stream  # a declined stream is freed before the next one is made
             if layer_models[name] is not None:
-                continue
-            names = (name,)  # declined: its slabs are read again, alone
-        stack = np.empty((len(models), rows, cols))
-        layer_pass(name, names, stack.__setitem__)
-        with _naming_layer(name):
-            layer_models[name] = exact_subspace(
-                stack.reshape(-1, cols) if config.order == 2 else stack,
-                config.policy, centering=config.centering, slab_extent=rows)
-        del stack  # freed before the next layer's stream or stack is made
+                break
     return UniversalSubspace(layer_models, config, ids, dict(head.shapes))
 
 

@@ -30,11 +30,10 @@ LeVeque (1979).  Its result comes from the Gram route:
   Squaring the condition number leaves s_i an absolute error of about
   eps * s_1**2 / s_i, and the feature directions at depth r an error of
   about eps * (s_1 / s_r)**2 against the exact SVD's.
-- Where that could lose accuracy a result depends on, the route is
-  declined and the caller stacks the rows for the exact SVD, which
-  serves any finite stack.  :func:`gram_eligible`,
-  :meth:`GramStream.decompose` and :func:`~uws.spectral.gram_leading`
-  each state the declines they decide.
+- Where that could lose accuracy a result depends on, the route declines
+  (None) and extraction stacks the rows for :func:`exact_subspace`, which
+  serves any finite stack.  :func:`gram_eligible`, :meth:`GramStream.decompose`
+  and :func:`~uws.spectral.gram_leading` each state the declines they decide.
 
 A "member" is what one contributor adds to the stack, the unit that is
 projected and rebuilt (:func:`project_slice`, :func:`reconstruct_slice`):

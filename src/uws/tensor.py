@@ -34,7 +34,8 @@ OPEN_UNIT = (lambda v: (v > 0) & (v < 1), "lie in (0, 1)")
 def as_real(x, what: str = "input") -> np.ndarray:
     """``x`` as a float64 array of any shape, not copied if it already is
     one.  Only int and float dtypes are taken: a complex, bool, string or
-    object array is refused, not cut or parsed, naming ``x`` as ``what``."""
+    object array is refused, not cut or parsed, naming ``x`` as ``what``,
+    and so is a finite value that the cast would turn into inf."""
     try:
         arr = np.asarray(x)
     except (TypeError, ValueError) as exc:
@@ -43,7 +44,13 @@ def as_real(x, what: str = "input") -> np.ndarray:
         raise InvalidArgumentError(f"{what} is complex ({arr.dtype}), not a real tensor")
     if arr.dtype.kind not in "iuf":
         raise InvalidArgumentError(f"{what} does not form a real tensor: its dtype is {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
+    if arr.dtype.itemsize <= 8:  # float64 holds every value of these dtypes
+        return arr.astype(np.float64, copy=False)
+    try:
+        with np.errstate(over="raise"):
+            return arr.astype(np.float64)
+    except FloatingPointError:
+        raise InvalidArgumentError(f"{what} has values beyond the float64 range") from None
 
 
 def real_in(value, name: str, accept, requirement: str) -> float:

@@ -245,6 +245,11 @@ def test_missing_file_is_classified(tmp_path):
     (("m", [("w", [[True]])]), "layer 'w' does not form a real tensor: its dtype is bool"),
     (("m", [("w", np.array([1.0, 2.0]))]), "layer 'w': expected a nonempty 2-D matrix"),
     (("m", [("w", np.array([[np.nan]]))]), "layer 'w' must be finite, got nan at index (0, 0)"),
+    # finite, but past the float64 range: refused as such, not as the inf a cast makes
+    pytest.param(("m", [("w", np.array([[np.longdouble("1e400")]]))]),
+                 "layer 'w' has values beyond the float64 range",
+                 marks=pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                                          reason="long double is no wider than float64 here")),
     (("m", [("", np.zeros((1, 1)))]), "layer name must be a nonempty string"),
     (("m", [("w", np.zeros((1, 1))), ("w", np.ones((1, 1)))]), "duplicate layer name 'w'"),
     (("m", [("w", np.zeros((1, 1)), "f64")]), "each entry must be a (name, matrix) pair"),

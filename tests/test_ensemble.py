@@ -98,12 +98,19 @@ def test_model_weights_refuse_layers_that_are_not_named_matrices(model_id, layer
         ModelWeights(model_id, layers)
 
 
+# a finite long double past the float64 range, refused rather than held as inf
+BEYOND_FLOAT64 = pytest.param(
+    np.array([[np.longdouble("1e400")]]), "has values beyond the float64 range",
+    marks=pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                             reason="long double is no wider than float64 here"))
+
+
 @pytest.mark.parametrize(
     "arr, message",
     [(np.ones(3), "matrix, got shape (3,)"), (np.ones((2, 2, 2)), "matrix, got shape (2, 2, 2)"),
      (np.ones((0, 3)), "matrix, got shape (0, 3)"), ("text", "does not form a real tensor"),
-     (np.eye(2) * 1j, "is complex")],
-    ids=["1-D", "3-D", "empty", "text", "complex"],
+     (np.eye(2) * 1j, "is complex"), BEYOND_FLOAT64],
+    ids=["1-D", "3-D", "empty", "text", "complex", "beyond-float64"],
 )
 def test_model_weights_refuse_a_layer_that_is_not_a_nonempty_real_matrix(arr, message):
     with pytest.raises(InvalidArgumentError, match="layer 'b'.*" + re.escape(message)):

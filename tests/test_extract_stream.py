@@ -17,6 +17,8 @@ from uws.ensemble import (
     ExtractionConfig,
     ModelWeights,
     UniversalSubspace,
+    _routes,
+    _Stack,
     extract_universal,
     load_subspace,
     load_weights,
@@ -335,6 +337,24 @@ def test_gram_stream_holds_the_gram_one_block_and_one_panel_product():
 
 
 @pytest.mark.parametrize(
+    "shape, config, kinds",
+    [
+        ((8, 40), ExtractionConfig(policy=RankPolicy.cumulative_variance(0.95)),
+         [GramStream, _Stack]),
+        ((8, 40), ExtractionConfig(policy=RankPolicy.fixed_k(4)), [GramStream, _Stack]),
+        ((2, 40), ExtractionConfig(policy=TAU), [_Stack]),  # 24 x 40: wide
+        ((8, 40), ExtractionConfig(policy=TAU, order=3), [_Stack]),
+        ((8, 40), ExtractionConfig(policy=RankPolicy.cumulative_variance(1.0)), [_Stack]),
+        ((8, 40), ExtractionConfig(policy=RankPolicy.hard_threshold()), [_Stack]),
+    ],
+    ids=["tall-tau", "tall-fixed-k", "wide", "order3", "tau1", "hard_threshold"],
+)
+def test_routes_list_the_streams_a_layer_tries_in_order(shape, config, kinds):
+    # the route is chosen from the shapes and the config alone, with no read
+    assert [type(make()) for make in _routes(shape, 12, config)] == kinds
+
+
+@pytest.mark.parametrize(
     "config,shapes",
     [
         (ExtractionConfig(policy=RankPolicy.cumulative_variance(1.0)), SHAPES),
@@ -622,6 +642,19 @@ def test_the_exact_route_holds_its_stack_once(order, bound, policy):
     assert peak <= bound * 60 * 16 * 256 * 8
 
 
+def test_a_declined_layers_gram_is_freed_before_its_stack_is_built():
+    # the 2**532 scale overflows the Gram, so the layer is read again into
+    # the exact route's stack: the stack, the SVD's copy of it and its two
+    # 512 x 512 factors peak at 4.04x the stack's bytes, and the Gram's
+    # panels, kept alive through the stack's decomposition, would add 0.63x
+    models = planted_models(33, 8, shapes={"w": (64, 512)})
+    for m in models:
+        m.layers["w"] = np.ldexp(m.layers["w"], 532)
+    u, peak = extraction_peak(models, exclude_layers=())
+    assert u.layer_models["w"].spectra[0].tail == 0.0  # the exact route's
+    assert peak <= 4.35 * 8 * 64 * 512 * 8
+
+
 @pytest.mark.parametrize("order", [2, 3])
 @pytest.mark.parametrize("centering", ["feature", "global"])
 def test_no_decomposition_changes_its_callers_arrays(monkeypatch, order, centering):
@@ -669,12 +702,25 @@ def test_streamed_extract_holds_near_the_float_limit(monkeypatch, tmp_path, caps
                             want.layer_models[name].factors[-1]) <= 1e-10
 
 
-def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch, tmp_path):
-    # "wide" (6 x 8 rows of 64) is stacked from its layer pass; "tall"
-    # (48 x 16) streams, and its 2**532 scale overflows the Gram, so the
-    # guard declines it and it is read again: the second read must hold
-    # only "tall", and copy each of its slabs into the stack once
-    shapes = {"inlet": (4, 64), "wide": (8, 64), "tall": (8, 16), "outlet": (4, 64)}
+# "wide" (6 x 8 rows of 64) is stacked from its layer pass; "tall" (48 x
+# 16) streams, and its 2**532 scale overflows the Gram, so the guard
+# declines it and it is read again: the second read must hold only
+# "tall", and copy each of its slabs into the stack once, whether "tall"
+# comes after "wide" or is the first included layer, whose first pass
+# also read the excluded layers
+@pytest.mark.parametrize("included, passes_want, held_want", [
+    (("wide", "tall"),
+     [("stacked", {"wide": 6}), ("streamed", {"tall": 6}), ("stacked", {"tall": 6})],
+     [[]] + [["inlet", "outlet", "wide"]] * 6 + [["tall"]] * 12),
+    (("tall", "wide"),
+     [("streamed", {"tall": 6}), ("stacked", {"tall": 6}), ("stacked", {"wide": 6})],
+     [[]] + [["inlet", "outlet", "tall"]] * 6 + [["tall"]] * 6 + [["wide"]] * 6),
+], ids=["second-declined", "first-declined"])
+def test_a_declined_layer_is_read_again_without_the_up_front_layers(
+    monkeypatch, tmp_path, included, passes_want, held_want
+):
+    sizes = {"wide": (8, 64), "tall": (8, 16)}
+    shapes = {"inlet": (4, 64), **{name: sizes[name] for name in included}, "outlet": (4, 64)}
     models = planted_models(28, 6, shapes=shapes)
     for m in models:
         m.layers["tall"] = np.ldexp(m.layers["tall"], 532)
@@ -706,9 +752,8 @@ def test_a_declined_layer_is_read_again_without_the_up_front_layers(monkeypatch,
         monkeypatch.setattr(owner, attr, decompose)
     u = extract_universal(paths, ExtractionConfig(policy=TAU))
     assert routes.counts() == {"reads": 19, "streamed": 1, "stacked": 2}
-    assert passes == [("stacked", {"wide": 6}), ("streamed", {"tall": 6}),
-                      ("stacked", {"tall": 6})]
-    assert held == [[]] + [["inlet", "outlet", "wide"]] * 6 + [["tall"]] * 12
+    assert passes == passes_want
+    assert held == held_want
     for name in ("wide", "tall"):
         got = u.layer_models[name]
         want = exact_subspace(stack_layer(models, name), TAU, centering="feature",
