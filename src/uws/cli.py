@@ -156,7 +156,7 @@ def _scree_rows(u):
     report = scree_report(u)
     rows = []
     for name in u.included_layers:
-        spec = report.per_layer[name]
+        spec = u.layer_models[name].spectra[-1]
         rows += _component_rows(name, spec.singular_values, spec.ratios, spec.tail_ratio)
     return rows + _component_rows("aggregate", None, report.aggregate_ratios,
                                   report.aggregate_tail)
@@ -239,12 +239,12 @@ def cmd_extract(args):
     print(f"models: {len(paths)}")
     for name in u.included_layers:
         model = u.layer_models[name]
-        spec = model.spectra[-1]
-        energy = float(np.sum(spec.ratios[: spec.retained]))
+        rank = model.ranks[-1]
+        energy = float(np.sum(model.spectra[-1].ratios[:rank]))
         defect = orthonormality_defect(model.factors[-1])
         # the feature-mode unfolding's full component count, stored or not
         count = min(model.shape[-1], int(np.prod(model.shape[:-1])))
-        print(f"  {name}: rank {spec.retained} of {count}, "
+        print(f"  {name}: rank {rank} of {count}, "
               f"retained energy {energy:.6f}, orthonormality defect {defect:.1e}")
     print(f"report: {args.report}")
     return 0
@@ -444,7 +444,7 @@ def cmd_theory_converge(args):
         ("t_grid", ",".join(str(t) for t in args.t_grid)),
         ("trials", args.trials),
         ("eta", _fmt(args.eta)),
-        ("b", _fmt(report.config["b"])),
+        ("b", _fmt(report.b)),
         ("spectrum",
          "uniform" if args.spectrum is None
          else ",".join(repr(v) for v in args.spectrum)),

@@ -41,8 +41,8 @@ from ..hosvd import (
     project_slice,
     reconstruct_slice,
 )
-from ..spectral import (DEFAULT_POLICY, RankPolicy, check_policy, explained_variance,
-                        orthonormality_defect, select_rank)
+from ..spectral import (DEFAULT_POLICY, RankPolicy, check_policy, orthonormality_defect,
+                        select_rank)
 from ..tensor import (NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least, one_of,
                       real_in)
 from .container import ContainerDocument, read_container, write_container
@@ -432,28 +432,24 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
 
 @dataclass(eq=False)
 class ScreeReport:
-    """Feature-mode variance ratios per layer, their per-component
-    mean/std across layers over the components that every layer stores,
-    and ``aggregate_tail``, the mean share of everything past those (the
-    stored components beyond them and each layer's tail)."""
+    """The per-component mean/std across layers of the feature-mode
+    variance ratios (each layer's ``spectra[-1].ratios``) over the
+    components that every layer stores, and ``aggregate_tail``, the mean
+    share of everything past those (the stored components beyond them
+    and each layer's tail)."""
 
-    per_layer: dict
     aggregate_ratios: np.ndarray
     aggregate_std: np.ndarray
     aggregate_tail: float
 
 
 def scree_report(u: UniversalSubspace) -> ScreeReport:
-    per_layer = {name: model.spectra[-1] for name, model in u.layer_models.items()}
-    width = min(len(spec.ratios) for spec in per_layer.values())
-    table = np.array([spec.ratios[:width] for spec in per_layer.values()])
-    rest = [float(np.sum(spec.ratios[width:])) + spec.tail_ratio for spec in per_layer.values()]
-    return ScreeReport(
-        per_layer=per_layer,
-        aggregate_ratios=table.mean(axis=0),
-        aggregate_std=table.std(axis=0),
-        aggregate_tail=float(np.mean(rest)),
-    )
+    spectra = [model.spectra[-1] for model in u.layer_models.values()]
+    width = min(len(spec.ratios) for spec in spectra)
+    table = np.array([spec.ratios[:width] for spec in spectra])
+    rest = [float(np.sum(spec.ratios[width:])) + spec.tail_ratio for spec in spectra]
+    return ScreeReport(aggregate_ratios=table.mean(axis=0), aggregate_std=table.std(axis=0),
+                       aggregate_tail=float(np.mean(rest)))
 
 
 # ------------------------------------------------------- project / reconstruct
@@ -897,13 +893,12 @@ def _decoding_meta(kind):
         ) from exc
 
 
-def _spectrum(entries, name, n, retained, unfolding, policy) -> ModeSpectrum:
+def _spectrum(entries, name, n, width, unfolding, policy) -> ModeSpectrum:
     """Mode ``n``'s spectrum from its stored singular values, which must
     form a spectrum of at most the ``unfolding``'s (rows, cols) count of
-    values, and its 1 x 1 tail energy (0 after a whole spectrum); the
-    ratios are derived as extraction does.  ``retained``, the factor's
-    width, must be the rank ``policy`` selects from them, as extraction
-    selected it."""
+    values, and its 1 x 1 tail energy (0 after a whole spectrum).
+    ``width``, the factor's, must be the rank ``policy`` selects from
+    them, as extraction selected it."""
     key, tail_key = f"ledger/{name}/sv/{n}", f"ledger/{name}/tail/{n}"
     count = min(unfolding)
     sv = _take(entries, key).ravel()
@@ -914,10 +909,11 @@ def _spectrum(entries, name, n, retained, unfolding, policy) -> ModeSpectrum:
     _require(sv.size < count or tail[0, 0] == 0,
              f"entry {tail_key!r} must be 0 after the whole spectrum in {key!r}")
     try:
-        ratios = explained_variance(sv, float(tail[0, 0]))
+        spectrum = ModeSpectrum(singular_values=sv, tail=float(tail[0, 0]))
     except (InvalidArgumentError, DegenerateSpectrumError) as exc:
         raise ManifestError(f"entries {key!r} and {tail_key!r} are not a spectrum: {exc}",
                             12) from exc
+    ratios = spectrum.ratios
     # the count - sv.size components not stored are each at most the last
     # stored one, up to the rounding of the sums that gave the tail
     _require(1.0 - float(np.sum(ratios)) <= (count - sv.size) * ratios[-1]
@@ -925,11 +921,10 @@ def _spectrum(entries, name, n, retained, unfolding, policy) -> ModeSpectrum:
              f"entry {tail_key!r} holds more energy than the {count - sv.size} components "
              f"after {key!r} can")
     rank = select_rank(ratios, policy, singular_values=sv, shape=unfolding)
-    _require(retained == rank,
-             f"entry 'U/{name}/{n}' is {retained} wide, but {policy.describe()} keeps {rank} "
+    _require(width == rank,
+             f"entry 'U/{name}/{n}' is {width} wide, but {policy.describe()} keeps {rank} "
              f"of the spectrum in {key!r}")
-    return ModeSpectrum(singular_values=sv, ratios=ratios, retained=retained,
-                        tail=float(tail[0, 0]))
+    return spectrum
 
 
 def load_subspace(path) -> UniversalSubspace:

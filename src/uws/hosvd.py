@@ -44,7 +44,7 @@ shared basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,20 +71,21 @@ GRAM_BLOCK_ROWS = 512
 
 @dataclass(frozen=True, eq=False)
 class ModeSpectrum:
-    """Leading spectrum of one mode's unfolding, the energy of the rest,
-    and what was retained.
+    """Leading spectrum of one mode's unfolding and the energy of the rest.
 
     The exact route keeps the whole spectrum and a ``tail`` of 0; the
     Gram route keeps the components as deep as a rank reads and, in
     ``tail``, the energy (sum of squares) of the others.  ``ratios`` are
-    ``explained_variance(singular_values, tail)``, and ``retained``
-    leading components make the factor.
+    derived here, as ``explained_variance(singular_values, tail)``; the
+    rank is the factor's width (:attr:`SubspaceModel.ranks`).
     """
 
     singular_values: np.ndarray
-    ratios: np.ndarray
-    retained: int
     tail: float = 0.0
+    ratios: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ratios", explained_variance(self.singular_values, self.tail))
 
     @property
     def tail_ratio(self) -> float:
@@ -139,10 +140,9 @@ def _truncation(s, v, tail, policy, shape):
     """A mode's factor, the columns of its right singular vectors ``v`` that
     the policy keeps of the values ``s`` of a ``shape`` matrix, and its
     :class:`ModeSpectrum`; ``tail`` is the energy of the values not listed."""
-    ratios = explained_variance(s, tail)
-    r = select_rank(ratios, policy, singular_values=s, shape=shape)
-    return (np.ascontiguousarray(v[:, :r]),
-            ModeSpectrum(singular_values=s, ratios=ratios, retained=r, tail=tail))
+    spectrum = ModeSpectrum(singular_values=s, tail=tail)
+    r = select_rank(spectrum.ratios, policy, singular_values=s, shape=shape)
+    return np.ascontiguousarray(v[:, :r]), spectrum
 
 
 def _require_variance(centred_norm, norm, centering: str) -> None:
@@ -201,12 +201,14 @@ def _fibres(xc: np.ndarray, mode: int) -> np.ndarray:
 def _mode_factor(xc: np.ndarray, mode: int, policy):
     """The truncated factor and spectrum of one mode of the centred
     ``xc``, from one thin SVD of its :func:`_fibres`: the right singular
-    vectors, each oriented by :func:`~uws.spectral.column_signs`.  The
-    rows hold the entries of a stack :func:`_centred` has checked, so
-    they are checked no more."""
+    vectors, each oriented by :func:`~uws.spectral.column_signs`; tall
+    fibres through their R factor (R-SVD, Chan 1982), but ranked by their
+    own shape.  The rows hold the entries of a stack :func:`_centred` has
+    checked, so they are checked no more."""
     rows = _fibres(xc, mode)
     try:
-        _, s, vt = np.linalg.svd(rows, full_matrices=False)
+        r = np.linalg.qr(rows, mode="r") if rows.shape[0] > rows.shape[1] else rows
+        _, s, vt = np.linalg.svd(r, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("thin SVD did not converge (LAPACK)") from exc
     s.flags.writeable = False

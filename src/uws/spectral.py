@@ -105,11 +105,6 @@ def _panel_bounds(dim: int) -> list[tuple[int, int]]:
     return [(j0, min(j0 + GRAM_PANEL_COLS, dim)) for j0 in range(0, dim, GRAM_PANEL_COLS)]
 
 
-def _symmetric(block: np.ndarray) -> np.ndarray:
-    """A new copy of the square ``block`` made symmetric from its lower triangle."""
-    return np.tril(block) + np.tril(block, -1).T
-
-
 class LowerGram:
     """A symmetric d x d matrix G held as its lower row panels P =
     ``G[j0:j1, :j1]`` for j0 = 0, w, 2w, ..., w = ``GRAM_PANEL_COLS``.
@@ -121,13 +116,16 @@ class LowerGram:
     j0:]`` are read, so G's strict upper triangle is never read.  Only a
     full ``eigh`` needs the square (:meth:`square`); moving the panels
     there makes them views of it, so G is held either as its panels or
-    as one square, never both.
+    as one square, never both.  The diagonal blocks, made symmetric from
+    their lower triangles (gemm's are not always bitwise symmetric: 5e-13
+    apart at 300 x 700), are built once after the last :meth:`add_gram_of`.
     """
 
     def __init__(self, dim: int, panels: list[np.ndarray]):
         self.dim = dim
         self._panels = panels
         self._square = None
+        self._blocks = None
 
     @classmethod
     def zeros(cls, dim: int) -> "LowerGram":
@@ -137,22 +135,29 @@ class LowerGram:
     def _pairs(self):
         return zip(_panel_bounds(self.dim), self._panels)
 
+    def _symmetric_blocks(self) -> list[np.ndarray]:
+        if self._blocks is None:
+            self._blocks = [np.tril(p[:, j0:]) + np.tril(p[:, j0:], -1).T
+                            for (j0, _), p in self._pairs()]
+        return self._blocks
+
     def add_gram_of(self, c: np.ndarray) -> None:
         """``G += c.T @ c`` for an n x d array ``c``: one product per panel."""
+        self._blocks = None
         for (j0, j1), p in self._pairs():
             p += c[:, j0:j1].T @ c[:, :j1]
 
     def __matmul__(self, q: np.ndarray) -> np.ndarray:
-        """``G @ q`` for a d x b array ``q``: each panel's diagonal block,
-        made symmetric from its lower triangle, and its rectangle times
-        ``q``; the rectangle's transpose is applied as ``q.T @ rect``,
-        rows of ``(G @ q).T``, which OpenBLAS runs faster than ``rect.T @
-        q`` (9 against 21 ms over the panels at d = 4096, b = 24)."""
+        """``G @ q`` for a d x b array ``q``: each panel's symmetric
+        diagonal block and its rectangle times ``q``; the rectangle's
+        transpose is applied as ``q.T @ rect``, rows of ``(G @ q).T``,
+        which OpenBLAS runs faster than ``rect.T @ q`` (9 against 21 ms
+        over the panels at d = 4096, b = 24)."""
         z = np.empty((self.dim, q.shape[1]))
         zt = np.zeros((q.shape[1], self.dim))
-        for (j0, j1), p in self._pairs():
+        for ((j0, j1), p), block in zip(self._pairs(), self._symmetric_blocks()):
             rect = p[:, :j0]
-            z[j0:j1] = _symmetric(p[:, j0:]) @ q[j0:j1]
+            z[j0:j1] = block @ q[j0:j1]
             z[j0:j1] += rect @ q[:j0]
             zt[:, :j0] += q[j0:j1].T @ rect
         z += zt.T
@@ -167,8 +172,8 @@ class LowerGram:
     def frobenius_sq(self) -> float:
         """``||G||_F**2``, each off-diagonal rectangle counted twice."""
         total = 0.0
-        for (j0, _), p in self._pairs():
-            rect, diag = p[:, :j0], _symmetric(p[:, j0:])
+        for ((j0, _), p), diag in zip(self._pairs(), self._symmetric_blocks()):
+            rect = p[:, :j0]
             total += 2.0 * float(np.vdot(rect, rect)) + float(np.vdot(diag, diag))
         return total
 
@@ -209,10 +214,10 @@ class LowerGram:
     def symmetric(self) -> np.ndarray:
         """G as a new symmetric d x d array, assembled from its lower triangle."""
         out = np.empty((self.dim, self.dim))
-        for (j0, j1), p in self._pairs():
+        for ((j0, j1), p), block in zip(self._pairs(), self._symmetric_blocks()):
             out[j0:j1, :j0] = p[:, :j0]
             out[:j0, j0:j1] = p[:, :j0].T
-            out[j0:j1, j0:j1] = _symmetric(p[:, j0:])
+            out[j0:j1, j0:j1] = block
         return out
 
 

@@ -359,7 +359,10 @@ class DkReport:
     lhs: float
     rhs: float
     gamma: float
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs + DK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +372,10 @@ class DkStudy:
     lhs: np.ndarray
     rhs: np.ndarray
     gamma: np.ndarray
-    holds: np.ndarray
+
+    @property
+    def holds(self) -> np.ndarray:
+        return self.lhs <= self.rhs + DK_TOL
 
 
 def davis_kahan_check(s_ref, s_pert, k: int) -> DkReport:
@@ -383,7 +389,7 @@ def davis_kahan_check(s_ref, s_pert, k: int) -> DkReport:
                                    f"got shapes {ref.shape} and {pert.shape}")
     k = rank_within(k, len(ref))
     lhs, rhs, gamma = (float(x[0]) for x in _dk_pairs(ref[None], pert[None], k))
-    return DkReport(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + DK_TOL)
+    return DkReport(lhs=lhs, rhs=rhs, gamma=gamma)
 
 
 def _in_trial_order(solve, n: int):
@@ -450,7 +456,7 @@ def davis_kahan_study(d: int, k: int, perturb: float, trials: int, seed: int = 0
         parts.append(_in_trial_order(
             lambda i: _dk_pairs(*symmetric_operator(ops[:, i], "operators"), k), n))
     lhs, rhs, gamma = (np.concatenate(p) for p in zip(*parts))
-    return DkStudy(lhs=lhs, rhs=rhs, gamma=gamma, holds=lhs <= rhs + DK_TOL)
+    return DkStudy(lhs=lhs, rhs=rhs, gamma=gamma)
 
 
 # -------------------------------------------------------------------- sampling
@@ -566,18 +572,36 @@ class ConvergenceReport:
     ``trial[i]`` at T = ``n_tasks[i]``, its errors ``op_error[i]`` and
     ``subspace_error[i]``, the cells in t_grid order and each T's trials in
     order.  ``bounds[T]`` is :func:`theorem1_bounds` at T, which every cell
-    at T shares; the means and the slope are taken over the cells."""
+    at T shares, and ``b`` the task-norm bound they take.  Each T's means
+    are taken over its cells, and ``slope`` is the least-squares slope of
+    log(mean operator error) against log(T), None unless two T have
+    positive means."""
 
     n_tasks: np.ndarray
     trial: np.ndarray
     op_error: np.ndarray
     subspace_error: np.ndarray
     bounds: dict
-    mean_op_error: dict
-    mean_subspace_error: dict
-    slope: float | None
     within_task_floor: float
-    config: dict
+    b: float
+
+    def _means(self, errors: np.ndarray) -> dict:
+        return {t: float(errors[self.n_tasks == t].mean()) for t in sorted(self.bounds)}
+
+    @property
+    def mean_op_error(self) -> dict:
+        return self._means(self.op_error)
+
+    @property
+    def mean_subspace_error(self) -> dict:
+        return self._means(self.subspace_error)
+
+    @property
+    def slope(self) -> float | None:
+        means = self.mean_op_error
+        if len(means) < 2 or not all(m > 0 for m in means.values()):
+            return None
+        return float(np.polyfit(np.log(list(means)), np.log(list(means.values())), 1)[0])
 
 
 def _trial_errors(cfg: SyntheticEnsembleConfig, seed, trials: range):
@@ -622,9 +646,7 @@ def convergence_study(
     are identical under any execution order.  The bounds are computed once
     per T, and the trials in batches of up to ``TRIAL_BATCH``
     (:func:`_trial_errors`); the first trial that fails raises the error
-    it raises alone.  The fitted slope is the least-squares slope of
-    log(mean operator error) against log(T); it needs at least two T
-    values with positive mean errors, otherwise it is None.
+    it raises alone.
     """
     t_grid = task_counts(t_grid)
     n_trials = int_at_least(n_trials, "n_trials", 1)
@@ -668,39 +690,12 @@ def convergence_study(
             errors.append(
                 _in_trial_order(lambda i: _trial_errors(cfg, seed, trials[i]), len(trials)))
     op_error, subspace_error = (np.concatenate(e) for e in zip(*errors))
-    cells = {t: slice(i * n_trials, (i + 1) * n_trials) for i, t in enumerate(t_grid)}
-    ordered = sorted(t_grid)
-    mean_op = {t: float(op_error[cells[t]].mean()) for t in ordered}
-    mean_sub = {t: float(subspace_error[cells[t]].mean()) for t in ordered}
-    slope = None
-    if len(ordered) >= 2 and all(mean_op[t] > 0 for t in ordered):
-        logs_t = np.log([float(t) for t in ordered])
-        logs_e = np.log([mean_op[t] for t in ordered])
-        slope = float(np.polyfit(logs_t, logs_e, 1)[0])
-    floor = 2.0 * cfg.b * eta + eta**2
     return ConvergenceReport(
         n_tasks=np.repeat(t_grid, n_trials),
         trial=np.tile(np.arange(n_trials), len(t_grid)),
         op_error=op_error,
         subspace_error=subspace_error,
         bounds=bounds,
-        mean_op_error=mean_op,
-        mean_subspace_error=mean_sub,
-        slope=slope,
-        within_task_floor=floor,
-        config={
-            "d": cfg.d,
-            "k": cfg.k,
-            "t_grid": t_grid,
-            "n_trials": n_trials,
-            "eta": eta,
-            "b": cfg.b,
-            "spectrum": None if spectrum is None else cfg.spectrum.tolist(),
-            "seed": seed,
-            "norm_mode": norm_mode,
-            "perturbation": perturbation,
-            "delta": params.delta,
-            "c1": params.c1,
-            "c2": params.c2,
-        },
+        within_task_floor=2.0 * cfg.b * eta + eta**2,
+        b=cfg.b,
     )

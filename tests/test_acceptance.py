@@ -176,8 +176,7 @@ def test_04_planted_basis_recovered_and_held_out_models_rebuild():
         train, ExtractionConfig(policy=RankPolicy.cumulative_variance(0.99))
     )
     _planted_cache["subspace"] = u
-    ranks = {name: u.layer_models[name].spectra[-1].retained
-             for name in u.included_layers}
+    ranks = {name: u.layer_models[name].ranks[-1] for name in u.included_layers}
     worst = 0.0
     for w in held:
         rebuilt = reconstruct_model(u, project_model(u, w))

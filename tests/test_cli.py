@@ -187,12 +187,13 @@ def test_extract_prints_layer_health(tmp_path, capsys):
     u = load_subspace(tmp_path / "a.uws")
     assert len(outputs[0]) == len(u.included_layers) == 2
     for line, name in zip(outputs[0], u.included_layers):
-        spec = u.layer_models[name].spectra[-1]
+        model = u.layer_models[name]
+        rank = model.ranks[-1]
         # N counts every component of the stack, stored or not
-        prefix = f"  {name}: rank {spec.retained} of {min(u.layer_models[name].shape)}, "
+        prefix = f"  {name}: rank {rank} of {min(model.shape)}, "
         assert line.startswith(prefix)
         energy = float(line.split("retained energy ")[1].split(",")[0])
-        assert abs(energy - spec.ratios[: spec.retained].sum()) < 1e-6
+        assert abs(energy - model.spectra[-1].ratios[:rank].sum()) < 1e-6
         assert 0.95 <= energy <= 1.0
         defect = float(line.split("orthonormality defect ")[1])
         assert 0.0 <= defect < 1e-10
@@ -355,8 +356,8 @@ def test_extract_fixed_k_and_exclusions(tmp_path, capsys):
     assert code == 0
     u = load_subspace(out)
     assert u.included_layers == ["block0"]
-    spectra = u.layer_models["block0"].spectra
-    assert all(spec.retained == min(3, spec.singular_values.size) for spec in spectra)
+    model = u.layer_models["block0"]
+    assert model.ranks == tuple(min(3, spec.singular_values.size) for spec in model.spectra)
 
 
 def test_extract_fixed_k_past_the_stack_keeps_its_numerical_rank(tmp_path, capsys):
@@ -375,7 +376,7 @@ def test_extract_fixed_k_past_the_stack_keeps_its_numerical_rank(tmp_path, capsy
     assert code == 0, err
     assert "  w: rank 7 of 8, " in stdout
     model = load_subspace(out).layer_models["w"]
-    assert model.ranks == (7,) and model.spectra[-1].retained == 7
+    assert model.ranks == (7,)
 
 
 def test_extract_maps_a_lapack_failure_of_the_exact_route_to_exit_3(tmp_path, capsys,

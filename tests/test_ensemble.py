@@ -225,7 +225,7 @@ def test_planted_rank_is_recovered():
     )
     for layer in u.included_layers:
         model = u.layer_models[layer]
-        assert model.spectra[-1].retained == 4
+        assert model.ranks == (4,)
         assert len(model.spectra) == 1  # the stacking mode shares the feature mode's
 
 
@@ -259,8 +259,8 @@ def test_scree_hand_aggregate():
         ExtractionConfig(policy=RankPolicy.cumulative_variance(1.0), exclude_layers=()),
     )
     rep = scree_report(u)
-    assert np.allclose(rep.per_layer["a"].ratios, [1.0, 0.0], atol=1e-12)
-    assert np.allclose(rep.per_layer["b"].ratios, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(u.layer_models["a"].spectra[-1].ratios, [1.0, 0.0], atol=1e-12)
+    assert np.allclose(u.layer_models["b"].spectra[-1].ratios, [0.5, 0.5], atol=1e-12)
     assert np.allclose(rep.aggregate_ratios, [0.75, 0.25], atol=1e-12)
     assert np.allclose(rep.aggregate_std, [0.25, 0.25], atol=1e-12)
 
@@ -270,9 +270,10 @@ def test_scree_aggregates_the_components_every_layer_stores():
     models, _, _ = make_planted(rng, n_models=40, k=4, noise=1e-2)
     u = extract_universal(models, ExtractionConfig(policy=RankPolicy.cumulative_variance(0.99)))
     rep = scree_report(u)
-    stored = [spec.ratios.size for spec in rep.per_layer.values()]
+    spectra = [model.spectra[-1] for model in u.layer_models.values()]
+    stored = [spec.ratios.size for spec in spectra]
     assert rep.aggregate_ratios.size == min(stored) < 20  # the Gram route stores a prefix
-    for spec in rep.per_layer.values():
+    for spec in spectra:
         assert spec.tail > 0 and abs(np.sum(spec.ratios) + spec.tail_ratio - 1.0) < 1e-12
     assert abs(np.sum(rep.aggregate_ratios) + rep.aggregate_tail - 1.0) < 1e-12
 
@@ -282,7 +283,8 @@ def test_scree_single_layer_equals_aggregate():
     models = as_models([{"only": rng.standard_normal((3, 7))} for _ in range(6)])
     u = extract_universal(models, ExtractionConfig(exclude_layers=()))
     rep = scree_report(u)
-    assert np.allclose(rep.aggregate_ratios, rep.per_layer["only"].ratios, atol=1e-15)
+    assert np.allclose(rep.aggregate_ratios, u.layer_models["only"].spectra[-1].ratios,
+                       atol=1e-15)
     assert np.allclose(rep.aggregate_std, 0.0, atol=1e-15)
 
 
@@ -869,13 +871,13 @@ def test_subspace_file_roundtrip(tmp_path, order, centering, tau):
         assert len(a.factors) == len(b.factors) == order - 1
         for fa, fb in zip(a.factors, b.factors):
             assert np.array_equal(fa, fb)
-        assert a.shape == b.shape and a.slab_extent == b.slab_extent
+        assert a.shape == b.shape and a.slab_extent == b.slab_extent and a.ranks == b.ranks
         assert len(b.spectra) == order - 1
         assert len(a.spectra) == len(b.spectra)  # extracted equals loaded
         for sa, sb in zip(a.spectra, b.spectra):
             assert np.array_equal(sa.singular_values, sb.singular_values)
             assert np.array_equal(sa.ratios, sb.ratios)
-            assert (sa.retained, sa.tail) == (sb.retained, sb.tail)
+            assert sa.tail == sb.tail
             # only the Gram route stores a leading part and a tail
             assert (sb.tail > 0) == (order == 2 and tau < 1)
     # identical projections through the reloaded subspace

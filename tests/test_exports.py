@@ -59,6 +59,23 @@ def test_the_decompositions_are_what_the_pipeline_runs_and_nothing_retired():
     assert "first_component" not in hosvd.ModeSpectrum.__dataclass_fields__
 
 
+def test_records_keep_only_what_they_cannot_derive():
+    import uws.ensemble as ensemble
+    import uws.hosvd as hosvd
+    import uws.theory as theory
+
+    retired = {hosvd.ModeSpectrum: {"retained"}, ensemble.ScreeReport: {"per_layer"},
+               theory.ConvergenceReport: {"config"}}
+    assert not [(cls, name) for cls, names in retired.items() for name in names
+                if name in cls.__dataclass_fields__ or hasattr(cls, name)]
+    # derived from what the record keeps, not kept beside it
+    derived = {hosvd.ModeSpectrum: {"tail_ratio"},
+               theory.ConvergenceReport: {"mean_op_error", "mean_subspace_error", "slope"},
+               theory.DkReport: {"holds"}, theory.DkStudy: {"holds"}}
+    assert not [(cls, name) for cls, names in derived.items() for name in names
+                if name in cls.__dataclass_fields__ or not hasattr(cls, name)]
+
+
 def test_the_exact_route_takes_its_own_svd_and_the_wrapper_is_retired():
     import uws.hosvd as hosvd
     import uws.spectral as spectral

@@ -180,7 +180,7 @@ def test_factor_orthonormality_and_ledger():
     model = exact(x, RankPolicy.cumulative_variance(0.8))
     assert len(model.spectra) == 2
     for f, spec in zip(model.factors, model.spectra, strict=True):
-        assert f.shape[1] == spec.retained
+        assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-12
         assert abs(spec.ratios.sum() - 1.0) < 1e-12
         assert np.all(np.diff(spec.ratios) <= 1e-15)
 
@@ -282,9 +282,21 @@ def test_exact_spectrum_and_factor_on_many_random_shapes():
             assert s.size == want.size == min(x.shape[mode - 1], x.size // x.shape[mode - 1])
             assert np.max(np.abs(s - want)) <= 1e-12 * s[0]
             assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-            assert factor.shape == (x.shape[mode - 1], spec.retained)
-            assert np.max(np.abs(factor.T @ factor - np.eye(spec.retained))) < 1e-10
+            assert factor.shape[0] == x.shape[mode - 1]
+            assert np.max(np.abs(factor.T @ factor - np.eye(factor.shape[1]))) < 1e-10
             assert np.array_equal(factor, sign_canonical(factor))
+
+
+def test_the_hard_threshold_reads_the_tall_fibre_matrix_not_its_r_factor():
+    # the exact route decomposes a tall stack's square R factor, whose
+    # singular values are the stack's; the threshold for 0.5-noise on the
+    # 4000 x 300 stack falls between the planted 16 and the noise, but
+    # the square 300 x 300 shape would put it below every noise value
+    rng = np.random.default_rng(71)
+    x = rng.standard_normal((4000, 16)) @ rng.standard_normal((16, 300))
+    x += 0.5 * rng.standard_normal(x.shape)
+    model = exact(x, RankPolicy.hard_threshold(0.5))
+    assert model.ranks == (16,)
 
 
 @pytest.mark.parametrize("centering", ["feature", "global"])
@@ -541,7 +553,7 @@ def test_rank_deficient_square_stack_streams_the_exact_tail():
     assert_stream_matches_exact(model, exact(x, policy))
     spec = model.spectra[-1]
     s, n = spec.singular_values, spec.singular_values.size
-    assert n == spec.retained < 119
+    assert (n,) == model.ranks and n < 119
     assert np.max(np.abs(s - svals[:n])) <= 1e-12 * s[0]
     assert abs(spec.tail - np.sum(svals[n:] ** 2)) <= 1e-12 * np.sum(svals**2)
 
@@ -713,7 +725,7 @@ def test_order3_factors_are_the_leading_left_singular_vectors_of_the_unfoldings(
     extracted = exact(x, policy, centering=centering)
     for mode, factor, spectrum in zip((2, 3), extracted.factors, extracted.spectra, strict=True):
         s, u = unfolding_svd(xc, mode)
-        assert factor.shape == (x.shape[mode - 1], rank) and spectrum.retained == rank
+        assert factor.shape == (x.shape[mode - 1], rank)
         assert subspace_distance(u[:, :rank], factor) <= 1e-10
         assert np.max(np.abs(spectrum.singular_values - s)) <= 1e-12 * s[0]
 

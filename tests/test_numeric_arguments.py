@@ -69,7 +69,8 @@ def _bound(name):
 
 
 def _study(name):
-    return lambda v: theory.convergence_study(**{**STUDY, name: v}), lambda r: r.config[name]
+    return (lambda v: theory.convergence_study(**{**STUDY, name: v}),
+            (lambda r: r.b) if name == "b" else None)
 
 
 def _dk(name):
@@ -145,8 +146,8 @@ CASES = {
 #: each with the reason.
 NOT_ARGUMENTS = {
     "ScreeReport.aggregate_tail": "a result record that scree_report fills",
-    "ConvergenceReport.slope": "a result record that convergence_study fills",
     "ConvergenceReport.within_task_floor": "a result record that convergence_study fills",
+    "ConvergenceReport.b": "a result record that convergence_study fills",
     "SubspaceModel.slab_extent": "a record whose constructors, exact_subspace, "
                                  "GramStream.decompose and load_subspace, check it",
 }

@@ -182,6 +182,22 @@ def test_lower_gram_works_from_the_lower_triangle_alone(d):
     assert_upper_triangle_is_never_read(c, 532, [RankPolicy.cumulative_variance(0.95)], rng)
 
 
+def test_a_lower_gram_product_after_add_gram_of_sees_the_added_rows():
+    rng = np.random.default_rng(29)
+    d = 2 * GRAM_PANEL_COLS + 9
+    a, b = rng.standard_normal((d + 5, d)), rng.standard_normal((40, d))
+    q = rng.standard_normal((d, 3))
+    lower, fresh = lower_gram(a), lower_gram(a)
+    before = lower.frobenius_sq()  # reads the symmetric diagonal blocks, as @ does
+    lower.add_gram_of(b)
+    fresh.add_gram_of(b)
+    assert np.array_equal(lower @ q, fresh @ q)
+    assert lower.frobenius_sq() == fresh.frobenius_sq() > before
+    g = a.T @ a + b.T @ b
+    assert np.max(np.abs(lower @ q - g @ q)) <= 1e-12 * np.max(np.abs(g @ q))
+    assert abs(lower.frobenius_sq() - np.vdot(g, g)) <= 1e-12 * np.vdot(g, g)
+
+
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     rng = np.random.default_rng(25)
     m = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 40))  # rank 5

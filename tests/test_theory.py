@@ -554,10 +554,9 @@ def test_convergence_cells_are_four_arrays_in_cell_order():
 
 def test_each_convergence_bound_is_theorem1_at_its_t_and_the_csv_states_it_once(tmp_path):
     report = convergence_study(d=64, k=4, t_grid=[25, 200], n_trials=12, eta=0.2, seed=41)
-    config = report.config
     for t in (25, 200):
         assert report.bounds[t] == theorem1_bounds(BoundParameters(
-            b=config["b"], delta=config["delta"], n_tasks=t, eta_bar=float(np.full(t, 0.2).mean()),
+            b=report.b, delta=0.05, n_tasks=t, eta_bar=float(np.full(t, 0.2).mean()),
             eta2_bar=float((np.full(t, 0.2)**2).mean()), gamma_k=1.0))
     out = tmp_path / "r.csv"
     assert cli.main(["theory", "converge", "--d", "64", "--k", "4", "--t-grid", "25,200",
