@@ -457,9 +457,10 @@ def cmd_theory_converge(args):
         ("within_task_floor", _fmt(report.within_task_floor)),
         ("slope", _fmt(report.slope)),
     ]
-    for t in sorted(report.mean_op_error):
-        header.append((f"mean_op_error[{t}]", _fmt(report.mean_op_error[t])))
-        header.append((f"mean_subspace_error[{t}]", _fmt(report.mean_subspace_error[t])))
+    mean_op, mean_sub = report.mean_op_error, report.mean_subspace_error
+    for t, op in mean_op.items():
+        header.append((f"mean_op_error[{t}]", _fmt(op)))
+        header.append((f"mean_subspace_error[{t}]", _fmt(mean_sub[t])))
         header.append((f"mean_op_bound[{t}]", _fmt(report.bounds[t].op_bound)))
         header.append((f"subspace_bound[{t}]", _fmt(report.bounds[t].subspace_bound)))
     cells = list(zip(report.n_tasks.tolist(), report.trial.tolist(),
@@ -478,8 +479,8 @@ def cmd_theory_converge(args):
     print(f"cells: {len(cells)}")
     print(f"slope: {_fmt(report.slope)}")
     print(f"within_task_floor: {_fmt(report.within_task_floor)}")
-    for t in sorted(report.mean_op_error):
-        print(f"mean op_error at T={t}: {_fmt(report.mean_op_error[t])}")
+    for t, op in mean_op.items():
+        print(f"mean op_error at T={t}: {_fmt(op)}")
     print(f"report: {args.out}")
     return 0
 

@@ -192,12 +192,13 @@ def _manifest_error(detail: str) -> ManifestError:
     return ManifestError(f"bad manifest: {detail}", HEADER_LEN)
 
 
-def _require_int(layer: dict, key: str, minimum: int) -> None:
+def _require_int(layer: dict, key: str, minimum: int) -> int:
     val = layer.get(key)
     if isinstance(val, bool) or not isinstance(val, int):
         raise _manifest_error(f"layer field {key!r} must be an integer, got {val!r}")
     if val < minimum:
         raise _manifest_error(f"layer field {key!r} must be >= {minimum}, got {val}")
+    return val
 
 
 def _fill(fh, buf, at: int) -> None:
@@ -268,12 +269,10 @@ def _read(fh, size: int, names) -> ContainerDocument:
                 f"this format defines {sorted(_DTYPES)}",
                 HEADER_LEN,
             )
-        rows, cols = rec.get("rows"), rec.get("cols")
-        offset, nbytes = rec.get("offset"), rec.get("nbytes")
-        if not (type(rows) is type(cols) is type(offset) is type(nbytes) is int
-                and rows >= 1 and cols >= 1 and offset >= 0 and nbytes >= 0):
-            for key, minimum in (("rows", 1), ("cols", 1), ("offset", 0), ("nbytes", 0)):
-                _require_int(rec, key, minimum)  # the first that fails words the refusal
+        rows = _require_int(rec, "rows", 1)
+        cols = _require_int(rec, "cols", 1)
+        offset = _require_int(rec, "offset", 0)
+        nbytes = _require_int(rec, "nbytes", 0)
         itemsize = _DTYPES[dtype].itemsize
         if nbytes != rows * cols * itemsize:
             raise PayloadMismatchError(

@@ -116,9 +116,9 @@ class LowerGram:
     j0:]`` are read, so G's strict upper triangle is never read.  Only a
     full ``eigh`` needs the square (:meth:`square`); moving the panels
     there makes them views of it, so G is held either as its panels or
-    as one square, never both.  The diagonal blocks, made symmetric from
-    their lower triangles (gemm's are not always bitwise symmetric: 5e-13
-    apart at 300 x 700), are built once after the last :meth:`add_gram_of`.
+    as one square, never both.  Symmetric diagonal blocks, d x w doubles
+    made from the lower triangles (gemm's can be 5e-13 from symmetric), are
+    built after the last :meth:`add_gram_of` and dropped by :meth:`square`.
     """
 
     def __init__(self, dim: int, panels: list[np.ndarray]):
@@ -200,9 +200,10 @@ class LowerGram:
 
     def square(self) -> np.ndarray:
         """A d x d array whose lower triangle is G's, for LAPACK's ``eigh``
-        with ``UPLO='L'``; its strict upper triangle is not G's.  The
-        panels are moved into it one at a time and become views of it, so
-        later updates land in it."""
+        with ``UPLO='L'``; its strict upper triangle is not G's.  The panels
+        move into it and become its views; add to G only by :meth:`add_gram_of`,
+        as a write through the square leaves the symmetric blocks stale."""
+        self._blocks = None
         if self._square is None:
             square = np.zeros((self.dim, self.dim))
             for i, (j0, j1) in enumerate(_panel_bounds(self.dim)):

@@ -196,6 +196,10 @@ def test_a_lower_gram_product_after_add_gram_of_sees_the_added_rows():
     g = a.T @ a + b.T @ b
     assert np.max(np.abs(lower @ q - g @ q)) <= 1e-12 * np.max(np.abs(g @ q))
     assert abs(lower.frobenius_sq() - np.vdot(g, g)) <= 1e-12 * np.vdot(g, g)
+    lower.square()  # drops the blocks; the panels become views of the square
+    lower.add_gram_of(b)
+    fresh.add_gram_of(b)
+    assert np.array_equal(lower @ q, fresh @ q)
 
 
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
