@@ -17,11 +17,9 @@ column's largest-magnitude entry is made nonnegative.  :func:`exact_subspace`
 centres the stack in place and decomposes it this way.
 
 An order-2 stack too large to hold is fed to :class:`GramStream` one
-slab at a time, float32 or float64.  It keeps the column mean, the lower
-row panels of the centred d x d Gram matrix G = Xc.T @ Xc
-(:class:`~uws.spectral.LowerGram`) and the row count, merging blocks of
-``GRAM_BLOCK_ROWS`` rows with the pairwise update of Chan, Golub and
-LeVeque (1979).  Its result comes from the Gram route:
+slab at a time, float32 or float64, and decomposed once from the lower
+row panels of its centred d x d Gram matrix G = Xc.T @ Xc
+(:class:`~uws.spectral.LowerGram`), by the Gram route:
 
 - :func:`~uws.spectral.gram_leading` finds, of G, only the leading
   eigenpairs that the policy retains or reads, and tr G less their sum
@@ -184,8 +182,12 @@ def _centred(x: np.ndarray, policy, centering: str):
     norm = frobenius_norm(x)
     one_of(centering, "centering", CENTERINGS)
     finite_entries(x, "x")
-    mu = np.float64(x.mean()) if centering == "global" else x.mean(axis=0)
+    mu = x.mean(axis=None if centering == "global" else 0)
     x -= mu
+    if centering == "global":  # a second pass takes out what the rounded mean left
+        rest = x.mean()
+        x -= rest
+        mu += rest
     _require_variance(frobenius_norm(x), norm, centering)
     return mu, x
 
@@ -232,56 +234,57 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
 
 
 class GramStream:
-    """An order-2 stack fed one row slab at a time, reduced to its column
-    mean, the lower triangle of its centred Gram matrix and its row count;
+    """An order-2 stack fed one row slab at a time, then decomposed once;
     the stack itself is never held.
 
     :meth:`add` copies float32 or float64 slabs into a float64 block of
-    ``GRAM_BLOCK_ROWS`` rows; that copy is the only conversion a float32
-    slab gets.  Each full block B, of n_b rows and mean m_b, is centred on
-    its own mean and merged into the running totals, of n_a rows and mean
-    m_a, by the pairwise update of Chan, Golub and LeVeque (1979)::
-
-        G = G_a + (B - m_b).T @ (B - m_b)
-                + (n_a * n_b / n) * (m_b - m_a).T @ (m_b - m_a)
-
-    The block has one spare row, which takes sqrt(n_a * n_b / n) *
-    (m_b - m_a), so the products ``C.T @ C`` of the centred rows and that
-    row add both terms to G.  G is a :class:`~uws.spectral.LowerGram`:
-    its lower row panels of w = ``uws.spectral.GRAM_PANEL_COLS`` rows, d
-    (d + w) / 2 doubles, which a merge adds to one product at a time and
-    the leading solve reads as they are.  No upper triangle is formed,
-    and :meth:`decompose` leaves the panels as they were, so later rows
-    add to the same sums; a full ``eigh`` moves them into one d x d
-    square, whose views they then are.  :attr:`gram` assembles the
-    symmetric matrix for inspection.  Every term is positive
-    semidefinite, so nothing cancels, but each block mean m_b is rounded
-    to about eps times the ensemble's common offset, and the spare row
-    carries that rounding into G at first order: an offset of 1e6 on a
-    stack of unit spread leaves G off by about 2e-11 * lambda_1.  A
-    block whose squares overflow leaves the totals non-finite, which the
-    solve declines.  Memory is the panels plus one block and one w x d
-    product, and the block is freed by :meth:`flush`.
+    ``GRAM_BLOCK_ROWS`` rows, the only conversion a float32 slab gets.
+    Every row is merged about one reference row r, the first block's mean
+    (shifted data, Chan, Golub and LeVeque 1983): a full block B adds the
+    column sums of B - r to s and ``(B - r).T @ (B - r)`` to G, a
+    :class:`~uws.spectral.LowerGram` of d (d + w) / 2 doubles, w =
+    ``uws.spectral.GRAM_PANEL_COLS``.  Where a common offset dominates,
+    B - r is exact, so the offset's rounding never reaches G; a mean
+    that drifts by m from r costs G about eps n |m|**2.  :meth:`decompose`
+    centres G in place, subtracting n (s / n) (s / n).T, and hands it to
+    the solve, which owns it: the stream then refuses more rows and a
+    second decompose.  Until then :attr:`mean` and :attr:`gram` give the
+    column mean r + s / n and the centred Gram of the rows merged so far.
+    A block whose squares overflow leaves the totals non-finite, which
+    the solve declines.  Memory is the panels, one block and one w x d
+    product; :meth:`flush` frees the block.
     """
 
     def __init__(self, cols: int):
         self.cols = int_at_least(cols, "cols", 1)
         self.rows = 0
-        self.mean = np.zeros(self.cols)
-        self._gram = LowerGram.zeros(self.cols)
+        self.reference = np.zeros(self.cols)  # r, made by the first merge
+        self.total = np.zeros(self.cols)  # s, the column sums of the rows less r
+        self._gram = LowerGram.zeros(self.cols)  # about r; None once decomposed
         self.sumsq = 0.0  # ||X||_F**2, the scale the variance check compares with
         self.nonzero = False  # whether any entry is, though every square may underflow
-        self._block = None  # GRAM_BLOCK_ROWS rows plus the spare one, made by add
+        self._block = None  # GRAM_BLOCK_ROWS rows, made by add
         self._fill = 0
 
     @property
+    def mean(self) -> np.ndarray:
+        """The column mean of the rows merged so far."""
+        return self.reference + self.total / max(self.rows, 1)
+
+    @property
     def gram(self) -> np.ndarray:
-        """The centred Gram matrix of the rows merged so far, as a new
-        symmetric d x d array assembled from the stored lower triangle."""
-        return self._gram.symmetric()
+        """G as a new symmetric d x d array, centred as :meth:`decompose` centres it."""
+        shift = self.total / max(self.rows, 1)
+        return self._owned().symmetric() - self.rows * np.multiply.outer(shift, shift)
+
+    def _owned(self) -> LowerGram:
+        if self._gram is None:
+            raise InvalidArgumentError("the stream was decomposed: it takes no more rows")
+        return self._gram
 
     def add(self, slab) -> None:
         """Append the rows of one slab, float32 or float64, to the stack."""
+        self._owned()
         slab = np.asarray(slab)
         if slab.dtype != np.float32:
             slab = as_real(slab, "slab")
@@ -291,7 +294,7 @@ class GramStream:
             )
         finite_entries(slab, "slab")
         if self._block is None:
-            self._block = np.empty((GRAM_BLOCK_ROWS + 1, self.cols))
+            self._block = np.empty((GRAM_BLOCK_ROWS, self.cols))
         start = 0
         while start < slab.shape[0]:
             take = min(slab.shape[0] - start, GRAM_BLOCK_ROWS - self._fill)
@@ -302,19 +305,17 @@ class GramStream:
                 self._merge_block()
 
     def _merge_block(self) -> None:
-        n_b, self._fill = self._fill, 0
-        block = self._block[:n_b]
-        n = self.rows + n_b
+        block = self._block[: self._fill]
         self.nonzero = self.nonzero or bool(np.any(block))
         with np.errstate(over="ignore", invalid="ignore"):
             self.sumsq += float(np.vdot(block, block))
-            m_b = block.mean(axis=0)
-            block -= m_b
-            step = m_b - self.mean
-            self._block[n_b] = step * np.sqrt(self.rows * n_b / n)
-            self._gram.add_gram_of(self._block[: n_b + 1])
-            self.mean += step * (n_b / n)
-        self.rows = n
+            if not self.rows:
+                self.reference = block.mean(axis=0)
+            block -= self.reference
+            self.total += block.sum(axis=0)
+            self._gram.add_gram_of(block)
+        self.rows += self._fill
+        self._fill = 0
 
     def flush(self) -> None:
         """Merge the rows still in the block, and free the block."""
@@ -329,9 +330,9 @@ class GramStream:
         centering: str = "feature",
         slab_extent: int | None = None,
     ) -> SubspaceModel | None:
-        """The truncated subspace of the rows added so far, found on the
-        Gram route (:func:`~uws.spectral.gram_leading`).  It matches :func:`exact_subspace` of
-        the stacked rows to within the accuracy stated in the module
+        """The truncated subspace of the rows added, found on the Gram route
+        (:func:`~uws.spectral.gram_leading`).  It matches :func:`exact_subspace`
+        of the stacked rows to within the accuracy stated in the module
         docstring: retained factors agree to about eps * (s_1 / s_r)**2
         and each singular value s_i to about eps * s_1**2 / s_i.
 
@@ -340,26 +341,32 @@ class GramStream:
         :func:`~uws.spectral.gram_leading` declines; the caller then
         decomposes the stacked matrix with :func:`exact_subspace`, whose
         error cases these match: a zero stack or one with no variance
-        left after centering raises DegenerateSpectrumError.
+        left after centering raises DegenerateSpectrumError.  Global
+        centring adds n (m - g) (m - g).T for the grand mean g, taken as
+        mean(r) plus a remainder, so m - g keeps what g, rounded, cannot.
         """
         one_of(centering, "centering", CENTERINGS)
         check_policy(policy)
         slab_extent = _slab_extent(slab_extent)
+        gram = self._owned()
         self.flush()
-        shape = (self.rows, self.cols)
-        if self.rows == 0:
+        self._gram = None  # the solve owns G
+        n, shape = self.rows, (self.rows, self.cols)
+        if n == 0:
             raise InvalidArgumentError("no rows to decompose")
         if not self.nonzero:
             raise DegenerateSpectrumError("tensor is identically zero")
         if not (gram_eligible(shape, policy) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
             return None
-        gram, mu = self._gram, self.mean.copy()
+        shift = self.total / n  # the column mean less r
+        gram.add_outer(shift, -n)
+        mu = self.reference + shift
         if centering == "global":
-            # about the grand mean: add the column means' spread around it
-            spread = mu - mu.mean()
-            gram = gram.plus_outer(spread, self.rows)
-            mu = np.float64(mu.mean())
-        _require_variance(np.sqrt(gram.trace()), np.sqrt(self.sumsq), centering)
+            base = self.reference.mean()
+            spread = (self.reference - base) + shift
+            gram.add_outer(spread - spread.mean(), n)
+            mu = base + spread.mean()
+        _require_variance(np.sqrt(max(gram.trace(), 0.0)), np.sqrt(self.sumsq), centering)
         found = gram_leading(gram, policy)
         if found is None:
             return None

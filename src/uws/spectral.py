@@ -53,7 +53,7 @@ LEADING_MAX_SINE = 1e-10
 #: within 2**±_PLAIN_EXPONENT as given: there its squares and sums of
 #: squares stay far from overflow and underflow, LAPACK's ``eigh`` does not
 #: rescale it (it does beyond about 2**±484), and every step gives results
-#: that scale exactly with the matrix, so no d x d scaled copy is needed.
+#: that scale exactly with the matrix, so G is left unscaled.
 _PLAIN_EXPONENT = 256
 
 #: The Gram route serves a stack only while every component it retains
@@ -111,20 +111,20 @@ class LowerGram:
 
     G starts as :meth:`zeros` and is built up by :meth:`add_gram_of`, the
     one way every Gram matrix here is formed, by the merges of a
-    :class:`~uws.hosvd.GramStream`; it owns its panels.  Of each panel only the off-diagonal rectangle
-    ``P[:, :j0]`` and the lower triangle of the diagonal block ``P[:,
-    j0:]`` are read, so G's strict upper triangle is never read.  Only a
-    full ``eigh`` needs the square (:meth:`square`); moving the panels
-    there makes them views of it, so G is held either as its panels or
-    as one square, never both.  Symmetric diagonal blocks, d x w doubles
-    made from the lower triangles (gemm's can be 5e-13 from symmetric), are
-    built after the last :meth:`add_gram_of` and dropped by :meth:`square`.
+    :class:`~uws.hosvd.GramStream`; it owns its panels, which
+    :meth:`add_outer` and :meth:`ldexp` change in place.  Of each panel
+    only the off-diagonal rectangle ``P[:, :j0]`` and the lower triangle
+    of the diagonal block ``P[:, j0:]`` are read, so G's strict upper
+    triangle is never read.  Only a full ``eigh`` needs the square
+    (:meth:`square`), which takes the panels' place: G is held either as
+    its panels or as one square, never both.  Symmetric diagonal blocks,
+    d x w doubles made from the lower triangles (gemm's can be 5e-13 from
+    symmetric), are built after the last change to the panels.
     """
 
     def __init__(self, dim: int, panels: list[np.ndarray]):
         self.dim = dim
         self._panels = panels
-        self._square = None
         self._blocks = None
 
     @classmethod
@@ -184,33 +184,30 @@ class LowerGram:
             for (j0, _), p in self._pairs()
         )
 
-    def plus_outer(self, v: np.ndarray, weight: float) -> "LowerGram":
-        """A new ``G + weight * outer(v, v)``."""
-        panels = []
+    def add_outer(self, v: np.ndarray, weight: float) -> None:
+        """``G += weight * outer(v, v)``, in place."""
+        self._blocks = None
         for (j0, j1), p in self._pairs():
             new = np.multiply.outer(v[j0:j1], v[:j1])
             new *= weight
-            new += p
-            panels.append(new)
-        return LowerGram(self.dim, panels)
+            p += new
 
-    def ldexp(self, e: int) -> "LowerGram":
-        """A new ``G * 2**e``."""
-        return LowerGram(self.dim, [np.ldexp(p, e) for p in self._panels])
+    def ldexp(self, e: int) -> None:
+        """``G *= 2**e``, in place."""
+        self._blocks = None
+        for p in self._panels:
+            np.ldexp(p, e, out=p)
 
     def square(self) -> np.ndarray:
-        """A d x d array whose lower triangle is G's, for LAPACK's ``eigh``
-        with ``UPLO='L'``; its strict upper triangle is not G's.  The panels
-        move into it and become its views; add to G only by :meth:`add_gram_of`,
-        as a write through the square leaves the symmetric blocks stale."""
-        self._blocks = None
-        if self._square is None:
-            square = np.zeros((self.dim, self.dim))
-            for i, (j0, j1) in enumerate(_panel_bounds(self.dim)):
-                square[j0:j1, :j1] = self._panels[i]
-                self._panels[i] = square[j0:j1, :j1]
-            self._square = square
-        return self._square
+        """A new d x d array whose lower triangle is G's, for LAPACK's
+        ``eigh`` with ``UPLO='L'``; its strict upper triangle is not G's.
+        Each panel is dropped as it is copied, so G is then the square's
+        alone."""
+        square = np.zeros((self.dim, self.dim))
+        for j0, j1 in _panel_bounds(self.dim):
+            square[j0:j1, :j1] = self._panels.pop(0)
+        self._panels = self._blocks = None
+        return square
 
     def symmetric(self) -> np.ndarray:
         """G as a new symmetric d x d array, assembled from its lower triangle."""
@@ -565,9 +562,10 @@ def gram_leading(gram, policy):
     route cannot serve them accurately.
 
     ``gram`` is a :class:`LowerGram`, read through its lower panels: the
-    strict upper triangle of G is never read, and only the full ``eigh``
-    below needs G in a square.  The policy may not read the small end of
-    the spectrum (:attr:`RankPolicy.reads_small_end`).
+    strict upper triangle of G is never read.  The solve owns it: it may
+    scale G in place, and a full ``eigh`` below moves it into a square,
+    so the caller does not use it again.  The policy may not read the
+    small end of the spectrum (:attr:`RankPolicy.reads_small_end`).
 
     Returns ``(s, v, tail)``: the n leading singular values, nonincreasing,
     where n is the rank the policy selects; their right singular
@@ -596,8 +594,8 @@ def gram_leading(gram, policy):
     deep, or the trace cannot certify the gap, one full ``eigh`` gives
     both.  A Gram matrix whose largest entry lies beyond
     2**±``_PLAIN_EXPONENT`` is first divided by an even power of two just
-    above it; so every scale gives the same ranks and vectors, and values
-    scaled back exactly.
+    above it, in place; so every scale gives the same ranks and vectors,
+    and values scaled back exactly.
     """
     check_policy(policy)
     if policy.reads_small_end:
@@ -609,10 +607,11 @@ def gram_leading(gram, policy):
     e = 2 * ((peak_exponent(gram.diagonal()) + 1) // 2)
     if abs(e) <= _PLAIN_EXPONENT:
         e = 0  # every step is exact under power-of-two scaling: solve as given
-    g = gram.ldexp(-e) if e else gram
-    total = g.trace()
+    if e:
+        gram.ldexp(-e)
+    total = gram.trace()
     try:
-        lam, v, tail = _leading_block(g, total, policy) or _leading_eigh(g, policy)
+        lam, v, tail = _leading_block(gram, total, policy) or _leading_eigh(gram, policy)
     except _Declined:
         return None
     s = np.ldexp(np.sqrt(lam), e // 2)

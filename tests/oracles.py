@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from uws.spectral import LowerGram
+from uws.spectral import GRAM_PANEL_COLS, LowerGram
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,7 +178,18 @@ def lower_gram(c: np.ndarray, exponent: int = 0) -> LowerGram:
     then ``add_gram_of``."""
     gram = LowerGram.zeros(c.shape[1])
     gram.add_gram_of(c)
-    return gram.ldexp(exponent) if exponent else gram
+    if exponent:
+        gram.ldexp(exponent)
+    return gram
+
+
+def lower_gram_of(square: np.ndarray) -> LowerGram:
+    """The :class:`~uws.spectral.LowerGram` whose panels are copies of the
+    lower row panels of ``square``, each diagonal block's strict upper
+    triangle included."""
+    d = len(square)
+    return LowerGram(d, [square[j0 : j0 + GRAM_PANEL_COLS, : j0 + GRAM_PANEL_COLS].copy()
+                         for j0 in range(0, d, GRAM_PANEL_COLS)])
 
 
 def spectrum_families(d: int) -> dict:
@@ -200,27 +211,24 @@ def spectrum_families(d: int) -> dict:
 
 def full_storage_gram(x: np.ndarray, block_rows: int, width: int):
     """``(gram, mean)`` of the rows of ``x`` merged as a Gram stream merges
-    them, blocks of ``block_rows`` rows each centred on its own mean with
-    the pairwise update's spare row, but into a full d x d array whose
-    lower triangle gets one ``width``-row panel product at a time."""
-    cols = x.shape[1]
-    rows, mean, gram = 0, np.zeros(cols), np.zeros((cols, cols))
-    block = np.empty((block_rows + 1, cols))
-    for start in range(0, len(x), block_rows):
-        n_b = min(block_rows, len(x) - start)
-        block[:n_b] = x[start : start + n_b]
-        n = rows + n_b
-        m_b = block[:n_b].mean(axis=0)
-        block[:n_b] -= m_b
-        step = m_b - mean
-        block[n_b] = step * np.sqrt(rows * n_b / n)
-        merged = block[: n_b + 1]
+    them, blocks of ``block_rows`` rows less the first block's mean r, and
+    centred once by ``n (s / n) (s / n).T`` for the column sums s of the
+    rows less r, but into a full d x d array whose lower triangle gets one
+    ``width``-row panel product at a time."""
+    cols, rows = x.shape[1], len(x)
+    gram, total = np.zeros((cols, cols)), np.zeros(cols)
+    reference = x[:block_rows].mean(axis=0)
+    for start in range(0, rows, block_rows):
+        block = x[start : start + block_rows] - reference
+        total += block.sum(axis=0)
         for j0 in range(0, cols, width):
             j1 = min(j0 + width, cols)
-            gram[j0:j1, :j1] += merged[:, j0:j1].T @ merged[:, :j1]
-        mean += step * (n_b / n)
-        rows = n
-    return gram, mean
+            gram[j0:j1, :j1] += block[:, j0:j1].T @ block[:, :j1]
+    shift = total / rows
+    outer = np.multiply.outer(shift, shift)
+    outer *= -rows
+    gram += outer
+    return gram, reference + shift
 
 
 def assert_spectra_agree(got, want):
@@ -260,7 +268,8 @@ def convergence_cells_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectr
     """Reference for ``uws.theory.convergence_study``'s cells, one trial at
     a time: the lists (T, trial, op_error, subspace_error) over the (T, trial)
     cells, each ensemble drawn by ``sample_ensemble`` and its operators built
-    by the references above, and the dict of each T's ``theorem1_bounds``."""
+    by the references above, and the dict of each T's ``theorem1_bounds``
+    of the scalar eta (eta_bar = eta, eta2_bar = eta * eta)."""
     from uws.spectral import operator_norm
     from uws.tensor import finite_entries
     from uws.theory import (BoundParameters, SyntheticEnsembleConfig, sample_ensemble,
@@ -275,8 +284,8 @@ def convergence_cells_by_loop(d, k, t_grid, n_trials, *, eta=0.0, b=None, spectr
             finite_entries(ens.f_hat, "vectors")
             learned = second_moment(list(ens.f_hat))
             bounds[t] = theorem1_bounds(BoundParameters(
-                b=config.b, delta=delta, n_tasks=t, eta_bar=float(config.etas.mean()),
-                eta2_bar=float((config.etas**2).mean()),
+                b=config.b, delta=delta, n_tasks=t, eta_bar=config.eta,
+                eta2_bar=config.eta * config.eta,
                 gamma_k=config.gamma if config.gamma > 0 else None, c1=c1, c2=c2))
             cells.append((t, trial, operator_norm(learned - ens.population),
                           subspace_distance(top_k_basis(learned, k), ens.basis[:, :k])))

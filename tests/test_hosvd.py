@@ -77,7 +77,12 @@ def test_exact_subspace_centres_the_stack_it_is_handed_in_place(shape, centering
     stack = x.copy()  # exact_subspace takes the stack as its own
     got = exact_subspace(stack, policy, centering=centering, slab_extent=8)
     mu = x.mean() if centering == "global" else x.mean(axis=0)
-    assert np.array_equal(stack, x - mu) and np.array_equal(got.mu, mu)
+    want = x - mu
+    if centering == "global":  # a second pass takes out what the rounded mean left
+        rest = want.mean()
+        want -= rest
+        mu += rest
+    assert np.array_equal(stack, want) and np.array_equal(got.mu, mu)
     assert np.allclose(stack + got.mu, x, rtol=0, atol=1e-14)
 
 

@@ -146,7 +146,6 @@ CASES = {
 #: each with the reason.
 NOT_ARGUMENTS = {
     "ScreeReport.aggregate_tail": "a result record that scree_report fills",
-    "ConvergenceReport.within_task_floor": "a result record that convergence_study fills",
     "ConvergenceReport.b": "a result record that convergence_study fills",
     "SubspaceModel.slab_extent": "a record whose constructors, exact_subspace, "
                                  "GramStream.decompose and load_subspace, check it",

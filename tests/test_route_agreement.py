@@ -27,15 +27,22 @@ Two metamorphic rows hold each route to itself at the default policy:
 - scaling the stack by 2**40 (feature centring) or 2**-40 (global) keeps
   its factors (the exact route's at tau = 1) bit for bit and scales its
   singular values exactly.
+
+At 2**500, under both centrings, the stream's G lies beyond the solve's
+plain range, so the solve scales it in place and must give the unscaled
+stream's rank and factors bit for bit and its values scaled exactly; at
+2**-500 it declines.
 """
 
+import copy
 import functools
 
 import numpy as np
 import pytest
 
 from uws.hosvd import GramStream, exact_subspace
-from uws.spectral import DEFAULT_POLICY, GRAM_MIN_RATIO, RankPolicy, select_rank
+from uws.spectral import (DEFAULT_POLICY, GRAM_MIN_RATIO, GRAM_MIN_SQUARE, LowerGram, RankPolicy,
+                          select_rank)
 
 from oracles import spectrum_families
 
@@ -57,15 +64,6 @@ def _singular_values():
 
 SINGULAR_VALUES = _singular_values()
 
-# The stream centres each block on its own rounded mean and merges the
-# step between block means into G through one spare row, so the means'
-# rounding, eps * 1e6, reaches G at first order: the streamed G is off by
-# about 2e-11 * lambda_1, and under global centring the exact route's
-# rounded scalar mean is too.
-_OFFSET_DEFECT = pytest.mark.xfail(
-    strict=True, reason="a common offset costs the Gram route accuracy at first order")
-
-
 @functools.cache
 def planted_stack(name: str) -> np.ndarray:
     """A ROWS x COLS stack whose feature-centred singular values are the
@@ -80,7 +78,8 @@ def planted_stack(name: str) -> np.ndarray:
 
 
 def streamed(x: np.ndarray) -> GramStream:
-    """A Gram stream that has taken the rows of ``x`` one slab at a time."""
+    """A Gram stream that has taken the rows of ``x`` one slab at a time;
+    a stream is decomposed once, so a shared one is solved as a copy."""
     stream = GramStream(COLS)
     for start in range(0, ROWS, SLAB):
         stream.add(x[start : start + SLAB])
@@ -95,7 +94,8 @@ def deepest_model(x: np.ndarray, centering: str):
 
 @functools.cache
 def original_routes(name: str, centering: str):
-    """The planted stack's exact model at tau = 1 and its Gram stream, shared by the tests."""
+    """The planted stack's exact model at tau = 1 and its Gram stream, filled
+    and not decomposed, shared by the tests."""
     x = planted_stack(name)
     return deepest_model(x, centering), streamed(x)
 
@@ -147,11 +147,7 @@ def cell_faults(got, deepest, policy, energy: float) -> list:
 
 
 @pytest.mark.parametrize("centering", ["feature", "global"])
-@pytest.mark.parametrize(
-    "name",
-    [pytest.param(name, marks=_OFFSET_DEFECT) if name == "offset_1e6" else name
-     for name in SINGULAR_VALUES],
-)
+@pytest.mark.parametrize("name", list(SINGULAR_VALUES))
 def test_the_gram_route_declines_or_matches_the_exact_route(name, centering):
     x = planted_stack(name)
     xc = x - (x.mean(axis=0) if centering == "feature" else x.mean())
@@ -159,7 +155,7 @@ def test_the_gram_route_declines_or_matches_the_exact_route(name, centering):
     deepest, stream = original_routes(name, centering)
     faults = []
     for policy in policies(deepest.spectra[0].singular_values, deepest.ranks[0]):
-        got = stream.decompose(policy, centering=centering, slab_extent=SLAB)
+        got = copy.deepcopy(stream).decompose(policy, centering=centering, slab_extent=SLAB)
         faults += [f"{policy.describe()}: {fault}"
                    for fault in cell_faults(got, deepest, policy, energy)]
     assert not faults, "\n".join(faults)
@@ -171,17 +167,14 @@ def default_models(deepest, stream, centering: str) -> dict:
     (None where it declines)."""
     spectrum = deepest.spectra[0]
     r = select_rank(spectrum.ratios, DEFAULT_POLICY)
-    got = stream.decompose(DEFAULT_POLICY, centering=centering, slab_extent=SLAB)
+    got = copy.deepcopy(stream).decompose(DEFAULT_POLICY, centering=centering,
+                                          slab_extent=SLAB)
     return {"exact": (deepest.factors[0][:, :r], spectrum.singular_values[:r]),
             "stream": None if got is None else (got.factors[0], got.spectra[0].singular_values)}
 
 
 @pytest.mark.parametrize("centering", ["feature", "global"])
-@pytest.mark.parametrize(
-    "name",
-    [pytest.param(name, marks=_OFFSET_DEFECT) if name == "offset_1e6" else name
-     for name in SINGULAR_VALUES],
-)
+@pytest.mark.parametrize("name", list(SINGULAR_VALUES))
 def test_permuting_the_models_keeps_each_routes_rank_and_subspace(name, centering):
     x = planted_stack(name)
     order = np.random.default_rng([29, list(SINGULAR_VALUES).index(name), 1]).permutation(
@@ -221,10 +214,46 @@ def test_scaling_by_a_power_of_two_keeps_each_routes_factors_bit_for_bit(
                           np.ldexp(deepest.spectra[0].singular_values, exponent))
     got = streamed(np.ldexp(x, exponent)).decompose(DEFAULT_POLICY, centering=centering,
                                                      slab_extent=SLAB)
-    want = stream.decompose(DEFAULT_POLICY, centering=centering, slab_extent=SLAB)
+    want = copy.deepcopy(stream).decompose(DEFAULT_POLICY, centering=centering,
+                                           slab_extent=SLAB)
     assert (got is None) == (want is None)
     if want is not None:
         assert np.array_equal(got.factors[0], want.factors[0])
         assert np.array_equal(got.spectra[0].singular_values,
                               np.ldexp(want.spectra[0].singular_values, exponent))
         assert got.spectra[0].tail == np.ldexp(want.spectra[0].tail, 2 * exponent)
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize("name", list(SINGULAR_VALUES))
+def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_declined(
+        monkeypatch, name, centering):
+    x = planted_stack(name)
+    want = copy.deepcopy(original_routes(name, centering)[1]).decompose(
+        DEFAULT_POLICY, centering=centering, slab_extent=SLAB)
+    scalings, real_ldexp = [], LowerGram.ldexp
+
+    def ldexp(gram, e):
+        scalings.append(e)
+        real_ldexp(gram, e)
+
+    monkeypatch.setattr(LowerGram, "ldexp", ldexp)
+    big = streamed(np.ldexp(x, 500))
+    got = big.decompose(DEFAULT_POLICY, centering=centering, slab_extent=SLAB)
+    if name == "offset_1e6":  # 1e6 * 2**500 squared overflows
+        assert big.sumsq == np.inf and got is None
+    else:
+        assert len(scalings) == 1 and scalings[0] < -256  # beyond 2**256: scaled
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.factors[0], want.factors[0])
+            assert np.array_equal(got.spectra[0].singular_values,
+                                  np.ldexp(want.spectra[0].singular_values, 500))
+            assert got.spectra[0].tail == np.ldexp(want.spectra[0].tail, 1000)
+    tiny = streamed(np.ldexp(x, -500))
+    tiny.flush()
+    if name == "offset_1e6":  # the offset holds ||X||**2 up, but not tr G
+        assert tiny.sumsq >= GRAM_MIN_SQUARE > np.trace(tiny.gram)
+    else:
+        assert tiny.sumsq < GRAM_MIN_SQUARE
+    assert tiny.decompose(DEFAULT_POLICY, centering=centering, slab_extent=SLAB) is None

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import re
@@ -27,7 +28,8 @@ from uws.spectral import (
     select_rank,
 )
 
-from oracles import lower_gram, record_square_solves, sign_canonical, spectrum_families
+from oracles import (lower_gram, lower_gram_of, record_square_solves, sign_canonical,
+                     spectrum_families)
 
 # ------------------------------------------------------------ column_signs
 
@@ -104,11 +106,11 @@ def test_flat_spectrum_takes_one_full_eigh(monkeypatch):
     rng = np.random.default_rng(24)
     d = 384  # where a planted gap takes the block iteration (test above)
     m = planted_singular_stack(rng, 900, 1.0 + 1e-3 * rng.random(d))
-    gram = lower_gram(m)
-    full = np.linalg.eigh(gram.symmetric())[1][:, ::-1]
+    full = np.linalg.eigh(lower_gram(m).symmetric())[1][:, ::-1]
     # the Cauchy-Schwarz depth bound sends a tau policy straight to eigh;
     # a fixed rank gets there once the block iteration cannot certify it
     for policy, n in ((RankPolicy.cumulative_variance(0.95), None), (RankPolicy.fixed_k(4), 4)):
+        gram = lower_gram(m)  # a solve owns the Gram it is handed
         solves = record_square_solves(monkeypatch)
         s, v, _ = gram_leading(gram, policy)
         monkeypatch.undo()
@@ -126,10 +128,9 @@ def assert_upper_triangle_is_never_read(c, exponent, policies, rng):
     d = c.shape[1]
     for policy in policies:
         want = gram_leading(lower_gram(c, exponent), policy)
-        other = lower_gram(c, exponent)
-        other.square()[np.triu_indices(d, 1)] = np.ldexp(
-            rng.standard_normal(d * (d - 1) // 2), exponent)  # the panels are views of it
-        got = gram_leading(other, policy)
+        square = lower_gram(c, exponent).square()
+        square[np.triu_indices(d, 1)] = np.ldexp(rng.standard_normal(d * (d - 1) // 2), exponent)
+        got = gram_leading(lower_gram_of(square), policy)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -153,11 +154,12 @@ def test_lower_gram_works_from_the_lower_triangle_alone(d):
     g = lower.symmetric()
     assert np.array_equal(g, g.T)
     assert np.max(np.abs(g - c.T @ c)) <= 1e-12 * np.max(np.abs(g))
-    # noise in the square's strict upper triangle, and so in each panel's
-    # diagonal block, which is not G's, changes nothing read from it
-    square = lower.square()
+    # noise in the strict upper triangle of each panel's diagonal block,
+    # which is not G's, changes nothing read from it
+    square = lower.square()  # the panels, copied into one array and dropped
+    assert np.array_equal(np.tril(square), np.tril(g))
     square[np.triu_indices(d, 1)] = rng.standard_normal(d * (d - 1) // 2)
-    assert lower.square() is square
+    lower = lower_gram_of(square)
     assert np.array_equal(lower.symmetric(), g)
     q = rng.standard_normal((d, 3))
     assert np.max(np.abs(lower @ q - g @ q)) <= 1e-12 * np.max(np.abs(g @ q))
@@ -165,19 +167,15 @@ def test_lower_gram_works_from_the_lower_triangle_alone(d):
     assert lower.trace() == float(np.sum(np.diagonal(g)))
     assert abs(lower.frobenius_sq() - np.vdot(g, g)) <= 1e-12 * np.vdot(g, g)
     v = rng.standard_normal(d)
-    assert np.array_equal(np.tril(lower.plus_outer(v, 3.0).symmetric()),
-                          np.tril(g + 3.0 * np.multiply.outer(v, v)))
-    assert np.array_equal(lower.ldexp(-3).symmetric(), np.ldexp(g, -3))
+    lower.add_outer(v, 3.0)  # in place
+    assert np.array_equal(np.tril(lower.symmetric()), np.tril(g + 3.0 * np.multiply.outer(v, v)))
+    scaled = lower_gram_of(square)
+    scaled.ldexp(-3)  # in place
+    assert np.array_equal(scaled.symmetric(), np.ldexp(g, -3))
     square[0, d - 1] = np.inf if d > 1 else square[0, 0]
-    assert lower.all_finite()
+    assert lower_gram_of(square).all_finite()
     square[d - 1, 0] = np.nan
-    assert not lower.all_finite()
-    # panels moved into a square take later updates there
-    built = lower_gram(c)
-    square = built.square()
-    built.add_gram_of(c)
-    assert np.array_equal(np.tril(square), np.tril(built.symmetric()))
-    assert np.max(np.abs(built.symmetric() - 2 * g)) <= 1e-12 * np.max(np.abs(g))
+    assert not lower_gram_of(square).all_finite()
     assert_upper_triangle_is_never_read(c, 0, [RankPolicy.fixed_k(min(d, 4))], rng)
     assert_upper_triangle_is_never_read(c, 532, [RankPolicy.cumulative_variance(0.95)], rng)
 
@@ -196,10 +194,6 @@ def test_a_lower_gram_product_after_add_gram_of_sees_the_added_rows():
     g = a.T @ a + b.T @ b
     assert np.max(np.abs(lower @ q - g @ q)) <= 1e-12 * np.max(np.abs(g @ q))
     assert abs(lower.frobenius_sq() - np.vdot(g, g)) <= 1e-12 * np.vdot(g, g)
-    lower.square()  # drops the blocks; the panels become views of the square
-    lower.add_gram_of(b)
-    fresh.add_gram_of(b)
-    assert np.array_equal(lower @ q, fresh @ q)
 
 
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
@@ -618,9 +612,9 @@ def test_a_lapack_failure_in_the_block_iteration_falls_back_to_one_eigh(monkeypa
     lower = lower_gram(planted_singular_stack(
         rng, 900, np.r_[[100.0, 80.0, 60.0], np.geomspace(1.0, 0.1, d - 3)]))
     policy = RankPolicy.fixed_k(3)
-    block = gram_leading(lower, policy)
+    block = gram_leading(copy.deepcopy(lower), policy)  # a solve owns the Gram it is handed
     monkeypatch.setattr(spectral_module, "_leading_block", lambda *args: None)
-    one_eigh = gram_leading(lower, policy)
+    one_eigh = gram_leading(copy.deepcopy(lower), policy)
     monkeypatch.undo()
     failed = []
 

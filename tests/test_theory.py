@@ -569,6 +569,16 @@ def test_each_convergence_bound_is_theorem1_at_its_t_and_the_csv_states_it_once(
             assert f"# {key}: {value!r}\n" in text
 
 
+def test_the_reports_floor_is_every_bounds_floor_bit_for_bit():
+    # at T = 3, 20, 25 and 160 the mean of T copies of 0.2, or of their
+    # squares, is not 0.2 (or 0.2 * 0.2) to the last bit
+    report = convergence_study(d=8, k=2, t_grid=[3, 10, 20, 25, 160], n_trials=1, eta=0.2,
+                               seed=1)
+    assert report.within_task_floor == 2.0 * report.b * 0.2 + 0.2 * 0.2
+    for bounds in report.bounds.values():
+        assert bounds.within_task_floor == report.within_task_floor
+
+
 def test_convergence_study_degenerate_grid():
     report = convergence_study(d=6, k=2, t_grid=[1], n_trials=3, eta=0.0, seed=1)
     assert report.slope is None
