@@ -279,7 +279,7 @@ class GramStream:
 
     def _owned(self) -> LowerGram:
         if self._gram is None:
-            raise InvalidArgumentError("the stream was decomposed: it takes no more rows")
+            raise InvalidArgumentError("the stream was decomposed: no more rows or solves")
         return self._gram
 
     def add(self, slab) -> None:
