@@ -28,10 +28,10 @@ row panels of its centred d x d Gram matrix G = Xc.T @ Xc
   Squaring the condition number leaves s_i an absolute error of about
   eps * s_1**2 / s_i, and the feature directions at depth r an error of
   about eps * (s_1 / s_r)**2 against the exact SVD's.
-- Where that could lose accuracy a result depends on, the route declines
-  (None) and extraction stacks the rows for :func:`exact_subspace`, which
-  serves any finite stack.  :func:`gram_eligible`, :meth:`GramStream.decompose`
-  and :func:`~uws.spectral.gram_leading` each state the declines they decide.
+- The route serves a stack or declines it (None), and extraction then
+  stacks the rows for :func:`exact_subspace`, the one route that refuses
+  a stack.  :func:`gram_eligible`, :meth:`GramStream.decompose` and
+  :func:`~uws.spectral.gram_leading` each state the declines they decide.
 
 A "member" is what one contributor adds to the stack, the unit that is
 projected and rebuilt (:func:`project_slice`, :func:`reconstruct_slice`):
@@ -143,12 +143,11 @@ def _truncation(s, v, tail, policy, shape):
     return np.ascontiguousarray(v[:, :r]), spectrum
 
 
-def _require_variance(centred_norm, norm, centering: str) -> None:
-    """An ensemble whose members are (numerically) identical leaves
-    nothing behind once the mean is removed; rounding keeps the remainder
-    from being exactly zero, so compare against the input's own scale."""
-    if centred_norm <= 1e-13 * norm:
-        raise DegenerateSpectrumError(f"no variance left after {centering} centering")
+def _has_variance(centred_norm, norm) -> bool:
+    """Whether a stack of norm ``norm`` keeps variance once centred:
+    rounding keeps (numerically) identical members from centring to
+    exactly zero, so compare against the input's own scale."""
+    return centred_norm > 1e-13 * norm
 
 
 def _contract(factors, m: np.ndarray) -> np.ndarray:
@@ -188,7 +187,8 @@ def _centred(x: np.ndarray, policy, centering: str):
         rest = x.mean()
         x -= rest
         mu += rest
-    _require_variance(frobenius_norm(x), norm, centering)
+    if not _has_variance(frobenius_norm(x), norm):
+        raise DegenerateSpectrumError(f"no variance left after {centering} centering")
     return mu, x
 
 
@@ -262,7 +262,6 @@ class GramStream:
         self.total = np.zeros(self.cols)  # s, the column sums of the rows less r
         self._gram = LowerGram.zeros(self.cols)  # about r; None once decomposed
         self.sumsq = 0.0  # ||X||_F**2, the scale the variance check compares with
-        self.nonzero = False  # whether any entry is, though every square may underflow
         self._block = None  # GRAM_BLOCK_ROWS rows, made by add
         self._fill = 0
 
@@ -306,7 +305,6 @@ class GramStream:
 
     def _merge_block(self) -> None:
         block = self._block[: self._fill]
-        self.nonzero = self.nonzero or bool(np.any(block))
         with np.errstate(over="ignore", invalid="ignore"):
             self.sumsq += float(np.vdot(block, block))
             if not self.rows:
@@ -336,14 +334,15 @@ class GramStream:
         docstring: retained factors agree to about eps * (s_1 / s_r)**2
         and each singular value s_i to about eps * s_1**2 / s_i.
 
-        Returns None where the stack is not :func:`gram_eligible`, where
-        ||X||**2 overflows or is below ``GRAM_MIN_SQUARE``, and where
-        :func:`~uws.spectral.gram_leading` declines; the caller then
-        decomposes the stacked matrix with :func:`exact_subspace`, whose
-        error cases these match: a zero stack or one with no variance
-        left after centering raises DegenerateSpectrumError.  Global
-        centring adds n (m - g) (m - g).T for the grand mean g, taken as
-        mean(r) plus a remainder, so m - g keeps what g, rounded, cannot.
+        Returns None where the stack, one of no rows included, is not
+        :func:`gram_eligible`, where ||X||**2 (0 for a zero stack)
+        overflows or is below ``GRAM_MIN_SQUARE``, where no variance is
+        left after centering, and where :func:`~uws.spectral.gram_leading`
+        declines; the caller then decomposes the stacked matrix with
+        :func:`exact_subspace`, which serves or refuses it.  It raises
+        only for a bad argument or a second decompose.  Global centring
+        adds n (m - g) (m - g).T for the grand mean g, taken as mean(r)
+        plus a remainder, so m - g keeps what g, rounded, cannot.
         """
         one_of(centering, "centering", CENTERINGS)
         check_policy(policy)
@@ -352,10 +351,6 @@ class GramStream:
         self.flush()
         self._gram = None  # the solve owns G
         n, shape = self.rows, (self.rows, self.cols)
-        if n == 0:
-            raise InvalidArgumentError("no rows to decompose")
-        if not self.nonzero:
-            raise DegenerateSpectrumError("tensor is identically zero")
         if not (gram_eligible(shape, policy) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
             return None
         shift = self.total / n  # the column mean less r
@@ -366,9 +361,9 @@ class GramStream:
             spread = (self.reference - base) + shift
             gram.add_outer(spread - spread.mean(), n)
             mu = base + spread.mean()
-        _require_variance(np.sqrt(max(gram.trace(), 0.0)), np.sqrt(self.sumsq), centering)
-        found = gram_leading(gram, policy)
-        if found is None:
+        found = (_has_variance(np.sqrt(max(gram.trace(), 0.0)), np.sqrt(self.sumsq))
+                 and gram_leading(gram, policy))
+        if not found:
             return None
         factor, spectrum = _truncation(*found, policy, shape)
         return SubspaceModel(mu=mu, factors=(factor,), spectra=(spectrum,), shape=shape,

@@ -49,13 +49,6 @@ LEADING_MAX_WORK = 1.0
 #: to one ``eigh``.
 LEADING_MAX_SINE = 1e-10
 
-#: :func:`gram_leading` solves a Gram matrix whose largest entry lies
-#: within 2**±_PLAIN_EXPONENT as given: there its squares and sums of
-#: squares stay far from overflow and underflow, LAPACK's ``eigh`` does not
-#: rescale it (it does beyond about 2**±484), and every step gives results
-#: that scale exactly with the matrix, so G is left unscaled.
-_PLAIN_EXPONENT = 256
-
 #: The Gram route serves a stack only while every component it retains
 #: or reads has s_i >= GRAM_MIN_RATIO * s_1 (lambda_i >= 1e-6 *
 #: lambda_1); deeper, the error of its directions, about
@@ -399,7 +392,7 @@ def select_rank(
 
 
 class _Declined(Exception):
-    """The deepest value the policy reads is below ``GRAM_MIN_RATIO * s_1``."""
+    """The Gram route cannot serve the stack (:func:`gram_leading` says why)."""
 
 
 def _leading_eigh(g, policy):
@@ -408,11 +401,12 @@ def _leading_eigh(g, policy):
     eigenvalue below d * eps * lambda_1, the absolute error a
     backward-stable symmetric eigensolver leaves, is rounding whose sign
     and size are luck, so it is read as an exact 0.  The floor is
-    checked at depth min(k, d) for ``fixed_k(k)``, before its clamp."""
+    checked at depth min(k, d) for ``fixed_k(k)``, before its clamp; a
+    floor not met, like an ``eigh`` that fails, raises :class:`_Declined`."""
     try:
         lam, vec = np.linalg.eigh(g.square(), UPLO="L")
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("Gram eigendecomposition did not converge (LAPACK)") from exc
+        raise _Declined from exc
     lam, vec = lam[::-1], vec[:, ::-1]
     lam = np.where(lam < g.dim * _EPS * max(lam[0], 0.0), 0.0, lam)
     ratios = explained_variance(np.sqrt(lam))
@@ -562,8 +556,8 @@ def gram_leading(gram, policy):
     route cannot serve them accurately.
 
     ``gram`` is a :class:`LowerGram`, read through its lower panels: the
-    strict upper triangle of G is never read.  The solve owns it: it may
-    scale G in place, and a full ``eigh`` below moves it into a square,
+    strict upper triangle of G is never read.  The solve owns it: it
+    scales G in place, and a full ``eigh`` below moves it into a square,
     so the caller does not use it again.  The policy may not read the
     small end of the spectrum (:attr:`RankPolicy.reads_small_end`).
 
@@ -579,8 +573,9 @@ def gram_leading(gram, policy):
     absolute error of about eps * s_1**2 / s_i.  So it returns None where
     G is not finite, where tr G or s_1**2 is below ``GRAM_MIN_SQUARE``,
     and where s_n < ``GRAM_MIN_RATIO * s_1`` at the deepest value read, n
-    = min(k, d) for ``fixed_k(k)``, before its clamp: the block iteration
-    sees that by the Ky Fan bound, before any d x d solve, where it can.
+    = min(k, d) for ``fixed_k(k)``, before its clamp (the block iteration
+    sees that by the Ky Fan bound, before any d x d solve, where it can),
+    and where a full ``eigh`` fails.  It raises only for a bad policy.
 
     tr G is exact, so the policy chooses its rank from the leading
     eigenvalues and the energy left over.  Shifted block subspace
@@ -592,10 +587,10 @@ def gram_leading(gram, policy):
     ``LEADING_MAX_WORK * d**3`` flops, as for a flat spectrum, whose
     Cauchy-Schwarz depth bound (tau tr G / ||G||_F)**2 is already too
     deep, or the trace cannot certify the gap, one full ``eigh`` gives
-    both.  A Gram matrix whose largest entry lies beyond
-    2**±``_PLAIN_EXPONENT`` is first divided by an even power of two just
-    above it, in place; so every scale gives the same ranks and vectors,
-    and values scaled back exactly.
+    both.  G is first divided, in place, by the even power of two just
+    above its largest entry, on its diagonal: LAPACK's ``eigh`` never
+    rescales it, and every scale gives the same ranks and vectors, and
+    values scaled back exactly.
     """
     check_policy(policy)
     if policy.reads_small_end:
@@ -605,10 +600,7 @@ def gram_leading(gram, policy):
     if not gram.all_finite() or gram.trace() < GRAM_MIN_SQUARE:
         return None
     e = 2 * ((peak_exponent(gram.diagonal()) + 1) // 2)
-    if abs(e) <= _PLAIN_EXPONENT:
-        e = 0  # every step is exact under power-of-two scaling: solve as given
-    if e:
-        gram.ldexp(-e)
+    gram.ldexp(-e)
     total = gram.trace()
     try:
         lam, v, tail = _leading_block(gram, total, policy) or _leading_eigh(gram, policy)

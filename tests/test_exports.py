@@ -110,3 +110,13 @@ def test_records_that_hold_arrays_compare_by_identity():
     for record in records:  # a field-wise == of arrays would raise on the copy
         assert (record == record) is True
         assert (record == copy.deepcopy(record)) is False
+
+
+def test_the_gram_route_serves_or_declines_and_keeps_one_scale_path():
+    import uws.hosvd as hosvd
+    import uws.spectral as spectral
+
+    # the exact route owns every refusal; the Gram solve always scales G
+    assert not hasattr(spectral, "_PLAIN_EXPONENT")
+    assert not hasattr(hosvd, "_require_variance")
+    assert not hasattr(hosvd.GramStream(3), "nonzero")

@@ -197,8 +197,7 @@ def test_gram_stream_rejects_bad_slabs():
         stream.add(np.ones((3, 5)))
     with pytest.raises(InvalidArgumentError):
         stream.add(np.array([[1.0, np.nan, 0.0, 0.0]]))
-    with pytest.raises(InvalidArgumentError):
-        GramStream(4).decompose(TAU)
+    assert GramStream(4).decompose(TAU) is None  # no rows: the exact route refuses them
     with pytest.raises(InvalidArgumentError, match="complex"):
         stream.add(np.ones((2, 4)) * 1j)
     for cols in (-1, 0, 2.5, "3", True, None):
@@ -824,6 +823,45 @@ def test_streamed_extract_exit_codes(tmp_path, capsys):
     code = cli.main(["extract", "--models", str(tmp_path / "d" / "bad" / "*.uws"),
                      "--out", str(tmp_path / "s.uws"), "--report", str(tmp_path / "r.csv")])
     assert code == 2 and "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize("fill, problem", [
+    (0.0, "tensor is identically zero"), (0.75, "no variance left after {} centering"),
+], ids=["zero", "constant"])
+def test_a_degenerate_gram_eligible_layer_is_refused_by_the_exact_route(
+    tmp_path, capsys, fill, problem, centering
+):
+    # w stacks to 80 x 6, tall: the Gram stream declines it, and the exact
+    # route refuses it with its own message
+    models = planted_models(18, 10, shapes={"inlet": (4, 6), "w": (8, 6), "outlet": (4, 6)})
+    for m in models:
+        m.layers["w"] = np.full((8, 6), fill)
+    write_models(tmp_path / "m", models)
+    code = cli.main(["extract", "--models", str(tmp_path / "m" / "*.uws"), "--center", centering,
+                     "--out", str(tmp_path / "s.uws"), "--report", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: layer 'w': {problem.format(centering)}\n")
+
+
+def test_a_gram_eigh_that_fails_leaves_the_layer_to_the_exact_route(monkeypatch):
+    models = planted_models(20, 10, shapes={"inlet": (8, 40), "w": (8, 40), "outlet": (8, 40)},
+                            k=8)
+    policy = RankPolicy.fixed_k(5)
+    want = exact_subspace(stack_layer(models, "w"), policy, centering="feature", slab_extent=8)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    routes = Routes(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    got = extract_universal(models, ExtractionConfig(policy=policy)).layer_models["w"]
+    assert routes.counts() == {"reads": 0, "streamed": 1, "stacked": 1}
+    assert got.ranks == want.ranks == (5,)
+    assert np.array_equal(got.mu, want.mu)
+    assert np.array_equal(got.factors[0], want.factors[0])
+    assert np.array_equal(got.spectra[0].singular_values, want.spectra[0].singular_values)
 
 
 def test_streamed_extract_on_the_leading_vector_route_reruns_byte_identically(

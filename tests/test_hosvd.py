@@ -307,10 +307,12 @@ def test_the_hard_threshold_reads_the_tall_fibre_matrix_not_its_r_factor():
 @pytest.mark.parametrize("centering", ["feature", "global"])
 def test_a_constant_stack_has_no_variance_on_either_route(centering):
     x = np.full((40, 3), 2.5)  # tall enough for the Gram route to take it
+    policy = RankPolicy.cumulative_variance(0.9)
+    # the exact route owns the refusal; the stream declines and leaves it to it
     message = f"no variance left after {centering} centering"
-    for route in (exact, streamed):
-        with pytest.raises(DegenerateSpectrumError, match=message):
-            route(x, RankPolicy.cumulative_variance(0.9), centering=centering, slab_extent=4)
+    with pytest.raises(DegenerateSpectrumError, match=message):
+        exact(x, policy, centering=centering, slab_extent=4)
+    assert streamed(x, policy, centering=centering, slab_extent=4) is None
 
 
 def test_stacks_near_the_float_limit_keep_their_variance():
@@ -588,11 +590,16 @@ def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypa
     assert solves and all(order < x.shape[1] for _, order in solves)  # no d x d solve
     monkeypatch.undo()
     assert_stream_matches_exact(small, exact(x, policy))
-    # past 2**±256 the leading solve rescales the Gram matrix
-    for exponent in (300, -300):
+    # the leading solve divides G by the even power of two above its largest
+    # entry at every scale, so a power-of-two scale changes no bit of it
+    for exponent in (40, -40, 100, -100, 150, -150, 300, -300):
         big = streamed(np.ldexp(x, exponent), policy)
         assert big.ranks == small.ranks == (4,)
-        assert max_sine(big.factors[-1], small.factors[-1]) <= 1e-10
+        assert np.array_equal(big.factors[-1], small.factors[-1])
+        spectrum, want = big.spectra[-1], small.spectra[-1]
+        assert np.array_equal(spectrum.singular_values,
+                              np.ldexp(want.singular_values, exponent))
+        assert spectrum.tail == np.ldexp(want.tail, 2 * exponent)
     # at 2**±532 the squares leave the range the stream accepts, and the
     # exact route serves the stack
     for exponent in (532, -532):

@@ -3,7 +3,9 @@ decomposed as the exact route decomposes it.
 
 Each stack is streamed through :meth:`~uws.hosvd.GramStream.decompose`
 and decomposed by :func:`~uws.hosvd.exact_subspace`, under both centrings
-and every rank policy the Gram route takes.  Under any of these policies
+and every rank policy the Gram route takes: tall (600 x 160) and square
+(160 x 160) stacks, cell by cell, and wide ones (120 x 160), which the
+Gram route declines as not ``gram_eligible``.  Under any of these policies
 the exact route keeps the leading columns and values of one thin SVD, so
 one decomposition at tau = 1 (the numerical rank) gives each policy's
 exact model, its rank chosen by the same ``select_rank``.  A cell is one stack,
@@ -28,10 +30,10 @@ Two metamorphic rows hold each route to itself at the default policy:
   its factors (the exact route's at tau = 1) bit for bit and scales its
   singular values exactly.
 
-At 2**500, under both centrings, the stream's G lies beyond the solve's
-plain range, so the solve scales it in place and must give the unscaled
-stream's rank and factors bit for bit and its values scaled exactly; at
-2**-500 it declines.
+At 2**500, under both centrings, the solve divides the stream's G by the
+power of two above its largest entry, as at every scale, and must give
+the unscaled stream's rank and factors bit for bit and its values scaled
+exactly; at 2**-500 it declines.
 """
 
 import copy
@@ -40,7 +42,7 @@ import functools
 import numpy as np
 import pytest
 
-from uws.hosvd import GramStream, exact_subspace
+from uws.hosvd import GramStream, exact_subspace, gram_eligible
 from uws.spectral import (DEFAULT_POLICY, GRAM_MIN_RATIO, GRAM_MIN_SQUARE, LowerGram, RankPolicy,
                           select_rank)
 
@@ -65,15 +67,17 @@ def _singular_values():
 SINGULAR_VALUES = _singular_values()
 
 @functools.cache
-def planted_stack(name: str) -> np.ndarray:
-    """A ROWS x COLS stack whose feature-centred singular values are the
-    planted ones, with a random mean row (so the centrings differ) and,
-    for ``offset_1e6``, 1e6 added to every entry.  Shared: not to be written."""
+def planted_stack(name: str, rows: int = ROWS) -> np.ndarray:
+    """A ``rows`` x COLS stack whose feature-centred singular values are the
+    planted ones, the leading rows - 1 of them where that is fewer than
+    COLS, with a random mean row (so the centrings differ) and, for
+    ``offset_1e6``, 1e6 added to every entry.  Shared: not to be written."""
     rng = np.random.default_rng([29, list(SINGULAR_VALUES).index(name)])
-    g = rng.standard_normal((ROWS, COLS))
-    u = np.linalg.qr(g - g.mean(axis=0))[0]  # orthogonal to the ones vector
-    v = np.linalg.qr(rng.standard_normal((COLS, COLS)))[0]
-    x = (u * SINGULAR_VALUES[name]) @ v.T + 1e-3 * rng.standard_normal(COLS)
+    g = rng.standard_normal((rows, COLS))
+    m = min(rows - 1, COLS)
+    u = np.linalg.qr(g - g.mean(axis=0))[0][:, :m]  # orthogonal to the ones vector
+    v = np.linalg.qr(rng.standard_normal((COLS, COLS)))[0][:, :m]
+    x = (u * SINGULAR_VALUES[name][:m]) @ v.T + 1e-3 * rng.standard_normal(COLS)
     return x + 1e6 if name == "offset_1e6" else x
 
 
@@ -81,7 +85,7 @@ def streamed(x: np.ndarray) -> GramStream:
     """A Gram stream that has taken the rows of ``x`` one slab at a time;
     a stream is decomposed once, so a shared one is solved as a copy."""
     stream = GramStream(COLS)
-    for start in range(0, ROWS, SLAB):
+    for start in range(0, len(x), SLAB):
         stream.add(x[start : start + SLAB])
     return stream
 
@@ -146,19 +150,42 @@ def cell_faults(got, deepest, policy, energy: float) -> list:
     return faults
 
 
-@pytest.mark.parametrize("centering", ["feature", "global"])
-@pytest.mark.parametrize("name", list(SINGULAR_VALUES))
-def test_the_gram_route_declines_or_matches_the_exact_route(name, centering):
-    x = planted_stack(name)
+def assert_cells(x: np.ndarray, deepest, stream: GramStream, centering: str) -> None:
+    """Every policy's cell of the stack ``x``, whose exact model at tau = 1
+    is ``deepest`` and whose filled Gram stream is ``stream``."""
     xc = x - (x.mean(axis=0) if centering == "feature" else x.mean())
     energy = float(np.vdot(xc, xc))
-    deepest, stream = original_routes(name, centering)
     faults = []
     for policy in policies(deepest.spectra[0].singular_values, deepest.ranks[0]):
         got = copy.deepcopy(stream).decompose(policy, centering=centering, slab_extent=SLAB)
         faults += [f"{policy.describe()}: {fault}"
                    for fault in cell_faults(got, deepest, policy, energy)]
     assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize("name", list(SINGULAR_VALUES))
+def test_the_gram_route_declines_or_matches_the_exact_route(name, centering):
+    assert_cells(planted_stack(name), *original_routes(name, centering), centering)
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize("name", list(SINGULAR_VALUES))
+def test_a_square_stack_declines_or_matches_the_exact_route(name, centering):
+    # COLS x COLS: feature centring leaves at most COLS - 1 values, so the
+    # deepest fixed_k cells read a zero and decline
+    x = planted_stack(name, COLS)
+    assert_cells(x, deepest_model(x, centering), streamed(x), centering)
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+def test_a_wide_stack_is_declined_as_not_gram_eligible(centering):
+    for name in SINGULAR_VALUES:
+        x = planted_stack(name, COLS - 40)
+        deepest = deepest_model(x, centering)
+        for policy in policies(deepest.spectra[0].singular_values, deepest.ranks[0]):
+            assert not gram_eligible(x.shape, policy), (name, policy)
+            assert streamed(x).decompose(policy, centering=centering, slab_extent=SLAB) is None
 
 
 def default_models(deepest, stream, centering: str) -> dict:
@@ -243,7 +270,7 @@ def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_dec
     if name == "offset_1e6":  # 1e6 * 2**500 squared overflows
         assert big.sumsq == np.inf and got is None
     else:
-        assert len(scalings) == 1 and scalings[0] < -256  # beyond 2**256: scaled
+        assert len(scalings) == 1 and scalings[0] < -256  # G is scaled once, in place
         assert (got is None) == (want is None)
         if want is not None:
             assert np.array_equal(got.factors[0], want.factors[0])
