@@ -243,7 +243,8 @@ def cmd_extract(args):
         energy = float(np.sum(model.spectra[-1].ratios[:rank]))
         defect = orthonormality_defect(model.factors[-1])
         # the feature-mode unfolding's full component count, stored or not
-        count = min(model.shape[-1], int(np.prod(model.shape[:-1])))
+        rows, cols = u.layer_shapes[name]
+        count = min(cols, len(u.provenance) * rows)
         print(f"  {name}: rank {rank} of {count}, "
               f"retained energy {energy:.6f}, orthonormality defect {defect:.1e}")
     print(f"report: {args.report}")

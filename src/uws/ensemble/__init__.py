@@ -11,13 +11,13 @@ non-stacking factors (``U/``), their leading spectra
 Coefficient files use ``coef/`` (per layer, r x k for order-2 stacking
 and k_2 x k_3 for order 3) and ``raw/``.  Either file's meta keeps only
 what its entries cannot say; the loaders derive the rest (included
-layers, stack shapes, ranks, ratios, ids) and refuse any entry or meta
-key that the writers do not write.
+layers, ranks, ratios, ids) and refuse any entry or meta key that the
+writers do not write.
 """
 
 from collections.abc import Mapping, MutableMapping
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from types import MappingProxyType
 
@@ -228,8 +228,9 @@ def _require_layers(owner: str, shapes: dict, expected: dict, reference: str) ->
 
 
 class _Stack:
-    """The exact route's stream: one float64 T x r x d array that :meth:`add`
-    fills a slab at a time and :meth:`decompose` centres in place through
+    """The exact route's stream (``add(slab)``, ``decompose(policy, *,
+    centering)``): one float64 T x r x d array that :meth:`add` fills a slab
+    at a time and :meth:`decompose` centres in place through
     :func:`~uws.hosvd.exact_subspace`, as ``x``: its (T*r) x d rows at order 2."""
 
     def __init__(self, n_models: int, shape: tuple, order: int):
@@ -240,8 +241,8 @@ class _Stack:
     def add(self, slab) -> None:
         next(self._slots)[...] = slab
 
-    def decompose(self, policy, *, centering, slab_extent) -> SubspaceModel:
-        return exact_subspace(self.x, policy, centering=centering, slab_extent=slab_extent)
+    def decompose(self, policy, *, centering) -> SubspaceModel:
+        return exact_subspace(self.x, policy, centering=centering)
 
 
 def stack_layer(models, layer: str, order: int = 2) -> np.ndarray:
@@ -282,8 +283,8 @@ class ExtractionConfig:
 
     ``exclude_layers=None`` applies the default rule (drop the first and
     last layer of the shared layer list); pass a tuple or list of names —
-    possibly empty — to override it.  An extracted subspace's config
-    holds the resolved names, in layer order, as its saved file does.
+    possibly empty — to override it.  An extracted subspace keeps the
+    policy and architecture id; its layer models and shapes give the rest.
     """
 
     policy: RankPolicy = DEFAULT_POLICY
@@ -308,15 +309,17 @@ class ExtractionConfig:
 @dataclass
 class UniversalSubspace:
     """Per-layer subspace models plus the bookkeeping needed to project
-    arbitrary models of the same architecture: the ids of the models it
-    was extracted from and the architecture's layers, in order, each
-    mapped to its (rows, cols) shape; the layers with a model are the
-    included ones and the rest are excluded."""
+    arbitrary models of the same architecture: the architecture's layers,
+    in order, each mapped to its (rows, cols) shape, the ids of the
+    models it was extracted from, the rank policy and the architecture
+    id.  The layers with a model are the included ones and the rest are
+    excluded; the stacking order and centering are the layer models'."""
 
     layer_models: dict
-    config: ExtractionConfig
-    provenance: list
     layer_shapes: dict
+    provenance: list
+    policy: RankPolicy
+    architecture_id: str
 
     @property
     def included_layers(self) -> list:
@@ -327,8 +330,13 @@ class UniversalSubspace:
         return [name for name in self.layer_shapes if name not in self.layer_models]
 
     @property
-    def architecture_id(self) -> str:
-        return self.config.architecture_id
+    def order(self) -> int:
+        return next(iter(self.layer_models.values())).order
+
+    @property
+    def centering(self) -> str:
+        """"global" where the mean is one scalar, else "feature"."""
+        return "global" if np.ndim(next(iter(self.layer_models.values())).mu) == 0 else "feature"
 
 
 def _partition_layers(first, config):
@@ -397,8 +405,6 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
         raise InvalidArgumentError("cannot extract a subspace from zero models")
     head = _read(models[0], ())
     included = _partition_layers(head, config)
-    # the resolved exclusion, in layer order, as the saved file states it
-    config = replace(config, exclude_layers=tuple(n for n in head.shapes if n not in included))
     layer_models, ids = {}, []  # ids: the models' ids, as the first pass read them
     for name in included:
         for make in _routes(head.shapes[name], len(models), config):
@@ -417,14 +423,14 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
                 stream.add(model.layers[name])
                 del model  # free its payload before the next model is read
             try:
-                layer_models[name] = stream.decompose(
-                    config.policy, centering=config.centering, slab_extent=head.shapes[name][0])
+                layer_models[name] = stream.decompose(config.policy, centering=config.centering)
             except DegenerateSpectrumError as exc:
                 raise DegenerateSpectrumError(f"layer {name!r}: {exc}") from exc
             del stream  # a declined stream is freed before the next one is made
             if layer_models[name] is not None:
                 break
-    return UniversalSubspace(layer_models, config, ids, dict(head.shapes))
+    return UniversalSubspace(layer_models, dict(head.shapes), ids, config.policy,
+                             config.architecture_id)
 
 
 # ---------------------------------------------------------------- scree report
@@ -509,7 +515,7 @@ def reconstruct_model(u: UniversalSubspace, coeffs: CoefficientSet) -> ModelWeig
     coefficient shape for exactly the included layers and a ``raw/L``
     matrix of the layer's shape for exactly the excluded ones, or
     InvalidArgumentError is raised."""
-    expected = {f"coef/{name}": (m.slab_extent, *m.ranks) if m.order == 2 else m.ranks
+    expected = {f"coef/{name}": (u.layer_shapes[name][0], *m.ranks) if m.order == 2 else m.ranks
                 for name, m in u.layer_models.items()}
     expected.update((f"raw/{name}", u.layer_shapes[name]) for name in u.excluded_layers)
     shapes = {f"coef/{name}": np.shape(c.coeffs) for name, c in coeffs.coefficients.items()}
@@ -739,9 +745,9 @@ def adapt_coefficients(
     explicitly (counted in ``explicit_loss_epochs``).
 
     Returns ``(SliceCoefficients, report)`` where the report carries the
-    fitted layer matrix, residual norms, the normal-matrix spectrum bound
-    and condition number (lmax / lmin of the same ``eigvalsh``, inf when
-    lmin is not positive), and the trainable-parameter accounting.
+    residual norms, the normal-matrix spectrum bound and condition number
+    (lmax / lmin of the same ``eigvalsh``, inf when lmin is not positive),
+    the trainable-parameter accounting and, for ``gradient``, the loss curve.
     """
     if layer not in u.included_layers:
         raise InvalidArgumentError(f"layer {layer!r} is not part of the subspace")
@@ -761,7 +767,7 @@ def adapt_coefficients(
     ridge = real_in(ridge, "ridge", *NONNEGATIVE)
     basis = model.factors[-1]
     d, k = basis.shape
-    rows = model.slab_extent
+    rows = u.layer_shapes[layer][0]
     if x.shape[1] != d:
         raise InvalidArgumentError(f"inputs have width {x.shape[1]}, layer expects {d}")
     if y.shape[1] != rows:
@@ -784,10 +790,7 @@ def adapt_coefficients(
             )
     rhs = z.T @ resid_target
     report = {
-        "method": method,
-        "layer": layer,
         "basis_rank": k,
-        "coefficient_shape": [rows, k],
         "trainable_params": k,
         "full_params": rows * d,
         "normal_matrix_lmax": lmax,
@@ -812,10 +815,8 @@ def adapt_coefficients(
             raise NumericalFailureError(f"gradient descent diverged at lr = {lr!r} "
                                         f"(stable below {report['stable_lr_bound']!r})")
         report.update(lr=lr, epochs=epochs, loss_curve=losses, explicit_loss_epochs=explicit)
-    coeffs = SliceCoefficients(coeffs=ct.T.copy())
-    report["reconstructed"] = reconstruct_slice(model, coeffs)
     report["residual_norm"] = float(np.linalg.norm(z @ ct - resid_target))
-    return coeffs, report
+    return SliceCoefficients(coeffs=ct.T.copy()), report
 
 
 # --------------------------------------------------------------- subspace files
@@ -849,9 +850,9 @@ def save_subspace(u: UniversalSubspace, path) -> None:
         "kind": "subspace",
         "format_version": SUBSPACE_FORMAT_VERSION,
         "provenance": list(u.provenance),
-        "centering": u.config.centering,
-        "policy": asdict(u.config.policy),
-        "order": u.config.order,
+        "centering": u.centering,
+        "policy": asdict(u.policy),
+        "order": u.order,
         "layers": {name: list(shape) for name, shape in u.layer_shapes.items()},
     }
     write_container(path, u.architecture_id, entries, meta=meta)
@@ -971,7 +972,6 @@ def load_subspace(path) -> UniversalSubspace:
             policy=RankPolicy(**meta["policy"]),
             order=meta["order"],
             centering=meta["centering"],
-            exclude_layers=tuple(name for name in layer_shapes if name not in included),
             architecture_id=doc.model_id,
         )
         modes, t = range(2, config.order + 1), len(provenance)
@@ -996,10 +996,10 @@ def load_subspace(path) -> UniversalSubspace:
                 _spectrum(entries, name, n, f.shape[1], (extent, size // extent), config.policy)
                 for n, f, extent in zip(modes, factors, shape[1:])
             )
-            layer_models[name] = SubspaceModel(
-                mu=mu, factors=factors, spectra=spectra, shape=shape, slab_extent=rows)
+            layer_models[name] = SubspaceModel(mu=mu, factors=factors, spectra=spectra)
         _only(entries, (), "subspace container")  # _take removed every entry it read
-        return UniversalSubspace(layer_models, config, provenance, layer_shapes)
+        return UniversalSubspace(layer_models, layer_shapes, provenance, config.policy,
+                                 config.architecture_id)
 
 
 def save_coefficients(c: CoefficientSet, path) -> None:

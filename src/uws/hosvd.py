@@ -37,7 +37,9 @@ A "member" is what one contributor adds to the stack, the unit that is
 projected and rebuilt (:func:`project_slice`, :func:`reconstruct_slice`):
 an r x d matrix, a slab of rows of an order-2 stack or one index of the
 stacking mode of an order-3 one.  New members are expressed in the
-shared basis.
+shared basis.  A :class:`SubspaceModel` holds no stack shape: a member
+is checked against its factors' rows, and the layer shapes that stacks
+were built from are :mod:`uws.ensemble`'s.
 """
 
 from __future__ import annotations
@@ -94,24 +96,22 @@ class ModeSpectrum:
 
 @dataclass(eq=False)
 class SubspaceModel:
-    """What a subspace file holds of a decomposed stack of ``shape``: the
-    mean (a scalar under global centering, whose kind its shape says), the
-    orthonormal factors of the non-stacking modes in mode order (``(V,)``
-    for order 2, ``(U2, U3)`` for order 3, so ``factors[-1]`` is the
-    feature basis), one :class:`ModeSpectrum` per factor and the rows of
-    one member's slab.  :class:`GramStream`, :func:`exact_subspace` and
-    a subspace file all give one; it projects and rebuilds members.
+    """What a subspace file holds of one decomposed stack: the mean (a
+    scalar under global centering, one stacked row or one member under
+    feature centering), the orthonormal factors of the non-stacking modes
+    in mode order (``(V,)`` for order 2, ``(U2, U3)`` for order 3, so
+    ``factors[-1]`` is the feature basis) and one :class:`ModeSpectrum`
+    per factor.  :class:`GramStream`, :func:`exact_subspace` and a
+    subspace file all give one; it projects and rebuilds members.
     """
 
     mu: np.ndarray
     factors: tuple[np.ndarray, ...]
     spectra: tuple[ModeSpectrum, ...]
-    shape: tuple[int, ...]
-    slab_extent: int | None
 
     @property
     def order(self) -> int:
-        return len(self.shape)
+        return len(self.factors) + 1
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -166,11 +166,6 @@ def _expand(factors, c: np.ndarray) -> np.ndarray:
     return u2 @ c @ u3.T
 
 
-def _slab_extent(slab_extent) -> int | None:
-    """A stack's ``slab_extent``, None (not set) or an int >= 1."""
-    return None if slab_extent is None else int_at_least(slab_extent, "slab_extent", 1)
-
-
 def _centred(x: np.ndarray, policy, centering: str):
     """The mean of the float64 tensor ``x`` and ``x`` itself, centred in
     place: ``global`` subtracts the scalar mean of all entries, ``feature``
@@ -217,7 +212,7 @@ def _mode_factor(xc: np.ndarray, mode: int, policy):
     return _truncation(s, vt.T * column_signs(vt.T), 0.0, policy, rows.shape)
 
 
-def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -> SubspaceModel:
+def exact_subspace(x, policy: RankPolicy, *, centering: str) -> SubspaceModel:
     """What a subspace file holds of the stack ``x``, by the exact route
     alone: the mean, and each non-stacking mode's truncated factor and
     spectrum from one thin SVD of its fibres laid out as rows (the
@@ -225,12 +220,10 @@ def exact_subspace(x, policy: RankPolicy, *, centering: str, slab_extent: int) -
     of order 3).  A float64 ``x`` is centred in place (pass a copy to
     keep it).
     """
-    slab_extent = _slab_extent(slab_extent)
     mu, xc = _centred(as_tensor(x, "x"), policy, centering)
     # each mode's singular vectors are dropped before the next mode's SVD
     factors, spectra = zip(*(_mode_factor(xc, m, policy) for m in range(2, xc.ndim + 1)))
-    return SubspaceModel(mu=mu, factors=factors, spectra=spectra, shape=xc.shape,
-                         slab_extent=slab_extent)
+    return SubspaceModel(mu=mu, factors=factors, spectra=spectra)
 
 
 class GramStream:
@@ -322,11 +315,7 @@ class GramStream:
         self._block = None
 
     def decompose(
-        self,
-        policy: RankPolicy = DEFAULT_POLICY,
-        *,
-        centering: str = "feature",
-        slab_extent: int | None = None,
+        self, policy: RankPolicy = DEFAULT_POLICY, *, centering: str = "feature"
     ) -> SubspaceModel | None:
         """The truncated subspace of the rows added, found on the Gram route
         (:func:`~uws.spectral.gram_leading`).  It matches :func:`exact_subspace`
@@ -346,7 +335,6 @@ class GramStream:
         """
         one_of(centering, "centering", CENTERINGS)
         check_policy(policy)
-        slab_extent = _slab_extent(slab_extent)
         gram = self._owned()
         self.flush()
         self._gram = None  # the solve owns G
@@ -366,14 +354,21 @@ class GramStream:
         if not found:
             return None
         factor, spectrum = _truncation(*found, policy, shape)
-        return SubspaceModel(mu=mu, factors=(factor,), spectra=(spectrum,), shape=shape,
-                             slab_extent=slab_extent)
+        return SubspaceModel(mu=mu, factors=(factor,), spectra=(spectrum,))
+
+
+def _fits(shape, extents) -> bool:
+    """Whether a member or coefficient block of ``shape`` fits the factors'
+    ``extents`` (their rows or their widths): exactly for the two factors
+    of order 3, any rows of ``extents`` columns for the one of order 2,
+    where a slab keeps its rows."""
+    return shape == extents if len(extents) == 2 else (len(shape) == 2 and shape[1:] == extents)
 
 
 def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
-    """Express one member M, an r x d slab of an order-2 stack (r =
-    ``slab_extent`` when set) or a matrix of shape ``shape[1:]`` of an
-    order-3 one, in the factor basis.
+    """Express one member M in the factor basis: an r x d slab of an
+    order-2 stack, any r, or an r x d matrix of an order-3 one, where d
+    (and r at order 3) are the factors' rows.
 
     ``(M - mu) @ V`` for order 2, ``U2.T @ (M - mu) @ U3`` for order 3;
     the projection is orthogonal, so among all subspace members the
@@ -381,14 +376,11 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
     A member of another shape or not finite raises InvalidArgumentError.
     """
     member = as_tensor(member, "member")
-    if model.order == 3:
-        want = model.shape[1:]
-    else:
-        want = (model.slab_extent or member.shape[0], *model.shape[1:])
-    if member.shape != want:
+    extents = tuple(f.shape[0] for f in model.factors)
+    if not _fits(member.shape, extents):
         raise InvalidArgumentError(
-            f"member of shape {member.shape} does not fit stack shape {model.shape}: "
-            f"expected {want}"
+            f"member of shape {member.shape} does not fit the factor rows {extents} "
+            f"of an order-{model.order} stack"
         )
     finite_entries(member, "member")
     t = member - np.asarray(model.mu)
@@ -397,18 +389,14 @@ def project_slice(model: SubspaceModel, member) -> SliceCoefficients:
 
 def reconstruct_slice(model: SubspaceModel, coeffs: SliceCoefficients) -> np.ndarray:
     """``C @ V.T + mu`` for order 2, ``U2 @ C @ U3.T + mu`` for order 3.
-    Order-2 coefficients keep the member's rows, ``slab_extent`` of them
-    when it is set; others, or ones not finite, raise InvalidArgumentError."""
+    Order-2 coefficients keep the member's rows, any number of them;
+    others not of the retained ranks, or not finite, raise InvalidArgumentError."""
     arr = as_real(coeffs.coeffs, "coefficients")
     ranks = model.ranks
-    if model.order == 3:
-        want = ranks
-    else:  # an order-2 slab keeps its rows
-        want = (model.slab_extent or (arr.shape[0] if arr.ndim == 2 else -1), *ranks)
-    if arr.shape != want:
+    if not _fits(arr.shape, ranks):
         raise InvalidArgumentError(
             f"coefficients of shape {arr.shape} do not fit retained ranks {ranks} "
-            f"of an order-{model.order} stack: expected {want}"
+            f"of an order-{model.order} stack"
         )
     finite_entries(arr, "coefficients")
     return _expand(model.factors, arr) + np.asarray(model.mu)

@@ -98,7 +98,7 @@ def test_01_full_rank_decomposition_reconstructs_exactly():
         shape = tuple(int(s) for s in rng.integers(2, 33, size=order))
         x = rng.standard_normal(shape)
         model = exact_subspace(x.copy(), RankPolicy.cumulative_variance(1.0),
-                               centering="feature", slab_extent=1)
+                               centering="feature")
         # every member, one stacked row of order 2 or one matrix of order 3
         members = x if order == 3 else x[:, None]
         rec = np.stack([reconstruct_slice(model, project_slice(model, m)) for m in members])
@@ -127,8 +127,7 @@ def test_02_truncation_matches_best_rank_k():
         scale = float(np.linalg.norm(xc))
         for k in range(1, min(r, c) + 1):
             # the whole matrix is one member, rebuilt through the rank-k basis
-            model = exact_subspace(x.copy(), RankPolicy.fixed_k(k), centering="global",
-                                   slab_extent=r)
+            model = exact_subspace(x.copy(), RankPolicy.fixed_k(k), centering="global")
             rec = reconstruct_slice(model, project_slice(model, x))
             err = float(np.linalg.norm(rec - x))
             worst = max(worst, abs(err - best_rank_k_error(xc, k)) / scale)
@@ -149,8 +148,7 @@ def test_03_vector_stacks_reduce_to_principal_components():
         d = int(rng.integers(5, 17))
         k = int(rng.integers(2, min(d, 6)))
         x = rng.standard_normal((t, d))
-        model = exact_subspace(x.copy(), RankPolicy.fixed_k(k), centering="feature",
-                               slab_extent=1)
+        model = exact_subspace(x.copy(), RankPolicy.fixed_k(k), centering="feature")
         got = model.factors[-1]
         xc = x - x.mean(axis=0, keepdims=True)
         w, v = np.linalg.eigh(xc.T @ xc)
@@ -431,7 +429,7 @@ def test_12_coefficient_fits_agree_and_recover_planted_targets():
     layer = "block0"
     model = u.layer_models[layer]
     basis = model.factors[-1]
-    rows, d, k = model.slab_extent, basis.shape[0], basis.shape[1]
+    rows, d, k = u.layer_shapes[layer][0], basis.shape[0], basis.shape[1]
     rng = np.random.default_rng(1201)
     mu_slab = np.broadcast_to(np.asarray(model.mu).reshape(1, -1), (rows, d))
     target = mu_slab + rng.standard_normal((rows, k)) @ basis.T

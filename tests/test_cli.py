@@ -190,7 +190,8 @@ def test_extract_prints_layer_health(tmp_path, capsys):
         model = u.layer_models[name]
         rank = model.ranks[-1]
         # N counts every component of the stack, stored or not
-        prefix = f"  {name}: rank {rank} of {min(model.shape)}, "
+        rows, cols = u.layer_shapes[name]
+        prefix = f"  {name}: rank {rank} of {min(len(u.provenance) * rows, cols)}, "
         assert line.startswith(prefix)
         energy = float(line.split("retained energy ")[1].split(",")[0])
         assert abs(energy - model.spectra[-1].ratios[:rank].sum()) < 1e-6
@@ -553,7 +554,7 @@ def test_order3_pipeline_rebuilds_within_the_planted_bound(tmp_path, capsys, cen
     first = _order3_pipeline(tmp_path, pattern, str(paths[0]), center, capsys)
     assert _order3_pipeline(tmp_path, pattern, str(paths[0]), center, capsys) == first
     u = load_subspace(tmp_path / "s.uws")
-    assert u.config.order == 3 and u.included_layers == ["block0", "block1"]
+    assert u.order == 3 and u.included_layers == ["block0", "block1"]
     coeffs = load_coefficients(tmp_path / "c.uws")
     for name in u.included_layers:  # k2 x k3, no stacking axis
         assert coeffs.coefficients[name].coeffs.shape == u.layer_models[name].ranks

@@ -298,6 +298,27 @@ def test_write_into_an_existing_directory_names_it_and_leaves_no_temp_file(tmp_p
     assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
+def test_a_temp_name_that_is_taken_is_drawn_again(monkeypatch, tmp_path):
+    target = tmp_path / "x.uws"
+    taken = tmp_path / f".x.uws.{bytes(8).hex()}.tmp"
+    taken.write_bytes(b"someone else's")
+    draws = iter([bytes(8), b"\x01" * 8])  # the first draw names the taken file
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    write_container(target, "m", [("w", np.ones((1, 1)))])
+    assert next(draws, None) is None  # drawn twice
+    assert taken.read_bytes() == b"someone else's"
+    assert sorted(tmp_path.iterdir()) == sorted([taken, target])
+    assert read_container(target).model_id == "m"
+
+
+def test_write_into_a_missing_directory_names_the_destination(tmp_path):
+    target = tmp_path / "absent" / "x.uws"
+    with pytest.raises(FileNotFoundError) as caught:
+        write_container(target, "m", [("w", np.ones((1, 1)))])
+    assert caught.value.filename == str(target)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------- fuzz
 
 

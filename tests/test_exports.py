@@ -76,6 +76,25 @@ def test_records_keep_only_what_they_cannot_derive():
                 if name in cls.__dataclass_fields__ or not hasattr(cls, name)]
 
 
+def test_a_layer_model_is_its_file_entries_and_a_subspace_states_each_fact_once():
+    import uws.ensemble as ensemble
+    import uws.hosvd as hosvd
+
+    # a layer model is its mu/, U/ and ledger/ entries; the meta's facts are the subspace's
+    assert tuple(hosvd.SubspaceModel.__dataclass_fields__) == ("mu", "factors", "spectra")
+    assert tuple(ensemble.UniversalSubspace.__dataclass_fields__) == (
+        "layer_models", "layer_shapes", "provenance", "policy", "architecture_id")
+    retired = {hosvd.SubspaceModel: {"shape", "slab_extent"},
+               ensemble.UniversalSubspace: {"config"}}
+    assert not [(cls, name) for cls, names in retired.items() for name in names
+                if name in cls.__dataclass_fields__ or hasattr(cls, name)]
+    assert not hasattr(hosvd, "_slab_extent")
+    derived = {hosvd.SubspaceModel: {"order", "ranks"},
+               ensemble.UniversalSubspace: {"order", "centering", "excluded_layers"}}
+    assert not [(cls, name) for cls, names in derived.items() for name in names
+                if name in cls.__dataclass_fields__ or not hasattr(cls, name)]
+
+
 def test_the_exact_route_takes_its_own_svd_and_the_wrapper_is_retired():
     import uws.hosvd as hosvd
     import uws.spectral as spectral

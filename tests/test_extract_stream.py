@@ -76,14 +76,8 @@ def max_sine(a, b):
 def assert_matches_stacked(u, models):
     for name in u.included_layers:
         got = u.layer_models[name]
-        want = exact_subspace(
-            stack_layer(models, name),
-            u.config.policy,
-            centering=u.config.centering,
-            slab_extent=models[0].layers[name].shape[0],
-        )
-        assert got.shape == want.shape and got.slab_extent == want.slab_extent
-        assert got.ranks == want.ranks
+        want = exact_subspace(stack_layer(models, name), u.policy, centering=u.centering)
+        assert got.order == want.order and got.ranks == want.ranks
         assert max_sine(got.factors[-1], want.factors[-1]) <= 1e-10
         for g, w in zip(got.spectra, want.spectra, strict=True):
             assert_spectra_agree(g, w)
@@ -161,7 +155,7 @@ def test_gram_stream_blocks_do_not_change_the_result():
     xc = x - x.mean(axis=0)
     s = np.linalg.svd(xc, compute_uv=False)
     for model in (a, b):
-        assert model.shape == x.shape
+        assert model.order == 2 and model.factors[0].shape[0] == x.shape[1]
         spec = model.spectra[-1]
         n = spec.singular_values.size
         assert np.max(np.abs(spec.singular_values - s[:n])) <= 1e-12 * s[0]
@@ -311,7 +305,7 @@ def test_global_centring_on_a_stream_matches_the_stacked_route():
     x = rng.standard_normal((2 * GRAM_BLOCK_ROWS + 37, 6)) @ basis.T * 10 + 3.0
     x += 0.01 * rng.standard_normal(x.shape) + rng.standard_normal(cols)
     got = streamed(x).decompose(TAU, centering="global")
-    want = exact_subspace(x.copy(), TAU, centering="global", slab_extent=1)
+    want = exact_subspace(x.copy(), TAU, centering="global")
     assert got.ranks == want.ranks
     assert max_sine(got.factors[-1], want.factors[-1]) <= 1e-10
     for g, w in zip(got.spectra, want.spectra, strict=True):
@@ -395,7 +389,6 @@ def test_exact_route_cases_read_once_and_stack(monkeypatch, tmp_path, config, sh
             stack_layer(models, name, order=config.order),
             config.policy,
             centering="feature",
-            slab_extent=shapes[name][0],
         )
         for g, w in zip(model.factors, want.factors, strict=True):
             assert np.array_equal(g, w)
@@ -514,9 +507,10 @@ def test_each_decline_falls_back_to_the_exact_route_byte_identically(
     u = extract_universal(models, config)
     assert seen == declines
     assert routes.counts() == {"reads": 0, "streamed": 1, "stacked": 1}
-    exact = exact_subspace(x.copy(), policy, centering="feature", slab_extent=rows)
+    exact = exact_subspace(x.copy(), policy, centering="feature")
     assert u.layer_models["w"].ranks == exact.ranks
-    want = UniversalSubspace({"w": exact}, config, u.provenance, u.layer_shapes)
+    want = UniversalSubspace({"w": exact}, u.layer_shapes, u.provenance, policy,
+                             config.architecture_id)
     save_subspace(u, tmp_path / "got.uws")
     save_subspace(want, tmp_path / "want.uws")
     assert (tmp_path / "got.uws").read_bytes() == (tmp_path / "want.uws").read_bytes()
@@ -630,7 +624,8 @@ def test_layers_kept_from_float64_files_do_not_pin_the_files(tmp_path):
     paths = write_models(tmp_path / "models", planted_models(25, 6, shapes=BIG_EXCLUDED))
     u, peak = extraction_peak(paths, order=3)
     assert peak <= 2.0 * paths[0].stat().st_size
-    want = extract_universal([load_weights(p) for p in paths], u.config)
+    want = extract_universal([load_weights(p) for p in paths],
+                             ExtractionConfig(policy=u.policy, order=u.order))
     for name in u.included_layers:
         for g, w in zip(u.layer_models[name].factors, want.layer_models[name].factors):
             assert np.array_equal(g, w)
@@ -763,8 +758,7 @@ def test_a_declined_layer_is_read_again_without_the_up_front_layers(
     assert held == held_want
     for name in ("wide", "tall"):
         got = u.layer_models[name]
-        want = exact_subspace(stack_layer(models, name), TAU, centering="feature",
-                              slab_extent=8)
+        want = exact_subspace(stack_layer(models, name), TAU, centering="feature")
         assert np.array_equal(got.mu, want.mu)
         assert np.array_equal(got.factors[-1], want.factors[-1])
         assert np.array_equal(got.spectra[-1].singular_values,
@@ -849,7 +843,7 @@ def test_a_gram_eigh_that_fails_leaves_the_layer_to_the_exact_route(monkeypatch)
     models = planted_models(20, 10, shapes={"inlet": (8, 40), "w": (8, 40), "outlet": (8, 40)},
                             k=8)
     policy = RankPolicy.fixed_k(5)
-    want = exact_subspace(stack_layer(models, "w"), policy, centering="feature", slab_extent=8)
+    want = exact_subspace(stack_layer(models, "w"), policy, centering="feature")
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
@@ -914,7 +908,7 @@ def test_streamed_model_projects_as_the_exact_model():
     models = planted_models(18, 40)
     u = extract_universal(models, ExtractionConfig(policy=TAU))
     model = u.layer_models["block0"]
-    full = exact_subspace(stack_layer(models, "block0"), TAU, centering="feature", slab_extent=8)
+    full = exact_subspace(stack_layer(models, "block0"), TAU, centering="feature")
     slab = models[0].layers["block0"]
     assert np.allclose(
         reconstruct_slice(model, project_slice(model, slab)),

@@ -31,15 +31,15 @@ def relerr(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def exact(x, policy=RankPolicy.cumulative_variance(1.0), *, centering="feature", slab_extent=1):
+def exact(x, policy=RankPolicy.cumulative_variance(1.0), *, centering="feature"):
     """:func:`exact_subspace` of a copy of ``x``, which it would centre in place."""
-    return exact_subspace(np.array(x, dtype=float), policy, centering=centering,
-                          slab_extent=slab_extent)
+    return exact_subspace(np.array(x, dtype=float), policy, centering=centering)
 
 
 def rebuild(model: SubspaceModel, x: np.ndarray) -> np.ndarray:
-    """Every member of the stack ``x`` projected and rebuilt through ``model``."""
-    members = x if model.order == 3 else x.reshape(-1, model.slab_extent, x.shape[-1])
+    """Every member of the stack ``x`` (each stacked row at order 2)
+    projected and rebuilt through ``model``."""
+    members = x if model.order == 3 else x.reshape(-1, 1, x.shape[-1])
     back = [reconstruct_slice(model, project_slice(model, m)) for m in members]
     return np.stack(back).reshape(x.shape)
 
@@ -64,7 +64,7 @@ def planted_stack(rng, n=60, d=10, k=3, noise=0.0):
 ], ids=["global", "feature"])
 def test_exact_subspace_centring_hand_examples(centering, x, mu, xc):
     stack = np.array(x)
-    model = exact_subspace(stack, RankPolicy.fixed_k(1), centering=centering, slab_extent=1)
+    model = exact_subspace(stack, RankPolicy.fixed_k(1), centering=centering)
     assert np.array_equal(model.mu, mu)  # feature: one stacked row
     assert np.array_equal(stack, xc)
 
@@ -75,7 +75,7 @@ def test_exact_subspace_centres_the_stack_it_is_handed_in_place(shape, centering
     x = np.random.default_rng(42).standard_normal(shape)
     policy = RankPolicy.fixed_k(3)
     stack = x.copy()  # exact_subspace takes the stack as its own
-    got = exact_subspace(stack, policy, centering=centering, slab_extent=8)
+    got = exact_subspace(stack, policy, centering=centering)
     mu = x.mean() if centering == "global" else x.mean(axis=0)
     want = x - mu
     if centering == "global":  # a second pass takes out what the rounded mean left
@@ -128,7 +128,7 @@ def test_anything_but_one_rank_policy_is_refused(policy, kind):
 def test_complex_stack_is_refused():
     x = np.random.default_rng(5).standard_normal((20, 5)) * (1 + 1j)
     with pytest.raises(InvalidArgumentError, match="complex"):
-        exact_subspace(x, RankPolicy.fixed_k(2), centering="feature", slab_extent=1)
+        exact_subspace(x, RankPolicy.fixed_k(2), centering="feature")
 
 
 ORDER_REFUSAL_ENTRY_POINTS = {
@@ -311,8 +311,8 @@ def test_a_constant_stack_has_no_variance_on_either_route(centering):
     # the exact route owns the refusal; the stream declines and leaves it to it
     message = f"no variance left after {centering} centering"
     with pytest.raises(DegenerateSpectrumError, match=message):
-        exact(x, policy, centering=centering, slab_extent=4)
-    assert streamed(x, policy, centering=centering, slab_extent=4) is None
+        exact(x, policy, centering=centering)
+    assert streamed(x, policy, centering=centering) is None
 
 
 def test_stacks_near_the_float_limit_keep_their_variance():
@@ -414,8 +414,8 @@ TALL_PLANTED = [(400, 32, 5, 0.05), (900, 64, 8, 0.01), (120, 120, 3, 0.1)]
 def test_gram_route_matches_exact_route(n, d, k, noise, policy):
     rng = np.random.default_rng(n + d)
     x, _ = planted_stack(rng, n=n, d=d, k=k, noise=noise)
-    got = streamed(x, policy, slab_extent=4)
-    assert_stream_matches_exact(got, exact(x, policy, slab_extent=4))
+    got = streamed(x, policy)
+    assert_stream_matches_exact(got, exact(x, policy))
 
 
 @pytest.mark.parametrize("n,d,k,noise", TALL_PLANTED)
@@ -614,7 +614,7 @@ def test_scaled_stacks_on_the_leading_vector_route_keep_ranks_and_basis(monkeypa
 
 def make_planted_model(rng, n=40, d=10, k=3):
     x, q = planted_stack(rng, n=n, d=d, k=k)
-    model = exact(x, RankPolicy.cumulative_variance(0.999), slab_extent=4)
+    model = exact(x, RankPolicy.cumulative_variance(0.999))
     return model, x, q
 
 
@@ -654,7 +654,7 @@ def test_projection_is_linear_when_mu_vanishes():
     rng = np.random.default_rng(54)
     x = rng.standard_normal((30, 8))
     x -= x.mean()  # global mean ~ 0
-    model = exact(x, RankPolicy.fixed_k(4), centering="global", slab_extent=3)
+    model = exact(x, RankPolicy.fixed_k(4), centering="global")
     a, b = 1.7, -0.6
     y1 = rng.standard_normal((3, 8))
     y2 = rng.standard_normal((3, 8))
@@ -685,7 +685,7 @@ def test_order3_slice_round_trip():
     q = haar_columns(d, 3, rng)
     slabs = [rng.standard_normal((r, 3)) @ q.T for _ in range(T)]
     x = np.stack(slabs, axis=0)
-    model = exact(x, RankPolicy.cumulative_variance(0.999), slab_extent=r)
+    model = exact(x, RankPolicy.cumulative_variance(0.999))
     assert model.mu.shape == (r, d)  # the mean is one member
     slab = slabs[3]
     coeffs = project_slice(model, slab)
@@ -703,7 +703,7 @@ def test_order3_contractions_match_einsum():
     # mean leaves the three members spanning three directions
     rng = np.random.default_rng(63)
     x = rng.standard_normal((3, 2, 4))
-    model = exact(x, RankPolicy.fixed_k(4), centering="global", slab_extent=2)  # whole ranks
+    model = exact(x, RankPolicy.fixed_k(4), centering="global")  # whole ranks
     assert model.ranks == (2, 4)
     u2, u3 = model.factors
     member = rng.standard_normal((2, 4))
@@ -745,8 +745,25 @@ def test_order3_factors_are_the_leading_left_singular_vectors_of_the_unfoldings(
 @pytest.mark.parametrize("order", [2, 3])
 def test_reconstruct_slice_refuses_coefficients_of_another_shape(order):
     x = planted_order3(np.random.default_rng(65))  # 14 x 6 x 11
-    model = exact(x.reshape(-1, 11) if order == 2 else x, RankPolicy.fixed_k(3), slab_extent=6)
-    want = (6, 3) if order == 2 else (3, 3)
-    for shape in [(want[0], 4), (want[0] + 1, 3), (3,)]:
-        with pytest.raises(InvalidArgumentError, match=re.escape(f"expected {want}")):
+    model = exact(x.reshape(-1, 11) if order == 2 else x, RankPolicy.fixed_k(3))
+    # order 2 takes any rows of k2 columns; order 3 exactly k2 x k3
+    refused = [(6, 4), (3,), (2, 6, 3)] if order == 2 else [(3, 4), (4, 3), (3,)]
+    for shape in refused:
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"do not fit retained ranks {model.ranks}")):
             reconstruct_slice(model, SliceCoefficients(coeffs=np.zeros(shape)))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_member_is_checked_against_its_factors_rows(order):
+    x = planted_order3(np.random.default_rng(66))  # 14 x 6 x 11
+    model = exact(x.reshape(-1, 11) if order == 2 else x, RankPolicy.fixed_k(3))
+    # order 2 takes a slab of any rows of d columns; order 3 exactly r x d
+    fits = [(1, 11), (6, 11), (40, 11)] if order == 2 else [(6, 11)]
+    for shape in fits:
+        back = reconstruct_slice(model, project_slice(model, np.ones(shape)))
+        assert back.shape == shape
+    for shape in [(6, 10), (11, 6), (1, 6, 11)] + ([(5, 11)] if order == 3 else []):
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"does not fit the factor rows {(6, 11)[3 - order:]}")):
+            project_slice(model, np.ones(shape))

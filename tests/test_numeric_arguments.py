@@ -46,7 +46,6 @@ def _adapt_problem():
 
 
 MODELS, U, X, Y = _adapt_problem()
-STACK = np.random.default_rng(4).standard_normal((12, 6))
 TASKS = np.array([[1.0, 0.0]]), np.array([[1.0, 0.5]])  # f_star, f_hat
 CONFIG = dict(d=4, k=2, n_tasks=3)
 BOUND = dict(b=1.0, delta=0.5, n_tasks=10, eta_bar=0.25, eta2_bar=0.0625, gamma_k=0.5,
@@ -90,19 +89,6 @@ def _adapt(name, method):
             lambda r: r[1][name])
 
 
-def _streamed(slab_extent):
-    stream = GramStream(STACK.shape[1])
-    stream.add(STACK)
-    return stream.decompose(RankPolicy.fixed_k(2), slab_extent=slab_extent)
-
-
-_EXTENT = {
-    "exact_subspace": lambda v: exact_subspace(STACK.copy(), RankPolicy.fixed_k(2),
-                                               centering="feature", slab_extent=v),
-    "GramStream.decompose": _streamed,
-}
-
-
 # (argument, the call and what keeps it, a valid value, whether None means something)
 CASES = {
     "RankPolicy.tau": ("tau", (RankPolicy.cumulative_variance, lambda p: p.tau), 0.5, False),
@@ -138,8 +124,6 @@ CASES = {
     "merge_weights.t": ("t", (lambda v: merge_weights(None, v), None), 3, False),
     "explained_variance.tail": ("tail", (lambda v: explained_variance(np.array([1.0]), v),
                                          None), 0.5, False),
-    **{f"{n}.slab_extent": ("slab_extent", (call, lambda m: m.slab_extent), 3, True)
-       for n, call in _EXTENT.items()},
 }
 
 #: Scalar parameters of the package's callables that take no CASES row,
@@ -147,8 +131,6 @@ CASES = {
 NOT_ARGUMENTS = {
     "ScreeReport.aggregate_tail": "a result record that scree_report fills",
     "ConvergenceReport.b": "a result record that convergence_study fills",
-    "SubspaceModel.slab_extent": "a record whose constructors, exact_subspace, "
-                                 "GramStream.decompose and load_subspace, check it",
 }
 _NUMBER_ANNOTATIONS = {"int", "float", "int | None", "float | None"}
 
@@ -229,7 +211,7 @@ ARRAY_ARGUMENTS = {
         U.layer_models["w"], SliceCoefficients(np.resize(a, (6, 2))))),
     "operator_norm": ("matrix", lambda a: operator_norm(np.diag(a))),
     "exact_subspace": ("x", lambda a: exact_subspace(np.resize(a, (2, 2)), RankPolicy.fixed_k(1),
-                                                     centering="feature", slab_extent=1)),
+                                                     centering="feature")),
     "population_second_moment": ("spectrum", lambda a: theory.population_second_moment(
         np.eye(2), a)),
     "within_task_term": ("f_star", lambda a: theory.within_task_term(a[None], np.zeros((1, 2)))),

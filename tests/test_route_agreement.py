@@ -30,6 +30,11 @@ Two metamorphic rows hold each route to itself at the default policy:
   its factors (the exact route's at tau = 1) bit for bit and scales its
   singular values exactly.
 
+Each route's served default-policy model, saved in one subspace file
+and loaded back, keeps its mean, factor, singular values, tail and rank
+bit for bit; the loader's rank check passes on the Gram route's partial
+spectra.
+
 At 2**500, under both centrings, the solve divides the stream's G by the
 power of two above its largest entry, as at every scale, and must give
 the unscaled stream's rank and factors bit for bit and its values scaled
@@ -42,7 +47,8 @@ import functools
 import numpy as np
 import pytest
 
-from uws.hosvd import GramStream, exact_subspace, gram_eligible
+from uws.ensemble import UniversalSubspace, load_subspace, save_subspace
+from uws.hosvd import GramStream, SubspaceModel, exact_subspace, gram_eligible
 from uws.spectral import (DEFAULT_POLICY, GRAM_MIN_RATIO, GRAM_MIN_SQUARE, LowerGram, RankPolicy,
                           select_rank)
 
@@ -93,7 +99,7 @@ def streamed(x: np.ndarray) -> GramStream:
 def deepest_model(x: np.ndarray, centering: str):
     """The exact route's model of ``x`` at tau = 1 (``x`` is left as it is)."""
     return exact_subspace(x.copy(), RankPolicy.cumulative_variance(1.0),
-                          centering=centering, slab_extent=SLAB)
+                          centering=centering)
 
 
 @functools.cache
@@ -157,7 +163,7 @@ def assert_cells(x: np.ndarray, deepest, stream: GramStream, centering: str) -> 
     energy = float(np.vdot(xc, xc))
     faults = []
     for policy in policies(deepest.spectra[0].singular_values, deepest.ranks[0]):
-        got = copy.deepcopy(stream).decompose(policy, centering=centering, slab_extent=SLAB)
+        got = copy.deepcopy(stream).decompose(policy, centering=centering)
         faults += [f"{policy.describe()}: {fault}"
                    for fault in cell_faults(got, deepest, policy, energy)]
     assert not faults, "\n".join(faults)
@@ -185,19 +191,19 @@ def test_a_wide_stack_is_declined_as_not_gram_eligible(centering):
         deepest = deepest_model(x, centering)
         for policy in policies(deepest.spectra[0].singular_values, deepest.ranks[0]):
             assert not gram_eligible(x.shape, policy), (name, policy)
-            assert streamed(x).decompose(policy, centering=centering, slab_extent=SLAB) is None
+            assert streamed(x).decompose(policy, centering=centering) is None
 
 
 def default_models(deepest, stream, centering: str) -> dict:
-    """Each route's factor and singular values at the default policy: the
-    exact route's from its deepest model, the Gram route's as decomposed
+    """Each route's model at the default policy: the exact route's, the
+    leading columns of its deepest model with the whole spectrum, as
+    :func:`exact_subspace` keeps it, and the Gram route's as decomposed
     (None where it declines)."""
-    spectrum = deepest.spectra[0]
-    r = select_rank(spectrum.ratios, DEFAULT_POLICY)
-    got = copy.deepcopy(stream).decompose(DEFAULT_POLICY, centering=centering,
-                                          slab_extent=SLAB)
-    return {"exact": (deepest.factors[0][:, :r], spectrum.singular_values[:r]),
-            "stream": None if got is None else (got.factors[0], got.spectra[0].singular_values)}
+    r = select_rank(deepest.spectra[0].ratios, DEFAULT_POLICY)
+    exact = SubspaceModel(mu=deepest.mu, factors=(deepest.factors[0][:, :r],),
+                          spectra=deepest.spectra)
+    return {"exact": exact,
+            "stream": copy.deepcopy(stream).decompose(DEFAULT_POLICY, centering=centering)}
 
 
 @pytest.mark.parametrize("centering", ["feature", "global"])
@@ -218,15 +224,37 @@ def test_permuting_the_models_keeps_each_routes_rank_and_subspace(name, centerin
             if a is not b:
                 faults.append(f"{route}: declined in one order only")
             continue
-        r = a[1].size
-        if b[1].size != r:
-            faults.append(f"{route}: rank {r} became {b[1].size}")
+        (r,), (r_after,) = a.ranks, b.ranks
+        if r_after != r:
+            faults.append(f"{route}: rank {r} became {r_after}")
             continue
         gap = s[r - 1] ** 2 - (s[r] ** 2 if r < s.size else 0.0)
-        sine = max_sine(a[0], b[0])
+        sine = max_sine(a.factors[0], b.factors[0])
         if not sine <= 1e-12 + 4 * EPS * s[0] ** 2 / gap:
             faults.append(f"{route}: sine {sine:.1e} (gap {gap / s[0] ** 2:.1e} s_1**2)")
     assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("centering", ["feature", "global"])
+@pytest.mark.parametrize("name", list(SINGULAR_VALUES))
+def test_each_routes_served_model_comes_back_from_a_subspace_file_bit_for_bit(
+        tmp_path, name, centering):
+    # the slabs as layer rows: the loader checks each spectrum against the
+    # stack of ROWS // SLAB models, and each rank against the default policy
+    served = {route: model for route, model
+              in default_models(*original_routes(name, centering), centering).items()
+              if model is not None}
+    u = UniversalSubspace(served, {route: (SLAB, COLS) for route in served},
+                          [f"model{i}" for i in range(ROWS // SLAB)], DEFAULT_POLICY, name)
+    save_subspace(u, tmp_path / "routes.uws")
+    back = load_subspace(tmp_path / "routes.uws")
+    assert back.included_layers == list(served) and back.centering == centering
+    for route, model in served.items():
+        got = back.layer_models[route]
+        assert got.ranks == model.ranks and np.array_equal(got.mu, model.mu)
+        assert np.array_equal(got.factors[0], model.factors[0])
+        assert np.array_equal(got.spectra[0].singular_values, model.spectra[0].singular_values)
+        assert got.spectra[0].tail == model.spectra[0].tail
 
 
 @pytest.mark.parametrize("centering, exponent", [("feature", 40), ("global", -40)])
@@ -239,10 +267,8 @@ def test_scaling_by_a_power_of_two_keeps_each_routes_factors_bit_for_bit(
     assert np.array_equal(scaled.factors[0], deepest.factors[0])
     assert np.array_equal(scaled.spectra[0].singular_values,
                           np.ldexp(deepest.spectra[0].singular_values, exponent))
-    got = streamed(np.ldexp(x, exponent)).decompose(DEFAULT_POLICY, centering=centering,
-                                                     slab_extent=SLAB)
-    want = copy.deepcopy(stream).decompose(DEFAULT_POLICY, centering=centering,
-                                           slab_extent=SLAB)
+    got = streamed(np.ldexp(x, exponent)).decompose(DEFAULT_POLICY, centering=centering)
+    want = copy.deepcopy(stream).decompose(DEFAULT_POLICY, centering=centering)
     assert (got is None) == (want is None)
     if want is not None:
         assert np.array_equal(got.factors[0], want.factors[0])
@@ -257,7 +283,7 @@ def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_dec
         monkeypatch, name, centering):
     x = planted_stack(name)
     want = copy.deepcopy(original_routes(name, centering)[1]).decompose(
-        DEFAULT_POLICY, centering=centering, slab_extent=SLAB)
+        DEFAULT_POLICY, centering=centering)
     scalings, real_ldexp = [], LowerGram.ldexp
 
     def ldexp(gram, e):
@@ -266,7 +292,7 @@ def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_dec
 
     monkeypatch.setattr(LowerGram, "ldexp", ldexp)
     big = streamed(np.ldexp(x, 500))
-    got = big.decompose(DEFAULT_POLICY, centering=centering, slab_extent=SLAB)
+    got = big.decompose(DEFAULT_POLICY, centering=centering)
     if name == "offset_1e6":  # 1e6 * 2**500 squared overflows
         assert big.sumsq == np.inf and got is None
     else:
@@ -283,4 +309,4 @@ def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_dec
         assert tiny.sumsq >= GRAM_MIN_SQUARE > np.trace(tiny.gram)
     else:
         assert tiny.sumsq < GRAM_MIN_SQUARE
-    assert tiny.decompose(DEFAULT_POLICY, centering=centering, slab_extent=SLAB) is None
+    assert tiny.decompose(DEFAULT_POLICY, centering=centering) is None

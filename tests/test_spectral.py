@@ -339,7 +339,7 @@ def test_select_rank_fixed_k_clamps():
     rng = np.random.default_rng(63)
     for shape, ranks in [((3, 2, 4), (2, 4)), ((3, 4), (2,))]:
         model = exact_subspace(rng.standard_normal(shape), RankPolicy.fixed_k(4),
-                               centering="feature", slab_extent=1)
+                               centering="feature")
         assert model.ranks == ranks
     s = model.spectra[-1].singular_values
     assert s.size == 3 and s[2] <= NUMERICAL_RANK_RTOL * s[0]
