@@ -7,21 +7,9 @@ learning coefficients only, and ships a small lab for checking the
 two-level convergence behaviour of empirical second-moment operators.
 """
 
-from .errors import (
-    BadMagicError,
-    ContainerError,
-    CorruptPayloadError,
-    DegenerateSpectrumError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-    ManifestError,
-    NumericalFailureError,
-    PayloadMismatchError,
-    RankDeficiencyError,
-    TruncatedFileError,
-    UnknownDtypeError,
-    UwsError,
-)
+from types import ModuleType as _Module
+
+from .errors import ContainerError, InvalidArgumentError, NumericalFailureError, UwsError
 from .tensor import frobenius_norm
 from .spectral import (
     DEFAULT_POLICY,
@@ -74,60 +62,6 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "frobenius_norm",
-    "explained_variance",
-    "select_rank",
-    "operator_norm",
-    "RankPolicy",
-    "DEFAULT_POLICY",
-    "SubspaceModel",
-    "SliceCoefficients",
-    "project_slice",
-    "reconstruct_slice",
-    "ModelWeights",
-    "ExtractionConfig",
-    "UniversalSubspace",
-    "ScreeReport",
-    "CoefficientSet",
-    "extract_universal",
-    "scree_report",
-    "stack_layer",
-    "project_model",
-    "reconstruct_model",
-    "merge_models",
-    "merge_weights",
-    "adapt_coefficients",
-    "memory_savings",
-    "coefficient_parameter_count",
-    "MEMORY_PRESETS",
-    "save_weights",
-    "load_weights",
-    "save_subspace",
-    "load_subspace",
-    "save_coefficients",
-    "load_coefficients",
-    "BoundParameters",
-    "theorem1_bounds",
-    "within_task_term",
-    "davis_kahan_check",
-    "davis_kahan_study",
-    "SyntheticEnsembleConfig",
-    "sample_ensemble",
-    "convergence_study",
-    "ConvergenceReport",
-    "UwsError",
-    "InvalidArgumentError",
-    "InternalConsistencyError",
-    "NumericalFailureError",
-    "DegenerateSpectrumError",
-    "RankDeficiencyError",
-    "ContainerError",
-    "BadMagicError",
-    "TruncatedFileError",
-    "ManifestError",
-    "UnknownDtypeError",
-    "PayloadMismatchError",
-    "CorruptPayloadError",
-    "__version__",
-]
+# every name imported above (not the submodules the imports bind), and the version
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _Module)] + ["__version__"]

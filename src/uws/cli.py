@@ -26,8 +26,7 @@ from .ensemble import (MEMORY_PRESETS, ORDERS, CoefficientSet, ExtractionConfig,
                        project_model, reconstruct_model, save_coefficients, save_subspace,
                        save_weights, scree_report)
 from .ensemble.container import atomic_write_bytes
-from .errors import (ContainerError, DegenerateSpectrumError, InternalConsistencyError,
-                     InvalidArgumentError, NumericalFailureError, RankDeficiencyError)
+from .errors import ContainerError, InvalidArgumentError, NumericalFailureError
 from .hosvd import CENTERINGS
 from .spectral import RANGE, RankPolicy, orthonormality_defect
 from .tensor import NONNEGATIVE, OPEN_UNIT, POSITIVE, finite_entries, int_at_least, real_in
@@ -662,8 +661,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailureError, DegenerateSpectrumError,
-            RankDeficiencyError, InternalConsistencyError) as exc:
+    except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ContainerError, InvalidArgumentError, OSError, ValueError) as exc:

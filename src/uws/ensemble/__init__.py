@@ -23,13 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..errors import (
-    DegenerateSpectrumError,
-    InvalidArgumentError,
-    ManifestError,
-    NumericalFailureError,
-    RankDeficiencyError,
-)
+from ..errors import ContainerError, InvalidArgumentError, NumericalFailureError
 from ..hosvd import (
     CENTERINGS,
     GramStream,
@@ -45,9 +39,9 @@ from ..spectral import (DEFAULT_POLICY, RankPolicy, check_policy, orthonormality
                         select_rank)
 from ..tensor import (NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least, one_of,
                       real_in)
-from .container import ContainerDocument, read_container, write_container
+from .container import HEADER_LEN, ContainerDocument, read_container, write_container
 
-SUBSPACE_FORMAT_VERSION = 6
+SUBSPACE_FORMAT_VERSION = 7
 
 #: The largest ``max |V^T V - I|`` a loaded factor may have.  Extraction's
 #: own factors are orthonormal to about 1e-15 (``uws extract`` prints the
@@ -313,13 +307,18 @@ class UniversalSubspace:
     in order, each mapped to its (rows, cols) shape, the ids of the
     models it was extracted from, the rank policy and the architecture
     id.  The layers with a model are the included ones and the rest are
-    excluded; the stacking order and centering are the layer models'."""
+    excluded; the stacking order and centering are the layer models'.
+    A subspace with no layer model raises InvalidArgumentError."""
 
     layer_models: dict
     layer_shapes: dict
     provenance: list
     policy: RankPolicy
     architecture_id: str
+
+    def __post_init__(self):
+        if not self.layer_models:
+            raise InvalidArgumentError("a subspace needs at least one layer model")
 
     @property
     def included_layers(self) -> list:
@@ -365,12 +364,13 @@ def _read(model, names=None):
     (all by default) otherwise.  Either way its ``layers`` are float32 or
     float64 as held or stored, converted only where used.  A file whose
     meta has a ``kind`` (a subspace or coefficient file) raises
-    ManifestError."""
+    ContainerError."""
     if isinstance(model, ModelWeights):
         return ContainerDocument(model.model_id, model.layers.held, None, model.shapes)
     doc = read_container(model, names)
     if doc.meta is not None and "kind" in doc.meta:
-        raise ManifestError(f"{model} is a {doc.meta['kind']!r} container, not weights", 12)
+        raise ContainerError(f"{model} is a {doc.meta['kind']!r} container, not weights",
+                             HEADER_LEN)
     return doc
 
 
@@ -397,7 +397,7 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
     model, not None, in one pass each, which holds only its stream and one
     model.  The first pass also reads and checks every entry no other pass
     reads, and every model's layer names and shapes; a model whose id or
-    layer shape differs in a later pass raises ManifestError.
+    layer shape differs in a later pass raises ContainerError.
     """
     config = config if config is not None else ExtractionConfig()
     models = list(models)
@@ -424,8 +424,10 @@ def extract_universal(models, config: ExtractionConfig | None = None) -> Univers
                 del model  # free its payload before the next model is read
             try:
                 layer_models[name] = stream.decompose(config.policy, centering=config.centering)
-            except DegenerateSpectrumError as exc:
-                raise DegenerateSpectrumError(f"layer {name!r}: {exc}") from exc
+            except NumericalFailureError as exc:
+                if isinstance(exc.__cause__, np.linalg.LinAlgError):
+                    raise  # LAPACK failed, not the layer's data: the layer is not named
+                raise NumericalFailureError(f"layer {name!r}: {exc}") from exc
             del stream  # a declined stream is freed before the next one is made
             if layer_models[name] is not None:
                 break
@@ -783,7 +785,7 @@ def adapt_coefficients(
     lmax = float(spectrum[-1])
     if lmax <= 0.0 or spectrum[0] <= lmax * 1e-12:
         if ridge == 0.0:
-            raise RankDeficiencyError(
+            raise NumericalFailureError(
                 f"normal matrix for layer {layer!r} is singular "
                 f"({x.shape[0]} samples for {k} directions); retry with ridge",
                 suggested_ridge=max(1e-8 * float(np.trace(normal)) / k, 1e-12),
@@ -823,7 +825,7 @@ def adapt_coefficients(
 
 
 def save_subspace(u: UniversalSubspace, path) -> None:
-    """Write a subspace container (format version 6).
+    """Write a subspace container (format version 7).
 
     Entry layout, per included layer L and each non-stacking mode
     n = 2..order: ``mu/L`` (the mean as a matrix: one row for order 2,
@@ -833,9 +835,10 @@ def save_subspace(u: UniversalSubspace, path) -> None:
     the rank reads from the Gram route) and ``ledger/L/tail/n`` (1 x 1,
     the energy of the components not stored; 0 from the exact route).
     The meta holds only what the entries cannot say: ``provenance`` (the
-    source model ids), ``centering``, ``policy``, ``order`` and ``layers``,
-    which maps every layer, excluded ones included, in order, to its
-    ``[rows, cols]``.  The container's model id is the architecture id.
+    source model ids), ``centering`` (a one-column layer's feature mean is
+    1 x 1, as a global one is), ``policy`` and ``layers``, which maps every
+    layer, excluded ones included, in order, to its ``[rows, cols]``.  The
+    container's model id is the architecture id.
     """
     entries = []
     for name in u.included_layers:
@@ -852,7 +855,6 @@ def save_subspace(u: UniversalSubspace, path) -> None:
         "provenance": list(u.provenance),
         "centering": u.centering,
         "policy": asdict(u.policy),
-        "order": u.order,
         "layers": {name: list(shape) for name, shape in u.layer_shapes.items()},
     }
     write_container(path, u.architecture_id, entries, meta=meta)
@@ -860,7 +862,7 @@ def save_subspace(u: UniversalSubspace, path) -> None:
 
 def _require(condition, message):
     if not condition:
-        raise ManifestError(message, 12)
+        raise ContainerError(message, HEADER_LEN)
 
 
 def _take(entries, name):
@@ -869,7 +871,7 @@ def _take(entries, name):
 
 
 def _only(names, known, where):
-    """Raise ManifestError naming every one of ``names`` outside ``known``."""
+    """Raise ContainerError naming every one of ``names`` outside ``known``."""
     extra = sorted(set(names) - set(known))
     _require(not extra, f"{where} holds {', '.join(map(repr, extra))}, which uws does not write")
 
@@ -884,13 +886,13 @@ def _names(meta, key) -> list:
 @contextmanager
 def _decoding_meta(kind):
     """A meta field that is missing, of the wrong type or of a bad value
-    raises ManifestError, not the KeyError, TypeError or ValueError that
+    raises ContainerError, not the KeyError, TypeError or ValueError that
     decoding it runs into."""
     try:
         yield
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(
-            f"{kind} container meta is malformed ({type(exc).__name__}: {exc})", 12
+        raise ContainerError(
+            f"{kind} container meta is malformed ({type(exc).__name__}: {exc})", HEADER_LEN
         ) from exc
 
 
@@ -911,9 +913,9 @@ def _spectrum(entries, name, n, width, unfolding, policy) -> ModeSpectrum:
              f"entry {tail_key!r} must be 0 after the whole spectrum in {key!r}")
     try:
         spectrum = ModeSpectrum(singular_values=sv, tail=float(tail[0, 0]))
-    except (InvalidArgumentError, DegenerateSpectrumError) as exc:
-        raise ManifestError(f"entries {key!r} and {tail_key!r} are not a spectrum: {exc}",
-                            12) from exc
+    except (InvalidArgumentError, NumericalFailureError) as exc:
+        raise ContainerError(f"entries {key!r} and {tail_key!r} are not a spectrum: {exc}",
+                             HEADER_LEN) from exc
     ratios = spectrum.ratios
     # the count - sv.size components not stored are each at most the last
     # stored one, up to the rounding of the sums that gave the tail
@@ -929,14 +931,17 @@ def _spectrum(entries, name, n, width, unfolding, policy) -> ModeSpectrum:
 
 
 def load_subspace(path) -> UniversalSubspace:
-    """Read a subspace container of format version 6, the only one.
+    """Read a subspace container of format version 7, the only one.
 
     ``layers`` maps the architecture's layers, in order, to their
     ``[rows, cols]``; the included ones are those with a ``mu/L`` entry
-    and the rest are excluded.  Each stack shape is derived from its
-    layer's shape and the T models ``provenance`` names: (T·rows, cols)
-    for ``order`` 2, (T, rows, cols) for order 3.  Each mode's retained
-    rank is its factor's width, the mean's kind is ``centering`` and the
+    and the rest are excluded.  The order is one more than each included
+    layer's count of ``U/L/n`` entries, which must be the same for every
+    layer.  Each stack shape is derived from its layer's shape and the T
+    models ``provenance`` names: (T·rows, cols) for order 2, (T, rows,
+    cols) for order 3.  Each mode's retained rank is its factor's width,
+    the mean's kind is ``centering`` (a one-column layer's feature mean is
+    1 x 1, as a global one is, so the entries cannot state it) and the
     architecture id is the container's model id.  ``provenance`` must
     name at least one model, ``layers`` at least one included layer, each
     factor must have its mode's extent as rows and orthonormal columns
@@ -946,7 +951,7 @@ def load_subspace(path) -> UniversalSubspace:
     unfolding allows, with a finite nonnegative 1 x 1 tail that is 0 past
     a zero value and after the whole spectrum); otherwise, and for a meta
     field that is missing or malformed, or any entry or meta key that
-    :func:`save_subspace` does not write, ManifestError.  Each layer model
+    :func:`save_subspace` does not write, ContainerError.  Each layer model
     holds the factor and spectrum of every mode n = 2..order, in order.
     """
     doc = read_container(path)
@@ -956,8 +961,8 @@ def load_subspace(path) -> UniversalSubspace:
     _require(type(version) is int and version == SUBSPACE_FORMAT_VERSION,
              f"subspace format_version {version!r} is not {SUBSPACE_FORMAT_VERSION}: "
              "extract the subspace again")
-    _only(meta, ("kind", "format_version", "provenance", "centering", "policy", "order",
-                 "layers"), "subspace meta")
+    _only(meta, ("kind", "format_version", "provenance", "centering", "policy", "layers"),
+          "subspace meta")
     with _decoding_meta("subspace"):
         provenance = _names(meta, "provenance")
         _require(provenance, "meta 'provenance' names no model")
@@ -968,9 +973,15 @@ def load_subspace(path) -> UniversalSubspace:
         entries = {name: np.asarray(arr, np.float64) for name, arr in doc.layers.items()}
         included = [name for name in layer_shapes if f"mu/{name}" in entries]
         _require(included, "meta 'layers' names no layer with a mean entry")
+        # one factor entry U/L/n per mode n = 2..order, one order for every layer
+        orders = {name: 1 + sum(f"U/{name}/{n}" in entries for n in (2, 3)) for name in included}
+        order = orders[included[0]]
+        _require(order in ORDERS and set(orders.values()) == {order},
+                 "the included layers' factor entries 'U/L/n', n = 2..order, must state one "
+                 f"order of 2 or 3, got orders {orders}")
         config = ExtractionConfig(
             policy=RankPolicy(**meta["policy"]),
-            order=meta["order"],
+            order=order,
             centering=meta["centering"],
             architecture_id=doc.model_id,
         )
@@ -1021,7 +1032,7 @@ def load_coefficients(path) -> CoefficientSet:
     matrix, held at its stored precision as the document's read-only
     view; the model id is the container's.  A malformed meta
     field, and any entry or meta key that :func:`save_coefficients` does
-    not write, raises ManifestError."""
+    not write, raises ContainerError."""
     doc = read_container(path)
     meta = doc.meta or {}
     _require(meta.get("kind") == "coefficients",

@@ -27,7 +27,7 @@ The entries read go into one buffer, of which those matrices are
 read-only views, so reading costs one copy of them.
 
 Every reader-side failure raises a :class:`~uws.errors.ContainerError`
-subclass naming the byte offset where the problem was detected; no input,
+naming the damage and the byte offset where it was detected; no input,
 however corrupt, may surface anything else.
 """
 
@@ -43,16 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import (
-    BadMagicError,
-    ContainerError,
-    CorruptPayloadError,
-    InvalidArgumentError,
-    ManifestError,
-    PayloadMismatchError,
-    TruncatedFileError,
-    UnknownDtypeError,
-)
+from ..errors import ContainerError, InvalidArgumentError
 from ..tensor import as_real, finite_entries
 
 MAGIC = b"UWS1"
@@ -188,8 +179,8 @@ def write_container(path, model_id: str, entries, meta: dict | None = None) -> N
             fh.write(memoryview(np.ascontiguousarray(arr, dtype=_DTYPES[dtype])).cast("B"))
 
 
-def _manifest_error(detail: str) -> ManifestError:
-    return ManifestError(f"bad manifest: {detail}", HEADER_LEN)
+def _manifest_error(detail: str) -> ContainerError:
+    return ContainerError(f"bad manifest: {detail}", HEADER_LEN)
 
 
 def _require_int(layer: dict, key: str, minimum: int) -> int:
@@ -203,13 +194,13 @@ def _require_int(layer: dict, key: str, minimum: int) -> int:
 
 def _fill(fh, buf, at: int) -> None:
     """Fill ``buf`` from byte ``at`` of ``fh``; a file shorter than its
-    size said raises TruncatedFileError."""
+    size said raises ContainerError."""
     fh.seek(at)
     view, got = memoryview(buf), 0
     while got < len(view):
         n = fh.readinto(view[got:])
         if not n:
-            raise TruncatedFileError(f"file ends at byte {at + got}, before its size", at + got)
+            raise ContainerError(f"file ends at byte {at + got}, before its size", at + got)
         got += n
 
 
@@ -218,16 +209,16 @@ def _read(fh, size: int, names) -> ContainerDocument:
     whole against that size, and the entries that ``names`` holds (all
     where it is None), read into one buffer and checked finite."""
     if size < HEADER_LEN:
-        raise TruncatedFileError(
+        raise ContainerError(
             f"file ends after {size} bytes; a {HEADER_LEN}-byte header is required", size
         )
     head = bytearray(HEADER_LEN)
     _fill(fh, head, 0)
     if head[:4] != MAGIC:
-        raise BadMagicError(f"magic bytes {bytes(head[:4])!r} are not {MAGIC!r}", 0)
+        raise ContainerError(f"magic bytes {bytes(head[:4])!r} are not {MAGIC!r}", 0)
     (manifest_len,) = struct.unpack("<Q", head[4:HEADER_LEN])
     if HEADER_LEN + manifest_len > size:
-        raise TruncatedFileError(
+        raise ContainerError(
             f"manifest of {manifest_len} bytes extends past the end of the file", HEADER_LEN
         )
     manifest_bytes = bytearray(manifest_len)
@@ -235,9 +226,9 @@ def _read(fh, size: int, names) -> ContainerDocument:
     try:
         manifest = json.loads(manifest_bytes.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ManifestError(f"manifest is not valid UTF-8: {exc}", HEADER_LEN) from exc
+        raise ContainerError(f"manifest is not valid UTF-8: {exc}", HEADER_LEN) from exc
     except (ValueError, RecursionError) as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}", HEADER_LEN) from exc
+        raise ContainerError(f"manifest is not valid JSON: {exc}", HEADER_LEN) from exc
     if not isinstance(manifest, dict):
         raise _manifest_error("top level is not an object")
     model_id = manifest.get("model_id")
@@ -264,7 +255,7 @@ def _read(fh, size: int, names) -> ContainerDocument:
             raise _manifest_error(f"duplicate layer name {name!r}")
         dtype = rec.get("dtype")
         if not isinstance(dtype, str) or dtype not in _DTYPES:
-            raise UnknownDtypeError(
+            raise ContainerError(
                 f"layer {name!r} declares element type {dtype!r}; "
                 f"this format defines {sorted(_DTYPES)}",
                 HEADER_LEN,
@@ -275,20 +266,20 @@ def _read(fh, size: int, names) -> ContainerDocument:
         nbytes = _require_int(rec, "nbytes", 0)
         itemsize = _DTYPES[dtype].itemsize
         if nbytes != rows * cols * itemsize:
-            raise PayloadMismatchError(
+            raise ContainerError(
                 f"layer {name!r} declares {nbytes} bytes for a {rows}x{cols} "
                 f"{dtype} matrix ({rows * cols * itemsize} expected)",
                 payload_base + offset,
             )
         if offset != expected_offset:
-            raise PayloadMismatchError(
+            raise ContainerError(
                 f"layer {name!r} starts at payload offset {offset}, expected "
                 f"{expected_offset} (matrices must be contiguous)",
                 payload_base + offset,
             )
         expected_offset += nbytes
         if offset + nbytes > payload_len:
-            raise TruncatedFileError(
+            raise ContainerError(
                 f"layer {name!r} needs payload bytes [{offset}, {offset + nbytes}) "
                 f"but only {payload_len} payload bytes are present",
                 size,
@@ -297,7 +288,7 @@ def _read(fh, size: int, names) -> ContainerDocument:
         if names is None or name in names:
             wanted.append((name, dtype, payload_base + offset, nbytes))
     if payload_len != expected_offset:
-        raise PayloadMismatchError(
+        raise ContainerError(
             f"payload holds {payload_len} bytes but the manifest declares {expected_offset}",
             payload_base,
         )
@@ -312,7 +303,7 @@ def _read(fh, size: int, names) -> ContainerDocument:
         finite = np.isfinite(arr)
         if not finite.all():
             bad = int(np.argmin(finite))
-            raise CorruptPayloadError(
+            raise ContainerError(
                 f"layer {name!r} decodes to a non-finite value at element {bad}",
                 at + bad * arr.itemsize,
             )

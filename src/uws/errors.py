@@ -1,8 +1,8 @@
-"""Exception hierarchy shared by all uws modules.
+"""Exception hierarchy shared by all uws modules: one class per exit code.
 
-Errors are grouped so the command-line front end can map them onto exit
-codes without inspecting messages: usage problems, data/parse problems,
-and numerical failures are distinct branches.
+The command-line front end maps each class onto its exit code without
+inspecting messages: a bad argument or a damaged file is exit 2, a
+numerical failure exit 3.  The message names the rest.
 """
 
 from __future__ import annotations
@@ -16,29 +16,22 @@ class InvalidArgumentError(UwsError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class InternalConsistencyError(UwsError):
-    """A stored object no longer satisfies its own invariants."""
-
-
 class NumericalFailureError(UwsError):
-    """An iterative numerical routine failed to converge within its cap."""
+    """A numerical routine failed, or its input leaves it nothing to
+    compute: LAPACK did not converge, a spectrum or stack has no variance,
+    normal equations are singular, or a checked bound does not hold.
 
+    The refusal of singular normal equations carries ``suggested_ridge``,
+    a ridge term that makes them solvable; every other leaves it None.
+    """
 
-class DegenerateSpectrumError(UwsError):
-    """A spectrum is identically zero (or numerically so); no direction
-    carries any variance, so rank selection is meaningless."""
-
-
-class RankDeficiencyError(UwsError):
-    """Normal equations are singular; carries a suggested ridge term."""
-
-    def __init__(self, message: str, suggested_ridge: float):
+    def __init__(self, message: str, *, suggested_ridge: float | None = None):
         super().__init__(message)
-        self.suggested_ridge = float(suggested_ridge)
+        self.suggested_ridge = suggested_ridge
 
 
 class ContainerError(UwsError):
-    """Base class for weight-container parse/serialization errors.
+    """A weight container cannot be read or is not what its reader reads.
 
     Every container error names the byte offset at which the problem was
     detected, so corrupt files can be diagnosed from the message alone.
@@ -47,27 +40,3 @@ class ContainerError(UwsError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = int(offset)
-
-
-class BadMagicError(ContainerError):
-    """File does not start with the expected magic bytes."""
-
-
-class TruncatedFileError(ContainerError):
-    """File ends before a declared structure is complete."""
-
-
-class ManifestError(ContainerError):
-    """Manifest text is not valid or violates the manifest schema."""
-
-
-class UnknownDtypeError(ContainerError):
-    """Manifest declares an element type this format does not define."""
-
-
-class PayloadMismatchError(ContainerError):
-    """Payload length disagrees with what the manifest declares."""
-
-
-class CorruptPayloadError(ContainerError):
-    """Payload decodes to non-finite values."""

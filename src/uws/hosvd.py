@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .spectral import (
     DEFAULT_POLICY,
     GRAM_MIN_SQUARE,
@@ -172,7 +172,7 @@ def _centred(x: np.ndarray, policy, centering: str):
     the mean over the stacking mode (mode 1), one stacked row or one member."""
     check_policy(policy)
     if not np.any(x):
-        raise DegenerateSpectrumError("tensor is identically zero")
+        raise NumericalFailureError("tensor is identically zero")
     norm = frobenius_norm(x)
     one_of(centering, "centering", CENTERINGS)
     finite_entries(x, "x")
@@ -183,7 +183,7 @@ def _centred(x: np.ndarray, policy, centering: str):
         x -= rest
         mu += rest
     if not _has_variance(frobenius_norm(x), norm):
-        raise DegenerateSpectrumError(f"no variance left after {centering} centering")
+        raise NumericalFailureError(f"no variance left after {centering} centering")
     return mu, x
 
 

@@ -10,11 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    InvalidArgumentError,
-    NumericalFailureError,
-)
+from .errors import InvalidArgumentError, NumericalFailureError
 from .tensor import (NONNEGATIVE, POSITIVE, as_real, finite_entries, int_at_least,
                      peak_exponent, real_in, symmetric_operator)
 
@@ -237,7 +233,7 @@ def explained_variance(singular_values: np.ndarray, tail: float = 0.0) -> np.nda
     s = np.ldexp(s, -e)
     total = float(np.sum(s**2)) + float(np.ldexp(tail, -2 * e))
     if total == 0.0:
-        raise DegenerateSpectrumError("all singular values are zero")
+        raise NumericalFailureError("all singular values are zero")
     return s**2 / total
 
 

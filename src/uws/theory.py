@@ -29,11 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    InvalidArgumentError,
-    NumericalFailureError,
-)
+from .errors import InvalidArgumentError, NumericalFailureError
 from .spectral import operator_norm, orthonormality_defect
 from .tensor import (NONNEGATIVE, OPEN_UNIT, POSITIVE, as_real, finite_entries, frobenius_norm,
                      int_at_least, one_of, real_in, symmetric_operator)
@@ -341,9 +337,7 @@ def within_task_term(f_star, f_hat, b: float | None = None) -> WithinTaskReport:
     diff = hat_stack.T @ hat_stack / t - star_stack.T @ star_stack / t
     measured = operator_norm(diff)
     if not measured <= cap + 1e-8:
-        raise InternalConsistencyError(
-            f"within-task cap violated: measured {measured} > cap {cap}"
-        )
+        raise NumericalFailureError(f"within-task cap violated: measured {measured} > cap {cap}")
     return WithinTaskReport(measured=measured, cap=cap, b=b)
 
 

@@ -29,7 +29,7 @@ from uws.ensemble.container import (
     read_container,
     write_container,
 )
-from uws.errors import ManifestError, PayloadMismatchError
+from uws.errors import ContainerError
 from uws.spectral import RankPolicy
 
 from oracles import planted_ensemble
@@ -684,7 +684,7 @@ def test_a_manifest_whose_offsets_leave_a_gap_is_a_data_error(tmp_path, capsys):
     payload = blob[12 + length :]
     model.write_bytes(b"UWS1" + struct.pack("<Q", len(head)) + head
                       + payload[:first] + bytes(8) + payload[first:])
-    with pytest.raises(PayloadMismatchError, match="must be contiguous"):
+    with pytest.raises(ContainerError, match="must be contiguous"):
         read_container(model)
     code, out, err = run(["project", "--subspace", str(space), "--model", str(model),
                           "--out", str(tmp_path / "c.uws")], capsys)
@@ -769,7 +769,7 @@ def test_subspace_and_coefficient_files_are_not_weights(tmp_path, capsys):
         (tmp_path / "ss" / f"s{i}.uws").write_bytes(space.read_bytes())
     for kind, folder in (("coefficients", "cc"), ("subspace", "ss")):
         files = sorted((tmp_path / folder).iterdir())
-        with pytest.raises(ManifestError, match=f"'{kind}' container, not weights"):
+        with pytest.raises(ContainerError, match=f"'{kind}' container, not weights"):
             load_weights(files[0])
         for argv in (
             ["extract", "--models", str(tmp_path / folder / "*.uws"), "--out",
@@ -865,8 +865,8 @@ def test_meta_field_edits_never_end_in_a_traceback(kind, tmp_path, capsys):
         codes.append(run(argv, capsys)[0])
         if codes[-1] == 0:
             passed.append((field, edit))
-    # subspace meta: 16 keys in 3 objects; coefficient meta: 4 keys in 2
-    assert len(codes) == {"subspace": 67, "coefficients": 18}[kind]
+    # subspace meta: 15 keys in 3 objects; coefficient meta: 4 keys in 2
+    assert len(codes) == {"subspace": 63, "coefficients": 18}[kind]
     assert set(codes) <= {0, 2, 3}
     if kind == "subspace":
         # a policy field missing from the meta is None, which the fixture's
@@ -926,14 +926,14 @@ def _copy_entry(name, source):
     return lambda entries, meta: entries.update({name: entries[source]})
 
 
-_OLD_VERSION = "format_version {!r} is not 6: extract the subspace again"
+_OLD_VERSION = "format_version {!r} is not 7: extract the subspace again"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
         *[(lambda e, m, v=v: m.update(format_version=v), _OLD_VERSION.format(v))
-          for v in (1, 2, 3, 4, 5, "6", 6.0)],
+          for v in (1, 2, 3, 4, 5, 6, "7", 7.0)],
         (lambda e, m: m.pop("format_version"), _OLD_VERSION.format(None)),
         (lambda e, m: e.pop("ledger/block0/tail/2"),
          "missing required entry 'ledger/block0/tail/2'"),
@@ -946,13 +946,21 @@ _OLD_VERSION = "format_version {!r} is not 6: extract the subspace again"
          "subspace meta holds 'layer_order'"),
         (lambda e, m: m["layers"].update(block0={"stack_shape": [24, 24], "slab_extent": 6}),
          "meta 'layers' must map each layer to its [rows, cols]"),
+        # version 6 stated the order in the meta too; the U/L/n entries state it
+        (lambda e, m: m.update(order=2), "subspace meta holds 'order'"),
+        (_copy_entry("U/block0/3", "U/block0/2"),
+         "must state one order of 2 or 3, got orders {'block0': 3, 'block1': 2}"),
+        (lambda e, m: e.pop("U/block0/2"),
+         "must state one order of 2 or 3, got orders {'block0': 1, 'block1': 2}"),
     ],
-    ids=["version-1", "version-2", "version-3", "version-4", "version-5", "version-str",
+    ids=["version-1", "version-2", "version-3", "version-4", "version-5", "version-6",
+         "version-str",
          "version-float",
          "version-missing", "tail-missing", "core", "stacking-factor", "ratio-row",
-         "unknown-entry", "meta-key", "layer-meta-key"],
+         "unknown-entry", "meta-key", "layer-meta-key", "meta-order", "orders-disagree",
+         "no-factor"],
 )
-def test_a_subspace_file_outside_version_5_exits_2_from_every_reader(
+def test_a_subspace_file_of_another_format_exits_2_from_every_reader(
     tmp_path, capsys, edit, message
 ):
     space, _, readers = write_reader_fixture(tmp_path, capsys)
@@ -963,7 +971,7 @@ def test_a_subspace_file_outside_version_5_exits_2_from_every_reader(
     for name, argv in readers.items():
         code, _, err = run(argv, capsys)
         assert code == 2 and err.count("\n") == 1 and message in err, (name, err)
-    with pytest.raises(ManifestError, match=re.escape(message)):
+    with pytest.raises(ContainerError, match=re.escape(message)):
         load_subspace(tmp_path / "edited.uws")
 
 
@@ -1008,7 +1016,7 @@ def test_a_coefficient_file_with_what_uws_does_not_write_exits_2(tmp_path, capsy
     write_edited(coeffs, edited, edit)
     code, _, err = run(argv, capsys)
     assert code == 2 and err.count("\n") == 1 and message in err, err
-    with pytest.raises(ManifestError, match=re.escape(message)):
+    with pytest.raises(ContainerError, match=re.escape(message)):
         load_coefficients(edited)
 
 
@@ -1305,6 +1313,74 @@ def test_adapt_unreadable_csv_is_a_data_error(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+
+
+# ------------------------------------------------------- one exit per damage
+
+
+def _one_entry_file(record=None, payload=None, manifest=None):
+    """The bytes of a container holding one 2 x 2 f64 entry ``w`` of
+    1, 2, 3, 4, with ``record`` merged into its manifest record, or the
+    raw ``manifest`` text in place of the manifest."""
+    rec = {"name": "w", "rows": 2, "cols": 2, "dtype": "f64", "offset": 0, "nbytes": 32,
+           **(record or {})}
+    head = (manifest or json.dumps({"model_id": "m", "layers": [rec]})).encode()
+    body = np.arange(1.0, 5.0).tobytes() if payload is None else payload
+    return b"UWS1" + struct.pack("<Q", len(head)) + head + body
+
+
+#: Each kind of container damage, as ``uws scree`` reports it: the class
+#: that raises it is ContainerError, and its line names what and where.
+DAMAGE = {
+    "bad-magic": (b"NOPE" + _one_entry_file()[4:],
+                  "magic bytes b'NOPE' are not b'UWS1' (byte offset 0)"),
+    "truncated": (b"UWS1\x05",
+                  "file ends after 5 bytes; a 12-byte header is required (byte offset 5)"),
+    "unknown-dtype": (_one_entry_file({"dtype": "f16", "nbytes": 8}, bytes(8)),
+                      "layer 'w' declares element type 'f16'; this format defines "
+                      "['f32', 'f64'] (byte offset 12)"),
+    "payload-mismatch": (_one_entry_file({"nbytes": 24}, bytes(24)),
+                         "layer 'w' declares 24 bytes for a 2x2 f64 matrix (32 expected) "
+                         "(byte offset 121)"),
+    "non-finite": (_one_entry_file(payload=np.array([1.0, np.nan, 3.0, 4.0]).tobytes()),
+                   "layer 'w' decodes to a non-finite value at element 1 (byte offset 129)"),
+    "malformed-manifest": (_one_entry_file(manifest='{"model_id":3,"layers":[]}'),
+                           "bad manifest: model_id must be a string, got 3 (byte offset 12)"),
+}
+
+
+@pytest.mark.parametrize("kind", list(DAMAGE))
+def test_each_kind_of_container_damage_exits_2_with_its_line(kind, tmp_path, capsys):
+    blob, line = DAMAGE[kind]
+    damaged = tmp_path / "d.uws"
+    damaged.write_bytes(blob)
+    code, out, err = run(["scree", "--subspace", str(damaged), "--out", str(tmp_path / "r.csv")],
+                         capsys)
+    assert (code, out, err) == (2, "", f"data error: {line}\n")
+
+
+def test_a_zero_layer_on_the_exact_route_exits_3_naming_the_layer(tmp_path, capsys):
+    _, paths = write_fixture_models(tmp_path)
+    for path in paths:  # --tau 1 takes every component: the exact route alone
+        model = load_weights(path)
+        save_weights(ModelWeights(model.model_id, {**model.layers, "block0": np.zeros((6, 24))}),
+                     path)
+    code, out, err = run(["extract", "--models", str(tmp_path / "model_*.uws"), "--tau", "1",
+                          "--out", str(tmp_path / "s.uws"), "--report", str(tmp_path / "r.csv")],
+                         capsys)
+    assert (code, out, err) == (
+        3, "", "numerical failure: layer 'block0': tensor is identically zero\n")
+
+
+def test_a_singular_normal_matrix_exits_3_with_its_line(tmp_path, capsys):
+    space, xfile, yfile = make_adapt_problem(tmp_path, capsys)
+    np.savetxt(xfile, np.vstack([np.loadtxt(xfile, delimiter=",")[:1]] * 2), delimiter=",")
+    np.savetxt(yfile, np.vstack([np.loadtxt(yfile, delimiter=",")[:1]] * 2), delimiter=",")
+    code, out, err = run(["adapt", "--subspace", str(space), "--layer", "block0", "--x", str(xfile),
+                          "--y", str(yfile), "--out", str(tmp_path / "c.uws"),
+                          "--report", str(tmp_path / "f.csv")], capsys)
+    assert (code, out, err) == (3, "", "numerical failure: normal matrix for layer 'block0' is "
+                                "singular (2 samples for 3 directions); retry with ridge\n")
 
 
 # ------------------------------------------------------------------- memcalc

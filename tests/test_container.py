@@ -7,16 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uws.errors import (
-    BadMagicError,
-    ContainerError,
-    CorruptPayloadError,
-    InvalidArgumentError,
-    ManifestError,
-    PayloadMismatchError,
-    TruncatedFileError,
-    UnknownDtypeError,
-)
+from uws.errors import ContainerError, InvalidArgumentError
 from uws.ensemble.container import read_container, write_container
 
 
@@ -125,7 +116,7 @@ def corrupt(tmp_path, blob: bytes, name="bad.uws"):
 def test_bad_magic_names_offset_zero(tmp_path):
     blob, _ = hand_built_single_layer()
     p = corrupt(tmp_path, b"UWSX" + blob[4:])
-    with pytest.raises(BadMagicError) as ei:
+    with pytest.raises(ContainerError, match="magic bytes b'UWSX' are not") as ei:
         read_container(p)
     assert ei.value.offset == 0
     assert "offset 0" in str(ei.value)
@@ -133,14 +124,14 @@ def test_bad_magic_names_offset_zero(tmp_path):
 
 def test_truncated_header(tmp_path):
     p = corrupt(tmp_path, b"UWS1\x05")
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(ContainerError, match="file ends after 5 bytes"):
         read_container(p)
 
 
 def test_manifest_length_past_eof(tmp_path):
     blob, _ = hand_built_single_layer()
     p = corrupt(tmp_path, blob[:4] + struct.pack("<Q", 10_000) + blob[12:])
-    with pytest.raises(TruncatedFileError) as ei:
+    with pytest.raises(ContainerError, match="extends past the end of the file") as ei:
         read_container(p)
     assert ei.value.offset == 12
 
@@ -148,14 +139,14 @@ def test_manifest_length_past_eof(tmp_path):
 def test_manifest_invalid_json(tmp_path):
     manifest = b'{"model_id":'
     blob = b"UWS1" + struct.pack("<Q", len(manifest)) + manifest
-    with pytest.raises(ManifestError):
+    with pytest.raises(ContainerError, match="manifest is not valid JSON"):
         read_container(corrupt(tmp_path, blob))
 
 
 def test_manifest_invalid_utf8(tmp_path):
     manifest = b'\xff\xfe{"a":1}'
     blob = b"UWS1" + struct.pack("<Q", len(manifest)) + manifest
-    with pytest.raises(ManifestError):
+    with pytest.raises(ContainerError, match="manifest is not valid UTF-8"):
         read_container(corrupt(tmp_path, blob))
 
 
@@ -182,7 +173,7 @@ def test_manifest_schema_violations(tmp_path, doc):
     manifest = doc.encode()
     payload = bytes(64)
     blob = b"UWS1" + struct.pack("<Q", len(manifest)) + manifest + payload
-    with pytest.raises(ManifestError):
+    with pytest.raises(ContainerError, match="^bad manifest: "):
         read_container(corrupt(tmp_path, blob))
 
 
@@ -197,7 +188,7 @@ def test_unknown_dtype(tmp_path):
         separators=(",", ":"),
     ).encode()
     blob = b"UWS1" + struct.pack("<Q", len(manifest)) + manifest + bytes(8)
-    with pytest.raises(UnknownDtypeError):
+    with pytest.raises(ContainerError, match="declares element type 'f16'"):
         read_container(corrupt(tmp_path, blob))
 
 
@@ -212,15 +203,15 @@ def test_nbytes_disagrees_with_shape(tmp_path):
         separators=(",", ":"),
     ).encode()
     blob = b"UWS1" + struct.pack("<Q", len(manifest)) + manifest + bytes(24)
-    with pytest.raises(PayloadMismatchError):
+    with pytest.raises(ContainerError, match=re.escape("declares 24 bytes for a 2x2 f64 matrix")):
         read_container(corrupt(tmp_path, blob))
 
 
 def test_payload_too_short_and_too_long(tmp_path):
     blob, _ = hand_built_single_layer()
-    with pytest.raises((TruncatedFileError, PayloadMismatchError)):
+    with pytest.raises(ContainerError, match=re.escape("needs payload bytes [0, 32) but only 24")):
         read_container(corrupt(tmp_path, blob[:-8], "short.uws"))
-    with pytest.raises(PayloadMismatchError):
+    with pytest.raises(ContainerError, match="payload holds 36 bytes but the manifest declares 32"):
         read_container(corrupt(tmp_path, blob + bytes(4), "long.uws"))
 
 
@@ -228,7 +219,7 @@ def test_non_finite_payload_is_classified(tmp_path):
     blob, _ = hand_built_single_layer()
     nan = struct.pack("<d", np.nan)
     p = corrupt(tmp_path, blob[: len(blob) - 32] + nan + blob[len(blob) - 24 :])
-    with pytest.raises(CorruptPayloadError):
+    with pytest.raises(ContainerError, match="'w' decodes to a non-finite value at element 0"):
         read_container(p)
 
 
@@ -371,7 +362,7 @@ def assert_ranged_reads_agree(path):
             assert isinstance(full, ContainerError)
             continue
         if isinstance(full, ContainerError):
-            assert isinstance(full, CorruptPayloadError)
+            assert "decodes to a non-finite value" in str(full)
             assert not any(f"layer {name!r} decodes" in str(full) for name in names)
             continue
         assert list(doc.layers) == [n for n in full.shapes if n in names]
@@ -427,7 +418,7 @@ def test_file_cut_short_after_its_size_was_taken(monkeypatch, tmp_path, cut):
         return size
 
     monkeypatch.setattr(os, "fstat", fstat_then_cut)
-    with pytest.raises(TruncatedFileError) as ei:
+    with pytest.raises(ContainerError, match=f"file ends at byte {cut}, before its size") as ei:
         read_container(path)
     assert ei.value.offset == cut
 

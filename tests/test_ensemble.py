@@ -10,6 +10,7 @@ from uws.ensemble import (
     ExtractionConfig,
     MEMORY_PRESETS,
     ModelWeights,
+    UniversalSubspace,
     coefficient_parameter_count,
     adapt_coefficients,
     extract_universal,
@@ -27,12 +28,7 @@ from uws.ensemble import (
     stack_layer,
 )
 from uws.ensemble.container import read_container, write_container
-from uws.errors import (
-    DegenerateSpectrumError,
-    InvalidArgumentError,
-    ManifestError,
-    RankDeficiencyError,
-)
+from uws.errors import ContainerError, InvalidArgumentError, NumericalFailureError
 from uws.hosvd import SliceCoefficients, reconstruct_slice
 from uws.spectral import RankPolicy
 
@@ -180,7 +176,8 @@ def test_identical_copies_with_feature_centering_are_degenerate():
     rng = np.random.default_rng(85)
     row = {f"L{i}": rng.standard_normal((1, 6)) for i in range(4)}
     models = as_models([row] * 5)
-    with pytest.raises(DegenerateSpectrumError):
+    with pytest.raises(NumericalFailureError,
+                       match="^layer 'L1': no variance left after feature centering$"):
         extract_universal(models, ExtractionConfig(centering="feature"))
 
 
@@ -211,6 +208,16 @@ def test_an_extracted_subspace_and_its_file_hold_one_config(tmp_path, exclude):
         assert getattr(u, fact) == getattr(v, fact), fact
     named = ("embed", "head") if exclude is None else exclude  # the resolved exclusion
     assert u.excluded_layers == [name for name in u.layer_shapes if name in named]
+
+
+@pytest.mark.parametrize("use", ["order", "centering", "save_subspace"])
+def test_a_subspace_without_a_layer_model_is_refused_at_construction(tmp_path, use):
+    # the order and centering are its layer models', so it has neither
+    read = {"order": lambda u: u.order, "centering": lambda u: u.centering,
+            "save_subspace": lambda u: save_subspace(u, tmp_path / "s.uws")}[use]
+    with pytest.raises(InvalidArgumentError, match="^a subspace needs at least one layer model$"):
+        read(UniversalSubspace({}, {"a": (2, 2)}, ["m"], RankPolicy.fixed_k(1), "x"))
+    assert not (tmp_path / "s.uws").exists()
 
 
 @pytest.mark.parametrize("value", ["head", 5, {"head"}, ("head", 5)])
@@ -763,7 +770,7 @@ def test_adapt_noiseless_fit_takes_its_small_losses_explicitly(monkeypatch):
 def test_adapt_rank_deficiency_and_ridge():
     rng = np.random.default_rng(101)
     u, layer, x, y, _ = adapt_fixture(rng)
-    with pytest.raises(RankDeficiencyError) as ei:
+    with pytest.raises(NumericalFailureError, match="is singular .*; retry with ridge$") as ei:
         adapt_coefficients(u, layer, x[:2], y[:2])
     assert ei.value.suggested_ridge > 0
     coeffs, report = adapt_coefficients(
@@ -915,7 +922,7 @@ def test_load_subspace_refuses_a_factor_that_is_not_orthonormal(tmp_path):
     rewrite_entry(p, "U/block0/2", lambda v: v * (1 + 1e-12))
     load_subspace(p)
     rewrite_entry(p, "U/block0/2", lambda v: v * 2)
-    with pytest.raises(ManifestError, match="'U/block0/2' is not orthonormal"):
+    with pytest.raises(ContainerError, match="'U/block0/2' is not orthonormal"):
         load_subspace(p)
 
 

@@ -1,5 +1,7 @@
 """The package's export list: every name it promises must resolve."""
 
+import pytest
+
 import uws
 import uws.ensemble.container as container
 
@@ -139,3 +141,33 @@ def test_the_gram_route_serves_or_declines_and_keeps_one_scale_path():
     assert not hasattr(spectral, "_PLAIN_EXPONENT")
     assert not hasattr(hosvd, "_require_variance")
     assert not hasattr(hosvd.GramStream(3), "nonzero")
+
+
+def test_one_error_class_per_exit_code_and_a_subspace_meta_without_order(tmp_path):
+    import numpy as np
+
+    import uws.ensemble as ensemble
+    import uws.errors as errors
+    from uws.ensemble.container import read_container
+
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert defined == {"UwsError", "InvalidArgumentError", "ContainerError",
+                       "NumericalFailureError"}
+    folded = {"DegenerateSpectrumError", "RankDeficiencyError", "InternalConsistencyError",
+              "BadMagicError", "TruncatedFileError", "ManifestError", "UnknownDtypeError",
+              "PayloadMismatchError", "CorruptPayloadError"}
+    assert not folded & set(uws.__all__)
+    assert not [name for name in folded if hasattr(errors, name) or hasattr(uws, name)]
+    # the U/L/n entries state the order; the meta does not state it again
+    rng = np.random.default_rng(6)
+    models = [ensemble.ModelWeights(f"m{i}", {n: rng.standard_normal((3, 8)) for n in "abc"})
+              for i in range(4)]
+    ensemble.save_subspace(ensemble.extract_universal(models), tmp_path / "s.uws")
+    meta = read_container(tmp_path / "s.uws").meta
+    assert meta["format_version"] == 7 and "order" not in meta
+    # adapt's refusal of singular normal equations still carries its ridge
+    u = ensemble.load_subspace(tmp_path / "s.uws")
+    with pytest.raises(errors.NumericalFailureError, match="is singular") as refusal:
+        ensemble.adapt_coefficients(u, "b", np.ones((2, 8)), np.ones((2, 3)))
+    assert refusal.value.suggested_ridge > 0

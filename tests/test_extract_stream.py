@@ -27,7 +27,7 @@ from uws.ensemble import (
     stack_layer,
 )
 from uws.ensemble.container import read_container, write_container
-from uws.errors import DegenerateSpectrumError, InvalidArgumentError, ManifestError
+from uws.errors import ContainerError, InvalidArgumentError, NumericalFailureError
 from uws.hosvd import (
     GRAM_BLOCK_ROWS,
     GRAM_MIN_SQUARE,
@@ -569,7 +569,7 @@ def test_a_model_that_changes_between_layer_passes_is_a_data_error(
 
     monkeypatch.setattr(GramStream, "decompose", decompose_then_rewrite)
     paths = write_models(tmp_path / "bad", models)
-    with pytest.raises(ManifestError, match="changed between layer passes"):
+    with pytest.raises(ContainerError, match="changed between layer passes"):
         extract_universal(paths, ExtractionConfig(policy=TAU))
     write_models(tmp_path / "bad", models)
     code, err = _extract_code(tmp_path, [], capsys)
@@ -784,10 +784,11 @@ def test_streamed_extract_errors_keep_their_class():
         extract_universal(models[:4] + [nan], config)
     row = np.random.default_rng(15).standard_normal(40)
     same = [ModelWeights(f"s{i}", {n: np.tile(row, (8, 1)) for n in SHAPES}) for i in range(6)]
-    with pytest.raises(DegenerateSpectrumError, match="block0"):
+    with pytest.raises(NumericalFailureError,
+                       match="^layer 'block0': no variance left after feature centering$"):
         extract_universal(same, config)
     zero = [ModelWeights(f"z{i}", {n: np.zeros(s) for n, s in SHAPES.items()}) for i in range(6)]
-    with pytest.raises(DegenerateSpectrumError, match="zero"):
+    with pytest.raises(NumericalFailureError, match="^layer 'block0': tensor is identically zero$"):
         extract_universal(zero, config)
 
 
@@ -928,8 +929,9 @@ def test_subspace_meta_holds_only_what_the_entries_cannot_say(tmp_path):
         doc = read_container(tmp_path / "s.uws")
         assert doc.model_id == u.architecture_id == "ensemble"
         assert list(doc.meta) == ["kind", "format_version", "provenance", "centering",
-                                  "policy", "order", "layers"]
-        assert (doc.meta["format_version"], doc.meta["order"]) == (6, order)
+                                  "policy", "layers"]
+        # the order is stated once, by the U/L/n entries below
+        assert (doc.meta["format_version"], load_subspace(tmp_path / "s.uws").order) == (7, order)
         assert list(doc.meta["policy"]) == ["kind", "tau", "epsilon", "k", "noise_sigma"]
         # every layer, excluded ones included, in order, with its shape
         assert list(doc.meta["layers"].items()) == [(n, list(s)) for n, s in SHAPES.items()]
@@ -961,13 +963,13 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
     paths = write_models(tmp_path / "models", models)
     save_subspace(extract_universal(paths, ExtractionConfig(policy=TAU)), tmp_path / "s.uws")
     doc = read_container(tmp_path / "s.uws")
-    # only version 6 reads; a file without the key is no exception
-    for version in (5, 7, 4, 1, 0, "6", 6.0, True, None):
+    # only version 7 reads; a file without the key is no exception
+    for version in (6, 8, 5, 4, 1, 0, "7", 7.0, True, None):
         meta = dict(doc.meta, format_version=version)
         if version is None:
             del meta["format_version"]
         write_container(tmp_path / "v.uws", doc.model_id, doc.layers.items(), meta=meta)
-        with pytest.raises(ManifestError, match=f"format_version {version!r} is not 6"):
+        with pytest.raises(ContainerError, match=f"format_version {version!r} is not 7"):
             load_subspace(tmp_path / "v.uws")
         code = cli.main(["project", "--subspace", str(tmp_path / "v.uws"),
                          "--model", str(paths[0]), "--out", str(tmp_path / "c.uws")])
@@ -984,8 +986,9 @@ def test_unknown_format_version_is_a_data_error(tmp_path, capsys):
         (2, lambda m: m.update(layers={"zzz": [8, 40]}), "names no layer with a mean entry"),
         (2, lambda m: m.update(provenance=[]), "names no model"),
         (3, lambda m: m["layers"]["block0"].__setitem__(0, 4), "rows differ"),
-        (3, lambda m: m.update(order=2), "rows differ"),
-        (2, lambda m: m.update(order=3), "missing required entry 'U/block0/3'"),
+        # the meta states no order, so it cannot contradict the U/L/n entries'
+        (3, lambda m: m.update(order=2), "subspace meta holds 'order', which uws does not write"),
+        (2, lambda m: m.update(order=3), "subspace meta holds 'order', which uws does not write"),
         (2, lambda m: m["layers"]["block0"].__setitem__(1, 41), "rows differ"),
         (3, lambda m: m["layers"]["block0"].__setitem__(1, 41), "rows differ"),
         (2, lambda m: m.update(centering="global"), "reshape"),
@@ -1007,7 +1010,7 @@ def test_meta_that_contradicts_the_entries_is_a_data_error(tmp_path, capsys, ord
     edit(meta)
     edited = tmp_path / "edited.uws"
     write_container(edited, doc.model_id, doc.layers.items(), meta=meta)
-    with pytest.raises(ManifestError, match=message):
+    with pytest.raises(ContainerError, match=message):
         load_subspace(edited)
     capsys.readouterr()
     code = cli.main(["project", "--subspace", str(edited), "--model", str(paths[0]),
@@ -1079,7 +1082,7 @@ def test_stored_spectra_are_checked_on_load(tmp_path, capsys, edit, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "'ledger/block0/sv/2'" in err
-    with pytest.raises(ManifestError, match="ledger/block0/sv/2"):
+    with pytest.raises(ContainerError, match="ledger/block0/sv/2"):
         load_subspace(edited)
 
 
@@ -1118,7 +1121,7 @@ def test_every_stored_spectrum_needs_a_tail_that_fits_it(tmp_path, capsys, tau):
         return
     longer = tmp_path / "longer.uws"
     _with_spectrum(tmp_path / "s.uws", longer, lambda sv: np.c_[sv, np.zeros((1, 40))])
-    with pytest.raises(ManifestError, match="more than its unfolding's 40"):
+    with pytest.raises(ContainerError, match="more than its unfolding's 40"):
         load_subspace(longer)
     # the 40 - n components past the stored n are each at most s_n**2
     sv = u.layer_models["block0"].spectra[-1].singular_values
