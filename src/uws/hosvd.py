@@ -230,22 +230,21 @@ class GramStream:
     """An order-2 stack fed one row slab at a time, then decomposed once;
     the stack itself is never held.
 
-    :meth:`add` copies float32 or float64 slabs into a float64 block of
-    ``GRAM_BLOCK_ROWS`` rows, the only conversion a float32 slab gets.
     Every row is merged about one reference row r, the first block's mean
-    (shifted data, Chan, Golub and LeVeque 1983): a full block B adds the
-    column sums of B - r to s and ``(B - r).T @ (B - r)`` to G, a
-    :class:`~uws.spectral.LowerGram` of d (d + w) / 2 doubles, w =
+    (shifted data, Chan, Golub and LeVeque 1983).  :meth:`add` copies the
+    rows of float32 or float64 slabs, less r, into a float64 block of
+    ``GRAM_BLOCK_ROWS`` rows, the only conversion and the only pass a slab
+    gets (r is 0 until the first merge shifts that block in place).  A full
+    block B - r adds its column sums to s and ``(B - r).T @ (B - r)`` to G,
+    a :class:`~uws.spectral.LowerGram` of d (d + w) / 2 doubles, w =
     ``uws.spectral.GRAM_PANEL_COLS``.  Where a common offset dominates,
-    B - r is exact, so the offset's rounding never reaches G; a mean
-    that drifts by m from r costs G about eps n |m|**2.  :meth:`decompose`
+    B - r is exact, so the offset's rounding never reaches G; a mean that
+    drifts by m from r costs G about eps n |m|**2.  :meth:`decompose`
     centres G in place, subtracting n (s / n) (s / n).T, and hands it to
     the solve, which owns it: the stream then refuses more rows and a
-    second decompose.  Until then :attr:`mean` and :attr:`gram` give the
-    column mean r + s / n and the centred Gram of the rows merged so far.
-    A block whose squares overflow leaves the totals non-finite, which
-    the solve declines.  Memory is the panels, one block and one w x d
-    product; :meth:`flush` frees the block.
+    second decompose.  A block whose squares overflow leaves the totals
+    non-finite, which the stream declines.  Memory is the panels, one
+    block, one w x d product, r and s; :meth:`flush` frees the block.
     """
 
     def __init__(self, cols: int):
@@ -254,7 +253,6 @@ class GramStream:
         self.reference = np.zeros(self.cols)  # r, made by the first merge
         self.total = np.zeros(self.cols)  # s, the column sums of the rows less r
         self._gram = LowerGram.zeros(self.cols)  # about r; None once decomposed
-        self.sumsq = 0.0  # ||X||_F**2, the scale the variance check compares with
         self._block = None  # GRAM_BLOCK_ROWS rows, made by add
         self._fill = 0
 
@@ -287,22 +285,21 @@ class GramStream:
         finite_entries(slab, "slab")
         if self._block is None:
             self._block = np.empty((GRAM_BLOCK_ROWS, self.cols))
-        start = 0
-        while start < slab.shape[0]:
-            take = min(slab.shape[0] - start, GRAM_BLOCK_ROWS - self._fill)
-            self._block[self._fill : self._fill + take] = slab[start : start + take]
-            self._fill += take
-            start += take
+        while len(slab):
+            rows = self._block[self._fill :][: len(slab)]  # as many as the block holds
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(slab[: len(rows)], self.reference, out=rows)
+            slab = slab[len(rows) :]
+            self._fill += len(rows)
             if self._fill == GRAM_BLOCK_ROWS:
                 self._merge_block()
 
     def _merge_block(self) -> None:
         block = self._block[: self._fill]
         with np.errstate(over="ignore", invalid="ignore"):
-            self.sumsq += float(np.vdot(block, block))
-            if not self.rows:
+            if not self.rows:  # the first block, copied as is
                 self.reference = block.mean(axis=0)
-            block -= self.reference
+                block -= self.reference
             self.total += block.sum(axis=0)
             self._gram.add_gram_of(block)
         self.rows += self._fill
@@ -318,38 +315,40 @@ class GramStream:
         self, policy: RankPolicy = DEFAULT_POLICY, *, centering: str = "feature"
     ) -> SubspaceModel | None:
         """The truncated subspace of the rows added, found on the Gram route
-        (:func:`~uws.spectral.gram_leading`).  It matches :func:`exact_subspace`
-        of the stacked rows to within the accuracy stated in the module
-        docstring: retained factors agree to about eps * (s_1 / s_r)**2
-        and each singular value s_i to about eps * s_1**2 / s_i.
+        (:func:`~uws.spectral.gram_leading`); it matches :func:`exact_subspace`
+        of the stacked rows to within the accuracy the module docstring states.
 
         Returns None where the stack, one of no rows included, is not
-        :func:`gram_eligible`, where ||X||**2 (0 for a zero stack)
-        overflows or is below ``GRAM_MIN_SQUARE``, where no variance is
-        left after centering, and where :func:`~uws.spectral.gram_leading`
-        declines; the caller then decomposes the stacked matrix with
-        :func:`exact_subspace`, which serves or refuses it.  It raises
-        only for a bad argument or a second decompose.  Global centring
-        adds n (m - g) (m - g).T for the grand mean g, taken as mean(r)
-        plus a remainder, so m - g keeps what g, rounded, cannot.
+        :func:`gram_eligible`, where ||X||**2 (0 for a zero stack), read as
+        tr G + 2 r.s + n |r|**2 of G about r, overflows or is below
+        ``GRAM_MIN_SQUARE``, where no variance is left after centring, and
+        where :func:`~uws.spectral.gram_leading` declines; the caller then
+        decomposes the stacked matrix with :func:`exact_subspace`, which serves
+        or refuses it.  It raises only for a bad argument or a second decompose.
+        Global centring adds n (m - g) (m - g).T for the grand mean g, taken as
+        mean(r) plus a remainder, so m - g keeps what g, rounded, cannot.
         """
         one_of(centering, "centering", CENTERINGS)
         check_policy(policy)
         gram = self._owned()
         self.flush()
         self._gram = None  # the solve owns G
-        n, shape = self.rows, (self.rows, self.cols)
-        if not (gram_eligible(shape, policy) and GRAM_MIN_SQUARE <= self.sumsq < np.inf):
+        r, n, shape = self.reference, self.rows, (self.rows, self.cols)
+        if not gram_eligible(shape, policy):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is declined below
+            square = gram.trace() + 2 * (r @ self.total) + n * (r @ r)  # ||X||**2
+        if not GRAM_MIN_SQUARE <= square < np.inf:  # also keeps the centring from overflowing
             return None
         shift = self.total / n  # the column mean less r
         gram.add_outer(shift, -n)
-        mu = self.reference + shift
+        mu = r + shift
         if centering == "global":
-            base = self.reference.mean()
-            spread = (self.reference - base) + shift
+            base = r.mean()
+            spread = (r - base) + shift
             gram.add_outer(spread - spread.mean(), n)
             mu = base + spread.mean()
-        found = (_has_variance(np.sqrt(max(gram.trace(), 0.0)), np.sqrt(self.sumsq))
+        found = (_has_variance(np.sqrt(max(gram.trace(), 0.0)), np.sqrt(square))
                  and gram_leading(gram, policy))
         if not found:
             return None

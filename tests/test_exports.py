@@ -171,3 +171,10 @@ def test_one_error_class_per_exit_code_and_a_subspace_meta_without_order(tmp_pat
     with pytest.raises(errors.NumericalFailureError, match="is singular") as refusal:
         ensemble.adapt_coefficients(u, "b", np.ones((2, 8)), np.ones((2, 3)))
     assert refusal.value.suggested_ridge > 0
+
+
+def test_a_gram_stream_holds_only_what_it_cannot_derive():
+    import uws.hosvd as hosvd
+
+    # ||X||**2 is read from G about r, r and s when the stream is decomposed
+    assert not hasattr(hosvd.GramStream(4), "sumsq")

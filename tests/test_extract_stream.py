@@ -147,21 +147,27 @@ def test_large_common_offset_streams_without_loss(monkeypatch):
 def test_gram_stream_blocks_do_not_change_the_result():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3 * GRAM_BLOCK_ROWS + 17, 12)) @ rng.standard_normal((12, 12)) + 5.0
-    by_rows, whole = GramStream(12), GramStream(12)
+    by_rows, whole, split = GramStream(12), GramStream(12), GramStream(12)
     for start in range(0, x.shape[0], 7):
         by_rows.add(x[start : start + 7])
     whole.add(x)
-    a, b = by_rows.decompose(TAU), whole.decompose(TAU)
+    for part in np.split(x, [1, 600]):  # the 599 rows span the first merge
+        split.add(part)
+    for stream in (by_rows, whole, split):  # each row lands in the same block, shifted once
+        stream.flush()
+        assert np.array_equal(stream.gram, by_rows.gram)
+        assert np.array_equal(stream.mean, by_rows.mean)
+    a, b, c = by_rows.decompose(TAU), whole.decompose(TAU), split.decompose(TAU)
     xc = x - x.mean(axis=0)
     s = np.linalg.svd(xc, compute_uv=False)
-    for model in (a, b):
+    for model in (a, b, c):
         assert model.order == 2 and model.factors[0].shape[0] == x.shape[1]
         spec = model.spectra[-1]
         n = spec.singular_values.size
         assert np.max(np.abs(spec.singular_values - s[:n])) <= 1e-12 * s[0]
         assert abs(spec.tail - np.sum(s[n:] ** 2)) <= 1e-12 * np.sum(s**2)
         assert np.allclose(model.mu, x.mean(axis=0, keepdims=True), rtol=0, atol=1e-12)
-    assert max_sine(a.factors[-1], b.factors[-1]) <= 1e-12
+    assert max(max_sine(a.factors[-1], m.factors[-1]) for m in (b, c)) <= 1e-12
 
 
 def test_gram_stream_takes_float32_slabs_bit_for_bit():
@@ -175,8 +181,13 @@ def test_gram_stream_takes_float32_slabs_bit_for_bit():
     single.flush()
     double.flush()
     assert np.array_equal(single.gram, double.gram)
+    # r and s, with G what ||X||**2 is read from, keep their bits too, and
+    # tr G + n |mean|**2 is the input's own sum of squares
+    assert np.array_equal(single.reference, double.reference)
+    assert np.array_equal(single.total, double.total)
+    square = np.trace(single.gram) + single.rows * single.mean @ single.mean
+    assert square == pytest.approx(np.vdot(x, x.astype(np.float64)), rel=1e-12)
     a, b = single.decompose(TAU), double.decompose(TAU)
-    assert single.sumsq == double.sumsq
     for got, want in [
         (a.mu, b.mu),
         (a.factors[-1], b.factors[-1]),
@@ -433,7 +444,8 @@ def test_guard_declined_layer_is_read_again_and_stacked(monkeypatch, tmp_path):
 def _overflowing_gram():
     # 512 rows of a, then 4 of -128 a: the column mean is 0 and ||X||**2
     # rounds to the largest double, but the merge of the 4 rows, their
-    # spread times sqrt(512 * 4 / 516), rounds past it in the Gram
+    # spread times sqrt(512 * 4 / 516), rounds past it in the Gram; the
+    # stream reads ||X||**2 from that Gram, as inf, and declines before centring
     x = np.zeros((516, 2))
     x[:512, 0] = 5.2170853813394446e151
     x[512:, 0] = -128 * x[0, 0]
@@ -479,13 +491,13 @@ def test_each_decline_falls_back_to_the_exact_route_byte_identically(
     monkeypatch, tmp_path, make, rows, policy, declines
 ):
     x = make()
+    assert GRAM_MIN_SQUARE <= np.vdot(x, x) < np.inf  # each stack's own ||X||**2 clears the gate
     models = [ModelWeights(f"m{i:03d}", {"w": x[i : i + rows]}) for i in range(0, len(x), rows)]
     seen = []
     real_decompose, real_block = GramStream.decompose, spectral_module._leading_block
 
     def decompose(stream, *a, **kw):
         stream.flush()
-        assert np.isfinite(stream.sumsq) and stream.sumsq >= GRAM_MIN_SQUARE
         seen.append("non-finite Gram" if not stream._gram.all_finite()
                     else "trace below GRAM_MIN_SQUARE"
                     if stream._gram.trace() < GRAM_MIN_SQUARE

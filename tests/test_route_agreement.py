@@ -47,6 +47,7 @@ import functools
 import numpy as np
 import pytest
 
+import uws.hosvd as hosvd_module
 from uws.ensemble import UniversalSubspace, load_subspace, save_subspace
 from uws.hosvd import GramStream, SubspaceModel, exact_subspace, gram_eligible
 from uws.spectral import (DEFAULT_POLICY, GRAM_MIN_RATIO, GRAM_MIN_SQUARE, LowerGram, RankPolicy,
@@ -94,6 +95,12 @@ def streamed(x: np.ndarray) -> GramStream:
     for start in range(0, len(x), SLAB):
         stream.add(x[start : start + SLAB])
     return stream
+
+
+def sum_of_squares(x: np.ndarray) -> float:
+    """||X||**2 of ``x`` in float64, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.vdot(x, x))
 
 
 def deepest_model(x: np.ndarray, centering: str):
@@ -290,11 +297,15 @@ def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_dec
         scalings.append(e)
         real_ldexp(gram, e)
 
+    # a stream whose ||X||**2 passes its gate goes on to the variance check
+    passed, real_has_variance = [], hosvd_module._has_variance
+    monkeypatch.setattr(hosvd_module, "_has_variance",
+                        lambda *a: passed.append(a) or real_has_variance(*a))
     monkeypatch.setattr(LowerGram, "ldexp", ldexp)
     big = streamed(np.ldexp(x, 500))
     got = big.decompose(DEFAULT_POLICY, centering=centering)
     if name == "offset_1e6":  # 1e6 * 2**500 squared overflows
-        assert big.sumsq == np.inf and got is None
+        assert sum_of_squares(np.ldexp(x, 500)) == np.inf and got is None and not passed
     else:
         assert len(scalings) == 1 and scalings[0] < -256  # G is scaled once, in place
         assert (got is None) == (want is None)
@@ -306,7 +317,9 @@ def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_dec
     tiny = streamed(np.ldexp(x, -500))
     tiny.flush()
     if name == "offset_1e6":  # the offset holds ||X||**2 up, but not tr G
-        assert tiny.sumsq >= GRAM_MIN_SQUARE > np.trace(tiny.gram)
+        assert sum_of_squares(np.ldexp(x, -500)) >= GRAM_MIN_SQUARE > np.trace(tiny.gram)
     else:
-        assert tiny.sumsq < GRAM_MIN_SQUARE
+        assert sum_of_squares(np.ldexp(x, -500)) < GRAM_MIN_SQUARE
+    passed.clear()
     assert tiny.decompose(DEFAULT_POLICY, centering=centering) is None
+    assert bool(passed) == (name == "offset_1e6")
