@@ -445,7 +445,8 @@ def _overflowing_gram():
     # 512 rows of a, then 4 of -128 a: the column mean is 0 and ||X||**2
     # rounds to the largest double, but the merge of the 4 rows, their
     # spread times sqrt(512 * 4 / 516), rounds past it in the Gram; the
-    # stream reads ||X||**2 from that Gram, as inf, and declines before centring
+    # stream reads ||X||**2 from that Gram as inf and declines before
+    # centring, so the solve's own finiteness check is not reached
     x = np.zeros((516, 2))
     x[:512, 0] = 5.2170853813394446e151
     x[512:, 0] = -128 * x[0, 0]
@@ -480,7 +481,7 @@ def _small_leading_value():
 @pytest.mark.parametrize(
     "make, rows, policy, declines",
     [
-        (_overflowing_gram, 43, TAU, ["non-finite Gram"]),
+        (_overflowing_gram, 43, TAU, ["||X||**2 out of range"]),
         (_flat_tiny_stack, 8, TAU, ["trace below GRAM_MIN_SQUARE"]),
         (_ky_fan_bounded, 12, RankPolicy.fixed_k(10), ["solve", "block bound"]),
         (_small_leading_value, 40, TAU, ["s_1**2 below GRAM_MIN_SQUARE"]),
@@ -491,19 +492,34 @@ def test_each_decline_falls_back_to_the_exact_route_byte_identically(
     monkeypatch, tmp_path, make, rows, policy, declines
 ):
     x = make()
-    assert GRAM_MIN_SQUARE <= np.vdot(x, x) < np.inf  # each stack's own ||X||**2 clears the gate
+    assert GRAM_MIN_SQUARE <= np.vdot(x, x) < np.inf  # each stack's own ||X||**2 is in range
     models = [ModelWeights(f"m{i:03d}", {"w": x[i : i + rows]}) for i in range(0, len(x), rows)]
-    seen = []
-    real_decompose, real_block = GramStream.decompose, spectral_module._leading_block
+    seen = []  # the gate that declines, read where the stream reaches it
+    real_decompose, real_has_variance = GramStream.decompose, hosvd_module._has_variance
+    real_leading, real_block = hosvd_module.gram_leading, spectral_module._leading_block
 
     def decompose(stream, *a, **kw):
-        stream.flush()
-        seen.append("non-finite Gram" if not stream._gram.all_finite()
-                    else "trace below GRAM_MIN_SQUARE"
-                    if stream._gram.trace() < GRAM_MIN_SQUARE
+        with monkeypatch.context() as m:  # the exact route's own checks are not spied on
+            m.setattr(hosvd_module, "_has_variance", has_variance)
+            m.setattr(hosvd_module, "gram_leading", leading)
+            got = real_decompose(stream, *a, **kw)
+        if not seen:  # neither the variance check nor the solve was reached
+            seen.append("||X||**2 out of range")
+        return got
+
+    def has_variance(centred_norm, norm):
+        assert norm == pytest.approx(np.sqrt(np.vdot(x, x)), rel=1e-12)
+        found = real_has_variance(centred_norm, norm)
+        if not found:
+            seen.append("no variance")
+        return found
+
+    def leading(gram, policy):
+        seen.append("non-finite Gram" if not gram.all_finite()
+                    else "trace below GRAM_MIN_SQUARE" if gram.trace() < GRAM_MIN_SQUARE
                     else "s_1**2 below GRAM_MIN_SQUARE"
-                    if np.linalg.eigvalsh(stream.gram)[-1] < GRAM_MIN_SQUARE else "solve")
-        return real_decompose(stream, *a, **kw)
+                    if np.linalg.eigvalsh(gram.symmetric())[-1] < GRAM_MIN_SQUARE else "solve")
+        return real_leading(gram, policy)
 
     def block(*a, **kw):
         try:

@@ -49,7 +49,7 @@ import pytest
 
 import uws.hosvd as hosvd_module
 from uws.ensemble import UniversalSubspace, load_subspace, save_subspace
-from uws.hosvd import GramStream, SubspaceModel, exact_subspace, gram_eligible
+from uws.hosvd import GRAM_BLOCK_ROWS, GramStream, SubspaceModel, exact_subspace, gram_eligible
 from uws.spectral import (DEFAULT_POLICY, GRAM_MIN_RATIO, GRAM_MIN_SQUARE, LowerGram, RankPolicy,
                           select_rank)
 
@@ -307,6 +307,7 @@ def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_dec
     if name == "offset_1e6":  # 1e6 * 2**500 squared overflows
         assert sum_of_squares(np.ldexp(x, 500)) == np.inf and got is None and not passed
     else:
+        assert passed[0][1] == pytest.approx(np.sqrt(sum_of_squares(np.ldexp(x, 500))), rel=1e-12)
         assert len(scalings) == 1 and scalings[0] < -256  # G is scaled once, in place
         assert (got is None) == (want is None)
         if want is not None:
@@ -323,3 +324,22 @@ def test_a_stream_at_2_to_the_500_is_solved_scaled_and_at_2_to_the_minus_500_dec
     passed.clear()
     assert tiny.decompose(DEFAULT_POLICY, centering=centering) is None
     assert bool(passed) == (name == "offset_1e6")
+    for _, norm in passed:
+        assert norm == pytest.approx(np.sqrt(sum_of_squares(np.ldexp(x, -500))), rel=1e-12)
+
+
+def test_a_stream_reads_its_square_from_g_r_and_s_where_the_rows_drift(monkeypatch):
+    # past the first block the rows drift by about -30 from its mean r,
+    # about 10, so 2 r.s takes away most of n |r|**2 and tr G adds it back
+    x = planted_stack("planted_gap") + 10.0
+    x[GRAM_BLOCK_ROWS:] -= 30.0 + 7.0 * np.sin(np.arange(COLS))
+    stream = streamed(x)
+    stream.flush()
+    r, s = stream.reference, stream.total
+    assert -2 * (r @ s) > 0.5 * stream.rows * (r @ r)
+    norms, real_has_variance = [], hosvd_module._has_variance
+    monkeypatch.setattr(hosvd_module, "_has_variance",
+                        lambda *a: norms.append(a[1]) or real_has_variance(*a))
+    for centering in ("feature", "global"):
+        assert copy.deepcopy(stream).decompose(DEFAULT_POLICY, centering=centering) is not None
+    assert norms == [pytest.approx(np.sqrt(sum_of_squares(x)), rel=1e-12)] * 2

@@ -192,6 +192,17 @@ def test_a_lower_gram_product_after_add_gram_of_sees_the_added_rows():
     assert abs(lower.frobenius_sq() - np.vdot(g, g)) <= 1e-12 * np.vdot(g, g)
 
 
+@pytest.mark.parametrize("row, col, value", [(0, 0, np.inf), (GRAM_PANEL_COLS + 1, 2, np.nan)])
+def test_a_gram_that_is_not_finite_is_declined(row, col, value):
+    # an inf on the diagonal leaves tr G above the floor, a nan in the
+    # second panel's rectangle leaves it finite: only the finiteness check
+    # sees either
+    c = np.random.default_rng(30).standard_normal((GRAM_PANEL_COLS + 40, GRAM_PANEL_COLS + 5))
+    square = c.T @ c
+    square[row, col] = value
+    assert gram_leading(lower_gram_of(square), RankPolicy.fixed_k(2)) is None
+
+
 def test_gram_spectrum_reads_rounding_level_eigenvalues_as_zero():
     rng = np.random.default_rng(25)
     m = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 40))  # rank 5
